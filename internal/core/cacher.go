@@ -50,6 +50,9 @@ type Cacher struct {
 	// measures against.
 	StreamExtract bool
 
+	// mu guards generation and pendingDrop: queries, gauges and SaveState
+	// read them while an online cycle or LoadState writes them.
+	mu sync.Mutex
 	// generation numbers each population cycle; cache tables carry it in
 	// their name so generations never collide.
 	generation int
@@ -57,8 +60,6 @@ type Cacher struct {
 	// START of the next cycle so queries planned against the old registry
 	// can finish against intact tables.
 	pendingDrop [][2]string // (db, table)
-	// stats
-	lastStats CacheStats
 
 	// obs counters (nil until SetObs): population cycles publish totals here
 	// so malformed documents are visible operationally, not silently NULLed.
@@ -127,7 +128,10 @@ func (c *Cacher) PopulateCtx(ctx context.Context, selected []*PathProfile, cm sq
 	// is timed separately); this call is then a no-op, but keeps direct
 	// CacheSelected users correct.
 	stats.Dropped = c.DropRetired()
+	c.mu.Lock()
 	c.generation++
+	gen := c.generation
+	c.mu.Unlock()
 
 	// Group selections by raw table: all MPJPs of one raw table go into one
 	// cache table (paper: "we cache the JSONPath from the same raw data
@@ -173,7 +177,7 @@ func (c *Cacher) PopulateCtx(ctx context.Context, selected []*PathProfile, cm sq
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			var local CacheStats
-			entries, err := c.populateTable(ctx, byTable[id], &local, cm)
+			entries, err := c.populateTable(ctx, byTable[id], gen, &local, cm)
 			results[i] = tableResult{stats: local, entries: entries, err: err}
 		}(i, id)
 	}
@@ -200,7 +204,7 @@ func (c *Cacher) PopulateCtx(ctx context.Context, selected []*PathProfile, cm sq
 	if firstErr != nil {
 		// Abort: delete this generation's tables right away (nothing
 		// referenced them) and leave the previous generation serving.
-		c.dropGeneration(tableIDs, c.generation)
+		c.dropGeneration(tableIDs, gen)
 		return stats, firstErr
 	}
 
@@ -214,19 +218,20 @@ func (c *Cacher) PopulateCtx(ctx context.Context, selected []*PathProfile, cm sq
 	for _, e := range old {
 		retired[[2]string{e.CacheDB, e.CacheTable}] = true
 	}
+	c.mu.Lock()
 	for t := range retired {
 		c.pendingDrop = append(c.pendingDrop, t)
 	}
 	sort.Slice(c.pendingDrop, func(i, j int) bool {
 		return c.pendingDrop[i][0]+c.pendingDrop[i][1] < c.pendingDrop[j][0]+c.pendingDrop[j][1]
 	})
+	c.mu.Unlock()
 
 	if c.parseErrorsC != nil {
 		c.parseErrorsC.Add(stats.ParseErrors)
 		c.bytesScannedC.Add(stats.BytesScanned)
 		c.bytesSkippedC.Add(stats.BytesSkipped)
 	}
-	c.lastStats = stats
 	return stats, nil
 }
 
@@ -252,28 +257,41 @@ func (c *Cacher) dropGeneration(tableIDs []string, gen int) {
 // implicitly; RunMidnightCycle calls it explicitly first so the
 // retire-deferred-delete stage is accounted on its own.
 func (c *Cacher) DropRetired() int {
+	c.mu.Lock()
+	pending := c.pendingDrop
+	c.pendingDrop = nil
+	c.mu.Unlock()
 	dropped := 0
-	for _, t := range c.pendingDrop {
+	for _, t := range pending {
 		if c.wh.TableExists(t[0], t[1]) {
 			if err := c.wh.DropTable(t[0], t[1]); err == nil {
 				dropped++
 			}
 		}
 	}
-	c.pendingDrop = nil
 	return dropped
 }
 
 // Generation returns the number of population cycles run so far.
-func (c *Cacher) Generation() int { return c.generation }
+func (c *Cacher) Generation() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.generation
+}
 
 // PendingDrops returns how many retired cache tables await deferred
 // deletion at the start of the next cycle.
-func (c *Cacher) PendingDrops() int { return len(c.pendingDrop) }
+func (c *Cacher) PendingDrops() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.pendingDrop)
+}
 
 // StateSnapshot exports the cacher's durable state — the generation counter
 // and the deferred-deletion queue — for SaveState.
 func (c *Cacher) StateSnapshot() (generation int, pendingDrop [][2]string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	pending := make([][2]string, len(c.pendingDrop))
 	copy(pending, c.pendingDrop)
 	return c.generation, pending
@@ -284,6 +302,8 @@ func (c *Cacher) StateSnapshot() (generation int, pendingDrop [][2]string) {
 // never collide with survivors) and still deletes tables the previous
 // incarnation had retired.
 func (c *Cacher) RestoreState(generation int, pendingDrop [][2]string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if generation > c.generation {
 		c.generation = generation
 	}
@@ -309,7 +329,7 @@ func splitTableID(id string) (db, table string, ok bool) {
 // populateTable caches one raw table's selected paths and returns the
 // registry entries for them. Entries are NOT installed here — PopulateCtx
 // commits all tables' entries in one atomic swap after every table succeeds.
-func (c *Cacher) populateTable(ctx context.Context, group []*PathProfile, stats *CacheStats, cm sqlengine.CostModel) ([]*CacheEntry, error) {
+func (c *Cacher) populateTable(ctx context.Context, group []*PathProfile, gen int, stats *CacheStats, cm sqlengine.CostModel) ([]*CacheEntry, error) {
 	key0 := group[0].Key
 	rawInfo, err := c.wh.Table(key0.DB, key0.Table)
 	if err != nil {
@@ -337,7 +357,7 @@ func (c *Cacher) populateTable(ctx context.Context, group []*PathProfile, stats 
 		return nil, nil
 	}
 
-	cacheTable := generationTableName(key0.DB, key0.Table, c.generation)
+	cacheTable := generationTableName(key0.DB, key0.Table, gen)
 	if c.wh.TableExists(CacheDB, cacheTable) {
 		if err := c.wh.DropTable(CacheDB, cacheTable); err != nil {
 			return nil, err

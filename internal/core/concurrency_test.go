@@ -3,15 +3,23 @@ package core
 import (
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestQueriesDuringRepopulation hammers the system with queries while the
 // cache re-populates repeatedly. The generational design (new tables per
 // cycle, previous generation deleted one cycle later) must keep every query
-// succeeding with correct results throughout.
+// succeeding with correct results throughout. With the scan-share window on
+// (as maxson-serve runs) every query also asks the cacher for its generation
+// while PopulateCtx advances it; run with -race.
 func TestQueriesDuringRepopulation(t *testing.T) {
+	t.Run("direct", func(t *testing.T) { queriesDuringRepopulation(t, 0) })
+	t.Run("scan-share", func(t *testing.T) { queriesDuringRepopulation(t, 200*time.Microsecond) })
+}
+
+func queriesDuringRepopulation(t *testing.T, scanShareWindow time.Duration) {
 	f := newFixture(t)
-	m := New(f.engine, Config{BudgetBytes: 1 << 30, DefaultDB: "mydb"})
+	m := New(f.engine, Config{BudgetBytes: 1 << 30, DefaultDB: "mydb", ScanShareWindow: scanShareWindow})
 	cachePaths(t, m, "$.turnover", "$.item_name")
 
 	const queriesPerWorker = 30

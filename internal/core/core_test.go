@@ -195,6 +195,40 @@ func TestFullyCachedQueryDropsJSONColumn(t *testing.T) {
 	}
 }
 
+// A fully cached query costs one dfs open per split — the cache file — and
+// the bytes of the cache table, however often planning and the per-split
+// opens consult the metastore; no raw part file is read at all.
+func TestFullyCachedQueryReadsOnlyCacheFiles(t *testing.T) {
+	f := newFixture(t)
+	m := New(f.engine, Config{BudgetBytes: 1 << 30, DefaultDB: "mydb"})
+	cachePaths(t, m, "$.turnover")
+	cacheTable := m.Cacher.ActiveCacheTable("mydb", "t")
+	cacheBytes, err := f.wh.TotalBytes(CacheDB, cacheTable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rawInfo, err := f.wh.Table("mydb", "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	splits := int64(len(rawInfo.Files))
+
+	fs := f.wh.FS()
+	fs.ResetStats()
+	_, met, err := m.Query(`SELECT get_json_object(sale_logs, '$.turnover') tv FROM mydb.t`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if met.Parse.Docs.Load() != 0 || met.RowsScanned.Load() != 31 {
+		t.Fatalf("not a fully cached scan: parsed %d docs, scanned %d rows", met.Parse.Docs.Load(), met.RowsScanned.Load())
+	}
+	st := fs.Stats()
+	if st.Opens != splits || st.BytesRead != cacheBytes {
+		t.Errorf("query over %d splits: %d dfs opens, %d bytes; want %d opens and the cache table's %d bytes (raw table is %d)",
+			splits, st.Opens, st.BytesRead, splits, cacheBytes, rawInfo.Bytes)
+	}
+}
+
 func TestPartiallyCachedQueryStitchesRows(t *testing.T) {
 	f := newFixture(t)
 	m := New(f.engine, Config{BudgetBytes: 1 << 30, DefaultDB: "mydb"})

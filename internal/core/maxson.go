@@ -10,6 +10,7 @@ import (
 	"io"
 	"log/slog"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -63,6 +64,11 @@ type Maxson struct {
 	obs             *obs.Registry
 	fallbackQueries *obs.Counter
 	lastCycle       atomic.Pointer[CycleReport]
+	// stateMu serialises SaveState and LoadState: SaveStats replaces the
+	// statistics table by drop + create + append, so a concurrent LoadStats
+	// would find no table or no part file, and a load must restore the
+	// registry, generation and weights of one save, not a mix of two.
+	stateMu sync.Mutex
 }
 
 // Config bundles Maxson construction options.
@@ -579,6 +585,8 @@ func decodeState(blob []byte) (*persistedState, error) {
 // are written atomically (temp + rename), so a crash mid-save leaves the
 // previous state intact rather than a torn file.
 func (m *Maxson) SaveState() error {
+	m.stateMu.Lock()
+	defer m.stateMu.Unlock()
 	if _, err := m.Collector.SaveStats(m.wh); err != nil {
 		return err
 	}
@@ -615,6 +623,8 @@ func (m *Maxson) SaveState() error {
 // left them behind) are swept. Either way the node comes up consistent
 // without manual cleanup.
 func (m *Maxson) LoadState() error {
+	m.stateMu.Lock()
+	defer m.stateMu.Unlock()
 	if _, err := m.Collector.LoadStats(m.wh); err != nil {
 		return err
 	}

@@ -85,6 +85,7 @@ func (s *Scorer) Profile(candidates []pathkey.Key, queries []QueryRecord, mpjpSe
 		}
 	}
 	out := make([]*PathProfile, 0, len(candidates))
+	samples := map[pathkey.Key]*columnSample{}
 	for _, key := range candidates {
 		prof := byPath[key]
 		sumN := prof.Score
@@ -94,7 +95,13 @@ func (s *Scorer) Profile(candidates []pathkey.Key, queries []QueryRecord, mpjpSe
 		} else {
 			prof.Relevance = 0
 		}
-		s.measure(prof)
+		col := pathkey.Key{DB: key.DB, Table: key.Table, Column: key.Column}
+		sample, ok := samples[col]
+		if !ok {
+			sample = s.sample(col)
+			samples[col] = sample
+		}
+		s.measure(prof, sample)
 		aj := 0.0
 		if prof.AvgValueBytes > 0 {
 			aj = prof.AvgParseNs / prof.AvgValueBytes
@@ -112,36 +119,27 @@ func (s *Scorer) Profile(candidates []pathkey.Key, queries []QueryRecord, mpjpSe
 	return out
 }
 
-// measure samples the path's table to estimate B_j, P_j, and the total
-// cache footprint.
-func (s *Scorer) measure(prof *PathProfile) {
-	info, err := s.wh.Table(prof.Key.DB, prof.Key.Table)
+// columnSample is what every candidate path of one JSON column is measured
+// against: the first SampleRows rows of each split, parsed once.
+type columnSample struct {
+	docs    []string
+	roots   []*sjson.Value // parsed docs[i]; nil when docs[i] is malformed
+	numRows int64          // the table's row count
+}
+
+// sample reads one column's sample; nil when the table is gone.
+func (s *Scorer) sample(col pathkey.Key) *columnSample {
+	info, err := s.wh.Table(col.DB, col.Table)
 	if err != nil {
-		return
+		return nil
 	}
-	path, err := jsonpath.Compile(prof.Key.Path)
-	if err != nil {
-		return
-	}
-	var valueBytes, docBytes, scanBytes int64
-	var sampled int64
-	var set *jsonpath.PathSet
-	if jsonpath.TrieEligible(path) {
-		if ps, err := jsonpath.NewPathSet(path); err == nil {
-			set = ps
-		}
-		// On error set stays nil and the loop below falls back to costing
-		// the full document as scanned, the same as a non-eligible path.
-	}
-	var parser sjson.Parser
-	var scanOut [1]*sjson.Value
-	var scanBuf []byte
+	cs := &columnSample{numRows: info.NumRows}
 	for _, file := range info.Files {
 		r, err := s.wh.OpenFile(file)
 		if err != nil {
 			continue
 		}
-		cur, err := r.NewCursor([]string{prof.Key.Column}, nil, nil)
+		cur, err := r.NewCursor([]string{col.Column}, nil, nil)
 		if err != nil {
 			continue
 		}
@@ -153,34 +151,63 @@ func (s *Scorer) measure(prof *PathProfile) {
 			if row[0].Null {
 				continue
 			}
-			doc := row[0].S
-			docBytes += int64(len(doc))
-			sampled++
-			if set != nil {
-				parser.ResetValues()
-				scanBuf = append(scanBuf[:0], doc...)
-				if scanned, err := set.Extract(&parser, scanBuf, scanOut[:]); err == nil {
-					scanBytes += int64(scanned)
-				} else {
-					scanBytes += int64(len(doc))
-				}
+			root, err := sjson.ParseString(row[0].S)
+			if err != nil {
+				root = nil
+			}
+			cs.docs = append(cs.docs, row[0].S)
+			cs.roots = append(cs.roots, root)
+		}
+	}
+	return cs
+}
+
+// measure estimates B_j, P_j and the total cache footprint of one path from
+// its column's sample.
+func (s *Scorer) measure(prof *PathProfile, sample *columnSample) {
+	if sample == nil || len(sample.docs) == 0 {
+		return
+	}
+	path, err := jsonpath.Compile(prof.Key.Path)
+	if err != nil {
+		return
+	}
+	var valueBytes, docBytes, scanBytes int64
+	var set *jsonpath.PathSet
+	if jsonpath.TrieEligible(path) {
+		if ps, err := jsonpath.NewPathSet(path); err == nil {
+			set = ps
+		}
+		// On error set stays nil and the loop below falls back to costing
+		// the full document as scanned, the same as a non-eligible path.
+	}
+	var parser sjson.Parser
+	var scanOut [1]*sjson.Value
+	var scanBuf []byte
+	for i, doc := range sample.docs {
+		docBytes += int64(len(doc))
+		if set != nil {
+			parser.ResetValues()
+			scanBuf = append(scanBuf[:0], doc...)
+			if scanned, err := set.Extract(&parser, scanBuf, scanOut[:]); err == nil {
+				scanBytes += int64(scanned)
 			} else {
 				scanBytes += int64(len(doc))
 			}
-			root, err := sjson.ParseString(doc)
-			if err != nil {
-				continue
-			}
-			if v := path.Eval(root); !v.IsNull() {
-				valueBytes += int64(len(v.Scalar())) + 1
-			} else {
-				valueBytes++ // null marker still occupies cache space
-			}
+		} else {
+			scanBytes += int64(len(doc))
+		}
+		root := sample.roots[i]
+		if root == nil {
+			continue
+		}
+		if v := path.Eval(root); !v.IsNull() {
+			valueBytes += int64(len(v.Scalar())) + 1
+		} else {
+			valueBytes++ // null marker still occupies cache space
 		}
 	}
-	if sampled == 0 {
-		return
-	}
+	sampled := int64(len(sample.docs))
 	prof.AvgValueBytes = float64(valueBytes) / float64(sampled)
 	// P_j: parsing the document with the engine's tree parser, costed by
 	// the calibrated model (per-byte rate plus per-call overhead).
@@ -192,7 +219,7 @@ func (s *Scorer) measure(prof *PathProfile) {
 	} else {
 		prof.AvgScanNs = prof.AvgParseNs
 	}
-	prof.TotalValueBytes = int64(prof.AvgValueBytes * float64(info.NumRows))
+	prof.TotalValueBytes = int64(prof.AvgValueBytes * float64(sample.numRows))
 	if prof.TotalValueBytes < 1 {
 		prof.TotalValueBytes = 1
 	}

@@ -9,6 +9,9 @@
 //   - files are append-only: bytes are added, never rewritten (the paper
 //     reports only 2% of tables ever modify previously appended data, and
 //     Maxson invalidates caches when they do);
+//   - stored content is immutable and versioned: every mutation gives the
+//     file a new version, and once bytes are stored they are never written
+//     again, so ReadView can hand readers the stored bytes themselves;
 //   - every file records its last modification time from an injectable
 //     clock, which drives cache-validity decisions;
 //   - readers obtain input splits — block ranges — and Maxson's cacher uses
@@ -23,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"path"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -43,7 +47,10 @@ var (
 // defaults to 4 MiB so tests exercise multi-block files cheaply).
 const DefaultBlockSize = 4 << 20
 
-// IOStats counts bytes moved through the file system.
+// IOStats counts bytes moved through the file system. BytesRead and Opens
+// count what readers were handed: one open and the length of the returned
+// range per ReadView/ReadFile/ReadRange call. Metadata calls (List, ListFiles,
+// Size, ModTime) count nothing.
 type IOStats struct {
 	BytesRead    int64
 	BytesWritten int64
@@ -59,15 +66,32 @@ type FS struct {
 	blockSize int64
 	clock     simtime.Clock
 	stats     IOStats
+	// lastVersion is the version most recently handed out. Versions are
+	// unique across the whole file system, so a file deleted and created
+	// again under the same name never repeats one.
+	lastVersion uint64
 	// inj is the optional fault injector. It is consulted before each
-	// open/append (Fail) and on each read's returned copy (Transform),
+	// open/append (Fail) and on each read's returned bytes (Transform),
 	// always outside mu so injected latency never stalls the lock.
 	inj atomic.Pointer[fault.Injector]
 }
 
+// file is one stored file. Immutability invariant: once data[i] has been
+// stored it is never written again. WriteFile installs a fresh slice, and
+// Append only ever writes at or beyond the previous len(data) — into spare
+// capacity no view can reach (views are capacity-capped) or into a fresh
+// array. Every mutation also takes a new version, so a version names one
+// exact byte content.
 type file struct {
 	data    []byte
 	modTime time.Time
+	version uint64
+}
+
+// nextVersion hands out a fresh version; the caller holds mu for writing.
+func (f *FS) nextVersion() uint64 {
+	f.lastVersion++
+	return f.lastVersion
 }
 
 // Option configures an FS.
@@ -140,7 +164,7 @@ func (f *FS) Create(name string) error {
 	if _, ok := f.files[name]; ok {
 		return fmt.Errorf("%w: %s", ErrExists, name)
 	}
-	f.files[name] = &file{modTime: f.clock.Now()}
+	f.files[name] = &file{modTime: f.clock.Now(), version: f.nextVersion()}
 	f.stats.FilesCreated++
 	return nil
 }
@@ -148,18 +172,28 @@ func (f *FS) Create(name string) error {
 // WriteFile creates name with the given contents, replacing any existing
 // file. It counts as a modification.
 func (f *FS) WriteFile(name string, data []byte) error {
+	_, err := f.WriteFileVersion(name, data)
+	return err
+}
+
+// WriteFileVersion is WriteFile returning the version the new content was
+// stored under, so a writer can file metadata about exactly those bytes.
+func (f *FS) WriteFileVersion(name string, data []byte) (uint64, error) {
 	name = clean(name)
 	if err := f.inj.Load().Fail(fault.OpAppend, name); err != nil {
-		return err
+		return 0, err
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
+	// A private copy, made outside the lock: the caller keeps data, and
+	// views of a replaced file keep reading the slice they were given.
 	cp := make([]byte, len(data))
 	copy(cp, data)
-	f.files[name] = &file{data: cp, modTime: f.clock.Now()}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	fl := &file{data: cp, modTime: f.clock.Now(), version: f.nextVersion()}
+	f.files[name] = fl
 	f.stats.FilesCreated++
 	f.stats.BytesWritten += int64(len(data))
-	return nil
+	return fl.version, nil
 }
 
 // WriteFileAtomic writes data to a temporary file and renames it over name,
@@ -175,6 +209,7 @@ func (f *FS) WriteFileAtomic(name string, data []byte) error {
 }
 
 // Rename atomically moves old to new, replacing any existing file at new.
+// The content under the new name takes a new version.
 func (f *FS) Rename(oldName, newName string) error {
 	oldName, newName = clean(oldName), clean(newName)
 	f.mu.Lock()
@@ -184,6 +219,7 @@ func (f *FS) Rename(oldName, newName string) error {
 		return fmt.Errorf("%w: %s", ErrNotFound, oldName)
 	}
 	delete(f.files, oldName)
+	fl.version = f.nextVersion()
 	f.files[newName] = fl
 	return nil
 }
@@ -200,32 +236,69 @@ func (f *FS) Append(name string, data []byte) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
+	// append writes only at or beyond len(fl.data): handed-out views end at
+	// the length they saw and cannot reach the new bytes (see file).
 	fl.data = append(fl.data, data...)
 	fl.modTime = f.clock.Now()
+	fl.version = f.nextVersion()
 	f.stats.BytesWritten += int64(len(data))
 	return nil
 }
 
-// ReadFile returns a copy of the file's contents.
-func (f *FS) ReadFile(name string) ([]byte, error) {
+// View is what ReadView hands a reader: one version of a file's content.
+type View struct {
+	// Data is read-only and capacity-capped. When Stored is true it is the
+	// file system's own bytes, shared with every other reader of the version.
+	Data []byte
+	// Version names the stored content the read was served from.
+	Version uint64
+	// Stored reports that Data is exactly that content. It is false when the
+	// fault injector substituted a corrupted private copy or a truncated
+	// slice, so nothing derived from Data may be filed under Version.
+	Stored bool
+}
+
+// ReadView returns the file's stored bytes without copying them, plus the
+// version they belong to. The caller must not modify View.Data; the file
+// system never does either (see file), so the view stays valid and unchanged
+// however the file is later appended to, replaced, renamed or deleted.
+func (f *FS) ReadView(name string) (View, error) {
 	name = clean(name)
 	in := f.inj.Load()
 	if err := in.Fail(fault.OpOpen, name); err != nil {
-		return nil, err
+		return View{}, err
 	}
 	f.mu.Lock()
 	fl, ok := f.files[name]
 	if !ok {
 		f.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, name)
+		return View{}, fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
 	f.stats.BytesRead += int64(len(fl.data))
 	f.stats.Opens++
-	out := make([]byte, len(fl.data))
-	copy(out, fl.data)
+	stored := fl.data[:len(fl.data):len(fl.data)]
+	version := fl.version
 	f.mu.Unlock()
-	// The injector mangles the caller's private copy, never the stored file.
-	return in.Transform(fault.OpRead, name, out)
+	// The injector copies before corrupting and only re-slices for a short
+	// read, so the stored bytes are never mangled; comparing what came back
+	// with what went in tells whether the reader got them untouched.
+	got, err := in.Transform(fault.OpRead, name, stored)
+	if err != nil {
+		return View{}, err
+	}
+	same := len(got) == len(stored) && (len(got) == 0 || &got[0] == &stored[0])
+	return View{Data: got, Version: version, Stored: same}, nil
+}
+
+// ReadFile returns a private copy of the file's contents.
+func (f *FS) ReadFile(name string) ([]byte, error) {
+	v, err := f.ReadView(name)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, len(v.Data))
+	copy(out, v.Data)
+	return out, nil
 }
 
 // ReadRange returns a copy of file bytes [off, off+n). Reading past the end
@@ -336,6 +409,29 @@ func (f *FS) List(dir string) []string {
 	return out
 }
 
+// FileInfo is one file's metadata as ListFiles reports it.
+type FileInfo struct {
+	Name    string
+	Size    int64
+	Version uint64
+}
+
+// ListFiles is List with each file's size and current version, read under
+// one lock so the three agree. It touches no content and counts no I/O.
+func (f *FS) ListFiles(dir string) []FileInfo {
+	prefix := clean(dir) + "/"
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	var out []FileInfo
+	for name, fl := range f.files {
+		if strings.HasPrefix(name, prefix) {
+			out = append(out, FileInfo{Name: name, Size: int64(len(fl.data)), Version: fl.version})
+		}
+	}
+	slices.SortFunc(out, func(a, b FileInfo) int { return strings.Compare(a.Name, b.Name) })
+	return out
+}
+
 // DirModTime returns the latest modification time of any file under dir.
 // This is the "table modification time" that Algorithm 1 compares against
 // the cache time. The zero time is returned for an empty directory.
@@ -366,20 +462,14 @@ type Split struct {
 // This is the "treat a file as an input split" mode the JSONPath Cacher
 // uses so that the i-th cache file aligns with the i-th raw file.
 func (f *FS) FileSplits(dir string) []Split {
-	names := f.List(dir)
-	splits := make([]Split, 0, len(names))
-	for i, name := range names {
-		size, err := f.Size(name)
-		if err != nil {
-			// Deleted between List and Size: a split for it would only fail
-			// downstream, so skip it.
-			continue
-		}
-		blocks := int((size + f.blockSize - 1) / f.blockSize)
+	files := f.ListFiles(dir)
+	splits := make([]Split, 0, len(files))
+	for i, fi := range files {
+		blocks := int((fi.Size + f.blockSize - 1) / f.blockSize)
 		if blocks == 0 {
 			blocks = 1
 		}
-		splits = append(splits, Split{Path: name, Index: i, Offset: 0, Length: size, BlockCount: blocks})
+		splits = append(splits, Split{Path: fi.Name, Index: i, Offset: 0, Length: fi.Size, BlockCount: blocks})
 	}
 	return splits
 }
@@ -391,14 +481,10 @@ func (f *FS) BlockSplits(dir string, blocksPerSplit int) []Split {
 	if blocksPerSplit < 1 {
 		blocksPerSplit = 1
 	}
-	names := f.List(dir)
 	var splits []Split
 	idx := 0
-	for _, name := range names {
-		size, err := f.Size(name)
-		if err != nil {
-			continue // vanished between List and Size; see FileSplits
-		}
+	for _, fi := range f.ListFiles(dir) {
+		name, size := fi.Name, fi.Size
 		if size == 0 {
 			splits = append(splits, Split{Path: name, Index: idx, BlockCount: 1})
 			idx++

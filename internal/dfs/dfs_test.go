@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -364,4 +365,187 @@ func TestRenameAndWriteFileAtomic(t *testing.T) {
 	if data, err := fs.ReadFile("/d/new"); err != nil || string(data) != "v2" {
 		t.Fatalf("failed atomic write corrupted target: (%q, %v)", data, err)
 	}
+}
+
+// A view is the stored bytes themselves, so the immutability invariant is
+// what keeps it valid: whatever happens to the file afterwards, the view
+// reads the bytes of the version it was taken from, and the next read sees a
+// new version.
+func TestViewSurvivesEveryMutation(t *testing.T) {
+	mutations := map[string]func(fs *FS) error{
+		"append":    func(fs *FS) error { return fs.Append("/d/f", []byte("-more")) },
+		"writefile": func(fs *FS) error { return fs.WriteFile("/d/f", []byte("replaced")) },
+		"rename-over": func(fs *FS) error {
+			if err := fs.WriteFile("/d/tmp", []byte("renamed")); err != nil {
+				return err
+			}
+			return fs.Rename("/d/tmp", "/d/f")
+		},
+		"atomic": func(fs *FS) error { return fs.WriteFileAtomic("/d/f", []byte("swapped")) },
+		"delete+create": func(fs *FS) error {
+			if err := fs.Delete("/d/f"); err != nil {
+				return err
+			}
+			return fs.Create("/d/f")
+		},
+	}
+	for name, mutate := range mutations {
+		t.Run(name, func(t *testing.T) {
+			fs, _ := newTestFS()
+			// Create + Append leaves spare capacity behind the content, the
+			// case where an in-place append must not be visible to a view.
+			if err := fs.Create("/d/f"); err != nil {
+				t.Fatal(err)
+			}
+			for _, chunk := range []string{"orig", "inal", "!"} {
+				if err := fs.Append("/d/f", []byte(chunk)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before, err := fs.ReadView("/d/f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !before.Stored || cap(before.Data) != len(before.Data) {
+				t.Fatalf("view stored=%v len=%d cap=%d, want the stored bytes, capacity-capped",
+					before.Stored, len(before.Data), cap(before.Data))
+			}
+			if err := mutate(fs); err != nil {
+				t.Fatal(err)
+			}
+			if string(before.Data) != "original!" {
+				t.Errorf("view taken before %s now reads %q", name, before.Data)
+			}
+			after, err := fs.ReadView("/d/f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if after.Version <= before.Version {
+				t.Errorf("version %d after %s, was %d: every mutation must take a new one", after.Version, name, before.Version)
+			}
+			if name != "append" && len(after.Data) > 0 && &after.Data[0] == &before.Data[0] {
+				t.Errorf("%s reused the old content's memory", name)
+			}
+		})
+	}
+}
+
+func TestReadViewSharesStoredBytesAndMeters(t *testing.T) {
+	fs, _ := newTestFS()
+	if err := fs.WriteFile("/d/f", []byte("hello world")); err != nil {
+		t.Fatal(err)
+	}
+	fs.ResetStats()
+	a, err := fs.ReadView("/d/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := fs.ReadView("/d/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &a.Data[0] != &b.Data[0] || a.Version != b.Version {
+		t.Error("two views of one version must share the stored bytes")
+	}
+	if st := fs.Stats(); st.Opens != 2 || st.BytesRead != 22 {
+		t.Errorf("stats = %+v, want 2 opens and 22 bytes handed out", st)
+	}
+	infos := fs.ListFiles("/d")
+	if len(infos) != 1 || infos[0].Name != "/d/f" || infos[0].Size != 11 || infos[0].Version != a.Version {
+		t.Errorf("ListFiles = %+v", infos)
+	}
+	if st := fs.Stats(); st.Opens != 2 {
+		t.Errorf("ListFiles counted as a read: %+v", st)
+	}
+	if _, err := fs.ReadView("/missing"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("missing file error = %v", err)
+	}
+}
+
+// The injector sees the view exactly as it saw ReadFile's copy: a corrupting
+// rule gets a private copy, a short read a shorter slice, and in both cases
+// the view says it is not the stored content.
+func TestReadViewUnderInjection(t *testing.T) {
+	fs, _ := newTestFS()
+	if err := fs.WriteFile("/d/f", []byte("hello world")); err != nil {
+		t.Fatal(err)
+	}
+	clean, err := fs.ReadView("/d/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := fault.New(7)
+	fs.SetInjector(inj)
+
+	inj.Add(fault.Rule{Op: fault.OpRead, Kind: fault.KindCorrupt, FailN: 1})
+	v, err := fs.ReadView("/d/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Stored || string(v.Data) == "hello world" || &v.Data[0] == &clean.Data[0] {
+		t.Errorf("corrupt read: stored=%v data=%q, want a mangled private copy", v.Stored, v.Data)
+	}
+
+	inj.Reset()
+	inj.Add(fault.Rule{Op: fault.OpRead, Kind: fault.KindShortRead, FailN: 1, Fraction: 0.5})
+	if v, err = fs.ReadView("/d/f"); err != nil {
+		t.Fatal(err)
+	}
+	if v.Stored || len(v.Data) != 5 {
+		t.Errorf("short read: stored=%v len=%d, want 5 bytes not marked stored", v.Stored, len(v.Data))
+	}
+
+	inj.Reset()
+	inj.Add(fault.Rule{Op: fault.OpRead, Kind: fault.KindError, FailN: 1, Transient: true})
+	if _, err = fs.ReadView("/d/f"); !fault.Transient(err) {
+		t.Errorf("read error = %v, want the injected transient error", err)
+	}
+
+	// Rules exhausted: the pristine view again, and the stored bytes intact.
+	if v, err = fs.ReadView("/d/f"); err != nil || !v.Stored || v.Version != clean.Version {
+		t.Errorf("after the faults: %+v err=%v", v, err)
+	}
+	if string(clean.Data) != "hello world" {
+		t.Errorf("injection mangled the stored bytes: %q", clean.Data)
+	}
+}
+
+// Readers of one file share its bytes; run with -race.
+func TestConcurrentViewsAndAppends(t *testing.T) {
+	fs, _ := newTestFS()
+	if err := fs.Create("/d/f"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Append("/d/f", []byte("0123456789")); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				v, err := fs.ReadView("/d/f")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !bytes.HasPrefix(v.Data, []byte("0123456789")) || len(v.Data)%10 != 0 {
+					t.Errorf("torn view: %q", v.Data)
+					return
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			if err := fs.Append("/d/f", []byte("0123456789")); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
 }

@@ -14,13 +14,22 @@ type ReadStats struct {
 	RowGroupsSkipped int64
 }
 
-// Reader decodes one ORC file held in memory.
-type Reader struct {
-	data    []byte
+// Footer is the parsed and validated tail of one file: schema, row count and
+// the stripe and row-group directory with its statistics. It holds no
+// reference to the file's bytes and is immutable after ParseFooter, so one
+// Footer may be shared by any number of Readers over the same content.
+type Footer struct {
 	schema  Schema
 	numRows int64
 	rgRows  int
 	stripes []stripeMeta
+}
+
+// Reader decodes one ORC file held in memory. The promoted Footer methods
+// answer metadata questions; cursors decode row groups out of data.
+type Reader struct {
+	*Footer
+	data []byte
 	// faultHook, when set, runs before every row-group decode; a non-nil
 	// return aborts the decode with that error. The warehouse installs the
 	// fault injector's OpDecode check here so mid-stream failures — ones the
@@ -35,6 +44,21 @@ func (r *Reader) SetFaultHook(hook func() error) { r.faultHook = hook }
 // OpenReader parses the file footer and returns a reader. The data slice is
 // retained and must not be modified.
 func OpenReader(data []byte) (*Reader, error) {
+	ft, err := ParseFooter(data)
+	if err != nil {
+		return nil, err
+	}
+	return ft.NewReader(data), nil
+}
+
+// NewReader returns a reader over data, which must be the exact bytes the
+// footer was parsed from (the warehouse guarantees it by dfs version). The
+// slice is retained and must not be modified. Each call returns a fresh
+// Reader, so fault hooks stay per open.
+func (ft *Footer) NewReader(data []byte) *Reader { return &Reader{Footer: ft, data: data} }
+
+// ParseFooter validates the file framing and decodes the footer.
+func ParseFooter(data []byte) (*Footer, error) {
 	tailMagicLen := len(Magic) + 1 // uvarint length prefix (1 byte for len 4)
 	if len(data) < len(Magic)+4+tailMagicLen {
 		return nil, corruptf("file too small (%d bytes)", len(data))
@@ -59,7 +83,7 @@ func OpenReader(data []byte) (*Reader, error) {
 	}
 
 	d := decoder{buf: data, pos: footerStart}
-	r := &Reader{data: data}
+	ft := &Footer{}
 	nCols := int(d.uvarint())
 	if d.err != nil || nCols < 0 || nCols > 1<<20 {
 		return nil, corruptf("bad column count")
@@ -74,10 +98,10 @@ func OpenReader(data []byte) (*Reader, error) {
 		if t > datum.TypeBool {
 			return nil, corruptf("bad column type %d", tb[0])
 		}
-		r.schema.Columns = append(r.schema.Columns, Column{Name: name, Type: t})
+		ft.schema.Columns = append(ft.schema.Columns, Column{Name: name, Type: t})
 	}
-	r.numRows = int64(d.u64())
-	r.rgRows = int(d.u32())
+	ft.numRows = int64(d.u64())
+	ft.rgRows = int(d.u32())
 	nStripes := int(d.uvarint())
 	if d.err != nil || nStripes < 0 || nStripes > 1<<20 {
 		return nil, corruptf("bad stripe count")
@@ -98,32 +122,32 @@ func OpenReader(data []byte) (*Reader, error) {
 			rg.rows = int32(d.u32())
 			rg.stats = make([]ColumnStats, nCols)
 			for c := 0; c < nCols; c++ {
-				rg.stats[c] = decodeStats(&d, r.schema.Columns[c].Type)
+				rg.stats[c] = decodeStats(&d, ft.schema.Columns[c].Type)
 			}
 			sm.rowGroups = append(sm.rowGroups, rg)
 		}
-		r.stripes = append(r.stripes, sm)
+		ft.stripes = append(ft.stripes, sm)
 	}
 	if d.err != nil {
 		return nil, d.err
 	}
-	return r, nil
+	return ft, nil
 }
 
 // Schema returns the file schema.
-func (r *Reader) Schema() Schema { return r.schema }
+func (ft *Footer) Schema() Schema { return ft.schema }
 
 // NumRows returns the total row count.
-func (r *Reader) NumRows() int64 { return r.numRows }
+func (ft *Footer) NumRows() int64 { return ft.numRows }
 
 // NumStripes returns the stripe count; predicate pushdown across paired
 // tables applies only to single-stripe files.
-func (r *Reader) NumStripes() int { return len(r.stripes) }
+func (ft *Footer) NumStripes() int { return len(ft.stripes) }
 
 // NumRowGroups returns the total row-group count across stripes.
-func (r *Reader) NumRowGroups() int {
+func (ft *Footer) NumRowGroups() int {
 	n := 0
-	for _, s := range r.stripes {
+	for _, s := range ft.stripes {
 		n += len(s.rowGroups)
 	}
 	return n
@@ -131,13 +155,13 @@ func (r *Reader) NumRowGroups() int {
 
 // RowGroupStats returns the statistics of the named column for every row
 // group in file order, or an error if the column is absent.
-func (r *Reader) RowGroupStats(column string) ([]ColumnStats, error) {
-	ci := r.schema.ColumnIndex(column)
+func (ft *Footer) RowGroupStats(column string) ([]ColumnStats, error) {
+	ci := ft.schema.ColumnIndex(column)
 	if ci < 0 {
 		return nil, fmt.Errorf("orc: no column %q", column)
 	}
 	var out []ColumnStats
-	for _, s := range r.stripes {
+	for _, s := range ft.stripes {
 		for _, rg := range s.rowGroups {
 			out = append(out, rg.stats[ci])
 		}
@@ -224,7 +248,9 @@ func (c *Cursor) SetRowGroupMask(mask []bool) error {
 }
 
 // Next returns the next row's selected column values, or nil when the
-// cursor is exhausted. The returned slice is reused across calls.
+// cursor is exhausted. The returned slice is freshly allocated and the
+// caller's to keep; batch consumers that want no per-row allocation use
+// NextBatch.
 func (c *Cursor) Next() ([]datum.Datum, error) {
 	for {
 		if c.groupIdx >= 0 && c.rowInGrp < c.groupRows {

@@ -4,6 +4,11 @@
 // are stored in STRING columns, and every table tracks the modification
 // time that Maxson's cache-validity check compares against.
 //
+// The metastore also keeps every part file's parsed ORC footer, filed under
+// the dfs version of the bytes it was parsed from. Table() therefore answers
+// from memory, and opening a file is a zero-copy dfs view plus a footer
+// lookup: footer validation runs once per file version, not once per open.
+//
 // Data loading follows the production pattern from the paper's §II-B: new
 // data arrives as whole part files appended to the table directory (daily
 // loads), previously appended files are almost never rewritten, and each
@@ -49,6 +54,7 @@ type Warehouse struct {
 
 	mu     sync.RWMutex
 	tables map[string]*tableMeta // key: db.table
+	byDir  map[string]*tableMeta // the same tables by directory, for openFile
 	dbs    map[string]bool
 	orcOpt orc.WriterOptions
 
@@ -71,6 +77,16 @@ type tableMeta struct {
 	modTime     time.Time
 	rewriteTime time.Time
 	createdAt   time.Time
+	// footers holds each part file's parsed footer and the dfs version of
+	// the content it describes (guarded by Warehouse.mu). An entry is used
+	// only while the file is still at that version. The map dies with the
+	// tableMeta in DropTable, so a retired cache generation pins nothing.
+	footers map[string]fileFooter // key: file path
+}
+
+type fileFooter struct {
+	version uint64
+	footer  *orc.Footer
 }
 
 // Option configures a Warehouse.
@@ -97,6 +113,7 @@ func New(fs *dfs.FS, opts ...Option) *Warehouse {
 		clock:  simtime.Real{},
 		root:   "/warehouse",
 		tables: make(map[string]*tableMeta),
+		byDir:  make(map[string]*tableMeta),
 		dbs:    make(map[string]bool),
 	}
 	for _, o := range opts {
@@ -131,6 +148,14 @@ func (w *Warehouse) WriterOptions() orc.WriterOptions { return w.orcOpt }
 
 func key(db, table string) string { return db + "." + table }
 
+// dirOf returns the directory part of a file path ("" when it has none).
+func dirOf(p string) string {
+	if i := strings.LastIndexByte(p, '/'); i > 0 {
+		return p[:i]
+	}
+	return ""
+}
+
 // CreateDatabase registers a database; creating it twice is a no-op.
 func (w *Warehouse) CreateDatabase(db string) {
 	w.mu.Lock()
@@ -150,17 +175,20 @@ func (w *Warehouse) CreateTable(db, table string, schema orc.Schema) error {
 		return fmt.Errorf("%w: %s", ErrTableExists, k)
 	}
 	now := w.clock.Now()
-	w.tables[k] = &tableMeta{
+	tm := &tableMeta{
 		db: db, name: table,
 		schema:    schema,
 		dir:       fmt.Sprintf("%s/%s/%s", w.root, db, table),
 		modTime:   now,
 		createdAt: now,
+		footers:   make(map[string]fileFooter),
 	}
+	w.tables[k] = tm
+	w.byDir[tm.dir] = tm
 	return nil
 }
 
-// DropTable removes a table and its files.
+// DropTable removes a table, its files and its footers.
 func (w *Warehouse) DropTable(db, table string) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -171,6 +199,7 @@ func (w *Warehouse) DropTable(db, table string) error {
 	}
 	w.fs.DeleteDir(tm.dir)
 	delete(w.tables, k)
+	delete(w.byDir, tm.dir)
 	return nil
 }
 
@@ -205,31 +234,46 @@ type TableInfo struct {
 	Files   []string // part files, sorted: the split order
 	ModTime time.Time
 	NumRows int64
+	Bytes   int64 // total size of the part files
 }
 
 // Table returns a snapshot of table metadata (files sorted in split order).
+// It reads no file: sizes come from the dfs listing and row counts from the
+// footers the metastore keeps. Only a part file the metastore has no current
+// footer for — one written behind its back — is opened, once per version.
 func (w *Warehouse) Table(db, table string) (*TableInfo, error) {
 	w.mu.RLock()
 	tm, ok := w.tables[key(db, table)]
-	w.mu.RUnlock()
 	if !ok {
+		w.mu.RUnlock()
 		return nil, fmt.Errorf("%w: %s", ErrNoSuchTable, key(db, table))
 	}
-	files := w.fs.List(tm.dir)
-	var rows int64
-	for _, f := range files {
-		if r, err := w.openFile(f); err == nil {
-			rows += r.NumRows()
-		}
-	}
-	return &TableInfo{
+	listed := w.fs.ListFiles(tm.dir)
+	info := &TableInfo{
 		DB: db, Name: table,
 		Schema:  tm.schema,
 		Dir:     tm.dir,
-		Files:   files,
+		Files:   make([]string, len(listed)),
 		ModTime: tm.modTime,
-		NumRows: rows,
-	}, nil
+	}
+	var unknown []string
+	for i, f := range listed {
+		info.Files[i] = f.Name
+		info.Bytes += f.Size
+		if ff, ok := tm.footers[f.Name]; ok && ff.version == f.Version {
+			info.NumRows += ff.footer.NumRows()
+		} else {
+			unknown = append(unknown, f.Name)
+		}
+	}
+	w.mu.RUnlock()
+	for _, f := range unknown {
+		// An unreadable file counts no rows, as a scan would return none.
+		if r, err := w.openFile(f); err == nil {
+			info.NumRows += r.NumRows()
+		}
+	}
+	return info, nil
 }
 
 // ModTime returns the table's last modification time (Algorithm 1 compares
@@ -265,13 +309,42 @@ func (w *Warehouse) AppendRows(db, table string, rows [][]datum.Datum) (string, 
 		return "", err
 	}
 	path := fmt.Sprintf("%s/part-%05d.orc", dir, part)
-	if err := w.fs.WriteFile(path, data); err != nil {
+	if err := w.writePart(tm, path, data, false); err != nil {
 		return "", err
 	}
-	w.mu.Lock()
-	tm.modTime = w.clock.Now()
-	w.mu.Unlock()
 	return path, nil
+}
+
+// writePart stores one encoded part file and records it in the metastore:
+// the table's modification time (and rewrite time, for a rewrite) and the
+// file's footer under the version the bytes were stored as.
+func (w *Warehouse) writePart(tm *tableMeta, path string, data []byte, rewrite bool) error {
+	footer, err := orc.ParseFooter(data)
+	if err != nil {
+		return fmt.Errorf("warehouse: write %s: %w", path, err)
+	}
+	version, err := w.fs.WriteFileVersion(path, data)
+	if err != nil {
+		return err
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	now := w.clock.Now()
+	tm.modTime = now
+	if rewrite {
+		tm.rewriteTime = now
+	}
+	tm.keepFooter(path, version, footer)
+	return nil
+}
+
+// keepFooter files a footer unless one for a later version of the file is
+// already there (two writers, or a reader that opened the older content).
+// The caller holds Warehouse.mu for writing.
+func (tm *tableMeta) keepFooter(path string, version uint64, footer *orc.Footer) {
+	if tm.footers[path].version < version {
+		tm.footers[path] = fileFooter{version: version, footer: footer}
+	}
 }
 
 // RewriteFile replaces an existing part file's rows, modeling the rare
@@ -294,15 +367,7 @@ func (w *Warehouse) RewriteFile(db, table, path string, rows [][]datum.Datum) er
 	if err != nil {
 		return err
 	}
-	if err := w.fs.WriteFile(path, data); err != nil {
-		return err
-	}
-	w.mu.Lock()
-	now := w.clock.Now()
-	tm.modTime = now
-	tm.rewriteTime = now
-	w.mu.Unlock()
-	return nil
+	return w.writePart(tm, path, data, true)
 }
 
 // RewriteTime returns when previously appended data was last modified; the
@@ -331,11 +396,11 @@ func (w *Warehouse) CreatedAt(db, table string) (time.Time, error) {
 // OpenFile opens one part file for reading.
 func (w *Warehouse) OpenFile(path string) (*orc.Reader, error) { return w.openFile(path) }
 
-// openFile reads and opens a part file, absorbing up to readRetries
-// transient failures with linear backoff. Permanent errors (missing file,
-// corrupt footer) surface immediately; only faults the injection layer marks
-// transient are retried, mirroring how an HDFS client retries a flaky
-// datanode but not a lost block.
+// openFile opens a part file over a zero-copy dfs view, absorbing up to
+// readRetries transient failures with linear backoff. Permanent errors
+// (missing file, corrupt footer) surface immediately; only faults the
+// injection layer marks transient are retried, mirroring how an HDFS client
+// retries a flaky datanode but not a lost block.
 func (w *Warehouse) openFile(path string) (*orc.Reader, error) {
 	w.mu.RLock()
 	notify, sleep := w.retryNotify, w.retrySleep
@@ -343,10 +408,10 @@ func (w *Warehouse) openFile(path string) (*orc.Reader, error) {
 	if sleep == nil {
 		sleep = time.Sleep
 	}
-	var data []byte
+	var view dfs.View
 	var err error
 	for attempt := 0; ; attempt++ {
-		data, err = w.fs.ReadFile(path)
+		view, err = w.fs.ReadView(path)
 		if err == nil {
 			break
 		}
@@ -358,14 +423,44 @@ func (w *Warehouse) openFile(path string) (*orc.Reader, error) {
 		}
 		sleep(time.Duration(attempt+1) * readRetryBackoff)
 	}
-	r, err := orc.OpenReader(data)
+	footer, err := w.footerOf(path, view)
 	if err != nil {
 		return nil, fmt.Errorf("warehouse: open %s: %w", path, err)
 	}
+	r := footer.NewReader(view.Data)
 	if inj := w.fs.Injector(); inj != nil {
 		r.SetFaultHook(func() error { return inj.Fail(fault.OpDecode, path) })
 	}
 	return r, nil
+}
+
+// footerOf returns the footer of the bytes a read returned. The metastore's
+// copy serves — and is filled — only when those bytes are the stored content
+// of the version it is filed under. Bytes the fault injector mangled are
+// parsed afresh every time, so a corrupt or short read fails validation
+// exactly as it would with no footers kept, and never reaches the metastore.
+func (w *Warehouse) footerOf(path string, view dfs.View) (*orc.Footer, error) {
+	if !view.Stored {
+		return orc.ParseFooter(view.Data)
+	}
+	w.mu.RLock()
+	tm := w.byDir[dirOf(path)]
+	var kept fileFooter
+	if tm != nil {
+		kept = tm.footers[path]
+	}
+	w.mu.RUnlock()
+	if kept.footer != nil && kept.version == view.Version {
+		return kept.footer, nil
+	}
+	footer, err := orc.ParseFooter(view.Data)
+	if err != nil || tm == nil {
+		return footer, err
+	}
+	w.mu.Lock()
+	tm.keepFooter(path, view.Version, footer)
+	w.mu.Unlock()
+	return footer, nil
 }
 
 // ReadAll reads every row of selected columns across all part files, in
@@ -394,9 +489,7 @@ func (w *Warehouse) ReadAll(db, table string, columns []string) ([][]datum.Datum
 			if row == nil {
 				break
 			}
-			cp := make([]datum.Datum, len(row))
-			copy(cp, row)
-			out = append(out, cp)
+			out = append(out, row) // Next hands over a fresh slice per row
 		}
 	}
 	return out, nil
@@ -408,13 +501,5 @@ func (w *Warehouse) TotalBytes(db, table string) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	var total int64
-	for _, f := range info.Files {
-		sz, err := w.fs.Size(f)
-		if err != nil {
-			return 0, err
-		}
-		total += sz
-	}
-	return total, nil
+	return info.Bytes, nil
 }

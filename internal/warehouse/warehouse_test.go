@@ -1,13 +1,17 @@
 package warehouse
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/datum"
 	"repro/internal/dfs"
+	"repro/internal/fault"
 	"repro/internal/orc"
 	"repro/internal/simtime"
 )
@@ -269,4 +273,333 @@ func TestRewriteAndCreatedTimes(t *testing.T) {
 	if _, err := w.CreatedAt("db", "nope"); err == nil {
 		t.Error("missing table CreatedAt should error")
 	}
+}
+
+// footerCount reports how many footers the metastore holds for tables whose
+// name starts with prefix, and how many directories it still indexes.
+func footerCount(w *Warehouse, prefix string) (footers, dirs int) {
+	w.mu.RLock()
+	defer w.mu.RUnlock()
+	for _, tm := range w.tables {
+		if strings.HasPrefix(tm.name, prefix) {
+			footers += len(tm.footers)
+		}
+	}
+	for dir := range w.byDir {
+		if strings.Contains(dir, "/"+prefix) {
+			dirs++
+		}
+	}
+	return footers, dirs
+}
+
+func stringsOf(t *testing.T, r *orc.Reader, column string) []string {
+	t.Helper()
+	col, err := r.ReadColumn(column, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]string, len(col))
+	for i, d := range col {
+		out[i] = d.S
+	}
+	return out
+}
+
+// Table() answers from the metastore: no open and no byte read, however
+// many part files the table has. Opens cost one dfs open and the file's
+// length each, and share one footer per file version.
+func TestTableReadsNoFile(t *testing.T) {
+	w, _ := newTestWarehouse()
+	w.CreateDatabase("db")
+	if err := w.CreateTable("db", "t", saleSchema); err != nil {
+		t.Fatal(err)
+	}
+	var paths []string
+	for i := 0; i < 5; i++ {
+		p, err := w.AppendRows("db", "t", saleRows(i+1, "20190101"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, p)
+	}
+	w.FS().ResetStats()
+	info, err := w.Table("db", "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	total, err := w.TotalBytes("db", "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.NumRows != 15 || len(info.Files) != 5 || info.Bytes != total || total == 0 {
+		t.Errorf("info = %d rows, %d files, %d bytes (TotalBytes %d)", info.NumRows, len(info.Files), info.Bytes, total)
+	}
+	if st := w.FS().Stats(); st.Opens != 0 || st.BytesRead != 0 {
+		t.Errorf("Table+TotalBytes did dfs reads: %+v", st)
+	}
+
+	a, err := w.OpenFile(paths[4])
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := w.OpenFile(paths[4])
+	if err != nil {
+		t.Fatal(err)
+	}
+	size, _ := w.FS().Size(paths[4])
+	if st := w.FS().Stats(); st.Opens != 2 || st.BytesRead != 2*size {
+		t.Errorf("two opens cost %+v, want 2 opens of %d bytes", st, size)
+	}
+	if a == b || a.Footer != b.Footer {
+		t.Error("opens of one file version must be distinct Readers over one shared footer")
+	}
+}
+
+// A reader opened before a rewrite keeps reading the old rows (its view and
+// footer belong to the old version); the next open sees the new bytes and a
+// footer parsed from them, and Table() follows without reading.
+func TestRewriteGivesNewVersionAndFooter(t *testing.T) {
+	w, _ := newTestWarehouse()
+	w.CreateDatabase("db")
+	if err := w.CreateTable("db", "t", saleSchema); err != nil {
+		t.Fatal(err)
+	}
+	p, err := w.AppendRows("db", "t", saleRows(3, "20190101"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := w.OpenFile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.RewriteFile("db", "t", p, saleRows(5, "20190202")); err != nil {
+		t.Fatal(err)
+	}
+	if got := stringsOf(t, old, "date"); len(got) != 3 || got[0] != "20190101" {
+		t.Errorf("reader opened before the rewrite now reads %v", got)
+	}
+	fresh, err := w.OpenFile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := stringsOf(t, fresh, "date"); len(got) != 5 || got[0] != "20190202" {
+		t.Errorf("open after the rewrite reads %v", got)
+	}
+	if fresh.Footer == old.Footer || fresh.NumRows() != 5 || old.NumRows() != 3 {
+		t.Errorf("footers: old %d rows, fresh %d rows, shared=%v", old.NumRows(), fresh.NumRows(), fresh.Footer == old.Footer)
+	}
+	w.FS().ResetStats()
+	if info, _ := w.Table("db", "t"); info.NumRows != 5 {
+		t.Errorf("Table after rewrite = %d rows, want 5", info.NumRows)
+	}
+	if st := w.FS().Stats(); st.Opens != 0 {
+		t.Errorf("Table after rewrite read files: %+v", st)
+	}
+}
+
+// A part file replaced behind the metastore's back (tests and chaos do it
+// through the dfs) is noticed by its version: the kept footer is not used,
+// the file is read once, and the new footer is kept from then on.
+func TestOutOfBandWriteIsNoticed(t *testing.T) {
+	w, _ := newTestWarehouse()
+	w.CreateDatabase("db")
+	if err := w.CreateTable("db", "t", saleSchema); err != nil {
+		t.Fatal(err)
+	}
+	p, err := w.AppendRows("db", "t", saleRows(3, "20190101"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := orc.WriteRows(saleSchema, saleRows(7, "20190303"), orc.WriterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.FS().WriteFile(p, other); err != nil {
+		t.Fatal(err)
+	}
+	w.FS().ResetStats()
+	for i := 0; i < 3; i++ {
+		if info, _ := w.Table("db", "t"); info.NumRows != 7 {
+			t.Fatalf("Table = %d rows after out-of-band write, want 7", info.NumRows)
+		}
+	}
+	if st := w.FS().Stats(); st.Opens != 1 {
+		t.Errorf("%d opens for three Table() calls, want one (first sight of the new version)", st.Opens)
+	}
+	if err := w.FS().WriteFile(p, []byte("not an orc file")); err != nil {
+		t.Fatal(err)
+	}
+	if info, _ := w.Table("db", "t"); info.NumRows != 0 {
+		t.Errorf("Table counts %d rows in a corrupt file", info.NumRows)
+	}
+	if _, err := w.OpenFile(p); !errors.Is(err, orc.ErrCorrupt) {
+		t.Errorf("open of corrupt file = %v", err)
+	}
+}
+
+// Faults on the read path never reach what is stored or kept: a corrupt or
+// short read fails (or is retried) exactly as without kept footers, the
+// footer in the metastore stays the good one, and the decode hook still
+// fires per open.
+func TestFaultsNeverReachStoredBytesOrFooters(t *testing.T) {
+	w, _ := newTestWarehouse()
+	w.SetRetrySleep(func(time.Duration) {})
+	w.CreateDatabase("db")
+	if err := w.CreateTable("db", "t", saleSchema); err != nil {
+		t.Fatal(err)
+	}
+	p, err := w.AppendRows("db", "t", saleRows(4, "20190101"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := w.FS().ReadFile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := w.OpenFile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	inj := fault.New(3)
+	w.FS().SetInjector(inj)
+	// Short read: the tail magic is gone, validation must fail even though a
+	// good footer for this version is on file.
+	inj.Add(fault.Rule{Op: fault.OpRead, Kind: fault.KindShortRead, FailN: 1, Fraction: 0.5})
+	if _, err := w.OpenFile(p); !errors.Is(err, orc.ErrCorrupt) {
+		t.Errorf("short read open = %v, want ErrCorrupt", err)
+	}
+	// Corrupt reads: each one parses its own mangled copy. Whatever the flips
+	// hit, the open must not hand back the kept footer.
+	inj.Reset()
+	inj.Add(fault.Rule{Op: fault.OpRead, Kind: fault.KindCorrupt, FailN: 20})
+	for i := 0; i < 20; i++ {
+		if r, err := w.OpenFile(p); err == nil && r.Footer == good.Footer {
+			t.Fatal("a corrupted read was served the kept footer")
+		}
+	}
+	// Transient errors are retried and then succeed on the kept footer.
+	inj.Reset()
+	inj.Add(fault.Rule{Op: fault.OpOpen, Kind: fault.KindError, FailN: 2, Transient: true})
+	retries := 0
+	w.SetRetryNotify(func() { retries++ })
+	r, err := w.OpenFile(p)
+	if err != nil || retries != 2 || r.Footer != good.Footer {
+		t.Errorf("transient open: err=%v retries=%d sharedFooter=%v", err, retries, err == nil && r.Footer == good.Footer)
+	}
+	// Decode faults are per open: this reader fails mid-stream, the next
+	// open of the same version decodes cleanly.
+	inj.Reset()
+	inj.Add(fault.Rule{Op: fault.OpDecode, Kind: fault.KindError, FailN: 1})
+	if r, err = w.OpenFile(p); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.ReadColumn("date", nil); !errors.Is(err, fault.ErrInjected) {
+		t.Errorf("decode fault = %v", err)
+	}
+	if r, err = w.OpenFile(p); err != nil {
+		t.Fatal(err)
+	}
+	if got := stringsOf(t, r, "date"); len(got) != 4 {
+		t.Errorf("clean open after decode fault read %v", got)
+	}
+
+	w.FS().SetInjector(nil)
+	if got, _ := w.FS().ReadFile(p); !bytes.Equal(got, want) {
+		t.Error("stored bytes changed under injection")
+	}
+	if r, err = w.OpenFile(p); err != nil || r.Footer != good.Footer || r.NumRows() != 4 {
+		t.Errorf("after the faults: err=%v, kept footer replaced=%v", err, err == nil && r.Footer != good.Footer)
+	}
+	if got := stringsOf(t, good, "date"); len(got) != 4 || got[3] != "20190101" {
+		t.Errorf("reader opened before the faults reads %v", got)
+	}
+}
+
+// Dropping a table releases its footers: a retired cache generation must not
+// stay pinned by the metastore (and a late open of a dropped table's file
+// must not bring an entry back).
+func TestDropTableReleasesFooters(t *testing.T) {
+	w, _ := newTestWarehouse()
+	w.CreateDatabase("cache")
+	for gen := 1; gen <= 3; gen++ {
+		name := fmt.Sprintf("sales__g%03d", gen)
+		if err := w.CreateTable("cache", name, saleSchema); err != nil {
+			t.Fatal(err)
+		}
+		var last string
+		for i := 0; i < 4; i++ {
+			p, err := w.AppendRows("cache", name, saleRows(2, "20190101"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			last = p
+		}
+		if footers, dirs := footerCount(w, "sales__g"); footers != 4 || dirs != 1 {
+			t.Fatalf("generation %d live: %d footers in %d dirs, want 4 in 1", gen, footers, dirs)
+		}
+		if err := w.DropTable("cache", name); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.OpenFile(last); !errors.Is(err, dfs.ErrNotFound) {
+			t.Errorf("open of dropped table's file = %v", err)
+		}
+		if footers, dirs := footerCount(w, "sales__g"); footers != 0 || dirs != 0 {
+			t.Fatalf("generation %d dropped: %d footers in %d dirs survive", gen, footers, dirs)
+		}
+	}
+}
+
+// Many goroutines open and decode one file while another rewrites it; run
+// with -race. Every reader must see one version's rows, whole.
+func TestConcurrentOpensOfOneFile(t *testing.T) {
+	w, _ := newTestWarehouse()
+	w.CreateDatabase("db")
+	if err := w.CreateTable("db", "t", saleSchema); err != nil {
+		t.Fatal(err)
+	}
+	p, err := w.AppendRows("db", "t", saleRows(3, "v"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				r, err := w.OpenFile(p)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				col, err := r.ReadColumn("date", nil)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				// saleRows(n, "v") writes n rows: the row count names the version.
+				if int64(len(col)) != r.NumRows() || len(col) < 3 || len(col) > 5 {
+					t.Errorf("reader saw %d rows, footer says %d", len(col), r.NumRows())
+					return
+				}
+				if info, err := w.Table("db", "t"); err != nil || info.NumRows < 3 || info.NumRows > 5 {
+					t.Errorf("Table = %+v err=%v", info, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 50; i++ {
+			if err := w.RewriteFile("db", "t", p, saleRows(3+i%3, "v")); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
 }
