@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/datum"
 	"repro/internal/dfs"
+	"repro/internal/experiments/baseline"
 	"repro/internal/orc"
 	"repro/internal/pathkey"
 	"repro/internal/simtime"
@@ -98,10 +99,9 @@ func runBatchRowRound(t *testing.T, seed int64) {
 			}
 			clock.Advance(time.Hour)
 		}
-		// Odd seeds run the streaming on-demand backend, so the mixed
-		// trie-extractor / tree-escape evaluator is covered in both exec
-		// modes; even seeds keep the tree-parse default.
-		backend := sqlengine.ParserBackend(sqlengine.JacksonBackend{})
+		// Odd seeds run the engine's streaming evaluator, even seeds the
+		// tree-parse baseline, so both are covered in both exec modes.
+		backend := sqlengine.ParserBackend(baseline.JacksonBackend{})
 		if seed%2 == 1 {
 			backend = sqlengine.StreamBackend{}
 		}

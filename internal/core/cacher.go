@@ -12,7 +12,6 @@ import (
 	"repro/internal/jsonpath"
 	"repro/internal/obs"
 	"repro/internal/orc"
-	"repro/internal/sjson"
 	"repro/internal/sqlengine"
 	"repro/internal/warehouse"
 )
@@ -43,12 +42,6 @@ type Cacher struct {
 	// RowGroupRows matches the raw tables' row-group size so shared
 	// skip-arrays line up row-for-row.
 	RowGroupRows int
-
-	// StreamExtract selects the single-pass streaming extractor for columns
-	// whose cached paths are all trie-eligible (the default). Cleared, every
-	// column tree-parses — the ablation baseline maxson-bench -exp extract
-	// measures against.
-	StreamExtract bool
 
 	// mu guards generation and pendingDrop: queries, gauges and SaveState
 	// read them while an online cycle or LoadState writes them.
@@ -84,10 +77,9 @@ type CacheStats struct {
 // NewCacher builds a cacher writing through the warehouse.
 func NewCacher(wh *warehouse.Warehouse, registry *Registry) *Cacher {
 	return &Cacher{
-		wh:            wh,
-		registry:      registry,
-		RowGroupRows:  wh.WriterOptions().RowGroupRows,
-		StreamExtract: true,
+		wh:           wh,
+		registry:     registry,
+		RowGroupRows: wh.WriterOptions().RowGroupRows,
 	}
 }
 
@@ -105,10 +97,9 @@ func (c *Cacher) SetObs(r *obs.Registry) {
 // Populate runs one caching cycle: it drops invalid cache tables left from
 // previous cycles, empties the cache, and re-populates it with the selected
 // profiles in order (the paper empties and re-populates every midnight).
-// The cost model rates account the off-peak parsing work: columns whose
-// cached paths are all trie-eligible are extracted in a single streaming
-// pass charged at the stream rate for the bytes actually scanned, the rest
-// fall back to a full tree parse at the tree rate.
+// The cost model rates account the off-peak parsing work: each JSON column's
+// cached paths are extracted in a single streaming pass per document, charged
+// at the stream rate for the bytes actually scanned.
 func (c *Cacher) Populate(selected []*PathProfile, cm sqlengine.CostModel) (CacheStats, error) {
 	return c.PopulateCtx(context.Background(), selected, cm)
 }
@@ -382,16 +373,12 @@ func (c *Cacher) populateTable(ctx context.Context, group []*PathProfile, gen in
 		colPos[name] = i
 	}
 
-	// Group paths per raw column. When every path of a column is
-	// trie-eligible (and streaming is enabled) the whole group extracts in
-	// one forward pass over the document; otherwise the column keeps the
-	// tree-parse escape hatch, whose single parse still serves all of its
-	// paths.
+	// Group paths per raw column: the whole group extracts in one forward
+	// pass over the document.
 	type colPlan struct {
 		pos      int   // index into readCols / vecs
-		pathIdxs []int // indexes into paths, in path order
-		set      *jsonpath.PathSet
-		vals     []*sjson.Value // streaming extraction outputs, len(pathIdxs)
+		pathIdxs []int // indexes into paths, in extractor path order
+		x        *jsonpath.Extractor
 	}
 	plans := make([]*colPlan, len(readCols))
 	for pi, p := range paths {
@@ -402,42 +389,26 @@ func (c *Cacher) populateTable(ctx context.Context, group []*PathProfile, gen in
 		plans[ci].pathIdxs = append(plans[ci].pathIdxs, pi)
 	}
 	for _, cp := range plans {
-		if !c.StreamExtract {
-			continue
-		}
 		compiled := make([]*jsonpath.Path, len(cp.pathIdxs))
-		eligible := true
 		for k, pi := range cp.pathIdxs {
-			if !jsonpath.TrieEligible(paths[pi].path) {
-				eligible = false
-				break
-			}
 			compiled[k] = paths[pi].path
-		}
-		if !eligible {
-			continue
 		}
 		set, err := jsonpath.NewPathSet(compiled...)
 		if err != nil {
-			continue
+			return nil, err
 		}
-		cp.set = set
-		cp.vals = make([]*sjson.Value, len(cp.pathIdxs))
+		cp.x = jsonpath.NewExtractor(set)
 	}
 
 	perPathBytes := make([]int64, len(paths))
 
 	// Batch read scratch: the cursor decodes row-group columns straight into
-	// these vectors, and one parser's node arena is recycled row by row
-	// (each row's outputs are strings, so the previous row's trees are dead
-	// by the time ResetValues runs).
+	// these vectors.
 	const populateBatchRows = 1024
 	vecs := make([][]datum.Datum, len(readCols))
 	for i := range vecs {
 		vecs[i] = make([]datum.Datum, populateBatchRows)
 	}
-	var parser sjson.Parser
-	var docBuf []byte
 
 	// One cache file per raw file, in split order: this is the alignment
 	// invariant the Value Combiner depends on.
@@ -465,68 +436,28 @@ func (c *Cacher) populateTable(ctx context.Context, group []*PathProfile, gen in
 			if n == 0 {
 				break
 			}
-			// Each JSON column is read once per row: streaming columns in a
-			// single trie-guided pass, tree columns by one parse serving all
-			// of their paths.
+			// Each JSON column is read once per row.
 			for ri := 0; ri < n; ri++ {
-				parser.ResetValues()
 				out := make([]datum.Datum, len(paths))
 				for _, cp := range plans {
-					if cp == nil {
-						continue
-					}
 					src := vecs[cp.pos][ri]
-					if src.Null {
-						for _, pi := range cp.pathIdxs {
-							out[pi] = datum.NullOf(datum.TypeString)
-						}
-						continue
-					}
-					docBuf = append(docBuf[:0], src.S...)
-					if cp.set != nil {
-						//lint:ignore arenaescape cp.vals is drained into datums in this iteration, before the next row's ResetValues recycles the arena
-						scanned, err := cp.set.Extract(&parser, docBuf, cp.vals)
-						stats.BytesScanned += int64(scanned)
-						stats.BytesSkipped += int64(len(src.S) - scanned)
-						stats.ParseNsSpent += float64(scanned) * cm.ParseNsPerByteStream
-						if err != nil {
-							stats.ParseErrors++
-							for _, pi := range cp.pathIdxs {
-								out[pi] = datum.NullOf(datum.TypeString)
-							}
-							continue
-						}
-						for k, pi := range cp.pathIdxs {
-							v := cp.vals[k]
-							if v.IsNull() {
-								out[pi] = datum.NullOf(datum.TypeString)
-							} else {
-								s := v.Scalar()
-								out[pi] = datum.Str(s)
-								perPathBytes[pi] += int64(len(s))
-							}
-						}
-						continue
-					}
-					root, err := parser.Parse(docBuf)
-					stats.BytesScanned += int64(len(src.S))
-					stats.ParseNsSpent += float64(len(src.S)) * cm.ParseNsPerByteTree
-					if err != nil {
-						stats.ParseErrors++
-						root = nil
-					}
 					for _, pi := range cp.pathIdxs {
-						if root == nil {
-							out[pi] = datum.NullOf(datum.TypeString)
-							continue
-						}
-						v := paths[pi].path.Eval(root)
-						if v.IsNull() {
-							out[pi] = datum.NullOf(datum.TypeString)
-						} else {
-							s := v.Scalar()
-							out[pi] = datum.Str(s)
-							perPathBytes[pi] += int64(len(s))
+						out[pi] = datum.NullOf(datum.TypeString)
+					}
+					if src.Null {
+						continue
+					}
+					scanned := cp.x.Extract(src.S)
+					stats.BytesScanned += int64(scanned)
+					stats.BytesSkipped += int64(len(src.S) - scanned)
+					stats.ParseNsSpent += float64(scanned) * cm.ParseNsPerByteStream
+					if cp.x.Err() != nil {
+						stats.ParseErrors++
+					}
+					for k, pi := range cp.pathIdxs {
+						if v, ok := cp.x.Scalar(k); ok {
+							out[pi] = datum.Str(v)
+							perPathBytes[pi] += int64(len(v))
 						}
 					}
 				}

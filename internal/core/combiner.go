@@ -3,14 +3,12 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/datum"
 	"repro/internal/jsonpath"
 	"repro/internal/obs"
 	"repro/internal/orc"
-	"repro/internal/sjson"
 	"repro/internal/sqlengine"
 	"repro/internal/warehouse"
 )
@@ -76,12 +74,6 @@ type CombinedScanFactory struct {
 	// primary reader.
 	pushdown bool
 
-	// StreamExtract (default true) serves trie-eligible fallback paths with
-	// the single-pass streaming extractor, one forward scan per raw column
-	// per row. Cleared, every fallback tree-parses — the extract benchmark's
-	// baseline lane.
-	StreamExtract bool
-
 	schema sqlengine.RowSchema
 
 	// registry, when set, receives quarantine marks for cache tables that
@@ -117,10 +109,9 @@ func NewCombinedScanFactory(
 		rawDB: rawDB, rawTable: rawTable,
 		primaryCols: primaryCols, primarySARG: primarySARG,
 		cacheTable: cacheTable, cacheCols: cacheCols, cacheSARG: cacheSARG,
-		fallbacks:     fallbacks,
-		pushdown:      pushdown,
-		StreamExtract: true,
-		schema:        schema,
+		fallbacks: fallbacks,
+		pushdown:  pushdown,
+		schema:    schema,
 	}
 }
 
@@ -129,8 +120,7 @@ func NewCombinedScanFactory(
 // may serve both from one pass (broadcast mode). Everything that shapes the
 // output rows participates: raw table and projected columns, row-group
 // predicates on both sides, the cache table (whose name carries the
-// generation), its column list, fallback specs, and the pushdown and
-// stream-extract modes.
+// generation), its column list, fallback specs, and the pushdown mode.
 func (f *CombinedScanFactory) ScanFingerprint() string {
 	var b strings.Builder
 	b.WriteString("combined\x00")
@@ -158,7 +148,7 @@ func (f *CombinedScanFactory) ScanFingerprint() string {
 		b.WriteString(fb.Path.Canonical())
 		b.WriteByte(';')
 	}
-	fmt.Fprintf(&b, "\x00%t\x00%t", f.pushdown, f.StreamExtract)
+	fmt.Fprintf(&b, "\x00%t", f.pushdown)
 	return b.String()
 }
 
@@ -370,14 +360,15 @@ func (f *CombinedScanFactory) openFallback(file string, m *sqlengine.Metrics, mo
 	src := &fallbackRowSource{
 		f: f, cur: cur, stats: &stats, m: m, colPos: colPos, obsc: f.obsc,
 	}
-	src.buildGroups()
+	if err := src.buildGroups(); err != nil {
+		return nil, err
+	}
 	return src, nil
 }
 
-// fallbackRowSource parses cache-column values out of raw JSON for splits
-// the cache does not cover. Trie-eligible fallback paths of one raw column —
-// wildcards included — share a fbGroup and resolve in a single streaming
-// pass; root paths keep the tree-parse memo, metered as Parse.TreeFallback.
+// fallbackRowSource extracts cache-column values out of raw JSON for splits
+// the cache does not cover. The fallback paths of one raw column share a
+// fbGroup and resolve in a single streaming pass per document.
 type fallbackRowSource struct {
 	f      *CombinedScanFactory
 	cur    *orc.Cursor
@@ -387,19 +378,7 @@ type fallbackRowSource struct {
 	colPos map[string]int
 	obsc   *combinerObs
 
-	// Streaming lane: one group per raw column whose specs are all eligible.
-	groups    []*fbGroup
-	treeSpecs []int // fallback indexes served by the tree memo
-	// streamParser owns the extraction arena, separate from the tree parser
-	// so a streaming reset never invalidates the memoized tree.
-	streamParser sjson.Parser
-
-	lastDoc  string
-	lastRoot *sjson.Value
-	// parser is the per-source parse arena: document trees draw their nodes
-	// from it and docBuf avoids the string→[]byte copy allocation per parse.
-	parser sjson.Parser
-	docBuf []byte
+	groups []*fbGroup
 
 	// batch scratch: dst aliases the destination batch's primary vectors and
 	// extra's vectors for raw columns only the fallbacks need.
@@ -407,34 +386,19 @@ type fallbackRowSource struct {
 	extra [][]datum.Datum
 }
 
-// fbGroup is one raw column's trie-compiled fallback specs plus the last
-// document's memoized outputs (stored as datums, so the memo survives the
-// extraction arena being recycled).
+// fbGroup is one raw column's fallback specs and the extractor that holds
+// the column's current document.
 type fbGroup struct {
-	rawCol   string
-	specIdx  []int // indexes into f.fallbacks
-	set      *jsonpath.PathSet
-	vals     []*sjson.Value
-	lastDoc  string
-	haveMemo bool
-	memo     []datum.Datum
+	rawCol  string
+	specIdx []int // indexes into f.fallbacks, in extractor path order
+	x       *jsonpath.Extractor
 }
 
-// buildGroups partitions the fallback specs into streaming groups and tree
-// stragglers. Called once at open.
-func (s *fallbackRowSource) buildGroups() {
-	if !s.f.StreamExtract {
-		for j := range s.f.fallbacks {
-			s.treeSpecs = append(s.treeSpecs, j)
-		}
-		return
-	}
+// buildGroups partitions the fallback specs by raw column. Called once at
+// open.
+func (s *fallbackRowSource) buildGroups() error {
 	byCol := map[string]*fbGroup{}
 	for j, fb := range s.f.fallbacks {
-		if !jsonpath.TrieEligible(fb.Path) {
-			s.treeSpecs = append(s.treeSpecs, j)
-			continue
-		}
 		g := byCol[fb.RawColumn]
 		if g == nil {
 			g = &fbGroup{rawCol: fb.RawColumn}
@@ -443,7 +407,6 @@ func (s *fallbackRowSource) buildGroups() {
 		}
 		g.specIdx = append(g.specIdx, j)
 	}
-	kept := s.groups[:0]
 	for _, g := range s.groups {
 		paths := make([]*jsonpath.Path, len(g.specIdx))
 		for k, j := range g.specIdx {
@@ -451,62 +414,35 @@ func (s *fallbackRowSource) buildGroups() {
 		}
 		set, err := jsonpath.NewPathSet(paths...)
 		if err != nil {
-			s.treeSpecs = append(s.treeSpecs, g.specIdx...)
-			continue
+			return fmt.Errorf("core: fallback paths of column %s: %w", g.rawCol, err)
 		}
-		g.set = set
-		g.vals = make([]*sjson.Value, len(g.specIdx))
-		g.memo = make([]datum.Datum, len(g.specIdx))
-		kept = append(kept, g)
+		g.x = jsonpath.NewExtractor(set)
 	}
-	s.groups = kept
-	sort.Ints(s.treeSpecs)
+	return nil
 }
 
-// fillFallbacks computes every fallback spec's datum for one row: streaming
-// groups first (one forward pass per raw column), then tree stragglers.
+// fillFallbacks computes every fallback spec's datum for one row: one
+// forward pass per raw column. Malformed documents yield NULLs.
 func (s *fallbackRowSource) fillFallbacks(get func(string) datum.Datum, put func(int, datum.Datum)) {
 	for _, g := range s.groups {
 		src := get(g.rawCol)
-		if src.Null {
-			for _, j := range g.specIdx {
-				put(j, datum.NullOf(datum.TypeString))
+		if !src.Null && !g.x.Holds(src.S) {
+			scanned := g.x.Extract(src.S)
+			if s.m != nil {
+				s.m.Parse.Docs.Add(1)
+				s.m.Parse.Bytes.Add(int64(scanned))
+				s.m.Parse.Skipped.Add(int64(len(src.S) - scanned))
+				s.m.Parse.Calls.Add(int64(len(g.specIdx)))
 			}
-			continue
-		}
-		if !g.haveMemo || src.S != g.lastDoc {
-			s.extractGroup(g, src.S)
 		}
 		for k, j := range g.specIdx {
-			put(j, g.memo[k])
-		}
-	}
-	for _, j := range s.treeSpecs {
-		fb := s.f.fallbacks[j]
-		put(j, s.fallbackValue(get(fb.RawColumn), fb))
-	}
-}
-
-// extractGroup runs one streaming pass over doc and memoizes the group's
-// outputs. Malformed documents memoize as NULLs, matching the tree lane.
-func (s *fallbackRowSource) extractGroup(g *fbGroup, doc string) {
-	s.streamParser.ResetValues()
-	s.docBuf = append(s.docBuf[:0], doc...)
-	//lint:ignore arenaescape g.vals is memoized into g.memo datums immediately below, before any later ResetValues recycles the arena
-	scanned, err := g.set.Extract(&s.streamParser, s.docBuf, g.vals)
-	if s.m != nil {
-		s.m.Parse.Docs.Add(1)
-		s.m.Parse.Bytes.Add(int64(scanned))
-		s.m.Parse.Skipped.Add(int64(len(doc) - scanned))
-		s.m.Parse.Calls.Add(int64(len(g.specIdx)))
-	}
-	g.lastDoc = doc
-	g.haveMemo = true
-	for k := range g.specIdx {
-		if err != nil || g.vals[k].IsNull() {
-			g.memo[k] = datum.NullOf(datum.TypeString)
-		} else {
-			g.memo[k] = datum.Str(g.vals[k].Scalar())
+			d := datum.NullOf(datum.TypeString)
+			if !src.Null {
+				if v, ok := g.x.Scalar(k); ok {
+					d = datum.Str(v)
+				}
+			}
+			put(j, d)
 		}
 	}
 }
@@ -589,22 +525,6 @@ func (s *fallbackRowSource) NextBatch(b *sqlengine.RowBatch) (int, error) {
 	return n, nil
 }
 
-// fallbackValue computes one cache column's value by parsing the raw doc.
-func (s *fallbackRowSource) fallbackValue(src datum.Datum, fb FallbackSpec) datum.Datum {
-	if src.Null {
-		return datum.NullOf(datum.TypeString)
-	}
-	root := s.parse(src.S)
-	if root == nil {
-		return datum.NullOf(datum.TypeString)
-	}
-	v := fb.Path.Eval(root)
-	if v.IsNull() {
-		return datum.NullOf(datum.TypeString)
-	}
-	return datum.Str(v.Scalar())
-}
-
 // flushStats streams the cursor's stat deltas into the query Metrics.
 func (s *fallbackRowSource) flushStats() {
 	if s.m == nil {
@@ -616,32 +536,6 @@ func (s *fallbackRowSource) flushStats() {
 	s.m.RowGroupsRead.Add(cur.RowGroupsRead - s.prev.RowGroupsRead)
 	s.m.RowGroupsSkipped.Add(cur.RowGroupsSkipped - s.prev.RowGroupsSkipped)
 	s.prev = cur
-}
-
-// parse memoizes the document tree across the fallbacks of one row.
-func (s *fallbackRowSource) parse(doc string) *sjson.Value {
-	if doc == s.lastDoc && s.lastRoot != nil {
-		return s.lastRoot
-	}
-	// The memoized tree being replaced is the only one still referenced, so
-	// the parser's node arena can be recycled wholesale before reparsing.
-	s.parser.ResetValues()
-	s.docBuf = append(s.docBuf[:0], doc...)
-	root, err := s.parser.Parse(s.docBuf)
-	if s.m != nil {
-		s.m.Parse.Docs.Add(1)
-		s.m.Parse.Bytes.Add(int64(len(doc)))
-		s.m.Parse.Calls.Add(int64(len(s.treeSpecs)))
-		s.m.Parse.TreeFallback.Add(1)
-	}
-	s.lastDoc = doc
-	if err != nil {
-		s.lastRoot = nil
-	} else {
-		//lint:ignore arenaescape lastRoot is the per-row memo; the lastDoc check above re-validates it and ResetValues only runs right before the replacing parse
-		s.lastRoot = root
-	}
-	return s.lastRoot
 }
 
 // combinedRowSource streams stitched rows: primary columns first, cache

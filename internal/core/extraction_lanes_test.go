@@ -1,0 +1,191 @@
+package core
+
+import (
+	"fmt"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/datum"
+	"repro/internal/dfs"
+	"repro/internal/jsonpath"
+	"repro/internal/orc"
+	"repro/internal/pathkey"
+	"repro/internal/simtime"
+	"repro/internal/sjson"
+	"repro/internal/sqlengine"
+	"repro/internal/warehouse"
+)
+
+// laneDocs are the documents every consumer of the extraction kernel is run
+// over: objects, a non-object document, arrays with holes, explicit nulls,
+// escapes, duplicate keys, and one document damaged at its first token (which
+// every path set has to scan, so it is NULL for every consumer).
+var laneDocs = []string{
+	`{"a": 1, "nested": {"x": "deep"}, "arr": [{"k": 1}, {"k": 2}, {"j": 3}], "tail": "t"}`,
+	`{"nested": {"x": null}, "arr": [], "a": "sé"}`,
+	`{"arr": [{"k": [1, 2]}], "a": {"b": [true, null]}, "a": "second"}`,
+	`[1, 2, 3]`,
+	`{"a": 1.50, "arr": [5, {"k": "only"}]}`,
+	`{"a" 1, "nested": {"x": 2}}`,
+	`{}`,
+}
+
+// lanePaths go through every consumer together: the root, point paths, an
+// aliased spelling, wildcards, an index, and a path no document has.
+var lanePaths = []string{"$", "$.a", "$['a']", "$.nested.x", "$.arr[*].k", "$.arr[1]", "$.missing"}
+
+// laneReference answers path over doc the way the tests' reference does:
+// sjson.Parse + Path.Eval, NULL for a malformed document.
+func laneReference(doc, path string) string {
+	root, err := sjson.ParseString(doc)
+	if err != nil {
+		return "NULL"
+	}
+	v := jsonpath.MustCompile(path).Eval(root)
+	if v.IsNull() {
+		return "NULL"
+	}
+	return v.Scalar()
+}
+
+func laneSQL(paths []string) string {
+	var items []string
+	for i, p := range paths {
+		// Inside a SQL string literal the bracket form is spelled $["a"].
+		items = append(items, fmt.Sprintf(`get_json_object(doc, '%s') c%d`, strings.ReplaceAll(p, "'", `"`), i))
+	}
+	return "SELECT " + strings.Join(items, ", ") + " FROM db.t"
+}
+
+// TestEveryConsumerMatchesParseEval runs root and non-root paths over one
+// table through every consumer of the extraction kernel — the raw engine
+// scan, populate followed by a cached read, the combiner's fallback for a
+// split appended after populate, and the merged shared scan — and requires
+// each result to be byte-identical to sjson.Parse + Path.Eval.
+func TestEveryConsumerMatchesParseEval(t *testing.T) {
+	build := func(cfg Config) (*simtime.Sim, *warehouse.Warehouse, *Maxson) {
+		clock := simtime.NewSim(time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC))
+		wh := warehouse.New(dfs.New(dfs.WithClock(clock)), warehouse.WithClock(clock),
+			warehouse.WithWriterOptions(orc.WriterOptions{RowGroupRows: 4}))
+		wh.CreateDatabase("db")
+		schema := orc.Schema{Columns: []orc.Column{
+			{Name: "id", Type: datum.TypeInt64},
+			{Name: "doc", Type: datum.TypeString},
+		}}
+		if err := wh.CreateTable("db", "t", schema); err != nil {
+			t.Fatal(err)
+		}
+		e := sqlengine.NewEngine(wh, sqlengine.WithDefaultDB("db"), sqlengine.WithParallelism(2))
+		cfg.BudgetBytes, cfg.DefaultDB = 1<<30, "db"
+		return clock, wh, New(e, cfg)
+	}
+	var stored []string
+	appendDocs := func(wh *warehouse.Warehouse, docs []string) {
+		t.Helper()
+		var rows [][]datum.Datum
+		for _, d := range docs {
+			rows = append(rows, []datum.Datum{datum.Int(int64(len(stored))), datum.Str(d)})
+			stored = append(stored, d)
+		}
+		if _, err := wh.AppendRows("db", "t", rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(consumer string, paths []string, rs *sqlengine.ResultSet) {
+		t.Helper()
+		if len(rs.Rows) != len(stored) {
+			t.Fatalf("%s: %d rows, want %d", consumer, len(rs.Rows), len(stored))
+		}
+		for r, row := range rs.Rows {
+			for c, p := range paths {
+				if got, want := row[c].AsString(), laneReference(stored[r], p); got != want {
+					t.Errorf("%s: doc %s path %s = %s, want %s", consumer, stored[r], p, got, want)
+				}
+			}
+		}
+	}
+
+	clock, wh, m := build(Config{})
+	appendDocs(wh, laneDocs[:4])
+	appendDocs(wh, laneDocs[4:])
+
+	// Raw engine scan.
+	rs, qm, err := m.Query(laneSQL(lanePaths))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("raw scan", lanePaths, rs)
+	if docs := qm.Parse.Docs.Load(); docs != int64(len(stored)) {
+		t.Errorf("raw scan parsed %d docs for %d rows", docs, len(stored))
+	}
+
+	// Populate, then a cached read: nothing is parsed at query time.
+	var profiles []*PathProfile
+	for _, p := range lanePaths {
+		if p == "$['a']" {
+			continue // the same cache entry as $.a
+		}
+		key := pathkey.Key{DB: "db", Table: "t", Column: "doc", Path: p}
+		profiles = append(profiles, &PathProfile{Key: key, TotalValueBytes: 1})
+	}
+	clock.Advance(time.Hour) // a cache no younger than its table is stale
+	if _, err := m.CacheSelected(profiles); err != nil {
+		t.Fatal(err)
+	}
+	rs, qm, err = m.Query(laneSQL(lanePaths))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("cached read", lanePaths, rs)
+	if qm.Parse.Docs.Load() != 0 || qm.CacheValuesRead.Load() == 0 {
+		t.Errorf("cached read parsed %d docs, read %d cache values", qm.Parse.Docs.Load(), qm.CacheValuesRead.Load())
+	}
+
+	// A split appended after populate: the combiner's fallback extracts the
+	// cached columns for it, the covered splits still come from the cache.
+	clock.Advance(time.Hour)
+	appended := []string{laneDocs[2], laneDocs[5], laneDocs[0]}
+	appendDocs(wh, appended)
+	rs, qm, err = m.Query(laneSQL(lanePaths))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("fallback split", lanePaths, rs)
+	if docs := qm.Parse.Docs.Load(); docs != int64(len(appended)) || qm.CacheMisses.Load() == 0 {
+		t.Errorf("fallback split parsed %d docs (want %d), %d cache misses", docs, len(appended), qm.CacheMisses.Load())
+	}
+
+	// Merged shared scan: three queries with overlapping path sets, one of
+	// them projecting the root, coalesce into one pass over an uncached table.
+	stored = nil
+	_, wh, m = build(Config{ScanShareWindow: 5 * time.Second, ScanShareMaxQueries: 3})
+	appendDocs(wh, laneDocs[:4])
+	appendDocs(wh, laneDocs[4:])
+	sets := [][]string{
+		{"$", "$.a"},
+		{"$.a", "$.arr[*].k", "$.missing"},
+		{"$.nested.x", "$['a']", "$.arr[1]"},
+	}
+	results := make([]*sqlengine.ResultSet, len(sets))
+	errs := make([]error, len(sets))
+	var wg sync.WaitGroup
+	for i, paths := range sets {
+		wg.Add(1)
+		go func(i int, sql string) {
+			defer wg.Done()
+			results[i], _, errs[i] = m.Query(sql)
+		}(i, laneSQL(paths))
+	}
+	wg.Wait()
+	for i, paths := range sets {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		check(fmt.Sprintf("shared scan %d", i), paths, results[i])
+	}
+	if got := m.Obs().Snapshot().Counter("scanshare_queries_coalesced_total"); got != int64(len(sets)) {
+		t.Errorf("coalesced %d queries, want %d in one shared pass", got, len(sets))
+	}
+}

@@ -34,13 +34,13 @@ func TestExplainCachedVsUncached(t *testing.T) {
 		"EXPLAIN ANALYZE",
 		"Project [date, turnover]",
 		"Filter (get_json_object(sale_logs, '$.item_name') = 'item-05')  | out=1",
-		"Scan mydb.t cols=[date sale_logs]                               | splits=3 rows=31 bytes=2672 parse-docs=31 parse-calls=32 rowgroups=6 rowgroups-skipped=0",
+		"Scan mydb.t cols=[date sale_logs]                               | splits=3 rows=31 bytes=2672 parse-docs=31 parse-calls=32 parse-bytes-skipped=341 rowgroups=6 rowgroups-skipped=0",
 		"  ├─ split 0: raw                                               | rows=10 out=1 bytes=850 parse-docs=10",
 		"  ├─ split 1: raw                                               | rows=10 out=0 bytes=868 parse-docs=10",
 		"  └─ split 2: raw                                               | rows=11 out=0 bytes=954 parse-docs=11",
-		"scan simulated: read 2.672µs + parse 18.224µs + compute 3.72µs = 24.616µs",
-		"totals:    read 2672B in 31 rows (6 row-groups, 0 skipped); parsed 31 docs / 2338B / 32 calls; 31 row-ops",
-		"simulated: read 2.672µs + parse 18.224µs + compute 3.72µs = 24.616µs",
+		"scan simulated: read 2.672µs + parse 6.554µs + compute 3.72µs = 12.946µs",
+		"totals:    read 2672B in 31 rows (6 row-groups, 0 skipped); parsed 31 docs / 1997B / 32 calls (341B skipped); 31 row-ops",
+		"simulated: read 2.672µs + parse 6.554µs + compute 3.72µs = 12.946µs",
 		"plan:      7 expr nodes, 105µs simulated",
 		"",
 	}, "\n")

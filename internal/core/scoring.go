@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/jsonpath"
 	"repro/internal/pathkey"
-	"repro/internal/sjson"
 	"repro/internal/sqlengine"
 	"repro/internal/warehouse"
 )
@@ -18,14 +17,12 @@ type PathProfile struct {
 	// sampling rows from each split.
 	AvgValueBytes float64
 	// AvgParseNs is P_j: the mean time to parse the value out of its
-	// document with the engine's parsing algorithm (simulated cost).
+	// document with a full tree parse (simulated cost).
 	AvgParseNs float64
 	// AvgScanNs is the mean time to extract the value with the streaming
-	// single-pass extractor (charged only for bytes actually scanned; equal
-	// to AvgParseNs only for root paths, which keep the tree parse —
-	// wildcard paths stream and are measured like any other). Scoring still
-	// uses AvgParseNs — caching saves the tree parse the engine would
-	// otherwise do — but query-time miss costs use this.
+	// single-pass extractor, charged only for bytes actually scanned. Scoring
+	// still uses AvgParseNs — the paper's P_j is the cost of a full parse —
+	// but query-time miss costs use this.
 	AvgScanNs float64
 	// TotalValueBytes estimates the full cache footprint of the path (B_j
 	// times the table's row count), the unit the budget is spent in.
@@ -120,11 +117,10 @@ func (s *Scorer) Profile(candidates []pathkey.Key, queries []QueryRecord, mpjpSe
 }
 
 // columnSample is what every candidate path of one JSON column is measured
-// against: the first SampleRows rows of each split, parsed once.
+// against: the first SampleRows rows of each split.
 type columnSample struct {
 	docs    []string
-	roots   []*sjson.Value // parsed docs[i]; nil when docs[i] is malformed
-	numRows int64          // the table's row count
+	numRows int64 // the table's row count
 }
 
 // sample reads one column's sample; nil when the table is gone.
@@ -151,12 +147,7 @@ func (s *Scorer) sample(col pathkey.Key) *columnSample {
 			if row[0].Null {
 				continue
 			}
-			root, err := sjson.ParseString(row[0].S)
-			if err != nil {
-				root = nil
-			}
 			cs.docs = append(cs.docs, row[0].S)
-			cs.roots = append(cs.roots, root)
 		}
 	}
 	return cs
@@ -173,52 +164,29 @@ func (s *Scorer) measure(prof *PathProfile, sample *columnSample) {
 		return
 	}
 	var valueBytes, docBytes, scanBytes int64
-	var set *jsonpath.PathSet
-	if jsonpath.TrieEligible(path) {
-		if ps, err := jsonpath.NewPathSet(path); err == nil {
-			set = ps
-		}
-		// On error set stays nil and the loop below falls back to costing
-		// the full document as scanned, the same as a non-eligible path.
-	}
-	var parser sjson.Parser
-	var scanOut [1]*sjson.Value
-	var scanBuf []byte
-	for i, doc := range sample.docs {
+	x := jsonpath.NewExtractor(jsonpath.MustPathSet(path))
+	for _, doc := range sample.docs {
 		docBytes += int64(len(doc))
-		if set != nil {
-			parser.ResetValues()
-			scanBuf = append(scanBuf[:0], doc...)
-			if scanned, err := set.Extract(&parser, scanBuf, scanOut[:]); err == nil {
-				scanBytes += int64(scanned)
-			} else {
-				scanBytes += int64(len(doc))
-			}
-		} else {
+		scanned := x.Extract(doc)
+		if x.Err() != nil {
+			// A malformed document is costed as scanned in full and caches
+			// nothing.
 			scanBytes += int64(len(doc))
-		}
-		root := sample.roots[i]
-		if root == nil {
 			continue
 		}
-		if v := path.Eval(root); !v.IsNull() {
-			valueBytes += int64(len(v.Scalar())) + 1
-		} else {
-			valueBytes++ // null marker still occupies cache space
-		}
+		scanBytes += int64(scanned)
+		v, _ := x.Scalar(0)
+		valueBytes += int64(len(v)) + 1 // a NULL is just its marker byte
 	}
 	sampled := int64(len(sample.docs))
 	prof.AvgValueBytes = float64(valueBytes) / float64(sampled)
-	// P_j: parsing the document with the engine's tree parser, costed by
-	// the calibrated model (per-byte rate plus per-call overhead).
+	// P_j: what the paper's SparkSQL pays to answer the path uncached, a full
+	// tree parse of the document, costed by the calibrated model (per-byte
+	// rate plus per-call overhead).
 	avgDoc := float64(docBytes) / float64(sampled)
 	prof.AvgParseNs = avgDoc*s.cm.ParseNsPerByteTree + s.cm.ParseNsPerCall
-	if set != nil {
-		avgScan := float64(scanBytes) / float64(sampled)
-		prof.AvgScanNs = avgScan*s.cm.ParseNsPerByteStream + s.cm.ParseNsPerCall
-	} else {
-		prof.AvgScanNs = prof.AvgParseNs
-	}
+	avgScan := float64(scanBytes) / float64(sampled)
+	prof.AvgScanNs = avgScan*s.cm.ParseNsPerByteStream + s.cm.ParseNsPerCall
 	prof.TotalValueBytes = int64(prof.AvgValueBytes * float64(sample.numRows))
 	if prof.TotalValueBytes < 1 {
 		prof.TotalValueBytes = 1

@@ -5,7 +5,7 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/sqlengine"
+	"repro/internal/experiments/baseline"
 )
 
 // AblationRow is one Maxson variant's aggregate performance.
@@ -32,7 +32,7 @@ func RunAblation(rows int, seed int64) (*AblationResult, error) {
 
 	run := func(configure func(env *maxsonEnv)) (AblationRow, error) {
 		w := BuildWorkload(rows, seed)
-		env := newMaxsonEnv(w, sqlengine.JacksonBackend{})
+		env := newMaxsonEnv(w, baseline.JacksonBackend{})
 		if configure != nil {
 			if _, err := env.maxson.CacheSelected(env.profiles()); err != nil {
 				return AblationRow{}, err

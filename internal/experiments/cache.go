@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/experiments/baseline"
 	"repro/internal/pathkey"
 	"repro/internal/sqlengine"
 )
@@ -144,7 +145,7 @@ func RunFig11(rows int, seed int64) (*Fig11Result, error) {
 	// Baseline: no cache.
 	{
 		w := BuildWorkload(rows, seed)
-		env := newMaxsonEnv(w, sqlengine.JacksonBackend{})
+		env := newMaxsonEnv(w, baseline.JacksonBackend{})
 		total, _, err := env.runQueries()
 		if err != nil {
 			return nil, err
@@ -155,7 +156,7 @@ func RunFig11(rows int, seed int64) (*Fig11Result, error) {
 	for _, strategy := range []string{"scoring", "random"} {
 		for _, budget := range PaperBudgets() {
 			w := BuildWorkload(rows, seed)
-			env := newMaxsonEnv(w, sqlengine.JacksonBackend{})
+			env := newMaxsonEnv(w, baseline.JacksonBackend{})
 			profiles := env.profiles()
 			if out.TotalMPJP == 0 {
 				out.TotalMPJP = totalMPJPBytes(profiles)
@@ -255,7 +256,7 @@ func RunFig12(rows int, seed int64) (*Fig12Result, error) {
 
 	// Plain engine.
 	wPlain := BuildWorkload(rows, seed)
-	ePlain := wPlain.NewEngine(sqlengine.JacksonBackend{})
+	ePlain := wPlain.NewEngine(baseline.JacksonBackend{})
 	for _, q := range targets {
 		_, m, err := ePlain.Query(wPlain.SQL[q])
 		if err != nil {
@@ -272,7 +273,7 @@ func RunFig12(rows int, seed int64) (*Fig12Result, error) {
 
 	// Maxson with the full MPJP set cached.
 	w := BuildWorkload(rows, seed)
-	env := newMaxsonEnv(w, sqlengine.JacksonBackend{})
+	env := newMaxsonEnv(w, baseline.JacksonBackend{})
 	if _, err := env.maxson.CacheSelected(env.profiles()); err != nil {
 		return nil, err
 	}
@@ -321,10 +322,10 @@ type Fig13Result struct{ Rows []Fig13Row }
 // growing with the number of JSONPaths).
 func RunFig13(rows int, seed int64) (*Fig13Result, error) {
 	wPlain := BuildWorkload(rows, seed)
-	ePlain := wPlain.NewEngine(sqlengine.JacksonBackend{})
+	ePlain := wPlain.NewEngine(baseline.JacksonBackend{})
 
 	w := BuildWorkload(rows, seed)
-	env := newMaxsonEnv(w, sqlengine.JacksonBackend{})
+	env := newMaxsonEnv(w, baseline.JacksonBackend{})
 	if _, err := env.maxson.CacheSelected(core.SelectUnderBudget(env.profiles(),
 		int64(float64(totalMPJPBytes(env.profiles()))*0.75))); err != nil {
 		return nil, err
@@ -399,8 +400,8 @@ func RunFig15(rows int, seed int64) (*Fig15Result, error) {
 		system  string
 		backend sqlengine.ParserBackend
 	}{
-		{"spark+jackson", sqlengine.JacksonBackend{}},
-		{"spark+mison", sqlengine.MisonBackend{}},
+		{"spark+jackson", baseline.JacksonBackend{}},
+		{"spark+mison", baseline.MisonBackend{}},
 	} {
 		w := BuildWorkload(rows, seed)
 		e := w.NewEngine(cfg.backend)
@@ -418,9 +419,9 @@ func RunFig15(rows int, seed int64) (*Fig15Result, error) {
 		system  string
 		backend sqlengine.ParserBackend
 	}{
-		{"maxson", sqlengine.JacksonBackend{}},
+		{"maxson", baseline.JacksonBackend{}},
 		{"maxson+stream", sqlengine.StreamBackend{}},
-		{"maxson+mison", sqlengine.MisonBackend{}},
+		{"maxson+mison", baseline.MisonBackend{}},
 	} {
 		w := BuildWorkload(rows, seed)
 		env := newMaxsonEnv(w, cfg.backend)

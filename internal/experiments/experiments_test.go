@@ -5,9 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/experiments/baseline"
 	"repro/internal/jsonpath"
 	"repro/internal/sjson"
-	"repro/internal/sqlengine"
 	"repro/internal/trace"
 )
 
@@ -97,7 +97,7 @@ func pathResolves(root *sjson.Value, path string) bool {
 
 func TestAllTableIIQueriesExecute(t *testing.T) {
 	w := BuildWorkload(testRows, 1)
-	e := w.NewEngine(sqlengine.JacksonBackend{})
+	e := w.NewEngine(baseline.JacksonBackend{})
 	for _, spec := range w.Specs {
 		rs, _, err := e.Query(w.SQL[spec.Name])
 		if err != nil {

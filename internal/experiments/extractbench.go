@@ -18,7 +18,7 @@ import (
 // parse accounting (bytes charged vs bytes the early exit skipped).
 type ExtractBenchRow struct {
 	Lane        string // "kernel" | "wildcard" | "populate" | "fallback"
-	Mode        string // "stream" | "tree"
+	Mode        string // "stream" | "tree" (kernel and wildcard lanes only)
 	NsPerOp     int64
 	AllocsPerOp int64
 	BytesPerOp  int64
@@ -29,9 +29,11 @@ type ExtractBenchRow struct {
 	SkippedBytes int64
 }
 
-// ExtractBenchResult compares the streaming multi-path extractor against the
-// full-tree parse baseline on the three consumers the tentpole rewired: the
-// raw kernel, Cacher.Populate, and the combiner's uncovered-split fallback.
+// ExtractBenchResult compares the streaming multi-path extractor against
+// Parse + Eval on the raw kernel (point paths and a wildcard), and measures
+// the two consumers that run it in bulk: Cacher.Populate and the combiner's
+// uncovered-split fallback. Those two once had a tree-parse switch to compare
+// against; EXPERIMENTS.md keeps its last measured values.
 type ExtractBenchResult struct {
 	Rows []ExtractBenchRow
 }
@@ -108,7 +110,7 @@ func wildcardDoc() string {
 	return sb.String()
 }
 
-// RunExtractBench measures stream-vs-tree extraction across the lanes.
+// RunExtractBench measures the extraction lanes.
 // Feeds BENCH_extract.json via maxson-bench -exp extract.
 func RunExtractBench(rows int, seed int64) (*ExtractBenchResult, error) {
 	out := &ExtractBenchResult{}
@@ -196,23 +198,20 @@ func RunExtractBench(rows int, seed int64) (*ExtractBenchResult, error) {
 
 	// --- populate lane: one full caching cycle over the Table II workload ---
 	w := BuildWorkload(rows, seed)
-	env := newMaxsonEnv(w, sqlengine.JacksonBackend{})
+	env := newMaxsonEnv(w, sqlengine.StreamBackend{})
 	profiles := env.profiles()
-	for _, mode := range []string{"stream", "tree"} {
-		env.maxson.Cacher.StreamExtract = mode == "stream"
-		stats, err := env.maxson.CacheSelected(profiles)
-		if err != nil {
-			return nil, err
-		}
-		row, err := benchOp("populate", mode, stats.BytesScanned, stats.BytesSkipped, func() error {
-			_, err := env.maxson.CacheSelected(profiles)
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		out.Rows = append(out.Rows, row)
+	stats, err := env.maxson.CacheSelected(profiles)
+	if err != nil {
+		return nil, err
 	}
+	row, err = benchOp("populate", "stream", stats.BytesScanned, stats.BytesSkipped, func() error {
+		_, err := env.maxson.CacheSelected(profiles)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	out.Rows = append(out.Rows, row)
 
 	// --- fallback lane: uncovered-split scan synthesizing Q3's paths ---
 	// A factory pointed at a cache table that no longer exists serves every
@@ -229,49 +228,46 @@ func RunExtractBench(rows int, seed int64) (*ExtractBenchResult, error) {
 		cacheCols = append(cacheCols, col)
 		schema.Cols = append(schema.Cols, sqlengine.RowCol{Name: col, Type: datum.TypeString})
 	}
-	for _, mode := range []string{"stream", "tree"} {
-		factory := core.NewCombinedScanFactory(w.WH, w.DB, "t03",
-			[]string{"id"}, nil, "retired_generation", cacheCols, nil,
-			fallbacks, false, schema)
-		factory.StreamExtract = mode == "stream"
-		drain := func(m *sqlengine.Metrics) error {
-			nSplits, err := factory.NumSplits()
+	factory := core.NewCombinedScanFactory(w.WH, w.DB, "t03",
+		[]string{"id"}, nil, "retired_generation", cacheCols, nil,
+		fallbacks, false, schema)
+	drain := func(m *sqlengine.Metrics) error {
+		nSplits, err := factory.NumSplits()
+		if err != nil {
+			return err
+		}
+		batch := sqlengine.NewRowBatch(1+len(cacheCols), 256)
+		for split := 0; split < nSplits; split++ {
+			src, err := factory.Open(split, m)
 			if err != nil {
 				return err
 			}
-			batch := sqlengine.NewRowBatch(1+len(cacheCols), 256)
-			for split := 0; split < nSplits; split++ {
-				src, err := factory.Open(split, m)
+			bs, ok := src.(sqlengine.BatchSource)
+			if !ok {
+				return fmt.Errorf("fallback source is not batch-capable")
+			}
+			for {
+				n, err := bs.NextBatch(batch)
 				if err != nil {
 					return err
 				}
-				bs, ok := src.(sqlengine.BatchSource)
-				if !ok {
-					return fmt.Errorf("fallback source is not batch-capable")
-				}
-				for {
-					n, err := bs.NextBatch(batch)
-					if err != nil {
-						return err
-					}
-					if n == 0 {
-						break
-					}
+				if n == 0 {
+					break
 				}
 			}
-			return nil
 		}
-		var m sqlengine.Metrics
-		if err := drain(&m); err != nil {
-			return nil, err
-		}
-		row, err := benchOp("fallback", mode, m.Parse.Bytes.Load(), m.Parse.Skipped.Load(), func() error {
-			return drain(nil)
-		})
-		if err != nil {
-			return nil, err
-		}
-		out.Rows = append(out.Rows, row)
+		return nil
 	}
+	var m sqlengine.Metrics
+	if err := drain(&m); err != nil {
+		return nil, err
+	}
+	row, err = benchOp("fallback", "stream", m.Parse.Bytes.Load(), m.Parse.Skipped.Load(), func() error {
+		return drain(nil)
+	})
+	if err != nil {
+		return nil, err
+	}
+	out.Rows = append(out.Rows, row)
 	return out, nil
 }

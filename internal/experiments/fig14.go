@@ -6,9 +6,9 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/experiments/baseline"
 	"repro/internal/lru"
 	"repro/internal/pathkey"
-	"repro/internal/sqlengine"
 )
 
 // Fig14Result compares Maxson's prediction-based caching with an online
@@ -35,7 +35,7 @@ type Fig14Result struct {
 // midnight) but misses mispredicted paths.
 func RunFig14(rows int, seed int64, days int) (*Fig14Result, error) {
 	w := BuildWorkload(rows, seed)
-	env := newMaxsonEnv(w, sqlengine.JacksonBackend{})
+	env := newMaxsonEnv(w, baseline.JacksonBackend{})
 	profiles := env.profiles()
 	cm := env.engine.CostModel()
 

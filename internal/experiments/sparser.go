@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/experiments/baseline"
 	"repro/internal/pathkey"
 	"repro/internal/sqlengine"
 )
@@ -56,7 +57,7 @@ func RunSparserStudy(rows int, seed int64) (*SparserResult, error) {
 		row := SparserRow{Query: q.name}
 
 		wPlain := BuildWorkload(rows, seed)
-		ePlain := wPlain.NewEngine(sqlengine.JacksonBackend{})
+		ePlain := wPlain.NewEngine(baseline.JacksonBackend{})
 		rsP, mP, err := ePlain.Query(q.sql)
 		if err != nil {
 			return nil, fmt.Errorf("%s plain: %w", q.name, err)
@@ -68,6 +69,7 @@ func RunSparserStudy(rows int, seed int64) (*SparserResult, error) {
 		wSp := BuildWorkload(rows, seed)
 		eSp := sqlengine.NewEngine(wSp.WH,
 			sqlengine.WithDefaultDB(wSp.DB),
+			sqlengine.WithBackend(baseline.JacksonBackend{}),
 			sqlengine.WithSparser(true))
 		rsS, mS, err := eSp.Query(q.sql)
 		if err != nil {
@@ -81,7 +83,7 @@ func RunSparserStudy(rows int, seed int64) (*SparserResult, error) {
 		row.PrefilterSkipped = mS.PrefilterSkipped.Load()
 
 		wM := BuildWorkload(rows, seed)
-		env := newMaxsonEnv(wM, sqlengine.JacksonBackend{})
+		env := newMaxsonEnv(wM, baseline.JacksonBackend{})
 		profiles := env.profiles()
 		// The study predicates reference metric1/field001 of t02, which the
 		// standard query mix does not cache; include them so Maxson serves

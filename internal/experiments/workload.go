@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/datum"
 	"repro/internal/dfs"
+	"repro/internal/experiments/baseline"
 	"repro/internal/orc"
 	"repro/internal/simtime"
 	"repro/internal/warehouse"
@@ -82,7 +83,9 @@ func RunFig3(rows int) (*Fig3Result, error) {
 	if _, err := wh.AppendRows("nb", "data", recs); err != nil {
 		return nil, err
 	}
-	e := sqlengine.NewEngine(wh, sqlengine.WithDefaultDB("nb"))
+	// Fig 3 is the paper's motivation: SparkSQL with its Jackson tree parser.
+	e := sqlengine.NewEngine(wh, sqlengine.WithDefaultDB("nb"),
+		sqlengine.WithBackend(baseline.JacksonBackend{}))
 
 	queries := []struct{ name, sql string }{
 		{"Q1 (select)", `SELECT get_json_object(doc, '$.str1') a, get_json_object(doc, '$.num') b FROM nb.data`},

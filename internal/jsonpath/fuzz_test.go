@@ -16,7 +16,7 @@ import (
 // validating once every path is resolved).
 //
 // pathSpec is a ';'-separated list of JSONPath expressions; entries that do
-// not compile or are not trie-eligible are dropped.
+// not compile are dropped.
 func FuzzExtractEquivalence(f *testing.F) {
 	f.Add(`{"a": 1, "b": {"c": [1, {"d": null}]}}`, "$.a;$.b.c[1].d;$.b.c[0];$.missing")
 	f.Add(`{"a": 1, "a": 2, "x": "dup"}`, "$.a;$['a'];$.x")
@@ -40,12 +40,20 @@ func FuzzExtractEquivalence(f *testing.F) {
 	f.Add(`[{"k": [true, null]}, 7]`, "$[*].k;$[*].k[*];$[0]")
 	f.Add(`{"a": {"b": 1}}`, "$.a[*];$.a[*].b;$.a.b")
 	f.Add(`{"m": [[1, 2], [3], "x"]}`, "$.m[*][0];$.m[*];$.m[9]")
+	// Root seeds: $ is a terminal on the trie root, alone and covering
+	// deeper paths, over objects, arrays, scalars and trailing garbage.
+	f.Add(`{"a": 1, "b": [true, null]}`, "$")
+	f.Add(`{"a": {"k": "v"}, "z": 0}`, "$;$.a")
+	f.Add(`{"a": [{"b": 1}, {"b": 2}, {"c": 3}]}`, "$;$.a[*].b")
+	f.Add(`[1, "two", null]`, "$;$[1]")
+	f.Add(`"scalar"`, "$;$.a")
+	f.Add(`{"a": 1} x`, "$;$.a")
 
 	f.Fuzz(func(t *testing.T, doc string, pathSpec string) {
 		var paths []*Path
 		for _, expr := range strings.Split(pathSpec, ";") {
 			p, err := Compile(expr)
-			if err != nil || !TrieEligible(p) {
+			if err != nil {
 				continue
 			}
 			paths = append(paths, p)
@@ -58,7 +66,7 @@ func FuzzExtractEquivalence(f *testing.F) {
 		}
 		set, err := NewPathSet(paths...)
 		if err != nil {
-			t.Fatalf("NewPathSet on eligible paths: %v", err)
+			t.Fatalf("NewPathSet: %v", err)
 		}
 
 		var parser sjson.Parser

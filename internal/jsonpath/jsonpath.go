@@ -6,10 +6,11 @@
 //	$.store.fruit[0].weight
 //	$['item name'].ids[2]
 //
-// A compiled Path is immutable and safe for concurrent use. Evaluation over
-// an sjson tree is the baseline execution mode; the package also exposes the
-// step structure so raw-byte projectors (internal/mison) can evaluate the
-// same paths without building a tree.
+// A compiled Path is immutable and safe for concurrent use. Production code
+// evaluates paths by streaming (PathSet, Extractor); Eval over a parsed sjson
+// tree is the reference the tests compare against, and the step structure is
+// exposed so the experiments' structural-index baseline can evaluate the same
+// paths.
 package jsonpath
 
 import (
@@ -41,10 +42,6 @@ type Step struct {
 type Path struct {
 	text  string
 	steps []Step
-	// set is the path's one-element PathSet, compiled eagerly for
-	// trie-eligible paths (wildcards included) so EvalString streams instead
-	// of tree-parsing; nil only for root paths.
-	set *PathSet
 }
 
 // ParseError reports a malformed JSONPath.
@@ -132,13 +129,6 @@ func Compile(expr string) (*Path, error) {
 			return nil, &ParseError{Path: expr, Offset: i, Msg: "expected '.' or '['"}
 		}
 	}
-	if TrieEligible(p) {
-		set, err := NewPathSet(p)
-		if err != nil {
-			return nil, err
-		}
-		p.set = set
-	}
 	return p, nil
 }
 
@@ -159,9 +149,6 @@ func (p *Path) Steps() []Step { return p.steps }
 
 // Depth returns the number of navigation steps.
 func (p *Path) Depth() int { return len(p.steps) }
-
-// IsRoot reports whether the path is just "$".
-func (p *Path) IsRoot() bool { return len(p.steps) == 0 }
 
 // FirstMember returns the name of the first member step and true, or "" and
 // false if the path starts with an index (or is root). Mison's speculative
@@ -232,23 +219,12 @@ func (p *Path) HasWildcard() bool {
 // reports whether the value was present. A JSON syntax error also reports
 // absent, matching the UDF's permissive NULL-on-bad-input behaviour.
 //
-// Trie-eligible paths — wildcards included — stream through the single-path
-// extractor: one forward pass that stops as soon as the value resolves,
-// rather than re-parsing the whole document per call. Only root paths keep
-// the tree parse.
+// It is a one-off: a throwaway Extractor for this path alone. Callers
+// evaluating many documents or many paths hold their own Extractor.
 func (p *Path) EvalString(doc string) (string, bool) {
-	if p.set != nil {
-		return p.set.evalStringStreaming(doc)
-	}
-	root, err := sjson.ParseString(doc)
-	if err != nil {
-		return "", false
-	}
-	v := p.Eval(root)
-	if v.IsNull() {
-		return "", false
-	}
-	return v.Scalar(), true
+	x := NewExtractor(MustPathSet(p))
+	x.Extract(doc)
+	return x.Scalar(0)
 }
 
 // Covers reports whether p is a prefix of (or equal to) other: every
@@ -265,6 +241,12 @@ func (p *Path) Covers(other *Path) bool {
 		}
 	}
 	return true
+}
+
+// Equal reports whether p and other navigate the same steps, i.e. have the
+// same Canonical form, without building it.
+func (p *Path) Equal(other *Path) bool {
+	return len(p.steps) == len(other.steps) && p.Covers(other)
 }
 
 // Canonical returns a normalized text form ($.a.b[3]) so that differently

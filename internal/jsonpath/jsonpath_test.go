@@ -128,11 +128,8 @@ func TestSteps(t *testing.T) {
 	if p.Depth() != 3 {
 		t.Errorf("Depth = %d", p.Depth())
 	}
-	if p.IsRoot() {
-		t.Error("non-root path reported as root")
-	}
-	if !MustCompile("$").IsRoot() {
-		t.Error("$ should be root")
+	if d := MustCompile("$").Depth(); d != 0 {
+		t.Errorf("Depth($) = %d", d)
 	}
 }
 

@@ -2,16 +2,17 @@ package jsonpath
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/sjson"
 )
 
-// PathSet compiles a set of trie-eligible JSONPaths into one shared prefix
-// trie so a streaming extractor can pull every path's value out of a raw
-// document in a single pass (sjson.Parser.Extract): shared prefixes are
-// descended once, unrequested subtrees are skipped at tokenizer speed, and
-// the scan stops as soon as all paths resolve.
+// PathSet compiles a set of JSONPaths into one shared prefix trie so a
+// streaming extractor can pull every path's value out of a raw document in a
+// single pass (sjson.Parser.Extract): shared prefixes are descended once,
+// unrequested subtrees are skipped at tokenizer speed, and the scan stops as
+// soon as all paths resolve. The root path $ is a terminal on the trie root:
+// it materializes the whole document, and any deeper path in the same set is
+// filled from that value.
 //
 // Paths are deduplicated by Canonical form — $.a and $['a'] share one slot —
 // while Extract still reports one output per input path, in input order. A
@@ -25,16 +26,7 @@ type PathSet struct {
 	root    *sjson.ExtractNode
 }
 
-// TrieEligible reports whether the streaming extractor can serve p directly.
-// Wildcard steps compile into array-iteration trie nodes and stream like any
-// other path; only root paths — which project the whole document, so there is
-// nothing to skip — stay on the tree-parse escape hatch.
-func TrieEligible(p *Path) bool {
-	return p != nil && !p.IsRoot()
-}
-
-// NewPathSet compiles paths into a shared trie. Every path must be
-// TrieEligible; callers with mixed sets split off root paths first.
+// NewPathSet compiles paths into a shared trie. The only error is a nil path.
 func NewPathSet(paths ...*Path) (*PathSet, error) {
 	s := &PathSet{
 		paths: append([]*Path(nil), paths...),
@@ -43,12 +35,8 @@ func NewPathSet(paths ...*Path) (*PathSet, error) {
 	}
 	byCanon := make(map[string]int, len(paths))
 	for _, p := range paths {
-		if !TrieEligible(p) {
-			text := "<nil>"
-			if p != nil {
-				text = p.String()
-			}
-			return nil, fmt.Errorf("jsonpath: path %s is not trie-eligible (root)", text)
+		if p == nil {
+			return nil, fmt.Errorf("jsonpath: nil path in path set")
 		}
 		canon := p.Canonical()
 		if slot, ok := byCanon[canon]; ok {
@@ -162,29 +150,55 @@ func (s *PathSet) Extract(p *sjson.Parser, doc []byte, out []*sjson.Value) (scan
 	return scanned, err
 }
 
-// singleExtractor pools the parser + doc buffer EvalString streams through,
-// so per-call extraction reuses the value arena and byte buffer.
-type singleExtractor struct {
+// Extractor is the one way production code runs a PathSet over documents.
+// It owns the parser's value arena, the document buffer and the value slots,
+// recycles all three on every Extract, and hands callers only scalars — so
+// an arena pointer cannot outlive the document it was parsed from. Callers
+// meter their own work from the scanned count Extract returns. An Extractor
+// is not safe for concurrent use; the PathSet it runs may be shared.
+type Extractor struct {
+	set    *PathSet
 	parser sjson.Parser
 	buf    []byte
-	out    [1]*sjson.Value
+	vals   []*sjson.Value
+	doc    string // the document vals belong to
+	loaded bool
+	err    error
 }
 
-var singlePool = sync.Pool{New: func() any { return new(singleExtractor) }}
+// NewExtractor returns an extractor for set's paths.
+func NewExtractor(set *PathSet) *Extractor {
+	return &Extractor{set: set, vals: make([]*sjson.Value, set.Len())}
+}
 
-// evalStringStreaming serves EvalString for trie-eligible paths: one
-// streaming pass with early exit instead of materializing the whole tree.
-func (s *PathSet) evalStringStreaming(doc string) (string, bool) {
-	e := singlePool.Get().(*singleExtractor)
-	e.buf = append(e.buf[:0], doc...)
-	e.parser.ResetValues()
-	//lint:ignore arenaescape e.out belongs to the pooled extractor whose arena was just reset; the scalar is copied out and e.out[0] nilled before the pool put
-	_, err := s.Extract(&e.parser, e.buf, e.out[:])
-	res, ok := "", false
-	if err == nil && !e.out[0].IsNull() {
-		res, ok = e.out[0].Scalar(), true
+// Extract makes doc the current document: it scans doc once for every path
+// of the set, replacing the previous document's values, and returns the
+// bytes actually scanned (early exit leaves the tail untouched).
+func (x *Extractor) Extract(doc string) (scanned int) {
+	x.parser.ResetValues()
+	x.buf = append(x.buf[:0], doc...)
+	//lint:ignore arenaescape x.vals is the extractor's own out-buffer: the ResetValues above retires it before every refill, and only Scalar reads it, copying the value out
+	scanned, x.err = x.set.Extract(&x.parser, x.buf, x.vals)
+	x.doc, x.loaded = doc, true
+	return scanned
+}
+
+// Holds reports whether doc is the current document, so a caller asking
+// several paths of one row's document extracts it once.
+func (x *Extractor) Holds(doc string) bool { return x.loaded && x.doc == doc }
+
+// Err returns the syntax error the scan of the current document ran into,
+// nil for a document that was well-formed as far as it was scanned. After an
+// error every path reads as absent.
+func (x *Extractor) Err() error { return x.err }
+
+// Scalar returns the get_json_object rendering of the set's i-th path in the
+// current document, and whether the value was present (a missing path, an
+// explicit JSON null and a malformed document all report absent).
+func (x *Extractor) Scalar(i int) (string, bool) {
+	v := x.vals[i]
+	if v.IsNull() {
+		return "", false
 	}
-	e.out[0] = nil
-	singlePool.Put(e)
-	return res, ok
+	return v.Scalar(), true
 }

@@ -18,7 +18,7 @@ func TestPathSetExtractMatchesEval(t *testing.T) {
 	}`
 	exprs := []string{
 		"$.a", "$.b.c", "$.b.d[1].e", "$.b.d[2]", "$.b.d[9]",
-		"$.missing", "$.nul", "$.dup", "$['a']", "$.b",
+		"$.missing", "$.nul", "$.dup", "$['a']", "$.b", "$",
 	}
 	var paths []*Path
 	for _, e := range exprs {
@@ -50,31 +50,9 @@ func TestPathSetExtractMatchesEval(t *testing.T) {
 	}
 }
 
-func TestPathSetRejectsIneligible(t *testing.T) {
-	if _, err := NewPathSet(MustCompile("$")); err == nil {
-		t.Error("root path should be rejected")
-	}
-	if _, err := NewPathSet(nil); err == nil {
+func TestPathSetRejectsNilPath(t *testing.T) {
+	if _, err := NewPathSet(MustCompile("$.a"), nil); err == nil {
 		t.Error("nil path should be rejected")
-	}
-}
-
-func TestTrieEligible(t *testing.T) {
-	for expr, want := range map[string]bool{
-		"$.a":        true,
-		"$.a.b[3].c": true,
-		"$['x y']":   true,
-		"$.a[*]":     true,
-		"$[*].b":     true,
-		"$.a[*].b":   true,
-		"$":          false,
-	} {
-		if got := TrieEligible(MustCompile(expr)); got != want {
-			t.Errorf("TrieEligible(%s) = %v, want %v", expr, got, want)
-		}
-	}
-	if TrieEligible(nil) {
-		t.Error("TrieEligible(nil) should be false")
 	}
 }
 
@@ -109,6 +87,7 @@ func TestPathSetWildcardMatchesEval(t *testing.T) {
 		"$.m[*][0]", // wildcard-then-index
 		"$[*].b",    // root-level wildcard
 		"$.z",       // plain path sharing the pass
+		"$",         // the whole document, covering all of the above
 	}
 	var paths []*Path
 	for _, e := range exprs {
@@ -169,6 +148,136 @@ func TestPathSetErrorNilsOutputs(t *testing.T) {
 	}
 }
 
+// TestRootPathAlone holds $ without any covered path to Parse: objects,
+// arrays, scalars, and the errors Parse reports for trailing data and
+// truncation.
+func TestRootPathAlone(t *testing.T) {
+	x := NewExtractor(MustPathSet(MustCompile("$")))
+	for _, doc := range []string{
+		`{"a": [1, {"b": null}], "s": "x\u00e9"}`, `[1, 2, [3]]`, `"s"`, `12.50`, `true`, `null`,
+		` {"a": 1} `, `{"a": 1} x`, `{"a": 1`, `[1, 2`, ``, `{"a": 1}}`,
+	} {
+		root, parseErr := sjson.ParseString(doc)
+		scanned, err := x.Extract(doc), x.Err()
+		got, ok := x.Scalar(0)
+		if (err != nil) != (parseErr != nil) {
+			t.Errorf("doc %q: Extract err = %v, Parse err = %v", doc, err, parseErr)
+			continue
+		}
+		if parseErr != nil {
+			if err.Error() != parseErr.Error() || ok {
+				t.Errorf("doc %q: Extract = (%q, %v, %v), Parse err = %v", doc, got, ok, err, parseErr)
+			}
+			continue
+		}
+		if scanned != len(doc) {
+			t.Errorf("doc %q: scanned %d of %d bytes", doc, scanned, len(doc))
+		}
+		if want := root.Scalar(); got != want || ok == root.IsNull() {
+			t.Errorf("doc %q: $ = (%q, %v), want (%q, %v)", doc, got, ok, want, !root.IsNull())
+		}
+	}
+}
+
+// TestExtractorReuse runs one extractor over a run of documents: each
+// Extract replaces the previous document's values, aliased spellings share a
+// slot, and a malformed document reads as absent without poisoning the next.
+func TestExtractorReuse(t *testing.T) {
+	x := NewExtractor(MustPathSet(MustCompile("$.a"), MustCompile("$['a']"), MustCompile("$.b.c")))
+	for _, tc := range []struct {
+		doc  string
+		want [3]string // "" = absent
+		bad  bool
+	}{
+		{`{"a": 1, "b": {"c": "x"}, "tail": [1, 2, 3]}`, [3]string{"1", "1", "x"}, false},
+		{`{"b": {"c": [1, null]}}`, [3]string{"", "", "[1,null]"}, false},
+		{`{"a": 7, "b": {"c": `, [3]string{}, true},
+		{`{"a": null, "b": 5}`, [3]string{}, false},
+		{`{"a": "again"}`, [3]string{"again", "again", ""}, false},
+	} {
+		scanned, err := x.Extract(tc.doc), x.Err()
+		if (err != nil) != tc.bad {
+			t.Fatalf("doc %s: err = %v, want error %v", tc.doc, err, tc.bad)
+		}
+		if scanned < 0 || scanned > len(tc.doc) {
+			t.Fatalf("doc %s: scanned %d", tc.doc, scanned)
+		}
+		for i, want := range tc.want {
+			if got, ok := x.Scalar(i); got != want || ok != (want != "") {
+				t.Errorf("doc %s path %d: got (%q, %v), want %q", tc.doc, i, got, ok, want)
+			}
+		}
+	}
+}
+
+// TestMalformedDocumentContract pins what an extraction answers for a
+// document Parse rejects (DESIGN.md "JSON extraction"): NULL for all of its
+// paths when the damage lies in the region it had to scan, the extracted
+// values otherwise. Skipped subtrees are checked structurally (brackets
+// balance, strings terminate) but not grammatically, and the tail after an
+// early exit is not looked at.
+func TestMalformedDocumentContract(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		doc   string
+		paths []string
+		want  []string // nil = the extraction fails, every path NULL
+	}{
+		{"truncated inside the last wanted value",
+			`{"a": 1, "b": {"c": [2,`, []string{"$.a", "$.b.c"}, nil},
+		{"truncated right after the last wanted value",
+			`{"a": 1, "b": {"c": 2`, []string{"$.a", "$.b.c"}, []string{"1", "2"}},
+		{"truncated after early exit",
+			`{"a": 1, "b": {"c": 2`, []string{"$.a"}, []string{"1"}},
+		{"truncated, a missing path forces the full scan",
+			`{"a": 1, "b": {"c": 2`, []string{"$.a", "$.z"}, nil},
+		{"truncated under the root path",
+			`{"a": 1, "b": {"c": 2`, []string{"$", "$.a"}, nil},
+		{"trailing garbage after a scan to the end",
+			`{"a": 1} x`, []string{"$.a", "$.z"}, nil},
+		{"trailing garbage after early exit",
+			`{"a": 1} x`, []string{"$.a"}, []string{"1"}},
+		{"trailing garbage under the root path",
+			`{"a": 1} x`, []string{"$"}, nil},
+		{"mismatched brackets inside a skipped subtree",
+			`{"skip": {"k" 1 2, [}, "a": 5}`, []string{"$.a"}, nil},
+		{"bad grammar inside a skipped subtree whose brackets balance",
+			`{"skip": {"k" 1 2, []}, "a": 5, "b": 6}`, []string{"$.a", "$.b"}, []string{"5", "6"}},
+		{"the same subtree materialized by a covering path",
+			`{"skip": {"k" 1 2, []}, "a": 5, "b": 6}`, []string{"$.a", "$.skip"}, nil},
+		{"the same subtree under the root path",
+			`{"skip": {"k" 1 2, []}, "a": 5, "b": 6}`, []string{"$", "$.a"}, nil},
+		{"unterminated string in a skipped value",
+			`{"skip": "abc, "a": 5}`, []string{"$.a"}, nil},
+		{"damage at the first token",
+			`{"a" 1, "b": 2}`, []string{"$.b"}, nil},
+	} {
+		if _, err := sjson.ParseString(tc.doc); err == nil {
+			t.Fatalf("%s: document is well-formed, the case tests nothing", tc.name)
+		}
+		var paths []*Path
+		for _, e := range tc.paths {
+			paths = append(paths, MustCompile(e))
+		}
+		x := NewExtractor(MustPathSet(paths...))
+		x.Extract(tc.doc)
+		if err := x.Err(); (err != nil) != (tc.want == nil) {
+			t.Errorf("%s: err = %v, want failure %v", tc.name, err, tc.want == nil)
+			continue
+		}
+		for i := range paths {
+			got, ok := x.Scalar(i)
+			if tc.want == nil {
+				if ok {
+					t.Errorf("%s: %s = %q after a failed extraction, want NULL", tc.name, paths[i], got)
+				}
+			} else if !ok || got != tc.want[i] {
+				t.Errorf("%s: %s = (%q, %v), want %q", tc.name, paths[i], got, ok, tc.want[i])
+			}
+		}
+	}
+}
+
 func TestEvalStringStreaming(t *testing.T) {
 	doc := `{"a": 1, "s": "x", "nested": {"deep": [1, 2, {"k": true}]}, "nul": null}`
 	for _, tc := range []struct {
@@ -182,6 +291,7 @@ func TestEvalStringStreaming(t *testing.T) {
 		{"$.nested", `{"deep":[1,2,{"k":true}]}`, true},
 		{"$.nul", "", false},
 		{"$.missing", "", false},
+		{"$", `{"a":1,"s":"x","nested":{"deep":[1,2,{"k":true}]},"nul":null}`, true},
 	} {
 		got, ok := MustCompile(tc.expr).EvalString(doc)
 		if got != tc.want || ok != tc.ok {

@@ -4,7 +4,6 @@ import (
 	"repro/internal/jsonpath"
 	"repro/internal/obs"
 	"repro/internal/pathkey"
-	"repro/internal/sjson"
 )
 
 // Circuit-breaker defaults: DefaultFailThreshold consecutive fill failures
@@ -24,11 +23,9 @@ type FillStats struct {
 }
 
 // Filler is the online cache's fill path: a miss extracts the missed path's
-// value from the raw document before inserting it. Trie-eligible paths —
-// wildcards included — run the single-pass streaming extractor (skipped
-// bytes are never tokenized into values); root paths keep the tree-parse
-// escape hatch.
-// A Filler owns its parse arena and is not goroutine-safe, like the Cache.
+// value from the raw document with the single-pass streaming extractor
+// (skipped bytes are never tokenized into values) before inserting it.
+// A Filler owns its extractors and is not goroutine-safe, like the Cache.
 type Filler struct {
 	C *Cache
 
@@ -41,11 +38,8 @@ type Filler struct {
 	FailThreshold  int
 	CooldownMisses int
 
-	stats  FillStats
-	parser sjson.Parser
-	buf    []byte
-	out    [1]*sjson.Value
-	sets   map[string]*jsonpath.PathSet // compiled tries, keyed by canonical path
+	stats      FillStats
+	extractors map[string]*jsonpath.Extractor // keyed by canonical path
 
 	consecFails int
 	open        bool
@@ -151,42 +145,24 @@ func (f *Filler) Access(key pathkey.Key, version int64, path *jsonpath.Path, doc
 	return value, false
 }
 
-// extract reads one value out of doc, streaming when the path allows it.
+// extract reads one value out of doc.
 func (f *Filler) extract(path *jsonpath.Path, doc string) string {
-	f.buf = append(f.buf[:0], doc...)
+	canon := path.Canonical()
+	x := f.extractors[canon]
+	if x == nil {
+		if f.extractors == nil {
+			f.extractors = map[string]*jsonpath.Extractor{}
+		}
+		x = jsonpath.NewExtractor(jsonpath.MustPathSet(path))
+		f.extractors[canon] = x
+	}
 	f.stats.Fills++
-	f.parser.ResetValues()
-	if jsonpath.TrieEligible(path) {
-		canon := path.Canonical()
-		set, cached := f.sets[canon]
-		if !cached {
-			if f.sets == nil {
-				f.sets = map[string]*jsonpath.PathSet{}
-			}
-			var err error
-			set, err = jsonpath.NewPathSet(path)
-			if err != nil {
-				set = nil // memoize the failure; the tree lane below handles it
-			}
-			f.sets[canon] = set
-		}
-		if set != nil {
-			//lint:ignore arenaescape f.out holds the extracted value only until Scalar copies it out below; the arena is reset at the top of every extract call
-			scanned, err := set.Extract(&f.parser, f.buf, f.out[:])
-			f.stats.BytesScanned += int64(scanned)
-			f.stats.BytesSkipped += int64(len(doc) - scanned)
-			if err != nil {
-				f.stats.ParseErrors++
-				return ""
-			}
-			return f.out[0].Scalar()
-		}
-	}
-	root, err := f.parser.Parse(f.buf)
-	f.stats.BytesScanned += int64(len(doc))
-	if err != nil {
+	scanned := x.Extract(doc)
+	f.stats.BytesScanned += int64(scanned)
+	f.stats.BytesSkipped += int64(len(doc) - scanned)
+	if x.Err() != nil {
 		f.stats.ParseErrors++
-		return ""
 	}
-	return path.Eval(root).Scalar()
+	value, _ := x.Scalar(0)
+	return value
 }

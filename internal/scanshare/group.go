@@ -2,7 +2,6 @@ package scanshare
 
 import (
 	"context"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -98,28 +97,6 @@ func (g *group) buildBroadcast(live []*participant) *producer {
 	}
 }
 
-// participantPaths collects one participant's shareable extractions: trie-
-// eligible get_json_object calls over the scan's own storage columns,
-// wildcard paths included (they compile into array-iteration trie nodes).
-// Only root paths stay on the per-query tree-parse lane (the raw document
-// column still rides the shared batch).
-func participantPaths(p *participant, scan *sqlengine.ScanNode) map[string][]*jsonpath.Path {
-	byCol := make(map[string][]*jsonpath.Path)
-	sqlengine.VisitPlanExprs(p.plan, func(e sqlengine.Expr) {
-		jp, ok := e.(*sqlengine.JSONPathExpr)
-		if !ok || !jsonpath.TrieEligible(jp.Path) {
-			return
-		}
-		q := jp.Column.Qualifier
-		if q != "" && !strings.EqualFold(q, scan.Binding) {
-			return
-		}
-		col := strings.ToLower(jp.Column.Name)
-		byCol[col] = append(byCol[col], jp.Path)
-	})
-	return byCol
-}
-
 // buildMerged sets up merged-extraction sharing over a plain raw scan: the
 // union of every participant's paths is compiled per storage column, the
 // producer appends one TypeString column per distinct path to the scan
@@ -131,34 +108,37 @@ func (g *group) buildMerged(live []*participant) *producer {
 	storage := scan0.Schema()
 	nStorage := len(storage.Cols)
 
-	perPart := make([]map[string][]*jsonpath.Path, len(live))
+	calls := make([]*sqlengine.PathCalls, len(live))
 	for i, p := range live {
-		perPart[i] = participantPaths(p, p.plan.Scan)
+		calls[i] = sqlengine.PlanPathCalls(p.plan)
 	}
 
 	// One merged PathSet per storage column, columns in schema order so
 	// every participant sees the identical extracted-column layout.
+	// batchCol[i][c][j] is the batch column serving participant i's j-th path
+	// over its calls[i].Cols[c].
 	var egroups []extractGroup
 	var extCols []sqlengine.RowCol
-	partIdx := make([]map[string]int, len(live)) // colkey\x00canon → batch col
-	for i := range partIdx {
-		partIdx[i] = make(map[string]int)
+	batchCol := make([][][]int, len(live))
+	for i, pc := range calls {
+		if pc != nil {
+			batchCol[i] = make([][]int, len(pc.Cols))
+		}
 	}
-	for colIdx, col := range storage.Cols {
-		colKey := strings.ToLower(col.Name)
+	for colIdx := range storage.Cols {
 		sets := make([]*jsonpath.PathSet, len(live))
+		at := make([]int, len(live)) // where colIdx sits in calls[i].Cols
 		any := false
-		for i := range live {
-			paths := perPart[i][colKey]
-			if len(paths) == 0 {
+		for i, pc := range calls {
+			at[i] = -1
+			if pc == nil {
 				continue
 			}
-			set, err := jsonpath.NewPathSet(paths...)
-			if err != nil {
-				return nil
+			for c, col := range pc.Cols {
+				if col.Index == colIdx {
+					sets[i], at[i], any = col.Set, c, true
+				}
 			}
-			sets[i] = set
-			any = true
 		}
 		if !any {
 			continue
@@ -174,19 +154,20 @@ func (g *group) buildMerged(live []*participant) *producer {
 				Type: datum.TypeString,
 			})
 		}
-		for i, set := range sets {
-			if set == nil {
+		for i, c := range at {
+			if c < 0 {
 				continue
 			}
-			for j, path := range set.Paths() {
-				partIdx[i][colKey+"\x00"+path.Canonical()] = base + remaps[i][j]
+			batchCol[i][c] = make([]int, len(remaps[i]))
+			for j, slot := range remaps[i] {
+				batchCol[i][c][j] = base + slot
 			}
 		}
 		egroups = append(egroups, extractGroup{
 			colIdx: colIdx,
 			base:   base,
-			set:    merged,
 			n:      merged.Len(),
+			x:      jsonpath.NewExtractor(merged),
 		})
 	}
 
@@ -210,19 +191,19 @@ func (g *group) buildMerged(live []*participant) *producer {
 		scan := p.plan.Scan
 		cols := append(append([]sqlengine.RowCol(nil), scan.Schema().Cols...), extCols...)
 		schema := sqlengine.RowSchema{Cols: cols}
-		idx := partIdx[i]
+		pc, target := calls[i], batchCol[i]
 		sqlengine.RewritePlanExprs(p.plan, func(e sqlengine.Expr) sqlengine.Expr {
 			return sqlengine.Rewrite(e, func(e sqlengine.Expr) sqlengine.Expr {
 				jp, ok := e.(*sqlengine.JSONPathExpr)
 				if !ok {
 					return e
 				}
-				gi, ok := idx[strings.ToLower(jp.Column.Name)+"\x00"+jp.Path.Canonical()]
-				if !ok {
+				slot, ok := pc.Slot(jp)
+				if !ok || target[slot.Col] == nil {
 					return e
 				}
 				return &sqlengine.CachePlaceholder{
-					OutputName:   schema.Cols[gi].Name,
+					OutputName:   schema.Cols[target[slot.Col][slot.Path]].Name,
 					SourceColumn: jp.Column.Name,
 					Path:         jp.Path,
 				}

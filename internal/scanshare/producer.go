@@ -3,7 +3,6 @@ package scanshare
 import (
 	"repro/internal/datum"
 	"repro/internal/jsonpath"
-	"repro/internal/sjson"
 	"repro/internal/sqlengine"
 )
 
@@ -22,8 +21,7 @@ type extractGroup struct {
 	colIdx int
 	base   int
 	n      int
-	set    *jsonpath.PathSet
-	vals   []*sjson.Value
+	x      *jsonpath.Extractor
 }
 
 // producer runs the single shared pass: it reads the underlying splits
@@ -44,8 +42,6 @@ type producer struct {
 	// pm meters the single pass; exactly one consumer claims it at EOF.
 	pm *sqlengine.Metrics
 
-	parser sjson.Parser
-	docBuf []byte
 	// ext[x][r] holds extracted column nStorage+x for row r of the current
 	// batch, copied into every consumer's outgoing batch.
 	ext [][]datum.Datum
@@ -114,9 +110,6 @@ func (pr *producer) scan() error {
 			pr.ext[i] = make([]datum.Datum, bcap)
 		}
 	}
-	for i := range pr.extract {
-		pr.extract[i].vals = make([]*sjson.Value, pr.extract[i].n)
-	}
 
 	for split := 0; split < nSplits; split++ {
 		if pr.liveCount() == 0 {
@@ -165,27 +158,23 @@ func (pr *producer) extractBatch(batch *sqlengine.RowBatch, n int) {
 	for gi := range pr.extract {
 		g := &pr.extract[gi]
 		col := batch.Cols[g.colIdx]
+		ext := pr.ext[g.base-pr.nStorage:]
 		for r := 0; r < n; r++ {
 			d := col[r]
+			for k := 0; k < g.n; k++ {
+				ext[k][r] = datum.NullOf(datum.TypeString)
+			}
 			if d.Null {
-				for k := 0; k < g.n; k++ {
-					pr.ext[g.base-pr.nStorage+k][r] = datum.NullOf(datum.TypeString)
-				}
 				continue
 			}
-			pr.parser.ResetValues()
-			pr.docBuf = append(pr.docBuf[:0], d.S...)
-			//lint:ignore arenaescape g.vals is converted to datums immediately below, before the next row's ResetValues recycles the arena
-			scanned, err := g.set.Extract(&pr.parser, pr.docBuf, g.vals)
+			scanned := g.x.Extract(d.S)
 			pr.pm.Parse.Docs.Add(1)
 			pr.pm.Parse.Bytes.Add(int64(scanned))
 			pr.pm.Parse.Skipped.Add(int64(len(d.S) - scanned))
 			pr.pm.Parse.Calls.Add(int64(g.n))
 			for k := 0; k < g.n; k++ {
-				if err != nil || g.vals[k].IsNull() {
-					pr.ext[g.base-pr.nStorage+k][r] = datum.NullOf(datum.TypeString)
-				} else {
-					pr.ext[g.base-pr.nStorage+k][r] = datum.Str(g.vals[k].Scalar())
+				if v, ok := g.x.Scalar(k); ok {
+					ext[k][r] = datum.Str(v)
 				}
 			}
 		}

@@ -11,10 +11,10 @@
 //
 // Two sharing modes cover the planner's output:
 //
-//   - merged: plain raw scans (no custom factory). Participants' trie-
-//     eligible get_json_object calls are rewritten to placeholder reads of
-//     shared extraction columns appended to the scan schema; the producer
-//     parses each document once for the union of everyone's paths.
+//   - merged: plain raw scans (no custom factory). Participants'
+//     get_json_object calls are rewritten to placeholder reads of shared
+//     extraction columns appended to the scan schema; the producer scans
+//     each document once for the union of everyone's paths.
 //   - broadcast: scans whose factory reports a ScanFingerprint (Maxson's
 //     combined cache+raw reader). Plans are untouched; the producer runs
 //     one factory's splits and broadcasts the rows, so cache stitching,

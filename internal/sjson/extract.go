@@ -9,9 +9,11 @@ package sjson
 // design: the caller compiles the paths it needs into an ExtractNode trie
 // (see jsonpath.PathSet) and the extractor materializes exactly the subtrees
 // sitting under terminal trie nodes, nothing else. Wildcard steps ($.a[*].b)
-// compile into array-iteration nodes evaluated in the same single pass; it
-// composes with, rather than replaces, the full tree parser only for root
-// projections, which still go through Parse.
+// compile into array-iteration nodes evaluated in the same single pass, and a
+// terminal on the trie root (the path $) materializes the whole document with
+// the same parseValue that Parse runs. Every path answer in production code
+// comes through here; Parse stays as the reference the tests compare against,
+// the scorer's column sampler and the experiments' tree-parse baseline.
 
 // ExtractNode is one node of a compiled extraction trie. Member edges select
 // object keys, element edges select array indexes, a wild edge iterates every

@@ -4,8 +4,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/jsonpath"
-	"repro/internal/mison"
-	"repro/internal/sjson"
 )
 
 // ParseMeter accumulates JSON-parsing work across a query execution. It is
@@ -15,241 +13,90 @@ type ParseMeter struct {
 	Bytes   atomic.Int64 // bytes actually scanned by the JSON parser
 	Skipped atomic.Int64 // bytes never scanned (streaming early exit)
 	Calls   atomic.Int64 // get_json_object evaluations
-	// TreeFallback counts documents that fell off the streaming/index lane
-	// onto a full tree parse (root-path projections, paths a structural
-	// index cannot serve). With wildcard paths now streaming, this should
-	// stay at zero for ordinary workloads — a nonzero value is the signal
-	// that a query shape still escapes the single-pass extractor.
-	TreeFallback atomic.Int64
 }
 
 // Snapshot returns a plain-struct copy.
 func (m *ParseMeter) Snapshot() ParseCounts {
 	return ParseCounts{
-		Docs:         m.Docs.Load(),
-		Bytes:        m.Bytes.Load(),
-		Skipped:      m.Skipped.Load(),
-		Calls:        m.Calls.Load(),
-		TreeFallback: m.TreeFallback.Load(),
+		Docs:    m.Docs.Load(),
+		Bytes:   m.Bytes.Load(),
+		Skipped: m.Skipped.Load(),
+		Calls:   m.Calls.Load(),
 	}
 }
 
 // ParseCounts is a point-in-time copy of a ParseMeter.
 type ParseCounts struct {
-	Docs, Bytes, Skipped, Calls, TreeFallback int64
+	Docs, Bytes, Skipped, Calls int64
 }
 
-// ParserBackend evaluates get_json_object against raw JSON text. Engine
-// executions pick one; the paper's Fig 15 compares Jackson (tree parser)
-// with Mison (structural index).
+// ParserBackend evaluates get_json_object against raw JSON text. The engine
+// ships exactly one, StreamBackend; the interface is the seam through which
+// internal/experiments/baseline plugs in the parsers the paper's figures
+// compare against (Jackson-style tree parse, Mison-style structural index).
 type ParserBackend interface {
 	// Name identifies the backend in experiment output.
 	Name() string
-	// NewDocEvaluator returns a per-partition evaluator. Evaluators are not
-	// shared across goroutines.
-	NewDocEvaluator(meter *ParseMeter) DocEvaluator
+	// NewDocEvaluator returns a per-partition evaluator for a plan whose
+	// get_json_object calls are indexed by calls. Evaluators are not shared
+	// across goroutines.
+	NewDocEvaluator(meter *ParseMeter, calls *PathCalls) DocEvaluator
 }
 
 // DocEvaluator extracts path values from one document at a time. Extract
-// returns the scalar rendering and whether the value was present.
+// returns the scalar rendering of call's path in doc and whether the value
+// was present.
 type DocEvaluator interface {
-	Extract(doc string, path *jsonpath.Path) (string, bool)
+	Extract(doc string, call *JSONPathExpr) (string, bool)
 }
-
-// ---- Jackson-style backend: full tree parse per document ----
-
-// JacksonBackend parses the whole document into a tree and navigates it,
-// the way SparkSQL's default Jackson-based get_json_object behaves. A
-// per-document memo avoids re-parsing when several paths hit the same
-// document in one row (SparkSQL caches the parsed tree per input string in
-// the same way).
-type JacksonBackend struct{}
-
-// Name implements ParserBackend.
-func (JacksonBackend) Name() string { return "jackson" }
-
-// NewDocEvaluator implements ParserBackend.
-func (JacksonBackend) NewDocEvaluator(meter *ParseMeter) DocEvaluator {
-	return &jacksonEval{meter: meter}
-}
-
-type jacksonEval struct {
-	meter   *ParseMeter
-	lastDoc string
-	lastVal *sjson.Value
-	lastErr bool
-}
-
-func (j *jacksonEval) Extract(doc string, path *jsonpath.Path) (string, bool) {
-	j.meter.Calls.Add(1)
-	if doc != j.lastDoc || (j.lastVal == nil && !j.lastErr) {
-		root, err := sjson.ParseString(doc)
-		j.meter.Docs.Add(1)
-		j.meter.Bytes.Add(int64(len(doc)))
-		j.lastDoc = doc
-		j.lastErr = err != nil
-		if err != nil {
-			j.lastVal = nil
-		} else {
-			j.lastVal = root
-		}
-	}
-	if j.lastVal == nil {
-		return "", false
-	}
-	v := path.Eval(j.lastVal)
-	if v.IsNull() {
-		return "", false
-	}
-	return v.Scalar(), true
-}
-
-// ---- Mison-style backend: structural index projection ----
-
-// MisonBackend projects paths straight out of the raw bytes via the
-// structural index, skipping tree materialization.
-type MisonBackend struct{}
-
-// Name implements ParserBackend.
-func (MisonBackend) Name() string { return "mison" }
-
-// NewDocEvaluator implements ParserBackend.
-func (MisonBackend) NewDocEvaluator(meter *ParseMeter) DocEvaluator {
-	return &misonEval{meter: meter, pathIdx: make(map[string]int)}
-}
-
-// misonEval batches every path of the query through one projector, so each
-// document's structural index is built once and all fields project out of
-// it — Mison's intended mode. The path set grows as the first row
-// encounters each get_json_object call; later rows project all paths in a
-// single pass.
-type misonEval struct {
-	meter   *ParseMeter
-	paths   []*jsonpath.Path
-	pathIdx map[string]int
-	pr      *mison.Projector
-	lastDoc string
-	lastRes []mison.Result
-	// tree serves wildcard paths the index cannot.
-	tree *jacksonEval
-}
-
-func (m *misonEval) Extract(doc string, path *jsonpath.Path) (string, bool) {
-	m.meter.Calls.Add(1)
-	// The structural index serves point lookups only; wildcard paths fan
-	// out over arrays and need the tree (Mison's real limitation).
-	if path.HasWildcard() {
-		if m.tree == nil {
-			m.tree = &jacksonEval{meter: m.meter}
-		} else {
-			m.tree.meter = m.meter
-		}
-		m.meter.Calls.Add(-1) // the tree evaluator counts the call itself
-		m.meter.TreeFallback.Add(1)
-		return m.tree.Extract(doc, path)
-	}
-	key := path.Canonical()
-	idx, known := m.pathIdx[key]
-	if !known {
-		m.paths = append(m.paths, path)
-		idx = len(m.paths) - 1
-		m.pathIdx[key] = idx
-		m.pr = mison.NewProjector(m.paths...)
-		m.lastRes = nil // force re-projection with the grown path set
-	}
-	if doc != m.lastDoc || m.lastRes == nil {
-		m.lastRes = m.pr.Project([]byte(doc))
-		m.lastDoc = doc
-		m.meter.Docs.Add(1)
-		m.meter.Bytes.Add(int64(len(doc)))
-	}
-	res := m.lastRes[idx]
-	return res.Scalar, res.Present
-}
-
-// ---- On-demand backend: single-pass streaming trie extraction ----
 
 // StreamBackend evaluates get_json_object with the streaming multi-path
-// extractor (sjson.Parser.Extract): the query's trie-eligible paths —
-// wildcards included, via array-iteration trie nodes — compile into one
-// jsonpath.PathSet, each document is scanned exactly once with unrequested
-// subtrees skipped at tokenizer speed, and the scan early-exits when every
-// path has resolved. Only root projections fall back to the tree parser,
-// metered by ParseMeter.TreeFallback.
+// extractor (sjson.Parser.Extract): the paths a plan asks of one document
+// column — root and wildcard paths included — are compiled once per plan into
+// one jsonpath.PathSet (PlanPathCalls), each document is scanned exactly once
+// with unrequested subtrees skipped at tokenizer speed, and the scan
+// early-exits when every path has resolved.
 type StreamBackend struct{}
 
 // Name implements ParserBackend.
 func (StreamBackend) Name() string { return "ondemand" }
 
 // NewDocEvaluator implements ParserBackend.
-func (StreamBackend) NewDocEvaluator(meter *ParseMeter) DocEvaluator {
-	return &streamEval{meter: meter, pathIdx: make(map[string]int)}
+func (StreamBackend) NewDocEvaluator(meter *ParseMeter, calls *PathCalls) DocEvaluator {
+	return &streamEval{meter: meter, calls: calls}
 }
 
-// streamEval grows its path set as the first row encounters each
-// get_json_object call (like misonEval); later rows resolve every path in a
-// single streaming pass, memoized per document.
+// streamEval answers every call site from its column's extractor, which
+// holds the row's document so its paths cost one scan. Extractors are built
+// on first use: an evaluator that is never asked to extract allocates nothing.
 type streamEval struct {
-	meter   *ParseMeter
-	paths   []*jsonpath.Path
-	pathIdx map[string]int
-	set     *jsonpath.PathSet
-	parser  sjson.Parser
-	docBuf  []byte
-	vals    []*sjson.Value
-	lastDoc string
-	valid   bool // vals corresponds to lastDoc under the current path set
-	lastErr bool
-	// tree serves root projections, the one shape the trie cannot.
-	tree *jacksonEval
+	meter *ParseMeter
+	calls *PathCalls
+	cols  []*jsonpath.Extractor // parallel to calls.Cols
 }
 
-func (s *streamEval) Extract(doc string, path *jsonpath.Path) (string, bool) {
+func (s *streamEval) Extract(doc string, call *JSONPathExpr) (string, bool) {
 	s.meter.Calls.Add(1)
-	if !jsonpath.TrieEligible(path) {
-		// Only root projections remain here now that wildcard paths compile
-		// into array-iteration trie nodes.
-		if s.tree == nil {
-			s.tree = &jacksonEval{meter: s.meter}
-		}
-		s.meter.Calls.Add(-1) // the tree evaluator counts the call itself
-		s.meter.TreeFallback.Add(1)
-		return s.tree.Extract(doc, path)
+	slot, ok := s.calls.Slot(call)
+	if !ok {
+		// A call site outside the plan the evaluator was built for.
+		s.meter.Docs.Add(1)
+		s.meter.Bytes.Add(int64(len(doc)))
+		return call.Path.EvalString(doc)
 	}
-	key := path.Canonical()
-	idx, known := s.pathIdx[key]
-	if !known {
-		s.paths = append(s.paths, path)
-		idx = len(s.paths) - 1
-		s.pathIdx[key] = idx
-		set, err := jsonpath.NewPathSet(s.paths...)
-		if err != nil {
-			// Unreachable: every registered path passed TrieEligible.
-			panic(err)
-		}
-		s.set = set
-		s.vals = make([]*sjson.Value, len(s.paths))
-		s.valid = false // force re-extraction with the grown path set
+	if s.cols == nil {
+		s.cols = make([]*jsonpath.Extractor, len(s.calls.Cols))
 	}
-	if doc != s.lastDoc || !s.valid {
-		// The previous document's values die here, so the arena can recycle.
-		s.parser.ResetValues()
-		s.docBuf = append(s.docBuf[:0], doc...)
-		//lint:ignore arenaescape s.vals is the evaluator's memo for the current document; the ResetValues above retires it before every re-extract
-		scanned, err := s.set.Extract(&s.parser, s.docBuf, s.vals)
+	x := s.cols[slot.Col]
+	if x == nil {
+		x = jsonpath.NewExtractor(s.calls.Cols[slot.Col].Set)
+		s.cols[slot.Col] = x
+	}
+	if !x.Holds(doc) {
+		scanned := x.Extract(doc)
 		s.meter.Docs.Add(1)
 		s.meter.Bytes.Add(int64(scanned))
 		s.meter.Skipped.Add(int64(len(doc) - scanned))
-		s.lastDoc = doc
-		s.valid = true
-		s.lastErr = err != nil
 	}
-	if s.lastErr {
-		return "", false
-	}
-	v := s.vals[idx]
-	if v.IsNull() {
-		return "", false
-	}
-	return v.Scalar(), true
+	return x.Scalar(slot.Path)
 }

@@ -63,9 +63,10 @@ type Metrics struct {
 
 	// Parse phase.
 	Parse ParseMeter
-	// TreeParser records whether parse bytes were tree-parsed (Jackson) or
-	// index-projected (Mison) for costing; StreamParser marks bytes scanned
-	// by the streaming trie extractor (charged per byte scanned).
+	// StreamParser marks parse bytes scanned by the streaming trie extractor
+	// (charged per byte scanned). Under the experiments' baseline backends
+	// TreeParser records whether they were tree-parsed (Jackson) or, with
+	// neither flag set, index-projected (Mison).
 	TreeParser   bool
 	StreamParser bool
 
@@ -175,7 +176,6 @@ func (m *Metrics) addTo(dst *Metrics) {
 	dst.Parse.Bytes.Add(m.Parse.Bytes.Load())
 	dst.Parse.Skipped.Add(m.Parse.Skipped.Load())
 	dst.Parse.Calls.Add(m.Parse.Calls.Load())
-	dst.Parse.TreeFallback.Add(m.Parse.TreeFallback.Load())
 	dst.RowOps.Add(m.RowOps.Load())
 	dst.PrefilterBytes.Add(m.PrefilterBytes.Load())
 	dst.PrefilterSkipped.Add(m.PrefilterSkipped.Load())
@@ -213,9 +213,6 @@ func (m *Metrics) String() string {
 	}
 	if n := m.PrefilterSkipped.Load(); n > 0 {
 		parts = append(parts, fmt.Sprintf("prefilter skipped %d", n))
-	}
-	if pc.TreeFallback > 0 {
-		parts = append(parts, fmt.Sprintf("tree-fallback %d", pc.TreeFallback))
 	}
 	return strings.Join(parts, "; ")
 }

@@ -56,7 +56,6 @@ type engineCounters struct {
 	parseBytes       *obs.Counter
 	parseSkipped     *obs.Counter
 	parseCalls       *obs.Counter
-	parseTreeFB      *obs.Counter
 	rowOps           *obs.Counter
 	prefilterSkipped *obs.Counter
 	cacheValuesRead  *obs.Counter
@@ -79,7 +78,6 @@ func newEngineCounters(r *obs.Registry) *engineCounters {
 		parseBytes:       r.Counter("engine_parse_bytes_total"),
 		parseSkipped:     r.Counter("engine_parse_bytes_skipped_total"),
 		parseCalls:       r.Counter("engine_parse_calls_total"),
-		parseTreeFB:      r.Counter("engine_parse_tree_fallback_total"),
 		rowOps:           r.Counter("engine_row_ops_total"),
 		prefilterSkipped: r.Counter("engine_prefilter_skipped_total"),
 		cacheValuesRead:  r.Counter("engine_cache_values_read_total"),
@@ -107,7 +105,6 @@ func (c *engineCounters) publish(m *Metrics, cm CostModel) {
 	c.parseBytes.Add(pc.Bytes)
 	c.parseSkipped.Add(pc.Skipped)
 	c.parseCalls.Add(pc.Calls)
-	c.parseTreeFB.Add(pc.TreeFallback)
 	c.rowOps.Add(m.RowOps.Load())
 	c.prefilterSkipped.Add(m.PrefilterSkipped.Load())
 	c.cacheValuesRead.Add(m.CacheValuesRead.Load())
@@ -119,7 +116,9 @@ func (c *engineCounters) publish(m *Metrics, cm CostModel) {
 // EngineOption configures an Engine.
 type EngineOption func(*Engine)
 
-// WithBackend selects the JSON parser backend (default Jackson-style).
+// WithBackend replaces the streaming JSON evaluator with another
+// ParserBackend. Production code never does; it is the seam through which the
+// experiments install the paper's Jackson and Mison baselines.
 func WithBackend(b ParserBackend) EngineOption {
 	return func(e *Engine) {
 		if b != nil {
@@ -194,7 +193,7 @@ func WithObsRegistry(r *obs.Registry) EngineOption {
 func NewEngine(wh *warehouse.Warehouse, opts ...EngineOption) *Engine {
 	e := &Engine{
 		wh:          wh,
-		backend:     JacksonBackend{},
+		backend:     StreamBackend{},
 		parallelism: runtime.GOMAXPROCS(0),
 		defaultDB:   "default",
 		cost:        DefaultCostModel(),
@@ -208,9 +207,6 @@ func NewEngine(wh *warehouse.Warehouse, opts ...EngineOption) *Engine {
 
 // Warehouse returns the engine's warehouse.
 func (e *Engine) Warehouse() *warehouse.Warehouse { return e.wh }
-
-// Backend returns the active parser backend.
-func (e *Engine) Backend() ParserBackend { return e.backend }
 
 // CostModel returns the engine's cost model.
 func (e *Engine) CostModel() CostModel { return e.cost }

@@ -235,20 +235,6 @@ func TestEscapedStringLiterals(t *testing.T) {
 	}
 }
 
-func TestMisonBackendAggregates(t *testing.T) {
-	e := newTestEngine(t, WithBackend(MisonBackend{}))
-	rs := mustQuery(t, e, `
-		SELECT get_json_object(sale_logs, '$.sale_count') sc, COUNT(*) c
-		FROM mydb.t GROUP BY get_json_object(sale_logs, '$.sale_count') ORDER BY sc`)
-	total := int64(0)
-	for _, row := range rs.Rows {
-		total += row[1].I
-	}
-	if total != 31 {
-		t.Errorf("mison aggregate total = %d", total)
-	}
-}
-
 func TestPlanStringContainsJoin(t *testing.T) {
 	e := twoTableEngine(t)
 	plan, _, err := e.PlanOnly(`
@@ -457,15 +443,13 @@ func TestWildcardPathsInQueries(t *testing.T) {
 	if _, err := wh.AppendRows("db", "t", rows); err != nil {
 		t.Fatal(err)
 	}
-	for _, backend := range []ParserBackend{JacksonBackend{}, MisonBackend{}, StreamBackend{}} {
-		e := NewEngine(wh, WithDefaultDB("db"), WithBackend(backend))
-		rs, _, err := e.Query(`SELECT get_json_object(doc, '$.items[*].qty') q FROM db.t`)
-		if err != nil {
-			t.Fatalf("%s: %v", backend.Name(), err)
-		}
-		if rs.Rows[0][0].S != "[1,2]" || rs.Rows[1][0].S != "7" {
-			t.Errorf("%s rows = %v", backend.Name(), rs.Rows)
-		}
+	e := NewEngine(wh, WithDefaultDB("db"))
+	rs, _, err := e.Query(`SELECT get_json_object(doc, '$.items[*].qty') q FROM db.t`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.Rows[0][0].S != "[1,2]" || rs.Rows[1][0].S != "7" {
+		t.Errorf("rows = %v", rs.Rows)
 	}
 }
 

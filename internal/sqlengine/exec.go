@@ -147,6 +147,7 @@ func (e *Engine) execute(ctx context.Context, plan *PhysicalPlan, trace *obs.Spa
 		Span:         trace,
 	}
 	start := e.nowWall()
+	calls := PlanPathCalls(plan)
 
 	// Hash-join build side (if any), materialized once.
 	var joinTable map[string][][]datum.Datum
@@ -157,7 +158,7 @@ func (e *Engine) execute(ctx context.Context, plan *PhysicalPlan, trace *obs.Spa
 			bm.Span = trace.Child(fmt.Sprintf("join-build %s.%s", plan.Join.Build.DB, plan.Join.Build.Table))
 		}
 		var err error
-		joinTable, buildWidth, err = e.buildJoinTable(ctx, plan, bm)
+		joinTable, buildWidth, err = e.buildJoinTable(ctx, plan, calls, bm)
 		if bm.Span != nil {
 			bm.Span.End()
 			bm.Span.SetInt("rows", bm.RowsScanned.Load())
@@ -216,7 +217,7 @@ func (e *Engine) execute(ctx context.Context, plan *PhysicalPlan, trace *obs.Spa
 			}()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			results[split] = e.runPartition(ctx, plan, factory, split, joinTable, buildWidth, partMetrics[split])
+			results[split] = e.runPartition(ctx, plan, calls, factory, split, joinTable, buildWidth, partMetrics[split])
 		}(split)
 	}
 	wg.Wait()
@@ -255,9 +256,6 @@ func (e *Engine) execute(ctx context.Context, plan *PhysicalPlan, trace *obs.Spa
 		scanSpan.SetInt("parse-bytes", pc.Bytes)
 		if pc.Skipped > 0 {
 			scanSpan.SetInt("parse-bytes-skipped", pc.Skipped)
-		}
-		if pc.TreeFallback > 0 {
-			scanSpan.SetInt("parse-tree-fallback", pc.TreeFallback)
 		}
 		scanSpan.SetInt("parse-calls", pc.Calls)
 		scanSpan.SetInt("rowgroups", sm.RowGroupsRead.Load())
@@ -372,7 +370,7 @@ type execScratch struct {
 // run fused over the selected rows, so a document the filter parsed is
 // still memoized by the doc evaluator when the projection needs it. Metric
 // deltas accumulate in locals and flush once per batch.
-func (e *Engine) runPartition(ctx context.Context, plan *PhysicalPlan, factory ScanSourceFactory, split int, joinTable map[string][][]datum.Datum, buildWidth int, m *Metrics) (res partResult) {
+func (e *Engine) runPartition(ctx context.Context, plan *PhysicalPlan, calls *PathCalls, factory ScanSourceFactory, split int, joinTable map[string][][]datum.Datum, buildWidth int, m *Metrics) (res partResult) {
 	if m.Span != nil {
 		// Pre-created in split order for deterministic rendering; re-stamp
 		// the wall window to the split's actual execution.
@@ -389,7 +387,12 @@ func (e *Engine) runPartition(ctx context.Context, plan *PhysicalPlan, factory S
 		res.err = err
 		return res
 	}
-	ec := &EvalContext{Doc: e.backend.NewDocEvaluator(&m.Parse), Metrics: m}
+	// A plan without get_json_object calls (fully cached, COUNT(*), plain
+	// columns) gets no document evaluator at all.
+	ec := &EvalContext{Metrics: m}
+	if calls != nil {
+		ec.Doc = e.backend.NewDocEvaluator(&m.Parse, calls)
+	}
 	if plan.aggregate {
 		res.aggs = make(map[string]*aggState)
 	}
@@ -551,7 +554,7 @@ func (e *Engine) runPartition(ctx context.Context, plan *PhysicalPlan, factory S
 }
 
 // buildJoinTable reads the build-side table fully and hashes it by key.
-func (e *Engine) buildJoinTable(ctx context.Context, plan *PhysicalPlan, m *Metrics) (map[string][][]datum.Datum, int, error) {
+func (e *Engine) buildJoinTable(ctx context.Context, plan *PhysicalPlan, calls *PathCalls, m *Metrics) (map[string][][]datum.Datum, int, error) {
 	build := plan.Join.Build
 	factory := build.Factory
 	if factory == nil {
@@ -561,7 +564,10 @@ func (e *Engine) buildJoinTable(ctx context.Context, plan *PhysicalPlan, m *Metr
 	if err != nil {
 		return nil, 0, err
 	}
-	ec := &EvalContext{Doc: e.backend.NewDocEvaluator(&m.Parse), Metrics: m}
+	ec := &EvalContext{Metrics: m}
+	if calls != nil {
+		ec.Doc = e.backend.NewDocEvaluator(&m.Parse, calls)
+	}
 	table := make(map[string][][]datum.Datum)
 	width := len(build.schema.Cols)
 	batch := GetRowBatch(width, e.batchSize)

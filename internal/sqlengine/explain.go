@@ -155,7 +155,7 @@ func RenderExplainAnalyze(plan *PhysicalPlan, m *Metrics, cm CostModel) string {
 	}
 	add(scanOp, attr(scanSpan,
 		"splits", "rows", "bytes", "parse-docs", "parse-calls", "parse-bytes-skipped",
-		"parse-tree-fallback", "rowgroups", "rowgroups-skipped", "cache-values"))
+		"rowgroups", "rowgroups-skipped", "cache-values"))
 
 	// Split detail lines nest under the scan.
 	var splits []*obs.Span

@@ -86,7 +86,7 @@ func Bind(e Expr, schema RowSchema) error {
 
 // EvalContext carries per-partition evaluation state.
 type EvalContext struct {
-	// Eval extracts JSONPath values from raw documents; nil when the plan
+	// Doc extracts JSONPath values from raw documents; nil when the plan
 	// contains no JSONPathExpr (e.g. fully cache-served queries).
 	Doc DocEvaluator
 	// Metrics receives row-op accounting.
@@ -118,7 +118,7 @@ func Eval(e Expr, row []datum.Datum, ctx *EvalContext) datum.Datum {
 		if doc.Null || ctx.Doc == nil {
 			return datum.NullOf(datum.TypeString)
 		}
-		s, ok := ctx.Doc.Extract(doc.S, node.Path)
+		s, ok := ctx.Doc.Extract(doc.S, node)
 		if !ok {
 			return datum.NullOf(datum.TypeString)
 		}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/datum"
 	"repro/internal/dfs"
+	"repro/internal/jsonpath"
 	"repro/internal/orc"
 	"repro/internal/simtime"
 	"repro/internal/warehouse"
@@ -342,52 +343,8 @@ func TestJacksonMemoizesDocPerRow(t *testing.T) {
 	}
 }
 
-func TestMisonBackendMatchesJackson(t *testing.T) {
-	sql := `
-		SELECT get_json_object(sale_logs, '$.item_name') n,
-		       get_json_object(sale_logs, '$.nested.deep.v') v
-		FROM mydb.t
-		WHERE get_json_object(sale_logs, '$.turnover') > 100
-		ORDER BY n`
-	ej := newTestEngine(t)
-	em := newTestEngine(t, WithBackend(MisonBackend{}))
-	rj := mustQuery(t, ej, sql)
-	rm := mustQuery(t, em, sql)
-	if len(rj.Rows) != len(rm.Rows) {
-		t.Fatalf("row counts differ: %d vs %d", len(rj.Rows), len(rm.Rows))
-	}
-	for i := range rj.Rows {
-		for c := range rj.Rows[i] {
-			if rj.Rows[i][c].AsString() != rm.Rows[i][c].AsString() {
-				t.Errorf("row %d col %d: jackson %q vs mison %q",
-					i, c, rj.Rows[i][c].AsString(), rm.Rows[i][c].AsString())
-			}
-		}
-	}
-}
-
-func TestStreamBackendMatchesJackson(t *testing.T) {
-	// Mixed query: two member-step paths plus a wildcard, all streamed by
-	// the same single-pass evaluator (wildcards compile into
-	// array-iteration trie nodes).
-	sql := `
-		SELECT get_json_object(sale_logs, '$.item_name') n,
-		       get_json_object(sale_logs, '$.nested.deep.v') v,
-		       get_json_object(sale_logs, '$.basket[*].sku') s
-		FROM mydb.t
-		WHERE get_json_object(sale_logs, '$.turnover') > 100
-		ORDER BY n`
-	ej := newTestEngine(t)
-	es := newTestEngine(t, WithBackend(StreamBackend{}))
-	rj := mustQuery(t, ej, sql)
-	rs := mustQuery(t, es, sql)
-	if rj.String() != rs.String() {
-		t.Fatalf("results differ:\njackson:\n%s\nondemand:\n%s", rj.String(), rs.String())
-	}
-}
-
 func TestStreamBackendMetersSkippedBytes(t *testing.T) {
-	e := newTestEngine(t, WithBackend(StreamBackend{}))
+	e := newTestEngine(t)
 	_, m, err := e.Query(`
 		SELECT get_json_object(sale_logs, '$.item_id') a FROM mydb.t`)
 	if err != nil {
@@ -413,33 +370,32 @@ func TestStreamBackendMetersSkippedBytes(t *testing.T) {
 	}
 }
 
-func TestStreamBackendTreeFallbackMetered(t *testing.T) {
-	e := newTestEngine(t, WithBackend(StreamBackend{}))
-
-	// Wildcard paths stream: no tree fallback.
-	_, m, err := e.Query(`SELECT get_json_object(sale_logs, '$.basket[*].sku') s FROM mydb.t`)
+// TestRootProjectionStreams pins that $ is a path like any other: it is
+// answered by the same streaming pass (there is no other lane to fall to),
+// which has to scan every byte of every document to materialize it.
+func TestRootProjectionStreams(t *testing.T) {
+	e := newTestEngine(t)
+	docs := mustQuery(t, e, `SELECT sale_logs FROM mydb.t`)
+	var docBytes int64
+	for _, row := range docs.Rows {
+		docBytes += int64(len(row[0].S))
+	}
+	rs, m, err := e.Query(`SELECT get_json_object(sale_logs, '$') d FROM mydb.t`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fb := m.Parse.Snapshot().TreeFallback; fb != 0 {
-		t.Errorf("wildcard query tree fallbacks = %d, want 0 (wildcards stream)", fb)
-	}
-
-	// A root path is the one projection left on the tree-parse lane; the
-	// fallback must be metered per document, not silent.
-	out, _, m, err := e.ExplainAnalyze(`SELECT get_json_object(sale_logs, '$') d FROM mydb.t`)
-	if err != nil {
-		t.Fatal(err)
+	if !m.StreamParser {
+		t.Error("StreamParser flag not set on the default engine")
 	}
 	pc := m.Parse.Snapshot()
-	if pc.TreeFallback != pc.Docs || pc.TreeFallback == 0 {
-		t.Errorf("root query tree fallbacks = %d, want %d (one per document)", pc.TreeFallback, pc.Docs)
+	if pc.Docs != int64(len(docs.Rows)) || pc.Bytes != docBytes || pc.Skipped != 0 {
+		t.Errorf("root projection parsed %d docs / %d B (%d skipped), want %d docs / %d B (0 skipped)",
+			pc.Docs, pc.Bytes, pc.Skipped, len(docs.Rows), docBytes)
 	}
-	if !strings.Contains(out, "parse-tree-fallback=") {
-		t.Errorf("EXPLAIN ANALYZE missing parse-tree-fallback attr:\n%s", out)
-	}
-	if !strings.Contains(m.String(), "tree-fallback") {
-		t.Errorf("Metrics.String() missing tree-fallback: %s", m.String())
+	for i, row := range rs.Rows {
+		if row[0].S != docs.Rows[i][0].S {
+			t.Errorf("row %d: $ = %s, want the document %s", i, row[0].S, docs.Rows[i][0].S)
+		}
 	}
 }
 
@@ -539,5 +495,89 @@ func TestDeterministicResultOrderWithoutSort(t *testing.T) {
 		if got := mustQuery(t, e, `SELECT date FROM mydb.t`).String(); got != first {
 			t.Fatal("result order varies across runs without ORDER BY")
 		}
+	}
+}
+
+// TestPlanPathCalls pins the index the evaluator and the scan-share scheduler
+// are seeded from: one path set per document column, aliased spellings and
+// repeated calls sharing a slot, and nothing at all for a plan without
+// get_json_object — which is what lets such a plan run with no evaluator.
+func TestPlanPathCalls(t *testing.T) {
+	e := newTestEngine(t)
+	plan, _, err := e.PlanOnly(`
+		SELECT get_json_object(sale_logs, '$.turnover') tv,
+		       get_json_object(t.sale_logs, '$["turnover"]') alias,
+		       get_json_object(sale_logs, '$') doc,
+		       get_json_object(mall_id, '$.x') other
+		FROM mydb.t
+		WHERE get_json_object(sale_logs, '$.turnover') > 100`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := PlanPathCalls(plan)
+	if calls == nil || len(calls.Cols) != 2 {
+		t.Fatalf("calls = %+v, want two document columns", calls)
+	}
+	var texts []string
+	for _, c := range calls.Cols {
+		var paths []string
+		for _, p := range c.Set.Paths() {
+			paths = append(paths, p.Canonical())
+		}
+		texts = append(texts, fmt.Sprintf("%s:%s", plan.Scan.Schema().Cols[c.Index].Name, strings.Join(paths, ",")))
+	}
+	if got := strings.Join(texts, " "); got != "sale_logs:$.turnover,$ mall_id:$.x" {
+		t.Errorf("column path sets = %q", got)
+	}
+	slots := map[string]PathSlot{}
+	VisitPlanExprs(plan, func(x Expr) {
+		if call, ok := x.(*JSONPathExpr); ok {
+			slot, ok := calls.Slot(call)
+			if !ok {
+				t.Errorf("call %s has no slot", call)
+			}
+			if prev, seen := slots[call.Path.Canonical()+"@"+call.Column.Name]; seen && prev != slot {
+				t.Errorf("call %s: slot %v, an equal call got %v", call, slot, prev)
+			}
+			slots[call.Path.Canonical()+"@"+call.Column.Name] = slot
+		}
+	})
+	if len(slots) != 3 {
+		t.Errorf("distinct (column, path) pairs = %d, want 3", len(slots))
+	}
+
+	plain, _, err := e.PlanOnly(`SELECT COUNT(*) c FROM mydb.t WHERE date > '20190110'`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls := PlanPathCalls(plain); calls != nil {
+		t.Errorf("plan without get_json_object indexed %+v", calls)
+	}
+	if _, ok := (*PathCalls)(nil).Slot(&JSONPathExpr{}); ok {
+		t.Error("nil index resolved a call")
+	}
+	_, m, err := e.Query(`SELECT COUNT(*) c FROM mydb.t WHERE date > '20190110'`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pc := m.Parse.Snapshot(); pc != (ParseCounts{}) {
+		t.Errorf("plan without get_json_object metered parse work: %+v", pc)
+	}
+}
+
+// TestStreamEvaluatorUnindexedCall: an evaluator built by hand, without the
+// plan's call index, still answers (one single-path scan per call).
+func TestStreamEvaluatorUnindexedCall(t *testing.T) {
+	var meter ParseMeter
+	ev := StreamBackend{}.NewDocEvaluator(&meter, nil)
+	call := &JSONPathExpr{Path: jsonpath.MustCompile("$.a.b")}
+	if got, ok := ev.Extract(`{"a": {"b": 7}, "tail": 1}`, call); got != "7" || !ok {
+		t.Errorf("Extract = (%q, %v), want (\"7\", true)", got, ok)
+	}
+	if got, ok := ev.Extract(`{"a": `, call); got != "" || ok {
+		t.Errorf("malformed doc: Extract = (%q, %v), want NULL", got, ok)
+	}
+	if pc := meter.Snapshot(); pc.Calls != 2 || pc.Docs != 2 {
+		t.Errorf("metered %+v, want 2 calls / 2 docs", pc)
 	}
 }

@@ -60,9 +60,6 @@ type (
 		// Window is the predictor history window in days (default 7, the
 		// paper's best-performing setting).
 		Window int
-		// Backend selects the JSON parser for uncached paths: "jackson"
-		// (tree parser, default) or "mison" (structural index).
-		Backend string
 		// StartTime seeds the simulated clock (default 2019-01-01 UTC).
 		StartTime time.Time
 		// RowGroupRows tunes the columnar layout (default 10000).
@@ -137,13 +134,7 @@ func NewSystem(cfg SystemConfig) *System {
 	fs := dfs.New(dfs.WithClock(clock))
 	wh := warehouse.New(fs, warehouse.WithClock(clock),
 		warehouse.WithWriterOptions(orc.WriterOptions{RowGroupRows: cfg.RowGroupRows}))
-	var backend sqlengine.ParserBackend = sqlengine.JacksonBackend{}
-	if cfg.Backend == "mison" {
-		backend = sqlengine.MisonBackend{}
-	}
-	e := sqlengine.NewEngine(wh,
-		sqlengine.WithDefaultDB(cfg.DefaultDB),
-		sqlengine.WithBackend(backend))
+	e := sqlengine.NewEngine(wh, sqlengine.WithDefaultDB(cfg.DefaultDB))
 	// One registry serves the whole stack so the flight recorder's pre/post
 	// snapshots see engine, combiner, and cache series alike.
 	reg := obs.NewRegistry()

@@ -82,13 +82,6 @@ func TestPublicAPIQueryAndCycle(t *testing.T) {
 	}
 }
 
-func TestPublicAPIMisonBackend(t *testing.T) {
-	sys := NewSystem(SystemConfig{DefaultDB: "d", Backend: "mison"})
-	if sys.Engine().Backend().Name() != "mison" {
-		t.Error("mison backend not selected")
-	}
-}
-
 func TestPublicAPIDefaults(t *testing.T) {
 	sys := NewSystem(SystemConfig{})
 	if sys.Now().IsZero() {
