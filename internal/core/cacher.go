@@ -402,8 +402,9 @@ func (c *Cacher) populateTable(ctx context.Context, group []*PathProfile, gen in
 
 	perPathBytes := make([]int64, len(paths))
 
-	// Batch read scratch: the cursor decodes row-group columns straight into
-	// these vectors.
+	// Batch read scratch: the cursor decodes the file's values straight into
+	// these vectors (documents as views of the part file; the extractor
+	// copies what it returns, so nothing written to the cache aliases it).
 	const populateBatchRows = 1024
 	vecs := make([][]datum.Datum, len(readCols))
 	for i := range vecs {

@@ -604,11 +604,14 @@ func (s *combinedRowSource) Next() ([]datum.Datum, error) {
 	return out, nil
 }
 
-// NextBatch implements sqlengine.BatchSource: the paired cursors write
-// straight into the batch's column vectors — raw columns into the primary
-// slots, cache columns after them — so stitching costs zero copies. Both
-// cursors honor the same row-group mask, so a mismatched batch count means
-// the §IV-C alignment invariant broke.
+// NextBatch implements sqlengine.BatchSource: the paired cursors decode
+// their files straight into the batch's column vectors — raw columns into
+// the primary slots, cache columns after them — so stitching costs zero
+// copies: each value is written once, where the executor reads it, and
+// string values are views of the part file they came from (they stay valid
+// for the query; the engine clones what it returns). Both cursors honor the
+// same row-group mask, so a mismatched batch count means the §IV-C alignment
+// invariant broke.
 func (s *combinedRowSource) NextBatch(b *sqlengine.RowBatch) (int, error) {
 	if len(b.Cols) < s.nPrimary+s.nCache {
 		return 0, fmt.Errorf("core: batch has %d columns, combined source needs %d", len(b.Cols), s.nPrimary+s.nCache)

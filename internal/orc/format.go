@@ -134,85 +134,6 @@ func (e *encoder) bool(b bool) {
 	}
 }
 
-type decoder struct {
-	buf []byte
-	pos int
-	err error
-}
-
-func (d *decoder) fail(msg string) {
-	if d.err == nil {
-		d.err = corruptf("%s at offset %d", msg, d.pos)
-	}
-}
-
-func (d *decoder) u32() uint32 {
-	if d.err != nil || d.pos+4 > len(d.buf) {
-		d.fail("short u32")
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.buf[d.pos:])
-	d.pos += 4
-	return v
-}
-
-func (d *decoder) u64() uint64 {
-	if d.err != nil || d.pos+8 > len(d.buf) {
-		d.fail("short u64")
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.buf[d.pos:])
-	d.pos += 8
-	return v
-}
-
-func (d *decoder) i64() int64   { return int64(d.u64()) }
-func (d *decoder) f64() float64 { return math.Float64frombits(d.u64()) }
-
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf[d.pos:])
-	if n <= 0 {
-		d.fail("bad uvarint")
-		return 0
-	}
-	d.pos += n
-	return v
-}
-
-func (d *decoder) str() string {
-	n := d.uvarint()
-	if d.err != nil || d.pos+int(n) > len(d.buf) {
-		d.fail("short string")
-		return ""
-	}
-	s := string(d.buf[d.pos : d.pos+int(n)])
-	d.pos += int(n)
-	return s
-}
-
-func (d *decoder) bool() bool {
-	if d.err != nil || d.pos >= len(d.buf) {
-		d.fail("short bool")
-		return false
-	}
-	b := d.buf[d.pos]
-	d.pos++
-	return b != 0
-}
-
-func (d *decoder) take(n int) []byte {
-	if d.err != nil || d.pos+n > len(d.buf) || n < 0 {
-		d.fail("short bytes")
-		return nil
-	}
-	b := d.buf[d.pos : d.pos+n]
-	d.pos += n
-	return b
-}
-
 func encodeStats(e *encoder, t datum.Type, st ColumnStats) {
 	e.i64(st.NullCount)
 	e.bool(st.HasValues)

@@ -23,14 +23,22 @@ type Footer struct {
 	numRows int64
 	rgRows  int
 	stripes []stripeMeta
+	groups  []groupRef // every row group in file order
+}
+
+// groupRef names one row group by stripe and position within it.
+type groupRef struct {
+	stripe int
+	group  int
 }
 
 // Reader decodes one ORC file held in memory. The promoted Footer methods
-// answer metadata questions; cursors decode row groups out of data.
+// answer metadata questions; cursors decode row groups out of data, and the
+// string values they hand out are views of data, not copies (decoder.view).
 type Reader struct {
 	*Footer
 	data []byte
-	// faultHook, when set, runs before every row-group decode; a non-nil
+	// faultHook, when set, runs before a cursor enters a row group; a non-nil
 	// return aborts the decode with that error. The warehouse installs the
 	// fault injector's OpDecode check here so mid-stream failures — ones the
 	// open-time footer validation cannot see — are exercisable.
@@ -42,7 +50,8 @@ type Reader struct {
 func (r *Reader) SetFaultHook(hook func() error) { r.faultHook = hook }
 
 // OpenReader parses the file footer and returns a reader. The data slice is
-// retained and must not be modified.
+// retained — by the reader and by every string value read through it — and
+// must not be modified.
 func OpenReader(data []byte) (*Reader, error) {
 	ft, err := ParseFooter(data)
 	if err != nil {
@@ -57,7 +66,11 @@ func OpenReader(data []byte) (*Reader, error) {
 // Reader, so fault hooks stay per open.
 func (ft *Footer) NewReader(data []byte) *Reader { return &Reader{Footer: ft, data: data} }
 
-// ParseFooter validates the file framing and decodes the footer.
+// ParseFooter validates the file framing and decodes the footer. Beyond the
+// framing it checks what the directory claims against the file and against
+// itself — stripes lie between the head magic and the footer, row groups
+// inside their stripe, row counts are non-negative and add up — so a cursor
+// never meets an extent or a count the footer did not vouch for.
 func ParseFooter(data []byte) (*Footer, error) {
 	tailMagicLen := len(Magic) + 1 // uvarint length prefix (1 byte for len 4)
 	if len(data) < len(Magic)+4+tailMagicLen {
@@ -72,22 +85,17 @@ func ParseFooter(data []byte) (*Footer, error) {
 		return nil, corruptf("bad tail magic")
 	}
 	lenPos := len(data) - tailMagicLen - 4
-	if lenPos < 0 {
-		return nil, corruptf("missing footer length")
-	}
 	ld := decoder{buf: data, pos: lenPos}
-	footerLen := int(ld.u32())
-	footerStart := lenPos - footerLen
-	if footerStart < len(Magic)+1 || footerLen < 0 {
+	footerLen := int64(ld.u32())
+	bodyStart := int64(len(Magic) + 1)
+	footerStart := int64(lenPos) - footerLen
+	if footerStart < bodyStart {
 		return nil, corruptf("bad footer length %d", footerLen)
 	}
 
-	d := decoder{buf: data, pos: footerStart}
+	d := decoder{buf: data[:lenPos], pos: int(footerStart)}
 	ft := &Footer{}
-	nCols := int(d.uvarint())
-	if d.err != nil || nCols < 0 || nCols > 1<<20 {
-		return nil, corruptf("bad column count")
-	}
+	nCols := d.count(1<<20, "column count")
 	for i := 0; i < nCols; i++ {
 		name := d.str()
 		tb := d.take(1)
@@ -100,21 +108,23 @@ func ParseFooter(data []byte) (*Footer, error) {
 		}
 		ft.schema.Columns = append(ft.schema.Columns, Column{Name: name, Type: t})
 	}
-	ft.numRows = int64(d.u64())
+	ft.numRows = d.i64()
 	ft.rgRows = int(d.u32())
-	nStripes := int(d.uvarint())
-	if d.err != nil || nStripes < 0 || nStripes > 1<<20 {
-		return nil, corruptf("bad stripe count")
-	}
+	nStripes := d.count(1<<20, "stripe count")
+	var fileRows int64
 	for s := 0; s < nStripes; s++ {
 		var sm stripeMeta
 		sm.offset = d.i64()
 		sm.length = d.i64()
 		sm.rows = d.i64()
-		nGroups := int(d.uvarint())
-		if d.err != nil || nGroups < 0 || nGroups > 1<<20 {
-			return nil, corruptf("bad row group count")
+		nGroups := d.count(1<<20, "row group count")
+		if d.err != nil {
+			return nil, d.err
 		}
+		if !within(sm.offset, sm.length, bodyStart, footerStart) {
+			return nil, corruptf("stripe %d [%d,+%d) outside the file body", s, sm.offset, sm.length)
+		}
+		var stripeRows int64
 		for g := 0; g < nGroups; g++ {
 			var rg rowGroupMeta
 			rg.offset = d.i64()
@@ -124,14 +134,38 @@ func ParseFooter(data []byte) (*Footer, error) {
 			for c := 0; c < nCols; c++ {
 				rg.stats[c] = decodeStats(&d, ft.schema.Columns[c].Type)
 			}
+			if d.err != nil {
+				return nil, d.err
+			}
+			if rg.rows < 0 {
+				return nil, corruptf("row group %d/%d has %d rows", s, g, rg.rows)
+			}
+			if !within(rg.offset, rg.length, 0, sm.length) {
+				return nil, corruptf("row group %d/%d [%d,+%d) outside its stripe", s, g, rg.offset, rg.length)
+			}
+			stripeRows += int64(rg.rows)
 			sm.rowGroups = append(sm.rowGroups, rg)
+			ft.groups = append(ft.groups, groupRef{stripe: s, group: g})
 		}
+		if stripeRows != sm.rows {
+			return nil, corruptf("stripe %d claims %d rows, its row groups hold %d", s, sm.rows, stripeRows)
+		}
+		fileRows += stripeRows
 		ft.stripes = append(ft.stripes, sm)
 	}
 	if d.err != nil {
 		return nil, d.err
 	}
+	if fileRows != ft.numRows {
+		return nil, corruptf("file claims %d rows, its stripes hold %d", ft.numRows, fileRows)
+	}
 	return ft, nil
+}
+
+// within reports whether [off, off+length) lies inside [lo, hi), without
+// forming off+length (both come from the file and may be anything).
+func within(off, length, lo, hi int64) bool {
+	return off >= lo && off <= hi && length >= 0 && length <= hi-off
 }
 
 // Schema returns the file schema.
@@ -172,53 +206,45 @@ func (ft *Footer) RowGroupStats(column string) ([]ColumnStats, error) {
 // Cursor iterates selected columns of a file, skipping row groups ruled
 // out by a SARG or by an externally supplied mask. It serves rows either
 // one at a time (Next) or batch-at-a-time into caller-owned column vectors
-// (NextBatch); the batch path copies decoded row-group columns directly
-// into the destination vectors with no per-row allocation.
+// (NextBatch). Both decode through the same per-column chunk iterators,
+// which write each value exactly once, into the slice the caller reads; the
+// cursor holds no decoded values of its own, so its memory is a few words
+// per column whatever the row-group size. String values alias the reader's
+// data (see decoder.view for who may keep one).
 type Cursor struct {
-	r        *Reader
-	cols     []int       // schema indexes of selected columns
-	selected map[int]int // schema index -> output index
-	include  []bool
-	stats    *ReadStats
+	r       *Reader
+	cols    []int // schema indexes of the selected columns
+	include []bool
+	stats   *ReadStats
 
 	// iteration state
-	flat      []flatGroup
-	groupIdx  int
-	decoded   [][]datum.Datum // per selected column, decoded group values
-	rowInGrp  int
-	groupRows int
-	// valScratch is the reused non-null value buffer for chunk decoding.
-	valScratch []datum.Datum
-}
-
-type flatGroup struct {
-	stripe int
-	group  int
+	groupIdx  int         // into Footer.groups; -1 before the first group
+	rowInGrp  int         // rows of the current group already handed out
+	groupRows int         // rows in the current group
+	chunks    [][]byte    // per schema column, the current group's chunk
+	iters     []chunkIter // per selected column
+	err       error       // the first decode error; the cursor stays failed
 }
 
 // NewCursor opens a cursor over the named columns. sarg may be nil. stats
 // may be nil; when non-nil the cursor adds its work to it.
 func (r *Reader) NewCursor(columns []string, sarg *SARG, stats *ReadStats) (*Cursor, error) {
-	c := &Cursor{r: r, stats: stats, selected: make(map[int]int, len(columns))}
-	for outIdx, name := range columns {
+	c := &Cursor{r: r, stats: stats, groupIdx: -1,
+		cols:   make([]int, len(columns)),
+		iters:  make([]chunkIter, len(columns)),
+		chunks: make([][]byte, len(r.schema.Columns)),
+	}
+	for i, name := range columns {
 		ci := r.schema.ColumnIndex(name)
 		if ci < 0 {
 			return nil, fmt.Errorf("orc: no column %q", name)
 		}
-		c.cols = append(c.cols, ci)
-		c.selected[ci] = outIdx
+		c.cols[i] = ci
 	}
-	for si := range r.stripes {
-		for gi := range r.stripes[si].rowGroups {
-			c.flat = append(c.flat, flatGroup{si, gi})
-		}
+	c.include = make([]bool, len(r.groups))
+	for i, g := range r.groups {
+		c.include[i] = sarg == nil || sarg.mayMatch(r.schema, r.stripes[g.stripe].rowGroups[g.group].stats)
 	}
-	c.include = make([]bool, len(c.flat))
-	for i, fg := range c.flat {
-		rg := &r.stripes[fg.stripe].rowGroups[fg.group]
-		c.include[i] = sarg == nil || sarg.mayMatch(r.schema, rg.stats)
-	}
-	c.groupIdx = -1
 	return c, nil
 }
 
@@ -252,255 +278,125 @@ func (c *Cursor) SetRowGroupMask(mask []bool) error {
 // caller's to keep; batch consumers that want no per-row allocation use
 // NextBatch.
 func (c *Cursor) Next() ([]datum.Datum, error) {
-	for {
-		if c.groupIdx >= 0 && c.rowInGrp < c.groupRows {
-			row := make([]datum.Datum, len(c.cols))
-			for i := range c.cols {
-				row[i] = c.decoded[i][c.rowInGrp]
-			}
-			c.rowInGrp++
-			if c.stats != nil {
-				c.stats.RowsRead++
-			}
-			return row, nil
-		}
-		// advance to next included group
-		c.groupIdx++
-		if c.groupIdx >= len(c.flat) {
-			return nil, nil
-		}
-		if !c.include[c.groupIdx] {
-			if c.stats != nil {
-				c.stats.RowGroupsSkipped++
-			}
-			continue
-		}
-		if err := c.decodeGroup(c.groupIdx); err != nil {
+	left, err := c.groupLeft()
+	if err != nil || left == 0 {
+		return nil, err
+	}
+	row := make([]datum.Datum, len(c.cols))
+	for i := range c.iters {
+		if err := c.iters[i].fill(row[i : i+1]); err != nil {
+			c.err = err
 			return nil, err
 		}
 	}
+	c.advance(1)
+	return row, nil
 }
 
 // NextBatch fills dst's column vectors with up to max rows and returns how
 // many it produced; 0 with a nil error means the cursor is exhausted. dst
 // must hold one vector per selected column, each with capacity >= max.
 // Batches cross row-group boundaries, so callers see fixed-size batches
-// regardless of group geometry. Decoded group columns are copied into dst
-// column-wise — no per-row allocation.
+// regardless of group geometry. Values are decoded from the file straight
+// into dst — no staging copy, and no allocation once the cursor is open
+// (a dictionary larger than any before it grows the cursor's one).
 func (c *Cursor) NextBatch(dst [][]datum.Datum, max int) (int, error) {
 	if len(dst) < len(c.cols) {
 		return 0, fmt.Errorf("orc: batch has %d columns, cursor selects %d", len(dst), len(c.cols))
 	}
 	total := 0
 	for total < max {
-		if c.groupIdx >= 0 && c.rowInGrp < c.groupRows {
-			take := c.groupRows - c.rowInGrp
-			if take > max-total {
-				take = max - total
-			}
-			for i := range c.cols {
-				copy(dst[i][total:total+take], c.decoded[i][c.rowInGrp:c.rowInGrp+take])
-			}
-			c.rowInGrp += take
-			total += take
-			if c.stats != nil {
-				c.stats.RowsRead += int64(take)
-			}
-			continue
+		take, err := c.groupLeft()
+		if err != nil {
+			return total, err
 		}
-		// advance to next included group
-		c.groupIdx++
-		if c.groupIdx >= len(c.flat) {
+		if take == 0 {
 			break
 		}
+		if take > max-total {
+			take = max - total
+		}
+		for i := range c.iters {
+			if err := c.iters[i].fill(dst[i][total : total+take]); err != nil {
+				c.err = err
+				return total, err
+			}
+		}
+		c.advance(take)
+		total += take
+	}
+	return total, nil
+}
+
+// advance records that n more rows of the current group were handed out.
+func (c *Cursor) advance(n int) {
+	c.rowInGrp += n
+	if c.stats != nil {
+		c.stats.RowsRead += int64(n)
+	}
+}
+
+// groupLeft returns how many rows the current row group still holds,
+// entering the next included group when it holds none; 0 means the cursor
+// is exhausted.
+func (c *Cursor) groupLeft() (int, error) {
+	for c.err == nil && c.rowInGrp == c.groupRows {
+		if c.groupIdx+1 >= len(c.include) {
+			return 0, nil
+		}
+		c.groupIdx++
 		if !c.include[c.groupIdx] {
 			if c.stats != nil {
 				c.stats.RowGroupsSkipped++
 			}
 			continue
 		}
-		if err := c.decodeGroup(c.groupIdx); err != nil {
-			return total, err
-		}
+		c.err = c.enterGroup(c.r.groups[c.groupIdx])
 	}
-	return total, nil
+	return c.groupRows - c.rowInGrp, c.err
 }
 
-// decodeGroup decodes the selected columns of one row group. Columns are
-// stored as length-prefixed chunks, so unselected columns are skipped
+// enterGroup aims the column iterators at one row group. Columns are
+// stored as length-prefixed chunks, so unselected columns are stepped over
 // without decoding and without charging their bytes to the read meter —
-// column pruning pays off exactly as it does on real columnar storage.
-// Decode buffers are reused across groups: callers copy values out of
-// c.decoded before the next decodeGroup call.
-func (c *Cursor) decodeGroup(flatIdx int) error {
+// column pruning pays off exactly as it does on real columnar storage. The
+// group is metered here, once, whether its rows are then read in one batch
+// or a thousand.
+func (c *Cursor) enterGroup(g groupRef) error {
 	if c.r.faultHook != nil {
 		if err := c.r.faultHook(); err != nil {
 			return err
 		}
 	}
-	fg := c.flat[flatIdx]
-	stripe := &c.r.stripes[fg.stripe]
-	rg := &stripe.rowGroups[fg.group]
+	stripe := &c.r.stripes[g.stripe]
+	rg := &stripe.rowGroups[g.group]
+	// ParseFooter vouched for both extents against the bytes it saw; data is
+	// checked again because NewReader takes the caller's word that these
+	// are those bytes.
 	start := stripe.offset + rg.offset
-	if start < 0 || start+rg.length > int64(len(c.r.data)) {
+	if !within(start, rg.length, 0, int64(len(c.r.data))) {
 		return corruptf("row group out of bounds")
 	}
 	d := decoder{buf: c.r.data[:start+rg.length], pos: int(start)}
-	n := int(rg.rows)
-
-	if c.decoded == nil {
-		c.decoded = make([][]datum.Datum, len(c.cols))
+	for ci := range c.chunks {
+		c.chunks[ci] = d.take(d.uvarint())
 	}
-	for i := range c.decoded {
-		if cap(c.decoded[i]) >= n {
-			c.decoded[i] = c.decoded[i][:n]
-		} else {
-			c.decoded[i] = make([]datum.Datum, n)
-		}
+	if d.err != nil {
+		return d.err
 	}
-
 	var bytesRead int64
-	for ci, col := range c.r.schema.Columns {
-		chunkLen := int(d.uvarint())
-		if d.err != nil {
-			return d.err
-		}
-		outIdx, want := c.selected[ci]
-		if !want {
-			d.take(chunkLen)
-			if d.err != nil {
-				return d.err
-			}
-			continue
-		}
-		bytesRead += int64(chunkLen)
-		chunkBytes := d.take(chunkLen)
-		if d.err != nil {
-			return d.err
-		}
-		vals, err := decodeChunk(chunkBytes, col.Type, n, c.decoded[outIdx], c.valScratch)
-		if err != nil {
+	for i, ci := range c.cols {
+		bytesRead += int64(len(c.chunks[ci]))
+		if err := c.iters[i].reset(c.chunks[ci], c.r.schema.Columns[ci].Type, int(rg.rows)); err != nil {
 			return err
 		}
-		c.valScratch = vals
 	}
 	if c.stats != nil {
 		c.stats.RowGroupsRead++
 		c.stats.BytesRead += bytesRead
 	}
-	c.rowInGrp = 0
-	c.groupRows = n
+	c.rowInGrp, c.groupRows = 0, int(rg.rows)
 	return nil
-}
-
-// decodeChunk decodes one column chunk (null bitmap + encoding tag +
-// values) into out, which has length n. scratch is an optional reusable
-// buffer for the non-null value stream; the (possibly grown) buffer is
-// returned so callers can keep it across chunks.
-func decodeChunk(chunk []byte, t datum.Type, n int, out, scratch []datum.Datum) ([]datum.Datum, error) {
-	d := decoder{buf: chunk}
-	bitmap := d.take((n + 7) / 8)
-	if d.err != nil {
-		return scratch, d.err
-	}
-	isNull := func(i int) bool { return bitmap[i/8]&(1<<uint(i%8)) != 0 }
-	tag := d.take(1)
-	if d.err != nil {
-		return scratch, d.err
-	}
-
-	// Decode the non-null value stream.
-	nonNull := 0
-	for i := 0; i < n; i++ {
-		if !isNull(i) {
-			nonNull++
-		}
-	}
-	vals := scratch[:0]
-	if cap(vals) < nonNull {
-		vals = make([]datum.Datum, 0, nonNull)
-	}
-	switch t {
-	case datum.TypeInt64:
-		switch tag[0] {
-		case encPlain:
-			for k := 0; k < nonNull; k++ {
-				vals = append(vals, datum.Int(d.i64()))
-			}
-		case encRLE:
-			runs := int(d.uvarint())
-			for r := 0; r < runs; r++ {
-				count := int(d.uvarint())
-				v := d.i64()
-				if d.err != nil || count < 0 || len(vals)+count > nonNull {
-					return vals, corruptf("bad RLE run")
-				}
-				for k := 0; k < count; k++ {
-					vals = append(vals, datum.Int(v))
-				}
-			}
-		default:
-			return vals, corruptf("unknown int encoding %d", tag[0])
-		}
-	case datum.TypeFloat64:
-		for k := 0; k < nonNull; k++ {
-			vals = append(vals, datum.Float(d.f64()))
-		}
-	case datum.TypeString:
-		switch tag[0] {
-		case encPlain:
-			for k := 0; k < nonNull; k++ {
-				vals = append(vals, datum.Str(d.str()))
-			}
-		case encDict:
-			dictSize := int(d.uvarint())
-			if d.err != nil || dictSize < 0 || dictSize > nonNull {
-				return vals, corruptf("bad dictionary size")
-			}
-			dict := make([]string, dictSize)
-			for k := range dict {
-				dict[k] = d.str()
-			}
-			for k := 0; k < nonNull; k++ {
-				idx := int(d.uvarint())
-				if d.err != nil || idx < 0 || idx >= dictSize {
-					return vals, corruptf("dictionary index out of range")
-				}
-				vals = append(vals, datum.Str(dict[idx]))
-			}
-		default:
-			return vals, corruptf("unknown string encoding %d", tag[0])
-		}
-	case datum.TypeBool:
-		if tag[0] != encBitpacked {
-			return vals, corruptf("unknown bool encoding %d", tag[0])
-		}
-		packed := d.take((nonNull + 7) / 8)
-		if d.err != nil {
-			return vals, d.err
-		}
-		for k := 0; k < nonNull; k++ {
-			vals = append(vals, datum.Bool(packed[k/8]&(1<<uint(k%8)) != 0))
-		}
-	}
-	if d.err != nil {
-		return vals, d.err
-	}
-	if len(vals) != nonNull {
-		return vals, corruptf("value stream truncated: %d of %d", len(vals), nonNull)
-	}
-
-	// Scatter values over nulls.
-	vi := 0
-	for i := 0; i < n; i++ {
-		if isNull(i) {
-			out[i] = datum.NullOf(t)
-			continue
-		}
-		out[i] = vals[vi]
-		vi++
-	}
-	return vals, nil
 }
 
 // ReadColumn reads one full column (no SARG) into a slice.

@@ -3,6 +3,7 @@ package orc
 import (
 	"fmt"
 	"strconv"
+	"strings"
 
 	"repro/internal/datum"
 )
@@ -228,6 +229,9 @@ func (w *Writer) encodeColumn(cb *columnBuffer) ColumnStats {
 			st.HasValues = true
 			vals = append(vals, v)
 		}
+		// The extremes are (prefixes of) the caller's strings, which may be
+		// views of a file being rewritten; what the writer keeps, it owns.
+		st.MinS, st.MaxS = strings.Clone(st.MinS), strings.Clone(st.MaxS)
 		encodeStringChunk(&chunk, vals)
 	case datum.TypeBool:
 		chunk.buf = append(chunk.buf, encBitpacked)

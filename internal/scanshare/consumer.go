@@ -96,7 +96,7 @@ func (s *consumerSource) NextBatch(b *sqlengine.RowBatch) (int, error) {
 			n, len(msg.b.Cols), b.Capacity(), len(b.Cols))
 	}
 	for c := range msg.b.Cols {
-		//lint:ignore arenaescape datum structs are value-copied out before msg.b returns to the pool; their string backings are producer-owned safe copies, not pool slab memory
+		//lint:ignore arenaescape datum structs are value-copied out before msg.b returns to the pool; their string backings are views of the immutable part file (orc decoder.view) or extractor copies, never pool slab memory
 		copy(b.Cols[c][:n], msg.b.Cols[c][:n])
 	}
 	sqlengine.PutRowBatch(msg.b)

@@ -194,7 +194,7 @@ func (pr *producer) fanOut(batch *sqlengine.RowBatch, n int) bool {
 		}
 		out := sqlengine.GetRowBatch(pr.width, n)
 		for c := 0; c < pr.nStorage; c++ {
-			//lint:ignore arenaescape copy-on-demux: datum structs are value-copied into the consumer's own pooled batch while the producer still holds batch; string backings are reader-owned, not pool slab memory
+			//lint:ignore arenaescape copy-on-demux: datum structs are value-copied into the consumer's own pooled batch while the producer still holds batch; string backings are views of the immutable part file (orc decoder.view), never pool slab memory
 			copy(out.Cols[c][:n], batch.Cols[c][:n])
 		}
 		for x := pr.nStorage; x < pr.width; x++ {

@@ -97,9 +97,9 @@ func (s *fileRowSource) Next() ([]datum.Datum, error) {
 	return row, err
 }
 
-// NextBatch implements BatchSource: the cursor copies decoded row-group
-// columns straight into the batch vectors, and read-stat deltas flush once
-// per batch instead of once per row.
+// NextBatch implements BatchSource: the cursor decodes the file's values
+// straight into the batch vectors, and read-stat deltas flush once per batch
+// instead of once per row.
 func (s *fileRowSource) NextBatch(b *RowBatch) (int, error) {
 	n, err := s.cur.NextBatch(b.Cols, b.Capacity())
 	s.flushStats()
@@ -334,7 +334,24 @@ func (e *Engine) execute(ctx context.Context, plan *PhysicalPlan, trace *obs.Spa
 
 	m.WallTime = e.nowWall() - start
 	e.obsC.publish(m, e.cost)
+	ownStrings(out)
 	return &ResultSet{Columns: plan.OutputSchema.Names(), Rows: out}, m, nil
+}
+
+// ownStrings gives every string in rows its own memory. Strings read from
+// storage are views of the part file they came from (orc's decoder.view), and
+// a ResultSet outlives the query: without this, a ten-byte result cell would
+// pin a whole file for as long as a caller, a session or the flight recorder
+// holds the result. It runs after DISTINCT, ORDER BY and LIMIT, so only rows
+// that are actually returned pay for a copy.
+func ownStrings(rows [][]datum.Datum) {
+	for _, row := range rows {
+		for i := range row {
+			if row[i].Typ == datum.TypeString && !row[i].Null {
+				row[i].S = strings.Clone(row[i].S)
+			}
+		}
+	}
 }
 
 // partResult is the map-side output of one partition.

@@ -102,3 +102,58 @@ func BenchmarkExecBatch(b *testing.B) {
 func BenchmarkExecRow(b *testing.B) {
 	benchExecQueries(b, newBenchEngine(execBenchRows, WithRowAtATime(true)))
 }
+
+// BenchmarkCachedScan measures the read path a fully cached query takes
+// below the combiner: a table shaped like a Maxson cache table (every
+// column a string of already-extracted values, 10 part files of 1,000-row
+// groups, like bench/'s hot tables), scanned by the hot_cached query shapes.
+// B/op is the number to watch: nothing on this path should be proportional
+// to the rows scanned.
+func BenchmarkCachedScan(b *testing.B) {
+	clock := simtime.NewSim(time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC))
+	fs := dfs.New(dfs.WithClock(clock))
+	wh := warehouse.New(fs, warehouse.WithClock(clock),
+		warehouse.WithWriterOptions(orc.WriterOptions{RowGroupRows: 1000}))
+	wh.CreateDatabase("bench")
+	schema := orc.Schema{Columns: []orc.Column{
+		{Name: "k", Type: datum.TypeString},
+		{Name: "v", Type: datum.TypeString},
+		{Name: "w", Type: datum.TypeString},
+	}}
+	if err := wh.CreateTable("bench", "cached", schema); err != nil {
+		b.Fatal(err)
+	}
+	for file := 0; file < 10; file++ {
+		rows := make([][]datum.Datum, 1000)
+		for i := range rows {
+			id := file*1000 + i
+			rows[i] = []datum.Datum{
+				datum.Str(fmt.Sprintf("region-%02d", id%16)),
+				datum.Str(fmt.Sprintf("%d.%02d", id*7%5000, id%100)),
+				datum.Str(fmt.Sprintf("%d", id%977)),
+			}
+		}
+		if _, err := wh.AppendRows("bench", "cached", rows); err != nil {
+			b.Fatal(err)
+		}
+	}
+	e := NewEngine(wh, WithDefaultDB("bench"), WithParallelism(1))
+	for _, q := range []struct{ name, sql string }{
+		{"group", `SELECT k, COUNT(*) c, MAX(cast_double(v)) m FROM bench.cached GROUP BY k`},
+		{"filter", `SELECT COUNT(*) c FROM bench.cached WHERE cast_double(w) > 500`},
+	} {
+		q := q
+		b.Run(q.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rs, _, err := e.Query(q.sql)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(rs.Rows) == 0 {
+					b.Fatal("empty result")
+				}
+			}
+		})
+	}
+}

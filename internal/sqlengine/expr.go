@@ -271,50 +271,59 @@ func compareForPredicate(l, r datum.Datum) int {
 	return datum.Compare(l, r)
 }
 
+// evalFunc evaluates a scalar function call. It runs once per row per call
+// site, so the arguments are evaluated in place, never gathered into a slice.
+// Every argument is evaluated whatever the arity, so document parses are
+// metered the same for a call that then yields NULL.
 func evalFunc(fc *FuncCall, row []datum.Datum, ctx *EvalContext) datum.Datum {
-	args := make([]datum.Datum, len(fc.Args))
-	for i, a := range fc.Args {
-		args[i] = Eval(a, row, ctx)
+	if fc.Name == "concat" {
+		var sb strings.Builder
+		anyNull := false
+		for _, a := range fc.Args {
+			v := Eval(a, row, ctx)
+			if v.Null {
+				anyNull = true
+			} else if !anyNull {
+				sb.WriteString(v.AsString())
+			}
+		}
+		if anyNull {
+			return datum.NullOf(datum.TypeString)
+		}
+		return datum.Str(sb.String())
+	}
+	// Every other function is unary.
+	var arg datum.Datum
+	for _, a := range fc.Args {
+		arg = Eval(a, row, ctx)
+	}
+	if len(fc.Args) != 1 {
+		return datum.NullOf(datum.TypeString)
 	}
 	switch fc.Name {
 	case "length":
-		if len(args) == 1 && !args[0].Null {
-			return datum.Int(int64(len(args[0].AsString())))
+		if !arg.Null {
+			return datum.Int(int64(len(arg.AsString())))
 		}
 	case "upper":
-		if len(args) == 1 && !args[0].Null {
-			return datum.Str(strings.ToUpper(args[0].AsString()))
+		if !arg.Null {
+			return datum.Str(strings.ToUpper(arg.AsString()))
 		}
 	case "lower":
-		if len(args) == 1 && !args[0].Null {
-			return datum.Str(strings.ToLower(args[0].AsString()))
+		if !arg.Null {
+			return datum.Str(strings.ToLower(arg.AsString()))
 		}
-	case "concat":
-		var sb strings.Builder
-		for _, a := range args {
-			if a.Null {
-				return datum.NullOf(datum.TypeString)
-			}
-			sb.WriteString(a.AsString())
-		}
-		return datum.Str(sb.String())
 	case "abs":
-		if len(args) == 1 {
-			if f, ok := args[0].AsFloat(); ok {
-				if args[0].Typ == datum.TypeInt64 {
-					return datum.Int(int64(math.Abs(f)))
-				}
-				return datum.Float(math.Abs(f))
+		if f, ok := arg.AsFloat(); ok {
+			if arg.Typ == datum.TypeInt64 {
+				return datum.Int(int64(math.Abs(f)))
 			}
+			return datum.Float(math.Abs(f))
 		}
 	case "cast_double":
-		if len(args) == 1 {
-			return datum.Coerce(args[0], datum.TypeFloat64)
-		}
+		return datum.Coerce(arg, datum.TypeFloat64)
 	case "cast_bigint":
-		if len(args) == 1 {
-			return datum.Coerce(args[0], datum.TypeInt64)
-		}
+		return datum.Coerce(arg, datum.TypeInt64)
 	}
 	return datum.NullOf(datum.TypeString)
 }
