@@ -12,7 +12,7 @@
 //
 // Experiments: fig2, fig3, fig4, table3, table4, fig11 (includes Table V),
 // fig12, fig13, fig14, fig15, ablation, sparser, exec, extract, obs, mqo,
-// serve, all.
+// all.
 //
 // With -json each experiment emits one NDJSON document
 // {"experiment": ..., "ran_ms": ..., "result": {...}} so downstream tooling
@@ -105,9 +105,8 @@ func main() {
 		"extract":  func() (fmt.Stringer, error) { return experiments.RunExtractBench(*rows, *seed) },
 		"obs":      func() (fmt.Stringer, error) { return experiments.RunObsBench() },
 		"mqo":      func() (fmt.Stringer, error) { return experiments.RunMQOBench(ctx, *rows, *seed) },
-		"serve":    func() (fmt.Stringer, error) { return experiments.RunServeBench(ctx, *rows, *seed) },
 	}
-	order := []string{"fig2", "fig3", "fig4", "table3", "table4", "fig11", "fig12", "fig13", "fig14", "fig15", "ablation", "sparser", "exec", "extract", "obs", "mqo", "serve"}
+	order := []string{"fig2", "fig3", "fig4", "table3", "table4", "fig11", "fig12", "fig13", "fig14", "fig15", "ablation", "sparser", "exec", "extract", "obs", "mqo"}
 
 	var selected []string
 	if *exp == "all" {

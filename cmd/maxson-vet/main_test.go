@@ -171,12 +171,15 @@ func TestDriverList(t *testing.T) {
 		t.Fatalf("-list exit = %d, want 0", code)
 	}
 	for _, name := range []string{
-		"arenaescape", "ctxflow", "errdiscard", "goroutineowner",
-		"lockheld", "lockorder", "metricname", "poolbalance",
+		"ctxflow", "errdiscard", "goroutineowner",
+		"lockheld", "lockorder", "metricname",
 	} {
 		if !strings.Contains(stdout.String(), name) {
 			t.Fatalf("-list output missing %s:\n%s", name, stdout.String())
 		}
+	}
+	if n := strings.Count(strings.TrimSpace(stdout.String()), "\n") + 1; n != 6 {
+		t.Fatalf("-list printed %d analyzers, want 6:\n%s", n, stdout.String())
 	}
 }
 

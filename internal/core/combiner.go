@@ -485,12 +485,12 @@ func (s *fallbackRowSource) NextBatch(b *sqlengine.RowBatch) (int, error) {
 		s.dst = make([][]datum.Datum, nRead)
 	}
 	s.dst = s.dst[:nRead]
-	//lint:ignore arenaescape the batch aliases are wiped by the deferred loop below before NextBatch returns, so s.dst never outlives the caller's batch
 	copy(s.dst, b.Cols[:nPrimary])
 	defer func() {
-		// Drop the aliases into the caller's pooled batch: b may be recycled
-		// by PutRowBatch the moment we return, and a source field must not
-		// keep pointing into pool memory another scan now owns.
+		// Drop the aliases into the caller's batch: b is lent from the pool
+		// and may be recycled the moment the scan ends, and a source field
+		// must not keep pointing into pool memory another scan now owns
+		// (TestFallbackBatchReleasesPoolAliases).
 		for i := 0; i < nPrimary; i++ {
 			s.dst[i] = nil
 		}

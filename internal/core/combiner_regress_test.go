@@ -12,11 +12,11 @@ import (
 )
 
 // TestFallbackBatchReleasesPoolAliases is the regression test for a pool
-// retention bug maxson-vet's arenaescape analyzer surfaced: NextBatch copied
-// the destination batch's primary column vectors into the source's reusable
-// s.dst scratch field and kept them there after returning. Once the caller
-// ran PutRowBatch, the source still aliased pool memory a recycled batch
-// now owned. The fix wipes the aliases before every return.
+// retention bug: NextBatch copied the destination batch's primary column
+// vectors into the source's reusable s.dst scratch field and kept them there
+// after returning. Once the lent batch went back to the pool, the source
+// still aliased memory a recycled batch now owned. The fix wipes the aliases
+// before every return.
 func TestFallbackBatchReleasesPoolAliases(t *testing.T) {
 	fs := dfs.New()
 	wh := warehouse.New(fs)
@@ -58,7 +58,7 @@ func TestFallbackBatchReleasesPoolAliases(t *testing.T) {
 		t.Fatalf("openFallback returned %T, want *fallbackRowSource", rs)
 	}
 
-	b := sqlengine.GetRowBatch(2, 8)
+	b := sqlengine.NewRowBatch(2, 8)
 	n, err := src.NextBatch(b)
 	if err != nil {
 		t.Fatal(err)
@@ -69,15 +69,14 @@ func TestFallbackBatchReleasesPoolAliases(t *testing.T) {
 	if got := b.Cols[1][0].S; got != "10" {
 		t.Fatalf("cache column row 0 = %q, want \"10\"", got)
 	}
-	// The source must not retain aliases into the (about to be recycled)
-	// batch's primary vectors once NextBatch has returned.
+	// The source must not retain aliases into the caller's batch (pooled, in
+	// a real scan) once NextBatch has returned.
 	for i := range src.dst {
 		if i >= len(src.f.primaryCols) {
 			break
 		}
 		if src.dst[i] != nil {
-			t.Fatalf("src.dst[%d] still aliases the pooled batch after NextBatch", i)
+			t.Fatalf("src.dst[%d] still aliases the caller's batch after NextBatch", i)
 		}
 	}
-	sqlengine.PutRowBatch(b)
 }

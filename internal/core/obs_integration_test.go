@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -111,7 +112,7 @@ func TestCombinerFallbackRetiredCounted(t *testing.T) {
 		t.Fatalf("DropRetired = %d, want 1", n)
 	}
 
-	rs, qm, err := f.engine.Execute(plan)
+	rs, qm, err := f.engine.ExecuteCtx(context.Background(), plan)
 	if err != nil {
 		t.Fatal(err)
 	}

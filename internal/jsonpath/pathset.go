@@ -177,7 +177,8 @@ func NewExtractor(set *PathSet) *Extractor {
 func (x *Extractor) Extract(doc string) (scanned int) {
 	x.parser.ResetValues()
 	x.buf = append(x.buf[:0], doc...)
-	//lint:ignore arenaescape x.vals is the extractor's own out-buffer: the ResetValues above retires it before every refill, and only Scalar reads it, copying the value out
+	// x.vals points into the parser's arena: the ResetValues above retires it
+	// before every refill, and only Scalar reads it, copying the value out.
 	scanned, x.err = x.set.Extract(&x.parser, x.buf, x.vals)
 	x.doc, x.loaded = doc, true
 	return scanned

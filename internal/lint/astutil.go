@@ -31,18 +31,6 @@ func pkgPathIs(pkg *types.Package, suffix string) bool {
 	return path == suffix || strings.HasSuffix(path, "/"+suffix)
 }
 
-// isPkgFunc reports whether fn is the package-level function name of the
-// package with import-path suffix pkgSuffix.
-func isPkgFunc(fn *types.Func, pkgSuffix, name string) bool {
-	if fn == nil || fn.Name() != name {
-		return false
-	}
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		return false
-	}
-	return pkgPathIs(fn.Pkg(), pkgSuffix)
-}
-
 // recvTypeName returns the receiver's named-type package and name for a
 // method, unwrapping pointers; ok is false for non-methods.
 func recvTypeName(fn *types.Func) (pkg *types.Package, name string, ok bool) {
@@ -75,24 +63,6 @@ func isMethodOf(fn *types.Func, pkgSuffix, typeName, name string) bool {
 	return ok && tn == typeName && pkgPathIs(pkg, pkgSuffix)
 }
 
-// namedTypeIs reports whether t (after unwrapping pointers and aliases) is
-// the named type typeName of the package with import-path suffix pkgSuffix.
-func namedTypeIs(t types.Type, pkgSuffix, typeName string) bool {
-	if t == nil {
-		return false
-	}
-	t = types.Unalias(t)
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = types.Unalias(ptr.Elem())
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == typeName && pkgPathIs(obj.Pkg(), pkgSuffix)
-}
-
 // funcBody is one function-shaped body to analyze: a declaration or a
 // literal.
 type funcBody struct {
@@ -116,39 +86,4 @@ func functionBodies(f *ast.File) []funcBody {
 		return true
 	})
 	return out
-}
-
-// rootIdent returns the leftmost identifier of a selector/index chain
-// (x in x.f.g[i]), or nil.
-func rootIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.Ident:
-			return x
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.SliceExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.UnaryExpr:
-			e = x.X
-		default:
-			return nil
-		}
-	}
-}
-
-// usesObject reports whether expr mentions the object anywhere.
-func usesObject(info *types.Info, expr ast.Expr, obj types.Object) bool {
-	found := false
-	ast.Inspect(expr, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && info.Uses[id] == obj {
-			found = true
-		}
-		return !found
-	})
-	return found
 }

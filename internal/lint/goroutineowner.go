@@ -14,14 +14,12 @@ import (
 //     done-style chan struct{}, or a (*sync.WaitGroup).Done call. For
 //     go-on-named-function the search follows the call graph through the
 //     spawned function's transitive callees, so a signal checked two
-//     frames down (scanshare's producer select on detached) still counts.
+//     frames down (scanshare's producer, which stops in BatchPipe.Send's
+//     select on the consumer's abandon signal) still counts.
 //  2. A send from a goroutine literal on an unbuffered channel made in the
 //     spawning function blocks forever if the parent has left: the channel
 //     must be buffered, or the send guarded by a select with an escape arm
 //     (receive or default).
-//
-// This generalizes what demuxowner proves for scanshare's fan-out to every
-// goroutine in the module.
 var GoroutineOwner = &Analyzer{
 	Name:       "goroutineowner",
 	Doc:        "go statements need a termination signal; sends to the parent need buffering or a drain guarantee",

@@ -1,7 +1,7 @@
 // Package lint is a pure-stdlib static-analysis framework for enforcing
-// this repository's sharp-edged invariants: pooled RowBatch lifecycles,
-// sjson arena escape discipline, metric naming, error handling on parse
-// paths, and lock-held call hygiene.
+// this repository's sharp-edged invariants: context threading, goroutine
+// ownership, lock ordering and lock-held call hygiene, metric naming, and
+// error handling on parse paths.
 //
 // The framework deliberately avoids golang.org/x/tools: packages are
 // loaded with go/parser, type-checked with go/types (stdlib dependencies
@@ -161,15 +161,12 @@ func Run(pkgs []*Package, analyzers []*Analyzer) *Result {
 // All returns the full analyzer suite in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		ArenaEscape,
 		CtxFlow,
-		DemuxOwner,
 		ErrDiscard,
 		GoroutineOwner,
 		LockHeld,
 		LockOrder,
 		MetricName,
-		PoolBalance,
 	}
 }
 

@@ -15,8 +15,8 @@ import (
 // fixtureNames lists the testdata packages; one per analyzer plus the
 // directive-machinery fixture.
 var fixtureNames = []string{
-	"arenaescape", "ctxflow", "demuxowner", "directive", "errdiscard",
-	"goroutineowner", "lockheld", "lockorder", "metricname", "poolbalance",
+	"ctxflow", "directive", "errdiscard",
+	"goroutineowner", "lockheld", "lockorder", "metricname",
 }
 
 // The whole-module load with the source importer costs a few seconds, so
@@ -187,8 +187,8 @@ func TestByNameUnknown(t *testing.T) {
 
 // TestDiagnosticString pins the rendered one-line form tools grep for.
 func TestDiagnosticString(t *testing.T) {
-	d := lint.Diagnostic{Analyzer: "poolbalance", File: "x.go", Line: 3, Col: 7, Message: "leak"}
-	want := "x.go:3:7: leak (poolbalance)"
+	d := lint.Diagnostic{Analyzer: "lockheld", File: "x.go", Line: 3, Col: 7, Message: "leak"}
+	want := "x.go:3:7: leak (lockheld)"
 	if got := d.String(); got != want {
 		t.Fatalf("String() = %q, want %q", got, want)
 	}

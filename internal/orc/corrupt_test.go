@@ -224,6 +224,46 @@ func TestFooterRejectsRowCountMismatch(t *testing.T) {
 	mustRejectFooter(t, "row group", func(w *Writer) { w.stripes[0].rowGroups[0].rows++ })
 }
 
+// zeroColumnFile is a file with no columns whose footer claims rows rows in
+// one row group: a few footer bytes that, accepted, made Next and NextBatch
+// spin once per claimed row with nothing in the file to stop them.
+func zeroColumnFile(t testing.TB, rows int32) []byte {
+	t.Helper()
+	w := NewWriter(Schema{}, WriterOptions{})
+	w.stripes = []stripeMeta{{offset: int64(len(w.body.buf)), rows: int64(rows),
+		rowGroups: []rowGroupMeta{{rows: rows}}}}
+	w.totalRows = int64(rows)
+	data, err := w.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+func TestFooterRejectsRowsWithoutColumns(t *testing.T) {
+	for _, rows := range []int32{1, 1<<31 - 1} {
+		if _, err := ParseFooter(zeroColumnFile(t, rows)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%d rows, no columns: ParseFooter err = %v, want ErrCorrupt", rows, err)
+		}
+	}
+	// No columns and no rows is an empty file, and reads as one.
+	r, err := OpenReader(zeroColumnFile(t, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := r.NewCursor(nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows, err := drainNext(cur); err != nil || len(rows) != 0 {
+		t.Errorf("empty zero-column file: %d rows, err %v", len(rows), err)
+	}
+	// And the writer never produces the rejected shape.
+	if err := NewWriter(Schema{}, WriterOptions{}).AppendRow(nil); err == nil {
+		t.Error("AppendRow on a schema without columns succeeded")
+	}
+}
+
 // A reader built over bytes shorter than its footer describes (NewReader
 // trusts the caller's version check) still fails clean.
 func TestReaderOverWrongBytesFailsClean(t *testing.T) {

@@ -14,7 +14,8 @@ import (
 // the writer emits (plain and RLE ints, floats, plain and dictionary
 // strings, bit-packed bools), chunks with no NULLs, some and only NULLs,
 // one-row groups, several stripes and no rows at all — plus the damaged
-// files of corrupt_test.go, so mutation starts next to the known edges.
+// files of corrupt_test.go (the zero-column file that claims rows among
+// them), so mutation starts next to the known edges.
 func fuzzSeeds(t testing.TB) map[string][]byte {
 	write := func(rows [][]datum.Datum, opts WriterOptions) []byte {
 		data, err := WriteRows(geomSchema, rows, opts)
@@ -39,6 +40,7 @@ func fuzzSeeds(t testing.TB) map[string][]byte {
 			e.uvarint(huge)
 			e.i64(7)
 		})),
+		"corrupt-rows-without-columns": zeroColumnFile(t, 1<<31-1),
 		"corrupt-dict-size": oneChunkFile(t, datum.TypeString, 3, chunkOf(3, encDict, func(e *encoder) {
 			e.uvarint(huge)
 			e.str("a")
@@ -95,9 +97,6 @@ func FuzzReader(f *testing.F) {
 		r, err := OpenReader(data)
 		if err != nil {
 			return
-		}
-		if len(r.Schema().Columns) == 0 {
-			return // rows without columns cost the file no bytes, so nothing bounds the drain
 		}
 		cols := make([]string, len(r.Schema().Columns))
 		for i, c := range r.Schema().Columns {

@@ -109,6 +109,11 @@ func ParseFooter(data []byte) (*Footer, error) {
 		ft.schema.Columns = append(ft.schema.Columns, Column{Name: name, Type: t})
 	}
 	ft.numRows = d.i64()
+	if nCols == 0 && ft.numRows != 0 {
+		// Rows without columns take no bytes, so nothing in the file would
+		// bound a cursor walking them.
+		return nil, corruptf("file claims %d rows and has no columns", ft.numRows)
+	}
 	ft.rgRows = int(d.u32())
 	nStripes := d.count(1<<20, "stripe count")
 	var fileRows int64

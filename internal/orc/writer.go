@@ -80,6 +80,11 @@ func (w *Writer) AppendRow(row []datum.Datum) error {
 	if w.finished {
 		return fmt.Errorf("orc: AppendRow after Finish")
 	}
+	if len(w.schema.Columns) == 0 {
+		// Rows without columns would cost the file no bytes; ParseFooter
+		// rejects such a file, so never write one.
+		return fmt.Errorf("orc: AppendRow on a schema without columns")
+	}
 	if len(row) != len(w.schema.Columns) {
 		return fmt.Errorf("%w: got %d values, schema has %d columns", ErrColumnMismatch, len(row), len(w.schema.Columns))
 	}

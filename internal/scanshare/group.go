@@ -2,7 +2,6 @@ package scanshare
 
 import (
 	"context"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -26,7 +25,7 @@ type group struct {
 	launched   bool
 
 	// Producer-side state, written by the producer goroutine before it
-	// closes the consumer channels, read by consumers after the close.
+	// closes the consumer pipes, read by consumers after the close.
 	err error
 	pm  *sqlengine.Metrics
 	// claimed elects the one consumer that folds pm into its query metrics.
@@ -84,7 +83,7 @@ func (g *group) buildBroadcast(live []*participant) *producer {
 	origFactory := live[0].plan.Scan.Factory
 	width := len(live[0].plan.Scan.Schema().Cols)
 	for _, p := range live {
-		p.ch = make(chan demuxMsg, demuxDepth)
+		p.pipe = sqlengine.NewBatchPipe(demuxDepth)
 		p.plan.Scan.Factory = &consumerFactory{p: p, schema: p.plan.Scan.Schema()}
 	}
 	return &producer{
@@ -211,11 +210,10 @@ func (g *group) buildMerged(live []*participant) *producer {
 		})
 		scan.SetSchema(schema)
 		p.plan.InputSchema = schema
-		p.ch = make(chan demuxMsg, demuxDepth)
+		p.pipe = sqlengine.NewBatchPipe(demuxDepth)
 		scan.Factory = &consumerFactory{p: p, schema: schema}
 		if err := p.plan.Rebind(); err != nil {
 			p.err = err
-			p.detach()
 		}
 	}
 
@@ -237,57 +235,13 @@ type participant struct {
 	qctx context.Context
 	g    *group
 
-	// ch carries copied row batches producer→consumer; created at seal for
-	// shared participants, closed only by the producer.
-	ch chan demuxMsg
-	// detached, once closed, tells the producer to stop serving this query.
-	detached   chan struct{}
-	detachOnce sync.Once
-
-	// shared/err are written by the sealer before g.sealed closes.
+	// pipe carries this query's copy of the shared pass, producer→consumer.
+	// pipe, shared and err are written by the sealer before g.sealed closes.
+	pipe   *sqlengine.BatchPipe
 	shared bool
 	err    error
-
-	// src is the consumer source once opened; Release sweeps its held batch.
-	src atomic.Pointer[consumerSource]
-}
-
-func (p *participant) detach() {
-	p.detachOnce.Do(func() { close(p.detached) })
-}
-
-func (p *participant) isDetached() bool {
-	select {
-	case <-p.detached:
-		return true
-	default:
-		return false
-	}
 }
 
 // Release implements sqlengine.SharedScanHandle: the engine calls it once
-// when the query completes. It detaches from the producer and returns any
-// batches still queued for this consumer to the pool. Batches the producer
-// manages to buffer after this drain are swept by the producer's own
-// end-of-run drain, so the pool balances no matter how the send/detach race
-// resolves.
-func (p *participant) Release() {
-	p.detach()
-	if s := p.src.Load(); s != nil {
-		s.sweepHold()
-	}
-	if p.ch == nil {
-		return
-	}
-	for {
-		select {
-		case msg, ok := <-p.ch:
-			if !ok {
-				return
-			}
-			sqlengine.PutRowBatch(msg.b)
-		default:
-			return
-		}
-	}
-}
+// when the query completes, however it ended.
+func (p *participant) Release() { p.pipe.Abandon() }

@@ -1,18 +1,12 @@
 package scanshare
 
 import (
+	"errors"
+
 	"repro/internal/datum"
 	"repro/internal/jsonpath"
 	"repro/internal/sqlengine"
 )
-
-// demuxMsg is one batch handed producer→consumer. The batch is pool-owned
-// by exactly one side at a time: the producer until the send completes, the
-// consumer afterwards.
-type demuxMsg struct {
-	b *sqlengine.RowBatch
-	n int
-}
 
 // extractGroup is one storage column's merged extraction: the union trie of
 // every participant's paths over that column, writing n extracted values
@@ -27,7 +21,7 @@ type extractGroup struct {
 // producer runs the single shared pass: it reads the underlying splits
 // sequentially (preserving the split-order row sequence an unshared query
 // would produce), extracts the merged path union once per document, and
-// demultiplexes copy-on-demux batches to every attached consumer.
+// sends every batch down each attached consumer's pipe.
 type producer struct {
 	g       *group
 	e       *sqlengine.Engine
@@ -42,13 +36,17 @@ type producer struct {
 	// pm meters the single pass; exactly one consumer claims it at EOF.
 	pm *sqlengine.Metrics
 
-	// ext[x][r] holds extracted column nStorage+x for row r of the current
-	// batch, copied into every consumer's outgoing batch.
-	ext [][]datum.Datum
+	// cols is the width-column view of the current batch that every pipe
+	// copies from: the lent batch's storage vectors, then the producer's own
+	// extraction vectors (cols[nStorage+x][r] is extracted column x of row r).
+	cols [][]datum.Datum
 }
 
+// errNoConsumers stops the scan once every consumer has left.
+var errNoConsumers = errors.New("scanshare: no consumers left")
+
 // run executes the shared pass. It is the only closer of the consumer
-// channels and always closes them, even on error or panic, after writing
+// pipes and always closes them, even on error or panic, after writing
 // g.err — consumers observe the close, then read g.err (the close is the
 // happens-before edge).
 func (pr *producer) run() {
@@ -62,29 +60,9 @@ func (pr *producer) run() {
 	}()
 	pr.g.err = err
 
-	served := 0
+	served := pr.liveCount()
 	for _, p := range pr.cons {
-		if !p.isDetached() {
-			served++
-		}
-		// Sweep batches a detached consumer will never read. Its Release
-		// drains concurrently — each buffered message goes to exactly one
-		// of us, so the pool stays balanced either way.
-		if p.isDetached() {
-		drain:
-			for {
-				select {
-				case msg, ok := <-p.ch:
-					if !ok {
-						break drain
-					}
-					sqlengine.PutRowBatch(msg.b)
-				default:
-					break drain
-				}
-			}
-		}
-		close(p.ch)
+		p.pipe.Close()
 	}
 	if err == nil && served > 1 {
 		// The pass ran once instead of `served` times: credit the avoided
@@ -100,65 +78,47 @@ func (pr *producer) scan() error {
 	if err != nil {
 		return err
 	}
-	bcap := pr.e.BatchSize()
-	batch := sqlengine.GetRowBatch(pr.nStorage, bcap)
-	defer sqlengine.PutRowBatch(batch)
-	if len(pr.extract) > 0 {
-		nExt := pr.width - pr.nStorage
-		pr.ext = make([][]datum.Datum, nExt)
-		for i := range pr.ext {
-			pr.ext[i] = make([]datum.Datum, bcap)
-		}
+	if pr.liveCount() == 0 {
+		return nil // everyone left: read nothing
 	}
-
-	for split := 0; split < nSplits; split++ {
-		if pr.liveCount() == 0 {
-			return nil // everyone left: stop reading
-		}
-		src, err := pr.factory.Open(split, pr.pm)
-		if err != nil {
-			return err
-		}
-		bs, ok := src.(sqlengine.BatchSource)
-		if !ok {
-			bs = &sqlengine.RowSourceAdapter{Src: src}
-		}
-		for {
-			n, err := bs.NextBatch(batch)
-			if err != nil {
-				return err
-			}
-			if n == 0 {
-				break
-			}
-			pr.extractBatch(batch, n)
-			if !pr.fanOut(batch, n) {
-				return nil
-			}
-		}
+	pr.cols = make([][]datum.Datum, pr.width)
+	for x := pr.nStorage; x < pr.width; x++ {
+		pr.cols[x] = make([]datum.Datum, pr.e.BatchSize())
 	}
-	return nil
+	err = pr.e.ScanBatches(pr.factory, 0, nSplits, pr.pm, func(batch *sqlengine.RowBatch, n int) error {
+		copy(pr.cols, batch.Cols)
+		pr.extractBatch(n)
+		if !pr.fanOut(n) {
+			return errNoConsumers
+		}
+		return nil
+	})
+	if err == errNoConsumers {
+		return nil
+	}
+	return err
 }
 
 func (pr *producer) liveCount() int {
 	n := 0
 	for _, p := range pr.cons {
-		if !p.isDetached() {
+		if !p.pipe.Abandoned() {
 			n++
 		}
 	}
 	return n
 }
 
-// extractBatch runs the merged tries over the batch's document columns,
-// filling pr.ext. One streaming pass per (document, column-group): shared
-// path prefixes are descended once and the scan early-exits after the last
-// wanted path, with the skipped tail metered like every other stream parse.
-func (pr *producer) extractBatch(batch *sqlengine.RowBatch, n int) {
+// extractBatch runs the merged tries over the first n rows of the document
+// columns, filling the extraction vectors. One streaming pass per (document,
+// column-group): shared path prefixes are descended once and the scan
+// early-exits after the last wanted path, with the skipped tail metered like
+// every other stream parse.
+func (pr *producer) extractBatch(n int) {
 	for gi := range pr.extract {
 		g := &pr.extract[gi]
-		col := batch.Cols[g.colIdx]
-		ext := pr.ext[g.base-pr.nStorage:]
+		col := pr.cols[g.colIdx]
+		ext := pr.cols[g.base:]
 		for r := 0; r < n; r++ {
 			d := col[r]
 			for k := 0; k < g.n; k++ {
@@ -181,30 +141,15 @@ func (pr *producer) extractBatch(batch *sqlengine.RowBatch, n int) {
 	}
 }
 
-// fanOut copies the current batch to every live consumer. Copy-on-demux:
-// each consumer gets its own pooled batch; after the send the producer
-// never touches it again. A consumer that detaches mid-send keeps the
-// producer moving — the pending batch is returned to the pool and the
-// consumer is skipped from then on. Returns false when no consumers remain.
-func (pr *producer) fanOut(batch *sqlengine.RowBatch, n int) bool {
+// fanOut sends the first n rows of pr.cols to every consumer still reading.
+// Copy-on-demux: each pipe takes its own copy, so a consumer that leaves
+// mid-send neither stalls the producer nor touches its siblings' rows.
+// Returns false when no consumers remain.
+func (pr *producer) fanOut(n int) bool {
 	any := false
 	for _, p := range pr.cons {
-		if p.isDetached() {
-			continue
-		}
-		out := sqlengine.GetRowBatch(pr.width, n)
-		for c := 0; c < pr.nStorage; c++ {
-			//lint:ignore arenaescape copy-on-demux: datum structs are value-copied into the consumer's own pooled batch while the producer still holds batch; string backings are views of the immutable part file (orc decoder.view), never pool slab memory
-			copy(out.Cols[c][:n], batch.Cols[c][:n])
-		}
-		for x := pr.nStorage; x < pr.width; x++ {
-			copy(out.Cols[x][:n], pr.ext[x-pr.nStorage][:n])
-		}
-		select {
-		case p.ch <- demuxMsg{b: out, n: n}:
+		if p.pipe.Send(pr.cols, n) {
 			any = true
-		case <-p.detached:
-			sqlengine.PutRowBatch(out)
 		}
 	}
 	return any

@@ -22,13 +22,15 @@
 //     as they would unshared — every sibling sees the degrade error and
 //     re-plans independently.
 //
-// Ownership across the demux boundary is copy-on-demux: the producer copies
-// each batch into a fresh pooled RowBatch per consumer and hands it over the
-// channel; after a send the producer never touches that batch again (the
-// demuxowner vet check enforces this statically). The receiver returns it to
-// the pool after copying out. A consumer that errors or is cancelled
-// detaches — the producer skips it and drains its channel at end-of-run —
-// so one query's exit never poisons its siblings or strands a pooled batch.
+// Rows cross the demux boundary by copy, through one sqlengine.BatchPipe per
+// consumer: the producer's Send copies the current batch into a pooled batch
+// the pipe keeps, the consumer's Recv copies it out into the executor's batch
+// and the pipe recycles it. This package never holds a pooled batch: the one
+// the producer scans into is lent to it by Engine.ScanBatches for the length
+// of the pass, and the ones in flight belong to the pipes. A consumer that
+// errors or is cancelled abandons its pipe — the producer's next Send to it
+// reports false and the pipe recycles what was queued — so one query's exit
+// never poisons its siblings or strands a pooled batch.
 package scanshare
 
 import (
@@ -186,11 +188,7 @@ func (s *Scheduler) Attach(ctx context.Context, e *sqlengine.Engine, plan *sqlen
 	}
 	key := s.fingerprint(scan, factoryFP)
 
-	p := &participant{
-		plan:     plan,
-		qctx:     ctx,
-		detached: make(chan struct{}),
-	}
+	p := &participant{plan: plan, qctx: ctx}
 	t0 := time.Now()
 
 	s.mu.Lock()
@@ -216,10 +214,15 @@ func (s *Scheduler) Attach(ctx context.Context, e *sqlengine.Engine, plan *sqlen
 	select {
 	case <-g.sealed:
 	case <-ctx.Done():
-		// Leave before the group forms (or while it forms — the producer
-		// skips detached consumers and drains their channels at end).
-		p.detach()
 		s.c.detach.Inc()
+		if !s.withdraw(g, p) {
+			// The group sealed with this query in it. Sealing never blocks:
+			// wait for it, then leave the pass it may have joined.
+			<-g.sealed
+			if p.shared {
+				p.pipe.Abandon()
+			}
+		}
 		return nil, ctx.Err()
 	}
 	s.c.windowWait.Observe(time.Since(t0).Nanoseconds())
@@ -244,16 +247,10 @@ func (s *Scheduler) seal(g *group) {
 	}
 	g.sealedFlag = true
 	delete(s.groups, g.key)
-	parts := g.parts
+	live := g.parts
 	s.mu.Unlock()
 	g.timer.Stop()
 
-	var live []*participant
-	for _, p := range parts {
-		if !p.isDetached() {
-			live = append(live, p)
-		}
-	}
 	if len(live) >= 2 {
 		g.launch(live)
 	}
@@ -265,6 +262,23 @@ func (s *Scheduler) seal(g *group) {
 		}
 	}
 	close(g.sealed)
+}
+
+// withdraw removes p from a group that has not sealed yet, so the sealer
+// never sees it. It reports false when the group already sealed.
+func (s *Scheduler) withdraw(g *group, p *participant) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if g.sealedFlag {
+		return false
+	}
+	for i, q := range g.parts {
+		if q == p {
+			g.parts = append(g.parts[:i], g.parts[i+1:]...)
+			break
+		}
+	}
+	return true
 }
 
 // sharedColName names the producer's i-th extraction of storage column

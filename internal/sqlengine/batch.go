@@ -1,6 +1,8 @@
 package sqlengine
 
 import (
+	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -14,8 +16,10 @@ import (
 const DefaultBatchSize = 1024
 
 // RowBatch is a column-major batch of rows: Cols[c][i] is row i's value of
-// column c. Batches are recycled through a sync.Pool (GetRowBatch /
-// PutRowBatch) so steady-state scans allocate nothing per batch. The
+// column c. Pooled batches never change hands: ScanBatches lends one to a
+// callback for the length of a call, and a BatchPipe keeps the ones it queues
+// to itself, so outside this file a pooled *RowBatch is only ever a
+// parameter (NewRowBatch builds unpooled ones for whoever wants to own one). The
 // executor's selection vector (Sel) marks the rows that survived the
 // prefilter stage; downstream operators iterate Sel instead of compacting
 // the vectors.
@@ -30,8 +34,8 @@ type RowBatch struct {
 	size int
 }
 
-// NewRowBatch builds a batch of the given width (column count) and capacity
-// (rows per column). Prefer GetRowBatch for pooled reuse.
+// NewRowBatch builds an unpooled batch of the given width (column count) and
+// capacity (rows per column), owned by the caller and the garbage collector.
 func NewRowBatch(width, capacity int) *RowBatch {
 	b := &RowBatch{}
 	b.reshape(width, capacity)
@@ -90,21 +94,21 @@ var batchOutstanding atomic.Int64
 // OutstandingBatches returns how many pooled RowBatches are checked out.
 func OutstandingBatches() int64 { return batchOutstanding.Load() }
 
-// GetRowBatch returns a pooled batch reshaped to width x capacity.
-func GetRowBatch(width, capacity int) *RowBatch {
+// getRowBatch returns a pooled batch reshaped to width x capacity. Only
+// ScanBatches and BatchPipe call it, and each pairs it with putRowBatch
+// itself.
+func getRowBatch(width, capacity int) *RowBatch {
 	b := batchPool.Get().(*RowBatch)
 	b.reshape(width, capacity)
 	batchOutstanding.Add(1)
 	return b
 }
 
-// PutRowBatch returns a batch to the pool. The caller must not use it (or
-// any row gathered from it) afterwards.
-func PutRowBatch(b *RowBatch) {
-	if b != nil {
-		batchOutstanding.Add(-1)
-		batchPool.Put(b)
-	}
+// putRowBatch returns a batch to the pool. Its slab is not wiped, so the
+// next borrower sees stale datums until it overwrites them.
+func putRowBatch(b *RowBatch) {
+	batchOutstanding.Add(-1)
+	batchPool.Put(b)
 }
 
 // BatchSource streams rows batch-at-a-time. NextBatch fills b.Cols[c][0:n]
@@ -115,26 +119,177 @@ type BatchSource interface {
 	NextBatch(b *RowBatch) (int, error)
 }
 
-// RowSourceAdapter lifts a legacy row-at-a-time RowSource into a
-// BatchSource by buffering rows into the batch. It is the migration shim:
-// scan sources that do not (yet) implement BatchSource keep working, just
-// without the batch path's allocation savings.
-type RowSourceAdapter struct {
-	Src RowSource
+// ScanBatches reads splits [first, end) of factory in order and calls fn once
+// per non-empty batch with the rows in b.Cols[c][:n]. The batch is lent: one
+// pooled batch serves the whole walk and goes back to the pool when
+// ScanBatches returns, by whatever route (fn's error, a source error, a
+// panic), so fn must copy out whatever it keeps and must not retain b. A
+// non-nil error from fn stops the walk and is returned as it is.
+func (e *Engine) ScanBatches(factory ScanSourceFactory, first, end int, m *Metrics, fn func(b *RowBatch, n int) error) error {
+	schema, err := factory.Schema()
+	if err != nil {
+		return err
+	}
+	b := getRowBatch(len(schema.Cols), e.batchSize)
+	defer putRowBatch(b)
+	for split := first; split < end; split++ {
+		src, err := factory.Open(split, m)
+		if err != nil {
+			return err
+		}
+		bs := asBatchSource(src, e.rowAtATime)
+		for {
+			n, err := bs.NextBatch(b)
+			if err != nil {
+				return err
+			}
+			if n == 0 {
+				break
+			}
+			if err := fn(b, n); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// BatchPipe is a bounded queue of row batches between one producer goroutine
+// (Send, then Close) and one consumer (Recv, then Abandon). Rows cross it by
+// copy on both sides: Send copies the sender's vectors into a pooled batch
+// the pipe keeps, Recv copies that batch into the receiver's and recycles it.
+// Every batch the pipe took from the pool is back once the producer has
+// called Close, the consumer has called Abandon or drained the pipe to its
+// end, and no call is in flight.
+type BatchPipe struct {
+	queue chan pipedBatch
+	// gone is closed by Abandon: the consumer reads no further.
+	gone    chan struct{}
+	abandon sync.Once
+}
+
+// pipedBatch is a queued batch and its row count.
+type pipedBatch struct {
+	b *RowBatch
+	n int
+}
+
+// NewBatchPipe builds a pipe that lets the producer run at most depth
+// batches ahead of the consumer.
+func NewBatchPipe(depth int) *BatchPipe {
+	return &BatchPipe{queue: make(chan pipedBatch, depth), gone: make(chan struct{})}
+}
+
+// Send queues a copy of cols[c][:n], blocking while the pipe is full. It
+// reports false, having queued nothing, once the consumer has abandoned the
+// pipe. Producer side only.
+func (p *BatchPipe) Send(cols [][]datum.Datum, n int) bool {
+	if p.Abandoned() {
+		return false
+	}
+	b := getRowBatch(len(cols), n)
+	for c := range cols {
+		copy(b.Cols[c][:n], cols[c][:n])
+	}
+	select {
+	case p.queue <- pipedBatch{b: b, n: n}:
+		// Abandon may have drained the queue just before this landed; Close
+		// sweeps what it left.
+		return true
+	case <-p.gone:
+		putRowBatch(b)
+		return false
+	}
+}
+
+// Close ends the stream: Recv returns 0 once the queued batches are read.
+// The producer calls it exactly once, after its last Send.
+func (p *BatchPipe) Close() {
+	if p.Abandoned() {
+		p.drain()
+	}
+	// A consumer that abandons from here on drains a closed channel, which
+	// still yields what is queued.
+	close(p.queue)
+}
+
+// Recv copies the next batch into dst and returns its row count; 0 with a
+// nil error means the producer closed the pipe and everything sent was
+// read. It fails when ctx is done first, and when the batch does not fit
+// dst (the batch is dropped). Consumer side only.
+func (p *BatchPipe) Recv(ctx context.Context, dst *RowBatch) (int, error) {
+	select {
+	case pb, ok := <-p.queue:
+		if !ok {
+			return 0, nil
+		}
+		defer putRowBatch(pb.b)
+		if pb.n > dst.Capacity() || pb.b.Width() != dst.Width() {
+			return 0, fmt.Errorf("sql: piped batch shape mismatch (%d rows x %d cols into %d x %d)",
+				pb.n, pb.b.Width(), dst.Capacity(), dst.Width())
+		}
+		for c := range pb.b.Cols {
+			copy(dst.Cols[c][:pb.n], pb.b.Cols[c][:pb.n])
+		}
+		return pb.n, nil
+	case <-ctx.Done():
+		return 0, ctx.Err()
+	}
+}
+
+// Abandon tells the producer this consumer reads no further — Send stops
+// queueing — and recycles what is queued. Idempotent; the consumer calls it
+// when it is done with the pipe, however that came about.
+func (p *BatchPipe) Abandon() {
+	p.abandon.Do(func() { close(p.gone) })
+	p.drain()
+}
+
+// Abandoned reports whether Abandon has been called.
+func (p *BatchPipe) Abandoned() bool {
+	select {
+	case <-p.gone:
+		return true
+	default:
+		return false
+	}
+}
+
+// drain recycles every batch queued right now. Both sides may run it at
+// once: each queued batch is received by exactly one of them.
+func (p *BatchPipe) drain() {
+	for {
+		select {
+		case pb, ok := <-p.queue:
+			if !ok {
+				return
+			}
+			putRowBatch(pb.b)
+		default:
+			return
+		}
+	}
+}
+
+// rowSourceAdapter lifts a row-at-a-time RowSource into a BatchSource by
+// buffering rows into the batch, for scan sources that do not implement
+// BatchSource and for WithRowAtATime.
+type rowSourceAdapter struct {
+	src RowSource
 	// done latches the source's end so a partial batch is not followed by
 	// another Next call on an exhausted source.
 	done bool
 }
 
 // NextBatch implements BatchSource.
-func (a *RowSourceAdapter) NextBatch(b *RowBatch) (int, error) {
+func (a *rowSourceAdapter) NextBatch(b *RowBatch) (int, error) {
 	if a.done {
 		return 0, nil
 	}
 	n := 0
 	width := len(b.Cols)
 	for n < b.Capacity() {
-		row, err := a.Src.Next()
+		row, err := a.src.Next()
 		if err != nil {
 			return n, err
 		}
@@ -158,15 +313,15 @@ func (a *RowSourceAdapter) NextBatch(b *RowBatch) (int, error) {
 }
 
 // asBatchSource returns the source's native batch interface, or wraps it in
-// a RowSourceAdapter. forceAdapter pins the legacy row-at-a-time path even
-// for batch-capable sources (WithRowAtATime, equivalence tests).
+// a rowSourceAdapter. forceAdapter pins the row-at-a-time path even for
+// batch-capable sources (WithRowAtATime, equivalence tests).
 func asBatchSource(src RowSource, forceAdapter bool) BatchSource {
 	if !forceAdapter {
 		if bs, ok := src.(BatchSource); ok {
 			return bs
 		}
 	}
-	return &RowSourceAdapter{Src: src}
+	return &rowSourceAdapter{src: src}
 }
 
 // datumArena hands out persistent row slices carved from large chunks, so

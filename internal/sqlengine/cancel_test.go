@@ -144,7 +144,7 @@ func TestChaosSplitPanicRecovered(t *testing.T) {
 	plan.Scan.Factory = &panickingFactory{schema: plan.Scan.Schema()}
 
 	before := OutstandingBatches()
-	_, _, err = e.Execute(plan)
+	_, _, err = e.ExecuteCtx(context.Background(), plan)
 	if err == nil {
 		t.Fatal("want panic converted to error, got nil")
 	}

@@ -22,7 +22,7 @@ type Engine struct {
 	cost        CostModel
 	sparser     bool
 	// batchSize is the rows-per-batch of the vectorized scan pipeline;
-	// rowAtATime forces every scan through the legacy RowSourceAdapter.
+	// rowAtATime forces every scan through the row-at-a-time adapter.
 	batchSize  int
 	rowAtATime bool
 	// queryTimeout, when positive, bounds each query's execution; the
@@ -161,7 +161,7 @@ func WithBatchSize(n int) EngineOption {
 }
 
 // WithRowAtATime forces every scan through the legacy row-at-a-time
-// RowSourceAdapter even when the source implements BatchSource — the escape
+// adapter even when the source implements BatchSource — the escape
 // hatch for debugging and the substrate of the batch/row equivalence tests.
 func WithRowAtATime(on bool) EngineOption {
 	return func(e *Engine) { e.rowAtATime = on }
@@ -249,26 +249,16 @@ func (e *Engine) QueryCtx(ctx context.Context, sql string) (*ResultSet, *Metrics
 	return e.QueryStmtCtx(ctx, stmt)
 }
 
-// QueryStmt plans and executes a parsed statement.
-func (e *Engine) QueryStmt(stmt *SelectStmt) (*ResultSet, *Metrics, error) {
-	return e.QueryStmtCtx(context.Background(), stmt)
-}
-
-// QueryStmtCtx is QueryStmt under a context.
+// QueryStmtCtx plans and executes a parsed statement under a context.
 func (e *Engine) QueryStmtCtx(ctx context.Context, stmt *SelectStmt) (*ResultSet, *Metrics, error) {
 	_, rs, m, err := e.queryStmt(ctx, stmt, false)
 	return rs, m, err
 }
 
-// QueryTraced executes sql recording a span tree (plan → per-split scan →
+// QueryTracedCtx executes sql recording a span tree (plan → per-split scan →
 // aggregate/sort/…) into the returned Metrics.Trace. It is the substrate
-// of EXPLAIN ANALYZE.
-func (e *Engine) QueryTraced(sql string) (*ResultSet, *Metrics, error) {
-	return e.QueryTracedCtx(context.Background(), sql)
-}
-
-// QueryTracedCtx is QueryTraced under a context: the traced run honors
-// cancellation and the engine query timeout like any other query.
+// of EXPLAIN ANALYZE; the traced run honors cancellation and the engine
+// query timeout like any other query.
 func (e *Engine) QueryTracedCtx(ctx context.Context, sql string) (*ResultSet, *Metrics, error) {
 	stmt, err := Parse(sql)
 	if err != nil {

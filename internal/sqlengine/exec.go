@@ -119,15 +119,11 @@ func (s *fileRowSource) flushStats() {
 	s.prev = cur
 }
 
-// Execute runs a physical plan and returns its results plus metrics.
-func (e *Engine) Execute(plan *PhysicalPlan) (*ResultSet, *Metrics, error) {
-	return e.ExecuteCtx(context.Background(), plan)
-}
-
-// ExecuteCtx runs a physical plan under a context; cancellation is honored
-// at batch boundaries, and the engine query timeout bounds the run just as
-// it does for QueryCtx (queryStmt applies it on the query path; direct
-// plan execution gets the same ceiling here).
+// ExecuteCtx runs a physical plan under a context and returns its results
+// plus metrics; cancellation is honored at batch boundaries, and the engine
+// query timeout bounds the run just as it does for QueryCtx (queryStmt
+// applies it on the query path; direct plan execution gets the same ceiling
+// here).
 func (e *Engine) ExecuteCtx(ctx context.Context, plan *PhysicalPlan) (*ResultSet, *Metrics, error) {
 	if e.queryTimeout > 0 {
 		var cancel context.CancelFunc
@@ -204,8 +200,8 @@ func (e *Engine) execute(ctx context.Context, plan *PhysicalPlan, trace *obs.Spa
 		go func(split int) {
 			defer wg.Done()
 			// A panicking worker (corrupt data, injected fault, executor bug)
-			// must fail the query, not the process. runPartition's own defers
-			// run before this recover, so the pooled batch is still returned.
+			// must fail the query, not the process. ScanBatches' defer runs
+			// before this recover, so the lent batch is back in the pool.
 			defer func() {
 				if r := recover(); r != nil {
 					if e.obsC != nil {
@@ -394,11 +390,6 @@ func (e *Engine) runPartition(ctx context.Context, plan *PhysicalPlan, calls *Pa
 		m.Span.Begin()
 		defer m.Span.End()
 	}
-	src, err := factory.Open(split, m)
-	if err != nil {
-		res.err = err
-		return res
-	}
 	schema, err := factory.Schema()
 	if err != nil {
 		res.err = err
@@ -417,9 +408,6 @@ func (e *Engine) runPartition(ctx context.Context, plan *PhysicalPlan, calls *Pa
 	preFilters := plan.Scan.PreFilters
 
 	width := len(schema.Cols)
-	batch := GetRowBatch(width, e.batchSize)
-	defer PutRowBatch(batch)
-	bs := asBatchSource(src, e.rowAtATime)
 	sc := &execScratch{row: make([]datum.Datum, width, width+buildWidth)}
 
 	// Per-batch local counters, flushed in one atomic add each.
@@ -491,25 +479,14 @@ func (e *Engine) runPartition(ctx context.Context, plan *PhysicalPlan, calls *Pa
 		}
 	}
 
-	for {
-		// Cancellation is checked once per batch: a cancelled query returns
-		// within one batch boundary rather than finishing the split.
-		if err := ctx.Err(); err != nil {
-			res.err = err
-			return res
-		}
-		n, err := bs.NextBatch(batch)
-		if err != nil {
-			res.err = err
-			return res
-		}
-		if n == 0 {
-			return res
-		}
-		m.Batches.Add(1)
-		if e.obsC != nil {
-			e.obsC.batchRows.Observe(int64(n))
-		}
+	// Cancellation is checked before the split opens and after every batch:
+	// a cancelled query returns within one batch boundary rather than
+	// finishing the split.
+	if res.err = ctx.Err(); res.err != nil {
+		return res
+	}
+	res.err = e.ScanBatches(factory, split, split+1, m, func(batch *RowBatch, n int) error {
+		e.meterBatch(m, n)
 
 		if plan.Join != nil {
 			// Probe the hash table; inner join emits one row per match.
@@ -530,7 +507,7 @@ func (e *Engine) runPartition(ctx context.Context, plan *PhysicalPlan, calls *Pa
 				}
 			}
 			flush()
-			continue
+			return ctx.Err()
 		}
 
 		rowOps += int64(n)
@@ -567,6 +544,16 @@ func (e *Engine) runPartition(ctx context.Context, plan *PhysicalPlan, calls *Pa
 			emit(batch.Gather(i, sc.row))
 		}
 		flush()
+		return ctx.Err()
+	})
+	return res
+}
+
+// meterBatch counts one scan batch of n rows pulled by the executor.
+func (e *Engine) meterBatch(m *Metrics, n int) {
+	m.Batches.Add(1)
+	if e.obsC != nil {
+		e.obsC.batchRows.Observe(int64(n))
 	}
 }
 
@@ -587,46 +574,28 @@ func (e *Engine) buildJoinTable(ctx context.Context, plan *PhysicalPlan, calls *
 	}
 	table := make(map[string][][]datum.Datum)
 	width := len(build.schema.Cols)
-	batch := GetRowBatch(width, e.batchSize)
-	defer PutRowBatch(batch)
 	sc := &execScratch{row: make([]datum.Datum, width)}
-	for split := 0; split < nSplits; split++ {
-		if err := ctx.Err(); err != nil {
-			return nil, 0, err
+	if err := ctx.Err(); err != nil {
+		return nil, 0, err
+	}
+	err = e.ScanBatches(factory, 0, nSplits, m, func(batch *RowBatch, n int) error {
+		e.meterBatch(m, n)
+		m.RowOps.Add(int64(n))
+		for i := 0; i < n; i++ {
+			row := batch.Gather(i, sc.row)
+			key, ok := appendJoinKey(sc.keyBuf[:0], plan.Join.RightKeys, row, ec, sc)
+			sc.keyBuf = key
+			if !ok {
+				continue
+			}
+			cp := sc.arena.alloc(len(row))
+			copy(cp, row)
+			table[string(key)] = append(table[string(key)], cp)
 		}
-		src, err := factory.Open(split, m)
-		if err != nil {
-			return nil, 0, err
-		}
-		bs := asBatchSource(src, e.rowAtATime)
-		for {
-			if err := ctx.Err(); err != nil {
-				return nil, 0, err
-			}
-			n, err := bs.NextBatch(batch)
-			if err != nil {
-				return nil, 0, err
-			}
-			if n == 0 {
-				break
-			}
-			m.Batches.Add(1)
-			if e.obsC != nil {
-				e.obsC.batchRows.Observe(int64(n))
-			}
-			m.RowOps.Add(int64(n))
-			for i := 0; i < n; i++ {
-				row := batch.Gather(i, sc.row)
-				key, ok := appendJoinKey(sc.keyBuf[:0], plan.Join.RightKeys, row, ec, sc)
-				sc.keyBuf = key
-				if !ok {
-					continue
-				}
-				cp := sc.arena.alloc(len(row))
-				copy(cp, row)
-				table[string(key)] = append(table[string(key)], cp)
-			}
-		}
+		return ctx.Err()
+	})
+	if err != nil {
+		return nil, 0, err
 	}
 	return table, width, nil
 }

@@ -98,7 +98,7 @@ func BenchmarkExecBatch(b *testing.B) {
 }
 
 // BenchmarkExecRow is the legacy row-at-a-time baseline (every scan forced
-// through RowSourceAdapter) that BenchmarkExecBatch is judged against.
+// through the row-at-a-time adapter) that BenchmarkExecBatch is judged against.
 func BenchmarkExecRow(b *testing.B) {
 	benchExecQueries(b, newBenchEngine(execBenchRows, WithRowAtATime(true)))
 }

@@ -8,29 +8,18 @@ import (
 	"repro/internal/obs"
 )
 
-// ExplainAnalyze executes sql with tracing enabled and renders an
+// ExplainAnalyzeCtx executes sql with tracing enabled and renders an
 // EXPLAIN ANALYZE-style annotated operator tree: per-operator rows, bytes,
 // parse calls, cache hits, and simulated Read/Parse/Compute times. The
 // result set and metrics of the (actually executed) query are returned
-// alongside the rendering.
-func (e *Engine) ExplainAnalyze(sql string) (string, *ResultSet, *Metrics, error) {
-	return e.ExplainAnalyzeCtx(context.Background(), sql)
-}
-
-// ExplainAnalyzeCtx is ExplainAnalyze under a context: the traced
-// execution honors cancellation and the engine query timeout exactly like
-// QueryCtx.
+// alongside the rendering. The traced execution honors cancellation and the
+// engine query timeout exactly like QueryCtx.
 func (e *Engine) ExplainAnalyzeCtx(ctx context.Context, sql string) (string, *ResultSet, *Metrics, error) {
 	stmt, err := Parse(sql)
 	if err != nil {
 		return "", nil, nil, err
 	}
 	return e.ExplainAnalyzeStmtCtx(ctx, stmt)
-}
-
-// ExplainAnalyzeStmt is ExplainAnalyze over a parsed statement.
-func (e *Engine) ExplainAnalyzeStmt(stmt *SelectStmt) (string, *ResultSet, *Metrics, error) {
-	return e.ExplainAnalyzeStmtCtx(context.Background(), stmt)
 }
 
 // ExplainAnalyzeStmtCtx is ExplainAnalyzeCtx over a parsed statement.

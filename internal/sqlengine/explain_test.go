@@ -1,6 +1,7 @@
 package sqlengine
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 func TestExplainAnalyzeAnnotatedTree(t *testing.T) {
 	reg := obs.NewRegistry()
 	e := newTestEngine(t, WithObsRegistry(reg))
-	out, rs, m, err := e.ExplainAnalyze(`
+	out, rs, m, err := e.ExplainAnalyzeCtx(context.Background(), `
 		SELECT date, get_json_object(sale_logs, '$.turnover') AS turnover
 		FROM mydb.t
 		WHERE get_json_object(sale_logs, '$.sale_count') > 3
@@ -59,7 +60,7 @@ func TestQueryTracedMatchesUntracedResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs2, m2, err := e.QueryTraced("SELECT COUNT(*) AS n FROM mydb.t")
+	rs2, m2, err := e.QueryTracedCtx(context.Background(), "SELECT COUNT(*) AS n FROM mydb.t")
 	if err != nil {
 		t.Fatal(err)
 	}
