@@ -13,10 +13,20 @@ import (
 	"repro/internal/warehouse"
 )
 
-// cachedTable builds mydb.t with splits part files of rowsPerSplit rows
-// (row groups of 500), caches two paths of it, and returns the factory of a
-// cache-only scan over them with the number of rows it must return.
-func cachedTable(t *testing.T, splits, rowsPerSplit int) (*CombinedScanFactory, int) {
+// saleDocs builds n single-column rows of sale-log documents numbered from.
+func saleDocs(from, n int) [][]datum.Datum {
+	rows := make([][]datum.Datum, n)
+	for i := range rows {
+		id := from + i
+		rows[i] = []datum.Datum{datum.Str(fmt.Sprintf(
+			`{"item_name":"item-%05d","turnover":%d,"region":"region-%d"}`, id, id*10, id%7))}
+	}
+	return rows
+}
+
+// saleTable builds mydb.t with splits part files of rowsPerSplit rows (row
+// groups of 500).
+func saleTable(t *testing.T, splits, rowsPerSplit int) *warehouse.Warehouse {
 	t.Helper()
 	clock := simtime.NewSim(time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC))
 	wh := warehouse.New(dfs.New(dfs.WithClock(clock)), warehouse.WithClock(clock),
@@ -27,16 +37,18 @@ func cachedTable(t *testing.T, splits, rowsPerSplit int) (*CombinedScanFactory, 
 		t.Fatal(err)
 	}
 	for s := 0; s < splits; s++ {
-		rows := make([][]datum.Datum, rowsPerSplit)
-		for i := range rows {
-			id := s*rowsPerSplit + i
-			rows[i] = []datum.Datum{datum.Str(fmt.Sprintf(
-				`{"item_name":"item-%05d","turnover":%d,"region":"region-%d"}`, id, id*10, id%7))}
-		}
-		if _, err := wh.AppendRows("mydb", "t", rows); err != nil {
+		if _, err := wh.AppendRows("mydb", "t", saleDocs(s*rowsPerSplit, rowsPerSplit)); err != nil {
 			t.Fatal(err)
 		}
 	}
+	return wh
+}
+
+// cachedTable caches two paths of a saleTable and returns the factory of a
+// cache-only scan over them with the number of rows it must return.
+func cachedTable(t *testing.T, splits, rowsPerSplit int) (*CombinedScanFactory, int) {
+	t.Helper()
+	wh := saleTable(t, splits, rowsPerSplit)
 	engine := sqlengine.NewEngine(wh, sqlengine.WithDefaultDB("mydb"))
 	m := New(engine, Config{BudgetBytes: 1 << 30, DefaultDB: "mydb"})
 	cachePaths(t, m, "$.item_name", "$.region")
@@ -104,5 +116,52 @@ func TestCacheOnlyScanAllocatesPerSplit(t *testing.T) {
 		// 24 when written: two Table lookups, the file view and reader, the
 		// cursor's five, the source.
 		t.Errorf("cache-only scan allocates %v times per split, want at most 32", perSplit)
+	}
+}
+
+// TestPopulateAllocations pins what a cycle allocates. Extracting a split
+// costs one string per extracted value and nothing else per row (no row
+// slice: values go from the extractor into one column-major batch the writer
+// reads); a split carried from the previous generation costs the same few
+// allocations whether it holds 300 rows or 6,000.
+func TestPopulateAllocations(t *testing.T) {
+	const splits = 3
+	paths := []string{"$.item_name", "$.region"}
+	fromScratch := func(rowsPerSplit int) float64 {
+		engine := sqlengine.NewEngine(saleTable(t, splits, rowsPerSplit), sqlengine.WithDefaultDB("mydb"))
+		return testing.AllocsPerRun(3, func() {
+			cachePaths(t, New(engine, Config{BudgetBytes: 1 << 30, DefaultDB: "mydb"}), paths...)
+		})
+	}
+	small, large := fromScratch(300), fromScratch(6000)
+	perRow := (large - small) / (splits * (6000 - 300))
+	if limit := float64(len(paths)) + 0.5; perRow > limit {
+		// 2.1 when written; 7.3 with a []datum.Datum per row and a failed
+		// ParseFloat per non-numeric value.
+		t.Errorf("a from-scratch populate allocates %.2f times per row for %d paths, want at most %.1f", perRow, len(paths), limit)
+	}
+
+	// One new split of 100 rows a night, everything else carried.
+	oneNewSplit := func(rowsPerSplit int) float64 {
+		wh := saleTable(t, splits, rowsPerSplit)
+		m := New(sqlengine.NewEngine(wh, sqlengine.WithDefaultDB("mydb")), Config{BudgetBytes: 1 << 30, DefaultDB: "mydb"})
+		cachePaths(t, m, paths...)
+		day := saleDocs(1<<20, 100)
+		return testing.AllocsPerRun(3, func() {
+			if _, err := wh.AppendRows("mydb", "t", day); err != nil {
+				t.Fatal(err)
+			}
+			cachePaths(t, m, paths...)
+		})
+	}
+	small, large = oneNewSplit(300), oneNewSplit(6000)
+	if d := large - small; d > 8 || d < -8 {
+		// Map growth moves the average of a few runs by one or two.
+		t.Errorf("a cycle with one new split allocates %v times beside 300-row carried splits and %v beside 6,000-row ones", small, large)
+	}
+	if large > 1000 {
+		// 610 when written: the 100 new rows' values, their two part files, and
+		// a link, a table lookup and a registry entry per carried split.
+		t.Errorf("a cycle with one new 100-row split allocates %v times, want at most 1000", large)
 	}
 }

@@ -2,16 +2,20 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"log/slog"
 	"runtime"
 	"sort"
 	"strings"
 	"sync"
 
 	"repro/internal/datum"
+	"repro/internal/dfs"
 	"repro/internal/jsonpath"
 	"repro/internal/obs"
 	"repro/internal/orc"
+	"repro/internal/pathkey"
 	"repro/internal/sqlengine"
 	"repro/internal/warehouse"
 )
@@ -42,13 +46,21 @@ type Cacher struct {
 	// RowGroupRows matches the raw tables' row-group size so shared
 	// skip-arrays line up row-for-row.
 	RowGroupRows int
+	// Log, when set, receives a debug record for each table whose previous
+	// generation could have been carried forward and was not, with the reasons.
+	Log *slog.Logger
 
-	// mu guards generation and pendingDrop: queries, gauges and SaveState
-	// read them while an online cycle or LoadState writes them.
+	// mu guards generation, provenance and pendingDrop: queries, gauges and
+	// SaveState read them while an online cycle or LoadState writes them.
 	mu sync.Mutex
 	// generation numbers each population cycle; cache tables carry it in
 	// their name so generations never collide.
 	generation int
+	// provenance holds, per raw table ("db.table"), what the active
+	// generation's cache table was built from. A committed cycle replaces it
+	// whole, an aborted one leaves it, and RestoreState empties it: it is not
+	// persisted, so a restarted node extracts everything once.
+	provenance map[string]*tableProvenance
 	// pendingDrop lists the previous generation's tables, deleted at the
 	// START of the next cycle so queries planned against the old registry
 	// can finish against intact tables.
@@ -59,19 +71,42 @@ type Cacher struct {
 	parseErrorsC  *obs.Counter
 	bytesScannedC *obs.Counter
 	bytesSkippedC *obs.Counter
+	splitsC       [3]*obs.Counter // carried, rewritten, extracted
 }
 
-// CacheStats summarizes one population cycle.
+// CacheStats summarizes one population cycle. A generation's size is
+// BytesWritten + BytesCarried.
 type CacheStats struct {
 	PathsCached   int
 	RowsParsed    int64
-	BytesWritten  int64
+	BytesWritten  int64   // cache bytes encoded this cycle
+	BytesCarried  int64   // cache bytes linked from the previous generation
 	BytesScanned  int64   // raw JSON bytes the population scan actually read
 	BytesSkipped  int64   // raw JSON bytes the streaming extractor skipped
 	ParseErrors   int64   // malformed documents encountered (values cached as NULL)
 	ParseNsSpent  float64 // simulated pre-parsing cost (off-peak work)
 	TablesWritten int
 	Dropped       int // invalid cache tables deleted
+	// Every cache split is one of: linked whole from the previous generation
+	// (carried), encoded anew with at least one column copied from it
+	// (rewritten), or extracted from the raw JSON alone.
+	SplitsCarried   int
+	SplitsRewritten int
+	SplitsExtracted int
+}
+
+// add folds one table's stats into the cycle's.
+func (s *CacheStats) add(t CacheStats) {
+	s.RowsParsed += t.RowsParsed
+	s.BytesWritten += t.BytesWritten
+	s.BytesCarried += t.BytesCarried
+	s.BytesScanned += t.BytesScanned
+	s.BytesSkipped += t.BytesSkipped
+	s.ParseErrors += t.ParseErrors
+	s.ParseNsSpent += t.ParseNsSpent
+	s.SplitsCarried += t.SplitsCarried
+	s.SplitsRewritten += t.SplitsRewritten
+	s.SplitsExtracted += t.SplitsExtracted
 }
 
 // NewCacher builds a cacher writing through the warehouse.
@@ -92,14 +127,21 @@ func (c *Cacher) SetObs(r *obs.Registry) {
 	c.parseErrorsC = r.Counter("cacher_parse_errors_total")
 	c.bytesScannedC = r.Counter("cacher_parse_bytes_scanned_total")
 	c.bytesSkippedC = r.Counter("cacher_parse_bytes_skipped_total")
+	for i, mode := range []string{"carried", "rewritten", "extracted"} {
+		c.splitsC[i] = r.Counter("cacher_splits_total", obs.L{K: "mode", V: mode})
+	}
 }
 
-// Populate runs one caching cycle: it drops invalid cache tables left from
-// previous cycles, empties the cache, and re-populates it with the selected
-// profiles in order (the paper empties and re-populates every midnight).
-// The cost model rates account the off-peak parsing work: each JSON column's
-// cached paths are extracted in a single streaming pass per document, charged
-// at the stream rate for the bytes actually scanned.
+// Populate runs one caching cycle: it drops the cache tables the previous
+// cycle retired and builds a new generation holding the selected profiles in
+// order. The paper empties and re-populates every midnight; here a generation
+// is an incremental function of the one before it — what is unchanged since
+// (same raw file version, same path) is carried forward, and the result is
+// byte for byte what re-populating from the raw tables would have written
+// (see tableProvenance, populateSplit). The cost model rates account the
+// off-peak parsing work that remains: each JSON column's paths are extracted
+// in a single streaming pass per document, charged at the stream rate for the
+// bytes actually scanned.
 func (c *Cacher) Populate(selected []*PathProfile, cm sqlengine.CostModel) (CacheStats, error) {
 	return c.PopulateCtx(context.Background(), selected, cm)
 }
@@ -122,6 +164,7 @@ func (c *Cacher) PopulateCtx(ctx context.Context, selected []*PathProfile, cm sq
 	c.mu.Lock()
 	c.generation++
 	gen := c.generation
+	prev := c.provenance
 	c.mu.Unlock()
 
 	// Group selections by raw table: all MPJPs of one raw table go into one
@@ -145,6 +188,7 @@ func (c *Cacher) PopulateCtx(ctx context.Context, selected []*PathProfile, cm sq
 	type tableResult struct {
 		stats   CacheStats
 		entries []*CacheEntry
+		prov    *tableProvenance
 		err     error
 	}
 	results := make([]tableResult, len(tableIDs))
@@ -168,14 +212,15 @@ func (c *Cacher) PopulateCtx(ctx context.Context, selected []*PathProfile, cm sq
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			var local CacheStats
-			entries, err := c.populateTable(ctx, byTable[id], gen, &local, cm)
-			results[i] = tableResult{stats: local, entries: entries, err: err}
+			entries, prov, err := c.populateTable(ctx, byTable[id], gen, prev[id], &local, cm)
+			results[i] = tableResult{stats: local, entries: entries, prov: prov, err: err}
 		}(i, id)
 	}
 	wg.Wait()
 	var newEntries []*CacheEntry
+	provenance := make(map[string]*tableProvenance, len(tableIDs))
 	var firstErr error
-	for _, r := range results {
+	for i, r := range results {
 		if r.err != nil {
 			if firstErr == nil {
 				firstErr = r.err
@@ -183,18 +228,18 @@ func (c *Cacher) PopulateCtx(ctx context.Context, selected []*PathProfile, cm sq
 			continue
 		}
 		newEntries = append(newEntries, r.entries...)
+		if r.prov != nil {
+			provenance[tableIDs[i]] = r.prov
+		}
 		stats.PathsCached += len(r.entries)
-		stats.RowsParsed += r.stats.RowsParsed
-		stats.BytesWritten += r.stats.BytesWritten
-		stats.BytesScanned += r.stats.BytesScanned
-		stats.BytesSkipped += r.stats.BytesSkipped
-		stats.ParseErrors += r.stats.ParseErrors
-		stats.ParseNsSpent += r.stats.ParseNsSpent
+		stats.add(r.stats)
 		stats.TablesWritten++
 	}
 	if firstErr != nil {
 		// Abort: delete this generation's tables right away (nothing
-		// referenced them) and leave the previous generation serving.
+		// referenced them; a link dies with its name, the bytes it shared
+		// stay with the previous generation) and leave that one serving,
+		// its provenance still filed for the next cycle to carry from.
 		c.dropGeneration(tableIDs, gen)
 		return stats, firstErr
 	}
@@ -202,7 +247,8 @@ func (c *Cacher) PopulateCtx(ctx context.Context, selected []*PathProfile, cm sq
 	// Commit: swap the registry atomically, then queue the displaced
 	// generation's tables for deferred deletion so in-flight queries
 	// planned against the old entries finish on intact files. A new
-	// generation also lifts any quarantine — the bad tables are gone.
+	// generation also lifts any quarantine — the bad tables are gone, and
+	// nothing of a quarantined table was carried into this one.
 	old := c.registry.Swap(newEntries)
 	c.registry.ClearQuarantine()
 	retired := map[[2]string]bool{}
@@ -210,6 +256,7 @@ func (c *Cacher) PopulateCtx(ctx context.Context, selected []*PathProfile, cm sq
 		retired[[2]string{e.CacheDB, e.CacheTable}] = true
 	}
 	c.mu.Lock()
+	c.provenance = provenance
 	for t := range retired {
 		c.pendingDrop = append(c.pendingDrop, t)
 	}
@@ -222,6 +269,9 @@ func (c *Cacher) PopulateCtx(ctx context.Context, selected []*PathProfile, cm sq
 		c.parseErrorsC.Add(stats.ParseErrors)
 		c.bytesScannedC.Add(stats.BytesScanned)
 		c.bytesSkippedC.Add(stats.BytesSkipped)
+		c.splitsC[0].Add(int64(stats.SplitsCarried))
+		c.splitsC[1].Add(int64(stats.SplitsRewritten))
+		c.splitsC[2].Add(int64(stats.SplitsExtracted))
 	}
 	return stats, nil
 }
@@ -299,6 +349,7 @@ func (c *Cacher) RestoreState(generation int, pendingDrop [][2]string) {
 		c.generation = generation
 	}
 	c.pendingDrop = append([][2]string(nil), pendingDrop...)
+	c.provenance = nil // it described the registry this restore replaces
 }
 
 func maxInt(a, b int) int {
@@ -317,177 +368,431 @@ func splitTableID(id string) (db, table string, ok bool) {
 	return id[:i], id[i+1:], true
 }
 
-// populateTable caches one raw table's selected paths and returns the
-// registry entries for them. Entries are NOT installed here — PopulateCtx
-// commits all tables' entries in one atomic swap after every table succeeds.
-func (c *Cacher) populateTable(ctx context.Context, group []*PathProfile, gen int, stats *CacheStats, cm sqlengine.CostModel) ([]*CacheEntry, error) {
+// tableProvenance records what the active generation's cache table of one raw
+// table was built from, split by split, so the next generation can carry
+// forward what has not changed instead of parsing it again. It lives in
+// memory only and is immutable once filed.
+type tableProvenance struct {
+	cacheTable string
+	keys       []pathkey.Key // the cached paths, in cache-column order
+	splits     []splitProvenance
+}
+
+// splitProvenance is one cache split's record. One without a rawPath carries
+// the split's byte counts and no provenance: the next generation extracts
+// that split from the raw file like a first one. Provenance is filed only for
+// a split whose values are a pure function of the named raw content — the raw
+// read returned the stored bytes (dfs.View.Stored) and no document in it was
+// malformed (after a syntax error every path of the scanned set reads NULL,
+// so such a split's values depend on which paths were extracted together).
+type splitProvenance struct {
+	rawPath      string
+	rawVersion   uint64 // dfs version of the raw bytes the values came from
+	cachePath    string
+	cacheVersion uint64 // dfs version the cache part was stored under
+	rows         int64
+	colBytes     []int64 // value bytes per column, summed into CacheEntry.Bytes
+}
+
+// errCarryBroken aborts one attempt to build a split from the previous
+// generation; the split is then built again from the raw file alone.
+var errCarryBroken = errors.New("core: previous cache split cannot be carried")
+
+// populateBatchRows is how many rows a populate pass moves at a time.
+const populateBatchRows = 256
+
+// cacheColumn is one selected path of the table being populated.
+type cacheColumn struct {
+	key  pathkey.Key
+	path *jsonpath.Path
+	name string // cache column name (paper's cache-field naming)
+	// prev is the column's position in the previous generation's table, -1
+	// when that table did not hold this path.
+	prev int
+}
+
+// extractPlan reads a set of cache columns out of the raw JSON: the raw
+// columns to open, and per raw column one extractor over all its paths, so a
+// document is scanned once however many paths it feeds.
+type extractPlan struct {
+	readCols []string
+	vecs     [][]datum.Datum // what the raw cursor decodes into
+	groups   []extractGroup  // one per entry of readCols
+}
+
+type extractGroup struct {
+	cols []int // cache column indexes, in extractor path order
+	x    *jsonpath.Extractor
+}
+
+// tablePopulate is the state of one populateTable call.
+type tablePopulate struct {
+	c          *Cacher
+	cm         sqlengine.CostModel
+	stats      *CacheStats
+	cacheTable string
+	schema     orc.Schema
+	cols       []cacheColumn
+	// out holds one batch of the table being written, column-wise, backed by
+	// one array: copied columns are decoded into it, extracted ones stored.
+	out [][]datum.Datum
+	// sameCols: the previous table held exactly these columns in this order,
+	// so an unchanged split is linked rather than rewritten.
+	sameCols bool
+	// carried lists the columns the previous table holds; carryVecs are their
+	// vectors in out, handed to the previous part's cursor.
+	carried   []string
+	carryVecs [][]datum.Datum
+	// all extracts every column, missing only those the previous table lacks
+	// (no groups when it holds them all). Both are built on first use.
+	all, missing *extractPlan
+}
+
+// populateTable builds one raw table's cache table of generation gen and
+// returns its registry entries and provenance. Entries are NOT installed
+// here — PopulateCtx commits all tables' entries in one atomic swap after
+// every table succeeds. prev is the previous generation's provenance of the
+// same raw table, nil when there is none.
+func (c *Cacher) populateTable(ctx context.Context, group []*PathProfile, gen int, prev *tableProvenance, stats *CacheStats, cm sqlengine.CostModel) ([]*CacheEntry, *tableProvenance, error) {
 	key0 := group[0].Key
-	rawInfo, err := c.wh.Table(key0.DB, key0.Table)
+	// Stamp before the raw table is listed: a rewrite that lands at any point
+	// of the populate then has rewriteTime >= CachedAt and the planner treats
+	// the entries as stale, whichever files had already been read or carried.
+	cachedAt := c.wh.Clock().Now()
+	rawParts, err := c.wh.Parts(key0.DB, key0.Table)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Compile the paths and define the cache schema: one STRING column per
 	// path, named column__path (paper's cache-field naming).
-	type cachedPath struct {
-		prof *PathProfile
-		path *jsonpath.Path
-		col  string
-	}
-	var paths []cachedPath
-	schema := orc.Schema{}
+	tp := &tablePopulate{c: c, cm: cm, stats: stats, cacheTable: generationTableName(key0.DB, key0.Table, gen)}
 	for _, p := range group {
 		cp, err := jsonpath.Compile(p.Key.Path)
 		if err != nil {
 			continue
 		}
-		col := p.Key.Sanitized()
-		paths = append(paths, cachedPath{prof: p, path: cp, col: col})
-		schema.Columns = append(schema.Columns, orc.Column{Name: col, Type: datum.TypeString})
+		col := cacheColumn{key: p.Key, path: cp, name: p.Key.Sanitized(), prev: -1}
+		tp.cols = append(tp.cols, col)
+		tp.schema.Columns = append(tp.schema.Columns, orc.Column{Name: col.name, Type: datum.TypeString})
 	}
-	if len(paths) == 0 {
-		return nil, nil
+	if len(tp.cols) == 0 {
+		return nil, nil, nil
 	}
-
-	cacheTable := generationTableName(key0.DB, key0.Table, gen)
-	if c.wh.TableExists(CacheDB, cacheTable) {
-		if err := c.wh.DropTable(CacheDB, cacheTable); err != nil {
-			return nil, err
+	if c.wh.TableExists(CacheDB, tp.cacheTable) {
+		if err := c.wh.DropTable(CacheDB, tp.cacheTable); err != nil {
+			return nil, nil, err
 		}
 	}
-	if err := c.wh.CreateTable(CacheDB, cacheTable, schema); err != nil {
-		return nil, err
+	if err := c.wh.CreateTable(CacheDB, tp.cacheTable, tp.schema); err != nil {
+		return nil, nil, err
 	}
+	flat := make([]datum.Datum, len(tp.cols)*populateBatchRows)
+	for i := range tp.cols {
+		tp.out = append(tp.out, flat[i*populateBatchRows:(i+1)*populateBatchRows])
+	}
+	prevParts := tp.matchPrevious(prev)
 
-	// Which raw columns do we need? One JSON column may serve many paths.
-	neededCols := map[string]bool{}
-	for _, p := range paths {
-		neededCols[p.prof.Key.Column] = true
+	// One cache file per raw file, in split order: this is the alignment
+	// invariant the Value Combiner depends on.
+	prov := &tableProvenance{cacheTable: tp.cacheTable, splits: make([]splitProvenance, len(rawParts))}
+	for _, col := range tp.cols {
+		prov.keys = append(prov.keys, col.key)
 	}
-	var readCols []string
-	for name := range neededCols {
-		readCols = append(readCols, name)
-	}
-	sort.Strings(readCols)
-	colPos := map[string]int{}
-	for i, name := range readCols {
-		colPos[name] = i
-	}
-
-	// Group paths per raw column: the whole group extracts in one forward
-	// pass over the document.
-	type colPlan struct {
-		pos      int   // index into readCols / vecs
-		pathIdxs []int // indexes into paths, in extractor path order
-		x        *jsonpath.Extractor
-	}
-	plans := make([]*colPlan, len(readCols))
-	for pi, p := range paths {
-		ci := colPos[p.prof.Key.Column]
-		if plans[ci] == nil {
-			plans[ci] = &colPlan{pos: ci}
+	notCarried := map[string]int{} // reason → splits
+	for i, raw := range rawParts {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
 		}
-		plans[ci].pathIdxs = append(plans[ci].pathIdxs, pi)
+		var from *splitProvenance
+		if prev != nil {
+			var why string
+			if from, why = tp.carriable(prev, prevParts, i, raw); from == nil {
+				notCarried[why]++
+			}
+		}
+		before := *stats
+		sp, err := tp.populateSplit(ctx, raw, from)
+		if from != nil && errors.Is(err, errCarryBroken) {
+			// Nothing was appended; the stats describe the split as built.
+			notCarried[err.Error()]++
+			*stats = before
+			sp, err = tp.populateSplit(ctx, raw, nil)
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+		prov.splits[i] = sp
 	}
-	for _, cp := range plans {
-		compiled := make([]*jsonpath.Path, len(cp.pathIdxs))
-		for k, pi := range cp.pathIdxs {
-			compiled[k] = paths[pi].path
+	if prev != nil && stats.SplitsCarried+stats.SplitsRewritten == 0 && c.Log != nil {
+		c.Log.Debug("nothing carried from the previous cache generation",
+			"table", key0.TableID(), "previous", prev.cacheTable, "reasons", fmt.Sprint(notCarried))
+	}
+
+	entries := make([]*CacheEntry, len(tp.cols))
+	for j, col := range tp.cols {
+		entries[j] = &CacheEntry{
+			Key:         col.key,
+			CacheDB:     CacheDB,
+			CacheTable:  tp.cacheTable,
+			CacheColumn: col.name,
+			CachedAt:    cachedAt,
+		}
+		for _, sp := range prov.splits {
+			entries[j].Bytes += sp.colBytes[j]
+		}
+	}
+	return entries, prov, nil
+}
+
+// matchPrevious lines tonight's columns up with the previous generation's
+// table and returns that table's part files (nil when it is gone).
+func (tp *tablePopulate) matchPrevious(prev *tableProvenance) []dfs.FileInfo {
+	if prev == nil {
+		return nil
+	}
+	parts, err := tp.c.wh.Parts(CacheDB, prev.cacheTable)
+	if err != nil {
+		return nil
+	}
+	// Two paths can sanitize to one column name; such a column is never
+	// copied, since a cursor finds columns by name.
+	named := map[string]int{}
+	for _, key := range prev.keys {
+		named[key.Sanitized()]++
+	}
+	tp.sameCols = len(prev.keys) == len(tp.cols)
+	for j := range tp.cols {
+		col := &tp.cols[j]
+		for k, key := range prev.keys {
+			if key == col.key && named[col.name] == 1 {
+				col.prev = k
+			}
+		}
+		if col.prev != j {
+			tp.sameCols = false
+		}
+		if col.prev >= 0 {
+			tp.carried = append(tp.carried, col.name)
+			tp.carryVecs = append(tp.carryVecs, tp.out[j])
+		}
+	}
+	return parts
+}
+
+// carriable decides whether raw split i can be built from the previous
+// generation's split i, and says why not when it cannot.
+func (tp *tablePopulate) carriable(prev *tableProvenance, prevParts []dfs.FileInfo, i int, raw dfs.FileInfo) (*splitProvenance, string) {
+	if i >= len(prev.splits) || prev.splits[i].rawPath == "" {
+		return nil, "no provenance"
+	}
+	sp := &prev.splits[i]
+	switch {
+	case sp.rawPath != raw.Name || sp.rawVersion != raw.Version:
+		return nil, "raw version changed"
+	case tp.c.registry.IsQuarantined(CacheDB, prev.cacheTable):
+		return nil, "quarantined"
+	case i >= len(prevParts) || prevParts[i].Name != sp.cachePath || prevParts[i].Version != sp.cacheVersion:
+		return nil, "cache part changed"
+	case len(tp.carried) == 0:
+		return nil, "columns differ"
+	}
+	return sp, ""
+}
+
+// plan returns the extraction plan for every column (missingOnly false) or
+// for the columns the previous table lacks.
+func (tp *tablePopulate) plan(missingOnly bool) (*extractPlan, error) {
+	slot := &tp.all
+	if missingOnly {
+		slot = &tp.missing
+	}
+	if *slot != nil {
+		return *slot, nil
+	}
+	// Group the columns per raw JSON column, raw columns in name order.
+	byRaw := map[string][]int{}
+	p := &extractPlan{}
+	for j, col := range tp.cols {
+		if missingOnly && col.prev >= 0 {
+			continue
+		}
+		if _, ok := byRaw[col.key.Column]; !ok {
+			p.readCols = append(p.readCols, col.key.Column)
+		}
+		byRaw[col.key.Column] = append(byRaw[col.key.Column], j)
+	}
+	sort.Strings(p.readCols)
+	for _, name := range p.readCols {
+		g := extractGroup{cols: byRaw[name]}
+		compiled := make([]*jsonpath.Path, len(g.cols))
+		for k, j := range g.cols {
+			compiled[k] = tp.cols[j].path
 		}
 		set, err := jsonpath.NewPathSet(compiled...)
 		if err != nil {
 			return nil, err
 		}
-		cp.x = jsonpath.NewExtractor(set)
+		g.x = jsonpath.NewExtractor(set)
+		p.groups = append(p.groups, g)
+		// The cursor decodes the file's values straight into these vectors
+		// (documents as views of the part file; the extractor copies what it
+		// returns, so nothing written to the cache aliases the raw file).
+		p.vecs = append(p.vecs, make([]datum.Datum, populateBatchRows))
+	}
+	*slot = p
+	return p, nil
+}
+
+// populateSplit is the populate kernel: it appends the cache split of one raw
+// part file to the table and returns its provenance. Each column is copied
+// from the previous generation's split (from, nil when nothing can be
+// carried) if that split holds it, and extracted from the raw JSON otherwise;
+// the raw file is opened only if some column must be extracted, and a split
+// whose columns are all there in the same order is linked, not rewritten.
+// With from == nil this is the from-scratch populate. An attempt that finds
+// the carried side unusable returns errCarryBroken before anything is
+// appended.
+func (tp *tablePopulate) populateSplit(ctx context.Context, raw dfs.FileInfo, from *splitProvenance) (splitProvenance, error) {
+	wh, st := tp.c.wh, tp.stats
+	if from != nil && tp.sameCols {
+		part, err := wh.LinkPart(CacheDB, tp.cacheTable, from.cachePath)
+		if err != nil {
+			return splitProvenance{}, err
+		}
+		st.SplitsCarried++
+		st.BytesCarried += part.Size
+		sp := *from
+		sp.cachePath, sp.cacheVersion = part.Name, part.Version
+		return sp, nil
 	}
 
-	perPathBytes := make([]int64, len(paths))
-
-	// Batch read scratch: the cursor decodes the file's values straight into
-	// these vectors (documents as views of the part file; the extractor
-	// copies what it returns, so nothing written to the cache aliases it).
-	const populateBatchRows = 1024
-	vecs := make([][]datum.Datum, len(readCols))
-	for i := range vecs {
-		vecs[i] = make([]datum.Datum, populateBatchRows)
+	sp := splitProvenance{rawPath: raw.Name, colBytes: make([]int64, len(tp.cols))}
+	plan, err := tp.plan(from != nil)
+	if err != nil {
+		return splitProvenance{}, err
+	}
+	var carry, rawCur *orc.Cursor
+	if from != nil {
+		r, view, err := wh.OpenFileView(from.cachePath)
+		if err != nil || !view.Stored || view.Version != from.cacheVersion || r.NumRows() != from.rows {
+			return splitProvenance{}, fmt.Errorf("%w: part unreadable or changed", errCarryBroken)
+		}
+		if carry, err = r.NewCursor(tp.carried, nil, nil); err != nil {
+			return splitProvenance{}, fmt.Errorf("%w: %v", errCarryBroken, err)
+		}
+		sp.rawVersion, sp.rows = from.rawVersion, from.rows
+		for j, col := range tp.cols {
+			if col.prev >= 0 {
+				sp.colBytes[j] = from.colBytes[col.prev]
+			}
+		}
+	}
+	pure := true // the split's values are a function of the stored raw content alone
+	if len(plan.groups) > 0 {
+		r, view, err := wh.OpenFileView(raw.Name)
+		if err != nil {
+			return splitProvenance{}, err
+		}
+		if from != nil && (view.Version != from.rawVersion || r.NumRows() != from.rows) {
+			return splitProvenance{}, fmt.Errorf("%w: raw file changed under it", errCarryBroken)
+		}
+		if rawCur, err = r.NewCursor(plan.readCols, nil, nil); err != nil {
+			return splitProvenance{}, err
+		}
+		pure = view.Stored
+		sp.rawVersion, sp.rows = view.Version, r.NumRows()
 	}
 
-	// One cache file per raw file, in split order: this is the alignment
-	// invariant the Value Combiner depends on.
-	for _, file := range rawInfo.Files {
+	w := orc.NewWriter(tp.schema, wh.WriterOptions())
+	for {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return splitProvenance{}, err
 		}
-		r, err := c.wh.OpenFile(file)
-		if err != nil {
-			return nil, err
-		}
-		cur, err := r.NewCursor(readCols, nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		var rows [][]datum.Datum
-		for {
-			if err := ctx.Err(); err != nil {
-				return nil, err
+		n := 0
+		if carry != nil {
+			if n, err = carry.NextBatch(tp.carryVecs, populateBatchRows); err != nil {
+				return splitProvenance{}, fmt.Errorf("%w: %v", errCarryBroken, err)
 			}
-			n, err := cur.NextBatch(vecs, populateBatchRows)
+		}
+		if rawCur != nil {
+			m, err := rawCur.NextBatch(plan.vecs, populateBatchRows)
 			if err != nil {
-				return nil, err
+				return splitProvenance{}, err
 			}
-			if n == 0 {
-				break
+			if carry != nil && m != n {
+				return splitProvenance{}, fmt.Errorf("%w: rows out of step", errCarryBroken)
 			}
-			// Each JSON column is read once per row.
-			for ri := 0; ri < n; ri++ {
-				out := make([]datum.Datum, len(paths))
-				for _, cp := range plans {
-					src := vecs[cp.pos][ri]
-					for _, pi := range cp.pathIdxs {
-						out[pi] = datum.NullOf(datum.TypeString)
-					}
-					if src.Null {
-						continue
-					}
-					scanned := cp.x.Extract(src.S)
-					stats.BytesScanned += int64(scanned)
-					stats.BytesSkipped += int64(len(src.S) - scanned)
-					stats.ParseNsSpent += float64(scanned) * cm.ParseNsPerByteStream
-					if cp.x.Err() != nil {
-						stats.ParseErrors++
-					}
-					for k, pi := range cp.pathIdxs {
-						if v, ok := cp.x.Scalar(k); ok {
-							out[pi] = datum.Str(v)
-							perPathBytes[pi] += int64(len(v))
-						}
-					}
+			n = m
+			failed := st.ParseErrors
+			tp.extract(plan, n, sp.colBytes)
+			if st.ParseErrors != failed {
+				if from != nil {
+					// Copied values were extracted clean; beside a malformed
+					// document they would differ from a from-scratch populate.
+					return splitProvenance{}, fmt.Errorf("%w: malformed document", errCarryBroken)
 				}
-				rows = append(rows, out)
-				stats.RowsParsed++
+				pure = false
 			}
 		}
-		if _, err := c.wh.AppendRows(CacheDB, cacheTable, rows); err != nil {
-			return nil, err
+		if n == 0 {
+			break
+		}
+		if err := w.AppendColumns(tp.out, n); err != nil {
+			return splitProvenance{}, err
 		}
 	}
+	data, err := w.Finish()
+	if err != nil {
+		return splitProvenance{}, err
+	}
+	part, err := wh.AppendEncoded(CacheDB, tp.cacheTable, data)
+	if err != nil {
+		return splitProvenance{}, err
+	}
+	st.BytesWritten += part.Size
+	if from != nil {
+		st.SplitsRewritten++
+	} else {
+		st.SplitsExtracted++
+	}
+	if !pure {
+		// Still the split's byte counts, but nothing to carry it by.
+		return splitProvenance{colBytes: sp.colBytes}, nil
+	}
+	sp.cachePath, sp.cacheVersion = part.Name, part.Version
+	return sp, nil
+}
 
-	cachedAt := c.wh.Clock().Now()
-	totalBytes, err := c.wh.TotalBytes(CacheDB, cacheTable)
-	if err == nil {
-		stats.BytesWritten += totalBytes
+// extract runs the plan over the n rows its vectors hold, storing each
+// column's values in tp.out and adding their sizes to colBytes. Each JSON
+// column is read once per row.
+func (tp *tablePopulate) extract(plan *extractPlan, n int, colBytes []int64) {
+	st := tp.stats
+	for gi := range plan.groups {
+		g := &plan.groups[gi]
+		for ri, src := range plan.vecs[gi][:n] {
+			for _, j := range g.cols {
+				tp.out[j][ri] = datum.NullOf(datum.TypeString)
+			}
+			if src.Null {
+				continue
+			}
+			scanned := g.x.Extract(src.S)
+			st.BytesScanned += int64(scanned)
+			st.BytesSkipped += int64(len(src.S) - scanned)
+			st.ParseNsSpent += float64(scanned) * tp.cm.ParseNsPerByteStream
+			if g.x.Err() != nil {
+				st.ParseErrors++
+			}
+			for k, j := range g.cols {
+				if v, ok := g.x.Scalar(k); ok {
+					tp.out[j][ri] = datum.Str(v)
+					colBytes[j] += int64(len(v))
+				}
+			}
+		}
 	}
-	entries := make([]*CacheEntry, 0, len(paths))
-	for pi, p := range paths {
-		entries = append(entries, &CacheEntry{
-			Key:         p.prof.Key,
-			CacheDB:     CacheDB,
-			CacheTable:  cacheTable,
-			CacheColumn: p.col,
-			CachedAt:    cachedAt,
-			Bytes:       perPathBytes[pi],
-		})
-	}
-	return entries, nil
+	st.RowsParsed += int64(n)
 }
 
 // ActiveCacheTable returns the current generation's cache table for a raw

@@ -127,6 +127,7 @@ func New(e *sqlengine.Engine, cfg Config) *Maxson {
 	if m.Log == nil {
 		m.Log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
+	m.Cacher.Log = m.Log
 	m.Flight = cfg.Flight
 
 	// One registry serves the whole stack: prefer the caller's, fall back to
@@ -345,8 +346,8 @@ func (r *CycleReport) StageSummary() string {
 
 // RunMidnightCycle executes the daily pipeline as of the clock's current
 // time: train/refresh the predictor on collected statistics, predict
-// tomorrow's MPJPs, score and rank them, and re-populate the cache under
-// the budget. The paper schedules this at midnight when the cluster is
+// tomorrow's MPJPs, score and rank them, and build the next cache generation
+// under the budget. The paper schedules this at midnight when the cluster is
 // under-utilized.
 func (m *Maxson) RunMidnightCycle() (*CycleReport, error) {
 	return m.RunMidnightCycleCtx(context.Background())
@@ -369,10 +370,10 @@ func (m *Maxson) RunMidnightCycleCtx(ctx context.Context) (*CycleReport, error) 
 	// ones an operator wants to inspect on /debug/cycle.
 	defer m.lastCycle.Store(report)
 	stageStart := time.Now()
-	stage := func(name string, items int) {
+	stage := func(name string, items int, more ...any) {
 		wall := time.Since(stageStart)
 		report.Stages = append(report.Stages, CycleStage{Name: name, Items: items, Wall: wall})
-		m.Log.Info("cycle stage", "stage", name, "items", items, "wall", wall)
+		m.Log.Info("cycle stage", append([]any{"stage", name, "items", items, "wall", wall}, more...)...)
 		stageStart = time.Now()
 	}
 	// stageCtx derives a per-stage deadline when StageTimeout is set. The
@@ -407,7 +408,8 @@ func (m *Maxson) RunMidnightCycleCtx(ctx context.Context) (*CycleReport, error) 
 		}
 		m.Log.Info("midnight cycle done", "at", now,
 			"candidates", report.CandidateMPJP, "selected", report.Selected,
-			"paths_cached", report.Cache.PathsCached, "cache_bytes", report.Cache.BytesWritten,
+			"paths_cached", report.Cache.PathsCached,
+			"cache_bytes", report.Cache.BytesWritten+report.Cache.BytesCarried,
 			"dropped", report.Cache.Dropped)
 	}
 
@@ -467,7 +469,7 @@ func (m *Maxson) RunMidnightCycleCtx(ctx context.Context) (*CycleReport, error) 
 	report.CandidateMPJP = len(candidates)
 	stage("predict", len(candidates))
 	if len(candidates) == 0 {
-		// Nothing predicted; clear the cache (it is rebuilt nightly).
+		// Nothing predicted: swap in an empty generation.
 		stage("score", 0)
 		stats, err := m.Cacher.PopulateCtx(stageCtx(), nil, m.Engine.CostModel())
 		report.Cache = stats
@@ -500,10 +502,12 @@ func (m *Maxson) RunMidnightCycleCtx(ctx context.Context) (*CycleReport, error) 
 		return report, err
 	}
 
-	// Stage 5: empty and re-populate the cache under the budget.
+	// Stage 5: build the next cache generation under the budget.
 	stats, err := m.Cacher.PopulateCtx(stageCtx(), selected, m.Engine.CostModel())
 	report.Cache = stats
-	stage("populate", stats.PathsCached)
+	stage("populate", stats.PathsCached, "splits_carried", stats.SplitsCarried,
+		"splits_rewritten", stats.SplitsRewritten, "splits_extracted", stats.SplitsExtracted,
+		"bytes_carried", stats.BytesCarried, "bytes_written", stats.BytesWritten)
 	finish()
 	if err != nil {
 		return report, fmt.Errorf("core: cache population failed: %w", err)

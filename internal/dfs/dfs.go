@@ -81,7 +81,9 @@ type FS struct {
 // Append only ever writes at or beyond the previous len(data) — into spare
 // capacity no view can reach (views are capacity-capped) or into a fresh
 // array. Every mutation also takes a new version, so a version names one
-// exact byte content.
+// exact byte content. Link relies on the same invariant to let two files
+// share one data array: it caps the second file's capacity as it would a
+// view's, so the files' appends can never meet.
 type file struct {
 	data    []byte
 	modTime time.Time
@@ -222,6 +224,32 @@ func (f *FS) Rename(oldName, newName string) error {
 	fl.version = f.nextVersion()
 	f.files[newName] = fl
 	return nil
+}
+
+// Link gives the content stored at src a second name, dst, replacing any file
+// there. No byte is copied: the two names share the stored bytes, which the
+// immutability invariant (see file) makes sound — nothing ever writes them
+// again, so neither name can observe the other being appended to, replaced or
+// deleted. dst takes a fresh version like every other mutation; the returned
+// srcVersion names the content the link was taken from.
+func (f *FS) Link(src, dst string) (srcVersion uint64, linked FileInfo, err error) {
+	src, dst = clean(src), clean(dst)
+	if err := f.inj.Load().Fail(fault.OpAppend, dst); err != nil {
+		return 0, FileInfo{}, err
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	fl, ok := f.files[src]
+	if !ok {
+		return 0, FileInfo{}, fmt.Errorf("%w: %s", ErrNotFound, src)
+	}
+	// Capacity-capped, so an Append to dst reallocates rather than writing
+	// into spare capacity it would share with src.
+	shared := fl.data[:len(fl.data):len(fl.data)]
+	nf := &file{data: shared, modTime: f.clock.Now(), version: f.nextVersion()}
+	f.files[dst] = nf
+	f.stats.FilesCreated++
+	return fl.version, FileInfo{Name: dst, Size: int64(len(shared)), Version: nf.version}, nil
 }
 
 // Append appends data to an existing file, updating its modification time.

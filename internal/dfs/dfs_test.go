@@ -382,6 +382,13 @@ func TestViewSurvivesEveryMutation(t *testing.T) {
 			return fs.Rename("/d/tmp", "/d/f")
 		},
 		"atomic": func(fs *FS) error { return fs.WriteFileAtomic("/d/f", []byte("swapped")) },
+		"link-over": func(fs *FS) error {
+			if err := fs.WriteFile("/d/other", []byte("linked")); err != nil {
+				return err
+			}
+			_, _, err := fs.Link("/d/other", "/d/f")
+			return err
+		},
 		"delete+create": func(fs *FS) error {
 			if err := fs.Delete("/d/f"); err != nil {
 				return err
@@ -427,6 +434,80 @@ func TestViewSurvivesEveryMutation(t *testing.T) {
 				t.Errorf("%s reused the old content's memory", name)
 			}
 		})
+	}
+}
+
+// TestLinkSharesStoredBytes: a link is a second name for the same stored
+// bytes with a version of its own, and from then on the two names live apart —
+// appending to, replacing or deleting either leaves the other as it was.
+func TestLinkSharesStoredBytes(t *testing.T) {
+	fs, _ := newTestFS()
+	// Create + Append leaves spare capacity behind src's content: the case
+	// where the two files' appends could meet in one array.
+	if err := fs.Create("/d/src"); err != nil {
+		t.Fatal(err)
+	}
+	for _, chunk := range []string{"sha", "red"} {
+		if err := fs.Append("/d/src", []byte(chunk)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src, err := fs.ReadView("/d/src")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs.ResetStats()
+	srcVersion, linked, err := fs.Link("/d/src", "/e/dst")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := fs.Stats(); st.BytesWritten != 0 || st.BytesRead != 0 || st.FilesCreated != 1 {
+		t.Errorf("link moved bytes: %+v", st)
+	}
+	dst, err := fs.ReadView("/e/dst")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &dst.Data[0] != &src.Data[0] || !dst.Stored {
+		t.Error("the link does not share the stored bytes")
+	}
+	if srcVersion != src.Version || linked.Version != dst.Version || dst.Version <= src.Version ||
+		linked.Name != "/e/dst" || linked.Size != int64(len("shared")) {
+		t.Errorf("Link returned src version %d and %+v; src is at %d, dst at %d", srcVersion, linked, src.Version, dst.Version)
+	}
+	if got := fs.ListFiles("/e"); len(got) != 1 || got[0] != linked {
+		t.Errorf("ListFiles = %+v, want the link as Link reported it", got)
+	}
+
+	if err := fs.Append("/d/src", []byte("+src")); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Append("/e/dst", []byte("+dst")); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]string{"/d/src": "shared+src", "/e/dst": "shared+dst"} {
+		if got, err := fs.ReadFile(name); err != nil || string(got) != want {
+			t.Errorf("%s reads %q (%v) after both names were appended to, want %q", name, got, err, want)
+		}
+	}
+	if string(src.Data) != "shared" || string(dst.Data) != "shared" {
+		t.Errorf("views taken before the appends now read %q and %q", src.Data, dst.Data)
+	}
+	if fs.DeleteDir("/d") != 1 {
+		t.Fatal("src not deleted")
+	}
+	if got, err := fs.ReadFile("/e/dst"); err != nil || string(got) != "shared+dst" {
+		t.Errorf("the link reads %q (%v) after its source was deleted", got, err)
+	}
+
+	if _, _, err := fs.Link("/d/src", "/e/again"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("linking a missing file: %v, want ErrNotFound", err)
+	}
+	inj := fault.New(1)
+	inj.Add(fault.Rule{Pattern: "/e/denied", Op: fault.OpAppend, Kind: fault.KindError})
+	fs.SetInjector(inj)
+	if _, _, err := fs.Link("/e/dst", "/e/denied"); !errors.Is(err, fault.ErrInjected) || fs.Exists("/e/denied") {
+		t.Errorf("a link is a write and must fail like one: err %v, exists %v", err, fs.Exists("/e/denied"))
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // study: wall time and allocator pressure per operation plus the simulated
 // parse accounting (bytes charged vs bytes the early exit skipped).
 type ExtractBenchRow struct {
-	Lane        string // "kernel" | "wildcard" | "populate" | "fallback"
+	Lane        string // "kernel" | "wildcard" | "populate" | "incremental" | "fallback"
 	Mode        string // "stream" | "tree" (kernel and wildcard lanes only)
 	NsPerOp     int64
 	AllocsPerOp int64
@@ -31,8 +31,9 @@ type ExtractBenchRow struct {
 
 // ExtractBenchResult compares the streaming multi-path extractor against
 // Parse + Eval on the raw kernel (point paths and a wildcard), and measures
-// the two consumers that run it in bulk: Cacher.Populate and the combiner's
-// uncovered-split fallback. Those two once had a tree-parse switch to compare
+// the two consumers that run it in bulk: Cacher.Populate (from nothing, and
+// the night after with one new split) and the combiner's uncovered-split
+// fallback. Those two once had a tree-parse switch to compare
 // against; EXPERIMENTS.md keeps its last measured values.
 type ExtractBenchResult struct {
 	Rows []ExtractBenchRow
@@ -40,10 +41,10 @@ type ExtractBenchResult struct {
 
 func (r *ExtractBenchResult) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-10s %-8s %12s %12s %12s %14s %14s\n",
+	fmt.Fprintf(&b, "%-12s %-8s %12s %12s %12s %14s %14s\n",
 		"lane", "mode", "ns/op", "allocs/op", "B/op", "parse-bytes", "skipped-bytes")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%-10s %-8s %12d %12d %12d %14d %14d\n",
+		fmt.Fprintf(&b, "%-12s %-8s %12d %12d %12d %14d %14d\n",
 			row.Lane, row.Mode, row.NsPerOp, row.AllocsPerOp, row.BytesPerOp,
 			row.ParseBytes, row.SkippedBytes)
 	}
@@ -51,11 +52,21 @@ func (r *ExtractBenchResult) String() string {
 }
 
 // benchOp runs testing.Benchmark around op and fills the measured cells.
-func benchOp(lane, mode string, parseBytes, skipped int64, op func() error) (ExtractBenchRow, error) {
+// prepare, when not nil, runs before every op with the timer stopped.
+func benchOp(lane, mode string, parseBytes, skipped int64, prepare, op func() error) (ExtractBenchRow, error) {
 	var opErr error
 	res := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
+			if prepare != nil {
+				b.StopTimer()
+				err := prepare()
+				b.StartTimer()
+				if err != nil {
+					opErr = fmt.Errorf("%s/%s: prepare: %w", lane, mode, err)
+					b.FailNow()
+				}
+			}
 			if err := op(); err != nil {
 				opErr = fmt.Errorf("%s/%s: %w", lane, mode, err)
 				b.FailNow()
@@ -130,7 +141,7 @@ func RunExtractBench(rows int, seed int64) (*ExtractBenchResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	row, err := benchOp("kernel", "stream", int64(scanned), int64(len(doc)-scanned), func() error {
+	row, err := benchOp("kernel", "stream", int64(scanned), int64(len(doc)-scanned), nil, func() error {
 		parser.ResetValues()
 		_, err := set.Extract(&parser, doc, vals)
 		return err
@@ -140,7 +151,7 @@ func RunExtractBench(rows int, seed int64) (*ExtractBenchResult, error) {
 	}
 	out.Rows = append(out.Rows, row)
 	p3, p7 := jsonpath.MustCompile("$.field03.inner"), jsonpath.MustCompile("$.field07.n")
-	row, err = benchOp("kernel", "tree", int64(len(doc)), 0, func() error {
+	row, err = benchOp("kernel", "tree", int64(len(doc)), 0, nil, func() error {
 		parser.ResetValues()
 		root, err := parser.Parse(doc)
 		if err != nil {
@@ -170,7 +181,7 @@ func RunExtractBench(rows int, seed int64) (*ExtractBenchResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	row, err = benchOp("wildcard", "stream", int64(wscanned), int64(len(wdoc)-wscanned), func() error {
+	row, err = benchOp("wildcard", "stream", int64(wscanned), int64(len(wdoc)-wscanned), nil, func() error {
 		parser.ResetValues()
 		_, err := wset.Extract(&parser, wdoc, wvals)
 		return err
@@ -180,7 +191,7 @@ func RunExtractBench(rows int, seed int64) (*ExtractBenchResult, error) {
 	}
 	out.Rows = append(out.Rows, row)
 	wpath := jsonpath.MustCompile("$.a[*].b")
-	row, err = benchOp("wildcard", "tree", int64(len(wdoc)), 0, func() error {
+	row, err = benchOp("wildcard", "tree", int64(len(wdoc)), 0, nil, func() error {
 		parser.ResetValues()
 		root, err := parser.Parse(wdoc)
 		if err != nil {
@@ -197,6 +208,9 @@ func RunExtractBench(rows int, seed int64) (*ExtractBenchResult, error) {
 	out.Rows = append(out.Rows, row)
 
 	// --- populate lane: one full caching cycle over the Table II workload ---
+	// A cacher carries forward what the previous generation already holds, so
+	// every timed populate runs on a fresh env (a cacher with no history),
+	// built with the timer stopped.
 	w := BuildWorkload(rows, seed)
 	env := newMaxsonEnv(w, sqlengine.StreamBackend{})
 	profiles := env.profiles()
@@ -204,7 +218,38 @@ func RunExtractBench(rows int, seed int64) (*ExtractBenchResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	row, err = benchOp("populate", "stream", stats.BytesScanned, stats.BytesSkipped, func() error {
+	fresh := func() error {
+		env = newMaxsonEnv(w, sqlengine.StreamBackend{})
+		return nil
+	}
+	row, err = benchOp("populate", "stream", stats.BytesScanned, stats.BytesSkipped, fresh, func() error {
+		_, err := env.maxson.CacheSelected(profiles)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	out.Rows = append(out.Rows, row)
+
+	// --- incremental lane: the same selection the night after, one table
+	// having gained a split (a copy of its first third): that split is
+	// extracted, every other one linked from the previous generation.
+	t01, err := w.WH.ReadAll(w.DB, "t01", []string{"id", "ds", "payload"})
+	if err != nil {
+		return nil, err
+	}
+	day := t01[:len(t01)/3]
+	appendDay := func() error {
+		_, err := w.WH.AppendRows(w.DB, "t01", day)
+		return err
+	}
+	if err := appendDay(); err != nil {
+		return nil, err
+	}
+	if stats, err = env.maxson.CacheSelected(profiles); err != nil {
+		return nil, err
+	}
+	row, err = benchOp("incremental", "stream", stats.BytesScanned, stats.BytesSkipped, appendDay, func() error {
 		_, err := env.maxson.CacheSelected(profiles)
 		return err
 	})
@@ -262,7 +307,7 @@ func RunExtractBench(rows int, seed int64) (*ExtractBenchResult, error) {
 	if err := drain(&m); err != nil {
 		return nil, err
 	}
-	row, err = benchOp("fallback", "stream", m.Parse.Bytes.Load(), m.Parse.Skipped.Load(), func() error {
+	row, err = benchOp("fallback", "stream", m.Parse.Bytes.Load(), m.Parse.Skipped.Load(), nil, func() error {
 		return drain(nil)
 	})
 	if err != nil {

@@ -40,6 +40,7 @@ type Writer struct {
 
 	// encoded stripes so far.
 	body        encoder
+	chunk       encoder // scratch of encodeColumn
 	stripes     []stripeMeta
 	curStripe   *stripeMeta
 	stripeStart int64
@@ -66,49 +67,99 @@ func NewWriter(schema Schema, opts WriterOptions) *Writer {
 	return w
 }
 
+// resetPending empties the pending row group, keeping the column buffers'
+// capacity: encodeColumn copied what it needed into the body.
 func (w *Writer) resetPending() {
-	w.pending = make([]columnBuffer, len(w.schema.Columns))
-	for i, c := range w.schema.Columns {
-		w.pending[i].typ = c.Type
+	if w.pending == nil {
+		w.pending = make([]columnBuffer, len(w.schema.Columns))
+		for i, c := range w.schema.Columns {
+			w.pending[i].typ = c.Type
+		}
+	}
+	for i := range w.pending {
+		cb := &w.pending[i]
+		cb.nulls, cb.ints, cb.flts, cb.bools = cb.nulls[:0], cb.ints[:0], cb.flts[:0], cb.bools[:0]
+		clear(cb.strs) // drop the references, so a flushed group pins no source file
+		cb.strs = cb.strs[:0]
 	}
 	w.pendingRows = 0
 }
 
-// AppendRow adds one row. Values must match the schema's arity; each value
-// is coerced to its column type (NULL results from impossible coercions).
-func (w *Writer) AppendRow(row []datum.Datum) error {
+// add appends one value, coerced to the column's type (NULL results from
+// impossible coercions).
+func (cb *columnBuffer) add(v datum.Datum) {
+	d := datum.Coerce(v, cb.typ)
+	cb.nulls = append(cb.nulls, d.Null)
+	switch cb.typ {
+	case datum.TypeInt64:
+		cb.ints = append(cb.ints, d.I)
+	case datum.TypeFloat64:
+		cb.flts = append(cb.flts, d.F)
+	case datum.TypeString:
+		cb.strs = append(cb.strs, d.S)
+	case datum.TypeBool:
+		cb.bools = append(cb.bools, d.B)
+	}
+}
+
+// appendable reports why rows of the given arity cannot be appended, nil when
+// they can.
+func (w *Writer) appendable(arity int) error {
 	if w.finished {
-		return fmt.Errorf("orc: AppendRow after Finish")
+		return fmt.Errorf("orc: append after Finish")
 	}
 	if len(w.schema.Columns) == 0 {
 		// Rows without columns would cost the file no bytes; ParseFooter
 		// rejects such a file, so never write one.
-		return fmt.Errorf("orc: AppendRow on a schema without columns")
+		return fmt.Errorf("orc: append on a schema without columns")
 	}
-	if len(row) != len(w.schema.Columns) {
-		return fmt.Errorf("%w: got %d values, schema has %d columns", ErrColumnMismatch, len(row), len(w.schema.Columns))
+	if arity != len(w.schema.Columns) {
+		return fmt.Errorf("%w: got %d values, schema has %d columns", ErrColumnMismatch, arity, len(w.schema.Columns))
+	}
+	return nil
+}
+
+// AppendRow adds one row. Values must match the schema's arity; each value
+// is coerced to its column type.
+func (w *Writer) AppendRow(row []datum.Datum) error {
+	if err := w.appendable(len(row)); err != nil {
+		return err
 	}
 	for i := range row {
-		cb := &w.pending[i]
-		d := datum.Coerce(row[i], cb.typ)
-		cb.nulls = append(cb.nulls, d.Null)
-		switch cb.typ {
-		case datum.TypeInt64:
-			cb.ints = append(cb.ints, d.I)
-		case datum.TypeFloat64:
-			cb.flts = append(cb.flts, d.F)
-		case datum.TypeString:
-			cb.strs = append(cb.strs, d.S)
-		case datum.TypeBool:
-			cb.bools = append(cb.bools, d.B)
-		}
+		w.pending[i].add(row[i])
 	}
-	w.pendingRows++
-	w.totalRows++
+	w.grew(1)
+	return nil
+}
+
+// AppendColumns adds n rows handed over column-wise: cols[i][:n] holds the
+// values of schema column i. It writes the same file as n AppendRow calls
+// and needs no row slices to do it.
+func (w *Writer) AppendColumns(cols [][]datum.Datum, n int) error {
+	if err := w.appendable(len(cols)); err != nil {
+		return err
+	}
+	for off := 0; off < n; {
+		take := min(n-off, w.opts.RowGroupRows-w.pendingRows)
+		for i := range cols {
+			cb := &w.pending[i]
+			for _, v := range cols[i][off : off+take] {
+				cb.add(v)
+			}
+		}
+		w.grew(take)
+		off += take
+	}
+	return nil
+}
+
+// grew records n more pending rows and flushes the row group once it is full.
+func (w *Writer) grew(n int) {
+	w.pendingRows += n
+	w.totalRows += int64(n)
 	if w.pendingRows >= w.opts.RowGroupRows {
 		w.flushRowGroup()
 	}
-	return nil
 }
 
 // flushRowGroup encodes the pending rows as one row group in the current
@@ -157,7 +208,10 @@ const (
 func (w *Writer) encodeColumn(cb *columnBuffer) ColumnStats {
 	n := len(cb.nulls)
 	var st ColumnStats
-	var chunk encoder
+	// One chunk buffer serves every column of every row group: its bytes are
+	// copied into the body before the next column is encoded.
+	chunk := &w.chunk
+	chunk.buf = chunk.buf[:0]
 	// Null bitmap.
 	bitmap := make([]byte, (n+7)/8)
 	for i, isNull := range cb.nulls {
@@ -171,7 +225,7 @@ func (w *Writer) encodeColumn(cb *columnBuffer) ColumnStats {
 	// Gather non-null values and stats.
 	switch cb.typ {
 	case datum.TypeInt64:
-		var vals []int64
+		vals := make([]int64, 0, n-int(st.NullCount))
 		for i := 0; i < n; i++ {
 			if cb.nulls[i] {
 				continue
@@ -186,7 +240,7 @@ func (w *Writer) encodeColumn(cb *columnBuffer) ColumnStats {
 			st.HasValues = true
 			vals = append(vals, v)
 		}
-		encodeIntChunk(&chunk, vals)
+		encodeIntChunk(chunk, vals)
 	case datum.TypeFloat64:
 		chunk.buf = append(chunk.buf, encPlain)
 		for i := 0; i < n; i++ {
@@ -204,7 +258,7 @@ func (w *Writer) encodeColumn(cb *columnBuffer) ColumnStats {
 			chunk.f64(v)
 		}
 	case datum.TypeString:
-		var vals []string
+		vals := make([]string, 0, n-int(st.NullCount))
 		for i := 0; i < n; i++ {
 			if cb.nulls[i] {
 				continue
@@ -216,7 +270,7 @@ func (w *Writer) encodeColumn(cb *columnBuffer) ColumnStats {
 			if !st.HasValues || v > st.MaxS {
 				st.MaxS = truncateMax(v)
 			}
-			if f, err := strconv.ParseFloat(v, 64); err == nil {
+			if f, ok := parseNumeric(v); ok {
 				if !st.HasValues {
 					st.AllNumeric = true
 				}
@@ -237,7 +291,7 @@ func (w *Writer) encodeColumn(cb *columnBuffer) ColumnStats {
 		// The extremes are (prefixes of) the caller's strings, which may be
 		// views of a file being rewritten; what the writer keeps, it owns.
 		st.MinS, st.MaxS = strings.Clone(st.MinS), strings.Clone(st.MaxS)
-		encodeStringChunk(&chunk, vals)
+		encodeStringChunk(chunk, vals)
 	case datum.TypeBool:
 		chunk.buf = append(chunk.buf, encBitpacked)
 		var packed []byte
@@ -333,6 +387,25 @@ func encodeStringChunk(chunk *encoder, vals []string) {
 	for _, v := range vals {
 		chunk.str(v)
 	}
+}
+
+// parseNumeric is strconv.ParseFloat for the numeric column statistics. A
+// failed ParseFloat allocates an error holding a copy of its input, and most
+// string values — every JSON document of a raw table — are not numbers, so a
+// value that cannot be a float is turned away before the call: one beginning
+// with neither a digit, a sign nor '.', unless it spells Inf, Infinity or NaN.
+func parseNumeric(v string) (float64, bool) {
+	if v == "" {
+		return 0, false
+	}
+	switch c := v[0]; {
+	case c >= '0' && c <= '9', c == '+', c == '-', c == '.':
+	case strings.EqualFold(v, "inf"), strings.EqualFold(v, "infinity"), strings.EqualFold(v, "nan"):
+	default:
+		return 0, false
+	}
+	f, err := strconv.ParseFloat(v, 64)
+	return f, err == nil
 }
 
 // truncateMin bounds index size; a truncated prefix is still a lower bound.

@@ -23,11 +23,14 @@ func (k Key) String() string {
 // Sanitized renders the key as a storage-safe identifier: the cache field
 // naming scheme from the paper's §IV-C (column name + JSONPath).
 func (k Key) Sanitized() string {
-	repl := strings.NewReplacer(
-		"$", "", ".", "_", "[", "_", "]", "", "'", "", `"`, "", " ", "_",
-	)
-	return k.Column + "__" + strings.Trim(repl.Replace(k.Path), "_")
+	return k.Column + "__" + strings.Trim(sanitizer.Replace(k.Path), "_")
 }
+
+// sanitizer is built once: a Replacer costs kilobytes to build and the cacher
+// names every column of every cycle through it. It is safe for concurrent use.
+var sanitizer = strings.NewReplacer(
+	"$", "", ".", "_", "[", "_", "]", "", "'", "", `"`, "", " ", "_",
+)
 
 // TableID renders db.table, the raw-table identity a cache table maps to.
 func (k Key) TableID() string { return k.DB + "." + k.Table }

@@ -54,7 +54,7 @@ type Warehouse struct {
 
 	mu     sync.RWMutex
 	tables map[string]*tableMeta // key: db.table
-	byDir  map[string]*tableMeta // the same tables by directory, for openFile
+	byDir  map[string]*tableMeta // the same tables by directory, for footerOf
 	dbs    map[string]bool
 	orcOpt orc.WriterOptions
 
@@ -269,11 +269,22 @@ func (w *Warehouse) Table(db, table string) (*TableInfo, error) {
 	w.mu.RUnlock()
 	for _, f := range unknown {
 		// An unreadable file counts no rows, as a scan would return none.
-		if r, err := w.openFile(f); err == nil {
+		if r, err := w.OpenFile(f); err == nil {
 			info.NumRows += r.NumRows()
 		}
 	}
 	return info, nil
+}
+
+// Parts lists the table's part files in split order with each one's size and
+// dfs version, so a caller can tell whether a part is still the content it
+// once read without opening it. It reads no file.
+func (w *Warehouse) Parts(db, table string) ([]dfs.FileInfo, error) {
+	tm, err := w.meta(db, table)
+	if err != nil {
+		return nil, err
+	}
+	return w.fs.ListFiles(tm.dir), nil
 }
 
 // ModTime returns the table's last modification time (Algorithm 1 compares
@@ -291,41 +302,127 @@ func (w *Warehouse) ModTime(db, table string) (time.Time, error) {
 // AppendRows writes rows as a new part file of the table (the daily-load
 // pattern) and returns the file path. It bumps the table modification time.
 func (w *Warehouse) AppendRows(db, table string, rows [][]datum.Datum) (string, error) {
-	w.mu.Lock()
-	tm, ok := w.tables[key(db, table)]
-	if !ok {
-		w.mu.Unlock()
-		return "", fmt.Errorf("%w: %s", ErrNoSuchTable, key(db, table))
-	}
-	part := tm.nextPart
-	tm.nextPart++
-	schema := tm.schema
-	dir := tm.dir
-	opts := w.orcOpt
-	w.mu.Unlock()
-
-	data, err := orc.WriteRows(schema, rows, opts)
+	tm, err := w.meta(db, table)
 	if err != nil {
 		return "", err
 	}
-	path := fmt.Sprintf("%s/part-%05d.orc", dir, part)
-	if err := w.writePart(tm, path, data, false); err != nil {
+	data, err := orc.WriteRows(tm.schema, rows, w.orcOpt)
+	if err != nil {
 		return "", err
 	}
-	return path, nil
+	part, err := w.appendPart(tm, data)
+	return part.Name, err
+}
+
+// AppendEncoded is AppendRows for a part file the caller encoded itself (with
+// the table's schema, which is checked, and WriterOptions): a writer fed
+// column batches never has to hold its rows as slices.
+func (w *Warehouse) AppendEncoded(db, table string, data []byte) (dfs.FileInfo, error) {
+	tm, err := w.meta(db, table)
+	if err != nil {
+		return dfs.FileInfo{}, err
+	}
+	return w.appendPart(tm, data)
+}
+
+// LinkPart appends the part file stored at srcPath (of any table with the
+// same schema) to the table as its next part without copying it: the new
+// name shares the stored bytes (dfs.FS.Link) and the footer the metastore
+// keeps for them. Dropping either table leaves the other's part intact. It
+// bumps the table modification time.
+func (w *Warehouse) LinkPart(db, table, srcPath string) (dfs.FileInfo, error) {
+	tm, err := w.meta(db, table)
+	if err != nil {
+		return dfs.FileInfo{}, err
+	}
+	w.mu.Lock()
+	path := tm.nextPartPath()
+	var kept fileFooter
+	if src := w.byDir[dirOf(srcPath)]; src != nil {
+		kept = src.footers[srcPath]
+	}
+	w.mu.Unlock()
+	srcVersion, part, err := w.fs.Link(srcPath, path)
+	if err != nil {
+		return dfs.FileInfo{}, err
+	}
+	footer := kept.footer
+	if footer == nil || kept.version != srcVersion {
+		// The metastore holds no footer of the linked content: read the link.
+		var r *orc.Reader
+		if r, err = w.OpenFile(path); err == nil {
+			footer = r.Footer
+		}
+	}
+	if err == nil {
+		err = sameSchema(footer.Schema(), tm.schema)
+	}
+	if err != nil {
+		// A refused part must not stay in the table's directory.
+		return dfs.FileInfo{}, fmt.Errorf("warehouse: link %s into %s: %w", srcPath, key(db, table), errors.Join(err, w.fs.Delete(path)))
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	tm.modTime = w.clock.Now()
+	tm.keepFooter(path, part.Version, footer)
+	return part, nil
+}
+
+// meta looks a table up.
+func (w *Warehouse) meta(db, table string) (*tableMeta, error) {
+	w.mu.RLock()
+	defer w.mu.RUnlock()
+	tm, ok := w.tables[key(db, table)]
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrNoSuchTable, key(db, table))
+	}
+	return tm, nil
+}
+
+// nextPartPath reserves the table's next part-file name. The caller holds
+// Warehouse.mu for writing.
+func (tm *tableMeta) nextPartPath() string {
+	part := tm.nextPart
+	tm.nextPart++
+	return fmt.Sprintf("%s/part-%05d.orc", tm.dir, part)
+}
+
+// appendPart stores an encoded part file under the table's next part name.
+func (w *Warehouse) appendPart(tm *tableMeta, data []byte) (dfs.FileInfo, error) {
+	w.mu.Lock()
+	path := tm.nextPartPath()
+	w.mu.Unlock()
+	version, err := w.writePart(tm, path, data, false)
+	return dfs.FileInfo{Name: path, Size: int64(len(data)), Version: version}, err
+}
+
+// sameSchema reports how a part file's schema departs from its table's.
+func sameSchema(file, table orc.Schema) error {
+	if len(file.Columns) != len(table.Columns) {
+		return fmt.Errorf("part has %d columns, the table %d", len(file.Columns), len(table.Columns))
+	}
+	for i, c := range file.Columns {
+		if c != table.Columns[i] {
+			return fmt.Errorf("part column %d is %s %v, the table's %s %v", i, c.Name, c.Type, table.Columns[i].Name, table.Columns[i].Type)
+		}
+	}
+	return nil
 }
 
 // writePart stores one encoded part file and records it in the metastore:
 // the table's modification time (and rewrite time, for a rewrite) and the
-// file's footer under the version the bytes were stored as.
-func (w *Warehouse) writePart(tm *tableMeta, path string, data []byte, rewrite bool) error {
+// file's footer under the version the bytes were stored as, which it returns.
+func (w *Warehouse) writePart(tm *tableMeta, path string, data []byte, rewrite bool) (uint64, error) {
 	footer, err := orc.ParseFooter(data)
+	if err == nil {
+		err = sameSchema(footer.Schema(), tm.schema)
+	}
 	if err != nil {
-		return fmt.Errorf("warehouse: write %s: %w", path, err)
+		return 0, fmt.Errorf("warehouse: write %s: %w", path, err)
 	}
 	version, err := w.fs.WriteFileVersion(path, data)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -335,7 +432,7 @@ func (w *Warehouse) writePart(tm *tableMeta, path string, data []byte, rewrite b
 		tm.rewriteTime = now
 	}
 	tm.keepFooter(path, version, footer)
-	return nil
+	return version, nil
 }
 
 // keepFooter files a footer unless one for a later version of the file is
@@ -351,11 +448,9 @@ func (tm *tableMeta) keepFooter(path string, version uint64, footer *orc.Footer)
 // "previously appended data was modified" event (2% of tables in the
 // paper's study) that must invalidate caches.
 func (w *Warehouse) RewriteFile(db, table, path string, rows [][]datum.Datum) error {
-	w.mu.Lock()
-	tm, ok := w.tables[key(db, table)]
-	w.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoSuchTable, key(db, table))
+	tm, err := w.meta(db, table)
+	if err != nil {
+		return err
 	}
 	if !strings.HasPrefix(path, tm.dir+"/") {
 		return fmt.Errorf("warehouse: %s is not a file of %s", path, key(db, table))
@@ -367,7 +462,8 @@ func (w *Warehouse) RewriteFile(db, table, path string, rows [][]datum.Datum) er
 	if err != nil {
 		return err
 	}
-	return w.writePart(tm, path, data, true)
+	_, err = w.writePart(tm, path, data, true)
+	return err
 }
 
 // RewriteTime returns when previously appended data was last modified; the
@@ -394,14 +490,20 @@ func (w *Warehouse) CreatedAt(db, table string) (time.Time, error) {
 }
 
 // OpenFile opens one part file for reading.
-func (w *Warehouse) OpenFile(path string) (*orc.Reader, error) { return w.openFile(path) }
+func (w *Warehouse) OpenFile(path string) (*orc.Reader, error) {
+	r, _, err := w.OpenFileView(path)
+	return r, err
+}
 
-// openFile opens a part file over a zero-copy dfs view, absorbing up to
-// readRetries transient failures with linear backoff. Permanent errors
-// (missing file, corrupt footer) surface immediately; only faults the
-// injection layer marks transient are retried, mirroring how an HDFS client
-// retries a flaky datanode but not a lost block.
-func (w *Warehouse) openFile(path string) (*orc.Reader, error) {
+// OpenFileView is OpenFile that also hands back the dfs view the reader
+// serves from, for a caller that files what it derives from the part under
+// the version it read — which, like the metastore with footers, it may do
+// only when view.Stored. The open absorbs up to readRetries transient
+// failures with linear backoff. Permanent errors (missing file, corrupt
+// footer) surface immediately; only faults the injection layer marks
+// transient are retried, mirroring how an HDFS client retries a flaky
+// datanode but not a lost block.
+func (w *Warehouse) OpenFileView(path string) (*orc.Reader, dfs.View, error) {
 	w.mu.RLock()
 	notify, sleep := w.retryNotify, w.retrySleep
 	w.mu.RUnlock()
@@ -416,7 +518,7 @@ func (w *Warehouse) openFile(path string) (*orc.Reader, error) {
 			break
 		}
 		if attempt >= readRetries || !fault.Transient(err) {
-			return nil, err
+			return nil, dfs.View{}, err
 		}
 		if notify != nil {
 			notify()
@@ -425,13 +527,13 @@ func (w *Warehouse) openFile(path string) (*orc.Reader, error) {
 	}
 	footer, err := w.footerOf(path, view)
 	if err != nil {
-		return nil, fmt.Errorf("warehouse: open %s: %w", path, err)
+		return nil, dfs.View{}, fmt.Errorf("warehouse: open %s: %w", path, err)
 	}
 	r := footer.NewReader(view.Data)
 	if inj := w.fs.Injector(); inj != nil {
 		r.SetFaultHook(func() error { return inj.Fail(fault.OpDecode, path) })
 	}
-	return r, nil
+	return r, view, nil
 }
 
 // footerOf returns the footer of the bytes a read returned. The metastore's
@@ -473,7 +575,7 @@ func (w *Warehouse) ReadAll(db, table string, columns []string) ([][]datum.Datum
 	}
 	var out [][]datum.Datum
 	for _, f := range info.Files {
-		r, err := w.openFile(f)
+		r, err := w.OpenFile(f)
 		if err != nil {
 			return nil, err
 		}

@@ -603,3 +603,158 @@ func TestConcurrentOpensOfOneFile(t *testing.T) {
 	}()
 	wg.Wait()
 }
+
+// TestLinkPartSharesBytesAndFooter: a linked part is the next part of its
+// table, reads no file, shares the source's stored bytes and kept footer, and
+// outlives the table it was linked from.
+func TestLinkPartSharesBytesAndFooter(t *testing.T) {
+	w, clock := newTestWarehouse()
+	w.CreateDatabase("db")
+	for _, table := range []string{"g1", "g2"} {
+		if err := w.CreateTable("db", table, saleSchema); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src, err := w.AppendRows("db", "g1", saleRows(7, "20190101"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.AppendRows("db", "g2", saleRows(2, "20190102")); err != nil {
+		t.Fatal(err)
+	}
+	clock.Advance(time.Hour)
+	w.FS().ResetStats()
+	part, err := w.LinkPart("db", "g2", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := w.FS().Stats(); st.Opens != 0 || st.BytesRead != 0 || st.BytesWritten != 0 {
+		t.Errorf("the link moved bytes: %+v", st)
+	}
+	info, err := w.Table("db", "g2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := w.Parts("db", "g2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(parts) != 2 || parts[1] != part || info.Files[1] != part.Name ||
+		!strings.HasSuffix(part.Name, "/g2/part-00001.orc") || info.NumRows != 9 || !info.ModTime.Equal(clock.Now()) {
+		t.Errorf("after the link: parts %+v, %d rows, modified %v; linked %+v", parts, info.NumRows, info.ModTime, part)
+	}
+	if st := w.FS().Stats(); st.Opens != 0 {
+		t.Errorf("Table() opened %d files: the link did not bring its footer", st.Opens)
+	}
+	a, av, err := w.OpenFileView(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, bv, err := w.OpenFileView(part.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Footer != b.Footer || &av.Data[0] != &bv.Data[0] || !bv.Stored || bv.Version != part.Version || av.Version == bv.Version {
+		t.Errorf("link and source: same footer %v, same bytes %v, versions %d and %d (linked as %d)",
+			a.Footer == b.Footer, &av.Data[0] == &bv.Data[0], av.Version, bv.Version, part.Version)
+	}
+
+	want := stringsOf(t, a, "sale_logs")
+	if err := w.DropTable("db", "g1"); err != nil {
+		t.Fatal(err)
+	}
+	r, err := w.OpenFile(part.Name)
+	if err != nil {
+		t.Fatalf("the link died with the table it came from: %v", err)
+	}
+	if got := stringsOf(t, r, "sale_logs"); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("linked part reads %v, want %v", got, want)
+	}
+}
+
+// TestForeignPartsAreChecked: AppendEncoded and LinkPart accept only a part
+// file with the table's schema, and a refused one leaves nothing behind.
+func TestForeignPartsAreChecked(t *testing.T) {
+	w, _ := newTestWarehouse()
+	w.CreateDatabase("db")
+	if err := w.CreateTable("db", "t", saleSchema); err != nil {
+		t.Fatal(err)
+	}
+	other := orc.Schema{Columns: []orc.Column{{Name: "x", Type: datum.TypeInt64}}}
+	if err := w.CreateTable("db", "other", other); err != nil {
+		t.Fatal(err)
+	}
+	foreign, err := w.AppendRows("db", "other", [][]datum.Datum{{datum.Int(1)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	good, err := orc.WriteRows(saleSchema, saleRows(3, "20190101"), w.WriterOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := w.AppendEncoded("db", "t", good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if parts, _ := w.Parts("db", "t"); len(parts) != 1 || parts[0] != part || part.Size != int64(len(good)) {
+		t.Errorf("AppendEncoded reported %+v; the table holds %+v", part, parts)
+	}
+	bad, err := orc.WriteRows(other, [][]datum.Datum{{datum.Int(1)}}, w.WriterOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.AppendEncoded("db", "t", bad); err == nil {
+		t.Error("AppendEncoded took a part with another schema")
+	}
+	if _, err := w.AppendEncoded("db", "t", good[:len(good)/2]); err == nil {
+		t.Error("AppendEncoded took half a part file")
+	}
+	if _, err := w.LinkPart("db", "t", foreign); err == nil {
+		t.Error("LinkPart took a part with another schema")
+	}
+	if _, err := w.LinkPart("db", "t", "/warehouse/db/other/part-00099.orc"); !errors.Is(err, dfs.ErrNotFound) {
+		t.Errorf("LinkPart of a missing file: %v", err)
+	}
+	if _, err := w.LinkPart("db", "nope", foreign); !errors.Is(err, ErrNoSuchTable) {
+		t.Errorf("LinkPart into a missing table: %v", err)
+	}
+	if info, _ := w.Table("db", "t"); len(info.Files) != 1 {
+		t.Errorf("refused parts left files behind: %v", info.Files)
+	}
+}
+
+// TestLinkOfAnUnknownVersionParsesItsOwnFooter: when the metastore's footer is
+// not of the bytes that were linked (written behind its back), the link's
+// footer comes from the link, not from the stale entry.
+func TestLinkOfAnUnknownVersionParsesItsOwnFooter(t *testing.T) {
+	w, _ := newTestWarehouse()
+	w.CreateDatabase("db")
+	for _, table := range []string{"a", "b"} {
+		if err := w.CreateTable("db", table, saleSchema); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src, err := w.AppendRows("db", "a", saleRows(4, "20190101"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	behind, err := orc.WriteRows(saleSchema, saleRows(9, "20190109"), w.WriterOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.FS().WriteFile(src, behind); err != nil {
+		t.Fatal(err)
+	}
+	part, err := w.LinkPart("db", "b", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := w.OpenFile(part.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.NumRows() != 9 {
+		t.Errorf("the link reads %d rows through a stale footer, want 9", r.NumRows())
+	}
+}

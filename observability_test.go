@@ -182,6 +182,11 @@ func TestDebugServerThroughSystem(t *testing.T) {
 	if len(report.Stages) != 5 {
 		t.Errorf("cycle report stages = %d, want 5", len(report.Stages))
 	}
+	for _, field := range []string{`"SplitsCarried"`, `"SplitsRewritten"`, `"SplitsExtracted"`, `"BytesCarried"`} {
+		if !strings.Contains(rr.Body.String(), field) {
+			t.Errorf("/debug/cycle does not show %s", field)
+		}
+	}
 
 	if rr = get("/healthz"); rr.Code != http.StatusOK {
 		t.Errorf("/healthz = %d", rr.Code)
