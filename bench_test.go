@@ -7,6 +7,7 @@ package maxson
 // run cmd/maxson-bench for full-size reports.
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -44,7 +45,7 @@ func BenchmarkFig2UpdateHistogram(b *testing.B) {
 func BenchmarkFig3ParseCost(b *testing.B) {
 	var minShare float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunFig3(benchRows * 2)
+		r, err := experiments.RunFig3(context.Background(), benchRows*2)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -104,7 +105,7 @@ func BenchmarkTable4Windows(b *testing.B) {
 func BenchmarkFig11CacheBudgets(b *testing.B) {
 	var speedup float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunFig11(benchRows, benchSeed)
+		r, err := experiments.RunFig11(context.Background(), benchRows, benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -120,7 +121,7 @@ func BenchmarkFig11CacheBudgets(b *testing.B) {
 func BenchmarkFig12Breakdown(b *testing.B) {
 	var inputShrink float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunFig12(benchRows, benchSeed)
+		r, err := experiments.RunFig12(context.Background(), benchRows, benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -144,7 +145,7 @@ func BenchmarkFig12Breakdown(b *testing.B) {
 func BenchmarkFig13PlanTime(b *testing.B) {
 	var avgOverheadNs float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunFig13(benchRows, benchSeed)
+		r, err := experiments.RunFig13(context.Background(), benchRows, benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -174,7 +175,7 @@ func BenchmarkFig14OnlineLRU(b *testing.B) {
 func BenchmarkFig15Parsers(b *testing.B) {
 	var maxsonSpeedup, misonSpeedup float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunFig15(benchRows, benchSeed)
+		r, err := experiments.RunFig15(context.Background(), benchRows, benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -195,7 +196,7 @@ func BenchmarkFig15Parsers(b *testing.B) {
 func BenchmarkAblation(b *testing.B) {
 	var fullSpeedup float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunAblation(benchRows, benchSeed)
+		r, err := experiments.RunAblation(context.Background(), benchRows, benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -208,7 +209,7 @@ func BenchmarkAblation(b *testing.B) {
 func BenchmarkSparserStudy(b *testing.B) {
 	var prefilterSpeedup float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunSparserStudy(benchRows, benchSeed)
+		r, err := experiments.RunSparserStudy(context.Background(), benchRows, benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -239,13 +240,13 @@ func BenchmarkEndToEndDailyCycle(b *testing.B) {
 				b.Fatal(err)
 			}
 			for rep := 0; rep < 2; rep++ {
-				if _, _, err := sys.Query(sql); err != nil {
+				if _, _, err := sys.QueryCtx(context.Background(), sql); err != nil {
 					b.Fatal(err)
 				}
 			}
 			sys.AdvanceToMidnight()
 			if day >= 6 {
-				if _, err := sys.RunMidnightCycle(); err != nil {
+				if _, err := sys.RunMidnightCycleCtx(context.Background()); err != nil {
 					b.Fatal(err)
 				}
 			}

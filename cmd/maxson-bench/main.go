@@ -37,14 +37,14 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (fig2..fig15, table3, table4, all)")
+	exp := flag.String("exp", "all", "comma-separated experiments to run (fig2, fig3, fig4, table3, table4, fig11..fig15, ablation, sparser, exec, extract, obs, mqo, all)")
 	rows := flag.Int("rows", 400, "rows per Table II table")
 	days := flag.Int("days", 60, "trace length in days for workload/model experiments")
 	seed := flag.Int64("seed", 1, "random seed")
 	epochs := flag.Int("epochs", 12, "LSTM training epochs")
 	asJSON := flag.Bool("json", false, "emit one NDJSON document per experiment instead of tables")
 	outPath := flag.String("out", "", "with -json: write NDJSON to this file instead of stdout")
-	timeout := flag.Duration("timeout", 0, "wall-clock budget for the whole run; checked between experiments (0 = none)")
+	timeout := flag.Duration("timeout", 0, "wall-clock budget for the whole run: a deadline on every query and cache population, checked between experiments too (0 = none)")
 	debugAddr := flag.String("debug-addr", "", "serve a diagnostics server (pprof, process metrics) while experiments run")
 	flag.Parse()
 
@@ -65,9 +65,11 @@ func main() {
 		}()
 	}
 
-	// The -timeout budget also rides a context so ctx-aware experiments
-	// (mqo) abort mid-run; the between-experiments check below still stops
-	// the overall sweep.
+	// The -timeout budget rides a context into every experiment that runs
+	// queries or populates a cache, so an overrun aborts mid-experiment; the
+	// trace and model experiments (fig2, fig4, table3, table4, fig14) only
+	// compute, and the between-experiments check below stops the sweep after
+	// them.
 	ctx := context.Background()
 	if *timeout > 0 {
 		var cancel context.CancelFunc
@@ -82,7 +84,7 @@ func main() {
 
 	runners := map[string]func() (fmt.Stringer, error){
 		"fig2": func() (fmt.Stringer, error) { return experiments.RunFig2(traceCfg), nil },
-		"fig3": func() (fmt.Stringer, error) { return experiments.RunFig3(*rows * 4) },
+		"fig3": func() (fmt.Stringer, error) { return experiments.RunFig3(ctx, *rows*4) },
 		"fig4": func() (fmt.Stringer, error) { return experiments.RunFig4(traceCfg), nil },
 		"table3": func() (fmt.Stringer, error) {
 			return experiments.RunTable3(traceCfg, lstmCfg), nil
@@ -94,16 +96,16 @@ func main() {
 			}
 			return experiments.RunTable4(cfg, lstmCfg), nil
 		},
-		"fig11":    func() (fmt.Stringer, error) { return experiments.RunFig11(*rows, *seed) },
-		"fig12":    func() (fmt.Stringer, error) { return experiments.RunFig12(*rows, *seed) },
-		"fig13":    func() (fmt.Stringer, error) { return experiments.RunFig13(*rows, *seed) },
+		"fig11":    func() (fmt.Stringer, error) { return experiments.RunFig11(ctx, *rows, *seed) },
+		"fig12":    func() (fmt.Stringer, error) { return experiments.RunFig12(ctx, *rows, *seed) },
+		"fig13":    func() (fmt.Stringer, error) { return experiments.RunFig13(ctx, *rows, *seed) },
 		"fig14":    func() (fmt.Stringer, error) { return experiments.RunFig14(*rows, *seed, 7) },
-		"fig15":    func() (fmt.Stringer, error) { return experiments.RunFig15(*rows, *seed) },
-		"ablation": func() (fmt.Stringer, error) { return experiments.RunAblation(*rows, *seed) },
-		"sparser":  func() (fmt.Stringer, error) { return experiments.RunSparserStudy(*rows, *seed) },
-		"exec":     func() (fmt.Stringer, error) { return experiments.RunExecBench(*rows, *seed) },
-		"extract":  func() (fmt.Stringer, error) { return experiments.RunExtractBench(*rows, *seed) },
-		"obs":      func() (fmt.Stringer, error) { return experiments.RunObsBench() },
+		"fig15":    func() (fmt.Stringer, error) { return experiments.RunFig15(ctx, *rows, *seed) },
+		"ablation": func() (fmt.Stringer, error) { return experiments.RunAblation(ctx, *rows, *seed) },
+		"sparser":  func() (fmt.Stringer, error) { return experiments.RunSparserStudy(ctx, *rows, *seed) },
+		"exec":     func() (fmt.Stringer, error) { return experiments.RunExecBench(ctx, *rows, *seed) },
+		"extract":  func() (fmt.Stringer, error) { return experiments.RunExtractBench(ctx, *rows, *seed) },
+		"obs":      func() (fmt.Stringer, error) { return experiments.RunObsBench(ctx) },
 		"mqo":      func() (fmt.Stringer, error) { return experiments.RunMQOBench(ctx, *rows, *seed) },
 	}
 	order := []string{"fig2", "fig3", "fig4", "table3", "table4", "fig11", "fig12", "fig13", "fig14", "fig15", "ablation", "sparser", "exec", "extract", "obs", "mqo"}
@@ -135,11 +137,10 @@ func main() {
 		}
 	}
 
-	runStart := time.Now()
 	for _, name := range selected {
 		// Experiments are self-contained, so the budget is checked between
 		// them: an overrun stops cleanly with completed results intact.
-		if *timeout > 0 && time.Since(runStart) > *timeout {
+		if ctx.Err() != nil {
 			fmt.Fprintf(os.Stderr, "maxson-bench: -timeout %v exceeded; skipping remaining experiments starting at %s\n", *timeout, name)
 			os.Exit(3)
 		}

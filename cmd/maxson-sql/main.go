@@ -151,7 +151,7 @@ func main() {
 				TotalValueBytes: 1,
 			})
 		}
-		if _, err := sys.Core().CacheSelected(profiles); err != nil {
+		if _, err := sys.Core().CacheSelected(ctx, profiles); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("-- maxson: %d JSONPaths pre-cached (%d bytes)\n\n", len(profiles), sys.CacheBytes())

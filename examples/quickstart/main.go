@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -12,6 +13,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	sys := maxson.NewSystem(maxson.SystemConfig{DefaultDB: "mydb"})
 	wh := sys.Warehouse()
 	wh.CreateDatabase("mydb")
@@ -44,7 +46,7 @@ func main() {
 	        ORDER BY cast_double(get_json_object(sale_logs, '$.turnover')) DESC
 	        LIMIT 3`
 
-	rs, m, err := sys.Query(sql)
+	rs, m, err := sys.QueryCtx(ctx, sql)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -58,20 +60,20 @@ func main() {
 			sys.AdvanceClock(24 * time.Hour)
 		}
 		for rep := 0; rep < 3; rep++ {
-			if _, _, err := sys.Query(sql); err != nil {
+			if _, _, err := sys.QueryCtx(ctx, sql); err != nil {
 				log.Fatal(err)
 			}
 		}
 	}
 	sys.AdvanceToMidnight()
-	report, err := sys.RunMidnightCycle()
+	report, err := sys.RunMidnightCycleCtx(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("midnight cycle: %d MPJPs predicted, %d cached (%d bytes)\n\n",
 		report.CandidateMPJP, report.Selected, sys.CacheBytes())
 
-	rs, m, err = sys.Query(sql)
+	rs, m, err = sys.QueryCtx(ctx, sql)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -15,6 +16,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	sys := maxson.NewSystem(maxson.SystemConfig{DefaultDB: "mydb"})
 	wh := sys.Warehouse()
 	wh.CreateDatabase("mydb")
@@ -85,7 +87,7 @@ func main() {
 		sys.AdvanceClock(12 * time.Hour) // queries run midday, after the load
 		q1, q2 := queryWindow(day)
 		for _, sql := range []string{q1, q2} {
-			_, m, err := sys.Query(sql)
+			_, m, err := sys.QueryCtx(ctx, sql)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -100,14 +102,14 @@ func main() {
 		sys.AdvanceToMidnight()
 		if day == 10 {
 			// Enough history: start the nightly prediction + caching cycle.
-			report, err := sys.RunMidnightCycle()
+			report, err := sys.RunMidnightCycleCtx(ctx)
 			if err != nil {
 				log.Fatal(err)
 			}
 			fmt.Printf("day %d midnight: predicted %d MPJPs, cached %d paths (%d bytes)\n",
 				day, report.CandidateMPJP, report.Selected, sys.CacheBytes())
 		} else if day > 10 {
-			if _, err := sys.RunMidnightCycle(); err != nil {
+			if _, err := sys.RunMidnightCycleCtx(ctx); err != nil {
 				log.Fatal(err)
 			}
 		}

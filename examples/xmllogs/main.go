@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -16,6 +17,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	sys := maxson.NewSystem(maxson.SystemConfig{DefaultDB: "ops"})
 	wh := sys.Warehouse()
 	wh.CreateDatabase("ops")
@@ -63,7 +65,7 @@ func main() {
 		loadDay(day)
 		sys.AdvanceClock(12 * time.Hour)
 		for rep := 0; rep < 3; rep++ {
-			_, m, err := sys.Query(sql)
+			_, m, err := sys.QueryCtx(ctx, sql)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -75,13 +77,13 @@ func main() {
 		}
 		sys.AdvanceToMidnight()
 		if day >= 9 {
-			if _, err := sys.RunMidnightCycle(); err != nil {
+			if _, err := sys.RunMidnightCycleCtx(ctx); err != nil {
 				log.Fatal(err)
 			}
 		}
 	}
 
-	rs, m, err := sys.Query(sql)
+	rs, m, err := sys.QueryCtx(ctx, sql)
 	if err != nil {
 		log.Fatal(err)
 	}

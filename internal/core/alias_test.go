@@ -90,7 +90,7 @@ func TestNothingKeptAliasesAStoredFile(t *testing.T) {
 	}
 
 	// Plain engine: the raw document column itself is returned.
-	rs, m, err := env.e.Query(`SELECT id, doc FROM db.t ORDER BY id`)
+	rs, m, err := env.e.QueryCtx(context.Background(), `SELECT id, doc FROM db.t ORDER BY id`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestNothingKeptAliasesAStoredFile(t *testing.T) {
 	// Combined: a primary column (views of the raw file) stitched to cached
 	// columns (views of the cache file); the appended split falls back.
 	combined := `SELECT doc, get_json_object(doc, '$.a') a, get_json_object(doc, '$.nested.x') nx FROM db.t ORDER BY id`
-	rs, m, err = env.m.Query(combined)
+	rs, m, err = env.m.QueryCtx(context.Background(), combined)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestNothingKeptAliasesAStoredFile(t *testing.T) {
 	check("fallback", rs, sqlengine.ScanFallbackUncovered, m)
 
 	// MIN/MAX and GROUP BY keep datums in aggregation state until the end.
-	rs, _, err = env.m.Query(`SELECT get_json_object(doc, '$.a') a, MAX(doc) hi, MIN(doc) lo FROM db.t GROUP BY get_json_object(doc, '$.a')`)
+	rs, _, err = env.m.QueryCtx(context.Background(), `SELECT get_json_object(doc, '$.a') a, MAX(doc) hi, MIN(doc) lo FROM db.t GROUP BY get_json_object(doc, '$.a')`)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -137,10 +138,10 @@ func runBatchRowRound(t *testing.T, seed int64) {
 			TotalValueBytes: 1,
 		})
 	}
-	if _, err := batchMax.CacheSelected(profiles); err != nil {
+	if _, err := batchMax.CacheSelected(context.Background(), profiles); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rowMax.CacheSelected(profiles); err != nil {
+	if _, err := rowMax.CacheSelected(context.Background(), profiles); err != nil {
 		t.Fatal(err)
 	}
 
@@ -173,16 +174,16 @@ func runBatchRowRound(t *testing.T, seed int64) {
 			// the combined / combined-pushdown / fallback sources.
 			for _, pair := range []struct {
 				name       string
-				batch, row func(string) (*sqlengine.ResultSet, *sqlengine.Metrics, error)
+				batch, row func(context.Context, string) (*sqlengine.ResultSet, *sqlengine.Metrics, error)
 			}{
-				{"plain", batchEngine.Query, rowEngine.Query},
-				{"maxson", batchMax.Query, rowMax.Query},
+				{"plain", batchEngine.QueryCtx, rowEngine.QueryCtx},
+				{"maxson", batchMax.QueryCtx, rowMax.QueryCtx},
 			} {
-				rb, mb, err := pair.batch(sql)
+				rb, mb, err := pair.batch(context.Background(), sql)
 				if err != nil {
 					t.Fatalf("%s %s batch %q: %v", stage, pair.name, sql, err)
 				}
-				rr, mr, err := pair.row(sql)
+				rr, mr, err := pair.row(context.Background(), sql)
 				if err != nil {
 					t.Fatalf("%s %s row %q: %v", stage, pair.name, sql, err)
 				}

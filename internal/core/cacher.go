@@ -132,7 +132,7 @@ func (c *Cacher) SetObs(r *obs.Registry) {
 	}
 }
 
-// Populate runs one caching cycle: it drops the cache tables the previous
+// PopulateCtx runs one caching cycle: it drops the cache tables the previous
 // cycle retired and builds a new generation holding the selected profiles in
 // order. The paper empties and re-populates every midnight; here a generation
 // is an incremental function of the one before it — what is unchanged since
@@ -142,22 +142,19 @@ func (c *Cacher) SetObs(r *obs.Registry) {
 // off-peak parsing work that remains: each JSON column's paths are extracted
 // in a single streaming pass per document, charged at the stream rate for the
 // bytes actually scanned.
-func (c *Cacher) Populate(selected []*PathProfile, cm sqlengine.CostModel) (CacheStats, error) {
-	return c.PopulateCtx(context.Background(), selected, cm)
-}
-
-// PopulateCtx is Populate under a context. The cycle is crash-safe: the new
-// generation's tables are built and registered nowhere until every table
-// succeeds, then committed with one atomic registry swap. A failure (I/O
-// error, worker panic, cancellation) at ANY point leaves the previous
-// generation serving untouched; the partially built tables are deleted
-// immediately, since no query can have planned against them.
+//
+// The cycle is crash-safe: the new generation's tables are built and
+// registered nowhere until every table succeeds, then committed with one
+// atomic registry swap. A failure (I/O error, worker panic, cancellation) at
+// ANY point leaves the previous generation serving untouched; the partially
+// built tables are deleted immediately, since no query can have planned
+// against them.
 func (c *Cacher) PopulateCtx(ctx context.Context, selected []*PathProfile, cm sqlengine.CostModel) (CacheStats, error) {
 	var stats CacheStats
 
 	// Delete the generation retired during the PREVIOUS cycle: no live
 	// query can still reference it (its registry entries vanished a full
-	// cycle ago). RunMidnightCycle calls DropRetired itself (so the stage
+	// cycle ago). RunMidnightCycleCtx calls DropRetired itself (so the stage
 	// is timed separately); this call is then a no-op, but keeps direct
 	// CacheSelected users correct.
 	stats.Dropped = c.DropRetired()
@@ -294,8 +291,8 @@ func (c *Cacher) dropGeneration(tableIDs []string, gen int) {
 }
 
 // DropRetired deletes the cache tables queued for deferred deletion by the
-// previous cycle and returns how many were dropped. Populate runs it
-// implicitly; RunMidnightCycle calls it explicitly first so the
+// previous cycle and returns how many were dropped. PopulateCtx runs it
+// implicitly; RunMidnightCycleCtx calls it explicitly first so the
 // retire-deferred-delete stage is accounted on its own.
 func (c *Cacher) DropRetired() int {
 	c.mu.Lock()

@@ -14,6 +14,7 @@ import (
 	"repro/internal/datum"
 	"repro/internal/dfs"
 	"repro/internal/fault"
+	"repro/internal/obs/flight"
 	"repro/internal/orc"
 	"repro/internal/pathkey"
 	"repro/internal/simtime"
@@ -96,7 +97,7 @@ func (env *chaosEnv) populate(t *testing.T) {
 			TotalValueBytes: 1,
 		})
 	}
-	if _, err := env.m.CacheSelected(profiles); err != nil {
+	if _, err := env.m.CacheSelected(context.Background(), profiles); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -107,7 +108,7 @@ func (env *chaosEnv) cleanResults(t *testing.T) []string {
 	t.Helper()
 	out := make([]string, len(chaosQueries))
 	for i, sql := range chaosQueries {
-		rs, _, err := env.m.Query(sql)
+		rs, _, err := env.m.QueryCtx(context.Background(), sql)
 		if err != nil {
 			t.Fatalf("clean run of %q: %v", sql, err)
 		}
@@ -185,7 +186,7 @@ func TestChaosTruncatedCacheFile(t *testing.T) {
 	// raw parse for the rest of the generation, still correct.
 	env.fs.SetInjector(nil)
 	for i, sql := range chaosQueries {
-		rs, _, err := env.m.Query(sql)
+		rs, _, err := env.m.QueryCtx(context.Background(), sql)
 		if err != nil {
 			t.Fatalf("query %q post-quarantine: %v", sql, err)
 		}
@@ -233,6 +234,49 @@ func TestChaosDecodeFailureMidStream(t *testing.T) {
 	checkBatchBaseline(t, before)
 }
 
+// TestChaosExplainDegradedCache runs the same mid-stream decode failure
+// through ExplainCtx: EXPLAIN ANALYZE goes through the door QueryCtx does, so
+// the rotten cache file costs a quarantine and one re-plan, never an error —
+// the rendering is the raw plan's, the rows are the plain engine's, and the
+// flight recorder files the query as a quarantined retry.
+func TestChaosExplainDegradedCache(t *testing.T) {
+	env := newChaosEnv(t, 103)
+	env.m.Flight = flight.New(env.m.Obs(), flight.Options{})
+	before := sqlengine.OutstandingBatches()
+	sql := chaosQueries[0]
+	want, _, err := sqlengine.NewEngine(env.wh, sqlengine.WithDefaultDB("db")).QueryCtx(context.Background(), sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	inj := fault.New(3)
+	inj.Add(fault.Rule{Pattern: "maxson_cache", Op: fault.OpDecode, Kind: fault.KindError, FailN: 1})
+	env.fs.SetInjector(inj)
+
+	text, rs, _, err := env.m.ExplainCtx(context.Background(), sql)
+	if err != nil {
+		t.Fatalf("EXPLAIN ANALYZE with mid-stream decode failure: %v", err)
+	}
+	if rs.String() != want.String() {
+		t.Fatalf("explained rows diverged from the plain engine:\nwant:\n%s\ngot:\n%s", want, rs)
+	}
+	if !strings.Contains(text, "split 0: raw") || strings.Contains(text, "combined") {
+		t.Fatalf("rendering is not the raw re-plan:\n%s", text)
+	}
+	if env.m.Registry.QuarantineCount() == 0 {
+		t.Fatal("decode failure did not quarantine the cache table")
+	}
+	recs := env.m.Flight.Recent(1)
+	if len(recs) != 1 || recs[0].SQL != sql {
+		t.Fatalf("explained query missing from the flight recorder: %+v", recs)
+	}
+	if recs[0].PlanMode != "quarantined" || recs[0].Retries != 1 || recs[0].Err != "" {
+		t.Fatalf("flight record = mode %q, %d retries, err %q; want quarantined, 1, none",
+			recs[0].PlanMode, recs[0].Retries, recs[0].Err)
+	}
+	checkBatchBaseline(t, before)
+}
+
 // TestChaosInjectedWorkerPanic panics one split worker: the query reports
 // an attributed error instead of crashing the process, the panic is
 // metered, no batches leak, and the next query works.
@@ -260,7 +304,7 @@ func TestChaosInjectedWorkerPanic(t *testing.T) {
 	checkBatchBaseline(t, before)
 
 	// FailN exhausted: the system recovers without intervention.
-	rs, _, err := env.m.Query(chaosQueries[0])
+	rs, _, err := env.m.QueryCtx(context.Background(), chaosQueries[0])
 	if err != nil {
 		t.Fatalf("query after recovered panic: %v", err)
 	}
@@ -304,7 +348,7 @@ func TestChaosMidnightCycleKilled(t *testing.T) {
 			TotalValueBytes: 1,
 		})
 	}
-	if _, err := env.m.CacheSelected(profiles); err == nil {
+	if _, err := env.m.CacheSelected(context.Background(), profiles); err == nil {
 		t.Fatal("populate with failing appends returned nil error")
 	}
 	env.fs.SetInjector(nil)
@@ -313,7 +357,7 @@ func TestChaosMidnightCycleKilled(t *testing.T) {
 		t.Fatalf("registry changed after failed populate: %d entries, want %d", env.m.Registry.Len(), entriesBefore)
 	}
 	for i, sql := range chaosQueries {
-		rs, _, err := env.m.Query(sql)
+		rs, _, err := env.m.QueryCtx(context.Background(), sql)
 		if err != nil {
 			t.Fatalf("query %q after killed populate: %v", sql, err)
 		}
@@ -341,7 +385,7 @@ func TestChaosMidnightCycleKilled(t *testing.T) {
 		t.Fatal("registry changed after cancelled cycle")
 	}
 	for i, sql := range chaosQueries {
-		rs, _, err := env.m.Query(sql)
+		rs, _, err := env.m.QueryCtx(context.Background(), sql)
 		if err != nil || rs.String() != want[i] {
 			t.Fatalf("results diverged after cancelled cycle for %q (err=%v)", sql, err)
 		}
@@ -386,7 +430,7 @@ func TestChaosStateRoundTripAndRecovery(t *testing.T) {
 		t.Fatal("orphan cache table survived LoadState recovery")
 	}
 	for i, sql := range chaosQueries {
-		rs, _, err := m2.Query(sql)
+		rs, _, err := m2.QueryCtx(context.Background(), sql)
 		if err != nil {
 			t.Fatalf("query %q on restored node: %v", sql, err)
 		}
@@ -413,7 +457,7 @@ func TestChaosStateRoundTripAndRecovery(t *testing.T) {
 		t.Fatalf("entries for dropped tables were restored: %d", m3.Registry.Len())
 	}
 	for i, sql := range chaosQueries {
-		rs, _, err := m3.Query(sql)
+		rs, _, err := m3.QueryCtx(context.Background(), sql)
 		if err != nil {
 			t.Fatalf("query %q with no surviving cache: %v", sql, err)
 		}
@@ -515,7 +559,7 @@ func TestChaosRandomizedSeed(t *testing.T) {
 	// via quarantine fallback until the next cycle).
 	env.fs.SetInjector(nil)
 	for i, sql := range chaosQueries {
-		rs, _, err := env.m.Query(sql)
+		rs, _, err := env.m.QueryCtx(context.Background(), sql)
 		if err != nil {
 			t.Fatalf("seed %d: query %q still failing after faults removed: %v", seed, sql, err)
 		}

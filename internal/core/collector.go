@@ -13,7 +13,6 @@ import (
 	"repro/internal/pathkey"
 	"repro/internal/simtime"
 	"repro/internal/sqlengine"
-	"repro/internal/trace"
 )
 
 // Collector is the JSONPath Collector: it observes executed queries,
@@ -89,14 +88,6 @@ func (c *Collector) Observe(paths []pathkey.Key, at time.Time) {
 		day[p]++
 	}
 	c.queryLog = append(c.queryLog, QueryRecord{Time: at, Paths: append([]pathkey.Key{}, paths...)})
-}
-
-// ObserveTrace ingests a synthetic trace wholesale (used when training on
-// the workload study rather than live queries).
-func (c *Collector) ObserveTrace(tr *trace.Trace) {
-	for _, q := range tr.Queries {
-		c.Observe(q.Paths, q.Time)
-	}
 }
 
 // CountsFor returns the per-day access counts of every observed path over

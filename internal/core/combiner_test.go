@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/datum"
@@ -13,7 +14,7 @@ func TestCombinerCacheOnlyReading(t *testing.T) {
 	cachePaths(t, m, "$.turnover")
 	// Query references only the cached path: the paper's cache-only reading
 	// mode (no PrimaryReader at all).
-	rs, metrics, err := m.Query(`SELECT get_json_object(sale_logs, '$.turnover') tv FROM mydb.t`)
+	rs, metrics, err := m.QueryCtx(context.Background(), `SELECT get_json_object(sale_logs, '$.turnover') tv FROM mydb.t`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,10 +30,10 @@ func TestCombinerEmptyPopulation(t *testing.T) {
 	f := newFixture(t)
 	m := New(f.engine, Config{BudgetBytes: 1 << 30, DefaultDB: "mydb"})
 	// Populating with nothing must be a no-op that leaves queries working.
-	if _, err := m.CacheSelected(nil); err != nil {
+	if _, err := m.CacheSelected(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
-	rs, _, err := m.Query(`SELECT COUNT(*) c FROM mydb.t`)
+	rs, _, err := m.QueryCtx(context.Background(), `SELECT COUNT(*) c FROM mydb.t`)
 	if err != nil || rs.Rows[0][0].I != 31 {
 		t.Fatalf("rows=%v err=%v", rs.Rows, err)
 	}
@@ -49,7 +50,7 @@ func TestCombinerNullJSONDocuments(t *testing.T) {
 	}
 	m := New(f.engine, Config{BudgetBytes: 1 << 30, DefaultDB: "mydb"})
 	cachePaths(t, m, "$.turnover")
-	rs, _, err := m.Query(`
+	rs, _, err := m.QueryCtx(context.Background(), `
 		SELECT get_json_object(sale_logs, '$.turnover') tv FROM mydb.t
 		WHERE date = '20190299'`)
 	if err != nil {
@@ -71,7 +72,7 @@ func TestCombinerMalformedJSONDocuments(t *testing.T) {
 	m := New(f.engine, Config{BudgetBytes: 1 << 30, DefaultDB: "mydb"})
 	cachePaths(t, m, "$.turnover")
 	// Cached (the bad doc caches as NULL) and plain engines must agree.
-	rs, _, err := m.Query(`
+	rs, _, err := m.QueryCtx(context.Background(), `
 		SELECT get_json_object(sale_logs, '$.turnover') tv FROM mydb.t
 		WHERE date = '20190298'`)
 	if err != nil {
@@ -97,7 +98,7 @@ func TestCombinerManyAppendsManyFallbackSplits(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rs, metrics, err := m.Query(`
+	rs, metrics, err := m.QueryCtx(context.Background(), `
 		SELECT COUNT(*) c FROM mydb.t WHERE get_json_object(sale_logs, '$.item_id') = 500`)
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +123,7 @@ func TestWildcardPathThroughCache(t *testing.T) {
 	}
 	m := New(f.engine, Config{BudgetBytes: 1 << 30, DefaultDB: "mydb"})
 	cachePaths(t, m, "$.tags[*].v")
-	rs, metrics, err := m.Query(`
+	rs, metrics, err := m.QueryCtx(context.Background(), `
 		SELECT get_json_object(sale_logs, '$.tags[*].v') v FROM mydb.t
 		WHERE mall_id = '0002' ORDER BY date`)
 	if err != nil {

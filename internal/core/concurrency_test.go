@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -30,7 +31,7 @@ func queriesDuringRepopulation(t *testing.T, scanShareWindow time.Duration) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < queriesPerWorker; i++ {
-				rs, _, err := m.Query(`
+				rs, _, err := m.QueryCtx(context.Background(), `
 					SELECT get_json_object(sale_logs, '$.turnover') tv
 					FROM mydb.t WHERE date = '20190115'`)
 				if err != nil {
@@ -49,7 +50,7 @@ func queriesDuringRepopulation(t *testing.T, scanShareWindow time.Duration) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 8; i++ {
-			if _, err := m.CacheSelected([]*PathProfile{
+			if _, err := m.CacheSelected(context.Background(), []*PathProfile{
 				profileFor("$.turnover"), profileFor("$.item_name"),
 			}); err != nil {
 				errs <- err

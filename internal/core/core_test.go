@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -73,7 +74,7 @@ func cachePaths(t *testing.T, m *Maxson, paths ...string) {
 	for i, p := range paths {
 		profiles[i] = profileFor(p)
 	}
-	if _, err := m.CacheSelected(profiles); err != nil {
+	if _, err := m.CacheSelected(context.Background(), profiles); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -141,11 +142,11 @@ func TestMaxsonResultsMatchPlainEngine(t *testing.T) {
 		`SELECT COUNT(*) c FROM mydb.t`,
 	}
 	for _, sql := range queries {
-		rp, _, err := plain.engine.Query(sql)
+		rp, _, err := plain.engine.QueryCtx(context.Background(), sql)
 		if err != nil {
 			t.Fatalf("plain %q: %v", sql, err)
 		}
-		rm, _, err := m.Query(sql)
+		rm, _, err := m.QueryCtx(context.Background(), sql)
 		if err != nil {
 			t.Fatalf("maxson %q: %v", sql, err)
 		}
@@ -160,7 +161,7 @@ func TestCacheHitEliminatesParsing(t *testing.T) {
 	m := New(f.engine, Config{BudgetBytes: 1 << 30, DefaultDB: "mydb"})
 	cachePaths(t, m, "$.item_id", "$.item_name", "$.turnover")
 
-	_, metrics, err := m.Query(fig1Query)
+	_, metrics, err := m.QueryCtx(context.Background(), fig1Query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestFullyCachedQueryDropsJSONColumn(t *testing.T) {
 	// All JSON paths cached; sale_logs itself is not otherwise referenced,
 	// so the primary reader must not read it (Fig 9).
 	plainBytes := func(e *sqlengine.Engine) int64 {
-		_, met, err := e.Query(`SELECT get_json_object(sale_logs, '$.turnover') tv FROM mydb.t`)
+		_, met, err := e.QueryCtx(context.Background(), `SELECT get_json_object(sale_logs, '$.turnover') tv FROM mydb.t`)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +216,7 @@ func TestFullyCachedQueryReadsOnlyCacheFiles(t *testing.T) {
 
 	fs := f.wh.FS()
 	fs.ResetStats()
-	_, met, err := m.Query(`SELECT get_json_object(sale_logs, '$.turnover') tv FROM mydb.t`)
+	_, met, err := m.QueryCtx(context.Background(), `SELECT get_json_object(sale_logs, '$.turnover') tv FROM mydb.t`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +237,7 @@ func TestPartiallyCachedQueryStitchesRows(t *testing.T) {
 
 	// item_name is NOT cached: the query needs raw sale_logs for it and
 	// the cache for turnover, exercising the Value Combiner stitch.
-	rs, metrics, err := m.Query(`
+	rs, metrics, err := m.QueryCtx(context.Background(), `
 		SELECT get_json_object(sale_logs, '$.item_name') n,
 		       get_json_object(sale_logs, '$.turnover') tv,
 		       date
@@ -271,7 +272,7 @@ func TestAppendAfterCachingServedByFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rs, metrics, err := m.Query(`
+	rs, metrics, err := m.QueryCtx(context.Background(), `
 		SELECT get_json_object(sale_logs, '$.turnover') tv FROM mydb.t ORDER BY date`)
 	if err != nil {
 		t.Fatal(err)
@@ -312,7 +313,7 @@ func TestRewriteInvalidatesCache(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rs, metrics, err := m.Query(`
+	rs, metrics, err := m.QueryCtx(context.Background(), `
 		SELECT get_json_object(sale_logs, '$.turnover') tv FROM mydb.t
 		WHERE date = '20190101'`)
 	if err != nil {
@@ -338,7 +339,7 @@ func TestRePopulationDropsInvalidTables(t *testing.T) {
 	// registry immediately but its table is deleted one cycle later, so
 	// in-flight queries can finish (the paper's deferred deletion).
 	oldTable := m.Cacher.ActiveCacheTable("mydb", "t")
-	stats, err := m.CacheSelected([]*PathProfile{profileFor("$.item_id")})
+	stats, err := m.CacheSelected(context.Background(), []*PathProfile{profileFor("$.item_id")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +350,7 @@ func TestRePopulationDropsInvalidTables(t *testing.T) {
 		t.Error("old generation deleted immediately; want grace period")
 	}
 	// One more cycle actually deletes the retired generation.
-	stats, err = m.CacheSelected([]*PathProfile{profileFor("$.item_id")})
+	stats, err = m.CacheSelected(context.Background(), []*PathProfile{profileFor("$.item_id")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +380,7 @@ func TestPredicatePushdownSharesSkipArray(t *testing.T) {
 		       get_json_object(sale_logs, '$.turnover') tv
 		FROM mydb.t
 		WHERE get_json_object(sale_logs, '$.turnover') > 300`
-	rs, metrics, err := m.Query(sql)
+	rs, metrics, err := m.QueryCtx(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +393,7 @@ func TestPredicatePushdownSharesSkipArray(t *testing.T) {
 
 	// Same query with pushdown disabled must read more groups.
 	m.Planner.Pushdown = false
-	_, metricsNoPush, err := m.Query(sql)
+	_, metricsNoPush, err := m.QueryCtx(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,12 +412,12 @@ func TestPushdownReducesInputBytes(t *testing.T) {
 		SELECT date, get_json_object(sale_logs, '$.turnover') tv
 		FROM mydb.t
 		WHERE get_json_object(sale_logs, '$.turnover') > 300`
-	_, withPush, err := m.Query(sql)
+	_, withPush, err := m.QueryCtx(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
 	plain := newFixture(t)
-	_, noCache, err := plain.engine.Query(sql)
+	_, noCache, err := plain.engine.QueryCtx(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +429,7 @@ func TestPushdownReducesInputBytes(t *testing.T) {
 func TestCollectorObservesQueries(t *testing.T) {
 	f := newFixture(t)
 	m := New(f.engine, Config{BudgetBytes: 1 << 30, DefaultDB: "mydb"})
-	if _, _, err := m.Query(fig1Query); err != nil {
+	if _, _, err := m.QueryCtx(context.Background(), fig1Query); err != nil {
 		t.Fatal(err)
 	}
 	keys := m.Collector.ObservedKeys()
@@ -581,21 +582,13 @@ func TestRegistryBasics(t *testing.T) {
 	if r.TotalBytes() != 0 {
 		t.Error("invalid entries counted in TotalBytes")
 	}
-	r.Drop(k)
-	if r.Lookup(k) != nil {
-		t.Error("Drop failed")
-	}
-	r.Put(&CacheEntry{Key: k, Bytes: 1})
-	if n := r.Clear(); n != 1 || len(r.Entries()) != 0 {
-		t.Error("Clear failed")
-	}
 }
 
 func TestAggregateQueryOverCache(t *testing.T) {
 	f := newFixture(t)
 	m := New(f.engine, Config{BudgetBytes: 1 << 30, DefaultDB: "mydb"})
 	cachePaths(t, m, "$.sale_count")
-	rs, metrics, err := m.Query(`
+	rs, metrics, err := m.QueryCtx(context.Background(), `
 		SELECT get_json_object(sale_logs, '$.sale_count') sc, COUNT(*) c
 		FROM mydb.t
 		GROUP BY get_json_object(sale_logs, '$.sale_count')
@@ -627,11 +620,11 @@ func TestJoinQueryWithCache(t *testing.T) {
 		SELECT a.date, get_json_object(a.sale_logs, '$.item_id') id
 		FROM mydb.t a JOIN mydb.t b ON a.date = b.date
 		WHERE a.date = '20190115'`
-	rp, _, err := plain.engine.Query(sql)
+	rp, _, err := plain.engine.QueryCtx(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rm, _, err := m.Query(sql)
+	rm, _, err := m.QueryCtx(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -659,7 +652,7 @@ func TestMidnightCycleEndToEnd(t *testing.T) {
 		f.clock.Advance(24 * time.Hour)
 	}
 	m.AdvanceToMidnight()
-	report, err := m.RunMidnightCycle()
+	report, err := m.RunMidnightCycleCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -667,7 +660,7 @@ func TestMidnightCycleEndToEnd(t *testing.T) {
 		t.Fatalf("cycle predicted nothing: %+v", report)
 	}
 	// A daily-repeated path must now be cache-served.
-	_, metrics, err := m.Query(`SELECT get_json_object(sale_logs, '$.turnover') tv FROM mydb.t`)
+	_, metrics, err := m.QueryCtx(context.Background(), `SELECT get_json_object(sale_logs, '$.turnover') tv FROM mydb.t`)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -118,7 +119,7 @@ func runEquivalenceRound(t *testing.T, seed int64) {
 			})
 		}
 	}
-	if _, err := m.CacheSelected(profiles); err != nil {
+	if _, err := m.CacheSelected(context.Background(), profiles); err != nil {
 		t.Fatal(err)
 	}
 
@@ -138,11 +139,11 @@ func runEquivalenceRound(t *testing.T, seed int64) {
 		 WHERE get_json_object(a.doc, '$.nested.x') >= 0`,
 	}
 	for _, sql := range queries {
-		rp, _, err := plainEngine.Query(sql)
+		rp, _, err := plainEngine.QueryCtx(context.Background(), sql)
 		if err != nil {
 			t.Fatalf("plain %q: %v", sql, err)
 		}
-		rm, _, err := m.Query(sql)
+		rm, _, err := m.QueryCtx(context.Background(), sql)
 		if err != nil {
 			t.Fatalf("maxson %q: %v", sql, err)
 		}
@@ -161,11 +162,11 @@ func runEquivalenceRound(t *testing.T, seed int64) {
 		t.Fatal(err)
 	}
 	for _, sql := range queries {
-		rp, _, err := plainEngine.Query(sql)
+		rp, _, err := plainEngine.QueryCtx(context.Background(), sql)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rm, _, err := m.Query(sql)
+		rm, _, err := m.QueryCtx(context.Background(), sql)
 		if err != nil {
 			t.Fatal(err)
 		}

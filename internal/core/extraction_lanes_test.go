@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -112,7 +113,7 @@ func TestEveryConsumerMatchesParseEval(t *testing.T) {
 	appendDocs(wh, laneDocs[4:])
 
 	// Raw engine scan.
-	rs, qm, err := m.Query(laneSQL(lanePaths))
+	rs, qm, err := m.QueryCtx(context.Background(), laneSQL(lanePaths))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,10 +132,10 @@ func TestEveryConsumerMatchesParseEval(t *testing.T) {
 		profiles = append(profiles, &PathProfile{Key: key, TotalValueBytes: 1})
 	}
 	clock.Advance(time.Hour) // a cache no younger than its table is stale
-	if _, err := m.CacheSelected(profiles); err != nil {
+	if _, err := m.CacheSelected(context.Background(), profiles); err != nil {
 		t.Fatal(err)
 	}
-	rs, qm, err = m.Query(laneSQL(lanePaths))
+	rs, qm, err = m.QueryCtx(context.Background(), laneSQL(lanePaths))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestEveryConsumerMatchesParseEval(t *testing.T) {
 	clock.Advance(time.Hour)
 	appended := []string{laneDocs[2], laneDocs[5], laneDocs[0]}
 	appendDocs(wh, appended)
-	rs, qm, err = m.Query(laneSQL(lanePaths))
+	rs, qm, err = m.QueryCtx(context.Background(), laneSQL(lanePaths))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +176,7 @@ func TestEveryConsumerMatchesParseEval(t *testing.T) {
 		wg.Add(1)
 		go func(i int, sql string) {
 			defer wg.Done()
-			results[i], _, errs[i] = m.Query(sql)
+			results[i], _, errs[i] = m.QueryCtx(context.Background(), sql)
 		}(i, laneSQL(paths))
 	}
 	wg.Wait()

@@ -92,7 +92,7 @@ func freshGeneration(t *testing.T, mutate func(*fixture), sel []*PathProfile) (p
 		mutate(f)
 	}
 	m := New(f.engine, Config{BudgetBytes: 1 << 30, DefaultDB: "mydb"})
-	stats, err := m.CacheSelected(sel)
+	stats, err := m.CacheSelected(context.Background(), sel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestGenerationEquivalence(t *testing.T) {
 			t.Run(sel.name+"/"+mut.name, func(t *testing.T) {
 				f := newFixture(t)
 				m := New(f.engine, Config{BudgetBytes: 1 << 30, DefaultDB: "mydb"})
-				if _, err := m.CacheSelected(selection(first...)); err != nil {
+				if _, err := m.CacheSelected(context.Background(), selection(first...)); err != nil {
 					t.Fatal(err)
 				}
 				f.clock.Advance(time.Hour)
@@ -197,7 +197,7 @@ func TestGenerationEquivalence(t *testing.T) {
 					mut.mutate(f)
 				}
 				f.clock.Advance(time.Hour)
-				stats, err := m.CacheSelected(selection(sel.paths...))
+				stats, err := m.CacheSelected(context.Background(), selection(sel.paths...))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -224,7 +224,7 @@ func TestGenerationEquivalence(t *testing.T) {
 
 				// The night after, nothing has changed at all: no raw byte is
 				// read, no cache byte encoded, and the bytes still are the same.
-				again, err := m.CacheSelected(selection(sel.paths...))
+				again, err := m.CacheSelected(context.Background(), selection(sel.paths...))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -254,13 +254,13 @@ func TestAppendedSplitIsAllThatIsScanned(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := New(f.engine, Config{BudgetBytes: 1 << 30, DefaultDB: "mydb", Obs: reg})
 	paths := []string{"$.item_id", "$.turnover"}
-	if _, err := m.CacheSelected(selection(paths...)); err != nil {
+	if _, err := m.CacheSelected(context.Background(), selection(paths...)); err != nil {
 		t.Fatal(err)
 	}
 	day := saleRows(6, 4)
 	mustAppend(f, day)
 	f.wh.FS().ResetStats()
-	stats, err := m.CacheSelected(selection(paths...))
+	stats, err := m.CacheSelected(context.Background(), selection(paths...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestAppendedSplitIsAllThatIsScanned(t *testing.T) {
 	if _, err := alone.wh.AppendRows("mydb", "day", day); err != nil {
 		t.Fatal(err)
 	}
-	want, err := New(alone.engine, Config{BudgetBytes: 1 << 30, DefaultDB: "mydb"}).CacheSelected(selectionOf("day", "sale_logs", paths...))
+	want, err := New(alone.engine, Config{BudgetBytes: 1 << 30, DefaultDB: "mydb"}).CacheSelected(context.Background(), selectionOf("day", "sale_logs", paths...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,13 +327,13 @@ func TestQuarantinedGenerationIsNeverCarried(t *testing.T) {
 	logger, logged := debugLog()
 	m := New(f.engine, Config{BudgetBytes: 1 << 30, DefaultDB: "mydb", Logger: logger})
 	sel := selection("$.item_id", "$.turnover")
-	if _, err := m.CacheSelected(sel); err != nil {
+	if _, err := m.CacheSelected(context.Background(), sel); err != nil {
 		t.Fatal(err)
 	}
 	wantParts, wantEntries := cacheParts(t, f, m), entryBytes(m)
 	m.Registry.Quarantine(CacheDB, m.Cacher.ActiveCacheTable("mydb", "t"))
 
-	stats, err := m.CacheSelected(sel)
+	stats, err := m.CacheSelected(context.Background(), sel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func TestQuarantinedGenerationIsNeverCarried(t *testing.T) {
 	}
 
 	// The rebuilt generation has provenance again.
-	if stats, err = m.CacheSelected(sel); err != nil || stats.SplitsCarried != 3 {
+	if stats, err = m.CacheSelected(context.Background(), sel); err != nil || stats.SplitsCarried != 3 {
 		t.Errorf("generation after the rebuilt one: %+v, %v; want 3 carried", stats, err)
 	}
 }
@@ -360,7 +360,7 @@ func TestChangedCachePartIsNeverCarried(t *testing.T) {
 	f := newFixture(t)
 	m := New(f.engine, Config{BudgetBytes: 1 << 30, DefaultDB: "mydb"})
 	sel := selection("$.item_id", "$.turnover")
-	if _, err := m.CacheSelected(sel); err != nil {
+	if _, err := m.CacheSelected(context.Background(), sel); err != nil {
 		t.Fatal(err)
 	}
 	wantParts, wantEntries := cacheParts(t, f, m), entryBytes(m)
@@ -373,7 +373,7 @@ func TestChangedCachePartIsNeverCarried(t *testing.T) {
 	if err := f.wh.RewriteFile(CacheDB, table, info.Files[1], short); err != nil {
 		t.Fatal(err)
 	}
-	stats, err := m.CacheSelected(sel)
+	stats, err := m.CacheSelected(context.Background(), sel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,14 +399,14 @@ func TestTransformedRawReadFilesNoProvenance(t *testing.T) {
 		inj := fault.New(seed)
 		inj.Add(fault.Rule{Pattern: part1, Op: fault.OpRead, Kind: fault.KindCorrupt})
 		f.wh.FS().SetInjector(inj)
-		_, err := m.CacheSelected(sel)
+		_, err := m.CacheSelected(context.Background(), sel)
 		populated = err == nil
 	}
 	f.wh.FS().SetInjector(nil)
 	if !populated {
 		t.Fatal("no seed produced a corrupt read that still decodes")
 	}
-	stats, err := m.CacheSelected(sel)
+	stats, err := m.CacheSelected(context.Background(), sel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +445,7 @@ func TestAbortedCycleLeavesThePreviousGenerationWhole(t *testing.T) {
 			f := newFixture(t)
 			m := New(f.engine, Config{BudgetBytes: 1 << 30, DefaultDB: "mydb"})
 			sel := selection("$.item_id", "$.turnover")
-			if _, err := m.CacheSelected(sel); err != nil {
+			if _, err := m.CacheSelected(context.Background(), sel); err != nil {
 				t.Fatal(err)
 			}
 			serving := m.Cacher.ActiveCacheTable("mydb", "t")
@@ -487,7 +487,7 @@ func TestAbortedCycleLeavesThePreviousGenerationWhole(t *testing.T) {
 				t.Error("registry changed under an aborted cycle")
 			}
 
-			stats, err := m.CacheSelected(sel)
+			stats, err := m.CacheSelected(context.Background(), sel)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -508,12 +508,12 @@ func TestRestoredStateExtractsEverythingOnce(t *testing.T) {
 	f := newFixture(t)
 	m := New(f.engine, Config{BudgetBytes: 1 << 30, DefaultDB: "mydb"})
 	sel := selection("$.item_id", "$.turnover")
-	if _, err := m.CacheSelected(sel); err != nil {
+	if _, err := m.CacheSelected(context.Background(), sel); err != nil {
 		t.Fatal(err)
 	}
 	wantParts, wantEntries := cacheParts(t, f, m), entryBytes(m)
 	const sql = `SELECT get_json_object(sale_logs, '$.turnover') tv FROM mydb.t ORDER BY date`
-	want, _, err := m.Query(sql)
+	want, _, err := m.QueryCtx(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,7 +526,7 @@ func TestRestoredStateExtractsEverythingOnce(t *testing.T) {
 		if err := node.LoadState(); err != nil {
 			t.Fatal(err)
 		}
-		stats, err := node.CacheSelected(sel)
+		stats, err := node.CacheSelected(context.Background(), sel)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -534,11 +534,11 @@ func TestRestoredStateExtractsEverythingOnce(t *testing.T) {
 			t.Errorf("%s, first cycle after LoadState: %+v, want 3 extracted", name, stats)
 		}
 		requireSameGeneration(t, f, node, wantParts, wantEntries)
-		got, _, err := node.Query(sql)
+		got, _, err := node.QueryCtx(context.Background(), sql)
 		if err != nil || got.String() != want.String() {
 			t.Errorf("%s: results changed across LoadState (err %v)", name, err)
 		}
-		if stats, err = node.CacheSelected(sel); err != nil || stats.SplitsCarried != 3 {
+		if stats, err = node.CacheSelected(context.Background(), sel); err != nil || stats.SplitsCarried != 3 {
 			t.Errorf("%s, second cycle: %+v, %v; want 3 carried", name, stats, err)
 		}
 		// The other node's view of the registry is now behind; save this one's
@@ -567,7 +567,7 @@ func TestRewriteDuringPopulateInvalidates(t *testing.T) {
 		f.clock.Advance(time.Minute)
 	})
 	f.wh.FS().SetInjector(inj)
-	if _, err := m.CacheSelected(selection("$.turnover")); err != nil {
+	if _, err := m.CacheSelected(context.Background(), selection("$.turnover")); err != nil {
 		t.Fatal(err)
 	}
 	f.wh.FS().SetInjector(nil)
@@ -576,11 +576,11 @@ func TestRewriteDuringPopulateInvalidates(t *testing.T) {
 	}
 
 	const sql = `SELECT get_json_object(sale_logs, '$.turnover') tv FROM mydb.t ORDER BY date`
-	want, _, err := sqlengine.NewEngine(f.wh, sqlengine.WithDefaultDB("mydb")).Query(sql)
+	want, _, err := sqlengine.NewEngine(f.wh, sqlengine.WithDefaultDB("mydb")).QueryCtx(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, met, err := m.Query(sql)
+	got, met, err := m.QueryCtx(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -590,14 +590,14 @@ func TestRewriteDuringPopulateInvalidates(t *testing.T) {
 	}
 
 	// The next cycle sees the new version and extracts that split again.
-	stats, err := m.CacheSelected(selection("$.turnover"))
+	stats, err := m.CacheSelected(context.Background(), selection("$.turnover"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.SplitsExtracted != 1 || stats.SplitsCarried != 2 {
 		t.Errorf("cycle after the rewrite: %+v, want the rewritten split extracted, 2 carried", stats)
 	}
-	if got, _, err = m.Query(sql); err != nil || got.String() != want.String() {
+	if got, _, err = m.QueryCtx(context.Background(), sql); err != nil || got.String() != want.String() {
 		t.Errorf("wrong rows from the generation built after the rewrite (err %v)", err)
 	}
 }
@@ -636,20 +636,20 @@ func TestMalformedDocumentBreaksTheCarry(t *testing.T) {
 
 	f := malformedFixture(t)
 	m := New(f.engine, Config{BudgetBytes: 1 << 30, DefaultDB: "mydb"})
-	first, err := m.CacheSelected(sel("$.a"))
+	first, err := m.CacheSelected(context.Background(), sel("$.a"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.ParseErrors != 0 {
 		t.Fatalf("extracting $.a alone met %d parse errors; the fixture wants the early exit to miss the damage", first.ParseErrors)
 	}
-	stats, err := m.CacheSelected(sel("$.a", "$.c"))
+	stats, err := m.CacheSelected(context.Background(), sel("$.a", "$.c"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ref := malformedFixture(t)
 	refM := New(ref.engine, Config{BudgetBytes: 1 << 30, DefaultDB: "mydb"})
-	fresh, err := refM.CacheSelected(sel("$.a", "$.c"))
+	fresh, err := refM.CacheSelected(context.Background(), sel("$.a", "$.c"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -664,7 +664,7 @@ func TestMalformedDocumentBreaksTheCarry(t *testing.T) {
 	}
 
 	// The broken split filed no provenance: it is extracted every night.
-	again, err := m.CacheSelected(sel("$.a", "$.c"))
+	again, err := m.CacheSelected(context.Background(), sel("$.a", "$.c"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -686,7 +686,7 @@ func TestGenerationStress(t *testing.T) {
 		selection("$.turnover", "$.item_name"),
 		selection("$.turnover", "$.item_name", "$.price"),
 	}
-	if _, err := m.CacheSelected(sels[0]); err != nil {
+	if _, err := m.CacheSelected(context.Background(), sels[0]); err != nil {
 		t.Fatal(err)
 	}
 	queries := []string{
@@ -696,7 +696,7 @@ func TestGenerationStress(t *testing.T) {
 	plain := sqlengine.NewEngine(f.wh, sqlengine.WithDefaultDB("mydb"))
 	want := make([]string, len(queries))
 	for i, sql := range queries {
-		rs, _, err := plain.Query(sql)
+		rs, _, err := plain.QueryCtx(context.Background(), sql)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -732,7 +732,7 @@ func TestGenerationStress(t *testing.T) {
 	}
 	carried := 0
 	for cycle := 1; cycle <= 40; cycle++ {
-		stats, err := m.CacheSelected(sels[cycle%len(sels)])
+		stats, err := m.CacheSelected(context.Background(), sels[cycle%len(sels)])
 		if err != nil {
 			t.Errorf("cycle %d: %v", cycle, err)
 			break

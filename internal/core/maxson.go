@@ -196,27 +196,38 @@ func (m *Maxson) registerGauges() {
 	m.fallbackQueries = m.obs.Counter("cache_fallback_queries_total")
 }
 
-// Query executes SQL through the engine while feeding the collector — the
-// live path a production deployment would run.
-func (m *Maxson) Query(sql string) (*sqlengine.ResultSet, *sqlengine.Metrics, error) {
-	return m.QueryCtx(context.Background(), sql)
-}
-
 // degradedRetries bounds how many times a query is re-planned after a cache
 // table degrades mid-scan. Each degradation quarantines the table, so the
 // re-plan routes around it; one retry per distinct bad table suffices and
 // the bound keeps a pathological registry from looping.
 const degradedRetries = 2
 
-// QueryCtx is Query with cancellation: the context is checked between
+// QueryCtx executes SQL through the engine while feeding the collector — the
+// live path a production deployment runs. The context is checked between
 // batches, so a cancelled query returns context.Canceled within one batch
 // boundary. When a cache table fails mid-scan (ErrCacheDegraded) the table
 // is already quarantined, so the query is re-planned — transparently falling
 // back to raw parsing — rather than surfacing the cache's failure.
 func (m *Maxson) QueryCtx(ctx context.Context, sql string) (*sqlengine.ResultSet, *sqlengine.Metrics, error) {
+	_, rs, met, err := m.run(ctx, sql, false)
+	return rs, met, err
+}
+
+// ExplainCtx is QueryCtx with tracing: it also returns the EXPLAIN ANALYZE
+// rendering of the plan that produced the results. After a midnight cycle the
+// same query shows combined scans, cache value reads and pushdown skips where
+// the uncached run showed raw parsing.
+func (m *Maxson) ExplainCtx(ctx context.Context, sql string) (string, *sqlengine.ResultSet, *sqlengine.Metrics, error) {
+	return m.run(ctx, sql, true)
+}
+
+// run is the one door a query goes through: parse, feed the collector, open
+// a flight record, then plan and execute, re-planning when a cache table
+// degrades. explain only selects the traced engine entry and its rendering.
+func (m *Maxson) run(ctx context.Context, sql string, explain bool) (string, *sqlengine.ResultSet, *sqlengine.Metrics, error) {
 	stmt, err := sqlengine.Parse(sql)
 	if err != nil {
-		return nil, nil, err
+		return "", nil, nil, err
 	}
 	// Open a flight record before planning so the engine can tag scan-layer
 	// metrics with the query ID it finds in the context.
@@ -227,10 +238,19 @@ func (m *Maxson) QueryCtx(ctx context.Context, sql string) (*sqlengine.ResultSet
 	// Observe once: retries re-run the same query, not new workload signal.
 	m.Collector.ObserveStmt(stmt, m.defaultDB, m.wh.Clock().Now())
 	for attempt := 0; ; attempt++ {
-		rs, met, err := m.Engine.QueryStmtCtx(ctx, stmt)
+		var (
+			text string
+			rs   *sqlengine.ResultSet
+			met  *sqlengine.Metrics
+		)
+		if explain {
+			text, rs, met, err = m.Engine.ExplainAnalyzeStmtCtx(ctx, stmt)
+		} else {
+			rs, met, err = m.Engine.QueryStmtCtx(ctx, stmt)
+		}
 		if err == nil || !errors.Is(err, ErrCacheDegraded) || attempt >= degradedRetries {
 			m.finishFlight(aq, rs, met, err)
-			return rs, met, err
+			return text, rs, met, err
 		}
 		m.fallbackQueries.Inc()
 		aq.AddRetry()
@@ -240,7 +260,7 @@ func (m *Maxson) QueryCtx(ctx context.Context, sql string) (*sqlengine.ResultSet
 		stmt, err = sqlengine.Parse(sql)
 		if err != nil {
 			m.finishFlight(aq, nil, nil, err)
-			return nil, nil, err
+			return "", nil, nil, err
 		}
 	}
 }
@@ -286,25 +306,6 @@ func (m *Maxson) finishFlight(aq *flight.Active, rs *sqlengine.ResultSet, met *s
 	aq.Finish(t, qerr)
 }
 
-// Explain executes SQL with tracing (feeding the collector like Query does)
-// and returns the EXPLAIN ANALYZE rendering alongside the results. After a
-// midnight cycle the same query shows combined scans, cache value reads and
-// pushdown skips where the uncached run showed raw parsing.
-func (m *Maxson) Explain(sql string) (string, *sqlengine.ResultSet, *sqlengine.Metrics, error) {
-	return m.ExplainCtx(context.Background(), sql)
-}
-
-// ExplainCtx is Explain under a context: cancellation and the engine query
-// timeout govern the traced execution.
-func (m *Maxson) ExplainCtx(ctx context.Context, sql string) (string, *sqlengine.ResultSet, *sqlengine.Metrics, error) {
-	stmt, err := sqlengine.Parse(sql)
-	if err != nil {
-		return "", nil, nil, err
-	}
-	m.Collector.ObserveStmt(stmt, m.defaultDB, m.wh.Clock().Now())
-	return m.Engine.ExplainAnalyzeStmtCtx(ctx, stmt)
-}
-
 // CycleStageNames lists the midnight cycle's stages in execution order.
 // Deferred deletion of the previous generation's cache tables runs FIRST —
 // by then no in-flight query can still reference them (paper §IV-C: "invalid
@@ -344,25 +345,20 @@ func (r *CycleReport) StageSummary() string {
 	return strings.Join(parts, ", ")
 }
 
-// RunMidnightCycle executes the daily pipeline as of the clock's current
-// time: train/refresh the predictor on collected statistics, predict
-// tomorrow's MPJPs, score and rank them, and build the next cache generation
-// under the budget. The paper schedules this at midnight when the cluster is
-// under-utilized.
-func (m *Maxson) RunMidnightCycle() (*CycleReport, error) {
-	return m.RunMidnightCycleCtx(context.Background())
-}
-
-// RunMidnightCycleCtx is RunMidnightCycle with cancellation and per-stage
-// deadlines (StageTimeout). The context is re-checked between stages and,
-// inside populate, between files and batches. A cycle that dies at any
-// point leaves the previous cache generation serving: the new generation's
-// tables are only registered by an atomic swap after every table succeeds,
-// and the next cycle or LoadState cleans up any partial tables.
 // LastCycle returns the most recent midnight-cycle report, nil before the
 // first cycle runs. The diagnostics server's /debug/cycle endpoint serves it.
 func (m *Maxson) LastCycle() *CycleReport { return m.lastCycle.Load() }
 
+// RunMidnightCycleCtx executes the daily pipeline as of the clock's current
+// time: train/refresh the predictor on collected statistics, predict
+// tomorrow's MPJPs, score and rank them, and build the next cache generation
+// under the budget. The paper schedules this at midnight when the cluster is
+// under-utilized. The context (and StageTimeout, per stage) is re-checked
+// between stages and, inside populate, between files and batches. A cycle
+// that dies at any point leaves the previous cache generation serving: the
+// new generation's tables are only registered by an atomic swap after every
+// table succeeds, and the next cycle or LoadState cleans up any partial
+// tables.
 func (m *Maxson) RunMidnightCycleCtx(ctx context.Context) (*CycleReport, error) {
 	now := m.wh.Clock().Now()
 	report := &CycleReport{At: now}
@@ -518,8 +514,8 @@ func (m *Maxson) RunMidnightCycleCtx(ctx context.Context) (*CycleReport, error) 
 // CacheSelected bypasses prediction and caches an explicit MPJP selection —
 // the mode the budget/selection experiments (Fig 11, Table V, Fig 15) use
 // so the caching layer can be studied with a controlled MPJP set.
-func (m *Maxson) CacheSelected(profiles []*PathProfile) (CacheStats, error) {
-	return m.Cacher.Populate(profiles, m.Engine.CostModel())
+func (m *Maxson) CacheSelected(ctx context.Context, profiles []*PathProfile) (CacheStats, error) {
+	return m.Cacher.PopulateCtx(ctx, profiles, m.Engine.CostModel())
 }
 
 // AdvanceToMidnight moves a simulated clock to the next midnight, the

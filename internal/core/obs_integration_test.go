@@ -24,7 +24,7 @@ func TestExplainCachedVsUncached(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := New(f.engine, Config{BudgetBytes: 1 << 30, DefaultDB: "mydb", Obs: reg})
 
-	before, rs, _, err := m.Explain(explainQuery)
+	before, rs, _, err := m.ExplainCtx(context.Background(), explainQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestExplainCachedVsUncached(t *testing.T) {
 
 	// Midnight: cache both paths the query uses, then explain again.
 	cachePaths(t, m, "$.turnover", "$.item_name")
-	after, rs2, am, err := m.Explain(explainQuery)
+	after, rs2, am, err := m.ExplainCtx(context.Background(), explainQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestExplainCachedVsUncached(t *testing.T) {
 	}
 
 	// Determinism: a rerun reproduces the exact cached rendering.
-	again, _, _, err := m.Explain(explainQuery)
+	again, _, _, err := m.ExplainCtx(context.Background(), explainQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestCombinerFallbackRetiredCounted(t *testing.T) {
 	}
 
 	// A freshly planned query uses the live generation: combined, no misses.
-	rs2, qm2, err := f.engine.Query(sql)
+	rs2, qm2, err := f.engine.QueryCtx(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestMidnightCycleStages(t *testing.T) {
 	m := New(f.engine, Config{BudgetBytes: 1 << 30, DefaultDB: "mydb"})
 
 	// No collected history: early exit must still report all stages.
-	rep, err := m.RunMidnightCycle()
+	rep, err := m.RunMidnightCycleCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestMidnightCycleStages(t *testing.T) {
 	// With history: the full pipeline runs and counts work per stage.
 	for day := 0; day < 28; day++ {
 		for i := 0; i < 3; i++ {
-			if _, _, err := m.Query(
+			if _, _, err := m.QueryCtx(context.Background(),
 				"SELECT get_json_object(sale_logs, '$.turnover') FROM mydb.t"); err != nil {
 				t.Fatal(err)
 			}
@@ -186,7 +186,7 @@ func TestMidnightCycleStages(t *testing.T) {
 		f.clock.Advance(24 * time.Hour)
 	}
 	m.AdvanceToMidnight()
-	rep2, err := m.RunMidnightCycle()
+	rep2, err := m.RunMidnightCycleCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -16,7 +17,7 @@ func TestPlanModQualifierMismatchNotReplaced(t *testing.T) {
 	// Self-join where only side "a" references the cached path via its own
 	// qualifier: both sides resolve to the same table, so both scans may be
 	// modified — but results must stay correct either way.
-	rs, _, err := m.Query(`
+	rs, _, err := m.QueryCtx(context.Background(), `
 		SELECT get_json_object(a.sale_logs, '$.turnover') tv
 		FROM mydb.t a JOIN mydb.t b ON a.date = b.date
 		WHERE a.date = '20190110'`)
@@ -33,7 +34,7 @@ func TestPlanModLiteralOnLeftPushdown(t *testing.T) {
 	m := New(f.engine, Config{BudgetBytes: 1 << 30, DefaultDB: "mydb"})
 	cachePaths(t, m, "$.turnover")
 	// Mirrored comparison: literal < placeholder.
-	rs, metrics, err := m.Query(`
+	rs, metrics, err := m.QueryCtx(context.Background(), `
 		SELECT get_json_object(sale_logs, '$.turnover') tv
 		FROM mydb.t
 		WHERE 300 < get_json_object(sale_logs, '$.turnover')`)
@@ -53,7 +54,7 @@ func TestPlanModORPredicateNotPushedDown(t *testing.T) {
 	m := New(f.engine, Config{BudgetBytes: 1 << 30, DefaultDB: "mydb"})
 	cachePaths(t, m, "$.turnover", "$.item_id")
 	// OR disjuncts must not become SARGs (only AND-conjuncts are safe).
-	rs, _, err := m.Query(`
+	rs, _, err := m.QueryCtx(context.Background(), `
 		SELECT date FROM mydb.t
 		WHERE get_json_object(sale_logs, '$.turnover') > 300
 		   OR get_json_object(sale_logs, '$.item_id') = 1
@@ -72,7 +73,7 @@ func TestPlanModInvalidEntrySkipped(t *testing.T) {
 	cachePaths(t, m, "$.turnover")
 	key := pathkey.Key{DB: "mydb", Table: "t", Column: "sale_logs", Path: "$.turnover"}
 	m.Registry.MarkInvalid(key)
-	_, metrics, err := m.Query(`SELECT get_json_object(sale_logs, '$.turnover') tv FROM mydb.t`)
+	_, metrics, err := m.QueryCtx(context.Background(), `SELECT get_json_object(sale_logs, '$.turnover') tv FROM mydb.t`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestPlanModUncachedPathUntouched(t *testing.T) {
 	m := New(f.engine, Config{BudgetBytes: 1 << 30, DefaultDB: "mydb"})
 	cachePaths(t, m, "$.turnover")
 	// Query touching only uncached paths runs the normal plan.
-	_, metrics, err := m.Query(`SELECT get_json_object(sale_logs, '$.price') p FROM mydb.t`)
+	_, metrics, err := m.QueryCtx(context.Background(), `SELECT get_json_object(sale_logs, '$.price') p FROM mydb.t`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestPlanModMixedCachedUncachedSameColumn(t *testing.T) {
 	cachePaths(t, m, "$.turnover")
 	// turnover cached, price not: the JSON column must stay in the primary
 	// read set to serve the uncached path.
-	rs, metrics, err := m.Query(`
+	rs, metrics, err := m.QueryCtx(context.Background(), `
 		SELECT get_json_object(sale_logs, '$.turnover') tv,
 		       get_json_object(sale_logs, '$.price') p
 		FROM mydb.t WHERE date = '20190104'`)
@@ -148,7 +149,7 @@ func TestPlanModRecreatedTableInvalidates(t *testing.T) {
 	if _, err := f.wh.AppendRows("mydb", "t", rows); err != nil {
 		t.Fatal(err)
 	}
-	rs, metrics, err := m.Query(`
+	rs, metrics, err := m.QueryCtx(context.Background(), `
 		SELECT get_json_object(sale_logs, '$.turnover') tv FROM mydb.t WHERE date = '20190101'`)
 	if err != nil {
 		t.Fatal(err)

@@ -79,22 +79,6 @@ func (r *Registry) MarkInvalid(key pathkey.Key) bool {
 	return ok
 }
 
-// Drop removes an entry.
-func (r *Registry) Drop(key pathkey.Key) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.entries, key)
-}
-
-// Clear removes every entry and returns how many were dropped.
-func (r *Registry) Clear() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := len(r.entries)
-	r.entries = make(map[pathkey.Key]*CacheEntry)
-	return n
-}
-
 // Entries lists all entries in deterministic order.
 func (r *Registry) Entries() []*CacheEntry {
 	r.mu.RLock()

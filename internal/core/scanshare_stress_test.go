@@ -191,7 +191,7 @@ func TestScanShareStressMixed(t *testing.T) {
 	// The scheduler must be reusable after the storm: one more serial pass.
 	env.fs.SetInjector(nil)
 	for _, sql := range []string{qa, qc} {
-		rs, _, err := env.m.Query(sql)
+		rs, _, err := env.m.QueryCtx(context.Background(), sql)
 		if err != nil {
 			t.Fatalf("post-stress %q: %v", sql, err)
 		}
@@ -310,7 +310,7 @@ func TestScanShareWorkerPanicIsolation(t *testing.T) {
 	waitBatchBaseline(t, before)
 
 	env.fs.SetInjector(nil)
-	rs, _, err = env.m.Query(sql)
+	rs, _, err = env.m.QueryCtx(context.Background(), sql)
 	if err != nil {
 		t.Fatalf("query after recovered producer panic: %v", err)
 	}

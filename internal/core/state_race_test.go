@@ -20,7 +20,7 @@ func TestStateRaceWithQueries(t *testing.T) {
 	cachePaths(t, m, "$.turnover", "$.item_id")
 
 	const sql = `SELECT get_json_object(sale_logs, '$.turnover') tv FROM mydb.t ORDER BY date`
-	baseline, _, err := m.Query(sql)
+	baseline, _, err := m.QueryCtx(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestStateRaceWithQueries(t *testing.T) {
 	if err := m.LoadState(); err != nil {
 		t.Fatal(err)
 	}
-	rs, _, err := m.Query(sql)
+	rs, _, err := m.QueryCtx(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -96,7 +97,7 @@ func TestSaveLoadStateEndToEnd(t *testing.T) {
 		f.clock.Advance(24 * time.Hour)
 	}
 	m.AdvanceToMidnight()
-	if _, err := m.RunMidnightCycle(); err != nil {
+	if _, err := m.RunMidnightCycleCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if !m.ModelTrained {
@@ -117,7 +118,7 @@ func TestSaveLoadStateEndToEnd(t *testing.T) {
 	if !m2.ModelTrained {
 		t.Fatal("restored node should have a trained model")
 	}
-	report, err := m2.RunMidnightCycle()
+	report, err := m2.RunMidnightCycleCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

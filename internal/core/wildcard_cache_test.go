@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -75,7 +76,7 @@ func TestWildcardPathCachedByMidnightCycle(t *testing.T) {
 		f.clock.Advance(24 * time.Hour)
 	}
 	m.AdvanceToMidnight()
-	report, err := m.RunMidnightCycle()
+	report, err := m.RunMidnightCycleCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestWildcardPathCachedByMidnightCycle(t *testing.T) {
 	}
 
 	const sql = `SELECT get_json_object(sale_logs, '$.items[*].q') qs FROM mydb.t ORDER BY date`
-	rs, metrics, err := m.Query(sql)
+	rs, metrics, err := m.QueryCtx(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestWildcardPathCachedByMidnightCycle(t *testing.T) {
 
 	// Results must match a cold engine evaluating the same query raw.
 	plain := wildFixture(t)
-	rp, _, err := plain.engine.Query(sql)
+	rp, _, err := plain.engine.QueryCtx(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}

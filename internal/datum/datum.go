@@ -132,22 +132,6 @@ func (d Datum) AppendTo(buf []byte) []byte {
 	return buf
 }
 
-// SizeBytes estimates the in-memory footprint of the datum's payload. The
-// scoring function's B_j (average value size) is computed from this.
-func (d Datum) SizeBytes() int64 {
-	if d.Null {
-		return 1
-	}
-	switch d.Typ {
-	case TypeString:
-		return int64(len(d.S))
-	case TypeBool:
-		return 1
-	default:
-		return 8
-	}
-}
-
 // Compare orders two datums. NULL sorts before every non-NULL value.
 // Numeric types compare numerically even across Int64/Float64; other
 // cross-type comparisons compare by rendered text, which keeps ORDER BY

@@ -8,17 +8,16 @@ import (
 
 func TestConstructorsAndAccessors(t *testing.T) {
 	cases := []struct {
-		d    Datum
-		typ  Type
-		str  string
-		size int64
+		d   Datum
+		typ Type
+		str string
 	}{
-		{Int(42), TypeInt64, "42", 8},
-		{Float(2.5), TypeFloat64, "2.5", 8},
-		{Str("hi"), TypeString, "hi", 2},
-		{Bool(true), TypeBool, "true", 1},
-		{Bool(false), TypeBool, "false", 1},
-		{NullOf(TypeString), TypeString, "NULL", 1},
+		{Int(42), TypeInt64, "42"},
+		{Float(2.5), TypeFloat64, "2.5"},
+		{Str("hi"), TypeString, "hi"},
+		{Bool(true), TypeBool, "true"},
+		{Bool(false), TypeBool, "false"},
+		{NullOf(TypeString), TypeString, "NULL"},
 	}
 	for _, c := range cases {
 		if c.d.Typ != c.typ {
@@ -26,9 +25,6 @@ func TestConstructorsAndAccessors(t *testing.T) {
 		}
 		if got := c.d.AsString(); got != c.str {
 			t.Errorf("%+v AsString = %q, want %q", c.d, got, c.str)
-		}
-		if got := c.d.SizeBytes(); got != c.size {
-			t.Errorf("%+v SizeBytes = %d, want %d", c.d, got, c.size)
 		}
 	}
 }

@@ -4,8 +4,6 @@
 // The simulation keeps file contents in memory but reproduces the structural
 // properties the caching design depends on:
 //
-//   - files are sequences of fixed-size blocks, and a block never spans
-//     files;
 //   - files are append-only: bytes are added, never rewritten (the paper
 //     reports only 2% of tables ever modify previously appended data, and
 //     Maxson invalidates caches when they do);
@@ -14,9 +12,8 @@
 //     again, so ReadView can hand readers the stored bytes themselves;
 //   - every file records its last modification time from an injectable
 //     clock, which drives cache-validity decisions;
-//   - readers obtain input splits — block ranges — and Maxson's cacher uses
-//     the "one file = one split" convention so cache files align with raw
-//     files.
+//   - a file is one input split: ListFiles enumerates a directory in sorted
+//     name order, so the i-th cache file aligns with the i-th raw file.
 //
 // Read throughput is metered so the query engine's cost model can account
 // for I/O separately from parsing and compute.
@@ -43,13 +40,9 @@ var (
 	ErrExists   = errors.New("dfs: file already exists")
 )
 
-// DefaultBlockSize mirrors a typical HDFS block (scaled down: the simulation
-// defaults to 4 MiB so tests exercise multi-block files cheaply).
-const DefaultBlockSize = 4 << 20
-
 // IOStats counts bytes moved through the file system. BytesRead and Opens
 // count what readers were handed: one open and the length of the returned
-// range per ReadView/ReadFile/ReadRange call. Metadata calls (List, ListFiles,
+// range per ReadView/ReadFile call. Metadata calls (List, ListFiles,
 // Size, ModTime) count nothing.
 type IOStats struct {
 	BytesRead    int64
@@ -58,14 +51,13 @@ type IOStats struct {
 	Opens        int64
 }
 
-// FS is an in-memory append-only block file system. All methods are safe for
+// FS is an in-memory append-only file system. All methods are safe for
 // concurrent use.
 type FS struct {
-	mu        sync.RWMutex
-	files     map[string]*file
-	blockSize int64
-	clock     simtime.Clock
-	stats     IOStats
+	mu    sync.RWMutex
+	files map[string]*file
+	clock simtime.Clock
+	stats IOStats
 	// lastVersion is the version most recently handed out. Versions are
 	// unique across the whole file system, so a file deleted and created
 	// again under the same name never repeats one.
@@ -99,15 +91,6 @@ func (f *FS) nextVersion() uint64 {
 // Option configures an FS.
 type Option func(*FS)
 
-// WithBlockSize sets the block size in bytes.
-func WithBlockSize(n int64) Option {
-	return func(f *FS) {
-		if n > 0 {
-			f.blockSize = n
-		}
-	}
-}
-
 // WithClock sets the clock used for modification times.
 func WithClock(c simtime.Clock) Option {
 	return func(f *FS) {
@@ -120,18 +103,14 @@ func WithClock(c simtime.Clock) Option {
 // New returns an empty file system.
 func New(opts ...Option) *FS {
 	f := &FS{
-		files:     make(map[string]*file),
-		blockSize: DefaultBlockSize,
-		clock:     simtime.Real{},
+		files: make(map[string]*file),
+		clock: simtime.Real{},
 	}
 	for _, o := range opts {
 		o(f)
 	}
 	return f
 }
-
-// BlockSize returns the configured block size.
-func (f *FS) BlockSize() int64 { return f.blockSize }
 
 // SetInjector installs (or, with nil, removes) a fault injector. All
 // subsequent opens, reads, and appends consult it.
@@ -329,36 +308,6 @@ func (f *FS) ReadFile(name string) ([]byte, error) {
 	return out, nil
 }
 
-// ReadRange returns a copy of file bytes [off, off+n). Reading past the end
-// truncates rather than erroring, matching block-read semantics.
-func (f *FS) ReadRange(name string, off, n int64) ([]byte, error) {
-	name = clean(name)
-	in := f.inj.Load()
-	if err := in.Fail(fault.OpOpen, name); err != nil {
-		return nil, err
-	}
-	f.mu.Lock()
-	fl, ok := f.files[name]
-	if !ok {
-		f.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, name)
-	}
-	if off < 0 || off > int64(len(fl.data)) {
-		f.mu.Unlock()
-		return nil, fmt.Errorf("dfs: read offset %d out of range for %s", off, name)
-	}
-	end := off + n
-	if end > int64(len(fl.data)) {
-		end = int64(len(fl.data))
-	}
-	f.stats.BytesRead += end - off
-	f.stats.Opens++
-	out := make([]byte, end-off)
-	copy(out, fl.data[off:end])
-	f.mu.Unlock()
-	return in.Transform(fault.OpRead, name, out)
-}
-
 // Size returns the file length in bytes.
 func (f *FS) Size(name string) (int64, error) {
 	name = clean(name)
@@ -458,76 +407,4 @@ func (f *FS) ListFiles(dir string) []FileInfo {
 	}
 	slices.SortFunc(out, func(a, b FileInfo) int { return strings.Compare(a.Name, b.Name) })
 	return out
-}
-
-// DirModTime returns the latest modification time of any file under dir.
-// This is the "table modification time" that Algorithm 1 compares against
-// the cache time. The zero time is returned for an empty directory.
-func (f *FS) DirModTime(dir string) time.Time {
-	prefix := clean(dir) + "/"
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	var latest time.Time
-	for name, fl := range f.files {
-		if strings.HasPrefix(name, prefix) && fl.modTime.After(latest) {
-			latest = fl.modTime
-		}
-	}
-	return latest
-}
-
-// Split is an input split: a contiguous block range of one file. In Spark
-// terms a split is one partition's worth of input.
-type Split struct {
-	Path       string
-	Index      int   // ordinal of this split within its enumeration
-	Offset     int64 // byte offset of the first block
-	Length     int64 // byte length of the split
-	BlockCount int
-}
-
-// FileSplits returns one split per file under dir, in sorted file order.
-// This is the "treat a file as an input split" mode the JSONPath Cacher
-// uses so that the i-th cache file aligns with the i-th raw file.
-func (f *FS) FileSplits(dir string) []Split {
-	files := f.ListFiles(dir)
-	splits := make([]Split, 0, len(files))
-	for i, fi := range files {
-		blocks := int((fi.Size + f.blockSize - 1) / f.blockSize)
-		if blocks == 0 {
-			blocks = 1
-		}
-		splits = append(splits, Split{Path: fi.Name, Index: i, Offset: 0, Length: fi.Size, BlockCount: blocks})
-	}
-	return splits
-}
-
-// BlockSplits divides each file under dir into splits of at most
-// blocksPerSplit blocks, preserving file boundaries (a block never spans
-// files, so neither does a split).
-func (f *FS) BlockSplits(dir string, blocksPerSplit int) []Split {
-	if blocksPerSplit < 1 {
-		blocksPerSplit = 1
-	}
-	var splits []Split
-	idx := 0
-	for _, fi := range f.ListFiles(dir) {
-		name, size := fi.Name, fi.Size
-		if size == 0 {
-			splits = append(splits, Split{Path: name, Index: idx, BlockCount: 1})
-			idx++
-			continue
-		}
-		step := f.blockSize * int64(blocksPerSplit)
-		for off := int64(0); off < size; off += step {
-			length := step
-			if off+length > size {
-				length = size - off
-			}
-			blocks := int((length + f.blockSize - 1) / f.blockSize)
-			splits = append(splits, Split{Path: name, Index: idx, Offset: off, Length: length, BlockCount: blocks})
-			idx++
-		}
-	}
-	return splits
 }

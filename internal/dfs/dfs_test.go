@@ -3,7 +3,6 @@ package dfs
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -15,7 +14,7 @@ import (
 
 func newTestFS() (*FS, *simtime.Sim) {
 	clock := simtime.NewSim(time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC))
-	return New(WithBlockSize(64), WithClock(clock)), clock
+	return New(WithClock(clock)), clock
 }
 
 func TestCreateAppendRead(t *testing.T) {
@@ -66,33 +65,6 @@ func TestModTimeTracksClock(t *testing.T) {
 	if !mt2.Equal(start.Add(2 * time.Hour)) {
 		t.Errorf("ModTime after append = %v", mt2)
 	}
-	if dm := fs.DirModTime("/a"); !dm.Equal(mt2) {
-		t.Errorf("DirModTime = %v, want %v", dm, mt2)
-	}
-	if dm := fs.DirModTime("/empty"); !dm.IsZero() {
-		t.Errorf("DirModTime of empty dir = %v, want zero", dm)
-	}
-}
-
-func TestReadRange(t *testing.T) {
-	fs, _ := newTestFS()
-	if err := fs.WriteFile("/f", []byte("0123456789")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := fs.ReadRange("/f", 2, 4)
-	if err != nil || string(got) != "2345" {
-		t.Errorf("ReadRange = %q err=%v", got, err)
-	}
-	got, err = fs.ReadRange("/f", 8, 100)
-	if err != nil || string(got) != "89" {
-		t.Errorf("ReadRange past end = %q err=%v", got, err)
-	}
-	if _, err := fs.ReadRange("/f", -1, 1); err == nil {
-		t.Error("negative offset should error")
-	}
-	if _, err := fs.ReadRange("/f", 11, 1); err == nil {
-		t.Error("offset past end should error")
-	}
 }
 
 func TestListSortedAndDelete(t *testing.T) {
@@ -129,68 +101,6 @@ func TestListSortedAndDelete(t *testing.T) {
 	}
 }
 
-func TestFileSplitsAlignAcrossDirs(t *testing.T) {
-	fs, _ := newTestFS()
-	for i := 0; i < 3; i++ {
-		raw := fmt.Sprintf("/wh/db/t/part-%d", i)
-		cache := fmt.Sprintf("/wh/cache/db__t/part-%d", i)
-		if err := fs.WriteFile(raw, bytes.Repeat([]byte("r"), 100*(i+1))); err != nil {
-			t.Fatal(err)
-		}
-		if err := fs.WriteFile(cache, bytes.Repeat([]byte("c"), 10*(i+1))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rawSplits := fs.FileSplits("/wh/db/t")
-	cacheSplits := fs.FileSplits("/wh/cache/db__t")
-	if len(rawSplits) != 3 || len(cacheSplits) != 3 {
-		t.Fatalf("splits = %d raw, %d cache", len(rawSplits), len(cacheSplits))
-	}
-	for i := range rawSplits {
-		if rawSplits[i].Index != i || cacheSplits[i].Index != i {
-			t.Errorf("split %d index mismatch: raw=%d cache=%d", i, rawSplits[i].Index, cacheSplits[i].Index)
-		}
-	}
-	// 100*(i+1) bytes at block size 64: file sizes 100, 200, 300 -> 2, 4, 5 blocks.
-	wantBlocks := []int{2, 4, 5}
-	for i, s := range rawSplits {
-		if s.BlockCount != wantBlocks[i] {
-			t.Errorf("split %d blocks = %d, want %d", i, s.BlockCount, wantBlocks[i])
-		}
-	}
-}
-
-func TestBlockSplitsRespectFileBoundaries(t *testing.T) {
-	fs, _ := newTestFS()                                                         // block size 64
-	if err := fs.WriteFile("/d/a", bytes.Repeat([]byte("x"), 200)); err != nil { // 4 blocks (64+64+64+8)
-		t.Fatal(err)
-	}
-	if err := fs.WriteFile("/d/b", bytes.Repeat([]byte("y"), 64)); err != nil { // 1 block
-		t.Fatal(err)
-	}
-	splits := fs.BlockSplits("/d", 2)
-	// a: blocks [0,1] and [2,3]; b: [0]. Total 3 splits.
-	if len(splits) != 3 {
-		t.Fatalf("splits = %+v", splits)
-	}
-	if splits[0].Path != "/d/a" || splits[0].Offset != 0 || splits[0].Length != 128 {
-		t.Errorf("split 0 = %+v", splits[0])
-	}
-	if splits[1].Path != "/d/a" || splits[1].Offset != 128 || splits[1].Length != 72 {
-		t.Errorf("split 1 = %+v", splits[1])
-	}
-	if splits[2].Path != "/d/b" || splits[2].Offset != 0 || splits[2].Length != 64 {
-		t.Errorf("split 2 = %+v", splits[2])
-	}
-	var total int64
-	for _, s := range splits {
-		total += s.Length
-	}
-	if total != 264 {
-		t.Errorf("split lengths sum to %d, want 264", total)
-	}
-}
-
 func TestStatsAccounting(t *testing.T) {
 	fs, _ := newTestFS()
 	if err := fs.WriteFile("/f", []byte("abcdef")); err != nil {
@@ -199,11 +109,11 @@ func TestStatsAccounting(t *testing.T) {
 	if _, err := fs.ReadFile("/f"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fs.ReadRange("/f", 0, 3); err != nil {
+	if _, err := fs.ReadView("/f"); err != nil {
 		t.Fatal(err)
 	}
 	st := fs.Stats()
-	if st.BytesWritten != 6 || st.BytesRead != 9 || st.FilesCreated != 1 || st.Opens != 2 {
+	if st.BytesWritten != 6 || st.BytesRead != 12 || st.FilesCreated != 1 || st.Opens != 2 {
 		t.Errorf("stats = %+v", st)
 	}
 	fs.ResetStats()
@@ -249,34 +159,6 @@ func TestQuickAppendOnly(t *testing.T) {
 			return false
 		}
 		return bytes.Equal(got, want) && size == int64(len(want))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: BlockSplits partitions every file's bytes exactly once for any
-// blocksPerSplit, preserving total length.
-func TestQuickBlockSplitsPartition(t *testing.T) {
-	f := func(sizes []uint16, per uint8) bool {
-		fs, _ := newTestFS()
-		var total int64
-		for i, sz := range sizes {
-			if i >= 5 {
-				break
-			}
-			n := int(sz % 500)
-			if err := fs.WriteFile(fmt.Sprintf("/d/f%d", i), bytes.Repeat([]byte{'z'}, n)); err != nil {
-				return false
-			}
-			total += int64(n)
-		}
-		splits := fs.BlockSplits("/d", int(per%4))
-		var sum int64
-		for _, s := range splits {
-			sum += s.Length
-		}
-		return sum == total
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

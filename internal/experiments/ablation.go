@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -27,20 +28,20 @@ type AblationResult struct {
 
 // RunAblation runs the ten-query workload (full MPJP set cached) under
 // three Maxson configurations and the uncached baseline.
-func RunAblation(rows int, seed int64) (*AblationResult, error) {
+func RunAblation(ctx context.Context, rows int, seed int64) (*AblationResult, error) {
 	out := &AblationResult{}
 
 	run := func(configure func(env *maxsonEnv)) (AblationRow, error) {
 		w := BuildWorkload(rows, seed)
 		env := newMaxsonEnv(w, baseline.JacksonBackend{})
 		if configure != nil {
-			if _, err := env.maxson.CacheSelected(env.profiles()); err != nil {
+			if _, err := env.maxson.CacheSelected(ctx, env.profiles()); err != nil {
 				return AblationRow{}, err
 			}
 			configure(env)
 		}
 		var row AblationRow
-		total, metrics, err := env.runQueries()
+		total, metrics, err := env.runQueries(ctx)
 		if err != nil {
 			return AblationRow{}, err
 		}

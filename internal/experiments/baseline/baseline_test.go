@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -78,7 +79,7 @@ func TestBackendsAgree(t *testing.T) {
 			FROM mydb.t WHERE date < '20190105'`,
 	}
 	for name, sql := range queries {
-		want, _, err := reference.Query(sql)
+		want, _, err := reference.QueryCtx(context.Background(), sql)
 		if err != nil {
 			t.Fatalf("%s: jackson: %v", name, err)
 		}
@@ -86,7 +87,7 @@ func TestBackendsAgree(t *testing.T) {
 			t.Fatalf("%s: reference returned no rows", name)
 		}
 		for backend, e := range others {
-			got, _, err := e.Query(sql)
+			got, _, err := e.QueryCtx(context.Background(), sql)
 			if err != nil {
 				t.Fatalf("%s: %s: %v", name, backend, err)
 			}

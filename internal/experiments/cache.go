@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -105,11 +106,11 @@ func totalMPJPBytes(profiles []*core.PathProfile) int64 {
 
 // runQueries executes every Table II query and returns the total simulated
 // time plus per-query metrics.
-func (env *maxsonEnv) runQueries() (time.Duration, map[string]*sqlengine.Metrics, error) {
+func (env *maxsonEnv) runQueries(ctx context.Context) (time.Duration, map[string]*sqlengine.Metrics, error) {
 	var total time.Duration
 	metrics := make(map[string]*sqlengine.Metrics)
 	for _, spec := range env.queries {
-		_, m, err := env.maxson.Query(env.w.SQL[spec.Name])
+		_, m, err := env.maxson.QueryCtx(ctx, env.w.SQL[spec.Name])
 		if err != nil {
 			return 0, nil, fmt.Errorf("%s: %w", spec.Name, err)
 		}
@@ -139,14 +140,14 @@ type Fig11Result struct {
 // RunFig11 regenerates Fig 11 and Table V: total execution time of the ten
 // queries under each budget with score-based vs random selection, plus the
 // uncached baseline.
-func RunFig11(rows int, seed int64) (*Fig11Result, error) {
+func RunFig11(ctx context.Context, rows int, seed int64) (*Fig11Result, error) {
 	out := &Fig11Result{}
 
 	// Baseline: no cache.
 	{
 		w := BuildWorkload(rows, seed)
 		env := newMaxsonEnv(w, baseline.JacksonBackend{})
-		total, _, err := env.runQueries()
+		total, _, err := env.runQueries(ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -168,11 +169,11 @@ func RunFig11(rows int, seed int64) (*Fig11Result, error) {
 			} else {
 				selected = core.RandomSelectUnderBudget(profiles, budgetBytes, seed+int64(len(out.Rows)))
 			}
-			stats, err := env.maxson.CacheSelected(selected)
+			stats, err := env.maxson.CacheSelected(ctx, selected)
 			if err != nil {
 				return nil, err
 			}
-			total, _, err := env.runQueries()
+			total, _, err := env.runQueries(ctx)
 			if err != nil {
 				return nil, err
 			}
@@ -250,7 +251,7 @@ type Fig12Result struct{ Rows []Fig12Row }
 // RunFig12 regenerates Fig 12: Read/Parse/Compute plus input size for Q2
 // and Q9 under plain Spark and under Maxson with all MPJPs cached (the
 // queries whose predicates push down into the cache table).
-func RunFig12(rows int, seed int64) (*Fig12Result, error) {
+func RunFig12(ctx context.Context, rows int, seed int64) (*Fig12Result, error) {
 	out := &Fig12Result{}
 	targets := []string{"Q2", "Q9"}
 
@@ -258,7 +259,7 @@ func RunFig12(rows int, seed int64) (*Fig12Result, error) {
 	wPlain := BuildWorkload(rows, seed)
 	ePlain := wPlain.NewEngine(baseline.JacksonBackend{})
 	for _, q := range targets {
-		_, m, err := ePlain.Query(wPlain.SQL[q])
+		_, m, err := ePlain.QueryCtx(ctx, wPlain.SQL[q])
 		if err != nil {
 			return nil, err
 		}
@@ -274,11 +275,11 @@ func RunFig12(rows int, seed int64) (*Fig12Result, error) {
 	// Maxson with the full MPJP set cached.
 	w := BuildWorkload(rows, seed)
 	env := newMaxsonEnv(w, baseline.JacksonBackend{})
-	if _, err := env.maxson.CacheSelected(env.profiles()); err != nil {
+	if _, err := env.maxson.CacheSelected(ctx, env.profiles()); err != nil {
 		return nil, err
 	}
 	for _, q := range targets {
-		_, m, err := env.maxson.Query(w.SQL[q])
+		_, m, err := env.maxson.QueryCtx(ctx, w.SQL[q])
 		if err != nil {
 			return nil, err
 		}
@@ -320,13 +321,13 @@ type Fig13Result struct{ Rows []Fig13Row }
 // RunFig13 regenerates Fig 13: plan generation time with and without
 // Maxson's modification pass, per query (the paper: +0.4s on average,
 // growing with the number of JSONPaths).
-func RunFig13(rows int, seed int64) (*Fig13Result, error) {
+func RunFig13(ctx context.Context, rows int, seed int64) (*Fig13Result, error) {
 	wPlain := BuildWorkload(rows, seed)
 	ePlain := wPlain.NewEngine(baseline.JacksonBackend{})
 
 	w := BuildWorkload(rows, seed)
 	env := newMaxsonEnv(w, baseline.JacksonBackend{})
-	if _, err := env.maxson.CacheSelected(core.SelectUnderBudget(env.profiles(),
+	if _, err := env.maxson.CacheSelected(ctx, core.SelectUnderBudget(env.profiles(),
 		int64(float64(totalMPJPBytes(env.profiles()))*0.75))); err != nil {
 		return nil, err
 	}
@@ -384,7 +385,7 @@ type Fig15Result struct{ Rows []Fig15Row }
 // Table II queries it runs QW, the wildcard companion query ($.events[*].v
 // over Q3's table) whose path is deliberately uncached, so the maxson+stream
 // lane shows the array-iteration trie nodes against the tree-parse fallback.
-func RunFig15(rows int, seed int64) (*Fig15Result, error) {
+func RunFig15(ctx context.Context, rows int, seed int64) (*Fig15Result, error) {
 	fig15Queries := append(TableII(), QuerySpec{Name: WildcardQuery, Table: "t03", PathCount: 1})
 	times := map[string]map[string]time.Duration{}
 	cached := map[string]int{}
@@ -406,7 +407,7 @@ func RunFig15(rows int, seed int64) (*Fig15Result, error) {
 		w := BuildWorkload(rows, seed)
 		e := w.NewEngine(cfg.backend)
 		for _, spec := range fig15Queries {
-			_, m, err := e.Query(w.SQL[spec.Name])
+			_, m, err := e.QueryCtx(ctx, w.SQL[spec.Name])
 			if err != nil {
 				return nil, err
 			}
@@ -428,7 +429,7 @@ func RunFig15(rows int, seed int64) (*Fig15Result, error) {
 		profiles := env.profiles()
 		budget := int64(float64(totalMPJPBytes(profiles)) * 0.75)
 		selected := core.SelectUnderBudget(profiles, budget)
-		if _, err := env.maxson.CacheSelected(selected); err != nil {
+		if _, err := env.maxson.CacheSelected(ctx, selected); err != nil {
 			return nil, err
 		}
 		selectedSet := map[pathkey.Key]bool{}
@@ -436,7 +437,7 @@ func RunFig15(rows int, seed int64) (*Fig15Result, error) {
 			selectedSet[p.Key] = true
 		}
 		for _, spec := range fig15Queries {
-			_, m, err := env.maxson.Query(w.SQL[spec.Name])
+			_, m, err := env.maxson.QueryCtx(ctx, w.SQL[spec.Name])
 			if err != nil {
 				return nil, err
 			}

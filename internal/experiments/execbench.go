@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -88,7 +89,7 @@ func buildExecBenchEngine(rows int, seed int64, opts ...sqlengine.EngineOption) 
 // RunExecBench measures scan, filter, and aggregate queries under the
 // vectorized pipeline at batch sizes 1024/128/1 and under the legacy
 // row-at-a-time adapter. Feeds BENCH_exec.json.
-func RunExecBench(rows int, seed int64) (*ExecBenchResult, error) {
+func RunExecBench(ctx context.Context, rows int, seed int64) (*ExecBenchResult, error) {
 	// Below a few row groups the filter query can select nothing; clamp so
 	// every cell measures real work.
 	if rows < 64 {
@@ -124,7 +125,7 @@ func RunExecBench(rows int, seed int64) (*ExecBenchResult, error) {
 			res := testing.Benchmark(func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					rs, _, err := e.Query(q.sql)
+					rs, _, err := e.QueryCtx(ctx, q.sql)
 					if err != nil {
 						qErr = fmt.Errorf("%s %s: %w", mode.name, q.name, err)
 						b.FailNow()

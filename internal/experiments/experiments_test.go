@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -99,7 +100,7 @@ func TestAllTableIIQueriesExecute(t *testing.T) {
 	w := BuildWorkload(testRows, 1)
 	e := w.NewEngine(baseline.JacksonBackend{})
 	for _, spec := range w.Specs {
-		rs, _, err := e.Query(w.SQL[spec.Name])
+		rs, _, err := e.QueryCtx(context.Background(), w.SQL[spec.Name])
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Name, err)
 		}
@@ -123,7 +124,7 @@ func TestFig2Shape(t *testing.T) {
 }
 
 func TestFig3ParseDominates(t *testing.T) {
-	r, err := RunFig3(400)
+	r, err := RunFig3(context.Background(), 400)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +192,7 @@ func TestTable4WindowsRun(t *testing.T) {
 }
 
 func TestFig11SpeedupAndMonotonicity(t *testing.T) {
-	r, err := RunFig11(testRows, 1)
+	r, err := RunFig11(context.Background(), testRows, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +240,7 @@ func TestFig11SpeedupAndMonotonicity(t *testing.T) {
 }
 
 func TestFig12MaxsonShrinksParseAndInput(t *testing.T) {
-	r, err := RunFig12(testRows, 1)
+	r, err := RunFig12(context.Background(), testRows, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +270,7 @@ func TestFig12MaxsonShrinksParseAndInput(t *testing.T) {
 }
 
 func TestFig13MaxsonPlanOverheadSmall(t *testing.T) {
-	r, err := RunFig13(testRows, 1)
+	r, err := RunFig13(context.Background(), testRows, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +317,7 @@ func TestFig14MaxsonBeatsLRU(t *testing.T) {
 }
 
 func TestFig15SystemOrdering(t *testing.T) {
-	r, err := RunFig15(testRows, 1)
+	r, err := RunFig15(context.Background(), testRows, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +355,7 @@ func TestFig15SystemOrdering(t *testing.T) {
 }
 
 func TestAblationMonotoneImprovement(t *testing.T) {
-	r, err := RunAblation(testRows, 1)
+	r, err := RunAblation(context.Background(), testRows, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,11 +391,11 @@ func TestAblationMonotoneImprovement(t *testing.T) {
 func TestExperimentDeterminism(t *testing.T) {
 	// Every harness must be fully deterministic per seed; the EXPERIMENTS.md
 	// numbers depend on it.
-	a, err := RunFig11(100, 7)
+	a, err := RunFig11(context.Background(), 100, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunFig11(100, 7)
+	b, err := RunFig11(context.Background(), 100, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +410,7 @@ func TestExperimentDeterminism(t *testing.T) {
 }
 
 func TestSparserStudyOrdering(t *testing.T) {
-	r, err := RunSparserStudy(testRows, 1)
+	r, err := RunSparserStudy(context.Background(), testRows, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -31,7 +32,7 @@ type ExtractBenchRow struct {
 
 // ExtractBenchResult compares the streaming multi-path extractor against
 // Parse + Eval on the raw kernel (point paths and a wildcard), and measures
-// the two consumers that run it in bulk: Cacher.Populate (from nothing, and
+// the two consumers that run it in bulk: Cacher.PopulateCtx (from nothing, and
 // the night after with one new split) and the combiner's uncovered-split
 // fallback. Those two once had a tree-parse switch to compare
 // against; EXPERIMENTS.md keeps its last measured values.
@@ -123,7 +124,7 @@ func wildcardDoc() string {
 
 // RunExtractBench measures the extraction lanes.
 // Feeds BENCH_extract.json via maxson-bench -exp extract.
-func RunExtractBench(rows int, seed int64) (*ExtractBenchResult, error) {
+func RunExtractBench(ctx context.Context, rows int, seed int64) (*ExtractBenchResult, error) {
 	out := &ExtractBenchResult{}
 
 	// --- kernel lane: 2 paths out of a 30-field document ---
@@ -214,7 +215,7 @@ func RunExtractBench(rows int, seed int64) (*ExtractBenchResult, error) {
 	w := BuildWorkload(rows, seed)
 	env := newMaxsonEnv(w, sqlengine.StreamBackend{})
 	profiles := env.profiles()
-	stats, err := env.maxson.CacheSelected(profiles)
+	stats, err := env.maxson.CacheSelected(ctx, profiles)
 	if err != nil {
 		return nil, err
 	}
@@ -223,7 +224,7 @@ func RunExtractBench(rows int, seed int64) (*ExtractBenchResult, error) {
 		return nil
 	}
 	row, err = benchOp("populate", "stream", stats.BytesScanned, stats.BytesSkipped, fresh, func() error {
-		_, err := env.maxson.CacheSelected(profiles)
+		_, err := env.maxson.CacheSelected(ctx, profiles)
 		return err
 	})
 	if err != nil {
@@ -246,11 +247,11 @@ func RunExtractBench(rows int, seed int64) (*ExtractBenchResult, error) {
 	if err := appendDay(); err != nil {
 		return nil, err
 	}
-	if stats, err = env.maxson.CacheSelected(profiles); err != nil {
+	if stats, err = env.maxson.CacheSelected(ctx, profiles); err != nil {
 		return nil, err
 	}
 	row, err = benchOp("incremental", "stream", stats.BytesScanned, stats.BytesSkipped, appendDay, func() error {
-		_, err := env.maxson.CacheSelected(profiles)
+		_, err := env.maxson.CacheSelected(ctx, profiles)
 		return err
 	})
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/mlbase"
 	"repro/internal/trace"
 )
 
@@ -104,9 +103,4 @@ func (r *Table4Result) String() string {
 		fmt.Fprintf(&sb, "  %-9s %-10s %.3f      %.3f   %.3f\n", win, row.Model, row.Precision, row.Recall, row.F1)
 	}
 	return sb.String()
-}
-
-// ScoreOf exposes evaluation for reuse by tests.
-func ScoreOf(p core.Predictor, test []*core.Sample) mlbase.Scores {
-	return core.EvaluatePredictor(p, test)
 }

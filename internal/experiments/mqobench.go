@@ -148,7 +148,7 @@ func RunMQOBench(ctx context.Context, rows int, seed int64) (*MQOBenchResult, er
 	if err != nil {
 		return nil, fmt.Errorf("mqo bench build (plain): %w", err)
 	}
-	_, pm, err := plain.Query(sql)
+	_, pm, err := plain.QueryCtx(ctx, sql)
 	if err != nil {
 		return nil, fmt.Errorf("mqo bench single query: %w", err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -87,7 +88,7 @@ func obsBenchSystem(withRecorder bool) (*core.Maxson, string, error) {
 
 // RunObsBench measures the observability substrate's hot-path costs. Feeds
 // BENCH_obs.json; the CI bench smoke runs it at small scale.
-func RunObsBench() (*ObsBenchResult, error) {
+func RunObsBench(ctx context.Context) (*ObsBenchResult, error) {
 	out := &ObsBenchResult{}
 	add := func(op string, res testing.BenchmarkResult) {
 		out.Rows = append(out.Rows, ObsBenchRow{
@@ -152,7 +153,7 @@ func RunObsBench() (*ObsBenchResult, error) {
 	bareRes := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := bare.Query(sql); err != nil {
+			if _, _, err := bare.QueryCtx(ctx, sql); err != nil {
 				qErr = err
 				b.FailNow()
 			}
@@ -170,7 +171,7 @@ func RunObsBench() (*ObsBenchResult, error) {
 	recRes := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := rec.Query(sql); err != nil {
+			if _, _, err := rec.QueryCtx(ctx, sql); err != nil {
 				qErr = err
 				b.FailNow()
 			}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -35,7 +36,7 @@ type SparserResult struct {
 
 // RunSparserStudy runs equality-predicate queries over the Table II
 // workload under plain Spark, Spark+Sparser, and Maxson (full cache).
-func RunSparserStudy(rows int, seed int64) (*SparserResult, error) {
+func RunSparserStudy(ctx context.Context, rows int, seed int64) (*SparserResult, error) {
 	// Two regimes: a selective equality on metric0 (few rows match, and its
 	// digits rarely appear elsewhere — the prefilter's sweet spot, and a
 	// cached MPJP so Maxson serves it too), and a ubiquitous-needle equality
@@ -58,7 +59,7 @@ func RunSparserStudy(rows int, seed int64) (*SparserResult, error) {
 
 		wPlain := BuildWorkload(rows, seed)
 		ePlain := wPlain.NewEngine(baseline.JacksonBackend{})
-		rsP, mP, err := ePlain.Query(q.sql)
+		rsP, mP, err := ePlain.QueryCtx(ctx, q.sql)
 		if err != nil {
 			return nil, fmt.Errorf("%s plain: %w", q.name, err)
 		}
@@ -71,7 +72,7 @@ func RunSparserStudy(rows int, seed int64) (*SparserResult, error) {
 			sqlengine.WithDefaultDB(wSp.DB),
 			sqlengine.WithBackend(baseline.JacksonBackend{}),
 			sqlengine.WithSparser(true))
-		rsS, mS, err := eSp.Query(q.sql)
+		rsS, mS, err := eSp.QueryCtx(ctx, q.sql)
 		if err != nil {
 			return nil, fmt.Errorf("%s sparser: %w", q.name, err)
 		}
@@ -94,10 +95,10 @@ func RunSparserStudy(rows int, seed int64) (*SparserResult, error) {
 				TotalValueBytes: 1,
 			})
 		}
-		if _, err := env.maxson.CacheSelected(profiles); err != nil {
+		if _, err := env.maxson.CacheSelected(ctx, profiles); err != nil {
 			return nil, err
 		}
-		rsM, mM, err := env.maxson.Query(q.sql)
+		rsM, mM, err := env.maxson.QueryCtx(ctx, q.sql)
 		if err != nil {
 			return nil, fmt.Errorf("%s maxson: %w", q.name, err)
 		}

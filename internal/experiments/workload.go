@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -62,7 +63,7 @@ type Fig3Result struct {
 // RunFig3 regenerates Fig 3: the Read/Parse/Compute composition of a simple
 // SELECT (Q1), a COUNT with GROUP BY (Q2), and a self-equijoin (Q3) over
 // NoBench data, showing parsing dominating (≥80% in the paper).
-func RunFig3(rows int) (*Fig3Result, error) {
+func RunFig3(ctx context.Context, rows int) (*Fig3Result, error) {
 	clock := simtime.NewSim(time.Date(2019, 3, 1, 0, 0, 0, 0, time.UTC))
 	fs := dfs.New(dfs.WithClock(clock))
 	wh := warehouse.New(fs, warehouse.WithClock(clock),
@@ -94,7 +95,7 @@ func RunFig3(rows int) (*Fig3Result, error) {
 	}
 	out := &Fig3Result{}
 	for _, q := range queries {
-		_, m, err := e.Query(q.sql)
+		_, m, err := e.QueryCtx(ctx, q.sql)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", q.name, err)
 		}

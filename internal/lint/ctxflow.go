@@ -13,9 +13,9 @@ import (
 //     context.Context parameter — the fresh root severs the caller's
 //     cancellation and deadline.
 //  2. The fresh root is passed directly to a ctx-accepting callee from a
-//     function without a ctx parameter. That drops the chain unless the
-//     callee is the function's own <name>Ctx sibling — the sanctioned
-//     delegation-wrapper idiom (Query → QueryCtx).
+//     function without a ctx parameter. That drops the chain: the function
+//     must take a ctx itself. There is no wrapper exemption — every
+//     operation has one spelling, the one that takes a context.
 //  3. The enclosing function is reachable on the call graph from QueryCtx
 //     or RunMidnightCycleCtx, the module's cancellable entry points: a
 //     root minted below them escapes the per-query timeout.
@@ -93,13 +93,9 @@ func checkCtxFlowDecl(pass *Pass, fd *ast.FuncDecl, reach map[*types.Func]string
 				"context.%s() inside %s, which already receives a context.Context: thread the parameter instead",
 				name, fd.Name.Name)
 		case directArg[call] != nil:
-			callee := directArg[call]
-			if isCtxSibling(fd, fn, callee) {
-				return true // Query → QueryCtx delegation wrapper: sanctioned
-			}
 			pass.Reportf(call.Pos(),
-				"%s drops the context chain: context.%s() passed to ctx-accepting %s; add a %sCtx variant or thread ctx",
-				fd.Name.Name, name, callee.Name(), fd.Name.Name)
+				"%s drops the context chain: context.%s() passed to ctx-accepting %s; take a ctx parameter and thread it",
+				fd.Name.Name, name, directArg[call].Name())
 		case reachable:
 			pass.Reportf(call.Pos(),
 				"context.%s() in %s, which is reachable from %s: the fresh root escapes the query-scoped deadline",
@@ -141,26 +137,4 @@ func isContextType(t types.Type) bool {
 	}
 	obj := named.Obj()
 	return obj.Name() == "Context" && obj.Pkg() != nil && obj.Pkg().Path() == "context"
-}
-
-// isCtxSibling reports whether callee is fd's own <name>Ctx variant: same
-// name plus the Ctx suffix, same package, and for methods the same
-// receiver type. Query calling QueryCtx(context.Background(), …) is the
-// delegation-wrapper idiom, not a dropped chain.
-func isCtxSibling(fd *ast.FuncDecl, fn, callee *types.Func) bool {
-	if fn == nil || callee == nil || callee.Name() != fd.Name.Name+"Ctx" {
-		return false
-	}
-	if callee.Pkg() != fn.Pkg() {
-		return false
-	}
-	fnPkg, fnRecv, fnIsMethod := recvTypeName(fn)
-	cPkg, cRecv, cIsMethod := recvTypeName(callee)
-	if fnIsMethod != cIsMethod {
-		return false
-	}
-	if fnIsMethod && (fnRecv != cRecv || fnPkg != cPkg) {
-		return false
-	}
-	return true
 }

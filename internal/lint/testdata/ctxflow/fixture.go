@@ -12,28 +12,16 @@ func WithParam(ctx context.Context) {
 	_ = c
 }
 
-// RunCtx is the real implementation; Run is its sanctioned wrapper.
 func RunCtx(ctx context.Context, q string) error {
 	_ = ctx
 	_ = q
 	return nil
 }
 
-// Run delegates to its own Ctx sibling: the wrapper idiom, not a finding.
+// Run forwards to its own Ctx sibling with a fresh root: a wrapper is no
+// exception, it drops the chain like any other caller.
 func Run(q string) error {
-	return RunCtx(context.Background(), q)
-}
-
-type Store struct{}
-
-func (s *Store) FetchCtx(ctx context.Context, k string) string {
-	_ = ctx
-	return k
-}
-
-// Fetch delegates to the method's own Ctx sibling: not a finding.
-func (s *Store) Fetch(k string) string {
-	return s.FetchCtx(context.Background(), k)
+	return RunCtx(context.Background(), q) // want "drops the context chain"
 }
 
 func process(ctx context.Context, q string) {
@@ -41,8 +29,8 @@ func process(ctx context.Context, q string) {
 	_ = q
 }
 
-// Drop hands a fresh root to a ctx-accepting callee that is not its own
-// Ctx sibling: the caller's context chain is dropped.
+// Drop hands a fresh root to a ctx-accepting callee: the caller's context
+// chain is dropped.
 func Drop(q string) {
 	process(context.Background(), q) // want "drops the context chain"
 }

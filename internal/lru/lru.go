@@ -48,9 +48,6 @@ type entryKey struct {
 type entry struct {
 	k    entryKey
 	size int64
-	// val is the rendered scalar, stored only by the Filler fill path
-	// (size-only Access leaves it empty).
-	val string
 }
 
 // New builds a cache with the given byte budget.
@@ -127,19 +124,6 @@ func (c *Cache) Contains(key pathkey.Key, version int64) bool {
 
 // Len returns the number of cached entries.
 func (c *Cache) Len() int { return c.ll.Len() }
-
-// InvalidateTable drops every cached entry of the given db.table (any
-// version at or below maxVersion), modelling a data update.
-func (c *Cache) InvalidateTable(tableID string, maxVersion int64) int {
-	removed := 0
-	for ek, el := range c.items {
-		if ek.key.TableID() == tableID && ek.version <= maxVersion {
-			c.removeElement(el)
-			removed++
-		}
-	}
-	return removed
-}
 
 func (c *Cache) evictOldest() {
 	el := c.ll.Back()

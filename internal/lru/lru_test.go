@@ -66,24 +66,6 @@ func TestVersioningSeparatesEntries(t *testing.T) {
 	}
 }
 
-func TestInvalidateTable(t *testing.T) {
-	c := New(10000)
-	for i := 0; i < 10; i++ {
-		c.Access(key(i), 0, 10)
-	}
-	target := key(0).TableID() // t0: keys 0 and 5
-	removed := c.InvalidateTable(target, 0)
-	if removed != 2 {
-		t.Errorf("removed %d entries, want 2", removed)
-	}
-	if c.Contains(key(0), 0) || c.Contains(key(5), 0) {
-		t.Error("invalidated entries still cached")
-	}
-	if !c.Contains(key(1), 0) {
-		t.Error("unrelated entry was dropped")
-	}
-}
-
 // Property: used bytes always equal the sum of cached entry sizes and never
 // exceed the budget.
 func TestQuickBudgetInvariant(t *testing.T) {

@@ -5,29 +5,27 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/jsonpath"
 	"repro/internal/obs"
 	"repro/internal/pathkey"
 )
 
-// TestFillerConcurrentStress drives the documented concurrency contract
-// under the race detector: the Filler (and its Cache) are single-owner
-// structures guarded by an external mutex, while the obs registry — which
-// IS goroutine-safe — serves gauge registration, lock-free counter writes,
-// and snapshot reads from other goroutines at the same time. A data race
-// between the registry's GaugeFunc reads of live cache state and the
-// locked fill path is exactly what this test exists to catch.
-func TestFillerConcurrentStress(t *testing.T) {
+// TestCacheConcurrentStress drives the documented concurrency contract
+// under the race detector: the Cache is a single-owner structure guarded by
+// an external mutex, while the obs registry — which IS goroutine-safe —
+// serves gauge registration, lock-free counter writes, and snapshot reads
+// from other goroutines at the same time. A data race between the registry's
+// GaugeFunc reads of live cache state and the locked access path is exactly
+// what this test exists to catch.
+func TestCacheConcurrentStress(t *testing.T) {
 	const (
 		goroutines = 8
 		accesses   = 400
 	)
 	reg := obs.NewRegistry()
 	cache := New(1 << 14)
-	filler := NewFiller(cache)
 
 	// The gauges read c.used / c.ll live; Snapshot below exercises them
-	// while fills mutate the cache under mu.
+	// while accesses mutate the cache under mu.
 	var mu sync.Mutex
 	instrumented := func(name string, f func() int64) {
 		reg.GaugeFunc(name, func() int64 {
@@ -38,11 +36,6 @@ func TestFillerConcurrentStress(t *testing.T) {
 	}
 	instrumented("lru_used_bytes", func() int64 { return cache.Used() })
 	instrumented("lru_entry_count", func() int64 { return int64(cache.ll.Len()) })
-
-	path, err := jsonpath.Compile("$.a.b")
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	var writers, readers sync.WaitGroup
 	stop := make(chan struct{})
@@ -72,9 +65,8 @@ func TestFillerConcurrentStress(t *testing.T) {
 					DB: "db", Table: "t", Column: "doc",
 					Path: fmt.Sprintf("$.a.b%d", (g*accesses+i)%64),
 				}
-				doc := fmt.Sprintf(`{"a": {"b": "value-%d-%d"}}`, g, i)
 				mu.Lock()
-				filler.Access(key, int64(i%4), path, doc)
+				cache.Access(key, int64(i%4), int64(16+i%32))
 				mu.Unlock()
 				fills.Inc()
 			}

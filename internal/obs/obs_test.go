@@ -3,7 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
+	"strconv"
 	"sync"
 	"testing"
 )
@@ -152,16 +152,18 @@ func TestSpanTree(t *testing.T) {
 	if len(scan.Children()) != 4 {
 		t.Fatalf("children = %d", len(scan.Children()))
 	}
-	if root.FindChild("scan") != scan || root.FindChild("nope") != nil {
-		t.Error("FindChild misbehaved")
+	if kids := root.Children(); len(kids) != 1 || kids[0] != scan {
+		t.Errorf("root children = %v, want [scan]", kids)
 	}
+	root.Set("mode", "raw")
 	root.SetInt("rows", 5) // overwrite keeps position
-	out := root.Render()
-	if !strings.HasPrefix(out, "query  (rows=5)\n") {
-		t.Errorf("render head: %q", out)
+	if got := root.Attrs(); len(got) != 2 || got[0] != (Attr{"rows", "5"}) || got[1] != (Attr{"mode", "raw"}) {
+		t.Errorf("root attrs = %v, want rows=5 then mode=raw", got)
 	}
-	if !strings.Contains(out, "└─ split") || !strings.Contains(out, "   ├─ split") {
-		t.Errorf("render tree guides missing:\n%s", out)
+	for i, sp := range scan.Children() {
+		if sp != splits[i] || sp.Attr("rows") != strconv.Itoa(i) {
+			t.Errorf("split %d out of creation order: rows=%q", i, sp.Attr("rows"))
+		}
 	}
 }
 

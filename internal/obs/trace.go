@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 )
@@ -17,8 +16,8 @@ import (
 // Each span also carries a wall-clock window: start is stamped at
 // creation, end by End (or SetWindow/Begin for callers whose span objects
 // are created before or after the work they cover). The window feeds the
-// Chrome trace-event exporter; Render and EXPLAIN ANALYZE ignore it, so
-// their output stays deterministic.
+// Chrome trace-event exporter; EXPLAIN ANALYZE ignores it, so its output
+// stays deterministic.
 type Span struct {
 	Name string
 
@@ -128,51 +127,4 @@ func (s *Span) Children() []*Span {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]*Span{}, s.children...)
-}
-
-// FindChild returns the first direct child with the given name, or nil.
-func (s *Span) FindChild(name string) *Span {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, c := range s.children {
-		if c.Name == name {
-			return c
-		}
-	}
-	return nil
-}
-
-// Render draws the span tree with box-drawing guides, one "name  (k=v, …)"
-// line per span.
-func (s *Span) Render() string {
-	var sb strings.Builder
-	s.render(&sb, "", "")
-	return sb.String()
-}
-
-func (s *Span) render(sb *strings.Builder, lead, childLead string) {
-	sb.WriteString(lead)
-	sb.WriteString(s.Name)
-	attrs := s.Attrs()
-	if len(attrs) > 0 {
-		sb.WriteString("  (")
-		for i, a := range attrs {
-			if i > 0 {
-				sb.WriteString(", ")
-			}
-			sb.WriteString(a.Key)
-			sb.WriteByte('=')
-			sb.WriteString(a.Val)
-		}
-		sb.WriteByte(')')
-	}
-	sb.WriteByte('\n')
-	children := s.Children()
-	for i, c := range children {
-		guide, next := "├─ ", "│  "
-		if i == len(children)-1 {
-			guide, next = "└─ ", "   "
-		}
-		c.render(sb, childLead+guide, childLead+next)
-	}
 }

@@ -125,7 +125,7 @@ func TestMergedConcurrentEquivalence(t *testing.T) {
 	}
 	want := make([]string, len(queries))
 	for i, sql := range queries {
-		rs, _, err := env.plain.Query(sql)
+		rs, _, err := env.plain.QueryCtx(context.Background(), sql)
 		if err != nil {
 			t.Fatalf("plain %q: %v", sql, err)
 		}
@@ -166,7 +166,7 @@ func TestIdenticalQueriesShareParse(t *testing.T) {
 		Window: 250 * time.Millisecond, MaxQueries: 16,
 	})
 	const sql = `SELECT id, get_json_object(doc, '$.a') a FROM db.t ORDER BY id`
-	rs, pm, err := env.plain.Query(sql)
+	rs, pm, err := env.plain.QueryCtx(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,14 +205,14 @@ func TestSoloPassthrough(t *testing.T) {
 		Window: 2 * time.Millisecond, MaxQueries: 16,
 	})
 	const sql = `SELECT id, get_json_object(doc, '$.a') a FROM db.t ORDER BY id`
-	rs, _, err := env.plain.Query(sql)
+	rs, _, err := env.plain.QueryCtx(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := rs.String()
 	before := sqlengine.OutstandingBatches()
 
-	rs2, m, err := env.shared.Query(sql)
+	rs2, m, err := env.shared.QueryCtx(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestCancelBeforeSeal(t *testing.T) {
 		Window: 400 * time.Millisecond, MaxQueries: 16,
 	})
 	const sql = `SELECT id, get_json_object(doc, '$.a') a FROM db.t ORDER BY id`
-	rs, _, err := env.plain.Query(sql)
+	rs, _, err := env.plain.QueryCtx(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestCancelDuringSharedScan(t *testing.T) {
 	})
 	const sql = `SELECT id, get_json_object(doc, '$.a') a, get_json_object(doc, '$.nested.y') y
 	 FROM db.t ORDER BY id`
-	rs, _, err := env.plain.Query(sql)
+	rs, _, err := env.plain.QueryCtx(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func TestSubsumedPathsShareColumns(t *testing.T) {
 	}
 	want := make([]string, len(queries))
 	for i, sql := range queries {
-		rs, _, err := env.plain.Query(sql)
+		rs, _, err := env.plain.QueryCtx(context.Background(), sql)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -368,7 +368,7 @@ func TestMergedWildcardQueriesShare(t *testing.T) {
 	}
 	want := make([]string, len(queries))
 	for i, sql := range queries {
-		rs, _, err := env.plain.Query(sql)
+		rs, _, err := env.plain.QueryCtx(context.Background(), sql)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -411,7 +411,7 @@ func TestDifferentColumnSetsNeverShare(t *testing.T) {
 	}
 	want := make([]string, len(queries))
 	for i, sql := range queries {
-		rs, _, err := env.plain.Query(sql)
+		rs, _, err := env.plain.QueryCtx(context.Background(), sql)
 		if err != nil {
 			t.Fatal(err)
 		}

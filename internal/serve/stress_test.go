@@ -118,7 +118,7 @@ func (env *stressEnv) baselines(t *testing.T) [][][]string {
 	t.Helper()
 	out := make([][][]string, len(stressQueries))
 	for i, sql := range stressQueries {
-		rs, _, err := env.m.Query(sql)
+		rs, _, err := env.m.QueryCtx(context.Background(), sql)
 		if err != nil {
 			t.Fatalf("baseline for %q: %v", sql, err)
 		}

@@ -13,13 +13,6 @@ func Serialize(v *Value) string {
 	return sb.String()
 }
 
-// SerializeIndent renders v as indented JSON using the given indent unit.
-func SerializeIndent(v *Value, indent string) string {
-	var sb strings.Builder
-	writeIndent(&sb, v, indent, 0)
-	return sb.String()
-}
-
 func writeCompact(sb *strings.Builder, v *Value) {
 	if v == nil {
 		sb.WriteString("null")
@@ -57,43 +50,6 @@ func writeCompact(sb *strings.Builder, v *Value) {
 			sb.WriteByte(':')
 			writeCompact(sb, m.Value)
 		}
-		sb.WriteByte('}')
-	}
-}
-
-func writeIndent(sb *strings.Builder, v *Value, indent string, depth int) {
-	if v == nil || (v.kind != KindArray && v.kind != KindObject) || v.Len() == 0 {
-		writeCompact(sb, v)
-		return
-	}
-	pad := strings.Repeat(indent, depth+1)
-	closePad := strings.Repeat(indent, depth)
-	switch v.kind {
-	case KindArray:
-		sb.WriteString("[\n")
-		for i, e := range v.arrVal {
-			if i > 0 {
-				sb.WriteString(",\n")
-			}
-			sb.WriteString(pad)
-			writeIndent(sb, e, indent, depth+1)
-		}
-		sb.WriteString("\n")
-		sb.WriteString(closePad)
-		sb.WriteByte(']')
-	case KindObject:
-		sb.WriteString("{\n")
-		for i, m := range v.objVal {
-			if i > 0 {
-				sb.WriteString(",\n")
-			}
-			sb.WriteString(pad)
-			writeQuoted(sb, m.Key)
-			sb.WriteString(": ")
-			writeIndent(sb, m.Value, indent, depth+1)
-		}
-		sb.WriteString("\n")
-		sb.WriteString(closePad)
 		sb.WriteByte('}')
 	}
 }

@@ -210,17 +210,6 @@ func TestSerializeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSerializeIndent(t *testing.T) {
-	v := mustParse(t, `{"a":[1,2],"b":{}}`)
-	out := SerializeIndent(v, "  ")
-	if !strings.Contains(out, "\n  \"a\": [") {
-		t.Errorf("indent output unexpected:\n%s", out)
-	}
-	if !Equal(v, mustParse(t, out)) {
-		t.Error("indented output does not round-trip")
-	}
-}
-
 func TestScalarRendering(t *testing.T) {
 	tests := []struct {
 		in, want string

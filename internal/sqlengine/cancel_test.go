@@ -113,7 +113,7 @@ func TestChaosPreCancelledContext(t *testing.T) {
 // TestChaosQueryTimeout verifies WithQueryTimeout bounds every query.
 func TestChaosQueryTimeout(t *testing.T) {
 	e := newCancelTestEngine(t, WithQueryTimeout(time.Nanosecond), WithParallelism(1))
-	_, _, err := e.Query(`SELECT id FROM db.t`)
+	_, _, err := e.QueryCtx(context.Background(), `SELECT id FROM db.t`)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want context.DeadlineExceeded, got %v", err)
 	}

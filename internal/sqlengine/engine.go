@@ -167,11 +167,6 @@ func WithRowAtATime(on bool) EngineOption {
 	return func(e *Engine) { e.rowAtATime = on }
 }
 
-// WithCostModel overrides the calibrated cost model.
-func WithCostModel(cm CostModel) EngineOption {
-	return func(e *Engine) { e.cost = cm }
-}
-
 // WithQueryTimeout bounds every query's execution time. Zero (the default)
 // means no limit. The deadline is enforced at batch boundaries, so a query
 // returns within one batch of it expiring.
@@ -181,12 +176,6 @@ func WithQueryTimeout(d time.Duration) EngineOption {
 			e.queryTimeout = d
 		}
 	}
-}
-
-// WithObsRegistry attaches a metrics registry; the engine publishes its
-// lifetime totals (bytes read, parse work, row ops, cache reads, …) there.
-func WithObsRegistry(r *obs.Registry) EngineOption {
-	return func(e *Engine) { e.SetObsRegistry(r) }
 }
 
 // NewEngine builds an engine over a warehouse.
@@ -232,15 +221,10 @@ func (e *Engine) nowWall() time.Duration {
 	return time.Duration(time.Now().UnixNano())
 }
 
-// Query parses, plans, and executes one SELECT. The returned metrics carry
-// both plan-time and execution-time accounting.
-func (e *Engine) Query(sql string) (*ResultSet, *Metrics, error) {
-	return e.QueryCtx(context.Background(), sql)
-}
-
-// QueryCtx is Query under a context: cancellation and deadlines are
-// honored at batch boundaries, so the call returns within one batch of the
-// context being cancelled.
+// QueryCtx parses, plans, and executes one SELECT. The returned metrics carry
+// both plan-time and execution-time accounting. Cancellation and deadlines
+// are honored at batch boundaries, so the call returns within one batch of
+// the context being cancelled.
 func (e *Engine) QueryCtx(ctx context.Context, sql string) (*ResultSet, *Metrics, error) {
 	stmt, err := Parse(sql)
 	if err != nil {
@@ -255,21 +239,29 @@ func (e *Engine) QueryStmtCtx(ctx context.Context, stmt *SelectStmt) (*ResultSet
 	return rs, m, err
 }
 
-// QueryTracedCtx executes sql recording a span tree (plan → per-split scan →
-// aggregate/sort/…) into the returned Metrics.Trace. It is the substrate
-// of EXPLAIN ANALYZE; the traced run honors cancellation and the engine
-// query timeout like any other query.
-func (e *Engine) QueryTracedCtx(ctx context.Context, sql string) (*ResultSet, *Metrics, error) {
-	stmt, err := Parse(sql)
+// planStmt plans stmt and runs the PlanModifier over the result. It returns
+// the expression nodes visited beside the plan, the modifier's included.
+func (e *Engine) planStmt(stmt *SelectStmt) (*PhysicalPlan, int64, error) {
+	plan, err := e.Plan(stmt)
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, err
 	}
-	_, rs, m, err := e.queryStmt(ctx, stmt, true)
-	return rs, m, err
+	// Count statement nodes before the modifier runs: plan expressions can
+	// alias statement expressions, and the modifier rewrites them in place.
+	nodes := countPlanNodes(stmt)
+	if e.PlanModifier != nil {
+		extra, err := e.PlanModifier(plan, stmt)
+		if err != nil {
+			return nil, 0, err
+		}
+		nodes += extra
+	}
+	return plan, nodes, nil
 }
 
-// queryStmt plans and executes one statement, optionally tracing, and also
-// returns the physical plan (EXPLAIN ANALYZE renders from it).
+// queryStmt plans and executes one statement, optionally recording a span
+// tree (plan → per-split scan → aggregate/sort/…) into Metrics.Trace, and
+// also returns the physical plan (EXPLAIN ANALYZE renders from it).
 func (e *Engine) queryStmt(ctx context.Context, stmt *SelectStmt, traced bool) (*PhysicalPlan, *ResultSet, *Metrics, error) {
 	if e.queryTimeout > 0 {
 		var cancel context.CancelFunc
@@ -277,22 +269,14 @@ func (e *Engine) queryStmt(ctx context.Context, stmt *SelectStmt, traced bool) (
 		defer cancel()
 	}
 	planStart := time.Now()
-	plan, err := e.Plan(stmt)
+	plan, planNodes, err := e.planStmt(stmt)
 	if err != nil {
 		return nil, nil, nil, err
-	}
-	planNodes := countPlanNodes(stmt)
-	var extra int64
-	if e.PlanModifier != nil {
-		extra, err = e.PlanModifier(plan, stmt)
-		if err != nil {
-			return nil, nil, nil, err
-		}
 	}
 	planWall := time.Since(planStart)
 
 	if stmt.Explain {
-		m := &Metrics{PlanWall: planWall, PlanExprNodes: planNodes + extra}
+		m := &Metrics{PlanWall: planWall, PlanExprNodes: planNodes}
 		rs := &ResultSet{Columns: []string{"plan"}}
 		for _, line := range strings.Split(plan.String(), "\n") {
 			rs.Rows = append(rs.Rows, []datum.Datum{datum.Str(line)})
@@ -319,16 +303,16 @@ func (e *Engine) queryStmt(ctx context.Context, stmt *SelectStmt, traced bool) (
 		trace.SetWindow(planStart, time.Time{}) // root covers planning too
 		planSpan := trace.Child("plan")
 		planSpan.SetWindow(planStart, planStart.Add(planWall))
-		planSpan.SetInt("expr-nodes", planNodes+extra)
+		planSpan.SetInt("expr-nodes", planNodes)
 		planSpan.SetDur("simulated",
-			time.Duration(float64(planNodes+extra)*e.cost.PlanNsPerExprNode))
+			time.Duration(float64(planNodes)*e.cost.PlanNsPerExprNode))
 	}
 	rs, m, err := e.execute(ctx, plan, trace)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	m.PlanWall = planWall
-	m.PlanExprNodes = planNodes + extra
+	m.PlanExprNodes = planNodes
 	// Correlate the metrics (and through them the scan spans) with the
 	// flight recorder's query ID when one rides the context.
 	m.QueryID = flight.FromContext(ctx).ID()
@@ -342,25 +326,12 @@ func (e *Engine) PlanOnly(sql string) (*PhysicalPlan, *Metrics, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	m := &Metrics{}
 	planStart := time.Now()
-	plan, err := e.Plan(stmt)
+	plan, planNodes, err := e.planStmt(stmt)
 	if err != nil {
 		return nil, nil, err
 	}
-	// Count statement nodes before the modifier runs: plan expressions can
-	// alias statement expressions, and the modifier rewrites them in place.
-	planNodes := countPlanNodes(stmt)
-	var extra int64
-	if e.PlanModifier != nil {
-		extra, err = e.PlanModifier(plan, stmt)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	m.PlanWall = time.Since(planStart)
-	m.PlanExprNodes = planNodes + extra
-	return plan, m, nil
+	return plan, &Metrics{PlanWall: time.Since(planStart), PlanExprNodes: planNodes}, nil
 }
 
 // countPlanNodes counts expression nodes across the statement — the unit of

@@ -1,6 +1,7 @@
 package sqlengine
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -87,7 +88,7 @@ func TestJoinNullKeysNeverMatch(t *testing.T) {
 
 func TestJoinAmbiguousColumnRejected(t *testing.T) {
 	e := twoTableEngine(t)
-	if _, _, err := e.Query(`
+	if _, _, err := e.QueryCtx(context.Background(), `
 		SELECT item_id FROM db.orders o JOIN db.items i ON o.item_id = i.item_id`); err == nil {
 		t.Error("ambiguous item_id should error")
 	}
@@ -252,7 +253,7 @@ func TestConcurrentQueries(t *testing.T) {
 	done := make(chan error, 8)
 	for i := 0; i < 8; i++ {
 		go func(i int) {
-			_, _, err := e.Query(fmt.Sprintf(
+			_, _, err := e.QueryCtx(context.Background(), fmt.Sprintf(
 				`SELECT get_json_object(sale_logs, '$.turnover') FROM mydb.t WHERE date = '201901%02d'`, i+1))
 			done <- err
 		}(i)
@@ -362,7 +363,7 @@ func TestSparserPrefilterSkipsParsing(t *testing.T) {
 	sp := newTestEngine(t, WithSparser(true))
 
 	rp := mustQuery(t, plain, sql)
-	rs, m, err := sp.Query(sql)
+	rs, m, err := sp.QueryCtx(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +445,7 @@ func TestWildcardPathsInQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := NewEngine(wh, WithDefaultDB("db"))
-	rs, _, err := e.Query(`SELECT get_json_object(doc, '$.items[*].qty') q FROM db.t`)
+	rs, _, err := e.QueryCtx(context.Background(), `SELECT get_json_object(doc, '$.items[*].qty') q FROM db.t`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +456,7 @@ func TestWildcardPathsInQueries(t *testing.T) {
 
 func TestExplainRendersPlan(t *testing.T) {
 	e := newTestEngine(t)
-	rs, m, err := e.Query(`EXPLAIN SELECT date FROM mydb.t WHERE date > '20190110' LIMIT 5`)
+	rs, m, err := e.QueryCtx(context.Background(), `EXPLAIN SELECT date FROM mydb.t WHERE date > '20190110' LIMIT 5`)
 	if err != nil {
 		t.Fatal(err)
 	}

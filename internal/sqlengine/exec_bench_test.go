@@ -1,6 +1,7 @@
 package sqlengine
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -73,7 +74,7 @@ func benchExecQueries(b *testing.B, e *Engine) {
 		b.Run(q.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				rs, _, err := e.Query(q.sql)
+				rs, _, err := e.QueryCtx(context.Background(), q.sql)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -146,7 +147,7 @@ func BenchmarkCachedScan(b *testing.B) {
 		b.Run(q.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				rs, _, err := e.Query(q.sql)
+				rs, _, err := e.QueryCtx(context.Background(), q.sql)
 				if err != nil {
 					b.Fatal(err)
 				}

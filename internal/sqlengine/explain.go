@@ -8,21 +8,12 @@ import (
 	"repro/internal/obs"
 )
 
-// ExplainAnalyzeCtx executes sql with tracing enabled and renders an
+// ExplainAnalyzeStmtCtx executes stmt with tracing enabled and renders an
 // EXPLAIN ANALYZE-style annotated operator tree: per-operator rows, bytes,
 // parse calls, cache hits, and simulated Read/Parse/Compute times. The
 // result set and metrics of the (actually executed) query are returned
 // alongside the rendering. The traced execution honors cancellation and the
-// engine query timeout exactly like QueryCtx.
-func (e *Engine) ExplainAnalyzeCtx(ctx context.Context, sql string) (string, *ResultSet, *Metrics, error) {
-	stmt, err := Parse(sql)
-	if err != nil {
-		return "", nil, nil, err
-	}
-	return e.ExplainAnalyzeStmtCtx(ctx, stmt)
-}
-
-// ExplainAnalyzeStmtCtx is ExplainAnalyzeCtx over a parsed statement.
+// engine query timeout exactly like QueryStmtCtx.
 func (e *Engine) ExplainAnalyzeStmtCtx(ctx context.Context, stmt *SelectStmt) (string, *ResultSet, *Metrics, error) {
 	plan, rs, m, err := e.queryStmt(ctx, stmt, true)
 	if err != nil {

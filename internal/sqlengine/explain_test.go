@@ -10,13 +10,18 @@ import (
 
 func TestExplainAnalyzeAnnotatedTree(t *testing.T) {
 	reg := obs.NewRegistry()
-	e := newTestEngine(t, WithObsRegistry(reg))
-	out, rs, m, err := e.ExplainAnalyzeCtx(context.Background(), `
+	e := newTestEngine(t)
+	e.SetObsRegistry(reg)
+	stmt, err := Parse(`
 		SELECT date, get_json_object(sale_logs, '$.turnover') AS turnover
 		FROM mydb.t
 		WHERE get_json_object(sale_logs, '$.sale_count') > 3
 		ORDER BY date DESC
 		LIMIT 5`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, rs, m, err := e.ExplainAnalyzeStmtCtx(context.Background(), stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +46,7 @@ func TestExplainAnalyzeAnnotatedTree(t *testing.T) {
 			t.Errorf("explain output missing %q:\n%s", want, out)
 		}
 	}
-	if m.Trace == nil || m.Trace.FindChild("plan") == nil {
+	if m.Trace == nil || len(m.Trace.Children()) == 0 || m.Trace.Children()[0].Name != "plan" {
 		t.Error("trace missing plan span")
 	}
 	// The engine registry saw the query.
@@ -56,11 +61,15 @@ func TestExplainAnalyzeAnnotatedTree(t *testing.T) {
 
 func TestQueryTracedMatchesUntracedResults(t *testing.T) {
 	e := newTestEngine(t)
-	rs1, m1, err := e.Query("SELECT COUNT(*) AS n FROM mydb.t")
+	rs1, m1, err := e.QueryCtx(context.Background(), "SELECT COUNT(*) AS n FROM mydb.t")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs2, m2, err := e.QueryTracedCtx(context.Background(), "SELECT COUNT(*) AS n FROM mydb.t")
+	stmt, err := Parse("SELECT COUNT(*) AS n FROM mydb.t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rs2, m2, err := e.ExplainAnalyzeStmtCtx(context.Background(), stmt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package sqlengine
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -55,7 +56,7 @@ func newTestEngine(t *testing.T, opts ...EngineOption) *Engine {
 
 func mustQuery(t *testing.T, e *Engine, sql string) *ResultSet {
 	t.Helper()
-	rs, _, err := e.Query(sql)
+	rs, _, err := e.QueryCtx(context.Background(), sql)
 	if err != nil {
 		t.Fatalf("Query(%q): %v", sql, err)
 	}
@@ -292,7 +293,7 @@ func TestIsNullOperators(t *testing.T) {
 
 func TestSARGPushdownSkipsRowGroups(t *testing.T) {
 	e := newTestEngine(t)
-	_, m, err := e.Query(`SELECT date FROM mydb.t WHERE date = '20190131'`)
+	_, m, err := e.QueryCtx(context.Background(), `SELECT date FROM mydb.t WHERE date = '20190131'`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +304,7 @@ func TestSARGPushdownSkipsRowGroups(t *testing.T) {
 
 func TestMetricsPhases(t *testing.T) {
 	e := newTestEngine(t)
-	_, m, err := e.Query(`
+	_, m, err := e.QueryCtx(context.Background(), `
 		SELECT get_json_object(sale_logs, '$.item_id') FROM mydb.t`)
 	if err != nil {
 		t.Fatal(err)
@@ -327,7 +328,7 @@ func TestMetricsPhases(t *testing.T) {
 func TestJacksonMemoizesDocPerRow(t *testing.T) {
 	e := newTestEngine(t)
 	// Two paths on the same doc: one parse per row, two calls per row.
-	_, m, err := e.Query(`
+	_, m, err := e.QueryCtx(context.Background(), `
 		SELECT get_json_object(sale_logs, '$.item_id') a,
 		       get_json_object(sale_logs, '$.item_name') b
 		FROM mydb.t`)
@@ -345,7 +346,7 @@ func TestJacksonMemoizesDocPerRow(t *testing.T) {
 
 func TestStreamBackendMetersSkippedBytes(t *testing.T) {
 	e := newTestEngine(t)
-	_, m, err := e.Query(`
+	_, m, err := e.QueryCtx(context.Background(), `
 		SELECT get_json_object(sale_logs, '$.item_id') a FROM mydb.t`)
 	if err != nil {
 		t.Fatal(err)
@@ -380,7 +381,7 @@ func TestRootProjectionStreams(t *testing.T) {
 	for _, row := range docs.Rows {
 		docBytes += int64(len(row[0].S))
 	}
-	rs, m, err := e.Query(`SELECT get_json_object(sale_logs, '$') d FROM mydb.t`)
+	rs, m, err := e.QueryCtx(context.Background(), `SELECT get_json_object(sale_logs, '$') d FROM mydb.t`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +432,7 @@ func TestParseErrors(t *testing.T) {
 	}
 	e := newTestEngine(t)
 	for _, sql := range bad {
-		if _, _, err := e.Query(sql); err == nil {
+		if _, _, err := e.QueryCtx(context.Background(), sql); err == nil {
 			t.Errorf("Query(%q) succeeded, want error", sql)
 		}
 	}
@@ -439,13 +440,13 @@ func TestParseErrors(t *testing.T) {
 
 func TestUnknownTableAndColumn(t *testing.T) {
 	e := newTestEngine(t)
-	if _, _, err := e.Query("SELECT a FROM mydb.nope"); err == nil {
+	if _, _, err := e.QueryCtx(context.Background(), "SELECT a FROM mydb.nope"); err == nil {
 		t.Error("unknown table should error")
 	}
-	if _, _, err := e.Query("SELECT no_col FROM mydb.t"); err == nil {
+	if _, _, err := e.QueryCtx(context.Background(), "SELECT no_col FROM mydb.t"); err == nil {
 		t.Error("unknown column should error")
 	}
-	if _, _, err := e.Query("SELECT date FROM mydb.t GROUP BY mall_id"); err == nil {
+	if _, _, err := e.QueryCtx(context.Background(), "SELECT date FROM mydb.t GROUP BY mall_id"); err == nil {
 		t.Error("non-grouped column in projection should error")
 	}
 }
@@ -556,7 +557,7 @@ func TestPlanPathCalls(t *testing.T) {
 	if _, ok := (*PathCalls)(nil).Slot(&JSONPathExpr{}); ok {
 		t.Error("nil index resolved a call")
 	}
-	_, m, err := e.Query(`SELECT COUNT(*) c FROM mydb.t WHERE date > '20190110'`)
+	_, m, err := e.QueryCtx(context.Background(), `SELECT COUNT(*) c FROM mydb.t WHERE date > '20190110'`)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,10 +17,13 @@
 //	sys := maxson.NewSystem(maxson.SystemConfig{DefaultDB: "mydb"})
 //	sys.Warehouse().CreateDatabase("mydb")
 //	... create tables, load rows ...
-//	rs, metrics, err := sys.Query(`SELECT get_json_object(logs, '$.turnover') FROM mydb.sales`)
+//	rs, metrics, err := sys.QueryCtx(ctx, `SELECT get_json_object(logs, '$.turnover') FROM mydb.sales`)
 //	sys.AdvanceToMidnight()
-//	report, err := sys.RunMidnightCycle() // predict + score + pre-cache
-//	rs, metrics, err = sys.Query(...)     // now served from the cache
+//	report, err := sys.RunMidnightCycleCtx(ctx) // predict + score + pre-cache
+//	rs, metrics, err = sys.QueryCtx(ctx, ...)   // now served from the cache
+//
+// Every operation that does work takes a context.Context and has exactly one
+// spelling; cancellation and deadlines take effect at batch boundaries.
 package maxson
 
 import (
@@ -170,13 +173,8 @@ func (s *System) Engine() *sqlengine.Engine { return s.e }
 // cacher, planner) for advanced use and experiments.
 func (s *System) Core() *core.Maxson { return s.m }
 
-// Query executes SQL; JSONPath accesses are observed by the collector and,
-// after a caching cycle, served from the cache when valid.
-func (s *System) Query(sql string) (*ResultSet, *Metrics, error) {
-	return s.m.Query(sql)
-}
-
-// QueryCtx is Query with cancellation and deadline support: the context is
+// QueryCtx executes SQL; JSONPath accesses are observed by the collector and,
+// after a caching cycle, served from the cache when valid. The context is
 // checked between batches, so cancellation takes effect within one batch
 // boundary. A cache table failing mid-query is quarantined and the query is
 // transparently re-planned against raw data.
@@ -184,17 +182,11 @@ func (s *System) QueryCtx(ctx context.Context, sql string) (*ResultSet, *Metrics
 	return s.m.QueryCtx(ctx, sql)
 }
 
-// Explain executes SQL with tracing and returns an EXPLAIN ANALYZE-style
+// ExplainCtx executes SQL with tracing and returns an EXPLAIN ANALYZE-style
 // annotated operator tree (per-operator rows, bytes, parse calls, cache
-// reads, simulated phase times) alongside the results. The query feeds the
-// collector like Query does.
-func (s *System) Explain(sql string) (string, *ResultSet, *Metrics, error) {
-	return s.m.Explain(sql)
-}
-
-// ExplainCtx is Explain with cancellation and deadline support, matching
-// QueryCtx: the traced execution is checked between batches and bounded by
-// any configured query timeout.
+// reads, simulated phase times) alongside the results. It is QueryCtx with a
+// trace: the same collector feed, flight record, cancellation and
+// degraded-cache re-plan.
 func (s *System) ExplainCtx(ctx context.Context, sql string) (string, *ResultSet, *Metrics, error) {
 	return s.m.ExplainCtx(ctx, sql)
 }
@@ -228,16 +220,11 @@ func (s *System) NewDebugServer() *obs.DebugServer {
 	return ds
 }
 
-// RunMidnightCycle trains/refreshes the predictor, predicts tomorrow's
+// RunMidnightCycleCtx trains/refreshes the predictor, predicts tomorrow's
 // MPJPs, ranks them with the scoring function, and re-populates the cache
-// under the budget.
-func (s *System) RunMidnightCycle() (*CycleReport, error) {
-	return s.m.RunMidnightCycle()
-}
-
-// RunMidnightCycleCtx is RunMidnightCycle with cancellation: the context is
-// checked between stages and, during populate, between files and batches. An
-// interrupted cycle leaves the previous cache generation serving.
+// under the budget. The context is checked between stages and, during
+// populate, between files and batches. An interrupted cycle leaves the
+// previous cache generation serving.
 func (s *System) RunMidnightCycleCtx(ctx context.Context) (*CycleReport, error) {
 	return s.m.RunMidnightCycleCtx(ctx)
 }

@@ -1,6 +1,7 @@
 package maxson
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -39,7 +40,7 @@ func TestPublicAPIQueryAndCycle(t *testing.T) {
 	sys := buildDemo(t)
 	sql := `SELECT get_json_object(sale_logs, '$.turnover') tv FROM mydb.sales WHERE date = '20190105'`
 
-	rs, m, err := sys.Query(sql)
+	rs, m, err := sys.QueryCtx(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,13 +57,13 @@ func TestPublicAPIQueryAndCycle(t *testing.T) {
 			sys.AdvanceClock(24 * time.Hour)
 		}
 		for rep := 0; rep < 3; rep++ {
-			if _, _, err := sys.Query(sql); err != nil {
+			if _, _, err := sys.QueryCtx(context.Background(), sql); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	sys.AdvanceToMidnight()
-	report, err := sys.RunMidnightCycle()
+	report, err := sys.RunMidnightCycleCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestPublicAPIQueryAndCycle(t *testing.T) {
 		t.Error("CacheBytes = 0 after cycle")
 	}
 
-	_, m2, err := sys.Query(sql)
+	_, m2, err := sys.QueryCtx(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package maxson
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -24,7 +25,7 @@ func TestFlightRecorderThroughSystem(t *testing.T) {
 	}
 	sql := `SELECT get_json_object(sale_logs, '$.turnover') tv FROM mydb.sales WHERE date = '20190105'`
 
-	if _, _, err := sys.Query(sql); err != nil {
+	if _, _, err := sys.QueryCtx(context.Background(), sql); err != nil {
 		t.Fatal(err)
 	}
 	recs := rec.Recent(1)
@@ -60,16 +61,16 @@ func TestFlightRecorderThroughSystem(t *testing.T) {
 			sys.AdvanceClock(24 * time.Hour)
 		}
 		for rep := 0; rep < 3; rep++ {
-			if _, _, err := sys.Query(sql); err != nil {
+			if _, _, err := sys.QueryCtx(context.Background(), sql); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	sys.AdvanceToMidnight()
-	if _, err := sys.RunMidnightCycle(); err != nil {
+	if _, err := sys.RunMidnightCycleCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := sys.Query(sql); err != nil {
+	if _, _, err := sys.QueryCtx(context.Background(), sql); err != nil {
 		t.Fatal(err)
 	}
 	cached := rec.Recent(1)[0]
@@ -103,7 +104,7 @@ func TestFlightRecorderDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.AdvanceClock(24 * time.Hour)
-	rs, _, err := sys.Query(`SELECT get_json_object(j, '$.a') FROM d.t`)
+	rs, _, err := sys.QueryCtx(context.Background(), `SELECT get_json_object(j, '$.a') FROM d.t`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestFlightRecorderDisabled(t *testing.T) {
 func TestDebugServerThroughSystem(t *testing.T) {
 	sys := buildDemo(t)
 	sql := `SELECT get_json_object(sale_logs, '$.turnover') tv FROM mydb.sales WHERE date = '20190105'`
-	if _, _, err := sys.Query(sql); err != nil {
+	if _, _, err := sys.QueryCtx(context.Background(), sql); err != nil {
 		t.Fatal(err)
 	}
 	ds := sys.NewDebugServer()
@@ -168,7 +169,7 @@ func TestDebugServerThroughSystem(t *testing.T) {
 		t.Errorf("/debug/cycle before any cycle = %d, want 404", rr.Code)
 	}
 	sys.AdvanceToMidnight()
-	if _, err := sys.RunMidnightCycle(); err != nil {
+	if _, err := sys.RunMidnightCycleCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	rr = get("/debug/cycle")
@@ -200,7 +201,7 @@ func TestDebugServerThroughSystem(t *testing.T) {
 // loadable Chrome trace-event JSON with the plan/scan structure intact.
 func TestTraceExportThroughSystem(t *testing.T) {
 	sys := buildDemo(t)
-	_, _, m, err := sys.Explain(`SELECT get_json_object(sale_logs, '$.turnover') tv FROM mydb.sales`)
+	_, _, m, err := sys.ExplainCtx(context.Background(), `SELECT get_json_object(sale_logs, '$.turnover') tv FROM mydb.sales`)
 	if err != nil {
 		t.Fatal(err)
 	}
