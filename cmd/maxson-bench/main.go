@@ -10,9 +10,8 @@
 //	maxson-bench -exp fig12 -json            # NDJSON to stdout
 //	maxson-bench -exp all -json -out results.ndjson
 //
-// Experiments: fig2, fig3, fig4, table3, table4, fig11 (includes Table V),
-// fig12, fig13, fig14, fig15, ablation, sparser, exec, extract, obs, mqo,
-// all.
+// Experiments: the names in order below (fig11 includes Table V), or all;
+// maxson-bench -h prints them.
 //
 // With -json each experiment emits one NDJSON document
 // {"experiment": ..., "ran_ms": ..., "result": {...}} so downstream tooling
@@ -36,8 +35,11 @@ import (
 	"repro/internal/trace"
 )
 
+// order names every experiment, in the order -exp all runs them.
+var order = []string{"fig2", "fig3", "fig4", "table3", "table4", "fig11", "fig12", "fig13", "fig14", "fig15", "ablation", "sparser", "extract", "obs", "mqo"}
+
 func main() {
-	exp := flag.String("exp", "all", "comma-separated experiments to run (fig2, fig3, fig4, table3, table4, fig11..fig15, ablation, sparser, exec, extract, obs, mqo, all)")
+	exp := flag.String("exp", "all", "comma-separated experiments to run ("+strings.Join(order, ", ")+", all)")
 	rows := flag.Int("rows", 400, "rows per Table II table")
 	days := flag.Int("days", 60, "trace length in days for workload/model experiments")
 	seed := flag.Int64("seed", 1, "random seed")
@@ -103,13 +105,10 @@ func main() {
 		"fig15":    func() (fmt.Stringer, error) { return experiments.RunFig15(ctx, *rows, *seed) },
 		"ablation": func() (fmt.Stringer, error) { return experiments.RunAblation(ctx, *rows, *seed) },
 		"sparser":  func() (fmt.Stringer, error) { return experiments.RunSparserStudy(ctx, *rows, *seed) },
-		"exec":     func() (fmt.Stringer, error) { return experiments.RunExecBench(ctx, *rows, *seed) },
 		"extract":  func() (fmt.Stringer, error) { return experiments.RunExtractBench(ctx, *rows, *seed) },
 		"obs":      func() (fmt.Stringer, error) { return experiments.RunObsBench(ctx) },
 		"mqo":      func() (fmt.Stringer, error) { return experiments.RunMQOBench(ctx, *rows, *seed) },
 	}
-	order := []string{"fig2", "fig3", "fig4", "table3", "table4", "fig11", "fig12", "fig13", "fig14", "fig15", "ablation", "sparser", "exec", "extract", "obs", "mqo"}
-
 	var selected []string
 	if *exp == "all" {
 		selected = order

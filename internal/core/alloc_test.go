@@ -84,15 +84,11 @@ func TestCacheOnlyScanAllocatesPerSplit(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				bs, ok := src.(sqlengine.BatchSource)
-				if !ok {
-					t.Fatalf("split source %T is not a BatchSource", src)
-				}
 				if _, ok := src.(*combinedRowSource); !ok {
 					t.Fatalf("split served by %T, want the combined source", src)
 				}
 				for {
-					n, err := bs.NextBatch(batch)
+					n, err := src.NextBatch(batch)
 					if err != nil {
 						t.Fatal(err)
 					}

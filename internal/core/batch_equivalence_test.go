@@ -18,22 +18,28 @@ import (
 	"repro/internal/warehouse"
 )
 
-// TestBatchRowEquivalence is the vectorized executor's correctness property:
-// for randomized tables, randomized cached-path subsets, and queries that
-// exercise every scan source — the plain file scan, the combined (and
-// combined-pushdown) cache scan, and the fallback scan over uncovered
-// splits — batch execution returns exactly the ResultSet AND the Metrics
-// totals that the legacy row-at-a-time path (WithRowAtATime) produces.
+// invarianceBatchSizes are the scan batch capacities every round runs at.
+// Capacity 1 is the row-at-a-time walk — one row per NextBatch call — on the
+// executor's one code path.
+var invarianceBatchSizes = []int{1, 3, 128, 1024}
+
+// TestBatchRowEquivalence is the executor's batch-size invariance property
+// (batch ≡ row, the row walk being capacity 1): for randomized tables,
+// randomized cached-path subsets, and queries that exercise every scan source
+// — the plain file scan, the combined (and combined-pushdown) cache scan, and
+// the fallback scan over uncovered splits — the plain engine and Maxson each
+// return exactly the same ResultSet AND the same Metrics totals at every
+// batch size, and Maxson's result equals the plain engine's.
 func TestBatchRowEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			runBatchRowRound(t, seed)
+			runBatchSizeRound(t, seed)
 		})
 	}
 }
 
-func runBatchRowRound(t *testing.T, seed int64) {
+func runBatchSizeRound(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 
 	fields := []string{"a", "b", "c", "d"}
@@ -62,12 +68,17 @@ func runBatchRowRound(t *testing.T, seed int64) {
 		return sjson.Serialize(obj)
 	}
 
-	// Both deployments are built from identical RNG streams so the data is
-	// byte-for-byte the same; only the execution mode differs.
+	// Every deployment is built from the same RNG stream so the data is
+	// byte-for-byte the same; only the batch size differs.
 	dataSeed := rng.Int63()
 	rgRows := 4 + rng.Intn(8)
-	batchSize := []int{1, 3, 128, 1024}[rng.Intn(4)]
-	build := func(rowAtATime bool) (*sqlengine.Engine, *Maxson) {
+	type queryFunc = func(context.Context, string) (*sqlengine.ResultSet, *sqlengine.Metrics, error)
+	type deployment struct {
+		batchSize int
+		plain     *sqlengine.Engine
+		maxson    *Maxson
+	}
+	build := func(batchSize int) deployment {
 		rng := rand.New(rand.NewSource(dataSeed))
 		clock := simtime.NewSim(time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC))
 		fs := dfs.New(dfs.WithClock(clock))
@@ -101,26 +112,27 @@ func runBatchRowRound(t *testing.T, seed int64) {
 			clock.Advance(time.Hour)
 		}
 		// Odd seeds run the engine's streaming evaluator, even seeds the
-		// tree-parse baseline, so both are covered in both exec modes.
+		// tree-parse baseline, so both are covered at every batch size.
 		backend := sqlengine.ParserBackend(baseline.JacksonBackend{})
 		if seed%2 == 1 {
 			backend = sqlengine.StreamBackend{}
 		}
-		opts := []sqlengine.EngineOption{
-			sqlengine.WithDefaultDB("db"),
-			sqlengine.WithParallelism(2),
-			sqlengine.WithSparser(true),
-			sqlengine.WithBatchSize(batchSize),
-			sqlengine.WithBackend(backend),
+		// Two engines over one warehouse: core.New installs the plan modifier
+		// on the engine it is given, so the plain lane needs its own.
+		newEngine := func() *sqlengine.Engine {
+			return sqlengine.NewEngine(wh,
+				sqlengine.WithDefaultDB("db"),
+				sqlengine.WithParallelism(2),
+				sqlengine.WithSparser(true),
+				sqlengine.WithBatchSize(batchSize),
+				sqlengine.WithBackend(backend))
 		}
-		if rowAtATime {
-			opts = append(opts, sqlengine.WithRowAtATime(true))
-		}
-		e := sqlengine.NewEngine(wh, opts...)
-		return e, New(e, Config{BudgetBytes: 1 << 30, DefaultDB: "db"})
+		return deployment{batchSize, newEngine(), New(newEngine(), Config{BudgetBytes: 1 << 30, DefaultDB: "db"})}
 	}
-	batchEngine, batchMax := build(false)
-	rowEngine, rowMax := build(true)
+	var deps []deployment
+	for _, size := range invarianceBatchSizes {
+		deps = append(deps, build(size))
+	}
 
 	// Cache $.a and $.nested.x always (so the combined and combined-pushdown
 	// scans are exercised every round) plus a random tail of other paths.
@@ -138,11 +150,10 @@ func runBatchRowRound(t *testing.T, seed int64) {
 			TotalValueBytes: 1,
 		})
 	}
-	if _, err := batchMax.CacheSelected(context.Background(), profiles); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rowMax.CacheSelected(context.Background(), profiles); err != nil {
-		t.Fatal(err)
+	for _, d := range deps {
+		if _, err := d.maxson.CacheSelected(context.Background(), profiles); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// Queries spanning scan, prefilter, filter, projection, group-by,
@@ -172,28 +183,39 @@ func runBatchRowRound(t *testing.T, seed int64) {
 		for _, sql := range queries {
 			// Plain engines exercise fileRowSource; Maxson engines exercise
 			// the combined / combined-pushdown / fallback sources.
-			for _, pair := range []struct {
-				name       string
-				batch, row func(context.Context, string) (*sqlengine.ResultSet, *sqlengine.Metrics, error)
+			var plainResult string
+			for _, lane := range []struct {
+				name string
+				run  func(deployment) queryFunc
 			}{
-				{"plain", batchEngine.QueryCtx, rowEngine.QueryCtx},
-				{"maxson", batchMax.QueryCtx, rowMax.QueryCtx},
+				{"plain", func(d deployment) queryFunc { return d.plain.QueryCtx }},
+				{"maxson", func(d deployment) queryFunc { return d.maxson.QueryCtx }},
 			} {
-				rb, mb, err := pair.batch(context.Background(), sql)
-				if err != nil {
-					t.Fatalf("%s %s batch %q: %v", stage, pair.name, sql, err)
+				var want string
+				var wantM *sqlengine.Metrics
+				for i, d := range deps {
+					rs, m, err := lane.run(d)(context.Background(), sql)
+					if err != nil {
+						t.Fatalf("%s %s batch=%d %q: %v", stage, lane.name, d.batchSize, sql, err)
+					}
+					if i == 0 {
+						want, wantM = rs.String(), m
+						continue
+					}
+					if got := rs.String(); got != want {
+						t.Fatalf("seed %d %s %s: results differ for %q\nbatch=%d:\n%s\nbatch=%d:\n%s",
+							seed, stage, lane.name, sql, d.batchSize, got, deps[0].batchSize, want)
+					}
+					if diff := metricsDiff(m, wantM); diff != "" {
+						t.Fatalf("seed %d %s %s: metrics differ for %q (batch=%d vs batch=%d): %s",
+							seed, stage, lane.name, sql, d.batchSize, deps[0].batchSize, diff)
+					}
 				}
-				rr, mr, err := pair.row(context.Background(), sql)
-				if err != nil {
-					t.Fatalf("%s %s row %q: %v", stage, pair.name, sql, err)
-				}
-				if rb.String() != rr.String() {
-					t.Fatalf("seed %d %s %s: results differ for %q (batch=%d)\nbatch:\n%s\nrow:\n%s",
-						seed, stage, pair.name, sql, batchSize, rb.String(), rr.String())
-				}
-				if diff := metricsDiff(mb, mr); diff != "" {
-					t.Fatalf("seed %d %s %s: metrics differ for %q (batch=%d): %s",
-						seed, stage, pair.name, sql, batchSize, diff)
+				if lane.name == "plain" {
+					plainResult = want
+				} else if want != plainResult {
+					t.Fatalf("seed %d %s: maxson differs from plain for %q\nmaxson:\n%s\nplain:\n%s",
+						seed, stage, sql, want, plainResult)
 				}
 			}
 		}
@@ -201,17 +223,16 @@ func runBatchRowRound(t *testing.T, seed int64) {
 
 	check("cached")
 
-	// Append one more file to both deployments: those splits postdate the
+	// Append one more file to every deployment: those splits postdate the
 	// cache, so Maxson serves them through the fallback source.
 	newRows := [][]datum.Datum{
 		{datum.Int(9999), datum.Str("g0"), datum.Str(`{"a":1,"nested":{"x":5}}`)},
 		{datum.Int(10000), datum.Str("g1"), datum.Str(`{"a":"s7","b":2,"nested":{"x":77}}`)},
 	}
-	if _, err := batchEngine.Warehouse().AppendRows("db", "t", newRows); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rowEngine.Warehouse().AppendRows("db", "t", newRows); err != nil {
-		t.Fatal(err)
+	for _, d := range deps {
+		if _, err := d.plain.Warehouse().AppendRows("db", "t", newRows); err != nil {
+			t.Fatal(err)
+		}
 	}
 	check("post-append")
 }
@@ -241,7 +262,7 @@ func metricsDiff(a, b *sqlengine.Metrics) string {
 	}
 	for _, c := range counters {
 		if c.a != c.b {
-			return fmt.Sprintf("%s: batch=%d row=%d", c.name, c.a, c.b)
+			return fmt.Sprintf("%s: %d vs %d", c.name, c.a, c.b)
 		}
 	}
 	return ""

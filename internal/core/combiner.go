@@ -194,7 +194,7 @@ func (f *CombinedScanFactory) NumSplits() (int, error) {
 func (f *CombinedScanFactory) Schema() (sqlengine.RowSchema, error) { return f.schema, nil }
 
 // Open implements sqlengine.ScanSourceFactory.
-func (f *CombinedScanFactory) Open(split int, m *sqlengine.Metrics) (sqlengine.RowSource, error) {
+func (f *CombinedScanFactory) Open(split int, m *sqlengine.Metrics) (sqlengine.BatchSource, error) {
 	rawInfo, err := f.wh.Table(f.rawDB, f.rawTable)
 	if err != nil {
 		return nil, err
@@ -238,7 +238,7 @@ func (f *CombinedScanFactory) Open(split int, m *sqlengine.Metrics) (sqlengine.R
 		return f.openFallback(rawInfo.Files[split], m, "fallback-quarantined")
 	}
 
-	src := &combinedRowSource{m: m, cacheCur: cacheCur, cacheStats: &cacheStats,
+	src := &combinedRowSource{m: m, cacheCur: cacheCur, cacheMeter: sqlengine.ReadMeter{Stats: &cacheStats},
 		nPrimary: len(f.primaryCols), nCache: len(f.cacheCols), degrade: f.degrade}
 
 	// PrimaryReader (absent when every projected column is cached).
@@ -279,7 +279,7 @@ func (f *CombinedScanFactory) Open(split int, m *sqlengine.Metrics) (sqlengine.R
 			}
 		}
 		src.rawCur = rawCur
-		src.rawStats = &rawStats
+		src.rawMeter = sqlengine.ReadMeter{Stats: &rawStats}
 	}
 	if m != nil {
 		switch {
@@ -313,7 +313,7 @@ func (f *CombinedScanFactory) Open(split int, m *sqlengine.Metrics) (sqlengine.R
 // columns by parsing the documents — the cost a freshly appended file pays
 // until the next midnight cycle covers it. mode distinguishes a retired
 // cache generation from a split the cache never covered.
-func (f *CombinedScanFactory) openFallback(file string, m *sqlengine.Metrics, mode string) (sqlengine.RowSource, error) {
+func (f *CombinedScanFactory) openFallback(file string, m *sqlengine.Metrics, mode string) (sqlengine.BatchSource, error) {
 	if m != nil {
 		switch mode {
 		case "fallback-retired":
@@ -358,7 +358,7 @@ func (f *CombinedScanFactory) openFallback(file string, m *sqlengine.Metrics, mo
 		return nil, err
 	}
 	src := &fallbackRowSource{
-		f: f, cur: cur, stats: &stats, m: m, colPos: colPos, obsc: f.obsc,
+		f: f, cur: cur, meter: sqlengine.ReadMeter{Stats: &stats}, m: m, colPos: colPos, obsc: f.obsc,
 	}
 	if err := src.buildGroups(); err != nil {
 		return nil, err
@@ -372,8 +372,7 @@ func (f *CombinedScanFactory) openFallback(file string, m *sqlengine.Metrics, mo
 type fallbackRowSource struct {
 	f      *CombinedScanFactory
 	cur    *orc.Cursor
-	stats  *orc.ReadStats
-	prev   orc.ReadStats
+	meter  sqlengine.ReadMeter
 	m      *sqlengine.Metrics
 	colPos map[string]int
 	obsc   *combinerObs
@@ -421,58 +420,11 @@ func (s *fallbackRowSource) buildGroups() error {
 	return nil
 }
 
-// fillFallbacks computes every fallback spec's datum for one row: one
-// forward pass per raw column. Malformed documents yield NULLs.
-func (s *fallbackRowSource) fillFallbacks(get func(string) datum.Datum, put func(int, datum.Datum)) {
-	for _, g := range s.groups {
-		src := get(g.rawCol)
-		if !src.Null && !g.x.Holds(src.S) {
-			scanned := g.x.Extract(src.S)
-			if s.m != nil {
-				s.m.Parse.Docs.Add(1)
-				s.m.Parse.Bytes.Add(int64(scanned))
-				s.m.Parse.Skipped.Add(int64(len(src.S) - scanned))
-				s.m.Parse.Calls.Add(int64(len(g.specIdx)))
-			}
-		}
-		for k, j := range g.specIdx {
-			d := datum.NullOf(datum.TypeString)
-			if !src.Null {
-				if v, ok := g.x.Scalar(k); ok {
-					d = datum.Str(v)
-				}
-			}
-			put(j, d)
-		}
-	}
-}
-
-func (s *fallbackRowSource) Next() ([]datum.Datum, error) {
-	row, err := s.cur.Next()
-	s.flushStats()
-	if err != nil || row == nil {
-		return nil, err
-	}
-	nPrimary := len(s.f.primaryCols)
-	out := make([]datum.Datum, nPrimary+len(s.f.fallbacks))
-	copy(out, row[:nPrimary])
-	s.fillFallbacks(
-		func(col string) datum.Datum { return row[s.colPos[col]] },
-		func(j int, d datum.Datum) { out[nPrimary+j] = d },
-	)
-	if s.m != nil {
-		s.m.CacheMisses.Add(int64(len(s.f.fallbacks)))
-	}
-	if s.obsc != nil {
-		s.obsc.fallbackValues.Add(int64(len(s.f.fallbacks)))
-	}
-	return out, nil
-}
-
 // NextBatch implements sqlengine.BatchSource. The cursor fills the batch's
 // primary vectors directly (plus per-source scratch vectors for raw columns
-// only the fallbacks read); the cache columns are then synthesized row-major
-// so the per-row document memo behaves exactly as in the row path.
+// only the fallbacks read); the cache columns are then synthesized one raw
+// column at a time, a single forward pass per document resolving every
+// fallback path of that column. Malformed documents yield NULLs.
 func (s *fallbackRowSource) NextBatch(b *sqlengine.RowBatch) (int, error) {
 	nPrimary := len(s.f.primaryCols)
 	nCache := len(s.f.cacheCols)
@@ -506,15 +458,33 @@ func (s *fallbackRowSource) NextBatch(b *sqlengine.RowBatch) (int, error) {
 		s.dst[i] = s.extra[k][:max]
 	}
 	n, err := s.cur.NextBatch(s.dst, max)
-	s.flushStats()
+	s.meter.Flush(s.m, true)
 	if err != nil || n == 0 {
 		return n, err
 	}
-	var ri int
-	get := func(col string) datum.Datum { return s.dst[s.colPos[col]][ri] }
-	put := func(j int, d datum.Datum) { b.Cols[nPrimary+j][ri] = d }
-	for ri = 0; ri < n; ri++ {
-		s.fillFallbacks(get, put)
+	for _, g := range s.groups {
+		docs := s.dst[s.colPos[g.rawCol]]
+		for ri := 0; ri < n; ri++ {
+			src := docs[ri]
+			if !src.Null && !g.x.Holds(src.S) {
+				scanned := g.x.Extract(src.S)
+				if s.m != nil {
+					s.m.Parse.Docs.Add(1)
+					s.m.Parse.Bytes.Add(int64(scanned))
+					s.m.Parse.Skipped.Add(int64(len(src.S) - scanned))
+					s.m.Parse.Calls.Add(int64(len(g.specIdx)))
+				}
+			}
+			for k, j := range g.specIdx {
+				d := datum.NullOf(datum.TypeString)
+				if !src.Null {
+					if v, ok := g.x.Scalar(k); ok {
+						d = datum.Str(v)
+					}
+				}
+				b.Cols[nPrimary+j][ri] = d
+			}
+		}
 	}
 	if s.m != nil {
 		s.m.CacheMisses.Add(int64(len(s.f.fallbacks)) * int64(n))
@@ -525,28 +495,13 @@ func (s *fallbackRowSource) NextBatch(b *sqlengine.RowBatch) (int, error) {
 	return n, nil
 }
 
-// flushStats streams the cursor's stat deltas into the query Metrics.
-func (s *fallbackRowSource) flushStats() {
-	if s.m == nil {
-		return
-	}
-	cur := *s.stats
-	s.m.BytesRead.Add(cur.BytesRead - s.prev.BytesRead)
-	s.m.RowsScanned.Add(cur.RowsRead - s.prev.RowsRead)
-	s.m.RowGroupsRead.Add(cur.RowGroupsRead - s.prev.RowGroupsRead)
-	s.m.RowGroupsSkipped.Add(cur.RowGroupsSkipped - s.prev.RowGroupsSkipped)
-	s.prev = cur
-}
-
 // combinedRowSource streams stitched rows: primary columns first, cache
 // columns after, matching the schema the plan modifier installed.
 type combinedRowSource struct {
-	rawCur     *orc.Cursor
+	rawCur     *orc.Cursor // nil when every projected column is cached
 	cacheCur   *orc.Cursor
-	rawStats   *orc.ReadStats
-	cacheStats *orc.ReadStats
-	rawPrev    orc.ReadStats
-	cachePrev  orc.ReadStats
+	rawMeter   sqlengine.ReadMeter // zero (inert) without a rawCur
+	cacheMeter sqlengine.ReadMeter
 	m          *sqlengine.Metrics
 	nPrimary   int
 	nCache     int
@@ -568,50 +523,15 @@ func (s *combinedRowSource) degradeErr(err error) error {
 	return err
 }
 
-// Next implements sqlengine.RowSource (Algorithm 2: read both splits, pair
-// rows positionally, place values by schema position).
-func (s *combinedRowSource) Next() ([]datum.Datum, error) {
-	cacheRow, err := s.cacheCur.Next()
-	if err != nil {
-		return nil, s.degradeErr(err)
-	}
-	var rawRow []datum.Datum
-	if s.rawCur != nil {
-		rawRow, err = s.rawCur.Next()
-		if err != nil {
-			return nil, err
-		}
-		// Both or neither: the readers are synchronized by construction.
-		if (rawRow == nil) != (cacheRow == nil) {
-			return nil, s.degradeErr(fmt.Errorf("core: paired readers desynchronized (raw done=%v cache done=%v)",
-				rawRow == nil, cacheRow == nil))
-		}
-	}
-	s.meter()
-	if cacheRow == nil {
-		return nil, nil
-	}
-	out := make([]datum.Datum, 0, s.nPrimary+s.nCache)
-	out = append(out, rawRow...)
-	out = append(out, cacheRow...)
-	if s.m != nil {
-		s.m.CacheValuesRead.Add(int64(s.nCache))
-		s.m.CacheHits.Add(1) // one stitched row served from cache
-	}
-	if s.obsc != nil {
-		s.obsc.rowsStitched.Inc()
-	}
-	return out, nil
-}
-
-// NextBatch implements sqlengine.BatchSource: the paired cursors decode
-// their files straight into the batch's column vectors — raw columns into
-// the primary slots, cache columns after them — so stitching costs zero
-// copies: each value is written once, where the executor reads it, and
-// string values are views of the part file they came from (they stay valid
-// for the query; the engine clones what it returns). Both cursors honor the
-// same row-group mask, so a mismatched batch count means the §IV-C alignment
-// invariant broke.
+// NextBatch implements sqlengine.BatchSource (Algorithm 2: read both splits,
+// pair rows positionally, place values by schema position): the paired
+// cursors decode their files straight into the batch's column vectors — raw
+// columns into the primary slots, cache columns after them — so stitching
+// costs zero copies: each value is written once, where the executor reads it,
+// and string values are views of the part file they came from (they stay
+// valid for the query; the engine clones what it returns). Both cursors honor
+// the same row-group mask, so a mismatched batch count means the §IV-C
+// alignment invariant broke.
 func (s *combinedRowSource) NextBatch(b *sqlengine.RowBatch) (int, error) {
 	if len(b.Cols) < s.nPrimary+s.nCache {
 		return 0, fmt.Errorf("core: batch has %d columns, combined source needs %d", len(b.Cols), s.nPrimary+s.nCache)
@@ -630,7 +550,9 @@ func (s *combinedRowSource) NextBatch(b *sqlengine.RowBatch) (int, error) {
 			return 0, s.degradeErr(fmt.Errorf("core: paired readers desynchronized (raw %d rows vs cache %d)", nRaw, n))
 		}
 	}
-	s.meter()
+	s.rawMeter.Flush(s.m, true)
+	// Cache-only reading: the cache cursor is the row scan.
+	s.cacheMeter.Flush(s.m, s.rawCur == nil)
 	if n == 0 {
 		return 0, nil
 	}
@@ -642,27 +564,4 @@ func (s *combinedRowSource) NextBatch(b *sqlengine.RowBatch) (int, error) {
 		s.obsc.rowsStitched.Add(int64(n))
 	}
 	return n, nil
-}
-
-func (s *combinedRowSource) meter() {
-	if s.m == nil {
-		return
-	}
-	if s.rawStats != nil {
-		cur := *s.rawStats
-		s.m.BytesRead.Add(cur.BytesRead - s.rawPrev.BytesRead)
-		s.m.RowsScanned.Add(cur.RowsRead - s.rawPrev.RowsRead)
-		s.m.RowGroupsRead.Add(cur.RowGroupsRead - s.rawPrev.RowGroupsRead)
-		s.m.RowGroupsSkipped.Add(cur.RowGroupsSkipped - s.rawPrev.RowGroupsSkipped)
-		s.rawPrev = cur
-	}
-	cur := *s.cacheStats
-	s.m.BytesRead.Add(cur.BytesRead - s.cachePrev.BytesRead)
-	s.m.RowGroupsRead.Add(cur.RowGroupsRead - s.cachePrev.RowGroupsRead)
-	s.m.RowGroupsSkipped.Add(cur.RowGroupsSkipped - s.cachePrev.RowGroupsSkipped)
-	if s.rawStats == nil {
-		// Cache-only reading: the cache cursor is the row scan.
-		s.m.RowsScanned.Add(cur.RowsRead - s.cachePrev.RowsRead)
-	}
-	s.cachePrev = cur
 }

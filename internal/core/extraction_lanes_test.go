@@ -64,8 +64,17 @@ func laneSQL(paths []string) string {
 // table through every consumer of the extraction kernel — the raw engine
 // scan, populate followed by a cached read, the combiner's fallback for a
 // split appended after populate, and the merged shared scan — and requires
-// each result to be byte-identical to sjson.Parse + Path.Eval.
+// each result to be byte-identical to sjson.Parse + Path.Eval, at scan batch
+// sizes 1 (the row-at-a-time walk), 3 and the default.
 func TestEveryConsumerMatchesParseEval(t *testing.T) {
+	for _, size := range []int{1, 3, sqlengine.DefaultBatchSize} {
+		t.Run(fmt.Sprintf("batch%d", size), func(t *testing.T) {
+			everyConsumerMatchesParseEval(t, size)
+		})
+	}
+}
+
+func everyConsumerMatchesParseEval(t *testing.T, batchSize int) {
 	build := func(cfg Config) (*simtime.Sim, *warehouse.Warehouse, *Maxson) {
 		clock := simtime.NewSim(time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC))
 		wh := warehouse.New(dfs.New(dfs.WithClock(clock)), warehouse.WithClock(clock),
@@ -78,7 +87,8 @@ func TestEveryConsumerMatchesParseEval(t *testing.T) {
 		if err := wh.CreateTable("db", "t", schema); err != nil {
 			t.Fatal(err)
 		}
-		e := sqlengine.NewEngine(wh, sqlengine.WithDefaultDB("db"), sqlengine.WithParallelism(2))
+		e := sqlengine.NewEngine(wh, sqlengine.WithDefaultDB("db"), sqlengine.WithParallelism(2),
+			sqlengine.WithBatchSize(batchSize))
 		cfg.BudgetBytes, cfg.DefaultDB = 1<<30, "db"
 		return clock, wh, New(e, cfg)
 	}

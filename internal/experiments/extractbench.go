@@ -288,12 +288,8 @@ func RunExtractBench(ctx context.Context, rows int, seed int64) (*ExtractBenchRe
 			if err != nil {
 				return err
 			}
-			bs, ok := src.(sqlengine.BatchSource)
-			if !ok {
-				return fmt.Errorf("fallback source is not batch-capable")
-			}
 			for {
-				n, err := bs.NextBatch(batch)
+				n, err := src.NextBatch(batch)
 				if err != nil {
 					return err
 				}

@@ -87,20 +87,19 @@ func mqoBenchSystem(rows int, seed int64, window time.Duration, maxQ int) (*sqle
 	}
 	clock.Advance(24 * time.Hour)
 
-	opts := []sqlengine.EngineOption{
+	e := sqlengine.NewEngine(wh,
 		sqlengine.WithDefaultDB("bench"),
-		sqlengine.WithParallelism(2),
-	}
+		sqlengine.WithParallelism(2))
 	var reg *obs.Registry
 	if window > 0 {
 		reg = obs.NewRegistry()
-		opts = append(opts, sqlengine.WithScanShare(scanshare.New(scanshare.Options{
+		e.SetScanShare(scanshare.New(scanshare.Options{
 			Window:     window,
 			MaxQueries: maxQ,
 			Obs:        reg,
-		})))
+		}))
 	}
-	return sqlengine.NewEngine(wh, opts...), reg, nil
+	return e, reg, nil
 }
 
 // mqoRun fires n copies of sql concurrently, barrier-started, and returns

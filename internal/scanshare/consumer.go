@@ -3,7 +3,6 @@ package scanshare
 import (
 	"fmt"
 
-	"repro/internal/datum"
 	"repro/internal/sqlengine"
 )
 
@@ -18,7 +17,7 @@ func (f *consumerFactory) NumSplits() (int, error) { return 1, nil }
 
 func (f *consumerFactory) Schema() (sqlengine.RowSchema, error) { return f.schema, nil }
 
-func (f *consumerFactory) Open(split int, m *sqlengine.Metrics) (sqlengine.RowSource, error) {
+func (f *consumerFactory) Open(split int, m *sqlengine.Metrics) (sqlengine.BatchSource, error) {
 	if split != 0 {
 		return nil, fmt.Errorf("scanshare: consumer has a single split, got open(%d)", split)
 	}
@@ -26,20 +25,14 @@ func (f *consumerFactory) Open(split int, m *sqlengine.Metrics) (sqlengine.RowSo
 	if m.Span != nil {
 		m.Span.Set("source", "scanshare")
 	}
-	return &consumerSource{p: f.p, m: m, width: len(f.schema.Cols)}, nil
+	return &consumerSource{p: f.p, m: m}, nil
 }
 
-// consumerSource receives the producer's batches. It implements BatchSource
-// (the executor's fast path) and RowSource (the row-at-a-time shim).
+// consumerSource receives the producer's batches.
 type consumerSource struct {
-	p     *participant
-	m     *sqlengine.Metrics
-	width int
-	eof   bool
-
-	// rows is the row shim's own batch; rows [pos, n) of it are unread.
-	rows   *sqlengine.RowBatch
-	n, pos int
+	p   *participant
+	m   *sqlengine.Metrics
+	eof bool
 }
 
 // NextBatch implements sqlengine.BatchSource: the pipe copies the producer's
@@ -69,21 +62,4 @@ func (s *consumerSource) NextBatch(b *sqlengine.RowBatch) (int, error) {
 	}
 	s.p.g.claim(s.m)
 	return 0, nil
-}
-
-// Next implements sqlengine.RowSource for the row-at-a-time escape hatch.
-func (s *consumerSource) Next() ([]datum.Datum, error) {
-	if s.pos >= s.n {
-		if s.rows == nil {
-			s.rows = sqlengine.NewRowBatch(s.width, s.p.g.e.BatchSize())
-		}
-		n, err := s.NextBatch(s.rows)
-		if n == 0 {
-			return nil, err
-		}
-		s.n, s.pos = n, 0
-	}
-	row := s.rows.Gather(s.pos, make([]datum.Datum, s.width))
-	s.pos++
-	return row, nil
 }

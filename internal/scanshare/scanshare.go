@@ -103,8 +103,7 @@ type Scheduler struct {
 	groups map[string]*group
 }
 
-// New builds a scheduler. Install it with sqlengine.WithScanShare or
-// Engine.SetScanShare.
+// New builds a scheduler. Install it with Engine.SetScanShare.
 func New(opts Options) *Scheduler {
 	if opts.Window <= 0 {
 		opts.Window = DefaultWindow

@@ -63,8 +63,8 @@ func newShareEnv(t *testing.T, seed int64, rowsPerFile, files int, opts scanshar
 	shared := sqlengine.NewEngine(wh,
 		sqlengine.WithDefaultDB("db"),
 		sqlengine.WithParallelism(2),
-		sqlengine.WithBatchSize(16),
-		sqlengine.WithScanShare(scanshare.New(opts)))
+		sqlengine.WithBatchSize(16))
+	shared.SetScanShare(scanshare.New(opts))
 	plain := sqlengine.NewEngine(wh,
 		sqlengine.WithDefaultDB("db"),
 		sqlengine.WithParallelism(2),

@@ -111,10 +111,11 @@ func putRowBatch(b *RowBatch) {
 	batchPool.Put(b)
 }
 
-// BatchSource streams rows batch-at-a-time. NextBatch fills b.Cols[c][0:n]
-// for every column and returns n; n == 0 with a nil error means the source
-// is exhausted. Values written into the batch must remain valid after the
-// next NextBatch call only if the caller copied them out.
+// BatchSource streams the rows of one split, at most b.Capacity() per call.
+// NextBatch fills b.Cols[c][0:n] for every column and returns n; n == 0 with
+// a nil error means the source is exhausted. Values written into the batch
+// must remain valid after the next NextBatch call only if the caller copied
+// them out.
 type BatchSource interface {
 	NextBatch(b *RowBatch) (int, error)
 }
@@ -137,9 +138,8 @@ func (e *Engine) ScanBatches(factory ScanSourceFactory, first, end int, m *Metri
 		if err != nil {
 			return err
 		}
-		bs := asBatchSource(src, e.rowAtATime)
 		for {
-			n, err := bs.NextBatch(b)
+			n, err := src.NextBatch(b)
 			if err != nil {
 				return err
 			}
@@ -269,59 +269,6 @@ func (p *BatchPipe) drain() {
 			return
 		}
 	}
-}
-
-// rowSourceAdapter lifts a row-at-a-time RowSource into a BatchSource by
-// buffering rows into the batch, for scan sources that do not implement
-// BatchSource and for WithRowAtATime.
-type rowSourceAdapter struct {
-	src RowSource
-	// done latches the source's end so a partial batch is not followed by
-	// another Next call on an exhausted source.
-	done bool
-}
-
-// NextBatch implements BatchSource.
-func (a *rowSourceAdapter) NextBatch(b *RowBatch) (int, error) {
-	if a.done {
-		return 0, nil
-	}
-	n := 0
-	width := len(b.Cols)
-	for n < b.Capacity() {
-		row, err := a.src.Next()
-		if err != nil {
-			return n, err
-		}
-		if row == nil {
-			a.done = true
-			break
-		}
-		w := len(row)
-		if w > width {
-			w = width
-		}
-		for c := 0; c < w; c++ {
-			b.Cols[c][n] = row[c]
-		}
-		for c := w; c < width; c++ {
-			b.Cols[c][n] = datum.NullOf(datum.TypeString)
-		}
-		n++
-	}
-	return n, nil
-}
-
-// asBatchSource returns the source's native batch interface, or wraps it in
-// a rowSourceAdapter. forceAdapter pins the row-at-a-time path even for
-// batch-capable sources (WithRowAtATime, equivalence tests).
-func asBatchSource(src RowSource, forceAdapter bool) BatchSource {
-	if !forceAdapter {
-		if bs, ok := src.(BatchSource); ok {
-			return bs
-		}
-	}
-	return &rowSourceAdapter{src: src}
 }
 
 // datumArena hands out persistent row slices carved from large chunks, so

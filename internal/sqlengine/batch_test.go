@@ -188,7 +188,7 @@ func (f *lendFactory) NumSplits() (int, error) { return 2, nil }
 func (f *lendFactory) Schema() (RowSchema, error) {
 	return RowSchema{Cols: []RowCol{{Name: "c", Type: datum.TypeInt64}}}, nil
 }
-func (f *lendFactory) Open(split int, m *Metrics) (RowSource, error) {
+func (f *lendFactory) Open(split int, m *Metrics) (BatchSource, error) {
 	return &lendSource{f: f, left: 3}, nil
 }
 
@@ -196,8 +196,6 @@ type lendSource struct {
 	f    *lendFactory
 	left int
 }
-
-func (s *lendSource) Next() ([]datum.Datum, error) { panic("batch path only") }
 
 func (s *lendSource) NextBatch(b *RowBatch) (int, error) {
 	if s.left == 0 {

@@ -36,11 +36,11 @@ func newCancelTestEngine(t *testing.T, opts ...EngineOption) *Engine {
 	return NewEngine(wh, append([]EngineOption{WithDefaultDB("db")}, opts...)...)
 }
 
-// cancellingFactory yields a single split whose RowSource cancels the query
-// context during its first Next call and then keeps producing rows. If the
-// executor honours cancellation at batch boundaries, it stops after the
-// batch in flight; if not, the source's hard cap fails the test instead of
-// hanging it.
+// cancellingFactory yields a single split whose source cancels the query
+// context during its first NextBatch call and then keeps producing full
+// batches. If the executor honours cancellation at batch boundaries, it stops
+// after the batch in flight; if not, the source's hard cap fails the test
+// instead of hanging it.
 type cancellingFactory struct {
 	schema RowSchema
 	cancel context.CancelFunc
@@ -49,27 +49,30 @@ type cancellingFactory struct {
 
 func (f *cancellingFactory) NumSplits() (int, error)    { return 1, nil }
 func (f *cancellingFactory) Schema() (RowSchema, error) { return f.schema, nil }
-func (f *cancellingFactory) Open(split int, m *Metrics) (RowSource, error) {
+func (f *cancellingFactory) Open(split int, m *Metrics) (BatchSource, error) {
 	return (*cancellingSource)(f), nil
 }
 
 type cancellingSource cancellingFactory
 
-func (s *cancellingSource) Next() ([]datum.Datum, error) {
+func (s *cancellingSource) NextBatch(b *RowBatch) (int, error) {
 	s.calls++
 	if s.calls == 1 {
 		s.cancel()
 	}
-	if s.calls > 10000 {
-		return nil, fmt.Errorf("source drained %d rows after cancellation", s.calls)
+	if s.calls > 1000 {
+		return 0, fmt.Errorf("source drained %d batches after cancellation", s.calls)
 	}
-	return []datum.Datum{datum.Int(int64(s.calls))}, nil
+	for i := range b.Cols[0] {
+		b.Cols[0][i] = datum.Int(int64(s.calls))
+	}
+	return b.Capacity(), nil
 }
 
 // TestChaosCancelWithinOneBatch verifies the acceptance criterion that a
 // cancelled context stops execution within one batch boundary: the source
-// that triggered the cancel is asked for at most one more full batch
-// (the one in flight) and the query returns context.Canceled.
+// that triggered the cancel while filling a batch is not asked for another,
+// and the query returns context.Canceled.
 func TestChaosCancelWithinOneBatch(t *testing.T) {
 	const batchSize = 4
 	e := newCancelTestEngine(t, WithBatchSize(batchSize), WithParallelism(1))
@@ -88,10 +91,10 @@ func TestChaosCancelWithinOneBatch(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
-	// The cancel fired inside batch 1; the executor may finish filling that
-	// batch (batchSize rows) but must not start another.
-	if f.calls > batchSize+1 {
-		t.Fatalf("source was asked for %d rows after cancellation (batch size %d): cancellation not honoured at the batch boundary", f.calls, batchSize)
+	// The cancel fired inside batch 1; the executor finishes that batch but
+	// must not start another.
+	if f.calls != 1 {
+		t.Fatalf("source was asked for %d batches, want 1: cancellation not honoured at the batch boundary", f.calls)
 	}
 	if got := OutstandingBatches(); got != before {
 		t.Fatalf("pooled RowBatch leak: outstanding %d before, %d after", before, got)
@@ -110,10 +113,13 @@ func TestChaosPreCancelledContext(t *testing.T) {
 	}
 }
 
-// TestChaosQueryTimeout verifies WithQueryTimeout bounds every query.
+// TestChaosQueryTimeout verifies a context deadline bounds a query: it
+// surfaces as context.DeadlineExceeded at a batch boundary.
 func TestChaosQueryTimeout(t *testing.T) {
-	e := newCancelTestEngine(t, WithQueryTimeout(time.Nanosecond), WithParallelism(1))
-	_, _, err := e.QueryCtx(context.Background(), `SELECT id FROM db.t`)
+	e := newCancelTestEngine(t, WithParallelism(1))
+	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
+	defer cancel()
+	_, _, err := e.QueryCtx(ctx, `SELECT id FROM db.t`)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want context.DeadlineExceeded, got %v", err)
 	}
@@ -125,7 +131,7 @@ type panickingFactory struct{ schema RowSchema }
 
 func (f *panickingFactory) NumSplits() (int, error)    { return 1, nil }
 func (f *panickingFactory) Schema() (RowSchema, error) { return f.schema, nil }
-func (f *panickingFactory) Open(split int, m *Metrics) (RowSource, error) {
+func (f *panickingFactory) Open(split int, m *Metrics) (BatchSource, error) {
 	panic("synthetic split failure")
 }
 

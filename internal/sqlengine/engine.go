@@ -21,13 +21,8 @@ type Engine struct {
 	defaultDB   string
 	cost        CostModel
 	sparser     bool
-	// batchSize is the rows-per-batch of the vectorized scan pipeline;
-	// rowAtATime forces every scan through the row-at-a-time adapter.
-	batchSize  int
-	rowAtATime bool
-	// queryTimeout, when positive, bounds each query's execution; the
-	// deadline is checked at batch boundaries like any cancellation.
-	queryTimeout time.Duration
+	// batchSize is the rows-per-batch of the vectorized scan pipeline.
+	batchSize int
 	// PlanModifier, when set, rewrites physical plans after planning —
 	// Maxson installs its MaxsonParser here. The returned extra node count
 	// is added to PlanExprNodes so Fig 13 sees the modification overhead.
@@ -160,24 +155,6 @@ func WithBatchSize(n int) EngineOption {
 	}
 }
 
-// WithRowAtATime forces every scan through the legacy row-at-a-time
-// adapter even when the source implements BatchSource — the escape
-// hatch for debugging and the substrate of the batch/row equivalence tests.
-func WithRowAtATime(on bool) EngineOption {
-	return func(e *Engine) { e.rowAtATime = on }
-}
-
-// WithQueryTimeout bounds every query's execution time. Zero (the default)
-// means no limit. The deadline is enforced at batch boundaries, so a query
-// returns within one batch of it expiring.
-func WithQueryTimeout(d time.Duration) EngineOption {
-	return func(e *Engine) {
-		if d > 0 {
-			e.queryTimeout = d
-		}
-	}
-}
-
 // NewEngine builds an engine over a warehouse.
 func NewEngine(wh *warehouse.Warehouse, opts ...EngineOption) *Engine {
 	e := &Engine{
@@ -263,11 +240,6 @@ func (e *Engine) planStmt(stmt *SelectStmt) (*PhysicalPlan, int64, error) {
 // tree (plan → per-split scan → aggregate/sort/…) into Metrics.Trace, and
 // also returns the physical plan (EXPLAIN ANALYZE renders from it).
 func (e *Engine) queryStmt(ctx context.Context, stmt *SelectStmt, traced bool) (*PhysicalPlan, *ResultSet, *Metrics, error) {
-	if e.queryTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, e.queryTimeout)
-		defer cancel()
-	}
 	planStart := time.Now()
 	plan, planNodes, err := e.planStmt(stmt)
 	if err != nil {

@@ -57,7 +57,7 @@ func (ts *tableSource) NumSplits() (int, error) {
 func (ts *tableSource) Schema() (RowSchema, error) { return ts.scan.schema, nil }
 
 // Open implements ScanSourceFactory.
-func (ts *tableSource) Open(split int, m *Metrics) (RowSource, error) {
+func (ts *tableSource) Open(split int, m *Metrics) (BatchSource, error) {
 	info, err := ts.e.wh.Table(ts.scan.DB, ts.scan.Table)
 	if err != nil {
 		return nil, err
@@ -80,56 +80,53 @@ func (ts *tableSource) Open(split int, m *Metrics) (RowSource, error) {
 			m.Span.Set("source", "raw")
 		}
 	}
-	return &fileRowSource{cur: cur, rs: &rs, m: m}, nil
+	return &fileRowSource{cur: cur, meter: ReadMeter{Stats: &rs}, m: m}, nil
 }
 
 type fileRowSource struct {
-	cur *orc.Cursor
-	rs  *orc.ReadStats
-	m   *Metrics
-	// prev snapshots let the source stream stat deltas into Metrics.
-	prev orc.ReadStats
-}
-
-func (s *fileRowSource) Next() ([]datum.Datum, error) {
-	row, err := s.cur.Next()
-	s.flushStats()
-	return row, err
+	cur   *orc.Cursor
+	meter ReadMeter
+	m     *Metrics
 }
 
 // NextBatch implements BatchSource: the cursor decodes the file's values
-// straight into the batch vectors, and read-stat deltas flush once per batch
-// instead of once per row.
+// straight into the batch vectors, and read-stat deltas flush once per batch.
 func (s *fileRowSource) NextBatch(b *RowBatch) (int, error) {
 	n, err := s.cur.NextBatch(b.Cols, b.Capacity())
-	s.flushStats()
+	s.meter.Flush(s.m, true)
 	return n, err
 }
 
-// flushStats streams the cursor's stat deltas into the query Metrics.
-func (s *fileRowSource) flushStats() {
-	if s.m == nil {
+// ReadMeter streams one cursor's read statistics into a query's Metrics:
+// every Flush adds what the cursor has read since the previous one. The zero
+// ReadMeter meters nothing.
+type ReadMeter struct {
+	// Stats is the ReadStats the cursor was opened with.
+	Stats *orc.ReadStats
+	prev  orc.ReadStats
+}
+
+// Flush adds the cursor's stat deltas to m (nil means unmetered). countRows
+// says this cursor's RowsRead is the scan's RowsScanned: a cache cursor
+// paired with a raw one reads the same rows again and leaves the count to
+// its partner.
+func (r *ReadMeter) Flush(m *Metrics, countRows bool) {
+	if m == nil || r.Stats == nil {
 		return
 	}
-	cur := *s.rs
-	s.m.BytesRead.Add(cur.BytesRead - s.prev.BytesRead)
-	s.m.RowsScanned.Add(cur.RowsRead - s.prev.RowsRead)
-	s.m.RowGroupsRead.Add(cur.RowGroupsRead - s.prev.RowGroupsRead)
-	s.m.RowGroupsSkipped.Add(cur.RowGroupsSkipped - s.prev.RowGroupsSkipped)
-	s.prev = cur
+	cur := *r.Stats
+	m.BytesRead.Add(cur.BytesRead - r.prev.BytesRead)
+	if countRows {
+		m.RowsScanned.Add(cur.RowsRead - r.prev.RowsRead)
+	}
+	m.RowGroupsRead.Add(cur.RowGroupsRead - r.prev.RowGroupsRead)
+	m.RowGroupsSkipped.Add(cur.RowGroupsSkipped - r.prev.RowGroupsSkipped)
+	r.prev = cur
 }
 
 // ExecuteCtx runs a physical plan under a context and returns its results
-// plus metrics; cancellation is honored at batch boundaries, and the engine
-// query timeout bounds the run just as it does for QueryCtx (queryStmt
-// applies it on the query path; direct plan execution gets the same ceiling
-// here).
+// plus metrics; cancellation and deadlines are honored at batch boundaries.
 func (e *Engine) ExecuteCtx(ctx context.Context, plan *PhysicalPlan) (*ResultSet, *Metrics, error) {
-	if e.queryTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, e.queryTimeout)
-		defer cancel()
-	}
 	return e.execute(ctx, plan, nil)
 }
 

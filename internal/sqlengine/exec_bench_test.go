@@ -98,12 +98,6 @@ func BenchmarkExecBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkExecRow is the legacy row-at-a-time baseline (every scan forced
-// through the row-at-a-time adapter) that BenchmarkExecBatch is judged against.
-func BenchmarkExecRow(b *testing.B) {
-	benchExecQueries(b, newBenchEngine(execBenchRows, WithRowAtATime(true)))
-}
-
 // BenchmarkCachedScan measures the read path a fully cached query takes
 // below the combiner: a table shaped like a Maxson cache table (every
 // column a string of already-extracted values, 10 part files of 1,000-row

@@ -3,14 +3,8 @@ package sqlengine
 import (
 	"fmt"
 
-	"repro/internal/datum"
 	"repro/internal/orc"
 )
-
-// RowSource streams rows of one partition (split). Next returns nil at end.
-type RowSource interface {
-	Next() ([]datum.Datum, error)
-}
 
 // ScanSourceFactory opens one split of a scan. Maxson substitutes its
 // combined (primary + cache) reader by replacing a ScanNode's Factory.
@@ -19,7 +13,7 @@ type ScanSourceFactory interface {
 	NumSplits() (int, error)
 	// Open opens split i. The returned schema must be identical across
 	// splits.
-	Open(split int, m *Metrics) (RowSource, error)
+	Open(split int, m *Metrics) (BatchSource, error)
 	// Schema returns the output schema.
 	Schema() (RowSchema, error)
 }

@@ -26,11 +26,6 @@ type ScanSharer interface {
 	Attach(ctx context.Context, e *Engine, plan *PhysicalPlan) (SharedScanHandle, error)
 }
 
-// WithScanShare attaches a shared-scan scheduler to the engine.
-func WithScanShare(s ScanSharer) EngineOption {
-	return func(e *Engine) { e.scanShare = s }
-}
-
 // SetScanShare installs (or, with nil, removes) the engine's shared-scan
 // scheduler. Call before serving queries.
 func (e *Engine) SetScanShare(s ScanSharer) { e.scanShare = s }
