@@ -1,8 +1,7 @@
 // Command maxson-vet runs the repository's project-invariant analyzers
-// (internal/lint) over Go packages: pooled RowBatch lifecycle, arena
-// escape discipline, metric naming, error handling on parse surfaces,
-// lock-held call hygiene, and the interprocedural concurrency suite
-// (ctxflow, goroutineowner, lockorder) over the module call graph.
+// (internal/lint) over Go packages: context threading (ctxflow), error
+// handling on parse surfaces (errdiscard), lock-held call hygiene
+// (lockheld), and lock ordering over the module call graph (lockorder).
 //
 // Usage:
 //

@@ -152,8 +152,8 @@ func Leak() {
 	}
 
 	stdout.Reset()
-	if code := run([]string{"-C", root, "-run", "metricname", "./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-run metricname exit = %d, want 0 (errdiscard finding filtered out)", code)
+	if code := run([]string{"-C", root, "-run", "lockheld", "./..."}, &stdout, &stderr); code != 0 {
+		t.Fatalf("-run lockheld exit = %d, want 0 (errdiscard finding filtered out)", code)
 	}
 
 	stderr.Reset()
@@ -170,52 +170,52 @@ func TestDriverList(t *testing.T) {
 	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("-list exit = %d, want 0", code)
 	}
-	for _, name := range []string{
-		"ctxflow", "errdiscard", "goroutineowner",
-		"lockheld", "lockorder", "metricname",
-	} {
+	for _, name := range []string{"ctxflow", "errdiscard", "lockheld", "lockorder"} {
 		if !strings.Contains(stdout.String(), name) {
 			t.Fatalf("-list output missing %s:\n%s", name, stdout.String())
 		}
 	}
-	if n := strings.Count(strings.TrimSpace(stdout.String()), "\n") + 1; n != 6 {
-		t.Fatalf("-list printed %d analyzers, want 6:\n%s", n, stdout.String())
+	if n := strings.Count(strings.TrimSpace(stdout.String()), "\n") + 1; n != 4 {
+		t.Fatalf("-list printed %d analyzers, want 4:\n%s", n, stdout.String())
 	}
 }
 
-// TestDriverRunInterprocedural selects the call-graph-backed analyzers by
-// name over a module that violates ctxflow and goroutineowner.
+// TestDriverRunInterprocedural selects ctxflow and the call-graph-backed
+// lockorder by name over a module whose library mints a context root and
+// whose command does too: only the library's is a finding.
 func TestDriverRunInterprocedural(t *testing.T) {
 	root := writeModule(t, map[string]string{
 		"svc/svc.go": `package svc
 
 import "context"
 
-func handle(ctx context.Context) {
+func Handle(ctx context.Context) {
 	_ = ctx
 	_ = context.Background()
 }
+`,
+		"cmd/tool/main.go": `package main
 
-func spawn(ch chan int) {
-	go func() {
-		for v := range ch {
-			_ = v
-		}
-	}()
-}
+import (
+	"context"
+
+	"tmpmod/svc"
+)
+
+func main() { svc.Handle(context.Background()) }
 `,
 	})
 	var stdout, stderr bytes.Buffer
-	code := run([]string{"-C", root, "-run", "ctxflow,goroutineowner,lockorder", "./..."}, &stdout, &stderr)
+	code := run([]string{"-C", root, "-run", "ctxflow,lockorder", "./..."}, &stdout, &stderr)
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1; stderr: %s", code, stderr.String())
 	}
 	out := stdout.String()
-	if !strings.Contains(out, "(ctxflow)") || !strings.Contains(out, "already receives a context.Context") {
+	if !strings.Contains(out, "svc.go:7:") || !strings.Contains(out, "context.Background() outside package main") || !strings.Contains(out, "(ctxflow)") {
 		t.Fatalf("ctxflow finding missing:\n%s", out)
 	}
-	if !strings.Contains(out, "(goroutineowner)") || !strings.Contains(out, "no termination signal") {
-		t.Fatalf("goroutineowner finding missing:\n%s", out)
+	if strings.Contains(out, "main.go") {
+		t.Fatalf("a context root in package main was reported:\n%s", out)
 	}
 	if strings.Contains(out, "(lockorder)") {
 		t.Fatalf("unexpected lockorder finding:\n%s", out)
@@ -286,7 +286,7 @@ func Leak() {
 	for _, r := range run0.Tool.Driver.Rules {
 		ruleIDs[r.ID] = true
 	}
-	for _, want := range []string{"errdiscard", "ctxflow", "goroutineowner", "lockorder", "lintdirective"} {
+	for _, want := range []string{"errdiscard", "ctxflow", "lockheld", "lockorder", "lintdirective"} {
 		if !ruleIDs[want] {
 			t.Fatalf("rules missing %q: %v", want, ruleIDs)
 		}

@@ -64,7 +64,7 @@ func cachedTable(t *testing.T, splits, rowsPerSplit int) (*CombinedScanFactory, 
 		rowCols = append(rowCols, sqlengine.RowCol{Name: c.Name, Type: c.Type})
 	}
 	return NewCombinedScanFactory(wh, "mydb", "t", nil, nil, cacheTable, cacheCols, nil, nil, false,
-		sqlengine.RowSchema{Cols: rowCols}), splits * rowsPerSplit
+		sqlengine.RowSchema{Cols: rowCols}, nil), splits * rowsPerSplit
 }
 
 // TestCacheOnlyScanAllocatesPerSplit is the paper's payoff case at the
@@ -159,5 +159,46 @@ func TestPopulateAllocations(t *testing.T) {
 		// 610 when written: the 100 new rows' values, their two part files, and
 		// a link, a table lookup and a registry entry per carried split.
 		t.Errorf("a cycle with one new 100-row split allocates %v times, want at most 1000", large)
+	}
+}
+
+// TestModifyMakesNoRegistryLookup pins where the Value Combiner's counters
+// are resolved: once, in NewPlanner. Rewriting a fully cached plan builds a
+// factory around those handles; it does not render a series key (a sort and
+// a string build per labelled counter) for every scan of every query.
+func TestModifyMakesNoRegistryLookup(t *testing.T) {
+	engine := newFixture(t).engine
+	m := New(engine, Config{BudgetBytes: 1 << 30, DefaultDB: "mydb"})
+	cachePaths(t, m, "$.item_name", "$.turnover")
+
+	const runs = 10
+	type planned struct {
+		plan *sqlengine.PhysicalPlan
+		stmt *sqlengine.SelectStmt
+	}
+	var plans []planned
+	for i := 0; i < runs+1; i++ { // AllocsPerRun warms up with one extra call
+		stmt, err := sqlengine.Parse(`SELECT get_json_object(sale_logs, '$.item_name') n FROM t WHERE get_json_object(sale_logs, '$.turnover') = '30'`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := engine.Plan(stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans = append(plans, planned{plan, stmt})
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		p := plans[next]
+		next++
+		if replaced, err := m.Planner.Modify(p.plan, p.stmt); err != nil || replaced == 0 {
+			t.Fatalf("Modify replaced %d expressions, err %v: the plan is not served from the cache", replaced, err)
+		}
+	})
+	if allocs > 40 {
+		// 33 when written; 55 when every modified scan looked its seven
+		// counters up and rendered five labelled series keys to do it.
+		t.Errorf("Modify allocates %v times on a fully cached plan, want at most 40", allocs)
 	}
 }

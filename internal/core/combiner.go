@@ -19,9 +19,10 @@ import (
 // does exactly that — the cache stays transparent even when its files rot.
 var ErrCacheDegraded = errors.New("core: cache degraded")
 
-// combinerObs holds the Value Combiner's pre-resolved registry instruments:
-// one open counter per mode plus row-level hit/miss totals. All increments
-// are lock-free atomic adds.
+// combinerObs holds the Value Combiner's registry instruments: one open
+// counter per mode plus row-level hit/miss totals. The Planner resolves them
+// once and every factory it builds shares them, so planning and scanning
+// touch the registry not at all; increments are lock-free atomic adds.
 type combinerObs struct {
 	opensCombined            *obs.Counter
 	opensPushdown            *obs.Counter
@@ -81,7 +82,7 @@ type CombinedScanFactory struct {
 	// rest of the generation.
 	registry *Registry
 
-	// obsc publishes open-mode and hit/miss counters (nil = unobserved).
+	// obsc publishes open-mode and hit/miss counters.
 	obsc *combinerObs
 }
 
@@ -94,7 +95,9 @@ type FallbackSpec struct {
 // NewCombinedScanFactory wires a combined scan. primaryCols may be empty
 // (fully cached query → cache-only reading, the cheaper mode the paper's
 // relevance term optimizes for); cacheCols may be empty only if pushdown is
-// disabled and the factory degenerates to a plain scan.
+// disabled and the factory degenerates to a plain scan. obsc is the
+// Planner's set of counter handles; a factory built without a planner (a
+// test, an experiment) passes nil and counts into a registry of its own.
 func NewCombinedScanFactory(
 	wh *warehouse.Warehouse,
 	rawDB, rawTable string,
@@ -103,7 +106,11 @@ func NewCombinedScanFactory(
 	fallbacks []FallbackSpec,
 	pushdown bool,
 	schema sqlengine.RowSchema,
+	obsc *combinerObs,
 ) *CombinedScanFactory {
+	if obsc == nil {
+		obsc = newCombinerObs(obs.NewRegistry())
+	}
 	return &CombinedScanFactory{
 		wh:    wh,
 		rawDB: rawDB, rawTable: rawTable,
@@ -112,6 +119,7 @@ func NewCombinedScanFactory(
 		fallbacks: fallbacks,
 		pushdown:  pushdown,
 		schema:    schema,
+		obsc:      obsc,
 	}
 }
 
@@ -150,14 +158,6 @@ func (f *CombinedScanFactory) ScanFingerprint() string {
 	}
 	fmt.Fprintf(&b, "\x00%t", f.pushdown)
 	return b.String()
-}
-
-// SetObs attaches a metrics registry; per-split open modes and row-level
-// cache hit/miss totals publish there.
-func (f *CombinedScanFactory) SetObs(r *obs.Registry) {
-	if r != nil {
-		f.obsc = newCombinerObs(r)
-	}
 }
 
 // SetRegistry attaches the cache registry so the factory can quarantine a
@@ -297,12 +297,10 @@ func (f *CombinedScanFactory) Open(split int, m *sqlengine.Metrics) (sqlengine.B
 			}
 		}
 	}
-	if f.obsc != nil {
-		if src.sharedMask {
-			f.obsc.opensPushdown.Inc()
-		} else {
-			f.obsc.opensCombined.Inc()
-		}
+	if src.sharedMask {
+		f.obsc.opensPushdown.Inc()
+	} else {
+		f.obsc.opensCombined.Inc()
 	}
 	src.obsc = f.obsc
 	return src, nil
@@ -327,15 +325,13 @@ func (f *CombinedScanFactory) openFallback(file string, m *sqlengine.Metrics, mo
 			m.Span.Set("source", mode)
 		}
 	}
-	if f.obsc != nil {
-		switch mode {
-		case "fallback-retired":
-			f.obsc.opensFallbackRetired.Inc()
-		case "fallback-quarantined":
-			f.obsc.opensFallbackQuarantined.Inc()
-		default:
-			f.obsc.opensFallbackUncovered.Inc()
-		}
+	switch mode {
+	case "fallback-retired":
+		f.obsc.opensFallbackRetired.Inc()
+	case "fallback-quarantined":
+		f.obsc.opensFallbackQuarantined.Inc()
+	default:
+		f.obsc.opensFallbackUncovered.Inc()
 	}
 	reader, err := f.wh.OpenFile(file)
 	if err != nil {
@@ -489,9 +485,7 @@ func (s *fallbackRowSource) NextBatch(b *sqlengine.RowBatch) (int, error) {
 	if s.m != nil {
 		s.m.CacheMisses.Add(int64(len(s.f.fallbacks)) * int64(n))
 	}
-	if s.obsc != nil {
-		s.obsc.fallbackValues.Add(int64(len(s.f.fallbacks)) * int64(n))
-	}
+	s.obsc.fallbackValues.Add(int64(len(s.f.fallbacks)) * int64(n))
 	return n, nil
 }
 
@@ -560,8 +554,6 @@ func (s *combinedRowSource) NextBatch(b *sqlengine.RowBatch) (int, error) {
 		s.m.CacheValuesRead.Add(int64(s.nCache) * int64(n))
 		s.m.CacheHits.Add(int64(n)) // stitched rows served from cache
 	}
-	if s.obsc != nil {
-		s.obsc.rowsStitched.Add(int64(n))
-	}
+	s.obsc.rowsStitched.Add(int64(n))
 	return n, nil
 }

@@ -48,7 +48,7 @@ func TestFallbackBatchReleasesPoolAliases(t *testing.T) {
 		[]string{"id"}, nil,
 		"", []string{"c0"}, nil,
 		[]FallbackSpec{{RawColumn: "doc", Path: path}},
-		false, sqlengine.RowSchema{})
+		false, sqlengine.RowSchema{}, nil)
 	rs, err := f.openFallback(info.Files[0], nil, "fallback-uncovered")
 	if err != nil {
 		t.Fatal(err)

@@ -101,18 +101,34 @@ type Config struct {
 func New(e *sqlengine.Engine, cfg Config) *Maxson {
 	wh := e.Warehouse()
 	registry := NewRegistry()
+
+	// One registry serves the whole stack: prefer the caller's, fall back to
+	// the engine's, create one otherwise. The engine adopts it if it has
+	// none, so engine totals and cache gauges land in the same snapshot.
+	reg := cfg.Obs
+	if reg == nil {
+		reg = e.ObsRegistry()
+	}
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
+	if e.ObsRegistry() == nil {
+		e.SetObsRegistry(reg)
+	}
+
 	m := &Maxson{
 		Engine:      e,
 		Collector:   NewCollector(),
 		Registry:    registry,
 		Cacher:      NewCacher(wh, registry),
-		Planner:     NewPlanner(wh, registry),
+		Planner:     NewPlanner(wh, registry, reg),
 		Scorer:      NewScorer(wh, e.CostModel()),
 		BudgetBytes: cfg.BudgetBytes,
 		Window:      cfg.Window,
 		Model:       cfg.Model,
 		wh:          wh,
 		defaultDB:   cfg.DefaultDB,
+		obs:         reg,
 	}
 	if m.Window <= 0 {
 		m.Window = 7
@@ -130,20 +146,6 @@ func New(e *sqlengine.Engine, cfg Config) *Maxson {
 	m.Cacher.Log = m.Log
 	m.Flight = cfg.Flight
 
-	// One registry serves the whole stack: prefer the caller's, fall back to
-	// the engine's, create one otherwise. The engine adopts it if it has
-	// none, so engine totals and cache gauges land in the same snapshot.
-	m.obs = cfg.Obs
-	if m.obs == nil {
-		m.obs = e.ObsRegistry()
-	}
-	if m.obs == nil {
-		m.obs = obs.NewRegistry()
-	}
-	if e.ObsRegistry() == nil {
-		e.SetObsRegistry(m.obs)
-	}
-	m.Planner.Obs = m.obs
 	m.Cacher.SetObs(m.obs)
 	m.registerGauges()
 
@@ -266,10 +268,10 @@ func (m *Maxson) run(ctx context.Context, sql string, explain bool) (string, *sq
 }
 
 // finishFlight closes a query's flight record, translating the engine's
-// Metrics into the recorder's totals, stages (plan/execute wall plus the
-// simulated read/parse/compute breakdown), and plan mode. A query that
-// survived only via cache-degradation retries reports "quarantined"; a query
-// that died before producing metrics reports "error".
+// Metrics into the recorder's totals, stages (the measured plan and execute
+// walls) and plan mode. A query that survived only via cache-degradation
+// retries reports "quarantined"; a query that died before producing metrics
+// reports "error".
 func (m *Maxson) finishFlight(aq *flight.Active, rs *sqlengine.ResultSet, met *sqlengine.Metrics, qerr error) {
 	if aq == nil {
 		return
@@ -296,10 +298,6 @@ func (m *Maxson) finishFlight(aq *flight.Active, rs *sqlengine.ResultSet, met *s
 			mode = "quarantined"
 		}
 		aq.AddStage("plan", met.PlanWall)
-		bd := met.Breakdown(m.Engine.CostModel())
-		aq.AddStage("read_sim", bd.Read)
-		aq.AddStage("parse_sim", bd.Parse)
-		aq.AddStage("compute_sim", bd.Compute)
 		aq.AddStage("execute", met.WallTime)
 	}
 	aq.SetMode(mode)

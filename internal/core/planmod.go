@@ -28,14 +28,19 @@ type Planner struct {
 	// KeepJSONColumns disables dropping fully cached JSON columns from the
 	// primary read set (the Fig 9 optimization) — ablation knob only.
 	KeepJSONColumns bool
-	// Obs, when set, is handed to every combined scan factory so the Value
-	// Combiner publishes its open-mode and hit/miss counters.
-	Obs *obs.Registry
+	// obsc is handed to every combined scan factory: the Value Combiner's
+	// open-mode and hit/miss counters, resolved here once so that building a
+	// plan makes no registry lookup.
+	obsc *combinerObs
 }
 
-// NewPlanner wires a plan modifier.
-func NewPlanner(wh *warehouse.Warehouse, registry *Registry) *Planner {
-	return &Planner{wh: wh, registry: registry, Pushdown: true}
+// NewPlanner wires a plan modifier whose combined scans count into reg (a
+// private registry when reg is nil).
+func NewPlanner(wh *warehouse.Warehouse, registry *Registry, reg *obs.Registry) *Planner {
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
+	return &Planner{wh: wh, registry: registry, Pushdown: true, obsc: newCombinerObs(reg)}
 }
 
 // Install registers the planner as the engine's plan modifier.
@@ -219,8 +224,8 @@ func (p *Planner) modifyScan(plan *sqlengine.PhysicalPlan, scan *sqlengine.ScanN
 		fallbacks,
 		p.Pushdown,
 		sqlengine.RowSchema{Cols: schemaCols},
+		p.obsc,
 	)
-	factory.SetObs(p.Obs)
 	factory.SetRegistry(p.registry)
 	scan.Factory = factory
 	scan.Columns = primaryCols

@@ -276,7 +276,7 @@ func RunExtractBench(ctx context.Context, rows int, seed int64) (*ExtractBenchRe
 	}
 	factory := core.NewCombinedScanFactory(w.WH, w.DB, "t03",
 		[]string{"id"}, nil, "retired_generation", cacheCols, nil,
-		fallbacks, false, schema)
+		fallbacks, false, schema, nil)
 	drain := func(m *sqlengine.Metrics) error {
 		nSplits, err := factory.NumSplits()
 		if err != nil {

@@ -53,35 +53,18 @@ func recvTypeName(fn *types.Func) (pkg *types.Package, name string, ok bool) {
 	return obj.Pkg(), obj.Name(), true
 }
 
-// isMethodOf reports whether fn is the method name on the named type
-// typeName of the package with import-path suffix pkgSuffix.
-func isMethodOf(fn *types.Func, pkgSuffix, typeName, name string) bool {
-	if fn == nil || fn.Name() != name {
-		return false
-	}
-	pkg, tn, ok := recvTypeName(fn)
-	return ok && tn == typeName && pkgPathIs(pkg, pkgSuffix)
-}
-
-// funcBody is one function-shaped body to analyze: a declaration or a
-// literal.
-type funcBody struct {
-	decl *ast.FuncDecl // nil for literals
-	body *ast.BlockStmt
-}
-
 // functionBodies collects every function and method body in the file,
 // including function literals, outermost first.
-func functionBodies(f *ast.File) []funcBody {
-	var out []funcBody
+func functionBodies(f *ast.File) []*ast.BlockStmt {
+	var out []*ast.BlockStmt
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch fn := n.(type) {
 		case *ast.FuncDecl:
 			if fn.Body != nil {
-				out = append(out, funcBody{decl: fn, body: fn.Body})
+				out = append(out, fn.Body)
 			}
 		case *ast.FuncLit:
-			out = append(out, funcBody{body: fn.Body})
+			out = append(out, fn.Body)
 		}
 		return true
 	})

@@ -2,22 +2,19 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"sort"
-	"strings"
-	"sync"
 )
 
-// CallGraph is the module-wide static call graph the interprocedural
-// analyzers (ctxflow, goroutineowner, lockorder) run over. Nodes are the
-// module's declared functions and methods; edges are statically resolved
-// call sites plus an over-approximation for calls through module-defined
-// interfaces: a call to interface method I.M gets an edge to T.M for every
-// module type T implementing I. Function literals are attributed to their
-// enclosing declaration (a call made inside a closure is an edge from the
-// declaring function), and calls through plain function values are not
-// resolved — the graph over-approximates dispatch, not data flow.
+// CallGraph is the module-wide static call graph lockorder composes
+// per-function lock behaviour over. Nodes are the module's declared
+// functions and methods; edges are statically resolved call sites plus an
+// over-approximation for calls through module-defined interfaces: a call to
+// interface method I.M gets an edge to T.M for every module type T
+// implementing I. Function literals are attributed to their enclosing
+// declaration (a call made inside a closure is an edge from the declaring
+// function), and calls through plain function values are not resolved — the
+// graph over-approximates dispatch, not data flow.
 type CallGraph struct {
 	nodes map[*types.Func]*CallNode
 	// modulePkgs marks the type-checked packages of the module itself;
@@ -28,13 +25,11 @@ type CallGraph struct {
 	// interface-implementation queries.
 	namedTypes []*types.Named
 
-	implMemo  map[*types.Func][]*types.Func
-	reachMemo map[string]map[*types.Func]string
+	implMemo map[*types.Func][]*types.Func
 
-	// aux caches whole-graph derived analyses (the lockorder lock graph)
-	// so per-package analyzer runs share one computation.
-	auxMu sync.Mutex
-	aux   map[string]any
+	// lockGraph is lockorder's whole-graph analysis, built on first use so
+	// its per-package runs share one computation.
+	lockGraph *lockGraph
 }
 
 // CallNode is one declared function or method of the module.
@@ -48,9 +43,8 @@ type CallNode struct {
 // CallEdge is one resolved call site. For interface calls, one site yields
 // one edge per implementing module type, all sharing the same Call.
 type CallEdge struct {
-	Callee       *CallNode
-	Call         *ast.CallExpr
-	ViaInterface bool
+	Callee *CallNode
+	Call   *ast.CallExpr
 }
 
 // BuildCallGraph constructs the call graph over every loaded package
@@ -61,8 +55,6 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 		nodes:      make(map[*types.Func]*CallNode),
 		modulePkgs: make(map[*types.Package]bool),
 		implMemo:   make(map[*types.Func][]*types.Func),
-		reachMemo:  make(map[string]map[*types.Func]string),
-		aux:        make(map[string]any),
 	}
 	for _, pkg := range pkgs {
 		if pkg.Types == nil {
@@ -110,7 +102,7 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 			if iface := g.interfaceOf(fn); iface != nil {
 				for _, impl := range g.implementations(fn, iface) {
 					if callee := g.nodes[impl]; callee != nil {
-						node.Out = append(node.Out, CallEdge{Callee: callee, Call: call, ViaInterface: true})
+						node.Out = append(node.Out, CallEdge{Callee: callee, Call: call})
 					}
 				}
 				return true
@@ -122,15 +114,6 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 		})
 	}
 	return g
-}
-
-// NodeOf returns the graph node of fn, nil for functions outside the
-// module (or without bodies).
-func (g *CallGraph) NodeOf(fn *types.Func) *CallNode {
-	if g == nil || fn == nil {
-		return nil
-	}
-	return g.nodes[fn]
 }
 
 // Nodes returns every node sorted by position (deterministic iteration for
@@ -191,54 +174,9 @@ func (g *CallGraph) implementations(ifaceMethod *types.Func, iface *types.Interf
 	return impls
 }
 
-// ReachableFrom computes the functions reachable from every module
-// function or method named one of rootNames, mapping each reached function
-// to the name of a root it is reachable from. The roots themselves are not
-// included (a root calling context.Background() is judged by its own
-// signature, not by reachability).
-func (g *CallGraph) ReachableFrom(rootNames ...string) map[*types.Func]string {
-	key := strings.Join(rootNames, ",")
-	if memo, ok := g.reachMemo[key]; ok {
-		return memo
-	}
-	rootSet := make(map[string]bool, len(rootNames))
-	for _, n := range rootNames {
-		rootSet[n] = true
-	}
-	out := make(map[*types.Func]string)
-	for _, node := range g.Nodes() {
-		if !rootSet[node.Fn.Name()] {
-			continue
-		}
-		root := node.Fn.Name()
-		queue := []*CallNode{node}
-		seen := map[*CallNode]bool{node: true}
-		for len(queue) > 0 {
-			cur := queue[0]
-			queue = queue[1:]
-			for _, e := range cur.Out {
-				if seen[e.Callee] {
-					continue
-				}
-				seen[e.Callee] = true
-				if _, dup := out[e.Callee.Fn]; !dup {
-					out[e.Callee.Fn] = root
-				}
-				queue = append(queue, e.Callee)
-			}
-		}
-	}
-	g.reachMemo[key] = out
-	return out
-}
-
-// Closure returns fn's node plus every node transitively reachable from
-// it, in deterministic order; nil when fn is not a module function.
-func (g *CallGraph) Closure(fn *types.Func) []*CallNode {
-	start := g.NodeOf(fn)
-	if start == nil {
-		return nil
-	}
+// Closure returns start plus every node transitively reachable from it, in
+// deterministic order.
+func (g *CallGraph) Closure(start *CallNode) []*CallNode {
 	seen := map[*CallNode]bool{start: true}
 	queue := []*CallNode{start}
 	var out []*CallNode
@@ -254,25 +192,4 @@ func (g *CallGraph) Closure(fn *types.Func) []*CallNode {
 		}
 	}
 	return out
-}
-
-// cachedAux memoizes a whole-graph derived analysis under key.
-func (g *CallGraph) cachedAux(key string, build func() any) any {
-	g.auxMu.Lock()
-	defer g.auxMu.Unlock()
-	if v, ok := g.aux[key]; ok {
-		return v
-	}
-	v := build()
-	g.aux[key] = v
-	return v
-}
-
-// positionOf renders a pos against the graph's (shared) fset via any node's
-// package; helper for analyses that format cross-package evidence.
-func (g *CallGraph) positionOf(pos token.Pos) token.Position {
-	for _, n := range g.nodes {
-		return n.Pkg.Fset.Position(pos)
-	}
-	return token.Position{}
 }

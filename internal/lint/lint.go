@@ -1,7 +1,7 @@
 // Package lint is a pure-stdlib static-analysis framework for enforcing
-// this repository's sharp-edged invariants: context threading, goroutine
-// ownership, lock ordering and lock-held call hygiene, metric naming, and
-// error handling on parse paths.
+// the invariants of this repository that nothing but an analyzer can check:
+// context threading, lock ordering, lock-held call hygiene, and error
+// handling on parse paths.
 //
 // The framework deliberately avoids golang.org/x/tools: packages are
 // loaded with go/parser, type-checked with go/types (stdlib dependencies
@@ -163,10 +163,8 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		CtxFlow,
 		ErrDiscard,
-		GoroutineOwner,
 		LockHeld,
 		LockOrder,
-		MetricName,
 	}
 }
 

@@ -2,7 +2,9 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
+	"sort"
 )
 
 // LockHeld flags blocking work performed while a sync.Mutex or
@@ -25,24 +27,52 @@ var LockHeld = &Analyzer{
 }
 
 func runLockHeld(pass *Pass) {
+	w := &heldWalker{
+		info:     pass.Info,
+		identity: func(lock ast.Expr) string { return types.ExprString(lock) },
+		send: func(s *ast.SendStmt, held []string) {
+			pass.Reportf(s.Arrow, "channel send while holding %s", held[0])
+		},
+		call: func(call *ast.CallExpr, held []string) {
+			fn := calleeFunc(pass.Info, call)
+			if pkg, tn, isMethod := recvTypeName(fn); isMethod && tn == "Registry" && pkgPathIs(pkg, "internal/obs") {
+				pass.Reportf(call.Pos(),
+					"obs.Registry.%s called while holding %s: registry get-or-create takes its own lock", fn.Name(), held[0])
+			}
+		},
+	}
 	for _, f := range pass.Files {
-		for _, fb := range functionBodies(f) {
-			w := &lockWalker{pass: pass}
-			w.walk(fb.body.List, map[string]int{})
+		for _, body := range functionBodies(f) {
+			w.walk(body.List, map[string]int{})
 		}
 	}
 }
 
-// lockWalker tracks which lock expressions are held at each point of a
-// lexical walk over one function body.
-type lockWalker struct {
-	pass *Pass
+// heldWalker is the branch-aware lexical walk over one function body that
+// lockheld and lockorder share. It tracks how many times each lock is held
+// at every point and tells its hooks what happens under a lock; what a lock
+// *is* (the expression it is written as, or the class of every instance) and
+// what to make of the events is the analyzer's business.
+type heldWalker struct {
+	info *types.Info
+	// identity names the lock that a Lock-family call's receiver denotes;
+	// a lock it names "" is not tracked.
+	identity func(lock ast.Expr) string
+	// acquire, call and send see a tracked Lock/RLock, a call expression in
+	// a leaf statement, and a channel send. held lists the locks held at
+	// that point in sorted order: those held before the acquisition for
+	// acquire (possibly none), and at least one for call and send, which are
+	// not told about code that runs under no lock. acquire and send may be
+	// nil.
+	acquire func(id string, pos token.Pos, held []string)
+	call    func(call *ast.CallExpr, held []string)
+	send    func(s *ast.SendStmt, held []string)
 }
 
 // walk processes stmts in order starting from held, returning the
 // fall-through state and whether control always terminates (return /
 // branch) before the end.
-func (w *lockWalker) walk(stmts []ast.Stmt, held map[string]int) (map[string]int, bool) {
+func (w *heldWalker) walk(stmts []ast.Stmt, held map[string]int) (map[string]int, bool) {
 	for _, stmt := range stmts {
 		var terminated bool
 		held, terminated = w.stmt(stmt, held)
@@ -73,18 +103,21 @@ func mergeHeld(a, b map[string]int) map[string]int {
 	return out
 }
 
-func anyHeld(held map[string]int) (string, bool) {
+// heldList returns the locks with a positive hold count, sorted.
+func heldList(held map[string]int) []string {
+	var out []string
 	for k, v := range held {
 		if v > 0 {
-			return k, true
+			out = append(out, k)
 		}
 	}
-	return "", false
+	sort.Strings(out)
+	return out
 }
 
 // stmt processes one statement, returning the successor state and whether
 // control terminates here.
-func (w *lockWalker) stmt(stmt ast.Stmt, held map[string]int) (map[string]int, bool) {
+func (w *heldWalker) stmt(stmt ast.Stmt, held map[string]int) (map[string]int, bool) {
 	switch s := stmt.(type) {
 	case *ast.BlockStmt:
 		return w.walk(s.List, held)
@@ -136,8 +169,10 @@ func (w *lockWalker) stmt(stmt ast.Stmt, held map[string]int) (map[string]int, b
 	case *ast.BranchStmt:
 		return held, true
 	case *ast.SendStmt:
-		if lock, ok := anyHeld(held); ok {
-			w.pass.Reportf(s.Arrow, "channel send while holding %s", lock)
+		if w.send != nil {
+			if locks := heldList(held); len(locks) > 0 {
+				w.send(s, locks)
+			}
 		}
 		w.check(s.Chan, held)
 		w.check(s.Value, held)
@@ -145,23 +180,24 @@ func (w *lockWalker) stmt(stmt ast.Stmt, held map[string]int) (map[string]int, b
 	case *ast.DeferStmt:
 		// defer mu.Unlock() keeps the lock held to function end, which is
 		// exactly what the remainder of the walk models; no state change.
-		if key, kind, ok := w.lockCall(s.Call); ok && (kind == "Lock" || kind == "RLock") {
-			held = copyHeld(held)
-			held[key]++
+		// defer mu.Lock() (rare, but possible via helper) acquires.
+		if lock, acquires, ok := lockCall(w.info, s.Call); ok {
+			if acquires {
+				return w.locked(lock, s.Call.Pos(), held), false
+			}
+			return held, false
 		}
 		w.check(s.Call, held)
 		return held, false
 	case *ast.ExprStmt:
 		if call, isCall := ast.Unparen(s.X).(*ast.CallExpr); isCall {
-			if key, kind, ok := w.lockCall(call); ok {
-				held = copyHeld(held)
-				switch kind {
-				case "Lock", "RLock":
-					held[key]++
-				case "Unlock", "RUnlock":
-					if held[key] > 0 {
-						held[key]--
-					}
+			if lock, acquires, ok := lockCall(w.info, call); ok {
+				if acquires {
+					return w.locked(lock, call.Pos(), held), false
+				}
+				if id := w.identity(lock); held[id] > 0 {
+					held = copyHeld(held)
+					held[id]--
 				}
 				return held, false
 			}
@@ -176,7 +212,7 @@ func (w *lockWalker) stmt(stmt ast.Stmt, held map[string]int) (map[string]int, b
 
 // branches walks each case clause of a switch/select from a copy of the
 // incoming state and merges the survivors.
-func (w *lockWalker) branches(stmt ast.Stmt, held map[string]int) (map[string]int, bool) {
+func (w *heldWalker) branches(stmt ast.Stmt, held map[string]int) (map[string]int, bool) {
 	out := copyHeld(held)
 	var clauses []ast.Stmt
 	switch s := stmt.(type) {
@@ -213,57 +249,65 @@ func (w *lockWalker) branches(stmt ast.Stmt, held map[string]int) (map[string]in
 	return out, false
 }
 
-// check inspects the expressions of a leaf node for obs registry calls
+// locked returns the state after acquiring lock at pos, having told the
+// acquire hook what was held before. An untracked lock changes nothing.
+func (w *heldWalker) locked(lock ast.Expr, pos token.Pos, held map[string]int) map[string]int {
+	id := w.identity(lock)
+	if id == "" {
+		return held
+	}
+	if w.acquire != nil {
+		w.acquire(id, pos, heldList(held))
+	}
+	held = copyHeld(held)
+	held[id]++
+	return held
+}
+
+// check hands the call hook every call expression of a leaf node evaluated
 // while a lock is held. Function literal subtrees are skipped: they run
-// later, as their own functions.
-func (w *lockWalker) check(node ast.Node, held map[string]int) {
-	lock, isHeld := anyHeld(held)
-	if !isHeld || node == nil {
+// later, as their own functions, not under the current critical section.
+func (w *heldWalker) check(node ast.Node, held map[string]int) {
+	locks := heldList(held)
+	if len(locks) == 0 || node == nil {
 		return
 	}
 	ast.Inspect(node, func(n ast.Node) bool {
 		if _, isLit := n.(*ast.FuncLit); isLit {
 			return false
 		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		fn := calleeFunc(w.pass.Info, call)
-		if fn == nil {
-			return true
-		}
-		if pkg, tn, isMethod := recvTypeName(fn); isMethod && tn == "Registry" && pkgPathIs(pkg, "internal/obs") {
-			w.pass.Reportf(call.Pos(),
-				"obs.Registry.%s called while holding %s: registry get-or-create takes its own lock", fn.Name(), lock)
+		if call, ok := n.(*ast.CallExpr); ok {
+			w.call(call, locks)
 		}
 		return true
 	})
 }
 
-// lockCall classifies call as a Lock/Unlock-family method on a
-// sync.Mutex or sync.RWMutex value, returning the rendered lock
-// expression as its identity.
-func (w *lockWalker) lockCall(call *ast.CallExpr) (key, kind string, ok bool) {
+// lockCall classifies call as a Lock/Unlock-family method on a sync.Mutex
+// or sync.RWMutex value, returning the receiver expression (the lock) and
+// whether the call acquires it (Lock, RLock) or releases it.
+func lockCall(info *types.Info, call *ast.CallExpr) (lock ast.Expr, acquires, ok bool) {
 	if call == nil {
-		return "", "", false
+		return nil, false, false
 	}
 	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !isSel {
-		return "", "", false
+		return nil, false, false
 	}
-	fn := calleeFunc(w.pass.Info, call)
+	fn := calleeFunc(info, call)
 	if fn == nil {
-		return "", "", false
+		return nil, false, false
 	}
 	switch fn.Name() {
-	case "Lock", "Unlock", "RLock", "RUnlock":
+	case "Lock", "RLock":
+		acquires = true
+	case "Unlock", "RUnlock":
 	default:
-		return "", "", false
+		return nil, false, false
 	}
 	pkg, tn, isMethod := recvTypeName(fn)
 	if !isMethod || pkg == nil || pkg.Path() != "sync" || (tn != "Mutex" && tn != "RWMutex") {
-		return "", "", false
+		return nil, false, false
 	}
-	return types.ExprString(sel.X), fn.Name(), true
+	return sel.X, acquires, true
 }

@@ -91,7 +91,10 @@ type funcLockSummary struct {
 // lockGraphOf builds (once per call graph) the module lock graph and its
 // cycles.
 func lockGraphOf(g *CallGraph) *lockGraph {
-	return g.cachedAux("lockorder", func() any { return buildLockGraph(g) }).(*lockGraph)
+	if g.lockGraph == nil {
+		g.lockGraph = buildLockGraph(g)
+	}
+	return g.lockGraph
 }
 
 func buildLockGraph(g *CallGraph) *lockGraph {
@@ -104,7 +107,7 @@ func buildLockGraph(g *CallGraph) *lockGraph {
 	// Transitive acquisitions per function over the call-graph closure.
 	transAcq := func(n *CallNode) map[string]bool {
 		out := make(map[string]bool)
-		for _, m := range g.Closure(n.Fn) {
+		for _, m := range g.Closure(n) {
 			for c := range sums[m].acquires {
 				out[c] = true
 			}
@@ -249,245 +252,42 @@ func shortLockClass(class string) string {
 	return class
 }
 
-// summarizeLocks runs a branch-aware lexical walk (the lockheld walker
-// shape) over one function, tracking held lock classes.
+// summarizeLocks runs the shared held-lock walk over one function with lock
+// classes as identities, recording acquisition order and what is held at
+// each call instead of reporting.
 func summarizeLocks(n *CallNode) *funcLockSummary {
+	info := n.Pkg.Info
 	sum := &funcLockSummary{
 		acquires: make(map[string]bool),
 		heldAt:   make(map[token.Pos][]string),
 	}
-	w := &lockOrderWalker{info: n.Pkg.Info, sum: sum}
 	// acquires is a may-set over the whole body, literals included.
 	ast.Inspect(n.Decl.Body, func(nd ast.Node) bool {
 		if call, ok := nd.(*ast.CallExpr); ok {
-			if class, kind, ok := lockClassCall(n.Pkg.Info, call); ok && (kind == "Lock" || kind == "RLock") && class != "" {
-				sum.acquires[class] = true
+			if lock, acquires, ok := lockCall(info, call); ok && acquires {
+				if class := lockClassOf(info, lock); class != "" {
+					sum.acquires[class] = true
+				}
 			}
 		}
 		return true
 	})
 	// Ordered-acquisition edges and held-at-call positions come from the
 	// function's own statements; literals run on their own schedule and are
-	// summarized as their own nodes' acquires.
+	// summarized as their own nodes' acquires. A lock on a local variable has
+	// no class: it neither edges nor holds.
+	w := &heldWalker{
+		info:     info,
+		identity: func(lock ast.Expr) string { return lockClassOf(info, lock) },
+		acquire: func(class string, pos token.Pos, held []string) {
+			for _, from := range held {
+				sum.edges = append(sum.edges, lockClassEdge{from: from, to: class, pos: pos})
+			}
+		},
+		call: func(call *ast.CallExpr, held []string) { sum.heldAt[call.Pos()] = held },
+	}
 	w.walk(n.Decl.Body.List, map[string]int{})
 	return sum
-}
-
-// lockOrderWalker mirrors lockheld's branch-aware walk but tracks lock
-// classes and records acquisition ordering instead of checking leaf calls.
-type lockOrderWalker struct {
-	info *types.Info
-	sum  *funcLockSummary
-}
-
-func (w *lockOrderWalker) walk(stmts []ast.Stmt, held map[string]int) (map[string]int, bool) {
-	for _, stmt := range stmts {
-		var terminated bool
-		held, terminated = w.stmt(stmt, held)
-		if terminated {
-			return held, true
-		}
-	}
-	return held, false
-}
-
-func (w *lockOrderWalker) stmt(stmt ast.Stmt, held map[string]int) (map[string]int, bool) {
-	switch s := stmt.(type) {
-	case *ast.BlockStmt:
-		return w.walk(s.List, held)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			held, _ = w.stmt(s.Init, held)
-		}
-		w.check(s.Cond, held)
-		thenState, thenTerm := w.walk(s.Body.List, copyHeld(held))
-		elseState, elseTerm := copyHeld(held), false
-		if s.Else != nil {
-			elseState, elseTerm = w.stmt(s.Else, copyHeld(held))
-		}
-		switch {
-		case thenTerm && elseTerm:
-			return held, true
-		case thenTerm:
-			return elseState, false
-		case elseTerm:
-			return thenState, false
-		default:
-			return mergeHeld(thenState, elseState), false
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			held, _ = w.stmt(s.Init, held)
-		}
-		if s.Cond != nil {
-			w.check(s.Cond, held)
-		}
-		body, _ := w.walk(s.Body.List, copyHeld(held))
-		if s.Post != nil {
-			body, _ = w.stmt(s.Post, body)
-		}
-		return mergeHeld(held, body), false
-	case *ast.RangeStmt:
-		w.check(s.X, held)
-		body, _ := w.walk(s.Body.List, copyHeld(held))
-		return mergeHeld(held, body), false
-	case *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
-		return w.branches(s, held)
-	case *ast.LabeledStmt:
-		return w.stmt(s.Stmt, held)
-	case *ast.ReturnStmt:
-		for _, r := range s.Results {
-			w.check(r, held)
-		}
-		return held, true
-	case *ast.BranchStmt:
-		return held, true
-	case *ast.SendStmt:
-		w.check(s.Chan, held)
-		w.check(s.Value, held)
-		return held, false
-	case *ast.DeferStmt:
-		// defer mu.Unlock() keeps the class held to function end; defer
-		// mu.Lock() (rare, but possible via helper) acquires.
-		if class, kind, ok := lockClassCall(w.info, s.Call); ok {
-			if kind == "Lock" || kind == "RLock" {
-				return w.acquire(class, s.Call.Pos(), held), false
-			}
-			return held, false
-		}
-		w.check(s.Call, held)
-		return held, false
-	case *ast.ExprStmt:
-		if call, isCall := ast.Unparen(s.X).(*ast.CallExpr); isCall {
-			if class, kind, ok := lockClassCall(w.info, call); ok {
-				held = copyHeld(held)
-				switch kind {
-				case "Lock", "RLock":
-					return w.acquire(class, call.Pos(), held), false
-				case "Unlock", "RUnlock":
-					if class != "" && held[class] > 0 {
-						held[class]--
-					}
-				}
-				return held, false
-			}
-		}
-		w.check(s.X, held)
-		return held, false
-	default:
-		w.check(stmt, held)
-		return held, false
-	}
-}
-
-// acquire records ordered-acquisition edges from every held class and
-// returns the state with class held. An unclassified lock (local
-// variable) neither edges nor holds.
-func (w *lockOrderWalker) acquire(class string, pos token.Pos, held map[string]int) map[string]int {
-	if class == "" {
-		return held
-	}
-	for from, n := range held {
-		if n > 0 {
-			w.sum.edges = append(w.sum.edges, lockClassEdge{from: from, to: class, pos: pos})
-		}
-	}
-	held = copyHeld(held)
-	held[class]++
-	return held
-}
-
-func (w *lockOrderWalker) branches(stmt ast.Stmt, held map[string]int) (map[string]int, bool) {
-	out := copyHeld(held)
-	var clauses []ast.Stmt
-	switch s := stmt.(type) {
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			held, _ = w.stmt(s.Init, held)
-		}
-		if s.Tag != nil {
-			w.check(s.Tag, held)
-		}
-		clauses = s.Body.List
-	case *ast.TypeSwitchStmt:
-		clauses = s.Body.List
-	case *ast.SelectStmt:
-		clauses = s.Body.List
-	}
-	for _, c := range clauses {
-		var body []ast.Stmt
-		switch cc := c.(type) {
-		case *ast.CaseClause:
-			body = cc.Body
-		case *ast.CommClause:
-			if cc.Comm != nil {
-				if _, term := w.stmt(cc.Comm, copyHeld(held)); term {
-					continue
-				}
-			}
-			body = cc.Body
-		}
-		if state, term := w.walk(body, copyHeld(held)); !term {
-			out = mergeHeld(out, state)
-		}
-	}
-	return out, false
-}
-
-// check records held classes at every call expression in a leaf node.
-// Function literal subtrees are skipped: they execute on their own
-// schedule, not under the current critical section.
-func (w *lockOrderWalker) check(node ast.Node, held map[string]int) {
-	if node == nil {
-		return
-	}
-	var heldClasses []string
-	for c, n := range held {
-		if n > 0 {
-			heldClasses = append(heldClasses, c)
-		}
-	}
-	if len(heldClasses) == 0 {
-		return
-	}
-	sort.Strings(heldClasses)
-	ast.Inspect(node, func(n ast.Node) bool {
-		if _, isLit := n.(*ast.FuncLit); isLit {
-			return false
-		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			w.sum.heldAt[call.Pos()] = heldClasses
-		}
-		return true
-	})
-}
-
-// lockClassCall classifies call as a Lock-family method on a sync.Mutex or
-// sync.RWMutex and resolves the lock expression to its class. ok reports
-// the call is a lock call; class may still be "" for unclassifiable
-// (local) locks.
-func lockClassCall(info *types.Info, call *ast.CallExpr) (class, kind string, ok bool) {
-	if call == nil {
-		return "", "", false
-	}
-	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !isSel {
-		return "", "", false
-	}
-	fn := calleeFunc(info, call)
-	if fn == nil {
-		return "", "", false
-	}
-	switch fn.Name() {
-	case "Lock", "Unlock", "RLock", "RUnlock":
-	default:
-		return "", "", false
-	}
-	pkg, tn, isMethod := recvTypeName(fn)
-	if !isMethod || pkg == nil || pkg.Path() != "sync" || (tn != "Mutex" && tn != "RWMutex") {
-		return "", "", false
-	}
-	return lockClassOf(info, sel.X), fn.Name(), true
 }
 
 // lockClassOf maps a lock expression to its class identity: package-level

@@ -4,28 +4,32 @@
 // package's directive test, not in want comments.
 package directive
 
-import "repro/internal/obs"
+import (
+	"repro/internal/jsonpath"
+	"repro/internal/sjson"
+)
 
-func suppressedOnSameLine(r *obs.Registry) {
-	r.Counter("bad_name").Inc() //lint:ignore metricname fixture exercising same-line suppression
+func suppressedOnSameLine(doc []byte) {
+	sjson.Parse(doc) //lint:ignore errdiscard fixture exercising same-line suppression
 }
 
-func suppressedFromLineAbove(r *obs.Registry) {
-	//lint:ignore metricname fixture exercising line-above suppression
-	r.Counter("worse_name").Inc()
+func suppressedFromLineAbove(doc []byte) {
+	//lint:ignore errdiscard fixture exercising line-above suppression
+	sjson.Parse(doc)
 }
 
-func missingReason(r *obs.Registry) {
-	//lint:ignore metricname
-	r.Counter("naked_directive").Inc()
+func missingReason(doc string) {
+	//lint:ignore errdiscard
+	sjson.ParseString(doc)
 }
 
-func unknownAnalyzer(r *obs.Registry) {
+func unknownAnalyzer(expr string) {
 	//lint:ignore nosuchanalyzer the analyzer name is wrong
-	r.Counter("misdirected").Inc()
+	_, _ = jsonpath.Compile(expr)
 }
 
-//lint:ignore metricname nothing on the next line triggers it
-func unusedDirective(r *obs.Registry) {
-	r.Counter("fine_total").Inc()
+//lint:ignore errdiscard nothing on the next line triggers it
+func unusedDirective(doc []byte) error {
+	_, err := sjson.Parse(doc)
+	return err
 }

@@ -27,7 +27,7 @@ func TestCacheConcurrentStress(t *testing.T) {
 	// The gauges read c.used / c.ll live; Snapshot below exercises them
 	// while accesses mutate the cache under mu.
 	var mu sync.Mutex
-	instrumented := func(name string, f func() int64) {
+	instrumented := func(name obs.Name, f func() int64) {
 		reg.GaugeFunc(name, func() int64 {
 			mu.Lock()
 			defer mu.Unlock()

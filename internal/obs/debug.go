@@ -131,7 +131,7 @@ func (d *DebugServer) Start(addr string) (string, error) {
 	d.mu.Lock()
 	d.srv, d.ln = srv, ln
 	d.mu.Unlock()
-	//lint:ignore goroutineowner srv.Serve returns when Shutdown closes the listener; the http.Server is the owner
+	// srv.Serve returns when Shutdown closes the listener: the http.Server owns this goroutine.
 	go func() { _ = srv.Serve(ln) }()
 	return ln.Addr().String(), nil
 }

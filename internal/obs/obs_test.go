@@ -3,7 +3,9 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -25,8 +27,8 @@ func TestRegistryConcurrentCounters(t *testing.T) {
 				pre.Inc()
 				r.Counter("looked_up_total").Add(2)
 				r.Counter("labeled_total", L{"worker", "shared"}).Inc()
-				r.Gauge("last_i").Set(int64(i))
-				r.Histogram("values").Observe(int64(i))
+				r.Gauge("last_i_count").Set(int64(i))
+				r.Histogram("values_count").Observe(int64(i))
 			}
 		}(w)
 	}
@@ -42,7 +44,7 @@ func TestRegistryConcurrentCounters(t *testing.T) {
 	if got := s.Counter("labeled_total", L{"worker", "shared"}); got != workers*perWorker {
 		t.Errorf("labeled_total = %d, want %d", got, workers*perWorker)
 	}
-	h := s.Histograms["values"]
+	h := s.Histograms["values_count"]
 	if h.Count != workers*perWorker {
 		t.Errorf("histogram count = %d, want %d", h.Count, workers*perWorker)
 	}
@@ -67,10 +69,10 @@ func TestSnapshotAndExportersDeterministic(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c_total").Add(7)
 	r.Counter("c_total", L{"k", "v"}).Add(3)
-	r.Gauge("g").Set(-5)
-	r.GaugeFunc("gf", func() int64 { return 42 })
-	r.Histogram("h").Observe(10)
-	r.Histogram("h").Observe(100)
+	r.Gauge("g_count").Set(-5)
+	r.GaugeFunc("gf_count", func() int64 { return 42 })
+	r.Histogram("h_ns").Observe(10)
+	r.Histogram("h_ns").Observe(100)
 
 	var t1, t2 bytes.Buffer
 	if err := r.WriteText(&t1); err != nil {
@@ -84,13 +86,13 @@ func TestSnapshotAndExportersDeterministic(t *testing.T) {
 	}
 	want := "c_total 7\n" +
 		"c_total{k=\"v\"} 3\n" +
-		"g -5\n" +
-		"gf 42\n" +
-		"h_bucket{le=\"127\"} 1\n" + // 100 → 2^7-1 bucket (lexicographic line sort)
-		"h_bucket{le=\"15\"} 1\n" + // 10 → 2^4-1 bucket
-		"h_count 2\n" +
-		"h_mean 55.0\n" +
-		"h_sum 110\n"
+		"g_count -5\n" +
+		"gf_count 42\n" +
+		"h_ns_bucket{le=\"127\"} 1\n" + // 100 → 2^7-1 bucket (lexicographic line sort)
+		"h_ns_bucket{le=\"15\"} 1\n" + // 10 → 2^4-1 bucket
+		"h_ns_count 2\n" +
+		"h_ns_mean 55.0\n" +
+		"h_ns_sum 110\n"
 	if t1.String() != want {
 		t.Errorf("text export:\n%s\nwant:\n%s", t1.String(), want)
 	}
@@ -109,7 +111,7 @@ func TestSnapshotAndExportersDeterministic(t *testing.T) {
 	if err := json.Unmarshal(j1.Bytes(), &decoded); err != nil {
 		t.Fatalf("JSON export not parseable: %v", err)
 	}
-	if decoded.Counters["c_total"] != 7 || decoded.Gauges["gf"] != 42 {
+	if decoded.Counters["c_total"] != 7 || decoded.Gauges["gf_count"] != 42 {
 		t.Errorf("decoded snapshot = %+v", decoded)
 	}
 }
@@ -117,12 +119,12 @@ func TestSnapshotAndExportersDeterministic(t *testing.T) {
 func TestGaugeFuncEvaluatedAtSnapshot(t *testing.T) {
 	r := NewRegistry()
 	v := int64(1)
-	r.GaugeFunc("live", func() int64 { return v })
-	if got := r.Snapshot().Gauge("live"); got != 1 {
+	r.GaugeFunc("live_count", func() int64 { return v })
+	if got := r.Snapshot().Gauge("live_count"); got != 1 {
 		t.Fatalf("gauge = %d", got)
 	}
 	v = 9
-	if got := r.Snapshot().Gauge("live"); got != 9 {
+	if got := r.Snapshot().Gauge("live_count"); got != 9 {
 		t.Fatalf("gauge after change = %d", got)
 	}
 }
@@ -200,5 +202,58 @@ func TestCounterValuesAndDeltas(t *testing.T) {
 	}
 	if d := r.CounterDeltas(pre2); d != nil {
 		t.Errorf("no movement should yield nil deltas, got %v", d)
+	}
+}
+
+// TestRegistrationNames is the naming discipline the registry enforces when a
+// series is created: snake_case names with a per-kind unit suffix, no label
+// key the exporter generates itself, no label value that could close the
+// label set. (That a name is a constant is the compiler's check: the methods
+// take a Name, which a string variable does not convert to.)
+func TestRegistrationNames(t *testing.T) {
+	none := func() int64 { return 0 }
+	const local = "fill_wall_ns"
+	bad := []struct {
+		panicSubstr string
+		register    func(*Registry)
+	}{
+		{"is not snake_case", func(r *Registry) { r.Counter("ParseCalls_total") }},
+		{`"parse_calls" must end in _total`, func(r *Registry) { r.Counter("parse_calls") }},
+		{"must end in _ns, _bytes, _count", func(r *Registry) { r.Histogram("scan_latency") }},
+		{"must end in _total, _ns, _bytes, _count", func(r *Registry) { r.Gauge("queue_depth") }},
+		{"must end in _total, _ns, _bytes, _count", func(r *Registry) { r.GaugeFunc("queue_depth", none) }},
+		{`label key "le" is reserved`, func(r *Registry) { r.Counter("rows_total", L{K: "le", V: "10"}) }},
+		{`label key "le" is reserved`, func(r *Registry) { r.Histogram("wait_ns", L{"le", "10"}) }},
+		{`label key "Mode" is not snake_case`, func(r *Registry) { r.Counter("rows_total", L{"Mode", "x"}) }},
+		{"contains a quote", func(r *Registry) { r.Counter("rows_total", L{"session", "x\"} 1\nforged_total 9"}) }},
+		{"contains a quote", func(r *Registry) { r.Gauge("rows_count", L{"session", `a\`}) }},
+		{"contains a quote", func(r *Registry) { r.GaugeFunc("rows_count", none, L{"session", "a\nb"}) }},
+	}
+	for _, c := range bad {
+		r := NewRegistry()
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, c.panicSubstr) {
+					t.Errorf("registration panicked with %q, want a panic containing %q", msg, c.panicSubstr)
+				}
+			}()
+			c.register(r)
+		}()
+		if s := r.Snapshot(); len(s.Counters)+len(s.Gauges)+len(s.Histograms) != 0 {
+			t.Errorf("a rejected registration (%s) left a series behind: %+v", c.panicSubstr, s)
+		}
+	}
+
+	r := NewRegistry()
+	r.Counter("parse_calls_total", L{K: "mode", V: "tree"}).Inc()
+	r.Histogram("scan_wall_ns").Observe(1)
+	r.Histogram("doc_size_bytes").Observe(64)
+	r.Histogram("batch_rows_count").Observe(128) // unitless distribution
+	r.Gauge("cache_used_bytes").Set(1)
+	r.GaugeFunc("cache_entry_count", none)
+	r.Counter("level_total", L{K: "level", V: "le"}).Inc() // "le" as a value is fine
+	r.Histogram(local).Observe(2)
+	if s := r.Snapshot(); len(s.Counters) != 2 || len(s.Gauges) != 2 || len(s.Histograms) != 4 {
+		t.Errorf("well-named registrations = %+v, want 2 counters, 2 gauges, 4 histograms", s)
 	}
 }

@@ -12,7 +12,7 @@ func TestWritePromGolden(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c_total").Add(7)
 	r.Counter("c_total", L{"k", "v"}).Add(3)
-	r.Gauge("g").Set(-5)
+	r.Gauge("g_count").Set(-5)
 	r.Histogram("h_ns").Observe(10)  // bits.Len64(10)=4 → le=15
 	r.Histogram("h_ns").Observe(100) // bits.Len64(100)=7 → le=127
 	r.Histogram("h_ns", L{"q", "a"}).Observe(1)
@@ -31,8 +31,8 @@ func TestWritePromGolden(t *testing.T) {
 	want := `# TYPE c_total counter
 c_total 7
 c_total{k="v"} 3
-# TYPE g gauge
-g -5
+# TYPE g_count gauge
+g_count -5
 # TYPE h_ns histogram
 h_ns_bucket{le="15"} 1
 h_ns_bucket{le="127"} 2

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"regexp"
 	"sort"
 	"strings"
 	"sync"
@@ -32,6 +33,57 @@ import (
 // same metric name, e.g. Counter("combiner_opens_total", L{"mode", "fallback"}).
 type L struct {
 	K, V string
+}
+
+// Name is a metric name. The registration methods take a Name rather than a
+// string: an untyped constant converts to it and a string variable does not
+// compile, so every name is fixed in the source text and only label values
+// can make series. Nothing outside this package converts a string to a Name
+// (CI greps for it).
+type Name string
+
+var snakeCaseRE = regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)*$`)
+
+// nameSuffixes maps each registration method to the endings its names may
+// have: counters count events, histograms carry a unit (_count for unitless
+// distributions), gauges either.
+var nameSuffixes = map[string][]string{
+	"Counter":   {"_total"},
+	"Histogram": {"_ns", "_bytes", "_count"},
+	"Gauge":     {"_total", "_ns", "_bytes", "_count"},
+	"GaugeFunc": {"_total", "_ns", "_bytes", "_count"},
+}
+
+// mustBeValid panics unless name and labels are fit to become a series of the
+// given kind (the registration method's name). It runs when a series is
+// created, never on the lookup of an existing one. Like regexp.MustCompile it
+// panics because names are constants: a bad one is a bug in the source, and
+// the first test to construct the component finds it. Label values are the
+// one dynamic part of a series key, so they must not be able to close the
+// label set and start a sample line of their own in the text expositions.
+func mustBeValid(kind string, name Name, labels []L) {
+	if !snakeCaseRE.MatchString(string(name)) {
+		panic(fmt.Sprintf("obs.%s name %q is not snake_case", kind, name))
+	}
+	suffixes := nameSuffixes[kind]
+	ok := false
+	for _, s := range suffixes {
+		ok = ok || strings.HasSuffix(string(name), s)
+	}
+	if !ok {
+		panic(fmt.Sprintf("obs.%s name %q must end in %s", kind, name, strings.Join(suffixes, ", ")))
+	}
+	for _, l := range labels {
+		if l.K == "le" {
+			panic(fmt.Sprintf("obs.%s label key %q is reserved: the Prometheus exporter emits it on histogram bucket series", kind, l.K))
+		}
+		if !snakeCaseRE.MatchString(l.K) {
+			panic(fmt.Sprintf("obs.%s label key %q is not snake_case", kind, l.K))
+		}
+		if strings.ContainsAny(l.V, "\"\\\n") {
+			panic(fmt.Sprintf("obs.%s label %s value %q contains a quote, backslash or newline", kind, l.K, l.V))
+		}
+	}
 }
 
 // seriesKey renders name plus canonically ordered labels, the registry's
@@ -183,14 +235,15 @@ func NewRegistry() *Registry {
 }
 
 // Counter returns the counter for name+labels, creating it on first use.
-func (r *Registry) Counter(name string, labels ...L) *Counter {
-	key := seriesKey(name, labels)
+func (r *Registry) Counter(name Name, labels ...L) *Counter {
+	key := seriesKey(string(name), labels)
 	r.mu.RLock()
 	c, ok := r.counters[key]
 	r.mu.RUnlock()
 	if ok {
 		return c
 	}
+	mustBeValid("Counter", name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if c, ok = r.counters[key]; ok {
@@ -243,14 +296,15 @@ func (r *Registry) CounterDeltas(pre []int64) map[string]int64 {
 }
 
 // Gauge returns the gauge for name+labels, creating it on first use.
-func (r *Registry) Gauge(name string, labels ...L) *Gauge {
-	key := seriesKey(name, labels)
+func (r *Registry) Gauge(name Name, labels ...L) *Gauge {
+	key := seriesKey(string(name), labels)
 	r.mu.RLock()
 	g, ok := r.gauges[key]
 	r.mu.RUnlock()
 	if ok {
 		return g
 	}
+	mustBeValid("Gauge", name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if g, ok = r.gauges[key]; ok {
@@ -263,22 +317,24 @@ func (r *Registry) Gauge(name string, labels ...L) *Gauge {
 
 // GaugeFunc registers a callback gauge: the function is evaluated at
 // snapshot/export time. Re-registering a key replaces the callback.
-func (r *Registry) GaugeFunc(name string, f func() int64, labels ...L) {
-	key := seriesKey(name, labels)
+func (r *Registry) GaugeFunc(name Name, f func() int64, labels ...L) {
+	mustBeValid("GaugeFunc", name, labels)
+	key := seriesKey(string(name), labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.gaugeFuncs[key] = f
 }
 
 // Histogram returns the histogram for name+labels, creating it on first use.
-func (r *Registry) Histogram(name string, labels ...L) *Histogram {
-	key := seriesKey(name, labels)
+func (r *Registry) Histogram(name Name, labels ...L) *Histogram {
+	key := seriesKey(string(name), labels)
 	r.mu.RLock()
 	h, ok := r.hists[key]
 	r.mu.RUnlock()
 	if ok {
 		return h
 	}
+	mustBeValid("Histogram", name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if h, ok = r.hists[key]; ok {

@@ -233,7 +233,7 @@ func (s *Server) Start(addr string) (string, error) {
 	s.mu.Lock()
 	s.srv, s.ln = srv, ln
 	s.mu.Unlock()
-	//lint:ignore goroutineowner srv.Serve returns when Shutdown closes the listener; the http.Server is the owner
+	// srv.Serve returns when Shutdown closes the listener: the http.Server owns this goroutine.
 	go func() { _ = srv.Serve(ln) }()
 	s.started.Store(true)
 	s.log.Info("serving", "addr", ln.Addr().String(),

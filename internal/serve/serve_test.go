@@ -247,6 +247,70 @@ func TestSessionReaping(t *testing.T) {
 	}
 }
 
+// seriesCount is how many series the registry holds.
+func seriesCount(reg *obs.Registry) int {
+	snap := reg.Snapshot()
+	return len(snap.Counters) + len(snap.Gauges) + len(snap.Histograms)
+}
+
+// TestSessionRotationLeavesRegistryBounded rotates client-chosen session ids
+// through create and reap: the registry must hold the same series afterwards,
+// because a session id is not a label of anything.
+func TestSessionRotationLeavesRegistryBounded(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := New(&stubBackend{}, Config{Obs: reg, SessionIdle: time.Minute})
+	if code, _, _ := postQuery(t, s.Handler(), `{"sql":"q"}`); code != http.StatusOK {
+		t.Fatal("seed query failed")
+	}
+	before := seriesCount(reg)
+	for i := 0; i < 1000; i++ {
+		if code, _, _ := postQuery(t, s.Handler(), fmt.Sprintf(`{"sql":"q","session":"rotating-%d"}`, i)); code != http.StatusOK {
+			t.Fatalf("query of session %d = %d", i, code)
+		}
+		if i%100 == 99 { // stay under MaxSessions
+			s.reapIdleSessions(time.Now().Add(2 * time.Minute))
+		}
+	}
+	if after := seriesCount(reg); after != before {
+		t.Fatalf("1000 rotated sessions grew the registry from %d to %d series", before, after)
+	}
+}
+
+// TestSessionIDCannotForgeMetrics sends a session id built to close a label
+// set and start a sample line of its own. /metrics must not carry it, and
+// /v1/sessions, where ids are reported, must carry it JSON-escaped.
+func TestSessionIDCannotForgeMetrics(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := New(&stubBackend{}, Config{Obs: reg, Debug: obs.NewDebugServer(reg)})
+	const id = "x\"} 1\nforged_total 9"
+	body, err := json.Marshal(map[string]string{"sql": "q", "session": id})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, _, _ := postQuery(t, s.Handler(), string(body)); code != http.StatusOK {
+		t.Fatalf("query = %d", code)
+	}
+	get := func(path string) string {
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
+		if w.Code != http.StatusOK {
+			t.Fatalf("GET %s = %d", path, w.Code)
+		}
+		return w.Body.String()
+	}
+	if metrics := get("/metrics"); strings.Contains(metrics, "forged_total") || !strings.Contains(metrics, "serve_session_count 1\n") {
+		t.Fatalf("/metrics carries the session id, or lost serve_session_count:\n%s", metrics)
+	}
+	sessions := get("/v1/sessions")
+	var page sessionsPage
+	if err := json.Unmarshal([]byte(sessions), &page); err != nil {
+		t.Fatalf("/v1/sessions is not JSON: %v\n%s", err, sessions)
+	}
+	if page.Count != 1 || page.Sessions[0].ID != id || page.Sessions[0].Queries != 1 {
+		t.Fatalf("/v1/sessions = %s, want the one session %q with 1 query", sessions, id)
+	}
+}
+
 // TestReadinessLifecycle verifies /readyz (via the mounted DebugServer)
 // tracks the admission state: 503 before Start, 200 while serving, 503
 // during drain — with /healthz green throughout.

@@ -4,12 +4,12 @@ import (
 	"context"
 	"sync"
 	"time"
-
-	"repro/internal/obs"
 )
 
-// session is one named client session: per-session limits, activity stats,
-// and labelled gauges so an operator can see who is loading the server.
+// session is one named client session: per-session limits and the activity
+// stats /v1/sessions reports, so an operator can see who is loading the
+// server. A session id is client-chosen and unbounded over time, so it never
+// becomes a metric label: the registry only gets serve_session_count.
 type session struct {
 	id      string
 	created time.Time
@@ -18,12 +18,6 @@ type session struct {
 	lastActive time.Time
 	inflight   int
 	queries    int64
-
-	// inflightG / queriesC are the per-session obs instruments, labelled by
-	// session id. Live sessions are bounded by MaxSessions, which bounds the
-	// label cardinality; a reaped session's gauge is zeroed, not removed.
-	inflightG *obs.Gauge
-	queriesC  *obs.Counter
 }
 
 // sessionView is one session's row on /v1/sessions.
@@ -44,35 +38,15 @@ func (s *Server) session(id string) (*session, *admissionError) {
 		id = "default"
 	}
 	s.mu.Lock()
-	sess, ok := s.sessions[id]
-	full := !ok && len(s.sessions) >= s.cfg.MaxSessions
-	s.mu.Unlock()
-	if ok {
-		return sess, nil
-	}
-	if full {
-		return nil, errSessionsFull
-	}
-	// Instruments are get-or-create on the registry, so the double-checked
-	// insert below can race benignly: both racers resolve the same handles.
-	// Creating them outside s.mu keeps registry locking out of our critical
-	// section.
-	now := time.Now()
-	fresh := &session{
-		id:         id,
-		created:    now,
-		lastActive: now,
-		inflightG:  s.cfg.Obs.Gauge("serve_session_inflight_count", obs.L{K: "session", V: id}),
-		queriesC:   s.cfg.Obs.Counter("serve_session_queries_total", obs.L{K: "session", V: id}),
-	}
-	s.mu.Lock()
 	defer s.mu.Unlock()
-	if sess, ok = s.sessions[id]; ok {
+	if sess, ok := s.sessions[id]; ok {
 		return sess, nil
 	}
 	if len(s.sessions) >= s.cfg.MaxSessions {
 		return nil, errSessionsFull
 	}
+	now := time.Now()
+	fresh := &session{id: id, created: now, lastActive: now}
 	s.sessions[id] = fresh
 	return fresh, nil
 }
@@ -87,8 +61,6 @@ func (sess *session) begin(limit int) *admissionError {
 	sess.inflight++
 	sess.queries++
 	sess.lastActive = time.Now()
-	sess.inflightG.Set(int64(sess.inflight))
-	sess.queriesC.Inc()
 	return nil
 }
 
@@ -98,7 +70,6 @@ func (sess *session) end() {
 	defer sess.mu.Unlock()
 	sess.inflight--
 	sess.lastActive = time.Now()
-	sess.inflightG.Set(int64(sess.inflight))
 }
 
 func (sess *session) view() sessionView {
@@ -141,7 +112,7 @@ func (s *Server) reapLoop(ctx context.Context, wg *sync.WaitGroup) {
 }
 
 // reapIdleSessions removes sessions idle past the horizon with nothing in
-// flight, zeroing their gauges. Returns how many were reaped.
+// flight. Returns how many were reaped.
 func (s *Server) reapIdleSessions(now time.Time) int {
 	s.mu.Lock()
 	var victims []*session
@@ -153,7 +124,6 @@ func (s *Server) reapIdleSessions(now time.Time) int {
 	}
 	s.mu.Unlock()
 	for _, sess := range victims {
-		sess.inflightG.Set(0)
 		s.log.Info("session reaped", "session", sess.id, "queries", sess.queries)
 	}
 	return len(victims)

@@ -57,7 +57,6 @@ type engineCounters struct {
 	cacheMisses      *obs.Counter
 	splitPanics      *obs.Counter
 	ioRetries        *obs.Counter
-	simNanos         *obs.Histogram
 	wallNanos        *obs.Histogram
 	batchRows        *obs.Histogram
 }
@@ -79,14 +78,13 @@ func newEngineCounters(r *obs.Registry) *engineCounters {
 		cacheMisses:      r.Counter("engine_cache_misses_total"),
 		splitPanics:      r.Counter("engine_split_panics_total"),
 		ioRetries:        r.Counter("engine_io_retries_total"),
-		simNanos:         r.Histogram("engine_query_sim_ns"),
 		wallNanos:        r.Histogram("engine_query_wall_ns"),
 		batchRows:        r.Histogram("engine_batch_rows_count"),
 	}
 }
 
 // publish folds one finished query's metrics into the engine totals.
-func (c *engineCounters) publish(m *Metrics, cm CostModel) {
+func (c *engineCounters) publish(m *Metrics) {
 	if c == nil {
 		return
 	}
@@ -104,7 +102,6 @@ func (c *engineCounters) publish(m *Metrics, cm CostModel) {
 	c.prefilterSkipped.Add(m.PrefilterSkipped.Load())
 	c.cacheValuesRead.Add(m.CacheValuesRead.Load())
 	c.cacheMisses.Add(m.CacheMisses.Load())
-	c.simNanos.Observe(int64(m.SimulatedTime(cm)))
 	c.wallNanos.Observe(int64(m.WallTime))
 }
 

@@ -326,7 +326,7 @@ func (e *Engine) execute(ctx context.Context, plan *PhysicalPlan, trace *obs.Spa
 	}
 
 	m.WallTime = e.nowWall() - start
-	e.obsC.publish(m, e.cost)
+	e.obsC.publish(m)
 	ownStrings(out)
 	return &ResultSet{Columns: plan.OutputSchema.Names(), Rows: out}, m, nil
 }

@@ -49,10 +49,10 @@ func TestFlightRecorderThroughSystem(t *testing.T) {
 	for _, s := range r0.Stages {
 		stages = append(stages, s.Name)
 	}
-	for _, want := range []string{"plan", "execute", "read_sim", "parse_sim", "compute_sim"} {
-		if !strings.Contains(strings.Join(stages, ","), want) {
-			t.Errorf("stages %v missing %q", stages, want)
-		}
+	// Measured walls only: the cost model's simulated breakdown is for the
+	// paper's figures, not an operator's record of this query.
+	if got := strings.Join(stages, ","); got != "plan,execute" {
+		t.Errorf("stages = %s, want plan,execute", got)
 	}
 
 	// Converge the cache, then check the recorder sees the mode flip.
