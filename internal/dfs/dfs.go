@@ -58,10 +58,12 @@ type FS struct {
 	files map[string]*file
 	clock simtime.Clock
 	stats IOStats
-	// lastVersion is the version most recently handed out. Versions are
-	// unique across the whole file system, so a file deleted and created
-	// again under the same name never repeats one.
-	lastVersion uint64
+	// gen counts the mutations of the file system: every call that stores,
+	// renames, links or deletes a file adds one, under mu. A file's version is
+	// the generation its content was stored at, so versions are unique across
+	// the whole file system and a file deleted and created again under the
+	// same name never repeats one.
+	gen atomic.Uint64
 	// inj is the optional fault injector. It is consulted before each
 	// open/append (Fail) and on each read's returned bytes (Transform),
 	// always outside mu so injected latency never stalls the lock.
@@ -82,11 +84,17 @@ type file struct {
 	version uint64
 }
 
-// nextVersion hands out a fresh version; the caller holds mu for writing.
-func (f *FS) nextVersion() uint64 {
-	f.lastVersion++
-	return f.lastVersion
-}
+// nextVersion moves the file system to its next generation and returns it as
+// the version of the content being stored; the caller holds mu for writing.
+func (f *FS) nextVersion() uint64 { return f.gen.Add(1) }
+
+// Generation identifies the file system's current state: it changes with every
+// mutation (a file stored, appended to, renamed, linked or deleted) and with
+// nothing else, so two equal readings bracket an interval in which every
+// listing, size and version stayed the same. A caller that keeps something
+// derived from a listing reads Generation before the listing and serves what it
+// kept only while Generation still returns that value.
+func (f *FS) Generation() uint64 { return f.gen.Load() }
 
 // Option configures an FS.
 type Option func(*FS)
@@ -350,6 +358,7 @@ func (f *FS) Delete(name string) error {
 		return fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
 	delete(f.files, name)
+	f.gen.Add(1)
 	return nil
 }
 
@@ -365,6 +374,9 @@ func (f *FS) DeleteDir(dir string) int {
 			delete(f.files, name)
 			n++
 		}
+	}
+	if n > 0 {
+		f.gen.Add(1)
 	}
 	return n
 }

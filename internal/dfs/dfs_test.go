@@ -319,6 +319,71 @@ func TestViewSurvivesEveryMutation(t *testing.T) {
 	}
 }
 
+// TestGenerationMovesWithEveryMutationOnly: Generation is what lets a caller
+// keep something derived from a listing, so every method that changes what a
+// listing, a size or a version would report must move it, and no method that
+// only reads may.
+func TestGenerationMovesWithEveryMutationOnly(t *testing.T) {
+	fs, _ := newTestFS()
+	mutations := []struct {
+		name string
+		do   func() error
+	}{
+		{"Create", func() error { return fs.Create("/d/f") }},
+		{"Append", func() error { return fs.Append("/d/f", []byte("abc")) }},
+		{"WriteFile", func() error { return fs.WriteFile("/d/f", []byte("replaced")) }},
+		{"WriteFileVersion", func() error { _, err := fs.WriteFileVersion("/d/g", []byte("g")); return err }},
+		{"WriteFileAtomic", func() error { return fs.WriteFileAtomic("/d/f", []byte("swapped")) }},
+		{"Rename", func() error { return fs.Rename("/d/g", "/d/h") }},
+		{"Link", func() error { _, _, err := fs.Link("/d/f", "/d/l"); return err }},
+		{"Delete", func() error { return fs.Delete("/d/l") }},
+		{"DeleteDir", func() error {
+			if n := fs.DeleteDir("/d"); n != 2 {
+				return errors.New("DeleteDir did not remove the two files left")
+			}
+			return nil
+		}},
+	}
+	for _, m := range mutations {
+		before := fs.Generation()
+		if err := m.do(); err != nil {
+			t.Fatalf("%s: %v", m.name, err)
+		}
+		if after := fs.Generation(); after <= before {
+			t.Errorf("Generation %d after %s, was %d", after, m.name, before)
+		}
+	}
+
+	if err := fs.WriteFile("/d/f", []byte("content")); err != nil {
+		t.Fatal(err)
+	}
+	reads := map[string]func(){
+		"ReadView":  func() { _, _ = fs.ReadView("/d/f") },
+		"ReadFile":  func() { _, _ = fs.ReadFile("/d/f") },
+		"Size":      func() { _, _ = fs.Size("/d/f") },
+		"ModTime":   func() { _, _ = fs.ModTime("/d/f") },
+		"Exists":    func() { fs.Exists("/d/f") },
+		"List":      func() { fs.List("/d") },
+		"ListFiles": func() { fs.ListFiles("/d") },
+		"Stats":     func() { fs.Stats(); fs.ResetStats() },
+		"Injector":  func() { fs.SetInjector(fs.Injector()) },
+		// A refused mutation changed nothing.
+		"Create existing":   func() { _ = fs.Create("/d/f") },
+		"Append missing":    func() { _ = fs.Append("/d/none", []byte("x")) },
+		"Rename missing":    func() { _ = fs.Rename("/d/none", "/d/f") },
+		"Link missing":      func() { _, _, _ = fs.Link("/d/none", "/d/f") },
+		"Delete missing":    func() { _ = fs.Delete("/d/none") },
+		"DeleteDir nothing": func() { fs.DeleteDir("/elsewhere") },
+	}
+	for name, read := range reads {
+		before := fs.Generation()
+		read()
+		if after := fs.Generation(); after != before {
+			t.Errorf("Generation %d after %s, was %d: nothing changed", after, name, before)
+		}
+	}
+}
+
 // TestLinkSharesStoredBytes: a link is a second name for the same stored
 // bytes with a version of its own, and from then on the two names live apart —
 // appending to, replacing or deleting either leaves the other as it was.

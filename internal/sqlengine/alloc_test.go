@@ -1,9 +1,14 @@
 package sqlengine
 
 import (
+	"fmt"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/datum"
+	"repro/internal/dfs"
+	"repro/internal/orc"
+	"repro/internal/warehouse"
 )
 
 // TestScalarFunctionsDoNotAllocate pins evalFunc's cost on the cached read
@@ -68,4 +73,55 @@ func TestScalarFunctionArity(t *testing.T) {
 			t.Errorf("%s = %+v, want %+v", tc.call, got, tc.want)
 		}
 	}
+}
+
+// TestGroupedAggregationAllocsPerGroup pins what a group costs a partition: its
+// key string and an amortized share of the aggregation table's slabs — at most
+// two allocations per (group × split), whatever the number of aggregates.
+// (An aggState per group was seven: the header, five slices and the key.) The
+// same query at two group counts cancels everything a query allocates once.
+func TestGroupedAggregationAllocsPerGroup(t *testing.T) {
+	// A -race binary allocates for conversions the compiler otherwise elides,
+	// the index probe by string(keyBytes) among them: two more per row here.
+	// CI runs the allocation pins in a step of their own, without -race.
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("allocation counts are not meaningful under -race")
+			}
+		}
+	}
+	const splits = 4
+	allocs := func(groups int) float64 {
+		wh := warehouse.New(dfs.New())
+		wh.CreateDatabase("d")
+		schema := orc.Schema{Columns: []orc.Column{
+			{Name: "g", Type: datum.TypeString},
+			{Name: "x", Type: datum.TypeString},
+		}}
+		if err := wh.CreateTable("d", "t", schema); err != nil {
+			t.Fatal(err)
+		}
+		for s := 0; s < splits; s++ {
+			rows := make([][]datum.Datum, 0, 2*groups)
+			for i := 0; i < 2*groups; i++ {
+				rows = append(rows, []datum.Datum{datum.Str(fmt.Sprintf("group-%04d", i%groups)), datum.Str(fmt.Sprintf("%d", i*s))})
+			}
+			if _, err := wh.AppendRows("d", "t", rows); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e := NewEngine(wh, WithDefaultDB("d"), WithParallelism(1))
+		const sql = "SELECT g, COUNT(*), MAX(x) FROM t GROUP BY g"
+		if rs := mustQuery(t, e, sql); len(rs.Rows) != groups || rs.Rows[0][1].I != 2*splits {
+			t.Fatalf("%d groups, first %v; want %d groups of %d rows", len(rs.Rows), rs.Rows[0], groups, 2*splits)
+		}
+		return testing.AllocsPerRun(20, func() { mustQuery(t, e, sql) })
+	}
+	few, many := 16, 256
+	perGroupSplit := (allocs(many) - allocs(few)) / float64((many-few)*splits)
+	if perGroupSplit > 2 {
+		t.Errorf("a group costs %.2f allocations per split, want at most 2", perGroupSplit)
+	}
+	t.Logf("%.2f allocations per (group × split)", perGroupSplit)
 }

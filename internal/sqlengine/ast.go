@@ -164,6 +164,9 @@ type Aggregate struct {
 	Arg  Expr
 	// aggIndex is resolved at bind time in post-aggregation expressions.
 	aggIndex int
+	// valSlot is where a MIN or MAX keeps its value within a group's stride
+	// of the aggregation table (PhysicalPlan.aggVals wide); set at plan time.
+	valSlot int
 }
 
 func (a *Aggregate) String() string {

@@ -279,7 +279,9 @@ func (p *BatchPipe) drain() {
 type datumArena struct {
 	chunk []datum.Datum
 	off   int
-	next  int
+	// next is the size of the next chunk; zero means minArenaChunkDatums. A
+	// caller that knows how many datums it will carve starts the arena there.
+	next int
 }
 
 // Arena chunks double from minArenaChunkDatums to maxArenaChunkDatums
@@ -295,7 +297,7 @@ func (a *datumArena) alloc(n int) []datum.Datum {
 		return nil
 	}
 	if a.off+n > len(a.chunk) {
-		if a.next < minArenaChunkDatums {
+		if a.next == 0 {
 			a.next = minArenaChunkDatums
 		}
 		size := a.next

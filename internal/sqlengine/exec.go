@@ -4,9 +4,11 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/datum"
@@ -177,18 +179,16 @@ func (e *Engine) execute(ctx context.Context, plan *PhysicalPlan, trace *obs.Spa
 	// split spans are pre-created in split order so the tree is
 	// deterministic even though partitions run concurrently.
 	results := make([]partResult, nSplits)
-	partMetrics := make([]*Metrics, nSplits)
+	partMetrics := make([]Metrics, nSplits)
 	var scanSpan *obs.Span
 	if trace != nil {
 		scanSpan = trace.Child(fmt.Sprintf("scan %s.%s", plan.Scan.DB, plan.Scan.Table))
-	}
-	for split := 0; split < nSplits; split++ {
-		pm := &Metrics{}
-		if scanSpan != nil {
-			pm.Span = scanSpan.Child(fmt.Sprintf("split %d", split))
+		for split := range partMetrics {
+			partMetrics[split].Span = scanSpan.Child(fmt.Sprintf("split %d", split))
 		}
-		partMetrics[split] = pm
 	}
+	// groups is the largest number of groups any finished partition found.
+	var groups atomic.Int64
 
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, e.parallelism)
@@ -210,7 +210,7 @@ func (e *Engine) execute(ctx context.Context, plan *PhysicalPlan, trace *obs.Spa
 			}()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			results[split] = e.runPartition(ctx, plan, calls, factory, split, joinTable, buildWidth, partMetrics[split])
+			results[split] = e.runPartition(ctx, plan, calls, factory, split, joinTable, buildWidth, &groups, &partMetrics[split])
 		}(split)
 	}
 	wg.Wait()
@@ -223,7 +223,7 @@ func (e *Engine) execute(ctx context.Context, plan *PhysicalPlan, trace *obs.Spa
 	sm := &Metrics{TreeParser: m.TreeParser, StreamParser: m.StreamParser} // scan-level totals
 	var mapOut int64
 	for split, pm := range results {
-		p := partMetrics[split]
+		p := &partMetrics[split]
 		if p.Span != nil {
 			p.Span.SetInt("rows", p.RowsScanned.Load())
 			p.Span.SetInt("out", pm.rowsOut)
@@ -273,10 +273,7 @@ func (e *Engine) execute(ctx context.Context, plan *PhysicalPlan, trace *obs.Spa
 	if plan.aggregate {
 		opsBefore := m.RowOps.Load()
 		aggStart := time.Now()
-		out, err = e.finalizeAggregate(plan, results, m)
-		if err != nil {
-			return nil, nil, err
-		}
+		out = e.finalizeAggregate(plan, results, m)
 		if trace != nil {
 			span := trace.Child("aggregate")
 			span.SetWindow(aggStart, time.Now())
@@ -351,7 +348,7 @@ func ownStrings(rows [][]datum.Datum) {
 type partResult struct {
 	rows [][]datum.Datum // projected output (non-agg mode)
 	keys [][]datum.Datum // sort keys per row (non-agg with ORDER BY)
-	aggs map[string]*aggState
+	aggs *aggTable       // partial aggregates (agg mode)
 	// rowsOut counts rows surviving the filter (rows projected, or rows
 	// folded into partial aggregates) — the split's post-filter cardinality
 	// reported in EXPLAIN ANALYZE.
@@ -380,7 +377,7 @@ type execScratch struct {
 // run fused over the selected rows, so a document the filter parsed is
 // still memoized by the doc evaluator when the projection needs it. Metric
 // deltas accumulate in locals and flush once per batch.
-func (e *Engine) runPartition(ctx context.Context, plan *PhysicalPlan, calls *PathCalls, factory ScanSourceFactory, split int, joinTable map[string][][]datum.Datum, buildWidth int, m *Metrics) (res partResult) {
+func (e *Engine) runPartition(ctx context.Context, plan *PhysicalPlan, calls *PathCalls, factory ScanSourceFactory, split int, joinTable map[string][][]datum.Datum, buildWidth int, groups *atomic.Int64, m *Metrics) (res partResult) {
 	if m.Span != nil {
 		// Pre-created in split order for deterministic rendering; re-stamp
 		// the wall window to the split's actual execution.
@@ -399,7 +396,9 @@ func (e *Engine) runPartition(ctx context.Context, plan *PhysicalPlan, calls *Pa
 		ec.Doc = e.backend.NewDocEvaluator(&m.Parse, calls)
 	}
 	if plan.aggregate {
-		res.aggs = make(map[string]*aggState)
+		// Sized by the most groups a partition that already finished found:
+		// the first ones start small, their siblings at what they grew to.
+		res.aggs = newAggTable(plan, int(groups.Load()))
 	}
 	wantSortKeys := !plan.aggregate && len(plan.OrderBy) > 0
 	preFilters := plan.Scan.PreFilters
@@ -459,7 +458,7 @@ func (e *Engine) runPartition(ctx context.Context, plan *PhysicalPlan, calls *Pa
 		}
 		res.rowsOut++
 		if plan.aggregate {
-			e.accumulate(plan, row, res.aggs, ec, sc)
+			res.aggs.accumulate(row, ec, sc)
 			return
 		}
 		outRow := sc.arena.alloc(len(plan.Items))
@@ -543,6 +542,13 @@ func (e *Engine) runPartition(ctx context.Context, plan *PhysicalPlan, calls *Pa
 		flush()
 		return ctx.Err()
 	})
+	if plan.aggregate {
+		for n := int64(len(res.aggs.names)); ; {
+			if seen := groups.Load(); n <= seen || groups.CompareAndSwap(seen, n) {
+				break
+			}
+		}
+	}
 	return res
 }
 
@@ -621,36 +627,75 @@ func appendJoinKey(buf []byte, keys []Expr, row []datum.Datum, ctx *EvalContext,
 
 // ---- aggregation ----
 
-// aggState holds the running state of every aggregate for one group.
-type aggState struct {
-	groupKeys []datum.Datum
-	counts    []int64
-	sums      []float64
-	mins      []datum.Datum
-	maxs      []datum.Datum
-	seen      []bool
+// aggCell is one aggregate's running state for one group. count is the rows
+// COUNT counted, the numeric values SUM/AVG added, or the non-NULL values
+// MIN/MAX compared — so for every function count == 0 means "no value yet".
+type aggCell struct {
+	count int64
+	sum   float64
 }
 
-func newAggState(nAggs int, keys []datum.Datum) *aggState {
-	return &aggState{
-		groupKeys: keys,
-		counts:    make([]int64, nAggs),
-		sums:      make([]float64, nAggs),
-		mins:      make([]datum.Datum, nAggs),
-		maxs:      make([]datum.Datum, nAggs),
-		seen:      make([]bool, nAggs),
+// aggTable is one partition's partial aggregation state: the groups in arrival
+// order, each owning one stride of three flat slabs. Group g's key datums are
+// keys[g*len(GroupBy):], its cells cells[g*len(Aggs):] (one per aggregate) and
+// its MIN/MAX values vals[g*aggVals:] (one per MIN or MAX aggregate, at
+// Aggregate.valSlot), so a new group costs its name string and an amortized
+// share of five appends, whatever the number of aggregates.
+type aggTable struct {
+	plan *PhysicalPlan
+	// index finds a group by its encoded key. A plan without GROUP BY has one
+	// group and no index.
+	index map[string]int
+	names []string // encoded group keys; their byte order is the output order
+	keys  []datum.Datum
+	cells []aggCell
+	vals  []datum.Datum
+}
+
+// newAggTable returns an empty table with room for the expected number of
+// groups; a GROUP BY-less plan's table holds its one group and never grows.
+func newAggTable(plan *PhysicalPlan, groups int) *aggTable {
+	t := &aggTable{plan: plan}
+	if len(plan.GroupBy) == 0 {
+		groups = 1
+	} else {
+		t.index = make(map[string]int, groups)
 	}
+	t.names = make([]string, 0, groups)
+	t.keys = make([]datum.Datum, 0, groups*len(plan.GroupBy))
+	t.cells = make([]aggCell, 0, groups*len(plan.Aggs))
+	t.vals = make([]datum.Datum, 0, groups*plan.aggVals)
+	return t
 }
 
-// accumulate folds one input row into the partial aggregation map. The
-// group key renders into sc.keyBuf with the same NUL-separated encoding the
-// old string build produced (finalizeAggregate sorts key strings, so the
-// bytes fix the group output order) and probes the map without allocating;
-// only a new group copies the key bytes and datums out of the scratch.
-func (e *Engine) accumulate(plan *PhysicalPlan, row []datum.Datum, aggs map[string]*aggState, ctx *EvalContext, sc *execScratch) {
+// add appends a group with zeroed aggregate state and returns its number.
+func (t *aggTable) add(name string, keys []datum.Datum) int {
+	g := len(t.names)
+	if t.index != nil {
+		t.index[name] = g
+	}
+	t.names = append(t.names, name)
+	t.keys = append(t.keys, keys...)
+	t.cells = append(t.cells, make([]aggCell, len(t.plan.Aggs))...)
+	t.vals = append(t.vals, make([]datum.Datum, t.plan.aggVals)...)
+	return g
+}
+
+// state returns group g's cells and MIN/MAX values.
+func (t *aggTable) state(g int) ([]aggCell, []datum.Datum) {
+	nAggs, nVals := len(t.plan.Aggs), t.plan.aggVals
+	return t.cells[g*nAggs:][:nAggs], t.vals[g*nVals:][:nVals]
+}
+
+// accumulate folds one input row into the table. The group key renders into
+// sc.keyBuf NUL-separated (finalizeAggregate orders groups by these bytes, so
+// the encoding fixes the output order) and probes the index without
+// allocating; only a new group copies the key bytes and datums out of the
+// scratch.
+func (t *aggTable) accumulate(row []datum.Datum, ctx *EvalContext, sc *execScratch) {
 	kb := sc.keyBuf[:0]
 	ks := sc.keys[:0]
-	for _, g := range plan.GroupBy {
+	for _, g := range t.plan.GroupBy {
 		v := Eval(g, row, ctx)
 		ks = append(ks, v)
 		kb = v.AppendTo(kb)
@@ -660,14 +705,15 @@ func (e *Engine) accumulate(plan *PhysicalPlan, row []datum.Datum, aggs map[stri
 		}
 	}
 	sc.keyBuf, sc.keys = kb, ks
-	state, ok := aggs[string(kb)]
-	if !ok {
-		keys := sc.arena.alloc(len(ks))
-		copy(keys, ks)
-		state = newAggState(len(plan.Aggs), keys)
-		aggs[string(kb)] = state
+	g, ok := 0, len(t.names) > 0
+	if t.index != nil {
+		g, ok = t.index[string(kb)]
 	}
-	for i, a := range plan.Aggs {
+	if !ok {
+		g = t.add(string(kb), ks)
+	}
+	cells, vals := t.state(g)
+	for i, a := range t.plan.Aggs {
 		var v datum.Datum
 		if a.Arg != nil {
 			v = Eval(a.Arg, row, ctx)
@@ -675,123 +721,144 @@ func (e *Engine) accumulate(plan *PhysicalPlan, row []datum.Datum, aggs map[stri
 				continue // SQL aggregates skip NULLs
 			}
 		}
+		c := &cells[i]
 		switch a.Func {
 		case AggCount:
-			state.counts[i]++
+			c.count++
 		case AggSum, AggAvg:
 			if f, ok := v.AsFloat(); ok {
-				state.sums[i] += f
-				state.counts[i]++
+				c.sum += f
+				c.count++
 			}
 		case AggMin:
-			if !state.seen[i] || datum.Compare(v, state.mins[i]) < 0 {
-				state.mins[i] = v
+			if c.count == 0 || datum.Compare(v, vals[a.valSlot]) < 0 {
+				vals[a.valSlot] = v
 			}
+			c.count++
 		case AggMax:
-			if !state.seen[i] || datum.Compare(v, state.maxs[i]) > 0 {
-				state.maxs[i] = v
+			if c.count == 0 || datum.Compare(v, vals[a.valSlot]) > 0 {
+				vals[a.valSlot] = v
 			}
+			c.count++
 		}
-		state.seen[i] = true
 	}
 }
 
-// finalizeAggregate merges per-partition partial states, produces the
-// post-aggregation rows, evaluates projections and sort keys over them.
-func (e *Engine) finalizeAggregate(plan *PhysicalPlan, parts []partResult, m *Metrics) ([][]datum.Datum, error) {
-	merged := make(map[string]*aggState)
-	var order []string
-	for _, p := range parts {
-		for key, st := range p.aggs {
-			m.RowOps.Add(1)
-			dst, ok := merged[key]
-			if !ok {
-				merged[key] = st
-				order = append(order, key)
-				continue
-			}
-			for i, a := range plan.Aggs {
-				switch a.Func {
-				case AggCount:
-					dst.counts[i] += st.counts[i]
-				case AggSum, AggAvg:
-					dst.sums[i] += st.sums[i]
-					dst.counts[i] += st.counts[i]
-				case AggMin:
-					if st.seen[i] && (!dst.seen[i] || datum.Compare(st.mins[i], dst.mins[i]) < 0) {
-						dst.mins[i] = st.mins[i]
-					}
-				case AggMax:
-					if st.seen[i] && (!dst.seen[i] || datum.Compare(st.maxs[i], dst.maxs[i]) > 0) {
-						dst.maxs[i] = st.maxs[i]
-					}
+// merge folds src's groups into t in src's arrival order. A group t has not
+// seen takes src's state as it stands, not zero plus it, which would turn a
+// partial sum of -0 into +0.
+func (t *aggTable) merge(src *aggTable) {
+	nKeys := len(t.plan.GroupBy)
+	for sg, name := range src.names {
+		from, fromVals := src.state(sg)
+		g, ok := 0, len(t.names) > 0
+		if t.index != nil {
+			g, ok = t.index[name]
+		}
+		if !ok {
+			g = t.add(name, src.keys[sg*nKeys:][:nKeys])
+		}
+		cells, vals := t.state(g)
+		if !ok {
+			copy(cells, from)
+			copy(vals, fromVals)
+			continue
+		}
+		for i, a := range t.plan.Aggs {
+			switch a.Func {
+			case AggMin:
+				if from[i].count > 0 && (cells[i].count == 0 || datum.Compare(fromVals[a.valSlot], vals[a.valSlot]) < 0) {
+					vals[a.valSlot] = fromVals[a.valSlot]
 				}
-				dst.seen[i] = dst.seen[i] || st.seen[i]
+			case AggMax:
+				if from[i].count > 0 && (cells[i].count == 0 || datum.Compare(fromVals[a.valSlot], vals[a.valSlot]) > 0) {
+					vals[a.valSlot] = fromVals[a.valSlot]
+				}
 			}
+			cells[i].count += from[i].count
+			cells[i].sum += from[i].sum
 		}
 	}
-	// Global aggregation with no input rows still yields one row.
-	if len(plan.GroupBy) == 0 && len(order) == 0 {
-		key := ""
-		merged[key] = newAggState(len(plan.Aggs), nil)
-		order = append(order, key)
+}
+
+// result is aggregate i's final value for group g.
+func (t *aggTable) result(g, i int) datum.Datum {
+	cells, vals := t.state(g)
+	a, c := t.plan.Aggs[i], cells[i]
+	switch a.Func {
+	case AggCount:
+		return datum.Int(c.count)
+	case AggSum, AggAvg:
+		if c.count == 0 {
+			return datum.NullOf(datum.TypeFloat64)
+		}
+		if a.Func == AggAvg {
+			return datum.Float(c.sum / float64(c.count))
+		}
+		return datum.Float(c.sum)
 	}
-	sort.Strings(order) // deterministic group order pre-sort
+	if c.count == 0 {
+		return datum.NullOf(datum.TypeString)
+	}
+	return vals[a.valSlot]
+}
+
+// finalizeAggregate merges the partitions' tables into the first one, then
+// produces the post-aggregation rows and evaluates HAVING, the projections and
+// the sort keys over them. The merge runs in split order, so a group's
+// partial sums are added in split order whatever the parallelism and a float
+// SUM comes out bit for bit the same.
+func (e *Engine) finalizeAggregate(plan *PhysicalPlan, parts []partResult, m *Metrics) [][]datum.Datum {
+	var t *aggTable
+	for _, p := range parts {
+		m.RowOps.Add(int64(len(p.aggs.names)))
+		if t == nil {
+			t = p.aggs
+		} else {
+			t.merge(p.aggs)
+		}
+	}
+	if t == nil {
+		t = newAggTable(plan, 0)
+	}
+	// Global aggregation with no input rows still yields one row.
+	if len(plan.GroupBy) == 0 && len(t.names) == 0 {
+		t.add("", nil)
+	}
+	order := make([]int, len(t.names))
+	for g := range order {
+		order[g] = g
+	}
+	// Deterministic group order before any ORDER BY.
+	slices.SortFunc(order, func(a, b int) int { return strings.Compare(t.names[a], t.names[b]) })
 
 	ctx := &EvalContext{Metrics: m}
-	var out [][]datum.Datum
-	for _, key := range order {
-		st := merged[key]
-		post := make([]datum.Datum, 0, len(plan.GroupBy)+len(plan.Aggs))
-		post = append(post, st.groupKeys...)
-		for i, a := range plan.Aggs {
-			post = append(post, finalizeAgg(a.Func, st, i))
+	nKeys := len(plan.GroupBy)
+	post := make([]datum.Datum, nKeys+len(plan.Aggs))
+	// Sort keys for agg plans are evaluated over post rows and stored after
+	// the visible columns; sortRows slices them back off.
+	width := len(plan.Items) + len(plan.OrderBy)
+	arena := datumArena{next: min(len(order)*width, maxArenaChunkDatums)}
+	out := make([][]datum.Datum, 0, len(order))
+	for _, g := range order {
+		copy(post, t.keys[g*nKeys:][:nKeys])
+		for i := range plan.Aggs {
+			post[nKeys+i] = t.result(g, i)
 		}
 		if plan.Having != nil && !Truthy(Eval(plan.Having, post, ctx)) {
 			continue
 		}
-		outRow := make([]datum.Datum, len(plan.Items))
+		outRow := arena.alloc(width)
 		for i, it := range plan.Items {
 			outRow[i] = Eval(it.Expr, post, ctx)
 		}
-		// Sort keys for agg plans are evaluated over post rows and stored
-		// by appending them after the visible columns; sortRows slices
-		// them back off.
-		for _, o := range plan.OrderBy {
-			outRow = append(outRow, Eval(o.Expr, post, ctx))
+		for i, o := range plan.OrderBy {
+			outRow[len(plan.Items)+i] = Eval(o.Expr, post, ctx)
 		}
 		out = append(out, outRow)
 		m.RowOps.Add(1)
 	}
-	return out, nil
-}
-
-func finalizeAgg(f AggFunc, st *aggState, i int) datum.Datum {
-	switch f {
-	case AggCount:
-		return datum.Int(st.counts[i])
-	case AggSum:
-		if st.counts[i] == 0 {
-			return datum.NullOf(datum.TypeFloat64)
-		}
-		return datum.Float(st.sums[i])
-	case AggAvg:
-		if st.counts[i] == 0 {
-			return datum.NullOf(datum.TypeFloat64)
-		}
-		return datum.Float(st.sums[i] / float64(st.counts[i]))
-	case AggMin:
-		if !st.seen[i] {
-			return datum.NullOf(datum.TypeString)
-		}
-		return st.mins[i]
-	case AggMax:
-		if !st.seen[i] {
-			return datum.NullOf(datum.TypeString)
-		}
-		return st.maxs[i]
-	}
-	return datum.NullOf(datum.TypeString)
+	return out
 }
 
 // ---- distinct / sort / limit ----

@@ -94,6 +94,9 @@ type PhysicalPlan struct {
 
 	// aggregate indicates the aggregation path is active.
 	aggregate bool
+	// aggVals counts the MIN and MAX aggregates in Aggs: the only ones that
+	// keep a value, not just a count and a sum, per group.
+	aggVals int
 }
 
 // JoinNode describes a hash equi-join.

@@ -604,6 +604,12 @@ func (e *Engine) planAggregate(plan *PhysicalPlan, stmt *SelectStmt) error {
 		}
 		plan.Having = out
 	}
+	for _, a := range plan.Aggs {
+		if a.Func == AggMin || a.Func == AggMax {
+			a.valSlot = plan.aggVals
+			plan.aggVals++
+		}
+	}
 	return nil
 }
 

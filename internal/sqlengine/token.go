@@ -59,7 +59,8 @@ func (e *LexError) Error() string {
 
 // Lex tokenizes a SQL string.
 func Lex(input string) ([]Token, error) {
-	var toks []Token
+	// About one token per four bytes of SQL: sized once, not doubled from nil.
+	toks := make([]Token, 0, len(input)/4+1)
 	i := 0
 	for i < len(input) {
 		c := input[i]

@@ -22,6 +22,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/datum"
@@ -82,6 +83,9 @@ type tableMeta struct {
 	// only while the file is still at that version. The map dies with the
 	// tableMeta in DropTable, so a retired cache generation pins nothing.
 	footers map[string]fileFooter // key: file path
+	// snap is the last TableInfo Table built, kept for as long as the file
+	// system stays at the generation it was built from.
+	snap atomic.Pointer[TableInfo]
 }
 
 type fileFooter struct {
@@ -225,22 +229,33 @@ func (w *Warehouse) ListTables(db string) []string {
 	return out
 }
 
-// TableInfo is a read-only snapshot of table metadata.
+// TableInfo is a read-only snapshot of table metadata. Table hands the same
+// value to every caller until the file system changes, so it is shared: no
+// field, and no element of Files, may be modified. It holds only what the
+// table's registration (DB, Name, Schema, Dir) and the file system's state
+// (Files, NumRows, Bytes) determine — nothing read from a clock, which a
+// listing and a generation cannot vouch for (ask Warehouse.ModTime).
 type TableInfo struct {
 	DB      string
 	Name    string
 	Schema  orc.Schema
 	Dir     string
 	Files   []string // part files, sorted: the split order
-	ModTime time.Time
 	NumRows int64
 	Bytes   int64 // total size of the part files
+
+	// gen is the dfs generation read before the directory was listed.
+	gen uint64
 }
 
 // Table returns a snapshot of table metadata (files sorted in split order).
-// It reads no file: sizes come from the dfs listing and row counts from the
-// footers the metastore keeps. Only a part file the metastore has no current
-// footer for — one written behind its back — is opened, once per version.
+// While the file system's generation has not moved since the last call it
+// returns that call's value as is, without listing anything. Otherwise it
+// lists the directory but reads no file: sizes come from the dfs listing and
+// row counts from the footers the metastore keeps. Only a part file the
+// metastore has no current footer for — one written behind its back — is
+// opened, once per version; a snapshot missing such a part's row count
+// (the open failed, or was served mangled bytes) is returned but not kept.
 func (w *Warehouse) Table(db, table string) (*TableInfo, error) {
 	w.mu.RLock()
 	tm, ok := w.tables[key(db, table)]
@@ -248,13 +263,21 @@ func (w *Warehouse) Table(db, table string) (*TableInfo, error) {
 		w.mu.RUnlock()
 		return nil, fmt.Errorf("%w: %s", ErrNoSuchTable, key(db, table))
 	}
+	// The generation is read before the listing: a mutation that lands in
+	// between leaves a snapshot filed under a generation already past, which
+	// is rebuilt on the next call rather than served stale.
+	gen := w.fs.Generation()
+	if snap := tm.snap.Load(); snap != nil && snap.gen == gen {
+		w.mu.RUnlock()
+		return snap, nil
+	}
 	listed := w.fs.ListFiles(tm.dir)
 	info := &TableInfo{
 		DB: db, Name: table,
-		Schema:  tm.schema,
-		Dir:     tm.dir,
-		Files:   make([]string, len(listed)),
-		ModTime: tm.modTime,
+		Schema: tm.schema,
+		Dir:    tm.dir,
+		Files:  make([]string, len(listed)),
+		gen:    gen,
 	}
 	var unknown []string
 	for i, f := range listed {
@@ -267,11 +290,17 @@ func (w *Warehouse) Table(db, table string) (*TableInfo, error) {
 		}
 	}
 	w.mu.RUnlock()
+	resolved := true
 	for _, f := range unknown {
 		// An unreadable file counts no rows, as a scan would return none.
-		if r, err := w.OpenFile(f); err == nil {
+		r, view, err := w.OpenFileView(f)
+		if err == nil {
 			info.NumRows += r.NumRows()
 		}
+		resolved = resolved && err == nil && view.Stored
+	}
+	if resolved {
+		tm.snap.Store(info)
 	}
 	return info, nil
 }

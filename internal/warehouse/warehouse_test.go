@@ -639,9 +639,13 @@ func TestLinkPartSharesBytesAndFooter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	modTime, err := w.ModTime("db", "g2")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(parts) != 2 || parts[1] != part || info.Files[1] != part.Name ||
-		!strings.HasSuffix(part.Name, "/g2/part-00001.orc") || info.NumRows != 9 || !info.ModTime.Equal(clock.Now()) {
-		t.Errorf("after the link: parts %+v, %d rows, modified %v; linked %+v", parts, info.NumRows, info.ModTime, part)
+		!strings.HasSuffix(part.Name, "/g2/part-00001.orc") || info.NumRows != 9 || !modTime.Equal(clock.Now()) {
+		t.Errorf("after the link: parts %+v, %d rows, modified %v; linked %+v", parts, info.NumRows, modTime, part)
 	}
 	if st := w.FS().Stats(); st.Opens != 0 {
 		t.Errorf("Table() opened %d files: the link did not bring its footer", st.Opens)
@@ -757,4 +761,167 @@ func TestLinkOfAnUnknownVersionParsesItsOwnFooter(t *testing.T) {
 	if r.NumRows() != 9 {
 		t.Errorf("the link reads %d rows through a stale footer, want 9", r.NumRows())
 	}
+}
+
+// Table() on an unchanged file system is a lookup: the same *TableInfo every
+// time, nothing listed, nothing allocated. (It was 22 listings per cached
+// query: the planner's, and two per split from the combined scan factory.)
+func TestTableAllocsNothingWhileUnchanged(t *testing.T) {
+	w, _ := newTestWarehouse()
+	w.CreateDatabase("db")
+	if err := w.CreateTable("db", "t", saleSchema); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := w.AppendRows("db", "t", saleRows(2, "20190101")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, err := w.Table("db", "t")
+	if err != nil || len(first.Files) != 3 || first.NumRows != 6 {
+		t.Fatalf("Table = %+v, %v", first, err)
+	}
+	var got *TableInfo
+	if n := testing.AllocsPerRun(100, func() { got, _ = w.Table("db", "t") }); n != 0 {
+		t.Errorf("Table() on an unchanged file system allocates %v times, want 0", n)
+	}
+	if got != first {
+		t.Error("Table() on an unchanged file system built a new TableInfo")
+	}
+}
+
+// The kept TableInfo is served only while nothing on the file system changed:
+// every way a table's files can change — through the warehouse or behind its
+// back — shows in the next Table(), which is then kept in turn. A listing
+// whose row count is incomplete because a part could not be opened is never
+// kept, so a passing fault is not remembered.
+func TestTableSeesEveryChange(t *testing.T) {
+	w, _ := newTestWarehouse()
+	w.CreateDatabase("db")
+	for _, name := range []string{"t", "src"} {
+		if err := w.CreateTable("db", name, saleSchema); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src, err := w.AppendRows("db", "src", saleRows(5, "20190101"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	encoded, err := orc.WriteRows(saleSchema, saleRows(4, "20190102"), w.WriterOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first string
+	foreign := "/warehouse/db/t/part-90000.orc"
+	steps := []struct {
+		name        string
+		do          func() error
+		files, rows int64
+	}{
+		{"AppendRows", func() (err error) { first, err = w.AppendRows("db", "t", saleRows(3, "20190101")); return }, 1, 3},
+		{"AppendEncoded", func() error { _, err := w.AppendEncoded("db", "t", encoded); return err }, 2, 7},
+		{"LinkPart", func() error { _, err := w.LinkPart("db", "t", src); return err }, 3, 12},
+		{"RewriteFile", func() error { return w.RewriteFile("db", "t", first, saleRows(1, "20190101")) }, 3, 10},
+		{"a part written through dfs", func() error { return w.FS().WriteFile(foreign, encoded) }, 4, 14},
+		{"a part deleted through dfs", func() error { return w.FS().Delete(foreign) }, 3, 10},
+		{"a change to another table", func() error { _, err := w.AppendRows("db", "src", saleRows(1, "20190102")); return err }, 3, 10},
+		{"DropTable+CreateTable", func() error {
+			if err := w.DropTable("db", "t"); err != nil {
+				return err
+			}
+			return w.CreateTable("db", "t", saleSchema)
+		}, 0, 0},
+	}
+	prev, err := w.Table("db", "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range steps {
+		if err := s.do(); err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		info, err := w.Table("db", "t")
+		if err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		if info == prev || int64(len(info.Files)) != s.files || info.NumRows != s.rows {
+			t.Errorf("after %s: same TableInfo %v, %d files and %d rows, want a new one with %d and %d",
+				s.name, info == prev, len(info.Files), info.NumRows, s.files, s.rows)
+		}
+		if again, _ := w.Table("db", "t"); again != info {
+			t.Errorf("after %s: the new TableInfo was not kept", s.name)
+		}
+		prev = info
+	}
+
+	// A part the metastore has no footer for, unreadable for now.
+	if err := w.FS().WriteFile(foreign, encoded); err != nil {
+		t.Fatal(err)
+	}
+	inj := fault.New(1)
+	inj.Add(fault.Rule{Pattern: foreign, Op: fault.OpOpen, Kind: fault.KindError})
+	w.FS().SetInjector(inj)
+	failed, err := w.Table("db", "t")
+	if err != nil || len(failed.Files) != 1 || failed.NumRows != 0 {
+		t.Fatalf("Table with an unreadable part = %+v, %v", failed, err)
+	}
+	if again, _ := w.Table("db", "t"); again == failed {
+		t.Error("a TableInfo missing an unreadable part's rows was kept")
+	}
+	w.FS().SetInjector(nil)
+	healed, err := w.Table("db", "t")
+	if err != nil || healed.NumRows != 4 {
+		t.Fatalf("Table after the fault = %+v, %v", healed, err)
+	}
+	if again, _ := w.Table("db", "t"); again != healed {
+		t.Error("the complete TableInfo was not kept")
+	}
+}
+
+// Readers call Table() while a writer appends; run with -race. Whatever a
+// reader gets is one listing, whole (two rows per file it names), never goes
+// backwards, and the first call after the last append sees every part.
+func TestTableConcurrentWithAppends(t *testing.T) {
+	w, _ := newTestWarehouse()
+	w.CreateDatabase("db")
+	if err := w.CreateTable("db", "t", saleSchema); err != nil {
+		t.Fatal(err)
+	}
+	const parts = 40
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			seen := 0
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				info, err := w.Table("db", "t")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if info.NumRows != int64(2*len(info.Files)) || len(info.Files) < seen {
+					t.Errorf("Table = %d files (after %d), %d rows", len(info.Files), seen, info.NumRows)
+					return
+				}
+				seen = len(info.Files)
+			}
+		}()
+	}
+	for i := 0; i < parts; i++ {
+		if _, err := w.AppendRows("db", "t", saleRows(2, "20190101")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if info, err := w.Table("db", "t"); err != nil || len(info.Files) != parts {
+		t.Errorf("Table after the last append = %d files, %v; want %d", len(info.Files), err, parts)
+	}
+	close(done)
+	wg.Wait()
 }
