@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
+	"time"
 	"unsafe"
 
 	"repro/internal/datum"
@@ -164,5 +166,85 @@ func TestNothingKeptAliasesAStoredFile(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestExtractedRowsSurviveRewriteAndDrop is the lifetime rule of extracted
+// values (DESIGN.md "JSON extraction") seen from a query: a scalar the
+// extractor hands out is a view of the document, which is a view of the part
+// file, whose stored bytes dfs never writes again. A raw-lane query and a
+// fallback-raw query are executed, then every part file of the table is
+// rewritten with other rows and the table dropped, and only then is the
+// result read: it holds the rows the query saw, to the byte.
+func TestExtractedRowsSurviveRewriteAndDrop(t *testing.T) {
+	const sql = `SELECT date, get_json_object(sale_logs, '$.item_name') n,
+		get_json_object(sale_logs, '$.turnover') tv, get_json_object(sale_logs, '$.price') p
+		FROM mydb.t ORDER BY date`
+	appended := [][]datum.Datum{{datum.Str("0001"), datum.Str("20190201"),
+		datum.Str(`{"item_id":32,"item_name":"late \"item\"","sale_count":1,"turnover":320,"price":3}`)}}
+
+	for _, lane := range []struct {
+		mode  string
+		setup func(t *testing.T, f *fixture, m *Maxson)
+	}{
+		{"raw", func(*testing.T, *fixture, *Maxson) {}},
+		{"fallback-raw", func(t *testing.T, f *fixture, m *Maxson) {
+			// A part file appended after populate: its split is parsed raw
+			// by the combiner's fallback source.
+			cachePaths(t, m, "$.turnover")
+			if _, err := f.wh.AppendRows("mydb", "t", appended); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(lane.mode, func(t *testing.T) {
+			// The reference: a plain engine over a twin warehouse, rendered
+			// into one fresh string before anything is mutated.
+			twin := newFixture(t)
+			if lane.mode == "fallback-raw" {
+				if _, err := twin.wh.AppendRows("mydb", "t", appended); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ref, _, err := twin.engine.QueryCtx(context.Background(), sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := fmt.Sprint(ref.Rows)
+
+			f := newFixture(t)
+			m := New(f.engine, Config{BudgetBytes: 1 << 30, DefaultDB: "mydb"})
+			lane.setup(t, f, m)
+			rs, metrics, err := m.QueryCtx(context.Background(), sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := metrics.PlanModeString(); got != lane.mode {
+				t.Fatalf("plan mode %s, want %s", got, lane.mode)
+			}
+			if metrics.Parse.Docs.Load() == 0 {
+				t.Fatal("the query parsed no document: nothing was extracted")
+			}
+
+			info, err := f.wh.Table("mydb", "t")
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.clock.Advance(time.Hour)
+			for i, file := range info.Files {
+				other := [][]datum.Datum{{datum.Str("9999"), datum.Str(fmt.Sprintf("2099010%d", i)),
+					datum.Str(`{"item_id":0,"item_name":"REWRITTEN","sale_count":0,"turnover":-1,"price":-1}`)}}
+				if err := f.wh.RewriteFile("mydb", "t", file, other); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := f.wh.DropTable("mydb", "t"); err != nil {
+				t.Fatal(err)
+			}
+
+			if got := fmt.Sprint(rs.Rows); got != want {
+				t.Errorf("rows read after rewrite and drop:\n got %s\nwant %s", got, want)
+			}
+		})
 	}
 }

@@ -15,6 +15,10 @@ import (
 // desyncs; the extractor is allowed to succeed there (early exit stops
 // validating once every path is resolved).
 //
+// The kernel scans a string; PathSet.Extract and Parser.Parse are its []byte
+// doors, which copy once and call it. Both doors are driven too and must
+// agree with the string kernel on every value, on scanned and on the error.
+//
 // pathSpec is a ';'-separated list of JSONPath expressions; entries that do
 // not compile are dropped.
 func FuzzExtractEquivalence(f *testing.F) {
@@ -48,6 +52,16 @@ func FuzzExtractEquivalence(f *testing.F) {
 	f.Add(`[1, "two", null]`, "$;$[1]")
 	f.Add(`"scalar"`, "$;$.a")
 	f.Add(`{"a": 1} x`, "$;$.a")
+	// Escape seeds: the values the kernel cannot hand out as views of the
+	// document — escaped strings and keys, \u in both cases, surrogate pairs
+	// and a lone surrogate — and the short and invalid escapes it must reject.
+	f.Add(`{"s": "tab\there", "u": "\u00e9\u00C9", "p": "\ud83d\uDE00", "l": "\ud83d!", "n": -12}`, "$.s;$.u;$.p;$.l;$.n")
+	f.Add(`{"k\u0065y": "escaped key", "key": "plain key", "q\"": 1}`, "$.key;$['q\"']")
+	f.Add(`{"a": ["x\\y", "\/", "\b\f\r"], "b": "plain"}`, "$.a[*];$.a[1];$.b;$")
+	f.Add(`{"a": "\u12"}`, "$.a")
+	f.Add(`{"a": "\u12G4", "b": 1}`, "$.b;$.a")
+	f.Add(`{"a": "\ud83d\u00"}`, "$.a")
+	f.Add(`{"a": "bad \q"}`, "$.a")
 
 	f.Fuzz(func(t *testing.T, doc string, pathSpec string) {
 		var paths []*Path
@@ -71,7 +85,7 @@ func FuzzExtractEquivalence(f *testing.F) {
 
 		var parser sjson.Parser
 		out := make([]*sjson.Value, len(paths))
-		scanned, extractErr := set.Extract(&parser, []byte(doc), out)
+		scanned, extractErr := set.extract(&parser, doc, out)
 		if scanned < 0 || scanned > len(doc) {
 			t.Fatalf("scanned %d out of range [0, %d]", scanned, len(doc))
 		}
@@ -81,7 +95,25 @@ func FuzzExtractEquivalence(f *testing.F) {
 				st.BytesScanned, st.BytesSkipped, len(doc))
 		}
 
+		var byteParser sjson.Parser
+		byteOut := make([]*sjson.Value, len(paths))
+		byteScanned, byteErr := set.Extract(&byteParser, []byte(doc), byteOut)
+		if byteScanned != scanned || errText(byteErr) != errText(extractErr) || byteParser.Stats() != st {
+			t.Fatalf("[]byte door: scanned %d err %v stats %+v, string kernel: scanned %d err %v stats %+v\ndoc: %q",
+				byteScanned, byteErr, byteParser.Stats(), scanned, extractErr, st, doc)
+		}
+		for i, p := range paths {
+			if (out[i] == nil) != (byteOut[i] == nil) || !sjson.Equal(out[i], byteOut[i]) || out[i].Scalar() != byteOut[i].Scalar() {
+				t.Fatalf("path %s: []byte door %q, string kernel %q\ndoc: %q", p, byteOut[i].Scalar(), out[i].Scalar(), doc)
+			}
+		}
+
 		root, parseErr := sjson.ParseString(doc)
+		byteRoot, byteParseErr := sjson.Parse([]byte(doc))
+		if errText(byteParseErr) != errText(parseErr) || (parseErr == nil && sjson.Serialize(byteRoot) != sjson.Serialize(root)) {
+			t.Fatalf("Parse([]byte) = (%s, %v), ParseString = (%s, %v)\ndoc: %q",
+				byteRoot.Scalar(), byteParseErr, root.Scalar(), parseErr, doc)
+		}
 		if parseErr != nil {
 			// The tree parser rejects the document. The extractor may reject
 			// it too, or may have resolved everything before reaching the
@@ -120,4 +152,11 @@ func FuzzExtractEquivalence(f *testing.F) {
 			}
 		}
 	})
+}
+
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
 }

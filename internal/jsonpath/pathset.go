@@ -129,7 +129,16 @@ func (s *PathSet) Paths() []*Path { return s.paths }
 // returns the number of bytes actually scanned (early exit leaves the tail
 // untouched; the parser's ParseStats meter the skipped bytes). On a syntax
 // error in the scanned region every out entry is nil.
+//
+// This is the []byte door, for callers that hold bytes they may overwrite:
+// doc is copied into a string once, here, and the values view that copy.
+// Production code holds documents as strings and goes through Extractor,
+// which copies nothing.
 func (s *PathSet) Extract(p *sjson.Parser, doc []byte, out []*sjson.Value) (scanned int, err error) {
+	return s.extract(p, string(doc), out)
+}
+
+func (s *PathSet) extract(p *sjson.Parser, doc string, out []*sjson.Value) (scanned int, err error) {
 	if len(out) < len(s.paths) {
 		return 0, fmt.Errorf("jsonpath: Extract out has %d slots, need %d", len(out), len(s.paths))
 	}
@@ -151,15 +160,20 @@ func (s *PathSet) Extract(p *sjson.Parser, doc []byte, out []*sjson.Value) (scan
 }
 
 // Extractor is the one way production code runs a PathSet over documents.
-// It owns the parser's value arena, the document buffer and the value slots,
-// recycles all three on every Extract, and hands callers only scalars — so
-// an arena pointer cannot outlive the document it was parsed from. Callers
-// meter their own work from the scanned count Extract returns. An Extractor
-// is not safe for concurrent use; the PathSet it runs may be shared.
+// It owns the parser's value arena and the value slots, recycles both on
+// every Extract, and hands callers only scalars — so an arena pointer cannot
+// outlive the document it was parsed from. It scans the document where it
+// lies and copies none of it: a scalar it returns is either a view of the
+// document the caller passed in (an escape-free string, an integer literal),
+// valid as long as that document's bytes are — which the caller already
+// owns, and which for a warehouse document are an immutable part file — or a
+// fresh string (a string with escapes, a re-rendered float, a compact
+// composite). Whoever keeps a scalar past the query it answered clones it.
+// Callers meter their own work from the scanned count Extract returns. An
+// Extractor is not safe for concurrent use; the PathSet it runs may be shared.
 type Extractor struct {
 	set    *PathSet
 	parser sjson.Parser
-	buf    []byte
 	vals   []*sjson.Value
 	doc    string // the document vals belong to
 	loaded bool
@@ -176,10 +190,10 @@ func NewExtractor(set *PathSet) *Extractor {
 // bytes actually scanned (early exit leaves the tail untouched).
 func (x *Extractor) Extract(doc string) (scanned int) {
 	x.parser.ResetValues()
-	x.buf = append(x.buf[:0], doc...)
 	// x.vals points into the parser's arena: the ResetValues above retires it
-	// before every refill, and only Scalar reads it, copying the value out.
-	scanned, x.err = x.set.Extract(&x.parser, x.buf, x.vals)
+	// before every refill, and only Scalar reads it, handing out strings that
+	// do not point into the arena.
+	scanned, x.err = x.set.extract(&x.parser, doc, x.vals)
 	x.doc, x.loaded = doc, true
 	return scanned
 }

@@ -2,8 +2,10 @@ package jsonpath
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/sjson"
 )
@@ -205,6 +207,75 @@ func TestExtractorReuse(t *testing.T) {
 		for i, want := range tc.want {
 			if got, ok := x.Scalar(i); got != want || ok != (want != "") {
 				t.Errorf("doc %s path %d: got (%q, %v), want %q", tc.doc, i, got, ok, want)
+			}
+		}
+	}
+}
+
+// within reports whether s is a substring of doc by address: the same
+// backing bytes, not an equal copy.
+func within(doc, s string) bool {
+	if len(s) == 0 {
+		return true
+	}
+	d, p := uintptr(unsafe.Pointer(unsafe.StringData(doc))), uintptr(unsafe.Pointer(unsafe.StringData(s)))
+	return p >= d && p+uintptr(len(s)) <= d+uintptr(len(doc))
+}
+
+// TestExtractedScalarsOutliveTheExtractor is the Extractor's lifetime
+// contract: a scalar it hands out depends on the document's bytes and on
+// nothing the extractor recycles. Scalars read from document N are unchanged
+// after the extractor has scanned every later document — arena nodes and
+// scratch buffer reused many times over — and after the extractor is gone;
+// and a value the document spelled without escapes is a view of the document
+// (same backing bytes), everything else a fresh string.
+func TestExtractedScalarsOutliveTheExtractor(t *testing.T) {
+	exprs := []string{"$.s", "$.n", "$.esc", "$.f", "$.o", "$.t", "$.arr[*].k"}
+	paths := make([]*Path, len(exprs))
+	for i, e := range exprs {
+		paths[i] = MustCompile(e)
+	}
+	x := NewExtractor(MustPathSet(paths...))
+
+	type kept struct {
+		doc  string
+		got  [7]string
+		want [7]string
+	}
+	var docs []kept
+	for i := 0; i < 40; i++ {
+		tag := strings.Repeat(string(rune('a'+i%26)), 1+i%7)
+		num := strings.Repeat("9", 1+i%19)
+		docs = append(docs, kept{
+			// strings.Clone: each document is its own heap object, as a row
+			// read from a part file is its own region of the file.
+			doc: strings.Clone(`{"s": "` + tag + `", "n": -` + num + `, "esc": "` + tag + `\né", "f": 1.50, ` +
+				`"o": {"k": "` + tag + `", "z": [1, null]}, "t": false, "arr": [{"k": "` + tag + `"}, {"k": 2}], "tail": "unread"}`),
+			want: [7]string{tag, "-" + num, tag + "\né", "1.5", `{"k":"` + tag + `","z":[1,null]}`, "false", `["` + tag + `",2]`},
+		})
+	}
+	for i := range docs {
+		x.Extract(docs[i].doc)
+		if err := x.Err(); err != nil {
+			t.Fatal(err)
+		}
+		for p := range paths {
+			docs[i].got[p], _ = x.Scalar(p)
+		}
+	}
+	x = nil
+	runtime.GC()
+
+	for _, d := range docs {
+		if d.got != d.want {
+			t.Fatalf("scalars of %s\n changed after later documents: %q\n want %q", d.doc, d.got, d.want)
+		}
+		for p, e := range exprs {
+			// The escape-free string and the integer are views, the rest
+			// fresh; "false" is a constant of the program, neither.
+			view := e == "$.s" || e == "$.n"
+			if e != "$.t" && within(d.doc, d.got[p]) != view {
+				t.Errorf("%s = %q: view of the document = %v, want %v", exprs[p], d.got[p], !view, view)
 			}
 		}
 	}

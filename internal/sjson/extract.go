@@ -167,15 +167,15 @@ func (n *ExtractNode) appendSlots(slots []int) []int {
 // lookupMember resolves an object key to its trie ordinal and child without
 // allocating. The returned ordinal indexes the per-object seen set that gives
 // duplicate keys first-occurrence-wins semantics, matching Value.Get.
-func (n *ExtractNode) lookupMember(key []byte) (int, *ExtractNode) {
+func (n *ExtractNode) lookupMember(key string) (int, *ExtractNode) {
 	if n.memberIdx != nil {
-		if i, ok := n.memberIdx[string(key)]; ok {
+		if i, ok := n.memberIdx[key]; ok {
 			return i, n.members[i].child
 		}
 		return -1, nil
 	}
 	for i := range n.members {
-		if n.members[i].name == string(key) {
+		if n.members[i].name == key {
 			return i, n.members[i].child
 		}
 	}
@@ -213,7 +213,11 @@ func (n *ExtractNode) elemChild(i int) *ExtractNode {
 // extractor never needs to descend into may go undetected where Parse would
 // report an error. Materialized subtrees get the full parser, so extracted
 // values are byte-for-byte what Parse would have produced.
-func (p *Parser) Extract(data []byte, trie *ExtractNode, out []*Value) (scanned int, err error) {
+//
+// data is scanned where it lies: the strings inside the values written to out
+// are substrings of data wherever the document spelled them without escapes
+// (see Parser), so out is valid only while data's bytes are.
+func (p *Parser) Extract(data string, trie *ExtractNode, out []*Value) (scanned int, err error) {
 	for i := range out {
 		out[i] = nil
 	}
@@ -224,6 +228,9 @@ func (p *Parser) Extract(data []byte, trie *ExtractNode, out []*Value) (scanned 
 		p.stats.BytesSkipped += int64(len(data))
 		p.stats.Documents++
 		return 0, nil
+	}
+	if p.firstSlab == 0 {
+		p.firstSlab = trie.nTerms
 	}
 	r := extractRun{p: p, out: out, remaining: trie.nTerms}
 	p.skipSpace()
@@ -492,7 +499,9 @@ func (r *extractRun) object(n *ExtractNode, governed bool) error {
 			if p.pos >= len(p.data) || p.data[p.pos] != '"' {
 				return p.errf("expected object key string")
 			}
-			key, err := p.scanKey()
+			// An escape-free key is a window into the input: matching it
+			// against the trie allocates nothing.
+			key, err := p.parseStringLiteral()
 			if err != nil {
 				return err
 			}
@@ -624,29 +633,6 @@ func (r *extractRun) array(n *ExtractNode, governed bool) error {
 		r.closeFrame(f, governed)
 	}
 	return nil
-}
-
-// scanKey consumes the object key string at p.pos (opening quote included)
-// and returns its bytes. Keys without escapes are returned as a window into
-// the input with zero allocation; escaped keys fall back to the full string
-// parser.
-func (p *Parser) scanKey() ([]byte, error) {
-	start := p.pos + 1
-	for i := start; i < len(p.data); i++ {
-		c := p.data[i]
-		if c == '"' {
-			p.pos = i + 1
-			return p.data[start:i], nil
-		}
-		if c == '\\' || c < 0x20 {
-			break
-		}
-	}
-	s, err := p.parseStringLiteral()
-	if err != nil {
-		return nil, err
-	}
-	return []byte(s), nil
 }
 
 // skipValue advances past one JSON value without materializing anything.

@@ -26,7 +26,7 @@ func extractOne(t *testing.T, doc string, paths ...string) ([]*Value, int) {
 	trie := buildTrie(paths...)
 	var p Parser
 	out := make([]*Value, len(paths))
-	scanned, err := p.Extract([]byte(doc), trie, out)
+	scanned, err := p.Extract(doc, trie, out)
 	if err != nil {
 		t.Fatalf("Extract(%q): %v", doc, err)
 	}
@@ -67,7 +67,7 @@ func TestExtractEarlyExit(t *testing.T) {
 	var p Parser
 	trie := buildTrie("a")
 	outArr := make([]*Value, 1)
-	if _, err := p.Extract([]byte(doc), trie, outArr); err != nil {
+	if _, err := p.Extract(doc, trie, outArr); err != nil {
 		t.Fatal(err)
 	}
 	st := p.Stats()
@@ -86,7 +86,7 @@ func TestExtractSkippedSubtreesAllocateNothing(t *testing.T) {
 	trie := buildTrie("want")
 	var p Parser
 	out := make([]*Value, 1)
-	if _, err := p.Extract([]byte(doc), trie, out); err != nil {
+	if _, err := p.Extract(doc, trie, out); err != nil {
 		t.Fatal(err)
 	}
 	if got := out[0].Scalar(); got != "7" {
@@ -141,7 +141,7 @@ func TestExtractArrayIndexes(t *testing.T) {
 	var p Parser
 	out := make([]*Value, 3)
 	doc := `{"arr": [10, 20, 30, {"x": "deep"}, 50]}`
-	if _, err := p.Extract([]byte(doc), trie, out); err != nil {
+	if _, err := p.Extract(doc, trie, out); err != nil {
 		t.Fatal(err)
 	}
 	if got := out[0].Scalar(); got != "20" {
@@ -166,7 +166,7 @@ func TestExtractKindMismatches(t *testing.T) {
 	var p Parser
 	out := make([]*Value, 3)
 	doc := `{"a": [1,2], "b": {"k": 1}, "c": "scalar"}`
-	if _, err := p.Extract([]byte(doc), trie, out); err != nil {
+	if _, err := p.Extract(doc, trie, out); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range out {
@@ -197,7 +197,7 @@ func TestExtractMalformed(t *testing.T) {
 		``, `{`, `{"a"`, `{"a": }`, `{"a": 1,,}`, `{"a": "unterminated`,
 		`{"a": tru}`, `{]`, `{"a": [}]}`, `{"a": 1} trailing`,
 	} {
-		if _, err := p.Extract([]byte(doc), trie, out); err == nil {
+		if _, err := p.Extract(doc, trie, out); err == nil {
 			t.Errorf("Extract(%q): expected error", doc)
 		}
 	}
@@ -221,13 +221,13 @@ func TestExtractDeepNestingBounded(t *testing.T) {
 	trie := buildTrie("zzz")
 	var p Parser
 	out := make([]*Value, 1)
-	if _, err := p.Extract([]byte(deep), trie, out); err == nil {
+	if _, err := p.Extract(deep, trie, out); err == nil {
 		t.Error("expected depth error for skipped deep nesting")
 	}
 	// And on the descend path too.
 	trie2 := buildTrie(strings.TrimSuffix(strings.Repeat("a.", maxDepth+8), "."))
 	out2 := make([]*Value, 1)
-	if _, err := p.Extract([]byte(deep), trie2, out2); err == nil {
+	if _, err := p.Extract(deep, trie2, out2); err == nil {
 		t.Error("expected depth error for extracted deep nesting")
 	}
 }
@@ -245,7 +245,7 @@ func TestExtractReuseAcrossDocs(t *testing.T) {
 	wantB := []string{"2", "x", ""}
 	for i, doc := range docs {
 		p.ResetValues()
-		if _, err := p.Extract([]byte(doc), trie, out); err != nil {
+		if _, err := p.Extract(doc, trie, out); err != nil {
 			t.Fatalf("doc %d: %v", i, err)
 		}
 		gotA, gotB := "", ""
@@ -282,7 +282,7 @@ func BenchmarkExtractTwoOfThirty(b *testing.B) {
 		}
 	}
 	sb.WriteString(`}`)
-	doc := []byte(sb.String())
+	doc := sb.String()
 
 	b.Run("stream", func(b *testing.B) {
 		trie := buildTrie("want1", "want2")
@@ -299,11 +299,12 @@ func BenchmarkExtractTwoOfThirty(b *testing.B) {
 	})
 	b.Run("tree", func(b *testing.B) {
 		var p Parser
+		raw := []byte(doc)
 		b.ReportAllocs()
 		b.SetBytes(int64(len(doc)))
 		for i := 0; i < b.N; i++ {
 			p.ResetValues()
-			root, err := p.Parse(doc)
+			root, err := p.Parse(raw)
 			if err != nil {
 				b.Fatal(err)
 			}

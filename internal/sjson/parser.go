@@ -39,8 +39,15 @@ func (s *ParseStats) Add(other ParseStats) {
 // to use; reusing one across documents amortizes the Value-node arena the
 // trees are built from (see ResetValues) and keeps the stats in one place.
 // Parser is not safe for concurrent use.
+//
+// The parser scans the document string where it lies and never copies it:
+// object keys, escape-free string values and integer literals in the values
+// it builds are substrings of the document, so they stay valid exactly as
+// long as the document's bytes do — which the caller that passed the
+// document in already owns. Only what must be transformed is a fresh string:
+// a string with escapes, decoded once into the parser's scratch buffer.
 type Parser struct {
-	data  []byte
+	data  string
 	pos   int
 	depth int
 	stats ParseStats
@@ -51,6 +58,14 @@ type Parser struct {
 	slabs [][]Value
 	cur   int
 	used  int
+	// firstSlab is the size of slabs[0], fixed by whoever grows the arena
+	// first: minSlabValues for a tree parse, the trie's terminal count for
+	// Extract.
+	firstSlab int
+
+	// scratch is where parseStringLiteral decodes a string with escapes, so
+	// such a string costs one allocation (the result), not a growing buffer.
+	scratch []byte
 
 	// skipStack is the bracket stack skipComposite reuses across skips so
 	// streaming extraction never allocates for skipped subtrees.
@@ -65,8 +80,10 @@ type Parser struct {
 // maxDepth bounds nesting so hostile inputs cannot overflow the stack.
 const maxDepth = 512
 
-// Arena slab sizing: the first slab is small so one-off parses stay cheap;
-// slabs double up to a cap that keeps reuse effective for large documents.
+// Arena slab sizing: the first slab is small so one-off parses stay cheap
+// (Extract makes it smaller still: one node per requested path, which is all
+// a set of scalar paths ever uses); slabs double up to a cap that keeps reuse
+// effective for large documents.
 const (
 	minSlabValues = 16
 	maxSlabValues = 4096
@@ -79,8 +96,11 @@ func (p *Parser) newValue() *Value {
 		p.used = 0
 	}
 	if p.cur >= len(p.slabs) {
-		size := minSlabValues << len(p.slabs)
-		if size > maxSlabValues {
+		if p.firstSlab == 0 {
+			p.firstSlab = minSlabValues
+		}
+		size := p.firstSlab << len(p.slabs)
+		if size > maxSlabValues || size <= 0 { // <= 0: the shift overflowed
 			size = maxSlabValues
 		}
 		p.slabs = append(p.slabs, make([]Value, size))
@@ -108,11 +128,19 @@ func Parse(data []byte) (*Value, error) {
 	return p.Parse(data)
 }
 
-// ParseString is Parse for string input.
-func ParseString(s string) (*Value, error) { return Parse([]byte(s)) }
+// ParseString is Parse for string input; the tree's keys and escape-free
+// strings are substrings of s.
+func ParseString(s string) (*Value, error) {
+	var p Parser
+	return p.parse(s)
+}
 
-// Parse parses one document and accumulates stats on the receiver.
-func (p *Parser) Parse(data []byte) (*Value, error) {
+// Parse parses one document and accumulates stats on the receiver. This is
+// the []byte door: data is copied into a string once, here, and the tree
+// views that copy.
+func (p *Parser) Parse(data []byte) (*Value, error) { return p.parse(string(data)) }
+
+func (p *Parser) parse(data string) (*Value, error) {
 	p.data = data
 	p.pos = 0
 	p.depth = 0
@@ -196,7 +224,7 @@ func (p *Parser) parseValue() (*Value, error) {
 }
 
 func (p *Parser) expect(lit string) error {
-	if p.pos+len(lit) > len(p.data) || string(p.data[p.pos:p.pos+len(lit)]) != lit {
+	if p.pos+len(lit) > len(p.data) || p.data[p.pos:p.pos+len(lit)] != lit {
 		return p.errf("invalid literal, expected %q", lit)
 	}
 	p.pos += len(lit)
@@ -300,7 +328,7 @@ func (p *Parser) parseStringLiteral() (string, error) {
 	for p.pos < len(p.data) {
 		c := p.data[p.pos]
 		if c == '"' {
-			s := string(p.data[start:p.pos])
+			s := p.data[start:p.pos] // a view of the document
 			p.pos++
 			return s, nil
 		}
@@ -309,14 +337,15 @@ func (p *Parser) parseStringLiteral() (string, error) {
 		}
 		p.pos++
 	}
-	// Slow path: handle escapes.
-	buf := make([]byte, p.pos-start, (p.pos-start)+16)
-	copy(buf, p.data[start:p.pos])
+	// Slow path: decode the escapes into the parser's scratch buffer; the
+	// result is the one allocation an escaped string costs.
+	buf := append(p.scratch[:0], p.data[start:p.pos]...)
 	for p.pos < len(p.data) {
 		c := p.data[p.pos]
 		switch {
 		case c == '"':
 			p.pos++
+			p.scratch = buf
 			return string(buf), nil
 		case c < 0x20:
 			return "", p.errf("unescaped control character in string")
@@ -361,9 +390,7 @@ func (p *Parser) parseStringLiteral() (string, error) {
 						r = utf8.RuneError
 					}
 				}
-				var tmp [utf8.UTFMax]byte
-				n := utf8.EncodeRune(tmp[:], r)
-				buf = append(buf, tmp[:n]...)
+				buf = utf8.AppendRune(buf, r)
 			default:
 				return "", p.errf("invalid escape character %q", esc)
 			}
@@ -379,12 +406,23 @@ func (p *Parser) parseHexRune() (rune, error) {
 	if p.pos+4 > len(p.data) {
 		return 0, p.errf("truncated \\u escape")
 	}
-	n, err := strconv.ParseUint(string(p.data[p.pos:p.pos+4]), 16, 32)
-	if err != nil {
-		return 0, p.errf("invalid \\u escape")
+	var r rune
+	for i := 0; i < 4; i++ {
+		c := p.data[p.pos+i]
+		switch {
+		case c >= '0' && c <= '9':
+			c -= '0'
+		case c >= 'a' && c <= 'f':
+			c -= 'a' - 10
+		case c >= 'A' && c <= 'F':
+			c -= 'A' - 10
+		default:
+			return 0, p.errf("invalid \\u escape")
+		}
+		r = r<<4 | rune(c)
 	}
 	p.pos += 4
-	return rune(n), nil
+	return r, nil
 }
 
 func (p *Parser) parseNumber() (*Value, error) {
@@ -438,7 +476,7 @@ func (p *Parser) parseNumber() (*Value, error) {
 			return nil, p.errf("invalid number: no exponent digits")
 		}
 	}
-	raw := string(p.data[start:p.pos])
+	raw := p.data[start:p.pos] // a view of the document
 	f, err := strconv.ParseFloat(raw, 64)
 	if err != nil {
 		return nil, p.errf("invalid number %q", raw)

@@ -2,6 +2,7 @@ package sjson
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -152,6 +153,54 @@ func TestLargeObjectUsesIndex(t *testing.T) {
 	}
 	if got := v.Get("ka1").NumberVal(); got != 26 {
 		t.Errorf("ka1 = %v, want 26", got)
+	}
+}
+
+// TestUnicodeEscapes pins the hand-rolled \u decoder to what strconv gave:
+// four hex digits of either case, nothing else, with the short and the
+// invalid escape told apart at the offset of the first digit.
+func TestUnicodeEscapes(t *testing.T) {
+	for in, want := range map[string]string{
+		`"\u00e9\u00E9\u00c9"`:  "ééÉ",
+		`"\uD83D\uDE00"`:        "😀",
+		`"\ud83d\ude00 tail"`:   "😀 tail",
+		`"\ud83dx"`:             "\uFFFDx",
+		`"\ud83d\n"`:            "\uFFFD\n",
+		`"\u0000\uffff\uFFFF"`:  "\x00\uffff\uffff",
+		`"pre\u0041\u0062post"`: "preAbpost",
+	} {
+		if got := mustParse(t, in).StringVal(); got != want {
+			t.Errorf("Parse(%s) = %q, want %q", in, got, want)
+		}
+	}
+	for in, want := range map[string]SyntaxError{
+		`"\u12"`:         {Offset: 3, Msg: "truncated \\u escape"},
+		`"\u123`:         {Offset: 3, Msg: "truncated \\u escape"},
+		`"\u12G4"`:       {Offset: 3, Msg: "invalid \\u escape"},
+		`"\u+123"`:       {Offset: 3, Msg: "invalid \\u escape"},
+		`"\u 123"`:       {Offset: 3, Msg: "invalid \\u escape"},
+		`"\u1_23"`:       {Offset: 3, Msg: "invalid \\u escape"},
+		`"\ud83d\u12"`:   {Offset: 9, Msg: "truncated \\u escape"},
+		`"\ud83d\uzzzz"`: {Offset: 9, Msg: "invalid \\u escape"},
+	} {
+		_, err := ParseString(in)
+		if se, ok := err.(*SyntaxError); !ok || *se != want {
+			t.Errorf("ParseString(%s): error %v, want %v", in, err, &want)
+		}
+	}
+	// Every byte in every digit position: accepted exactly when strconv
+	// accepts the four characters as base-16, and then with its value.
+	for pos := 0; pos < 4; pos++ {
+		for c := 0; c < 256; c++ {
+			digits := []byte("1aF0")
+			digits[pos] = byte(c)
+			want, wantErr := strconv.ParseUint(string(digits), 16, 32)
+			p := Parser{data: string(digits)}
+			got, err := p.parseHexRune()
+			if (err != nil) != (wantErr != nil) || (err == nil && got != rune(want)) {
+				t.Errorf("\\u%q = (%#x, %v), strconv says (%#x, %v)", digits, got, err, want, wantErr)
+			}
+		}
 	}
 }
 
