@@ -231,15 +231,13 @@ func (f *CombinedScanFactory) Open(split int, m *sqlengine.Metrics) (sqlengine.B
 		f.quarantineCache()
 		return f.openFallback(rawInfo.Files[split], m, "fallback-quarantined")
 	}
-	var cacheStats orc.ReadStats
-	cacheCur, err := cacheReader.NewCursor(f.cacheCols, f.cacheSARG, &cacheStats)
+	src := &combinedRowSource{m: m, nPrimary: len(f.primaryCols), nCache: len(f.cacheCols), degrade: f.degrade}
+	cacheCur, err := cacheReader.NewCursor(f.cacheCols, f.cacheSARG, &src.cacheMeter.Stats)
 	if err != nil {
 		f.quarantineCache()
 		return f.openFallback(rawInfo.Files[split], m, "fallback-quarantined")
 	}
-
-	src := &combinedRowSource{m: m, cacheCur: cacheCur, cacheMeter: sqlengine.ReadMeter{Stats: &cacheStats},
-		nPrimary: len(f.primaryCols), nCache: len(f.cacheCols), degrade: f.degrade}
+	src.cacheCur = cacheCur
 
 	// PrimaryReader (absent when every projected column is cached).
 	if len(f.primaryCols) > 0 {
@@ -247,8 +245,7 @@ func (f *CombinedScanFactory) Open(split int, m *sqlengine.Metrics) (sqlengine.B
 		if err != nil {
 			return nil, err
 		}
-		var rawStats orc.ReadStats
-		rawCur, err := rawReader.NewCursor(f.primaryCols, f.primarySARG, &rawStats)
+		rawCur, err := rawReader.NewCursor(f.primaryCols, f.primarySARG, &src.rawMeter.Stats)
 		if err != nil {
 			return nil, err
 		}
@@ -279,7 +276,6 @@ func (f *CombinedScanFactory) Open(split int, m *sqlengine.Metrics) (sqlengine.B
 			}
 		}
 		src.rawCur = rawCur
-		src.rawMeter = sqlengine.ReadMeter{Stats: &rawStats}
 	}
 	if m != nil {
 		switch {
@@ -348,13 +344,9 @@ func (f *CombinedScanFactory) openFallback(file string, m *sqlengine.Metrics, mo
 			readCols = append(readCols, fb.RawColumn)
 		}
 	}
-	var stats orc.ReadStats
-	cur, err := reader.NewCursor(readCols, f.primarySARG, &stats)
-	if err != nil {
+	src := &fallbackRowSource{f: f, m: m, colPos: colPos, obsc: f.obsc}
+	if src.cur, err = reader.NewCursor(readCols, f.primarySARG, &src.meter.Stats); err != nil {
 		return nil, err
-	}
-	src := &fallbackRowSource{
-		f: f, cur: cur, meter: sqlengine.ReadMeter{Stats: &stats}, m: m, colPos: colPos, obsc: f.obsc,
 	}
 	if err := src.buildGroups(); err != nil {
 		return nil, err

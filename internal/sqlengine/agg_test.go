@@ -160,7 +160,9 @@ func renderRows(rows [][]datum.Datum, sorted bool) string {
 // rows, the NULL group beside the group named "NULL", groups present in only
 // some splits, MIN/MAX over all-NULL and mixed numeric/string values, SUM over
 // non-numeric strings, HAVING on an unprojected aggregate, and ORDER BY on a
-// hidden aggregate key with LIMIT.
+// hidden aggregate key with LIMIT. The seeds run back to back on one engine
+// per parallelism and batch size, so the pooled aggregation tables a query
+// draws have served other shapes, other seeds and the other engines before.
 func TestAggregationMatchesNaiveFold(t *testing.T) {
 	schema := orc.Schema{Columns: []orc.Column{
 		{Name: "g", Type: datum.TypeString},
@@ -177,11 +179,19 @@ func TestAggregationMatchesNaiveFold(t *testing.T) {
 	}
 	all := func(datum.Datum) bool { return true }
 
+	wh := warehouse.New(dfs.New())
+	wh.CreateDatabase("d")
+	type config struct{ par, batch int }
+	engines := map[config]*Engine{}
+	for _, par := range []int{1, 4} {
+		for _, batch := range []int{1, DefaultBatchSize} {
+			engines[config{par, batch}] = NewEngine(wh, WithDefaultDB("d"), WithParallelism(par), WithBatchSize(batch))
+		}
+	}
 	for seed := int64(0); seed < 36; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		wh := warehouse.New(dfs.New())
-		wh.CreateDatabase("d")
-		if err := wh.CreateTable("d", "t", schema); err != nil {
+		table := fmt.Sprintf("t%d", seed)
+		if err := wh.CreateTable("d", table, schema); err != nil {
 			t.Fatal(err)
 		}
 		splits := make([][][]datum.Datum, seed%6)
@@ -205,7 +215,7 @@ func TestAggregationMatchesNaiveFold(t *testing.T) {
 				}
 				splits[s] = append(splits[s], []datum.Datum{g, xs[rng.Intn(len(xs))], f})
 			}
-			if _, err := wh.AppendRows("d", "t", splits[s]); err != nil {
+			if _, err := wh.AppendRows("d", table, splits[s]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -232,11 +242,11 @@ func TestAggregationMatchesNaiveFold(t *testing.T) {
 			{" WHERE g = 'NULL'", func(g datum.Datum) bool { return !g.Null && g.S == "NULL" }},
 		} {
 			global := foldRef(splits, false, where.keep)
-			shapes = append(shapes, shape{sql: "SELECT " + aggList + " FROM t" + where.sql, want: [][]datum.Datum{aggCols(global[0])}})
+			shapes = append(shapes, shape{sql: "SELECT " + aggList + " FROM " + table + where.sql, want: [][]datum.Datum{aggCols(global[0])}})
 		}
 
-		grouped := shape{sql: "SELECT g, " + aggList + " FROM t GROUP BY g"}
-		having := shape{sql: "SELECT g, MAX(x), SUM(f) FROM t GROUP BY g HAVING COUNT(*) >= 3"}
+		grouped := shape{sql: "SELECT g, " + aggList + " FROM " + table + " GROUP BY g"}
+		having := shape{sql: "SELECT g, MAX(x), SUM(f) FROM " + table + " GROUP BY g HAVING COUNT(*) >= 3"}
 		for _, r := range byGroup {
 			grouped.want = append(grouped.want, append([]datum.Datum{r.g}, aggCols(r)...))
 			if r.rows >= 3 {
@@ -245,7 +255,7 @@ func TestAggregationMatchesNaiveFold(t *testing.T) {
 		}
 		shapes = append(shapes, grouped, having)
 
-		top := shape{sql: "SELECT g, COUNT(*) FROM t GROUP BY g ORDER BY SUM(f) DESC, g LIMIT 3", ordered: true}
+		top := shape{sql: "SELECT g, COUNT(*) FROM " + table + " GROUP BY g ORDER BY SUM(f) DESC, g LIMIT 3", ordered: true}
 		ranked := append([]*aggRef(nil), byGroup...)
 		sort.SliceStable(ranked, func(a, b int) bool {
 			if c := datum.Compare(ranked[a].sumFd, ranked[b].sumFd); c != 0 {
@@ -263,8 +273,7 @@ func TestAggregationMatchesNaiveFold(t *testing.T) {
 			var serial string
 			for _, par := range []int{1, 4} {
 				for _, batch := range []int{1, DefaultBatchSize} {
-					e := NewEngine(wh, WithDefaultDB("d"), WithParallelism(par), WithBatchSize(batch))
-					rs := mustQuery(t, e, sh.sql)
+					rs := mustQuery(t, engines[config{par, batch}], sh.sql)
 					if got := renderRows(rs.Rows, !sh.ordered); got != want {
 						t.Fatalf("seed %d (%d splits), parallelism %d, batch %d: %s\n got:\n%s\nwant:\n%s",
 							seed, len(splits), par, batch, sh.sql, got, want)

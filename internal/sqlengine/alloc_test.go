@@ -2,6 +2,7 @@ package sqlengine
 
 import (
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"testing"
 
@@ -75,15 +76,12 @@ func TestScalarFunctionArity(t *testing.T) {
 	}
 }
 
-// TestGroupedAggregationAllocsPerGroup pins what a group costs a partition: its
-// key string and an amortized share of the aggregation table's slabs — at most
-// two allocations per (group × split), whatever the number of aggregates.
-// (An aggState per group was seven: the header, five slices and the key.) The
-// same query at two group counts cancels everything a query allocates once.
-func TestGroupedAggregationAllocsPerGroup(t *testing.T) {
-	// A -race binary allocates for conversions the compiler otherwise elides,
-	// the index probe by string(keyBytes) among them: two more per row here.
-	// CI runs the allocation pins in a step of their own, without -race.
+// skipUnderRace skips an allocation pin in a -race binary, which allocates for
+// conversions the compiler otherwise elides (the index probe by
+// string(keyBytes) among them: two more per row here). CI runs the allocation
+// pins in a step of their own, without -race.
+func skipUnderRace(t *testing.T) {
+	t.Helper()
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		for _, s := range bi.Settings {
 			if s.Key == "-race" && s.Value == "true" {
@@ -91,32 +89,53 @@ func TestGroupedAggregationAllocsPerGroup(t *testing.T) {
 			}
 		}
 	}
-	const splits = 4
-	allocs := func(groups int) float64 {
-		wh := warehouse.New(dfs.New())
-		wh.CreateDatabase("d")
-		schema := orc.Schema{Columns: []orc.Column{
-			{Name: "g", Type: datum.TypeString},
-			{Name: "x", Type: datum.TypeString},
-		}}
-		if err := wh.CreateTable("d", "t", schema); err != nil {
+}
+
+// groupedSQL names every group of groupedEngine's table in every split.
+const groupedSQL = "SELECT g, COUNT(*), MAX(x) FROM t GROUP BY g"
+
+// groupedEngine returns a parallelism-1 engine over splits part files that
+// each hold every one of groups groups twice, after one query has checked the
+// answer (and grown the pooled tables).
+func groupedEngine(t *testing.T, groups, splits int) *Engine {
+	t.Helper()
+	wh := warehouse.New(dfs.New())
+	wh.CreateDatabase("d")
+	schema := orc.Schema{Columns: []orc.Column{
+		{Name: "g", Type: datum.TypeString},
+		{Name: "x", Type: datum.TypeString},
+	}}
+	if err := wh.CreateTable("d", "t", schema); err != nil {
+		t.Fatal(err)
+	}
+	for s := 0; s < splits; s++ {
+		rows := make([][]datum.Datum, 0, 2*groups)
+		for i := 0; i < 2*groups; i++ {
+			rows = append(rows, []datum.Datum{datum.Str(fmt.Sprintf("group-%04d", i%groups)), datum.Str(fmt.Sprintf("%d", i*s))})
+		}
+		if _, err := wh.AppendRows("d", "t", rows); err != nil {
 			t.Fatal(err)
 		}
-		for s := 0; s < splits; s++ {
-			rows := make([][]datum.Datum, 0, 2*groups)
-			for i := 0; i < 2*groups; i++ {
-				rows = append(rows, []datum.Datum{datum.Str(fmt.Sprintf("group-%04d", i%groups)), datum.Str(fmt.Sprintf("%d", i*s))})
-			}
-			if _, err := wh.AppendRows("d", "t", rows); err != nil {
-				t.Fatal(err)
-			}
-		}
-		e := NewEngine(wh, WithDefaultDB("d"), WithParallelism(1))
-		const sql = "SELECT g, COUNT(*), MAX(x) FROM t GROUP BY g"
-		if rs := mustQuery(t, e, sql); len(rs.Rows) != groups || rs.Rows[0][1].I != 2*splits {
-			t.Fatalf("%d groups, first %v; want %d groups of %d rows", len(rs.Rows), rs.Rows[0], groups, 2*splits)
-		}
-		return testing.AllocsPerRun(20, func() { mustQuery(t, e, sql) })
+	}
+	e := NewEngine(wh, WithDefaultDB("d"), WithParallelism(1))
+	if rs := mustQuery(t, e, groupedSQL); len(rs.Rows) != groups || rs.Rows[0][1].I != int64(2*splits) {
+		t.Fatalf("%d groups, first %v; want %d groups of %d rows", len(rs.Rows), rs.Rows[0], groups, 2*splits)
+	}
+	return e
+}
+
+// TestGroupedAggregationAllocsPerGroup pins what a group costs a partition: its
+// key string, plus a fraction for the buffers a longer split makes the cursor
+// grow — at most two allocations per (group × split), whatever the number of
+// aggregates. (An aggState per group was seven: the header, five slices and
+// the key.) The same query at two group counts cancels everything a query
+// allocates once.
+func TestGroupedAggregationAllocsPerGroup(t *testing.T) {
+	skipUnderRace(t)
+	const splits = 4
+	allocs := func(groups int) float64 {
+		e := groupedEngine(t, groups, splits)
+		return testing.AllocsPerRun(20, func() { mustQuery(t, e, groupedSQL) })
 	}
 	few, many := 16, 256
 	perGroupSplit := (allocs(many) - allocs(few)) / float64((many-few)*splits)
@@ -124,4 +143,37 @@ func TestGroupedAggregationAllocsPerGroup(t *testing.T) {
 		t.Errorf("a group costs %.2f allocations per split, want at most 2", perGroupSplit)
 	}
 	t.Logf("%.2f allocations per (group × split)", perGroupSplit)
+}
+
+// TestGroupedAggregationBytesPerGroup pins the same cost in bytes, which is
+// where pooling the aggregation tables shows: a warmed query's partitions take
+// tables that earlier queries grew, so a group costs a partition its key
+// string (16 B here), not a share of an index and three slabs built for it and
+// dropped after the merge. The query at two group counts and two split counts
+// leaves out what a query allocates once and what it allocates per group
+// whatever the splits (the output row, its cloned strings). 30-41 B per
+// (group × split) when written: the key string and the ORC cursor's chunk
+// buffers, which grow with a split's rows (two per group here); 245-256 B
+// while every partition built its table for every query.
+func TestGroupedAggregationBytesPerGroup(t *testing.T) {
+	skipUnderRace(t)
+	bytes := func(groups, splits int) float64 {
+		e := groupedEngine(t, groups, splits)
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			mustQuery(t, e, groupedSQL)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	few, many := 16, 256
+	fewSplits, manySplits := 2, 6
+	perGroup := func(splits int) float64 { return bytes(many, splits) - bytes(few, splits) }
+	perGroupSplit := (perGroup(manySplits) - perGroup(fewSplits)) / float64((many-few)*(manySplits-fewSplits))
+	if perGroupSplit > 64 {
+		t.Errorf("a group costs %.0f B per split, want at most 64", perGroupSplit)
+	}
+	t.Logf("%.0f B per (group × split)", perGroupSplit)
 }

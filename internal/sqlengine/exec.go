@@ -71,9 +71,8 @@ func (ts *tableSource) Open(split int, m *Metrics) (BatchSource, error) {
 	if err != nil {
 		return nil, err
 	}
-	var rs orc.ReadStats
-	cur, err := r.NewCursor(ts.scan.Columns, ts.scan.SARG, &rs)
-	if err != nil {
+	src := &fileRowSource{m: m}
+	if src.cur, err = r.NewCursor(ts.scan.Columns, ts.scan.SARG, &src.meter.Stats); err != nil {
 		return nil, err
 	}
 	if m != nil {
@@ -82,7 +81,7 @@ func (ts *tableSource) Open(split int, m *Metrics) (BatchSource, error) {
 			m.Span.Set("source", "raw")
 		}
 	}
-	return &fileRowSource{cur: cur, meter: ReadMeter{Stats: &rs}, m: m}, nil
+	return src, nil
 }
 
 type fileRowSource struct {
@@ -100,11 +99,12 @@ func (s *fileRowSource) NextBatch(b *RowBatch) (int, error) {
 }
 
 // ReadMeter streams one cursor's read statistics into a query's Metrics:
-// every Flush adds what the cursor has read since the previous one. The zero
-// ReadMeter meters nothing.
+// every Flush adds what the cursor has read since the previous one. Its owner
+// opens the cursor with &meter.Stats, so the meter and the stats it reads are
+// one allocation. The zero ReadMeter meters nothing.
 type ReadMeter struct {
 	// Stats is the ReadStats the cursor was opened with.
-	Stats *orc.ReadStats
+	Stats orc.ReadStats
 	prev  orc.ReadStats
 }
 
@@ -113,10 +113,10 @@ type ReadMeter struct {
 // paired with a raw one reads the same rows again and leaves the count to
 // its partner.
 func (r *ReadMeter) Flush(m *Metrics, countRows bool) {
-	if m == nil || r.Stats == nil {
+	if m == nil || r.Stats == r.prev {
 		return
 	}
-	cur := *r.Stats
+	cur := r.Stats
 	m.BytesRead.Add(cur.BytesRead - r.prev.BytesRead)
 	if countRows {
 		m.RowsScanned.Add(cur.RowsRead - r.prev.RowsRead)
@@ -187,31 +187,34 @@ func (e *Engine) execute(ctx context.Context, plan *PhysicalPlan, trace *obs.Spa
 			partMetrics[split].Span = scanSpan.Child(fmt.Sprintf("split %d", split))
 		}
 	}
-	// groups is the largest number of groups any finished partition found.
-	var groups atomic.Int64
-
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, e.parallelism)
-	for split := 0; split < nSplits; split++ {
-		wg.Add(1)
-		go func(split int) {
-			defer wg.Done()
-			// A panicking worker (corrupt data, injected fault, executor bug)
-			// must fail the query, not the process. ScanBatches' defer runs
-			// before this recover, so the lent batch is back in the pool.
-			defer func() {
-				if r := recover(); r != nil {
-					if e.obsC != nil {
-						e.obsC.splitPanics.Inc()
-					}
-					results[split] = partResult{err: fmt.Errorf(
-						"sql: split %d of %s.%s panicked: %v", split, plan.Scan.DB, plan.Scan.Table, r)}
+	runSplit := func(split int) {
+		// A panicking split (corrupt data, injected fault, executor bug) must
+		// fail the query, not the process, and not its worker's other splits.
+		// ScanBatches' defer runs before this recover, so the lent batch is
+		// back in the pool; the split's aggregation table is left to the
+		// garbage collector.
+		defer func() {
+			if r := recover(); r != nil {
+				if e.obsC != nil {
+					e.obsC.splitPanics.Inc()
 				}
-			}()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			results[split] = e.runPartition(ctx, plan, calls, factory, split, joinTable, buildWidth, &groups, &partMetrics[split])
-		}(split)
+				results[split] = partResult{err: fmt.Errorf(
+					"sql: split %d of %s.%s panicked: %v", split, plan.Scan.DB, plan.Scan.Table, r)}
+			}
+		}()
+		results[split] = e.runPartition(ctx, plan, calls, factory, split, joinTable, buildWidth, &partMetrics[split])
+	}
+	// P workers claim splits in index order until none is left.
+	var wg sync.WaitGroup
+	var next atomic.Int64
+	for w := min(e.parallelism, nSplits); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for split := int(next.Add(1)) - 1; split < nSplits; split = int(next.Add(1)) - 1 {
+				runSplit(split)
+			}
+		}()
 	}
 	wg.Wait()
 	if scanSpan != nil {
@@ -273,7 +276,16 @@ func (e *Engine) execute(ctx context.Context, plan *PhysicalPlan, trace *obs.Spa
 	if plan.aggregate {
 		opsBefore := m.RowOps.Load()
 		aggStart := time.Now()
-		out = e.finalizeAggregate(plan, results, m)
+		var merged *aggTable
+		out, merged = e.finalizeAggregate(plan, results, m)
+		// Every key and MIN/MAX value is copied into out: the tables go back
+		// to the pool. A failed query returned above and pools none.
+		putAggTable(merged)
+		for _, r := range results {
+			if r.aggs != merged {
+				putAggTable(r.aggs)
+			}
+		}
 		if trace != nil {
 			span := trace.Child("aggregate")
 			span.SetWindow(aggStart, time.Now())
@@ -377,7 +389,7 @@ type execScratch struct {
 // run fused over the selected rows, so a document the filter parsed is
 // still memoized by the doc evaluator when the projection needs it. Metric
 // deltas accumulate in locals and flush once per batch.
-func (e *Engine) runPartition(ctx context.Context, plan *PhysicalPlan, calls *PathCalls, factory ScanSourceFactory, split int, joinTable map[string][][]datum.Datum, buildWidth int, groups *atomic.Int64, m *Metrics) (res partResult) {
+func (e *Engine) runPartition(ctx context.Context, plan *PhysicalPlan, calls *PathCalls, factory ScanSourceFactory, split int, joinTable map[string][][]datum.Datum, buildWidth int, m *Metrics) (res partResult) {
 	if m.Span != nil {
 		// Pre-created in split order for deterministic rendering; re-stamp
 		// the wall window to the split's actual execution.
@@ -396,9 +408,7 @@ func (e *Engine) runPartition(ctx context.Context, plan *PhysicalPlan, calls *Pa
 		ec.Doc = e.backend.NewDocEvaluator(&m.Parse, calls)
 	}
 	if plan.aggregate {
-		// Sized by the most groups a partition that already finished found:
-		// the first ones start small, their siblings at what they grew to.
-		res.aggs = newAggTable(plan, int(groups.Load()))
+		res.aggs = getAggTable(plan)
 	}
 	wantSortKeys := !plan.aggregate && len(plan.OrderBy) > 0
 	preFilters := plan.Scan.PreFilters
@@ -542,13 +552,6 @@ func (e *Engine) runPartition(ctx context.Context, plan *PhysicalPlan, calls *Pa
 		flush()
 		return ctx.Err()
 	})
-	if plan.aggregate {
-		for n := int64(len(res.aggs.names)); ; {
-			if seen := groups.Load(); n <= seen || groups.CompareAndSwap(seen, n) {
-				break
-			}
-		}
-	}
 	return res
 }
 
@@ -640,11 +643,13 @@ type aggCell struct {
 // keys[g*len(GroupBy):], its cells cells[g*len(Aggs):] (one per aggregate) and
 // its MIN/MAX values vals[g*aggVals:] (one per MIN or MAX aggregate, at
 // Aggregate.valSlot), so a new group costs its name string and an amortized
-// share of five appends, whatever the number of aggregates.
+// share of five appends, whatever the number of aggregates. Tables are pooled
+// (getAggTable, putAggTable) and arrive with the capacity earlier queries grew
+// them to.
 type aggTable struct {
 	plan *PhysicalPlan
 	// index finds a group by its encoded key. A plan without GROUP BY has one
-	// group and no index.
+	// group and leaves the index empty.
 	index map[string]int
 	names []string // encoded group keys; their byte order is the output order
 	keys  []datum.Datum
@@ -652,26 +657,49 @@ type aggTable struct {
 	vals  []datum.Datum
 }
 
-// newAggTable returns an empty table with room for the expected number of
-// groups; a GROUP BY-less plan's table holds its one group and never grows.
-func newAggTable(plan *PhysicalPlan, groups int) *aggTable {
-	t := &aggTable{plan: plan}
-	if len(plan.GroupBy) == 0 {
-		groups = 1
-	} else {
-		t.index = make(map[string]int, groups)
-	}
-	t.names = make([]string, 0, groups)
-	t.keys = make([]datum.Datum, 0, groups*len(plan.GroupBy))
-	t.cells = make([]aggCell, 0, groups*len(plan.Aggs))
-	t.vals = make([]datum.Datum, 0, groups*plan.aggVals)
+// aggTablePool recycles aggregation tables across partitions and queries.
+// execute is the one caller of putAggTable, once finalizeAggregate has copied
+// every key and MIN/MAX value into the output rows; a table of a failed,
+// cancelled or panicked query is left to the garbage collector.
+var aggTablePool = sync.Pool{New: func() any { return &aggTable{index: make(map[string]int)} }}
+
+// maxPooledAggGroups is the group capacity above which putAggTable drops a
+// table instead of pooling it: one huge GROUP BY must not pin its index and
+// slabs, or make every later small query pay to clear them. bench/'s widest
+// shape has 60 groups.
+const maxPooledAggGroups = 1024
+
+// getAggTable returns an empty pooled table for plan.
+func getAggTable(plan *PhysicalPlan) *aggTable {
+	t := aggTablePool.Get().(*aggTable)
+	t.plan = plan
 	return t
 }
+
+// putAggTable empties t and pools it. Clearing the used prefix of the datum
+// slabs and the names drops every view of a part file the table held, so a
+// pooled table pins no storage; the slabs past their length are still zero.
+func putAggTable(t *aggTable) {
+	if cap(t.names) > maxPooledAggGroups {
+		return
+	}
+	clear(t.index)
+	clear(t.names)
+	clear(t.keys)
+	clear(t.vals)
+	t.plan = nil
+	t.names, t.keys, t.cells, t.vals = t.names[:0], t.keys[:0], t.cells[:0], t.vals[:0]
+	aggTablePool.Put(t)
+}
+
+// grouped reports whether t's plan has a GROUP BY, and so uses the index. A
+// pooled table may have served either kind of plan, so the plan decides.
+func (t *aggTable) grouped() bool { return len(t.plan.GroupBy) > 0 }
 
 // add appends a group with zeroed aggregate state and returns its number.
 func (t *aggTable) add(name string, keys []datum.Datum) int {
 	g := len(t.names)
-	if t.index != nil {
+	if t.grouped() {
 		t.index[name] = g
 	}
 	t.names = append(t.names, name)
@@ -706,7 +734,7 @@ func (t *aggTable) accumulate(row []datum.Datum, ctx *EvalContext, sc *execScrat
 	}
 	sc.keyBuf, sc.keys = kb, ks
 	g, ok := 0, len(t.names) > 0
-	if t.index != nil {
+	if t.grouped() {
 		g, ok = t.index[string(kb)]
 	}
 	if !ok {
@@ -752,7 +780,7 @@ func (t *aggTable) merge(src *aggTable) {
 	for sg, name := range src.names {
 		from, fromVals := src.state(sg)
 		g, ok := 0, len(t.names) > 0
-		if t.index != nil {
+		if t.grouped() {
 			g, ok = t.index[name]
 		}
 		if !ok {
@@ -807,8 +835,9 @@ func (t *aggTable) result(g, i int) datum.Datum {
 // produces the post-aggregation rows and evaluates HAVING, the projections and
 // the sort keys over them. The merge runs in split order, so a group's
 // partial sums are added in split order whatever the parallelism and a float
-// SUM comes out bit for bit the same.
-func (e *Engine) finalizeAggregate(plan *PhysicalPlan, parts []partResult, m *Metrics) [][]datum.Datum {
+// SUM comes out bit for bit the same. It returns the merged table, which is
+// the first partition's or, with no splits, one it took from the pool.
+func (e *Engine) finalizeAggregate(plan *PhysicalPlan, parts []partResult, m *Metrics) ([][]datum.Datum, *aggTable) {
 	var t *aggTable
 	for _, p := range parts {
 		m.RowOps.Add(int64(len(p.aggs.names)))
@@ -819,7 +848,7 @@ func (e *Engine) finalizeAggregate(plan *PhysicalPlan, parts []partResult, m *Me
 		}
 	}
 	if t == nil {
-		t = newAggTable(plan, 0)
+		t = getAggTable(plan)
 	}
 	// Global aggregation with no input rows still yields one row.
 	if len(plan.GroupBy) == 0 && len(t.names) == 0 {
@@ -858,7 +887,7 @@ func (e *Engine) finalizeAggregate(plan *PhysicalPlan, parts []partResult, m *Me
 		out = append(out, outRow)
 		m.RowOps.Add(1)
 	}
-	return out
+	return out, t
 }
 
 // ---- distinct / sort / limit ----
