@@ -179,6 +179,13 @@ func everyConsumerMatchesParseEval(t *testing.T, batchSize int) {
 		{"$.a", "$.arr[*].k", "$.missing"},
 		{"$.nested.x", "$['a']", "$.arr[1]"},
 	}
+	// Two sequential queries less than a window apart mark the scan's
+	// fingerprint contended, so the first of the three opens a group.
+	for i := 0; i < 2; i++ {
+		if _, _, err := m.QueryCtx(context.Background(), laneSQL(sets[0])); err != nil {
+			t.Fatal(err)
+		}
+	}
 	results := make([]*sqlengine.ResultSet, len(sets))
 	errs := make([]error, len(sets))
 	var wg sync.WaitGroup

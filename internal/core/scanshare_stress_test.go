@@ -115,6 +115,26 @@ func TestScanShareStressMixed(t *testing.T) {
 		}
 		baseline[sql] = rs.String()
 	}
+	// Then a concurrent pair of each: whatever the baselines left behind, a
+	// pair leaves its scan's fingerprint contended (its second query marks
+	// it, or the two coalesce), so in the burst below the first query of
+	// every fingerprint opens a group and the rest join it.
+	for _, sql := range []string{qa, qb, qc, qd} {
+		pairErrs := make([]error, 2)
+		var wg sync.WaitGroup
+		for i := range pairErrs {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				_, _, pairErrs[i] = env.m.QueryCtx(context.Background(), sql)
+			}(i)
+		}
+		wg.Wait()
+		if err := errors.Join(pairErrs...); err != nil {
+			t.Fatalf("contending pair %q: %v", sql, err)
+		}
+	}
+	coalescedBefore := env.m.Obs().Counter("scanshare_queries_coalesced_total").Value()
 	before := sqlengine.OutstandingBatches()
 
 	// Transient open failures: the warehouse retry loop must absorb them no
@@ -183,7 +203,7 @@ func TestScanShareStressMixed(t *testing.T) {
 				i, j.sql, baseline[j.sql], results[i])
 		}
 	}
-	if n := env.m.Obs().Counter("scanshare_queries_coalesced_total").Value(); n < 2 {
+	if n := env.m.Obs().Counter("scanshare_queries_coalesced_total").Value() - coalescedBefore; n < 2 {
 		t.Fatalf("scanshare_queries_coalesced_total = %d, want >= 2 (nothing actually shared)", n)
 	}
 	waitBatchBaseline(t, before)

@@ -1,9 +1,6 @@
 package lint
 
-import (
-	"go/token"
-	"strings"
-)
+import "strings"
 
 // DirectiveAnalyzer is the pseudo-analyzer name under which malformed or
 // unused //lint:ignore directives are reported. Directive diagnostics can
@@ -14,9 +11,7 @@ const DirectiveAnalyzer = "lintdirective"
 type directive struct {
 	file     string
 	line     int
-	pos      token.Pos
 	analyzer string
-	reason   string
 	used     bool
 }
 
@@ -61,9 +56,7 @@ func collectDirectives(pkgs []*Package, known map[string]bool, report func(Diagn
 					out = append(out, &directive{
 						file:     position.Filename,
 						line:     position.Line,
-						pos:      c.Pos(),
 						analyzer: fields[0],
-						reason:   strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(text), fields[0])),
 					})
 				}
 			}

@@ -15,6 +15,7 @@ type group struct {
 	s      *Scheduler
 	e      *sqlengine.Engine
 	key    string
+	h      *arrivals // holds key's contended bit; guarded by the scheduler mutex
 	timer  *time.Timer
 	sealed chan struct{}
 

@@ -2,12 +2,22 @@
 // generation) into one shared scan. Maxson's premise is eliminating
 // duplicate parsing; without sharing, N concurrent queries against one
 // table tokenize the same raw and cached splits N times. The scheduler
-// holds each arriving query for a short admission window, groups the ones
-// whose scans are compatible, unions their compiled JSONPath sets into one
-// merged trie (jsonpath.Union — subsumption-deduplicated), runs a single
-// streaming pass with sjson.Parser.Extract, and demultiplexes the extracted
-// column batches to every participant's own filter/project/agg pipeline
-// over per-query bounded channels.
+// holds an arriving query for a short admission window when its scan's
+// fingerprint is contended, groups the ones whose scans are compatible,
+// unions their compiled JSONPath sets into one merged trie (jsonpath.Union —
+// subsumption-deduplicated), runs a single streaming pass with
+// sjson.Parser.Extract, and demultiplexes the extracted column batches to
+// every participant's own filter/project/agg pipeline over per-query bounded
+// channels.
+//
+// A query waits only where company is to be expected. The scheduler
+// remembers, per fingerprint, its last arrival and a contended bit. An
+// arrival less than one window after the previous one sets the bit but runs
+// at once; the next arrival finds the bit and opens a group, and a group
+// that seals with fewer than two live queries clears it (and counts as the
+// fingerprint's last arrival, so a partner that just missed it sets the bit
+// again). Every other query runs unshared at once, with no group, timer or
+// channel: a lone query pays nothing for the sharing it does not get.
 //
 // Two sharing modes cover the planner's output:
 //
@@ -65,9 +75,11 @@ type Fingerprinter interface {
 
 // Options configures a Scheduler.
 type Options struct {
-	// Window is the admission window: how long the first query of a group
-	// waits for compatible queries before the scan starts. A lone query is
-	// released after exactly one window. Zero means DefaultWindow.
+	// Window is the admission window: the most a query waits for company it
+	// has reason to expect. It is also the horizon of that expectation: two
+	// arrivals of one fingerprint less than a window apart make the next one
+	// open a group and wait this long for compatible queries. Any other
+	// query starts at once. Zero means DefaultWindow.
 	Window time.Duration
 	// MaxQueries seals a group early once this many queries joined
 	// (default DefaultMaxQueries).
@@ -101,6 +113,28 @@ type Scheduler struct {
 
 	mu     sync.Mutex
 	groups map[string]*group
+	// tables remembers each table's arrivals in the newest generation an
+	// arrival named for it; swept is when sweep last ran.
+	tables map[tableKey]*arrivals
+	swept  time.Time
+}
+
+type tableKey struct{ db, table string }
+
+// arrivals is one table's admission history in one generation. Fingerprints
+// embed the generation, so when an arrival names another one, the older
+// generation's entries can never match again and are dropped as a whole.
+type arrivals struct {
+	gen  int64
+	keys map[string]arrival
+}
+
+// arrival is what the scheduler remembers of one fingerprint.
+type arrival struct {
+	// last is its latest arrival, or the seal of its latest group that
+	// found no company, whichever came later.
+	last      time.Time
+	contended bool // its next query waits for company
 }
 
 // New builds a scheduler. Install it with Engine.SetScanShare.
@@ -120,6 +154,7 @@ func New(opts Options) *Scheduler {
 		maxQ:   opts.MaxQueries,
 		gen:    opts.Generation,
 		groups: make(map[string]*group),
+		tables: make(map[tableKey]*arrivals),
 		c: counters{
 			groups:          reg.Counter("scanshare_groups_total"),
 			solo:            reg.Counter("scanshare_solo_queries_total"),
@@ -139,7 +174,7 @@ func New(opts Options) *Scheduler {
 // attests row-identical output via ScanFingerprint. Per-query residual
 // filters, Sparser prefilters, and projections run post-demux and do not
 // constrain sharing.
-func (s *Scheduler) fingerprint(scan *sqlengine.ScanNode, factoryFP string) string {
+func fingerprint(scan *sqlengine.ScanNode, factoryFP string, gen int64) string {
 	var b strings.Builder
 	if factoryFP != "" {
 		b.WriteString("factory\x00")
@@ -152,9 +187,7 @@ func (s *Scheduler) fingerprint(scan *sqlengine.ScanNode, factoryFP string) stri
 	b.WriteByte(0)
 	b.WriteString(scan.Table)
 	b.WriteByte(0)
-	if s.gen != nil {
-		b.WriteString(strconv.FormatInt(s.gen(scan.DB, scan.Table), 10))
-	}
+	b.WriteString(strconv.FormatInt(gen, 10))
 	b.WriteByte(0)
 	b.WriteString(strings.Join(scan.Columns, ","))
 	b.WriteByte(0)
@@ -164,8 +197,9 @@ func (s *Scheduler) fingerprint(scan *sqlengine.ScanNode, factoryFP string) stri
 	return b.String()
 }
 
-// Attach implements sqlengine.ScanSharer: offer plan's scan for sharing,
-// blocking until the group seals (at most the admission window). On return,
+// Attach implements sqlengine.ScanSharer: offer plan's scan for sharing. A
+// query whose fingerprint is not contended returns at once; otherwise Attach
+// blocks until its group seals (at most the admission window). On return,
 // either the plan is untouched and the query runs unshared (nil handle), or
 // the scan now consumes a shared producer and the engine must Release the
 // returned handle when the query finishes.
@@ -185,15 +219,24 @@ func (s *Scheduler) Attach(ctx context.Context, e *sqlengine.Engine, plan *sqlen
 			return nil, nil
 		}
 	}
-	key := s.fingerprint(scan, factoryFP)
-
-	p := &participant{plan: plan, qctx: ctx}
+	var gen int64
+	if s.gen != nil {
+		gen = s.gen(scan.DB, scan.Table)
+	}
+	key := fingerprint(scan, factoryFP, gen)
 	t0 := time.Now()
 
 	s.mu.Lock()
+	h, contended := s.arrive(tableKey{scan.DB, scan.Table}, gen, key, t0)
 	g := s.groups[key]
 	if g == nil {
-		g = &group{s: s, e: e, key: key, sealed: make(chan struct{})}
+		if !contended {
+			s.mu.Unlock()
+			s.c.solo.Inc()
+			s.c.windowWait.Observe(0)
+			return nil, nil
+		}
+		g = &group{s: s, e: e, key: key, h: h, sealed: make(chan struct{})}
 		s.groups[key] = g
 		g.timer = time.AfterFunc(s.window, func() { s.seal(g) })
 	}
@@ -202,7 +245,7 @@ func (s *Scheduler) Attach(ctx context.Context, e *sqlengine.Engine, plan *sqlen
 		s.mu.Unlock()
 		return nil, nil
 	}
-	p.g = g
+	p := &participant{plan: plan, qctx: ctx, g: g}
 	g.parts = append(g.parts, p)
 	full := len(g.parts) >= s.maxQ
 	s.mu.Unlock()
@@ -234,10 +277,55 @@ func (s *Scheduler) Attach(ctx context.Context, e *sqlengine.Engine, plan *sqlen
 	return nil, nil
 }
 
+// arrive records that key arrived at now and reports whether it was
+// contended before this arrival, with the table history that holds it. An
+// arrival less than one window after its fingerprint's last (arrival.last)
+// marks it contended for the next, but does not wait itself: two clients
+// sending the same statement together stay together. Called with s.mu held.
+func (s *Scheduler) arrive(tk tableKey, gen int64, key string, now time.Time) (*arrivals, bool) {
+	if now.Sub(s.swept) >= s.window {
+		s.sweep(now)
+	}
+	h := s.tables[tk]
+	if h == nil || h.gen != gen {
+		h = &arrivals{gen: gen, keys: make(map[string]arrival)}
+		s.tables[tk] = h
+	}
+	a, seen := h.keys[key]
+	was := a.contended
+	if seen && now.Sub(a.last) < s.window {
+		a.contended = true
+	}
+	a.last = now
+	h.keys[key] = a
+	return h, was
+}
+
+// sweep forgets, at most once a window, what can no longer make a query
+// wait: an uncontended fingerprint whose last arrival is a window old, and a
+// table left with none. Called with s.mu held.
+func (s *Scheduler) sweep(now time.Time) {
+	s.swept = now
+	for tk, h := range s.tables {
+		for key, a := range h.keys {
+			if !a.contended && now.Sub(a.last) >= s.window {
+				delete(h.keys, key)
+			}
+		}
+		if len(h.keys) == 0 {
+			delete(s.tables, tk)
+		}
+	}
+}
+
 // seal freezes a group: no further queries may join, the membership decides
 // solo versus shared, shared groups get their plans rewired and the single
-// producer starts. Idempotent; called by the admission-window timer and by
-// Attach when the group fills.
+// producer starts. A group that seals with fewer than two live queries
+// waited for nobody, so its fingerprint stops being contended; the horizon
+// restarts at the seal, so a partner that arrives just too late marks it
+// again rather than falling out of step. Idempotent;
+// called by the admission-window timer, by Attach when the group fills and
+// by withdraw when the group empties.
 func (s *Scheduler) seal(g *group) {
 	s.mu.Lock()
 	if g.sealedFlag {
@@ -247,6 +335,12 @@ func (s *Scheduler) seal(g *group) {
 	g.sealedFlag = true
 	delete(s.groups, g.key)
 	live := g.parts
+	if len(live) < 2 {
+		a := g.h.keys[g.key]
+		a.contended = false
+		a.last = time.Now()
+		g.h.keys[g.key] = a
+	}
 	s.mu.Unlock()
 	g.timer.Stop()
 
@@ -264,11 +358,12 @@ func (s *Scheduler) seal(g *group) {
 }
 
 // withdraw removes p from a group that has not sealed yet, so the sealer
-// never sees it. It reports false when the group already sealed.
+// never sees it, and seals the group at once if p was its last query. It
+// reports false when the group already sealed.
 func (s *Scheduler) withdraw(g *group, p *participant) bool {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if g.sealedFlag {
+		s.mu.Unlock()
 		return false
 	}
 	for i, q := range g.parts {
@@ -276,6 +371,11 @@ func (s *Scheduler) withdraw(g *group, p *participant) bool {
 			g.parts = append(g.parts[:i], g.parts[i+1:]...)
 			break
 		}
+	}
+	empty := len(g.parts) == 0
+	s.mu.Unlock()
+	if empty {
+		s.seal(g)
 	}
 	return true
 }

@@ -26,6 +26,7 @@ type shareEnv struct {
 	shared *sqlengine.Engine
 	plain  *sqlengine.Engine
 	reg    *obs.Registry
+	sched  *scanshare.Scheduler
 }
 
 func newShareEnv(t *testing.T, seed int64, rowsPerFile, files int, opts scanshare.Options) *shareEnv {
@@ -64,12 +65,26 @@ func newShareEnv(t *testing.T, seed int64, rowsPerFile, files int, opts scanshar
 		sqlengine.WithDefaultDB("db"),
 		sqlengine.WithParallelism(2),
 		sqlengine.WithBatchSize(16))
-	shared.SetScanShare(scanshare.New(opts))
+	sched := scanshare.New(opts)
+	shared.SetScanShare(sched)
 	plain := sqlengine.NewEngine(wh,
 		sqlengine.WithDefaultDB("db"),
 		sqlengine.WithParallelism(2),
 		sqlengine.WithBatchSize(16))
-	return &shareEnv{wh: wh, shared: shared, plain: plain, reg: reg}
+	return &shareEnv{wh: wh, shared: shared, plain: plain, reg: reg, sched: sched}
+}
+
+// contend makes sql's scan fingerprint contended on env's fresh scheduler:
+// the second of two sequential queries arrives less than a window after the
+// first, which marks the fingerprint without waiting, so the first query of
+// the burst that follows opens a group and the rest join it.
+func (env *shareEnv) contend(t *testing.T, sql string) {
+	t.Helper()
+	for i := 0; i < 2; i++ {
+		if _, _, err := env.shared.QueryCtx(context.Background(), sql); err != nil {
+			t.Fatalf("contend %q: %v", sql, err)
+		}
+	}
 }
 
 // runConcurrent fires one goroutine per query, all released together, and
@@ -131,6 +146,7 @@ func TestMergedConcurrentEquivalence(t *testing.T) {
 		}
 		want[i] = rs.String()
 	}
+	env.contend(t, queries[0])
 	before := sqlengine.OutstandingBatches()
 
 	got, mets, errs := runConcurrent(context.Background(), env.shared, queries, nil)
@@ -175,6 +191,7 @@ func TestIdenticalQueriesShareParse(t *testing.T) {
 	if single == 0 {
 		t.Fatal("plain query parsed zero bytes; test data not exercising the parser")
 	}
+	env.contend(t, sql)
 	before := sqlengine.OutstandingBatches()
 
 	queries := []string{sql, sql, sql, sql}
@@ -198,8 +215,8 @@ func TestIdenticalQueriesShareParse(t *testing.T) {
 	checkBaseline(t, before)
 }
 
-// TestSoloPassthrough: one query alone in its window runs completely
-// unshared — untouched plan, no shared mode bit, solo counter bumped.
+// TestSoloPassthrough: a lone query runs completely unshared — untouched
+// plan, no shared mode bit, solo counter bumped.
 func TestSoloPassthrough(t *testing.T) {
 	env := newShareEnv(t, 13, 20, 2, scanshare.Options{
 		Window: 2 * time.Millisecond, MaxQueries: 16,
@@ -244,6 +261,7 @@ func TestCancelBeforeSeal(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := rs.String()
+	env.contend(t, sql)
 	before := sqlengine.OutstandingBatches()
 
 	cctx, cancel := context.WithCancel(context.Background())
@@ -287,6 +305,7 @@ func TestCancelDuringSharedScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := rs.String()
+	env.contend(t, sql)
 	before := sqlengine.OutstandingBatches()
 
 	cctx, cancel := context.WithCancel(context.Background())
@@ -334,6 +353,7 @@ func TestSubsumedPathsShareColumns(t *testing.T) {
 		}
 		want[i] = rs.String()
 	}
+	env.contend(t, queries[0])
 	before := sqlengine.OutstandingBatches()
 
 	got, _, errs := runConcurrent(context.Background(), env.shared, queries, nil)
@@ -374,6 +394,7 @@ func TestMergedWildcardQueriesShare(t *testing.T) {
 		}
 		want[i] = rs.String()
 	}
+	env.contend(t, queries[0])
 	before := sqlengine.OutstandingBatches()
 
 	got, mets, errs := runConcurrent(context.Background(), env.shared, queries, nil)

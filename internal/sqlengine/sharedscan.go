@@ -17,8 +17,9 @@ type SharedScanHandle interface {
 }
 
 // ScanSharer batches compatible concurrent scans. Attach is called after
-// planning (and any PlanModifier) and before execution; it may block briefly
-// (the admission window) while compatible queries coalesce. A (nil, nil)
+// planning (and any PlanModifier) and before execution; when the scheduler
+// expects compatible queries it may block briefly (at most the admission
+// window) while they coalesce, and otherwise returns at once. A (nil, nil)
 // return means "run unshared" — the plan must then be untouched. A non-nil
 // handle means the plan's scan now reads from the shared producer and the
 // engine must Release the handle when the query completes.
