@@ -172,7 +172,6 @@ func main() {
 	}
 	fmt.Print(rs.String())
 	fmt.Printf("\n-- %d rows; %s\n", len(rs.Rows), m)
-	fmt.Printf("-- simulated: %s\n", m.Breakdown(sys.Engine().CostModel()))
 	if n := m.CacheValuesRead.Load(); n > 0 {
 		fmt.Printf("-- served %d values from the JSONPath cache\n", n)
 	}

@@ -16,7 +16,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/orc"
 	"repro/internal/pathkey"
-	"repro/internal/sqlengine"
 	"repro/internal/warehouse"
 )
 
@@ -79,12 +78,11 @@ type Cacher struct {
 type CacheStats struct {
 	PathsCached   int
 	RowsParsed    int64
-	BytesWritten  int64   // cache bytes encoded this cycle
-	BytesCarried  int64   // cache bytes linked from the previous generation
-	BytesScanned  int64   // raw JSON bytes the population scan actually read
-	BytesSkipped  int64   // raw JSON bytes the streaming extractor skipped
-	ParseErrors   int64   // malformed documents encountered (values cached as NULL)
-	ParseNsSpent  float64 // simulated pre-parsing cost (off-peak work)
+	BytesWritten  int64 // cache bytes encoded this cycle
+	BytesCarried  int64 // cache bytes linked from the previous generation
+	BytesScanned  int64 // raw JSON bytes the population scan actually read
+	BytesSkipped  int64 // raw JSON bytes the streaming extractor skipped
+	ParseErrors   int64 // malformed documents encountered (values cached as NULL)
 	TablesWritten int
 	Dropped       int // invalid cache tables deleted
 	// Every cache split is one of: linked whole from the previous generation
@@ -103,7 +101,6 @@ func (s *CacheStats) add(t CacheStats) {
 	s.BytesScanned += t.BytesScanned
 	s.BytesSkipped += t.BytesSkipped
 	s.ParseErrors += t.ParseErrors
-	s.ParseNsSpent += t.ParseNsSpent
 	s.SplitsCarried += t.SplitsCarried
 	s.SplitsRewritten += t.SplitsRewritten
 	s.SplitsExtracted += t.SplitsExtracted
@@ -138,10 +135,9 @@ func (c *Cacher) SetObs(r *obs.Registry) {
 // is an incremental function of the one before it — what is unchanged since
 // (same raw file version, same path) is carried forward, and the result is
 // byte for byte what re-populating from the raw tables would have written
-// (see tableProvenance, populateSplit). The cost model rates account the
-// off-peak parsing work that remains: each JSON column's paths are extracted
-// in a single streaming pass per document, charged at the stream rate for the
-// bytes actually scanned.
+// (see tableProvenance, populateSplit). What remains is extracted in a single
+// streaming pass per document and JSON column, and CacheStats meters the
+// bytes it actually scanned.
 //
 // The cycle is crash-safe: the new generation's tables are built and
 // registered nowhere until every table succeeds, then committed with one
@@ -149,7 +145,7 @@ func (c *Cacher) SetObs(r *obs.Registry) {
 // ANY point leaves the previous generation serving untouched; the partially
 // built tables are deleted immediately, since no query can have planned
 // against them.
-func (c *Cacher) PopulateCtx(ctx context.Context, selected []*PathProfile, cm sqlengine.CostModel) (CacheStats, error) {
+func (c *Cacher) PopulateCtx(ctx context.Context, selected []*PathProfile) (CacheStats, error) {
 	var stats CacheStats
 
 	// Delete the generation retired during the PREVIOUS cycle: no live
@@ -209,7 +205,7 @@ func (c *Cacher) PopulateCtx(ctx context.Context, selected []*PathProfile, cm sq
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			var local CacheStats
-			entries, prov, err := c.populateTable(ctx, byTable[id], gen, prev[id], &local, cm)
+			entries, prov, err := c.populateTable(ctx, byTable[id], gen, prev[id], &local)
 			results[i] = tableResult{stats: local, entries: entries, prov: prov, err: err}
 		}(i, id)
 	}
@@ -425,7 +421,6 @@ type extractGroup struct {
 // tablePopulate is the state of one populateTable call.
 type tablePopulate struct {
 	c          *Cacher
-	cm         sqlengine.CostModel
 	stats      *CacheStats
 	cacheTable string
 	schema     orc.Schema
@@ -450,7 +445,7 @@ type tablePopulate struct {
 // here — PopulateCtx commits all tables' entries in one atomic swap after
 // every table succeeds. prev is the previous generation's provenance of the
 // same raw table, nil when there is none.
-func (c *Cacher) populateTable(ctx context.Context, group []*PathProfile, gen int, prev *tableProvenance, stats *CacheStats, cm sqlengine.CostModel) ([]*CacheEntry, *tableProvenance, error) {
+func (c *Cacher) populateTable(ctx context.Context, group []*PathProfile, gen int, prev *tableProvenance, stats *CacheStats) ([]*CacheEntry, *tableProvenance, error) {
 	key0 := group[0].Key
 	// Stamp before the raw table is listed: a rewrite that lands at any point
 	// of the populate then has rewriteTime >= CachedAt and the planner treats
@@ -462,7 +457,7 @@ func (c *Cacher) populateTable(ctx context.Context, group []*PathProfile, gen in
 	}
 	// Compile the paths and define the cache schema: one STRING column per
 	// path, named column__path (paper's cache-field naming).
-	tp := &tablePopulate{c: c, cm: cm, stats: stats, cacheTable: generationTableName(key0.DB, key0.Table, gen)}
+	tp := &tablePopulate{c: c, stats: stats, cacheTable: generationTableName(key0.DB, key0.Table, gen)}
 	for _, p := range group {
 		cp, err := jsonpath.Compile(p.Key.Path)
 		if err != nil {
@@ -777,7 +772,6 @@ func (tp *tablePopulate) extract(plan *extractPlan, n int, colBytes []int64) {
 			scanned := g.x.Extract(src.S)
 			st.BytesScanned += int64(scanned)
 			st.BytesSkipped += int64(len(src.S) - scanned)
-			st.ParseNsSpent += float64(scanned) * tp.cm.ParseNsPerByteStream
 			if g.x.Err() != nil {
 				st.ParseErrors++
 			}

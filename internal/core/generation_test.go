@@ -458,7 +458,7 @@ func TestAbortedCycleLeavesThePreviousGenerationWhole(t *testing.T) {
 			inj := fault.New(1)
 			kill.arm(inj, cancel, newRaw)
 			f.wh.FS().SetInjector(inj)
-			if _, err := m.Cacher.PopulateCtx(ctx, sel, f.engine.CostModel()); err == nil {
+			if _, err := m.Cacher.PopulateCtx(ctx, sel); err == nil {
 				t.Fatal("the killed cycle reported success")
 			}
 			f.wh.FS().SetInjector(nil)

@@ -124,7 +124,7 @@ func New(e *sqlengine.Engine, cfg Config) *Maxson {
 		Registry:    registry,
 		Cacher:      NewCacher(wh, registry),
 		Planner:     NewPlanner(wh, registry, reg),
-		Scorer:      NewScorer(wh, e.CostModel()),
+		Scorer:      NewScorer(wh),
 		BudgetBytes: cfg.BudgetBytes,
 		Window:      cfg.Window,
 		Model:       cfg.Model,
@@ -467,7 +467,7 @@ func (m *Maxson) RunMidnightCycleCtx(ctx context.Context) (*CycleReport, error) 
 	if len(candidates) == 0 {
 		// Nothing predicted: swap in an empty generation.
 		stage("score", 0)
-		stats, err := m.Cacher.PopulateCtx(stageCtx(), nil, m.Engine.CostModel())
+		stats, err := m.Cacher.PopulateCtx(stageCtx(), nil)
 		report.Cache = stats
 		stage("populate", 0)
 		finish()
@@ -499,7 +499,7 @@ func (m *Maxson) RunMidnightCycleCtx(ctx context.Context) (*CycleReport, error) 
 	}
 
 	// Stage 5: build the next cache generation under the budget.
-	stats, err := m.Cacher.PopulateCtx(stageCtx(), selected, m.Engine.CostModel())
+	stats, err := m.Cacher.PopulateCtx(stageCtx(), selected)
 	report.Cache = stats
 	stage("populate", stats.PathsCached, "splits_carried", stats.SplitsCarried,
 		"splits_rewritten", stats.SplitsRewritten, "splits_extracted", stats.SplitsExtracted,
@@ -515,7 +515,7 @@ func (m *Maxson) RunMidnightCycleCtx(ctx context.Context) (*CycleReport, error) 
 // the mode the budget/selection experiments (Fig 11, Table V, Fig 15) use
 // so the caching layer can be studied with a controlled MPJP set.
 func (m *Maxson) CacheSelected(ctx context.Context, profiles []*PathProfile) (CacheStats, error) {
-	return m.Cacher.PopulateCtx(ctx, profiles, m.Engine.CostModel())
+	return m.Cacher.PopulateCtx(ctx, profiles)
 }
 
 // AdvanceToMidnight moves a simulated clock to the next midnight, the

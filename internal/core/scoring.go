@@ -5,8 +5,16 @@ import (
 
 	"repro/internal/jsonpath"
 	"repro/internal/pathkey"
-	"repro/internal/sqlengine"
 	"repro/internal/warehouse"
+)
+
+// The paper's P_j prices a full tree parse of the document (Jackson): a
+// per-byte rate plus a fixed per-get_json_object cost. These are the only two
+// modelled numbers the scorer uses; the paper's figures price tree parsing
+// with the same two.
+const (
+	TreeParseNsPerByte = 6.7
+	ParseNsPerCall     = 80
 )
 
 // PathProfile holds the measured inputs of the scoring function for one
@@ -16,14 +24,14 @@ type PathProfile struct {
 	// AvgValueBytes is B_j: the mean size of the parsed value, estimated by
 	// sampling rows from each split.
 	AvgValueBytes float64
-	// AvgParseNs is P_j: the mean time to parse the value out of its
-	// document with a full tree parse (simulated cost).
+	// AvgParseNs is P_j: the mean cost of parsing the value out of its
+	// document with a full tree parse, priced by TreeParseNsPerByte and
+	// ParseNsPerCall.
 	AvgParseNs float64
-	// AvgScanNs is the mean time to extract the value with the streaming
-	// single-pass extractor, charged only for bytes actually scanned. Scoring
-	// still uses AvgParseNs — the paper's P_j is the cost of a full parse —
-	// but query-time miss costs use this.
-	AvgScanNs float64
+	// AvgScanBytes is the mean number of document bytes the streaming
+	// extractor scans to reach the value (it stops after it), measured on
+	// the sample. Scoring uses AvgParseNs, the paper's P_j.
+	AvgScanBytes float64
 	// TotalValueBytes estimates the full cache footprint of the path (B_j
 	// times the table's row count), the unit the budget is spent in.
 	TotalValueBytes int64
@@ -39,14 +47,13 @@ type PathProfile struct {
 // statistics (paper §IV-B).
 type Scorer struct {
 	wh *warehouse.Warehouse
-	cm sqlengine.CostModel
 	// SampleRows bounds how many rows per split are sampled for B_j / P_j.
 	SampleRows int
 }
 
 // NewScorer builds a scorer over a warehouse.
-func NewScorer(wh *warehouse.Warehouse, cm sqlengine.CostModel) *Scorer {
-	return &Scorer{wh: wh, cm: cm, SampleRows: 64}
+func NewScorer(wh *warehouse.Warehouse) *Scorer {
+	return &Scorer{wh: wh, SampleRows: 64}
 }
 
 // Profile measures and scores the given MPJP candidates. queries is the
@@ -181,12 +188,10 @@ func (s *Scorer) measure(prof *PathProfile, sample *columnSample) {
 	sampled := int64(len(sample.docs))
 	prof.AvgValueBytes = float64(valueBytes) / float64(sampled)
 	// P_j: what the paper's SparkSQL pays to answer the path uncached, a full
-	// tree parse of the document, costed by the calibrated model (per-byte
-	// rate plus per-call overhead).
+	// tree parse of the document (per-byte rate plus per-call overhead).
 	avgDoc := float64(docBytes) / float64(sampled)
-	prof.AvgParseNs = avgDoc*s.cm.ParseNsPerByteTree + s.cm.ParseNsPerCall
-	avgScan := float64(scanBytes) / float64(sampled)
-	prof.AvgScanNs = avgScan*s.cm.ParseNsPerByteStream + s.cm.ParseNsPerCall
+	prof.AvgParseNs = avgDoc*TreeParseNsPerByte + ParseNsPerCall
+	prof.AvgScanBytes = float64(scanBytes) / float64(sampled)
 	prof.TotalValueBytes = int64(prof.AvgValueBytes * float64(sample.numRows))
 	if prof.TotalValueBytes < 1 {
 		prof.TotalValueBytes = 1

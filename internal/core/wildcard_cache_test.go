@@ -54,7 +54,7 @@ func wildFixture(t *testing.T) *fixture {
 
 // TestWildcardPathCachedByMidnightCycle drives the full loop for a wildcard
 // MPJP: daily observed $.items[*].q queries feed the predictor, the scorer
-// measures the path (streaming, so AvgScanNs < AvgParseNs), the cycle
+// measures the path (AvgScanBytes: what the streaming pass scans), the cycle
 // populates the cache table, and the registry serves the next query without
 // parsing a single document — with results identical to a cold engine.
 func TestWildcardPathCachedByMidnightCycle(t *testing.T) {

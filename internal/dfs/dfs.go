@@ -15,7 +15,7 @@
 //   - a file is one input split: ListFiles enumerates a directory in sorted
 //     name order, so the i-th cache file aligns with the i-th raw file.
 //
-// Read throughput is metered so the query engine's cost model can account
+// Read throughput is metered so the query engine's metrics can account
 // for I/O separately from parsing and compute.
 package dfs
 

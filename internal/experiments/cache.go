@@ -36,6 +36,7 @@ func PaperBudgets() []BudgetLevel {
 type maxsonEnv struct {
 	w       *Workload
 	engine  *sqlengine.Engine
+	backend sqlengine.ParserBackend // the engine's, for the cost model
 	maxson  *core.Maxson
 	queries []QuerySpec
 }
@@ -43,7 +44,7 @@ type maxsonEnv struct {
 func newMaxsonEnv(w *Workload, backend sqlengine.ParserBackend) *maxsonEnv {
 	engine := w.NewEngine(backend)
 	m := core.New(engine, core.Config{BudgetBytes: 1 << 62, DefaultDB: w.DB})
-	env := &maxsonEnv{w: w, engine: engine, maxson: m, queries: w.Specs}
+	env := &maxsonEnv{w: w, engine: engine, backend: backend, maxson: m, queries: w.Specs}
 	// Observe one week of daily history for every query.
 	now := w.Clock.Now()
 	for day := 7; day >= 1; day-- {
@@ -114,7 +115,7 @@ func (env *maxsonEnv) runQueries(ctx context.Context) (time.Duration, map[string
 		if err != nil {
 			return 0, nil, fmt.Errorf("%s: %w", spec.Name, err)
 		}
-		total += m.SimulatedTime(env.engine.CostModel())
+		total += DefaultCostModel().SimulatedTime(m, env.backend)
 		metrics[spec.Name] = m
 	}
 	return total, metrics, nil
@@ -182,7 +183,7 @@ func RunFig11(ctx context.Context, rows int, seed int64) (*Fig11Result, error) {
 				Strategy:       strategy,
 				TotalTime:      total,
 				CachedPerQuery: map[string]int{},
-				CacheOverhead:  time.Duration(stats.ParseNsSpent),
+				CacheOverhead:  time.Duration(float64(stats.BytesScanned) * DefaultCostModel().ParseNsPerByteStream),
 			}
 			selectedSet := map[pathkey.Key]bool{}
 			for _, p := range selected {
@@ -237,7 +238,7 @@ func (r *Fig11Result) String() string {
 type Fig12Row struct {
 	Query     string
 	System    string // "spark" | "maxson"
-	Breakdown sqlengine.PhaseBreakdown
+	Breakdown PhaseBreakdown
 	InputMB   float64
 	// Counter columns: where the savings come from. Maxson rows show cache
 	// reads and the row groups its pushdown skipped; spark rows show zero.
@@ -265,7 +266,7 @@ func RunFig12(ctx context.Context, rows int, seed int64) (*Fig12Result, error) {
 		}
 		out.Rows = append(out.Rows, Fig12Row{
 			Query: q, System: "spark",
-			Breakdown:        m.Breakdown(ePlain.CostModel()),
+			Breakdown:        DefaultCostModel().Breakdown(m, baseline.JacksonBackend{}),
 			InputMB:          float64(m.BytesRead.Load()) / (1 << 20),
 			RowGroupsSkipped: m.RowGroupsSkipped.Load(),
 			CacheValuesRead:  m.CacheValuesRead.Load(),
@@ -285,7 +286,7 @@ func RunFig12(ctx context.Context, rows int, seed int64) (*Fig12Result, error) {
 		}
 		out.Rows = append(out.Rows, Fig12Row{
 			Query: q, System: "maxson",
-			Breakdown:        m.Breakdown(env.engine.CostModel()),
+			Breakdown:        DefaultCostModel().Breakdown(m, env.backend),
 			InputMB:          float64(m.BytesRead.Load()) / (1 << 20),
 			RowGroupsSkipped: m.RowGroupsSkipped.Load(),
 			CacheValuesRead:  m.CacheValuesRead.Load(),
@@ -344,8 +345,8 @@ func RunFig13(ctx context.Context, rows int, seed int64) (*Fig13Result, error) {
 		}
 		out.Rows = append(out.Rows, Fig13Row{
 			Query:      spec.Name,
-			SparkPlan:  mp.SimulatedPlanTime(ePlain.CostModel()),
-			MaxsonPlan: mm.SimulatedPlanTime(env.engine.CostModel()),
+			SparkPlan:  DefaultCostModel().SimulatedPlanTime(mp),
+			MaxsonPlan: DefaultCostModel().SimulatedPlanTime(mm),
 			PathCount:  spec.PathCount,
 		})
 	}
@@ -411,7 +412,7 @@ func RunFig15(ctx context.Context, rows int, seed int64) (*Fig15Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			record(cfg.system, spec.Name, m.SimulatedTime(e.CostModel()))
+			record(cfg.system, spec.Name, DefaultCostModel().SimulatedTime(m, cfg.backend))
 		}
 	}
 
@@ -441,7 +442,7 @@ func RunFig15(ctx context.Context, rows int, seed int64) (*Fig15Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			record(cfg.system, spec.Name, m.SimulatedTime(env.engine.CostModel()))
+			record(cfg.system, spec.Name, DefaultCostModel().SimulatedTime(m, env.backend))
 			if cfg.system == "maxson" {
 				n := 0
 				for _, k := range env.pathKeys(spec.Name) {

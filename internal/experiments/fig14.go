@@ -37,7 +37,7 @@ func RunFig14(rows int, seed int64, days int) (*Fig14Result, error) {
 	w := BuildWorkload(rows, seed)
 	env := newMaxsonEnv(w, baseline.JacksonBackend{})
 	profiles := env.profiles()
-	cm := env.engine.CostModel()
+	cm := DefaultCostModel()
 
 	profByKey := map[pathkey.Key]*core.PathProfile{}
 	for _, p := range profiles {
@@ -47,10 +47,10 @@ func RunFig14(rows int, seed int64, days int) (*Fig14Result, error) {
 
 	missCost := func(p *core.PathProfile) time.Duration {
 		// Extract the path from every row's document. All systems fill with
-		// the streaming single-pass extractor now (AvgScanNs charges only
-		// the bytes actually scanned; wildcard paths keep the tree rate), so
-		// the comparison stays apples-to-apples against the new baseline.
-		return time.Duration(p.AvgScanNs * float64(tableRows))
+		// the streaming single-pass extractor now, charged only for the bytes
+		// it actually scans (AvgScanBytes), so the comparison stays
+		// apples-to-apples against the new baseline.
+		return time.Duration((p.AvgScanBytes*cm.ParseNsPerByteStream + cm.ParseNsPerCall) * float64(tableRows))
 	}
 	hitCost := func(p *core.PathProfile) time.Duration {
 		// Read the cached values instead.

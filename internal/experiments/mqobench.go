@@ -53,8 +53,6 @@ type MQOBenchResult struct {
 	// scanshare_parse_bytes_saved_total: bytes the coalesced siblings did
 	// not re-parse.
 	ParseBytesSaved int64
-	SharedWallMs    int64
-	UnsharedWallMs  int64
 }
 
 func (r *MQOBenchResult) String() string {
@@ -67,8 +65,7 @@ func (r *MQOBenchResult) String() string {
 	fmt.Fprintf(&b, "%-28s %14d\n", "N unshared total parse", r.UnsharedTotalParseBytes)
 	fmt.Fprintf(&b, "%-28s %14d\n", "parse bytes saved", r.ParseBytesSaved)
 	fmt.Fprintf(&b, "shared/single parse ratio: %.2fx (bar: <= 1.50x); cold burst %.2fx\n", r.Ratio, r.ColdRatio)
-	fmt.Fprintf(&b, "coalesced %d queries into %d group(s)\n", r.Coalesced, r.Groups)
-	fmt.Fprintf(&b, "wall: shared %dms, unshared %dms", r.SharedWallMs, r.UnsharedWallMs)
+	fmt.Fprintf(&b, "coalesced %d queries into %d group(s)", r.Coalesced, r.Groups)
 	return b.String()
 }
 
@@ -114,8 +111,8 @@ func mqoBenchSystem(rows int, seed int64, window time.Duration, maxQ int) (*sqle
 }
 
 // mqoRun fires n copies of sql concurrently, barrier-started, and returns
-// the summed parse bytes and the wall time of the slowest query.
-func mqoRun(ctx context.Context, e *sqlengine.Engine, sql string, n int) (int64, time.Duration, error) {
+// the summed parse bytes.
+func mqoRun(ctx context.Context, e *sqlengine.Engine, sql string, n int) (int64, error) {
 	var (
 		wg    sync.WaitGroup
 		mu    sync.Mutex
@@ -123,7 +120,6 @@ func mqoRun(ctx context.Context, e *sqlengine.Engine, sql string, n int) (int64,
 		first error
 	)
 	start := make(chan struct{})
-	t0 := time.Now()
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func() {
@@ -142,7 +138,7 @@ func mqoRun(ctx context.Context, e *sqlengine.Engine, sql string, n int) (int64,
 	}
 	close(start)
 	wg.Wait()
-	return total, time.Since(t0), first
+	return total, first
 }
 
 // RunMQOBench measures shared-scan execution with N identical concurrent
@@ -166,7 +162,7 @@ func RunMQOBench(ctx context.Context, rows int, seed int64) (*MQOBenchResult, er
 
 	// N concurrent on the plain engine: the duplicate-parse cost Maxson's
 	// sharing removes.
-	unsharedTotal, unsharedWall, err := mqoRun(ctx, plain, sql, n)
+	unsharedTotal, err := mqoRun(ctx, plain, sql, n)
 	if err != nil {
 		return nil, fmt.Errorf("mqo bench unshared run: %w", err)
 	}
@@ -179,7 +175,7 @@ func RunMQOBench(ctx context.Context, rows int, seed int64) (*MQOBenchResult, er
 	if err != nil {
 		return nil, fmt.Errorf("mqo bench build (shared): %w", err)
 	}
-	coldTotal, _, err := mqoRun(ctx, shared, sql, n)
+	coldTotal, err := mqoRun(ctx, shared, sql, n)
 	if err != nil {
 		return nil, fmt.Errorf("mqo bench cold shared run: %w", err)
 	}
@@ -187,7 +183,7 @@ func RunMQOBench(ctx context.Context, rows int, seed int64) (*MQOBenchResult, er
 	groups := reg.Counter("scanshare_groups_total")
 	saved := reg.Counter("scanshare_parse_bytes_saved_total")
 	coalesced0, groups0, saved0 := coalesced.Value(), groups.Value(), saved.Value()
-	sharedTotal, sharedWall, err := mqoRun(ctx, shared, sql, n)
+	sharedTotal, err := mqoRun(ctx, shared, sql, n)
 	if err != nil {
 		return nil, fmt.Errorf("mqo bench shared run: %w", err)
 	}
@@ -201,8 +197,6 @@ func RunMQOBench(ctx context.Context, rows int, seed int64) (*MQOBenchResult, er
 		Coalesced:                 coalesced.Value() - coalesced0,
 		Groups:                    groups.Value() - groups0,
 		ParseBytesSaved:           saved.Value() - saved0,
-		SharedWallMs:              sharedWall.Milliseconds(),
-		UnsharedWallMs:            unsharedWall.Milliseconds(),
 	}
 	if single > 0 {
 		res.Ratio = float64(sharedTotal) / float64(single)

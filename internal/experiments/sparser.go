@@ -63,7 +63,7 @@ func RunSparserStudy(ctx context.Context, rows int, seed int64) (*SparserResult,
 		if err != nil {
 			return nil, fmt.Errorf("%s plain: %w", q.name, err)
 		}
-		row.Spark = mP.SimulatedTime(ePlain.CostModel())
+		row.Spark = DefaultCostModel().SimulatedTime(mP, baseline.JacksonBackend{})
 		row.ParsedSpark = mP.Parse.Docs.Load()
 		row.Selectivity = float64(len(rsP.Rows)) / float64(rows)
 
@@ -79,7 +79,7 @@ func RunSparserStudy(ctx context.Context, rows int, seed int64) (*SparserResult,
 		if rsS.String() != rsP.String() {
 			return nil, fmt.Errorf("%s: sparser changed results", q.name)
 		}
-		row.SparkSparser = mS.SimulatedTime(eSp.CostModel())
+		row.SparkSparser = DefaultCostModel().SimulatedTime(mS, baseline.JacksonBackend{})
 		row.ParsedSprsr = mS.Parse.Docs.Load()
 		row.PrefilterSkipped = mS.PrefilterSkipped.Load()
 
@@ -105,7 +105,7 @@ func RunSparserStudy(ctx context.Context, rows int, seed int64) (*SparserResult,
 		if rsM.String() != rsP.String() {
 			return nil, fmt.Errorf("%s: maxson changed results", q.name)
 		}
-		row.Maxson = mM.SimulatedTime(env.engine.CostModel())
+		row.Maxson = DefaultCostModel().SimulatedTime(mM, env.backend)
 		row.CacheValuesRead = mM.CacheValuesRead.Load()
 		out.Rows = append(out.Rows, row)
 	}

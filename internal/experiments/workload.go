@@ -51,7 +51,7 @@ func (r *Fig2Result) String() string {
 // Fig3Row is one query's phase breakdown.
 type Fig3Row struct {
 	Query      string
-	Breakdown  sqlengine.PhaseBreakdown
+	Breakdown  PhaseBreakdown
 	ParseShare float64
 }
 
@@ -85,8 +85,8 @@ func RunFig3(ctx context.Context, rows int) (*Fig3Result, error) {
 		return nil, err
 	}
 	// Fig 3 is the paper's motivation: SparkSQL with its Jackson tree parser.
-	e := sqlengine.NewEngine(wh, sqlengine.WithDefaultDB("nb"),
-		sqlengine.WithBackend(baseline.JacksonBackend{}))
+	backend := baseline.JacksonBackend{}
+	e := sqlengine.NewEngine(wh, sqlengine.WithDefaultDB("nb"), sqlengine.WithBackend(backend))
 
 	queries := []struct{ name, sql string }{
 		{"Q1 (select)", `SELECT get_json_object(doc, '$.str1') a, get_json_object(doc, '$.num') b FROM nb.data`},
@@ -99,7 +99,7 @@ func RunFig3(ctx context.Context, rows int) (*Fig3Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", q.name, err)
 		}
-		bd := m.Breakdown(e.CostModel())
+		bd := DefaultCostModel().Breakdown(m, backend)
 		share := 0.0
 		if bd.Total() > 0 {
 			share = float64(bd.Parse) / float64(bd.Total())

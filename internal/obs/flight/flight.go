@@ -32,8 +32,7 @@ const (
 	DefaultSlowThreshold = 500 * time.Millisecond
 )
 
-// Stage is one timed phase of a query (plan, exec, and the simulated
-// read/parse/compute breakdown).
+// Stage is one measured phase of a query (plan, execute).
 type Stage struct {
 	Name string `json:"name"`
 	NS   int64  `json:"ns"`

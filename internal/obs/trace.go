@@ -100,9 +100,6 @@ func (s *Span) Set(key, val string) {
 // SetInt records an integer attribute.
 func (s *Span) SetInt(key string, v int64) { s.Set(key, fmt.Sprintf("%d", v)) }
 
-// SetDur records a duration attribute.
-func (s *Span) SetDur(key string, d time.Duration) { s.Set(key, d.String()) }
-
 // Attr returns an attribute's value ("" when absent).
 func (s *Span) Attr(key string) string {
 	s.mu.Lock()

@@ -6,7 +6,7 @@ import (
 	"repro/internal/datum"
 )
 
-// ReadStats meters reader work for the cost model.
+// ReadStats meters reader work for the query engine's metrics.
 type ReadStats struct {
 	BytesRead        int64
 	RowsRead         int64

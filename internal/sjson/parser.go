@@ -17,7 +17,7 @@ func (e *SyntaxError) Error() string {
 	return fmt.Sprintf("sjson: syntax error at offset %d: %s", e.Offset, e.Msg)
 }
 
-// ParseStats accumulates parsing work so the engine's cost model can meter
+// ParseStats accumulates parsing work so the engine's metrics can meter
 // the parse phase separately from read and compute. All counters are totals
 // since the struct was zeroed.
 type ParseStats struct {

@@ -5,7 +5,7 @@
 // "parse the whole string into a tree, then navigate" baseline whose cost
 // dominates query execution on raw JSON data. The package is deliberately
 // independent of encoding/json so that the reproduction controls every byte
-// of parsing work that the cost model meters.
+// of parsing work that the engine meters.
 package sjson
 
 import (

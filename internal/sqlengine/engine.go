@@ -19,7 +19,6 @@ type Engine struct {
 	backend     ParserBackend
 	parallelism int
 	defaultDB   string
-	cost        CostModel
 	sparser     bool
 	// batchSize is the rows-per-batch of the vectorized scan pipeline.
 	batchSize int
@@ -159,7 +158,6 @@ func NewEngine(wh *warehouse.Warehouse, opts ...EngineOption) *Engine {
 		backend:     StreamBackend{},
 		parallelism: runtime.GOMAXPROCS(0),
 		defaultDB:   "default",
-		cost:        DefaultCostModel(),
 		batchSize:   DefaultBatchSize,
 	}
 	for _, o := range opts {
@@ -170,9 +168,6 @@ func NewEngine(wh *warehouse.Warehouse, opts ...EngineOption) *Engine {
 
 // Warehouse returns the engine's warehouse.
 func (e *Engine) Warehouse() *warehouse.Warehouse { return e.wh }
-
-// CostModel returns the engine's cost model.
-func (e *Engine) CostModel() CostModel { return e.cost }
 
 // SetObsRegistry installs (or replaces) the engine's metrics registry. It
 // is a no-op when r is nil; call before serving queries.
@@ -273,8 +268,6 @@ func (e *Engine) queryStmt(ctx context.Context, stmt *SelectStmt, traced bool) (
 		planSpan := trace.Child("plan")
 		planSpan.SetWindow(planStart, planStart.Add(planWall))
 		planSpan.SetInt("expr-nodes", planNodes)
-		planSpan.SetDur("simulated",
-			time.Duration(float64(planNodes)*e.cost.PlanNsPerExprNode))
 	}
 	rs, m, err := e.execute(ctx, plan, trace)
 	if err != nil {

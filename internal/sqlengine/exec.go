@@ -135,12 +135,7 @@ func (e *Engine) ExecuteCtx(ctx context.Context, plan *PhysicalPlan) (*ResultSet
 // execute runs a physical plan; when trace is non-nil each operator and
 // scan partition records a span under it.
 func (e *Engine) execute(ctx context.Context, plan *PhysicalPlan, trace *obs.Span) (*ResultSet, *Metrics, error) {
-	m := &Metrics{
-		TreeParser:   e.backend.Name() == "jackson",
-		StreamParser: e.backend.Name() == "ondemand",
-		Trace:        trace,
-		Span:         trace,
-	}
+	m := &Metrics{Trace: trace, Span: trace}
 	start := e.nowWall()
 	calls := PlanPathCalls(plan)
 
@@ -223,7 +218,7 @@ func (e *Engine) execute(ctx context.Context, plan *PhysicalPlan, trace *obs.Spa
 
 	// Fold the per-split work into the query totals and annotate each
 	// split's span with what it actually did.
-	sm := &Metrics{TreeParser: m.TreeParser, StreamParser: m.StreamParser} // scan-level totals
+	sm := &Metrics{} // scan-level totals
 	var mapOut int64
 	for split, pm := range results {
 		p := &partMetrics[split]
@@ -262,7 +257,6 @@ func (e *Engine) execute(ctx context.Context, plan *PhysicalPlan, trace *obs.Spa
 		if n := sm.CacheValuesRead.Load(); n > 0 {
 			scanSpan.SetInt("cache-values", n)
 		}
-		scanSpan.Set("simulated", sm.Breakdown(e.cost).String())
 	}
 	sm.addTo(m)
 	for _, r := range results {
@@ -331,7 +325,6 @@ func (e *Engine) execute(ctx context.Context, plan *PhysicalPlan, trace *obs.Spa
 	if trace != nil {
 		trace.End()
 		trace.SetInt("rows", int64(len(out)))
-		trace.Set("simulated", m.Breakdown(e.cost).String())
 	}
 
 	m.WallTime = e.nowWall() - start

@@ -10,16 +10,16 @@ import (
 
 // ExplainAnalyzeStmtCtx executes stmt with tracing enabled and renders an
 // EXPLAIN ANALYZE-style annotated operator tree: per-operator rows, bytes,
-// parse calls, cache hits, and simulated Read/Parse/Compute times. The
-// result set and metrics of the (actually executed) query are returned
-// alongside the rendering. The traced execution honors cancellation and the
-// engine query timeout exactly like QueryStmtCtx.
+// parse calls and cache hits, counters only, so the rendering is the same on
+// every run. The result set and metrics of the (actually executed) query are
+// returned alongside the rendering. The traced execution honors cancellation
+// and the engine query timeout exactly like QueryStmtCtx.
 func (e *Engine) ExplainAnalyzeStmtCtx(ctx context.Context, stmt *SelectStmt) (string, *ResultSet, *Metrics, error) {
 	plan, rs, m, err := e.queryStmt(ctx, stmt, true)
 	if err != nil {
 		return "", nil, nil, err
 	}
-	return RenderExplainAnalyze(plan, m, e.cost), rs, m, nil
+	return RenderExplainAnalyze(plan, m), rs, m, nil
 }
 
 // explainLine is one operator row: the plan text plus its annotation.
@@ -31,7 +31,7 @@ type explainLine struct {
 // RenderExplainAnalyze draws the annotated operator tree for an executed
 // plan. Annotations come from the trace recorded in m (m.Trace may be nil,
 // e.g. for an EXPLAIN-only statement — then only the plan shape prints).
-func RenderExplainAnalyze(plan *PhysicalPlan, m *Metrics, cm CostModel) string {
+func RenderExplainAnalyze(plan *PhysicalPlan, m *Metrics) string {
 	trace := m.Trace
 	span := func(name string) *obs.Span {
 		if trace == nil {
@@ -173,15 +173,7 @@ func RenderExplainAnalyze(plan *PhysicalPlan, m *Metrics, cm CostModel) string {
 		sb.WriteByte('\n')
 	}
 
-	// Scan-phase simulated time (when traced) and query totals.
-	if scanSpan != nil {
-		if sim := scanSpan.Attr("simulated"); sim != "" {
-			fmt.Fprintf(&sb, "scan simulated: %s\n", sim)
-		}
-	}
 	fmt.Fprintf(&sb, "totals:    %s\n", m.String())
-	fmt.Fprintf(&sb, "simulated: %s\n", m.Breakdown(cm).String())
-	fmt.Fprintf(&sb, "plan:      %d expr nodes, %v simulated\n",
-		m.PlanExprNodes, m.SimulatedPlanTime(cm))
+	fmt.Fprintf(&sb, "plan:      %d expr nodes\n", m.PlanExprNodes)
 	return sb.String()
 }

@@ -9,51 +9,10 @@ import (
 	"repro/internal/obs"
 )
 
-// CostModel converts metered work into deterministic simulated time. The
-// unit costs are calibrated against wall-clock microbenchmarks of the
-// actual substrates on commodity hardware (see cost figures below), so the
-// simulated breakdowns keep the shape of real executions while staying
-// reproducible on shared CI machines.
-//
-// Calibration anchors (order-of-magnitude, from this repo's benchmarks):
-//   - columnar read decodes ~1 GB/s        → ~1 ns/byte
-//   - tree JSON parsing runs ~150 MB/s     → ~6.7 ns/byte
-//   - structural-index projection ~600 MB/s→ ~1.7 ns/byte
-//   - streaming trie extraction ~500 MB/s  → ~2.0 ns/byte scanned
-//   - row compute (expr eval, hashing)     → ~120 ns/row-op
-//
-// Streaming extraction is charged per byte *scanned*: early exit means the
-// tail of a document costs nothing, and the skipped bytes surface separately
-// as the parse_bytes_skipped counter rather than as parse cost.
-type CostModel struct {
-	ReadNsPerByte        float64
-	ParseNsPerByteTree   float64 // Jackson-style full parse
-	ParseNsPerByteIndex  float64 // Mison-style structural index
-	ParseNsPerByteStream float64 // streaming trie extraction (per byte scanned)
-	ParseNsPerCall       float64 // fixed per-get_json_object overhead
-	ComputeNsPerRowOp    float64
-	PlanNsPerExprNode    float64
-	// PrefilterNsPerByte rates the Sparser-style raw substring scan
-	// (SIMD-class throughput, far cheaper than parsing).
-	PrefilterNsPerByte float64
-}
-
-// DefaultCostModel returns the calibrated defaults.
-func DefaultCostModel() CostModel {
-	return CostModel{
-		ReadNsPerByte:        1.0,
-		ParseNsPerByteTree:   6.7,
-		ParseNsPerByteIndex:  1.7,
-		ParseNsPerByteStream: 2.0,
-		ParseNsPerCall:       80,
-		ComputeNsPerRowOp:    120,
-		PlanNsPerExprNode:    15000,
-		PrefilterNsPerByte:   0.2,
-	}
-}
-
 // Metrics accumulates all metered work for one query execution. Fields
-// updated from parallel partitions use atomics.
+// updated from parallel partitions use atomics. They are counts, never
+// modelled times: the paper's figures turn them into simulated time in
+// internal/experiments.
 type Metrics struct {
 	// Read phase.
 	BytesRead        atomic.Int64
@@ -63,12 +22,6 @@ type Metrics struct {
 
 	// Parse phase.
 	Parse ParseMeter
-	// StreamParser marks parse bytes scanned by the streaming trie extractor
-	// (charged per byte scanned). Under the experiments' baseline backends
-	// TreeParser records whether they were tree-parsed (Jackson) or, with
-	// neither flag set, index-projected (Mison).
-	TreeParser   bool
-	StreamParser bool
 
 	// Compute phase: one row-op is one operator processing one row.
 	RowOps atomic.Int64
@@ -215,50 +168,4 @@ func (m *Metrics) String() string {
 		parts = append(parts, fmt.Sprintf("prefilter skipped %d", n))
 	}
 	return strings.Join(parts, "; ")
-}
-
-// PhaseBreakdown is the Read/Parse/Compute split of simulated time used by
-// Fig 3 and Fig 12.
-type PhaseBreakdown struct {
-	Read    time.Duration
-	Parse   time.Duration
-	Compute time.Duration
-}
-
-// Total returns the summed phase time.
-func (p PhaseBreakdown) Total() time.Duration { return p.Read + p.Parse + p.Compute }
-
-// String renders the split as "read R + parse P + compute C = T".
-func (p PhaseBreakdown) String() string {
-	return fmt.Sprintf("read %v + parse %v + compute %v = %v", p.Read, p.Parse, p.Compute, p.Total())
-}
-
-// Breakdown converts the metered counters into simulated phase times. Parse
-// cost is charged per byte the chosen backend actually scanned — for the
-// streaming extractor the early-exited tail (Parse.Skipped) is free.
-func (m *Metrics) Breakdown(cm CostModel) PhaseBreakdown {
-	perByte := cm.ParseNsPerByteIndex
-	switch {
-	case m.TreeParser:
-		perByte = cm.ParseNsPerByteTree
-	case m.StreamParser:
-		perByte = cm.ParseNsPerByteStream
-	}
-	pc := m.Parse.Snapshot()
-	return PhaseBreakdown{
-		Read: time.Duration(float64(m.BytesRead.Load()) * cm.ReadNsPerByte),
-		Parse: time.Duration(float64(pc.Bytes)*perByte + float64(pc.Calls)*cm.ParseNsPerCall +
-			float64(m.PrefilterBytes.Load())*cm.PrefilterNsPerByte),
-		Compute: time.Duration(float64(m.RowOps.Load()) * cm.ComputeNsPerRowOp),
-	}
-}
-
-// SimulatedTime is the total simulated execution time.
-func (m *Metrics) SimulatedTime(cm CostModel) time.Duration {
-	return m.Breakdown(cm).Total()
-}
-
-// SimulatedPlanTime converts plan-phase work into simulated time.
-func (m *Metrics) SimulatedPlanTime(cm CostModel) time.Duration {
-	return time.Duration(float64(m.PlanExprNodes) * cm.PlanNsPerExprNode)
 }

@@ -7,8 +7,9 @@
 // Every query execution meters its work in three phases — Read (bytes moved
 // from storage), Parse (JSON documents and bytes parsed by UDFs), and
 // Compute (rows processed by operators) — mirroring the breakdowns in the
-// paper's Fig 3 and Fig 12. The metered counts feed a calibrated cost model
-// (cost.go) so experiments report deterministic times alongside wall-clock.
+// paper's Fig 3 and Fig 12. The engine reports only the metered counts
+// (metrics.go); the paper's figures turn them into deterministic simulated
+// times with the cost model in internal/experiments.
 package sqlengine
 
 import (

@@ -167,7 +167,7 @@ func NewSystem(cfg SystemConfig) *System {
 // AppendRows, and reading APIs.
 func (s *System) Warehouse() *warehouse.Warehouse { return s.wh }
 
-// Engine exposes the SQL engine directly (plans, cost model).
+// Engine exposes the SQL engine directly (plans, metrics registry).
 func (s *System) Engine() *sqlengine.Engine { return s.e }
 
 // Core exposes the full Maxson internals (collector, registry, scorer,
@@ -185,7 +185,7 @@ func (s *System) QueryCtx(ctx context.Context, sql string) (*ResultSet, *Metrics
 
 // ExplainCtx executes SQL with tracing and returns an EXPLAIN ANALYZE-style
 // annotated operator tree (per-operator rows, bytes, parse calls, cache
-// reads, simulated phase times) alongside the results. It is QueryCtx with a
+// reads: counters only) alongside the results. It is QueryCtx with a
 // trace: the same collector feed, flight record, cancellation and
 // degraded-cache re-plan.
 func (s *System) ExplainCtx(ctx context.Context, sql string) (string, *ResultSet, *Metrics, error) {
