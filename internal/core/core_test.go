@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -432,27 +433,18 @@ func TestCollectorObservesQueries(t *testing.T) {
 	if _, _, err := m.QueryCtx(context.Background(), fig1Query); err != nil {
 		t.Fatal(err)
 	}
-	keys := m.Collector.ObservedKeys()
-	if len(keys) != 2 { // item_id, item_name, turnover — turnover twice dedup'd; = 3 paths
-		// fig1Query has item_id, item_name, turnover (projection) + turnover (order by)
-		if len(keys) != 3 {
-			t.Fatalf("observed keys = %v", keys)
-		}
+	// fig1Query names item_id and item_name once and turnover twice
+	// (projection + ORDER BY); each occurrence is an access.
+	key := func(path string) pathkey.Key {
+		return pathkey.Key{DB: "mydb", Table: "t", Column: "sale_logs", Path: path}
 	}
-	counts := m.Collector.CountsFor(f.clock.Now().Add(-24*time.Hour), 2)
-	turnoverKey := pathkey.Key{DB: "mydb", Table: "t", Column: "sale_logs", Path: "$.turnover"}
-	found := false
-	for k, c := range counts {
-		if k == turnoverKey {
-			found = true
-			// turnover appears twice in the query (projection + order by).
-			if c[1] != 2 {
-				t.Errorf("turnover count = %v, want 2 accesses", c)
-			}
-		}
+	want := map[pathkey.Key][]int{
+		key("$.item_id"):   {0, 1},
+		key("$.item_name"): {0, 1},
+		key("$.turnover"):  {0, 2},
 	}
-	if !found {
-		t.Error("turnover not collected")
+	if got := m.Collector.CountsFor(f.clock.Now().Add(-24*time.Hour), 2); !reflect.DeepEqual(got, want) {
+		t.Errorf("counts = %v, want %v", got, want)
 	}
 }
 
@@ -475,8 +467,7 @@ func TestScoringFunctionOrdering(t *testing.T) {
 		{DB: "mydb", Table: "t", Column: "sale_logs", Path: "$.price"},
 	}
 	mpjp := map[pathkey.Key]bool{candidates[0]: true, candidates[1]: true}
-	queries := m.Collector.Queries(f.clock.Now().Add(-time.Hour), f.clock.Now().Add(time.Hour))
-	profiles := m.Scorer.Profile(candidates, queries, mpjp)
+	profiles := m.Scorer.Profile(candidates, m.Collector.PathSets(f.clock.Now(), 1), mpjp)
 	if len(profiles) != 2 {
 		t.Fatalf("profiles = %d", len(profiles))
 	}

@@ -9,6 +9,7 @@ import (
 	"hash/crc32"
 	"io"
 	"log/slog"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -414,8 +415,10 @@ func (m *Maxson) RunMidnightCycleCtx(ctx context.Context) (*CycleReport, error) 
 	}
 
 	// Stage 1: delete the cache tables the PREVIOUS cycle retired (deferred
-	// deletion — in-flight queries of that era have long drained).
+	// deletion — in-flight queries of that era have long drained), and the
+	// collector's days older than the training horizon.
 	dropped := m.Cacher.DropRetired()
+	m.Collector.Retire(now.AddDate(0, 0, -4*m.Window))
 	stage("retire", dropped)
 	defer func() { report.Cache.Dropped += dropped }()
 
@@ -423,8 +426,8 @@ func (m *Maxson) RunMidnightCycleCtx(ctx context.Context) (*CycleReport, error) 
 		return report, err
 	}
 
-	// Stage 2: collect the history window — the Window days ending yesterday
-	// (queries never touch same-day data, §II-D).
+	// Stage 2: collect the history window — the Window+1 whole days ending
+	// yesterday (queries never touch same-day data, §II-D).
 	histStart := now.AddDate(0, 0, -m.Window-1)
 	counts := m.Collector.CountsFor(histStart, m.Window+1)
 	keys := sortedCountKeys(counts)
@@ -481,9 +484,8 @@ func (m *Maxson) RunMidnightCycleCtx(ctx context.Context) (*CycleReport, error) 
 		return report, err
 	}
 
-	// Stage 4: score against the same history window of queries.
-	queries := m.Collector.Queries(histStart, now)
-	profiles := m.Scorer.Profile(candidates, queries, mpjpSet)
+	// Stage 4: score against the queries of the same whole days.
+	profiles := m.profile(histStart, candidates, mpjpSet)
 
 	var selected []*PathProfile
 	if m.UseRandomSelection {
@@ -509,6 +511,13 @@ func (m *Maxson) RunMidnightCycleCtx(ctx context.Context) (*CycleReport, error) 
 		return report, fmt.Errorf("core: cache population failed: %w", err)
 	}
 	return report, nil
+}
+
+// profile is the cycle's score stage: it measures and scores candidates
+// against the queries of the Window+1 whole days from histStart, the days
+// the collect stage read.
+func (m *Maxson) profile(histStart time.Time, candidates []pathkey.Key, mpjpSet map[pathkey.Key]bool) []*PathProfile {
+	return m.Scorer.Profile(candidates, m.Collector.PathSets(histStart, m.Window+1), mpjpSet)
 }
 
 // CacheSelected bypasses prediction and caches an explicit MPJP selection —
@@ -706,11 +715,6 @@ func sortedCountKeys(counts map[pathkey.Key][]int) []pathkey.Key {
 	for k := range counts {
 		keys = append(keys, k)
 	}
-	// insertion sort by pathkey.Less keeps this dependency-free
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && pathkey.Less(keys[j], keys[j-1]); j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
+	sort.Slice(keys, func(i, j int) bool { return pathkey.Less(keys[i], keys[j]) })
 	return keys
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sort"
 	"strings"
 	"time"
 
@@ -168,7 +169,7 @@ func (p *Planner) modifyScan(plan *sqlengine.PhysicalPlan, scan *sqlengine.ScanN
 	for col := range hitCols {
 		cacheCols = append(cacheCols, col)
 	}
-	sortStrings(cacheCols)
+	sort.Strings(cacheCols)
 
 	// The raw JSON columns whose every use was replaced can be dropped from
 	// the primary read set (Fig 9: json_column0 removed). A JSON column
@@ -312,12 +313,4 @@ func mirrorSargOp(op orc.CompareOp) orc.CompareOp {
 		return orc.OpLE
 	}
 	return op
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

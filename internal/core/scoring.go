@@ -3,6 +3,7 @@ package core
 import (
 	"sort"
 
+	"repro/internal/datum"
 	"repro/internal/jsonpath"
 	"repro/internal/pathkey"
 	"repro/internal/warehouse"
@@ -56,36 +57,30 @@ func NewScorer(wh *warehouse.Warehouse) *Scorer {
 	return &Scorer{wh: wh, SampleRows: 64}
 }
 
-// Profile measures and scores the given MPJP candidates. queries is the
-// window of observed queries used for O_j and R_j; mpjpSet is the full
-// predicted MPJP set (needed for M_i).
-func (s *Scorer) Profile(candidates []pathkey.Key, queries []QueryRecord, mpjpSet map[pathkey.Key]bool) []*PathProfile {
-	// Per-query MPJP share, then per-path relevance/occurrence.
-	type qStat struct{ m, n int }
-	qstats := make([]qStat, len(queries))
-	for i, q := range queries {
-		for _, p := range q.Paths {
-			qstats[i].n++
-			if mpjpSet[p] {
-				qstats[i].m++
-			}
-		}
-	}
+// Profile measures and scores the given MPJP candidates. sets counts the
+// path multisets of the observed queries the window holds, for O_j and R_j;
+// mpjpSet is the full predicted MPJP set (needed for M_i).
+func (s *Scorer) Profile(candidates []pathkey.Key, sets []PathSetCount, mpjpSet map[pathkey.Key]bool) []*PathProfile {
 	byPath := make(map[pathkey.Key]*PathProfile, len(candidates))
 	for _, key := range candidates {
 		byPath[key] = &PathProfile{Key: key}
 	}
-	for i, q := range queries {
-		seen := map[pathkey.Key]bool{}
+	for _, q := range sets {
+		// Every query of the multiset has the same M_i and N_i.
+		n, m := len(q.Paths), 0
 		for _, p := range q.Paths {
+			if mpjpSet[p] {
+				m++
+			}
+		}
+		for i, p := range q.Paths {
 			prof, ok := byPath[p]
-			if !ok || seen[p] {
+			if !ok || (i > 0 && q.Paths[i-1] == p) { // sorted: repeats are adjacent
 				continue
 			}
-			seen[p] = true
-			prof.Occurrence++
-			prof.Relevance += float64(qstats[i].m) // numerator ΣM_i
-			prof.Score += float64(qstats[i].n)     // reuse Score as ΣN_i accumulator
+			prof.Occurrence += q.Count
+			prof.Relevance += float64(m * q.Count) // numerator ΣM_i
+			prof.Score += float64(n * q.Count)     // reuse Score as ΣN_i accumulator
 		}
 	}
 	out := make([]*PathProfile, 0, len(candidates))
@@ -136,7 +131,9 @@ func (s *Scorer) sample(col pathkey.Key) *columnSample {
 	if err != nil {
 		return nil
 	}
-	cs := &columnSample{numRows: info.NumRows}
+	cs := &columnSample{numRows: info.NumRows, docs: make([]string, 0, len(info.Files)*s.SampleRows)}
+	batch := [][]datum.Datum{make([]datum.Datum, s.SampleRows)}
+	// A split that fails to open or read is left out of the sample.
 	for _, file := range info.Files {
 		r, err := s.wh.OpenFile(file)
 		if err != nil {
@@ -146,15 +143,14 @@ func (s *Scorer) sample(col pathkey.Key) *columnSample {
 		if err != nil {
 			continue
 		}
-		for i := 0; i < s.SampleRows; i++ {
-			row, err := cur.Next()
-			if err != nil || row == nil {
-				break
+		n, err := cur.NextBatch(batch, s.SampleRows)
+		if err != nil {
+			continue
+		}
+		for _, doc := range batch[0][:n] {
+			if !doc.Null {
+				cs.docs = append(cs.docs, doc.S)
 			}
-			if row[0].Null {
-				continue
-			}
-			cs.docs = append(cs.docs, row[0].S)
 		}
 	}
 	return cs

@@ -7,13 +7,14 @@ import (
 	"time"
 )
 
-// TestStateRaceWithQueries races concurrent QueryCtx traffic against
-// SaveState/LoadState — the drain-time flush and restart-time restore a
-// long-lived server runs while queries may still be in flight. Run with
-// -race. The invariants: no data race, every query returns either the
-// correct rows or no error at all, and the registry stays consistent (a
-// LoadState mid-traffic swaps atomically, so queries see the old or the new
-// catalog, never a torn one).
+// TestStateRaceWithQueries races concurrent QueryCtx traffic, each query
+// observed by the collector, against SaveState/LoadState — the drain-time
+// flush and restart-time restore a long-lived server runs while queries may
+// still be in flight — and against midnight cycles, which retire and read
+// the collector's days. Run with -race. The invariants: no data race, every
+// query returns either the correct rows or no error at all, and the registry
+// stays consistent (a LoadState mid-traffic swaps atomically, so queries see
+// the old or the new catalog, never a torn one).
 func TestStateRaceWithQueries(t *testing.T) {
 	f := newFixture(t)
 	m := New(f.engine, Config{BudgetBytes: 1 << 30, DefaultDB: "mydb"})
@@ -68,8 +69,24 @@ func TestStateRaceWithQueries(t *testing.T) {
 			}
 		}()
 	}
-	// One saver and one loader racing the queries and each other.
-	wg.Add(2)
+	// One saver, one loader and one cycle racing the queries and each other.
+	// The queries are observed today, so each cycle collects no history and
+	// leaves the registry alone.
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 50; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := m.RunMidnightCycleCtx(ctx); err != nil {
+				report(err)
+				return
+			}
+		}
+	}()
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {

@@ -2,21 +2,23 @@ package core
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
+	"slices"
+	"time"
 
 	"repro/internal/datum"
 	"repro/internal/orc"
 	"repro/internal/pathkey"
+	"repro/internal/simtime"
 	"repro/internal/warehouse"
 )
 
 // The paper's Fig 5 stores the collector's output in a statistics table
 // partitioned by date, so predictor training survives restarts and can run
 // on a different node than the collector. This file persists the collector
-// through the warehouse itself: one row per (date, db, table, column,
-// path) with its access count, in an ORC table under the Maxson metadata
-// database.
+// through the warehouse itself, in an ORC table under the Maxson metadata
+// database: one row per element of each day's path multisets, carrying the
+// multiset's number within its day ("pathset") and how many queries
+// referenced it that day ("cnt"). A path a query named twice is two rows.
 
 // StatsDB is the database holding Maxson's own metadata tables.
 const StatsDB = "maxson_meta"
@@ -24,9 +26,12 @@ const StatsDB = "maxson_meta"
 // StatsTable is the statistics table name.
 const StatsTable = "jsonpath_stats"
 
+var statsColumns = []string{"date", "pathset", "db", "tbl", "col", "path", "cnt"}
+
 func statsSchema() orc.Schema {
 	return orc.Schema{Columns: []orc.Column{
 		{Name: "date", Type: datum.TypeString},
+		{Name: "pathset", Type: datum.TypeInt64},
 		{Name: "db", Type: datum.TypeString},
 		{Name: "tbl", Type: datum.TypeString},
 		{Name: "col", Type: datum.TypeString},
@@ -35,32 +40,30 @@ func statsSchema() orc.Schema {
 	}}
 }
 
-// SaveStats writes the collector's per-date statistics into the warehouse,
-// replacing any previous snapshot. It returns the row count written.
+// SaveStats writes the collector's per-day multiset counts into the
+// warehouse, replacing any previous snapshot, and returns the row count
+// written. A day's rows are consecutive, its multisets in order.
 func (c *Collector) SaveStats(wh *warehouse.Warehouse) (int, error) {
 	c.mu.Lock()
-	dates := make([]string, 0, len(c.statsByDate))
-	for d := range c.statsByDate {
-		dates = append(dates, d)
+	days := make([]int64, 0, len(c.days))
+	for day := range c.days {
+		days = append(days, day)
 	}
-	sort.Strings(dates)
+	slices.Sort(days)
 	var rows [][]datum.Datum
-	for _, date := range dates {
-		day := c.statsByDate[date]
-		keys := make([]string, 0, len(day))
-		rowByKey := map[string][]datum.Datum{}
-		for k, n := range day {
-			id := k.String()
-			keys = append(keys, id)
-			rowByKey[id] = []datum.Datum{
-				datum.Str(date),
-				datum.Str(k.DB), datum.Str(k.Table), datum.Str(k.Column), datum.Str(k.Path),
-				datum.Int(int64(n)),
-			}
+	for _, day := range days {
+		date := datum.Str(simtime.DateKey(time.Unix(day*86400, 0)))
+		sets := make([]*pathSet, 0, len(c.days[day]))
+		for set := range c.days[day] {
+			sets = append(sets, set)
 		}
-		sort.Strings(keys)
-		for _, id := range keys {
-			rows = append(rows, rowByKey[id])
+		slices.SortFunc(sets, func(a, b *pathSet) int { return slices.CompareFunc(a.keys, b.keys, pathkey.Compare) })
+		for i, set := range sets {
+			for _, k := range set.keys {
+				rows = append(rows, []datum.Datum{date, datum.Int(int64(i)),
+					datum.Str(k.DB), datum.Str(k.Table), datum.Str(k.Column), datum.Str(k.Path),
+					datum.Int(int64(c.days[day][set]))})
+			}
 		}
 	}
 	c.mu.Unlock()
@@ -83,48 +86,35 @@ func (c *Collector) SaveStats(wh *warehouse.Warehouse) (int, error) {
 	return len(rows), nil
 }
 
-// LoadStats restores a collector's statistics from the warehouse snapshot,
-// merging into (usually empty) current state. Query-log detail is not
-// persisted — only the per-day counts the predictor trains on — so a
-// restored collector supports prediction but starts a fresh relevance log.
+// LoadStats adds the per-day multiset counts of a SaveStats snapshot to the
+// collector's (usually empty) state and returns the row count read. The
+// round trip is exact, so the first cycle after a restart scores the same
+// occurrence and relevance as a node that never stopped.
 func (c *Collector) LoadStats(wh *warehouse.Warehouse) (int, error) {
 	if !wh.TableExists(StatsDB, StatsTable) {
 		return 0, nil
 	}
-	rows, err := wh.ReadAll(StatsDB, StatsTable, []string{"date", "db", "tbl", "col", "path", "cnt"})
+	rows, err := wh.ReadAll(StatsDB, StatsTable, statsColumns)
 	if err != nil {
 		return 0, err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	var keys []pathkey.Key
 	for i, row := range rows {
-		if len(row) != 6 {
+		if len(row) != len(statsColumns) {
 			return i, fmt.Errorf("core: stats row %d malformed", i)
 		}
-		date := row[0].S
-		day, ok := c.statsByDate[date]
-		if !ok {
-			day = make(map[pathkey.Key]int)
-			c.statsByDate[date] = day
+		keys = append(keys, pathkey.Key{DB: row[2].S, Table: row[3].S, Column: row[4].S, Path: row[5].S})
+		if next := i + 1; next < len(rows) && len(rows[next]) > 1 && rows[next][0].S == row[0].S && rows[next][1].I == row[1].I {
+			continue // the multiset goes on
 		}
-		key := pathkey.Key{DB: row[1].S, Table: row[2].S, Column: row[3].S, Path: row[4].S}
-		day[key] += int(row[5].I)
+		date, err := time.Parse("20060102", row[0].S)
+		if err != nil {
+			return i, fmt.Errorf("core: stats row %d: %w", i, err)
+		}
+		c.add(epochDay(date), keys, int(row[6].I))
+		keys = keys[:0]
 	}
 	return len(rows), nil
-}
-
-// DumpStats renders the statistics table for diagnostics (date-sorted).
-func (c *Collector) DumpStats() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	dates := make([]string, 0, len(c.statsByDate))
-	for d := range c.statsByDate {
-		dates = append(dates, d)
-	}
-	sort.Strings(dates)
-	out := ""
-	for _, d := range dates {
-		out += d + ": " + strconv.Itoa(len(c.statsByDate[d])) + " paths\n"
-	}
-	return out
 }

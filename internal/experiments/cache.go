@@ -92,8 +92,8 @@ func (env *maxsonEnv) profiles() []*core.PathProfile {
 		}
 	}
 	now := env.w.Clock.Now()
-	queries := env.maxson.Collector.Queries(now.Add(-8*24*time.Hour), now)
-	return env.maxson.Scorer.Profile(candidates, queries, mpjp)
+	sets := env.maxson.Collector.PathSets(now.AddDate(0, 0, -8), 8)
+	return env.maxson.Scorer.Profile(candidates, sets, mpjp)
 }
 
 // totalMPJPBytes sums every candidate's cache footprint.

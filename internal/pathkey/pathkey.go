@@ -5,7 +5,10 @@
 // keys on that quadruple.
 package pathkey
 
-import "strings"
+import (
+	"cmp"
+	"strings"
+)
 
 // Key identifies one JSONPath at one storage location.
 type Key struct {
@@ -35,16 +38,12 @@ var sanitizer = strings.NewReplacer(
 // TableID renders db.table, the raw-table identity a cache table maps to.
 func (k Key) TableID() string { return k.DB + "." + k.Table }
 
-// Less orders keys lexicographically for deterministic iteration.
-func Less(a, b Key) bool {
-	if a.DB != b.DB {
-		return a.DB < b.DB
-	}
-	if a.Table != b.Table {
-		return a.Table < b.Table
-	}
-	if a.Column != b.Column {
-		return a.Column < b.Column
-	}
-	return a.Path < b.Path
+// Compare orders keys lexicographically by database, table, column, then
+// path, returning -1, 0 or +1.
+func Compare(a, b Key) int {
+	return cmp.Or(strings.Compare(a.DB, b.DB), strings.Compare(a.Table, b.Table),
+		strings.Compare(a.Column, b.Column), strings.Compare(a.Path, b.Path))
 }
+
+// Less orders keys lexicographically for deterministic iteration.
+func Less(a, b Key) bool { return Compare(a, b) < 0 }
