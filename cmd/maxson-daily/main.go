@@ -224,11 +224,12 @@ func printSummary(sys *maxson.System) {
 	entries := sys.Core().Registry.Entries()
 	fmt.Printf("final cache: %d entries, %s\n", len(entries), humanBytes(sys.CacheBytes()))
 	for _, e := range entries {
-		state := "valid"
-		if e.Invalid {
-			state = "invalid"
+		// Splits still at the version their cache part was built from.
+		covered := "?"
+		if info, err := sys.Warehouse().Table(e.Key.DB, e.Key.Table); err == nil {
+			covered = fmt.Sprintf("%d/%d", e.Manifest.Covered(info), len(info.Files))
 		}
-		fmt.Printf("  %-60s %8s  %s\n", e.Key.String(), humanBytes(e.Bytes), state)
+		fmt.Printf("  %-60s %8s  %s splits\n", e.Key.String(), humanBytes(e.Bytes), covered)
 	}
 }
 

@@ -52,8 +52,8 @@ func cachedTable(t *testing.T, splits, rowsPerSplit int) (*CombinedScanFactory, 
 	engine := sqlengine.NewEngine(wh, sqlengine.WithDefaultDB("mydb"))
 	m := New(engine, Config{BudgetBytes: 1 << 30, DefaultDB: "mydb"})
 	cachePaths(t, m, "$.item_name", "$.region")
-	cacheTable := m.Cacher.ActiveCacheTable("mydb", "t")
-	info, err := wh.Table(CacheDB, cacheTable)
+	manifest := m.Registry.generation()["mydb.t"]
+	info, err := wh.Table(CacheDB, manifest.CacheTable)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func cachedTable(t *testing.T, splits, rowsPerSplit int) (*CombinedScanFactory, 
 		cacheCols = append(cacheCols, c.Name)
 		rowCols = append(rowCols, sqlengine.RowCol{Name: c.Name, Type: c.Type})
 	}
-	return NewCombinedScanFactory(wh, "mydb", "t", nil, nil, cacheTable, cacheCols, nil, nil, false,
+	return NewCombinedScanFactory(wh, "mydb", "t", nil, nil, manifest, cacheCols, nil, nil, false,
 		sqlengine.RowSchema{Cols: rowCols}, nil), splits * rowsPerSplit
 }
 

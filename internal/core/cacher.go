@@ -49,17 +49,12 @@ type Cacher struct {
 	// generation could have been carried forward and was not, with the reasons.
 	Log *slog.Logger
 
-	// mu guards generation, provenance and pendingDrop: queries, gauges and
-	// SaveState read them while an online cycle or LoadState writes them.
+	// mu guards generation and pendingDrop: queries, gauges and SaveState
+	// read them while an online cycle or LoadState writes them.
 	mu sync.Mutex
 	// generation numbers each population cycle; cache tables carry it in
 	// their name so generations never collide.
 	generation int
-	// provenance holds, per raw table ("db.table"), what the active
-	// generation's cache table was built from. A committed cycle replaces it
-	// whole, an aborted one leaves it, and RestoreState empties it: it is not
-	// persisted, so a restarted node extracts everything once.
-	provenance map[string]*tableProvenance
 	// pendingDrop lists the previous generation's tables, deleted at the
 	// START of the next cycle so queries planned against the old registry
 	// can finish against intact tables.
@@ -135,7 +130,7 @@ func (c *Cacher) SetObs(r *obs.Registry) {
 // is an incremental function of the one before it — what is unchanged since
 // (same raw file version, same path) is carried forward, and the result is
 // byte for byte what re-populating from the raw tables would have written
-// (see tableProvenance, populateSplit). What remains is extracted in a single
+// (see Manifest, populateSplit). What remains is extracted in a single
 // streaming pass per document and JSON column, and CacheStats meters the
 // bytes it actually scanned.
 //
@@ -157,8 +152,8 @@ func (c *Cacher) PopulateCtx(ctx context.Context, selected []*PathProfile) (Cach
 	c.mu.Lock()
 	c.generation++
 	gen := c.generation
-	prev := c.provenance
 	c.mu.Unlock()
+	prev := c.registry.generation()
 
 	// Group selections by raw table: all MPJPs of one raw table go into one
 	// cache table (paper: "we cache the JSONPath from the same raw data
@@ -179,10 +174,9 @@ func (c *Cacher) PopulateCtx(ctx context.Context, selected []*PathProfile) (Cach
 	// scalable way using Spark" across the cluster's idle midnight
 	// capacity. Stats merge after the fan-out.
 	type tableResult struct {
-		stats   CacheStats
-		entries []*CacheEntry
-		prov    *tableProvenance
-		err     error
+		stats    CacheStats
+		manifest *Manifest
+		err      error
 	}
 	results := make([]tableResult, len(tableIDs))
 	var wg sync.WaitGroup
@@ -205,26 +199,24 @@ func (c *Cacher) PopulateCtx(ctx context.Context, selected []*PathProfile) (Cach
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			var local CacheStats
-			entries, prov, err := c.populateTable(ctx, byTable[id], gen, prev[id], &local)
-			results[i] = tableResult{stats: local, entries: entries, prov: prov, err: err}
+			manifest, err := c.populateTable(ctx, byTable[id], gen, prev[id], &local)
+			results[i] = tableResult{stats: local, manifest: manifest, err: err}
 		}(i, id)
 	}
 	wg.Wait()
-	var newEntries []*CacheEntry
-	provenance := make(map[string]*tableProvenance, len(tableIDs))
+	var manifests []*Manifest
 	var firstErr error
-	for i, r := range results {
+	for _, r := range results {
 		if r.err != nil {
 			if firstErr == nil {
 				firstErr = r.err
 			}
 			continue
 		}
-		newEntries = append(newEntries, r.entries...)
-		if r.prov != nil {
-			provenance[tableIDs[i]] = r.prov
+		if r.manifest != nil {
+			manifests = append(manifests, r.manifest)
+			stats.PathsCached += len(r.manifest.Keys)
 		}
-		stats.PathsCached += len(r.entries)
 		stats.add(r.stats)
 		stats.TablesWritten++
 	}
@@ -232,7 +224,8 @@ func (c *Cacher) PopulateCtx(ctx context.Context, selected []*PathProfile) (Cach
 		// Abort: delete this generation's tables right away (nothing
 		// referenced them; a link dies with its name, the bytes it shared
 		// stay with the previous generation) and leave that one serving,
-		// its provenance still filed for the next cycle to carry from.
+		// its manifests still in the registry for the next cycle to carry
+		// from.
 		c.dropGeneration(tableIDs, gen)
 		return stats, firstErr
 	}
@@ -242,16 +235,11 @@ func (c *Cacher) PopulateCtx(ctx context.Context, selected []*PathProfile) (Cach
 	// planned against the old entries finish on intact files. A new
 	// generation also lifts any quarantine — the bad tables are gone, and
 	// nothing of a quarantined table was carried into this one.
-	old := c.registry.Swap(newEntries)
+	old := c.registry.Swap(manifests)
 	c.registry.ClearQuarantine()
-	retired := map[[2]string]bool{}
-	for _, e := range old {
-		retired[[2]string{e.CacheDB, e.CacheTable}] = true
-	}
 	c.mu.Lock()
-	c.provenance = provenance
-	for t := range retired {
-		c.pendingDrop = append(c.pendingDrop, t)
+	for _, m := range old {
+		c.pendingDrop = append(c.pendingDrop, [2]string{CacheDB, m.CacheTable})
 	}
 	sort.Slice(c.pendingDrop, func(i, j int) bool {
 		return c.pendingDrop[i][0]+c.pendingDrop[i][1] < c.pendingDrop[j][0]+c.pendingDrop[j][1]
@@ -342,7 +330,6 @@ func (c *Cacher) RestoreState(generation int, pendingDrop [][2]string) {
 		c.generation = generation
 	}
 	c.pendingDrop = append([][2]string(nil), pendingDrop...)
-	c.provenance = nil // it described the registry this restore replaces
 }
 
 func maxInt(a, b int) int {
@@ -359,32 +346,6 @@ func splitTableID(id string) (db, table string, ok bool) {
 		return "", "", false
 	}
 	return id[:i], id[i+1:], true
-}
-
-// tableProvenance records what the active generation's cache table of one raw
-// table was built from, split by split, so the next generation can carry
-// forward what has not changed instead of parsing it again. It lives in
-// memory only and is immutable once filed.
-type tableProvenance struct {
-	cacheTable string
-	keys       []pathkey.Key // the cached paths, in cache-column order
-	splits     []splitProvenance
-}
-
-// splitProvenance is one cache split's record. One without a rawPath carries
-// the split's byte counts and no provenance: the next generation extracts
-// that split from the raw file like a first one. Provenance is filed only for
-// a split whose values are a pure function of the named raw content — the raw
-// read returned the stored bytes (dfs.View.Stored) and no document in it was
-// malformed (after a syntax error every path of the scanned set reads NULL,
-// so such a split's values depend on which paths were extracted together).
-type splitProvenance struct {
-	rawPath      string
-	rawVersion   uint64 // dfs version of the raw bytes the values came from
-	cachePath    string
-	cacheVersion uint64 // dfs version the cache part was stored under
-	rows         int64
-	colBytes     []int64 // value bytes per column, summed into CacheEntry.Bytes
 }
 
 // errCarryBroken aborts one attempt to build a split from the previous
@@ -441,19 +402,15 @@ type tablePopulate struct {
 }
 
 // populateTable builds one raw table's cache table of generation gen and
-// returns its registry entries and provenance. Entries are NOT installed
-// here — PopulateCtx commits all tables' entries in one atomic swap after
-// every table succeeds. prev is the previous generation's provenance of the
-// same raw table, nil when there is none.
-func (c *Cacher) populateTable(ctx context.Context, group []*PathProfile, gen int, prev *tableProvenance, stats *CacheStats) ([]*CacheEntry, *tableProvenance, error) {
+// returns its manifest. The manifest is NOT installed here — PopulateCtx
+// commits all tables' manifests in one atomic swap after every table
+// succeeds. prev is the previous generation's manifest of the same raw table,
+// nil when there is none.
+func (c *Cacher) populateTable(ctx context.Context, group []*PathProfile, gen int, prev *Manifest, stats *CacheStats) (*Manifest, error) {
 	key0 := group[0].Key
-	// Stamp before the raw table is listed: a rewrite that lands at any point
-	// of the populate then has rewriteTime >= CachedAt and the planner treats
-	// the entries as stale, whichever files had already been read or carried.
-	cachedAt := c.wh.Clock().Now()
 	rawParts, err := c.wh.Parts(key0.DB, key0.Table)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	// Compile the paths and define the cache schema: one STRING column per
 	// path, named column__path (paper's cache-field naming).
@@ -468,15 +425,15 @@ func (c *Cacher) populateTable(ctx context.Context, group []*PathProfile, gen in
 		tp.schema.Columns = append(tp.schema.Columns, orc.Column{Name: col.name, Type: datum.TypeString})
 	}
 	if len(tp.cols) == 0 {
-		return nil, nil, nil
+		return nil, nil
 	}
 	if c.wh.TableExists(CacheDB, tp.cacheTable) {
 		if err := c.wh.DropTable(CacheDB, tp.cacheTable); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	if err := c.wh.CreateTable(CacheDB, tp.cacheTable, tp.schema); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	flat := make([]datum.Datum, len(tp.cols)*populateBatchRows)
 	for i := range tp.cols {
@@ -484,21 +441,21 @@ func (c *Cacher) populateTable(ctx context.Context, group []*PathProfile, gen in
 	}
 	prevParts := tp.matchPrevious(prev)
 
-	// One cache file per raw file, in split order: this is the alignment
-	// invariant the Value Combiner depends on.
-	prov := &tableProvenance{cacheTable: tp.cacheTable, splits: make([]splitProvenance, len(rawParts))}
+	// One cache file per raw file, in split order, each filed in the
+	// manifest under the raw part and version it was built from.
+	manifest := &Manifest{CacheTable: tp.cacheTable, Splits: make([]ManifestSplit, len(rawParts))}
 	for _, col := range tp.cols {
-		prov.keys = append(prov.keys, col.key)
+		manifest.Keys = append(manifest.Keys, col.key)
 	}
 	notCarried := map[string]int{} // reason → splits
 	for i, raw := range rawParts {
 		if err := ctx.Err(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		var from *splitProvenance
+		var from *ManifestSplit
 		if prev != nil {
 			var why string
-			if from, why = tp.carriable(prev, prevParts, i, raw); from == nil {
+			if from, why = tp.carriable(prev, prevParts, raw); from == nil {
 				notCarried[why]++
 			}
 		}
@@ -511,51 +468,37 @@ func (c *Cacher) populateTable(ctx context.Context, group []*PathProfile, gen in
 			sp, err = tp.populateSplit(ctx, raw, nil)
 		}
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		prov.splits[i] = sp
+		manifest.Splits[i] = sp
 	}
 	if prev != nil && stats.SplitsCarried+stats.SplitsRewritten == 0 && c.Log != nil {
 		c.Log.Debug("nothing carried from the previous cache generation",
-			"table", key0.TableID(), "previous", prev.cacheTable, "reasons", fmt.Sprint(notCarried))
+			"table", key0.TableID(), "previous", prev.CacheTable, "reasons", fmt.Sprint(notCarried))
 	}
-
-	entries := make([]*CacheEntry, len(tp.cols))
-	for j, col := range tp.cols {
-		entries[j] = &CacheEntry{
-			Key:         col.key,
-			CacheDB:     CacheDB,
-			CacheTable:  tp.cacheTable,
-			CacheColumn: col.name,
-			CachedAt:    cachedAt,
-		}
-		for _, sp := range prov.splits {
-			entries[j].Bytes += sp.colBytes[j]
-		}
-	}
-	return entries, prov, nil
+	return manifest, nil
 }
 
 // matchPrevious lines tonight's columns up with the previous generation's
 // table and returns that table's part files (nil when it is gone).
-func (tp *tablePopulate) matchPrevious(prev *tableProvenance) []dfs.FileInfo {
+func (tp *tablePopulate) matchPrevious(prev *Manifest) []dfs.FileInfo {
 	if prev == nil {
 		return nil
 	}
-	parts, err := tp.c.wh.Parts(CacheDB, prev.cacheTable)
+	parts, err := tp.c.wh.Parts(CacheDB, prev.CacheTable)
 	if err != nil {
 		return nil
 	}
 	// Two paths can sanitize to one column name; such a column is never
 	// copied, since a cursor finds columns by name.
 	named := map[string]int{}
-	for _, key := range prev.keys {
+	for _, key := range prev.Keys {
 		named[key.Sanitized()]++
 	}
-	tp.sameCols = len(prev.keys) == len(tp.cols)
+	tp.sameCols = len(prev.Keys) == len(tp.cols)
 	for j := range tp.cols {
 		col := &tp.cols[j]
-		for k, key := range prev.keys {
+		for k, key := range prev.Keys {
 			if key == col.key && named[col.name] == 1 {
 				col.prev = k
 			}
@@ -571,24 +514,31 @@ func (tp *tablePopulate) matchPrevious(prev *tableProvenance) []dfs.FileInfo {
 	return parts
 }
 
-// carriable decides whether raw split i can be built from the previous
-// generation's split i, and says why not when it cannot.
-func (tp *tablePopulate) carriable(prev *tableProvenance, prevParts []dfs.FileInfo, i int, raw dfs.FileInfo) (*splitProvenance, string) {
-	if i >= len(prev.splits) || prev.splits[i].rawPath == "" {
-		return nil, "no provenance"
-	}
-	sp := &prev.splits[i]
+// carriable decides whether raw part raw can be built from the previous
+// generation's split of it, and says why not when it cannot. The manifest
+// answers as it does for the Value Combiner: only a split filed under this
+// part at its current version.
+func (tp *tablePopulate) carriable(prev *Manifest, prevParts []dfs.FileInfo, raw dfs.FileInfo) (*ManifestSplit, string) {
+	sp := prev.split(raw.Name, raw.Version)
 	switch {
-	case sp.rawPath != raw.Name || sp.rawVersion != raw.Version:
-		return nil, "raw version changed"
-	case tp.c.registry.IsQuarantined(CacheDB, prev.cacheTable):
+	case sp == nil:
+		return nil, "raw part not at a cached version"
+	case !sp.Carry:
+		return nil, "malformed document"
+	case tp.c.registry.IsQuarantined(CacheDB, prev.CacheTable):
 		return nil, "quarantined"
-	case i >= len(prevParts) || prevParts[i].Name != sp.cachePath || prevParts[i].Version != sp.cacheVersion:
+	case !holdsPart(prevParts, sp.CachePath, sp.CacheVersion):
 		return nil, "cache part changed"
 	case len(tp.carried) == 0:
 		return nil, "columns differ"
 	}
 	return sp, ""
+}
+
+// holdsPart reports whether a sorted listing holds file name at version.
+func holdsPart(parts []dfs.FileInfo, name string, version uint64) bool {
+	i := sort.Search(len(parts), func(i int) bool { return parts[i].Name >= name })
+	return i < len(parts) && parts[i].Name == name && parts[i].Version == version
 }
 
 // plan returns the extraction plan for every column (missingOnly false) or
@@ -636,110 +586,111 @@ func (tp *tablePopulate) plan(missingOnly bool) (*extractPlan, error) {
 }
 
 // populateSplit is the populate kernel: it appends the cache split of one raw
-// part file to the table and returns its provenance. Each column is copied
-// from the previous generation's split (from, nil when nothing can be
+// part file to the table and returns its manifest record. Each column is
+// copied from the previous generation's split (from, nil when nothing can be
 // carried) if that split holds it, and extracted from the raw JSON otherwise;
 // the raw file is opened only if some column must be extracted, and a split
 // whose columns are all there in the same order is linked, not rewritten.
 // With from == nil this is the from-scratch populate. An attempt that finds
 // the carried side unusable returns errCarryBroken before anything is
 // appended.
-func (tp *tablePopulate) populateSplit(ctx context.Context, raw dfs.FileInfo, from *splitProvenance) (splitProvenance, error) {
+func (tp *tablePopulate) populateSplit(ctx context.Context, raw dfs.FileInfo, from *ManifestSplit) (ManifestSplit, error) {
 	wh, st := tp.c.wh, tp.stats
 	if from != nil && tp.sameCols {
-		part, err := wh.LinkPart(CacheDB, tp.cacheTable, from.cachePath)
+		part, err := wh.LinkPart(CacheDB, tp.cacheTable, from.CachePath)
 		if err != nil {
-			return splitProvenance{}, err
+			return ManifestSplit{}, err
 		}
 		st.SplitsCarried++
 		st.BytesCarried += part.Size
 		sp := *from
-		sp.cachePath, sp.cacheVersion = part.Name, part.Version
+		sp.CachePath, sp.CacheVersion = part.Name, part.Version
 		return sp, nil
 	}
 
-	sp := splitProvenance{rawPath: raw.Name, colBytes: make([]int64, len(tp.cols))}
+	sp := ManifestSplit{RawPath: raw.Name, ColBytes: make([]int64, len(tp.cols)), Carry: true}
 	plan, err := tp.plan(from != nil)
 	if err != nil {
-		return splitProvenance{}, err
+		return ManifestSplit{}, err
 	}
 	var carry, rawCur *orc.Cursor
 	if from != nil {
-		r, view, err := wh.OpenFileView(from.cachePath)
-		if err != nil || !view.Stored || view.Version != from.cacheVersion || r.NumRows() != from.rows {
-			return splitProvenance{}, fmt.Errorf("%w: part unreadable or changed", errCarryBroken)
+		r, view, err := wh.OpenFileView(from.CachePath)
+		if err != nil || !view.Stored || view.Version != from.CacheVersion || r.NumRows() != from.Rows {
+			return ManifestSplit{}, fmt.Errorf("%w: part unreadable or changed", errCarryBroken)
 		}
 		if carry, err = r.NewCursor(tp.carried, nil, nil); err != nil {
-			return splitProvenance{}, fmt.Errorf("%w: %v", errCarryBroken, err)
+			return ManifestSplit{}, fmt.Errorf("%w: %v", errCarryBroken, err)
 		}
-		sp.rawVersion, sp.rows = from.rawVersion, from.rows
+		sp.RawVersion, sp.Rows = from.RawVersion, from.Rows
 		for j, col := range tp.cols {
 			if col.prev >= 0 {
-				sp.colBytes[j] = from.colBytes[col.prev]
+				sp.ColBytes[j] = from.ColBytes[col.prev]
 			}
 		}
 	}
-	pure := true // the split's values are a function of the stored raw content alone
 	if len(plan.groups) > 0 {
 		r, view, err := wh.OpenFileView(raw.Name)
 		if err != nil {
-			return splitProvenance{}, err
+			return ManifestSplit{}, err
 		}
-		if from != nil && (view.Version != from.rawVersion || r.NumRows() != from.rows) {
-			return splitProvenance{}, fmt.Errorf("%w: raw file changed under it", errCarryBroken)
+		if from != nil && (view.Version != from.RawVersion || r.NumRows() != from.Rows) {
+			return ManifestSplit{}, fmt.Errorf("%w: raw file changed under it", errCarryBroken)
 		}
 		if rawCur, err = r.NewCursor(plan.readCols, nil, nil); err != nil {
-			return splitProvenance{}, err
+			return ManifestSplit{}, err
 		}
-		pure = view.Stored
-		sp.rawVersion, sp.rows = view.Version, r.NumRows()
+		sp.RawVersion, sp.Rows = view.Version, r.NumRows()
+		if !view.Stored {
+			sp.RawVersion = 0 // values parsed out of a mangled read belong to no version
+		}
 	}
 
 	w := orc.NewWriter(tp.schema, wh.WriterOptions())
 	for {
 		if err := ctx.Err(); err != nil {
-			return splitProvenance{}, err
+			return ManifestSplit{}, err
 		}
 		n := 0
 		if carry != nil {
 			if n, err = carry.NextBatch(tp.carryVecs, populateBatchRows); err != nil {
-				return splitProvenance{}, fmt.Errorf("%w: %v", errCarryBroken, err)
+				return ManifestSplit{}, fmt.Errorf("%w: %v", errCarryBroken, err)
 			}
 		}
 		if rawCur != nil {
 			m, err := rawCur.NextBatch(plan.vecs, populateBatchRows)
 			if err != nil {
-				return splitProvenance{}, err
+				return ManifestSplit{}, err
 			}
 			if carry != nil && m != n {
-				return splitProvenance{}, fmt.Errorf("%w: rows out of step", errCarryBroken)
+				return ManifestSplit{}, fmt.Errorf("%w: rows out of step", errCarryBroken)
 			}
 			n = m
 			failed := st.ParseErrors
-			tp.extract(plan, n, sp.colBytes)
+			tp.extract(plan, n, sp.ColBytes)
 			if st.ParseErrors != failed {
 				if from != nil {
 					// Copied values were extracted clean; beside a malformed
 					// document they would differ from a from-scratch populate.
-					return splitProvenance{}, fmt.Errorf("%w: malformed document", errCarryBroken)
+					return ManifestSplit{}, fmt.Errorf("%w: malformed document", errCarryBroken)
 				}
-				pure = false
+				sp.Carry = false
 			}
 		}
 		if n == 0 {
 			break
 		}
 		if err := w.AppendColumns(tp.out, n); err != nil {
-			return splitProvenance{}, err
+			return ManifestSplit{}, err
 		}
 	}
 	data, err := w.Finish()
 	if err != nil {
-		return splitProvenance{}, err
+		return ManifestSplit{}, err
 	}
 	part, err := wh.AppendEncoded(CacheDB, tp.cacheTable, data)
 	if err != nil {
-		return splitProvenance{}, err
+		return ManifestSplit{}, err
 	}
 	st.BytesWritten += part.Size
 	if from != nil {
@@ -747,11 +698,7 @@ func (tp *tablePopulate) populateSplit(ctx context.Context, raw dfs.FileInfo, fr
 	} else {
 		st.SplitsExtracted++
 	}
-	if !pure {
-		// Still the split's byte counts, but nothing to carry it by.
-		return splitProvenance{colBytes: sp.colBytes}, nil
-	}
-	sp.cachePath, sp.cacheVersion = part.Name, part.Version
+	sp.CachePath, sp.CacheVersion = part.Name, part.Version
 	return sp, nil
 }
 
@@ -790,45 +737,39 @@ func (tp *tablePopulate) extract(plan *extractPlan, n int, colBytes []int64) {
 // table, resolved through the registry ("" when nothing of that table is
 // cached).
 func (c *Cacher) ActiveCacheTable(db, table string) string {
-	for _, e := range c.registry.Entries() {
-		if e.Key.DB == db && e.Key.Table == table {
-			return e.CacheTable
-		}
+	if m := c.registry.generation()[pathkey.Key{DB: db, Table: table}.TableID()]; m != nil {
+		return m.CacheTable
 	}
 	return ""
 }
 
 // VerifyAlignment checks the §IV-C invariant for a cached raw table: the
-// cache table has the same number of part files as the raw table and the
-// i-th files have identical row counts. Tests and the daily cycle's sanity
-// check call this.
+// active manifest serves every raw part at its current version, and each
+// part's cache part holds exactly its rows. Tests call this after a cycle.
 func (c *Cacher) VerifyAlignment(db, table string) error {
 	rawInfo, err := c.wh.Table(db, table)
 	if err != nil {
 		return err
 	}
-	active := c.ActiveCacheTable(db, table)
-	if active == "" {
+	mf := c.registry.generation()[pathkey.Key{DB: db, Table: table}.TableID()]
+	if mf == nil {
 		return fmt.Errorf("core: no cached paths for %s.%s", db, table)
 	}
-	cacheInfo, err := c.wh.Table(CacheDB, active)
-	if err != nil {
-		return err
-	}
-	if len(rawInfo.Files) != len(cacheInfo.Files) {
-		return fmt.Errorf("core: cache/raw file count mismatch: %d vs %d", len(cacheInfo.Files), len(rawInfo.Files))
-	}
-	for i := range rawInfo.Files {
-		rr, err := c.wh.OpenFile(rawInfo.Files[i])
+	for i, raw := range rawInfo.Files {
+		sp := mf.split(raw, rawInfo.Versions[i])
+		if sp == nil {
+			return fmt.Errorf("core: split %d (%s) is not at a cached version", i, raw)
+		}
+		rr, err := c.wh.OpenFile(raw)
 		if err != nil {
 			return err
 		}
-		cr, err := c.wh.OpenFile(cacheInfo.Files[i])
+		cr, err := c.wh.OpenFile(sp.CachePath)
 		if err != nil {
 			return err
 		}
-		if rr.NumRows() != cr.NumRows() {
-			return fmt.Errorf("core: split %d row mismatch: raw %d vs cache %d", i, rr.NumRows(), cr.NumRows())
+		if rr.NumRows() != cr.NumRows() || cr.NumRows() != sp.Rows {
+			return fmt.Errorf("core: split %d row mismatch: raw %d, cache %d, manifest %d", i, rr.NumRows(), cr.NumRows(), sp.Rows)
 		}
 	}
 	return nil

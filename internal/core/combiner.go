@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/datum"
+	"repro/internal/dfs"
 	"repro/internal/jsonpath"
 	"repro/internal/obs"
 	"repro/internal/orc"
@@ -48,7 +49,9 @@ func newCombinerObs(r *obs.Registry) *combinerObs {
 // CombinedScanFactory is the Value Combiner (paper §IV-E): it opens two
 // synchronized readers per split — the PrimaryReader over the raw table's
 // uncached columns and the CacheReader over the cache table's columns — and
-// stitches their rows positionally into complete records. When the query
+// stitches their rows positionally into complete records. A split is served
+// from the cache only while its raw part is at the dfs version the manifest
+// filed its cache part under; every other split parses the raw JSON. When the query
 // carries a predicate on a cached path, the CacheReader evaluates the SARG
 // against the cache table's row-group statistics and shares the resulting
 // skip array with the PrimaryReader (paper §IV-F), provided both files have
@@ -62,13 +65,13 @@ type CombinedScanFactory struct {
 	primarySARG     *orc.SARG
 
 	// Cache side.
-	cacheTable string   // within CacheDB
-	cacheCols  []string // cache table columns (sanitized names)
-	cacheSARG  *orc.SARG
+	manifest  *Manifest
+	cacheCols []string // cache table columns (sanitized names)
+	cacheSARG *orc.SARG
 
 	// fallbacks compute each cache column's value by parsing the raw JSON
-	// when a split postdates the cache (daily appends land new part files
-	// the nightly cache does not cover yet). Aligned with cacheCols.
+	// for a split the manifest does not serve (daily appends land new part
+	// files the nightly cache does not cover yet). Aligned with cacheCols.
 	fallbacks []FallbackSpec
 
 	// Pushdown enables sharing the cache reader's row-group mask with the
@@ -92,7 +95,8 @@ type FallbackSpec struct {
 	Path      *jsonpath.Path
 }
 
-// NewCombinedScanFactory wires a combined scan. primaryCols may be empty
+// NewCombinedScanFactory wires a combined scan over the cache table manifest
+// describes. primaryCols may be empty
 // (fully cached query → cache-only reading, the cheaper mode the paper's
 // relevance term optimizes for); cacheCols may be empty only if pushdown is
 // disabled and the factory degenerates to a plain scan. obsc is the
@@ -102,7 +106,7 @@ func NewCombinedScanFactory(
 	wh *warehouse.Warehouse,
 	rawDB, rawTable string,
 	primaryCols []string, primarySARG *orc.SARG,
-	cacheTable string, cacheCols []string, cacheSARG *orc.SARG,
+	manifest *Manifest, cacheCols []string, cacheSARG *orc.SARG,
 	fallbacks []FallbackSpec,
 	pushdown bool,
 	schema sqlengine.RowSchema,
@@ -115,7 +119,7 @@ func NewCombinedScanFactory(
 		wh:    wh,
 		rawDB: rawDB, rawTable: rawTable,
 		primaryCols: primaryCols, primarySARG: primarySARG,
-		cacheTable: cacheTable, cacheCols: cacheCols, cacheSARG: cacheSARG,
+		manifest: manifest, cacheCols: cacheCols, cacheSARG: cacheSARG,
 		fallbacks: fallbacks,
 		pushdown:  pushdown,
 		schema:    schema,
@@ -142,7 +146,7 @@ func (f *CombinedScanFactory) ScanFingerprint() string {
 		b.WriteString(f.primarySARG.String())
 	}
 	b.WriteByte(0)
-	b.WriteString(f.cacheTable)
+	b.WriteString(f.manifest.CacheTable)
 	b.WriteByte(0)
 	b.WriteString(strings.Join(f.cacheCols, ","))
 	b.WriteByte(0)
@@ -168,7 +172,7 @@ func (f *CombinedScanFactory) SetRegistry(r *Registry) { f.registry = r }
 // the generation.
 func (f *CombinedScanFactory) quarantineCache() {
 	if f.registry != nil {
-		f.registry.Quarantine(CacheDB, f.cacheTable)
+		f.registry.Quarantine(CacheDB, f.manifest.CacheTable)
 	}
 }
 
@@ -176,12 +180,11 @@ func (f *CombinedScanFactory) quarantineCache() {
 // callers (Maxson.QueryCtx) know a re-plan will succeed on the raw path.
 func (f *CombinedScanFactory) degrade(err error) error {
 	f.quarantineCache()
-	return fmt.Errorf("%w: table %s/%s: %v", ErrCacheDegraded, CacheDB, f.cacheTable, err)
+	return fmt.Errorf("%w: table %s/%s: %v", ErrCacheDegraded, CacheDB, f.manifest.CacheTable, err)
 }
 
 // NumSplits implements sqlengine.ScanSourceFactory. Splits follow the raw
-// table's part files; the cacher guarantees the cache table has the same
-// file count.
+// table's part files.
 func (f *CombinedScanFactory) NumSplits() (int, error) {
 	info, err := f.wh.Table(f.rawDB, f.rawTable)
 	if err != nil {
@@ -202,58 +205,61 @@ func (f *CombinedScanFactory) Open(split int, m *sqlengine.Metrics) (sqlengine.B
 	if split < 0 || split >= len(rawInfo.Files) {
 		return nil, fmt.Errorf("core: split %d out of range for %s.%s", split, f.rawDB, f.rawTable)
 	}
-	cacheInfo, err := f.wh.Table(CacheDB, f.cacheTable)
-	if err != nil {
-		// The cache generation this plan was built against has been retired
-		// and deleted by a later population cycle. Degrade gracefully: the
-		// query stays correct by parsing raw data, exactly as if the paths
-		// were uncached.
-		return f.openFallback(rawInfo.Files[split], m, "fallback-retired")
-	}
-	if len(cacheInfo.Files) > len(rawInfo.Files) {
-		// Alignment is broken — the cache table cannot be trusted this
-		// generation. Quarantine it and serve the split from raw data.
-		f.quarantineCache()
-		return f.openFallback(rawInfo.Files[split], m, "fallback-quarantined")
-	}
-	// Splits beyond the cache's coverage (part files appended after the
-	// nightly population) read raw data and parse the paths on the fly.
-	if split >= len(cacheInfo.Files) {
-		return f.openFallback(rawInfo.Files[split], m, "fallback-uncovered")
+	raw := rawInfo.Files[split]
+	// A part the manifest holds no record of at its current version —
+	// appended after the nightly population, rewritten, from a recreated
+	// table, or cached from a corrupted read — reads raw data and parses the
+	// paths on the fly.
+	sp := f.manifest.split(raw, rawInfo.Versions[split])
+	if sp == nil {
+		return f.openFallback(raw, m, "fallback-uncovered")
 	}
 
 	// CacheReader. Open or cursor failures degrade to raw parsing rather
 	// than failing the query: a rotten cache file must stay invisible to the
 	// user (the paper's transparency property). The table is quarantined so
 	// later plans skip it entirely.
-	cacheReader, err := f.wh.OpenFile(cacheInfo.Files[split])
-	if err != nil {
+	cacheReader, view, err := f.wh.OpenFileView(sp.CachePath)
+	if errors.Is(err, dfs.ErrNotFound) {
+		// The cache generation this plan was built against has been retired
+		// and deleted by a later population cycle. Degrade gracefully: the
+		// query stays correct by parsing raw data, exactly as if the paths
+		// were uncached.
+		return f.openFallback(raw, m, "fallback-retired")
+	}
+	if err != nil || !view.Stored || view.Version != sp.CacheVersion || cacheReader.NumRows() != sp.Rows {
 		f.quarantineCache()
-		return f.openFallback(rawInfo.Files[split], m, "fallback-quarantined")
+		return f.openFallback(raw, m, "fallback-quarantined")
 	}
 	src := &combinedRowSource{m: m, nPrimary: len(f.primaryCols), nCache: len(f.cacheCols), degrade: f.degrade}
 	cacheCur, err := cacheReader.NewCursor(f.cacheCols, f.cacheSARG, &src.cacheMeter.Stats)
 	if err != nil {
 		f.quarantineCache()
-		return f.openFallback(rawInfo.Files[split], m, "fallback-quarantined")
+		return f.openFallback(raw, m, "fallback-quarantined")
 	}
 	src.cacheCur = cacheCur
 
 	// PrimaryReader (absent when every projected column is cached).
 	if len(f.primaryCols) > 0 {
-		rawReader, err := f.wh.OpenFile(rawInfo.Files[split])
+		rawReader, rawView, err := f.wh.OpenFileView(raw)
 		if err != nil {
 			return nil, err
+		}
+		if rawView.Version != sp.RawVersion {
+			// Rewritten since the listing: the cache part no longer
+			// describes what this reader would stitch it to.
+			return f.openFallback(raw, m, "fallback-uncovered")
 		}
 		rawCur, err := rawReader.NewCursor(f.primaryCols, f.primarySARG, &src.rawMeter.Stats)
 		if err != nil {
 			return nil, err
 		}
-		// Row alignment sanity (the §IV-C invariant). A mismatch means the
-		// cache file is wrong (truncated write, mid-swap read): degrade.
+		// Row alignment sanity (the §IV-C invariant). Both parts are at the
+		// versions the manifest records, so a mismatch means a read was
+		// mangled: degrade.
 		if rawReader.NumRows() != cacheReader.NumRows() {
 			f.quarantineCache()
-			return f.openFallback(rawInfo.Files[split], m, "fallback-quarantined")
+			return f.openFallback(raw, m, "fallback-quarantined")
 		}
 		// Predicate pushdown: share the cache reader's skip array. Only
 		// valid when both files are single-stripe so row groups align
@@ -306,7 +312,8 @@ func (f *CombinedScanFactory) Open(split int, m *sqlengine.Metrics) (sqlengine.B
 // plus every raw JSON column the fallbacks need, and synthesizes the cache
 // columns by parsing the documents — the cost a freshly appended file pays
 // until the next midnight cycle covers it. mode distinguishes a retired
-// cache generation from a split the cache never covered.
+// cache generation and a quarantined one from a split the cache does not
+// cover.
 func (f *CombinedScanFactory) openFallback(file string, m *sqlengine.Metrics, mode string) (sqlengine.BatchSource, error) {
 	if m != nil {
 		switch mode {

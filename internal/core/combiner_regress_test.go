@@ -46,7 +46,7 @@ func TestFallbackBatchReleasesPoolAliases(t *testing.T) {
 	}
 	f := NewCombinedScanFactory(wh, "db", "t",
 		[]string{"id"}, nil,
-		"", []string{"c0"}, nil,
+		&Manifest{}, []string{"c0"}, nil,
 		[]FallbackSpec{{RawColumn: "doc", Path: path}},
 		false, sqlengine.RowSchema{}, nil)
 	rs, err := f.openFallback(info.Files[0], nil, "fallback-uncovered")

@@ -289,18 +289,24 @@ func TestAppendAfterCachingServedByFallback(t *testing.T) {
 		t.Errorf("fallback parsed %d docs, want exactly the 1 appended row", docs)
 	}
 	entry := m.Registry.Lookup(pathkey.Key{DB: "mydb", Table: "t", Column: "sale_logs", Path: "$.turnover"})
-	if entry == nil || entry.Invalid {
-		t.Error("append must not invalidate the cache entry")
+	info, err := f.wh.Table("mydb", "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if entry == nil || entry.Manifest.Covered(info) != 3 {
+		t.Error("an append must leave the three cached splits served from the cache")
 	}
 }
 
+// TestRewriteInvalidatesCache: a rewrite of previously appended data (the
+// paper's 2%-of-tables case) gives that part a new version, so its split
+// parses the raw JSON while the splits still at their cached versions keep
+// reading the cache.
 func TestRewriteInvalidatesCache(t *testing.T) {
 	f := newFixture(t)
 	m := New(f.engine, Config{BudgetBytes: 1 << 30, DefaultDB: "mydb"})
 	cachePaths(t, m, "$.turnover")
 
-	// Modifying previously appended data (the 2%-of-tables case) breaks
-	// positional alignment → the cache must be bypassed entirely.
 	info, err := f.wh.Table("mydb", "t")
 	if err != nil {
 		t.Fatal(err)
@@ -314,21 +320,24 @@ func TestRewriteInvalidatesCache(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rs, metrics, err := m.QueryCtx(context.Background(), `
-		SELECT get_json_object(sale_logs, '$.turnover') tv FROM mydb.t
-		WHERE date = '20190101'`)
+	const sql = `SELECT date, get_json_object(sale_logs, '$.turnover') tv FROM mydb.t ORDER BY date`
+	want, _, err := sqlengine.NewEngine(f.wh, sqlengine.WithDefaultDB("mydb")).QueryCtx(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rs.Rows) != 1 || rs.Rows[0][0].S != "11111" {
-		t.Fatalf("rows = %v", rs.Rows)
+	rs, metrics, err := m.QueryCtx(context.Background(), sql)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if metrics.CacheValuesRead.Load() != 0 {
-		t.Error("stale cache served values after rewrite")
+	if rs.String() != want.String() || rs.Rows[0][1].S != "11111" {
+		t.Fatalf("rows after the rewrite:\n%s\nwant\n%s", rs.String(), want.String())
 	}
-	entry := m.Registry.Lookup(pathkey.Key{DB: "mydb", Table: "t", Column: "sale_logs", Path: "$.turnover"})
-	if entry == nil || !entry.Invalid {
-		t.Error("rewrite did not invalidate the entry")
+	// Split 0 holds the one rewritten document; splits 1 and 2, 21 rows.
+	if docs, values := metrics.Parse.Docs.Load(), metrics.CacheValuesRead.Load(); docs != 1 || values != 21 {
+		t.Errorf("parsed %d documents and read %d cache values, want the rewritten split's 1 and the others' 21", docs, values)
+	}
+	if m.Registry.Lookup(pathkey.Key{DB: "mydb", Table: "t", Column: "sale_logs", Path: "$.turnover"}) == nil {
+		t.Error("a rewrite dropped the entry")
 	}
 }
 
@@ -557,21 +566,16 @@ func TestRegistryBasics(t *testing.T) {
 	if r.Lookup(k) != nil {
 		t.Error("empty registry returned an entry")
 	}
-	r.Put(&CacheEntry{Key: k, Bytes: 42})
+	r.Swap([]*Manifest{{CacheTable: "d__t__g001", Keys: []pathkey.Key{k}, Splits: []ManifestSplit{{ColBytes: []int64{40}}, {ColBytes: []int64{2}}}}})
 	e := r.Lookup(k)
-	if e == nil || e.Bytes != 42 {
+	if e == nil || e.Bytes != 42 || e.CacheTable != "d__t__g001" || e.CacheColumn != k.Sanitized() {
 		t.Fatalf("entry = %+v", e)
 	}
-	// Lookup returns a copy.
-	e.Bytes = 0
-	if r.Lookup(k).Bytes != 42 {
-		t.Error("Lookup exposed internal state")
+	if r.Lookup(k) != e {
+		t.Error("Lookup copied an immutable entry")
 	}
-	if !r.MarkInvalid(k) || !r.Lookup(k).Invalid {
-		t.Error("MarkInvalid failed")
-	}
-	if r.TotalBytes() != 0 {
-		t.Error("invalid entries counted in TotalBytes")
+	if r.TotalBytes() != 42 {
+		t.Errorf("TotalBytes = %d, want 42", r.TotalBytes())
 	}
 }
 

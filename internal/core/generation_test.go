@@ -348,7 +348,7 @@ func TestQuarantinedGenerationIsNeverCarried(t *testing.T) {
 		t.Errorf("no debug record says why nothing was carried:\n%s", logged.String())
 	}
 
-	// The rebuilt generation has provenance again.
+	// The rebuilt generation's manifest carries again.
 	if stats, err = m.CacheSelected(context.Background(), sel); err != nil || stats.SplitsCarried != 3 {
 		t.Errorf("generation after the rebuilt one: %+v, %v; want 3 carried", stats, err)
 	}
@@ -384,8 +384,9 @@ func TestChangedCachePartIsNeverCarried(t *testing.T) {
 }
 
 // TestTransformedRawReadFilesNoProvenance: values extracted from a read the
-// fault injector mangled belong to no stored version, so the next cycle
-// extracts that split again — and from the stored bytes this time.
+// fault injector mangled belong to no stored version. The manifest files that
+// split under version 0, so queries parse it until the next cycle, which
+// extracts it again — and from the stored bytes this time.
 func TestTransformedRawReadFilesNoProvenance(t *testing.T) {
 	f := newFixture(t)
 	m := New(f.engine, Config{BudgetBytes: 1 << 30, DefaultDB: "mydb"})
@@ -406,6 +407,26 @@ func TestTransformedRawReadFilesNoProvenance(t *testing.T) {
 	if !populated {
 		t.Fatal("no seed produced a corrupt read that still decodes")
 	}
+
+	// The generation built from the corrupted read serves the other two
+	// splits and never the corrupted one: the query is the plain engine's.
+	const sql = `SELECT date, get_json_object(sale_logs, '$.item_id') id, get_json_object(sale_logs, '$.turnover') tv FROM mydb.t ORDER BY date`
+	want, _, err := sqlengine.NewEngine(f.wh, sqlengine.WithDefaultDB("mydb")).QueryCtx(context.Background(), sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, met, err := m.QueryCtx(context.Background(), sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Errorf("the query stitched values extracted from a corrupted read:\ngot  %s\nwant %s", got.String(), want.String())
+	}
+	// Split 1 holds 10 documents; splits 0 and 2, 21 rows of two paths.
+	if docs, values := met.Parse.Docs.Load(), met.CacheValuesRead.Load(); docs != 10 || values != 42 {
+		t.Errorf("parsed %d documents and read %d cache values, want the corrupted split's 10 and the others' 42", docs, values)
+	}
+
 	stats, err := m.CacheSelected(context.Background(), sel)
 	if err != nil {
 		t.Fatal(err)
@@ -500,10 +521,10 @@ func TestAbortedCycleLeavesThePreviousGenerationWhole(t *testing.T) {
 	}
 }
 
-// TestRestoredStateExtractsEverythingOnce: provenance is not persisted, so
-// the first cycle after LoadState — on a restarted node or a live one — reads
-// every raw split, writes what it would have written anyway, and the cycle
-// after it carries again.
+// TestRestoredStateExtractsEverythingOnce: the manifests are persisted, so
+// the first cycle after LoadState — on a restarted node or a live one —
+// carries every unchanged split and scans no raw byte, as on a node that
+// never stopped, and the rows stay the same.
 func TestRestoredStateExtractsEverythingOnce(t *testing.T) {
 	f := newFixture(t)
 	m := New(f.engine, Config{BudgetBytes: 1 << 30, DefaultDB: "mydb"})
@@ -530,8 +551,8 @@ func TestRestoredStateExtractsEverythingOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if stats.SplitsCarried+stats.SplitsRewritten != 0 || stats.SplitsExtracted != 3 {
-			t.Errorf("%s, first cycle after LoadState: %+v, want 3 extracted", name, stats)
+		if stats.SplitsCarried != 3 || stats.SplitsExtracted != 0 || stats.BytesScanned != 0 {
+			t.Errorf("%s, first cycle after LoadState: %+v, want 3 carried and nothing scanned", name, stats)
 		}
 		requireSameGeneration(t, f, node, wantParts, wantEntries)
 		got, _, err := node.QueryCtx(context.Background(), sql)
@@ -550,9 +571,10 @@ func TestRestoredStateExtractsEverythingOnce(t *testing.T) {
 }
 
 // TestRewriteDuringPopulateInvalidates: a raw part rewritten after the cycle
-// read it (here: while the cycle opens the next part) must leave entries the
-// planner calls stale. CachedAt used to be stamped after the scan, later than
-// such a rewrite, and the poisoned values were served.
+// read it (here: while the cycle opens the next part) is filed in the manifest
+// under the version that was read, so queries parse its new version and the
+// next cycle extracts it again. (When validity was a timestamp comparison, a
+// population time stamped after the scan let the stale values be served.)
 func TestRewriteDuringPopulateInvalidates(t *testing.T) {
 	f := newFixture(t)
 	m := New(f.engine, Config{BudgetBytes: 1 << 30, DefaultDB: "mydb"})
@@ -663,7 +685,7 @@ func TestMalformedDocumentBreaksTheCarry(t *testing.T) {
 		t.Errorf("stats %+v (from scratch: %+v); want the clean split rewritten, the broken one extracted, one parse error", stats, fresh)
 	}
 
-	// The broken split filed no provenance: it is extracted every night.
+	// The broken split's record does not carry: it is extracted every night.
 	again, err := m.CacheSelected(context.Background(), sel("$.a", "$.c"))
 	if err != nil {
 		t.Fatal(err)

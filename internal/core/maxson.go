@@ -543,13 +543,14 @@ const statePath = "/maxson_meta/cache.state"
 
 // stateMagic brands the registry snapshot file; a file without it is not a
 // state file at all (versioned: bump the trailing digits on format change).
-const stateMagic = "MAXST001"
+// 002 persists manifests; a 001 file, which held entries, fails as bad magic.
+const stateMagic = "MAXST002"
 
 // persistedState is the JSON payload of the cache.state file.
 type persistedState struct {
-	Generation  int           `json:"generation"`
-	PendingDrop [][2]string   `json:"pending_drop,omitempty"`
-	Entries     []*CacheEntry `json:"entries,omitempty"`
+	Generation  int         `json:"generation"`
+	PendingDrop [][2]string `json:"pending_drop,omitempty"`
+	Manifests   []*Manifest `json:"manifests,omitempty"`
 }
 
 // encodeState frames a snapshot as magic + CRC32(payload) + JSON payload,
@@ -588,9 +589,10 @@ func decodeState(blob []byte) (*persistedState, error) {
 }
 
 // SaveState persists the collector statistics (into the warehouse stats
-// table), the cache registry snapshot, and, when the model supports it, the
-// trained predictor weights — everything a restarted node needs to serve
-// from cache and run the next midnight cycle without retraining. Both files
+// table), the cache generation's manifests, and, when the model supports it,
+// the trained predictor weights — everything a restarted node needs to serve
+// from cache, carry unchanged splits into its next generation, and run the
+// next midnight cycle without retraining. Both files
 // are written atomically (temp + rename), so a crash mid-save leaves the
 // previous state intact rather than a torn file.
 func (m *Maxson) SaveState() error {
@@ -603,7 +605,7 @@ func (m *Maxson) SaveState() error {
 	blob, err := encodeState(&persistedState{
 		Generation:  gen,
 		PendingDrop: pending,
-		Entries:     m.Registry.Entries(),
+		Manifests:   sortedManifests(m.Registry.generation()),
 	})
 	if err != nil {
 		return err
@@ -626,11 +628,12 @@ func (m *Maxson) SaveState() error {
 // saved by SaveState. Missing state is not an error (fresh deployment); a
 // present-but-corrupt state file IS one, with a message naming the defect.
 //
-// Recovery semantics: registry entries whose cache tables still exist are
-// rolled forward; entries whose tables vanished are discarded; cache tables
-// on disk that no entry references (a midnight cycle that died mid-populate
-// left them behind) are swept. Either way the node comes up consistent
-// without manual cleanup.
+// Recovery semantics: a manifest whose cache parts all still exist at the
+// versions it recorded is rolled forward, so the restarted node serves and
+// carries exactly what the saved one did; any other manifest is discarded;
+// cache tables on disk that no manifest references (a midnight cycle that
+// died mid-populate left them behind) are swept. Either way the node comes
+// up consistent without manual cleanup.
 func (m *Maxson) LoadState() error {
 	m.stateMu.Lock()
 	defer m.stateMu.Unlock()
@@ -667,14 +670,14 @@ func (m *Maxson) loadRegistryState() error {
 		}
 	}
 
-	// Roll forward entries whose cache tables survived; discard the rest.
-	kept := make([]*CacheEntry, 0, len(st.Entries))
+	// Roll forward manifests whose cache parts survived; discard the rest.
+	kept := make([]*Manifest, 0, len(st.Manifests))
 	live := make(map[string]bool)
 	discarded := 0
-	for _, e := range st.Entries {
-		if m.wh.TableExists(e.CacheDB, e.CacheTable) {
-			kept = append(kept, e)
-			live[e.CacheDB+"/"+e.CacheTable] = true
+	for _, mf := range st.Manifests {
+		if m.intact(mf) {
+			kept = append(kept, mf)
+			live[CacheDB+"/"+mf.CacheTable] = true
 		} else {
 			discarded++
 		}
@@ -685,7 +688,7 @@ func (m *Maxson) loadRegistryState() error {
 		live[t[0]+"/"+t[1]] = true // still queued for deferred deletion
 	}
 
-	// Sweep orphans: cache tables no entry references and no drop queue
+	// Sweep orphans: cache tables no manifest references and no drop queue
 	// owns — the debris of a cycle that died between creating tables and
 	// the registry swap.
 	swept := 0
@@ -698,10 +701,25 @@ func (m *Maxson) loadRegistryState() error {
 		}
 	}
 	if discarded > 0 || swept > 0 {
-		m.Log.Warn("state recovery", "entries_kept", len(kept),
-			"entries_discarded", discarded, "orphan_tables_swept", swept)
+		m.Log.Warn("state recovery", "manifests_kept", len(kept),
+			"manifests_discarded", discarded, "orphan_tables_swept", swept)
 	}
 	return nil
+}
+
+// intact reports whether every cache part a saved manifest names is still
+// stored at the version it recorded.
+func (m *Maxson) intact(mf *Manifest) bool {
+	parts, err := m.wh.Parts(CacheDB, mf.CacheTable)
+	if err != nil || len(mf.Keys) == 0 {
+		return false
+	}
+	for _, sp := range mf.Splits {
+		if len(sp.ColBytes) != len(mf.Keys) || !holdsPart(parts, sp.CachePath, sp.CacheVersion) {
+			return false
+		}
+	}
+	return true
 }
 
 // epochDay returns the absolute day number of t, anchoring the calendar

@@ -3,7 +3,6 @@ package core
 import (
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/datum"
 	"repro/internal/jsonpath"
@@ -15,11 +14,13 @@ import (
 )
 
 // Planner is the MaxsonParser: it rewrites a compiled physical plan so that
-// every get_json_object over a valid cached JSONPath becomes a placeholder
-// read from the cache table, the scan becomes a Value Combiner over paired
+// every get_json_object over a cached JSONPath becomes a placeholder read
+// from the cache table, the scan becomes a Value Combiner over paired
 // readers, the raw JSON column is dropped from the primary read set when
 // all its paths are cached, and predicates over cached paths are pushed
-// down to the cache table (paper Algorithm 1, §IV-D/F).
+// down to the cache table (paper Algorithm 1, §IV-D/F). Which splits the
+// cache serves is not the planner's decision: the combiner asks the
+// manifest per split, by raw part version.
 type Planner struct {
 	wh       *warehouse.Warehouse
 	registry *Registry
@@ -80,8 +81,8 @@ func (p *Planner) Modify(plan *sqlengine.PhysicalPlan, stmt *sqlengine.SelectStm
 // modifyScan applies Algorithm 1 to one scan node. It returns the number of
 // replaced expressions (0 = scan untouched).
 func (p *Planner) modifyScan(plan *sqlengine.PhysicalPlan, scan *sqlengine.ScanNode) int64 {
-	// Algorithm 1's MatchExpr over every expression tree: find cached,
-	// valid get_json_object calls bound to this scan.
+	// Algorithm 1's MatchExpr over every expression tree: find cached
+	// get_json_object calls bound to this scan.
 	type hit struct {
 		entry *CacheEntry
 		expr  *sqlengine.JSONPathExpr
@@ -89,27 +90,6 @@ func (p *Planner) modifyScan(plan *sqlengine.PhysicalPlan, scan *sqlengine.ScanN
 	var hits []hit
 	hitCols := map[string]*CacheEntry{} // cache column -> entry
 	replaced := int64(0)
-
-	// Validity (Algorithm 1 lines 16-19, refined for append-only tables):
-	// daily appends add new part files the cache does not cover yet — the
-	// Value Combiner parses those splits on the fly — but a rewrite of
-	// previously appended data (or a recreated table) silently corrupts the
-	// positional alignment, so it invalidates the cache. Equal timestamps
-	// are treated as invalid because the ordering is unknowable.
-	rewriteTime, err := p.wh.RewriteTime(scan.DB, scan.Table)
-	if err != nil {
-		return 0
-	}
-	createdAt, err := p.wh.CreatedAt(scan.DB, scan.Table)
-	if err != nil {
-		return 0
-	}
-	stale := func(cachedAt time.Time) bool {
-		if !rewriteTime.IsZero() && !rewriteTime.Before(cachedAt) {
-			return true
-		}
-		return !createdAt.Before(cachedAt)
-	}
 
 	match := func(n sqlengine.Expr) {
 		jp, ok := n.(*sqlengine.JSONPathExpr)
@@ -121,17 +101,15 @@ func (p *Planner) modifyScan(plan *sqlengine.PhysicalPlan, scan *sqlengine.ScanN
 		}
 		key := pathkey.Key{DB: scan.DB, Table: scan.Table, Column: jp.Column.Name, Path: jp.Path.Canonical()}
 		entry := p.registry.Lookup(key)
-		if entry == nil || entry.Invalid {
+		// A swap between two lookups could hand out entries of two
+		// generations; the scan reads one manifest's table.
+		if entry == nil || len(hits) > 0 && entry.Manifest != hits[0].entry.Manifest {
 			return
 		}
 		// Quarantined cache tables (failed to open or decode earlier this
 		// generation) are skipped entirely: the query plans against raw
 		// data as if the path were never cached.
 		if p.registry.IsQuarantined(entry.CacheDB, entry.CacheTable) {
-			return
-		}
-		if stale(entry.CachedAt) {
-			p.registry.MarkInvalid(key)
 			return
 		}
 		hits = append(hits, hit{entry: entry, expr: jp})
@@ -206,7 +184,8 @@ func (p *Planner) modifyScan(plan *sqlengine.PhysicalPlan, scan *sqlengine.ScanN
 	}
 
 	// Fallback specs let the combiner compute cache-column values for raw
-	// part files appended after the cache was populated.
+	// part files the manifest does not serve: appended, rewritten or
+	// recreated since the cache was populated.
 	fallbacks := make([]FallbackSpec, len(cacheCols))
 	for i, col := range cacheCols {
 		entry := hitCols[col]
@@ -217,11 +196,10 @@ func (p *Planner) modifyScan(plan *sqlengine.PhysicalPlan, scan *sqlengine.ScanN
 		fallbacks[i] = FallbackSpec{RawColumn: entry.Key.Column, Path: path}
 	}
 
-	cacheTable := hits[0].entry.CacheTable
 	factory := NewCombinedScanFactory(
 		p.wh, scan.DB, scan.Table,
 		primaryCols, scan.SARG,
-		cacheTable, cacheCols, cacheSARG,
+		hits[0].entry.Manifest, cacheCols, cacheSARG,
 		fallbacks,
 		p.Pushdown,
 		sqlengine.RowSchema{Cols: schemaCols},

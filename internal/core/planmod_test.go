@@ -67,18 +67,40 @@ func TestPlanModORPredicateNotPushedDown(t *testing.T) {
 	}
 }
 
+// TestPlanModInvalidEntrySkipped: every raw part rewritten — with the rows it
+// already held, so only the versions say so — leaves the entry in the
+// registry but no split it serves.
 func TestPlanModInvalidEntrySkipped(t *testing.T) {
 	f := newFixture(t)
 	m := New(f.engine, Config{BudgetBytes: 1 << 30, DefaultDB: "mydb"})
 	cachePaths(t, m, "$.turnover")
+	info, err := f.wh.Table("mydb", "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := f.wh.ReadAll("mydb", "t", []string{"mall_id", "date", "sale_logs"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, part := range info.Files {
+		from, to := 10*i, 10*i+10
+		if i == len(info.Files)-1 {
+			to = len(rows)
+		}
+		if err := f.wh.RewriteFile("mydb", "t", part, rows[from:to]); err != nil {
+			t.Fatal(err)
+		}
+	}
 	key := pathkey.Key{DB: "mydb", Table: "t", Column: "sale_logs", Path: "$.turnover"}
-	m.Registry.MarkInvalid(key)
+	if m.Registry.Lookup(key) == nil {
+		t.Fatal("rewrites dropped the entry")
+	}
 	_, metrics, err := m.QueryCtx(context.Background(), `SELECT get_json_object(sale_logs, '$.turnover') tv FROM mydb.t`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if metrics.CacheValuesRead.Load() != 0 {
-		t.Error("invalid entry served values")
+		t.Error("an entry served values for rewritten parts")
 	}
 	if metrics.Parse.Docs.Load() != 31 {
 		t.Errorf("expected full parse fallback, parsed %d", metrics.Parse.Docs.Load())

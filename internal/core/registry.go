@@ -3,14 +3,73 @@ package core
 import (
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/pathkey"
+	"repro/internal/warehouse"
 )
 
-// CacheEntry records one cached JSONPath: where its values live and when
-// they were populated. Validity is re-checked against the raw table's
-// modification time at plan time (paper Algorithm 1 lines 15-20).
+// Manifest is the one record of what a cache table holds: for each split,
+// the raw part and the dfs version its values were extracted from, and the
+// cache part that holds them. It decides cache validity alone. A cached
+// split is served while its raw part is still at the version the manifest
+// names, and carried into the next generation on the same condition; no
+// timestamp is compared anywhere ("Metadata Caching in Presto": a hit only on
+// an exact version match). A manifest is immutable once the cacher builds it
+// and is shared by the registry, every plan built against it, and the state
+// file SaveState writes.
+type Manifest struct {
+	CacheTable string        `json:"cache_table"` // within CacheDB
+	Keys       []pathkey.Key `json:"keys"`        // the cached paths, in cache-column order
+	// Splits are in the raw table's split order at populate time, so sorted
+	// by RawPath.
+	Splits []ManifestSplit `json:"splits"`
+}
+
+// ManifestSplit is one cache part's record.
+type ManifestSplit struct {
+	RawPath string `json:"raw_path"`
+	// RawVersion is the dfs version of the raw bytes the values came from,
+	// and 0 — which matches no version — when the read that fed them was not
+	// the stored content (dfs.View.Stored false).
+	RawVersion   uint64  `json:"raw_version"`
+	CachePath    string  `json:"cache_path"`
+	CacheVersion uint64  `json:"cache_version"` // the dfs version the cache part was stored under
+	Rows         int64   `json:"rows"`
+	ColBytes     []int64 `json:"col_bytes"` // value bytes per column, summed into CacheEntry.Bytes
+	// Carry is false when a document of the split was malformed: after a
+	// syntax error every path of the extracted set reads NULL, so the
+	// split's values depend on which paths were extracted together and the
+	// next generation extracts it again instead of copying columns.
+	Carry bool `json:"carry"`
+}
+
+// split returns the record of raw part name at version, nil when the
+// manifest holds none (a part appended, rewritten or recreated since, or one
+// whose values came from a corrupted read).
+func (m *Manifest) split(name string, version uint64) *ManifestSplit {
+	i := sort.Search(len(m.Splits), func(i int) bool { return m.Splits[i].RawPath >= name })
+	if i < len(m.Splits) && m.Splits[i].RawPath == name && m.Splits[i].RawVersion == version {
+		return &m.Splits[i]
+	}
+	return nil
+}
+
+// Covered returns how many of info's part files the manifest serves: those
+// still at the version their cache part was extracted from.
+func (m *Manifest) Covered(info *warehouse.TableInfo) int {
+	n := 0
+	for i, name := range info.Files {
+		if m.split(name, info.Versions[i]) != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// CacheEntry is one cached JSONPath as the planner looks it up: a column of
+// a manifest's cache table. Entries are derived from their manifest when the
+// registry installs it and are never modified, so they are shared, not
+// copied.
 type CacheEntry struct {
 	Key pathkey.Key
 	// CacheDB/CacheTable name the cache table (db__table under the cache
@@ -18,19 +77,25 @@ type CacheEntry struct {
 	CacheDB     string
 	CacheTable  string
 	CacheColumn string
-	CachedAt    time.Time
 	// Bytes is the measured cache footprint of this path's values.
 	Bytes int64
-	// Invalid marks an entry whose raw table changed after caching; it is
-	// skipped by lookups and deleted on the next caching cycle.
+	// Manifest is the record the entry was derived from; it decides which
+	// splits the entry serves.
+	Manifest *Manifest
+	// Invalid is set by nothing: validity is per split, by version, in the
+	// manifest. It stays declared because bench/e2e still reads it.
 	Invalid bool
 }
 
-// Registry is the in-memory catalog of cache entries, shared between the
-// Cacher (writer) and the MaxsonParser (reader). Safe for concurrent use.
+// Registry is the in-memory catalog of the active generation's manifests and
+// the entries derived from them, shared between the Cacher (writer) and the
+// MaxsonParser (reader). Safe for concurrent use.
 type Registry struct {
-	mu      sync.RWMutex
-	entries map[pathkey.Key]*CacheEntry
+	mu sync.RWMutex
+	// manifests maps a raw table ("db.table") to its cache table's manifest.
+	// Swap replaces the map whole, so a map handed out is never written.
+	manifests map[string]*Manifest
+	entries   map[pathkey.Key]*CacheEntry
 	// quarantined names cache tables (db.table) that failed to open or
 	// decode this generation: the planner skips their entries so queries
 	// transparently re-route to the raw-parse path until the next
@@ -41,42 +106,17 @@ type Registry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
+		manifests:   make(map[string]*Manifest),
 		entries:     make(map[pathkey.Key]*CacheEntry),
 		quarantined: make(map[string]bool),
 	}
 }
 
-// Put installs or replaces an entry.
-func (r *Registry) Put(e *CacheEntry) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	cp := *e
-	r.entries[e.Key] = &cp
-}
-
-// Lookup returns the entry for a key, or nil. Invalid entries are returned
-// too (the caller decides; the plan modifier checks Invalid itself).
+// Lookup returns the entry for a key, or nil.
 func (r *Registry) Lookup(key pathkey.Key) *CacheEntry {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	e, ok := r.entries[key]
-	if !ok {
-		return nil
-	}
-	cp := *e
-	return &cp
-}
-
-// MarkInvalid flags an entry as stale (Algorithm 1 line 19). It reports
-// whether the entry existed.
-func (r *Registry) MarkInvalid(key pathkey.Key) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e, ok := r.entries[key]
-	if ok {
-		e.Invalid = true
-	}
-	return ok
+	return r.entries[key]
 }
 
 // Entries lists all entries in deterministic order.
@@ -85,38 +125,59 @@ func (r *Registry) Entries() []*CacheEntry {
 	defer r.mu.RUnlock()
 	out := make([]*CacheEntry, 0, len(r.entries))
 	for _, e := range r.entries {
-		cp := *e
-		out = append(out, &cp)
+		out = append(out, e)
 	}
 	sort.Slice(out, func(i, j int) bool { return pathkey.Less(out[i].Key, out[j].Key) })
 	return out
 }
 
-// Len returns the number of entries (valid and invalid).
+// Len returns the number of entries.
 func (r *Registry) Len() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return len(r.entries)
 }
 
-// Swap atomically replaces the whole entry set with entries and returns the
-// previous entries. Readers observe either the old generation or the new
-// one, never a half-built mix — the midnight cycle's build-then-swap commit.
-func (r *Registry) Swap(entries []*CacheEntry) []*CacheEntry {
+// Swap atomically replaces the whole generation with manifests and returns
+// the previous generation's, sorted by cache table. Readers observe either
+// the old generation or the new one, never a half-built mix — the midnight
+// cycle's build-then-swap commit.
+func (r *Registry) Swap(manifests []*Manifest) []*Manifest {
+	byTable := make(map[string]*Manifest, len(manifests))
+	entries := make(map[pathkey.Key]*CacheEntry)
+	for _, m := range manifests {
+		byTable[m.Keys[0].TableID()] = m
+		for j, key := range m.Keys {
+			e := &CacheEntry{Key: key, CacheDB: CacheDB, CacheTable: m.CacheTable, CacheColumn: key.Sanitized(), Manifest: m}
+			for _, sp := range m.Splits {
+				e.Bytes += sp.ColBytes[j]
+			}
+			entries[key] = e
+		}
+	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	old := make([]*CacheEntry, 0, len(r.entries))
-	for _, e := range r.entries {
-		cp := *e
-		old = append(old, &cp)
+	old := r.manifests
+	r.manifests, r.entries = byTable, entries
+	r.mu.Unlock()
+	return sortedManifests(old)
+}
+
+// sortedManifests lists a generation's manifests by cache table.
+func sortedManifests(byTable map[string]*Manifest) []*Manifest {
+	out := make([]*Manifest, 0, len(byTable))
+	for _, m := range byTable {
+		out = append(out, m)
 	}
-	sort.Slice(old, func(i, j int) bool { return pathkey.Less(old[i].Key, old[j].Key) })
-	r.entries = make(map[pathkey.Key]*CacheEntry, len(entries))
-	for _, e := range entries {
-		cp := *e
-		r.entries[e.Key] = &cp
-	}
-	return old
+	sort.Slice(out, func(i, j int) bool { return out[i].CacheTable < out[j].CacheTable })
+	return out
+}
+
+// generation returns the active generation's manifests by raw table. The map
+// is never written after Swap installs it.
+func (r *Registry) generation() map[string]*Manifest {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.manifests
 }
 
 func quarantineKey(db, table string) string { return db + "." + table }
@@ -155,15 +216,13 @@ func (r *Registry) QuarantineCount() int {
 	return len(r.quarantined)
 }
 
-// TotalBytes sums the footprint of valid entries.
+// TotalBytes sums the footprint of the entries.
 func (r *Registry) TotalBytes() int64 {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	var n int64
 	for _, e := range r.entries {
-		if !e.Invalid {
-			n += e.Bytes
-		}
+		n += e.Bytes
 	}
 	return n
 }

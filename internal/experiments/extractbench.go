@@ -266,8 +266,8 @@ func RunExtractBench(ctx context.Context, rows int, seed int64) (*ExtractBenchRe
 	out.Rows = append(out.Rows, row)
 
 	// --- fallback lane: uncovered-split scan synthesizing Q3's paths ---
-	// A factory pointed at a cache table that no longer exists serves every
-	// split through the fallback source, the post-midnight-append code path.
+	// A factory whose manifest records no split serves every split through
+	// the fallback source, the post-midnight-append code path.
 	q3 := w.Paths["Q3"]
 	var fallbacks []core.FallbackSpec
 	var cacheCols []string
@@ -281,7 +281,7 @@ func RunExtractBench(ctx context.Context, rows int, seed int64) (*ExtractBenchRe
 		schema.Cols = append(schema.Cols, sqlengine.RowCol{Name: col, Type: datum.TypeString})
 	}
 	factory := core.NewCombinedScanFactory(w.WH, w.DB, "t03",
-		[]string{"id"}, nil, "retired_generation", cacheCols, nil,
+		[]string{"id"}, nil, &core.Manifest{}, cacheCols, nil,
 		fallbacks, false, schema, nil)
 	drain := func(m *sqlengine.Metrics) error {
 		nSplits, err := factory.NumSplits()

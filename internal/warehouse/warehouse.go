@@ -1,8 +1,8 @@
 // Package warehouse implements the Hive-like metastore and table storage
 // the paper's queries run against: databases contain tables, a table is a
 // directory of ORC part files on the distributed file system, JSON payloads
-// are stored in STRING columns, and every table tracks the modification
-// time that Maxson's cache-validity check compares against.
+// are stored in STRING columns, and every part file carries the dfs version
+// of its content, which Maxson's cache-validity check matches exactly.
 //
 // The metastore also keeps every part file's parsed ORC footer, filed under
 // the dfs version of the bytes it was parsed from. Table() therefore answers
@@ -70,14 +70,6 @@ type tableMeta struct {
 	schema   orc.Schema
 	dir      string
 	nextPart int
-	// modTime moves on every change; rewriteTime only when previously
-	// appended data is modified. Daily appends leave rewriteTime alone —
-	// the distinction Maxson's cache-validity check relies on, since the
-	// cache stays correct for the part files it covers (new files are
-	// simply not covered yet) but is silently wrong after a rewrite.
-	modTime     time.Time
-	rewriteTime time.Time
-	createdAt   time.Time
 	// footers holds each part file's parsed footer and the dfs version of
 	// the content it describes (guarded by Warehouse.mu). An entry is used
 	// only while the file is still at that version. The map dies with the
@@ -96,7 +88,7 @@ type fileFooter struct {
 // Option configures a Warehouse.
 type Option func(*Warehouse)
 
-// WithClock sets the clock used for table modification times.
+// WithClock sets the clock the warehouse hands out through Clock.
 func WithClock(c simtime.Clock) Option {
 	return func(w *Warehouse) {
 		if c != nil {
@@ -178,14 +170,11 @@ func (w *Warehouse) CreateTable(db, table string, schema orc.Schema) error {
 	if _, ok := w.tables[k]; ok {
 		return fmt.Errorf("%w: %s", ErrTableExists, k)
 	}
-	now := w.clock.Now()
 	tm := &tableMeta{
 		db: db, name: table,
-		schema:    schema,
-		dir:       fmt.Sprintf("%s/%s/%s", w.root, db, table),
-		modTime:   now,
-		createdAt: now,
-		footers:   make(map[string]fileFooter),
+		schema:  schema,
+		dir:     fmt.Sprintf("%s/%s/%s", w.root, db, table),
+		footers: make(map[string]fileFooter),
 	}
 	w.tables[k] = tm
 	w.byDir[tm.dir] = tm
@@ -231,18 +220,21 @@ func (w *Warehouse) ListTables(db string) []string {
 
 // TableInfo is a read-only snapshot of table metadata. Table hands the same
 // value to every caller until the file system changes, so it is shared: no
-// field, and no element of Files, may be modified. It holds only what the
-// table's registration (DB, Name, Schema, Dir) and the file system's state
-// (Files, NumRows, Bytes) determine — nothing read from a clock, which a
-// listing and a generation cannot vouch for (ask Warehouse.ModTime).
+// field, and no element of Files or Versions, may be modified. It holds only
+// what the table's registration (DB, Name, Schema, Dir) and the file system's
+// state (Files, Versions, NumRows, Bytes) determine.
 type TableInfo struct {
-	DB      string
-	Name    string
-	Schema  orc.Schema
-	Dir     string
-	Files   []string // part files, sorted: the split order
-	NumRows int64
-	Bytes   int64 // total size of the part files
+	DB     string
+	Name   string
+	Schema orc.Schema
+	Dir    string
+	Files  []string // part files, sorted: the split order
+	// Versions holds each part file's dfs version, aligned with Files: a
+	// part still at the version something was derived from is still the
+	// content it was derived from.
+	Versions []uint64
+	NumRows  int64
+	Bytes    int64 // total size of the part files
 
 	// gen is the dfs generation read before the directory was listed.
 	gen uint64
@@ -274,14 +266,15 @@ func (w *Warehouse) Table(db, table string) (*TableInfo, error) {
 	listed := w.fs.ListFiles(tm.dir)
 	info := &TableInfo{
 		DB: db, Name: table,
-		Schema: tm.schema,
-		Dir:    tm.dir,
-		Files:  make([]string, len(listed)),
-		gen:    gen,
+		Schema:   tm.schema,
+		Dir:      tm.dir,
+		Files:    make([]string, len(listed)),
+		Versions: make([]uint64, len(listed)),
+		gen:      gen,
 	}
 	var unknown []string
 	for i, f := range listed {
-		info.Files[i] = f.Name
+		info.Files[i], info.Versions[i] = f.Name, f.Version
 		info.Bytes += f.Size
 		if ff, ok := tm.footers[f.Name]; ok && ff.version == f.Version {
 			info.NumRows += ff.footer.NumRows()
@@ -316,20 +309,8 @@ func (w *Warehouse) Parts(db, table string) ([]dfs.FileInfo, error) {
 	return w.fs.ListFiles(tm.dir), nil
 }
 
-// ModTime returns the table's last modification time (Algorithm 1 compares
-// this with the cache population time).
-func (w *Warehouse) ModTime(db, table string) (time.Time, error) {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	tm, ok := w.tables[key(db, table)]
-	if !ok {
-		return time.Time{}, fmt.Errorf("%w: %s", ErrNoSuchTable, key(db, table))
-	}
-	return tm.modTime, nil
-}
-
 // AppendRows writes rows as a new part file of the table (the daily-load
-// pattern) and returns the file path. It bumps the table modification time.
+// pattern) and returns the file path.
 func (w *Warehouse) AppendRows(db, table string, rows [][]datum.Datum) (string, error) {
 	tm, err := w.meta(db, table)
 	if err != nil {
@@ -357,8 +338,7 @@ func (w *Warehouse) AppendEncoded(db, table string, data []byte) (dfs.FileInfo, 
 // LinkPart appends the part file stored at srcPath (of any table with the
 // same schema) to the table as its next part without copying it: the new
 // name shares the stored bytes (dfs.FS.Link) and the footer the metastore
-// keeps for them. Dropping either table leaves the other's part intact. It
-// bumps the table modification time.
+// keeps for them. Dropping either table leaves the other's part intact.
 func (w *Warehouse) LinkPart(db, table, srcPath string) (dfs.FileInfo, error) {
 	tm, err := w.meta(db, table)
 	if err != nil {
@@ -392,7 +372,6 @@ func (w *Warehouse) LinkPart(db, table, srcPath string) (dfs.FileInfo, error) {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	tm.modTime = w.clock.Now()
 	tm.keepFooter(path, part.Version, footer)
 	return part, nil
 }
@@ -421,7 +400,7 @@ func (w *Warehouse) appendPart(tm *tableMeta, data []byte) (dfs.FileInfo, error)
 	w.mu.Lock()
 	path := tm.nextPartPath()
 	w.mu.Unlock()
-	version, err := w.writePart(tm, path, data, false)
+	version, err := w.writePart(tm, path, data)
 	return dfs.FileInfo{Name: path, Size: int64(len(data)), Version: version}, err
 }
 
@@ -438,10 +417,9 @@ func sameSchema(file, table orc.Schema) error {
 	return nil
 }
 
-// writePart stores one encoded part file and records it in the metastore:
-// the table's modification time (and rewrite time, for a rewrite) and the
-// file's footer under the version the bytes were stored as, which it returns.
-func (w *Warehouse) writePart(tm *tableMeta, path string, data []byte, rewrite bool) (uint64, error) {
+// writePart stores one encoded part file and files its footer in the
+// metastore under the version the bytes were stored as, which it returns.
+func (w *Warehouse) writePart(tm *tableMeta, path string, data []byte) (uint64, error) {
 	footer, err := orc.ParseFooter(data)
 	if err == nil {
 		err = sameSchema(footer.Schema(), tm.schema)
@@ -455,11 +433,6 @@ func (w *Warehouse) writePart(tm *tableMeta, path string, data []byte, rewrite b
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	now := w.clock.Now()
-	tm.modTime = now
-	if rewrite {
-		tm.rewriteTime = now
-	}
 	tm.keepFooter(path, version, footer)
 	return version, nil
 }
@@ -475,7 +448,8 @@ func (tm *tableMeta) keepFooter(path string, version uint64, footer *orc.Footer)
 
 // RewriteFile replaces an existing part file's rows, modeling the rare
 // "previously appended data was modified" event (2% of tables in the
-// paper's study) that must invalidate caches.
+// paper's study). The part takes a new dfs version, so nothing derived from
+// the old content matches it any more.
 func (w *Warehouse) RewriteFile(db, table, path string, rows [][]datum.Datum) error {
 	tm, err := w.meta(db, table)
 	if err != nil {
@@ -491,31 +465,8 @@ func (w *Warehouse) RewriteFile(db, table, path string, rows [][]datum.Datum) er
 	if err != nil {
 		return err
 	}
-	_, err = w.writePart(tm, path, data, true)
+	_, err = w.writePart(tm, path, data)
 	return err
-}
-
-// RewriteTime returns when previously appended data was last modified; the
-// zero time means never (appends do not count).
-func (w *Warehouse) RewriteTime(db, table string) (time.Time, error) {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	tm, ok := w.tables[key(db, table)]
-	if !ok {
-		return time.Time{}, fmt.Errorf("%w: %s", ErrNoSuchTable, key(db, table))
-	}
-	return tm.rewriteTime, nil
-}
-
-// CreatedAt returns the table's registration time.
-func (w *Warehouse) CreatedAt(db, table string) (time.Time, error) {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	tm, ok := w.tables[key(db, table)]
-	if !ok {
-		return time.Time{}, fmt.Errorf("%w: %s", ErrNoSuchTable, key(db, table))
-	}
-	return tm.createdAt, nil
 }
 
 // OpenFile opens one part file for reading.

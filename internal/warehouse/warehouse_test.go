@@ -73,7 +73,6 @@ func TestAppendAndRead(t *testing.T) {
 	if err := w.CreateTable("mydb", "t", saleSchema); err != nil {
 		t.Fatal(err)
 	}
-	day1 := clock.Now()
 	if _, err := w.AppendRows("mydb", "t", saleRows(10, "20190101")); err != nil {
 		t.Fatal(err)
 	}
@@ -89,10 +88,6 @@ func TestAppendAndRead(t *testing.T) {
 	if info.Files[1] != p2 {
 		t.Errorf("file order: %v", info.Files)
 	}
-	mt, _ := w.ModTime("mydb", "t")
-	if !mt.Equal(day1.Add(24 * time.Hour)) {
-		t.Errorf("ModTime = %v", mt)
-	}
 	rows, err := w.ReadAll("mydb", "t", []string{"date", "sale_logs"})
 	if err != nil {
 		t.Fatal(err)
@@ -102,8 +97,10 @@ func TestAppendAndRead(t *testing.T) {
 	}
 }
 
+// TestRewriteFileBumpsModTime: a rewrite gives the part a new version, which
+// is how anything derived from the old content learns it is gone.
 func TestRewriteFileBumpsModTime(t *testing.T) {
-	w, clock := newTestWarehouse()
+	w, _ := newTestWarehouse()
 	w.CreateDatabase("db")
 	if err := w.CreateTable("db", "t", saleSchema); err != nil {
 		t.Fatal(err)
@@ -112,16 +109,14 @@ func TestRewriteFileBumpsModTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, _ := w.ModTime("db", "t")
-	clock.Advance(time.Hour)
+	before, _ := w.Table("db", "t")
 	if err := w.RewriteFile("db", "t", p, saleRows(4, "20190101")); err != nil {
 		t.Fatal(err)
 	}
-	after, _ := w.ModTime("db", "t")
-	if !after.After(before) {
-		t.Error("RewriteFile did not bump ModTime")
-	}
 	info, _ := w.Table("db", "t")
+	if info.Versions[0] <= before.Versions[0] {
+		t.Errorf("part version %d after the rewrite, was %d", info.Versions[0], before.Versions[0])
+	}
 	if info.NumRows != 4 {
 		t.Errorf("rows after rewrite = %d", info.NumRows)
 	}
@@ -230,48 +225,85 @@ func TestAccessorsAndOptions(t *testing.T) {
 	}
 }
 
+// TestRewriteAndCreatedTimes pins the version facts the Value Combiner's
+// cache validity rests on: TableInfo.Versions is the listing's, an append
+// leaves the existing parts' versions alone, a rewrite moves only the
+// rewritten part's, and a dropped and recreated table's parts never reuse a
+// version, even under the same names.
 func TestRewriteAndCreatedTimes(t *testing.T) {
-	w, clock := newTestWarehouse()
+	w, _ := newTestWarehouse()
 	w.CreateDatabase("db")
-	created := clock.Now()
 	if err := w.CreateTable("db", "t", saleSchema); err != nil {
 		t.Fatal(err)
 	}
-	ct, err := w.CreatedAt("db", "t")
-	if err != nil || !ct.Equal(created) {
-		t.Errorf("CreatedAt = %v err=%v", ct, err)
+	versions := func() []uint64 {
+		t.Helper()
+		info, err := w.Table("db", "t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts, err := w.Parts("db", "t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(parts) != len(info.Files) || len(info.Versions) != len(info.Files) {
+			t.Fatalf("%d parts listed, TableInfo has %d files and %d versions", len(parts), len(info.Files), len(info.Versions))
+		}
+		for i, p := range parts {
+			if info.Files[i] != p.Name || info.Versions[i] != p.Version {
+				t.Errorf("TableInfo split %d is %s@%d, the listing %s@%d", i, info.Files[i], info.Versions[i], p.Name, p.Version)
+			}
+		}
+		return info.Versions
 	}
-	rt, err := w.RewriteTime("db", "t")
-	if err != nil || !rt.IsZero() {
-		t.Errorf("fresh RewriteTime = %v err=%v, want zero", rt, err)
-	}
-	// Appends do not move RewriteTime.
-	clock.Advance(time.Hour)
 	p, err := w.AppendRows("db", "t", saleRows(2, "20190101"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rt, _ := w.RewriteTime("db", "t"); !rt.IsZero() {
-		t.Errorf("append moved RewriteTime to %v", rt)
+	first := versions()
+	if _, err := w.AppendRows("db", "t", saleRows(2, "20190102")); err != nil {
+		t.Fatal(err)
 	}
-	// Rewrites do.
-	clock.Advance(time.Hour)
+	appended := versions()
+	if len(appended) != 2 || appended[0] != first[0] {
+		t.Errorf("versions after an append = %v, were %v", appended, first)
+	}
 	if err := w.RewriteFile("db", "t", p, saleRows(2, "20190101")); err != nil {
 		t.Fatal(err)
 	}
-	if rt, _ := w.RewriteTime("db", "t"); !rt.Equal(clock.Now()) {
-		t.Errorf("RewriteTime = %v, want %v", rt, clock.Now())
+	rewritten := versions()
+	if rewritten[0] <= appended[1] || rewritten[1] != appended[1] {
+		t.Errorf("versions after rewriting part 0 = %v, were %v", rewritten, appended)
 	}
 	// OpenFile works on part files.
 	r, err := w.OpenFile(p)
 	if err != nil || r.NumRows() != 2 {
 		t.Errorf("OpenFile: rows=%v err=%v", r, err)
 	}
-	if _, err := w.RewriteTime("db", "nope"); err == nil {
-		t.Error("missing table RewriteTime should error")
+
+	seen := map[uint64]bool{}
+	for _, v := range append(append(first, appended...), rewritten...) {
+		seen[v] = true
 	}
-	if _, err := w.CreatedAt("db", "nope"); err == nil {
-		t.Error("missing table CreatedAt should error")
+	if err := w.DropTable("db", "t"); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.CreateTable("db", "t", saleSchema); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := w.AppendRows("db", "t", saleRows(2, "20190101")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	info, _ := w.Table("db", "t")
+	for i, v := range versions() {
+		if seen[v] {
+			t.Errorf("recreated table's %s reuses version %d", info.Files[i], v)
+		}
+	}
+	if info.Files[0] != p {
+		t.Errorf("recreated table's first part is %s, want the old name %s", info.Files[0], p)
 	}
 }
 
@@ -639,13 +671,9 @@ func TestLinkPartSharesBytesAndFooter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	modTime, err := w.ModTime("db", "g2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(parts) != 2 || parts[1] != part || info.Files[1] != part.Name ||
-		!strings.HasSuffix(part.Name, "/g2/part-00001.orc") || info.NumRows != 9 || !modTime.Equal(clock.Now()) {
-		t.Errorf("after the link: parts %+v, %d rows, modified %v; linked %+v", parts, info.NumRows, modTime, part)
+	if len(parts) != 2 || parts[1] != part || info.Files[1] != part.Name || info.Versions[1] != part.Version ||
+		!strings.HasSuffix(part.Name, "/g2/part-00001.orc") || info.NumRows != 9 {
+		t.Errorf("after the link: parts %+v, %d rows; linked %+v", parts, info.NumRows, part)
 	}
 	if st := w.FS().Stats(); st.Opens != 0 {
 		t.Errorf("Table() opened %d files: the link did not bring its footer", st.Opens)
