@@ -7,7 +7,9 @@ import (
 
 	"repro/internal/datum"
 	"repro/internal/dfs"
+	"repro/internal/jsonpath"
 	"repro/internal/orc"
+	"repro/internal/pathkey"
 	"repro/internal/simtime"
 	"repro/internal/sqlengine"
 	"repro/internal/warehouse"
@@ -117,6 +119,76 @@ func TestCacheOnlyScanAllocatesPerSplit(t *testing.T) {
 		// makes allocate nothing while the file system is unchanged; with a
 		// listing each they made it 24.
 		t.Errorf("cache-only scan allocates %v times per split, want at most 10", perSplit)
+	}
+}
+
+// TestUncoveredScanAllocatesPerSplit is the fallback lane at the allocation
+// level: a split the cache does not cover opens through the engine's
+// extracting split reader, and reading it costs the same number of
+// allocations whether it holds 300 rows or 6,000. Opening allocates (file
+// view, cursor, extractors, document scratch), extracting two paths from
+// every document into the executor's batch does not.
+func TestUncoveredScanAllocatesPerSplit(t *testing.T) {
+	const splits = 3
+	paths := []string{"$.item_name", "$.region"}
+	scanAllocs := func(rowsPerSplit int) float64 {
+		wh := saleTable(t, splits, rowsPerSplit)
+		var fallbacks []sqlengine.Extraction
+		var cacheCols []string
+		var rowCols []sqlengine.RowCol
+		for _, p := range paths {
+			col := pathkey.Key{DB: "mydb", Table: "t", Column: "sale_logs", Path: p}.Sanitized()
+			fallbacks = append(fallbacks, sqlengine.Extraction{Column: "sale_logs", Path: jsonpath.MustCompile(p)})
+			cacheCols = append(cacheCols, col)
+			rowCols = append(rowCols, sqlengine.RowCol{Name: col, Type: datum.TypeString})
+		}
+		// An empty manifest covers no split.
+		f := NewCombinedScanFactory(wh, "mydb", "t", nil, nil, &Manifest{}, cacheCols, nil, fallbacks, false,
+			sqlengine.RowSchema{Cols: rowCols}, nil)
+		batch := sqlengine.NewRowBatch(len(paths), sqlengine.DefaultBatchSize)
+		var m sqlengine.Metrics
+		allocs := testing.AllocsPerRun(10, func() {
+			rows := 0
+			for split := 0; split < splits; split++ {
+				src, err := f.Open(split, &m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for {
+					n, err := src.NextBatch(batch)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if n == 0 {
+						break
+					}
+					rows += n
+				}
+			}
+			if rows != splits*rowsPerSplit {
+				t.Fatalf("scan returned %d rows, want %d", rows, splits*rowsPerSplit)
+			}
+		})
+		if m.ScanModes() != sqlengine.ScanFallbackUncovered || m.Parse.Docs.Load() == 0 {
+			t.Fatalf("splits served in modes %b with %d documents parsed, want fallback-uncovered extraction",
+				m.ScanModes(), m.Parse.Docs.Load())
+		}
+		return allocs
+	}
+	small, large := scanAllocs(300), scanAllocs(6000)
+	if small != large {
+		t.Errorf("an uncovered scan allocates %v times over %d rows and %v over %d: it should depend on the splits only",
+			small, splits*300, large, splits*6000)
+	}
+	perSplit := large / splits
+	t.Logf("%v allocations per split", perSplit)
+	if perSplit > 16 {
+		// 16 when written: the file view, reader and cursor (seven, as in the
+		// cache-only scan), the source with its decode vectors and document
+		// scratch, the split's extractor with its first arena, and the
+		// cache-miss counter around the source. The fallback source this
+		// replaced compiled its path set again for every split.
+		t.Errorf("an uncovered scan allocates %v times per split, want at most 16", perSplit)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/orc"
 	"repro/internal/pathkey"
+	"repro/internal/sqlengine"
 	"repro/internal/warehouse"
 )
 
@@ -365,18 +366,14 @@ type cacheColumn struct {
 	prev int
 }
 
-// extractPlan reads a set of cache columns out of the raw JSON: the raw
-// columns to open, and per raw column one extractor over all its paths, so a
-// document is scanned once however many paths it feeds.
+// extractPlan reads a set of cache columns out of the raw JSON through the
+// engine's batch extraction, which scans a document once however many paths
+// it feeds. readCols is empty when no column is extracted.
 type extractPlan struct {
-	readCols []string
+	x        sqlengine.SplitExtraction
+	readCols []string        // the raw columns to open
 	vecs     [][]datum.Datum // what the raw cursor decodes into
-	groups   []extractGroup  // one per entry of readCols
-}
-
-type extractGroup struct {
-	cols []int // cache column indexes, in extractor path order
-	x    *jsonpath.Extractor
+	out      [][]datum.Datum // the extracted columns' vectors in tablePopulate.out
 }
 
 // tablePopulate is the state of one populateTable call.
@@ -436,8 +433,9 @@ func (c *Cacher) populateTable(ctx context.Context, group []*PathProfile, gen in
 		return nil, err
 	}
 	flat := make([]datum.Datum, len(tp.cols)*populateBatchRows)
-	for i := range tp.cols {
-		tp.out = append(tp.out, flat[i*populateBatchRows:(i+1)*populateBatchRows])
+	tp.out = make([][]datum.Datum, len(tp.cols))
+	for i := range tp.out {
+		tp.out[i] = flat[i*populateBatchRows : (i+1)*populateBatchRows]
 	}
 	prevParts := tp.matchPrevious(prev)
 
@@ -543,46 +541,36 @@ func holdsPart(parts []dfs.FileInfo, name string, version uint64) bool {
 
 // plan returns the extraction plan for every column (missingOnly false) or
 // for the columns the previous table lacks.
-func (tp *tablePopulate) plan(missingOnly bool) (*extractPlan, error) {
+func (tp *tablePopulate) plan(missingOnly bool) *extractPlan {
 	slot := &tp.all
 	if missingOnly {
 		slot = &tp.missing
 	}
 	if *slot != nil {
-		return *slot, nil
+		return *slot
 	}
-	// Group the columns per raw JSON column, raw columns in name order.
-	byRaw := map[string][]int{}
-	p := &extractPlan{}
+	p := &extractPlan{out: make([][]datum.Datum, 0, len(tp.cols))}
+	list := make([]sqlengine.Extraction, 0, len(tp.cols))
 	for j, col := range tp.cols {
 		if missingOnly && col.prev >= 0 {
 			continue
 		}
-		if _, ok := byRaw[col.key.Column]; !ok {
-			p.readCols = append(p.readCols, col.key.Column)
-		}
-		byRaw[col.key.Column] = append(byRaw[col.key.Column], j)
+		list = append(list, sqlengine.Extraction{Column: col.key.Column, Path: col.path})
+		p.out = append(p.out, tp.out[j])
 	}
-	sort.Strings(p.readCols)
-	for _, name := range p.readCols {
-		g := extractGroup{cols: byRaw[name]}
-		compiled := make([]*jsonpath.Path, len(g.cols))
-		for k, j := range g.cols {
-			compiled[k] = tp.cols[j].path
+	if x := sqlengine.CompileExtraction(nil, list); x != nil {
+		// One extraction state serves every split of the table;
+		// populateSplit resets it per split.
+		p.x, p.readCols = x.Split(), x.Reads()
+		for range p.readCols {
+			// The cursor decodes the file's values straight into these
+			// vectors (documents as views of the part file; orc.Writer
+			// encodes the extracted values into the cache file's own bytes).
+			p.vecs = append(p.vecs, make([]datum.Datum, populateBatchRows))
 		}
-		set, err := jsonpath.NewPathSet(compiled...)
-		if err != nil {
-			return nil, err
-		}
-		g.x = jsonpath.NewExtractor(set)
-		p.groups = append(p.groups, g)
-		// The cursor decodes the file's values straight into these vectors
-		// (documents as views of the part file; the extractor copies what it
-		// returns, so nothing written to the cache aliases the raw file).
-		p.vecs = append(p.vecs, make([]datum.Datum, populateBatchRows))
 	}
 	*slot = p
-	return p, nil
+	return p
 }
 
 // populateSplit is the populate kernel: it appends the cache split of one raw
@@ -609,10 +597,7 @@ func (tp *tablePopulate) populateSplit(ctx context.Context, raw dfs.FileInfo, fr
 	}
 
 	sp := ManifestSplit{RawPath: raw.Name, ColBytes: make([]int64, len(tp.cols)), Carry: true}
-	plan, err := tp.plan(from != nil)
-	if err != nil {
-		return ManifestSplit{}, err
-	}
+	plan := tp.plan(from != nil)
 	var carry, rawCur *orc.Cursor
 	if from != nil {
 		r, view, err := wh.OpenFileView(from.CachePath)
@@ -629,7 +614,7 @@ func (tp *tablePopulate) populateSplit(ctx context.Context, raw dfs.FileInfo, fr
 			}
 		}
 	}
-	if len(plan.groups) > 0 {
+	if len(plan.readCols) > 0 {
 		r, view, err := wh.OpenFileView(raw.Name)
 		if err != nil {
 			return ManifestSplit{}, err
@@ -644,6 +629,7 @@ func (tp *tablePopulate) populateSplit(ctx context.Context, raw dfs.FileInfo, fr
 		if !view.Stored {
 			sp.RawVersion = 0 // values parsed out of a mangled read belong to no version
 		}
+		plan.x.Reset()
 	}
 
 	w := orc.NewWriter(tp.schema, wh.WriterOptions())
@@ -653,6 +639,7 @@ func (tp *tablePopulate) populateSplit(ctx context.Context, raw dfs.FileInfo, fr
 		}
 		n := 0
 		if carry != nil {
+			var err error
 			if n, err = carry.NextBatch(tp.carryVecs, populateBatchRows); err != nil {
 				return ManifestSplit{}, fmt.Errorf("%w: %v", errCarryBroken, err)
 			}
@@ -666,9 +653,22 @@ func (tp *tablePopulate) populateSplit(ctx context.Context, raw dfs.FileInfo, fr
 				return ManifestSplit{}, fmt.Errorf("%w: rows out of step", errCarryBroken)
 			}
 			n = m
-			failed := st.ParseErrors
-			tp.extract(plan, n, sp.ColBytes)
-			if st.ParseErrors != failed {
+			c, malformed := plan.x.Fill(plan.vecs, plan.out, n)
+			st.RowsParsed += int64(n)
+			st.BytesScanned += c.Bytes
+			st.BytesSkipped += c.Skipped
+			st.ParseErrors += malformed
+			for j, col := range tp.cols {
+				if from != nil && col.prev >= 0 {
+					continue // copied, its bytes are the previous split's
+				}
+				for _, v := range tp.out[j][:n] {
+					if !v.Null {
+						sp.ColBytes[j] += int64(len(v.S))
+					}
+				}
+			}
+			if malformed > 0 {
 				if from != nil {
 					// Copied values were extracted clean; beside a malformed
 					// document they would differ from a from-scratch populate.
@@ -700,37 +700,6 @@ func (tp *tablePopulate) populateSplit(ctx context.Context, raw dfs.FileInfo, fr
 	}
 	sp.CachePath, sp.CacheVersion = part.Name, part.Version
 	return sp, nil
-}
-
-// extract runs the plan over the n rows its vectors hold, storing each
-// column's values in tp.out and adding their sizes to colBytes. Each JSON
-// column is read once per row.
-func (tp *tablePopulate) extract(plan *extractPlan, n int, colBytes []int64) {
-	st := tp.stats
-	for gi := range plan.groups {
-		g := &plan.groups[gi]
-		for ri, src := range plan.vecs[gi][:n] {
-			for _, j := range g.cols {
-				tp.out[j][ri] = datum.NullOf(datum.TypeString)
-			}
-			if src.Null {
-				continue
-			}
-			scanned := g.x.Extract(src.S)
-			st.BytesScanned += int64(scanned)
-			st.BytesSkipped += int64(len(src.S) - scanned)
-			if g.x.Err() != nil {
-				st.ParseErrors++
-			}
-			for k, j := range g.cols {
-				if v, ok := g.x.Scalar(k); ok {
-					tp.out[j][ri] = datum.Str(v)
-					colBytes[j] += int64(len(v))
-				}
-			}
-		}
-	}
-	st.RowsParsed += int64(n)
 }
 
 // ActiveCacheTable returns the current generation's cache table for a raw

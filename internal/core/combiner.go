@@ -4,10 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 
-	"repro/internal/datum"
 	"repro/internal/dfs"
-	"repro/internal/jsonpath"
 	"repro/internal/obs"
 	"repro/internal/orc"
 	"repro/internal/sqlengine"
@@ -25,24 +24,37 @@ var ErrCacheDegraded = errors.New("core: cache degraded")
 // once and every factory it builds shares them, so planning and scanning
 // touch the registry not at all; increments are lock-free atomic adds.
 type combinerObs struct {
-	opensCombined            *obs.Counter
-	opensPushdown            *obs.Counter
-	opensFallbackRetired     *obs.Counter
-	opensFallbackUncovered   *obs.Counter
-	opensFallbackQuarantined *obs.Counter
-	rowsStitched             *obs.Counter
-	fallbackValues           *obs.Counter
+	opensCombined  *obs.Counter
+	opensPushdown  *obs.Counter
+	rowsStitched   *obs.Counter
+	fallbackValues *obs.Counter
+
+	// The fallback modes: a retired cache generation, a split the manifest
+	// does not serve at its current version, a quarantined cache table.
+	retired, uncovered, quarantined fallbackMode
+}
+
+// fallbackMode is one reason a split the plan meant to read from the cache
+// parses the raw JSON instead: the scan-mode bit it marks, its
+// combiner_opens_total series and the label its split span records.
+type fallbackMode struct {
+	bit   uint32
+	opens *obs.Counter
+	label string
 }
 
 func newCombinerObs(r *obs.Registry) *combinerObs {
+	mode := func(bit uint32, label string) fallbackMode {
+		return fallbackMode{bit: bit, opens: r.Counter("combiner_opens_total", obs.L{K: "mode", V: label}), label: label}
+	}
 	return &combinerObs{
-		opensCombined:            r.Counter("combiner_opens_total", obs.L{K: "mode", V: "combined"}),
-		opensPushdown:            r.Counter("combiner_opens_total", obs.L{K: "mode", V: "combined-pushdown"}),
-		opensFallbackRetired:     r.Counter("combiner_opens_total", obs.L{K: "mode", V: "fallback-retired"}),
-		opensFallbackUncovered:   r.Counter("combiner_opens_total", obs.L{K: "mode", V: "fallback-uncovered"}),
-		opensFallbackQuarantined: r.Counter("combiner_opens_total", obs.L{K: "mode", V: "fallback-quarantined"}),
-		rowsStitched:             r.Counter("combiner_rows_stitched_total"),
-		fallbackValues:           r.Counter("combiner_fallback_values_total"),
+		opensCombined:  r.Counter("combiner_opens_total", obs.L{K: "mode", V: "combined"}),
+		opensPushdown:  r.Counter("combiner_opens_total", obs.L{K: "mode", V: "combined-pushdown"}),
+		retired:        mode(sqlengine.ScanFallbackRetired, "fallback-retired"),
+		uncovered:      mode(sqlengine.ScanFallbackUncovered, "fallback-uncovered"),
+		quarantined:    mode(sqlengine.ScanFallbackQuarantined, "fallback-quarantined"),
+		rowsStitched:   r.Counter("combiner_rows_stitched_total"),
+		fallbackValues: r.Counter("combiner_fallback_values_total"),
 	}
 }
 
@@ -72,7 +84,7 @@ type CombinedScanFactory struct {
 	// fallbacks compute each cache column's value by parsing the raw JSON
 	// for a split the manifest does not serve (daily appends land new part
 	// files the nightly cache does not cover yet). Aligned with cacheCols.
-	fallbacks []FallbackSpec
+	fallbacks []sqlengine.Extraction
 
 	// Pushdown enables sharing the cache reader's row-group mask with the
 	// primary reader.
@@ -87,27 +99,28 @@ type CombinedScanFactory struct {
 
 	// obsc publishes open-mode and hit/miss counters.
 	obsc *combinerObs
-}
 
-// FallbackSpec describes how to recompute one cached column from raw data.
-type FallbackSpec struct {
-	RawColumn string
-	Path      *jsonpath.Path
+	// fallback reads the splits the cache does not serve: the engine's split
+	// reader over the primary columns with the fallbacks as its Extract list,
+	// built when the first such split opens.
+	fallbackOnce sync.Once
+	fallback     *sqlengine.SplitReader
 }
 
 // NewCombinedScanFactory wires a combined scan over the cache table manifest
 // describes. primaryCols may be empty
 // (fully cached query → cache-only reading, the cheaper mode the paper's
 // relevance term optimizes for); cacheCols may be empty only if pushdown is
-// disabled and the factory degenerates to a plain scan. obsc is the
-// Planner's set of counter handles; a factory built without a planner (a
-// test, an experiment) passes nil and counts into a registry of its own.
+// disabled and the factory degenerates to a plain scan. fallbacks extract
+// the cache columns, in order, from the raw JSON. obsc is the Planner's set
+// of counter handles; a factory built without a planner (a test, an
+// experiment) passes nil and counts into a registry of its own.
 func NewCombinedScanFactory(
 	wh *warehouse.Warehouse,
 	rawDB, rawTable string,
 	primaryCols []string, primarySARG *orc.SARG,
 	manifest *Manifest, cacheCols []string, cacheSARG *orc.SARG,
-	fallbacks []FallbackSpec,
+	fallbacks []sqlengine.Extraction,
 	pushdown bool,
 	schema sqlengine.RowSchema,
 	obsc *combinerObs,
@@ -155,7 +168,7 @@ func (f *CombinedScanFactory) ScanFingerprint() string {
 	}
 	b.WriteByte(0)
 	for _, fb := range f.fallbacks {
-		b.WriteString(fb.RawColumn)
+		b.WriteString(fb.Column)
 		b.WriteByte('=')
 		b.WriteString(fb.Path.Canonical())
 		b.WriteByte(';')
@@ -212,7 +225,7 @@ func (f *CombinedScanFactory) Open(split int, m *sqlengine.Metrics) (sqlengine.B
 	// paths on the fly.
 	sp := f.manifest.split(raw, rawInfo.Versions[split])
 	if sp == nil {
-		return f.openFallback(raw, m, "fallback-uncovered")
+		return f.openFallback(raw, m, &f.obsc.uncovered)
 	}
 
 	// CacheReader. Open or cursor failures degrade to raw parsing rather
@@ -225,17 +238,17 @@ func (f *CombinedScanFactory) Open(split int, m *sqlengine.Metrics) (sqlengine.B
 		// and deleted by a later population cycle. Degrade gracefully: the
 		// query stays correct by parsing raw data, exactly as if the paths
 		// were uncached.
-		return f.openFallback(raw, m, "fallback-retired")
+		return f.openFallback(raw, m, &f.obsc.retired)
 	}
 	if err != nil || !view.Stored || view.Version != sp.CacheVersion || cacheReader.NumRows() != sp.Rows {
 		f.quarantineCache()
-		return f.openFallback(raw, m, "fallback-quarantined")
+		return f.openFallback(raw, m, &f.obsc.quarantined)
 	}
 	src := &combinedRowSource{m: m, nPrimary: len(f.primaryCols), nCache: len(f.cacheCols), degrade: f.degrade}
 	cacheCur, err := cacheReader.NewCursor(f.cacheCols, f.cacheSARG, &src.cacheMeter.Stats)
 	if err != nil {
 		f.quarantineCache()
-		return f.openFallback(raw, m, "fallback-quarantined")
+		return f.openFallback(raw, m, &f.obsc.quarantined)
 	}
 	src.cacheCur = cacheCur
 
@@ -248,7 +261,7 @@ func (f *CombinedScanFactory) Open(split int, m *sqlengine.Metrics) (sqlengine.B
 		if rawView.Version != sp.RawVersion {
 			// Rewritten since the listing: the cache part no longer
 			// describes what this reader would stitch it to.
-			return f.openFallback(raw, m, "fallback-uncovered")
+			return f.openFallback(raw, m, &f.obsc.uncovered)
 		}
 		rawCur, err := rawReader.NewCursor(f.primaryCols, f.primarySARG, &src.rawMeter.Stats)
 		if err != nil {
@@ -259,7 +272,7 @@ func (f *CombinedScanFactory) Open(split int, m *sqlengine.Metrics) (sqlengine.B
 		// mangled: degrade.
 		if rawReader.NumRows() != cacheReader.NumRows() {
 			f.quarantineCache()
-			return f.openFallback(raw, m, "fallback-quarantined")
+			return f.openFallback(raw, m, &f.obsc.quarantined)
 		}
 		// Predicate pushdown: share the cache reader's skip array. Only
 		// valid when both files are single-stripe so row groups align
@@ -308,183 +321,49 @@ func (f *CombinedScanFactory) Open(split int, m *sqlengine.Metrics) (sqlengine.B
 	return src, nil
 }
 
-// openFallback serves one uncovered split: it reads the primary columns
-// plus every raw JSON column the fallbacks need, and synthesizes the cache
-// columns by parsing the documents — the cost a freshly appended file pays
-// until the next midnight cycle covers it. mode distinguishes a retired
-// cache generation and a quarantined one from a split the cache does not
-// cover.
-func (f *CombinedScanFactory) openFallback(file string, m *sqlengine.Metrics, mode string) (sqlengine.BatchSource, error) {
+// openFallback serves one split the cache does not: the engine's split
+// reader decodes the primary columns and extracts the cache columns from the
+// raw JSON — the cost a freshly appended file pays until the next midnight
+// cycle covers it. mode says why: an uncovered split, a retired cache
+// generation or a quarantined one.
+func (f *CombinedScanFactory) openFallback(file string, m *sqlengine.Metrics, mode *fallbackMode) (sqlengine.BatchSource, error) {
 	if m != nil {
-		switch mode {
-		case "fallback-retired":
-			m.MarkScanMode(sqlengine.ScanFallbackRetired)
-		case "fallback-quarantined":
-			m.MarkScanMode(sqlengine.ScanFallbackQuarantined)
-		default:
-			m.MarkScanMode(sqlengine.ScanFallbackUncovered)
-		}
+		m.MarkScanMode(mode.bit)
 		if m.Span != nil {
-			m.Span.Set("source", mode)
+			m.Span.Set("source", mode.label)
 		}
 	}
-	switch mode {
-	case "fallback-retired":
-		f.obsc.opensFallbackRetired.Inc()
-	case "fallback-quarantined":
-		f.obsc.opensFallbackQuarantined.Inc()
-	default:
-		f.obsc.opensFallbackUncovered.Inc()
-	}
-	reader, err := f.wh.OpenFile(file)
+	mode.opens.Inc()
+	f.fallbackOnce.Do(func() {
+		f.fallback = sqlengine.NewSplitReader(f.wh, &sqlengine.ScanNode{
+			DB: f.rawDB, Table: f.rawTable, Columns: f.primaryCols, SARG: f.primarySARG, Extract: f.fallbacks,
+		})
+	})
+	src, err := f.fallback.OpenPart(file, m)
 	if err != nil {
 		return nil, err
 	}
-	readCols := append([]string{}, f.primaryCols...)
-	colPos := map[string]int{}
-	for i, c := range readCols {
-		colPos[c] = i
-	}
-	for _, fb := range f.fallbacks {
-		if _, ok := colPos[fb.RawColumn]; !ok {
-			colPos[fb.RawColumn] = len(readCols)
-			readCols = append(readCols, fb.RawColumn)
-		}
-	}
-	src := &fallbackRowSource{f: f, m: m, colPos: colPos, obsc: f.obsc}
-	if src.cur, err = reader.NewCursor(readCols, f.primarySARG, &src.meter.Stats); err != nil {
-		return nil, err
-	}
-	if err := src.buildGroups(); err != nil {
-		return nil, err
-	}
-	return src, nil
+	return &cacheMisses{BatchSource: src, m: m, f: f}, nil
 }
 
-// fallbackRowSource extracts cache-column values out of raw JSON for splits
-// the cache does not cover. The fallback paths of one raw column share a
-// fbGroup and resolve in a single streaming pass per document.
-type fallbackRowSource struct {
-	f      *CombinedScanFactory
-	cur    *orc.Cursor
-	meter  sqlengine.ReadMeter
-	m      *sqlengine.Metrics
-	colPos map[string]int
-	obsc   *combinerObs
-
-	groups []*fbGroup
-
-	// batch scratch: dst aliases the destination batch's primary vectors and
-	// extra's vectors for raw columns only the fallbacks need.
-	dst   [][]datum.Datum
-	extra [][]datum.Datum
+// cacheMisses counts every value a fallback split extracts as a cache miss.
+type cacheMisses struct {
+	sqlengine.BatchSource
+	m *sqlengine.Metrics
+	f *CombinedScanFactory
 }
 
-// fbGroup is one raw column's fallback specs and the extractor that holds
-// the column's current document.
-type fbGroup struct {
-	rawCol  string
-	specIdx []int // indexes into f.fallbacks, in extractor path order
-	x       *jsonpath.Extractor
-}
-
-// buildGroups partitions the fallback specs by raw column. Called once at
-// open.
-func (s *fallbackRowSource) buildGroups() error {
-	byCol := map[string]*fbGroup{}
-	for j, fb := range s.f.fallbacks {
-		g := byCol[fb.RawColumn]
-		if g == nil {
-			g = &fbGroup{rawCol: fb.RawColumn}
-			byCol[fb.RawColumn] = g
-			s.groups = append(s.groups, g)
-		}
-		g.specIdx = append(g.specIdx, j)
-	}
-	for _, g := range s.groups {
-		paths := make([]*jsonpath.Path, len(g.specIdx))
-		for k, j := range g.specIdx {
-			paths[k] = s.f.fallbacks[j].Path
-		}
-		set, err := jsonpath.NewPathSet(paths...)
-		if err != nil {
-			return fmt.Errorf("core: fallback paths of column %s: %w", g.rawCol, err)
-		}
-		g.x = jsonpath.NewExtractor(set)
-	}
-	return nil
-}
-
-// NextBatch implements sqlengine.BatchSource. The cursor fills the batch's
-// primary vectors directly (plus per-source scratch vectors for raw columns
-// only the fallbacks read); the cache columns are then synthesized one raw
-// column at a time, a single forward pass per document resolving every
-// fallback path of that column. Malformed documents yield NULLs.
-func (s *fallbackRowSource) NextBatch(b *sqlengine.RowBatch) (int, error) {
-	nPrimary := len(s.f.primaryCols)
-	nCache := len(s.f.cacheCols)
-	if len(b.Cols) < nPrimary+nCache {
-		return 0, fmt.Errorf("core: batch has %d columns, fallback source needs %d", len(b.Cols), nPrimary+nCache)
-	}
-	max := b.Capacity()
-	nRead := len(s.colPos)
-	if cap(s.dst) < nRead {
-		s.dst = make([][]datum.Datum, nRead)
-	}
-	s.dst = s.dst[:nRead]
-	copy(s.dst, b.Cols[:nPrimary])
-	defer func() {
-		// Drop the aliases into the caller's batch: b is lent from the pool
-		// and may be recycled the moment the scan ends, and a source field
-		// must not keep pointing into pool memory another scan now owns
-		// (TestFallbackBatchReleasesPoolAliases).
-		for i := 0; i < nPrimary; i++ {
-			s.dst[i] = nil
-		}
-	}()
-	for i := nPrimary; i < nRead; i++ {
-		k := i - nPrimary
-		for len(s.extra) <= k {
-			s.extra = append(s.extra, nil)
-		}
-		if cap(s.extra[k]) < max {
-			s.extra[k] = make([]datum.Datum, max)
-		}
-		s.dst[i] = s.extra[k][:max]
-	}
-	n, err := s.cur.NextBatch(s.dst, max)
-	s.meter.Flush(s.m, true)
+// NextBatch implements sqlengine.BatchSource.
+func (s *cacheMisses) NextBatch(b *sqlengine.RowBatch) (int, error) {
+	n, err := s.BatchSource.NextBatch(b)
 	if err != nil || n == 0 {
 		return n, err
 	}
-	for _, g := range s.groups {
-		docs := s.dst[s.colPos[g.rawCol]]
-		for ri := 0; ri < n; ri++ {
-			src := docs[ri]
-			if !src.Null && !g.x.Holds(src.S) {
-				scanned := g.x.Extract(src.S)
-				if s.m != nil {
-					s.m.Parse.Docs.Add(1)
-					s.m.Parse.Bytes.Add(int64(scanned))
-					s.m.Parse.Skipped.Add(int64(len(src.S) - scanned))
-					s.m.Parse.Calls.Add(int64(len(g.specIdx)))
-				}
-			}
-			for k, j := range g.specIdx {
-				d := datum.NullOf(datum.TypeString)
-				if !src.Null {
-					if v, ok := g.x.Scalar(k); ok {
-						d = datum.Str(v)
-					}
-				}
-				b.Cols[nPrimary+j][ri] = d
-			}
-		}
-	}
+	values := int64(len(s.f.fallbacks)) * int64(n)
 	if s.m != nil {
-		s.m.CacheMisses.Add(int64(len(s.f.fallbacks)) * int64(n))
+		s.m.CacheMisses.Add(values)
 	}
-	s.obsc.fallbackValues.Add(int64(len(s.f.fallbacks)) * int64(n))
+	s.f.obsc.fallbackValues.Add(values)
 	return n, nil
 }
 

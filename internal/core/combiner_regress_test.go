@@ -1,7 +1,9 @@
 package core
 
 import (
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/datum"
 	"repro/internal/dfs"
@@ -12,11 +14,13 @@ import (
 )
 
 // TestFallbackBatchReleasesPoolAliases is the regression test for a pool
-// retention bug: NextBatch copied the destination batch's primary column
-// vectors into the source's reusable s.dst scratch field and kept them there
-// after returning. Once the lent batch went back to the pool, the source
-// still aliased memory a recycled batch now owned. The fix wipes the aliases
-// before every return.
+// retention bug: the fallback source copied the destination batch's primary
+// column vectors into a reusable scratch field and kept them there after
+// returning. Once the lent batch went back to the pool, the source still
+// aliased memory a recycled batch now owned. The engine's extracting split
+// reader, which serves fallback splits now, wipes the aliases before every
+// return: nothing reachable from the source it opens may point into the
+// batch once NextBatch is done.
 func TestFallbackBatchReleasesPoolAliases(t *testing.T) {
 	fs := dfs.New()
 	wh := warehouse.New(fs)
@@ -35,27 +39,24 @@ func TestFallbackBatchReleasesPoolAliases(t *testing.T) {
 	if _, err := wh.AppendRows("db", "t", rows); err != nil {
 		t.Fatal(err)
 	}
-	info, err := wh.Table("db", "t")
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	path, err := jsonpath.Compile("$.a")
 	if err != nil {
 		t.Fatal(err)
 	}
+	// An empty manifest serves no split: split 0 opens as fallback-uncovered.
 	f := NewCombinedScanFactory(wh, "db", "t",
 		[]string{"id"}, nil,
 		&Manifest{}, []string{"c0"}, nil,
-		[]FallbackSpec{{RawColumn: "doc", Path: path}},
+		[]sqlengine.Extraction{{Column: "doc", Path: path}},
 		false, sqlengine.RowSchema{}, nil)
-	rs, err := f.openFallback(info.Files[0], nil, "fallback-uncovered")
+	var m sqlengine.Metrics
+	src, err := f.Open(0, &m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, ok := rs.(*fallbackRowSource)
-	if !ok {
-		t.Fatalf("openFallback returned %T, want *fallbackRowSource", rs)
+	if m.ScanModes() != sqlengine.ScanFallbackUncovered {
+		t.Fatalf("split opened in modes %b, want fallback-uncovered", m.ScanModes())
 	}
 
 	b := sqlengine.NewRowBatch(2, 8)
@@ -70,13 +71,74 @@ func TestFallbackBatchReleasesPoolAliases(t *testing.T) {
 		t.Fatalf("cache column row 0 = %q, want \"10\"", got)
 	}
 	// The source must not retain aliases into the caller's batch (pooled, in
-	// a real scan) once NextBatch has returned.
-	for i := range src.dst {
-		if i >= len(src.f.primaryCols) {
-			break
+	// a real scan) once NextBatch has returned. The batch's columns are one
+	// slab, first column first.
+	lo := uintptr(unsafe.Pointer(&b.Cols[0][0]))
+	hi := uintptr(unsafe.Pointer(&b.Cols[1][len(b.Cols[1])-1])) + unsafe.Sizeof(datum.Datum{})
+	if pointsInto(reflect.ValueOf(src), lo, hi, map[uintptr]bool{}) {
+		t.Fatal("the split reader still aliases the caller's batch after NextBatch")
+	}
+}
+
+// pointsInto reports whether anything reachable from v — through pointers,
+// interfaces, struct fields, slices, arrays and maps, exported or not — is a
+// pointer or slice into the memory [lo, hi).
+func pointsInto(v reflect.Value, lo, hi uintptr, seen map[uintptr]bool) bool {
+	inside := func(p uintptr) bool { return p >= lo && p < hi }
+	switch v.Kind() {
+	case reflect.Pointer:
+		if v.IsNil() {
+			return false
 		}
-		if src.dst[i] != nil {
-			t.Fatalf("src.dst[%d] still aliases the caller's batch after NextBatch", i)
+		p := v.Pointer()
+		if inside(p) {
+			return true
+		}
+		if seen[p] {
+			return false
+		}
+		seen[p] = true
+		return pointsInto(v.Elem(), lo, hi, seen)
+	case reflect.Interface:
+		return !v.IsNil() && pointsInto(v.Elem(), lo, hi, seen)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if pointsInto(v.Field(i), lo, hi, seen) {
+				return true
+			}
+		}
+	case reflect.Slice:
+		if v.Cap() == 0 {
+			return false
+		}
+		p := v.Pointer()
+		if inside(p) {
+			return true
+		}
+		if seen[p] {
+			return false
+		}
+		seen[p] = true
+		if k := v.Type().Elem().Kind(); k <= reflect.Complex128 || k == reflect.String {
+			return false // elements hold no pointer of interest
+		}
+		for i := 0; i < v.Len(); i++ {
+			if pointsInto(v.Index(i), lo, hi, seen) {
+				return true
+			}
+		}
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			if pointsInto(v.Index(i), lo, hi, seen) {
+				return true
+			}
+		}
+	case reflect.Map:
+		for it := v.MapRange(); it.Next(); {
+			if pointsInto(it.Key(), lo, hi, seen) || pointsInto(it.Value(), lo, hi, seen) {
+				return true
+			}
 		}
 	}
+	return false
 }

@@ -74,23 +74,29 @@ func TestEveryConsumerMatchesParseEval(t *testing.T) {
 	}
 }
 
+// laneSystem builds an empty db.t (id, doc) and a Maxson over it.
+func laneSystem(t *testing.T, batchSize int, cfg Config) (*simtime.Sim, *warehouse.Warehouse, *Maxson) {
+	t.Helper()
+	clock := simtime.NewSim(time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC))
+	wh := warehouse.New(dfs.New(dfs.WithClock(clock)), warehouse.WithClock(clock),
+		warehouse.WithWriterOptions(orc.WriterOptions{RowGroupRows: 4}))
+	wh.CreateDatabase("db")
+	schema := orc.Schema{Columns: []orc.Column{
+		{Name: "id", Type: datum.TypeInt64},
+		{Name: "doc", Type: datum.TypeString},
+	}}
+	if err := wh.CreateTable("db", "t", schema); err != nil {
+		t.Fatal(err)
+	}
+	e := sqlengine.NewEngine(wh, sqlengine.WithDefaultDB("db"), sqlengine.WithParallelism(2),
+		sqlengine.WithBatchSize(batchSize))
+	cfg.BudgetBytes, cfg.DefaultDB = 1<<30, "db"
+	return clock, wh, New(e, cfg)
+}
+
 func everyConsumerMatchesParseEval(t *testing.T, batchSize int) {
 	build := func(cfg Config) (*simtime.Sim, *warehouse.Warehouse, *Maxson) {
-		clock := simtime.NewSim(time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC))
-		wh := warehouse.New(dfs.New(dfs.WithClock(clock)), warehouse.WithClock(clock),
-			warehouse.WithWriterOptions(orc.WriterOptions{RowGroupRows: 4}))
-		wh.CreateDatabase("db")
-		schema := orc.Schema{Columns: []orc.Column{
-			{Name: "id", Type: datum.TypeInt64},
-			{Name: "doc", Type: datum.TypeString},
-		}}
-		if err := wh.CreateTable("db", "t", schema); err != nil {
-			t.Fatal(err)
-		}
-		e := sqlengine.NewEngine(wh, sqlengine.WithDefaultDB("db"), sqlengine.WithParallelism(2),
-			sqlengine.WithBatchSize(batchSize))
-		cfg.BudgetBytes, cfg.DefaultDB = 1<<30, "db"
-		return clock, wh, New(e, cfg)
+		return laneSystem(t, batchSize, cfg)
 	}
 	var stored []string
 	appendDocs := func(wh *warehouse.Warehouse, docs []string) {
@@ -205,5 +211,120 @@ func everyConsumerMatchesParseEval(t *testing.T, batchSize int) {
 	}
 	if got := m.Obs().Snapshot().Counter("scanshare_queries_coalesced_total"); got != int64(len(sets)) {
 		t.Errorf("coalesced %d queries, want %d in one shared pass", got, len(sets))
+	}
+}
+
+// meterDocs is the split TestEveryConsumerMetersParseAlike reads: two
+// consecutive byte-identical documents and one malformed one, the
+// well-formed ones with a tail the early exit skips.
+var meterDocs = []string{
+	`{"a": 1, "b": "x", "pad": "` + strings.Repeat("p", 32) + `"}`,
+	`{"a": 2, "b": "y", "pad": "` + strings.Repeat("q", 32) + `"}`,
+	`{"a": 2, "b": "y", "pad": "` + strings.Repeat("q", 32) + `"}`,
+	`{"a" 3, "b": "z"}`,
+	`{"a": 4, "b": "w", "pad": "` + strings.Repeat("r", 32) + `"}`,
+}
+
+// TestEveryConsumerMetersParseAlike pins one metering rule for every reader
+// of raw JSON: the raw query, populate, a fallback split and a 2-way merged
+// shared pass all extract $.a and $.b from the same split through one batch
+// kernel, so they read the same documents, bytes scanned and bytes skipped —
+// the repeated document once, the malformed one as far as its error. The
+// shared pass parsing exactly what one unshared query parses is what
+// BENCH_mqo's 1.00x claims.
+func TestEveryConsumerMetersParseAlike(t *testing.T) {
+	ctx := context.Background()
+	paths := []string{"$.a", "$.b"}
+	sql := laneSQL(paths)
+	appendDocs := func(wh *warehouse.Warehouse) {
+		t.Helper()
+		rows := make([][]datum.Datum, len(meterDocs))
+		for i, d := range meterDocs {
+			rows[i] = []datum.Datum{datum.Int(int64(i)), datum.Str(d)}
+		}
+		if _, err := wh.AppendRows("db", "t", rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type reading struct{ Docs, Bytes, Skipped int64 }
+	of := func(m *sqlengine.Metrics) reading {
+		pc := m.Parse.Snapshot()
+		return reading{pc.Docs, pc.Bytes, pc.Skipped}
+	}
+
+	// The raw query: the reading every other consumer must match.
+	clock, wh, m := laneSystem(t, sqlengine.DefaultBatchSize, Config{})
+	appendDocs(wh)
+	_, qm, err := m.QueryCtx(ctx, sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := of(qm)
+	if want.Docs != int64(len(meterDocs)-1) || want.Skipped == 0 {
+		t.Fatalf("raw query metered %+v: want %d documents (the repeat not scanned again) and an early exit", want, len(meterDocs)-1)
+	}
+
+	// Populate.
+	var profiles []*PathProfile
+	for _, p := range paths {
+		key := pathkey.Key{DB: "db", Table: "t", Column: "doc", Path: p}
+		profiles = append(profiles, &PathProfile{Key: key, TotalValueBytes: 1})
+	}
+	clock.Advance(time.Hour)
+	stats, err := m.CacheSelected(ctx, profiles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.BytesScanned != want.Bytes || stats.BytesSkipped != want.Skipped || stats.ParseErrors != 1 {
+		t.Errorf("populate scanned %d bytes, skipped %d, met %d malformed documents; want %d, %d and 1",
+			stats.BytesScanned, stats.BytesSkipped, stats.ParseErrors, want.Bytes, want.Skipped)
+	}
+
+	// The same documents appended: a split the cache does not cover.
+	clock.Advance(time.Hour)
+	appendDocs(wh)
+	if _, qm, err = m.QueryCtx(ctx, sql); err != nil {
+		t.Fatal(err)
+	}
+	if qm.ScanModes()&sqlengine.ScanFallbackUncovered == 0 {
+		t.Fatalf("the appended split was not a fallback split (plan mode %s)", qm.PlanModeString())
+	}
+	if got := of(qm); got != want {
+		t.Errorf("fallback split metered %+v, want %+v", got, want)
+	}
+
+	// A 2-way merged shared pass over an uncached copy, its fingerprint made
+	// contended first.
+	_, wh, m = laneSystem(t, sqlengine.DefaultBatchSize, Config{ScanShareWindow: 5 * time.Second, ScanShareMaxQueries: 2})
+	appendDocs(wh)
+	for i := 0; i < 2; i++ {
+		if _, _, err := m.QueryCtx(ctx, sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	metrics := make([]*sqlengine.Metrics, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for i := range metrics {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, metrics[i], errs[i] = m.QueryCtx(ctx, sql)
+		}(i)
+	}
+	wg.Wait()
+	var shared reading
+	for i, qm := range metrics {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		r := of(qm)
+		shared.Docs, shared.Bytes, shared.Skipped = shared.Docs+r.Docs, shared.Bytes+r.Bytes, shared.Skipped+r.Skipped
+	}
+	if got := m.Obs().Snapshot().Counter("scanshare_queries_coalesced_total"); got != 2 {
+		t.Fatalf("coalesced %d queries, want 2 in one shared pass", got)
+	}
+	if shared != want {
+		t.Errorf("a 2-way shared pass metered %+v in all, one unshared query %+v", shared, want)
 	}
 }

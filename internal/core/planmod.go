@@ -183,17 +183,17 @@ func (p *Planner) modifyScan(plan *sqlengine.PhysicalPlan, scan *sqlengine.ScanN
 		cacheSARG = extractCacheSARG(plan.Filter, hitCols)
 	}
 
-	// Fallback specs let the combiner compute cache-column values for raw
-	// part files the manifest does not serve: appended, rewritten or
+	// The fallback extraction lets the combiner compute cache-column values
+	// for raw part files the manifest does not serve: appended, rewritten or
 	// recreated since the cache was populated.
-	fallbacks := make([]FallbackSpec, len(cacheCols))
+	fallbacks := make([]sqlengine.Extraction, len(cacheCols))
 	for i, col := range cacheCols {
 		entry := hitCols[col]
 		path, err := jsonpath.Compile(entry.Key.Path)
 		if err != nil {
 			return 0
 		}
-		fallbacks[i] = FallbackSpec{RawColumn: entry.Key.Column, Path: path}
+		fallbacks[i] = sqlengine.Extraction{Column: entry.Key.Column, Path: path}
 	}
 
 	factory := NewCombinedScanFactory(

@@ -267,14 +267,14 @@ func RunExtractBench(ctx context.Context, rows int, seed int64) (*ExtractBenchRe
 
 	// --- fallback lane: uncovered-split scan synthesizing Q3's paths ---
 	// A factory whose manifest records no split serves every split through
-	// the fallback source, the post-midnight-append code path.
+	// the engine's extracting split reader: the post-midnight-append path.
 	q3 := w.Paths["Q3"]
-	var fallbacks []core.FallbackSpec
+	var fallbacks []sqlengine.Extraction
 	var cacheCols []string
 	schema := sqlengine.RowSchema{Cols: []sqlengine.RowCol{{Name: "id", Type: datum.TypeInt64}}}
 	for _, p := range q3 {
-		fallbacks = append(fallbacks, core.FallbackSpec{
-			RawColumn: "payload", Path: jsonpath.MustCompile(p),
+		fallbacks = append(fallbacks, sqlengine.Extraction{
+			Column: "payload", Path: jsonpath.MustCompile(p),
 		})
 		col := pathkey.Key{DB: w.DB, Table: "t03", Column: "payload", Path: p}.Sanitized()
 		cacheCols = append(cacheCols, col)

@@ -202,6 +202,12 @@ func (x *Extractor) Extract(doc string) (scanned int) {
 // several paths of one row's document extracts it once.
 func (x *Extractor) Holds(doc string) bool { return x.loaded && x.doc == doc }
 
+// Forget drops the current document: Holds reports false until the next
+// Extract, and the extractor no longer refers to the document's bytes. A
+// caller that reuses one extractor across splits forgets at each split's
+// start, so a repeat is only ever skipped within a split.
+func (x *Extractor) Forget() { x.doc, x.loaded = "", false }
+
 // Err returns the syntax error the scan of the current document ran into,
 // nil for a document that was well-formed as far as it was scanned. After an
 // error every path reads as absent.

@@ -82,18 +82,15 @@ func (g *group) launch(live []*participant) {
 // independently exactly as unshared queries would.
 func (g *group) buildBroadcast(live []*participant) *producer {
 	origFactory := live[0].plan.Scan.Factory
-	width := len(live[0].plan.Scan.Schema().Cols)
 	for _, p := range live {
 		p.pipe = sqlengine.NewBatchPipe(demuxDepth)
 		p.plan.Scan.Factory = &consumerFactory{p: p, schema: p.plan.Scan.Schema()}
 	}
 	return &producer{
-		g:        g,
-		e:        g.e,
-		factory:  origFactory,
-		nStorage: width,
-		width:    width,
-		pm:       &sqlengine.Metrics{},
+		g:       g,
+		e:       g.e,
+		factory: origFactory,
+		pm:      &sqlengine.Metrics{},
 	}
 }
 
@@ -106,7 +103,6 @@ func (g *group) buildBroadcast(live []*participant) *producer {
 func (g *group) buildMerged(live []*participant) *producer {
 	scan0 := live[0].plan.Scan
 	storage := scan0.Schema()
-	nStorage := len(storage.Cols)
 
 	calls := make([]*sqlengine.PathCalls, len(live))
 	for i, p := range live {
@@ -117,7 +113,7 @@ func (g *group) buildMerged(live []*participant) *producer {
 	// every participant sees the identical extracted-column layout.
 	// batchCol[i][c][j] is the batch column serving participant i's j-th path
 	// over its calls[i].Cols[c].
-	var egroups []extractGroup
+	var extract []sqlengine.Extraction
 	var extCols []sqlengine.RowCol
 	batchCol := make([][][]int, len(live))
 	for i, pc := range calls {
@@ -147,8 +143,9 @@ func (g *group) buildMerged(live []*participant) *producer {
 		if err != nil {
 			return nil
 		}
-		base := nStorage + len(extCols)
-		for k := 0; k < merged.Len(); k++ {
+		base := len(storage.Cols) + len(extCols)
+		for k, path := range merged.Paths() {
+			extract = append(extract, sqlengine.Extraction{Column: scan0.Columns[colIdx], Path: path})
 			extCols = append(extCols, sqlengine.RowCol{
 				Name: sharedColName(colIdx, k),
 				Type: datum.TypeString,
@@ -163,27 +160,21 @@ func (g *group) buildMerged(live []*participant) *producer {
 				batchCol[i][c][j] = base + slot
 			}
 		}
-		egroups = append(egroups, extractGroup{
-			colIdx: colIdx,
-			base:   base,
-			n:      merged.Len(),
-			x:      jsonpath.NewExtractor(merged),
-		})
 	}
 
-	width := nStorage + len(extCols)
-
-	// The producer reads the pristine storage scan: same columns, same
+	// The producer reads the pristine storage scan — same columns, same
 	// SARG (identical across the group by fingerprint), no per-query
-	// prefilters — those run post-demux in each consumer's pipeline.
+	// prefilters, which run post-demux in each consumer's pipeline — and
+	// extracts the union after the storage columns.
 	prodScan := &sqlengine.ScanNode{
 		DB:      scan0.DB,
 		Table:   scan0.Table,
 		Binding: scan0.Binding,
 		Columns: append([]string(nil), scan0.Columns...),
 		SARG:    scan0.SARG,
+		Extract: extract,
 	}
-	prodScan.SetSchema(storage)
+	prodScan.SetSchema(sqlengine.RowSchema{Cols: append(append([]sqlengine.RowCol(nil), storage.Cols...), extCols...)})
 
 	// Rewire every participant. From here on failures are per-query: a
 	// participant whose rewrite fails detaches and errors alone.
@@ -219,13 +210,10 @@ func (g *group) buildMerged(live []*participant) *producer {
 	}
 
 	return &producer{
-		g:        g,
-		e:        g.e,
-		factory:  g.e.ScanFactory(prodScan),
-		extract:  egroups,
-		nStorage: nStorage,
-		width:    width,
-		pm:       &sqlengine.Metrics{},
+		g:       g,
+		e:       g.e,
+		factory: sqlengine.NewSplitReader(g.e.Warehouse(), prodScan),
+		pm:      &sqlengine.Metrics{},
 	}
 }
 

@@ -5,10 +5,9 @@
 // holds an arriving query for a short admission window when its scan's
 // fingerprint is contended, groups the ones whose scans are compatible,
 // unions their compiled JSONPath sets into one merged trie (jsonpath.Union —
-// subsumption-deduplicated), runs a single streaming pass with
-// sjson.Parser.Extract, and demultiplexes the extracted column batches to
-// every participant's own filter/project/agg pipeline over per-query bounded
-// channels.
+// subsumption-deduplicated), runs a single pass, and demultiplexes the batches
+// to every participant's own filter/project/agg pipeline over per-query
+// bounded channels.
 //
 // A query waits only where company is to be expected. The scheduler
 // remembers, per fingerprint, its last arrival and a contended bit. An
@@ -23,8 +22,10 @@
 //
 //   - merged: plain raw scans (no custom factory). Participants'
 //     get_json_object calls are rewritten to placeholder reads of shared
-//     extraction columns appended to the scan schema; the producer scans
-//     each document once for the union of everyone's paths.
+//     extraction columns appended to the scan schema. The producer's scan
+//     lists the union of everyone's paths as its ScanNode.Extract, so the
+//     engine's split reader extracts it — the one batch extraction every
+//     other reader of raw JSON uses — and each document is parsed once.
 //   - broadcast: scans whose factory reports a ScanFingerprint (Maxson's
 //     combined cache+raw reader). Plans are untouched; the producer runs
 //     one factory's splits and broadcasts the rows, so cache stitching,

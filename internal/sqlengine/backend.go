@@ -25,6 +25,14 @@ func (m *ParseMeter) Snapshot() ParseCounts {
 	}
 }
 
+// Add adds c to the meter.
+func (m *ParseMeter) Add(c ParseCounts) {
+	m.Docs.Add(c.Docs)
+	m.Bytes.Add(c.Bytes)
+	m.Skipped.Add(c.Skipped)
+	m.Calls.Add(c.Calls)
+}
+
 // ParseCounts is a point-in-time copy of a ParseMeter.
 type ParseCounts struct {
 	Docs, Bytes, Skipped, Calls int64

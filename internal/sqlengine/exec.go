@@ -14,6 +14,7 @@ import (
 	"repro/internal/datum"
 	"repro/internal/obs"
 	"repro/internal/orc"
+	"repro/internal/warehouse"
 )
 
 // ResultSet is the output of one query execution.
@@ -39,16 +40,25 @@ func (rs *ResultSet) String() string {
 	return sb.String()
 }
 
-// tableSource is the default ScanSourceFactory: it reads one warehouse part
-// file per split.
-type tableSource struct {
-	e    *Engine
+// SplitReader is the engine's own split reader and its default
+// ScanSourceFactory: it reads one warehouse part file per split, decoding the
+// scan's Columns into the batch and filling the columns its Extract list
+// extracts after them. The list is compiled once, here, and shared by every
+// split the reader opens.
+type SplitReader struct {
+	wh   *warehouse.Warehouse
 	scan *ScanNode
+	x    *BatchExtraction // nil without an Extract list
+}
+
+// NewSplitReader builds the reader of scan's splits.
+func NewSplitReader(wh *warehouse.Warehouse, scan *ScanNode) *SplitReader {
+	return &SplitReader{wh: wh, scan: scan, x: CompileExtraction(scan.Columns, scan.Extract)}
 }
 
 // NumSplits implements ScanSourceFactory.
-func (ts *tableSource) NumSplits() (int, error) {
-	info, err := ts.e.wh.Table(ts.scan.DB, ts.scan.Table)
+func (r *SplitReader) NumSplits() (int, error) {
+	info, err := r.wh.Table(r.scan.DB, r.scan.Table)
 	if err != nil {
 		return 0, err
 	}
@@ -56,23 +66,19 @@ func (ts *tableSource) NumSplits() (int, error) {
 }
 
 // Schema implements ScanSourceFactory.
-func (ts *tableSource) Schema() (RowSchema, error) { return ts.scan.schema, nil }
+func (r *SplitReader) Schema() (RowSchema, error) { return r.scan.schema, nil }
 
-// Open implements ScanSourceFactory.
-func (ts *tableSource) Open(split int, m *Metrics) (BatchSource, error) {
-	info, err := ts.e.wh.Table(ts.scan.DB, ts.scan.Table)
+// Open implements ScanSourceFactory: a raw scan of the table's split-th part.
+func (r *SplitReader) Open(split int, m *Metrics) (BatchSource, error) {
+	info, err := r.wh.Table(r.scan.DB, r.scan.Table)
 	if err != nil {
 		return nil, err
 	}
 	if split < 0 || split >= len(info.Files) {
-		return nil, fmt.Errorf("sql: split %d out of range for %s.%s", split, ts.scan.DB, ts.scan.Table)
+		return nil, fmt.Errorf("sql: split %d out of range for %s.%s", split, r.scan.DB, r.scan.Table)
 	}
-	r, err := ts.e.wh.OpenFile(info.Files[split])
+	src, err := r.OpenPart(info.Files[split], m)
 	if err != nil {
-		return nil, err
-	}
-	src := &fileRowSource{m: m}
-	if src.cur, err = r.NewCursor(ts.scan.Columns, ts.scan.SARG, &src.meter.Stats); err != nil {
 		return nil, err
 	}
 	if m != nil {
@@ -80,6 +86,28 @@ func (ts *tableSource) Open(split int, m *Metrics) (BatchSource, error) {
 		if m.Span != nil {
 			m.Span.Set("source", "raw")
 		}
+	}
+	return src, nil
+}
+
+// OpenPart opens one part file of the scan's table as a split, leaving the
+// scan-mode marks to the caller.
+func (r *SplitReader) OpenPart(file string, m *Metrics) (BatchSource, error) {
+	f, err := r.wh.OpenFile(file)
+	if err != nil {
+		return nil, err
+	}
+	if r.x == nil {
+		src := &fileRowSource{m: m}
+		if src.cur, err = f.NewCursor(r.scan.Columns, r.scan.SARG, &src.meter.Stats); err != nil {
+			return nil, err
+		}
+		return src, nil
+	}
+	src := &extractingSource{fileRowSource: fileRowSource{m: m}, x: r.x.Split(), nCols: len(r.scan.Columns),
+		in: make([][]datum.Datum, len(r.x.Reads()))}
+	if src.cur, err = f.NewCursor(r.x.Reads(), r.scan.SARG, &src.meter.Stats); err != nil {
+		return nil, err
 	}
 	return src, nil
 }
@@ -95,6 +123,44 @@ type fileRowSource struct {
 func (s *fileRowSource) NextBatch(b *RowBatch) (int, error) {
 	n, err := s.cur.NextBatch(b.Cols, b.Capacity())
 	s.meter.Flush(s.m, true)
+	return n, err
+}
+
+// extractingSource is a fileRowSource that also fills its scan's extracted
+// columns. in is what the cursor decodes into: the batch's first nCols
+// vectors, then per-source scratch for the document columns outside Columns.
+type extractingSource struct {
+	fileRowSource
+	x     SplitExtraction
+	nCols int
+	in    [][]datum.Datum
+}
+
+// NextBatch implements BatchSource: the cursor decodes into the batch and the
+// scratch, the extraction fills the extracted columns after Columns, and
+// read-stat and parse deltas flush once per batch.
+func (s *extractingSource) NextBatch(b *RowBatch) (int, error) {
+	max := b.Capacity()
+	copy(s.in, b.Cols[:s.nCols])
+	for i := s.nCols; i < len(s.in); i++ {
+		if cap(s.in[i]) < max {
+			s.in[i] = make([]datum.Datum, max)
+		}
+		s.in[i] = s.in[i][:max]
+	}
+	n, err := s.cur.NextBatch(s.in, max)
+	s.meter.Flush(s.m, true)
+	if err == nil && n > 0 {
+		c, _ := s.x.Fill(s.in, b.Cols[s.nCols:], n) // a query renders malformed documents as NULL
+		if s.m != nil {
+			s.m.Parse.Add(c)
+		}
+	}
+	// Drop the aliases into the caller's batch: b is lent from the pool and
+	// may be recycled the moment the scan ends, and a source field must not
+	// keep pointing into pool memory another scan now owns
+	// (TestFallbackBatchReleasesPoolAliases).
+	clear(s.in[:s.nCols])
 	return n, err
 }
 
@@ -163,7 +229,7 @@ func (e *Engine) execute(ctx context.Context, plan *PhysicalPlan, trace *obs.Spa
 
 	factory := plan.Scan.Factory
 	if factory == nil {
-		factory = &tableSource{e: e, scan: plan.Scan}
+		factory = NewSplitReader(e.wh, plan.Scan)
 	}
 	nSplits, err := factory.NumSplits()
 	if err != nil {
@@ -561,7 +627,7 @@ func (e *Engine) buildJoinTable(ctx context.Context, plan *PhysicalPlan, calls *
 	build := plan.Join.Build
 	factory := build.Factory
 	if factory == nil {
-		factory = &tableSource{e: e, scan: build}
+		factory = NewSplitReader(e.wh, build)
 	}
 	nSplits, err := factory.NumSplits()
 	if err != nil {

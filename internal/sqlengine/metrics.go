@@ -125,10 +125,7 @@ func (m *Metrics) addTo(dst *Metrics) {
 	dst.RowsScanned.Add(m.RowsScanned.Load())
 	dst.RowGroupsRead.Add(m.RowGroupsRead.Load())
 	dst.RowGroupsSkipped.Add(m.RowGroupsSkipped.Load())
-	dst.Parse.Docs.Add(m.Parse.Docs.Load())
-	dst.Parse.Bytes.Add(m.Parse.Bytes.Load())
-	dst.Parse.Skipped.Add(m.Parse.Skipped.Load())
-	dst.Parse.Calls.Add(m.Parse.Calls.Load())
+	dst.Parse.Add(m.Parse.Snapshot())
 	dst.RowOps.Add(m.RowOps.Load())
 	dst.PrefilterBytes.Add(m.PrefilterBytes.Load())
 	dst.PrefilterSkipped.Add(m.PrefilterSkipped.Load())

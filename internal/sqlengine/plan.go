@@ -40,6 +40,11 @@ type ScanNode struct {
 	SARG    *orc.SARG
 	// PreFilters hold Sparser-style raw-byte filters (engine option).
 	PreFilters []RawPrefilter
+	// Extract lists the columns the engine's split reader extracts from
+	// document columns and places after Columns, in order. The shared scan's
+	// merged pass sets it, its schema naming them, and so does the Value
+	// Combiner's raw side for the splits the cache does not serve.
+	Extract []Extraction
 	// Factory overrides the default warehouse file reader (set by Maxson's
 	// plan modifier). When nil, the engine builds a default factory.
 	Factory ScanSourceFactory

@@ -30,15 +30,3 @@ type ScanSharer interface {
 // SetScanShare installs (or, with nil, removes) the engine's shared-scan
 // scheduler. Call before serving queries.
 func (e *Engine) SetScanShare(s ScanSharer) { e.scanShare = s }
-
-// BatchSize returns the rows-per-batch of the vectorized pipeline; shared
-// producers size their demux batches to it so consumer-side copies fit the
-// executor's pooled batches.
-func (e *Engine) BatchSize() int { return e.batchSize }
-
-// ScanFactory returns the engine's default scan-source factory for scan —
-// the same warehouse-backed splits an unshared query would read. Shared-scan
-// producers use it to run the single underlying pass.
-func (e *Engine) ScanFactory(scan *ScanNode) ScanSourceFactory {
-	return &tableSource{e: e, scan: scan}
-}
