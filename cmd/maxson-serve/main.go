@@ -50,7 +50,7 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful-drain bound on shutdown")
 	sessionIdle := flag.Duration("session-idle", 5*time.Minute, "idle horizon after which a session is reaped")
 	cycleEvery := flag.Duration("cycle-every", time.Minute, "online cache-maintenance cycle interval (0 disables)")
-	shareWindow := flag.Duration("scan-share-window", 2*time.Millisecond, "shared-scan admission window: the most a query waits for company, and only once two queries of its scan arrived less than this apart (0 disables coalescing)")
+	shareWindow := flag.Duration("scan-share-window", 2*time.Millisecond, "shared-scan admission window: the most a query waits for company, and only once two queries of its scan from two sessions arrived less than this apart (0 disables coalescing)")
 	budgetMB := flag.Int64("budget-mb", 64, "cache budget in MiB")
 	demoDays := flag.Int("demo-days", 10, "example-warehouse days to seed before serving")
 	rowsPerDay := flag.Int("rows", 200, "rows loaded per table per seeded day")

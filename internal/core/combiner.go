@@ -3,9 +3,12 @@ package core
 import (
 	"errors"
 	"fmt"
-	"strings"
+	"slices"
+	"sort"
+	"strconv"
 	"sync"
 
+	"repro/internal/datum"
 	"repro/internal/dfs"
 	"repro/internal/obs"
 	"repro/internal/orc"
@@ -59,15 +62,15 @@ func newCombinerObs(r *obs.Registry) *combinerObs {
 }
 
 // CombinedScanFactory is the Value Combiner (paper §IV-E): it opens two
-// synchronized readers per split — the PrimaryReader over the raw table's
-// uncached columns and the CacheReader over the cache table's columns — and
-// stitches their rows positionally into complete records. A split is served
-// from the cache only while its raw part is at the dfs version the manifest
-// filed its cache part under; every other split parses the raw JSON. When the query
-// carries a predicate on a cached path, the CacheReader evaluates the SARG
-// against the cache table's row-group statistics and shares the resulting
-// skip array with the PrimaryReader (paper §IV-F), provided both files have
-// a single stripe.
+// synchronized readers per split — the PrimaryReader, the engine's split
+// reader over the raw table's uncached columns, and the CacheReader over the
+// cache table's columns — and stitches their rows positionally into complete
+// records. A split is served from the cache only while its raw part is at the
+// dfs version the manifest filed its cache part under; every other split
+// parses the raw JSON. When the query carries a predicate on a cached path,
+// the CacheReader evaluates the SARG against the cache table's row-group
+// statistics and shares the resulting skip array with the PrimaryReader
+// (paper §IV-F), provided both files have a single stripe.
 type CombinedScanFactory struct {
 	wh *warehouse.Warehouse
 
@@ -86,6 +89,10 @@ type CombinedScanFactory struct {
 	// files the nightly cache does not cover yet). Aligned with cacheCols.
 	fallbacks []sqlengine.Extraction
 
+	// extract is what a shared pass (Union) also extracts, into the columns
+	// after the cache's, whether or not the cache serves the split.
+	extract []sqlengine.Extraction
+
 	// Pushdown enables sharing the cache reader's row-group mask with the
 	// primary reader.
 	pushdown bool
@@ -100,11 +107,10 @@ type CombinedScanFactory struct {
 	// obsc publishes open-mode and hit/miss counters.
 	obsc *combinerObs
 
-	// fallback reads the splits the cache does not serve: the engine's split
-	// reader over the primary columns with the fallbacks as its Extract list,
-	// built when the first such split opens.
-	fallbackOnce sync.Once
-	fallback     *sqlengine.SplitReader
+	// The raw side's split readers, built at the first split needing one: raw
+	// for covered splits (nil if it would read nothing), fallback otherwise.
+	rawOnce, fallbackOnce sync.Once
+	raw, fallback         *sqlengine.SplitReader
 }
 
 // NewCombinedScanFactory wires a combined scan over the cache table manifest
@@ -140,41 +146,56 @@ func NewCombinedScanFactory(
 	}
 }
 
-// ScanFingerprint implements scanshare.Fingerprinter: two combined scans
-// with equal fingerprints read identical rows, so the shared-scan scheduler
-// may serve both from one pass (broadcast mode). Everything that shapes the
-// output rows participates: raw table and projected columns, row-group
-// predicates on both sides, the cache table (whose name carries the
-// generation), its column list, fallback specs, and the pushdown mode.
-func (f *CombinedScanFactory) ScanFingerprint() string {
-	var b strings.Builder
-	b.WriteString("combined\x00")
-	b.WriteString(f.rawDB)
-	b.WriteByte(0)
-	b.WriteString(f.rawTable)
-	b.WriteByte(0)
-	b.WriteString(strings.Join(f.primaryCols, ","))
-	b.WriteByte(0)
-	if f.primarySARG != nil {
-		b.WriteString(f.primarySARG.String())
-	}
-	b.WriteByte(0)
-	b.WriteString(f.manifest.CacheTable)
-	b.WriteByte(0)
-	b.WriteString(strings.Join(f.cacheCols, ","))
-	b.WriteByte(0)
+// ShareKey implements scanshare.Unioner. Beyond the raw scan, combined scans
+// one pass serves agree on the cache table (its name carries the generation
+// and names one manifest), on the cache side's row-group predicate, whose
+// skip array is shared rather than unioned, and on the pushdown mode.
+func (f *CombinedScanFactory) ShareKey() string {
+	key := f.manifest.CacheTable + "\x00" + strconv.FormatBool(f.pushdown)
 	if f.cacheSARG != nil {
-		b.WriteString(f.cacheSARG.String())
+		key += "\x00" + f.cacheSARG.String()
 	}
-	b.WriteByte(0)
-	for _, fb := range f.fallbacks {
-		b.WriteString(fb.Column)
-		b.WriteByte('=')
-		b.WriteString(fb.Path.Canonical())
-		b.WriteByte(';')
+	return key
+}
+
+// Union implements scanshare.Unioner: one combined scan serving every factory
+// of fs, each a *CombinedScanFactory over f's raw scan with f's share key. Its
+// cache columns are the union of theirs, each with its fallback, and after
+// them it extracts extract into the columns extCols names. A union that adds
+// nothing to f is f.
+func (f *CombinedScanFactory) Union(fs []sqlengine.ScanSourceFactory, extract []sqlengine.Extraction, extCols []sqlengine.RowCol) sqlengine.ScanSourceFactory {
+	fallbacks := make(map[string]sqlengine.Extraction, len(f.cacheCols))
+	for _, g := range fs {
+		c := g.(*CombinedScanFactory)
+		for i, col := range c.cacheCols {
+			fallbacks[col] = c.fallbacks[i]
+		}
 	}
-	fmt.Fprintf(&b, "\x00%t", f.pushdown)
-	return b.String()
+	if len(fallbacks) == len(f.cacheCols) && len(extract) == 0 {
+		return f
+	}
+	cacheCols := make([]string, 0, len(fallbacks))
+	for col := range fallbacks {
+		cacheCols = append(cacheCols, col)
+	}
+	sort.Strings(cacheCols)
+	schema := append([]sqlengine.RowCol(nil), f.schema.Cols[:len(f.primaryCols)]...)
+	fbs := make([]sqlengine.Extraction, len(cacheCols))
+	for i, col := range cacheCols {
+		fbs[i] = fallbacks[col]
+		schema = append(schema, sqlengine.RowCol{Name: col, Type: datum.TypeString})
+	}
+	u := NewCombinedScanFactory(f.wh, f.rawDB, f.rawTable, f.primaryCols, f.primarySARG,
+		f.manifest, cacheCols, f.cacheSARG, fbs, f.pushdown, sqlengine.RowSchema{Cols: append(schema, extCols...)}, f.obsc)
+	u.registry, u.extract = f.registry, extract
+	return u
+}
+
+// splitReader reads the raw side's primary columns and extracts list.
+func (f *CombinedScanFactory) splitReader(list []sqlengine.Extraction) *sqlengine.SplitReader {
+	return sqlengine.NewSplitReader(f.wh, &sqlengine.ScanNode{
+		DB: f.rawDB, Table: f.rawTable, Columns: f.primaryCols, SARG: f.primarySARG, Extract: list,
+	})
 }
 
 // SetRegistry attaches the cache registry so the factory can quarantine a
@@ -244,7 +265,7 @@ func (f *CombinedScanFactory) Open(split int, m *sqlengine.Metrics) (sqlengine.B
 		f.quarantineCache()
 		return f.openFallback(raw, m, &f.obsc.quarantined)
 	}
-	src := &combinedRowSource{m: m, nPrimary: len(f.primaryCols), nCache: len(f.cacheCols), degrade: f.degrade}
+	src := &combinedRowSource{f: f, m: m}
 	cacheCur, err := cacheReader.NewCursor(f.cacheCols, f.cacheSARG, &src.cacheMeter.Stats)
 	if err != nil {
 		f.quarantineCache()
@@ -252,8 +273,13 @@ func (f *CombinedScanFactory) Open(split int, m *sqlengine.Metrics) (sqlengine.B
 	}
 	src.cacheCur = cacheCur
 
-	// PrimaryReader (absent when every projected column is cached).
-	if len(f.primaryCols) > 0 {
+	// PrimaryReader (absent when it would read nothing).
+	f.rawOnce.Do(func() {
+		if len(f.primaryCols) > 0 || len(f.extract) > 0 {
+			f.raw = f.splitReader(f.extract)
+		}
+	})
+	if f.raw != nil {
 		rawReader, rawView, err := f.wh.OpenFileView(raw)
 		if err != nil {
 			return nil, err
@@ -263,10 +289,6 @@ func (f *CombinedScanFactory) Open(split int, m *sqlengine.Metrics) (sqlengine.B
 			// describes what this reader would stitch it to.
 			return f.openFallback(raw, m, &f.obsc.uncovered)
 		}
-		rawCur, err := rawReader.NewCursor(f.primaryCols, f.primarySARG, &src.rawMeter.Stats)
-		if err != nil {
-			return nil, err
-		}
 		// Row alignment sanity (the §IV-C invariant). Both parts are at the
 		// versions the manifest records, so a mismatch means a read was
 		// mangled: degrade.
@@ -274,12 +296,16 @@ func (f *CombinedScanFactory) Open(split int, m *sqlengine.Metrics) (sqlengine.B
 			f.quarantineCache()
 			return f.openFallback(raw, m, &f.obsc.quarantined)
 		}
+		rawSrc, rawCur, err := f.raw.OpenReader(rawReader, m)
+		if err != nil {
+			return nil, err
+		}
 		// Predicate pushdown: share the cache reader's skip array. Only
 		// valid when both files are single-stripe so row groups align
 		// (paper §IV-F) and the group counts agree.
-		if f.pushdown && f.cacheSARG != nil &&
-			rawReader.NumStripes() <= 1 && cacheReader.NumStripes() <= 1 &&
-			rawReader.NumRowGroups() == cacheReader.NumRowGroups() {
+		aligned := rawReader.NumStripes() <= 1 && cacheReader.NumStripes() <= 1 &&
+			rawReader.NumRowGroups() == cacheReader.NumRowGroups()
+		if f.pushdown && f.cacheSARG != nil && aligned {
 			if err := rawCur.SetRowGroupMask(cacheCur.RowGroupMask()); err != nil {
 				return nil, err
 			}
@@ -287,20 +313,18 @@ func (f *CombinedScanFactory) Open(split int, m *sqlengine.Metrics) (sqlengine.B
 		}
 		// The cache side must also honor the primary reader's own skips so
 		// both cursors keep visiting the same groups.
-		if src.sharedMask || (rawCur != nil && f.primarySARG != nil &&
-			rawReader.NumStripes() <= 1 && cacheReader.NumStripes() <= 1 &&
-			rawReader.NumRowGroups() == cacheReader.NumRowGroups()) {
+		if src.sharedMask || f.primarySARG != nil && aligned {
 			if err := cacheCur.SetRowGroupMask(rawCur.RowGroupMask()); err != nil {
 				return nil, err
 			}
 		}
-		src.rawCur = rawCur
+		src.raw = rawSrc
 	}
 	if m != nil {
 		switch {
 		case src.sharedMask:
 			m.MarkScanMode(sqlengine.ScanCombinedPushdown)
-		case len(f.primaryCols) == 0:
+		case src.raw == nil:
 			m.MarkScanMode(sqlengine.ScanCacheOnly)
 		default:
 			m.MarkScanMode(sqlengine.ScanCombined)
@@ -317,15 +341,14 @@ func (f *CombinedScanFactory) Open(split int, m *sqlengine.Metrics) (sqlengine.B
 	} else {
 		f.obsc.opensCombined.Inc()
 	}
-	src.obsc = f.obsc
 	return src, nil
 }
 
 // openFallback serves one split the cache does not: the engine's split
 // reader decodes the primary columns and extracts the cache columns from the
 // raw JSON — the cost a freshly appended file pays until the next midnight
-// cycle covers it. mode says why: an uncovered split, a retired cache
-// generation or a quarantined one.
+// cycle covers it — and the scan's extract list after them. mode says why:
+// an uncovered split, a retired cache generation or a quarantined one.
 func (f *CombinedScanFactory) openFallback(file string, m *sqlengine.Metrics, mode *fallbackMode) (sqlengine.BatchSource, error) {
 	if m != nil {
 		m.MarkScanMode(mode.bit)
@@ -335,11 +358,13 @@ func (f *CombinedScanFactory) openFallback(file string, m *sqlengine.Metrics, mo
 	}
 	mode.opens.Inc()
 	f.fallbackOnce.Do(func() {
-		f.fallback = sqlengine.NewSplitReader(f.wh, &sqlengine.ScanNode{
-			DB: f.rawDB, Table: f.rawTable, Columns: f.primaryCols, SARG: f.primarySARG, Extract: f.fallbacks,
-		})
+		f.fallback = f.splitReader(append(slices.Clip(f.fallbacks), f.extract...))
 	})
-	src, err := f.fallback.OpenPart(file, m)
+	rd, err := f.wh.OpenFile(file)
+	if err != nil {
+		return nil, err
+	}
+	src, _, err := f.fallback.OpenReader(rd, m)
 	if err != nil {
 		return nil, err
 	}
@@ -368,70 +393,55 @@ func (s *cacheMisses) NextBatch(b *sqlengine.RowBatch) (int, error) {
 }
 
 // combinedRowSource streams stitched rows: primary columns first, cache
-// columns after, matching the schema the plan modifier installed.
+// columns after, then the columns the raw side extracts — the schema the plan
+// modifier, or a shared pass, installed.
 type combinedRowSource struct {
-	rawCur     *orc.Cursor // nil when every projected column is cached
+	f          *CombinedScanFactory
+	raw        sqlengine.BatchSource // nil when the raw side is not read
 	cacheCur   *orc.Cursor
-	rawMeter   sqlengine.ReadMeter // zero (inert) without a rawCur
 	cacheMeter sqlengine.ReadMeter
 	m          *sqlengine.Metrics
-	nPrimary   int
-	nCache     int
 	sharedMask bool
-	obsc       *combinerObs
-	// degrade quarantines the cache table and wraps a mid-stream cache-side
-	// error in ErrCacheDegraded. Rows already emitted cannot be un-emitted,
-	// so unlike an open failure this cannot fall back in place — the query
-	// fails and Maxson re-plans it onto the raw path.
-	degrade func(error) error
-}
-
-// degradeErr routes a cache-side error through the factory's degrade hook
-// (identity when unset, e.g. sources built directly in tests).
-func (s *combinedRowSource) degradeErr(err error) error {
-	if s.degrade != nil {
-		return s.degrade(err)
-	}
-	return err
 }
 
 // NextBatch implements sqlengine.BatchSource (Algorithm 2: read both splits,
-// pair rows positionally, place values by schema position): the paired
-// cursors decode their files straight into the batch's column vectors — raw
-// columns into the primary slots, cache columns after them — so stitching
-// costs zero copies: each value is written once, where the executor reads it,
-// and string values are views of the part file they came from (they stay
-// valid for the query; the engine clones what it returns). Both cursors honor
-// the same row-group mask, so a mismatched batch count means the §IV-C
-// alignment invariant broke.
+// pair rows positionally, place values by schema position): the cache cursor
+// decodes straight into the cache slots of the batch and the split reader
+// fills the primary slots before them and its extracted columns after, so
+// stitching costs zero copies: each value is written once, where the executor
+// reads it, and string values are views of the part file they came from (they
+// stay valid for the query; the engine clones what it returns). Both readers
+// honor the same row-group mask, so a mismatched batch count means the §IV-C
+// alignment invariant broke. A cache-side failure degrades: rows already
+// emitted cannot be un-emitted, so unlike an open failure it cannot fall back
+// in place — the query fails and Maxson re-plans it onto the raw path.
 func (s *combinedRowSource) NextBatch(b *sqlengine.RowBatch) (int, error) {
-	if len(b.Cols) < s.nPrimary+s.nCache {
-		return 0, fmt.Errorf("core: batch has %d columns, combined source needs %d", len(b.Cols), s.nPrimary+s.nCache)
+	nPrimary, nCache := len(s.f.primaryCols), len(s.f.cacheCols)
+	if len(b.Cols) < nPrimary+nCache {
+		return 0, fmt.Errorf("core: batch has %d columns, combined source needs %d", len(b.Cols), nPrimary+nCache)
 	}
-	max := b.Capacity()
-	n, err := s.cacheCur.NextBatch(b.Cols[s.nPrimary:s.nPrimary+s.nCache], max)
+	n, err := s.cacheCur.NextBatch(b.Cols[nPrimary:nPrimary+nCache], b.Capacity())
 	if err != nil {
-		return 0, s.degradeErr(err)
+		return 0, s.f.degrade(err)
 	}
-	if s.rawCur != nil {
-		nRaw, err := s.rawCur.NextBatch(b.Cols[:s.nPrimary], max)
+	if s.raw != nil {
+		nRaw, err := s.raw.NextBatch(b)
 		if err != nil {
 			return 0, err
 		}
 		if nRaw != n {
-			return 0, s.degradeErr(fmt.Errorf("core: paired readers desynchronized (raw %d rows vs cache %d)", nRaw, n))
+			return 0, s.f.degrade(fmt.Errorf("core: paired readers desynchronized (raw %d rows vs cache %d)", nRaw, n))
 		}
 	}
-	s.rawMeter.Flush(s.m, true)
 	// Cache-only reading: the cache cursor is the row scan.
-	s.cacheMeter.Flush(s.m, s.rawCur == nil)
+	s.cacheMeter.Flush(s.m, s.raw == nil)
 	if n == 0 {
 		return 0, nil
 	}
 	if s.m != nil {
-		s.m.CacheValuesRead.Add(int64(s.nCache) * int64(n))
+		s.m.CacheValuesRead.Add(int64(nCache) * int64(n))
 		s.m.CacheHits.Add(int64(n)) // stitched rows served from cache
 	}
-	s.obsc.rowsStitched.Add(int64(n))
+	s.f.obsc.rowsStitched.Add(int64(n))
 	return n, nil
 }

@@ -231,7 +231,8 @@ var meterDocs = []string{
 // kernel, so they read the same documents, bytes scanned and bytes skipped —
 // the repeated document once, the malformed one as far as its error. The
 // shared pass parsing exactly what one unshared query parses is what
-// BENCH_mqo's 1.00x claims.
+// BENCH_mqo's 1.00x claims; a 2-way shared pass over a cached scan parses its
+// uncached path exactly as one of its queries does alone.
 func TestEveryConsumerMetersParseAlike(t *testing.T) {
 	ctx := context.Background()
 	paths := []string{"$.a", "$.b"}
@@ -326,5 +327,54 @@ func TestEveryConsumerMetersParseAlike(t *testing.T) {
 	}
 	if shared != want {
 		t.Errorf("a 2-way shared pass metered %+v in all, one unshared query %+v", shared, want)
+	}
+
+	// A 2-way shared combined pass: $.a is cached, so the two statements,
+	// which name it and the uncached $.b in different orders, share one
+	// cached scan that parses $.b once, as either of them would alone.
+	clock, wh, m = laneSystem(t, sqlengine.DefaultBatchSize, Config{ScanShareWindow: 5 * time.Second, ScanShareMaxQueries: 2})
+	appendDocs(wh)
+	clock.Advance(time.Hour)
+	if _, err := m.CacheSelected(ctx, profiles[:1]); err != nil {
+		t.Fatal(err)
+	}
+	sqls := []string{laneSQL([]string{"$.a", "$.b"}), laneSQL([]string{"$.b", "$.a"})}
+	var alone reading
+	for i, sql := range sqls { // the second arrival marks the scan contended
+		_, qm, err := m.QueryCtx(ctx, sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if qm.ScanModes()&sqlengine.ScanCombined == 0 {
+			t.Fatalf("%s planned %s, want a combined scan", sql, qm.PlanModeString())
+		}
+		if i == 0 {
+			alone = of(qm)
+		}
+	}
+	if alone.Docs == 0 {
+		t.Fatal("the combined query parsed nothing: $.b is not extracted")
+	}
+	shared = reading{}
+	for i, sql := range sqls {
+		wg.Add(1)
+		go func(i int, sql string) {
+			defer wg.Done()
+			_, metrics[i], errs[i] = m.QueryCtx(ctx, sql)
+		}(i, sql)
+	}
+	wg.Wait()
+	for i, qm := range metrics {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		r := of(qm)
+		shared.Docs, shared.Bytes, shared.Skipped = shared.Docs+r.Docs, shared.Bytes+r.Bytes, shared.Skipped+r.Skipped
+	}
+	if got := m.Obs().Snapshot().Counter("scanshare_queries_coalesced_total"); got != 2 {
+		t.Fatalf("coalesced %d queries, want 2 in one shared combined pass", got)
+	}
+	if shared != alone {
+		t.Errorf("a 2-way shared combined pass metered %+v in all, one unshared query %+v", shared, alone)
 	}
 }

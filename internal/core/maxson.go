@@ -89,9 +89,10 @@ type Config struct {
 	Flight *flight.Recorder
 	// ScanShareWindow, when positive, enables the shared-scan scheduler
 	// with this admission window: concurrent queries over the same (table,
-	// generation) coalesce into one pass. It is the most a query waits for
-	// company it has reason to expect (scanshare.Options.Window); a query
-	// whose scan is not contended starts at once. Zero disables sharing.
+	// generation) coalesce into one pass over the union of their paths. It
+	// is the most a query waits for company it has reason to expect
+	// (scanshare.Options.Window); an uncontended query starts at once. Zero
+	// disables sharing.
 	ScanShareWindow time.Duration
 	// ScanShareMaxQueries seals a share group early at this size
 	// (default scanshare.DefaultMaxQueries).

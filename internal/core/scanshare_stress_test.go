@@ -20,11 +20,11 @@ import (
 )
 
 // The scanshare stress suite drives the shared-scan scheduler through the
-// full Maxson stack: broadcast sharing over combined cache+raw factories,
-// merged sharing over raw scans, per-query cancellation mid-group, fault
-// injection, and quarantine-triggered re-planning — all concurrently, under
-// the invariant that every surviving query returns exactly its serial rows
-// and the RowBatch pool returns to baseline.
+// full Maxson stack: one pass over the union of combined cache+raw scans and
+// over raw scans alike, per-query cancellation mid-group, fault injection,
+// and quarantine-triggered re-planning — all concurrently, under the
+// invariant that every surviving query returns exactly its serial rows and
+// the RowBatch pool returns to baseline.
 
 // newShareChaosEnv is newChaosEnv with the shared-scan scheduler enabled
 // from construction (the scheduler hooks the engine at Maxson build time, so
@@ -94,14 +94,14 @@ func waitBatchBaseline(t *testing.T, before int64) {
 }
 
 // TestScanShareStressMixed is the seeded mixed-workload stress run: eight
-// concurrent queries — broadcast-shared cached scans, a merged/solo
+// concurrent queries — shared combined cached scans, a shared/solo
 // group-by, a COUNT, one cancelled mid-flight — with transient IO faults
 // injected underneath. Every completed query must return its serial rows.
 func TestScanShareStressMixed(t *testing.T) {
 	env := newShareChaosEnv(t, 201)
 
-	qa := chaosQueries[0] // cached paths → combined factory → broadcast share
-	qb := chaosQueries[1] // cached + residual filter → broadcast share
+	qa := chaosQueries[0] // cached paths → combined factory → shared pass
+	qb := chaosQueries[1] // cached + residual filter → shared pass
 	qc := chaosQueries[2] // uncached $.b group-by → raw scan
 	qd := chaosQueries[3] // COUNT over cached path
 
@@ -222,7 +222,8 @@ func TestScanShareStressMixed(t *testing.T) {
 }
 
 // TestScanShareDegradePropagation fails cache-file decoding mid-stream under
-// a broadcast-shared group: the single producer hits ErrCacheDegraded, every
+// a shared combined scan, first of identical queries, then of two asking
+// different cached paths: the single producer hits ErrCacheDegraded, every
 // participant observes it, quarantines, re-plans on raw — and the retries
 // (now raw scans with the same fingerprint) still return exact rows.
 func TestScanShareDegradePropagation(t *testing.T) {
@@ -275,6 +276,64 @@ func TestScanShareDegradePropagation(t *testing.T) {
 	}
 	if env.m.Obs().Counter("cache_fallback_queries_total").Value() == 0 {
 		t.Fatal("no query recorded a degraded re-plan")
+	}
+	waitBatchBaseline(t, before)
+
+	// Two queries asking different cached paths share one pass over the
+	// union of their cache columns. Its one failed decode fails both: each
+	// re-plans on raw alone and returns its exact rows.
+	env = newShareChaosEnv(t, 204)
+	subsets := []string{
+		`SELECT id, get_json_object(doc, '$.a') a FROM db.t ORDER BY id`,
+		`SELECT id, get_json_object(doc, '$.nested.x') nx FROM db.t ORDER BY id`,
+	}
+	wants := make([]string, len(subsets))
+	for i, sql := range subsets {
+		rs, _, err := env.m.QueryCtx(context.Background(), sql)
+		if err != nil {
+			t.Fatalf("serial baseline %q: %v", sql, err)
+		}
+		wants[i] = rs.String()
+	}
+	for i := 0; i < 2; i++ { // the second marks the scan contended
+		if _, _, err := env.m.QueryCtx(context.Background(), subsets[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before = sqlengine.OutstandingBatches()
+	inj = fault.New(204)
+	inj.Add(fault.Rule{Pattern: "maxson_cache", Op: fault.OpDecode, Kind: fault.KindError, FailN: 1})
+	env.fs.SetInjector(inj)
+	defer env.fs.SetInjector(nil)
+
+	results, errs = make([]string, len(subsets)), make([]error, len(subsets))
+	for i, sql := range subsets {
+		wg.Add(1)
+		go func(i int, sql string) {
+			defer wg.Done()
+			rs, _, err := env.m.QueryCtx(context.Background(), sql)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			results[i] = rs.String()
+		}(i, sql)
+		time.Sleep(10 * time.Millisecond) // the first opens the group, the second joins it
+	}
+	wg.Wait()
+	for i, sql := range subsets {
+		if errs[i] != nil {
+			t.Fatalf("%q after a degraded shared pass: %v", sql, errs[i])
+		}
+		if results[i] != wants[i] {
+			t.Fatalf("%q diverged after a degraded shared pass:\nwant:\n%s\ngot:\n%s", sql, wants[i], results[i])
+		}
+	}
+	if n := env.m.Obs().Counter("scanshare_groups_total").Value(); n == 0 {
+		t.Fatal("the two subsets never shared a pass")
+	}
+	if n := env.m.Obs().Counter("cache_fallback_queries_total").Value(); n != int64(len(subsets)) {
+		t.Fatalf("%d degraded re-plans, want one per participant of the failed pass (%d)", n, len(subsets))
 	}
 	waitBatchBaseline(t, before)
 }

@@ -17,7 +17,8 @@ import (
 // through Maxson returns exactly the plain engine's rows, and reads cache
 // values exactly when some split is still at the version the manifest filed
 // it under — one value per cached path named and matched row when no scan is
-// shared.
+// shared. With sharing on, two queries asking different subsets of the
+// cached paths also run together, through one pass over their union.
 func TestSplitValidityEquivalence(t *testing.T) {
 	sel := selection("$.item_id", "$.turnover")
 	// Each history mutates the fixture around a populate of sel on m and
@@ -166,6 +167,7 @@ func TestSplitValidityEquivalence(t *testing.T) {
 					}
 				}
 				if share {
+					overlappingBurst(t, node, plain, selections[0].sql, selections[1].sql)
 					coalesced += node.Obs().Counter("scanshare_queries_coalesced_total").Value()
 				}
 			})
@@ -173,6 +175,41 @@ func TestSplitValidityEquivalence(t *testing.T) {
 	}
 	if coalesced == 0 {
 		t.Error("no burst shared a scan; the shared half of the table tested nothing")
+	}
+}
+
+// overlappingBurst runs sub and super — two statements over one scan that
+// read no raw column and ask a subset and all of the cached paths — together,
+// sub first, once sub twice in a row has made their shared fingerprint
+// contended: the pass they share reads the union of their cache columns, and
+// each returns the plain engine's rows.
+func overlappingBurst(t *testing.T, m *Maxson, plain *sqlengine.Engine, sub, super string) {
+	t.Helper()
+	sqls := []string{sub, super}
+	want := make([]string, len(sqls))
+	for i, sql := range sqls {
+		rs, _, err := plain.QueryCtx(context.Background(), sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = rs.String()
+	}
+	validityBurst(t, m, sub, want[0], 2, false)
+	before := m.Obs().Counter("scanshare_groups_total").Value()
+	var wg sync.WaitGroup
+	for i := range sqls {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			validityBurst(t, m, sqls[i], want[i], 1, false)
+		}(i)
+		// The subset query opens the group, so the pass is built from its
+		// factory and has to add the other's cache column to it.
+		time.Sleep(10 * time.Millisecond)
+	}
+	wg.Wait()
+	if n := m.Obs().Counter("scanshare_groups_total").Value() - before; n != 1 {
+		t.Errorf("the overlapping pair ran in %d shared groups, want 1", n)
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments/baseline"
-	"repro/internal/lru"
+	"repro/internal/experiments/lru"
 	"repro/internal/pathkey"
 )
 

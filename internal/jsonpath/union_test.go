@@ -168,7 +168,7 @@ func TestUnionSinglePassSubsumption(t *testing.T) {
 // paths: $.a[*] alongside $.a[*].b merges into one trie whose single
 // streaming pass serves both (the wild terminal materializes each element
 // and the deeper terminal fills from it), every participant recovering its
-// own values through the remap. This is what lets scanshare merged mode
+// own values through the remap. This is what lets a scanshare pass
 // group wildcard queries instead of degrading to solo passthrough.
 func TestUnionWildcardSubsumption(t *testing.T) {
 	doc := []byte(`{"a": [{"b": 1, "c": "x"}, {"b": 2}, {"c": "y"}], "z": "tail-not-needed"}`)

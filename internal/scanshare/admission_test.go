@@ -15,8 +15,8 @@ import (
 )
 
 // The admission tests pin when a query waits: only when its fingerprint is
-// contended, which two arrivals less than a window apart make it, and a
-// group that seals alone unmakes.
+// contended, which two arrivals less than a window apart make it unless they
+// name one session, and a group that seals alone unmakes.
 
 const admissionSQL = `SELECT id, get_json_object(doc, '$.a') a FROM db.t ORDER BY id`
 
@@ -157,6 +157,134 @@ func TestAdmissionLoneGroupClearsContention(t *testing.T) {
 		t.Fatalf("scanshare_queries_coalesced_total = %d, want 2: the query after the lone group did not mark the fingerprint", n)
 	}
 	checkBaseline(t, before)
+}
+
+// TestAdmissionSameSessionRepeatNeverMarks: a client that repeats its own
+// statement less than a window apart expects no company, so however often it
+// does, no query of its session marks the fingerprint or waits.
+func TestAdmissionSameSessionRepeatNeverMarks(t *testing.T) {
+	env := newShareEnv(t, 53, 20, 2, scanshare.Options{Window: 250 * time.Millisecond, MaxQueries: 16})
+	want := env.plainResult(t, admissionSQL)
+	before := sqlengine.OutstandingBatches()
+
+	ctx := sqlengine.WithSession(context.Background(), "c0")
+	for i := 0; i < 4; i++ {
+		env.queryUnshared(t, ctx, admissionSQL, want)
+	}
+	if w := env.windowWait(); w.Count != 4 || w.Sum != 0 {
+		t.Fatalf("window wait: %d observations summing %d ns, want 4 summing 0 (a repeat marked its own fingerprint)", w.Count, w.Sum)
+	}
+	if n := env.reg.Counter("scanshare_groups_total").Value(); n != 0 {
+		t.Fatalf("scanshare_groups_total = %d, want 0", n)
+	}
+	checkBaseline(t, before)
+}
+
+// TestAdmissionTwoSessionsMark: the same two close arrivals from two sessions
+// are two clients, so the second marks the fingerprint and the next pair
+// coalesces.
+func TestAdmissionTwoSessionsMark(t *testing.T) {
+	env := newShareEnv(t, 59, 20, 2, scanshare.Options{Window: 250 * time.Millisecond, MaxQueries: 16})
+	want := env.plainResult(t, admissionSQL)
+	before := sqlengine.OutstandingBatches()
+
+	c0 := sqlengine.WithSession(context.Background(), "c0")
+	c1 := sqlengine.WithSession(context.Background(), "c1")
+	env.queryUnshared(t, c0, admissionSQL, want)
+	env.queryUnshared(t, c1, admissionSQL, want)
+
+	got, mets, errs := runConcurrent(context.Background(), env.shared, []string{admissionSQL, admissionSQL}, []context.Context{c0, c1})
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if got[i] != want {
+			t.Fatalf("pair query %d diverged:\nwant:\n%s\ngot:\n%s", i, want, got[i])
+		}
+		if mets[i].ScanModes()&sqlengine.ScanShared == 0 {
+			t.Fatalf("pair query %d not shared (PlanModeString=%q): the second session did not mark", i, mets[i].PlanModeString())
+		}
+	}
+	if n := env.reg.Counter("scanshare_queries_coalesced_total").Value(); n != 2 {
+		t.Fatalf("scanshare_queries_coalesced_total = %d, want 2", n)
+	}
+	checkBaseline(t, before)
+}
+
+// TestAdmissionLoneSealRemarksAnySession: a group that seals alone is an
+// arrival of no session, so the query after it marks the fingerprint again
+// even when it names the session whose query just waited alone.
+func TestAdmissionLoneSealRemarksAnySession(t *testing.T) {
+	const window = 100 * time.Millisecond
+	env := newShareEnv(t, 61, 20, 2, scanshare.Options{Window: window, MaxQueries: 16})
+	want := env.plainResult(t, admissionSQL)
+	c0 := sqlengine.WithSession(context.Background(), "c0")
+	c1 := sqlengine.WithSession(context.Background(), "c1")
+	env.queryUnshared(t, c0, admissionSQL, want)
+	env.queryUnshared(t, c1, admissionSQL, want)
+	before := sqlengine.OutstandingBatches()
+
+	env.queryUnshared(t, c0, admissionSQL, want) // waits a window alone
+	if w := env.windowWait(); w.Sum < window.Nanoseconds() {
+		t.Fatalf("window wait summing %d ns, want at least one window (%d ns)", w.Sum, window.Nanoseconds())
+	}
+	env.queryUnshared(t, c0, admissionSQL, want) // just after the seal: marks
+
+	got, _, errs := runConcurrent(context.Background(), env.shared, []string{admissionSQL, admissionSQL}, []context.Context{c0, c1})
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if got[i] != want {
+			t.Fatalf("pair query %d diverged:\nwant:\n%s\ngot:\n%s", i, want, got[i])
+		}
+	}
+	if n := env.reg.Counter("scanshare_queries_coalesced_total").Value(); n != 2 {
+		t.Fatalf("scanshare_queries_coalesced_total = %d, want 2: the query after the lone seal did not mark the fingerprint", n)
+	}
+	checkBaseline(t, before)
+}
+
+// stubUnioner is a shareable factory these tests never open.
+type stubUnioner struct{}
+
+func (stubUnioner) NumSplits() (int, error) { return 0, nil }
+func (stubUnioner) Open(int, *sqlengine.Metrics) (sqlengine.BatchSource, error) {
+	return nil, errors.New("stubUnioner: opened")
+}
+func (stubUnioner) Schema() (sqlengine.RowSchema, error) { return sqlengine.RowSchema{}, nil }
+func (stubUnioner) ShareKey() string                     { return "stub" }
+func (f stubUnioner) Union([]sqlengine.ScanSourceFactory, []sqlengine.Extraction, []sqlengine.RowCol) sqlengine.ScanSourceFactory {
+	return f
+}
+
+// TestAdmissionNoSessionMarksOnlyEqualRows: arrivals that name no session
+// mark as they did before a shared pass unioned cache columns. Two scans of
+// one fingerprint whose rows hold different cache columns, sent one after the
+// other, never mark it; the same scan sent twice does.
+func TestAdmissionNoSessionMarksOnlyEqualRows(t *testing.T) {
+	const window = 50 * time.Millisecond
+	reg := obs.NewRegistry()
+	s := scanshare.New(scanshare.Options{Window: window, Obs: reg})
+	plan := func(cacheCol string) *sqlengine.PhysicalPlan {
+		scan := &sqlengine.ScanNode{DB: "db", Table: "t", Factory: stubUnioner{}}
+		scan.SetSchema(sqlengine.RowSchema{Cols: []sqlengine.RowCol{{Name: cacheCol}}})
+		return &sqlengine.PhysicalPlan{Scan: scan}
+	}
+	sub, super := plan("cache_a"), plan("cache_a_b")
+	// No group launches: a lone one seals without touching the engine.
+	for i, p := range []*sqlengine.PhysicalPlan{sub, super, sub, super, sub, sub, sub} {
+		if h, err := s.Attach(context.Background(), nil, p); h != nil || err != nil {
+			t.Fatalf("arrival %d: Attach = %v, %v; want an unshared run", i, h, err)
+		}
+		w := reg.Snapshot().Histograms["scanshare_window_wait_ns"]
+		switch {
+		case i < 6 && w.Sum != 0:
+			t.Fatalf("arrival %d waited %d ns: an earlier arrival marked the fingerprint", i, w.Sum)
+		case i == 6 && w.Sum < window.Nanoseconds():
+			t.Fatalf("the arrival after two equal ones waited %d ns, want a window (%d ns)", w.Sum, window.Nanoseconds())
+		}
+	}
 }
 
 // TestAdmissionCancelLeavesNoState: a query cancelled while it waits alone

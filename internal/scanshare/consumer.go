@@ -8,14 +8,11 @@ import (
 
 // consumerFactory is the ScanSourceFactory installed on a shared
 // participant's plan: one split whose rows arrive from the producer.
-type consumerFactory struct {
-	p      *participant
-	schema sqlengine.RowSchema
-}
+type consumerFactory struct{ p *participant }
 
 func (f *consumerFactory) NumSplits() (int, error) { return 1, nil }
 
-func (f *consumerFactory) Schema() (sqlengine.RowSchema, error) { return f.schema, nil }
+func (f *consumerFactory) Schema() (sqlengine.RowSchema, error) { return f.p.plan.Scan.Schema(), nil }
 
 func (f *consumerFactory) Open(split int, m *sqlengine.Metrics) (sqlengine.BatchSource, error) {
 	if split != 0 {

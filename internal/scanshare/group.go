@@ -47,13 +47,7 @@ func (g *group) claim(m *sqlengine.Metrics) {
 // simply returns with g.launched false — everyone runs unshared. Once plans
 // are being rewritten, a per-participant failure detaches only that query.
 func (g *group) launch(live []*participant) {
-	scan0 := live[0].plan.Scan
-	var pr *producer
-	if scan0.Factory != nil {
-		pr = g.buildBroadcast(live)
-	} else {
-		pr = g.buildMerged(live)
-	}
+	pr := g.build(live)
 	if pr == nil {
 		return
 	}
@@ -75,64 +69,47 @@ func (g *group) launch(live []*participant) {
 	go pr.run()
 }
 
-// buildBroadcast sets up pure IO sharing over a fingerprinted factory
-// (Maxson's combined cache+raw reader): no plan rewrite, the producer runs
-// one factory's splits and broadcasts every row batch. Cache quarantine and
-// ErrCacheDegraded propagate to every consumer, which then re-plan
-// independently exactly as unshared queries would.
-func (g *group) buildBroadcast(live []*participant) *producer {
-	origFactory := live[0].plan.Scan.Factory
-	for _, p := range live {
-		p.pipe = sqlengine.NewBatchPipe(demuxDepth)
-		p.plan.Scan.Factory = &consumerFactory{p: p, schema: p.plan.Scan.Schema()}
-	}
-	return &producer{
-		g:       g,
-		e:       g.e,
-		factory: origFactory,
-		pm:      &sqlengine.Metrics{},
-	}
-}
-
-// buildMerged sets up merged-extraction sharing over a plain raw scan: the
-// union of every participant's paths is compiled per storage column, the
-// producer appends one TypeString column per distinct path to the scan
-// output, and each participant's get_json_object calls are rewritten to
-// placeholder reads of those columns. Returns nil when the group cannot be
-// built (plans untouched — queries run unshared).
-func (g *group) buildMerged(live []*participant) *producer {
+// build sets up one pass for the group: the union of every participant's
+// paths is compiled per scan column, the producer fills one TypeString column
+// per distinct path after everything else it reads, and each participant's
+// get_json_object calls are rewritten to placeholder reads of those columns.
+// A raw scan's producer is the engine's split reader extracting the union; a
+// Unioner's is its union over the participants' factories, which reads their
+// own columns between the scan's and the extracted ones. Returns nil when the
+// group cannot be built (plans untouched — queries run unshared).
+func (g *group) build(live []*participant) *producer {
 	scan0 := live[0].plan.Scan
-	storage := scan0.Schema()
+	nCols := len(scan0.Columns)
 
 	calls := make([]*sqlengine.PathCalls, len(live))
 	for i, p := range live {
 		calls[i] = sqlengine.PlanPathCalls(p.plan)
 	}
 
-	// One merged PathSet per storage column, columns in schema order so
-	// every participant sees the identical extracted-column layout.
-	// batchCol[i][c][j] is the batch column serving participant i's j-th path
-	// over its calls[i].Cols[c].
+	// One merged PathSet per scan column, columns in schema order so every
+	// participant sees the identical extracted-column layout. at[i][c][j] is
+	// the position among the extracted columns serving participant i's j-th
+	// path over its calls[i].Cols[c].
 	var extract []sqlengine.Extraction
 	var extCols []sqlengine.RowCol
-	batchCol := make([][][]int, len(live))
+	at := make([][][]int, len(live))
 	for i, pc := range calls {
 		if pc != nil {
-			batchCol[i] = make([][]int, len(pc.Cols))
+			at[i] = make([][]int, len(pc.Cols))
 		}
 	}
-	for colIdx := range storage.Cols {
+	for colIdx, column := range scan0.Columns {
 		sets := make([]*jsonpath.PathSet, len(live))
-		at := make([]int, len(live)) // where colIdx sits in calls[i].Cols
+		where := make([]int, len(live)) // where colIdx sits in calls[i].Cols
 		any := false
 		for i, pc := range calls {
-			at[i] = -1
+			where[i] = -1
 			if pc == nil {
 				continue
 			}
 			for c, col := range pc.Cols {
 				if col.Index == colIdx {
-					sets[i], at[i], any = col.Set, c, true
+					sets[i], where[i], any = col.Set, c, true
 				}
 			}
 		}
@@ -143,76 +120,93 @@ func (g *group) buildMerged(live []*participant) *producer {
 		if err != nil {
 			return nil
 		}
-		base := len(storage.Cols) + len(extCols)
+		base := len(extCols)
 		for k, path := range merged.Paths() {
-			extract = append(extract, sqlengine.Extraction{Column: scan0.Columns[colIdx], Path: path})
+			extract = append(extract, sqlengine.Extraction{Column: column, Path: path})
 			extCols = append(extCols, sqlengine.RowCol{
 				Name: sharedColName(colIdx, k),
 				Type: datum.TypeString,
 			})
 		}
-		for i, c := range at {
+		for i, c := range where {
 			if c < 0 {
 				continue
 			}
-			batchCol[i][c] = make([]int, len(remaps[i]))
+			at[i][c] = make([]int, len(remaps[i]))
 			for j, slot := range remaps[i] {
-				batchCol[i][c][j] = base + slot
+				at[i][c][j] = base + slot
 			}
 		}
 	}
 
-	// The producer reads the pristine storage scan — same columns, same
-	// SARG (identical across the group by fingerprint), no per-query
-	// prefilters, which run post-demux in each consumer's pipeline — and
-	// extracts the union after the storage columns.
-	prodScan := &sqlengine.ScanNode{
-		DB:      scan0.DB,
-		Table:   scan0.Table,
-		Binding: scan0.Binding,
-		Columns: append([]string(nil), scan0.Columns...),
-		SARG:    scan0.SARG,
-		Extract: extract,
+	// The producer reads the pristine scan — same columns, same SARG and
+	// share key (identical across the group by fingerprint), no per-query
+	// prefilters, which run post-demux in each consumer's pipeline.
+	var factory sqlengine.ScanSourceFactory
+	if u, ok := scan0.Factory.(Unioner); ok {
+		fs := make([]sqlengine.ScanSourceFactory, len(live))
+		for i, p := range live {
+			fs[i] = p.plan.Scan.Factory
+		}
+		factory = u.Union(fs, extract, extCols)
+	} else {
+		prodScan := &sqlengine.ScanNode{
+			DB:      scan0.DB,
+			Table:   scan0.Table,
+			Binding: scan0.Binding,
+			Columns: append([]string(nil), scan0.Columns...),
+			SARG:    scan0.SARG,
+			Extract: extract,
+		}
+		prodScan.SetSchema(sqlengine.RowSchema{Cols: append(append([]sqlengine.RowCol(nil), scan0.Schema().Cols...), extCols...)})
+		factory = sqlengine.NewSplitReader(g.e.Warehouse(), prodScan)
 	}
-	prodScan.SetSchema(sqlengine.RowSchema{Cols: append(append([]sqlengine.RowCol(nil), storage.Cols...), extCols...)})
+	prod, err := factory.Schema()
+	if err != nil {
+		return nil
+	}
 
-	// Rewire every participant. From here on failures are per-query: a
-	// participant whose rewrite fails detaches and errors alone.
+	// Rewire every participant: its own scan columns, then the producer's
+	// rest. From here on failures are per-query: a participant whose rewrite
+	// fails detaches and errors alone. One whose schema already is the
+	// producer's layout keeps its plan as it is.
 	for i, p := range live {
 		scan := p.plan.Scan
-		cols := append(append([]sqlengine.RowCol(nil), scan.Schema().Cols...), extCols...)
-		schema := sqlengine.RowSchema{Cols: cols}
-		pc, target := calls[i], batchCol[i]
-		sqlengine.RewritePlanExprs(p.plan, func(e sqlengine.Expr) sqlengine.Expr {
-			return sqlengine.Rewrite(e, func(e sqlengine.Expr) sqlengine.Expr {
-				jp, ok := e.(*sqlengine.JSONPathExpr)
-				if !ok {
-					return e
-				}
-				slot, ok := pc.Slot(jp)
-				if !ok || target[slot.Col] == nil {
-					return e
-				}
-				return &sqlengine.CachePlaceholder{
-					OutputName:   schema.Cols[target[slot.Col][slot.Path]].Name,
-					SourceColumn: jp.Column.Name,
-					Path:         jp.Path,
-				}
+		schema := scan.Schema()
+		if len(schema.Cols) != len(prod.Cols) {
+			schema = sqlengine.RowSchema{Cols: append(append([]sqlengine.RowCol(nil), schema.Cols[:nCols]...), prod.Cols[nCols:]...)}
+			pc, target, first := calls[i], at[i], len(prod.Cols)-len(extCols)
+			sqlengine.RewritePlanExprs(p.plan, func(e sqlengine.Expr) sqlengine.Expr {
+				return sqlengine.Rewrite(e, func(e sqlengine.Expr) sqlengine.Expr {
+					jp, ok := e.(*sqlengine.JSONPathExpr)
+					if !ok {
+						return e
+					}
+					slot, ok := pc.Slot(jp)
+					if !ok || target[slot.Col] == nil {
+						return e
+					}
+					return &sqlengine.CachePlaceholder{
+						OutputName:   schema.Cols[first+target[slot.Col][slot.Path]].Name,
+						SourceColumn: jp.Column.Name,
+						Path:         jp.Path,
+					}
+				})
 			})
-		})
-		scan.SetSchema(schema)
-		p.plan.InputSchema = schema
-		p.pipe = sqlengine.NewBatchPipe(demuxDepth)
-		scan.Factory = &consumerFactory{p: p, schema: schema}
-		if err := p.plan.Rebind(); err != nil {
-			p.err = err
+			scan.SetSchema(schema)
+			p.plan.InputSchema = schema
+			if err := p.plan.Rebind(); err != nil {
+				p.err = err
+			}
 		}
+		p.pipe = sqlengine.NewBatchPipe(demuxDepth)
+		scan.Factory = &consumerFactory{p: p}
 	}
 
 	return &producer{
 		g:       g,
 		e:       g.e,
-		factory: sqlengine.NewSplitReader(g.e.Warehouse(), prodScan),
+		factory: factory,
 		pm:      &sqlengine.Metrics{},
 	}
 }

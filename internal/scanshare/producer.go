@@ -8,10 +8,10 @@ import (
 
 // producer runs the single shared pass: it reads the underlying splits
 // sequentially (preserving the split-order row sequence an unshared query
-// would produce) and sends every batch down each attached consumer's pipe. In
-// merged mode its factory is the engine's split reader over a scan that
-// extracts the merged path union, so each document is parsed once for every
-// participant.
+// would produce) and sends every batch down each attached consumer's pipe. Its
+// factory extracts the merged path union — the engine's split reader for a
+// raw scan, the Unioner's union for a combined one — so each document is
+// parsed once for every participant.
 type producer struct {
 	g       *group
 	e       *sqlengine.Engine

@@ -4,34 +4,34 @@
 // table tokenize the same raw and cached splits N times. The scheduler
 // holds an arriving query for a short admission window when its scan's
 // fingerprint is contended, groups the ones whose scans are compatible,
-// unions their compiled JSONPath sets into one merged trie (jsonpath.Union —
-// subsumption-deduplicated), runs a single pass, and demultiplexes the batches
-// to every participant's own filter/project/agg pipeline over per-query
-// bounded channels.
+// unions what they read into one pass, and demultiplexes the batches to every
+// participant's own filter/project/agg pipeline over per-query bounded
+// channels.
 //
 // A query waits only where company is to be expected. The scheduler
-// remembers, per fingerprint, its last arrival and a contended bit. An
-// arrival less than one window after the previous one sets the bit but runs
-// at once; the next arrival finds the bit and opens a group, and a group
-// that seals with fewer than two live queries clears it (and counts as the
-// fingerprint's last arrival, so a partner that just missed it sets the bit
+// remembers, per fingerprint, its last arrival, that arrival's client session
+// and a contended bit. An arrival less than one window after the previous one
+// sets the bit but runs at once, unless both name the same session: a
+// client's own repeat is not company. An arrival that names no session sets
+// it only when its scan reads what the previous one read, as it did when
+// scans reading different cache columns had different fingerprints. The next
+// arrival finds the bit and opens a group, and a group that seals with fewer
+// than two live queries clears it (and counts as the fingerprint's last
+// arrival, of no session, so a partner that just missed it sets the bit
 // again). Every other query runs unshared at once, with no group, timer or
 // channel: a lone query pays nothing for the sharing it does not get.
 //
-// Two sharing modes cover the planner's output:
-//
-//   - merged: plain raw scans (no custom factory). Participants'
-//     get_json_object calls are rewritten to placeholder reads of shared
-//     extraction columns appended to the scan schema. The producer's scan
-//     lists the union of everyone's paths as its ScanNode.Extract, so the
-//     engine's split reader extracts it — the one batch extraction every
-//     other reader of raw JSON uses — and each document is parsed once.
-//   - broadcast: scans whose factory reports a ScanFingerprint (Maxson's
-//     combined cache+raw reader). Plans are untouched; the producer runs
-//     one factory's splits and broadcasts the rows, so cache stitching,
-//     quarantine marking, and ErrCacheDegraded re-planning behave exactly
-//     as they would unshared — every sibling sees the degrade error and
-//     re-plans independently.
+// Every group shares one way. The participants' get_json_object calls are
+// rewritten to placeholder reads of shared extraction columns, and the
+// producer's scan extracts the union of everyone's paths (jsonpath.Union,
+// subsumption-deduplicated) into them, so each document is parsed once. A
+// plain raw scan's producer is the engine's split reader over a ScanNode that
+// lists the union as its Extract. A scan whose factory is a Unioner (Maxson's
+// combined cache+raw reader) gets the factory's union instead: one combined
+// scan over the participants' cache columns, with the same extraction columns
+// after them. Cache stitching, quarantine marking and ErrCacheDegraded then
+// behave as they would unshared: a degraded pass fails every participant,
+// and each re-plans on its own.
 //
 // Rows cross the demux boundary by copy, through one sqlengine.BatchPipe per
 // consumer: the producer's Send copies the current batch into a pooled batch
@@ -47,6 +47,7 @@ package scanshare
 import (
 	"context"
 	"fmt"
+	"hash/maphash"
 	"strconv"
 	"strings"
 	"sync"
@@ -66,21 +67,27 @@ const (
 	demuxDepth = 4
 )
 
-// Fingerprinter lets a custom ScanSourceFactory opt into broadcast sharing:
-// two scans whose factories return the same non-empty fingerprint read
-// identical rows and may be served by one pass. Maxson's CombinedScanFactory
-// implements it.
-type Fingerprinter interface {
-	ScanFingerprint() string
+// Unioner is a custom ScanSourceFactory one pass may serve beside others.
+// Maxson's CombinedScanFactory implements it.
+type Unioner interface {
+	// ShareKey is what, beyond the scan's table, generation, columns and
+	// SARG, two factories must agree on for one pass to serve both.
+	ShareKey() string
+	// Union returns one factory serving every factory of fs (the receiver
+	// among them, all with its share key): its rows are the scan's Columns,
+	// then the union of the factories' own columns, then extract, filled into
+	// the columns extCols names.
+	Union(fs []sqlengine.ScanSourceFactory, extract []sqlengine.Extraction, extCols []sqlengine.RowCol) sqlengine.ScanSourceFactory
 }
 
 // Options configures a Scheduler.
 type Options struct {
 	// Window is the admission window: the most a query waits for company it
 	// has reason to expect. It is also the horizon of that expectation: two
-	// arrivals of one fingerprint less than a window apart make the next one
-	// open a group and wait this long for compatible queries. Any other
-	// query starts at once. Zero means DefaultWindow.
+	// arrivals of one fingerprint less than a window apart, each the other's
+	// company, make the next one open a group and wait this long for
+	// compatible queries. Any other query starts at once. Zero means
+	// DefaultWindow.
 	Window time.Duration
 	// MaxQueries seals a group early once this many queries joined
 	// (default DefaultMaxQueries).
@@ -133,9 +140,42 @@ type arrivals struct {
 // arrival is what the scheduler remembers of one fingerprint.
 type arrival struct {
 	// last is its latest arrival, or the seal of its latest group that
-	// found no company, whichever came later.
+	// found no company, whichever came later; session is the client session
+	// that arrival named, "" for none and for a seal, and rows identifies
+	// what its scan's rows held (rowsOf).
 	last      time.Time
+	session   string
+	rows      uint64
 	contended bool // its next query waits for company
+}
+
+// company reports whether an arrival from session whose scan's rows are rows,
+// less than a window after a, is company a's fingerprint should expect: one
+// from another session, or, for an arrival that names none, one whose rows
+// are a's. The latter is the rule before shared passes unioned cache
+// columns, when scans with different ones had different fingerprints, so a
+// caller that sends no session — a test, an experiment, a system replaying
+// its own workload — sees the contention it always saw.
+func (a arrival) company(session string, rows uint64) bool {
+	if session == "" {
+		return rows == a.rows
+	}
+	return session != a.session
+}
+
+// rowsSeed seeds rowsOf, so that its hashes compare across calls.
+var rowsSeed = maphash.MakeSeed()
+
+// rowsOf identifies what scan's rows hold: its schema's column names. Within
+// one fingerprint they differ only in the cache columns of combined scans.
+func rowsOf(scan *sqlengine.ScanNode) uint64 {
+	var h maphash.Hash
+	h.SetSeed(rowsSeed)
+	for _, c := range scan.Schema().Cols {
+		h.WriteString(c.Name)
+		h.WriteByte(0)
+	}
+	return h.Sum64()
 }
 
 // New builds a scheduler. Install it with Engine.SetScanShare.
@@ -171,15 +211,15 @@ func New(opts Options) *Scheduler {
 // fingerprint keys group membership. Two scans may share a pass only when
 // they read the same table and generation with the same column list and the
 // same row-group predicate (SARG skips row groups at the storage layer, so
-// it must be identical), and — for factory-backed scans — the factory
-// attests row-identical output via ScanFingerprint. Per-query residual
-// filters, Sparser prefilters, and projections run post-demux and do not
-// constrain sharing.
-func fingerprint(scan *sqlengine.ScanNode, factoryFP string, gen int64) string {
+// it must be identical), and — for factory-backed scans — equal share keys.
+// What they extract, and which cache columns a combined scan reads, is
+// unioned instead. Per-query residual filters, Sparser prefilters, and
+// projections run post-demux and do not constrain sharing.
+func fingerprint(scan *sqlengine.ScanNode, shareKey string, gen int64) string {
 	var b strings.Builder
-	if factoryFP != "" {
+	if scan.Factory != nil {
 		b.WriteString("factory\x00")
-		b.WriteString(factoryFP)
+		b.WriteString(shareKey)
 		b.WriteByte(0)
 	} else {
 		b.WriteString("raw\x00")
@@ -203,32 +243,30 @@ func fingerprint(scan *sqlengine.ScanNode, factoryFP string, gen int64) string {
 // blocks until its group seals (at most the admission window). On return,
 // either the plan is untouched and the query runs unshared (nil handle), or
 // the scan now consumes a shared producer and the engine must Release the
-// returned handle when the query finishes.
+// returned handle when the query finishes. The session ctx names
+// (sqlengine.WithSession) decides whether a close arrival is company.
 func (s *Scheduler) Attach(ctx context.Context, e *sqlengine.Engine, plan *sqlengine.PhysicalPlan) (sqlengine.SharedScanHandle, error) {
 	scan := plan.Scan
 	if scan == nil {
 		return nil, nil
 	}
-	factoryFP := ""
+	shareKey := ""
 	if scan.Factory != nil {
-		fp, ok := scan.Factory.(Fingerprinter)
+		u, ok := scan.Factory.(Unioner)
 		if !ok {
 			return nil, nil // opaque custom factory: not shareable
 		}
-		factoryFP = fp.ScanFingerprint()
-		if factoryFP == "" {
-			return nil, nil
-		}
+		shareKey = u.ShareKey()
 	}
 	var gen int64
 	if s.gen != nil {
 		gen = s.gen(scan.DB, scan.Table)
 	}
-	key := fingerprint(scan, factoryFP, gen)
+	key := fingerprint(scan, shareKey, gen)
 	t0 := time.Now()
 
 	s.mu.Lock()
-	h, contended := s.arrive(tableKey{scan.DB, scan.Table}, gen, key, t0)
+	h, contended := s.arrive(tableKey{scan.DB, scan.Table}, gen, key, arrival{last: t0, session: sqlengine.SessionOf(ctx), rows: rowsOf(scan)})
 	g := s.groups[key]
 	if g == nil {
 		if !contended {
@@ -278,14 +316,16 @@ func (s *Scheduler) Attach(ctx context.Context, e *sqlengine.Engine, plan *sqlen
 	return nil, nil
 }
 
-// arrive records that key arrived at now and reports whether it was
-// contended before this arrival, with the table history that holds it. An
-// arrival less than one window after its fingerprint's last (arrival.last)
-// marks it contended for the next, but does not wait itself: two clients
-// sending the same statement together stay together. Called with s.mu held.
-func (s *Scheduler) arrive(tk tableKey, gen int64, key string, now time.Time) (*arrivals, bool) {
-	if now.Sub(s.swept) >= s.window {
-		s.sweep(now)
+// arrive records next, an arrival of key, and reports whether key was
+// contended before it, with the table history that holds it. An arrival less
+// than one window after its fingerprint's last (arrival.last) that is
+// company (arrival.company) marks it contended for the next, but does not
+// wait itself: two clients sending the same statement together stay
+// together, and a client repeating itself expects no company. Called with
+// s.mu held.
+func (s *Scheduler) arrive(tk tableKey, gen int64, key string, next arrival) (*arrivals, bool) {
+	if next.last.Sub(s.swept) >= s.window {
+		s.sweep(next.last)
 	}
 	h := s.tables[tk]
 	if h == nil || h.gen != gen {
@@ -293,13 +333,9 @@ func (s *Scheduler) arrive(tk tableKey, gen int64, key string, now time.Time) (*
 		s.tables[tk] = h
 	}
 	a, seen := h.keys[key]
-	was := a.contended
-	if seen && now.Sub(a.last) < s.window {
-		a.contended = true
-	}
-	a.last = now
-	h.keys[key] = a
-	return h, was
+	next.contended = a.contended || seen && next.last.Sub(a.last) < s.window && a.company(next.session, next.rows)
+	h.keys[key] = next
+	return h, a.contended
 }
 
 // sweep forgets, at most once a window, what can no longer make a query
@@ -323,8 +359,10 @@ func (s *Scheduler) sweep(now time.Time) {
 // solo versus shared, shared groups get their plans rewired and the single
 // producer starts. A group that seals with fewer than two live queries
 // waited for nobody, so its fingerprint stops being contended; the horizon
-// restarts at the seal, so a partner that arrives just too late marks it
-// again rather than falling out of step. Idempotent;
+// restarts at the seal, an arrival of no session with the lone query's rows,
+// so a partner that arrives just too late — of any session, or of none and
+// reading those rows — marks it again rather than falling out of step.
+// Idempotent;
 // called by the admission-window timer, by Attach when the group fills and
 // by withdraw when the group empties.
 func (s *Scheduler) seal(g *group) {
@@ -338,9 +376,7 @@ func (s *Scheduler) seal(g *group) {
 	live := g.parts
 	if len(live) < 2 {
 		a := g.h.keys[g.key]
-		a.contended = false
-		a.last = time.Now()
-		g.h.keys[g.key] = a
+		g.h.keys[g.key] = arrival{last: time.Now(), rows: a.rows}
 	}
 	s.mu.Unlock()
 	g.timer.Stop()

@@ -9,6 +9,8 @@ import (
 	"sort"
 	"strconv"
 	"time"
+
+	"repro/internal/sqlengine"
 )
 
 // admissionError classifies why a request was not admitted; Status is the
@@ -48,7 +50,9 @@ var (
 type queryRequest struct {
 	SQL string `json:"sql"`
 	// Session names the client session (default "default"); sessions carry
-	// per-session limits and show up on /v1/sessions.
+	// per-session limits and show up on /v1/sessions. A named session also
+	// rides the query context to the shared-scan scheduler, which does not
+	// take a session's own repeat for a second client.
 	Session string `json:"session,omitempty"`
 	// TimeoutMS can only shorten the server's QueryTimeout.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
@@ -111,7 +115,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			timeout = d
 		}
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	ctx, cancel := context.WithTimeout(sqlengine.WithSession(r.Context(), req.Session), timeout)
 	defer cancel()
 
 	queueStart := time.Now()

@@ -46,10 +46,17 @@ func postQuery(t *testing.T, h http.Handler, body string) (int, map[string]any, 
 }
 
 func TestQueryEndpoint(t *testing.T) {
-	s := New(&stubBackend{}, Config{})
-	code, body, _ := postQuery(t, s.Handler(), `{"sql":"SELECT 1"}`)
+	var session string
+	s := New(&stubBackend{fn: func(ctx context.Context, sql string) (*sqlengine.ResultSet, *sqlengine.Metrics, error) {
+		session = sqlengine.SessionOf(ctx)
+		return (&stubBackend{}).QueryCtx(ctx, sql)
+	}}, Config{})
+	code, body, _ := postQuery(t, s.Handler(), `{"sql":"SELECT 1","session":"c7"}`)
 	if code != http.StatusOK {
 		t.Fatalf("status = %d, body %v", code, body)
+	}
+	if session != "c7" {
+		t.Fatalf("the backend's context names session %q, want c7: the shared-scan scheduler cannot tell clients apart", session)
 	}
 	rows := body["rows"].([]any)
 	if len(rows) != 1 || rows[0].([]any)[0] != "SELECT 1" {

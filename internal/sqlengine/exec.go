@@ -42,9 +42,10 @@ func (rs *ResultSet) String() string {
 
 // SplitReader is the engine's own split reader and its default
 // ScanSourceFactory: it reads one warehouse part file per split, decoding the
-// scan's Columns into the batch and filling the columns its Extract list
-// extracts after them. The list is compiled once, here, and shared by every
-// split the reader opens.
+// scan's Columns into the first columns of the batch and filling the columns
+// its Extract list extracts into the last ones. The two meet in a plain scan;
+// the Value Combiner stitches its cache columns between them. The list is
+// compiled once, here, and shared by every split the reader opens.
 type SplitReader struct {
 	wh   *warehouse.Warehouse
 	scan *ScanNode
@@ -77,7 +78,11 @@ func (r *SplitReader) Open(split int, m *Metrics) (BatchSource, error) {
 	if split < 0 || split >= len(info.Files) {
 		return nil, fmt.Errorf("sql: split %d out of range for %s.%s", split, r.scan.DB, r.scan.Table)
 	}
-	src, err := r.OpenPart(info.Files[split], m)
+	f, err := r.wh.OpenFile(info.Files[split])
+	if err != nil {
+		return nil, err
+	}
+	src, _, err := r.OpenReader(f, m)
 	if err != nil {
 		return nil, err
 	}
@@ -90,26 +95,24 @@ func (r *SplitReader) Open(split int, m *Metrics) (BatchSource, error) {
 	return src, nil
 }
 
-// OpenPart opens one part file of the scan's table as a split, leaving the
-// scan-mode marks to the caller.
-func (r *SplitReader) OpenPart(file string, m *Metrics) (BatchSource, error) {
-	f, err := r.wh.OpenFile(file)
-	if err != nil {
-		return nil, err
-	}
+// OpenReader opens a part of the scan's table the caller opened as a split,
+// leaving the scan-mode marks to the caller, and hands back its cursor for a
+// caller pairing it with another file's to share their row-group masks.
+func (r *SplitReader) OpenReader(f *orc.Reader, m *Metrics) (BatchSource, *orc.Cursor, error) {
+	var err error
 	if r.x == nil {
 		src := &fileRowSource{m: m}
 		if src.cur, err = f.NewCursor(r.scan.Columns, r.scan.SARG, &src.meter.Stats); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return src, nil
+		return src, src.cur, nil
 	}
 	src := &extractingSource{fileRowSource: fileRowSource{m: m}, x: r.x.Split(), nCols: len(r.scan.Columns),
 		in: make([][]datum.Datum, len(r.x.Reads()))}
 	if src.cur, err = f.NewCursor(r.x.Reads(), r.scan.SARG, &src.meter.Stats); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return src, nil
+	return src, src.cur, nil
 }
 
 type fileRowSource struct {
@@ -127,8 +130,9 @@ func (s *fileRowSource) NextBatch(b *RowBatch) (int, error) {
 }
 
 // extractingSource is a fileRowSource that also fills its scan's extracted
-// columns. in is what the cursor decodes into: the batch's first nCols
-// vectors, then per-source scratch for the document columns outside Columns.
+// columns, the batch's last. in is what the cursor decodes into: the batch's
+// first nCols vectors, then per-source scratch for the document columns
+// outside Columns.
 type extractingSource struct {
 	fileRowSource
 	x     SplitExtraction
@@ -137,8 +141,8 @@ type extractingSource struct {
 }
 
 // NextBatch implements BatchSource: the cursor decodes into the batch and the
-// scratch, the extraction fills the extracted columns after Columns, and
-// read-stat and parse deltas flush once per batch.
+// scratch, the extraction fills the batch's last columns, and read-stat and
+// parse deltas flush once per batch.
 func (s *extractingSource) NextBatch(b *RowBatch) (int, error) {
 	max := b.Capacity()
 	copy(s.in, b.Cols[:s.nCols])
@@ -151,7 +155,7 @@ func (s *extractingSource) NextBatch(b *RowBatch) (int, error) {
 	n, err := s.cur.NextBatch(s.in, max)
 	s.meter.Flush(s.m, true)
 	if err == nil && n > 0 {
-		c, _ := s.x.Fill(s.in, b.Cols[s.nCols:], n) // a query renders malformed documents as NULL
+		c, _ := s.x.Fill(s.in, b.Cols, n) // a query renders malformed documents as NULL
 		if s.m != nil {
 			s.m.Parse.Add(c)
 		}

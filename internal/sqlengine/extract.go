@@ -27,6 +27,7 @@ type BatchExtraction struct {
 	// outside them.
 	reads []string
 	docs  []docExtraction
+	width int // the extracted columns, one per list entry
 }
 
 // docExtraction is what the list asks of one document column.
@@ -43,7 +44,7 @@ func CompileExtraction(cols []string, list []Extraction) *BatchExtraction {
 	if len(list) == 0 {
 		return nil
 	}
-	x := &BatchExtraction{reads: slices.Clip(cols)}
+	x := &BatchExtraction{reads: slices.Clip(cols), width: len(list)}
 	// A document column's output columns are one run of out, its paths one
 	// run of paths, gathered at its first entry.
 	out := make([]int, 0, len(list))
@@ -99,8 +100,8 @@ func (s *SplitExtraction) Reset() {
 }
 
 // Fill is the batch kernel. in holds n rows of the columns Reads lists, and
-// Fill sets rows [0, n) of out, the extracted columns in list order, under
-// one rule:
+// Fill sets rows [0, n) of the last columns of out, the extracted columns in
+// list order, under one rule:
 //   - a NULL document gives NULL for every path;
 //   - an absent path, an explicit JSON null or a malformed document gives NULL;
 //   - a document equal to the last one its column scanned in this split is
@@ -112,6 +113,7 @@ func (s *SplitExtraction) Reset() {
 // column, for the caller to add once per batch.
 func (s *SplitExtraction) Fill(in, out [][]datum.Datum, n int) (c ParseCounts, malformed int64) {
 	null := datum.NullOf(datum.TypeString)
+	out = out[len(out)-s.x.width:]
 	for d := range s.x.docs {
 		g, x := &s.x.docs[d], s.xs[d]
 		for r, doc := range in[g.in][:n] {

@@ -41,9 +41,10 @@ type ScanNode struct {
 	// PreFilters hold Sparser-style raw-byte filters (engine option).
 	PreFilters []RawPrefilter
 	// Extract lists the columns the engine's split reader extracts from
-	// document columns and places after Columns, in order. The shared scan's
-	// merged pass sets it, its schema naming them, and so does the Value
-	// Combiner's raw side for the splits the cache does not serve.
+	// document columns and places, in order, in the last columns of the
+	// batch. A shared pass sets it, its schema naming them, and so does the
+	// Value Combiner's raw side, whose cache columns sit between Columns and
+	// them.
 	Extract []Extraction
 	// Factory overrides the default warehouse file reader (set by Maxson's
 	// plan modifier). When nil, the engine builds a default factory.

@@ -30,3 +30,22 @@ type ScanSharer interface {
 // SetScanShare installs (or, with nil, removes) the engine's shared-scan
 // scheduler. Call before serving queries.
 func (e *Engine) SetScanShare(s ScanSharer) { e.scanShare = s }
+
+// sessionKey keys the client session in a query's context.
+type sessionKey struct{}
+
+// WithSession returns ctx naming the client session a query comes from, so
+// that a ScanSharer can tell one client's repeat from a second client's
+// arrival. An empty id names none and returns ctx.
+func WithSession(ctx context.Context, id string) context.Context {
+	if id == "" {
+		return ctx
+	}
+	return context.WithValue(ctx, sessionKey{}, id)
+}
+
+// SessionOf returns the session ctx names, "" when it names none.
+func SessionOf(ctx context.Context) string {
+	id, _ := ctx.Value(sessionKey{}).(string)
+	return id
+}

@@ -79,10 +79,10 @@ type (
 		SlowQueryThreshold time.Duration
 		// ScanShareWindow, when positive, enables the shared-scan scheduler:
 		// concurrent queries over the same (table, generation) coalesce into
-		// one pass. It is the most a query waits for company it has reason to
-		// expect: a query waits only once two queries of its scan arrived
-		// less than a window apart, and a lone query starts at once.
-		// maxson-serve turns this on by default.
+		// one pass over the union of their paths. It is the most a query waits
+		// for company it has reason to expect: a query waits only once two
+		// queries of its scan, from two sessions, arrived less than a window
+		// apart, and a lone query starts at once. maxson-serve turns this on.
 		ScanShareWindow time.Duration
 		// ScanShareMaxQueries seals a share group early at this size.
 		ScanShareMaxQueries int
