@@ -227,19 +227,17 @@ func extractCacheSARG(filter sqlengine.Expr, hitCols map[string]*CacheEntry) *or
 			visit(b.Right)
 			return
 		}
-		op, ok := sargOpOf(b.Op)
-		if !ok {
-			return
-		}
 		ph, lit, swapped := placeholderLitPair(b.Left, b.Right)
-		if ph == nil {
+		bop := b.Op
+		if swapped {
+			bop = bop.Mirror()
+		}
+		op, ok := sargOpOf(bop)
+		if !ok || ph == nil {
 			return
 		}
 		if _, cached := hitCols[ph.OutputName]; !cached {
 			return
-		}
-		if swapped {
-			op = mirrorSargOp(op)
 		}
 		preds = append(preds, orc.Predicate{Column: ph.OutputName, Op: op, Value: lit.Value})
 	}
@@ -277,18 +275,4 @@ func sargOpOf(op sqlengine.BinaryOp) (orc.CompareOp, bool) {
 		return orc.OpGE, true
 	}
 	return 0, false
-}
-
-func mirrorSargOp(op orc.CompareOp) orc.CompareOp {
-	switch op {
-	case orc.OpLT:
-		return orc.OpGT
-	case orc.OpLE:
-		return orc.OpGE
-	case orc.OpGT:
-		return orc.OpLT
-	case orc.OpGE:
-		return orc.OpLE
-	}
-	return op
 }

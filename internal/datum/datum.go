@@ -66,7 +66,8 @@ func Bool(v bool) Datum { return Datum{Typ: TypeBool, B: v} }
 func (d Datum) IsNull() bool { return d.Null }
 
 // AsFloat converts numeric datums to float64 (strings parse when possible).
-// NULL and unparsable strings return (0, false).
+// NULL and unparsable strings return (0, false). A string converts exactly as
+// strconv.ParseFloat converts it, bit for bit (FuzzAsFloat).
 func (d Datum) AsFloat() (float64, bool) {
 	if d.Null {
 		return 0, false
@@ -77,6 +78,9 @@ func (d Datum) AsFloat() (float64, bool) {
 	case TypeFloat64:
 		return d.F, true
 	case TypeString:
+		if f, ok := smallInt(d.S); ok {
+			return f, true
+		}
 		f, err := strconv.ParseFloat(d.S, 64)
 		return f, err == nil
 	case TypeBool:
@@ -86,6 +90,37 @@ func (d Datum) AsFloat() (float64, bool) {
 		return 0, true
 	}
 	return 0, false
+}
+
+// smallInt converts s when it is an optionally signed run of one to 15
+// decimal digits: below 2^53, so float64 holds it exactly and ParseFloat
+// would return the same bits. Cached numeric paths are mostly such runs, and
+// this skips ParseFloat's general grammar for them. "-0" (any run of zeros
+// after a minus) is left to ParseFloat, which keeps its sign.
+func smallInt(s string) (float64, bool) {
+	neg := false
+	if len(s) > 0 && (s[0] == '-' || s[0] == '+') {
+		neg = s[0] == '-'
+		s = s[1:]
+	}
+	if len(s) == 0 || len(s) > 15 {
+		return 0, false
+	}
+	var n int64
+	for i := 0; i < len(s); i++ {
+		c := s[i] - '0'
+		if c > 9 {
+			return 0, false
+		}
+		n = n*10 + int64(c)
+	}
+	if neg {
+		if n == 0 {
+			return 0, false
+		}
+		return -float64(n), true
+	}
+	return float64(n), true
 }
 
 // AsString renders the datum as SQL output text; NULL renders as "NULL".

@@ -62,6 +62,19 @@ func FuzzExtractEquivalence(f *testing.F) {
 	f.Add(`{"a": "\u12G4", "b": 1}`, "$.b;$.a")
 	f.Add(`{"a": "\ud83d\u00"}`, "$.a")
 	f.Add(`{"a": "bad \q"}`, "$.a")
+	// Skipped-string seeds: the skipper finds a closing quote by searching
+	// for it and falls back to the escape rule only when a backslash comes
+	// first. An escaped backslash or quote right before the closing quote,
+	// inside a skipped member and a skipped composite, a document ending in
+	// a backslash or inside a string, and a long string with and without an
+	// escape near its end.
+	f.Add(`{"s": "a\\", "t": 1}`, "$.t")
+	f.Add(`{"s": "\\\"", "t": 2, "u": "\\"}`, "$.t;$.u")
+	f.Add(`{"a": ["x\\", {"b": "\\\"}]"}], "t": 3}`, "$.t")
+	f.Add(`{"s": "abc\`, "$.t")
+	f.Add(`{"s": "abc`, "$.t")
+	f.Add(`{"s": "`+strings.Repeat("filler ", 28)+`abcd", "t": [1, "q"], "u": 4}`, "$.u")
+	f.Add(`{"s": "`+strings.Repeat("filler ", 28)+`\"", "u": 5}`, "$.u;$.s")
 
 	f.Fuzz(func(t *testing.T, doc string, pathSpec string) {
 		var paths []*Path

@@ -15,6 +15,8 @@ package sjson
 // comes through here; Parse stays as the reference the tests compare against,
 // the scorer's column sampler and the experiments' tree-parse baseline.
 
+import "strings"
+
 // ExtractNode is one node of a compiled extraction trie. Member edges select
 // object keys, element edges select array indexes, a wild edge iterates every
 // element of an array ([*]), and a terminal marks a requested path ending at
@@ -662,8 +664,25 @@ func (p *Parser) skipValue() error {
 	}
 }
 
+// skipString advances past one string. IndexByte finds the closing quote at
+// memchr speed when no backslash comes before it; otherwise the byte loop
+// takes over at the first backslash, where the escape rule decides which
+// quote closes the string.
 func (p *Parser) skipString() error {
 	p.pos++ // consume opening quote
+	rest := p.data[p.pos:]
+	q := strings.IndexByte(rest, '"')
+	if q < 0 {
+		q = len(rest)
+	}
+	if b := strings.IndexByte(rest[:q], '\\'); b >= 0 {
+		p.pos += b
+	} else if q < len(rest) {
+		p.pos += q + 1
+		return nil
+	} else {
+		p.pos = len(p.data)
+	}
 	for p.pos < len(p.data) {
 		switch p.data[p.pos] {
 		case '"':

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -22,19 +23,43 @@ type aggRef struct {
 	sumX, sumF         float64
 	numX, numF         int64
 	minX, maxX         datum.Datum
+	minC, maxC         datum.Datum // MIN and MAX of cast_double(x)
 	seenX              bool
 	countStar, countXd datum.Datum // filled by finish
 	sumXd, avgXd       datum.Datum
 	minXd, maxXd       datum.Datum
-	sumFd              datum.Datum
+	minCd, maxCd       datum.Datum
+	numXd, sumFd       datum.Datum
+}
+
+// refFloat converts as cast_double does, spelled with strconv so that the
+// reference shares no parsing with the engine.
+func refFloat(d datum.Datum) (float64, bool) {
+	switch {
+	case d.Null:
+		return 0, false
+	case d.Typ == datum.TypeString:
+		f, err := strconv.ParseFloat(d.S, 64)
+		return f, err == nil
+	case d.Typ == datum.TypeFloat64:
+		return d.F, true
+	}
+	panic("refFloat: unexpected " + d.Typ.String())
 }
 
 func (r *aggRef) add(x, f datum.Datum) {
 	r.rows++
 	if !x.Null {
 		r.countX++
-		if v, ok := x.AsFloat(); ok {
+		if v, ok := refFloat(x); ok {
 			r.sumX += v
+			c := datum.Float(v)
+			if r.numX == 0 || datum.Compare(c, r.minC) < 0 {
+				r.minC = c
+			}
+			if r.numX == 0 || datum.Compare(c, r.maxC) > 0 {
+				r.maxC = c
+			}
 			r.numX++
 		}
 		if !r.seenX || datum.Compare(x, r.minX) < 0 {
@@ -45,7 +70,7 @@ func (r *aggRef) add(x, f datum.Datum) {
 		}
 		r.seenX = true
 	}
-	if v, ok := f.AsFloat(); ok {
+	if v, ok := refFloat(f); ok {
 		r.sumF += v
 		r.numF++
 	}
@@ -58,6 +83,12 @@ func (r *aggRef) absorb(p *aggRef) {
 	r.rows += p.rows
 	r.countX += p.countX
 	r.sumX += p.sumX
+	if p.numX > 0 && (r.numX == 0 || datum.Compare(p.minC, r.minC) < 0) {
+		r.minC = p.minC
+	}
+	if p.numX > 0 && (r.numX == 0 || datum.Compare(p.maxC, r.maxC) > 0) {
+		r.maxC = p.maxC
+	}
 	r.numX += p.numX
 	r.sumF += p.sumF
 	r.numF += p.numF
@@ -72,10 +103,12 @@ func (r *aggRef) absorb(p *aggRef) {
 
 func (r *aggRef) finish() {
 	nullF, nullS := datum.NullOf(datum.TypeFloat64), datum.NullOf(datum.TypeString)
-	r.countStar, r.countXd = datum.Int(r.rows), datum.Int(r.countX)
+	r.countStar, r.countXd, r.numXd = datum.Int(r.rows), datum.Int(r.countX), datum.Int(r.numX)
 	r.sumXd, r.avgXd, r.sumFd = nullF, nullF, nullF
+	r.minCd, r.maxCd = nullS, nullS
 	if r.numX > 0 {
 		r.sumXd, r.avgXd = datum.Float(r.sumX), datum.Float(r.sumX/float64(r.numX))
+		r.minCd, r.maxCd = r.minC, r.maxC
 	}
 	if r.numF > 0 {
 		r.sumFd = datum.Float(r.sumF)
@@ -88,14 +121,14 @@ func (r *aggRef) finish() {
 
 // foldRef aggregates splits (rows of g, x, f) into groups. grouped=false is the
 // global aggregate: one group whatever the rows, present even with none.
-func foldRef(splits [][][]datum.Datum, grouped bool, keep func(g datum.Datum) bool) []*aggRef {
+func foldRef(splits [][][]datum.Datum, grouped bool, keep func(row []datum.Datum) bool) []*aggRef {
 	total := map[string]*aggRef{}
 	var order []*aggRef
 	for _, rows := range splits {
 		part := map[string]*aggRef{}
 		var partOrder []string
 		for _, row := range rows {
-			if !keep(row[0]) {
+			if !keep(row) {
 				continue
 			}
 			key, g := "", datum.Datum{}
@@ -159,10 +192,16 @@ func renderRows(rows [][]datum.Datum, sorted bool) string {
 // to equal the reference fold above, bit for bit: a global aggregate over zero
 // rows, the NULL group beside the group named "NULL", groups present in only
 // some splits, MIN/MAX over all-NULL and mixed numeric/string values, SUM over
-// non-numeric strings, HAVING on an unprojected aggregate, and ORDER BY on a
-// hidden aggregate key with LIMIT. The seeds run back to back on one engine
-// per parallelism and batch size, so the pooled aggregation tables a query
-// draws have served other shapes, other seeds and the other engines before.
+// non-numeric strings, HAVING on an unprojected aggregate, ORDER BY on a
+// hidden aggregate key with LIMIT, and filters comparing cast_double(x) by >,
+// >=, =, <> and AND with int and float literals (one written on the left)
+// over values that include NULL, unparsable text, NaN, -0, 1e3, leading zeros
+// and 16-digit integers. Every shape runs twice: as written, which plans to
+// the column tail, and with "1 = 1" ANDed into its filter, which keeps the
+// row loop; the test checks which loop each plan got. The seeds run back to
+// back on one engine per parallelism and batch size, so the pooled
+// aggregation tables and column-tail buffers a query draws have served other
+// shapes, other seeds and the other engines before.
 func TestAggregationMatchesNaiveFold(t *testing.T) {
 	schema := orc.Schema{Columns: []orc.Column{
 		{Name: "g", Type: datum.TypeString},
@@ -170,14 +209,47 @@ func TestAggregationMatchesNaiveFold(t *testing.T) {
 		{Name: "f", Type: datum.TypeFloat64},
 	}}
 	nullS := datum.NullOf(datum.TypeString)
-	groups := []datum.Datum{nullS, datum.Str("NULL"), datum.Str("allnull"), datum.Str("words"), datum.Str("mixed"), datum.Str("nums")}
+	groups := []datum.Datum{nullS, datum.Str("NULL"), datum.Str("allnull"), datum.Str("words"), datum.Str("mixed"), datum.Str("nums"), datum.Str("edge")}
 	xOf := map[string][]datum.Datum{
 		"allnull": {nullS},
 		"words":   {datum.Str("abc"), datum.Str("zz"), datum.Str("")},
 		"mixed":   {datum.Str("10"), datum.Str("9"), datum.Str("abc"), datum.Str("-3.5"), datum.Str("1e2"), nullS},
-		"":        {datum.Str("1"), datum.Str("2.25"), datum.Str("-7"), nullS},
+		"edge": {datum.Str("NaN"), datum.Str("-0"), datum.Str("1e3"), datum.Str("007"), datum.Str("1234567890123456"),
+			datum.Str("9007199254740993"), datum.Str("0.1"), datum.Str("2.5e-3"), datum.Str("junk"), datum.Str(" 5"), datum.Str("12"), nullS},
+		"": {datum.Str("1"), datum.Str("2.25"), datum.Str("-7"), nullS},
 	}
-	all := func(datum.Datum) bool { return true }
+	all := func([]datum.Datum) bool { return true }
+	// castIs is the reference for "cast_double(x) op lit": a NULL or
+	// unparsable x fails it, and the comparison orders as datum.Compare orders
+	// floats, NaN equal to everything.
+	castIs := func(op string, lit float64) func([]datum.Datum) bool {
+		return func(row []datum.Datum) bool {
+			v, ok := refFloat(row[1])
+			if !ok {
+				return false
+			}
+			c := 0
+			if v < lit {
+				c = -1
+			} else if v > lit {
+				c = 1
+			}
+			switch op {
+			case ">":
+				return c > 0
+			case ">=":
+				return c >= 0
+			case "<":
+				return c < 0
+			case "=":
+				return c == 0
+			}
+			return c != 0
+		}
+	}
+	both := func(a, b func([]datum.Datum) bool) func([]datum.Datum) bool {
+		return func(row []datum.Datum) bool { return a(row) && b(row) }
+	}
 
 	wh := warehouse.New(dfs.New())
 	wh.CreateDatabase("d")
@@ -196,7 +268,7 @@ func TestAggregationMatchesNaiveFold(t *testing.T) {
 		}
 		splits := make([][][]datum.Datum, seed%6)
 		for s := range splits {
-			n := 1 + rng.Intn(12)
+			n := 1 + rng.Intn(40)
 			for i := 0; i < n; i++ {
 				g := groups[rng.Intn(len(groups))]
 				if s == len(splits)-1 && rng.Intn(3) == 0 {
@@ -225,28 +297,33 @@ func TestAggregationMatchesNaiveFold(t *testing.T) {
 			return []datum.Datum{r.countStar, r.countXd, r.sumXd, r.avgXd, r.minXd, r.maxXd, r.sumFd}
 		}
 		const aggList = "COUNT(*), COUNT(x), SUM(x), AVG(x), MIN(x), MAX(x), SUM(f)"
+		castCols := func(r *aggRef) []datum.Datum {
+			return []datum.Datum{r.countStar, r.numXd, r.sumXd, r.avgXd, r.minCd, r.maxCd, r.sumFd}
+		}
+		const castList = "COUNT(*), COUNT(cast_double(x)), SUM(cast_double(x)), AVG(x), MIN(cast_double(x)), MAX(cast_double(x)), SUM(f)"
+		// A shape is "SELECT sel FROM table where rest".
 		type shape struct {
-			sql     string
-			want    [][]datum.Datum
-			ordered bool
+			sel, where, rest string
+			want             [][]datum.Datum
+			ordered          bool
 		}
 		var shapes []shape
 
 		// Global aggregates: over every row, and over none.
 		for _, where := range []struct {
 			sql  string
-			keep func(datum.Datum) bool
+			keep func([]datum.Datum) bool
 		}{
 			{"", all},
-			{" WHERE g = 'no such group'", func(datum.Datum) bool { return false }},
-			{" WHERE g = 'NULL'", func(g datum.Datum) bool { return !g.Null && g.S == "NULL" }},
+			{" WHERE g = 'no such group'", func([]datum.Datum) bool { return false }},
+			{" WHERE g = 'NULL'", func(row []datum.Datum) bool { return !row[0].Null && row[0].S == "NULL" }},
 		} {
 			global := foldRef(splits, false, where.keep)
-			shapes = append(shapes, shape{sql: "SELECT " + aggList + " FROM " + table + where.sql, want: [][]datum.Datum{aggCols(global[0])}})
+			shapes = append(shapes, shape{sel: aggList, where: where.sql, want: [][]datum.Datum{aggCols(global[0])}})
 		}
 
-		grouped := shape{sql: "SELECT g, " + aggList + " FROM " + table + " GROUP BY g"}
-		having := shape{sql: "SELECT g, MAX(x), SUM(f) FROM " + table + " GROUP BY g HAVING COUNT(*) >= 3"}
+		grouped := shape{sel: "g, " + aggList, rest: " GROUP BY g"}
+		having := shape{sel: "g, MAX(x), SUM(f)", rest: " GROUP BY g HAVING COUNT(*) >= 3"}
 		for _, r := range byGroup {
 			grouped.want = append(grouped.want, append([]datum.Datum{r.g}, aggCols(r)...))
 			if r.rows >= 3 {
@@ -255,7 +332,7 @@ func TestAggregationMatchesNaiveFold(t *testing.T) {
 		}
 		shapes = append(shapes, grouped, having)
 
-		top := shape{sql: "SELECT g, COUNT(*) FROM " + table + " GROUP BY g ORDER BY SUM(f) DESC, g LIMIT 3", ordered: true}
+		top := shape{sel: "g, COUNT(*)", rest: " GROUP BY g ORDER BY SUM(f) DESC, g LIMIT 3", ordered: true}
 		ranked := append([]*aggRef(nil), byGroup...)
 		sort.SliceStable(ranked, func(a, b int) bool {
 			if c := datum.Compare(ranked[a].sumFd, ranked[b].sumFd); c != 0 {
@@ -268,24 +345,64 @@ func TestAggregationMatchesNaiveFold(t *testing.T) {
 		}
 		shapes = append(shapes, top)
 
+		// Filtered aggregates, global and grouped.
+		for _, pred := range []struct {
+			sql  string
+			keep func([]datum.Datum) bool
+		}{
+			{"cast_double(x) > 5", castIs(">", 5)},
+			{"cast_double(x) >= 2.25", castIs(">=", 2.25)},
+			{"cast_double(x) = 1000", castIs("=", 1000)},
+			{"cast_double(x) <> 0", castIs("<>", 0)},
+			{"cast_double(x) = 1234567890123456", castIs("=", 1234567890123456)},
+			{"cast_double(x) >= 0.1 AND cast_double(x) <> 12", both(castIs(">=", 0.1), castIs("<>", 12))},
+			{"10 > cast_double(x)", castIs("<", 10)},
+			{"cast_double(x) > 1 AND g <> 'words'", both(castIs(">", 1), func(row []datum.Datum) bool { return !row[0].Null && row[0].S != "words" })},
+		} {
+			where := " WHERE " + pred.sql
+			global := foldRef(splits, false, pred.keep)
+			shapes = append(shapes, shape{sel: castList, where: where, want: [][]datum.Datum{castCols(global[0])}})
+			filtered := shape{sel: "g, " + castList, where: where, rest: " GROUP BY g"}
+			for _, r := range foldRef(splits, true, pred.keep) {
+				filtered.want = append(filtered.want, append([]datum.Datum{r.g}, castCols(r)...))
+			}
+			shapes = append(shapes, filtered)
+		}
+
 		for _, sh := range shapes {
 			want := renderRows(sh.want, !sh.ordered)
-			var serial string
-			for _, par := range []int{1, 4} {
-				for _, batch := range []int{1, DefaultBatchSize} {
-					rs := mustQuery(t, engines[config{par, batch}], sh.sql)
-					if got := renderRows(rs.Rows, !sh.ordered); got != want {
-						t.Fatalf("seed %d (%d splits), parallelism %d, batch %d: %s\n got:\n%s\nwant:\n%s",
-							seed, len(splits), par, batch, sh.sql, got, want)
-					}
-					// Unsorted and with the sums' bits: what one parallelism
-					// returns, the other returns byte for byte.
-					exact := renderRows(rs.Rows, false)
-					if par == 1 && batch == 1 {
-						serial = exact
-					} else if exact != serial {
-						t.Fatalf("seed %d, parallelism %d, batch %d: %s differs from the serial run\n got:\n%s\nserial:\n%s",
-							seed, par, batch, sh.sql, exact, serial)
+			for _, rowLoop := range []bool{false, true} {
+				where := sh.where
+				if rowLoop && where == "" {
+					where = " WHERE 1 = 1"
+				} else if rowLoop {
+					where += " AND 1 = 1"
+				}
+				sql := "SELECT " + sh.sel + " FROM " + table + where + sh.rest
+				plan, _, err := engines[config{1, 1}].PlanOnly(sql)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if (plan.tail == nil) != rowLoop {
+					t.Fatalf("%s: column tail %v, want it only without the row-loop filter", sql, plan.tail != nil)
+				}
+				var serial string
+				for _, par := range []int{1, 4} {
+					for _, batch := range []int{1, DefaultBatchSize} {
+						rs := mustQuery(t, engines[config{par, batch}], sql)
+						if got := renderRows(rs.Rows, !sh.ordered); got != want {
+							t.Fatalf("seed %d (%d splits), parallelism %d, batch %d: %s\n got:\n%s\nwant:\n%s",
+								seed, len(splits), par, batch, sql, got, want)
+						}
+						// Unsorted and with the sums' bits: what one parallelism
+						// returns, the other returns byte for byte.
+						exact := renderRows(rs.Rows, false)
+						if par == 1 && batch == 1 {
+							serial = exact
+						} else if exact != serial {
+							t.Fatalf("seed %d, parallelism %d, batch %d: %s differs from the serial run\n got:\n%s\nserial:\n%s",
+								seed, par, batch, sql, exact, serial)
+						}
 					}
 				}
 			}

@@ -76,6 +76,55 @@ func TestScalarFunctionArity(t *testing.T) {
 	}
 }
 
+// TestColumnTailAllocatesPerQuery pins where the column tail allocates: once
+// per plan, when it is compiled, and never per batch. Its vectors and group
+// scratch come from a pool, the filter narrows the batch's own selection
+// vector, and the group key is read from its column into a reused buffer. The
+// same grouped, filtered query over splits of one batch and of ten must
+// allocate alike, so the ten-batch splits' extra nine batches cost nothing.
+func TestColumnTailAllocatesPerQuery(t *testing.T) {
+	skipUnderRace(t)
+	const (
+		splits = 3
+		batch  = 64
+		sql    = "SELECT g, COUNT(*), SUM(cast_double(x)), MAX(cast_double(x)) FROM t WHERE cast_double(x) > 3 GROUP BY g"
+	)
+	allocs := func(batchesPerSplit int) float64 {
+		wh := warehouse.New(dfs.New())
+		wh.CreateDatabase("d")
+		schema := orc.Schema{Columns: []orc.Column{
+			{Name: "g", Type: datum.TypeString},
+			{Name: "x", Type: datum.TypeString},
+		}}
+		if err := wh.CreateTable("d", "t", schema); err != nil {
+			t.Fatal(err)
+		}
+		for s := 0; s < splits; s++ {
+			rows := make([][]datum.Datum, batch*batchesPerSplit)
+			for i := range rows {
+				rows[i] = []datum.Datum{datum.Str(fmt.Sprintf("group-%d", i%4)), datum.Str(fmt.Sprintf("%d.5", i%10))}
+			}
+			if _, err := wh.AppendRows("d", "t", rows); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e := NewEngine(wh, WithDefaultDB("d"), WithParallelism(1), WithBatchSize(batch))
+		if plan, _, err := e.PlanOnly(sql); err != nil || plan.tail == nil {
+			t.Fatalf("plan %v, err %v: want a column tail", plan, err)
+		}
+		return testing.AllocsPerRun(20, func() {
+			if rs := mustQuery(t, e, sql); len(rs.Rows) != 4 {
+				t.Fatalf("%d groups, want 4", len(rs.Rows))
+			}
+		})
+	}
+	one, ten := allocs(1), allocs(10)
+	t.Logf("%v allocations per query over one-batch splits, %v over ten-batch splits", one, ten)
+	if ten != one {
+		t.Errorf("the column tail allocates %v times per batch, want 0", (ten-one)/(9*splits))
+	}
+}
+
 // skipUnderRace skips an allocation pin in a -race binary, which allocates for
 // conversions the compiler otherwise elides (the index probe by
 // string(keyBytes) among them: two more per row here). CI runs the allocation

@@ -186,6 +186,9 @@ func (a *Aggregate) walk(f func(Expr)) {
 type FuncCall struct {
 	Name string // lowercase
 	Args []Expr
+	// op is Name resolved at bind time; a call never bound resolves it each
+	// time it is evaluated.
+	op funcOp
 }
 
 func (fc *FuncCall) String() string {

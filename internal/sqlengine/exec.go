@@ -450,8 +450,10 @@ type execScratch struct {
 // column-major RowBatch, prefilters evaluate column-wise into the batch's
 // selection vector, and the filter + projection (or partial aggregation)
 // run fused over the selected rows, so a document the filter parsed is
-// still memoized by the doc evaluator when the projection needs it. Metric
-// deltas accumulate in locals and flush once per batch.
+// still memoized by the doc evaluator when the projection needs it. A plan
+// with a column tail instead narrows the selection and aggregates a column
+// at a time (coltail.go). Metric deltas accumulate in locals and flush once
+// per batch.
 func (e *Engine) runPartition(ctx context.Context, plan *PhysicalPlan, calls *PathCalls, factory ScanSourceFactory, split int, joinTable map[string][][]datum.Datum, buildWidth int, m *Metrics) (res partResult) {
 	if m.Span != nil {
 		// Pre-created in split order for deterministic rendering; re-stamp
@@ -476,8 +478,18 @@ func (e *Engine) runPartition(ctx context.Context, plan *PhysicalPlan, calls *Pa
 	wantSortKeys := !plan.aggregate && len(plan.OrderBy) > 0
 	preFilters := plan.Scan.PreFilters
 
+	// A column-shaped aggregate runs its tail a batch at a time on pooled
+	// vectors; every other plan gathers each selected row for the row loop.
 	width := len(schema.Cols)
-	sc := &execScratch{row: make([]datum.Datum, width, width+buildWidth)}
+	tail := plan.tail
+	sc := &execScratch{}
+	var ts *tailScratch
+	if tail != nil {
+		ts = tailScratchPool.Get().(*tailScratch)
+		defer tailScratchPool.Put(ts)
+	} else {
+		sc.row = make([]datum.Datum, width, width+buildWidth)
+	}
 
 	// Per-batch local counters, flushed in one atomic add each.
 	var rowOps, prefSkipped, prefBytes int64
@@ -608,10 +620,17 @@ func (e *Engine) runPartition(ctx context.Context, plan *PhysicalPlan, calls *Pa
 				sel = append(sel, i)
 			}
 		}
-		batch.Sel = sel
-		for _, i := range sel {
-			emit(batch.Gather(i, sc.row))
+		if tail != nil {
+			ts.startBatch(len(tail.vecs), batch.Capacity())
+			sel = tail.filterBatch(batch, sel, ts)
+			res.rowsOut += int64(len(sel))
+			res.aggs.accumulateBatch(tail, batch, sel, ts)
+		} else {
+			for _, i := range sel {
+				emit(batch.Gather(i, sc.row))
+			}
 		}
+		batch.Sel = sel
 		flush()
 		return ctx.Err()
 	})
@@ -778,24 +797,21 @@ func (t *aggTable) state(g int) ([]aggCell, []datum.Datum) {
 	return t.cells[g*nAggs:][:nAggs], t.vals[g*nVals:][:nVals]
 }
 
-// accumulate folds one input row into the table. The group key renders into
-// sc.keyBuf NUL-separated (finalizeAggregate orders groups by these bytes, so
-// the encoding fixes the output order) and probes the index without
-// allocating; only a new group copies the key bytes and datums out of the
-// scratch.
-func (t *aggTable) accumulate(row []datum.Datum, ctx *EvalContext, sc *execScratch) {
-	kb := sc.keyBuf[:0]
-	ks := sc.keys[:0]
-	for _, g := range t.plan.GroupBy {
-		v := Eval(g, row, ctx)
-		ks = append(ks, v)
-		kb = v.AppendTo(kb)
-		kb = append(kb, 0)
-		if v.Null {
-			kb = append(kb, 1) // distinguish NULL from "NULL"
-		}
+// appendGroupKey encodes one group-key value: its rendering, a NUL, and a 1
+// after a NULL to tell it from the string "NULL". finalizeAggregate orders
+// groups by these bytes, so the encoding fixes the output order.
+func appendGroupKey(kb []byte, v datum.Datum) []byte {
+	kb = append(v.AppendTo(kb), 0)
+	if v.Null {
+		kb = append(kb, 1)
 	}
-	sc.keyBuf, sc.keys = kb, ks
+	return kb
+}
+
+// group returns the group of the encoded key kb, adding it with key datums
+// ks if the table has not seen it. The probe does not allocate; only a new
+// group copies the key bytes and datums out of the caller's scratch.
+func (t *aggTable) group(kb []byte, ks []datum.Datum) int {
 	g, ok := 0, len(t.names) > 0
 	if t.grouped() {
 		g, ok = t.index[string(kb)]
@@ -803,7 +819,20 @@ func (t *aggTable) accumulate(row []datum.Datum, ctx *EvalContext, sc *execScrat
 	if !ok {
 		g = t.add(string(kb), ks)
 	}
-	cells, vals := t.state(g)
+	return g
+}
+
+// accumulate folds one input row into the table, the row loop's tail.
+func (t *aggTable) accumulate(row []datum.Datum, ctx *EvalContext, sc *execScratch) {
+	kb := sc.keyBuf[:0]
+	ks := sc.keys[:0]
+	for _, g := range t.plan.GroupBy {
+		v := Eval(g, row, ctx)
+		ks = append(ks, v)
+		kb = appendGroupKey(kb, v)
+	}
+	sc.keyBuf, sc.keys = kb, ks
+	g := t.group(kb, ks)
 	for i, a := range t.plan.Aggs {
 		var v datum.Datum
 		if a.Arg != nil {
@@ -812,26 +841,76 @@ func (t *aggTable) accumulate(row []datum.Datum, ctx *EvalContext, sc *execScrat
 				continue // SQL aggregates skip NULLs
 			}
 		}
-		c := &cells[i]
-		switch a.Func {
-		case AggCount:
-			c.count++
-		case AggSum, AggAvg:
-			if f, ok := v.AsFloat(); ok {
-				c.sum += f
-				c.count++
+		t.fold(g, i, v)
+	}
+}
+
+// accumulateBatch folds the selected rows of a batch into the table, the
+// column tail's aggregation. It assigns every row its group first, reading
+// the key straight from its column, then folds one aggregate at a time over
+// the selection. Each group's values still arrive in selection order, the
+// order accumulate folds them in, so a float SUM is bit for bit the same.
+func (t *aggTable) accumulateBatch(ct *columnTail, b *RowBatch, sel []int, s *tailScratch) {
+	groups := s.groups[:len(sel)]
+	if ct.key < 0 {
+		if len(sel) > 0 {
+			t.group(nil, nil)
+		}
+		clear(groups)
+	} else {
+		col := b.Cols[ct.key]
+		for j, i := range sel {
+			s.keyBuf = appendGroupKey(s.keyBuf[:0], col[i])
+			groups[j] = t.group(s.keyBuf, col[i:i+1])
+		}
+	}
+	for ai, arg := range ct.aggs {
+		switch {
+		case arg.col < 0:
+			for _, g := range groups {
+				t.fold(g, ai, datum.Datum{})
 			}
-		case AggMin:
-			if c.count == 0 || datum.Compare(v, vals[a.valSlot]) < 0 {
-				vals[a.valSlot] = v
+		case arg.vec >= 0:
+			f, ok := s.vector(arg.vec, b.Cols[ct.vecs[arg.vec]], sel)
+			for j, i := range sel {
+				if ok[i] {
+					t.fold(groups[j], ai, datum.Float(f[i]))
+				}
 			}
-			c.count++
-		case AggMax:
-			if c.count == 0 || datum.Compare(v, vals[a.valSlot]) > 0 {
-				vals[a.valSlot] = v
+		default:
+			col := b.Cols[arg.col]
+			for j, i := range sel {
+				if !col[i].Null {
+					t.fold(groups[j], ai, col[i])
+				}
 			}
+		}
+	}
+}
+
+// fold adds the non-NULL value v of aggregate i to group g's state (COUNT
+// ignores v).
+func (t *aggTable) fold(g, i int, v datum.Datum) {
+	a := t.plan.Aggs[i]
+	c := &t.cells[g*len(t.plan.Aggs)+i]
+	switch a.Func {
+	case AggCount:
+		c.count++
+	case AggSum, AggAvg:
+		if f, ok := v.AsFloat(); ok {
+			c.sum += f
 			c.count++
 		}
+	case AggMin:
+		if cur := &t.vals[g*t.plan.aggVals+a.valSlot]; c.count == 0 || datum.Compare(v, *cur) < 0 {
+			*cur = v
+		}
+		c.count++
+	case AggMax:
+		if cur := &t.vals[g*t.plan.aggVals+a.valSlot]; c.count == 0 || datum.Compare(v, *cur) > 0 {
+			*cur = v
+		}
+		c.count++
 	}
 }
 

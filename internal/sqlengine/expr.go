@@ -75,6 +75,8 @@ func Bind(e Expr, schema RowSchema) error {
 				firstErr = err
 			}
 			node.index = idx
+		case *FuncCall:
+			node.op = funcOpOf(node.Name)
 		case *Aggregate:
 			if firstErr == nil {
 				firstErr = fmt.Errorf("sql: aggregate %s not allowed here", node.String())
@@ -200,21 +202,7 @@ func evalBinary(b *Binary, row []datum.Datum, ctx *EvalContext) datum.Datum {
 	}
 	switch b.Op {
 	case OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
-		c := compareForPredicate(l, r)
-		switch b.Op {
-		case OpEq:
-			return datum.Bool(c == 0)
-		case OpNe:
-			return datum.Bool(c != 0)
-		case OpLt:
-			return datum.Bool(c < 0)
-		case OpLe:
-			return datum.Bool(c <= 0)
-		case OpGt:
-			return datum.Bool(c > 0)
-		default:
-			return datum.Bool(c >= 0)
-		}
+		return datum.Bool(b.Op.holds(compareForPredicate(l, r)))
 	case OpAdd, OpSub, OpMul, OpDiv, OpMod:
 		lf, lok := l.AsFloat()
 		rf, rok := r.AsFloat()
@@ -249,6 +237,41 @@ func evalBinary(b *Binary, row []datum.Datum, ctx *EvalContext) datum.Datum {
 	return datum.NullOf(datum.TypeString)
 }
 
+// holds reports whether comparison op is true of a three-way result c.
+func (op BinaryOp) holds(c int) bool {
+	switch op {
+	case OpEq:
+		return c == 0
+	case OpNe:
+		return c != 0
+	case OpLt:
+		return c < 0
+	case OpLe:
+		return c <= 0
+	case OpGt:
+		return c > 0
+	default:
+		return c >= 0
+	}
+}
+
+// Mirror is the comparison that holds of (r, l) when op holds of (l, r): the
+// operator to use when the operands of a comparison trade places. Any other
+// operator is returned as it is.
+func (op BinaryOp) Mirror() BinaryOp {
+	switch op {
+	case OpLt:
+		return OpGt
+	case OpLe:
+		return OpGe
+	case OpGt:
+		return OpLt
+	case OpGe:
+		return OpLe
+	}
+	return op
+}
+
 // compareForPredicate compares with numeric preference: get_json_object
 // returns strings, but predicates like path > 10000 should compare
 // numerically when both sides look numeric — matching Hive/Spark's implicit
@@ -271,12 +294,59 @@ func compareForPredicate(l, r datum.Datum) int {
 	return datum.Compare(l, r)
 }
 
+// funcOp is a scalar function resolved from its name. The zero value marks a
+// call that was never bound.
+type funcOp uint8
+
+const (
+	fnUnbound funcOp = iota
+	fnUnknown
+	fnConcat
+	fnLength
+	fnUpper
+	fnLower
+	fnAbs
+	fnCastDouble
+	fnCastBigint
+)
+
+// funcOpOf resolves a lowercase function name.
+func funcOpOf(name string) funcOp {
+	switch name {
+	case "concat":
+		return fnConcat
+	case "length":
+		return fnLength
+	case "upper":
+		return fnUpper
+	case "lower":
+		return fnLower
+	case "abs":
+		return fnAbs
+	case "cast_double":
+		return fnCastDouble
+	case "cast_bigint":
+		return fnCastBigint
+	}
+	return fnUnknown
+}
+
+// opcode returns the call's function: resolved at bind time, or from its
+// name for a call never bound.
+func (fc *FuncCall) opcode() funcOp {
+	if fc.op == fnUnbound {
+		return funcOpOf(fc.Name)
+	}
+	return fc.op
+}
+
 // evalFunc evaluates a scalar function call. It runs once per row per call
 // site, so the arguments are evaluated in place, never gathered into a slice.
 // Every argument is evaluated whatever the arity, so document parses are
 // metered the same for a call that then yields NULL.
 func evalFunc(fc *FuncCall, row []datum.Datum, ctx *EvalContext) datum.Datum {
-	if fc.Name == "concat" {
+	op := fc.opcode()
+	if op == fnConcat {
 		var sb strings.Builder
 		anyNull := false
 		for _, a := range fc.Args {
@@ -300,29 +370,29 @@ func evalFunc(fc *FuncCall, row []datum.Datum, ctx *EvalContext) datum.Datum {
 	if len(fc.Args) != 1 {
 		return datum.NullOf(datum.TypeString)
 	}
-	switch fc.Name {
-	case "length":
+	switch op {
+	case fnLength:
 		if !arg.Null {
 			return datum.Int(int64(len(arg.AsString())))
 		}
-	case "upper":
+	case fnUpper:
 		if !arg.Null {
 			return datum.Str(strings.ToUpper(arg.AsString()))
 		}
-	case "lower":
+	case fnLower:
 		if !arg.Null {
 			return datum.Str(strings.ToLower(arg.AsString()))
 		}
-	case "abs":
+	case fnAbs:
 		if f, ok := arg.AsFloat(); ok {
 			if arg.Typ == datum.TypeInt64 {
 				return datum.Int(int64(math.Abs(f)))
 			}
 			return datum.Float(math.Abs(f))
 		}
-	case "cast_double":
+	case fnCastDouble:
 		return datum.Coerce(arg, datum.TypeFloat64)
-	case "cast_bigint":
+	case fnCastBigint:
 		return datum.Coerce(arg, datum.TypeInt64)
 	}
 	return datum.NullOf(datum.TypeString)

@@ -103,6 +103,9 @@ type PhysicalPlan struct {
 	// aggVals counts the MIN and MAX aggregates in Aggs: the only ones that
 	// keep a value, not just a count and a sum, per group.
 	aggVals int
+	// tail is the filter and partial aggregation compiled to run a batch at
+	// a time (coltail.go); nil keeps the row loop.
+	tail *columnTail
 }
 
 // JoinNode describes a hash equi-join.

@@ -176,7 +176,10 @@ func (plan *PhysicalPlan) Rebind() error {
 			}
 		}
 		// Items/OrderBy in aggregate plans are post-agg expressions
-		// (keyRef/Aggregate only) — no rebinding needed or possible.
+		// (keyRef/Aggregate only) — no rebinding needed or possible. The
+		// rewrite may have made the tail column-shaped, or changed its
+		// columns: compile it again.
+		plan.tail = compileColumnTail(plan)
 		return nil
 	}
 	for i := range plan.Items {

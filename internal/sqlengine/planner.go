@@ -316,22 +316,22 @@ func extractSARG(where Expr, scan *ScanNode) *orc.SARG {
 			visit(b.Right)
 			return
 		}
-		op, ok := sargOp(b.Op)
-		if !ok {
+		col, lit, swapped := colLitPair(b.Left, b.Right)
+		bop := b.Op
+		if swapped {
+			bop = bop.Mirror()
+		}
+		op, ok := sargOp(bop)
+		if !ok || col == nil {
 			return
 		}
-		if col, lit, swapped := colLitPair(b.Left, b.Right); col != nil {
-			if !strings.EqualFold(col.Qualifier, scan.Binding) && col.Qualifier != "" {
-				return
-			}
-			if !otherHas(scan, col.Name) {
-				return
-			}
-			if swapped {
-				op = mirrorOp(op)
-			}
-			preds = append(preds, orc.Predicate{Column: storageName(scan, col.Name), Op: op, Value: lit.Value})
+		if !strings.EqualFold(col.Qualifier, scan.Binding) && col.Qualifier != "" {
+			return
 		}
+		if !otherHas(scan, col.Name) {
+			return
+		}
+		preds = append(preds, orc.Predicate{Column: storageName(scan, col.Name), Op: op, Value: lit.Value})
 	}
 	visit(where)
 	return orc.NewSARG(preds...)
@@ -376,22 +376,6 @@ func sargOp(op BinaryOp) (orc.CompareOp, bool) {
 		return orc.OpGE, true
 	}
 	return 0, false
-}
-
-// mirrorOp flips an operator for literal-op-column order.
-func mirrorOp(op orc.CompareOp) orc.CompareOp {
-	switch op {
-	case orc.OpLT:
-		return orc.OpGT
-	case orc.OpLE:
-		return orc.OpGE
-	case orc.OpGT:
-		return orc.OpLT
-	case orc.OpGE:
-		return orc.OpLE
-	default:
-		return op
-	}
 }
 
 // extractPrefilters pulls Sparser-style raw filters out of top-level AND
@@ -610,6 +594,7 @@ func (e *Engine) planAggregate(plan *PhysicalPlan, stmt *SelectStmt) error {
 			plan.aggVals++
 		}
 	}
+	plan.tail = compileColumnTail(plan)
 	return nil
 }
 
