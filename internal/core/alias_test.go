@@ -59,14 +59,12 @@ func aliasesAny(s string, views [][]byte) bool {
 // keeps is checked, by address, against the stored bytes of every file.
 func TestNothingKeptAliasesAStoredFile(t *testing.T) {
 	env := newShareChaosEnv(t, 77)
-	// A part file appended after the cache was populated: its split is
-	// served by the fallback source.
-	if _, err := env.wh.AppendRows("db", "t", [][]datum.Datum{
+	// A part file appended after the cache was populated, its ingest
+	// faulted: its split is served by the fallback source.
+	appendUncovered(t, env.wh, "db", "t", [][]datum.Datum{
 		{datum.Int(9001), datum.Str(`{"a":11,"b":"g1","nested":{"x":50}}`)},
 		{datum.Int(9002), datum.Str(`{"a":12,"b":"g2","nested":{"x":60}}`)},
-	}); err != nil {
-		t.Fatal(err)
-	}
+	})
 	views := dfsViews(t, env)
 
 	check := func(what string, rs *sqlengine.ResultSet, wantMode uint32, m *sqlengine.Metrics) {
@@ -189,12 +187,10 @@ func TestExtractedRowsSurviveRewriteAndDrop(t *testing.T) {
 	}{
 		{"raw", func(*testing.T, *fixture, *Maxson) {}},
 		{"fallback-raw", func(t *testing.T, f *fixture, m *Maxson) {
-			// A part file appended after populate: its split is parsed raw
-			// by the combiner's fallback source.
+			// A part file appended after populate, its ingest faulted: its
+			// split is parsed raw by the combiner's fallback source.
 			cachePaths(t, m, "$.turnover")
-			if _, err := f.wh.AppendRows("mydb", "t", appended); err != nil {
-				t.Fatal(err)
-			}
+			appendUncovered(t, f.wh, "mydb", "t", appended)
 		}},
 	} {
 		t.Run(lane.mode, func(t *testing.T) {

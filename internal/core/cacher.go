@@ -39,7 +39,8 @@ func generationTableName(db, table string, gen int) string {
 // receives score-ranked MPJPs, parses their values out of the raw tables,
 // and writes cache tables whose part files align one-to-one with the raw
 // tables' part files so the Value Combiner's paired readers can stitch rows
-// positionally without a join (paper §IV-C).
+// positionally without a join (paper §IV-C). Between cycles it caches each
+// part AppendRows lands in a table the serving generation covers (ingest).
 type Cacher struct {
 	wh       *warehouse.Warehouse
 	registry *Registry
@@ -61,12 +62,19 @@ type Cacher struct {
 	// can finish against intact tables.
 	pendingDrop [][2]string // (db, table)
 
-	// obs counters (nil until SetObs): population cycles publish totals here
-	// so malformed documents are visible operationally, not silently NULLed.
-	parseErrorsC  *obs.Counter
-	bytesScannedC *obs.Counter
-	bytesSkippedC *obs.Counter
-	splitsC       [3]*obs.Counter // carried, rewritten, extracted
+	// ingestMu serialises ingests, and DropRetired against them, so an ingest
+	// never writes into a table being dropped and two appends to one table
+	// both extend its manifest.
+	ingestMu sync.Mutex
+
+	// obs counters (nil until SetObs): population cycles and ingests publish
+	// totals here so malformed documents are visible operationally, not
+	// silently NULLed.
+	parseErrorsC    *obs.Counter
+	bytesScannedC   *obs.Counter
+	bytesSkippedC   *obs.Counter
+	splitsC         [4]*obs.Counter // carried, rewritten, extracted, ingested
+	ingestFailuresC *obs.Counter
 }
 
 // CacheStats summarizes one population cycle. A generation's size is
@@ -112,7 +120,8 @@ func NewCacher(wh *warehouse.Warehouse, registry *Registry) *Cacher {
 }
 
 // SetObs resolves the cacher's counters against a metrics registry. Parse
-// errors and scan volumes publish there after every population cycle.
+// errors and scan volumes publish there after every population cycle and
+// every ingest.
 func (c *Cacher) SetObs(r *obs.Registry) {
 	if r == nil {
 		return
@@ -120,9 +129,28 @@ func (c *Cacher) SetObs(r *obs.Registry) {
 	c.parseErrorsC = r.Counter("cacher_parse_errors_total")
 	c.bytesScannedC = r.Counter("cacher_parse_bytes_scanned_total")
 	c.bytesSkippedC = r.Counter("cacher_parse_bytes_skipped_total")
-	for i, mode := range []string{"carried", "rewritten", "extracted"} {
+	for i, mode := range []string{"carried", "rewritten", "extracted", "ingested"} {
 		c.splitsC[i] = r.Counter("cacher_splits_total", obs.L{K: "mode", V: mode})
 	}
+	c.ingestFailuresC = r.Counter("cacher_ingest_failures_total")
+}
+
+// publish adds stats to the counters. The splits an ingest built count as
+// ingested.
+func (c *Cacher) publish(stats CacheStats, ingested bool) {
+	if c.parseErrorsC == nil {
+		return
+	}
+	c.parseErrorsC.Add(stats.ParseErrors)
+	c.bytesScannedC.Add(stats.BytesScanned)
+	c.bytesSkippedC.Add(stats.BytesSkipped)
+	if ingested {
+		c.splitsC[3].Add(int64(stats.SplitsExtracted))
+		return
+	}
+	c.splitsC[0].Add(int64(stats.SplitsCarried))
+	c.splitsC[1].Add(int64(stats.SplitsRewritten))
+	c.splitsC[2].Add(int64(stats.SplitsExtracted))
 }
 
 // PopulateCtx runs one caching cycle: it drops the cache tables the previous
@@ -246,16 +274,53 @@ func (c *Cacher) PopulateCtx(ctx context.Context, selected []*PathProfile) (Cach
 		return c.pendingDrop[i][0]+c.pendingDrop[i][1] < c.pendingDrop[j][0]+c.pendingDrop[j][1]
 	})
 	c.mu.Unlock()
-
-	if c.parseErrorsC != nil {
-		c.parseErrorsC.Add(stats.ParseErrors)
-		c.bytesScannedC.Add(stats.BytesScanned)
-		c.bytesSkippedC.Add(stats.BytesSkipped)
-		c.splitsC[0].Add(int64(stats.SplitsCarried))
-		c.splitsC[1].Add(int64(stats.SplitsRewritten))
-		c.splitsC[2].Add(int64(stats.SplitsExtracted))
-	}
+	c.publish(stats, false)
 	return stats, nil
+}
+
+// ingest is the append callback New installs on the warehouse. When a
+// manifest serves the raw table, the part follows its splits (a recreated
+// table reuses part names) and the cache table is not quarantined, it builds
+// the part's cache split with the from-scratch populate into that manifest's
+// cache table and swaps in the manifest with one more split. Nothing fails
+// the append: an error is counted and logged and, like a lost swap, leaves
+// the part to the fallback lane until the next cycle extracts it. Ingest is
+// not held to the budget (DESIGN.md, "Extract at ingest").
+func (c *Cacher) ingest(db, table string, raw dfs.FileInfo) {
+	c.ingestMu.Lock()
+	defer c.ingestMu.Unlock()
+	m := c.registry.generation()[pathkey.Key{DB: db, Table: table}.TableID()]
+	if m == nil || !m.follows(raw.Name) || c.registry.IsQuarantined(CacheDB, m.CacheTable) {
+		return
+	}
+	sp, stats, err := c.ingestSplit(m, raw)
+	if err != nil {
+		if c.ingestFailuresC != nil {
+			c.ingestFailuresC.Inc()
+		}
+		if c.Log != nil {
+			c.Log.Warn("ingest failed; the part stays uncovered until the next cycle",
+				"table", db+"."+table, "part", raw.Name, "err", err)
+		}
+		return
+	}
+	c.publish(stats, true)
+	c.registry.Replace(m, m.withSplit(sp))
+}
+
+// ingestSplit builds raw's cache split for m from scratch. A panic while
+// building it, such as a faulted decode, is an error like any other.
+func (c *Cacher) ingestSplit(m *Manifest, raw dfs.FileInfo) (sp ManifestSplit, stats CacheStats, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("core: ingest of %s panicked: %v", raw.Name, r)
+		}
+	}()
+	// Ingest runs inside the append it extends, under no context: nothing
+	// cancels it.
+	tp := c.newTablePopulate(nil, m.CacheTable, m.Keys, &stats)
+	sp, err = tp.populateSplit(raw, nil)
+	return sp, stats, err
 }
 
 // dropGeneration deletes the named raw tables' cache tables of one
@@ -284,6 +349,13 @@ func (c *Cacher) DropRetired() int {
 	pending := c.pendingDrop
 	c.pendingDrop = nil
 	c.mu.Unlock()
+	if len(pending) == 0 {
+		return 0
+	}
+	// An ingest that read a manifest before it was retired may still be
+	// writing into its table.
+	c.ingestMu.Lock()
+	defer c.ingestMu.Unlock()
 	dropped := 0
 	for _, t := range pending {
 		if c.wh.TableExists(t[0], t[1]) {
@@ -376,9 +448,11 @@ type extractPlan struct {
 	out      [][]datum.Datum // the extracted columns' vectors in tablePopulate.out
 }
 
-// tablePopulate is the state of one populateTable call.
+// tablePopulate is the state of one populateTable or ingest call.
 type tablePopulate struct {
-	c          *Cacher
+	c *Cacher
+	// ctx is the cycle's context; nil for an ingest, which nothing cancels.
+	ctx        context.Context
 	stats      *CacheStats
 	cacheTable string
 	schema     orc.Schema
@@ -409,19 +483,12 @@ func (c *Cacher) populateTable(ctx context.Context, group []*PathProfile, gen in
 	if err != nil {
 		return nil, err
 	}
-	// Compile the paths and define the cache schema: one STRING column per
-	// path, named column__path (paper's cache-field naming).
-	tp := &tablePopulate{c: c, stats: stats, cacheTable: generationTableName(key0.DB, key0.Table, gen)}
-	for _, p := range group {
-		cp, err := jsonpath.Compile(p.Key.Path)
-		if err != nil {
-			continue
-		}
-		col := cacheColumn{key: p.Key, path: cp, name: p.Key.Sanitized(), prev: -1}
-		tp.cols = append(tp.cols, col)
-		tp.schema.Columns = append(tp.schema.Columns, orc.Column{Name: col.name, Type: datum.TypeString})
+	keys := make([]pathkey.Key, len(group))
+	for i, p := range group {
+		keys[i] = p.Key
 	}
-	if len(tp.cols) == 0 {
+	tp := c.newTablePopulate(ctx, generationTableName(key0.DB, key0.Table, gen), keys, stats)
+	if tp == nil {
 		return nil, nil
 	}
 	if c.wh.TableExists(CacheDB, tp.cacheTable) {
@@ -431,11 +498,6 @@ func (c *Cacher) populateTable(ctx context.Context, group []*PathProfile, gen in
 	}
 	if err := c.wh.CreateTable(CacheDB, tp.cacheTable, tp.schema); err != nil {
 		return nil, err
-	}
-	flat := make([]datum.Datum, len(tp.cols)*populateBatchRows)
-	tp.out = make([][]datum.Datum, len(tp.cols))
-	for i := range tp.out {
-		tp.out[i] = flat[i*populateBatchRows : (i+1)*populateBatchRows]
 	}
 	prevParts := tp.matchPrevious(prev)
 
@@ -458,12 +520,12 @@ func (c *Cacher) populateTable(ctx context.Context, group []*PathProfile, gen in
 			}
 		}
 		before := *stats
-		sp, err := tp.populateSplit(ctx, raw, from)
+		sp, err := tp.populateSplit(raw, from)
 		if from != nil && errors.Is(err, errCarryBroken) {
 			// Nothing was appended; the stats describe the split as built.
 			notCarried[err.Error()]++
 			*stats = before
-			sp, err = tp.populateSplit(ctx, raw, nil)
+			sp, err = tp.populateSplit(raw, nil)
 		}
 		if err != nil {
 			return nil, err
@@ -475,6 +537,39 @@ func (c *Cacher) populateTable(ctx context.Context, group []*PathProfile, gen in
 			"table", key0.TableID(), "previous", prev.CacheTable, "reasons", fmt.Sprint(notCarried))
 	}
 	return manifest, nil
+}
+
+// newTablePopulate compiles keys into the columns of cache table cacheTable:
+// one STRING column per path, named column__path (paper's cache-field
+// naming). A path that does not compile is left out; nil means none did.
+func (c *Cacher) newTablePopulate(ctx context.Context, cacheTable string, keys []pathkey.Key, stats *CacheStats) *tablePopulate {
+	tp := &tablePopulate{c: c, ctx: ctx, stats: stats, cacheTable: cacheTable}
+	for _, key := range keys {
+		cp, err := jsonpath.Compile(key.Path)
+		if err != nil {
+			continue
+		}
+		col := cacheColumn{key: key, path: cp, name: key.Sanitized(), prev: -1}
+		tp.cols = append(tp.cols, col)
+		tp.schema.Columns = append(tp.schema.Columns, orc.Column{Name: col.name, Type: datum.TypeString})
+	}
+	if len(tp.cols) == 0 {
+		return nil
+	}
+	flat := make([]datum.Datum, len(tp.cols)*populateBatchRows)
+	tp.out = make([][]datum.Datum, len(tp.cols))
+	for i := range tp.out {
+		tp.out[i] = flat[i*populateBatchRows : (i+1)*populateBatchRows]
+	}
+	return tp
+}
+
+// err reports the cycle's cancellation; an ingest is never cancelled.
+func (tp *tablePopulate) err() error {
+	if tp.ctx == nil {
+		return nil
+	}
+	return tp.ctx.Err()
 }
 
 // matchPrevious lines tonight's columns up with the previous generation's
@@ -579,10 +674,10 @@ func (tp *tablePopulate) plan(missingOnly bool) *extractPlan {
 // carried) if that split holds it, and extracted from the raw JSON otherwise;
 // the raw file is opened only if some column must be extracted, and a split
 // whose columns are all there in the same order is linked, not rewritten.
-// With from == nil this is the from-scratch populate. An attempt that finds
-// the carried side unusable returns errCarryBroken before anything is
-// appended.
-func (tp *tablePopulate) populateSplit(ctx context.Context, raw dfs.FileInfo, from *ManifestSplit) (ManifestSplit, error) {
+// With from == nil this is the from-scratch populate, and the one ingest
+// runs. An attempt that finds the carried side unusable returns
+// errCarryBroken before anything is appended.
+func (tp *tablePopulate) populateSplit(raw dfs.FileInfo, from *ManifestSplit) (ManifestSplit, error) {
 	wh, st := tp.c.wh, tp.stats
 	if from != nil && tp.sameCols {
 		part, err := wh.LinkPart(CacheDB, tp.cacheTable, from.CachePath)
@@ -634,7 +729,7 @@ func (tp *tablePopulate) populateSplit(ctx context.Context, raw dfs.FileInfo, fr
 
 	w := orc.NewWriter(tp.schema, wh.WriterOptions())
 	for {
-		if err := ctx.Err(); err != nil {
+		if err := tp.err(); err != nil {
 			return ManifestSplit{}, err
 		}
 		n := 0

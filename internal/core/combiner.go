@@ -85,8 +85,8 @@ type CombinedScanFactory struct {
 	cacheSARG *orc.SARG
 
 	// fallbacks compute each cache column's value by parsing the raw JSON
-	// for a split the manifest does not serve (daily appends land new part
-	// files the nightly cache does not cover yet). Aligned with cacheCols.
+	// for a split the manifest does not serve (a part rewritten since, or
+	// appended without being ingested). Aligned with cacheCols.
 	fallbacks []sqlengine.Extraction
 
 	// extract is what a shared pass (Union) also extracts, into the columns
@@ -147,9 +147,11 @@ func NewCombinedScanFactory(
 }
 
 // ShareKey implements scanshare.Unioner. Beyond the raw scan, combined scans
-// one pass serves agree on the cache table (its name carries the generation
-// and names one manifest), on the cache side's row-group predicate, whose
-// skip array is shared rather than unioned, and on the pushdown mode.
+// one pass serves agree on the cache table (its name carries the generation),
+// on the cache side's row-group predicate, whose skip array is shared rather
+// than unioned, and on the pushdown mode. Their manifests may differ by the
+// splits ingest added in between: the pass reads through the first one's,
+// and any split it serves is at the raw version the others would serve it at.
 func (f *CombinedScanFactory) ShareKey() string {
 	key := f.manifest.CacheTable + "\x00" + strconv.FormatBool(f.pushdown)
 	if f.cacheSARG != nil {
@@ -241,9 +243,9 @@ func (f *CombinedScanFactory) Open(split int, m *sqlengine.Metrics) (sqlengine.B
 	}
 	raw := rawInfo.Files[split]
 	// A part the manifest holds no record of at its current version —
-	// appended after the nightly population, rewritten, from a recreated
-	// table, or cached from a corrupted read — reads raw data and parses the
-	// paths on the fly.
+	// rewritten, appended without being ingested, from a recreated table,
+	// or cached from a corrupted read — reads raw data and parses the paths
+	// on the fly.
 	sp := f.manifest.split(raw, rawInfo.Versions[split])
 	if sp == nil {
 		return f.openFallback(raw, m, &f.obsc.uncovered)
@@ -346,9 +348,10 @@ func (f *CombinedScanFactory) Open(split int, m *sqlengine.Metrics) (sqlengine.B
 
 // openFallback serves one split the cache does not: the engine's split
 // reader decodes the primary columns and extracts the cache columns from the
-// raw JSON — the cost a freshly appended file pays until the next midnight
-// cycle covers it — and the scan's extract list after them. mode says why:
-// an uncovered split, a retired cache generation or a quarantined one.
+// raw JSON — the cost a rewritten or uncached appended file pays until the
+// next midnight cycle covers it — and the scan's extract list after them.
+// mode says why: an uncovered split, a retired cache generation or a
+// quarantined one.
 func (f *CombinedScanFactory) openFallback(file string, m *sqlengine.Metrics, mode *fallbackMode) (sqlengine.BatchSource, error) {
 	if m != nil {
 		m.MarkScanMode(mode.bit)

@@ -257,20 +257,22 @@ func TestPartiallyCachedQueryStitchesRows(t *testing.T) {
 	}
 }
 
+// TestAppendAfterCachingServedByFallback: a daily append whose ingest failed
+// lands a new part file the cache does not cover. The failure is counted, the
+// cache stays valid for the old files, and the new split parses on the fly.
 func TestAppendAfterCachingServedByFallback(t *testing.T) {
 	f := newFixture(t)
 	m := New(f.engine, Config{BudgetBytes: 1 << 30, DefaultDB: "mydb"})
 	cachePaths(t, m, "$.turnover")
 
-	// A daily append lands a new part file the cache does not cover. The
-	// cache stays valid for the old files; the new split parses on the fly.
 	f.clock.Advance(time.Hour)
 	newRows := [][]datum.Datum{{
 		datum.Str("0001"), datum.Str("20190201"),
 		datum.Str(`{"item_id":99,"item_name":"item-99","sale_count":9,"turnover":990,"price":9}`),
 	}}
-	if _, err := f.wh.AppendRows("mydb", "t", newRows); err != nil {
-		t.Fatal(err)
+	appendUncovered(t, f.wh, "mydb", "t", newRows)
+	if n := m.Obs().Counter("cacher_ingest_failures_total").Value(); n != 1 {
+		t.Errorf("cacher_ingest_failures_total = %d, want the one faulted ingest", n)
 	}
 
 	rs, metrics, err := m.QueryCtx(context.Background(), `

@@ -62,8 +62,9 @@ func laneSQL(paths []string) string {
 
 // TestEveryConsumerMatchesParseEval runs root and non-root paths over one
 // table through every consumer of the extraction kernel — the raw engine
-// scan, populate followed by a cached read, the combiner's fallback for a
-// split appended after populate, and the merged shared scan — and requires
+// scan, populate followed by a cached read, ingest of a split appended after
+// populate followed by a cached read, the combiner's fallback for that split
+// once rewritten, and the merged shared scan — and requires
 // each result to be byte-identical to sjson.Parse + Path.Eval, at scan batch
 // sizes 1 (the row-at-a-time walk), 3 and the default.
 func TestEveryConsumerMatchesParseEval(t *testing.T) {
@@ -99,16 +100,17 @@ func everyConsumerMatchesParseEval(t *testing.T, batchSize int) {
 		return laneSystem(t, batchSize, cfg)
 	}
 	var stored []string
-	appendDocs := func(wh *warehouse.Warehouse, docs []string) {
+	appendDocs := func(wh *warehouse.Warehouse, docs []string) (part string, rows [][]datum.Datum) {
 		t.Helper()
-		var rows [][]datum.Datum
 		for _, d := range docs {
 			rows = append(rows, []datum.Datum{datum.Int(int64(len(stored))), datum.Str(d)})
 			stored = append(stored, d)
 		}
-		if _, err := wh.AppendRows("db", "t", rows); err != nil {
+		part, err := wh.AppendRows("db", "t", rows)
+		if err != nil {
 			t.Fatal(err)
 		}
+		return part, rows
 	}
 	check := func(consumer string, paths []string, rs *sqlengine.ResultSet) {
 		t.Helper()
@@ -160,11 +162,26 @@ func everyConsumerMatchesParseEval(t *testing.T, batchSize int) {
 		t.Errorf("cached read parsed %d docs, read %d cache values", qm.Parse.Docs.Load(), qm.CacheValuesRead.Load())
 	}
 
-	// A split appended after populate: the combiner's fallback extracts the
-	// cached columns for it, the covered splits still come from the cache.
+	// A split appended after populate: ingest extracts the cached columns
+	// for it, so it too is read from the cache.
 	clock.Advance(time.Hour)
 	appended := []string{laneDocs[2], laneDocs[5], laneDocs[0]}
-	appendDocs(wh, appended)
+	part, rows := appendDocs(wh, appended)
+	rs, qm, err = m.QueryCtx(context.Background(), laneSQL(lanePaths))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("ingested split", lanePaths, rs)
+	if qm.Parse.Docs.Load() != 0 || qm.CacheMisses.Load() != 0 {
+		t.Errorf("ingested split parsed %d docs, %d cache misses", qm.Parse.Docs.Load(), qm.CacheMisses.Load())
+	}
+
+	// The same split rewritten with its own rows is no longer at the version
+	// the manifest files: the combiner's fallback extracts the cached columns
+	// for it, the covered splits still come from the cache.
+	if err := wh.RewriteFile("db", "t", part, rows); err != nil {
+		t.Fatal(err)
+	}
 	rs, qm, err = m.QueryCtx(context.Background(), laneSQL(lanePaths))
 	if err != nil {
 		t.Fatal(err)
@@ -226,8 +243,8 @@ var meterDocs = []string{
 }
 
 // TestEveryConsumerMetersParseAlike pins one metering rule for every reader
-// of raw JSON: the raw query, populate, a fallback split and a 2-way merged
-// shared pass all extract $.a and $.b from the same split through one batch
+// of raw JSON: the raw query, populate, ingest, a fallback split and a 2-way
+// merged shared pass all extract $.a and $.b from the same split through one batch
 // kernel, so they read the same documents, bytes scanned and bytes skipped —
 // the repeated document once, the malformed one as far as its error. The
 // shared pass parsing exactly what one unshared query parses is what
@@ -237,15 +254,17 @@ func TestEveryConsumerMetersParseAlike(t *testing.T) {
 	ctx := context.Background()
 	paths := []string{"$.a", "$.b"}
 	sql := laneSQL(paths)
-	appendDocs := func(wh *warehouse.Warehouse) {
+	rows := make([][]datum.Datum, len(meterDocs))
+	for i, d := range meterDocs {
+		rows[i] = []datum.Datum{datum.Int(int64(i)), datum.Str(d)}
+	}
+	appendDocs := func(wh *warehouse.Warehouse) string {
 		t.Helper()
-		rows := make([][]datum.Datum, len(meterDocs))
-		for i, d := range meterDocs {
-			rows[i] = []datum.Datum{datum.Int(int64(i)), datum.Str(d)}
-		}
-		if _, err := wh.AppendRows("db", "t", rows); err != nil {
+		part, err := wh.AppendRows("db", "t", rows)
+		if err != nil {
 			t.Fatal(err)
 		}
+		return part
 	}
 	type reading struct{ Docs, Bytes, Skipped int64 }
 	of := func(m *sqlengine.Metrics) reading {
@@ -281,9 +300,20 @@ func TestEveryConsumerMetersParseAlike(t *testing.T) {
 			stats.BytesScanned, stats.BytesSkipped, stats.ParseErrors, want.Bytes, want.Skipped)
 	}
 
-	// The same documents appended: a split the cache does not cover.
+	// The same documents appended: ingest extracts them as populate does.
 	clock.Advance(time.Hour)
-	appendDocs(wh)
+	scanned, skipped, malformed := m.Obs().Counter("cacher_parse_bytes_scanned_total"),
+		m.Obs().Counter("cacher_parse_bytes_skipped_total"), m.Obs().Counter("cacher_parse_errors_total")
+	scanned0, skipped0, malformed0 := scanned.Value(), skipped.Value(), malformed.Value()
+	part := appendDocs(wh)
+	if s, k, e := scanned.Value()-scanned0, skipped.Value()-skipped0, malformed.Value()-malformed0; s != want.Bytes || k != want.Skipped || e != 1 {
+		t.Errorf("ingest scanned %d bytes, skipped %d, met %d malformed documents; want %d, %d and 1", s, k, e, want.Bytes, want.Skipped)
+	}
+
+	// Rewritten with its own rows, it is a split the cache does not cover.
+	if err := wh.RewriteFile("db", "t", part, rows); err != nil {
+		t.Fatal(err)
+	}
 	if _, qm, err = m.QueryCtx(ctx, sql); err != nil {
 		t.Fatal(err)
 	}

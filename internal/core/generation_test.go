@@ -153,8 +153,8 @@ func TestGenerationEquivalence(t *testing.T) {
 		{"reordered", []string{"$.turnover", "$.item_name", "$.item_id"}, "rewritten", false},
 		{"disjoint", []string{"$.price", "$.sale_count"}, "extracted", true},
 	}
-	// unchanged is how many of the resulting raw splits still are the files
-	// the first generation read.
+	// unchanged is how many of the resulting raw splits the first
+	// generation's manifest serves when the night comes.
 	mutations := []struct {
 		name      string
 		mutate    func(*fixture)
@@ -162,8 +162,13 @@ func TestGenerationEquivalence(t *testing.T) {
 		unchanged int
 	}{
 		{"no new split", nil, 3, 3},
+		// Ingest builds the appended split from the first selection, so the
+		// night treats it like the others.
 		{"appended split", func(f *fixture) {
 			mustAppend(f, saleRows(5, 7))
+		}, 4, 4},
+		{"appended split, ingest faulted", func(f *fixture) {
+			withFaultedIngest(f.wh, func() { mustAppend(f, saleRows(5, 7)) })
 		}, 4, 3},
 		{"rewritten split", func(f *fixture) {
 			info, _ := f.wh.Table("mydb", "t")
@@ -248,7 +253,8 @@ func mustAppend(f *fixture, rows [][]datum.Datum) {
 }
 
 // TestAppendedSplitIsAllThatIsScanned pins the nightly case: the selection is
-// last night's and one day of data arrived, so exactly that day is parsed.
+// last night's and one day of data arrived. The append extracts exactly that
+// day, and the night links every split and parses nothing.
 func TestAppendedSplitIsAllThatIsScanned(t *testing.T) {
 	f := newFixture(t)
 	reg := obs.NewRegistry()
@@ -257,10 +263,17 @@ func TestAppendedSplitIsAllThatIsScanned(t *testing.T) {
 	if _, err := m.CacheSelected(context.Background(), selection(paths...)); err != nil {
 		t.Fatal(err)
 	}
+	scanned := reg.Counter("cacher_parse_bytes_scanned_total")
+	scanned0 := scanned.Value()
 	day := saleRows(6, 4)
-	mustAppend(f, day)
 	f.wh.FS().ResetStats()
-	stats, err := m.CacheSelected(context.Background(), selection(paths...))
+	part, err := f.wh.AppendRows("mydb", "t", day)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingest := f.wh.FS().Stats()
+	f.wh.FS().ResetStats()
+	night, err := m.CacheSelected(context.Background(), selection(paths...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,18 +291,24 @@ func TestAppendedSplitIsAllThatIsScanned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.BytesScanned != want.BytesScanned || stats.RowsParsed != int64(len(day)) || stats.BytesWritten != want.BytesWritten {
-		t.Errorf("scanned %d bytes of %d rows and wrote %d; the new split alone is %d bytes, %d rows, %d written",
-			stats.BytesScanned, stats.RowsParsed, stats.BytesWritten, want.BytesScanned, len(day), want.BytesWritten)
+	// The append opened only the part it stored, and wrote that part and
+	// the day's cache part.
+	rawSize, err := f.wh.FS().Size(part)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if stats.SplitsCarried != 3 || stats.SplitsExtracted != 1 || stats.SplitsRewritten != 0 {
-		t.Errorf("splits: %+v, want 3 carried and 1 extracted", stats)
+	if got := scanned.Value() - scanned0; got != want.BytesScanned || ingest.Opens != 1 || ingest.BytesWritten != rawSize+want.BytesWritten {
+		t.Errorf("the append scanned %d bytes, opened %d files and wrote %d bytes; the new split alone scans %d bytes, and is %d raw bytes and %d cache bytes",
+			got, ingest.Opens, ingest.BytesWritten, want.BytesScanned, rawSize, want.BytesWritten)
 	}
-	// One raw part opened, and no cache part: links read nothing.
-	if io := f.wh.FS().Stats(); io.Opens != 1 {
-		t.Errorf("the cycle opened %d files, want only the new raw split", io.Opens)
+	if night.BytesScanned != 0 || night.RowsParsed != 0 || night.BytesWritten != 0 || night.SplitsCarried != 4 || night.SplitsExtracted+night.SplitsRewritten != 0 {
+		t.Errorf("the night after: %+v, want 4 carried splits and nothing parsed or written", night)
 	}
-	for mode, want := range map[string]int64{"carried": 3, "rewritten": 0, "extracted": 4} {
+	// Links read nothing.
+	if io := f.wh.FS().Stats(); io.Opens != 0 {
+		t.Errorf("the cycle opened %d files, want none", io.Opens)
+	}
+	for mode, want := range map[string]int64{"carried": 4, "rewritten": 0, "extracted": 3, "ingested": 1} {
 		if got := reg.Counter("cacher_splits_total", obs.L{K: "mode", V: mode}).Value(); got != want {
 			t.Errorf("cacher_splits_total{mode=%q} = %d, want %d", mode, got, want)
 		}
@@ -439,7 +458,8 @@ func TestTransformedRawReadFilesNoProvenance(t *testing.T) {
 }
 
 // TestAbortedCycleLeavesThePreviousGenerationWhole kills a cycle after it has
-// linked three splits into the new table, three ways. Each time the serving
+// linked three splits into the new table, four ways, while it extracts a
+// fourth whose ingest failed. Each time the serving
 // generation keeps its bytes, no table (so no link) of the dead one survives,
 // and the next cycle still carries from the generation that was left.
 func TestAbortedCycleLeavesThePreviousGenerationWhole(t *testing.T) {
@@ -471,7 +491,8 @@ func TestAbortedCycleLeavesThePreviousGenerationWhole(t *testing.T) {
 			}
 			serving := m.Cacher.ActiveCacheTable("mydb", "t")
 			before, entries := cacheParts(t, f, m), entryBytes(m)
-			mustAppend(f, saleRows(5, 7))
+			// The ingest faulted, the cycle has the new split to extract.
+			withFaultedIngest(f.wh, func() { mustAppend(f, saleRows(5, 7)) })
 			newRaw := rawParts(t, f)[3]
 
 			ctx, cancel := context.WithCancel(context.Background())

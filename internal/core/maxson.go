@@ -152,6 +152,9 @@ func New(e *sqlengine.Engine, cfg Config) *Maxson {
 
 	m.Cacher.SetObs(m.obs)
 	m.registerGauges()
+	// Extract at ingest: a part AppendRows lands is cached before the append
+	// returns, so no query parses it and the next cycle only links it.
+	wh.SetAppendNotify(m.Cacher.ingest)
 
 	m.Planner.Install(e)
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 
@@ -44,14 +46,28 @@ type ManifestSplit struct {
 }
 
 // split returns the record of raw part name at version, nil when the
-// manifest holds none (a part appended, rewritten or recreated since, or one
-// whose values came from a corrupted read).
+// manifest holds none (a part rewritten or recreated since, one appended
+// without being ingested, or one whose values came from a corrupted read).
 func (m *Manifest) split(name string, version uint64) *ManifestSplit {
 	i := sort.Search(len(m.Splits), func(i int) bool { return m.Splits[i].RawPath >= name })
 	if i < len(m.Splits) && m.Splits[i].RawPath == name && m.Splits[i].RawVersion == version {
 		return &m.Splits[i]
 	}
 	return nil
+}
+
+// follows reports whether raw part name sorts after every split m files: a
+// part appended since m was built. A recreated table reuses part names.
+func (m *Manifest) follows(name string) bool {
+	n := len(m.Splits)
+	return n == 0 || m.Splits[n-1].RawPath < name
+}
+
+// withSplit returns a copy of m that also files sp, a split that follows it.
+func (m *Manifest) withSplit(sp ManifestSplit) *Manifest {
+	next := *m
+	next.Splits = append(slices.Clip(m.Splits), sp)
+	return &next
 }
 
 // Covered returns how many of info's part files the manifest serves: those
@@ -93,7 +109,8 @@ type CacheEntry struct {
 type Registry struct {
 	mu sync.RWMutex
 	// manifests maps a raw table ("db.table") to its cache table's manifest.
-	// Swap replaces the map whole, so a map handed out is never written.
+	// Swap and Replace replace the map whole, so a map handed out is never
+	// written.
 	manifests map[string]*Manifest
 	entries   map[pathkey.Key]*CacheEntry
 	// quarantined names cache tables (db.table) that failed to open or
@@ -147,19 +164,42 @@ func (r *Registry) Swap(manifests []*Manifest) []*Manifest {
 	entries := make(map[pathkey.Key]*CacheEntry)
 	for _, m := range manifests {
 		byTable[m.Keys[0].TableID()] = m
-		for j, key := range m.Keys {
-			e := &CacheEntry{Key: key, CacheDB: CacheDB, CacheTable: m.CacheTable, CacheColumn: key.Sanitized(), Manifest: m}
-			for _, sp := range m.Splits {
-				e.Bytes += sp.ColBytes[j]
-			}
-			entries[key] = e
-		}
+		deriveEntries(entries, m)
 	}
 	r.mu.Lock()
 	old := r.manifests
 	r.manifests, r.entries = byTable, entries
 	r.mu.Unlock()
 	return sortedManifests(old)
+}
+
+// Replace installs next for its raw table in place of old, compare-and-swap:
+// only while old is still the manifest serving that table, which it reports.
+// A Swap or another Replace since old was read makes it do nothing. The other
+// tables' manifests and entries stay as they are.
+func (r *Registry) Replace(old, next *Manifest) bool {
+	id := next.Keys[0].TableID()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.manifests[id] != old {
+		return false
+	}
+	byTable, entries := maps.Clone(r.manifests), maps.Clone(r.entries)
+	byTable[id] = next
+	deriveEntries(entries, next)
+	r.manifests, r.entries = byTable, entries
+	return true
+}
+
+// deriveEntries files an entry for each of m's keys.
+func deriveEntries(entries map[pathkey.Key]*CacheEntry, m *Manifest) {
+	for j, key := range m.Keys {
+		e := &CacheEntry{Key: key, CacheDB: CacheDB, CacheTable: m.CacheTable, CacheColumn: key.Sanitized(), Manifest: m}
+		for _, sp := range m.Splits {
+			e.Bytes += sp.ColBytes[j]
+		}
+		entries[key] = e
+	}
 }
 
 // sortedManifests lists a generation's manifests by cache table.

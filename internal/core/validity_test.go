@@ -17,8 +17,10 @@ import (
 // through Maxson returns exactly the plain engine's rows, and reads cache
 // values exactly when some split is still at the version the manifest filed
 // it under — one value per cached path named and matched row when no scan is
-// shared. With sharing on, two queries asking different subsets of the
-// cached paths also run together, through one pass over their union.
+// shared. An append is such a split once ingest has cached it; one that lands
+// while a cycle runs, or while the cache table is quarantined, is not. With
+// sharing on, two queries asking different subsets of the cached paths also
+// run together, through one pass over their union.
 func TestSplitValidityEquivalence(t *testing.T) {
 	sel := selection("$.item_id", "$.turnover")
 	// Each history mutates the fixture around a populate of sel on m and
@@ -38,7 +40,18 @@ func TestSplitValidityEquivalence(t *testing.T) {
 			mustPopulate(t, m, sel)
 			mustAppend(f, saleRows(5, 7))
 			return m
+		}, 36},
+		{"append during populate", func(t *testing.T, f *fixture, m *Maxson, share bool) *Maxson {
+			mustPopulate(t, m, sel)
+			appendDuringPopulate(t, f, m, sel, saleRows(5, 7))
+			return m
 		}, 31},
+		{"append while quarantined", func(t *testing.T, f *fixture, m *Maxson, share bool) *Maxson {
+			mustPopulate(t, m, sel)
+			m.Registry.Quarantine(CacheDB, m.Cacher.ActiveCacheTable("mydb", "t"))
+			mustAppend(f, saleRows(5, 7))
+			return m
+		}, 0},
 		{"one split rewritten", func(t *testing.T, f *fixture, m *Maxson, share bool) *Maxson {
 			mustPopulate(t, m, sel)
 			mustRewrite(t, f, 1, saleRows(9, 8))

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/datum"
 	"repro/internal/jsonpath"
+	"repro/internal/obs"
 	"repro/internal/pathkey"
 	"repro/internal/sjson"
 	"repro/internal/sqlengine"
@@ -18,7 +19,7 @@ import (
 // study: wall time and allocator pressure per operation plus the simulated
 // parse accounting (bytes charged vs bytes the early exit skipped).
 type ExtractBenchRow struct {
-	Lane        string // "kernel" | "wildcard" | "populate" | "incremental" | "fallback"
+	Lane        string // "kernel" | "wildcard" | "populate" | "incremental" | "ingest" | "fallback"
 	Mode        string // "stream" | "tree" (kernel and wildcard lanes only)
 	NsPerOp     int64
 	AllocsPerOp int64
@@ -32,10 +33,11 @@ type ExtractBenchRow struct {
 
 // ExtractBenchResult compares the streaming multi-path extractor against
 // Parse + Eval on the raw kernel (point paths and a wildcard), and measures
-// the two consumers that run it in bulk: Cacher.PopulateCtx (from nothing, and
-// the night after with one new split) and the combiner's uncovered-split
-// fallback. Those two once had a tree-parse switch to compare
-// against; EXPERIMENTS.md keeps its last measured values.
+// the consumers that run it in bulk: Cacher.PopulateCtx (from nothing, and
+// the night after one new split), the ingest of an appended split, and the
+// combiner's uncovered-split fallback. Populate and fallback once had a
+// tree-parse switch to compare against; EXPERIMENTS.md keeps its last
+// measured values.
 type ExtractBenchResult struct {
 	Rows []ExtractBenchRow
 }
@@ -239,8 +241,9 @@ func RunExtractBench(ctx context.Context, rows int, seed int64) (*ExtractBenchRe
 	out.Rows = append(out.Rows, row)
 
 	// --- incremental lane: the same selection the night after, one table
-	// having gained a split (a copy of its first third): that split is
-	// extracted, every other one linked from the previous generation.
+	// having gained a split (a copy of its first third). The append's ingest
+	// extracted that split, so the night only links: every split is linked
+	// from the previous generation and no raw byte is scanned.
 	t01, err := w.WH.ReadAll(w.DB, "t01", []string{"id", "ds", "payload"})
 	if err != nil {
 		return nil, err
@@ -265,9 +268,29 @@ func RunExtractBench(ctx context.Context, rows int, seed int64) (*ExtractBenchRe
 	}
 	out.Rows = append(out.Rows, row)
 
+	// --- ingest lane: the same day appended to the table the incremental
+	// lane cached: AppendRows stores the part and, before it returns, extracts
+	// the serving manifest's paths for it into one cache part.
+	reg := env.maxson.Obs()
+	scannedC, skippedC := reg.Counter("cacher_parse_bytes_scanned_total"), reg.Counter("cacher_parse_bytes_skipped_total")
+	ingestedC := reg.Counter("cacher_splits_total", obs.L{K: "mode", V: "ingested"})
+	scanned0, skipped0, ingested0 := scannedC.Value(), skippedC.Value(), ingestedC.Value()
+	if err := appendDay(); err != nil {
+		return nil, err
+	}
+	if ingestedC.Value() != ingested0+1 {
+		return nil, fmt.Errorf("ingest lane: the append was not ingested")
+	}
+	row, err = benchOp("ingest", "stream", scannedC.Value()-scanned0, skippedC.Value()-skipped0, nil, appendDay)
+	if err != nil {
+		return nil, err
+	}
+	out.Rows = append(out.Rows, row)
+
 	// --- fallback lane: uncovered-split scan synthesizing Q3's paths ---
 	// A factory whose manifest records no split serves every split through
-	// the engine's extracting split reader: the post-midnight-append path.
+	// the engine's extracting split reader: the path of a rewritten split, or
+	// of an appended one its ingest did not cache.
 	q3 := w.Paths["Q3"]
 	var fallbacks []sqlengine.Extraction
 	var cacheCols []string

@@ -63,6 +63,9 @@ type Warehouse struct {
 	// can meter I/O retries without the warehouse importing obs.
 	retryNotify func()
 	retrySleep  func(time.Duration)
+	// appendNotify, when set, is called once per part AppendRows stores, so
+	// the cache can extract it at ingest without the warehouse importing core.
+	appendNotify func(db, table string, part dfs.FileInfo)
 }
 
 type tableMeta struct {
@@ -127,6 +130,16 @@ func (w *Warehouse) SetRetryNotify(f func()) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.retryNotify = f
+}
+
+// SetAppendNotify installs a callback AppendRows fires, synchronously and
+// holding no warehouse lock, after it has stored a part: the daily load's new
+// data, and nothing else. AppendEncoded, LinkPart and RewriteFile never fire
+// it.
+func (w *Warehouse) SetAppendNotify(f func(db, table string, part dfs.FileInfo)) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.appendNotify = f
 }
 
 // SetRetrySleep overrides the backoff sleeper between read retries (tests).
@@ -310,7 +323,8 @@ func (w *Warehouse) Parts(db, table string) ([]dfs.FileInfo, error) {
 }
 
 // AppendRows writes rows as a new part file of the table (the daily-load
-// pattern) and returns the file path.
+// pattern) and returns the file path. It returns after the append callback
+// (SetAppendNotify) has returned.
 func (w *Warehouse) AppendRows(db, table string, rows [][]datum.Datum) (string, error) {
 	tm, err := w.meta(db, table)
 	if err != nil {
@@ -321,7 +335,16 @@ func (w *Warehouse) AppendRows(db, table string, rows [][]datum.Datum) (string, 
 		return "", err
 	}
 	part, err := w.appendPart(tm, data)
-	return part.Name, err
+	if err != nil {
+		return part.Name, err
+	}
+	w.mu.RLock()
+	notify := w.appendNotify
+	w.mu.RUnlock()
+	if notify != nil {
+		notify(db, table, part)
+	}
+	return part.Name, nil
 }
 
 // AppendEncoded is AppendRows for a part file the caller encoded itself (with

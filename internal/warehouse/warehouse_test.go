@@ -953,3 +953,66 @@ func TestTableConcurrentWithAppends(t *testing.T) {
 	close(done)
 	wg.Wait()
 }
+
+// TestAppendNotifyFiresOnlyForAppendRows: the append callback sees each part
+// AppendRows stores, once and after it is readable, and nothing any other
+// write door stores.
+func TestAppendNotifyFiresOnlyForAppendRows(t *testing.T) {
+	w, _ := newTestWarehouse()
+	w.CreateDatabase("mydb")
+	for _, table := range []string{"t", "u"} {
+		if err := w.CreateTable("mydb", table, saleSchema); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var seen []string
+	w.SetAppendNotify(func(db, table string, part dfs.FileInfo) {
+		r, view, err := w.OpenFileView(part.Name)
+		if err != nil || view.Version != part.Version || int64(len(view.Data)) != part.Size || r.NumRows() != 2 {
+			t.Errorf("notified of %+v, which reads %v (version %d, %d rows)", part, err, view.Version, r.NumRows())
+		}
+		seen = append(seen, db+"."+table+" "+part.Name)
+	})
+	path, err := w.AppendRows("mydb", "t", saleRows(2, "20190101"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"mydb.t " + path}; fmt.Sprint(seen) != fmt.Sprint(want) {
+		t.Fatalf("notified %v, want %v", seen, want)
+	}
+
+	data, err := orc.WriteRows(saleSchema, saleRows(2, "20190102"), w.WriterOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.AppendEncoded("mydb", "t", data); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.LinkPart("mydb", "u", path); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.RewriteFile("mydb", "t", path, saleRows(2, "20190103")); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != 1 {
+		t.Errorf("notified %v; only AppendRows notifies", seen)
+	}
+
+	// A refused or failed append notifies nothing, and neither does a
+	// cleared callback.
+	if _, err := w.AppendRows("mydb", "nope", saleRows(2, "20190104")); err == nil {
+		t.Fatal("appended to a table that does not exist")
+	}
+	w.FS().SetInjector(fault.New(1).Add(fault.Rule{Op: fault.OpAppend, Kind: fault.KindError}))
+	if _, err := w.AppendRows("mydb", "t", saleRows(2, "20190104")); err == nil {
+		t.Fatal("the faulted write succeeded")
+	}
+	w.FS().SetInjector(nil)
+	w.SetAppendNotify(nil)
+	if _, err := w.AppendRows("mydb", "t", saleRows(2, "20190105")); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != 1 {
+		t.Errorf("notified %v after a refused append and a cleared callback", seen)
+	}
+}
