@@ -6,9 +6,10 @@ import (
 	"fmt"
 	"log/slog"
 	"runtime"
+	"slices"
 	"sort"
-	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/datum"
 	"repro/internal/dfs"
@@ -51,16 +52,9 @@ type Cacher struct {
 	// generation could have been carried forward and was not, with the reasons.
 	Log *slog.Logger
 
-	// mu guards generation and pendingDrop: queries, gauges and SaveState
-	// read them while an online cycle or LoadState writes them.
-	mu sync.Mutex
 	// generation numbers each population cycle; cache tables carry it in
 	// their name so generations never collide.
-	generation int
-	// pendingDrop lists the previous generation's tables, deleted at the
-	// START of the next cycle so queries planned against the old registry
-	// can finish against intact tables.
-	pendingDrop [][2]string // (db, table)
+	generation atomic.Int64
 
 	// ingestMu serialises ingests, and DropRetired against them, so an ingest
 	// never writes into a table being dropped and two appends to one table
@@ -88,7 +82,7 @@ type CacheStats struct {
 	BytesSkipped  int64 // raw JSON bytes the streaming extractor skipped
 	ParseErrors   int64 // malformed documents encountered (values cached as NULL)
 	TablesWritten int
-	Dropped       int // invalid cache tables deleted
+	Dropped       int // cache tables no manifest names, deleted
 	// Every cache split is one of: linked whole from the previous generation
 	// (carried), encoded anew with at least one column copied from it
 	// (rewritten), or extracted from the raw JSON alone.
@@ -153,8 +147,8 @@ func (c *Cacher) publish(stats CacheStats, ingested bool) {
 	c.splitsC[2].Add(int64(stats.SplitsExtracted))
 }
 
-// PopulateCtx runs one caching cycle: it drops the cache tables the previous
-// cycle retired and builds a new generation holding the selected profiles in
+// PopulateCtx runs one caching cycle: it drops the cache tables no manifest
+// names and builds a new generation holding the selected profiles in
 // order. The paper empties and re-populates every midnight; here a generation
 // is an incremental function of the one before it — what is unchanged since
 // (same raw file version, same path) is carried forward, and the result is
@@ -172,16 +166,13 @@ func (c *Cacher) publish(stats CacheStats, ingested bool) {
 func (c *Cacher) PopulateCtx(ctx context.Context, selected []*PathProfile) (CacheStats, error) {
 	var stats CacheStats
 
-	// Delete the generation retired during the PREVIOUS cycle: no live
-	// query can still reference it (its registry entries vanished a full
-	// cycle ago). RunMidnightCycleCtx calls DropRetired itself (so the stage
-	// is timed separately); this call is then a no-op, but keeps direct
-	// CacheSelected users correct.
+	// Delete the generation the PREVIOUS cycle displaced: no live query can
+	// still reference it (its registry entries vanished a full cycle ago).
+	// RunMidnightCycleCtx calls DropRetired itself (so the stage is timed
+	// separately); this call is then a no-op, but keeps direct CacheSelected
+	// users correct.
 	stats.Dropped = c.DropRetired()
-	c.mu.Lock()
-	c.generation++
-	gen := c.generation
-	c.mu.Unlock()
+	gen := int(c.generation.Add(1))
 	prev := c.registry.generation()
 
 	// Group selections by raw table: all MPJPs of one raw table go into one
@@ -245,52 +236,41 @@ func (c *Cacher) PopulateCtx(ctx context.Context, selected []*PathProfile) (Cach
 		if r.manifest != nil {
 			manifests = append(manifests, r.manifest)
 			stats.PathsCached += len(r.manifest.Keys)
+			stats.TablesWritten++
 		}
 		stats.add(r.stats)
-		stats.TablesWritten++
 	}
 	if firstErr != nil {
-		// Abort: delete this generation's tables right away (nothing
-		// referenced them; a link dies with its name, the bytes it shared
-		// stay with the previous generation) and leave that one serving,
-		// its manifests still in the registry for the next cycle to carry
-		// from.
-		c.dropGeneration(tableIDs, gen)
+		// Abort: no manifest names this generation's tables, so the sweep
+		// deletes them right away (a link dies with its name, the bytes it
+		// shared stay with the previous generation) and leaves that one
+		// serving, its manifests still in the registry for the next cycle to
+		// carry from.
+		c.DropRetired()
 		return stats, firstErr
 	}
 
-	// Commit: swap the registry atomically, then queue the displaced
-	// generation's tables for deferred deletion so in-flight queries
-	// planned against the old entries finish on intact files. A new
-	// generation also lifts any quarantine — the bad tables are gone, and
-	// nothing of a quarantined table was carried into this one.
-	old := c.registry.Swap(manifests)
-	c.registry.ClearQuarantine()
-	c.mu.Lock()
-	for _, m := range old {
-		c.pendingDrop = append(c.pendingDrop, [2]string{CacheDB, m.CacheTable})
-	}
-	sort.Slice(c.pendingDrop, func(i, j int) bool {
-		return c.pendingDrop[i][0]+c.pendingDrop[i][1] < c.pendingDrop[j][0]+c.pendingDrop[j][1]
-	})
-	c.mu.Unlock()
+	// Commit: swap the registry atomically. The displaced generation's
+	// tables stay until the next cycle's sweep, so in-flight queries planned
+	// against the old entries finish on intact files.
+	c.registry.Swap(manifests)
 	c.publish(stats, false)
 	return stats, nil
 }
 
 // ingest is the append callback New installs on the warehouse. When a
-// manifest serves the raw table, the part follows its splits (a recreated
-// table reuses part names) and the cache table is not quarantined, it builds
-// the part's cache split with the from-scratch populate into that manifest's
-// cache table and swaps in the manifest with one more split. Nothing fails
-// the append: an error is counted and logged and, like a lost swap, leaves
-// the part to the fallback lane until the next cycle extracts it. Ingest is
-// not held to the budget (DESIGN.md, "Extract at ingest").
+// manifest serves the raw table and the part follows its splits (a recreated
+// table reuses part names), it builds the part's cache split with the
+// from-scratch populate into that manifest's cache table and swaps in the
+// manifest with one more split. Nothing fails the append: an error is counted
+// and logged and, like a lost swap, leaves the part to the fallback lane until
+// the next cycle extracts it. Ingest is not held to the budget (DESIGN.md,
+// "Extract at ingest").
 func (c *Cacher) ingest(db, table string, raw dfs.FileInfo) {
 	c.ingestMu.Lock()
 	defer c.ingestMu.Unlock()
 	m := c.registry.generation()[pathkey.Key{DB: db, Table: table}.TableID()]
-	if m == nil || !m.follows(raw.Name) || c.registry.IsQuarantined(CacheDB, m.CacheTable) {
+	if m == nil || !m.follows(raw.Name) {
 		return
 	}
 	sp, stats, err := c.ingestSplit(m, raw)
@@ -323,102 +303,53 @@ func (c *Cacher) ingestSplit(m *Manifest, raw dfs.FileInfo) (sp ManifestSplit, s
 	return sp, stats, err
 }
 
-// dropGeneration deletes the named raw tables' cache tables of one
-// generation, ignoring tables that were never created.
-func (c *Cacher) dropGeneration(tableIDs []string, gen int) {
-	for _, id := range tableIDs {
-		db, table, ok := splitTableID(id)
-		if !ok {
-			continue
-		}
-		name := generationTableName(db, table, gen)
-		if c.wh.TableExists(CacheDB, name) {
-			if err := c.wh.DropTable(CacheDB, name); err != nil {
-				continue
-			}
-		}
+// retired lists the cache tables no serving manifest names: those a Swap
+// displaced or Quarantine unserved, and an aborted cycle's. Nothing names
+// such a table again. A table a populate is still building is not named yet
+// either, so the sweep runs between populates.
+func (c *Cacher) retired() []string {
+	tables := c.wh.ListTables(CacheDB)
+	named := make(map[string]bool)
+	for _, m := range c.registry.generation() {
+		named[m.CacheTable] = true
 	}
+	return slices.DeleteFunc(tables, func(t string) bool { return named[t] })
 }
 
-// DropRetired deletes the cache tables queued for deferred deletion by the
-// previous cycle and returns how many were dropped. PopulateCtx runs it
-// implicitly; RunMidnightCycleCtx calls it explicitly first so the
-// retire-deferred-delete stage is accounted on its own.
+// DropRetired deletes every cache table no serving manifest names and
+// returns how many it dropped. RunMidnightCycleCtx's retire stage runs it
+// first, so a generation a commit displaced outlives that commit by one
+// cycle (the paper's deferred deletion); PopulateCtx runs it at its start and
+// on abort, and LoadState after it installs the manifests it kept.
 func (c *Cacher) DropRetired() int {
-	c.mu.Lock()
-	pending := c.pendingDrop
-	c.pendingDrop = nil
-	c.mu.Unlock()
-	if len(pending) == 0 {
+	tables := c.retired()
+	if len(tables) == 0 {
 		return 0
 	}
-	// An ingest that read a manifest before it was retired may still be
+	// An ingest that read a manifest before it was displaced may still be
 	// writing into its table.
 	c.ingestMu.Lock()
 	defer c.ingestMu.Unlock()
 	dropped := 0
-	for _, t := range pending {
-		if c.wh.TableExists(t[0], t[1]) {
-			if err := c.wh.DropTable(t[0], t[1]); err == nil {
-				dropped++
-			}
+	for _, t := range tables {
+		if err := c.wh.DropTable(CacheDB, t); err == nil {
+			dropped++
 		}
 	}
 	return dropped
 }
 
 // Generation returns the number of population cycles run so far.
-func (c *Cacher) Generation() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.generation
-}
+func (c *Cacher) Generation() int { return int(c.generation.Load()) }
 
-// PendingDrops returns how many retired cache tables await deferred
-// deletion at the start of the next cycle.
-func (c *Cacher) PendingDrops() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.pendingDrop)
-}
-
-// StateSnapshot exports the cacher's durable state — the generation counter
-// and the deferred-deletion queue — for SaveState.
-func (c *Cacher) StateSnapshot() (generation int, pendingDrop [][2]string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	pending := make([][2]string, len(c.pendingDrop))
-	copy(pending, c.pendingDrop)
-	return c.generation, pending
-}
-
-// RestoreState reinstates a snapshot taken by StateSnapshot. LoadState uses
-// it so a restarted node resumes generation numbering (fresh cache tables
-// never collide with survivors) and still deletes tables the previous
-// incarnation had retired.
-func (c *Cacher) RestoreState(generation int, pendingDrop [][2]string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if generation > c.generation {
-		c.generation = generation
-	}
-	c.pendingDrop = append([][2]string(nil), pendingDrop...)
-}
+// PendingDrops returns how many cache tables the next DropRetired deletes.
+func (c *Cacher) PendingDrops() int { return len(c.retired()) }
 
 func maxInt(a, b int) int {
 	if a > b {
 		return a
 	}
 	return b
-}
-
-// splitTableID undoes pathkey.Key.TableID ("db.table").
-func splitTableID(id string) (db, table string, ok bool) {
-	i := strings.IndexByte(id, '.')
-	if i < 0 {
-		return "", "", false
-	}
-	return id[:i], id[i+1:], true
 }
 
 // errCarryBroken aborts one attempt to build a split from the previous
@@ -618,8 +549,6 @@ func (tp *tablePopulate) carriable(prev *Manifest, prevParts []dfs.FileInfo, raw
 		return nil, "raw part not at a cached version"
 	case !sp.Carry:
 		return nil, "malformed document"
-	case tp.c.registry.IsQuarantined(CacheDB, prev.CacheTable):
-		return nil, "quarantined"
 	case !holdsPart(prevParts, sp.CachePath, sp.CacheVersion):
 		return nil, "cache part changed"
 	case len(tp.carried) == 0:

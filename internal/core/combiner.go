@@ -99,9 +99,8 @@ type CombinedScanFactory struct {
 
 	schema sqlengine.RowSchema
 
-	// registry, when set, receives quarantine marks for cache tables that
-	// fail to open or decode, so the planner stops routing to them for the
-	// rest of the generation.
+	// registry, when set, unserves a cache table that fails to open or
+	// decode, so the planner stops routing to it.
 	registry *Registry
 
 	// obsc publishes open-mode and hit/miss counters.
@@ -204,11 +203,10 @@ func (f *CombinedScanFactory) splitReader(list []sqlengine.Extraction) *sqlengin
 // cache table it finds broken.
 func (f *CombinedScanFactory) SetRegistry(r *Registry) { f.registry = r }
 
-// quarantineCache marks this factory's cache table unusable for the rest of
-// the generation.
+// quarantineCache unserves this factory's cache table until the next swap.
 func (f *CombinedScanFactory) quarantineCache() {
 	if f.registry != nil {
-		f.registry.Quarantine(CacheDB, f.manifest.CacheTable)
+		f.registry.Quarantine(f.manifest.CacheTable)
 	}
 }
 

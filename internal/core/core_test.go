@@ -83,6 +83,12 @@ func cachePaths(t *testing.T, m *Maxson, paths ...string) {
 func TestCacherAlignmentInvariant(t *testing.T) {
 	f := newFixture(t)
 	m := New(f.engine, Config{BudgetBytes: 1 << 30, DefaultDB: "mydb"})
+	// A table none of whose paths compiles writes nothing and counts as
+	// nothing.
+	stats, err := m.CacheSelected(context.Background(), []*PathProfile{profileFor("$.[")})
+	if err != nil || stats.TablesWritten != 0 || len(f.wh.ListTables(CacheDB)) != 0 {
+		t.Fatalf("uncompilable selection: %+v, %v; cache tables %v", stats, err, f.wh.ListTables(CacheDB))
+	}
 	cachePaths(t, m, "$.item_id", "$.turnover")
 	if err := m.Cacher.VerifyAlignment("mydb", "t"); err != nil {
 		t.Fatal(err)

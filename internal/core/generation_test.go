@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"log/slog"
 	"strings"
 	"sync"
 	"testing"
@@ -315,42 +314,17 @@ func TestAppendedSplitIsAllThatIsScanned(t *testing.T) {
 	}
 }
 
-// debugLog returns a logger that records debug lines, and the buffer.
-func debugLog() (*slog.Logger, *syncBuffer) {
-	buf := &syncBuffer{}
-	return slog.New(slog.NewTextHandler(buf, &slog.HandlerOptions{Level: slog.LevelDebug})), buf
-}
-
-type syncBuffer struct {
-	mu sync.Mutex
-	b  bytes.Buffer
-}
-
-func (s *syncBuffer) Write(p []byte) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.b.Write(p)
-}
-
-func (s *syncBuffer) String() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.b.String()
-}
-
 // TestQuarantinedGenerationIsNeverCarried: a cache table that failed a query
-// is rebuilt from the raw files, which is what lets the new generation lift
-// the quarantine.
+// serves no more, so the next generation rebuilds it from the raw files.
 func TestQuarantinedGenerationIsNeverCarried(t *testing.T) {
 	f := newFixture(t)
-	logger, logged := debugLog()
-	m := New(f.engine, Config{BudgetBytes: 1 << 30, DefaultDB: "mydb", Logger: logger})
+	m := New(f.engine, Config{BudgetBytes: 1 << 30, DefaultDB: "mydb"})
 	sel := selection("$.item_id", "$.turnover")
 	if _, err := m.CacheSelected(context.Background(), sel); err != nil {
 		t.Fatal(err)
 	}
 	wantParts, wantEntries := cacheParts(t, f, m), entryBytes(m)
-	m.Registry.Quarantine(CacheDB, m.Cacher.ActiveCacheTable("mydb", "t"))
+	m.Registry.Quarantine(m.Cacher.ActiveCacheTable("mydb", "t"))
 
 	stats, err := m.CacheSelected(context.Background(), sel)
 	if err != nil {
@@ -363,9 +337,6 @@ func TestQuarantinedGenerationIsNeverCarried(t *testing.T) {
 		t.Errorf("%d tables still quarantined after a new generation", n)
 	}
 	requireSameGeneration(t, f, m, wantParts, wantEntries)
-	if !strings.Contains(logged.String(), "quarantined:3") {
-		t.Errorf("no debug record says why nothing was carried:\n%s", logged.String())
-	}
 
 	// The rebuilt generation's manifest carries again.
 	if stats, err = m.CacheSelected(context.Background(), sel); err != nil || stats.SplitsCarried != 3 {

@@ -537,24 +537,23 @@ func TestIngestMalformedDocumentClearsCarry(t *testing.T) {
 	requirePlainRows(t, f, m, sql)
 }
 
-// TestIngestSkipsAQuarantinedCacheTable: an append to a table whose cache
-// table is quarantined writes nothing into it and leaves the manifest as it
-// was; the next cycle rebuilds every split.
+// TestIngestSkipsAQuarantinedCacheTable: quarantine unserves the table's
+// manifest, so an append to its raw table finds none to extend and writes
+// nothing into it; the next cycle rebuilds every split.
 func TestIngestSkipsAQuarantinedCacheTable(t *testing.T) {
 	f := newFixture(t)
 	m := New(f.engine, Config{BudgetBytes: 1 << 30, DefaultDB: "mydb"})
 	sel := selection("$.turnover")
 	mustPopulate(t, m, sel)
 	table := m.Cacher.ActiveCacheTable("mydb", "t")
-	before := m.Registry.generation()["mydb.t"]
-	m.Registry.Quarantine(CacheDB, table)
+	m.Registry.Quarantine(table)
 	mustAppend(f, saleRows(5, 7))
 	parts, err := f.wh.Parts(CacheDB, table)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(parts) != 3 || m.Registry.generation()["mydb.t"] != before {
-		t.Errorf("ingest wrote into a quarantined table: %d parts, manifest replaced %v", len(parts), m.Registry.generation()["mydb.t"] != before)
+	if mf := m.Registry.generation()["mydb.t"]; len(parts) != 3 || mf != nil {
+		t.Errorf("after the quarantine: the table has %d parts, want 3; serving manifest %+v, want none", len(parts), mf)
 	}
 	if n, failed := splitsOf(m, "ingested"), m.Obs().Counter("cacher_ingest_failures_total").Value(); n != 0 || failed != 0 {
 		t.Errorf("%d splits ingested, %d failures counted; want neither", n, failed)

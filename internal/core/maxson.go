@@ -180,9 +180,9 @@ func New(e *sqlengine.Engine, cfg Config) *Maxson {
 func (m *Maxson) Obs() *obs.Registry { return m.obs }
 
 // registerGauges exposes the cache registry's live state: entry count,
-// cached bytes against the budget, generation number, and tables awaiting
-// deferred deletion. GaugeFuncs are read at snapshot time, so exports always
-// reflect the current cycle.
+// cached bytes against the budget, generation number, the cache tables the
+// next retire deletes and those quarantined since the last swap. GaugeFuncs
+// are read at snapshot time, so exports always reflect the current cycle.
 func (m *Maxson) registerGauges() {
 	m.obs.GaugeFunc("cache_registry_path_count", func() int64 {
 		return int64(m.Registry.Len())
@@ -362,8 +362,7 @@ func (m *Maxson) LastCycle() *CycleReport { return m.lastCycle.Load() }
 // between stages and, inside populate, between files and batches. A cycle
 // that dies at any point leaves the previous cache generation serving: the
 // new generation's tables are only registered by an atomic swap after every
-// table succeeds, and the next cycle or LoadState cleans up any partial
-// tables.
+// table succeeds, and the aborted populate drops the partial tables.
 func (m *Maxson) RunMidnightCycleCtx(ctx context.Context) (*CycleReport, error) {
 	now := m.wh.Clock().Now()
 	report := &CycleReport{At: now}
@@ -418,9 +417,10 @@ func (m *Maxson) RunMidnightCycleCtx(ctx context.Context) (*CycleReport, error) 
 		return report, err
 	}
 
-	// Stage 1: delete the cache tables the PREVIOUS cycle retired (deferred
-	// deletion — in-flight queries of that era have long drained), and the
-	// collector's days older than the training horizon.
+	// Stage 1: delete the cache tables no manifest names, the generation the
+	// PREVIOUS cycle displaced among them (deferred deletion — in-flight
+	// queries of that era have long drained), and the collector's days older
+	// than the training horizon.
 	dropped := m.Cacher.DropRetired()
 	m.Collector.Retire(now.AddDate(0, 0, -4*m.Window))
 	stage("retire", dropped)
@@ -550,11 +550,12 @@ const statePath = "/maxson_meta/cache.state"
 // 002 persists manifests; a 001 file, which held entries, fails as bad magic.
 const stateMagic = "MAXST002"
 
-// persistedState is the JSON payload of the cache.state file.
+// persistedState is the JSON payload of the cache.state file. Older MAXST002
+// files also list "pending_drop", which decoding ignores: no manifest names
+// those tables, so the load-time sweep drops them.
 type persistedState struct {
-	Generation  int         `json:"generation"`
-	PendingDrop [][2]string `json:"pending_drop,omitempty"`
-	Manifests   []*Manifest `json:"manifests,omitempty"`
+	Generation int         `json:"generation"`
+	Manifests  []*Manifest `json:"manifests,omitempty"`
 }
 
 // encodeState frames a snapshot as magic + CRC32(payload) + JSON payload,
@@ -605,11 +606,9 @@ func (m *Maxson) SaveState() error {
 	if _, err := m.Collector.SaveStats(m.wh); err != nil {
 		return err
 	}
-	gen, pending := m.Cacher.StateSnapshot()
 	blob, err := encodeState(&persistedState{
-		Generation:  gen,
-		PendingDrop: pending,
-		Manifests:   sortedManifests(m.Registry.generation()),
+		Generation: m.Cacher.Generation(),
+		Manifests:  sortedManifests(m.Registry.generation()),
 	})
 	if err != nil {
 		return err
@@ -635,9 +634,10 @@ func (m *Maxson) SaveState() error {
 // Recovery semantics: a manifest whose cache parts all still exist at the
 // versions it recorded is rolled forward, so the restarted node serves and
 // carries exactly what the saved one did; any other manifest is discarded;
-// cache tables on disk that no manifest references (a midnight cycle that
-// died mid-populate left them behind) are swept. Either way the node comes
-// up consistent without manual cleanup.
+// then DropRetired deletes every cache table no kept manifest names (the
+// saved node's displaced generation, or the debris of a midnight cycle that
+// died mid-populate). Either way the node comes up consistent without manual
+// cleanup.
 func (m *Maxson) LoadState() error {
 	m.stateMu.Lock()
 	defer m.stateMu.Unlock()
@@ -676,34 +676,19 @@ func (m *Maxson) loadRegistryState() error {
 
 	// Roll forward manifests whose cache parts survived; discard the rest.
 	kept := make([]*Manifest, 0, len(st.Manifests))
-	live := make(map[string]bool)
-	discarded := 0
 	for _, mf := range st.Manifests {
 		if m.intact(mf) {
 			kept = append(kept, mf)
-			live[CacheDB+"/"+mf.CacheTable] = true
-		} else {
-			discarded++
 		}
 	}
+	discarded := len(st.Manifests) - len(kept)
 	m.Registry.Swap(kept)
-	m.Cacher.RestoreState(st.Generation, st.PendingDrop)
-	for _, t := range st.PendingDrop {
-		live[t[0]+"/"+t[1]] = true // still queued for deferred deletion
+	// Fresh table names must not collide with survivors: resume numbering
+	// after the saved generation, never before the running one.
+	for gen := m.Cacher.generation.Load(); gen < int64(st.Generation); gen = m.Cacher.generation.Load() {
+		m.Cacher.generation.CompareAndSwap(gen, int64(st.Generation))
 	}
-
-	// Sweep orphans: cache tables no manifest references and no drop queue
-	// owns — the debris of a cycle that died between creating tables and
-	// the registry swap.
-	swept := 0
-	for _, table := range m.wh.ListTables(CacheDB) {
-		if live[CacheDB+"/"+table] {
-			continue
-		}
-		if err := m.wh.DropTable(CacheDB, table); err == nil {
-			swept++
-		}
-	}
+	swept := m.Cacher.DropRetired()
 	if discarded > 0 || swept > 0 {
 		m.Log.Warn("state recovery", "manifests_kept", len(kept),
 			"manifests_discarded", discarded, "orphan_tables_swept", swept)

@@ -102,14 +102,9 @@ func (p *Planner) modifyScan(plan *sqlengine.PhysicalPlan, scan *sqlengine.ScanN
 		key := pathkey.Key{DB: scan.DB, Table: scan.Table, Column: jp.Column.Name, Path: jp.Path.Canonical()}
 		entry := p.registry.Lookup(key)
 		// A swap between two lookups could hand out entries of two
-		// generations; the scan reads one manifest's table.
+		// generations; the scan reads one manifest's table. A quarantined
+		// table has no entries: the query plans against raw data.
 		if entry == nil || len(hits) > 0 && entry.Manifest != hits[0].entry.Manifest {
-			return
-		}
-		// Quarantined cache tables (failed to open or decode earlier this
-		// generation) are skipped entirely: the query plans against raw
-		// data as if the path were never cached.
-		if p.registry.IsQuarantined(entry.CacheDB, entry.CacheTable) {
 			return
 		}
 		hits = append(hits, hit{entry: entry, expr: jp})

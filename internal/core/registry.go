@@ -113,19 +113,16 @@ type Registry struct {
 	// written.
 	manifests map[string]*Manifest
 	entries   map[pathkey.Key]*CacheEntry
-	// quarantined names cache tables (db.table) that failed to open or
-	// decode this generation: the planner skips their entries so queries
-	// transparently re-route to the raw-parse path until the next
-	// population cycle replaces the table and clears the set.
-	quarantined map[string]bool
+	// quarantined counts the cache tables Quarantine unserved since the last
+	// Swap.
+	quarantined int
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		manifests:   make(map[string]*Manifest),
-		entries:     make(map[pathkey.Key]*CacheEntry),
-		quarantined: make(map[string]bool),
+		manifests: make(map[string]*Manifest),
+		entries:   make(map[pathkey.Key]*CacheEntry),
 	}
 }
 
@@ -155,11 +152,10 @@ func (r *Registry) Len() int {
 	return len(r.entries)
 }
 
-// Swap atomically replaces the whole generation with manifests and returns
-// the previous generation's, sorted by cache table. Readers observe either
-// the old generation or the new one, never a half-built mix — the midnight
-// cycle's build-then-swap commit.
-func (r *Registry) Swap(manifests []*Manifest) []*Manifest {
+// Swap atomically replaces the whole generation with manifests, which lifts
+// every quarantine. Readers observe either the old generation or the new one,
+// never a half-built mix — the midnight cycle's build-then-swap commit.
+func (r *Registry) Swap(manifests []*Manifest) {
 	byTable := make(map[string]*Manifest, len(manifests))
 	entries := make(map[pathkey.Key]*CacheEntry)
 	for _, m := range manifests {
@@ -167,10 +163,8 @@ func (r *Registry) Swap(manifests []*Manifest) []*Manifest {
 		deriveEntries(entries, m)
 	}
 	r.mu.Lock()
-	old := r.manifests
-	r.manifests, r.entries = byTable, entries
-	r.mu.Unlock()
-	return sortedManifests(old)
+	defer r.mu.Unlock()
+	r.manifests, r.entries, r.quarantined = byTable, entries, 0
 }
 
 // Replace installs next for its raw table in place of old, compare-and-swap:
@@ -220,40 +214,36 @@ func (r *Registry) generation() map[string]*Manifest {
 	return r.manifests
 }
 
-func quarantineKey(db, table string) string { return db + "." + table }
-
-// Quarantine marks a cache table as unusable for the rest of the generation
-// and reports whether it was newly quarantined.
-func (r *Registry) Quarantine(db, table string) bool {
+// Quarantine unserves the manifest of cache table cacheTable, which failed to
+// open or decode, with its entries: the planner, ingest and the next populate
+// then see its raw table uncached, and the next DropRetired deletes the table.
+// It matches by name, so a manifest ingest extended is unserved too, and it
+// reports whether the table was serving.
+func (r *Registry) Quarantine(cacheTable string) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	k := quarantineKey(db, table)
-	if r.quarantined[k] {
-		return false
+	for id, m := range r.manifests {
+		if m.CacheTable != cacheTable {
+			continue
+		}
+		byTable, entries := maps.Clone(r.manifests), maps.Clone(r.entries)
+		delete(byTable, id)
+		for _, key := range m.Keys {
+			delete(entries, key)
+		}
+		r.manifests, r.entries = byTable, entries
+		r.quarantined++
+		return true
 	}
-	r.quarantined[k] = true
-	return true
+	return false
 }
 
-// IsQuarantined reports whether a cache table is quarantined.
-func (r *Registry) IsQuarantined(db, table string) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.quarantined[quarantineKey(db, table)]
-}
-
-// ClearQuarantine empties the quarantine set (a new generation swapped in).
-func (r *Registry) ClearQuarantine() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.quarantined = make(map[string]bool)
-}
-
-// QuarantineCount returns how many cache tables are quarantined.
+// QuarantineCount returns how many cache tables were quarantined since the
+// last Swap.
 func (r *Registry) QuarantineCount() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return len(r.quarantined)
+	return r.quarantined
 }
 
 // TotalBytes sums the footprint of the entries.

@@ -48,7 +48,7 @@ func TestSplitValidityEquivalence(t *testing.T) {
 		}, 31},
 		{"append while quarantined", func(t *testing.T, f *fixture, m *Maxson, share bool) *Maxson {
 			mustPopulate(t, m, sel)
-			m.Registry.Quarantine(CacheDB, m.Cacher.ActiveCacheTable("mydb", "t"))
+			m.Registry.Quarantine(m.Cacher.ActiveCacheTable("mydb", "t"))
 			mustAppend(f, saleRows(5, 7))
 			return m
 		}, 0},

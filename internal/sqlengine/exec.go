@@ -510,23 +510,11 @@ func (e *Engine) runPartition(ctx context.Context, plan *PhysicalPlan, calls *Pa
 	defer flush()
 
 	// prefilterRow applies the Sparser-style raw filters to one materialized
-	// (joined) row: a document lacking the needle cannot satisfy its equality
-	// conjunct — skip it before any parsing. Escape-encoded documents (any
-	// backslash) may hide the value's text, so they are never skipped — only
-	// parsed and verified.
+	// (joined) row.
 	prefilterRow := func(row []datum.Datum) bool {
-		for _, pf := range preFilters {
-			if pf.colIdx < 0 || pf.colIdx >= len(row) {
-				continue
-			}
-			doc := row[pf.colIdx]
-			if doc.Null {
-				prefSkipped++
-				return false
-			}
-			prefBytes += int64(len(doc.S))
-			if !strings.Contains(doc.S, pf.Needle) && !strings.ContainsRune(doc.S, '\\') {
-				prefSkipped++
+		for i := range preFilters {
+			pf := &preFilters[i]
+			if pf.colIdx >= 0 && pf.colIdx < len(row) && !pf.admits(row[pf.colIdx], &prefSkipped, &prefBytes) {
 				return false
 			}
 		}
@@ -598,18 +586,9 @@ func (e *Engine) runPartition(ctx context.Context, plan *PhysicalPlan, calls *Pa
 		if len(preFilters) > 0 {
 		rows:
 			for i := 0; i < n; i++ {
-				for _, pf := range preFilters {
-					if pf.colIdx < 0 || pf.colIdx >= width {
-						continue
-					}
-					doc := batch.Cols[pf.colIdx][i]
-					if doc.Null {
-						prefSkipped++
-						continue rows
-					}
-					prefBytes += int64(len(doc.S))
-					if !strings.Contains(doc.S, pf.Needle) && !strings.ContainsRune(doc.S, '\\') {
-						prefSkipped++
+				for j := range preFilters {
+					pf := &preFilters[j]
+					if pf.colIdx >= 0 && pf.colIdx < width && !pf.admits(batch.Cols[pf.colIdx][i], &prefSkipped, &prefBytes) {
 						continue rows
 					}
 				}
@@ -635,6 +614,25 @@ func (e *Engine) runPartition(ctx context.Context, plan *PhysicalPlan, calls *Pa
 		return ctx.Err()
 	})
 	return res
+}
+
+// admits applies the prefilter to doc, one row's value of its column, adding
+// the bytes it examined to scanned and a rejected row to skipped. A NULL
+// document, or one lacking the needle, cannot satisfy the equality conjunct,
+// so its row is skipped before any parsing. A document holding a backslash
+// may hide the value's text behind an escape: it is never skipped, only
+// parsed and verified.
+func (pf *RawPrefilter) admits(doc datum.Datum, skipped, scanned *int64) bool {
+	if doc.Null {
+		*skipped++
+		return false
+	}
+	*scanned += int64(len(doc.S))
+	if !strings.Contains(doc.S, pf.Needle) && !strings.ContainsRune(doc.S, '\\') {
+		*skipped++
+		return false
+	}
+	return true
 }
 
 // meterBatch counts one scan batch of n rows pulled by the executor.
