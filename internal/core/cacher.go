@@ -62,8 +62,7 @@ type Cacher struct {
 	ingestMu sync.Mutex
 
 	// obs counters (nil until SetObs): population cycles and ingests publish
-	// totals here so malformed documents are visible operationally, not
-	// silently NULLed.
+	// totals here so malformed documents are visible operationally.
 	parseErrorsC    *obs.Counter
 	bytesScannedC   *obs.Counter
 	bytesSkippedC   *obs.Counter
@@ -80,7 +79,7 @@ type CacheStats struct {
 	BytesCarried  int64 // cache bytes linked from the previous generation
 	BytesScanned  int64 // raw JSON bytes the population scan actually read
 	BytesSkipped  int64 // raw JSON bytes the streaming extractor skipped
-	ParseErrors   int64 // malformed documents encountered (values cached as NULL)
+	ParseErrors   int64 // malformed documents encountered (each path cached as extracted alone)
 	TablesWritten int
 	Dropped       int // cache tables no manifest names, deleted
 	// Every cache split is one of: linked whole from the previous generation
@@ -547,8 +546,6 @@ func (tp *tablePopulate) carriable(prev *Manifest, prevParts []dfs.FileInfo, raw
 	switch {
 	case sp == nil:
 		return nil, "raw part not at a cached version"
-	case !sp.Carry:
-		return nil, "malformed document"
 	case !holdsPart(prevParts, sp.CachePath, sp.CacheVersion):
 		return nil, "cache part changed"
 	case len(tp.carried) == 0:
@@ -620,7 +617,7 @@ func (tp *tablePopulate) populateSplit(raw dfs.FileInfo, from *ManifestSplit) (M
 		return sp, nil
 	}
 
-	sp := ManifestSplit{RawPath: raw.Name, ColBytes: make([]int64, len(tp.cols)), Carry: true}
+	sp := ManifestSplit{RawPath: raw.Name, ColBytes: make([]int64, len(tp.cols))}
 	plan := tp.plan(from != nil)
 	var carry, rawCur *orc.Cursor
 	if from != nil {
@@ -691,14 +688,6 @@ func (tp *tablePopulate) populateSplit(raw dfs.FileInfo, from *ManifestSplit) (M
 						sp.ColBytes[j] += int64(len(v.S))
 					}
 				}
-			}
-			if malformed > 0 {
-				if from != nil {
-					// Copied values were extracted clean; beside a malformed
-					// document they would differ from a from-scratch populate.
-					return ManifestSplit{}, fmt.Errorf("%w: malformed document", errCarryBroken)
-				}
-				sp.Carry = false
 			}
 		}
 		if n == 0 {

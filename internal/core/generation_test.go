@@ -639,13 +639,12 @@ func malformedFixture(t *testing.T) *fixture {
 	return f
 }
 
-// TestMalformedDocumentBreaksTheCarry: after a syntax error every path of the
-// set being extracted reads NULL, so what "$.a" yields for the broken
-// document depends on whether "$.c" is extracted with it. A split carried
-// column by column would keep the value "$.a" had alone; the kernel notices
-// the error while extracting "$.c" and builds the split from the raw file
-// instead, as a from-scratch populate does.
-func TestMalformedDocumentBreaksTheCarry(t *testing.T) {
+// TestMalformedDocumentIsCarried: a path's value depends only on its
+// document, so "$.a" of the broken document reads the same whether "$.c" is
+// extracted with it or not. Adding "$.c" rewrites both splits, copying
+// "$.a" beside the broken document, and the result is byte-equal to a
+// from-scratch populate; the cycle after that links both.
+func TestMalformedDocumentIsCarried(t *testing.T) {
 	sel := func(paths ...string) []*PathProfile { return selectionOf("m", "doc", paths...) }
 
 	f := malformedFixture(t)
@@ -673,17 +672,23 @@ func TestMalformedDocumentBreaksTheCarry(t *testing.T) {
 			t.Errorf("split %d differs from a from-scratch populate", i)
 		}
 	}
-	if stats.SplitsRewritten != 1 || stats.SplitsExtracted != 1 || stats.ParseErrors != fresh.ParseErrors || fresh.ParseErrors != 1 {
-		t.Errorf("stats %+v (from scratch: %+v); want the clean split rewritten, the broken one extracted, one parse error", stats, fresh)
+	if stats.SplitsRewritten != 2 || stats.SplitsExtracted != 0 || stats.ParseErrors != fresh.ParseErrors || fresh.ParseErrors != 1 {
+		t.Errorf("stats %+v (from scratch: %+v); want both splits rewritten, one parse error", stats, fresh)
+	}
+	const sql = `SELECT get_json_object(doc, '$.c') c FROM mydb.m WHERE get_json_object(doc, '$.a') = '10'`
+	if met := requirePlainRows(t, f, m, sql); met.Parse.Docs.Load() != 0 {
+		t.Errorf("parsed %d documents; every split is served", met.Parse.Docs.Load())
+	}
+	if rs, _, err := m.QueryCtx(context.Background(), sql); err != nil || len(rs.Rows) != 1 || !rs.Rows[0][0].Null {
+		t.Errorf("the broken document reads %v (err %v), want its $.a and a NULL $.c", rs, err)
 	}
 
-	// The broken split's record does not carry: it is extracted every night.
 	again, err := m.CacheSelected(context.Background(), sel("$.a", "$.c"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again.SplitsCarried != 1 || again.SplitsExtracted != 1 {
-		t.Errorf("next cycle: %+v, want the clean split carried and the broken one extracted", again)
+	if again.SplitsCarried != 2 || again.SplitsExtracted != 0 {
+		t.Errorf("next cycle: %+v, want both splits carried", again)
 	}
 }
 

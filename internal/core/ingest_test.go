@@ -503,10 +503,10 @@ func TestIngestUnderFaults(t *testing.T) {
 	})
 }
 
-// TestIngestMalformedDocumentClearsCarry: an appended part holding a
-// malformed document is ingested with Carry off, as populate files it, so
-// the next cycle extracts it again instead of carrying it.
-func TestIngestMalformedDocumentClearsCarry(t *testing.T) {
+// TestIngestMalformedDocumentIsCarried: an appended part holding a
+// malformed document is ingested as populate would build it, each path read
+// as if extracted alone, so the next cycle links all three splits.
+func TestIngestMalformedDocumentIsCarried(t *testing.T) {
 	f := malformedFixture(t)
 	m := New(f.engine, Config{BudgetBytes: 1 << 30, DefaultDB: "mydb"})
 	sel := selectionOf("m", "doc", "$.a", "$.c")
@@ -517,13 +517,13 @@ func TestIngestMalformedDocumentClearsCarry(t *testing.T) {
 		t.Fatal(err)
 	}
 	mf := m.Registry.generation()["mydb.m"]
-	if last := mf.Splits[len(mf.Splits)-1]; last.RawPath != part || last.Carry {
-		t.Fatalf("the ingested split is %+v, want %s with Carry off", last, part)
+	if last := mf.Splits[len(mf.Splits)-1]; last.RawPath != part {
+		t.Fatalf("the last split is %+v, want the ingested %s", last, part)
 	}
 	if got := m.Obs().Counter("cacher_parse_errors_total").Value() - malformed; got != 1 {
 		t.Errorf("ingest counted %d malformed documents, want 1", got)
 	}
-	const sql = `SELECT get_json_object(doc, '$.a') a, get_json_object(doc, '$.c') c FROM mydb.m`
+	const sql = `SELECT get_json_object(doc, '$.c') c FROM mydb.m WHERE get_json_object(doc, '$.a') = '20'`
 	if met := requirePlainRows(t, f, m, sql); met.Parse.Docs.Load() != 0 {
 		t.Errorf("parsed %d documents; the ingested split is served", met.Parse.Docs.Load())
 	}
@@ -531,10 +531,12 @@ func TestIngestMalformedDocumentClearsCarry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.SplitsCarried != 1 || stats.SplitsExtracted != 2 {
-		t.Errorf("the next cycle: %+v, want the clean split carried and both broken ones extracted", stats)
+	if stats.SplitsCarried != 3 || stats.SplitsExtracted != 0 {
+		t.Errorf("the next cycle: %+v, want all three splits carried", stats)
 	}
-	requirePlainRows(t, f, m, sql)
+	if rs, _, err := m.QueryCtx(context.Background(), sql); err != nil || len(rs.Rows) != 1 || !rs.Rows[0][0].Null {
+		t.Errorf("the broken appended document reads %v (err %v), want its $.a and a NULL $.c", rs, err)
+	}
 }
 
 // TestIngestSkipsAQuarantinedCacheTable: quarantine unserves the table's

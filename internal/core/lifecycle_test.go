@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -133,9 +134,11 @@ func TestCacheLifecycleInvariants(t *testing.T) {
 
 // TestStateFileWithADropQueueLoads: a MAXST002 file that also lists the
 // displaced generation under "pending_drop", as files were written while
-// the cacher kept a drop queue, still loads. Its intact manifests serve, and
-// the table it queued is dropped, because no manifest names it. A manifest
-// quarantined since is left out of the next SaveState.
+// the cacher kept a drop queue, and files a "carry" bit per split, as files
+// were written while a malformed document kept a split from being carried,
+// still loads. Its intact manifests serve, and the table it queued is
+// dropped, because no manifest names it. A manifest quarantined since is
+// left out of the next SaveState.
 func TestStateFileWithADropQueueLoads(t *testing.T) {
 	f := newFixture(t)
 	m := New(f.engine, Config{BudgetBytes: 1 << 30, DefaultDB: "mydb"})
@@ -144,11 +147,19 @@ func TestStateFileWithADropQueueLoads(t *testing.T) {
 	displaced := m.Cacher.ActiveCacheTable("mydb", "t")
 	mustPopulate(t, m, sel)
 	serving := m.Cacher.ActiveCacheTable("mydb", "t")
+	manifests, err := json.Marshal(sortedManifests(m.Registry.generation()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	manifests = bytes.ReplaceAll(manifests, []byte(`{"raw_path":`), []byte(`{"carry":false,"raw_path":`))
+	if n := bytes.Count(manifests, []byte(`"carry":false`)); n != 3 {
+		t.Fatalf("the payload files %d splits with a carry bit, want 3", n)
+	}
 	payload, err := json.Marshal(struct {
-		Generation  int         `json:"generation"`
-		PendingDrop [][2]string `json:"pending_drop,omitempty"`
-		Manifests   []*Manifest `json:"manifests,omitempty"`
-	}{m.Cacher.Generation(), [][2]string{{CacheDB, displaced}}, sortedManifests(m.Registry.generation())})
+		Generation  int             `json:"generation"`
+		PendingDrop [][2]string     `json:"pending_drop,omitempty"`
+		Manifests   json.RawMessage `json:"manifests,omitempty"`
+	}{m.Cacher.Generation(), [][2]string{{CacheDB, displaced}}, manifests})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -551,8 +551,9 @@ const statePath = "/maxson_meta/cache.state"
 const stateMagic = "MAXST002"
 
 // persistedState is the JSON payload of the cache.state file. Older MAXST002
-// files also list "pending_drop", which decoding ignores: no manifest names
-// those tables, so the load-time sweep drops them.
+// files also list "pending_drop" and a split "carry" bit, which decoding
+// ignores: the load-time sweep drops tables no manifest names, and any split
+// may be carried.
 type persistedState struct {
 	Generation int         `json:"generation"`
 	Manifests  []*Manifest `json:"manifests,omitempty"`

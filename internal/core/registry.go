@@ -38,11 +38,6 @@ type ManifestSplit struct {
 	CacheVersion uint64  `json:"cache_version"` // the dfs version the cache part was stored under
 	Rows         int64   `json:"rows"`
 	ColBytes     []int64 `json:"col_bytes"` // value bytes per column, summed into CacheEntry.Bytes
-	// Carry is false when a document of the split was malformed: after a
-	// syntax error every path of the extracted set reads NULL, so the
-	// split's values depend on which paths were extracted together and the
-	// next generation extracts it again instead of copying columns.
-	Carry bool `json:"carry"`
 }
 
 // split returns the record of raw part name at version, nil when the

@@ -10,9 +10,11 @@ import (
 // FuzzExtractEquivalence is the streaming extractor's differential oracle:
 // for arbitrary documents and arbitrary compiled path sets, a single
 // streaming pass must return exactly what tree-parse-then-Eval returns for
-// every path — same values, same NULL-vs-missing distinction. Documents the
-// tree parser rejects only assert that the extractor neither panics nor
-// desyncs; the extractor is allowed to succeed there (early exit stops
+// every path — same values, same NULL-vs-missing distinction. On every
+// input, including documents the tree parser rejects, each path's value in
+// the set is what extracting that path alone returns (EvalString): a path's
+// value depends only on its document, never on the paths extracted with it.
+// The extractor may succeed on a rejected document (early exit stops
 // validating once every path is resolved).
 //
 // The kernel scans a string; PathSet.Extract and Parser.Parse are its []byte
@@ -75,6 +77,14 @@ func FuzzExtractEquivalence(f *testing.F) {
 	f.Add(`{"s": "abc`, "$.t")
 	f.Add(`{"s": "`+strings.Repeat("filler ", 28)+`abcd", "t": [1, "q"], "u": 4}`, "$.u")
 	f.Add(`{"s": "`+strings.Repeat("filler ", 28)+`\"", "u": 5}`, "$.u;$.s")
+	// Malformed seeds: truncated input, trailing garbage after a full scan,
+	// damage in a skipped subtree next to a covering path, damage in a
+	// sibling's value, and damage inside a wildcard element.
+	f.Add(`{"a": 1, "b": {"c": [2, {"d": `, "$.a;$.b.c;$.b;$.z")
+	f.Add(`[1,2] x`, "$[*];$.y")
+	f.Add(`{"skip": {"k" 1 2, []}, "a": 5, "b": 6}`, "$.a;$.skip;$.b")
+	f.Add(`{"b": [1, x], "c": 3}`, "$.b[0];$.c")
+	f.Add(`{"a": [{"b": 1}, {"b": x}, {"b": 3}], "c": 2}`, "$.a[*].b;$.c;$.a[0].b")
 
 	f.Fuzz(func(t *testing.T, doc string, pathSpec string) {
 		var paths []*Path
@@ -121,6 +131,17 @@ func FuzzExtractEquivalence(f *testing.F) {
 			}
 		}
 
+		for i, p := range paths {
+			gotStr, gotOK := "", !out[i].IsNull()
+			if gotOK {
+				gotStr = out[i].Scalar()
+			}
+			if alone, aloneOK := p.EvalString(doc); gotStr != alone || gotOK != aloneOK {
+				t.Fatalf("path %s: (%q,%v) in the set, (%q,%v) alone (set err %v)\ndoc: %q",
+					p, gotStr, gotOK, alone, aloneOK, extractErr, doc)
+			}
+		}
+
 		root, parseErr := sjson.ParseString(doc)
 		byteRoot, byteParseErr := sjson.Parse([]byte(doc))
 		if errText(byteParseErr) != errText(parseErr) || (parseErr == nil && sjson.Serialize(byteRoot) != sjson.Serialize(root)) {
@@ -128,9 +149,8 @@ func FuzzExtractEquivalence(f *testing.F) {
 				byteRoot.Scalar(), byteParseErr, root.Scalar(), parseErr, doc)
 		}
 		if parseErr != nil {
-			// The tree parser rejects the document. The extractor may reject
-			// it too, or may have resolved everything before reaching the
-			// malformed region — either way there is nothing to compare.
+			// The tree parser rejects the document: there is no tree to
+			// compare with, and each path was held to its lone scan above.
 			return
 		}
 		if extractErr != nil {
@@ -151,17 +171,6 @@ func FuzzExtractEquivalence(f *testing.F) {
 			// byte equality, not just structural equality.
 			if ws, gs := want.Scalar(), got.Scalar(); ws != gs {
 				t.Fatalf("path %s: scalar mismatch: eval=%q extract=%q\ndoc: %q", p, ws, gs, doc)
-			}
-
-			// EvalString must agree with tree evaluation too (single-path
-			// streaming reuses the same kernel).
-			wantStr, wantOK := "", false
-			if !want.IsNull() {
-				wantStr, wantOK = want.Scalar(), true
-			}
-			if gotStr, gotOK := p.EvalString(doc); gotStr != wantStr || gotOK != wantOK {
-				t.Fatalf("path %s: EvalString=(%q,%v) want (%q,%v)\ndoc: %q",
-					p, gotStr, gotOK, wantStr, wantOK, doc)
 			}
 		}
 	})

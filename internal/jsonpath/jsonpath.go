@@ -216,8 +216,9 @@ func (p *Path) HasWildcard() bool {
 
 // EvalString evaluates the path against a raw document, returning the scalar
 // rendering used by get_json_object ("" for null/missing). The boolean
-// reports whether the value was present. A JSON syntax error also reports
-// absent, matching the UDF's permissive NULL-on-bad-input behaviour.
+// reports whether the value was present. A JSON syntax error within the
+// path's own scan also reports absent, matching the UDF's permissive
+// NULL-on-bad-input behaviour; damage the scan never reaches does not.
 //
 // It is a one-off: a throwaway Extractor for this path alone. Callers
 // evaluating many documents or many paths hold their own Extractor.

@@ -127,8 +127,8 @@ func (s *PathSet) Paths() []*Path { return s.paths }
 // out entry: nil for a missing path, a non-nil null Value for an explicit
 // JSON null — exactly what tree-parse + Eval yields for these paths. It
 // returns the number of bytes actually scanned (early exit leaves the tail
-// untouched; the parser's ParseStats meter the skipped bytes). On a syntax
-// error in the scanned region every out entry is nil.
+// untouched; the parser's ParseStats meter the skipped bytes) and the scan's
+// syntax error. On any bytes, each out entry is what its path alone yields.
 //
 // This is the []byte door, for callers that hold bytes they may overwrite:
 // doc is copied into a string once, here, and the values view that copy.
@@ -152,8 +152,17 @@ func (s *PathSet) extract(p *sjson.Parser, doc string, out []*sjson.Value) (scan
 		}
 	}
 	if err != nil {
-		for i := range out[:len(s.paths)] {
+		// Each path reads what extracting it alone reads. The one-path tries
+		// are built for malformed documents only, and their own parser keeps
+		// scanned and p's stats the set scan's.
+		var lone sjson.Parser
+		for i, path := range s.paths {
 			out[i] = nil
+			if s.nSlots > 1 {
+				if _, loneErr := lone.Extract(doc, MustPathSet(path).root, out[i:i+1]); loneErr != nil {
+					out[i] = nil
+				}
+			}
 		}
 	}
 	return scanned, err
@@ -210,12 +219,12 @@ func (x *Extractor) Forget() { x.doc, x.loaded = "", false }
 
 // Err returns the syntax error the scan of the current document ran into,
 // nil for a document that was well-formed as far as it was scanned. After an
-// error every path reads as absent.
+// error each path still reads what extracting it alone reads.
 func (x *Extractor) Err() error { return x.err }
 
 // Scalar returns the get_json_object rendering of the set's i-th path in the
 // current document, and whether the value was present (a missing path, an
-// explicit JSON null and a malformed document all report absent).
+// explicit JSON null and damage the path's own scan meets report absent).
 func (x *Extractor) Scalar(i int) (string, bool) {
 	v := x.vals[i]
 	if v.IsNull() {

@@ -138,15 +138,17 @@ func TestPathSetAliases(t *testing.T) {
 	}
 }
 
-func TestPathSetErrorNilsOutputs(t *testing.T) {
+// TestPathSetErrorReadsEachPathAlone: a set whose scan fails still answers
+// each path with what its own scan reads, through the []byte door too.
+func TestPathSetErrorReadsEachPathAlone(t *testing.T) {
 	set := MustPathSet(MustCompile("$.z"), MustCompile("$.a"))
 	var parser sjson.Parser
 	out := make([]*sjson.Value, 2)
 	if _, err := set.Extract(&parser, []byte(`{"a": 1, "z": {{`), out); err == nil {
 		t.Fatal("expected syntax error")
 	}
-	if out[0] != nil || out[1] != nil {
-		t.Errorf("outputs should be nil after error, got %v %v", out[0], out[1])
+	if out[0] != nil || out[1].Scalar() != "1" {
+		t.Errorf("got $.z = %v, $.a = %v, want nil and 1", out[0], out[1])
 	}
 }
 
@@ -183,7 +185,8 @@ func TestRootPathAlone(t *testing.T) {
 
 // TestExtractorReuse runs one extractor over a run of documents: each
 // Extract replaces the previous document's values, aliased spellings share a
-// slot, and a malformed document reads as absent without poisoning the next.
+// slot, and a malformed document reads each path alone without poisoning the
+// next.
 func TestExtractorReuse(t *testing.T) {
 	x := NewExtractor(MustPathSet(MustCompile("$.a"), MustCompile("$['a']"), MustCompile("$.b.c")))
 	for _, tc := range []struct {
@@ -193,7 +196,7 @@ func TestExtractorReuse(t *testing.T) {
 	}{
 		{`{"a": 1, "b": {"c": "x"}, "tail": [1, 2, 3]}`, [3]string{"1", "1", "x"}, false},
 		{`{"b": {"c": [1, null]}}`, [3]string{"", "", "[1,null]"}, false},
-		{`{"a": 7, "b": {"c": `, [3]string{}, true},
+		{`{"a": 7, "b": {"c": `, [3]string{"7", "7", ""}, true},
 		{`{"a": null, "b": 5}`, [3]string{}, false},
 		{`{"a": "again"}`, [3]string{"again", "again", ""}, false},
 	} {
@@ -282,46 +285,51 @@ func TestExtractedScalarsOutliveTheExtractor(t *testing.T) {
 }
 
 // TestMalformedDocumentContract pins what an extraction answers for a
-// document Parse rejects (DESIGN.md "JSON extraction"): NULL for all of its
-// paths when the damage lies in the region it had to scan, the extracted
-// values otherwise. Skipped subtrees are checked structurally (brackets
-// balance, strings terminate) but not grammatically, and the tail after an
-// early exit is not looked at.
+// document Parse rejects (DESIGN.md "The malformed-document contract"): each
+// path reads what extracting it alone reads, whatever set it is extracted
+// with. A path's own scan gets the full grammar where it materializes, a
+// structural check (brackets balance, strings terminate) where it skips, and
+// stops at its last wanted value without looking at the tail.
 func TestMalformedDocumentContract(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		doc   string
 		paths []string
-		want  []string // nil = the extraction fails, every path NULL
+		want  []string // per path, "" = NULL
+		fails bool     // the set's own scan meets the damage
 	}{
 		{"truncated inside the last wanted value",
-			`{"a": 1, "b": {"c": [2,`, []string{"$.a", "$.b.c"}, nil},
+			`{"a": 1, "b": {"c": [2,`, []string{"$.a", "$.b.c"}, []string{"1", ""}, true},
 		{"truncated right after the last wanted value",
-			`{"a": 1, "b": {"c": 2`, []string{"$.a", "$.b.c"}, []string{"1", "2"}},
+			`{"a": 1, "b": {"c": 2`, []string{"$.a", "$.b.c"}, []string{"1", "2"}, false},
 		{"truncated after early exit",
-			`{"a": 1, "b": {"c": 2`, []string{"$.a"}, []string{"1"}},
-		{"truncated, a missing path forces the full scan",
-			`{"a": 1, "b": {"c": 2`, []string{"$.a", "$.z"}, nil},
+			`{"a": 1, "b": {"c": 2`, []string{"$.a"}, []string{"1"}, false},
+		{"truncated, a missing path scans to the end",
+			`{"a": 1, "b": {"c": 2`, []string{"$.a", "$.z"}, []string{"1", ""}, true},
 		{"truncated under the root path",
-			`{"a": 1, "b": {"c": 2`, []string{"$", "$.a"}, nil},
+			`{"a": 1, "b": {"c": 2`, []string{"$", "$.a"}, []string{"", "1"}, true},
 		{"trailing garbage after a scan to the end",
-			`{"a": 1} x`, []string{"$.a", "$.z"}, nil},
+			`{"a": 1} x`, []string{"$.a", "$.z"}, []string{"1", ""}, true},
 		{"trailing garbage after early exit",
-			`{"a": 1} x`, []string{"$.a"}, []string{"1"}},
+			`{"a": 1} x`, []string{"$.a"}, []string{"1"}, false},
 		{"trailing garbage under the root path",
-			`{"a": 1} x`, []string{"$"}, nil},
+			`{"a": 1} x`, []string{"$", "$.a"}, []string{"", "1"}, true},
 		{"mismatched brackets inside a skipped subtree",
-			`{"skip": {"k" 1 2, [}, "a": 5}`, []string{"$.a"}, nil},
+			`{"skip": {"k" 1 2, [}, "a": 5}`, []string{"$.a", "$.z"}, []string{"", ""}, true},
 		{"bad grammar inside a skipped subtree whose brackets balance",
-			`{"skip": {"k" 1 2, []}, "a": 5, "b": 6}`, []string{"$.a", "$.b"}, []string{"5", "6"}},
+			`{"skip": {"k" 1 2, []}, "a": 5, "b": 6}`, []string{"$.a", "$.b"}, []string{"5", "6"}, false},
 		{"the same subtree materialized by a covering path",
-			`{"skip": {"k" 1 2, []}, "a": 5, "b": 6}`, []string{"$.a", "$.skip"}, nil},
+			`{"skip": {"k" 1 2, []}, "a": 5, "b": 6}`, []string{"$.a", "$.skip"}, []string{"5", ""}, true},
 		{"the same subtree under the root path",
-			`{"skip": {"k" 1 2, []}, "a": 5, "b": 6}`, []string{"$", "$.a"}, nil},
+			`{"skip": {"k" 1 2, []}, "a": 5, "b": 6}`, []string{"$", "$.a"}, []string{"", "5"}, true},
 		{"unterminated string in a skipped value",
-			`{"skip": "abc, "a": 5}`, []string{"$.a"}, nil},
+			`{"skip": "abc, "a": 5}`, []string{"$.a"}, []string{""}, true},
 		{"damage at the first token",
-			`{"a" 1, "b": 2}`, []string{"$.b"}, nil},
+			`{"a" 1, "b": 2}`, []string{"$.b", "$.a"}, []string{"", ""}, true},
+		{"damage in a sibling's value",
+			`{"b": [1, x], "c": 3}`, []string{"$.b[0]", "$.c", "$.b"}, []string{"1", "3", ""}, true},
+		{"damage inside a wildcard element",
+			`{"a": [{"b": 1}, {"b": x}], "c": 2}`, []string{"$.a[*].b", "$.c", "$.a[0].b"}, []string{"", "2", "1"}, true},
 	} {
 		if _, err := sjson.ParseString(tc.doc); err == nil {
 			t.Fatalf("%s: document is well-formed, the case tests nothing", tc.name)
@@ -332,18 +340,16 @@ func TestMalformedDocumentContract(t *testing.T) {
 		}
 		x := NewExtractor(MustPathSet(paths...))
 		x.Extract(tc.doc)
-		if err := x.Err(); (err != nil) != (tc.want == nil) {
-			t.Errorf("%s: err = %v, want failure %v", tc.name, err, tc.want == nil)
-			continue
+		if err := x.Err(); (err != nil) != tc.fails {
+			t.Errorf("%s: err = %v, want failure %v", tc.name, err, tc.fails)
 		}
-		for i := range paths {
+		for i, p := range paths {
 			got, ok := x.Scalar(i)
-			if tc.want == nil {
-				if ok {
-					t.Errorf("%s: %s = %q after a failed extraction, want NULL", tc.name, paths[i], got)
-				}
-			} else if !ok || got != tc.want[i] {
-				t.Errorf("%s: %s = (%q, %v), want %q", tc.name, paths[i], got, ok, tc.want[i])
+			if got != tc.want[i] || ok != (tc.want[i] != "") {
+				t.Errorf("%s: %s = (%q, %v), want %q", tc.name, p, got, ok, tc.want[i])
+			}
+			if alone, aloneOK := p.EvalString(tc.doc); got != alone || ok != aloneOK {
+				t.Errorf("%s: %s = (%q, %v) in the set, (%q, %v) alone", tc.name, p, got, ok, alone, aloneOK)
 			}
 		}
 	}

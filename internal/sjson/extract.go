@@ -214,7 +214,8 @@ func (n *ExtractNode) elemChild(i int) *ExtractNode {
 // strings, bounded depth) but not grammatically — a malformed region the
 // extractor never needs to descend into may go undetected where Parse would
 // report an error. Materialized subtrees get the full parser, so extracted
-// values are byte-for-byte what Parse would have produced.
+// values are byte-for-byte what Parse would have produced. An error leaves out
+// unspecified; jsonpath.PathSet then answers each path with its own scan.
 //
 // data is scanned where it lies: the strings inside the values written to out
 // are substrings of data wherever the document spelled them without escapes

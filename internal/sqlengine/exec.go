@@ -155,7 +155,7 @@ func (s *extractingSource) NextBatch(b *RowBatch) (int, error) {
 	n, err := s.cur.NextBatch(s.in, max)
 	s.meter.Flush(s.m, true)
 	if err == nil && n > 0 {
-		c, _ := s.x.Fill(s.in, b.Cols, n) // a query renders malformed documents as NULL
+		c, _ := s.x.Fill(s.in, b.Cols, n) // a query does not count malformed documents; Fill reads them per path
 		if s.m != nil {
 			s.m.Parse.Add(c)
 		}

@@ -103,7 +103,8 @@ func (s *SplitExtraction) Reset() {
 // Fill sets rows [0, n) of the last columns of out, the extracted columns in
 // list order, under one rule:
 //   - a NULL document gives NULL for every path;
-//   - an absent path, an explicit JSON null or a malformed document gives NULL;
+//   - an absent path or an explicit JSON null gives NULL, and a malformed
+//     document gives each path what extracting it alone gives;
 //   - a document equal to the last one its column scanned in this split is
 //     not scanned again (the Holds rule the engine's own evaluator follows),
 //     but a malformed one still counts as malformed in every row it fills.
