@@ -22,6 +22,7 @@ list() {
 	internal+cmd) gofiles ./internal/... ./cmd/... ;; # non-test files outside bench/, examples/ and the root
 	core) gofiles ./internal/core ;;
 	kernel) printf '%s\n' internal/sjson/parser.go internal/sjson/extract.go ;;
+	registry) printf '%s\n' internal/core/registry.go ;;
 	all-go) find . -name '*.go' ;;                 # every Go file, tests and testdata included
 	serving-deps) go list -e -deps ./cmd/maxson-serve ./cmd/maxson-sql ./cmd/maxson-daily ;;
 	warehouse-deps) go list -e -deps ./internal/warehouse ;;
@@ -39,7 +40,7 @@ row() {
 	[ "$allowed" = - ] && allowed='^$'
 	case $scope in
 	*-deps | *-imports) hits=$(list "$scope" | grep -vE -- "$allowed" | grep -E -- "$pattern") ;;
-	*) hits=$(list "$scope" | grep -vE -- "$allowed" | xargs -r grep -nE -- "$pattern") ;;
+	*) hits=$(list "$scope" | grep -vE -- "$allowed" | xargs -r grep -nHE -- "$pattern") ;;
 	esac
 	if [ -n "$hits" ]; then
 		printf '%s\n%s\n\n' "$why" "$hits"
@@ -114,5 +115,12 @@ row warehouse-deps '^repro/internal/core$' - \
 # malformed-document contract"), so any split may be carried.
 row core '\bCarry\b' - \
 	"a split carry bit is back in internal/core"
+# The cache registry is one immutable snapshot behind an atomic pointer
+# (DESIGN.md, "Lock hierarchy"): readers take no lock.
+row registry '\bsync\.(RW)?Mutex\b' - \
+	"the cache registry declares a mutex"
+# Cache validity goes by dfs version alone, so the file system keeps no clock.
+row module '\bdfs\.WithClock\b|\b[fF][sS](\(\))?\.ModTime\(|\*FS\) ModTime\(' - \
+	"the file system keeps a modification time again"
 
 exit $fail

@@ -31,7 +31,7 @@ func saleDocs(from, n int) [][]datum.Datum {
 func saleTable(t *testing.T, splits, rowsPerSplit int) *warehouse.Warehouse {
 	t.Helper()
 	clock := simtime.NewSim(time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC))
-	wh := warehouse.New(dfs.New(dfs.WithClock(clock)), warehouse.WithClock(clock),
+	wh := warehouse.New(dfs.New(), warehouse.WithClock(clock),
 		warehouse.WithWriterOptions(orc.WriterOptions{RowGroupRows: 500}))
 	wh.CreateDatabase("mydb")
 	schema := orc.Schema{Columns: []orc.Column{{Name: "sale_logs", Type: datum.TypeString}}}

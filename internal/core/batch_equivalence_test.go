@@ -81,7 +81,7 @@ func runBatchSizeRound(t *testing.T, seed int64) {
 	build := func(batchSize int) deployment {
 		rng := rand.New(rand.NewSource(dataSeed))
 		clock := simtime.NewSim(time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC))
-		fs := dfs.New(dfs.WithClock(clock))
+		fs := dfs.New()
 		wh := warehouse.New(fs, warehouse.WithClock(clock),
 			warehouse.WithWriterOptions(orc.WriterOptions{RowGroupRows: rgRows}))
 		wh.CreateDatabase("db")

@@ -51,7 +51,7 @@ func newChaosEnv(t *testing.T, dataSeed int64) *chaosEnv {
 	t.Helper()
 	rng := rand.New(rand.NewSource(dataSeed))
 	clock := simtime.NewSim(time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC))
-	fs := dfs.New(dfs.WithClock(clock))
+	fs := dfs.New()
 	wh := warehouse.New(fs, warehouse.WithClock(clock),
 		warehouse.WithWriterOptions(orc.WriterOptions{RowGroupRows: 8}))
 	wh.CreateDatabase("db")

@@ -27,7 +27,7 @@ type fixture struct {
 func newFixture(t *testing.T) *fixture {
 	t.Helper()
 	clock := simtime.NewSim(time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC))
-	fs := dfs.New(dfs.WithClock(clock))
+	fs := dfs.New()
 	wh := warehouse.New(fs, warehouse.WithClock(clock),
 		warehouse.WithWriterOptions(orc.WriterOptions{RowGroupRows: 8}))
 	wh.CreateDatabase("mydb")

@@ -58,7 +58,7 @@ func runEquivalenceRound(t *testing.T, seed int64) {
 
 	build := func() (*sqlengine.Engine, *warehouse.Warehouse, *simtime.Sim, [][]string) {
 		clock := simtime.NewSim(time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC))
-		fs := dfs.New(dfs.WithClock(clock))
+		fs := dfs.New()
 		wh := warehouse.New(fs, warehouse.WithClock(clock),
 			warehouse.WithWriterOptions(orc.WriterOptions{RowGroupRows: 4 + rng.Intn(8)}))
 		wh.CreateDatabase("db")

@@ -86,7 +86,7 @@ func TestEveryConsumerMatchesParseEval(t *testing.T) {
 func laneSystem(t *testing.T, batchSize int, cfg Config) (*simtime.Sim, *warehouse.Warehouse, *Maxson) {
 	t.Helper()
 	clock := simtime.NewSim(time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC))
-	wh := warehouse.New(dfs.New(dfs.WithClock(clock)), warehouse.WithClock(clock),
+	wh := warehouse.New(dfs.New(), warehouse.WithClock(clock),
 		warehouse.WithWriterOptions(orc.WriterOptions{RowGroupRows: 4}))
 	wh.CreateDatabase("db")
 	schema := orc.Schema{Columns: []orc.Column{

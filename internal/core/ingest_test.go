@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -627,5 +629,93 @@ func TestRegistryReplaceIsCompareAndSwap(t *testing.T) {
 	r.Swap([]*Manifest{m1})
 	if r.Replace(next, next.withSplit(ManifestSplit{RawPath: "p2", ColBytes: []int64{1}})) || r.Lookup(k1).Manifest != m1 {
 		t.Error("Replace undid a Swap")
+	}
+}
+
+// TestRegistryConcurrentWriters: writers Replace their own tables while
+// another table is quarantined and readers Lookup. Every Replace lands, the
+// quarantined table never serves again, and the last snapshot's totals agree
+// with its entries.
+func TestRegistryConcurrentWriters(t *testing.T) {
+	const writers, rounds = 4, 200
+	r := NewRegistry()
+	key := func(table string) pathkey.Key { return pathkey.Key{DB: "d", Table: table, Column: "c", Path: "$.x"} }
+	manifest := func(table string) *Manifest {
+		return &Manifest{CacheTable: "d__" + table + "__g001", Keys: []pathkey.Key{key(table)}, Splits: []ManifestSplit{{RawPath: "p0000", ColBytes: []int64{1}}}}
+	}
+	initial := []*Manifest{manifest("q")}
+	for w := 0; w < writers; w++ {
+		initial = append(initial, manifest(fmt.Sprint("w", w)))
+	}
+	r.Swap(initial)
+
+	var replaced, writing atomic.Int64
+	var quarantined atomic.Bool
+	writing.Store(writers)
+	done := make(chan struct{})
+	var wg, readers sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		k := key(fmt.Sprint("w", w))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer writing.Add(-1)
+			for i := 1; i <= rounds; i++ {
+				cur := r.generation()[k.TableID()]
+				next := cur.withSplit(ManifestSplit{RawPath: fmt.Sprintf("p%04d", i), ColBytes: []int64{1}})
+				if !r.Replace(cur, next) || r.Lookup(k).Manifest != next {
+					t.Errorf("%s: Replace %d did not land", k.Table, i)
+					return
+				}
+				replaced.Add(1)
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for replaced.Load() < writers*rounds/2 && writing.Load() > 0 {
+			runtime.Gosched()
+		}
+		if !r.Quarantine("d__q__g001") {
+			t.Error("Quarantine found no serving table")
+		}
+		quarantined.Store(true)
+	}()
+	for i := 0; i < 2; i++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if quarantined.Load() && r.Lookup(key("q")) != nil {
+					t.Error("the quarantined table serves again")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(done)
+	readers.Wait()
+
+	var bytes int64
+	entries := r.Entries()
+	for _, e := range entries {
+		bytes += e.Bytes
+		if e.Key.Table != "q" && e.Bytes != rounds+1 {
+			t.Errorf("%s serves %d bytes, want %d", e.Key.Table, e.Bytes, rounds+1)
+		}
+	}
+	if r.Lookup(key("q")) != nil || len(entries) != writers {
+		t.Errorf("%d entries serve, want the %d writers' (q serving: %v)", len(entries), writers, r.Lookup(key("q")) != nil)
+	}
+	if r.TotalBytes() != bytes || r.Len() != len(entries) || r.QuarantineCount() != 1 {
+		t.Errorf("TotalBytes %d, Len %d, QuarantineCount %d; the entries sum %d bytes over %d, want 1 quarantine",
+			r.TotalBytes(), r.Len(), r.QuarantineCount(), bytes, len(entries))
 	}
 }

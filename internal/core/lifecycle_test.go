@@ -44,11 +44,33 @@ func servingTables(m *Maxson) []string {
 	return out
 }
 
+// requireOneGeneration fails unless every entry the registry serves was
+// derived from its raw table's serving manifest, and the registry's totals
+// agree with its entries: what the planner relies on when it plans a scan
+// against one generation.
+func requireOneGeneration(t *testing.T, m *Maxson, step int, name string) {
+	t.Helper()
+	serving := m.Registry.generation()
+	entries := m.Registry.Entries()
+	var bytes int64
+	for _, e := range entries {
+		if mf := serving[e.Key.TableID()]; e.Manifest != mf || e.CacheTable != mf.CacheTable {
+			t.Fatalf("step %d (%s): %v is served from %s, not from its table's serving manifest", step, name, e.Key, e.CacheTable)
+		}
+		bytes += e.Bytes
+	}
+	if m.Registry.TotalBytes() != bytes || m.Registry.Len() != len(entries) {
+		t.Fatalf("step %d (%s): TotalBytes %d and Len %d, but the entries sum %d bytes over %d",
+			step, name, m.Registry.TotalBytes(), m.Registry.Len(), bytes, len(entries))
+	}
+}
+
 // TestCacheLifecycleInvariants runs seeded random sequences of cycles,
 // aborted and cancelled cycles, appends, quarantines, explicit retires and
 // restarts. After an abort, a retire or a load, maxson_cache holds exactly
 // the serving manifests' tables; after a commit, those and the tables the
-// commit displaced; an append or a quarantine drops nothing.
+// commit displaced; an append or a quarantine drops nothing. After every
+// step the registry serves one generation.
 func TestCacheLifecycleInvariants(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
@@ -124,6 +146,7 @@ func TestCacheLifecycleInvariants(t *testing.T) {
 				if got := f.wh.ListTables(CacheDB); !slices.Equal(got, want) {
 					t.Fatalf("step %d (%s): cache tables %v, want %v (serving %v)", step, name, got, want, servingTables(m))
 				}
+				requireOneGeneration(t, m, step, name)
 				for _, sql := range lifecycleQueries {
 					requirePlainRows(t, f, m, sql)
 				}

@@ -54,10 +54,10 @@ func (p *Planner) Install(e *sqlengine.Engine) {
 // expression nodes visited, which the engine adds to its plan-time
 // accounting (the Fig 13 overhead).
 func (p *Planner) Modify(plan *sqlengine.PhysicalPlan, stmt *sqlengine.SelectStmt) (int64, error) {
-	var extra int64
-	extra += p.modifyScan(plan, plan.Scan)
+	gen := p.registry.snap.Load() // one generation for the whole plan
+	extra := p.modifyScan(plan, plan.Scan, gen)
 	if plan.Join != nil {
-		extra += p.modifyScan(plan, plan.Join.Build)
+		extra += p.modifyScan(plan, plan.Join.Build, gen)
 	}
 	if extra == 0 {
 		return 0, nil // nothing cached; untouched plan
@@ -78,9 +78,9 @@ func (p *Planner) Modify(plan *sqlengine.PhysicalPlan, stmt *sqlengine.SelectStm
 	return extra, nil
 }
 
-// modifyScan applies Algorithm 1 to one scan node. It returns the number of
-// replaced expressions (0 = scan untouched).
-func (p *Planner) modifyScan(plan *sqlengine.PhysicalPlan, scan *sqlengine.ScanNode) int64 {
+// modifyScan applies Algorithm 1 to one scan node against gen. It returns
+// the number of replaced expressions (0 = scan untouched).
+func (p *Planner) modifyScan(plan *sqlengine.PhysicalPlan, scan *sqlengine.ScanNode, gen *snapshot) int64 {
 	// Algorithm 1's MatchExpr over every expression tree: find cached
 	// get_json_object calls bound to this scan.
 	type hit struct {
@@ -100,11 +100,10 @@ func (p *Planner) modifyScan(plan *sqlengine.PhysicalPlan, scan *sqlengine.ScanN
 			return
 		}
 		key := pathkey.Key{DB: scan.DB, Table: scan.Table, Column: jp.Column.Name, Path: jp.Path.Canonical()}
-		entry := p.registry.Lookup(key)
-		// A swap between two lookups could hand out entries of two
-		// generations; the scan reads one manifest's table. A quarantined
-		// table has no entries: the query plans against raw data.
-		if entry == nil || len(hits) > 0 && entry.Manifest != hits[0].entry.Manifest {
+		// A quarantined table has no entries: the query plans against raw
+		// data.
+		entry := gen.entries[key]
+		if entry == nil {
 			return
 		}
 		hits = append(hits, hit{entry: entry, expr: jp})

@@ -4,7 +4,7 @@ import (
 	"maps"
 	"slices"
 	"sort"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/pathkey"
 	"repro/internal/warehouse"
@@ -100,14 +100,23 @@ type CacheEntry struct {
 
 // Registry is the in-memory catalog of the active generation's manifests and
 // the entries derived from them, shared between the Cacher (writer) and the
-// MaxsonParser (reader). Safe for concurrent use.
+// MaxsonParser (reader). It holds one immutable snapshot behind an atomic
+// pointer: every read is one load, so a reader takes no lock and sees one
+// generation whole, and every write — Swap, Replace, Quarantine — installs a
+// new snapshot ("Metadata Caching in Presto": immutable, versioned metadata).
+// Safe for concurrent use.
 type Registry struct {
-	mu sync.RWMutex
+	snap atomic.Pointer[snapshot]
+}
+
+// snapshot is one state of the registry. It is never written once a
+// Registry holds it.
+type snapshot struct {
 	// manifests maps a raw table ("db.table") to its cache table's manifest.
-	// Swap and Replace replace the map whole, so a map handed out is never
-	// written.
 	manifests map[string]*Manifest
 	entries   map[pathkey.Key]*CacheEntry
+	// bytes sums the entries' Bytes.
+	bytes int64
 	// quarantined counts the cache tables Quarantine unserved since the last
 	// Swap.
 	quarantined int
@@ -115,25 +124,21 @@ type Registry struct {
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		manifests: make(map[string]*Manifest),
-		entries:   make(map[pathkey.Key]*CacheEntry),
-	}
+	r := &Registry{}
+	r.Swap(nil)
+	return r
 }
 
 // Lookup returns the entry for a key, or nil.
 func (r *Registry) Lookup(key pathkey.Key) *CacheEntry {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.entries[key]
+	return r.snap.Load().entries[key]
 }
 
 // Entries lists all entries in deterministic order.
 func (r *Registry) Entries() []*CacheEntry {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]*CacheEntry, 0, len(r.entries))
-	for _, e := range r.entries {
+	entries := r.snap.Load().entries
+	out := make([]*CacheEntry, 0, len(entries))
+	for _, e := range entries {
 		out = append(out, e)
 	}
 	sort.Slice(out, func(i, j int) bool { return pathkey.Less(out[i].Key, out[j].Key) })
@@ -141,25 +146,28 @@ func (r *Registry) Entries() []*CacheEntry {
 }
 
 // Len returns the number of entries.
-func (r *Registry) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.entries)
-}
+func (r *Registry) Len() int { return len(r.snap.Load().entries) }
+
+// TotalBytes sums the footprint of the entries.
+func (r *Registry) TotalBytes() int64 { return r.snap.Load().bytes }
+
+// QuarantineCount returns how many cache tables were quarantined since the
+// last Swap.
+func (r *Registry) QuarantineCount() int { return r.snap.Load().quarantined }
+
+// generation returns the active generation's manifests by raw table. The map
+// is never written.
+func (r *Registry) generation() map[string]*Manifest { return r.snap.Load().manifests }
 
 // Swap atomically replaces the whole generation with manifests, which lifts
 // every quarantine. Readers observe either the old generation or the new one,
 // never a half-built mix — the midnight cycle's build-then-swap commit.
 func (r *Registry) Swap(manifests []*Manifest) {
-	byTable := make(map[string]*Manifest, len(manifests))
-	entries := make(map[pathkey.Key]*CacheEntry)
+	s := &snapshot{manifests: make(map[string]*Manifest, len(manifests)), entries: map[pathkey.Key]*CacheEntry{}}
 	for _, m := range manifests {
-		byTable[m.Keys[0].TableID()] = m
-		deriveEntries(entries, m)
+		s.file(m)
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.manifests, r.entries, r.quarantined = byTable, entries, 0
+	r.snap.Store(s.sealed())
 }
 
 // Replace installs next for its raw table in place of old, compare-and-swap:
@@ -168,26 +176,86 @@ func (r *Registry) Swap(manifests []*Manifest) {
 // tables' manifests and entries stay as they are.
 func (r *Registry) Replace(old, next *Manifest) bool {
 	id := next.Keys[0].TableID()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.manifests[id] != old {
-		return false
+	for {
+		cur := r.snap.Load()
+		if cur.manifests[id] != old {
+			return false
+		}
+		s := cur.clone()
+		s.file(next)
+		if r.snap.CompareAndSwap(cur, s.sealed()) {
+			return true
+		}
 	}
-	byTable, entries := maps.Clone(r.manifests), maps.Clone(r.entries)
-	byTable[id] = next
-	deriveEntries(entries, next)
-	r.manifests, r.entries = byTable, entries
-	return true
 }
 
-// deriveEntries files an entry for each of m's keys.
-func deriveEntries(entries map[pathkey.Key]*CacheEntry, m *Manifest) {
+// Quarantine unserves the manifest of cache table cacheTable, which failed to
+// open or decode, with its entries: the planner, ingest and the next populate
+// then see its raw table uncached, and the next DropRetired deletes the table.
+// It matches by name, so a manifest ingest extended is unserved too, and it
+// reports whether the table was serving.
+func (r *Registry) Quarantine(cacheTable string) bool {
+	for {
+		cur := r.snap.Load()
+		id := ""
+		for tid, m := range cur.manifests {
+			if m.CacheTable == cacheTable {
+				id = tid
+				break
+			}
+		}
+		if id == "" {
+			return false
+		}
+		s := cur.clone()
+		s.unfile(id)
+		s.quarantined++
+		if r.snap.CompareAndSwap(cur, s.sealed()) {
+			return true
+		}
+	}
+}
+
+// clone returns a copy of s that its caller may write before installing it.
+func (s *snapshot) clone() *snapshot {
+	next := *s
+	next.manifests, next.entries = maps.Clone(s.manifests), maps.Clone(s.entries)
+	return &next
+}
+
+// sealed sums the entries' bytes into s, which its caller installs next.
+func (s *snapshot) sealed() *snapshot {
+	s.bytes = 0
+	for _, e := range s.entries {
+		s.bytes += e.Bytes
+	}
+	return s
+}
+
+// file serves m for its raw table, in place of the manifest that served it,
+// and files an entry for each of m's keys.
+func (s *snapshot) file(m *Manifest) {
+	id := m.Keys[0].TableID()
+	s.unfile(id)
+	s.manifests[id] = m
 	for j, key := range m.Keys {
 		e := &CacheEntry{Key: key, CacheDB: CacheDB, CacheTable: m.CacheTable, CacheColumn: key.Sanitized(), Manifest: m}
 		for _, sp := range m.Splits {
 			e.Bytes += sp.ColBytes[j]
 		}
-		entries[key] = e
+		s.entries[key] = e
+	}
+}
+
+// unfile deletes raw table id's manifest and its entries.
+func (s *snapshot) unfile(id string) {
+	m := s.manifests[id]
+	if m == nil {
+		return
+	}
+	delete(s.manifests, id)
+	for _, key := range m.Keys {
+		delete(s.entries, key)
 	}
 }
 
@@ -199,55 +267,4 @@ func sortedManifests(byTable map[string]*Manifest) []*Manifest {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].CacheTable < out[j].CacheTable })
 	return out
-}
-
-// generation returns the active generation's manifests by raw table. The map
-// is never written after Swap installs it.
-func (r *Registry) generation() map[string]*Manifest {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.manifests
-}
-
-// Quarantine unserves the manifest of cache table cacheTable, which failed to
-// open or decode, with its entries: the planner, ingest and the next populate
-// then see its raw table uncached, and the next DropRetired deletes the table.
-// It matches by name, so a manifest ingest extended is unserved too, and it
-// reports whether the table was serving.
-func (r *Registry) Quarantine(cacheTable string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for id, m := range r.manifests {
-		if m.CacheTable != cacheTable {
-			continue
-		}
-		byTable, entries := maps.Clone(r.manifests), maps.Clone(r.entries)
-		delete(byTable, id)
-		for _, key := range m.Keys {
-			delete(entries, key)
-		}
-		r.manifests, r.entries = byTable, entries
-		r.quarantined++
-		return true
-	}
-	return false
-}
-
-// QuarantineCount returns how many cache tables were quarantined since the
-// last Swap.
-func (r *Registry) QuarantineCount() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.quarantined
-}
-
-// TotalBytes sums the footprint of the entries.
-func (r *Registry) TotalBytes() int64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var n int64
-	for _, e := range r.entries {
-		n += e.Bytes
-	}
-	return n
 }

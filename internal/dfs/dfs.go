@@ -10,8 +10,9 @@
 //   - stored content is immutable and versioned: every mutation gives the
 //     file a new version, and once bytes are stored they are never written
 //     again, so ReadView can hand readers the stored bytes themselves;
-//   - every file records its last modification time from an injectable
-//     clock, which drives cache-validity decisions;
+//   - a file's version is the only record of when it changed: the cache
+//     serves a split while its raw file is still at the version the split
+//     was extracted from, and compares no time;
 //   - a file is one input split: ListFiles enumerates a directory in sorted
 //     name order, so the i-th cache file aligns with the i-th raw file.
 //
@@ -28,10 +29,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/fault"
-	"repro/internal/simtime"
 )
 
 // Common errors.
@@ -43,7 +42,7 @@ var (
 // IOStats counts bytes moved through the file system. BytesRead and Opens
 // count what readers were handed: one open and the length of the returned
 // range per ReadView/ReadFile call. Metadata calls (List, ListFiles,
-// Size, ModTime) count nothing.
+// Size) count nothing.
 type IOStats struct {
 	BytesRead    int64
 	BytesWritten int64
@@ -56,7 +55,6 @@ type IOStats struct {
 type FS struct {
 	mu    sync.RWMutex
 	files map[string]*file
-	clock simtime.Clock
 	stats IOStats
 	// gen counts the mutations of the file system: every call that stores,
 	// renames, links or deletes a file adds one, under mu. A file's version is
@@ -80,7 +78,6 @@ type FS struct {
 // view's, so the files' appends can never meet.
 type file struct {
 	data    []byte
-	modTime time.Time
 	version uint64
 }
 
@@ -96,28 +93,9 @@ func (f *FS) nextVersion() uint64 { return f.gen.Add(1) }
 // kept only while Generation still returns that value.
 func (f *FS) Generation() uint64 { return f.gen.Load() }
 
-// Option configures an FS.
-type Option func(*FS)
-
-// WithClock sets the clock used for modification times.
-func WithClock(c simtime.Clock) Option {
-	return func(f *FS) {
-		if c != nil {
-			f.clock = c
-		}
-	}
-}
-
 // New returns an empty file system.
-func New(opts ...Option) *FS {
-	f := &FS{
-		files: make(map[string]*file),
-		clock: simtime.Real{},
-	}
-	for _, o := range opts {
-		o(f)
-	}
-	return f
+func New() *FS {
+	return &FS{files: make(map[string]*file)}
 }
 
 // SetInjector installs (or, with nil, removes) a fault injector. All
@@ -153,7 +131,7 @@ func (f *FS) Create(name string) error {
 	if _, ok := f.files[name]; ok {
 		return fmt.Errorf("%w: %s", ErrExists, name)
 	}
-	f.files[name] = &file{modTime: f.clock.Now(), version: f.nextVersion()}
+	f.files[name] = &file{version: f.nextVersion()}
 	f.stats.FilesCreated++
 	return nil
 }
@@ -178,7 +156,7 @@ func (f *FS) WriteFileVersion(name string, data []byte) (uint64, error) {
 	copy(cp, data)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	fl := &file{data: cp, modTime: f.clock.Now(), version: f.nextVersion()}
+	fl := &file{data: cp, version: f.nextVersion()}
 	f.files[name] = fl
 	f.stats.FilesCreated++
 	f.stats.BytesWritten += int64(len(data))
@@ -233,13 +211,13 @@ func (f *FS) Link(src, dst string) (srcVersion uint64, linked FileInfo, err erro
 	// Capacity-capped, so an Append to dst reallocates rather than writing
 	// into spare capacity it would share with src.
 	shared := fl.data[:len(fl.data):len(fl.data)]
-	nf := &file{data: shared, modTime: f.clock.Now(), version: f.nextVersion()}
+	nf := &file{data: shared, version: f.nextVersion()}
 	f.files[dst] = nf
 	f.stats.FilesCreated++
 	return fl.version, FileInfo{Name: dst, Size: int64(len(shared)), Version: nf.version}, nil
 }
 
-// Append appends data to an existing file, updating its modification time.
+// Append appends data to an existing file, giving it a new version.
 func (f *FS) Append(name string, data []byte) error {
 	name = clean(name)
 	if err := f.inj.Load().Fail(fault.OpAppend, name); err != nil {
@@ -254,7 +232,6 @@ func (f *FS) Append(name string, data []byte) error {
 	// append writes only at or beyond len(fl.data): handed-out views end at
 	// the length they saw and cannot reach the new bytes (see file).
 	fl.data = append(fl.data, data...)
-	fl.modTime = f.clock.Now()
 	fl.version = f.nextVersion()
 	f.stats.BytesWritten += int64(len(data))
 	return nil
@@ -326,18 +303,6 @@ func (f *FS) Size(name string) (int64, error) {
 		return 0, fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
 	return int64(len(fl.data)), nil
-}
-
-// ModTime returns the file's last modification time.
-func (f *FS) ModTime(name string) (time.Time, error) {
-	name = clean(name)
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	fl, ok := f.files[name]
-	if !ok {
-		return time.Time{}, fmt.Errorf("%w: %s", ErrNotFound, name)
-	}
-	return fl.modTime, nil
 }
 
 // Exists reports whether the file exists.

@@ -6,26 +6,18 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"repro/internal/fault"
-	"repro/internal/simtime"
 )
 
-func newTestFS() (*FS, *simtime.Sim) {
-	clock := simtime.NewSim(time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC))
-	return New(WithClock(clock)), clock
-}
-
 func TestCreateAppendRead(t *testing.T) {
-	fs, clock := newTestFS()
+	fs := New()
 	if err := fs.Create("/db/t/part-0"); err != nil {
 		t.Fatal(err)
 	}
 	if err := fs.Create("/db/t/part-0"); !errors.Is(err, ErrExists) {
 		t.Errorf("duplicate Create error = %v, want ErrExists", err)
 	}
-	clock.Advance(time.Hour)
 	if err := fs.Append("/db/t/part-0", []byte("hello ")); err != nil {
 		t.Fatal(err)
 	}
@@ -47,28 +39,8 @@ func TestCreateAppendRead(t *testing.T) {
 	}
 }
 
-func TestModTimeTracksClock(t *testing.T) {
-	fs, clock := newTestFS()
-	start := clock.Now()
-	if err := fs.WriteFile("/a/f1", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	mt, err := fs.ModTime("/a/f1")
-	if err != nil || !mt.Equal(start) {
-		t.Fatalf("ModTime = %v err=%v, want %v", mt, err, start)
-	}
-	clock.Advance(2 * time.Hour)
-	if err := fs.Append("/a/f1", []byte("y")); err != nil {
-		t.Fatal(err)
-	}
-	mt2, _ := fs.ModTime("/a/f1")
-	if !mt2.Equal(start.Add(2 * time.Hour)) {
-		t.Errorf("ModTime after append = %v", mt2)
-	}
-}
-
 func TestListSortedAndDelete(t *testing.T) {
-	fs, _ := newTestFS()
+	fs := New()
 	for _, name := range []string{"/d/t/part-2", "/d/t/part-0", "/d/t/part-1", "/d/other/x"} {
 		if err := fs.WriteFile(name, []byte("data")); err != nil {
 			t.Fatal(err)
@@ -102,7 +74,7 @@ func TestListSortedAndDelete(t *testing.T) {
 }
 
 func TestStatsAccounting(t *testing.T) {
-	fs, _ := newTestFS()
+	fs := New()
 	if err := fs.WriteFile("/f", []byte("abcdef")); err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +95,7 @@ func TestStatsAccounting(t *testing.T) {
 }
 
 func TestReadReturnsCopy(t *testing.T) {
-	fs, _ := newTestFS()
+	fs := New()
 	if err := fs.WriteFile("/f", []byte("immutable")); err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +111,7 @@ func TestReadReturnsCopy(t *testing.T) {
 // Size always equals the total bytes appended.
 func TestQuickAppendOnly(t *testing.T) {
 	f := func(chunks [][]byte) bool {
-		fs, _ := newTestFS()
+		fs := New()
 		if err := fs.Create("/f"); err != nil {
 			return false
 		}
@@ -166,7 +138,7 @@ func TestQuickAppendOnly(t *testing.T) {
 }
 
 func TestInjectorWiring(t *testing.T) {
-	fs, _ := newTestFS()
+	fs := New()
 	if err := fs.WriteFile("/d/f", []byte("hello world")); err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +179,7 @@ func TestInjectorWiring(t *testing.T) {
 }
 
 func TestRenameAndWriteFileAtomic(t *testing.T) {
-	fs, _ := newTestFS()
+	fs := New()
 	if err := fs.WriteFile("/d/old", []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +252,7 @@ func TestViewSurvivesEveryMutation(t *testing.T) {
 	}
 	for name, mutate := range mutations {
 		t.Run(name, func(t *testing.T) {
-			fs, _ := newTestFS()
+			fs := New()
 			// Create + Append leaves spare capacity behind the content, the
 			// case where an in-place append must not be visible to a view.
 			if err := fs.Create("/d/f"); err != nil {
@@ -324,7 +296,7 @@ func TestViewSurvivesEveryMutation(t *testing.T) {
 // listing, a size or a version would report must move it, and no method that
 // only reads may.
 func TestGenerationMovesWithEveryMutationOnly(t *testing.T) {
-	fs, _ := newTestFS()
+	fs := New()
 	mutations := []struct {
 		name string
 		do   func() error
@@ -361,7 +333,6 @@ func TestGenerationMovesWithEveryMutationOnly(t *testing.T) {
 		"ReadView":  func() { _, _ = fs.ReadView("/d/f") },
 		"ReadFile":  func() { _, _ = fs.ReadFile("/d/f") },
 		"Size":      func() { _, _ = fs.Size("/d/f") },
-		"ModTime":   func() { _, _ = fs.ModTime("/d/f") },
 		"Exists":    func() { fs.Exists("/d/f") },
 		"List":      func() { fs.List("/d") },
 		"ListFiles": func() { fs.ListFiles("/d") },
@@ -388,7 +359,7 @@ func TestGenerationMovesWithEveryMutationOnly(t *testing.T) {
 // bytes with a version of its own, and from then on the two names live apart —
 // appending to, replacing or deleting either leaves the other as it was.
 func TestLinkSharesStoredBytes(t *testing.T) {
-	fs, _ := newTestFS()
+	fs := New()
 	// Create + Append leaves spare capacity behind src's content: the case
 	// where the two files' appends could meet in one array.
 	if err := fs.Create("/d/src"); err != nil {
@@ -459,7 +430,7 @@ func TestLinkSharesStoredBytes(t *testing.T) {
 }
 
 func TestReadViewSharesStoredBytesAndMeters(t *testing.T) {
-	fs, _ := newTestFS()
+	fs := New()
 	if err := fs.WriteFile("/d/f", []byte("hello world")); err != nil {
 		t.Fatal(err)
 	}
@@ -494,7 +465,7 @@ func TestReadViewSharesStoredBytesAndMeters(t *testing.T) {
 // rule gets a private copy, a short read a shorter slice, and in both cases
 // the view says it is not the stored content.
 func TestReadViewUnderInjection(t *testing.T) {
-	fs, _ := newTestFS()
+	fs := New()
 	if err := fs.WriteFile("/d/f", []byte("hello world")); err != nil {
 		t.Fatal(err)
 	}
@@ -540,7 +511,7 @@ func TestReadViewUnderInjection(t *testing.T) {
 
 // Readers of one file share its bytes; run with -race.
 func TestConcurrentViewsAndAppends(t *testing.T) {
-	fs, _ := newTestFS()
+	fs := New()
 	if err := fs.Create("/d/f"); err != nil {
 		t.Fatal(err)
 	}

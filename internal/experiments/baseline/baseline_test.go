@@ -20,7 +20,7 @@ import (
 func saleLogs(t *testing.T) *warehouse.Warehouse {
 	t.Helper()
 	clock := simtime.NewSim(time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC))
-	wh := warehouse.New(dfs.New(dfs.WithClock(clock)), warehouse.WithClock(clock),
+	wh := warehouse.New(dfs.New(), warehouse.WithClock(clock),
 		warehouse.WithWriterOptions(orc.WriterOptions{RowGroupRows: 8}))
 	wh.CreateDatabase("mydb")
 	schema := orc.Schema{Columns: []orc.Column{

@@ -28,7 +28,7 @@ import (
 func costFixture(t *testing.T) (*warehouse.Warehouse, []string) {
 	t.Helper()
 	clock := simtime.NewSim(time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC))
-	wh := warehouse.New(dfs.New(dfs.WithClock(clock)), warehouse.WithClock(clock),
+	wh := warehouse.New(dfs.New(), warehouse.WithClock(clock),
 		warehouse.WithWriterOptions(orc.WriterOptions{RowGroupRows: 8}))
 	wh.CreateDatabase("fx")
 	schema := orc.Schema{Columns: []orc.Column{{Name: "doc", Type: datum.TypeString}}}

@@ -100,7 +100,7 @@ func (r *MQOBenchResult) String() string {
 // scanshare scheduler installed, returning the scheduler's registry.
 func mqoBenchSystem(rows int, seed int64, window time.Duration, maxQ int) (*sqlengine.Engine, *obs.Registry, error) {
 	clock := simtime.NewSim(time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC))
-	fs := dfs.New(dfs.WithClock(clock))
+	fs := dfs.New()
 	wh := warehouse.New(fs, warehouse.WithClock(clock),
 		warehouse.WithWriterOptions(orc.WriterOptions{RowGroupRows: 256}))
 	wh.CreateDatabase("bench")

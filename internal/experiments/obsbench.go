@@ -52,7 +52,7 @@ func (r *ObsBenchResult) String() string {
 // aggregation query over a JSON column.
 func obsBenchSystem(withRecorder bool) (*core.Maxson, string, error) {
 	clock := simtime.NewSim(time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC))
-	fs := dfs.New(dfs.WithClock(clock))
+	fs := dfs.New()
 	wh := warehouse.New(fs, warehouse.WithClock(clock),
 		warehouse.WithWriterOptions(orc.WriterOptions{RowGroupRows: 256}))
 	wh.CreateDatabase("bench")

@@ -74,7 +74,7 @@ type Workload struct {
 // average size.
 func BuildWorkload(rowsPerTable int, seed int64) *Workload {
 	clock := simtime.NewSim(time.Date(2019, 3, 1, 0, 0, 0, 0, time.UTC))
-	fs := dfs.New(dfs.WithClock(clock))
+	fs := dfs.New()
 	wh := warehouse.New(fs, warehouse.WithClock(clock),
 		warehouse.WithWriterOptions(orc.WriterOptions{RowGroupRows: 256}))
 	w := &Workload{

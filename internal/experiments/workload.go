@@ -65,7 +65,7 @@ type Fig3Result struct {
 // NoBench data, showing parsing dominating (≥80% in the paper).
 func RunFig3(ctx context.Context, rows int) (*Fig3Result, error) {
 	clock := simtime.NewSim(time.Date(2019, 3, 1, 0, 0, 0, 0, time.UTC))
-	fs := dfs.New(dfs.WithClock(clock))
+	fs := dfs.New()
 	wh := warehouse.New(fs, warehouse.WithClock(clock),
 		warehouse.WithWriterOptions(orc.WriterOptions{RowGroupRows: 512}))
 	wh.CreateDatabase("nb")

@@ -60,7 +60,7 @@ func newStressEnv(t *testing.T, dataSeed int64) *stressEnv {
 	t.Helper()
 	rng := rand.New(rand.NewSource(dataSeed))
 	clock := simtime.NewSim(time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC))
-	fs := dfs.New(dfs.WithClock(clock))
+	fs := dfs.New()
 	wh := warehouse.New(fs, warehouse.WithClock(clock),
 		warehouse.WithWriterOptions(orc.WriterOptions{RowGroupRows: 8}))
 	wh.CreateDatabase("db")

@@ -19,7 +19,7 @@ import (
 func newCancelTestEngine(t *testing.T, opts ...EngineOption) *Engine {
 	t.Helper()
 	clock := simtime.NewSim(time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC))
-	fs := dfs.New(dfs.WithClock(clock))
+	fs := dfs.New()
 	wh := warehouse.New(fs, warehouse.WithClock(clock))
 	wh.CreateDatabase("db")
 	schema := orc.Schema{Columns: []orc.Column{{Name: "id", Type: datum.TypeInt64}}}

@@ -19,7 +19,7 @@ import (
 func twoTableEngine(t *testing.T) *Engine {
 	t.Helper()
 	clock := simtime.NewSim(time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC))
-	fs := dfs.New(dfs.WithClock(clock))
+	fs := dfs.New()
 	wh := warehouse.New(fs, warehouse.WithClock(clock))
 	wh.CreateDatabase("db")
 	orders := orc.Schema{Columns: []orc.Column{
@@ -430,7 +430,7 @@ func TestSparserEquivalenceOnConjunction(t *testing.T) {
 
 func TestWildcardPathsInQueries(t *testing.T) {
 	clock := simtime.NewSim(time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC))
-	fs := dfs.New(dfs.WithClock(clock))
+	fs := dfs.New()
 	wh := warehouse.New(fs, warehouse.WithClock(clock))
 	wh.CreateDatabase("db")
 	schema := orc.Schema{Columns: []orc.Column{{Name: "doc", Type: datum.TypeString}}}

@@ -19,7 +19,7 @@ import (
 // workloads and would mask the scan-path allocations we care about here.
 func newBenchEngine(rows int, opts ...EngineOption) *Engine {
 	clock := simtime.NewSim(time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC))
-	fs := dfs.New(dfs.WithClock(clock))
+	fs := dfs.New()
 	wh := warehouse.New(fs, warehouse.WithClock(clock),
 		warehouse.WithWriterOptions(orc.WriterOptions{RowGroupRows: 512}))
 	wh.CreateDatabase("bench")
@@ -106,7 +106,7 @@ func BenchmarkExecBatch(b *testing.B) {
 // to the rows scanned.
 func BenchmarkCachedScan(b *testing.B) {
 	clock := simtime.NewSim(time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC))
-	fs := dfs.New(dfs.WithClock(clock))
+	fs := dfs.New()
 	wh := warehouse.New(fs, warehouse.WithClock(clock),
 		warehouse.WithWriterOptions(orc.WriterOptions{RowGroupRows: 1000}))
 	wh.CreateDatabase("bench")

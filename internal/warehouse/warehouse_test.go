@@ -24,7 +24,7 @@ var saleSchema = orc.Schema{Columns: []orc.Column{
 
 func newTestWarehouse() (*Warehouse, *simtime.Sim) {
 	clock := simtime.NewSim(time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC))
-	fs := dfs.New(dfs.WithClock(clock))
+	fs := dfs.New()
 	return New(fs, WithClock(clock)), clock
 }
 
@@ -211,7 +211,7 @@ func TestSplitOrderStableAcrossAppends(t *testing.T) {
 
 func TestAccessorsAndOptions(t *testing.T) {
 	clock := simtime.NewSim(time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC))
-	fs := dfs.New(dfs.WithClock(clock))
+	fs := dfs.New()
 	opts := orc.WriterOptions{RowGroupRows: 123}
 	w := New(fs, WithClock(clock), WithWriterOptions(opts))
 	if w.Clock() != clock {

@@ -135,7 +135,7 @@ func NewSystem(cfg SystemConfig) *System {
 		cfg.StartTime = time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC)
 	}
 	clock := simtime.NewSim(cfg.StartTime)
-	fs := dfs.New(dfs.WithClock(clock))
+	fs := dfs.New()
 	wh := warehouse.New(fs, warehouse.WithClock(clock),
 		warehouse.WithWriterOptions(orc.WriterOptions{RowGroupRows: cfg.RowGroupRows}))
 	e := sqlengine.NewEngine(wh, sqlengine.WithDefaultDB(cfg.DefaultDB))
