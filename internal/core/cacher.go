@@ -389,12 +389,15 @@ type tablePopulate struct {
 	cols       []cacheColumn
 	// out holds one batch of the table being written, column-wise, backed by
 	// one array: copied columns are decoded into it, extracted ones stored.
+	// It is allocated by the first split that is encoded (vectors), so a
+	// populate that links every split allocates none.
 	out [][]datum.Datum
 	// sameCols: the previous table held exactly these columns in this order,
 	// so an unchanged split is linked rather than rewritten.
 	sameCols bool
 	// carried lists the columns the previous table holds; carryVecs are their
-	// vectors in out, handed to the previous part's cursor.
+	// vectors in out, in the same order, handed to the previous part's
+	// cursor.
 	carried   []string
 	carryVecs [][]datum.Datum
 	// all extracts every column, missing only those the previous table lacks
@@ -486,12 +489,23 @@ func (c *Cacher) newTablePopulate(ctx context.Context, cacheTable string, keys [
 	if len(tp.cols) == 0 {
 		return nil
 	}
+	return tp
+}
+
+// vectors allocates out and carryVecs on first use: the batch a split is
+// encoded from, which a linked split never needs.
+func (tp *tablePopulate) vectors() {
+	if tp.out != nil {
+		return
+	}
 	flat := make([]datum.Datum, len(tp.cols)*populateBatchRows)
 	tp.out = make([][]datum.Datum, len(tp.cols))
-	for i := range tp.out {
-		tp.out[i] = flat[i*populateBatchRows : (i+1)*populateBatchRows]
+	for j, col := range tp.cols {
+		tp.out[j] = flat[j*populateBatchRows : (j+1)*populateBatchRows]
+		if col.prev >= 0 {
+			tp.carryVecs = append(tp.carryVecs, tp.out[j])
+		}
 	}
-	return tp
 }
 
 // err reports the cycle's cancellation; an ingest is never cancelled.
@@ -531,7 +545,6 @@ func (tp *tablePopulate) matchPrevious(prev *Manifest) []dfs.FileInfo {
 		}
 		if col.prev >= 0 {
 			tp.carried = append(tp.carried, col.name)
-			tp.carryVecs = append(tp.carryVecs, tp.out[j])
 		}
 	}
 	return parts
@@ -618,6 +631,7 @@ func (tp *tablePopulate) populateSplit(raw dfs.FileInfo, from *ManifestSplit) (M
 	}
 
 	sp := ManifestSplit{RawPath: raw.Name, ColBytes: make([]int64, len(tp.cols))}
+	tp.vectors()
 	plan := tp.plan(from != nil)
 	var carry, rawCur *orc.Cursor
 	if from != nil {
@@ -654,6 +668,9 @@ func (tp *tablePopulate) populateSplit(raw dfs.FileInfo, from *ManifestSplit) (M
 	}
 
 	w := orc.NewWriter(tp.schema, wh.WriterOptions())
+	// AppendEncoded stores a copy of the file, so the scratch goes back once
+	// it returns.
+	defer w.Release()
 	for {
 		if err := tp.err(); err != nil {
 			return ManifestSplit{}, err

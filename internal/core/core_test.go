@@ -693,3 +693,48 @@ func TestPlanModifierCountsOverhead(t *testing.T) {
 		t.Errorf("maxson plan nodes %d <= plain %d", metrics.PlanExprNodes, plainMetrics.PlanExprNodes)
 	}
 }
+
+// TestCachedNaNSplitIsNotPruned: a cached path's row-group statistics must
+// not prune a split whose values include the JSON string "NaN". The plan
+// pushes `get_json_object(...) > 6` into the cache table as a SARG
+// (extractCacheSARG); the engine compares "NaN" with 6 as NaN, equal to
+// every number, so only the 10 matches — but numeric extremes that started
+// at NaN stayed NaN and pruned the group holding it.
+func TestCachedNaNSplitIsNotPruned(t *testing.T) {
+	clock := simtime.NewSim(time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC))
+	wh := warehouse.New(dfs.New(), warehouse.WithClock(clock))
+	wh.CreateDatabase("mydb")
+	if err := wh.CreateTable("mydb", "t", orc.Schema{Columns: []orc.Column{{Name: "sale_logs", Type: datum.TypeString}}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, docs := range [][]string{{`{"x":"NaN"}`, `{"x":10}`}, {`{"x":3}`, `{"x":"NaN"}`, `{"x":7}`}} {
+		var rows [][]datum.Datum
+		for _, d := range docs {
+			rows = append(rows, []datum.Datum{datum.Str(d)})
+		}
+		if _, err := wh.AppendRows("mydb", "t", rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := New(sqlengine.NewEngine(wh, sqlengine.WithDefaultDB("mydb")), Config{BudgetBytes: 1 << 30, DefaultDB: "mydb"})
+	cachePaths(t, m, "$.x")
+	for _, sql := range []string{
+		`SELECT get_json_object(sale_logs, '$.x') x FROM mydb.t WHERE get_json_object(sale_logs, '$.x') > 6 ORDER BY x`,
+		`SELECT get_json_object(sale_logs, '$.x') x FROM mydb.t WHERE get_json_object(sale_logs, '$.x') < 5 ORDER BY x`,
+	} {
+		want, _, err := sqlengine.NewEngine(wh, sqlengine.WithDefaultDB("mydb")).QueryCtx(context.Background(), sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, metrics, err := m.QueryCtx(context.Background(), sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if metrics.CacheValuesRead.Load() == 0 {
+			t.Fatalf("%s: served without the cache", sql)
+		}
+		if got.String() != want.String() || len(want.Rows) == 0 {
+			t.Errorf("%s: cached\n%s\nplain\n%s", sql, got.String(), want.String())
+		}
+	}
+}

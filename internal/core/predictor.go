@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/mlbase"
 	"repro/internal/nn"
@@ -71,6 +72,11 @@ func (m *flatModel) Predict(s *Sample) int {
 
 // ---- Uni-LSTM (sequence model, per-step softmax) ----
 
+// tapes holds the forward tapes Predict and DecodeSequence record into, so
+// a cycle's predictions reuse a few tapes instead of allocating one per
+// sample and step; concurrent calls each take their own.
+var tapes = sync.Pool{New: func() any { return new(nn.StackTape) }}
+
 // LSTMConfig sizes the sequence models.
 type LSTMConfig struct {
 	Hidden int
@@ -124,12 +130,13 @@ func (m *UniLSTM) Train(samples []*Sample) {
 	params := append(m.lstm.Params(), m.head.Params()...)
 	opt := nn.NewAdam(m.cfg.LR, params)
 
+	var tape *nn.StackTape // one tape serves every sample
 	for epoch := 0; epoch < m.cfg.Epochs; epoch++ {
 		lg := nn.NewStackGrads(m.lstm)
 		hg := nn.NewDenseGrads(m.head)
 		inBatch := 0
 		for _, s := range samples {
-			tape := m.lstm.Forward(s.Steps)
+			tape = m.lstm.Forward(tape, s.Steps)
 			dHidden := make([][]float64, len(s.Steps))
 			for t := range s.Steps {
 				_, dLogits := nn.CrossEntropyGrad(m.head.Forward(tape.Hidden(t)), s.Labels[t])
@@ -161,7 +168,9 @@ func (m *UniLSTM) Predict(s *Sample) int {
 	if m.lstm == nil {
 		return 0
 	}
-	tape := m.lstm.Forward(s.Steps)
+	tape := tapes.Get().(*nn.StackTape)
+	defer tapes.Put(tape)
+	m.lstm.Forward(tape, s.Steps)
 	logits := m.head.Forward(tape.Hidden(tape.Len() - 1))
 	return nn.Argmax(logits)
 }
@@ -197,13 +206,14 @@ func (m *LSTMCRF) Train(samples []*Sample) {
 	params := append(append(m.lstm.Params(), m.head.Params()...), m.crf.Params()...)
 	opt := nn.NewAdam(m.cfg.LR, params)
 
+	var tape *nn.StackTape // one tape serves every sample
 	for epoch := 0; epoch < m.cfg.Epochs; epoch++ {
 		lg := nn.NewStackGrads(m.lstm)
 		hg := nn.NewDenseGrads(m.head)
 		cg := nn.NewCRFGrads(m.crf)
 		inBatch := 0
 		for _, s := range samples {
-			tape := m.lstm.Forward(s.Steps)
+			tape = m.lstm.Forward(tape, s.Steps)
 			unary := make([][]float64, len(s.Steps))
 			for t := range s.Steps {
 				unary[t] = m.head.Forward(tape.Hidden(t))
@@ -275,7 +285,9 @@ func (m *LSTMCRF) DecodeSequence(s *Sample) []int {
 	if m.lstm == nil {
 		return nil
 	}
-	tape := m.lstm.Forward(s.Steps)
+	tape := tapes.Get().(*nn.StackTape)
+	defer tapes.Put(tape)
+	m.lstm.Forward(tape, s.Steps)
 	unary := make([][]float64, len(s.Steps))
 	for t := range s.Steps {
 		unary[t] = m.head.Forward(tape.Hidden(t))

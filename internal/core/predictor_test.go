@@ -1,6 +1,10 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/pathkey"
@@ -215,5 +219,42 @@ func TestLSTMCRFWeightPersistence(t *testing.T) {
 	}
 	if err := restored.LoadWeights([]byte("garbage!")); err == nil {
 		t.Error("garbage blob should error")
+	}
+}
+
+// TestTrainedWeightsAreTheParents: training reuses its LSTM tapes across
+// steps and samples, and Predict takes them from a pool, without touching
+// the arithmetic, so a fixed seed still trains bit-identical weights. The
+// hashes are of SaveWeights after Train, then of the Viterbi decodes and
+// the Uni-LSTM's predictions over the test samples, at commit 22d516e, the
+// last to allocate a tape per sample; one and two layers, so the stack's
+// input gradients are covered too. They hold on amd64, where Go never fuses a
+// multiply and an add (other architectures may, which moves the low bits).
+func TestTrainedWeightsAreTheParents(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("the golden hashes were taken on amd64; %s may fuse multiply-adds", runtime.GOARCH)
+	}
+	counts, keys := synthCounts()
+	train, _, test := SplitSamples(BuildSamples(counts, keys, 7, 7, 40, 0))
+	for layers, want := range map[int]string{
+		1: "0ddc9c6cb7c3d2507d6075c4f4eaac9a07580a2d843d669ffa1985f6e6451b0b",
+		2: "41daa8ba68b3b4ca6cd8d95758cf0593a50141c95f69cbf95d90b32037caddd8",
+	} {
+		cfg := LSTMConfig{Hidden: 8, Layers: layers, Epochs: 4, LR: 0.02, Seed: 5, Batch: 8}
+		m, uni := NewLSTMCRF(cfg), NewUniLSTM(cfg)
+		m.Train(train)
+		uni.Train(train)
+		blob, err := m.SaveWeights()
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		h.Write(blob)
+		for _, s := range test {
+			fmt.Fprint(h, m.DecodeSequence(s), uni.Predict(s))
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != want {
+			t.Errorf("%d layers: weights and decodes hash to %s, want %s", layers, got, want)
+		}
 	}
 }

@@ -119,8 +119,14 @@ func (f *FS) ResetStats() {
 	f.stats = IOStats{}
 }
 
+// clean returns the canonical, rooted form of a file name. path.Clean hands
+// back a name that is already clean without allocating, so the common case
+// — every Open, Stat and ListFiles of the query path — costs nothing.
 func clean(p string) string {
-	return path.Clean("/" + strings.TrimPrefix(p, "/"))
+	if strings.HasPrefix(p, "/") {
+		return path.Clean(p)
+	}
+	return path.Clean("/" + p)
 }
 
 // Create creates an empty file. It fails if the file exists.

@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -172,7 +173,10 @@ func packageDirs(root string) ([]string, error) {
 	return dirs, err
 }
 
-// parseDir parses every non-test Go file of dir with comments retained.
+// parseDir parses every non-test Go file of dir that the default build
+// compiles — the files go build and go vet see without -race or other tags —
+// with comments retained. Two files of one package that declare the same
+// name under opposite build constraints cannot be type-checked together.
 func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -180,7 +184,12 @@ func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
 	}
 	var names []string
 	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") && !strings.HasSuffix(e.Name(), "_test.go") {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, e.Name()); err != nil {
+			return nil, fmt.Errorf("lint: %w", err)
+		} else if ok {
 			names = append(names, e.Name())
 		}
 	}

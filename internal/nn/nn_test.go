@@ -125,7 +125,7 @@ func TestLSTMGradientCheck(t *testing.T) {
 	}
 
 	loss := func() float64 {
-		tape := l.Forward(inputs)
+		tape := l.Forward(nil, inputs)
 		total := 0.0
 		for t2 := 0; t2 < T; t2++ {
 			lo, _ := CrossEntropyGrad(head.Forward(tape.Hidden(t2)), labels[t2])
@@ -136,7 +136,7 @@ func TestLSTMGradientCheck(t *testing.T) {
 
 	lg := NewLSTMGrads(l)
 	hg := NewDenseGrads(head)
-	tape := l.Forward(inputs)
+	tape := l.Forward(nil, inputs)
 	dHidden := make([][]float64, T)
 	for t2 := 0; t2 < T; t2++ {
 		_, dLogits := CrossEntropyGrad(head.Forward(tape.Hidden(t2)), labels[t2])
@@ -363,7 +363,7 @@ func TestLSTMLearnsParityPattern(t *testing.T) {
 		hg := NewDenseGrads(head)
 		for s := 0; s < 20; s++ {
 			inputs, labels := makeSeq(s)
-			tape := l.Forward(inputs)
+			tape := l.Forward(nil, inputs)
 			dHidden := make([][]float64, T)
 			for t2 := 0; t2 < T; t2++ {
 				_, dLogits := CrossEntropyGrad(head.Forward(tape.Hidden(t2)), labels[t2])
@@ -379,7 +379,7 @@ func TestLSTMLearnsParityPattern(t *testing.T) {
 	correct, total := 0, 0
 	for s := 0; s < 20; s++ {
 		inputs, labels := makeSeq(s)
-		tape := l.Forward(inputs)
+		tape := l.Forward(nil, inputs)
 		for t2 := 0; t2 < T; t2++ {
 			logits := head.Forward(tape.Hidden(t2))
 			if Argmax(logits) == labels[t2] {
@@ -407,7 +407,7 @@ func TestLSTMStackGradientCheck(t *testing.T) {
 	}
 
 	loss := func() float64 {
-		tape := stack.Forward(inputs)
+		tape := stack.Forward(nil, inputs)
 		total := 0.0
 		for i := 0; i < T; i++ {
 			lo, _ := CrossEntropyGrad(head.Forward(tape.Hidden(i)), labels[i])
@@ -418,7 +418,7 @@ func TestLSTMStackGradientCheck(t *testing.T) {
 
 	sg := NewStackGrads(stack)
 	hg := NewDenseGrads(head)
-	tape := stack.Forward(inputs)
+	tape := stack.Forward(nil, inputs)
 	dHidden := make([][]float64, T)
 	for i := 0; i < T; i++ {
 		_, dLogits := CrossEntropyGrad(head.Forward(tape.Hidden(i)), labels[i])
@@ -453,8 +453,8 @@ func TestLSTMStackSingleLayerMatchesPlainLSTM(t *testing.T) {
 	for i := range inputs {
 		inputs[i] = []float64{r.NormFloat64(), r.NormFloat64()}
 	}
-	st := stack.Forward(inputs)
-	pt := plain.Forward(inputs)
+	st := stack.Forward(nil, inputs)
+	pt := plain.Forward(nil, inputs)
 	for i := 0; i < T; i++ {
 		a, b := st.Hidden(i), pt.Hidden(i)
 		for j := range a {
@@ -496,5 +496,86 @@ func TestEncodeDecodeMats(t *testing.T) {
 	}
 	if _, err := DecodeMats(append(blob, 0), nil); err == nil {
 		t.Error("trailing bytes should error")
+	}
+}
+
+// TestLSTMTapeAllocations pins the tape reuse the predictor's training loop
+// and Predict rely on: once a tape has seen a sequence as long and layers as
+// wide, a forward and backward pass through a two-layer stack allocates
+// nothing, at 6 steps as at 30 — where a tape per pass allocated four
+// vectors per step and layer forward and three backward.
+func TestLSTMTapeAllocations(t *testing.T) {
+	const D, H = 3, 8
+	stack := NewLSTMStack(2, D, H, NewRand(1))
+	grads := NewStackGrads(stack)
+	r := NewRand(2).r
+	for _, T := range []int{6, 30} {
+		inputs := make([][]float64, T)
+		dHidden := make([][]float64, T)
+		for i := range inputs {
+			inputs[i] = []float64{r.NormFloat64(), r.NormFloat64(), r.NormFloat64()}
+			dHidden[i] = make([]float64, H)
+			dHidden[i][i%H] = 1
+		}
+		var tape *StackTape
+		allocs := testing.AllocsPerRun(20, func() {
+			tape = stack.Forward(tape, inputs)
+			stack.Backward(tape, dHidden, grads)
+		})
+		if allocs != 0 {
+			t.Errorf("%d steps: a pass over a warm tape allocates %v times, want 0", T, allocs)
+		}
+	}
+}
+
+// TestReusedTapeMatchesFreshTape: a tape that recorded other sequences —
+// longer, shorter, through a wider stack — gives bit for bit the
+// activations and gradients a fresh tape gives.
+func TestReusedTapeMatchesFreshTape(t *testing.T) {
+	r := NewRand(3).r
+	seq := func(T, D int) [][]float64 {
+		out := make([][]float64, T)
+		for i := range out {
+			out[i] = make([]float64, D)
+			for j := range out[i] {
+				out[i][j] = r.NormFloat64()
+			}
+		}
+		return out
+	}
+	narrow := NewLSTMStack(2, 3, 4, NewRand(4))
+	wide := NewLSTMStack(3, 5, 9, NewRand(5))
+	inputs, dHidden := seq(7, 3), seq(7, 4)
+	run := func(tape *StackTape) ([]float64, []float64) {
+		g := NewStackGrads(narrow)
+		tape = narrow.Forward(tape, inputs)
+		narrow.Backward(tape, dHidden, g)
+		var hs, gs []float64
+		for i := 0; i < tape.Len(); i++ {
+			hs = append(hs, tape.Hidden(i)...)
+		}
+		for _, m := range g.List() {
+			gs = append(gs, m.Data...)
+		}
+		return hs, gs
+	}
+	wantH, wantG := run(nil)
+	var tape *StackTape
+	for _, T := range []int{20, 2} {
+		tape = wide.Forward(tape, seq(T, 5))
+		wide.Backward(tape, seq(T, 9), NewStackGrads(wide))
+		tape = narrow.Forward(tape, seq(T, 3))
+		narrow.Backward(tape, seq(T, 4), NewStackGrads(narrow))
+	}
+	gotH, gotG := run(tape)
+	for i := range wantH {
+		if math.Float64bits(gotH[i]) != math.Float64bits(wantH[i]) {
+			t.Fatalf("hidden value %d: %v on a reused tape, %v on a fresh one", i, gotH[i], wantH[i])
+		}
+	}
+	for i := range wantG {
+		if math.Float64bits(gotG[i]) != math.Float64bits(wantG[i]) {
+			t.Fatalf("gradient %d: %v on a reused tape, %v on a fresh one", i, gotG[i], wantG[i])
+		}
 	}
 }

@@ -61,7 +61,8 @@ func (g *StackGrads) Zero() {
 	}
 }
 
-// StackTape records every layer's forward activations.
+// StackTape records every layer's forward activations. Like an LSTMTape,
+// it is reused by the next Forward and Backward on it.
 type StackTape struct {
 	Tapes []*LSTMTape
 }
@@ -75,14 +76,19 @@ func (t *StackTape) Hidden(step int) []float64 {
 // Len returns the sequence length.
 func (t *StackTape) Len() int { return t.Tapes[0].Len() }
 
-// Forward runs the stack over the input sequence.
-func (s *LSTMStack) Forward(inputs [][]float64) *StackTape {
-	tape := &StackTape{}
+// Forward runs the stack over the input sequence, records every layer's
+// activations in tape and returns it; a nil tape is a new one.
+func (s *LSTMStack) Forward(tape *StackTape, inputs [][]float64) *StackTape {
+	if tape == nil {
+		tape = &StackTape{}
+	}
+	for len(tape.Tapes) < len(s.Layers) {
+		tape.Tapes = append(tape.Tapes, new(LSTMTape))
+	}
+	tape.Tapes = tape.Tapes[:len(s.Layers)]
 	cur := inputs
-	for _, l := range s.Layers {
-		lt := l.Forward(cur)
-		tape.Tapes = append(tape.Tapes, lt)
-		cur = lt.hiddens
+	for i, l := range s.Layers {
+		cur = l.Forward(tape.Tapes[i], cur).hiddens
 	}
 	return tape
 }
@@ -92,74 +98,8 @@ func (s *LSTMStack) Forward(inputs [][]float64) *StackTape {
 func (s *LSTMStack) Backward(tape *StackTape, dHidden [][]float64, g *StackGrads) {
 	d := dHidden
 	for i := len(s.Layers) - 1; i >= 0; i-- {
-		lt := tape.Tapes[i]
-		if i == 0 {
-			s.Layers[i].Backward(lt, d, g.Layers[i])
-			return
-		}
-		// Need the gradient w.r.t. this layer's INPUT sequence (= the
-		// layer-below's hidden sequence). LSTM.Backward does not expose
-		// input gradients, so compute them here by extending the BPTT pass.
-		d = s.Layers[i].backwardWithInputGrads(lt, d, g.Layers[i])
+		// Every layer above the first also hands back the gradient on its
+		// input sequence (= the layer-below's hidden sequence).
+		d = s.Layers[i].backward(tape.Tapes[i], d, g.Layers[i], i > 0)
 	}
-}
-
-// backwardWithInputGrads is LSTM.Backward plus ∂loss/∂x_t for every step,
-// needed to chain stacked layers.
-func (l *LSTM) backwardWithInputGrads(tape *LSTMTape, dHidden [][]float64, g *LSTMGrads) [][]float64 {
-	H := l.HiddenDim
-	T := tape.Len()
-	dInputs := make([][]float64, T)
-	dhNext := make([]float64, H)
-	dcNext := make([]float64, H)
-	dPre := make([]float64, 4*H)
-	dhFromRec := make([]float64, H)
-
-	for t := T - 1; t >= 0; t-- {
-		dh := make([]float64, H)
-		copy(dh, dhNext)
-		if t < len(dHidden) && dHidden[t] != nil {
-			AddVec(dh, dHidden[t])
-		}
-		gates := tape.gates[t]
-		tc := tape.tanhC[t]
-		var cPrev []float64
-		if t > 0 {
-			cPrev = tape.cells[t-1]
-		} else {
-			cPrev = make([]float64, H)
-		}
-		dc := make([]float64, H)
-		copy(dc, dcNext)
-		for j := 0; j < H; j++ {
-			iG, fG, gG, oG := gates[j], gates[H+j], gates[2*H+j], gates[3*H+j]
-			dOut := dh[j] * tc[j]
-			dc[j] += dh[j] * oG * (1 - tc[j]*tc[j])
-			dIn := dc[j] * gG
-			dF := dc[j] * cPrev[j]
-			dG := dc[j] * iG
-			dcNext[j] = dc[j] * fG
-			dPre[j] = dIn * iG * (1 - iG)
-			dPre[H+j] = dF * fG * (1 - fG)
-			dPre[2*H+j] = dG * (1 - gG*gG)
-			dPre[3*H+j] = dOut * oG * (1 - oG)
-		}
-		var hPrev []float64
-		if t > 0 {
-			hPrev = tape.hiddens[t-1]
-		} else {
-			hPrev = make([]float64, H)
-		}
-		g.Wx.AddOuter(dPre, tape.inputs[t], 1)
-		g.Wh.AddOuter(dPre, hPrev, 1)
-		for i := 0; i < 4*H; i++ {
-			g.B.Data[i] += dPre[i]
-		}
-		dx := make([]float64, l.InputDim)
-		l.Wx.MulVecT(dPre, dx)
-		dInputs[t] = dx
-		l.Wh.MulVecT(dPre, dhFromRec)
-		copy(dhNext, dhFromRec)
-	}
-	return dInputs
 }

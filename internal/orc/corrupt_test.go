@@ -27,10 +27,12 @@ func oneChunkFile(t testing.TB, typ datum.Type, rows int, chunk []byte) []byte {
 func oneGroupFile(t testing.TB, typ datum.Type, rows int, group []byte) []byte {
 	t.Helper()
 	w := NewWriter(Schema{Columns: []Column{{Name: "c", Type: typ}}}, WriterOptions{})
-	start := int64(len(w.body.buf))
-	w.body.bytes(group)
-	w.stripes = []stripeMeta{{offset: start, length: int64(len(group)), rows: int64(rows),
-		rowGroups: []rowGroupMeta{{length: int64(len(group)), rows: int32(rows), stats: make([]ColumnStats, 1)}}}}
+	s := w.s
+	start := int64(len(s.body.buf))
+	s.body.bytes(group)
+	s.stripes = append(s.stripes, writtenStripe{offset: start, length: int64(len(group)), rows: int64(rows), groups: 1})
+	s.groups = append(s.groups, writtenGroup{length: int64(len(group)), rows: int32(rows)})
+	s.stats = append(s.stats, ColumnStats{})
 	w.totalRows = int64(rows)
 	data, err := w.Finish()
 	if err != nil {
@@ -165,8 +167,8 @@ func footerCase(t *testing.T, mutate func(w *Writer)) []byte {
 		}
 	}
 	w.flushRowGroup()
-	if len(w.stripes) < 2 {
-		t.Fatalf("want at least two stripes, have %d", len(w.stripes))
+	if len(w.s.stripes) < 2 {
+		t.Fatalf("want at least two stripes, have %d", len(w.s.stripes))
 	}
 	mutate(w)
 	data, err := w.Finish()
@@ -190,38 +192,37 @@ func TestFooterAcceptsWhatTheWriterWrites(t *testing.T) {
 }
 
 func TestFooterRejectsNegativeRowGroupRows(t *testing.T) {
-	mustRejectFooter(t, "rows=-1", func(w *Writer) { w.stripes[0].rowGroups[0].rows = -1 })
+	mustRejectFooter(t, "rows=-1", func(w *Writer) { w.s.groups[0].rows = -1 })
 	// Negative even when the totals are bent to agree with it.
 	mustRejectFooter(t, "rows=-1, sums adjusted", func(w *Writer) {
-		rg := &w.stripes[0].rowGroups[0]
-		w.stripes[0].rows -= int64(rg.rows) + 1
+		rg := &w.s.groups[0]
+		w.s.stripes[0].rows -= int64(rg.rows) + 1
 		w.totalRows -= int64(rg.rows) + 1
 		rg.rows = -1
 	})
 }
 
 func TestFooterRejectsExtentsOutsideFile(t *testing.T) {
-	last := func(w *Writer) *stripeMeta { return &w.stripes[len(w.stripes)-1] }
+	last := func(w *Writer) *writtenStripe { return &w.s.stripes[len(w.s.stripes)-1] }
 	mustRejectFooter(t, "stripe runs into the footer", func(w *Writer) { last(w).length += 1 })
 	mustRejectFooter(t, "stripe starts past the file", func(w *Writer) { last(w).offset = 1 << 40 })
-	mustRejectFooter(t, "stripe starts inside the head magic", func(w *Writer) { w.stripes[0].offset = 2 })
-	mustRejectFooter(t, "stripe offset negative", func(w *Writer) { w.stripes[0].offset = -8 })
-	mustRejectFooter(t, "stripe length negative", func(w *Writer) { w.stripes[0].length = -8 })
-	mustRejectFooter(t, "stripe extent wraps", func(w *Writer) { w.stripes[0].length = 1<<63 - 1 })
+	mustRejectFooter(t, "stripe starts inside the head magic", func(w *Writer) { w.s.stripes[0].offset = 2 })
+	mustRejectFooter(t, "stripe offset negative", func(w *Writer) { w.s.stripes[0].offset = -8 })
+	mustRejectFooter(t, "stripe length negative", func(w *Writer) { w.s.stripes[0].length = -8 })
+	mustRejectFooter(t, "stripe extent wraps", func(w *Writer) { w.s.stripes[0].length = 1<<63 - 1 })
 	mustRejectFooter(t, "row group past its stripe", func(w *Writer) {
-		rgs := w.stripes[0].rowGroups
-		rgs[len(rgs)-1].length += 1
+		w.s.groups[w.s.stripes[0].groups-1].length += 1
 	})
-	mustRejectFooter(t, "row group offset negative", func(w *Writer) { w.stripes[0].rowGroups[0].offset = -1 })
-	mustRejectFooter(t, "row group length negative", func(w *Writer) { w.stripes[0].rowGroups[0].length = -1 })
-	mustRejectFooter(t, "row group extent wraps", func(w *Writer) { w.stripes[0].rowGroups[0].offset = 1<<63 - 1 })
+	mustRejectFooter(t, "row group offset negative", func(w *Writer) { w.s.groups[0].offset = -1 })
+	mustRejectFooter(t, "row group length negative", func(w *Writer) { w.s.groups[0].length = -1 })
+	mustRejectFooter(t, "row group extent wraps", func(w *Writer) { w.s.groups[0].offset = 1<<63 - 1 })
 }
 
 func TestFooterRejectsRowCountMismatch(t *testing.T) {
 	mustRejectFooter(t, "file total", func(w *Writer) { w.totalRows++ })
 	mustRejectFooter(t, "file total negative", func(w *Writer) { w.totalRows = -50 })
-	mustRejectFooter(t, "stripe total", func(w *Writer) { w.stripes[1].rows-- })
-	mustRejectFooter(t, "row group", func(w *Writer) { w.stripes[0].rowGroups[0].rows++ })
+	mustRejectFooter(t, "stripe total", func(w *Writer) { w.s.stripes[1].rows-- })
+	mustRejectFooter(t, "row group", func(w *Writer) { w.s.groups[0].rows++ })
 }
 
 // zeroColumnFile is a file with no columns whose footer claims rows rows in
@@ -230,8 +231,8 @@ func TestFooterRejectsRowCountMismatch(t *testing.T) {
 func zeroColumnFile(t testing.TB, rows int32) []byte {
 	t.Helper()
 	w := NewWriter(Schema{}, WriterOptions{})
-	w.stripes = []stripeMeta{{offset: int64(len(w.body.buf)), rows: int64(rows),
-		rowGroups: []rowGroupMeta{{rows: rows}}}}
+	w.s.stripes = append(w.s.stripes, writtenStripe{offset: int64(len(w.s.body.buf)), rows: int64(rows), groups: 1})
+	w.s.groups = append(w.s.groups, writtenGroup{rows: rows})
 	w.totalRows = int64(rows)
 	data, err := w.Finish()
 	if err != nil {

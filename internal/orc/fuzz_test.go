@@ -1,6 +1,11 @@
 package orc
 
 import (
+	"bytes"
+	"fmt"
+	"hash/fnv"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -136,4 +141,195 @@ func FuzzReader(f *testing.F) {
 			t.Fatalf("clean drain returned %d rows of a file of %d", len(byRow), r.NumRows())
 		}
 	})
+}
+
+// writerCase is one file FuzzWriterMatchesReference writes: a schema, its
+// rows and the options, drawn from the fuzz input.
+type writerCase struct {
+	schema  Schema
+	rows    [][]datum.Datum
+	opts    WriterOptions
+	byBatch int // 0: AppendRow per row; else AppendColumns in batches of it
+}
+
+// writerCases draws one to four files from data. The input seeds a PRNG
+// that picks, per file, up to six columns of any of the four types and,
+// per column, a NULL density and a kind of content: INT64 runs, constants
+// or spread values; FLOAT64 values with infinities and negative zero;
+// STRING values that are few and repeated (dictionary), all distinct, longer
+// than statsMaxString with shared prefixes and 0x00/0xFF bytes next to the
+// cut, or numeric spellings; BOOL runs. Now and then a value comes in with
+// another type and is coerced. No value is NaN, where the writer departs from
+// the reference on purpose (TestNaNGroupIsNeverPruned).
+func writerCases(data []byte) []writerCase {
+	h := fnv.New64a()
+	h.Write(data)
+	rng := rand.New(rand.NewSource(int64(h.Sum64())))
+	pick := func(xs ...int) int { return xs[rng.Intn(len(xs))] }
+	cases := make([]writerCase, 1+rng.Intn(4))
+	for f := range cases {
+		c := &cases[f]
+		ncols := 1 + rng.Intn(6)
+		kinds := make([]int, ncols)
+		nullPct := make([]int, ncols)
+		for i := range kinds {
+			typ := datum.Type(rng.Intn(int(datum.TypeBool) + 1))
+			c.schema.Columns = append(c.schema.Columns, Column{Name: fmt.Sprintf("c%d", i), Type: typ})
+			kinds[i] = rng.Intn(4)
+			nullPct[i] = pick(0, 0, 10, 50, 100)
+		}
+		c.opts = WriterOptions{
+			RowGroupRows:      pick(1, 2, 3, 7, 16, 64, 100, 1000, 0),
+			StripeTargetBytes: int64(pick(0, 64, 300, 2000)),
+		}
+		c.byBatch = pick(0, 0, 1, 5, 64)
+		prefix := randomBytes(rng, statsMaxString-2+rng.Intn(4))
+		rows := make([][]datum.Datum, pick(0, 1, 2, 9, 40, 150, 400))
+		for r := range rows {
+			row := make([]datum.Datum, ncols)
+			for i, col := range c.schema.Columns {
+				if rng.Intn(100) < nullPct[i] {
+					row[i] = datum.NullOf(col.Type)
+					continue
+				}
+				row[i] = writerValue(rng, col.Type, kinds[i], r, prefix)
+				if rng.Intn(50) == 0 {
+					row[i] = datum.Str(row[i].AsString()) // coerced back on write
+				}
+			}
+			rows[r] = row
+		}
+		c.rows = rows
+	}
+	return cases
+}
+
+// writerValue draws one non-NULL value of type typ and content kind.
+func writerValue(rng *rand.Rand, typ datum.Type, kind, row int, prefix string) datum.Datum {
+	switch typ {
+	case datum.TypeInt64:
+		switch kind {
+		case 0:
+			return datum.Int(int64(row / (1 + rng.Intn(20)))) // runs
+		case 1:
+			return datum.Int(42)
+		case 2:
+			return datum.Int(int64(rng.Uint64()))
+		default:
+			return datum.Int(int64(rng.Intn(7)) - 3)
+		}
+	case datum.TypeFloat64:
+		switch rng.Intn(12) {
+		case 0:
+			return datum.Float(math.Inf(1 - 2*rng.Intn(2)))
+		case 1:
+			return datum.Float(math.Copysign(0, -1))
+		}
+		if kind == 0 {
+			return datum.Float(float64(rng.Intn(5)) / 4)
+		}
+		return datum.Float(rng.NormFloat64() * 1e6)
+	case datum.TypeString:
+		switch kind {
+		case 0:
+			return datum.Str([]string{"red", "green", "blue", "", prefix + "a"}[rng.Intn(5)])
+		case 1:
+			return datum.Str(fmt.Sprintf("value-%06d-%s", row, randomBytes(rng, rng.Intn(4))))
+		case 2:
+			// Around the truncation cut: a shared prefix, then bytes that
+			// sort below, between and above the 0xFF padding.
+			return datum.Str(prefix + randomBytes(rng, rng.Intn(5)))
+		default:
+			spellings := []string{"0", "-0", "+7", "1e5", "-.5", ".5", "inf", "-Inf", "Infinity", "0x1p-2", "1_000", "12abc", "-", "."}
+			if rng.Intn(3) == 0 {
+				return datum.Str(spellings[rng.Intn(len(spellings))])
+			}
+			return datum.Str(strconv.FormatFloat(rng.NormFloat64()*100, 'g', -1, 64))
+		}
+	default:
+		if kind == 0 {
+			return datum.Bool(row/(1+rng.Intn(9))%2 == 0)
+		}
+		return datum.Bool(rng.Intn(2) == 0)
+	}
+}
+
+// randomBytes draws n bytes from a small alphabet with both byte extremes.
+func randomBytes(rng *rand.Rand, n int) string {
+	const alphabet = "\x00\x01ab~\xfe\xff"
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = alphabet[rng.Intn(len(alphabet))]
+	}
+	return string(b)
+}
+
+// FuzzWriterMatchesReference holds the pooled writer to the bytes of the
+// encoder it replaced (referenceWrite, a frozen copy). The files an input
+// draws are written one after another in one scratch — each writer starts
+// in what the last one released, whatever its schema — so scratch a release
+// failed to reset shows up as a differing byte. WriteRows, which copies the
+// file out of the pool, must agree too. The seed corpus is the committed
+// testdata/fuzz/FuzzWriterMatchesReference.
+func FuzzWriterMatchesReference(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := newScratch()
+		for i, c := range writerCases(data) {
+			w := newWriter(c.schema, c.opts, s)
+			var err error
+			if c.byBatch == 0 {
+				for _, r := range c.rows {
+					if err = w.AppendRow(r); err != nil {
+						break
+					}
+				}
+			} else {
+				cols := make([][]datum.Datum, len(c.schema.Columns))
+				for off := 0; off < len(c.rows) && err == nil; off += c.byBatch {
+					n := min(c.byBatch, len(c.rows)-off)
+					for ci := range cols {
+						cols[ci] = cols[ci][:0]
+						for _, r := range c.rows[off : off+n] {
+							cols[ci] = append(cols[ci], r[ci])
+						}
+					}
+					err = w.AppendColumns(cols, n)
+				}
+			}
+			if err != nil {
+				t.Fatalf("file %d: append: %v", i, err)
+			}
+			got, err := w.Finish()
+			if err != nil {
+				t.Fatalf("file %d: %v", i, err)
+			}
+			got = bytes.Clone(got)
+			s = w.detach()
+			if _, err := OpenReader(got); err != nil {
+				t.Fatalf("file %d does not open: %v", i, err)
+			}
+			if refHasNaN(c.schema, c.rows) {
+				t.Fatalf("file %d holds a NaN; writerCases draws none", i)
+			}
+			want := referenceWrite(c.schema, c.rows, c.opts)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("file %d (%d columns, %d rows, %+v): %d bytes, the reference %d; first difference at byte %d",
+					i, len(c.schema.Columns), len(c.rows), c.opts, len(got), len(want), firstDiff(got, want))
+			}
+			if again, err := WriteRows(c.schema, c.rows, c.opts); err != nil || !bytes.Equal(again, want) {
+				t.Fatalf("file %d: WriteRows differs from the reference (err %v)", i, err)
+			}
+		}
+	})
+}
+
+// firstDiff returns the first index at which a and b differ.
+func firstDiff(a, b []byte) int {
+	n := min(len(a), len(b))
+	for i := 0; i < n; i++ {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return n
 }

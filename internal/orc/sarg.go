@@ -1,6 +1,7 @@
 package orc
 
 import (
+	"math"
 	"strings"
 
 	"repro/internal/datum"
@@ -104,6 +105,9 @@ func predicateMayMatch(t datum.Type, p Predicate, st ColumnStats) bool {
 	case datum.TypeInt64:
 		minD, maxD = datum.Int(st.MinI), datum.Int(st.MaxI)
 	case datum.TypeFloat64:
+		if math.IsNaN(st.MinF) || math.IsNaN(st.MaxF) {
+			return true // the group holds a NaN (encodeColumn)
+		}
 		minD, maxD = datum.Float(st.MinF), datum.Float(st.MaxF)
 	case datum.TypeString:
 		// Engines compare numeric-looking strings numerically (the
@@ -112,7 +116,7 @@ func predicateMayMatch(t datum.Type, p Predicate, st ColumnStats) bool {
 		// when every value in the group is numeric. Lexicographic extremes
 		// would prune unsoundly ("9" > "10").
 		if p.Value.Typ == datum.TypeInt64 || p.Value.Typ == datum.TypeFloat64 {
-			if !st.AllNumeric {
+			if !st.AllNumeric || math.IsNaN(st.MinNum) || math.IsNaN(st.MaxNum) {
 				return true
 			}
 			return rangeMayMatch(p.Op, datum.Coerce(p.Value, datum.TypeFloat64),

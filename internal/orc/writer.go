@@ -1,7 +1,9 @@
 package orc
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -29,23 +31,59 @@ func (o WriterOptions) withDefaults() WriterOptions {
 	return o
 }
 
-// Writer builds one ORC file in memory. Append rows, then Finish.
+// Writer builds one ORC file in memory. Append rows, Finish, then Release
+// once the file's bytes are copied where they are kept.
 type Writer struct {
 	schema Schema
 	opts   WriterOptions
-
-	// pending row group accumulation, column-major.
-	pending     []columnBuffer
+	// s is the writer's scratch, from getScratch; nil once released.
+	s           *scratch
 	pendingRows int
+	// open is the open stripe's index in s.stripes, -1 when none is open.
+	open      int
+	totalRows int64
+	finished  bool
+}
 
-	// encoded stripes so far.
-	body        encoder
-	chunk       encoder // scratch of encodeColumn
-	stripes     []stripeMeta
-	curStripe   *stripeMeta
-	stripeStart int64
-	totalRows   int64
-	finished    bool
+// scratch is all the memory a Writer works in: the pending row group, the
+// file body Finish returns, the encoders' trial buffers and the footer's
+// directory. It comes from getScratch and goes back on Release (putScratch),
+// so a process that writes many files allocates one scratch per concurrent
+// writer rather than one per file, row group and value; the pool lets it go
+// within two GC cycles once writing stops. Between writers it holds no
+// string (detach clears them), so pooled scratch pins no caller's file.
+type scratch struct {
+	pending []columnBuffer
+	body    encoder // the file so far; Finish returns its bytes
+	chunk   encoder // one column chunk, copied into body
+	rle     encoder // encodeIntChunk's run-length trial
+	// ints and strs gather the non-null values of the chunk being encoded.
+	ints []int64
+	strs []string
+	// dict and order are encodeStringChunk's dictionary trial.
+	dict  map[string]int
+	order []string
+	// The footer's directory: stripes, their row groups in file order, and
+	// every group's column statistics, one per schema column.
+	stripes []writtenStripe
+	groups  []writtenGroup
+	stats   []ColumnStats
+}
+
+func newScratch() *scratch { return &scratch{dict: map[string]int{}} }
+
+// writtenStripe is one stripe of the file being written; its row groups are
+// the next groups entries of scratch.groups.
+type writtenStripe struct {
+	offset, length, rows int64
+	groups               int
+}
+
+// writtenGroup is one row group of the file being written, with its offset
+// relative to its stripe's.
+type writtenGroup struct {
+	offset, length int64
+	rows           int32
 }
 
 // columnBuffer accumulates one column of the pending row group.
@@ -60,24 +98,62 @@ type columnBuffer struct {
 
 // NewWriter returns a writer for the schema.
 func NewWriter(schema Schema, opts WriterOptions) *Writer {
-	w := &Writer{schema: schema, opts: opts.withDefaults()}
-	w.body.str(Magic)
-	w.stripeStart = int64(len(w.body.buf))
+	return newWriter(schema, opts, getScratch())
+}
+
+// newWriter returns a writer working in scratch s.
+func newWriter(schema Schema, opts WriterOptions, s *scratch) *Writer {
+	s.body.buf = s.body.buf[:0]
+	s.body.str(Magic)
+	s.stripes, s.groups, s.stats = s.stripes[:0], s.groups[:0], s.stats[:0]
+	n := len(schema.Columns)
+	if cap(s.pending) < n {
+		s.pending = append(s.pending[:cap(s.pending)], make([]columnBuffer, n-cap(s.pending))...)
+	}
+	s.pending = s.pending[:n]
+	for i, c := range schema.Columns {
+		s.pending[i].typ = c.Type
+	}
+	w := &Writer{schema: schema, opts: opts.withDefaults(), s: s, open: -1}
 	w.resetPending()
 	return w
+}
+
+// Release hands the writer's scratch back for the next writer to reuse. The
+// bytes Finish returned live in that scratch, so the caller copies what it
+// keeps first; after Release they may be overwritten at any time, and the
+// writer takes no further call. Release may be called at any point, once or
+// more, Finish or not; a writer never released is simply collected.
+func (w *Writer) Release() {
+	if s := w.detach(); s != nil {
+		putScratch(s)
+	}
+}
+
+// detach takes the scratch from the writer, cleared for the next one; nil
+// when it is already gone.
+func (w *Writer) detach() *scratch {
+	s := w.s
+	if s == nil {
+		return nil
+	}
+	w.s, w.finished = nil, true
+	// Drop every string the scratch still refers to: the pending group's
+	// values (a failed write leaves some) and the statistics' extremes.
+	for i := range s.pending {
+		clear(s.pending[i].strs)
+		s.pending[i].strs = s.pending[i].strs[:0]
+	}
+	clear(s.stats)
+	s.stats = s.stats[:0]
+	return s
 }
 
 // resetPending empties the pending row group, keeping the column buffers'
 // capacity: encodeColumn copied what it needed into the body.
 func (w *Writer) resetPending() {
-	if w.pending == nil {
-		w.pending = make([]columnBuffer, len(w.schema.Columns))
-		for i, c := range w.schema.Columns {
-			w.pending[i].typ = c.Type
-		}
-	}
-	for i := range w.pending {
-		cb := &w.pending[i]
+	for i := range w.s.pending {
+		cb := &w.s.pending[i]
 		cb.nulls, cb.ints, cb.flts, cb.bools = cb.nulls[:0], cb.ints[:0], cb.flts[:0], cb.bools[:0]
 		clear(cb.strs) // drop the references, so a flushed group pins no source file
 		cb.strs = cb.strs[:0]
@@ -126,7 +202,7 @@ func (w *Writer) AppendRow(row []datum.Datum) error {
 		return err
 	}
 	for i := range row {
-		w.pending[i].add(row[i])
+		w.s.pending[i].add(row[i])
 	}
 	w.grew(1)
 	return nil
@@ -142,7 +218,7 @@ func (w *Writer) AppendColumns(cols [][]datum.Datum, n int) error {
 	for off := 0; off < n; {
 		take := min(n-off, w.opts.RowGroupRows-w.pendingRows)
 		for i := range cols {
-			cb := &w.pending[i]
+			cb := &w.s.pending[i]
 			for _, v := range cols[i][off : off+take] {
 				cb.add(v)
 			}
@@ -168,25 +244,28 @@ func (w *Writer) flushRowGroup() {
 	if w.pendingRows == 0 {
 		return
 	}
-	if w.curStripe == nil {
-		w.stripes = append(w.stripes, stripeMeta{offset: int64(len(w.body.buf))})
-		w.curStripe = &w.stripes[len(w.stripes)-1]
+	s := w.s
+	if w.open < 0 {
+		s.stripes = append(s.stripes, writtenStripe{offset: int64(len(s.body.buf))})
+		w.open = len(s.stripes) - 1
 	}
-	groupStart := int64(len(w.body.buf)) - w.curStripe.offset
-	stats := make([]ColumnStats, len(w.pending))
-	for i := range w.pending {
-		stats[i] = w.encodeColumn(&w.pending[i])
+	stripe := &s.stripes[w.open]
+	groupStart := int64(len(s.body.buf)) - stripe.offset
+	at := len(s.stats)
+	s.stats = append(s.stats, make([]ColumnStats, len(s.pending))...)
+	for i := range s.pending {
+		w.encodeColumn(&s.pending[i], &s.stats[at+i])
 	}
-	w.curStripe.rowGroups = append(w.curStripe.rowGroups, rowGroupMeta{
+	s.groups = append(s.groups, writtenGroup{
 		offset: groupStart,
-		length: int64(len(w.body.buf)) - w.curStripe.offset - groupStart,
+		length: int64(len(s.body.buf)) - stripe.offset - groupStart,
 		rows:   int32(w.pendingRows),
-		stats:  stats,
 	})
-	w.curStripe.rows += int64(w.pendingRows)
-	w.curStripe.length = int64(len(w.body.buf)) - w.curStripe.offset
-	if w.curStripe.length >= w.opts.StripeTargetBytes {
-		w.curStripe = nil
+	stripe.groups++
+	stripe.rows += int64(w.pendingRows)
+	stripe.length = int64(len(s.body.buf)) - stripe.offset
+	if stripe.length >= w.opts.StripeTargetBytes {
+		w.open = -1
 	}
 	w.resetPending()
 }
@@ -204,28 +283,29 @@ const (
 )
 
 // encodeColumn writes one column of the pending row group as a chunk and
-// returns its statistics.
-func (w *Writer) encodeColumn(cb *columnBuffer) ColumnStats {
+// fills in its statistics, st (zero on entry).
+func (w *Writer) encodeColumn(cb *columnBuffer, st *ColumnStats) {
 	n := len(cb.nulls)
-	var st ColumnStats
 	// One chunk buffer serves every column of every row group: its bytes are
 	// copied into the body before the next column is encoded.
-	chunk := &w.chunk
-	chunk.buf = chunk.buf[:0]
+	chunk := &w.s.chunk
 	// Null bitmap.
-	bitmap := make([]byte, (n+7)/8)
+	chunk.buf = append(chunk.buf[:0], make([]byte, (n+7)/8)...)
 	for i, isNull := range cb.nulls {
 		if isNull {
-			bitmap[i/8] |= 1 << uint(i%8)
+			chunk.buf[i/8] |= 1 << uint(i%8)
 			st.NullCount++
 		}
 	}
-	chunk.bytes(bitmap)
 
-	// Gather non-null values and stats.
+	// Gather non-null values and stats. Go's < and > are false against a
+	// NaN, so extremes taken across one prove nothing (and the engine treats
+	// NaN as equal to every number): a group holding a NaN records NaN
+	// extremes, which predicateMayMatch never prunes on.
+	nan := false
 	switch cb.typ {
 	case datum.TypeInt64:
-		vals := make([]int64, 0, n-int(st.NullCount))
+		vals := w.s.ints[:0]
 		for i := 0; i < n; i++ {
 			if cb.nulls[i] {
 				continue
@@ -240,7 +320,8 @@ func (w *Writer) encodeColumn(cb *columnBuffer) ColumnStats {
 			st.HasValues = true
 			vals = append(vals, v)
 		}
-		encodeIntChunk(chunk, vals)
+		w.s.ints = vals
+		encodeIntChunk(chunk, &w.s.rle, vals)
 	case datum.TypeFloat64:
 		chunk.buf = append(chunk.buf, encPlain)
 		for i := 0; i < n; i++ {
@@ -248,6 +329,7 @@ func (w *Writer) encodeColumn(cb *columnBuffer) ColumnStats {
 				continue
 			}
 			v := cb.flts[i]
+			nan = nan || math.IsNaN(v)
 			if !st.HasValues || v < st.MinF {
 				st.MinF = v
 			}
@@ -257,24 +339,32 @@ func (w *Writer) encodeColumn(cb *columnBuffer) ColumnStats {
 			st.HasValues = true
 			chunk.f64(v)
 		}
+		if nan {
+			st.MinF, st.MaxF = math.NaN(), math.NaN()
+		}
 	case datum.TypeString:
-		vals := make([]string, 0, n-int(st.NullCount))
+		vals := w.s.strs[:0]
+		// The extremes are tracked whole and truncated once, at the end:
+		// comparing each value with the truncated extremes instead picks the
+		// same prefixes, and truncating the maximum allocates.
+		var minS, maxS string
 		for i := 0; i < n; i++ {
 			if cb.nulls[i] {
 				continue
 			}
 			v := cb.strs[i]
-			if !st.HasValues || v < st.MinS {
-				st.MinS = truncateMin(v)
+			if !st.HasValues || v < minS {
+				minS = v
 			}
-			if !st.HasValues || v > st.MaxS {
-				st.MaxS = truncateMax(v)
+			if !st.HasValues || v > maxS {
+				maxS = v
 			}
 			if f, ok := parseNumeric(v); ok {
 				if !st.HasValues {
 					st.AllNumeric = true
 				}
 				if st.AllNumeric {
+					nan = nan || math.IsNaN(f)
 					if !st.HasValues || f < st.MinNum {
 						st.MinNum = f
 					}
@@ -288,13 +378,15 @@ func (w *Writer) encodeColumn(cb *columnBuffer) ColumnStats {
 			st.HasValues = true
 			vals = append(vals, v)
 		}
-		// The extremes are (prefixes of) the caller's strings, which may be
-		// views of a file being rewritten; what the writer keeps, it owns.
-		st.MinS, st.MaxS = strings.Clone(st.MinS), strings.Clone(st.MaxS)
-		encodeStringChunk(chunk, vals)
+		if st.AllNumeric && nan {
+			st.MinNum, st.MaxNum = math.NaN(), math.NaN()
+		}
+		st.MinS, st.MaxS = ownedExtremes(minS, maxS)
+		encodeStringChunk(chunk, w.s, vals)
+		clear(vals)
+		w.s.strs = vals[:0]
 	case datum.TypeBool:
 		chunk.buf = append(chunk.buf, encBitpacked)
-		var packed []byte
 		bit := 0
 		var cur byte
 		for i := 0; i < n; i++ {
@@ -311,26 +403,24 @@ func (w *Writer) encodeColumn(cb *columnBuffer) ColumnStats {
 			st.HasValues = true
 			bit++
 			if bit == 8 {
-				packed = append(packed, cur)
+				chunk.buf = append(chunk.buf, cur)
 				cur, bit = 0, 0
 			}
 		}
 		if bit > 0 {
-			packed = append(packed, cur)
+			chunk.buf = append(chunk.buf, cur)
 		}
-		chunk.bytes(packed)
 	}
 
-	w.body.uvarint(uint64(len(chunk.buf)))
-	w.body.bytes(chunk.buf)
-	return st
+	w.s.body.uvarint(uint64(len(chunk.buf)))
+	w.s.body.bytes(chunk.buf)
 }
 
 // encodeIntChunk picks run-length encoding when it beats plain 8-byte
 // values (timestamps, sequence ids, and low-cardinality ints compress
-// heavily in production data).
-func encodeIntChunk(chunk *encoder, vals []int64) {
-	var rle encoder
+// heavily in production data). rle is the trial's buffer.
+func encodeIntChunk(chunk, rle *encoder, vals []int64) {
+	rle.buf = rle.buf[:0]
 	runs := 0
 	for i := 0; i < len(vals); {
 		j := i + 1
@@ -355,10 +445,10 @@ func encodeIntChunk(chunk *encoder, vals []int64) {
 }
 
 // encodeStringChunk picks dictionary encoding when the distinct-value set
-// is small relative to the row count.
-func encodeStringChunk(chunk *encoder, vals []string) {
-	dict := map[string]int{}
-	var order []string
+// is small relative to the row count. The trial runs in s.dict and s.order,
+// which it leaves empty.
+func encodeStringChunk(chunk *encoder, s *scratch, vals []string) {
+	dict, order := s.dict, s.order[:0]
 	var dictBytes int
 	for _, v := range vals {
 		if _, ok := dict[v]; !ok {
@@ -381,12 +471,15 @@ func encodeStringChunk(chunk *encoder, vals []string) {
 		for _, v := range vals {
 			chunk.uvarint(uint64(dict[v]))
 		}
-		return
+	} else {
+		chunk.buf = append(chunk.buf, encPlain)
+		for _, v := range vals {
+			chunk.str(v)
+		}
 	}
-	chunk.buf = append(chunk.buf, encPlain)
-	for _, v := range vals {
-		chunk.str(v)
-	}
+	clear(dict)
+	clear(order)
+	s.order = order[:0]
 }
 
 // parseNumeric is strconv.ParseFloat for the numeric column statistics. A
@@ -408,25 +501,24 @@ func parseNumeric(v string) (float64, bool) {
 	return f, err == nil
 }
 
-// truncateMin bounds index size; a truncated prefix is still a lower bound.
-func truncateMin(s string) string {
-	if len(s) <= statsMaxString {
-		return s
+// ownedExtremes returns the statistics' copies of a string column's
+// extremes: truncated to statsMaxString bytes to bound the index (a prefix is
+// still a lower bound; the maximum's is padded with 0xFF so it stays an upper
+// bound), and sharing no memory with the caller's strings, which may be views
+// of a file being rewritten.
+func ownedExtremes(minS, maxS string) (string, string) {
+	if len(minS) > statsMaxString {
+		minS = minS[:statsMaxString]
 	}
-	return s[:statsMaxString]
-}
-
-// truncateMax pads the truncated prefix with 0xFF so it remains an upper
-// bound on the original string.
-func truncateMax(s string) string {
-	if len(s) <= statsMaxString {
-		return s
+	if len(maxS) > statsMaxString {
+		return strings.Clone(minS), maxS[:statsMaxString] + "\xff"
 	}
-	return s[:statsMaxString] + "\xff"
+	return strings.Clone(minS), strings.Clone(maxS)
 }
 
 // Finish flushes pending rows, writes the footer, and returns the complete
-// file bytes. The writer cannot be reused afterwards.
+// file bytes. They belong to the writer's scratch: the caller copies what it
+// keeps before Release. The writer takes no further append.
 func (w *Writer) Finish() ([]byte, error) {
 	if w.finished {
 		return nil, fmt.Errorf("orc: Finish called twice")
@@ -434,8 +526,9 @@ func (w *Writer) Finish() ([]byte, error) {
 	w.flushRowGroup()
 	w.finished = true
 
-	footerStart := len(w.body.buf)
-	e := &w.body
+	s := w.s
+	e := &s.body
+	footerStart := len(e.buf)
 	// Schema.
 	e.uvarint(uint64(len(w.schema.Columns)))
 	for _, c := range w.schema.Columns {
@@ -445,20 +538,23 @@ func (w *Writer) Finish() ([]byte, error) {
 	e.u64(uint64(w.totalRows))
 	e.u32(uint32(w.opts.RowGroupRows))
 	// Stripes.
-	e.uvarint(uint64(len(w.stripes)))
-	for _, s := range w.stripes {
-		e.i64(s.offset)
-		e.i64(s.length)
-		e.i64(s.rows)
-		e.uvarint(uint64(len(s.rowGroups)))
-		for _, rg := range s.rowGroups {
+	e.uvarint(uint64(len(s.stripes)))
+	groups, stats := s.groups, s.stats
+	for _, st := range s.stripes {
+		e.i64(st.offset)
+		e.i64(st.length)
+		e.i64(st.rows)
+		e.uvarint(uint64(st.groups))
+		for _, rg := range groups[:st.groups] {
 			e.i64(rg.offset)
 			e.i64(rg.length)
 			e.u32(uint32(rg.rows))
-			for ci, st := range rg.stats {
-				encodeStats(e, w.schema.Columns[ci].Type, st)
+			for ci, c := range w.schema.Columns {
+				encodeStats(e, c.Type, stats[ci])
 			}
+			stats = stats[len(w.schema.Columns):]
 		}
+		groups = groups[st.groups:]
 	}
 	footerLen := len(e.buf) - footerStart
 	e.u32(uint32(footerLen))
@@ -466,13 +562,16 @@ func (w *Writer) Finish() ([]byte, error) {
 	return e.buf, nil
 }
 
-// WriteRows is a convenience that writes all rows into a single file.
+// WriteRows writes all rows into a single file and returns its bytes, which
+// the caller owns.
 func WriteRows(schema Schema, rows [][]datum.Datum, opts WriterOptions) ([]byte, error) {
 	w := NewWriter(schema, opts)
+	defer w.Release()
 	for _, r := range rows {
 		if err := w.AppendRow(r); err != nil {
 			return nil, err
 		}
 	}
-	return w.Finish()
+	data, err := w.Finish()
+	return bytes.Clone(data), err
 }

@@ -3,6 +3,7 @@ package orc
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -134,5 +135,60 @@ func TestAppendColumnsWritesTheSameFile(t *testing.T) {
 	w := NewWriter(geomSchema, WriterOptions{})
 	if err := w.AppendColumns(make([][]datum.Datum, 2), 0); err == nil {
 		t.Error("AppendColumns took the wrong number of columns")
+	}
+}
+
+// TestNaNGroupIsNeverPruned: a row group holding a NaN — a FLOAT64 NaN or a
+// string strconv.ParseFloat reads as NaN — keeps every row a range could
+// match. The engine's comparisons treat NaN as equal to every number, so a
+// NaN row matches =, <= and >= whatever the literal, and min/max taken
+// across a NaN prove nothing: with NaN first they stayed NaN and `> 6`
+// pruned the group that also held 10.
+func TestNaNGroupIsNeverPruned(t *testing.T) {
+	schema := Schema{Columns: []Column{
+		{Name: "f", Type: datum.TypeFloat64},
+		{Name: "s", Type: datum.TypeString},
+	}}
+	nan := []datum.Datum{datum.Float(math.NaN()), datum.Str("NaN")}
+	ten := []datum.Datum{datum.Float(10), datum.Str("10")}
+	for _, order := range []struct {
+		name string
+		rows [][]datum.Datum
+	}{
+		{"NaN first", [][]datum.Datum{nan, ten}},
+		{"NaN last", [][]datum.Datum{ten, nan}},
+	} {
+		data, err := WriteRows(schema, order.rows, WriterOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := OpenReader(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, col := range []string{"f", "s"} {
+			for _, op := range []CompareOp{OpEQ, OpNE, OpLT, OpLE, OpGT, OpGE} {
+				for _, lit := range []datum.Datum{datum.Int(6), datum.Float(10), datum.Int(50)} {
+					sarg := NewSARG(Predicate{Column: col, Op: op, Value: lit})
+					want := 0
+					for _, row := range order.rows {
+						if sarg.EvalRow(schema, row) {
+							want++
+						}
+					}
+					cur, err := r.NewCursor([]string{col}, sarg, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := drainNext(cur)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want > 0 && len(got) == 0 {
+						t.Errorf("%s, %s: %d rows match, the row group was pruned", order.name, sarg, want)
+					}
+				}
+			}
+		}
 	}
 }

@@ -330,11 +330,11 @@ func (w *Warehouse) AppendRows(db, table string, rows [][]datum.Datum) (string, 
 	if err != nil {
 		return "", err
 	}
-	data, err := orc.WriteRows(tm.schema, rows, w.orcOpt)
-	if err != nil {
-		return "", err
-	}
-	part, err := w.appendPart(tm, data)
+	var part dfs.FileInfo
+	err = w.encodeRows(tm, rows, func(data []byte) (err error) {
+		part, err = w.appendPart(tm, data)
+		return err
+	})
 	if err != nil {
 		return part.Name, err
 	}
@@ -484,12 +484,28 @@ func (w *Warehouse) RewriteFile(db, table, path string, rows [][]datum.Datum) er
 	if !w.fs.Exists(path) {
 		return fmt.Errorf("warehouse: no such part file %s", path)
 	}
-	data, err := orc.WriteRows(tm.schema, rows, w.orcOpt)
+	return w.encodeRows(tm, rows, func(data []byte) error {
+		_, err := w.writePart(tm, path, data)
+		return err
+	})
+}
+
+// encodeRows encodes rows as one part file of tm and hands its bytes to
+// store, which must copy what it keeps, as the dfs does: the bytes are the
+// writer's scratch, which goes back to the pool when store returns.
+func (w *Warehouse) encodeRows(tm *tableMeta, rows [][]datum.Datum, store func(data []byte) error) error {
+	ow := orc.NewWriter(tm.schema, w.orcOpt)
+	defer ow.Release()
+	for _, r := range rows {
+		if err := ow.AppendRow(r); err != nil {
+			return err
+		}
+	}
+	data, err := ow.Finish()
 	if err != nil {
 		return err
 	}
-	_, err = w.writePart(tm, path, data)
-	return err
+	return store(data)
 }
 
 // OpenFile opens one part file for reading.
