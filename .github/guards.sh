@@ -23,8 +23,10 @@ list() {
 	core) gofiles ./internal/core ;;
 	kernel) printf '%s\n' internal/sjson/parser.go internal/sjson/extract.go ;;
 	registry) printf '%s\n' internal/core/registry.go ;;
+	reference) printf '%s\n' internal/core/reference_test.go ;;
 	all-go) find . -name '*.go' ;;                 # every Go file, tests and testdata included
 	serving-deps) go list -e -deps ./cmd/maxson-serve ./cmd/maxson-sql ./cmd/maxson-daily ;;
+	shipped-deps) go list -e -deps ./cmd/maxson-serve ./cmd/maxson-sql ./cmd/maxson-daily ./bench/e2e ;;
 	warehouse-deps) go list -e -deps ./internal/warehouse ;;
 	serving-imports)
 		go list -e -f '{{.ImportPath}}: {{join .Imports " "}}' \
@@ -122,5 +124,13 @@ row registry '\bsync\.(RW)?Mutex\b' - \
 # Cache validity goes by dfs version alone, so the file system keeps no clock.
 row module '\bdfs\.WithClock\b|\b[fF][sS](\(\))?\.ModTime\(|\*FS\) ModTime\(' - \
 	"the file system keeps a modification time again"
+# One constructor builds every test and experiment stack, and the reference
+# shares no executor code (DESIGN.md, "Test stacks and the reference").
+row all-go '\bdfs\.New\(' '^\./internal/(testbed|dfs|warehouse)/|^\./maxson\.go$' \
+	"a clock, dfs and warehouse are assembled outside internal/testbed"
+row reference '\bsqlengine\.Eval\b|\bNewEngine\b|\bBatchExtraction\b|\bStreamBackend\b|\bjsonpath\.NewExtractor\b|\bPathSet\b' - \
+	"the reference evaluator calls into the engine or the batch extraction"
+row shipped-deps '^repro/internal/testbed$' - \
+	"a serving command or the benchmark links internal/testbed"
 
 exit $fail

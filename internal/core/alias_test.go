@@ -58,7 +58,7 @@ func aliasesAny(s string, views [][]byte) bool {
 // split and a shared scan — and every string of a footer the metastore
 // keeps is checked, by address, against the stored bytes of every file.
 func TestNothingKeptAliasesAStoredFile(t *testing.T) {
-	env := newShareChaosEnv(t, 77)
+	env := newChaosEnv(t, 77, shareChaos)
 	// A part file appended after the cache was populated, its ingest
 	// faulted: its split is served by the fallback source.
 	appendUncovered(t, env.wh, "db", "t", [][]datum.Datum{

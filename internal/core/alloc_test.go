@@ -3,15 +3,14 @@ package core
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/datum"
-	"repro/internal/dfs"
 	"repro/internal/jsonpath"
+	"repro/internal/leakcheck"
 	"repro/internal/orc"
 	"repro/internal/pathkey"
-	"repro/internal/simtime"
 	"repro/internal/sqlengine"
+	"repro/internal/testbed"
 	"repro/internal/warehouse"
 )
 
@@ -30,20 +29,15 @@ func saleDocs(from, n int) [][]datum.Datum {
 // groups of 500).
 func saleTable(t *testing.T, splits, rowsPerSplit int) *warehouse.Warehouse {
 	t.Helper()
-	clock := simtime.NewSim(time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC))
-	wh := warehouse.New(dfs.New(), warehouse.WithClock(clock),
-		warehouse.WithWriterOptions(orc.WriterOptions{RowGroupRows: 500}))
-	wh.CreateDatabase("mydb")
-	schema := orc.Schema{Columns: []orc.Column{{Name: "sale_logs", Type: datum.TypeString}}}
-	if err := wh.CreateTable("mydb", "t", schema); err != nil {
+	bed := testbed.New(testbed.Config{RowGroupRows: 500})
+	table := testbed.Table{DB: "mydb", Name: "t", Schema: orc.Schema{Columns: []orc.Column{{Name: "sale_logs", Type: datum.TypeString}}}}
+	for s := 0; s < splits; s++ {
+		table.Parts = append(table.Parts, saleDocs(s*rowsPerSplit, rowsPerSplit))
+	}
+	if err := bed.Load(0, table); err != nil {
 		t.Fatal(err)
 	}
-	for s := 0; s < splits; s++ {
-		if _, err := wh.AppendRows("mydb", "t", saleDocs(s*rowsPerSplit, rowsPerSplit)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return wh
+	return bed.WH
 }
 
 // cachedTable caches two paths of a saleTable and returns the factory of a
@@ -200,43 +194,51 @@ func TestUncoveredScanAllocatesPerSplit(t *testing.T) {
 func TestPopulateAllocations(t *testing.T) {
 	const splits = 3
 	paths := []string{"$.item_name", "$.region"}
-	fromScratch := func(rowsPerSplit int) float64 {
-		engine := sqlengine.NewEngine(saleTable(t, splits, rowsPerSplit), sqlengine.WithDefaultDB("mydb"))
-		return testing.AllocsPerRun(3, func() {
-			cachePaths(t, New(engine, Config{BudgetBytes: 1 << 30, DefaultDB: "mydb"}), paths...)
-		})
-	}
-	small, large := fromScratch(300), fromScratch(6000)
-	perRow := (large - small) / (splits * (6000 - 300))
-	if limit := float64(len(paths)) + 0.5; perRow > limit {
-		// 2.1 when written; 7.3 with a []datum.Datum per row and a failed
-		// ParseFloat per non-numeric value.
-		t.Errorf("a from-scratch populate allocates %.2f times per row for %d paths, want at most %.1f", perRow, len(paths), limit)
-	}
+	t.Run("from scratch", func(t *testing.T) {
+		fromScratch := func(rowsPerSplit int) float64 {
+			engine := sqlengine.NewEngine(saleTable(t, splits, rowsPerSplit), sqlengine.WithDefaultDB("mydb"))
+			return testing.AllocsPerRun(3, func() {
+				cachePaths(t, New(engine, Config{BudgetBytes: 1 << 30, DefaultDB: "mydb"}), paths...)
+			})
+		}
+		small, large := fromScratch(300), fromScratch(6000)
+		perRow := (large - small) / (splits * (6000 - 300))
+		if limit := float64(len(paths)) + 0.5; perRow > limit {
+			// 2.1 when written; 7.3 with a []datum.Datum per row and a failed
+			// ParseFloat per non-numeric value.
+			t.Errorf("a from-scratch populate allocates %.2f times per row for %d paths, want at most %.1f", perRow, len(paths), limit)
+		}
+	})
 
-	// One new split of 100 rows a night, everything else carried.
-	oneNewSplit := func(rowsPerSplit int) float64 {
-		wh := saleTable(t, splits, rowsPerSplit)
-		m := New(sqlengine.NewEngine(wh, sqlengine.WithDefaultDB("mydb")), Config{BudgetBytes: 1 << 30, DefaultDB: "mydb"})
-		cachePaths(t, m, paths...)
-		day := saleDocs(1<<20, 100)
-		return testing.AllocsPerRun(3, func() {
-			if _, err := wh.AppendRows("mydb", "t", day); err != nil {
-				t.Fatal(err)
-			}
+	// One new split of 100 rows a night, everything else carried. The ±8
+	// below is tighter than what sync.Pool's random drops under -race move
+	// the count by (9, about one run in thirty), so the case runs only
+	// without -race, where CI's allocation pins step runs it.
+	t.Run("one new split", func(t *testing.T) {
+		leakcheck.SkipUnderRace(t)
+		oneNewSplit := func(rowsPerSplit int) float64 {
+			wh := saleTable(t, splits, rowsPerSplit)
+			m := New(sqlengine.NewEngine(wh, sqlengine.WithDefaultDB("mydb")), Config{BudgetBytes: 1 << 30, DefaultDB: "mydb"})
 			cachePaths(t, m, paths...)
-		})
-	}
-	small, large = oneNewSplit(300), oneNewSplit(6000)
-	if d := large - small; d > 8 || d < -8 {
-		// Map growth moves the average of a few runs by one or two.
-		t.Errorf("a cycle with one new split allocates %v times beside 300-row carried splits and %v beside 6,000-row ones", small, large)
-	}
-	if large > 1000 {
-		// 610 when written: the 100 new rows' values, their two part files, and
-		// a link, a table lookup and a registry entry per carried split.
-		t.Errorf("a cycle with one new 100-row split allocates %v times, want at most 1000", large)
-	}
+			day := saleDocs(1<<20, 100)
+			return testing.AllocsPerRun(3, func() {
+				if _, err := wh.AppendRows("mydb", "t", day); err != nil {
+					t.Fatal(err)
+				}
+				cachePaths(t, m, paths...)
+			})
+		}
+		small, large := oneNewSplit(300), oneNewSplit(6000)
+		if d := large - small; d > 8 || d < -8 {
+			// Map growth moves the average of a few runs by one or two.
+			t.Errorf("a cycle with one new split allocates %v times beside 300-row carried splits and %v beside 6,000-row ones", small, large)
+		}
+		if large > 1000 {
+			// 610 when written: the 100 new rows' values, their two part files, and
+			// a link, a table lookup and a registry entry per carried split.
+			t.Errorf("a cycle with one new 100-row split allocates %v times, want at most 1000", large)
+		}
+	})
 }
 
 // TestModifyMakesNoRegistryLookup pins where the Value Combiner's counters

@@ -8,14 +8,12 @@ import (
 	"time"
 
 	"repro/internal/datum"
-	"repro/internal/dfs"
 	"repro/internal/experiments/baseline"
 	"repro/internal/orc"
 	"repro/internal/pathkey"
-	"repro/internal/simtime"
 	"repro/internal/sjson"
 	"repro/internal/sqlengine"
-	"repro/internal/warehouse"
+	"repro/internal/testbed"
 )
 
 // invarianceBatchSizes are the scan batch capacities every round runs at.
@@ -80,25 +78,16 @@ func runBatchSizeRound(t *testing.T, seed int64) {
 	}
 	build := func(batchSize int) deployment {
 		rng := rand.New(rand.NewSource(dataSeed))
-		clock := simtime.NewSim(time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC))
-		fs := dfs.New()
-		wh := warehouse.New(fs, warehouse.WithClock(clock),
-			warehouse.WithWriterOptions(orc.WriterOptions{RowGroupRows: rgRows}))
-		wh.CreateDatabase("db")
-		schema := orc.Schema{Columns: []orc.Column{
+		bed := testbed.New(testbed.Config{RowGroupRows: rgRows})
+		table := testbed.Table{DB: "db", Name: "t", Schema: orc.Schema{Columns: []orc.Column{
 			{Name: "id", Type: datum.TypeInt64},
 			{Name: "tag", Type: datum.TypeString},
 			{Name: "doc", Type: datum.TypeString},
-		}}
-		if err := wh.CreateTable("db", "t", schema); err != nil {
-			t.Fatal(err)
-		}
-		nFiles := 1 + rng.Intn(4)
+		}}}
 		id := 0
-		for f := 0; f < nFiles; f++ {
-			n := 1 + rng.Intn(20)
+		for f := 1 + rng.Intn(4); f > 0; f-- {
 			var rows [][]datum.Datum
-			for i := 0; i < n; i++ {
+			for i := 1 + rng.Intn(20); i > 0; i-- {
 				rows = append(rows, []datum.Datum{
 					datum.Int(int64(id)),
 					datum.Str(fmt.Sprintf("g%d", id%3)),
@@ -106,10 +95,10 @@ func runBatchSizeRound(t *testing.T, seed int64) {
 				})
 				id++
 			}
-			if _, err := wh.AppendRows("db", "t", rows); err != nil {
-				t.Fatal(err)
-			}
-			clock.Advance(time.Hour)
+			table.Parts = append(table.Parts, rows)
+		}
+		if err := bed.Load(time.Hour, table); err != nil {
+			t.Fatal(err)
 		}
 		// Odd seeds run the engine's streaming evaluator, even seeds the
 		// tree-parse baseline, so both are covered at every batch size.
@@ -120,7 +109,7 @@ func runBatchSizeRound(t *testing.T, seed int64) {
 		// Two engines over one warehouse: core.New installs the plan modifier
 		// on the engine it is given, so the plain lane needs its own.
 		newEngine := func() *sqlengine.Engine {
-			return sqlengine.NewEngine(wh,
+			return sqlengine.NewEngine(bed.WH,
 				sqlengine.WithDefaultDB("db"),
 				sqlengine.WithParallelism(2),
 				sqlengine.WithSparser(true),

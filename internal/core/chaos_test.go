@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
-	"math/rand"
 	"os"
 	"strconv"
 	"strings"
@@ -19,6 +17,7 @@ import (
 	"repro/internal/pathkey"
 	"repro/internal/simtime"
 	"repro/internal/sqlengine"
+	"repro/internal/testbed"
 	"repro/internal/warehouse"
 )
 
@@ -47,42 +46,24 @@ var chaosQueries = []string{
 	`SELECT COUNT(*) n FROM db.t WHERE get_json_object(doc, '$.a') >= 0`,
 }
 
-func newChaosEnv(t *testing.T, dataSeed int64) *chaosEnv {
+// newChaosEnv builds testbed.Docs(dataSeed) and a Maxson over it with cfg
+// (budget and default database filled in), then caches $.a and $.nested.x. A
+// scan-share config installs the scheduler from construction: it hooks the
+// engine when Maxson is built, so it cannot be added to an existing env.
+func newChaosEnv(t *testing.T, dataSeed int64, cfg Config) *chaosEnv {
 	t.Helper()
-	rng := rand.New(rand.NewSource(dataSeed))
-	clock := simtime.NewSim(time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC))
-	fs := dfs.New()
-	wh := warehouse.New(fs, warehouse.WithClock(clock),
-		warehouse.WithWriterOptions(orc.WriterOptions{RowGroupRows: 8}))
-	wh.CreateDatabase("db")
-	schema := orc.Schema{Columns: []orc.Column{
-		{Name: "id", Type: datum.TypeInt64},
-		{Name: "doc", Type: datum.TypeString},
-	}}
-	if err := wh.CreateTable("db", "t", schema); err != nil {
+	bed := testbed.New(testbed.Config{RowGroupRows: 8})
+	if err := bed.Load(time.Hour, testbed.Docs(dataSeed)); err != nil {
 		t.Fatal(err)
 	}
-	id := 0
-	for f := 0; f < 3; f++ {
-		var rows [][]datum.Datum
-		for i := 0; i < 12+rng.Intn(12); i++ {
-			doc := fmt.Sprintf(`{"a":%d,"b":"g%d","nested":{"x":%d}}`,
-				rng.Intn(100), rng.Intn(3), rng.Intn(80))
-			rows = append(rows, []datum.Datum{datum.Int(int64(id)), datum.Str(doc)})
-			id++
-		}
-		if _, err := wh.AppendRows("db", "t", rows); err != nil {
-			t.Fatal(err)
-		}
-		clock.Advance(time.Hour)
-	}
-	e := sqlengine.NewEngine(wh,
+	e := sqlengine.NewEngine(bed.WH,
 		sqlengine.WithDefaultDB("db"),
 		sqlengine.WithParallelism(2),
 		sqlengine.WithBatchSize(16))
-	m := New(e, Config{BudgetBytes: 1 << 30, DefaultDB: "db"})
-	wh.SetRetrySleep(func(time.Duration) {}) // no real backoff in tests
-	env := &chaosEnv{clock: clock, fs: fs, wh: wh, e: e, m: m}
+	cfg.BudgetBytes, cfg.DefaultDB = 1<<30, "db"
+	m := New(e, cfg)
+	bed.WH.SetRetrySleep(func(time.Duration) {}) // no real backoff in tests
+	env := &chaosEnv{clock: bed.Clock, fs: bed.FS, wh: bed.WH, e: e, m: m}
 	env.populate(t)
 	return env
 }
@@ -128,7 +109,7 @@ func checkBatchBaseline(t *testing.T, before int64) {
 // every file open: the warehouse's bounded retry must absorb all of them —
 // identical results, no surfaced error — and meter the retries.
 func TestChaosTransientReadErrors(t *testing.T) {
-	env := newChaosEnv(t, 101)
+	env := newChaosEnv(t, 101, Config{})
 	want := env.cleanResults(t)
 	before := sqlengine.OutstandingBatches()
 
@@ -158,7 +139,7 @@ func TestChaosTransientReadErrors(t *testing.T) {
 // cannot open the cache side, quarantines the table, and transparently
 // serves the same rows from raw parsing.
 func TestChaosTruncatedCacheFile(t *testing.T) {
-	env := newChaosEnv(t, 102)
+	env := newChaosEnv(t, 102, Config{})
 	want := env.cleanResults(t)
 	before := sqlengine.OutstandingBatches()
 
@@ -208,7 +189,7 @@ func TestChaosTruncatedCacheFile(t *testing.T) {
 // file mid-scan — too late to fall back in place, so the table is
 // quarantined and QueryCtx transparently re-plans the query on raw data.
 func TestChaosDecodeFailureMidStream(t *testing.T) {
-	env := newChaosEnv(t, 103)
+	env := newChaosEnv(t, 103, Config{})
 	want := env.cleanResults(t)
 	before := sqlengine.OutstandingBatches()
 
@@ -240,7 +221,7 @@ func TestChaosDecodeFailureMidStream(t *testing.T) {
 // the rendering is the raw plan's, the rows are the plain engine's, and the
 // flight recorder files the query as a quarantined retry.
 func TestChaosExplainDegradedCache(t *testing.T) {
-	env := newChaosEnv(t, 103)
+	env := newChaosEnv(t, 103, Config{})
 	env.m.Flight = flight.New(env.m.Obs(), flight.Options{})
 	before := sqlengine.OutstandingBatches()
 	sql := chaosQueries[0]
@@ -281,7 +262,7 @@ func TestChaosExplainDegradedCache(t *testing.T) {
 // an attributed error instead of crashing the process, the panic is
 // metered, no batches leak, and the next query works.
 func TestChaosInjectedWorkerPanic(t *testing.T) {
-	env := newChaosEnv(t, 104)
+	env := newChaosEnv(t, 104, Config{})
 	want := env.cleanResults(t)
 	before := sqlengine.OutstandingBatches()
 
@@ -316,7 +297,7 @@ func TestChaosInjectedWorkerPanic(t *testing.T) {
 // TestChaosCancelledQuery verifies cancellation propagates through
 // Maxson.QueryCtx to the split workers and surfaces as context.Canceled.
 func TestChaosCancelledQuery(t *testing.T) {
-	env := newChaosEnv(t, 105)
+	env := newChaosEnv(t, 105, Config{})
 	before := sqlengine.OutstandingBatches()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -332,7 +313,7 @@ func TestChaosCancelledQuery(t *testing.T) {
 // previous generation keeps serving correct results with nothing left to
 // clean up by hand.
 func TestChaosMidnightCycleKilled(t *testing.T) {
-	env := newChaosEnv(t, 106)
+	env := newChaosEnv(t, 106, Config{})
 	want := env.cleanResults(t)
 	gen := env.m.Cacher.Generation()
 	entriesBefore := env.m.Registry.Len()
@@ -397,7 +378,7 @@ func TestChaosMidnightCycleKilled(t *testing.T) {
 // debris) is swept on load; and a registry entry whose table vanished is
 // discarded rather than served.
 func TestChaosStateRoundTripAndRecovery(t *testing.T) {
-	env := newChaosEnv(t, 107)
+	env := newChaosEnv(t, 107, Config{})
 	want := env.cleanResults(t)
 	if err := env.m.SaveState(); err != nil {
 		t.Fatal(err)
@@ -470,7 +451,7 @@ func TestChaosStateRoundTripAndRecovery(t *testing.T) {
 // TestChaosTornStateFile verifies LoadState rejects partial or garbage
 // state files with errors that name the defect.
 func TestChaosTornStateFile(t *testing.T) {
-	env := newChaosEnv(t, 108)
+	env := newChaosEnv(t, 108, Config{})
 	if err := env.m.SaveState(); err != nil {
 		t.Fatal(err)
 	}
@@ -529,7 +510,7 @@ func TestChaosRandomizedSeed(t *testing.T) {
 	}
 	t.Logf("chaos seed %d (re-run with CHAOS_SEED=%d)", seed, seed)
 
-	env := newChaosEnv(t, 109)
+	env := newChaosEnv(t, 109, Config{})
 	want := env.cleanResults(t)
 	before := sqlengine.OutstandingBatches()
 

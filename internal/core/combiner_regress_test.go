@@ -6,11 +6,9 @@ import (
 	"unsafe"
 
 	"repro/internal/datum"
-	"repro/internal/dfs"
 	"repro/internal/jsonpath"
-	"repro/internal/orc"
 	"repro/internal/sqlengine"
-	"repro/internal/warehouse"
+	"repro/internal/testbed"
 )
 
 // TestFallbackBatchReleasesPoolAliases is the regression test for a pool
@@ -22,21 +20,11 @@ import (
 // return: nothing reachable from the source it opens may point into the
 // batch once NextBatch is done.
 func TestFallbackBatchReleasesPoolAliases(t *testing.T) {
-	fs := dfs.New()
-	wh := warehouse.New(fs)
-	wh.CreateDatabase("db")
-	schema := orc.Schema{Columns: []orc.Column{
-		{Name: "id", Type: datum.TypeInt64},
-		{Name: "doc", Type: datum.TypeString},
-	}}
-	if err := wh.CreateTable("db", "t", schema); err != nil {
-		t.Fatal(err)
-	}
-	rows := [][]datum.Datum{
+	bed := testbed.New(testbed.Config{})
+	if err := bed.Load(0, testbed.Table{DB: "db", Name: "t", Schema: testbed.IDDoc, Parts: [][][]datum.Datum{{
 		{datum.Int(1), datum.Str(`{"a": 10}`)},
 		{datum.Int(2), datum.Str(`{"a": 20}`)},
-	}
-	if _, err := wh.AppendRows("db", "t", rows); err != nil {
+	}}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -45,7 +33,7 @@ func TestFallbackBatchReleasesPoolAliases(t *testing.T) {
 		t.Fatal(err)
 	}
 	// An empty manifest serves no split: split 0 opens as fallback-uncovered.
-	f := NewCombinedScanFactory(wh, "db", "t",
+	f := NewCombinedScanFactory(bed.WH, "db", "t",
 		[]string{"id"}, nil,
 		&Manifest{}, []string{"c0"}, nil,
 		[]sqlengine.Extraction{{Column: "doc", Path: path}},

@@ -8,11 +8,11 @@ import (
 	"time"
 
 	"repro/internal/datum"
-	"repro/internal/dfs"
 	"repro/internal/orc"
 	"repro/internal/pathkey"
 	"repro/internal/simtime"
 	"repro/internal/sqlengine"
+	"repro/internal/testbed"
 	"repro/internal/warehouse"
 )
 
@@ -26,37 +26,22 @@ type fixture struct {
 
 func newFixture(t *testing.T) *fixture {
 	t.Helper()
-	clock := simtime.NewSim(time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC))
-	fs := dfs.New()
-	wh := warehouse.New(fs, warehouse.WithClock(clock),
-		warehouse.WithWriterOptions(orc.WriterOptions{RowGroupRows: 8}))
-	wh.CreateDatabase("mydb")
-	schema := orc.Schema{Columns: []orc.Column{
-		{Name: "mall_id", Type: datum.TypeString},
-		{Name: "date", Type: datum.TypeString},
-		{Name: "sale_logs", Type: datum.TypeString},
-	}}
-	if err := wh.CreateTable("mydb", "t", schema); err != nil {
+	return saleFixture(t, func(day int) string {
+		return fmt.Sprintf(`{"item_id":%d,"item_name":"item-%02d","sale_count":%d,"turnover":%d,"price":%d}`,
+			day, day, day%7+1, day*10, day%5+1)
+	})
+}
+
+// saleFixture builds the sale-logs table with day d's document doc(d), in
+// row groups of 8, one part a day apart, and a parallelism-2 engine over it.
+func saleFixture(t *testing.T, doc func(day int) string) *fixture {
+	t.Helper()
+	bed := testbed.New(testbed.Config{RowGroupRows: 8})
+	if err := bed.Load(24*time.Hour, testbed.SaleLogs(doc)); err != nil {
 		t.Fatal(err)
 	}
-	day := 1
-	for _, n := range []int{10, 10, 11} {
-		var rows [][]datum.Datum
-		for i := 0; i < n; i++ {
-			date := fmt.Sprintf("201901%02d", day)
-			log := fmt.Sprintf(
-				`{"item_id":%d,"item_name":"item-%02d","sale_count":%d,"turnover":%d,"price":%d}`,
-				day, day, day%7+1, day*10, day%5+1)
-			rows = append(rows, []datum.Datum{datum.Str("0001"), datum.Str(date), datum.Str(log)})
-			day++
-		}
-		if _, err := wh.AppendRows("mydb", "t", rows); err != nil {
-			t.Fatal(err)
-		}
-		clock.Advance(24 * time.Hour)
-	}
-	engine := sqlengine.NewEngine(wh, sqlengine.WithDefaultDB("mydb"), sqlengine.WithParallelism(2))
-	return &fixture{clock: clock, wh: wh, engine: engine}
+	engine := sqlengine.NewEngine(bed.WH, sqlengine.WithDefaultDB("mydb"), sqlengine.WithParallelism(2))
+	return &fixture{clock: bed.Clock, wh: bed.WH, engine: engine}
 }
 
 // profileFor builds a minimal PathProfile selecting the given path.
@@ -701,21 +686,19 @@ func TestPlanModifierCountsOverhead(t *testing.T) {
 // every number, so only the 10 matches — but numeric extremes that started
 // at NaN stayed NaN and pruned the group holding it.
 func TestCachedNaNSplitIsNotPruned(t *testing.T) {
-	clock := simtime.NewSim(time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC))
-	wh := warehouse.New(dfs.New(), warehouse.WithClock(clock))
-	wh.CreateDatabase("mydb")
-	if err := wh.CreateTable("mydb", "t", orc.Schema{Columns: []orc.Column{{Name: "sale_logs", Type: datum.TypeString}}}); err != nil {
-		t.Fatal(err)
-	}
+	bed := testbed.New(testbed.Config{})
+	table := testbed.Table{DB: "mydb", Name: "t", Schema: orc.Schema{Columns: []orc.Column{{Name: "sale_logs", Type: datum.TypeString}}}}
 	for _, docs := range [][]string{{`{"x":"NaN"}`, `{"x":10}`}, {`{"x":3}`, `{"x":"NaN"}`, `{"x":7}`}} {
 		var rows [][]datum.Datum
 		for _, d := range docs {
 			rows = append(rows, []datum.Datum{datum.Str(d)})
 		}
-		if _, err := wh.AppendRows("mydb", "t", rows); err != nil {
-			t.Fatal(err)
-		}
+		table.Parts = append(table.Parts, rows)
 	}
+	if err := bed.Load(0, table); err != nil {
+		t.Fatal(err)
+	}
+	wh := bed.WH
 	m := New(sqlengine.NewEngine(wh, sqlengine.WithDefaultDB("mydb")), Config{BudgetBytes: 1 << 30, DefaultDB: "mydb"})
 	cachePaths(t, m, "$.x")
 	for _, sql := range []string{

@@ -9,13 +9,11 @@ import (
 	"time"
 
 	"repro/internal/datum"
-	"repro/internal/dfs"
 	"repro/internal/jsonpath"
-	"repro/internal/orc"
 	"repro/internal/pathkey"
 	"repro/internal/simtime"
-	"repro/internal/sjson"
 	"repro/internal/sqlengine"
+	"repro/internal/testbed"
 	"repro/internal/warehouse"
 )
 
@@ -40,24 +38,6 @@ var laneDocs = []string{
 // aliased spelling, wildcards, an index, and a path no document has.
 var lanePaths = []string{"$", "$.a", "$['a']", "$.nested.x", "$.arr[*].k", "$.arr[1]", "$.missing"}
 
-// laneReference answers path over doc the way the tests' reference does:
-// sjson.Parse + Path.Eval, and for a document Parse rejects the path
-// extracted alone.
-func laneReference(doc, path string) string {
-	root, err := sjson.ParseString(doc)
-	if err != nil {
-		if v, ok := jsonpath.MustCompile(path).EvalString(doc); ok {
-			return v
-		}
-		return "NULL"
-	}
-	v := jsonpath.MustCompile(path).Eval(root)
-	if v.IsNull() {
-		return "NULL"
-	}
-	return v.Scalar()
-}
-
 func laneSQL(paths []string) string {
 	var items []string
 	for i, p := range paths {
@@ -72,8 +52,9 @@ func laneSQL(paths []string) string {
 // scan, populate followed by a cached read, ingest of a split appended after
 // populate followed by a cached read, the combiner's fallback for that split
 // once rewritten, and the merged shared scan — and requires
-// each result to be byte-identical to sjson.Parse + Path.Eval, at scan batch
-// sizes 1 (the row-at-a-time walk), 3 and the default.
+// each result to be byte-identical to the reference's get_json_object
+// (refExtract: sjson.Parse + Path.Eval), at scan batch sizes 1 (the
+// row-at-a-time walk), 3 and the default.
 func TestEveryConsumerMatchesParseEval(t *testing.T) {
 	for _, size := range []int{1, 3, sqlengine.DefaultBatchSize} {
 		t.Run(fmt.Sprintf("batch%d", size), func(t *testing.T) {
@@ -85,17 +66,11 @@ func TestEveryConsumerMatchesParseEval(t *testing.T) {
 // laneSystem builds an empty db.t (id, doc) and a Maxson over it.
 func laneSystem(t *testing.T, batchSize int, cfg Config) (*simtime.Sim, *warehouse.Warehouse, *Maxson) {
 	t.Helper()
-	clock := simtime.NewSim(time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC))
-	wh := warehouse.New(dfs.New(), warehouse.WithClock(clock),
-		warehouse.WithWriterOptions(orc.WriterOptions{RowGroupRows: 4}))
-	wh.CreateDatabase("db")
-	schema := orc.Schema{Columns: []orc.Column{
-		{Name: "id", Type: datum.TypeInt64},
-		{Name: "doc", Type: datum.TypeString},
-	}}
-	if err := wh.CreateTable("db", "t", schema); err != nil {
+	bed := testbed.New(testbed.Config{RowGroupRows: 4})
+	if err := bed.Load(0, testbed.Table{DB: "db", Name: "t", Schema: testbed.IDDoc}); err != nil {
 		t.Fatal(err)
 	}
+	clock, wh := bed.Clock, bed.WH
 	e := sqlengine.NewEngine(wh, sqlengine.WithDefaultDB("db"), sqlengine.WithParallelism(2),
 		sqlengine.WithBatchSize(batchSize))
 	cfg.BudgetBytes, cfg.DefaultDB = 1<<30, "db"
@@ -126,7 +101,7 @@ func everyConsumerMatchesParseEval(t *testing.T, batchSize int) {
 		}
 		for r, row := range rs.Rows {
 			for c, p := range paths {
-				if got, want := row[c].AsString(), laneReference(stored[r], p); got != want {
+				if got, want := row[c].AsString(), refExtract(stored[r], jsonpath.MustCompile(p)).AsString(); got != want {
 					t.Errorf("%s: doc %s path %s = %s, want %s", consumer, stored[r], p, got, want)
 				}
 			}

@@ -676,7 +676,7 @@ func TestMalformedDocumentIsCarried(t *testing.T) {
 		t.Errorf("stats %+v (from scratch: %+v); want both splits rewritten, one parse error", stats, fresh)
 	}
 	const sql = `SELECT get_json_object(doc, '$.c') c FROM mydb.m WHERE get_json_object(doc, '$.a') = '10'`
-	if met := requirePlainRows(t, f, m, sql); met.Parse.Docs.Load() != 0 {
+	if met := requireReferenceRows(t, f, m, sql); met.Parse.Docs.Load() != 0 {
 		t.Errorf("parsed %d documents; every split is served", met.Parse.Docs.Load())
 	}
 	if rs, _, err := m.QueryCtx(context.Background(), sql); err != nil || len(rs.Rows) != 1 || !rs.Rows[0][0].Null {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -93,21 +94,15 @@ func appendDuringPopulate(t *testing.T, f *fixture, m *Maxson, sel []*PathProfil
 	}
 }
 
-// requirePlainRows fails unless sql returns the plain engine's rows through
-// m, and returns the query's metrics.
-func requirePlainRows(t *testing.T, f *fixture, m *Maxson, sql string) *sqlengine.Metrics {
+// requireReferenceRows fails unless sql returns the reference's rows over
+// mydb through m, and returns the query's metrics.
+func requireReferenceRows(t *testing.T, f *fixture, m *Maxson, sql string) *sqlengine.Metrics {
 	t.Helper()
-	want, _, err := sqlengine.NewEngine(f.wh, sqlengine.WithDefaultDB("mydb")).QueryCtx(context.Background(), sql)
-	if err != nil {
-		t.Fatal(err)
-	}
 	got, met, err := m.QueryCtx(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.String() != want.String() {
-		t.Errorf("%s: rows differ from the plain engine:\ngot  %s\nwant %s", sql, got.String(), want.String())
-	}
+	requireReference(t, f.wh, "mydb", sql, got)
 	return met
 }
 
@@ -131,8 +126,8 @@ func splitsOf(m *Maxson, mode string) int64 {
 
 // TestIngestedAppendIsReadFromTheCache: after populate, a day appended is
 // read from the cache by the very next query — no document parsed, no split
-// on the fallback lane — and the rows are the plain engine's, row at a time
-// and batched, alone and in passes shared on a contended fingerprint.
+// on the fallback lane — and the rows are the reference's, row at a time and
+// batched, alone and in passes shared on a contended fingerprint.
 func TestIngestedAppendIsReadFromTheCache(t *testing.T) {
 	queries := []string{
 		`SELECT get_json_object(sale_logs, '$.turnover') tv FROM mydb.t ORDER BY tv`,
@@ -154,9 +149,8 @@ func TestIngestedAppendIsReadFromTheCache(t *testing.T) {
 				if n := covered(t, f, m); n != 4 {
 					t.Fatalf("the manifest serves %d of 4 parts after the append", n)
 				}
-				plain := sqlengine.NewEngine(f.wh, sqlengine.WithDefaultDB("mydb"))
 				for _, sql := range queries {
-					want, _, err := plain.QueryCtx(context.Background(), sql)
+					want, err := referenceQuery(f.wh, "mydb", sql)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -167,7 +161,7 @@ func TestIngestedAppendIsReadFromTheCache(t *testing.T) {
 						runs, concurrent = []int{2, 3}, []bool{false, true}
 					}
 					for i, n := range runs {
-						for _, met := range ingestBurst(t, m, sql, want.String(), n, concurrent[i]) {
+						for _, met := range ingestBurst(t, m, sql, want, n, concurrent[i]) {
 							if met.Parse.Docs.Load() != 0 || met.ScanModes()&sqlengine.ScanFallbackUncovered != 0 {
 								t.Errorf("%s: parsed %d docs in plan mode %s after the append was ingested", sql, met.Parse.Docs.Load(), met.PlanModeString())
 							}
@@ -183,15 +177,17 @@ func TestIngestedAppendIsReadFromTheCache(t *testing.T) {
 }
 
 // ingestBurst runs sql n times, one after another or all at once, checks
-// every result against want and returns the metrics.
-func ingestBurst(t *testing.T, m *Maxson, sql, want string, n int, concurrent bool) []*sqlengine.Metrics {
+// every result against the reference's answer and returns the metrics.
+func ingestBurst(t *testing.T, m *Maxson, sql string, want *refResult, n int, concurrent bool) []*sqlengine.Metrics {
 	t.Helper()
 	mets := make([]*sqlengine.Metrics, n)
 	errs := make([]error, n)
 	run := func(i int) {
 		rs, met, err := m.QueryCtx(context.Background(), sql)
-		if err == nil && rs.String() != want {
-			err = fmt.Errorf("rows differ from the plain engine:\ngot  %s\nwant %s", rs.String(), want)
+		if err == nil {
+			if diff := want.match(rs.Columns, rs.Rows); diff != "" {
+				err = errors.New(diff)
+			}
 		}
 		mets[i], errs[i] = met, err
 	}
@@ -254,7 +250,7 @@ func TestIngestLosingTheSwapLeavesThePartUncovered(t *testing.T) {
 	if n := covered(t, f, m); n != 3 {
 		t.Errorf("the serving manifest serves %d of 4 parts, want the 3 the cycle saw", n)
 	}
-	met := requirePlainRows(t, f, m, `SELECT date, get_json_object(sale_logs, '$.turnover') tv FROM mydb.t ORDER BY date`)
+	met := requireReferenceRows(t, f, m, `SELECT date, get_json_object(sale_logs, '$.turnover') tv FROM mydb.t ORDER BY date`)
 	if docs := met.Parse.Docs.Load(); docs != 5 {
 		t.Errorf("parsed %d documents, want the uncovered part's 5", docs)
 	}
@@ -314,7 +310,7 @@ func TestIngestFinishesBeforeItsTableIsDropped(t *testing.T) {
 	if left := f.wh.FS().List("/warehouse/" + CacheDB + "/" + first); len(left) != 0 || f.wh.TableExists(CacheDB, first) {
 		t.Errorf("the dropped table left %v behind", left)
 	}
-	requirePlainRows(t, f, m, `SELECT date, get_json_object(sale_logs, '$.turnover') tv FROM mydb.t ORDER BY date`)
+	requireReferenceRows(t, f, m, `SELECT date, get_json_object(sale_logs, '$.turnover') tv FROM mydb.t ORDER BY date`)
 }
 
 // TestIngestRacesCyclesSaveStateAndQueries appends parts while cycles,
@@ -466,7 +462,7 @@ func TestIngestUnderFaults(t *testing.T) {
 			if got := covered(t, f, m); got != serves {
 				t.Errorf("the manifest serves %d of 4 parts, want %d", got, serves)
 			}
-			if got := requirePlainRows(t, f, m, sql).Parse.Docs.Load(); got != docs {
+			if got := requireReferenceRows(t, f, m, sql).Parse.Docs.Load(); got != docs {
 				t.Errorf("parsed %d documents, want %d", got, docs)
 			}
 		})
@@ -496,7 +492,7 @@ func TestIngestUnderFaults(t *testing.T) {
 			if n := covered(t, f, m); n != 3 {
 				t.Errorf("the manifest serves %d of 4 parts, want 3", n)
 			}
-			if docs := requirePlainRows(t, f, m, sql).Parse.Docs.Load(); docs != 5 {
+			if docs := requireReferenceRows(t, f, m, sql).Parse.Docs.Load(); docs != 5 {
 				t.Errorf("parsed %d documents, want the corruptly read part's 5", docs)
 			}
 			return
@@ -526,7 +522,7 @@ func TestIngestMalformedDocumentIsCarried(t *testing.T) {
 		t.Errorf("ingest counted %d malformed documents, want 1", got)
 	}
 	const sql = `SELECT get_json_object(doc, '$.c') c FROM mydb.m WHERE get_json_object(doc, '$.a') = '20'`
-	if met := requirePlainRows(t, f, m, sql); met.Parse.Docs.Load() != 0 {
+	if met := requireReferenceRows(t, f, m, sql); met.Parse.Docs.Load() != 0 {
 		t.Errorf("parsed %d documents; the ingested split is served", met.Parse.Docs.Load())
 	}
 	stats, err := m.CacheSelected(context.Background(), sel)
@@ -562,7 +558,7 @@ func TestIngestSkipsAQuarantinedCacheTable(t *testing.T) {
 	if n, failed := splitsOf(m, "ingested"), m.Obs().Counter("cacher_ingest_failures_total").Value(); n != 0 || failed != 0 {
 		t.Errorf("%d splits ingested, %d failures counted; want neither", n, failed)
 	}
-	requirePlainRows(t, f, m, `SELECT date, get_json_object(sale_logs, '$.turnover') tv FROM mydb.t ORDER BY date`)
+	requireReferenceRows(t, f, m, `SELECT date, get_json_object(sale_logs, '$.turnover') tv FROM mydb.t ORDER BY date`)
 	stats, err := m.CacheSelected(context.Background(), sel)
 	if err != nil {
 		t.Fatal(err)
@@ -588,7 +584,7 @@ func TestIngestedSplitSurvivesSaveAndLoad(t *testing.T) {
 	if err := restarted.LoadState(); err != nil {
 		t.Fatal(err)
 	}
-	met := requirePlainRows(t, f, restarted, `SELECT get_json_object(sale_logs, '$.turnover') tv FROM mydb.t ORDER BY tv`)
+	met := requireReferenceRows(t, f, restarted, `SELECT get_json_object(sale_logs, '$.turnover') tv FROM mydb.t ORDER BY tv`)
 	if docs, values := met.Parse.Docs.Load(), met.CacheValuesRead.Load(); docs != 0 || values != 36 {
 		t.Errorf("the restarted node parsed %d documents and read %d cache values, want 0 and 36", docs, values)
 	}

@@ -19,7 +19,7 @@ import (
 // The lifecycle suite checks that the serving manifests are the cache's only
 // lifecycle state: every cache table that lives is named by a serving
 // manifest, except the generation the last commit displaced, which the next
-// retire drops; and every query still returns the plain engine's rows.
+// retire drops; and every query still returns the reference's rows.
 
 // lifecycleSelections are the path sets a lifecycle cycle picks from; every
 // one holds $.turnover, which lifecycleQueries[0] reads.
@@ -116,7 +116,7 @@ func TestCacheLifecycleInvariants(t *testing.T) {
 					name = "quarantine through a cache decode fault"
 					inj := fault.New(seed).Add(fault.Rule{Pattern: CacheDB + "/", Op: fault.OpDecode, Kind: fault.KindError, FailN: 1})
 					f.wh.FS().SetInjector(inj)
-					requirePlainRows(t, f, m, lifecycleQueries[0])
+					requireReferenceRows(t, f, m, lifecycleQueries[0])
 					f.wh.FS().SetInjector(nil)
 					if inj.Injected() > 0 && (len(servingTables(m)) != 0 || m.Registry.Len() != 0) {
 						t.Fatalf("step %d (%s): the faulted table still serves: %v", step, name, servingTables(m))
@@ -148,7 +148,7 @@ func TestCacheLifecycleInvariants(t *testing.T) {
 				}
 				requireOneGeneration(t, m, step, name)
 				for _, sql := range lifecycleQueries {
-					requirePlainRows(t, f, m, sql)
+					requireReferenceRows(t, f, m, sql)
 				}
 			}
 		})
@@ -201,7 +201,7 @@ func TestStateFileWithADropQueueLoads(t *testing.T) {
 	if got := restarted.Cacher.ActiveCacheTable("mydb", "t"); got != serving || restarted.Cacher.Generation() != m.Cacher.Generation() {
 		t.Errorf("the restarted node serves %q at generation %d, want %s at %d", got, restarted.Cacher.Generation(), serving, m.Cacher.Generation())
 	}
-	met := requirePlainRows(t, f, restarted, `SELECT get_json_object(sale_logs, '$.turnover') tv FROM mydb.t ORDER BY date`)
+	met := requireReferenceRows(t, f, restarted, `SELECT get_json_object(sale_logs, '$.turnover') tv FROM mydb.t ORDER BY date`)
 	if docs, values := met.Parse.Docs.Load(), met.CacheValuesRead.Load(); docs != 0 || values != 31 {
 		t.Errorf("the restarted node parsed %d documents and read %d cache values, want 0 and 31", docs, values)
 	}

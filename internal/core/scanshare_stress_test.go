@@ -3,20 +3,13 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
-	"math/rand"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/datum"
-	"repro/internal/dfs"
 	"repro/internal/fault"
-	"repro/internal/orc"
-	"repro/internal/simtime"
 	"repro/internal/sqlengine"
-	"repro/internal/warehouse"
 )
 
 // The scanshare stress suite drives the shared-scan scheduler through the
@@ -26,53 +19,8 @@ import (
 // invariant that every surviving query returns exactly its serial rows and
 // the RowBatch pool returns to baseline.
 
-// newShareChaosEnv is newChaosEnv with the shared-scan scheduler enabled
-// from construction (the scheduler hooks the engine at Maxson build time, so
-// it cannot be retrofitted onto an existing env).
-func newShareChaosEnv(t *testing.T, dataSeed int64) *chaosEnv {
-	t.Helper()
-	rng := rand.New(rand.NewSource(dataSeed))
-	clock := simtime.NewSim(time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC))
-	fs := dfs.New()
-	wh := warehouse.New(fs, warehouse.WithClock(clock),
-		warehouse.WithWriterOptions(orc.WriterOptions{RowGroupRows: 8}))
-	wh.CreateDatabase("db")
-	schema := orc.Schema{Columns: []orc.Column{
-		{Name: "id", Type: datum.TypeInt64},
-		{Name: "doc", Type: datum.TypeString},
-	}}
-	if err := wh.CreateTable("db", "t", schema); err != nil {
-		t.Fatal(err)
-	}
-	id := 0
-	for f := 0; f < 3; f++ {
-		var rows [][]datum.Datum
-		for i := 0; i < 12+rng.Intn(12); i++ {
-			doc := fmt.Sprintf(`{"a":%d,"b":"g%d","nested":{"x":%d}}`,
-				rng.Intn(100), rng.Intn(3), rng.Intn(80))
-			rows = append(rows, []datum.Datum{datum.Int(int64(id)), datum.Str(doc)})
-			id++
-		}
-		if _, err := wh.AppendRows("db", "t", rows); err != nil {
-			t.Fatal(err)
-		}
-		clock.Advance(time.Hour)
-	}
-	e := sqlengine.NewEngine(wh,
-		sqlengine.WithDefaultDB("db"),
-		sqlengine.WithParallelism(2),
-		sqlengine.WithBatchSize(16))
-	m := New(e, Config{
-		BudgetBytes:         1 << 30,
-		DefaultDB:           "db",
-		ScanShareWindow:     150 * time.Millisecond,
-		ScanShareMaxQueries: 16,
-	})
-	wh.SetRetrySleep(func(time.Duration) {})
-	env := &chaosEnv{clock: clock, fs: fs, wh: wh, e: e, m: m}
-	env.populate(t)
-	return env
-}
+// shareChaos is the scan-share config of the stress suite's chaos envs.
+var shareChaos = Config{ScanShareWindow: 150 * time.Millisecond, ScanShareMaxQueries: 16}
 
 // waitBatchBaseline polls: a detached participant's channel may still hold
 // batches for a moment after its query returns (the producer's end-of-run
@@ -98,7 +46,7 @@ func waitBatchBaseline(t *testing.T, before int64) {
 // group-by, a COUNT, one cancelled mid-flight — with transient IO faults
 // injected underneath. Every completed query must return its serial rows.
 func TestScanShareStressMixed(t *testing.T) {
-	env := newShareChaosEnv(t, 201)
+	env := newChaosEnv(t, 201, shareChaos)
 
 	qa := chaosQueries[0] // cached paths → combined factory → shared pass
 	qb := chaosQueries[1] // cached + residual filter → shared pass
@@ -227,7 +175,7 @@ func TestScanShareStressMixed(t *testing.T) {
 // participant observes it, quarantines, re-plans on raw — and the retries
 // (now raw scans with the same fingerprint) still return exact rows.
 func TestScanShareDegradePropagation(t *testing.T) {
-	env := newShareChaosEnv(t, 202)
+	env := newChaosEnv(t, 202, shareChaos)
 	sql := chaosQueries[0]
 	rs, _, err := env.m.QueryCtx(context.Background(), sql)
 	if err != nil {
@@ -282,7 +230,7 @@ func TestScanShareDegradePropagation(t *testing.T) {
 	// Two queries asking different cached paths share one pass over the
 	// union of their cache columns. Its one failed decode fails both: each
 	// re-plans on raw alone and returns its exact rows.
-	env = newShareChaosEnv(t, 204)
+	env = newChaosEnv(t, 204, shareChaos)
 	subsets := []string{
 		`SELECT id, get_json_object(doc, '$.a') a FROM db.t ORDER BY id`,
 		`SELECT id, get_json_object(doc, '$.nested.x') nx FROM db.t ORDER BY id`,
@@ -342,7 +290,7 @@ func TestScanShareDegradePropagation(t *testing.T) {
 // every participant gets an attributed error (no process crash, no hang),
 // and the next query over the same table works.
 func TestScanShareWorkerPanicIsolation(t *testing.T) {
-	env := newShareChaosEnv(t, 203)
+	env := newChaosEnv(t, 203, shareChaos)
 	sql := chaosQueries[0]
 	rs, _, err := env.m.QueryCtx(context.Background(), sql)
 	if err != nil {

@@ -6,50 +6,17 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/datum"
-	"repro/internal/dfs"
-	"repro/internal/orc"
 	"repro/internal/pathkey"
-	"repro/internal/simtime"
-	"repro/internal/sqlengine"
-	"repro/internal/warehouse"
 )
 
 // wildFixture builds a warehouse whose JSON column carries arrays, so
 // wildcard paths like $.items[*].q have something to iterate.
 func wildFixture(t *testing.T) *fixture {
 	t.Helper()
-	clock := simtime.NewSim(time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC))
-	fs := dfs.New()
-	wh := warehouse.New(fs, warehouse.WithClock(clock),
-		warehouse.WithWriterOptions(orc.WriterOptions{RowGroupRows: 8}))
-	wh.CreateDatabase("mydb")
-	schema := orc.Schema{Columns: []orc.Column{
-		{Name: "mall_id", Type: datum.TypeString},
-		{Name: "date", Type: datum.TypeString},
-		{Name: "sale_logs", Type: datum.TypeString},
-	}}
-	if err := wh.CreateTable("mydb", "t", schema); err != nil {
-		t.Fatal(err)
-	}
-	day := 1
-	for _, n := range []int{10, 10, 11} {
-		var rows [][]datum.Datum
-		for i := 0; i < n; i++ {
-			date := fmt.Sprintf("201901%02d", day)
-			log := fmt.Sprintf(
-				`{"items":[{"q":%d,"name":"a-%02d"},{"q":%d},{"q":%d}],"turnover":%d}`,
-				day, day, day*2, day%5, day*10)
-			rows = append(rows, []datum.Datum{datum.Str("0001"), datum.Str(date), datum.Str(log)})
-			day++
-		}
-		if _, err := wh.AppendRows("mydb", "t", rows); err != nil {
-			t.Fatal(err)
-		}
-		clock.Advance(24 * time.Hour)
-	}
-	engine := sqlengine.NewEngine(wh, sqlengine.WithDefaultDB("mydb"), sqlengine.WithParallelism(2))
-	return &fixture{clock: clock, wh: wh, engine: engine}
+	return saleFixture(t, func(day int) string {
+		return fmt.Sprintf(`{"items":[{"q":%d,"name":"a-%02d"},{"q":%d},{"q":%d}],"turnover":%d}`,
+			day, day, day*2, day%5, day*10)
+	})
 }
 
 // TestWildcardPathCachedByMidnightCycle drives the full loop for a wildcard

@@ -4,13 +4,11 @@ import (
 	"context"
 	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/datum"
-	"repro/internal/dfs"
 	"repro/internal/orc"
-	"repro/internal/simtime"
 	"repro/internal/sqlengine"
+	"repro/internal/testbed"
 	"repro/internal/warehouse"
 )
 
@@ -19,17 +17,10 @@ import (
 // something to find.
 func saleLogs(t *testing.T) *warehouse.Warehouse {
 	t.Helper()
-	clock := simtime.NewSim(time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC))
-	wh := warehouse.New(dfs.New(), warehouse.WithClock(clock),
-		warehouse.WithWriterOptions(orc.WriterOptions{RowGroupRows: 8}))
-	wh.CreateDatabase("mydb")
-	schema := orc.Schema{Columns: []orc.Column{
+	table := testbed.Table{DB: "mydb", Name: "t", Schema: orc.Schema{Columns: []orc.Column{
 		{Name: "date", Type: datum.TypeString},
 		{Name: "sale_logs", Type: datum.TypeString},
-	}}
-	if err := wh.CreateTable("mydb", "t", schema); err != nil {
-		t.Fatal(err)
-	}
+	}}}
 	day := 1
 	for _, n := range []int{10, 10, 11} {
 		var rows [][]datum.Datum
@@ -40,11 +31,13 @@ func saleLogs(t *testing.T) *warehouse.Warehouse {
 			rows = append(rows, []datum.Datum{datum.Str(fmt.Sprintf("201901%02d", day)), datum.Str(log)})
 			day++
 		}
-		if _, err := wh.AppendRows("mydb", "t", rows); err != nil {
-			t.Fatal(err)
-		}
+		table.Parts = append(table.Parts, rows)
 	}
-	return wh
+	bed := testbed.New(testbed.Config{RowGroupRows: 8})
+	if err := bed.Load(0, table); err != nil {
+		t.Fatal(err)
+	}
+	return bed.WH
 }
 
 // TestBackendsAgree runs the engine's streaming evaluator and the Mison

@@ -11,13 +11,12 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datum"
-	"repro/internal/dfs"
 	"repro/internal/experiments/baseline"
 	"repro/internal/jsonpath"
 	"repro/internal/orc"
 	"repro/internal/pathkey"
-	"repro/internal/simtime"
 	"repro/internal/sqlengine"
+	"repro/internal/testbed"
 	"repro/internal/warehouse"
 )
 
@@ -27,14 +26,7 @@ import (
 // bytes, so a streamed read of $.b stops well before the end.
 func costFixture(t *testing.T) (*warehouse.Warehouse, []string) {
 	t.Helper()
-	clock := simtime.NewSim(time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC))
-	wh := warehouse.New(dfs.New(), warehouse.WithClock(clock),
-		warehouse.WithWriterOptions(orc.WriterOptions{RowGroupRows: 8}))
-	wh.CreateDatabase("fx")
-	schema := orc.Schema{Columns: []orc.Column{{Name: "doc", Type: datum.TypeString}}}
-	if err := wh.CreateTable("fx", "t", schema); err != nil {
-		t.Fatal(err)
-	}
+	table := testbed.Table{DB: "fx", Name: "t", Schema: orc.Schema{Columns: []orc.Column{{Name: "doc", Type: datum.TypeString}}}}
 	var docs []string
 	for part := 0; part < 3; part++ {
 		var rows [][]datum.Datum
@@ -44,11 +36,13 @@ func costFixture(t *testing.T) (*warehouse.Warehouse, []string) {
 			docs = append(docs, doc)
 			rows = append(rows, []datum.Datum{datum.Str(doc)})
 		}
-		if _, err := wh.AppendRows("fx", "t", rows); err != nil {
-			t.Fatal(err)
-		}
+		table.Parts = append(table.Parts, rows)
 	}
-	return wh, docs
+	bed := testbed.New(testbed.Config{RowGroupRows: 8})
+	if err := bed.Load(0, table); err != nil {
+		t.Fatal(err)
+	}
+	return bed.WH, docs
 }
 
 // TestScorerPricesPjWithTheModel pins the scorer to the figures' model and to

@@ -9,14 +9,11 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datum"
-	"repro/internal/dfs"
 	"repro/internal/obs"
-	"repro/internal/orc"
 	"repro/internal/pathkey"
 	"repro/internal/scanshare"
-	"repro/internal/simtime"
 	"repro/internal/sqlengine"
-	"repro/internal/warehouse"
+	"repro/internal/testbed"
 )
 
 // MQOBenchResult quantifies shared-scan (multi-query) execution: N
@@ -99,30 +96,18 @@ func (r *MQOBenchResult) String() string {
 // mqoBenchSystem builds a raw JSON table and an engine, optionally with the
 // scanshare scheduler installed, returning the scheduler's registry.
 func mqoBenchSystem(rows int, seed int64, window time.Duration, maxQ int) (*sqlengine.Engine, *obs.Registry, error) {
-	clock := simtime.NewSim(time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC))
-	fs := dfs.New()
-	wh := warehouse.New(fs, warehouse.WithClock(clock),
-		warehouse.WithWriterOptions(orc.WriterOptions{RowGroupRows: 256}))
-	wh.CreateDatabase("bench")
-	schema := orc.Schema{Columns: []orc.Column{
-		{Name: "id", Type: datum.TypeInt64},
-		{Name: "doc", Type: datum.TypeString},
-	}}
-	if err := wh.CreateTable("bench", "t", schema); err != nil {
-		return nil, nil, err
-	}
 	batch := make([][]datum.Datum, 0, rows)
 	for i := 0; i < rows; i++ {
 		doc := fmt.Sprintf(`{"a":%d,"b":"g%d","nested":{"x":%d,"y":"%s"},"pad":"%s"}`,
 			(i*7+int(seed))%100, i%8, i%80, strings.Repeat("y", 24), strings.Repeat("p", 64))
 		batch = append(batch, []datum.Datum{datum.Int(int64(i)), datum.Str(doc)})
 	}
-	if _, err := wh.AppendRows("bench", "t", batch); err != nil {
+	bed := testbed.New(testbed.Config{RowGroupRows: 256})
+	if err := bed.Load(24*time.Hour, testbed.Table{DB: "bench", Name: "t", Schema: testbed.IDDoc, Parts: [][][]datum.Datum{batch}}); err != nil {
 		return nil, nil, err
 	}
-	clock.Advance(24 * time.Hour)
 
-	e := sqlengine.NewEngine(wh,
+	e := sqlengine.NewEngine(bed.WH,
 		sqlengine.WithDefaultDB("bench"),
 		sqlengine.WithParallelism(2))
 	var reg *obs.Registry

@@ -9,13 +9,11 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datum"
-	"repro/internal/dfs"
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
 	"repro/internal/orc"
-	"repro/internal/simtime"
 	"repro/internal/sqlengine"
-	"repro/internal/warehouse"
+	"repro/internal/testbed"
 )
 
 // ObsBenchRow is one observability-primitive measurement.
@@ -51,18 +49,6 @@ func (r *ObsBenchResult) String() string {
 // with or without a flight recorder, and returns it with a representative
 // aggregation query over a JSON column.
 func obsBenchSystem(withRecorder bool) (*core.Maxson, string, error) {
-	clock := simtime.NewSim(time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC))
-	fs := dfs.New()
-	wh := warehouse.New(fs, warehouse.WithClock(clock),
-		warehouse.WithWriterOptions(orc.WriterOptions{RowGroupRows: 256}))
-	wh.CreateDatabase("bench")
-	schema := orc.Schema{Columns: []orc.Column{
-		{Name: "ds", Type: datum.TypeString},
-		{Name: "payload", Type: datum.TypeString},
-	}}
-	if err := wh.CreateTable("bench", "t", schema); err != nil {
-		return nil, "", err
-	}
 	rows := make([][]datum.Datum, 0, 512)
 	for i := 0; i < 512; i++ {
 		rows = append(rows, []datum.Datum{
@@ -70,12 +56,15 @@ func obsBenchSystem(withRecorder bool) (*core.Maxson, string, error) {
 			datum.Str(fmt.Sprintf(`{"k":"g%d","v":%d}`, i%8, i)),
 		})
 	}
-	if _, err := wh.AppendRows("bench", "t", rows); err != nil {
+	bed := testbed.New(testbed.Config{RowGroupRows: 256})
+	if err := bed.Load(24*time.Hour, testbed.Table{DB: "bench", Name: "t", Schema: orc.Schema{Columns: []orc.Column{
+		{Name: "ds", Type: datum.TypeString},
+		{Name: "payload", Type: datum.TypeString},
+	}}, Parts: [][][]datum.Datum{rows}}); err != nil {
 		return nil, "", err
 	}
-	clock.Advance(24 * time.Hour)
 
-	e := sqlengine.NewEngine(wh, sqlengine.WithDefaultDB("bench"))
+	e := sqlengine.NewEngine(bed.WH, sqlengine.WithDefaultDB("bench"))
 	reg := obs.NewRegistry()
 	var rec *flight.Recorder
 	if withRecorder {

@@ -17,11 +17,11 @@ import (
 	"time"
 
 	"repro/internal/datum"
-	"repro/internal/dfs"
 	"repro/internal/orc"
 	"repro/internal/simtime"
 	"repro/internal/sjson"
 	"repro/internal/sqlengine"
+	"repro/internal/testbed"
 	"repro/internal/warehouse"
 )
 
@@ -73,38 +73,35 @@ type Workload struct {
 // JSON documents follow each spec's property count, nesting level, and
 // average size.
 func BuildWorkload(rowsPerTable int, seed int64) *Workload {
-	clock := simtime.NewSim(time.Date(2019, 3, 1, 0, 0, 0, 0, time.UTC))
-	fs := dfs.New()
-	wh := warehouse.New(fs, warehouse.WithClock(clock),
-		warehouse.WithWriterOptions(orc.WriterOptions{RowGroupRows: 256}))
+	bed := testbed.New(testbed.Config{Start: time.Date(2019, 3, 1, 0, 0, 0, 0, time.UTC), RowGroupRows: 256})
 	w := &Workload{
-		WH: wh, Clock: clock, Specs: TableII(),
+		WH: bed.WH, Clock: bed.Clock, Specs: TableII(),
 		SQL:   map[string]string{},
 		Paths: map[string][]string{},
 		Rows:  rowsPerTable,
 		DB:    "prod",
 	}
-	wh.CreateDatabase(w.DB)
 	rng := rand.New(rand.NewSource(seed))
-	for _, spec := range w.Specs {
-		w.buildTable(spec, rng)
+	tables := make([]testbed.Table, len(w.Specs))
+	for i, spec := range w.Specs {
+		tables[i] = w.buildTable(spec, rng)
+	}
+	if err := bed.Load(0, tables...); err != nil {
+		panic(err)
 	}
 	// Data was loaded "yesterday": queries never touch same-day data, and
 	// caches populated after this moment are valid.
-	clock.Advance(24 * time.Hour)
+	bed.Clock.Advance(24 * time.Hour)
 	return w
 }
 
-// buildTable creates one table and its query.
-func (w *Workload) buildTable(spec QuerySpec, rng *rand.Rand) {
-	schema := orc.Schema{Columns: []orc.Column{
+// buildTable generates one table and writes its query.
+func (w *Workload) buildTable(spec QuerySpec, rng *rand.Rand) testbed.Table {
+	table := testbed.Table{DB: w.DB, Name: spec.Table, Schema: orc.Schema{Columns: []orc.Column{
 		{Name: "id", Type: datum.TypeInt64},
 		{Name: "ds", Type: datum.TypeString},
 		{Name: "payload", Type: datum.TypeString},
-	}}
-	if err := w.WH.CreateTable(w.DB, spec.Table, schema); err != nil {
-		panic(err)
-	}
+	}}}
 	shape := planShape(spec)
 	shape.totalRows = w.Rows
 
@@ -127,9 +124,7 @@ func (w *Workload) buildTable(spec QuerySpec, rng *rand.Rand) {
 			}
 			rowID++
 		}
-		if _, err := w.WH.AppendRows(w.DB, spec.Table, rows); err != nil {
-			panic(err)
-		}
+		table.Parts = append(table.Parts, rows)
 		written += n
 	}
 
@@ -174,6 +169,7 @@ func (w *Workload) buildTable(spec QuerySpec, rng *rand.Rand) {
 			"SELECT id, get_json_object(payload, '$.events[*].v') ev FROM %s.%s ORDER BY ev DESC LIMIT 10",
 			w.DB, spec.Table)
 	}
+	return table
 }
 
 // WildcardQuery names the Fig 15 wildcard companion query (over Q3's table).

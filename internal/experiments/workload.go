@@ -8,14 +8,11 @@ import (
 
 	"repro/internal/nobench"
 	"repro/internal/sqlengine"
+	"repro/internal/testbed"
 	"repro/internal/trace"
 
 	"repro/internal/datum"
-	"repro/internal/dfs"
 	"repro/internal/experiments/baseline"
-	"repro/internal/orc"
-	"repro/internal/simtime"
-	"repro/internal/warehouse"
 )
 
 // Fig2Result is the table-update time-of-day histogram.
@@ -64,29 +61,18 @@ type Fig3Result struct {
 // SELECT (Q1), a COUNT with GROUP BY (Q2), and a self-equijoin (Q3) over
 // NoBench data, showing parsing dominating (≥80% in the paper).
 func RunFig3(ctx context.Context, rows int) (*Fig3Result, error) {
-	clock := simtime.NewSim(time.Date(2019, 3, 1, 0, 0, 0, 0, time.UTC))
-	fs := dfs.New()
-	wh := warehouse.New(fs, warehouse.WithClock(clock),
-		warehouse.WithWriterOptions(orc.WriterOptions{RowGroupRows: 512}))
-	wh.CreateDatabase("nb")
-	schema := orc.Schema{Columns: []orc.Column{
-		{Name: "id", Type: datum.TypeInt64},
-		{Name: "doc", Type: datum.TypeString},
-	}}
-	if err := wh.CreateTable("nb", "data", schema); err != nil {
-		return nil, err
-	}
 	gen := nobench.New(nobench.DefaultConfig())
 	var recs [][]datum.Datum
 	for i := 0; i < rows; i++ {
 		recs = append(recs, []datum.Datum{datum.Int(int64(i)), datum.Str(gen.Next())})
 	}
-	if _, err := wh.AppendRows("nb", "data", recs); err != nil {
+	bed := testbed.New(testbed.Config{Start: time.Date(2019, 3, 1, 0, 0, 0, 0, time.UTC), RowGroupRows: 512})
+	if err := bed.Load(0, testbed.Table{DB: "nb", Name: "data", Schema: testbed.IDDoc, Parts: [][][]datum.Datum{recs}}); err != nil {
 		return nil, err
 	}
 	// Fig 3 is the paper's motivation: SparkSQL with its Jackson tree parser.
 	backend := baseline.JacksonBackend{}
-	e := sqlengine.NewEngine(wh, sqlengine.WithDefaultDB("nb"), sqlengine.WithBackend(backend))
+	e := sqlengine.NewEngine(bed.WH, sqlengine.WithDefaultDB("nb"), sqlengine.WithBackend(backend))
 
 	queries := []struct{ name, sql string }{
 		{"Q1 (select)", `SELECT get_json_object(doc, '$.str1') a, get_json_object(doc, '$.num') b FROM nb.data`},

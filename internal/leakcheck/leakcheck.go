@@ -1,8 +1,10 @@
-// Package leakcheck lets a package's tests observe that every goroutine they
-// start also finishes. A package with a go statement calls Main from its
-// TestMain; each cancel, abandon, drain and fault-injection test of that
-// package then proves termination, since a goroutine it strands fails the
-// run with the goroutine's stack.
+// Package leakcheck holds what the tests of several packages need from the
+// runtime, using the standard library alone. It lets a package's tests
+// observe that every goroutine they start also finishes: a package with a go
+// statement calls Main from its TestMain; each cancel, abandon, drain and
+// fault-injection test of that package then proves termination, since a
+// goroutine it strands fails the run with the goroutine's stack. And
+// SkipUnderRace keeps an allocation pin out of a -race binary.
 package leakcheck
 
 import (
@@ -10,6 +12,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"runtime/pprof"
 	"testing"
 	"time"
@@ -44,4 +47,20 @@ func Main(m *testing.M) {
 		code = 1
 	}
 	os.Exit(code)
+}
+
+// SkipUnderRace skips an allocation pin in a -race binary. There the
+// compiler keeps conversions it otherwise elides, and sync.Pool drops a share
+// of its puts at random, so allocation counts are not what production
+// allocates. CI runs the allocation pins in a step of their own, without
+// -race.
+func SkipUnderRace(t testing.TB) {
+	t.Helper()
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("allocation counts are not meaningful under -race")
+			}
+		}
+	}
 }

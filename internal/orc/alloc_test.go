@@ -2,10 +2,10 @@ package orc
 
 import (
 	"fmt"
-	"runtime/debug"
 	"testing"
 
 	"repro/internal/datum"
+	"repro/internal/leakcheck"
 )
 
 // allocFile writes groups row groups of rgRows rows over three columns that
@@ -100,20 +100,6 @@ func TestCursorAllocations(t *testing.T) {
 	}
 }
 
-// skipUnderRace skips an allocation pin in a -race binary, where sync.Pool
-// drops a share of its puts at random, so a writer may find the pool empty.
-// CI runs the allocation pins in a step of their own, without -race.
-func skipUnderRace(t *testing.T) {
-	t.Helper()
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range bi.Settings {
-			if s.Key == "-race" && s.Value == "true" {
-				t.Skip("allocation counts are not meaningful under -race")
-			}
-		}
-	}
-}
-
 // TestWriterAllocations pins the write path: a file written through scratch
 // an earlier writer released — NewWriter, the rows, Finish, Release —
 // allocates the Writer and, per row group, the owned copies of each string
@@ -121,7 +107,7 @@ func skipUnderRace(t *testing.T) {
 // for 100 rows as for 4,000 in one row group, and four more per further row
 // group of geomSchema's two string columns. Finish's bytes are the scratch's.
 func TestWriterAllocations(t *testing.T) {
-	skipUnderRace(t)
+	leakcheck.SkipUnderRace(t)
 	write := func(rows [][]datum.Datum, opts WriterOptions) float64 {
 		return testing.AllocsPerRun(10, func() {
 			w := NewWriter(geomSchema, opts)

@@ -10,11 +10,10 @@ import (
 	"time"
 
 	"repro/internal/datum"
-	"repro/internal/dfs"
 	"repro/internal/obs"
-	"repro/internal/orc"
 	"repro/internal/scanshare"
 	"repro/internal/sqlengine"
+	"repro/internal/testbed"
 	"repro/internal/warehouse"
 )
 
@@ -32,18 +31,8 @@ type shareEnv struct {
 func newShareEnv(t *testing.T, seed int64, rowsPerFile, files int, opts scanshare.Options) *shareEnv {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	fs := dfs.New()
-	wh := warehouse.New(fs,
-		warehouse.WithWriterOptions(orc.WriterOptions{RowGroupRows: 8}))
-	wh.SetRetrySleep(func(time.Duration) {})
-	wh.CreateDatabase("db")
-	schema := orc.Schema{Columns: []orc.Column{
-		{Name: "id", Type: datum.TypeInt64},
-		{Name: "doc", Type: datum.TypeString},
-	}}
-	if err := wh.CreateTable("db", "t", schema); err != nil {
-		t.Fatal(err)
-	}
+	bed := testbed.New(testbed.Config{RowGroupRows: 8})
+	table := testbed.Table{DB: "db", Name: "t", Schema: testbed.IDDoc}
 	id := 0
 	for f := 0; f < files; f++ {
 		var rows [][]datum.Datum
@@ -55,10 +44,13 @@ func newShareEnv(t *testing.T, seed int64, rowsPerFile, files int, opts scanshar
 			rows = append(rows, []datum.Datum{datum.Int(int64(id)), datum.Str(doc)})
 			id++
 		}
-		if _, err := wh.AppendRows("db", "t", rows); err != nil {
-			t.Fatal(err)
-		}
+		table.Parts = append(table.Parts, rows)
 	}
+	if err := bed.Load(0, table); err != nil {
+		t.Fatal(err)
+	}
+	wh := bed.WH
+	wh.SetRetrySleep(func(time.Duration) {})
 	reg := obs.NewRegistry()
 	opts.Obs = reg
 	shared := sqlengine.NewEngine(wh,

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"reflect"
 	"sort"
@@ -16,14 +15,13 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/datum"
 	"repro/internal/dfs"
 	"repro/internal/fault"
 	"repro/internal/obs"
-	"repro/internal/orc"
 	"repro/internal/pathkey"
 	"repro/internal/simtime"
 	"repro/internal/sqlengine"
+	"repro/internal/testbed"
 	"repro/internal/warehouse"
 )
 
@@ -58,33 +56,11 @@ var stressQueries = []string{
 
 func newStressEnv(t *testing.T, dataSeed int64) *stressEnv {
 	t.Helper()
-	rng := rand.New(rand.NewSource(dataSeed))
-	clock := simtime.NewSim(time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC))
-	fs := dfs.New()
-	wh := warehouse.New(fs, warehouse.WithClock(clock),
-		warehouse.WithWriterOptions(orc.WriterOptions{RowGroupRows: 8}))
-	wh.CreateDatabase("db")
-	schema := orc.Schema{Columns: []orc.Column{
-		{Name: "id", Type: datum.TypeInt64},
-		{Name: "doc", Type: datum.TypeString},
-	}}
-	if err := wh.CreateTable("db", "t", schema); err != nil {
+	bed := testbed.New(testbed.Config{RowGroupRows: 8})
+	if err := bed.Load(time.Hour, testbed.Docs(dataSeed)); err != nil {
 		t.Fatal(err)
 	}
-	id := 0
-	for f := 0; f < 3; f++ {
-		var rows [][]datum.Datum
-		for i := 0; i < 12+rng.Intn(12); i++ {
-			doc := fmt.Sprintf(`{"a":%d,"b":"g%d","nested":{"x":%d}}`,
-				rng.Intn(100), rng.Intn(3), rng.Intn(80))
-			rows = append(rows, []datum.Datum{datum.Int(int64(id)), datum.Str(doc)})
-			id++
-		}
-		if _, err := wh.AppendRows("db", "t", rows); err != nil {
-			t.Fatal(err)
-		}
-		clock.Advance(time.Hour)
-	}
+	clock, wh := bed.Clock, bed.WH
 	e := sqlengine.NewEngine(wh,
 		sqlengine.WithDefaultDB("db"),
 		sqlengine.WithParallelism(2),
@@ -109,7 +85,7 @@ func newStressEnv(t *testing.T, dataSeed int64) *stressEnv {
 		}
 		clock.Advance(24 * time.Hour)
 	}
-	return &stressEnv{clock: clock, fs: fs, wh: wh, m: m, reg: reg}
+	return &stressEnv{clock: clock, fs: bed.FS, wh: wh, m: m, reg: reg}
 }
 
 // baselines renders every stress query without faults — the ground truth a

@@ -10,9 +10,8 @@ import (
 	"testing"
 
 	"repro/internal/datum"
-	"repro/internal/dfs"
 	"repro/internal/orc"
-	"repro/internal/warehouse"
+	"repro/internal/testbed"
 )
 
 // aggRef is the reference state of one group: every aggregate the test's
@@ -251,21 +250,17 @@ func TestAggregationMatchesNaiveFold(t *testing.T) {
 		return func(row []datum.Datum) bool { return a(row) && b(row) }
 	}
 
-	wh := warehouse.New(dfs.New())
-	wh.CreateDatabase("d")
+	bed := testbed.New(testbed.Config{})
 	type config struct{ par, batch int }
 	engines := map[config]*Engine{}
 	for _, par := range []int{1, 4} {
 		for _, batch := range []int{1, DefaultBatchSize} {
-			engines[config{par, batch}] = NewEngine(wh, WithDefaultDB("d"), WithParallelism(par), WithBatchSize(batch))
+			engines[config{par, batch}] = NewEngine(bed.WH, WithDefaultDB("d"), WithParallelism(par), WithBatchSize(batch))
 		}
 	}
 	for seed := int64(0); seed < 36; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		table := fmt.Sprintf("t%d", seed)
-		if err := wh.CreateTable("d", table, schema); err != nil {
-			t.Fatal(err)
-		}
 		splits := make([][][]datum.Datum, seed%6)
 		for s := range splits {
 			n := 1 + rng.Intn(40)
@@ -287,9 +282,9 @@ func TestAggregationMatchesNaiveFold(t *testing.T) {
 				}
 				splits[s] = append(splits[s], []datum.Datum{g, xs[rng.Intn(len(xs))], f})
 			}
-			if _, err := wh.AppendRows("d", table, splits[s]); err != nil {
-				t.Fatal(err)
-			}
+		}
+		if err := bed.Load(0, testbed.Table{DB: "d", Name: table, Schema: schema, Parts: splits}); err != nil {
+			t.Fatal(err)
 		}
 
 		byGroup := foldRef(splits, true, all)

@@ -3,12 +3,12 @@ package sqlengine
 import (
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"testing"
 
 	"repro/internal/datum"
-	"repro/internal/dfs"
+	"repro/internal/leakcheck"
 	"repro/internal/orc"
+	"repro/internal/testbed"
 	"repro/internal/warehouse"
 )
 
@@ -83,31 +83,22 @@ func TestScalarFunctionArity(t *testing.T) {
 // same grouped, filtered query over splits of one batch and of ten must
 // allocate alike, so the ten-batch splits' extra nine batches cost nothing.
 func TestColumnTailAllocatesPerQuery(t *testing.T) {
-	skipUnderRace(t)
+	leakcheck.SkipUnderRace(t)
 	const (
 		splits = 3
 		batch  = 64
 		sql    = "SELECT g, COUNT(*), SUM(cast_double(x)), MAX(cast_double(x)) FROM t WHERE cast_double(x) > 3 GROUP BY g"
 	)
 	allocs := func(batchesPerSplit int) float64 {
-		wh := warehouse.New(dfs.New())
-		wh.CreateDatabase("d")
-		schema := orc.Schema{Columns: []orc.Column{
-			{Name: "g", Type: datum.TypeString},
-			{Name: "x", Type: datum.TypeString},
-		}}
-		if err := wh.CreateTable("d", "t", schema); err != nil {
-			t.Fatal(err)
-		}
+		table := testbed.Table{DB: "d", Name: "t", Schema: gxSchema}
 		for s := 0; s < splits; s++ {
 			rows := make([][]datum.Datum, batch*batchesPerSplit)
 			for i := range rows {
 				rows[i] = []datum.Datum{datum.Str(fmt.Sprintf("group-%d", i%4)), datum.Str(fmt.Sprintf("%d.5", i%10))}
 			}
-			if _, err := wh.AppendRows("d", "t", rows); err != nil {
-				t.Fatal(err)
-			}
+			table.Parts = append(table.Parts, rows)
 		}
+		wh := loadBed(t, table)
 		e := NewEngine(wh, WithDefaultDB("d"), WithParallelism(1), WithBatchSize(batch))
 		if plan, _, err := e.PlanOnly(sql); err != nil || plan.tail == nil {
 			t.Fatalf("plan %v, err %v: want a column tail", plan, err)
@@ -125,19 +116,20 @@ func TestColumnTailAllocatesPerQuery(t *testing.T) {
 	}
 }
 
-// skipUnderRace skips an allocation pin in a -race binary, which allocates for
-// conversions the compiler otherwise elides (the index probe by
-// string(keyBytes) among them: two more per row here). CI runs the allocation
-// pins in a step of their own, without -race.
-func skipUnderRace(t *testing.T) {
+// gxSchema is the (g, x) string table of the allocation pins.
+var gxSchema = orc.Schema{Columns: []orc.Column{
+	{Name: "g", Type: datum.TypeString},
+	{Name: "x", Type: datum.TypeString},
+}}
+
+// loadBed loads table into a fresh test bed of default row groups.
+func loadBed(t *testing.T, table testbed.Table) *warehouse.Warehouse {
 	t.Helper()
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range bi.Settings {
-			if s.Key == "-race" && s.Value == "true" {
-				t.Skip("allocation counts are not meaningful under -race")
-			}
-		}
+	bed := testbed.New(testbed.Config{})
+	if err := bed.Load(0, table); err != nil {
+		t.Fatal(err)
 	}
+	return bed.WH
 }
 
 // groupedSQL names every group of groupedEngine's table in every split.
@@ -148,24 +140,15 @@ const groupedSQL = "SELECT g, COUNT(*), MAX(x) FROM t GROUP BY g"
 // answer (and grown the pooled tables).
 func groupedEngine(t *testing.T, groups, splits int) *Engine {
 	t.Helper()
-	wh := warehouse.New(dfs.New())
-	wh.CreateDatabase("d")
-	schema := orc.Schema{Columns: []orc.Column{
-		{Name: "g", Type: datum.TypeString},
-		{Name: "x", Type: datum.TypeString},
-	}}
-	if err := wh.CreateTable("d", "t", schema); err != nil {
-		t.Fatal(err)
-	}
+	table := testbed.Table{DB: "d", Name: "t", Schema: gxSchema}
 	for s := 0; s < splits; s++ {
 		rows := make([][]datum.Datum, 0, 2*groups)
 		for i := 0; i < 2*groups; i++ {
 			rows = append(rows, []datum.Datum{datum.Str(fmt.Sprintf("group-%04d", i%groups)), datum.Str(fmt.Sprintf("%d", i*s))})
 		}
-		if _, err := wh.AppendRows("d", "t", rows); err != nil {
-			t.Fatal(err)
-		}
+		table.Parts = append(table.Parts, rows)
 	}
+	wh := loadBed(t, table)
 	e := NewEngine(wh, WithDefaultDB("d"), WithParallelism(1))
 	if rs := mustQuery(t, e, groupedSQL); len(rs.Rows) != groups || rs.Rows[0][1].I != int64(2*splits) {
 		t.Fatalf("%d groups, first %v; want %d groups of %d rows", len(rs.Rows), rs.Rows[0], groups, 2*splits)
@@ -180,7 +163,7 @@ func groupedEngine(t *testing.T, groups, splits int) *Engine {
 // the key.) The same query at two group counts cancels everything a query
 // allocates once.
 func TestGroupedAggregationAllocsPerGroup(t *testing.T) {
-	skipUnderRace(t)
+	leakcheck.SkipUnderRace(t)
 	const splits = 4
 	allocs := func(groups int) float64 {
 		e := groupedEngine(t, groups, splits)
@@ -205,7 +188,7 @@ func TestGroupedAggregationAllocsPerGroup(t *testing.T) {
 // buffers, which grow with a split's rows (two per group here); 245-256 B
 // while every partition built its table for every query.
 func TestGroupedAggregationBytesPerGroup(t *testing.T) {
-	skipUnderRace(t)
+	leakcheck.SkipUnderRace(t)
 	bytes := func(groups, splits int) float64 {
 		e := groupedEngine(t, groups, splits)
 		const runs = 20

@@ -8,32 +8,24 @@ import (
 	"testing"
 
 	"repro/internal/datum"
-	"repro/internal/dfs"
 	"repro/internal/obs"
 	"repro/internal/orc"
-	"repro/internal/simtime"
-	"repro/internal/warehouse"
+	"repro/internal/testbed"
 	"time"
 )
 
 func newCancelTestEngine(t *testing.T, opts ...EngineOption) *Engine {
 	t.Helper()
-	clock := simtime.NewSim(time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC))
-	fs := dfs.New()
-	wh := warehouse.New(fs, warehouse.WithClock(clock))
-	wh.CreateDatabase("db")
-	schema := orc.Schema{Columns: []orc.Column{{Name: "id", Type: datum.TypeInt64}}}
-	if err := wh.CreateTable("db", "t", schema); err != nil {
-		t.Fatal(err)
-	}
+	bed := testbed.New(testbed.Config{})
 	rows := make([][]datum.Datum, 8)
 	for i := range rows {
 		rows[i] = []datum.Datum{datum.Int(int64(i))}
 	}
-	if _, err := wh.AppendRows("db", "t", rows); err != nil {
+	if err := bed.Load(0, testbed.Table{DB: "db", Name: "t", Schema: orc.Schema{Columns: []orc.Column{{Name: "id", Type: datum.TypeInt64}}},
+		Parts: [][][]datum.Datum{rows}}); err != nil {
 		t.Fatal(err)
 	}
-	return NewEngine(wh, append([]EngineOption{WithDefaultDB("db")}, opts...)...)
+	return NewEngine(bed.WH, append([]EngineOption{WithDefaultDB("db")}, opts...)...)
 }
 
 // cancellingFactory yields a single split whose source cancels the query

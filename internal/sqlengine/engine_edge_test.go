@@ -5,38 +5,25 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/datum"
-	"repro/internal/dfs"
 	"repro/internal/orc"
-	"repro/internal/simtime"
-	"repro/internal/warehouse"
+	"repro/internal/testbed"
 )
 
 // twoTableEngine builds a warehouse with orders and items tables for join
 // edge cases.
 func twoTableEngine(t *testing.T) *Engine {
 	t.Helper()
-	clock := simtime.NewSim(time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC))
-	fs := dfs.New()
-	wh := warehouse.New(fs, warehouse.WithClock(clock))
-	wh.CreateDatabase("db")
-	orders := orc.Schema{Columns: []orc.Column{
+	orders := testbed.Table{DB: "db", Name: "orders", Schema: orc.Schema{Columns: []orc.Column{
 		{Name: "id", Type: datum.TypeInt64},
 		{Name: "item_id", Type: datum.TypeInt64},
 		{Name: "payload", Type: datum.TypeString},
-	}}
-	items := orc.Schema{Columns: []orc.Column{
+	}}}
+	items := testbed.Table{DB: "db", Name: "items", Schema: orc.Schema{Columns: []orc.Column{
 		{Name: "item_id", Type: datum.TypeInt64},
 		{Name: "name", Type: datum.TypeString},
-	}}
-	if err := wh.CreateTable("db", "orders", orders); err != nil {
-		t.Fatal(err)
-	}
-	if err := wh.CreateTable("db", "items", items); err != nil {
-		t.Fatal(err)
-	}
+	}}}
 	var orows [][]datum.Datum
 	for i := 0; i < 12; i++ {
 		orows = append(orows, []datum.Datum{
@@ -44,9 +31,6 @@ func twoTableEngine(t *testing.T) *Engine {
 			datum.Int(int64(i % 4)),
 			datum.Str(fmt.Sprintf(`{"qty":%d}`, i+1)),
 		})
-	}
-	if _, err := wh.AppendRows("db", "orders", orows); err != nil {
-		t.Fatal(err)
 	}
 	var irows [][]datum.Datum
 	for i := 0; i < 4; i++ {
@@ -57,10 +41,12 @@ func twoTableEngine(t *testing.T) *Engine {
 	}
 	// NULL join key: never matches.
 	irows = append(irows, []datum.Datum{datum.NullOf(datum.TypeInt64), datum.Str("ghost")})
-	if _, err := wh.AppendRows("db", "items", irows); err != nil {
+	orders.Parts, items.Parts = [][][]datum.Datum{orows}, [][][]datum.Datum{irows}
+	bed := testbed.New(testbed.Config{})
+	if err := bed.Load(0, orders, items); err != nil {
 		t.Fatal(err)
 	}
-	return NewEngine(wh, WithDefaultDB("db"))
+	return NewEngine(bed.WH, WithDefaultDB("db"))
 }
 
 func TestJoinTwoTables(t *testing.T) {
@@ -429,22 +415,15 @@ func TestSparserEquivalenceOnConjunction(t *testing.T) {
 }
 
 func TestWildcardPathsInQueries(t *testing.T) {
-	clock := simtime.NewSim(time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC))
-	fs := dfs.New()
-	wh := warehouse.New(fs, warehouse.WithClock(clock))
-	wh.CreateDatabase("db")
-	schema := orc.Schema{Columns: []orc.Column{{Name: "doc", Type: datum.TypeString}}}
-	if err := wh.CreateTable("db", "t", schema); err != nil {
+	bed := testbed.New(testbed.Config{})
+	if err := bed.Load(0, testbed.Table{DB: "db", Name: "t", Schema: orc.Schema{Columns: []orc.Column{{Name: "doc", Type: datum.TypeString}}},
+		Parts: [][][]datum.Datum{{
+			{datum.Str(`{"items":[{"qty":1},{"qty":2}]}`)},
+			{datum.Str(`{"items":[{"qty":7}]}`)},
+		}}}); err != nil {
 		t.Fatal(err)
 	}
-	rows := [][]datum.Datum{
-		{datum.Str(`{"items":[{"qty":1},{"qty":2}]}`)},
-		{datum.Str(`{"items":[{"qty":7}]}`)},
-	}
-	if _, err := wh.AppendRows("db", "t", rows); err != nil {
-		t.Fatal(err)
-	}
-	e := NewEngine(wh, WithDefaultDB("db"))
+	e := NewEngine(bed.WH, WithDefaultDB("db"))
 	rs, _, err := e.QueryCtx(context.Background(), `SELECT get_json_object(doc, '$.items[*].qty') q FROM db.t`)
 	if err != nil {
 		t.Fatal(err)

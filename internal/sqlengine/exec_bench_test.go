@@ -7,10 +7,8 @@ import (
 	"time"
 
 	"repro/internal/datum"
-	"repro/internal/dfs"
 	"repro/internal/orc"
-	"repro/internal/simtime"
-	"repro/internal/warehouse"
+	"repro/internal/testbed"
 )
 
 // newBenchEngine builds a plain-column table (no JSON payloads) so these
@@ -18,40 +16,28 @@ import (
 // key encoding — rather than parse cost, which dominates the Table II
 // workloads and would mask the scan-path allocations we care about here.
 func newBenchEngine(rows int, opts ...EngineOption) *Engine {
-	clock := simtime.NewSim(time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC))
-	fs := dfs.New()
-	wh := warehouse.New(fs, warehouse.WithClock(clock),
-		warehouse.WithWriterOptions(orc.WriterOptions{RowGroupRows: 512}))
-	wh.CreateDatabase("bench")
-	schema := orc.Schema{Columns: []orc.Column{
+	table := testbed.Table{DB: "bench", Name: "t", Schema: orc.Schema{Columns: []orc.Column{
 		{Name: "a", Type: datum.TypeInt64},
 		{Name: "tag", Type: datum.TypeString},
 		{Name: "s", Type: datum.TypeString},
-	}}
-	if err := wh.CreateTable("bench", "t", schema); err != nil {
-		panic(err)
-	}
+	}}}
 	const fileRows = 2048
 	for off := 0; off < rows; off += fileRows {
-		n := fileRows
-		if rows-off < n {
-			n = rows - off
-		}
-		batch := make([][]datum.Datum, 0, n)
-		for i := 0; i < n; i++ {
-			id := off + i
+		batch := make([][]datum.Datum, 0, min(fileRows, rows-off))
+		for id := off; id < off+cap(batch); id++ {
 			batch = append(batch, []datum.Datum{
 				datum.Int(int64(id)),
 				datum.Str(fmt.Sprintf("g%d", id%8)),
 				datum.Str(fmt.Sprintf("val-%04d", id%100)),
 			})
 		}
-		if _, err := wh.AppendRows("bench", "t", batch); err != nil {
-			panic(err)
-		}
-		clock.Advance(time.Hour)
+		table.Parts = append(table.Parts, batch)
 	}
-	return NewEngine(wh, append([]EngineOption{
+	bed := testbed.New(testbed.Config{RowGroupRows: 512})
+	if err := bed.Load(time.Hour, table); err != nil {
+		panic(err)
+	}
+	return NewEngine(bed.WH, append([]EngineOption{
 		WithDefaultDB("bench"),
 		WithParallelism(1),
 	}, opts...)...)
@@ -105,19 +91,11 @@ func BenchmarkExecBatch(b *testing.B) {
 // B/op is the number to watch: nothing on this path should be proportional
 // to the rows scanned.
 func BenchmarkCachedScan(b *testing.B) {
-	clock := simtime.NewSim(time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC))
-	fs := dfs.New()
-	wh := warehouse.New(fs, warehouse.WithClock(clock),
-		warehouse.WithWriterOptions(orc.WriterOptions{RowGroupRows: 1000}))
-	wh.CreateDatabase("bench")
-	schema := orc.Schema{Columns: []orc.Column{
+	table := testbed.Table{DB: "bench", Name: "cached", Schema: orc.Schema{Columns: []orc.Column{
 		{Name: "k", Type: datum.TypeString},
 		{Name: "v", Type: datum.TypeString},
 		{Name: "w", Type: datum.TypeString},
-	}}
-	if err := wh.CreateTable("bench", "cached", schema); err != nil {
-		b.Fatal(err)
-	}
+	}}}
 	for file := 0; file < 10; file++ {
 		rows := make([][]datum.Datum, 1000)
 		for i := range rows {
@@ -128,11 +106,13 @@ func BenchmarkCachedScan(b *testing.B) {
 				datum.Str(fmt.Sprintf("%d", id%977)),
 			}
 		}
-		if _, err := wh.AppendRows("bench", "cached", rows); err != nil {
-			b.Fatal(err)
-		}
+		table.Parts = append(table.Parts, rows)
 	}
-	e := NewEngine(wh, WithDefaultDB("bench"), WithParallelism(1))
+	bed := testbed.New(testbed.Config{RowGroupRows: 1000})
+	if err := bed.Load(0, table); err != nil {
+		b.Fatal(err)
+	}
+	e := NewEngine(bed.WH, WithDefaultDB("bench"), WithParallelism(1))
 	for _, q := range []struct{ name, sql string }{
 		{"group", `SELECT k, COUNT(*) c, MAX(cast_double(v)) m FROM bench.cached GROUP BY k`},
 		{"filter", `SELECT COUNT(*) c FROM bench.cached WHERE cast_double(w) > 500`},

@@ -5,11 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/datum"
-	"repro/internal/dfs"
 	"repro/internal/jsonpath"
-	"repro/internal/orc"
 	"repro/internal/sjson"
-	"repro/internal/warehouse"
+	"repro/internal/testbed"
 )
 
 // extractSplits are the documents of db.t, one slice per part file: NULLs,
@@ -61,14 +59,7 @@ func extractReference(doc datum.Datum, path string) datum.Datum {
 // every read column must come through, and the parse meter must count one
 // scan per document that differs from the last one its split scanned.
 func TestBatchExtraction(t *testing.T) {
-	wh := warehouse.New(dfs.New())
-	wh.CreateDatabase("db")
-	if err := wh.CreateTable("db", "t", orc.Schema{Columns: []orc.Column{
-		{Name: "id", Type: datum.TypeInt64},
-		{Name: "doc", Type: datum.TypeString},
-	}}); err != nil {
-		t.Fatal(err)
-	}
+	table := testbed.Table{DB: "db", Name: "t", Schema: testbed.IDDoc}
 	id := 0
 	for _, docs := range extractSplits {
 		var rows [][]datum.Datum
@@ -76,10 +67,9 @@ func TestBatchExtraction(t *testing.T) {
 			rows = append(rows, []datum.Datum{datum.Int(int64(id)), d})
 			id++
 		}
-		if _, err := wh.AppendRows("db", "t", rows); err != nil {
-			t.Fatal(err)
-		}
+		table.Parts = append(table.Parts, rows)
 	}
+	wh := loadBed(t, table)
 
 	for _, layout := range []struct {
 		name string

@@ -7,51 +7,22 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/datum"
-	"repro/internal/dfs"
 	"repro/internal/jsonpath"
-	"repro/internal/orc"
-	"repro/internal/simtime"
-	"repro/internal/warehouse"
+	"repro/internal/testbed"
 )
 
 // newTestEngine builds a warehouse with the paper's Fig 1 sale-logs table:
 // 31 days of data across several part files, JSON payloads in sale_logs.
 func newTestEngine(t *testing.T, opts ...EngineOption) *Engine {
 	t.Helper()
-	clock := simtime.NewSim(time.Date(2019, 1, 1, 0, 0, 0, 0, time.UTC))
-	fs := dfs.New()
-	wh := warehouse.New(fs, warehouse.WithClock(clock),
-		warehouse.WithWriterOptions(orc.WriterOptions{RowGroupRows: 8}))
-	wh.CreateDatabase("mydb")
-	schema := orc.Schema{Columns: []orc.Column{
-		{Name: "mall_id", Type: datum.TypeString},
-		{Name: "date", Type: datum.TypeString},
-		{Name: "sale_logs", Type: datum.TypeString},
-	}}
-	if err := wh.CreateTable("mydb", "t", schema); err != nil {
+	bed := testbed.New(testbed.Config{RowGroupRows: 8})
+	if err := bed.Load(24*time.Hour, testbed.SaleLogs(func(day int) string {
+		return fmt.Sprintf(`{"item_id":%d,"item_name":"item-%02d","sale_count":%d,"turnover":%d,"price":%d,"nested":{"deep":{"v":%d}}}`,
+			day, day, day%7+1, day*10, day%5+1, day*100)
+	})); err != nil {
 		t.Fatal(err)
 	}
-	// 3 part files of 10, 10, 11 days.
-	day := 1
-	for _, n := range []int{10, 10, 11} {
-		var rows [][]datum.Datum
-		for i := 0; i < n; i++ {
-			date := fmt.Sprintf("201901%02d", day)
-			log := fmt.Sprintf(
-				`{"item_id":%d,"item_name":"item-%02d","sale_count":%d,"turnover":%d,"price":%d,"nested":{"deep":{"v":%d}}}`,
-				day, day, day%7+1, day*10, day%5+1, day*100)
-			rows = append(rows, []datum.Datum{
-				datum.Str("0001"), datum.Str(date), datum.Str(log),
-			})
-			day++
-		}
-		if _, err := wh.AppendRows("mydb", "t", rows); err != nil {
-			t.Fatal(err)
-		}
-		clock.Advance(24 * time.Hour)
-	}
-	return NewEngine(wh, append([]EngineOption{WithDefaultDB("mydb")}, opts...)...)
+	return NewEngine(bed.WH, append([]EngineOption{WithDefaultDB("mydb")}, opts...)...)
 }
 
 func mustQuery(t *testing.T, e *Engine, sql string) *ResultSet {
