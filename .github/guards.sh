@@ -24,6 +24,7 @@ list() {
 	kernel) printf '%s\n' internal/sjson/parser.go internal/sjson/extract.go ;;
 	registry) printf '%s\n' internal/core/registry.go ;;
 	reference) printf '%s\n' internal/core/reference_test.go ;;
+	eval) printf '%s\n' internal/sqlengine/expr.go ;;
 	all-go) find . -name '*.go' ;;                 # every Go file, tests and testdata included
 	serving-deps) go list -e -deps ./cmd/maxson-serve ./cmd/maxson-sql ./cmd/maxson-daily ;;
 	shipped-deps) go list -e -deps ./cmd/maxson-serve ./cmd/maxson-sql ./cmd/maxson-daily ./bench/e2e ;;
@@ -60,6 +61,13 @@ row module '\bjsonpath\.NewExtractor\b' '/internal/jsonpath/|/internal/sqlengine
 	"an extractor is opened outside the batch extraction"
 row module '\b(fallbackRowSource|fbGroup|extractBatch)\b' - \
 	"a second batch extraction loop is back"
+# A get_json_object call is a scan column from the moment it is planned
+# (DESIGN.md, "JSON extraction"): no evaluator runs a JSON path per row, and
+# neither Bind nor Eval handles a call.
+row module 'DocEvaluator|NewDocEvaluator|PlanPathCalls|PathCalls|streamEval' - \
+	"a per-row JSON path evaluator is back"
+row eval 'case \*JSONPathExpr' - \
+	"expr.go binds or evaluates a get_json_object call again"
 # The cost model stays with the figures: the engine, cacher, scorer and
 # EXPLAIN report counters, not simulated time.
 row module '\b(CostModel|PhaseBreakdown|SimulatedTime|SimulatedPlanTime|ParseNsSpent)\b' '/internal/experiments/|/internal/lint/testdata/' \

@@ -595,7 +595,7 @@ func (tp *tablePopulate) plan(missingOnly bool) *extractPlan {
 	if x := sqlengine.CompileExtraction(nil, list); x != nil {
 		// One extraction state serves every split of the table;
 		// populateSplit resets it per split.
-		p.x, p.readCols = x.Split(), x.Reads()
+		p.x, p.readCols = x.Split(sqlengine.StreamBackend{}), x.Reads()
 		for range p.readCols {
 			// The cursor decodes the file's values straight into these
 			// vectors (documents as views of the part file; orc.Writer

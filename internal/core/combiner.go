@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"sync"
 
-	"repro/internal/datum"
 	"repro/internal/dfs"
 	"repro/internal/obs"
 	"repro/internal/orc"
@@ -89,9 +88,13 @@ type CombinedScanFactory struct {
 	// appended without being ingested). Aligned with cacheCols.
 	fallbacks []sqlengine.Extraction
 
-	// extract is what a shared pass (Union) also extracts, into the columns
-	// after the cache's, whether or not the cache serves the split.
+	// extract is what the raw side extracts into the columns after the
+	// cache's, whether or not the cache serves the split: the calls of the
+	// plan the cache does not serve, or a shared pass's union of them.
 	extract []sqlengine.Extraction
+	// backend is the parser backend the raw side extracts through (nil
+	// streams).
+	backend sqlengine.ParserBackend
 
 	// Pushdown enables sharing the cache reader's row-group mask with the
 	// primary reader.
@@ -161,34 +164,38 @@ func (f *CombinedScanFactory) ShareKey() string {
 
 // Union implements scanshare.Unioner: one combined scan serving every factory
 // of fs, each a *CombinedScanFactory over f's raw scan with f's share key. Its
-// cache columns are the union of theirs, each with its fallback, and after
-// them it extracts extract into the columns extCols names. A union that adds
-// nothing to f is f.
+// cache columns are the union of theirs, each with its fallback and its
+// schema column, and after them it extracts extract into the columns extCols
+// describes. A union that adds nothing to f is f.
 func (f *CombinedScanFactory) Union(fs []sqlengine.ScanSourceFactory, extract []sqlengine.Extraction, extCols []sqlengine.RowCol) sqlengine.ScanSourceFactory {
-	fallbacks := make(map[string]sqlengine.Extraction, len(f.cacheCols))
+	type cacheCol struct {
+		fallback sqlengine.Extraction
+		schema   sqlengine.RowCol
+	}
+	union := make(map[string]cacheCol, len(f.cacheCols))
 	for _, g := range fs {
 		c := g.(*CombinedScanFactory)
 		for i, col := range c.cacheCols {
-			fallbacks[col] = c.fallbacks[i]
+			union[col] = cacheCol{c.fallbacks[i], c.schema.Cols[len(c.primaryCols)+i]}
 		}
 	}
-	if len(fallbacks) == len(f.cacheCols) && len(extract) == 0 {
+	if len(union) == len(f.cacheCols) && slices.Equal(extCols, f.schema.Cols[len(f.primaryCols)+len(f.cacheCols):]) {
 		return f
 	}
-	cacheCols := make([]string, 0, len(fallbacks))
-	for col := range fallbacks {
+	cacheCols := make([]string, 0, len(union))
+	for col := range union {
 		cacheCols = append(cacheCols, col)
 	}
 	sort.Strings(cacheCols)
-	schema := append([]sqlengine.RowCol(nil), f.schema.Cols[:len(f.primaryCols)]...)
+	schema := slices.Clip(f.schema.Cols[:len(f.primaryCols)])
 	fbs := make([]sqlengine.Extraction, len(cacheCols))
 	for i, col := range cacheCols {
-		fbs[i] = fallbacks[col]
-		schema = append(schema, sqlengine.RowCol{Name: col, Type: datum.TypeString})
+		fbs[i] = union[col].fallback
+		schema = append(schema, union[col].schema)
 	}
 	u := NewCombinedScanFactory(f.wh, f.rawDB, f.rawTable, f.primaryCols, f.primarySARG,
 		f.manifest, cacheCols, f.cacheSARG, fbs, f.pushdown, sqlengine.RowSchema{Cols: append(schema, extCols...)}, f.obsc)
-	u.registry, u.extract = f.registry, extract
+	u.registry, u.extract, u.backend = f.registry, extract, f.backend
 	return u
 }
 
@@ -196,7 +203,7 @@ func (f *CombinedScanFactory) Union(fs []sqlengine.ScanSourceFactory, extract []
 func (f *CombinedScanFactory) splitReader(list []sqlengine.Extraction) *sqlengine.SplitReader {
 	return sqlengine.NewSplitReader(f.wh, &sqlengine.ScanNode{
 		DB: f.rawDB, Table: f.rawTable, Columns: f.primaryCols, SARG: f.primarySARG, Extract: list,
-	})
+	}, f.backend)
 }
 
 // SetRegistry attaches the cache registry so the factory can quarantine a

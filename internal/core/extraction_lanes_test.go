@@ -390,3 +390,76 @@ func TestEveryConsumerMetersParseAlike(t *testing.T) {
 		t.Errorf("a 2-way shared combined pass metered %+v in all, one unshared query %+v", shared, alone)
 	}
 }
+
+// TestFilteredShapeMetersCallsAloneAndShared pins what Parse.Calls counts: one
+// call per call site per row the executor evaluates that site on, wherever
+// the value was extracted. A raw query that filters before it projects calls
+// the filter's path on every row and the projected path on the rows that
+// pass; a 2-way shared pass extracts both once for the pair, yet each of its
+// queries makes exactly the calls it makes alone, and the pair parses what
+// one query alone parses.
+func TestFilteredShapeMetersCallsAloneAndShared(t *testing.T) {
+	ctx := context.Background()
+	// meterDocs' $.a: 1, 2, 2, unreadable and 4, so the filter passes three
+	// rows; the repeated document is scanned once.
+	const sql = `SELECT get_json_object(doc, '$.b') b FROM db.t WHERE get_json_object(doc, '$.a') > 1`
+	const wantCalls, wantDocs = 5 + 3, 4
+	rows := make([][]datum.Datum, len(meterDocs))
+	for i, d := range meterDocs {
+		rows[i] = []datum.Datum{datum.Int(int64(i)), datum.Str(d)}
+	}
+	load := func(cfg Config) *Maxson {
+		t.Helper()
+		_, wh, m := laneSystem(t, sqlengine.DefaultBatchSize, cfg)
+		if _, err := wh.AppendRows("db", "t", rows); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+
+	rs, alone, err := load(Config{}).QueryCtx(ctx, sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs.Rows) != 3 {
+		t.Fatalf("%d rows pass the filter, want 3", len(rs.Rows))
+	}
+	if pc := alone.Parse.Snapshot(); pc.Calls != wantCalls || pc.Docs != wantDocs {
+		t.Fatalf("alone: %d calls over %d documents, want %d over %d", pc.Calls, pc.Docs, wantCalls, wantDocs)
+	}
+
+	m := load(Config{ScanShareWindow: 5 * time.Second, ScanShareMaxQueries: 2})
+	for i := 0; i < 2; i++ { // two in a row mark the fingerprint contended
+		if _, _, err := m.QueryCtx(ctx, sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	metrics := make([]*sqlengine.Metrics, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for i := range metrics {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, metrics[i], errs[i] = m.QueryCtx(ctx, sql)
+		}(i)
+	}
+	wg.Wait()
+	if got := m.Obs().Snapshot().Counter("scanshare_queries_coalesced_total"); got != 2 {
+		t.Fatalf("coalesced %d queries, want 2 in one shared pass", got)
+	}
+	docs := int64(0)
+	for i, qm := range metrics {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		pc := qm.Parse.Snapshot()
+		if pc.Calls != wantCalls {
+			t.Errorf("shared query %d made %d calls, alone %d", i, pc.Calls, wantCalls)
+		}
+		docs += pc.Docs
+	}
+	if docs != wantDocs {
+		t.Errorf("the shared pair parsed %d documents, one query alone %d", docs, wantDocs)
+	}
+}

@@ -1,11 +1,9 @@
 package core
 
 import (
-	"sort"
+	"slices"
 	"strings"
 
-	"repro/internal/datum"
-	"repro/internal/jsonpath"
 	"repro/internal/obs"
 	"repro/internal/orc"
 	"repro/internal/pathkey"
@@ -13,14 +11,16 @@ import (
 	"repro/internal/warehouse"
 )
 
-// Planner is the MaxsonParser: it rewrites a compiled physical plan so that
-// every get_json_object over a cached JSONPath becomes a placeholder read
-// from the cache table, the scan becomes a Value Combiner over paired
-// readers, the raw JSON column is dropped from the primary read set when
-// all its paths are cached, and predicates over cached paths are pushed
-// down to the cache table (paper Algorithm 1, §IV-D/F). Which splits the
-// cache serves is not the planner's decision: the combiner asks the
-// manifest per split, by raw part version.
+// Planner is the MaxsonParser: the engine's planner makes every
+// get_json_object call a column its scan extracts (ScanNode.Extract), and
+// this modifier moves each extraction a cached JSONPath serves onto a column
+// read from the cache table. The scan becomes a Value Combiner over paired
+// readers, the raw JSON column is dropped from the primary read set when no
+// extraction or other expression still reads it, and predicates over cached
+// paths are pushed down to the cache table (paper Algorithm 1, §IV-D/F). No
+// expression is rewritten: a call reads its column whichever reader fills
+// it. Which splits the cache serves is not the planner's decision: the
+// combiner asks the manifest per split, by raw part version.
 type Planner struct {
 	wh       *warehouse.Warehouse
 	registry *Registry
@@ -34,6 +34,9 @@ type Planner struct {
 	// open-mode and hit/miss counters, resolved here once so that building a
 	// plan makes no registry lookup.
 	obsc *combinerObs
+	// backend is the parser backend of the engine the planner is installed
+	// on: a combined scan extracts what the cache does not serve through it.
+	backend sqlengine.ParserBackend
 }
 
 // NewPlanner wires a plan modifier whose combined scans count into reg (a
@@ -48,11 +51,12 @@ func NewPlanner(wh *warehouse.Warehouse, registry *Registry, reg *obs.Registry) 
 // Install registers the planner as the engine's plan modifier.
 func (p *Planner) Install(e *sqlengine.Engine) {
 	e.PlanModifier = p.Modify
+	p.backend = e.Backend()
 }
 
-// Modify rewrites the plan in place. It returns the number of extra
-// expression nodes visited, which the engine adds to its plan-time
-// accounting (the Fig 13 overhead).
+// Modify rewrites the plan in place. It returns the number of call sites
+// the cache serves, which the engine adds to its plan-time accounting (the
+// Fig 13 overhead).
 func (p *Planner) Modify(plan *sqlengine.PhysicalPlan, stmt *sqlengine.SelectStmt) (int64, error) {
 	gen := p.registry.snap.Load() // one generation for the whole plan
 	extra := p.modifyScan(plan, plan.Scan, gen)
@@ -79,115 +83,89 @@ func (p *Planner) Modify(plan *sqlengine.PhysicalPlan, stmt *sqlengine.SelectStm
 }
 
 // modifyScan applies Algorithm 1 to one scan node against gen. It returns
-// the number of replaced expressions (0 = scan untouched).
+// the number of call sites of the scan the cache serves (0 = scan
+// untouched).
 func (p *Planner) modifyScan(plan *sqlengine.PhysicalPlan, scan *sqlengine.ScanNode, gen *snapshot) int64 {
-	// Algorithm 1's MatchExpr over every expression tree: find cached
-	// get_json_object calls bound to this scan.
-	type hit struct {
-		entry *CacheEntry
-		expr  *sqlengine.JSONPathExpr
-	}
-	var hits []hit
-	hitCols := map[string]*CacheEntry{} // cache column -> entry
-	replaced := int64(0)
-
-	match := func(n sqlengine.Expr) {
-		jp, ok := n.(*sqlengine.JSONPathExpr)
-		if !ok {
-			return
-		}
-		if jp.Column.Qualifier != "" && !strings.EqualFold(jp.Column.Qualifier, scan.Binding) {
-			return
-		}
-		key := pathkey.Key{DB: scan.DB, Table: scan.Table, Column: jp.Column.Name, Path: jp.Path.Canonical()}
-		// A quarantined table has no entries: the query plans against raw
-		// data.
-		entry := gen.entries[key]
+	// MatchExpr over the scan's extractions: the cached ones become cache
+	// columns (lines 22-23), the rest stay extracted.
+	schema := scan.Schema().Cols
+	first := len(schema) - len(scan.Extract) // the extracted columns' start
+	var hits []cacheHit                      // sorted by cache column below
+	var extract []sqlengine.Extraction
+	var extracted []sqlengine.RowCol
+	for i, x := range scan.Extract {
+		col := schema[first+i]
+		entry := gen.entries[pathkey.Key{DB: scan.DB, Table: scan.Table, Column: x.Column, Path: col.Path}]
 		if entry == nil {
-			return
+			// A quarantined table has no entries: the query plans against
+			// raw data.
+			extract, extracted = append(extract, x), append(extracted, col)
+			continue
 		}
-		hits = append(hits, hit{entry: entry, expr: jp})
-		hitCols[entry.CacheColumn] = entry
+		col.Extracted = false
+		hits = append(hits, cacheHit{entry, x, col})
 	}
-	sqlengine.VisitPlanExprs(plan, match)
 	if len(hits) == 0 {
 		return 0
 	}
 
-	// Replace each hit expression with a CachePlaceholder (lines 22-23).
-	replace := func(e sqlengine.Expr) sqlengine.Expr {
-		return sqlengine.Rewrite(e, func(n sqlengine.Expr) sqlengine.Expr {
-			jp, ok := n.(*sqlengine.JSONPathExpr)
-			if !ok {
-				return n
-			}
-			for _, h := range hits {
-				if h.expr == jp {
-					replaced++
-					return &sqlengine.CachePlaceholder{
-						OutputName:   h.entry.CacheColumn,
-						SourceColumn: jp.Column.Name,
-						Path:         jp.Path,
-					}
-				}
-			}
-			return n
-		})
-	}
-	sqlengine.RewritePlanExprs(plan, replace)
+	// Count the call sites the cache now serves: each is one MatchExpr hit.
+	served := int64(0)
+	sqlengine.VisitPlanExprs(plan, func(n sqlengine.Expr) {
+		if r, ok := n.(*sqlengine.ExtractRef); ok && onScan(r, scan) && servedBy(r, hits) != "" {
+			served++
+		}
+	})
 
-	// Cache columns read from the cache table, deterministic order.
-	var cacheCols []string
-	for col := range hitCols {
-		cacheCols = append(cacheCols, col)
+	// Cache columns read from the cache table, deterministic order. The
+	// scan extracts each (column, path) once, so each names its own column.
+	slices.SortFunc(hits, func(a, b cacheHit) int { return strings.Compare(a.entry.CacheColumn, b.entry.CacheColumn) })
+	cacheCols := make([]string, len(hits))
+	for i, h := range hits {
+		cacheCols[i] = h.entry.CacheColumn
 	}
-	sort.Strings(cacheCols)
 
-	// The raw JSON columns whose every use was replaced can be dropped from
-	// the primary read set (Fig 9: json_column0 removed). A JSON column
-	// survives if any expression still references it.
+	// The raw JSON columns nothing reads any more can be dropped from the
+	// primary read set (Fig 9: json_column0 removed). A JSON column survives
+	// if an expression references it or an extraction still reads it.
 	stillUsed := map[string]bool{}
-	collectUsed := func(n sqlengine.Expr) {
+	sqlengine.VisitPlanExprs(plan, func(n sqlengine.Expr) {
 		if c, ok := n.(*sqlengine.ColumnRef); ok {
 			if c.Qualifier == "" || strings.EqualFold(c.Qualifier, scan.Binding) {
 				stillUsed[strings.ToLower(c.Name)] = true
 			}
 		}
+	})
+	for _, x := range extract {
+		stillUsed[strings.ToLower(x.Column)] = true
 	}
-	sqlengine.VisitPlanExprs(plan, collectUsed)
 
 	var primaryCols []string
 	var schemaCols []sqlengine.RowCol
 	for i, name := range scan.Columns {
 		if stillUsed[strings.ToLower(name)] || p.KeepJSONColumns {
 			primaryCols = append(primaryCols, name)
-			schemaCols = append(schemaCols, scan.Schema().Cols[i])
+			schemaCols = append(schemaCols, schema[i])
 		}
 	}
-	for _, col := range cacheCols {
-		schemaCols = append(schemaCols, sqlengine.RowCol{
-			Qualifier: scan.Binding, Name: col, Type: datum.TypeString,
-		})
+	for _, h := range hits {
+		schemaCols = append(schemaCols, h.col)
 	}
+	schemaCols = append(schemaCols, extracted...)
 
 	// Predicate pushdown (§IV-F): conjuncts of the WHERE clause comparing a
-	// cached placeholder with a literal become SARGs on the cache table.
+	// cached call with a literal become SARGs on the cache table.
 	var cacheSARG *orc.SARG
 	if p.Pushdown && plan.Filter != nil {
-		cacheSARG = extractCacheSARG(plan.Filter, hitCols)
+		cacheSARG = extractCacheSARG(plan.Filter, scan, hits)
 	}
 
 	// The fallback extraction lets the combiner compute cache-column values
 	// for raw part files the manifest does not serve: appended, rewritten or
 	// recreated since the cache was populated.
-	fallbacks := make([]sqlengine.Extraction, len(cacheCols))
-	for i, col := range cacheCols {
-		entry := hitCols[col]
-		path, err := jsonpath.Compile(entry.Key.Path)
-		if err != nil {
-			return 0
-		}
-		fallbacks[i] = sqlengine.Extraction{Column: entry.Key.Column, Path: path}
+	fallbacks := make([]sqlengine.Extraction, len(hits))
+	for i, h := range hits {
+		fallbacks[i] = h.x
 	}
 
 	factory := NewCombinedScanFactory(
@@ -200,15 +178,46 @@ func (p *Planner) modifyScan(plan *sqlengine.PhysicalPlan, scan *sqlengine.ScanN
 		p.obsc,
 	)
 	factory.SetRegistry(p.registry)
+	factory.extract, factory.backend = extract, p.backend
 	scan.Factory = factory
 	scan.Columns = primaryCols
+	scan.Extract = extract
+	// The combined scan applies no raw prefilter: its readers pair rows by
+	// position.
+	scan.PreFilters = nil
 	scan.SetSchema(sqlengine.RowSchema{Cols: schemaCols})
-	return replaced
+	return served
+}
+
+// cacheHit is a cache entry that serves extraction x of a scan, and x's
+// schema column, now filled from the cache column.
+type cacheHit struct {
+	entry *CacheEntry
+	x     sqlengine.Extraction
+	col   sqlengine.RowCol
+}
+
+// onScan reports whether call site r reads scan: its document column is
+// unqualified or qualified by the scan's binding.
+func onScan(r *sqlengine.ExtractRef, scan *sqlengine.ScanNode) bool {
+	q := r.Call.Column.Qualifier
+	return q == "" || strings.EqualFold(q, scan.Binding)
+}
+
+// servedBy returns the cache column among hits that serves call site r,
+// "" for none.
+func servedBy(r *sqlengine.ExtractRef, hits []cacheHit) string {
+	for _, h := range hits {
+		if h.col.Path == r.Call.Path.Canonical() && strings.EqualFold(h.col.Name, r.Call.Column.Name) {
+			return h.entry.CacheColumn
+		}
+	}
+	return ""
 }
 
 // extractCacheSARG converts AND-conjuncts of the form
-// placeholder-compare-literal into cache-table predicates.
-func extractCacheSARG(filter sqlengine.Expr, hitCols map[string]*CacheEntry) *orc.SARG {
+// cached-call-compare-literal over scan into cache-table predicates.
+func extractCacheSARG(filter sqlengine.Expr, scan *sqlengine.ScanNode, hits []cacheHit) *orc.SARG {
 	var preds []orc.Predicate
 	var visit func(e sqlengine.Expr)
 	visit = func(e sqlengine.Expr) {
@@ -221,33 +230,32 @@ func extractCacheSARG(filter sqlengine.Expr, hitCols map[string]*CacheEntry) *or
 			visit(b.Right)
 			return
 		}
-		ph, lit, swapped := placeholderLitPair(b.Left, b.Right)
+		ref, lit, swapped := callLitPair(b.Left, b.Right)
 		bop := b.Op
 		if swapped {
 			bop = bop.Mirror()
 		}
 		op, ok := sargOpOf(bop)
-		if !ok || ph == nil {
+		if !ok || ref == nil || !onScan(ref, scan) {
 			return
 		}
-		if _, cached := hitCols[ph.OutputName]; !cached {
-			return
+		if col := servedBy(ref, hits); col != "" {
+			preds = append(preds, orc.Predicate{Column: col, Op: op, Value: lit.Value})
 		}
-		preds = append(preds, orc.Predicate{Column: ph.OutputName, Op: op, Value: lit.Value})
 	}
 	visit(filter)
 	return orc.NewSARG(preds...)
 }
 
-func placeholderLitPair(l, r sqlengine.Expr) (*sqlengine.CachePlaceholder, *sqlengine.Literal, bool) {
-	if ph, ok := l.(*sqlengine.CachePlaceholder); ok {
+func callLitPair(l, r sqlengine.Expr) (*sqlengine.ExtractRef, *sqlengine.Literal, bool) {
+	if ref, ok := l.(*sqlengine.ExtractRef); ok {
 		if lit, ok := r.(*sqlengine.Literal); ok {
-			return ph, lit, false
+			return ref, lit, false
 		}
 	}
-	if ph, ok := r.(*sqlengine.CachePlaceholder); ok {
+	if ref, ok := r.(*sqlengine.ExtractRef); ok {
 		if lit, ok := l.(*sqlengine.Literal); ok {
-			return ph, lit, true
+			return ref, lit, true
 		}
 	}
 	return nil, nil, false

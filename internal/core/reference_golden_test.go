@@ -90,6 +90,8 @@ func TestReferenceGoldens(t *testing.T) {
 			[][]datum.Datum{{i(0), null(datum.TypeFloat64), null(datum.TypeString)}}},
 		{"distinct", `SELECT DISTINCT tag FROM db.g ORDER BY tag`,
 			[][]datum.Datum{{null(datum.TypeString)}, {s("x")}, {s("y")}}},
+		{"distinct-null", `SELECT DISTINCT get_json_object(doc, '$.k') k FROM db.g ORDER BY k`,
+			[][]datum.Datum{{null(datum.TypeString)}, {s("NULL")}, {s("a")}, {s("b")}}},
 		{"alias-desc-limit", `SELECT id, get_json_object(doc, '$.v') v FROM db.g ORDER BY v DESC LIMIT 2`,
 			[][]datum.Datum{{i(3), s("n/a")}, {i(5), s("0.7")}}},
 		{"hidden-key-limit", `SELECT get_json_object(doc, '$.k') k FROM db.g ORDER BY id DESC LIMIT 3`,

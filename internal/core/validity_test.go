@@ -10,11 +10,13 @@ import (
 	"repro/internal/datum"
 	"repro/internal/fault"
 	"repro/internal/sqlengine"
+	"repro/internal/warehouse"
 )
 
 // TestSplitValidityEquivalence is the gate on per-split validity: over every
 // history a raw table can have had since its cache was populated, a query
-// through Maxson returns exactly the plain engine's rows, and reads cache
+// through Maxson returns exactly the reference's rows (referenceQuery, which
+// shares no executor code with the engine), and reads cache
 // values exactly when some split is still at the version the manifest filed
 // it under — one value per cached path named and matched row when no scan is
 // shared. An append is such a split once ingest has cached it; one that lands
@@ -146,9 +148,8 @@ func TestSplitValidityEquivalence(t *testing.T) {
 			t.Run(h.name+"/"+mode, func(t *testing.T) {
 				f := newFixture(t)
 				node := h.run(t, f, validityNode(f, share), share)
-				plain := sqlengine.NewEngine(f.wh, sqlengine.WithDefaultDB("mydb"))
 				for _, s := range selections {
-					want, _, err := plain.QueryCtx(context.Background(), s.sql)
+					want, err := referenceQuery(f.wh, "mydb", s.sql)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -157,8 +158,8 @@ func TestSplitValidityEquivalence(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if got.String() != want.String() {
-							t.Errorf("%s: rows differ from the plain engine:\ngot  %s\nwant %s", s.name, got.String(), want.String())
+						if diff := want.match(got.Columns, got.Rows); diff != "" {
+							t.Errorf("%s: rows differ from the reference: %s", s.name, diff)
 						}
 						if values := met.CacheValuesRead.Load(); values != s.cached*h.matched {
 							t.Errorf("%s: read %d cache values, want %d", s.name, values, s.cached*h.matched)
@@ -169,10 +170,10 @@ func TestSplitValidityEquivalence(t *testing.T) {
 					// so the burst after them shares one pass; whichever query
 					// claims the pass carries its cache reads.
 					values := int64(0)
-					for _, q := range validityBurst(t, node, s.sql, want.String(), 2, false) {
+					for _, q := range validityBurst(t, node, s.sql, want, 2, false) {
 						values += q
 					}
-					for _, q := range validityBurst(t, node, s.sql, want.String(), 3, true) {
+					for _, q := range validityBurst(t, node, s.sql, want, 3, true) {
 						values += q
 					}
 					if (values > 0) != (h.matched > 0) {
@@ -180,7 +181,7 @@ func TestSplitValidityEquivalence(t *testing.T) {
 					}
 				}
 				if share {
-					overlappingBurst(t, node, plain, selections[0].sql, selections[1].sql)
+					overlappingBurst(t, node, f.wh, selections[0].sql, selections[1].sql)
 					coalesced += node.Obs().Counter("scanshare_queries_coalesced_total").Value()
 				}
 			})
@@ -195,17 +196,17 @@ func TestSplitValidityEquivalence(t *testing.T) {
 // read no raw column and ask a subset and all of the cached paths — together,
 // sub first, once sub twice in a row has made their shared fingerprint
 // contended: the pass they share reads the union of their cache columns, and
-// each returns the plain engine's rows.
-func overlappingBurst(t *testing.T, m *Maxson, plain *sqlengine.Engine, sub, super string) {
+// each returns the reference's rows over wh.
+func overlappingBurst(t *testing.T, m *Maxson, wh *warehouse.Warehouse, sub, super string) {
 	t.Helper()
 	sqls := []string{sub, super}
-	want := make([]string, len(sqls))
+	want := make([]*refResult, len(sqls))
 	for i, sql := range sqls {
-		rs, _, err := plain.QueryCtx(context.Background(), sql)
+		ref, err := referenceQuery(wh, "mydb", sql)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i] = rs.String()
+		want[i] = ref
 	}
 	validityBurst(t, m, sub, want[0], 2, false)
 	before := m.Obs().Counter("scanshare_groups_total").Value()
@@ -238,19 +239,19 @@ func validityNode(f *fixture, share bool) *Maxson {
 }
 
 // validityBurst runs sql n times, one after another or all at once, checks
-// every result against want, and returns each query's cache value reads.
-func validityBurst(t *testing.T, m *Maxson, sql, want string, n int, concurrent bool) []int64 {
+// every result against the reference's want, and returns each query's cache
+// value reads.
+func validityBurst(t *testing.T, m *Maxson, sql string, want *refResult, n int, concurrent bool) []int64 {
 	t.Helper()
 	values := make([]int64, n)
 	errs := make([]error, n)
 	run := func(i int) {
 		rs, met, err := m.QueryCtx(context.Background(), sql)
-		switch {
-		case err != nil:
+		if err != nil {
 			errs[i] = err
-		case rs.String() != want:
-			errs[i] = fmt.Errorf("rows differ from the plain engine:\ngot  %s\nwant %s", rs.String(), want)
-		default:
+		} else if diff := want.match(rs.Columns, rs.Rows); diff != "" {
+			errs[i] = fmt.Errorf("rows differ from the reference: %s", diff)
+		} else {
 			values[i] = met.CacheValuesRead.Load()
 		}
 	}

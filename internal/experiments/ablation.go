@@ -18,7 +18,7 @@ type AblationRow struct {
 }
 
 // AblationResult isolates the contribution of each design choice the paper
-// motivates: cache placeholders alone, plus predicate pushdown (§IV-F),
+// motivates: serving calls from cache columns alone, plus predicate pushdown (§IV-F),
 // plus dropping fully cached JSON columns from the primary read set
 // (Fig 9's projection change).
 type AblationResult struct {

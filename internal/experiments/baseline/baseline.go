@@ -1,10 +1,12 @@
 // Package baseline holds the JSON parsers the paper's figures compare
 // against — a Jackson-style full tree parse (Fig 3, Fig 12-15 "spark") and a
 // Mison-style structural-index projection (Fig 15) — as sqlengine
-// ParserBackends. They are measurement baselines and test references only:
-// the engine's own evaluator is the streaming sqlengine.StreamBackend, and CI
-// checks with `go list -deps` that maxson-serve, maxson-sql and maxson-daily
-// do not link this package.
+// ParserBackends: each opens the extractor a scan's batch extraction
+// (sqlengine.SplitExtraction.Fill) drives over one document column. They are
+// measurement baselines and test references only: the engine's own extractor
+// is the streaming sqlengine.StreamBackend, and CI checks with `go list
+// -deps` that maxson-serve, maxson-sql and maxson-daily do not link this
+// package.
 package baseline
 
 import (
@@ -16,50 +18,53 @@ import (
 
 // ---- Jackson-style backend: full tree parse per document ----
 
-// JacksonBackend parses the whole document into a tree and navigates it,
-// the way SparkSQL's default Jackson-based get_json_object behaves. A
-// per-document memo avoids re-parsing when several paths hit the same
-// document in one row (SparkSQL caches the parsed tree per input string in
-// the same way).
+// JacksonBackend parses the whole document into a tree and navigates it for
+// each path, the way SparkSQL's default Jackson-based get_json_object
+// behaves. The tree is kept while its document repeats, as SparkSQL caches
+// the parsed tree per input string.
 type JacksonBackend struct{}
 
 // Name implements sqlengine.ParserBackend.
 func (JacksonBackend) Name() string { return "jackson" }
 
-// NewDocEvaluator implements sqlengine.ParserBackend.
-func (JacksonBackend) NewDocEvaluator(meter *sqlengine.ParseMeter, _ *sqlengine.PathCalls) sqlengine.DocEvaluator {
-	return &jacksonEval{meter: meter}
+// NewExtractor implements sqlengine.ParserBackend.
+func (JacksonBackend) NewExtractor(set *jsonpath.PathSet) sqlengine.ColumnExtractor {
+	return &treeExtractor{paths: set.Paths()}
 }
 
-type jacksonEval struct {
-	meter   *sqlengine.ParseMeter
-	lastDoc string
-	lastVal *sjson.Value
-	lastErr bool
+// treeExtractor answers every path from the current document's tree; a
+// malformed document has none, so every path is NULL.
+type treeExtractor struct {
+	paths  []*jsonpath.Path
+	doc    string
+	loaded bool
+	root   *sjson.Value
+	err    error
 }
 
-func (j *jacksonEval) Extract(doc string, call *sqlengine.JSONPathExpr) (string, bool) {
-	j.meter.Calls.Add(1)
-	return j.eval(doc, call.Path)
+// Extract implements sqlengine.ColumnExtractor: a tree parse reads the whole
+// document.
+func (t *treeExtractor) Extract(doc string) int {
+	t.doc, t.loaded = doc, true
+	t.root, t.err = sjson.ParseString(doc)
+	return len(doc)
 }
 
-func (j *jacksonEval) eval(doc string, path *jsonpath.Path) (string, bool) {
-	if doc != j.lastDoc || (j.lastVal == nil && !j.lastErr) {
-		root, err := sjson.ParseString(doc)
-		j.meter.Docs.Add(1)
-		j.meter.Bytes.Add(int64(len(doc)))
-		j.lastDoc = doc
-		j.lastErr = err != nil
-		if err != nil {
-			j.lastVal = nil
-		} else {
-			j.lastVal = root
-		}
-	}
-	if j.lastVal == nil {
+// Holds implements sqlengine.ColumnExtractor.
+func (t *treeExtractor) Holds(doc string) bool { return t.loaded && t.doc == doc }
+
+// Forget implements sqlengine.ColumnExtractor.
+func (t *treeExtractor) Forget() { t.doc, t.loaded, t.root, t.err = "", false, nil, nil }
+
+// Err implements sqlengine.ColumnExtractor.
+func (t *treeExtractor) Err() error { return t.err }
+
+// Scalar implements sqlengine.ColumnExtractor.
+func (t *treeExtractor) Scalar(i int) (string, bool) {
+	if t.root == nil {
 		return "", false
 	}
-	v := path.Eval(j.lastVal)
+	v := t.paths[i].Eval(t.root)
 	if v.IsNull() {
 		return "", false
 	}
@@ -75,53 +80,79 @@ type MisonBackend struct{}
 // Name implements sqlengine.ParserBackend.
 func (MisonBackend) Name() string { return "mison" }
 
-// NewDocEvaluator implements sqlengine.ParserBackend.
-func (MisonBackend) NewDocEvaluator(meter *sqlengine.ParseMeter, _ *sqlengine.PathCalls) sqlengine.DocEvaluator {
-	return &misonEval{meter: meter, pathIdx: make(map[string]int)}
-}
-
-// misonEval batches every path of the query through one projector, so each
-// document's structural index is built once and all fields project out of
-// it — Mison's intended mode. The path set grows as the first row
-// encounters each get_json_object call; later rows project all paths in a
-// single pass.
-type misonEval struct {
-	meter   *sqlengine.ParseMeter
-	paths   []*jsonpath.Path
-	pathIdx map[string]int
-	pr      *mison.Projector
-	lastDoc string
-	lastRes []mison.Result
-	// tree serves wildcard paths the index cannot.
-	tree *jacksonEval
-}
-
-func (m *misonEval) Extract(doc string, call *sqlengine.JSONPathExpr) (string, bool) {
-	m.meter.Calls.Add(1)
-	path := call.Path
-	// The structural index serves point lookups only; wildcard paths fan
-	// out over arrays and need the tree (Mison's real limitation).
-	if path.HasWildcard() {
-		if m.tree == nil {
-			m.tree = &jacksonEval{meter: m.meter}
+// NewExtractor implements sqlengine.ParserBackend: one projector over the
+// set's point paths, so each document's structural index is built once and
+// every field projects out of it — Mison's intended mode. Wildcard paths fan
+// out over arrays, which the index cannot serve (Mison's real limitation):
+// they take a tree parse of the document.
+func (MisonBackend) NewExtractor(set *jsonpath.PathSet) sqlengine.ColumnExtractor {
+	x := &indexExtractor{slot: make([]int, set.Len())}
+	var points []*jsonpath.Path
+	for i, p := range set.Paths() {
+		x.slot[i] = -1
+		if !p.HasWildcard() {
+			x.slot[i] = len(points)
+			points = append(points, p)
 		}
-		return m.tree.eval(doc, path)
 	}
-	key := path.Canonical()
-	idx, known := m.pathIdx[key]
-	if !known {
-		m.paths = append(m.paths, path)
-		idx = len(m.paths) - 1
-		m.pathIdx[key] = idx
-		m.pr = mison.NewProjector(m.paths...)
-		m.lastRes = nil // force re-projection with the grown path set
+	if len(points) > 0 {
+		x.pr = mison.NewProjector(points...)
 	}
-	if doc != m.lastDoc || m.lastRes == nil {
-		m.lastRes = m.pr.Project([]byte(doc))
-		m.lastDoc = doc
-		m.meter.Docs.Add(1)
-		m.meter.Bytes.Add(int64(len(doc)))
+	if len(points) < set.Len() {
+		x.tree = &treeExtractor{paths: set.Paths()}
 	}
-	res := m.lastRes[idx]
-	return res.Scalar, res.Present
+	return x
+}
+
+// indexExtractor projects the set's point paths (slot[i] >= 0 is path i's
+// projector output) and tree-parses for the wildcard ones.
+type indexExtractor struct {
+	slot   []int
+	pr     *mison.Projector
+	res    []mison.Result
+	tree   *treeExtractor
+	doc    string
+	loaded bool
+}
+
+// Extract implements sqlengine.ColumnExtractor: the index is built over the
+// whole document.
+func (x *indexExtractor) Extract(doc string) int {
+	x.doc, x.loaded = doc, true
+	if x.pr != nil {
+		x.res = x.pr.Project([]byte(doc))
+	}
+	if x.tree != nil {
+		x.tree.Extract(doc)
+	}
+	return len(doc)
+}
+
+// Holds implements sqlengine.ColumnExtractor.
+func (x *indexExtractor) Holds(doc string) bool { return x.loaded && x.doc == doc }
+
+// Forget implements sqlengine.ColumnExtractor.
+func (x *indexExtractor) Forget() {
+	x.doc, x.loaded, x.res = "", false, nil
+	if x.tree != nil {
+		x.tree.Forget()
+	}
+}
+
+// Err implements sqlengine.ColumnExtractor: the projector reports no syntax
+// error; the tree parse, when there is one, does.
+func (x *indexExtractor) Err() error {
+	if x.tree != nil {
+		return x.tree.Err()
+	}
+	return nil
+}
+
+// Scalar implements sqlengine.ColumnExtractor.
+func (x *indexExtractor) Scalar(i int) (string, bool) {
+	if x.slot[i] < 0 {
+		return x.tree.Scalar(i)
+	}
+	r := x.res[x.slot[i]]
+	return r.Scalar, r.Present
 }

@@ -135,7 +135,7 @@ func TestCostModelBreakdown(t *testing.T) {
 // TestCostModelCalibrationShape validates the cost model's central
 // assumption against the real substrates on this machine: tree parsing must
 // be slower per byte than the engine's own projection (the streaming
-// sqlengine.StreamBackend, through a plan's PathCalls as a query runs it),
+// sqlengine.StreamBackend's extractor, as a scan's batch extraction runs it),
 // which in turn must be slower than a raw substring prefilter. The test
 // asserts the ordering (which every experiment's conclusions rest on), not
 // absolute rates (hardware varies); the measured rates are logged so the
@@ -165,39 +165,23 @@ func TestCostModelCalibrationShape(t *testing.T) {
 	}
 	sb.WriteString(`,"target":"needle-value"}`)
 	doc := sb.String()
-	call := &sqlengine.JSONPathExpr{Path: jsonpath.MustCompile("$.target")}
+	set := jsonpath.MustPathSet(jsonpath.MustCompile("$.target"))
 	const iters = 3000
 
-	// The production lane evaluates a planned call site, whose path the plan
-	// compiled into its column's PathSet.
-	wh, _ := costFixture(t)
-	plan, _, err := sqlengine.NewEngine(wh, sqlengine.WithDefaultDB("fx")).
-		PlanOnly(`SELECT get_json_object(doc, '$.target') FROM fx.t`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var planned *sqlengine.JSONPathExpr
-	sqlengine.VisitPlanExprs(plan, func(e sqlengine.Expr) {
-		if c, ok := e.(*sqlengine.JSONPathExpr); ok {
-			planned = c
-		}
-	})
-	calls := sqlengine.PlanPathCalls(plan)
-
-	var meter sqlengine.ParseMeter
-	timePer := func(eval sqlengine.DocEvaluator, call *sqlengine.JSONPathExpr, uniquePrefix bool) float64 {
+	// Each backend's extractor over one document column's path set, as a
+	// scan's batch extraction drives it.
+	timePer := func(backend sqlengine.ParserBackend) float64 {
+		x := backend.NewExtractor(set)
 		docs := make([]string, iters)
 		for i := range docs {
-			if uniquePrefix {
-				// Defeat the per-document memo so every call does real work.
-				docs[i] = `{"i":` + strconv.Itoa(i) + `,` + doc[1:]
-			} else {
-				docs[i] = doc
-			}
+			// A unique prefix defeats the repeat rule, so every document
+			// does real work.
+			docs[i] = `{"i":` + strconv.Itoa(i) + `,` + doc[1:]
 		}
 		start := time.Now()
 		for _, d := range docs {
-			if v, ok := eval.Extract(d, call); !ok || v != "needle-value" {
+			x.Extract(d)
+			if v, ok := x.Scalar(0); !ok || v != "needle-value" {
 				t.Fatal("extraction failed")
 			}
 		}
@@ -208,9 +192,9 @@ func TestCostModelCalibrationShape(t *testing.T) {
 	// beside this one cannot slow one side only.
 	jacksonNs, streamNs, misonNs := math.Inf(1), math.Inf(1), math.Inf(1)
 	for round := 0; round < 5; round++ {
-		jacksonNs = math.Min(jacksonNs, timePer(baseline.JacksonBackend{}.NewDocEvaluator(&meter, nil), call, true))
-		streamNs = math.Min(streamNs, timePer(sqlengine.StreamBackend{}.NewDocEvaluator(&meter, calls), planned, true))
-		misonNs = math.Min(misonNs, timePer(baseline.MisonBackend{}.NewDocEvaluator(&meter, nil), call, true))
+		jacksonNs = math.Min(jacksonNs, timePer(baseline.JacksonBackend{}))
+		streamNs = math.Min(streamNs, timePer(sqlengine.StreamBackend{}))
+		misonNs = math.Min(misonNs, timePer(baseline.MisonBackend{}))
 	}
 
 	// Raw substring scan (the prefilter primitive), for the needle the planner

@@ -41,6 +41,7 @@ type Step struct {
 // Path is a compiled JSONPath.
 type Path struct {
 	text  string
+	canon string // Canonical(), built once by Compile
 	steps []Step
 }
 
@@ -129,6 +130,7 @@ func Compile(expr string) (*Path, error) {
 			return nil, &ParseError{Path: expr, Offset: i, Msg: "expected '.' or '['"}
 		}
 	}
+	p.canon = p.canonical()
 	return p, nil
 }
 
@@ -252,7 +254,9 @@ func (p *Path) Equal(other *Path) bool {
 
 // Canonical returns a normalized text form ($.a.b[3]) so that differently
 // quoted spellings of the same path share one cache entry.
-func (p *Path) Canonical() string {
+func (p *Path) Canonical() string { return p.canon }
+
+func (p *Path) canonical() string {
 	var sb strings.Builder
 	sb.WriteByte('$')
 	for _, s := range p.steps {

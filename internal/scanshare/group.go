@@ -2,11 +2,13 @@ package scanshare
 
 import (
 	"context"
+	"fmt"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/datum"
-	"repro/internal/jsonpath"
 	"repro/internal/sqlengine"
 )
 
@@ -69,79 +71,37 @@ func (g *group) launch(live []*participant) {
 	go pr.run()
 }
 
-// build sets up one pass for the group: the union of every participant's
-// paths is compiled per scan column, the producer fills one TypeString column
-// per distinct path after everything else it reads, and each participant's
-// get_json_object calls are rewritten to placeholder reads of those columns.
-// A raw scan's producer is the engine's split reader extracting the union; a
-// Unioner's is its union over the participants' factories, which reads their
-// own columns between the scan's and the extracted ones. Returns nil when the
-// group cannot be built (plans untouched — queries run unshared).
+// build sets up one pass for the group: the producer extracts the union of
+// the participants' Extract lists after everything else it reads, and each
+// participant receives, in its own plan's layout, the columns it reads of
+// the producer's. A raw scan's producer is the engine's split reader
+// extracting the union; a Unioner's is its union over the participants'
+// factories, which reads their own columns between the scan's and the
+// extracted ones. No plan is rewritten: a participant's scan only gets a
+// consumer factory. Returns nil when the group cannot be built (plans
+// untouched — queries run unshared).
 func (g *group) build(live []*participant) *producer {
 	scan0 := live[0].plan.Scan
-	nCols := len(scan0.Columns)
 
-	calls := make([]*sqlengine.PathCalls, len(live))
-	for i, p := range live {
-		calls[i] = sqlengine.PlanPathCalls(p.plan)
-	}
-
-	// One merged PathSet per scan column, columns in schema order so every
-	// participant sees the identical extracted-column layout. at[i][c][j] is
-	// the position among the extracted columns serving participant i's j-th
-	// path over its calls[i].Cols[c].
+	// The union of the extractions, in first-seen order, each with its
+	// column as a participant's schema has it.
 	var extract []sqlengine.Extraction
 	var extCols []sqlengine.RowCol
-	at := make([][][]int, len(live))
-	for i, pc := range calls {
-		if pc != nil {
-			at[i] = make([][]int, len(pc.Cols))
-		}
-	}
-	for colIdx, column := range scan0.Columns {
-		sets := make([]*jsonpath.PathSet, len(live))
-		where := make([]int, len(live)) // where colIdx sits in calls[i].Cols
-		any := false
-		for i, pc := range calls {
-			where[i] = -1
-			if pc == nil {
-				continue
-			}
-			for c, col := range pc.Cols {
-				if col.Index == colIdx {
-					sets[i], where[i], any = col.Set, c, true
-				}
-			}
-		}
-		if !any {
-			continue
-		}
-		merged, remaps, err := jsonpath.Union(sets...)
-		if err != nil {
-			return nil
-		}
-		base := len(extCols)
-		for k, path := range merged.Paths() {
-			extract = append(extract, sqlengine.Extraction{Column: column, Path: path})
-			extCols = append(extCols, sqlengine.RowCol{
-				Name: sharedColName(colIdx, k),
-				Type: datum.TypeString,
-			})
-		}
-		for i, c := range where {
-			if c < 0 {
-				continue
-			}
-			at[i][c] = make([]int, len(remaps[i]))
-			for j, slot := range remaps[i] {
-				at[i][c][j] = base + slot
+	for _, p := range live {
+		scan := p.plan.Scan
+		cols := scan.Schema().Cols
+		first := len(cols) - len(scan.Extract)
+		for i, x := range scan.Extract {
+			if indexOf(extCols, cols[first+i]) < 0 {
+				extract = append(extract, x)
+				extCols = append(extCols, cols[first+i])
 			}
 		}
 	}
 
 	// The producer reads the pristine scan — same columns, same SARG and
 	// share key (identical across the group by fingerprint), no per-query
-	// prefilters, which run post-demux in each consumer's pipeline.
+	// prefilters.
 	var factory sqlengine.ScanSourceFactory
 	if u, ok := scan0.Factory.(Unioner); ok {
 		fs := make([]sqlengine.ScanSourceFactory, len(live))
@@ -158,45 +118,30 @@ func (g *group) build(live []*participant) *producer {
 			SARG:    scan0.SARG,
 			Extract: extract,
 		}
-		prodScan.SetSchema(sqlengine.RowSchema{Cols: append(append([]sqlengine.RowCol(nil), scan0.Schema().Cols...), extCols...)})
-		factory = sqlengine.NewSplitReader(g.e.Warehouse(), prodScan)
+		cols := scan0.Schema().Cols[:len(scan0.Columns)]
+		prodScan.SetSchema(sqlengine.RowSchema{Cols: append(slices.Clip(cols), extCols...)})
+		factory = sqlengine.NewSplitReader(g.e.Warehouse(), prodScan, g.e.Backend())
 	}
 	prod, err := factory.Schema()
 	if err != nil {
 		return nil
 	}
 
-	// Rewire every participant: its own scan columns, then the producer's
-	// rest. From here on failures are per-query: a participant whose rewrite
-	// fails detaches and errors alone. One whose schema already is the
-	// producer's layout keeps its plan as it is.
-	for i, p := range live {
+	// Route the producer's columns to every participant: the scan's own
+	// columns where they are, each get_json_object column by its document
+	// column and path. From here on failures are per-query.
+	for _, p := range live {
 		scan := p.plan.Scan
-		schema := scan.Schema()
-		if len(schema.Cols) != len(prod.Cols) {
-			schema = sqlengine.RowSchema{Cols: append(append([]sqlengine.RowCol(nil), schema.Cols[:nCols]...), prod.Cols[nCols:]...)}
-			pc, target, first := calls[i], at[i], len(prod.Cols)-len(extCols)
-			sqlengine.RewritePlanExprs(p.plan, func(e sqlengine.Expr) sqlengine.Expr {
-				return sqlengine.Rewrite(e, func(e sqlengine.Expr) sqlengine.Expr {
-					jp, ok := e.(*sqlengine.JSONPathExpr)
-					if !ok {
-						return e
-					}
-					slot, ok := pc.Slot(jp)
-					if !ok || target[slot.Col] == nil {
-						return e
-					}
-					return &sqlengine.CachePlaceholder{
-						OutputName:   schema.Cols[first+target[slot.Col][slot.Path]].Name,
-						SourceColumn: jp.Column.Name,
-						Path:         jp.Path,
-					}
-				})
-			})
-			scan.SetSchema(schema)
-			p.plan.InputSchema = schema
-			if err := p.plan.Rebind(); err != nil {
-				p.err = err
+		cols := scan.Schema().Cols
+		p.cols = make([]int, len(cols))
+		p.view = make([][]datum.Datum, len(cols))
+		for j, c := range cols {
+			p.cols[j] = j
+			if j >= len(scan.Columns) {
+				p.cols[j] = indexOf(prod.Cols, c)
+			}
+			if p.cols[j] < 0 {
+				p.err = fmt.Errorf("scanshare: the shared pass has no column %s %s", c.Name, c.Path)
 			}
 		}
 		p.pipe = sqlengine.NewBatchPipe(demuxDepth)
@@ -211,6 +156,14 @@ func (g *group) build(live []*participant) *producer {
 	}
 }
 
+// indexOf returns the position among cols of the get_json_object column c
+// names — the same document column and path — or -1.
+func indexOf(cols []sqlengine.RowCol, c sqlengine.RowCol) int {
+	return slices.IndexFunc(cols, func(d sqlengine.RowCol) bool {
+		return d.Path != "" && d.Path == c.Path && strings.EqualFold(d.Name, c.Name)
+	})
+}
+
 // participant is one query's membership in a group. It doubles as the
 // SharedScanHandle the engine releases when the query finishes.
 type participant struct {
@@ -218,9 +171,13 @@ type participant struct {
 	qctx context.Context
 	g    *group
 
-	// pipe carries this query's copy of the shared pass, producer→consumer.
-	// pipe, shared and err are written by the sealer before g.sealed closes.
+	// pipe carries this query's copy of the shared pass, producer→consumer:
+	// its schema's j-th column is the producer's cols[j]. view is the
+	// producer's scratch for gathering them. pipe, cols, shared and err are
+	// written by the sealer before g.sealed closes.
 	pipe   *sqlengine.BatchPipe
+	cols   []int
+	view   [][]datum.Datum
 	shared bool
 	err    error
 }

@@ -9,9 +9,9 @@ import (
 // producer runs the single shared pass: it reads the underlying splits
 // sequentially (preserving the split-order row sequence an unshared query
 // would produce) and sends every batch down each attached consumer's pipe. Its
-// factory extracts the merged path union — the engine's split reader for a
-// raw scan, the Unioner's union for a combined one — so each document is
-// parsed once for every participant.
+// factory extracts the union of the participants' extractions — the engine's
+// split reader for a raw scan, the Unioner's union for a combined one — so
+// each document is parsed once for every participant.
 type producer struct {
 	g       *group
 	e       *sqlengine.Engine
@@ -84,15 +84,20 @@ func (pr *producer) liveCount() int {
 }
 
 // fanOut sends the first n rows of the lent batch to every consumer still
-// reading. Copy-on-demux: each pipe takes its own copy, so a consumer that
-// leaves mid-send neither stalls the producer nor touches its siblings' rows.
-// Returns false when no consumers remain.
+// reading, each the columns its plan reads. Copy-on-demux: each pipe takes
+// its own copy, so a consumer that leaves mid-send neither stalls the
+// producer nor touches its siblings' rows. Returns false when no consumers
+// remain.
 func (pr *producer) fanOut(batch *sqlengine.RowBatch, n int) bool {
 	any := false
 	for _, p := range pr.cons {
-		if p.pipe.Send(batch.Cols, n) {
+		for j, c := range p.cols {
+			p.view[j] = batch.Cols[c]
+		}
+		if p.pipe.Send(p.view, n) {
 			any = true
 		}
+		clear(p.view) // no alias into the lent batch outlives the send
 	}
 	return any
 }

@@ -21,17 +21,18 @@
 // again). Every other query runs unshared at once, with no group, timer or
 // channel: a lone query pays nothing for the sharing it does not get.
 //
-// Every group shares one way. The participants' get_json_object calls are
-// rewritten to placeholder reads of shared extraction columns, and the
-// producer's scan extracts the union of everyone's paths (jsonpath.Union,
-// subsumption-deduplicated) into them, so each document is parsed once. A
+// Every group shares one way. Each participant's get_json_object calls are
+// already columns of its scan (ScanNode.Extract), so no plan is rewritten:
+// the producer's scan extracts the union of the participants' Extract lists,
+// each distinct (document column, path) once, so each document is parsed
+// once, and every participant receives the columns its own schema names. A
 // plain raw scan's producer is the engine's split reader over a ScanNode that
 // lists the union as its Extract. A scan whose factory is a Unioner (Maxson's
 // combined cache+raw reader) gets the factory's union instead: one combined
-// scan over the participants' cache columns, with the same extraction columns
-// after them. Cache stitching, quarantine marking and ErrCacheDegraded then
-// behave as they would unshared: a degraded pass fails every participant,
-// and each re-plans on its own.
+// scan over the participants' cache columns, with the union's extraction
+// columns after them. Cache stitching, quarantine marking and
+// ErrCacheDegraded then behave as they would unshared: a degraded pass fails
+// every participant, and each re-plans on its own.
 //
 // Rows cross the demux boundary by copy, through one sqlengine.BatchPipe per
 // consumer: the producer's Send copies the current batch into a pooled batch
@@ -76,7 +77,7 @@ type Unioner interface {
 	// Union returns one factory serving every factory of fs (the receiver
 	// among them, all with its share key): its rows are the scan's Columns,
 	// then the union of the factories' own columns, then extract, filled into
-	// the columns extCols names.
+	// the columns extCols describes.
 	Union(fs []sqlengine.ScanSourceFactory, extract []sqlengine.Extraction, extCols []sqlengine.RowCol) sqlengine.ScanSourceFactory
 }
 
@@ -166,13 +167,20 @@ func (a arrival) company(session string, rows uint64) bool {
 // rowsSeed seeds rowsOf, so that its hashes compare across calls.
 var rowsSeed = maphash.MakeSeed()
 
-// rowsOf identifies what scan's rows hold: its schema's column names. Within
-// one fingerprint they differ only in the cache columns of combined scans.
+// rowsOf identifies what scan's rows hold: its schema's columns, less the
+// ones it extracts. Within one fingerprint they differ only in the cache
+// columns of combined scans; what a scan extracts is unioned, as it always
+// was.
 func rowsOf(scan *sqlengine.ScanNode) uint64 {
 	var h maphash.Hash
 	h.SetSeed(rowsSeed)
 	for _, c := range scan.Schema().Cols {
+		if c.Extracted {
+			continue
+		}
 		h.WriteString(c.Name)
+		h.WriteByte(0)
+		h.WriteString(c.Path)
 		h.WriteByte(0)
 	}
 	return h.Sum64()
@@ -213,8 +221,9 @@ func New(opts Options) *Scheduler {
 // same row-group predicate (SARG skips row groups at the storage layer, so
 // it must be identical), and — for factory-backed scans — equal share keys.
 // What they extract, and which cache columns a combined scan reads, is
-// unioned instead. Per-query residual filters, Sparser prefilters, and
-// projections run post-demux and do not constrain sharing.
+// unioned instead. Per-query residual filters and projections run post-demux
+// and do not constrain sharing; nor do Sparser prefilters, which the shared
+// pass, reading every row for everyone, does not apply.
 func fingerprint(scan *sqlengine.ScanNode, shareKey string, gen int64) string {
 	var b strings.Builder
 	if scan.Factory != nil {
@@ -415,13 +424,6 @@ func (s *Scheduler) withdraw(g *group, p *participant) bool {
 		s.seal(g)
 	}
 	return true
-}
-
-// sharedColName names the producer's i-th extraction of storage column
-// colIdx. The names only need to be unique within one scan's schema; the
-// placeholder rewrite binds them by name with an empty qualifier.
-func sharedColName(colIdx, i int) string {
-	return "__shared_" + strconv.Itoa(colIdx) + "_" + strconv.Itoa(i)
 }
 
 // errProducerPanic wraps a recovered producer panic for the consumers.

@@ -1,6 +1,7 @@
 package sqlengine
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -400,6 +401,63 @@ func TestAggregationMatchesNaiveFold(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestColumnTailCountsTheRowLoopsCalls pins that a get_json_object call is
+// metered the same whichever tail runs it: one call per call site per row the
+// row loop evaluates it on. An AND evaluates its next conjunct on a row whose
+// earlier conjunct was NULL, so the column tail keeps such a row, marked,
+// until its last conjunct. Each shape runs as written (column tail) and with
+// "1 = 1" ANDed in (row loop).
+func TestColumnTailCountsTheRowLoopsCalls(t *testing.T) {
+	bed := testbed.New(testbed.Config{})
+	if err := bed.Load(0, testbed.Table{DB: "d", Name: "j", Schema: testbed.IDDoc, Parts: [][][]datum.Datum{{
+		{datum.Int(1), datum.Str(`{"a": 1, "b": 5}`)},
+		{datum.Int(2), datum.Str(`{"b": 2}`)},
+		{datum.Int(3), datum.Str(`{"a": "x", "b": 3}`)},
+	}, {
+		{datum.Int(4), datum.Str(`{"a": 7}`)},
+		{datum.Int(5), datum.Str(`{"a": 0, "b": 9}`)},
+	}}}); err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(bed.WH, WithDefaultDB("d"))
+	for _, tc := range []struct {
+		sql   string
+		calls int64
+	}{
+		// $.a on all five rows; $.b on the four $.a did not rule out (rows 2
+		// and 3 read NULL for it); the SUM's $.b on the one row that passes.
+		{`SELECT COUNT(*) n, SUM(cast_double(get_json_object(doc, '$.b'))) s FROM d.j
+			WHERE cast_double(get_json_object(doc, '$.a')) > 0 AND get_json_object(doc, '$.b') > 1`, 5 + 4 + 1},
+		// The filter on five rows, the group key on the three that pass.
+		{`SELECT get_json_object(doc, '$.b') k, COUNT(*) n FROM d.j
+			WHERE cast_double(get_json_object(doc, '$.a')) >= 0 GROUP BY get_json_object(doc, '$.b') ORDER BY k`, 5 + 3},
+	} {
+		for _, rowLoop := range []bool{false, true} {
+			sql := tc.sql
+			if rowLoop {
+				sql = strings.Replace(sql, " GROUP BY", " AND 1 = 1 GROUP BY", 1)
+				if !strings.Contains(sql, "1 = 1") {
+					sql += " AND 1 = 1"
+				}
+			}
+			plan, _, err := e.PlanOnly(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (plan.tail == nil) != rowLoop {
+				t.Fatalf("%s: column tail %v, want it only without the row-loop filter", sql, plan.tail != nil)
+			}
+			_, m, err := e.QueryCtx(context.Background(), sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := m.Parse.Calls.Load(); got != tc.calls {
+				t.Errorf("%s: %d calls, want %d", sql, got, tc.calls)
 			}
 		}
 	}

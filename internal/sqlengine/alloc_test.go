@@ -22,7 +22,7 @@ func TestScalarFunctionsDoNotAllocate(t *testing.T) {
 		{Name: "n", Type: datum.TypeInt64},
 	}}
 	row := []datum.Datum{datum.Str("1234.5"), datum.Int(-42)}
-	ctx := &EvalContext{Metrics: &Metrics{}}
+	ctx := &EvalContext{}
 	for _, tc := range []struct {
 		fn, col string
 		want    datum.Datum
@@ -55,7 +55,7 @@ func TestScalarFunctionsDoNotAllocate(t *testing.T) {
 func TestScalarFunctionArity(t *testing.T) {
 	lit := func(s string) Expr { return &Literal{Value: datum.Str(s)} }
 	null := &Literal{Value: datum.NullOf(datum.TypeString)}
-	ctx := &EvalContext{Metrics: &Metrics{}}
+	ctx := &EvalContext{}
 	for _, tc := range []struct {
 		call *FuncCall
 		want datum.Datum

@@ -113,8 +113,9 @@ type Like struct {
 func (l *Like) String() string    { return l.Inner.String() + " LIKE '" + l.Pattern + "'" }
 func (l *Like) walk(f func(Expr)) { f(l); l.Inner.walk(f) }
 
-// JSONPathExpr is the get_json_object(column, 'path') UDF — the expression
-// Maxson's plan modifier pattern-matches and replaces with placeholders.
+// JSONPathExpr is the get_json_object(column, 'path') UDF as the parser
+// reads it. Planning replaces every one with an ExtractRef: no plan holds a
+// call to evaluate.
 type JSONPathExpr struct {
 	Column *ColumnRef
 	Path   *jsonpath.Path
@@ -125,22 +126,22 @@ func (j *JSONPathExpr) String() string {
 }
 func (j *JSONPathExpr) walk(f func(Expr)) { f(j); j.Column.walk(f) }
 
-// CachePlaceholder replaces a JSONPathExpr after a cache hit. It carries the
-// cached column's name in the combined scan output plus a description of
-// what it stands for (column id + path), per Algorithm 1 lines 22-23.
-type CachePlaceholder struct {
-	// OutputName is the column name in the scan output rows.
-	OutputName string
-	// SourceColumn and Path describe the replaced expression.
-	SourceColumn string
-	Path         *jsonpath.Path
-	index        int
+// ExtractRef is a get_json_object call as a plan reads it: the scan column
+// that holds Call's value (ScanNode.Extract). Whatever fills that column —
+// the scan's extraction, a cache column, a shared pass — the expression is
+// the same, so serving a call from elsewhere rewrites no expression. It
+// renders as the call, and it reads no document column.
+type ExtractRef struct {
+	Call *JSONPathExpr
+	// index is resolved at bind time; extracted records that the column is
+	// filled by the scan's extraction, so each read is a get_json_object
+	// call (ParseMeter.Calls).
+	index     int
+	extracted bool
 }
 
-func (c *CachePlaceholder) String() string {
-	return "cache[" + c.SourceColumn + ", '" + c.Path.String() + "']"
-}
-func (c *CachePlaceholder) walk(f func(Expr)) { f(c) }
+func (r *ExtractRef) String() string    { return r.Call.String() }
+func (r *ExtractRef) walk(f func(Expr)) { f(r) }
 
 // AggFunc enumerates aggregate functions.
 type AggFunc uint8
@@ -225,8 +226,8 @@ func (k *keyRef) walk(f func(Expr)) { f(k) }
 
 // Rewrite rebuilds an expression bottom-up, applying f to every node after
 // its children have been rewritten. It does not descend into Aggregate
-// arguments (those bind against the pre-aggregation schema) nor into
-// JSONPathExpr internals.
+// arguments (those bind against the pre-aggregation schema) nor into a
+// call's document column.
 func Rewrite(e Expr, f func(Expr) Expr) Expr {
 	switch n := e.(type) {
 	case *Binary:

@@ -19,15 +19,9 @@ const DefaultBatchSize = 1024
 // column c. Pooled batches never change hands: ScanBatches lends one to a
 // callback for the length of a call, and a BatchPipe keeps the ones it queues
 // to itself, so outside this file a pooled *RowBatch is only ever a
-// parameter (NewRowBatch builds unpooled ones for whoever wants to own one). The
-// executor's selection vector (Sel) marks the rows that survived the
-// prefilter stage; downstream operators iterate Sel instead of compacting
-// the vectors.
+// parameter (NewRowBatch builds unpooled ones for whoever wants to own one).
 type RowBatch struct {
 	Cols [][]datum.Datum
-	// Sel is scratch space for the executor's selection vector. It is not
-	// part of the batch contents a BatchSource fills.
-	Sel []int
 
 	// slab is the flat backing array the columns are sliced from.
 	slab []datum.Datum
@@ -61,10 +55,6 @@ func (b *RowBatch) reshape(width, capacity int) {
 		b.Cols[c] = slab[c*capacity : (c+1)*capacity : (c+1)*capacity]
 	}
 	b.size = capacity
-	if cap(b.Sel) < capacity {
-		b.Sel = make([]int, 0, capacity)
-	}
-	b.Sel = b.Sel[:0]
 }
 
 // Capacity returns the maximum rows per NextBatch call.

@@ -11,8 +11,9 @@ import (
 // batch at a time, straight off the batch's columns: no row is gathered and
 // no expression tree is walked per row. It applies when every leaf of the
 // filter, the group key and the aggregate arguments is a column or a
-// literal, which is what Maxson's rewrite leaves of a cached, combined or
-// shared plan and what a plain-column query is:
+// literal — a get_json_object call is a column, whether the scan extracts it
+// or a cache serves it, so raw, cached, combined and shared plans of one
+// shape all take it:
 //   - the filter is absent or an AND of comparisons of a column, or of
 //     cast_double(column), with a non-NULL literal (a numeric one for the
 //     cast);
@@ -20,7 +21,9 @@ import (
 //   - every aggregate is COUNT(*) or takes a column or cast_double(column).
 //
 // Any other aggregate plan, a join, and a projection keep the row loop. The
-// plan's shape picks the loop; nothing else does.
+// plan's shape picks the loop; nothing else does. Both count the same
+// get_json_object calls: one per call site per row the row loop would
+// evaluate it on.
 
 // columnTail is an aggregate plan's tail compiled once per plan, by
 // planAggregate and again by Rebind after a rewrite. Partitions share it
@@ -35,13 +38,17 @@ type columnTail struct {
 	key int
 	// aggs[i] is what plan.Aggs[i] folds.
 	aggs []colArg
+	// rowCalls counts the get_json_object calls the group key and the
+	// aggregate arguments make per row folded.
+	rowCalls int64
 }
 
 // colCompare is one conjunct: column col, or float vector vec when vec >= 0,
 // compared by op with lit, the column on the left (a literal written on the
-// left mirrors op).
+// left mirrors op). call marks a column the scan extracts.
 type colCompare struct {
 	col, vec int
+	call     bool
 	op       BinaryOp
 	lit      datum.Datum
 	litF     float64 // lit as a float, for the vector comparison
@@ -61,29 +68,35 @@ func compileColumnTail(plan *PhysicalPlan) *columnTail {
 	if !plan.aggregate || plan.Join != nil || len(plan.GroupBy) > 1 || !addConjuncts(nil, plan.Filter, width) {
 		return nil
 	}
-	key := -1
+	key, keyCall := -1, false
 	if len(plan.GroupBy) == 1 {
-		col, cast, ok := argOf(plan.GroupBy[0], width)
+		col, cast, call, ok := argOf(plan.GroupBy[0], width)
 		if !ok || cast {
 			return nil
 		}
-		key = col
+		key, keyCall = col, call
 	}
 	for _, a := range plan.Aggs {
-		if _, _, ok := argOf(a.Arg, width); a.Arg != nil && !ok {
+		if _, _, _, ok := argOf(a.Arg, width); a.Arg != nil && !ok {
 			return nil
 		}
 	}
 	t := &columnTail{key: key, aggs: make([]colArg, len(plan.Aggs))}
+	if keyCall {
+		t.rowCalls++
+	}
 	for i, a := range plan.Aggs {
 		t.aggs[i] = colArg{col: -1, vec: -1}
 		if a.Arg == nil {
 			continue
 		}
-		col, cast, _ := argOf(a.Arg, width)
+		col, cast, call, _ := argOf(a.Arg, width)
 		t.aggs[i].col = col
 		if cast || a.Func == AggSum || a.Func == AggAvg {
 			t.aggs[i].vec = t.vecOf(col)
+		}
+		if call {
+			t.rowCalls++
 		}
 	}
 	addConjuncts(t, plan.Filter, width)
@@ -111,13 +124,13 @@ func addConjuncts(t *columnTail, e Expr, width int) bool {
 		side, other, op = b.Right, b.Left, op.Mirror()
 	}
 	lit, isLit := other.(*Literal)
-	col, cast, ok := argOf(side, width)
+	col, cast, call, ok := argOf(side, width)
 	if !isLit || !ok || lit.Value.Null ||
 		cast && lit.Value.Typ != datum.TypeInt64 && lit.Value.Typ != datum.TypeFloat64 {
 		return false
 	}
 	if t != nil {
-		c := colCompare{col: col, vec: -1, op: op, lit: lit.Value}
+		c := colCompare{col: col, vec: -1, call: call, op: op, lit: lit.Value}
 		if cast {
 			c.vec = t.vecOf(col)
 			c.litF, _ = lit.Value.AsFloat()
@@ -128,20 +141,20 @@ func addConjuncts(t *columnTail, e Expr, width int) bool {
 }
 
 // argOf reports whether e is a column or cast_double(column) bound within
-// width, and which column.
-func argOf(e Expr, width int) (col int, cast bool, ok bool) {
+// width, which column, and whether reading it is a get_json_object call.
+func argOf(e Expr, width int) (col int, cast, call, ok bool) {
 	if fc, isCall := e.(*FuncCall); isCall && fc.opcode() == fnCastDouble && len(fc.Args) == 1 {
 		e, cast = fc.Args[0], true
 	}
 	switch n := e.(type) {
 	case *ColumnRef:
 		col = n.index
-	case *CachePlaceholder:
-		col = n.index
+	case *ExtractRef:
+		col, call = n.index, n.extracted
 	default:
-		return 0, false, false
+		return 0, false, false, false
 	}
-	return col, cast, col >= 0 && col < width
+	return col, cast, call, col >= 0 && col < width
 }
 
 // vecOf returns the float vector of column col, adding it on first use.
@@ -153,32 +166,52 @@ func (t *columnTail) vecOf(col int) int {
 	return len(t.vecs) - 1
 }
 
-// filterBatch narrows sel, in place, to the rows every conjunct holds of and
-// returns it. A NULL value, or one cast_double cannot parse, fails the
-// comparison, as Eval's NULL does. A column compares with compareForPredicate,
-// as Eval does; a vector compares as floats, which is what
-// compareForPredicate does with a float and a numeric literal.
-func (t *columnTail) filterBatch(b *RowBatch, sel []int, s *tailScratch) []int {
+// filterBatch selects the rows among the batch's first n that every
+// conjunct holds of, and counts the get_json_object calls the row loop's AND
+// would make on the way: a conjunct is evaluated on every row no earlier
+// conjunct was false for. A NULL value, or one cast_double cannot parse,
+// makes its comparison NULL, as Eval's NULL does: the row fails, but the
+// conjuncts after it are still evaluated. A column compares with
+// compareForPredicate, as Eval does; a vector compares as floats, which is
+// what compareForPredicate does with a float and a numeric literal.
+func (t *columnTail) filterBatch(b *RowBatch, n int, s *tailScratch) (sel []int, calls int64) {
+	sel = s.sel[:0]
+	for i := 0; i < n; i++ {
+		sel = append(sel, i)
+	}
+	null := s.null[:n]
+	clear(null)
 	for _, c := range t.filter {
+		if c.call {
+			calls += int64(len(sel))
+		}
 		out := sel[:0]
 		if c.vec >= 0 {
 			f, ok := s.vector(c.vec, b.Cols[t.vecs[c.vec]], sel)
 			for _, i := range sel {
-				if ok[i] && c.op.holds(cmpFloat(f[i], c.litF)) {
+				if !ok[i] || c.op.holds(cmpFloat(f[i], c.litF)) {
+					null[i] = null[i] || !ok[i]
 					out = append(out, i)
 				}
 			}
 		} else {
 			col := b.Cols[c.col]
 			for _, i := range sel {
-				if v := col[i]; !v.Null && c.op.holds(compareForPredicate(v, c.lit)) {
+				if v := col[i]; v.Null || c.op.holds(compareForPredicate(v, c.lit)) {
+					null[i] = null[i] || v.Null
 					out = append(out, i)
 				}
 			}
 		}
 		sel = out
 	}
-	return sel
+	out := sel[:0]
+	for _, i := range sel {
+		if !null[i] {
+			out = append(out, i)
+		}
+	}
+	return out, calls
 }
 
 // cmpFloat orders two floats as datum.Compare orders float datums: NaN
@@ -200,6 +233,8 @@ type tailScratch struct {
 	f      []float64 // vector v's values are f[v*size:][:size], by batch row
 	ok     []bool    // and their validity: false where the value is NULL or unparsable
 	filled []bool    // filled[v]: vector v is parsed for the current batch
+	sel    []int     // the selection, batch rows in order
+	null   []bool    // by batch row: a conjunct was NULL for it
 	groups []int     // each selected row's group, by selection position
 	keyBuf []byte    // the group key being encoded
 }
@@ -216,6 +251,8 @@ func (s *tailScratch) startBatch(vecs, capacity int) {
 		s.f = slices.Grow(s.f[:0], vecs*capacity)[:vecs*capacity]
 		s.ok = slices.Grow(s.ok[:0], vecs*capacity)[:vecs*capacity]
 		s.filled = slices.Grow(s.filled[:0], vecs)[:vecs]
+		s.sel = slices.Grow(s.sel[:0], capacity)
+		s.null = slices.Grow(s.null[:0], capacity)[:capacity]
 		s.groups = slices.Grow(s.groups[:0], capacity)
 	}
 	clear(s.filled)

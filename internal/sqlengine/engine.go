@@ -107,9 +107,10 @@ func (c *engineCounters) publish(m *Metrics) {
 // EngineOption configures an Engine.
 type EngineOption func(*Engine)
 
-// WithBackend replaces the streaming JSON evaluator with another
-// ParserBackend. Production code never does; it is the seam through which the
-// experiments install the paper's Jackson and Mison baselines.
+// WithBackend replaces the streaming extractor every scan of the engine's
+// queries extracts through with another ParserBackend's. Production code
+// never does; it is the seam through which the experiments install the
+// paper's Jackson and Mison baselines.
 func WithBackend(b ParserBackend) EngineOption {
 	return func(e *Engine) {
 		if b != nil {
@@ -169,6 +170,9 @@ func NewEngine(wh *warehouse.Warehouse, opts ...EngineOption) *Engine {
 // Warehouse returns the engine's warehouse.
 func (e *Engine) Warehouse() *warehouse.Warehouse { return e.wh }
 
+// Backend returns the parser backend the engine's scans extract through.
+func (e *Engine) Backend() ParserBackend { return e.backend }
+
 // SetObsRegistry installs (or replaces) the engine's metrics registry. It
 // is a no-op when r is nil; call before serving queries.
 func (e *Engine) SetObsRegistry(r *obs.Registry) {
@@ -211,13 +215,13 @@ func (e *Engine) QueryStmtCtx(ctx context.Context, stmt *SelectStmt) (*ResultSet
 // planStmt plans stmt and runs the PlanModifier over the result. It returns
 // the expression nodes visited beside the plan, the modifier's included.
 func (e *Engine) planStmt(stmt *SelectStmt) (*PhysicalPlan, int64, error) {
+	// Count statement nodes before planning: plan expressions alias
+	// statement expressions, and planning rewrites them in place.
+	nodes := countPlanNodes(stmt)
 	plan, err := e.Plan(stmt)
 	if err != nil {
 		return nil, 0, err
 	}
-	// Count statement nodes before the modifier runs: plan expressions can
-	// alias statement expressions, and the modifier rewrites them in place.
-	nodes := countPlanNodes(stmt)
 	if e.PlanModifier != nil {
 		extra, err := e.PlanModifier(plan, stmt)
 		if err != nil {

@@ -43,18 +43,40 @@ func (rs *ResultSet) String() string {
 // SplitReader is the engine's own split reader and its default
 // ScanSourceFactory: it reads one warehouse part file per split, decoding the
 // scan's Columns into the first columns of the batch and filling the columns
-// its Extract list extracts into the last ones. The two meet in a plain scan;
-// the Value Combiner stitches its cache columns between them. The list is
+// its Extract list extracts into the last ones, through its backend, for the
+// rows the scan's raw prefilters leave. The two meet in a plain scan; the
+// Value Combiner stitches its cache columns between them. The list is
 // compiled once, here, and shared by every split the reader opens.
 type SplitReader struct {
-	wh   *warehouse.Warehouse
-	scan *ScanNode
-	x    *BatchExtraction // nil without an Extract list
+	wh      *warehouse.Warehouse
+	scan    *ScanNode
+	backend ParserBackend
+	x       *BatchExtraction // nil without an Extract list
+	pre     []readPrefilter  // the scan's prefilters, by read column
 }
 
-// NewSplitReader builds the reader of scan's splits.
-func NewSplitReader(wh *warehouse.Warehouse, scan *ScanNode) *SplitReader {
-	return &SplitReader{wh: wh, scan: scan, x: CompileExtraction(scan.Columns, scan.Extract)}
+// readPrefilter is a prefilter over the document column the cursor decodes
+// at position in.
+type readPrefilter struct {
+	in     int
+	needle string
+}
+
+// NewSplitReader builds the reader of scan's splits, extracting through
+// backend (nil streams).
+func NewSplitReader(wh *warehouse.Warehouse, scan *ScanNode, backend ParserBackend) *SplitReader {
+	if backend == nil {
+		backend = StreamBackend{}
+	}
+	r := &SplitReader{wh: wh, scan: scan, backend: backend, x: CompileExtraction(scan.Columns, scan.Extract)}
+	if r.x != nil {
+		for _, pf := range scan.PreFilters {
+			if in := slices.IndexFunc(r.x.Reads(), func(c string) bool { return strings.EqualFold(c, pf.Column) }); in >= 0 {
+				r.pre = append(r.pre, readPrefilter{in: in, needle: pf.Needle})
+			}
+		}
+	}
+	return r
 }
 
 // NumSplits implements ScanSourceFactory.
@@ -107,8 +129,8 @@ func (r *SplitReader) OpenReader(f *orc.Reader, m *Metrics) (BatchSource, *orc.C
 		}
 		return src, src.cur, nil
 	}
-	src := &extractingSource{fileRowSource: fileRowSource{m: m}, x: r.x.Split(), nCols: len(r.scan.Columns),
-		in: make([][]datum.Datum, len(r.x.Reads()))}
+	src := &extractingSource{fileRowSource: fileRowSource{m: m}, x: r.x.Split(r.backend), nCols: len(r.scan.Columns),
+		in: make([][]datum.Datum, len(r.x.Reads())), pre: r.pre}
 	if src.cur, err = f.NewCursor(r.x.Reads(), r.scan.SARG, &src.meter.Stats); err != nil {
 		return nil, nil, err
 	}
@@ -138,12 +160,15 @@ type extractingSource struct {
 	x     SplitExtraction
 	nCols int
 	in    [][]datum.Datum
+	pre   []readPrefilter
 }
 
 // NextBatch implements BatchSource: the cursor decodes into the batch and the
-// scratch, the extraction fills the batch's last columns, and read-stat and
-// parse deltas flush once per batch.
-func (s *extractingSource) NextBatch(b *RowBatch) (int, error) {
+// scratch, the prefilters drop the rows they reject, the extraction fills the
+// batch's last columns for the rows left, and read-stat and parse deltas
+// flush once per batch. A batch the prefilters empty is not returned: the
+// next one is read.
+func (s *extractingSource) NextBatch(b *RowBatch) (n int, err error) {
 	max := b.Capacity()
 	copy(s.in, b.Cols[:s.nCols])
 	for i := s.nCols; i < len(s.in); i++ {
@@ -152,13 +177,20 @@ func (s *extractingSource) NextBatch(b *RowBatch) (int, error) {
 		}
 		s.in[i] = s.in[i][:max]
 	}
-	n, err := s.cur.NextBatch(s.in, max)
-	s.meter.Flush(s.m, true)
-	if err == nil && n > 0 {
+	for {
+		n, err = s.cur.NextBatch(s.in, max)
+		s.meter.Flush(s.m, true)
+		if err != nil || n == 0 {
+			break
+		}
+		if n = s.prefilter(n); n == 0 {
+			continue
+		}
 		c, _ := s.x.Fill(s.in, b.Cols, n) // a query does not count malformed documents; Fill reads them per path
 		if s.m != nil {
 			s.m.Parse.Add(c)
 		}
+		break
 	}
 	// Drop the aliases into the caller's batch: b is lent from the pool and
 	// may be recycled the moment the scan ends, and a source field must not
@@ -166,6 +198,36 @@ func (s *extractingSource) NextBatch(b *RowBatch) (int, error) {
 	// (TestFallbackBatchReleasesPoolAliases).
 	clear(s.in[:s.nCols])
 	return n, err
+}
+
+// prefilter compacts the n decoded rows, in place, to the ones every
+// prefilter admits, and returns how many are left. A dropped row is metered
+// where it is dropped: a prefilter skip and the one row op the executor
+// would have spent on it.
+func (s *extractingSource) prefilter(n int) int {
+	if len(s.pre) == 0 {
+		return n
+	}
+	var skipped, scanned int64
+	kept := 0
+rows:
+	for r := 0; r < n; r++ {
+		for _, pf := range s.pre {
+			if !admits(s.in[pf.in][r], pf.needle, &skipped, &scanned) {
+				continue rows
+			}
+		}
+		for _, col := range s.in {
+			col[kept] = col[r]
+		}
+		kept++
+	}
+	if s.m != nil {
+		s.m.PrefilterSkipped.Add(skipped)
+		s.m.PrefilterBytes.Add(scanned)
+		s.m.RowOps.Add(int64(n - kept))
+	}
+	return kept
 }
 
 // ReadMeter streams one cursor's read statistics into a query's Metrics:
@@ -207,7 +269,6 @@ func (e *Engine) ExecuteCtx(ctx context.Context, plan *PhysicalPlan) (*ResultSet
 func (e *Engine) execute(ctx context.Context, plan *PhysicalPlan, trace *obs.Span) (*ResultSet, *Metrics, error) {
 	m := &Metrics{Trace: trace, Span: trace}
 	start := e.nowWall()
-	calls := PlanPathCalls(plan)
 
 	// Hash-join build side (if any), materialized once.
 	var joinTable map[string][][]datum.Datum
@@ -218,7 +279,7 @@ func (e *Engine) execute(ctx context.Context, plan *PhysicalPlan, trace *obs.Spa
 			bm.Span = trace.Child(fmt.Sprintf("join-build %s.%s", plan.Join.Build.DB, plan.Join.Build.Table))
 		}
 		var err error
-		joinTable, buildWidth, err = e.buildJoinTable(ctx, plan, calls, bm)
+		joinTable, buildWidth, err = e.buildJoinTable(ctx, plan, bm)
 		if bm.Span != nil {
 			bm.Span.End()
 			bm.Span.SetInt("rows", bm.RowsScanned.Load())
@@ -233,7 +294,7 @@ func (e *Engine) execute(ctx context.Context, plan *PhysicalPlan, trace *obs.Spa
 
 	factory := plan.Scan.Factory
 	if factory == nil {
-		factory = NewSplitReader(e.wh, plan.Scan)
+		factory = NewSplitReader(e.wh, plan.Scan, e.backend)
 	}
 	nSplits, err := factory.NumSplits()
 	if err != nil {
@@ -267,7 +328,7 @@ func (e *Engine) execute(ctx context.Context, plan *PhysicalPlan, trace *obs.Spa
 					"sql: split %d of %s.%s panicked: %v", split, plan.Scan.DB, plan.Scan.Table, r)}
 			}
 		}()
-		results[split] = e.runPartition(ctx, plan, calls, factory, split, joinTable, buildWidth, &partMetrics[split])
+		results[split] = e.runPartition(ctx, plan, factory, split, joinTable, buildWidth, &partMetrics[split])
 	}
 	// P workers claim splits in index order until none is left.
 	var wg sync.WaitGroup
@@ -447,14 +508,12 @@ type execScratch struct {
 // runPartition executes the map side of the plan over one split:
 // scan → (join probe) → filter → project or partial aggregate. Rows move
 // through the partition batch-at-a-time: the scan fills a pooled
-// column-major RowBatch, prefilters evaluate column-wise into the batch's
-// selection vector, and the filter + projection (or partial aggregation)
-// run fused over the selected rows, so a document the filter parsed is
-// still memoized by the doc evaluator when the projection needs it. A plan
-// with a column tail instead narrows the selection and aggregates a column
-// at a time (coltail.go). Metric deltas accumulate in locals and flush once
-// per batch.
-func (e *Engine) runPartition(ctx context.Context, plan *PhysicalPlan, calls *PathCalls, factory ScanSourceFactory, split int, joinTable map[string][][]datum.Datum, buildWidth int, m *Metrics) (res partResult) {
+// column-major RowBatch, its get_json_object values already extracted into
+// its last columns, and the filter + projection (or partial aggregation)
+// run fused over its rows. A plan with a column tail instead narrows a
+// selection and aggregates a column at a time (coltail.go). Metric deltas
+// accumulate in locals and flush once per batch.
+func (e *Engine) runPartition(ctx context.Context, plan *PhysicalPlan, factory ScanSourceFactory, split int, joinTable map[string][][]datum.Datum, buildWidth int, m *Metrics) (res partResult) {
 	if m.Span != nil {
 		// Pre-created in split order for deterministic rendering; re-stamp
 		// the wall window to the split's actual execution.
@@ -466,17 +525,11 @@ func (e *Engine) runPartition(ctx context.Context, plan *PhysicalPlan, calls *Pa
 		res.err = err
 		return res
 	}
-	// A plan without get_json_object calls (fully cached, COUNT(*), plain
-	// columns) gets no document evaluator at all.
-	ec := &EvalContext{Metrics: m}
-	if calls != nil {
-		ec.Doc = e.backend.NewDocEvaluator(&m.Parse, calls)
-	}
+	ec := &EvalContext{}
 	if plan.aggregate {
 		res.aggs = getAggTable(plan)
 	}
 	wantSortKeys := !plan.aggregate && len(plan.OrderBy) > 0
-	preFilters := plan.Scan.PreFilters
 
 	// A column-shaped aggregate runs its tail a batch at a time on pooled
 	// vectors; every other plan gathers each selected row for the row loop.
@@ -492,37 +545,21 @@ func (e *Engine) runPartition(ctx context.Context, plan *PhysicalPlan, calls *Pa
 	}
 
 	// Per-batch local counters, flushed in one atomic add each.
-	var rowOps, prefSkipped, prefBytes int64
+	var rowOps int64
 	flush := func() {
 		if rowOps != 0 {
 			m.RowOps.Add(rowOps)
 			rowOps = 0
 		}
-		if prefSkipped != 0 {
-			m.PrefilterSkipped.Add(prefSkipped)
-			prefSkipped = 0
-		}
-		if prefBytes != 0 {
-			m.PrefilterBytes.Add(prefBytes)
-			prefBytes = 0
+		if ec.Calls != 0 {
+			m.Parse.Calls.Add(ec.Calls)
+			ec.Calls = 0
 		}
 	}
 	defer flush()
 
-	// prefilterRow applies the Sparser-style raw filters to one materialized
-	// (joined) row.
-	prefilterRow := func(row []datum.Datum) bool {
-		for i := range preFilters {
-			pf := &preFilters[i]
-			if pf.colIdx >= 0 && pf.colIdx < len(row) && !pf.admits(row[pf.colIdx], &prefSkipped, &prefBytes) {
-				return false
-			}
-		}
-		return true
-	}
-
 	// emit runs the fused filter → project / partial-aggregate tail for one
-	// row that survived the prefilters.
+	// row.
 	emit := func(row []datum.Datum) {
 		if plan.Filter != nil {
 			if !Truthy(Eval(plan.Filter, row, ec)) {
@@ -570,9 +607,7 @@ func (e *Engine) runPartition(ctx context.Context, plan *PhysicalPlan, calls *Pa
 					joined := append(append(sc.joined[:0], row...), buildRow...)
 					sc.joined = joined
 					rowOps++
-					if prefilterRow(joined) {
-						emit(joined)
-					}
+					emit(joined)
 				}
 			}
 			flush()
@@ -580,55 +615,36 @@ func (e *Engine) runPartition(ctx context.Context, plan *PhysicalPlan, calls *Pa
 		}
 
 		rowOps += int64(n)
-		// Column-wise prefilter into the selection vector; the fused tail
-		// only gathers rows that survived.
-		sel := batch.Sel[:0]
-		if len(preFilters) > 0 {
-		rows:
-			for i := 0; i < n; i++ {
-				for j := range preFilters {
-					pf := &preFilters[j]
-					if pf.colIdx >= 0 && pf.colIdx < width && !pf.admits(batch.Cols[pf.colIdx][i], &prefSkipped, &prefBytes) {
-						continue rows
-					}
-				}
-				sel = append(sel, i)
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				sel = append(sel, i)
-			}
-		}
 		if tail != nil {
 			ts.startBatch(len(tail.vecs), batch.Capacity())
-			sel = tail.filterBatch(batch, sel, ts)
+			sel, calls := tail.filterBatch(batch, n, ts)
 			res.rowsOut += int64(len(sel))
 			res.aggs.accumulateBatch(tail, batch, sel, ts)
+			ec.Calls += calls + tail.rowCalls*int64(len(sel))
 		} else {
-			for _, i := range sel {
+			for i := 0; i < n; i++ {
 				emit(batch.Gather(i, sc.row))
 			}
 		}
-		batch.Sel = sel
 		flush()
 		return ctx.Err()
 	})
 	return res
 }
 
-// admits applies the prefilter to doc, one row's value of its column, adding
-// the bytes it examined to scanned and a rejected row to skipped. A NULL
-// document, or one lacking the needle, cannot satisfy the equality conjunct,
-// so its row is skipped before any parsing. A document holding a backslash
-// may hide the value's text behind an escape: it is never skipped, only
-// parsed and verified.
-func (pf *RawPrefilter) admits(doc datum.Datum, skipped, scanned *int64) bool {
+// admits applies a prefilter with needle to doc, one row's value of its
+// column, adding the bytes it examined to scanned and a rejected row to
+// skipped. A NULL document, or one lacking the needle, cannot satisfy the
+// equality conjunct, so its row is skipped before any parsing. A document
+// holding a backslash may hide the value's text behind an escape: it is never
+// skipped, only parsed and verified.
+func admits(doc datum.Datum, needle string, skipped, scanned *int64) bool {
 	if doc.Null {
 		*skipped++
 		return false
 	}
 	*scanned += int64(len(doc.S))
-	if !strings.Contains(doc.S, pf.Needle) && !strings.ContainsRune(doc.S, '\\') {
+	if !strings.Contains(doc.S, needle) && !strings.ContainsRune(doc.S, '\\') {
 		*skipped++
 		return false
 	}
@@ -644,20 +660,17 @@ func (e *Engine) meterBatch(m *Metrics, n int) {
 }
 
 // buildJoinTable reads the build-side table fully and hashes it by key.
-func (e *Engine) buildJoinTable(ctx context.Context, plan *PhysicalPlan, calls *PathCalls, m *Metrics) (map[string][][]datum.Datum, int, error) {
+func (e *Engine) buildJoinTable(ctx context.Context, plan *PhysicalPlan, m *Metrics) (map[string][][]datum.Datum, int, error) {
 	build := plan.Join.Build
 	factory := build.Factory
 	if factory == nil {
-		factory = NewSplitReader(e.wh, build)
+		factory = NewSplitReader(e.wh, build, e.backend)
 	}
 	nSplits, err := factory.NumSplits()
 	if err != nil {
 		return nil, 0, err
 	}
-	ec := &EvalContext{Metrics: m}
-	if calls != nil {
-		ec.Doc = e.backend.NewDocEvaluator(&m.Parse, calls)
-	}
+	ec := &EvalContext{}
 	table := make(map[string][][]datum.Datum)
 	width := len(build.schema.Cols)
 	sc := &execScratch{row: make([]datum.Datum, width)}
@@ -678,6 +691,8 @@ func (e *Engine) buildJoinTable(ctx context.Context, plan *PhysicalPlan, calls *
 			copy(cp, row)
 			table[string(key)] = append(table[string(key)], cp)
 		}
+		m.Parse.Calls.Add(ec.Calls)
+		ec.Calls = 0
 		return ctx.Err()
 	})
 	if err != nil {
@@ -1001,7 +1016,7 @@ func (e *Engine) finalizeAggregate(plan *PhysicalPlan, parts []partResult, m *Me
 	// Deterministic group order before any ORDER BY.
 	slices.SortFunc(order, func(a, b int) int { return strings.Compare(t.names[a], t.names[b]) })
 
-	ctx := &EvalContext{Metrics: m}
+	ctx := &EvalContext{}
 	nKeys := len(plan.GroupBy)
 	post := make([]datum.Datum, nKeys+len(plan.Aggs))
 	// Sort keys for agg plans are evaluated over post rows and stored after
@@ -1032,6 +1047,9 @@ func (e *Engine) finalizeAggregate(plan *PhysicalPlan, parts []partResult, m *Me
 
 // ---- distinct / sort / limit ----
 
+// distinctRows keeps the first of every run of equal rows, rows keyed as
+// GROUP BY keys them (appendGroupKey), so a NULL and the string "NULL" stay
+// apart.
 func distinctRows(rows, keys [][]datum.Datum, m *Metrics) ([][]datum.Datum, [][]datum.Datum) {
 	seen := make(map[string]bool, len(rows))
 	outRows := rows[:0:0]
@@ -1040,8 +1058,7 @@ func distinctRows(rows, keys [][]datum.Datum, m *Metrics) ([][]datum.Datum, [][]
 	for i, row := range rows {
 		kb = kb[:0]
 		for _, d := range row {
-			kb = d.AppendTo(kb)
-			kb = append(kb, 0)
+			kb = appendGroupKey(kb, d)
 		}
 		m.RowOps.Add(1)
 		if seen[string(kb)] {

@@ -18,15 +18,30 @@ type RowSchema struct {
 type RowCol struct {
 	Qualifier string
 	Name      string
-	Type      datum.Type
+	// Path is set on a get_json_object column: the column holds the value of
+	// this canonical path in document column Name. A call of that column and
+	// path binds to it; a reference to Name never does.
+	Path string
+	Type datum.Type
+	// Extracted marks a Path column the scan's extraction fills (its Extract
+	// list), as opposed to one read from a cache column: every read of it is
+	// a get_json_object call.
+	Extracted bool
 }
 
 // Index resolves a (qualifier, name) reference. An empty qualifier matches
 // any column with the name, erroring on ambiguity.
 func (s RowSchema) Index(qualifier, name string) (int, error) {
+	return s.index(qualifier, name, "")
+}
+
+// index resolves a column reference (path "") or the get_json_object column
+// of a document column and canonical path. Paths compare exactly: JSON keys
+// are case-sensitive.
+func (s RowSchema) index(qualifier, name, path string) (int, error) {
 	found := -1
 	for i, c := range s.Cols {
-		if !strings.EqualFold(c.Name, name) {
+		if c.Path != path || !strings.EqualFold(c.Name, name) {
 			continue
 		}
 		if qualifier != "" && !strings.EqualFold(c.Qualifier, qualifier) {
@@ -41,6 +56,9 @@ func (s RowSchema) Index(qualifier, name string) (int, error) {
 		ref := name
 		if qualifier != "" {
 			ref = qualifier + "." + name
+		}
+		if path != "" {
+			ref = "get_json_object(" + ref + ", '" + path + "')"
 		}
 		return -1, fmt.Errorf("sql: unknown column %q", ref)
 	}
@@ -69,12 +87,14 @@ func Bind(e Expr, schema RowSchema) error {
 				firstErr = err
 			}
 			node.index = idx
-		case *CachePlaceholder:
-			idx, err := schema.Index("", node.OutputName)
+		case *ExtractRef:
+			c := node.Call.Column
+			idx, err := schema.index(c.Qualifier, c.Name, node.Call.Path.Canonical())
 			if err != nil && firstErr == nil {
 				firstErr = err
 			}
 			node.index = idx
+			node.extracted = idx >= 0 && schema.Cols[idx].Extracted
 		case *FuncCall:
 			node.op = funcOpOf(node.Name)
 		case *Aggregate:
@@ -88,11 +108,9 @@ func Bind(e Expr, schema RowSchema) error {
 
 // EvalContext carries per-partition evaluation state.
 type EvalContext struct {
-	// Doc extracts JSONPath values from raw documents; nil when the plan
-	// contains no JSONPathExpr (e.g. fully cache-served queries).
-	Doc DocEvaluator
-	// Metrics receives row-op accounting.
-	Metrics *Metrics
+	// Calls counts the get_json_object calls evaluated: the reads of an
+	// extracted column. Its owner folds it into ParseMeter.Calls.
+	Calls int64
 }
 
 // Eval evaluates a bound expression over a row.
@@ -105,9 +123,12 @@ func Eval(e Expr, row []datum.Datum, ctx *EvalContext) datum.Datum {
 			return datum.NullOf(datum.TypeString)
 		}
 		return row[node.index]
-	case *CachePlaceholder:
+	case *ExtractRef:
 		if node.index < 0 || node.index >= len(row) {
 			return datum.NullOf(datum.TypeString)
+		}
+		if node.extracted {
+			ctx.Calls++
 		}
 		return row[node.index]
 	case *keyRef:
@@ -115,16 +136,6 @@ func Eval(e Expr, row []datum.Datum, ctx *EvalContext) datum.Datum {
 			return datum.NullOf(datum.TypeString)
 		}
 		return row[node.index]
-	case *JSONPathExpr:
-		doc := Eval(node.Column, row, ctx)
-		if doc.Null || ctx.Doc == nil {
-			return datum.NullOf(datum.TypeString)
-		}
-		s, ok := ctx.Doc.Extract(doc.S, node)
-		if !ok {
-			return datum.NullOf(datum.TypeString)
-		}
-		return datum.Str(s)
 	case *Binary:
 		return evalBinary(node, row, ctx)
 	case *Not:
@@ -342,8 +353,8 @@ func (fc *FuncCall) opcode() funcOp {
 
 // evalFunc evaluates a scalar function call. It runs once per row per call
 // site, so the arguments are evaluated in place, never gathered into a slice.
-// Every argument is evaluated whatever the arity, so document parses are
-// metered the same for a call that then yields NULL.
+// Every argument is evaluated whatever the arity, so get_json_object calls
+// are metered the same for a call that then yields NULL.
 func evalFunc(fc *FuncCall, row []datum.Datum, ctx *EvalContext) datum.Datum {
 	op := fc.opcode()
 	if op == fnConcat {

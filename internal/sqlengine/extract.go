@@ -9,7 +9,8 @@ import (
 
 // Extraction is one column a scan extracts instead of reading it: the
 // get_json_object rendering of Path in the document column Column, as a
-// TypeString value.
+// TypeString value. The planner makes one of every distinct call a scan's
+// plan reads.
 type Extraction struct {
 	Column string
 	Path   *jsonpath.Path
@@ -74,12 +75,12 @@ func CompileExtraction(cols []string, list []Extraction) *BatchExtraction {
 // it was compiled for, then every document column outside them.
 func (x *BatchExtraction) Reads() []string { return x.reads }
 
-// Split opens the extraction for one split: one extractor per document
-// column, each holding its column's last document.
-func (x *BatchExtraction) Split() SplitExtraction {
-	s := SplitExtraction{x: x, xs: make([]*jsonpath.Extractor, len(x.docs))}
+// Split opens the extraction for one split: one extractor of backend's per
+// document column, each holding its column's last document.
+func (x *BatchExtraction) Split(backend ParserBackend) SplitExtraction {
+	s := SplitExtraction{x: x, xs: make([]ColumnExtractor, len(x.docs))}
 	for d := range x.docs {
-		s.xs[d] = jsonpath.NewExtractor(x.docs[d].set)
+		s.xs[d] = backend.NewExtractor(x.docs[d].set)
 	}
 	return s
 }
@@ -88,7 +89,7 @@ func (x *BatchExtraction) Split() SplitExtraction {
 // concurrent use.
 type SplitExtraction struct {
 	x  *BatchExtraction
-	xs []*jsonpath.Extractor // parallel to x.docs
+	xs []ColumnExtractor // parallel to x.docs
 }
 
 // Reset starts the next split: every column's first document is scanned,
@@ -106,12 +107,13 @@ func (s *SplitExtraction) Reset() {
 //   - an absent path or an explicit JSON null gives NULL, and a malformed
 //     document gives each path what extracting it alone gives;
 //   - a document equal to the last one its column scanned in this split is
-//     not scanned again (the Holds rule the engine's own evaluator follows),
-//     but a malformed one still counts as malformed in every row it fills.
+//     not scanned again, but a malformed one still counts as malformed in
+//     every row it fills.
 //
 // It returns the batch's parse work (documents scanned, bytes scanned and
-// skipped, path values resolved) and its malformed rows, per document
-// column, for the caller to add once per batch.
+// skipped) and its malformed rows, per document column, for the caller to
+// add once per batch. It counts no calls: a call is a plan's read of an
+// extracted column, which the executor counts.
 func (s *SplitExtraction) Fill(in, out [][]datum.Datum, n int) (c ParseCounts, malformed int64) {
 	null := datum.NullOf(datum.TypeString)
 	out = out[len(out)-s.x.width:]
@@ -129,7 +131,6 @@ func (s *SplitExtraction) Fill(in, out [][]datum.Datum, n int) (c ParseCounts, m
 				c.Docs++
 				c.Bytes += int64(scanned)
 				c.Skipped += int64(len(doc.S) - scanned)
-				c.Calls += int64(len(g.out))
 			}
 			if x.Err() != nil {
 				malformed++

@@ -84,7 +84,7 @@ func TestBatchExtraction(t *testing.T) {
 				for _, p := range extractPaths {
 					scan.Extract = append(scan.Extract, Extraction{Column: "doc", Path: jsonpath.MustCompile(p)})
 				}
-				r := NewSplitReader(wh, scan)
+				r := NewSplitReader(wh, scan, nil)
 				nCols := len(layout.cols)
 				id := 0
 				for split, docs := range extractSplits {
@@ -137,9 +137,11 @@ func TestBatchExtraction(t *testing.T) {
 						}
 					}
 					pc := m.Parse.Snapshot()
-					if pc.Docs != scans || pc.Calls != scans*int64(len(extractPaths)) || pc.Bytes+pc.Skipped != scannedLen {
-						t.Errorf("split %d metered %+v, want %d docs, %d calls and %d bytes scanned or skipped",
-							split, pc, scans, scans*int64(len(extractPaths)), scannedLen)
+					// A call is a plan's read of an extracted column: the reader
+					// counts none.
+					if pc.Docs != scans || pc.Calls != 0 || pc.Bytes+pc.Skipped != scannedLen {
+						t.Errorf("split %d metered %+v, want %d docs, no calls and %d bytes scanned or skipped",
+							split, pc, scans, scannedLen)
 					}
 				}
 			})
@@ -159,10 +161,10 @@ func TestBatchExtractionCountsMalformedRows(t *testing.T) {
 	broken := `{"x" 1}`
 	in := [][]datum.Datum{{datum.Str(broken), datum.Str(broken), datum.Str(`{"x": 2}`)}}
 	out := [][]datum.Datum{make([]datum.Datum, 3)}
-	s := x.Split()
+	s := x.Split(StreamBackend{})
 	c, malformed := s.Fill(in, out, 3)
-	if c.Docs != 2 || c.Calls != 2 || malformed != 2 {
-		t.Errorf("Fill counted %+v and %d malformed rows, want 2 docs, 2 calls, 2 malformed rows", c, malformed)
+	if c.Docs != 2 || c.Calls != 0 || malformed != 2 {
+		t.Errorf("Fill counted %+v and %d malformed rows, want 2 docs, no calls, 2 malformed rows", c, malformed)
 	}
 	if !out[0][0].Null || !out[0][1].Null || out[0][2].S != "2" {
 		t.Errorf("Fill wrote %v, want [NULL NULL 2]", out[0])

@@ -23,11 +23,11 @@ type ScanSourceFactory interface {
 // for top-level AND conjuncts of the form get_json_object(col, p) = 'lit'
 // where the literal contains no JSON-escaped characters — then a matching
 // row's document must contain the quoted literal verbatim, so rows without
-// it can skip the parse entirely (Palkar et al., VLDB 2018).
+// it can skip the parse entirely (Palkar et al., VLDB 2018). The engine's
+// split reader applies a scan's prefilters before it extracts.
 type RawPrefilter struct {
 	Column string
 	Needle string
-	colIdx int
 }
 
 // ScanNode reads a base table. Columns lists the storage columns to read;
@@ -40,11 +40,14 @@ type ScanNode struct {
 	SARG    *orc.SARG
 	// PreFilters hold Sparser-style raw-byte filters (engine option).
 	PreFilters []RawPrefilter
-	// Extract lists the columns the engine's split reader extracts from
-	// document columns and places, in order, in the last columns of the
-	// batch. A shared pass sets it, its schema naming them, and so does the
-	// Value Combiner's raw side, whose cache columns sit between Columns and
-	// them.
+	// Extract lists the get_json_object values the scan produces: the
+	// planner makes one entry of every distinct (document column, path) pair
+	// the plan's calls read, and the scan places them, in order, in the last
+	// columns of its batches, after the columns it reads (ExtractRef binds a
+	// call to its column). Maxson's plan modifier moves the entries a cache
+	// serves onto cache columns, which the Value Combiner stitches between
+	// Columns and the rest; a shared pass extracts the union of its
+	// participants' lists.
 	Extract []Extraction
 	// Factory overrides the default warehouse file reader (set by Maxson's
 	// plan modifier). When nil, the engine builds a default factory.

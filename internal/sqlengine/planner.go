@@ -2,6 +2,7 @@ package sqlengine
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/datum"
@@ -52,9 +53,11 @@ func (e *Engine) Plan(stmt *SelectStmt) (*PhysicalPlan, error) {
 	}
 	plan.Items = items
 
-	// Restrict scans to referenced columns (projection pushdown); every
-	// expression binds against the pruned schema below.
+	// Restrict scans to referenced columns (projection pushdown), then make
+	// every get_json_object call a column of its scan; every expression binds
+	// against the resulting schema below.
 	e.pruneScanColumns(plan, stmt)
+	plan.extractCalls(stmt)
 	inputSchema := plan.InputSchema
 
 	// Join keys bind against each side's pruned schema.
@@ -119,6 +122,7 @@ func (e *Engine) Plan(stmt *SelectStmt) (*PhysicalPlan, error) {
 	}
 
 	// Output schema from item names.
+	plan.OutputSchema.Cols = make([]RowCol, 0, len(plan.Items))
 	for _, it := range plan.Items {
 		plan.OutputSchema.Cols = append(plan.OutputSchema.Cols, RowCol{
 			Name: it.OutputName(), Type: datum.TypeString,
@@ -139,6 +143,8 @@ func (e *Engine) makeScan(ref TableRef) (*ScanNode, error) {
 		return nil, err
 	}
 	scan := &ScanNode{DB: db, Table: ref.Table, Binding: ref.Binding()}
+	scan.Columns = make([]string, 0, len(info.Schema.Columns))
+	scan.schema.Cols = make([]RowCol, 0, len(info.Schema.Columns))
 	for _, c := range info.Schema.Columns {
 		scan.Columns = append(scan.Columns, c.Name)
 		scan.schema.Cols = append(scan.schema.Cols, RowCol{
@@ -184,8 +190,8 @@ func (e *Engine) pruneScanColumns(plan *PhysicalPlan, stmt *SelectStmt) {
 		}
 	}
 	prune := func(scan *ScanNode, other *ScanNode) {
-		var cols []string
-		var schemaCols []RowCol
+		// Filtered in place: makeScan built both slices for this scan.
+		cols, schemaCols := scan.Columns[:0], scan.schema.Cols[:0]
 		for i, name := range scan.Columns {
 			key := strings.ToLower(scan.Binding) + "\x00" + strings.ToLower(name)
 			bare := "\x00" + strings.ToLower(name)
@@ -212,10 +218,78 @@ func (e *Engine) pruneScanColumns(plan *PhysicalPlan, stmt *SelectStmt) {
 	prune(plan.Scan, right)
 	if plan.Join != nil {
 		prune(plan.Join.Build, plan.Scan)
-		plan.InputSchema = RowSchema{Cols: append(append([]RowCol{}, plan.Scan.schema.Cols...), plan.Join.Build.schema.Cols...)}
-	} else {
-		plan.InputSchema = plan.Scan.schema
 	}
+}
+
+// extractCalls is the plan-time half of the paper's Algorithm 1: every
+// get_json_object call of the statement, aggregate arguments included,
+// becomes an ExtractRef, and each distinct (document column, path) pair a
+// scan's calls read becomes one entry of its Extract list and one column of
+// its schema, after the columns it reads. A scan keeps the document columns
+// its calls read among its Columns. The input schema is the scans' schemas,
+// probe side first.
+func (plan *PhysicalPlan) extractCalls(stmt *SelectStmt) {
+	scans := []*ScanNode{plan.Scan}
+	if plan.Join != nil {
+		scans = append(scans, plan.Join.Build)
+	}
+	var calls func(e Expr) Expr
+	calls = func(e Expr) Expr {
+		if e == nil {
+			return nil
+		}
+		return Rewrite(e, func(n Expr) Expr {
+			switch n := n.(type) {
+			case *Aggregate:
+				n.Arg = calls(n.Arg)
+			case *JSONPathExpr:
+				for _, scan := range scans {
+					q := n.Column.Qualifier
+					if (q == "" || strings.EqualFold(q, scan.Binding)) && otherHas(scan, n.Column.Name) {
+						scan.extract(Extraction{Column: storageName(scan, n.Column.Name), Path: n.Path})
+					}
+				}
+				return &ExtractRef{Call: n}
+			}
+			return n
+		})
+	}
+	for i := range plan.Items {
+		plan.Items[i].Expr = calls(plan.Items[i].Expr)
+	}
+	stmt.Where = calls(stmt.Where)
+	for i := range stmt.GroupBy {
+		stmt.GroupBy[i] = calls(stmt.GroupBy[i])
+	}
+	stmt.Having = calls(stmt.Having)
+	for i := range stmt.OrderBy {
+		stmt.OrderBy[i].Expr = calls(stmt.OrderBy[i].Expr)
+	}
+	plan.InputSchema = plan.Scan.schema
+	if plan.Join != nil {
+		for i := range plan.Join.LeftKeys {
+			plan.Join.LeftKeys[i] = calls(plan.Join.LeftKeys[i])
+		}
+		for i := range plan.Join.RightKeys {
+			plan.Join.RightKeys[i] = calls(plan.Join.RightKeys[i])
+		}
+		plan.InputSchema = RowSchema{Cols: append(slices.Clip(plan.Scan.schema.Cols), plan.Join.Build.schema.Cols...)}
+	}
+}
+
+// extract adds x to the scan's Extract list and its column to the scan's
+// schema, unless the scan already extracts x's path from x's column.
+func (s *ScanNode) extract(x Extraction) {
+	canon := x.Path.Canonical()
+	for _, c := range s.schema.Cols {
+		if c.Path == canon && strings.EqualFold(c.Name, x.Column) {
+			return
+		}
+	}
+	s.Extract = append(s.Extract, x)
+	s.schema.Cols = append(s.schema.Cols, RowCol{
+		Qualifier: s.Binding, Name: x.Column, Type: datum.TypeString, Path: canon, Extracted: true,
+	})
 }
 
 func otherHas(scan *ScanNode, name string) bool {
@@ -410,7 +484,7 @@ func extractPrefilters(where Expr, scan *ScanNode) []RawPrefilter {
 		needle := lit.Value.S
 		// Soundness: a row matches only when the extracted scalar equals
 		// the literal exactly. For string values the raw document contains
-		// the text verbatim (when not escape-encoded — the executor guards
+		// the text verbatim (when not escape-encoded — the scan guards
 		// documents containing backslashes); for numbers/booleans the
 		// scalar preserves the raw literal. Composite values serialize
 		// compactly, which may differ from the raw spacing, so literals
@@ -420,34 +494,21 @@ func extractPrefilters(where Expr, scan *ScanNode) []RawPrefilter {
 			strings.ContainsAny(needle, "\\\"") || strings.ContainsAny(needle, "{[") {
 			return
 		}
-		colIdx := -1
-		for i, c := range scan.Columns {
-			if strings.EqualFold(c, jp.Column.Name) {
-				colIdx = i
-			}
-		}
-		if colIdx < 0 {
-			return
-		}
-		out = append(out, RawPrefilter{
-			Column: jp.Column.Name,
-			Needle: needle,
-			colIdx: colIdx,
-		})
+		out = append(out, RawPrefilter{Column: storageName(scan, jp.Column.Name), Needle: needle})
 	}
 	visit(where)
 	return out
 }
 
 func jsonPathLitPair(l, r Expr) (*JSONPathExpr, *Literal) {
-	if jp, ok := l.(*JSONPathExpr); ok {
+	if ref, ok := l.(*ExtractRef); ok {
 		if lit, ok := r.(*Literal); ok {
-			return jp, lit
+			return ref.Call, lit
 		}
 	}
-	if jp, ok := r.(*JSONPathExpr); ok {
+	if ref, ok := r.(*ExtractRef); ok {
 		if lit, ok := l.(*Literal); ok {
-			return jp, lit
+			return ref.Call, lit
 		}
 	}
 	return nil, nil
@@ -521,7 +582,7 @@ func (e *Engine) planAggregate(plan *PhysicalPlan, stmt *SelectStmt) error {
 
 	// Post-aggregation schema: group keys by their source text (and bare
 	// column name when the key is a plain column), then aggregate slots.
-	postSchema := RowSchema{}
+	postSchema := RowSchema{Cols: make([]RowCol, 0, len(plan.GroupBy)+len(plan.Aggs))}
 	for _, g := range plan.GroupBy {
 		col := RowCol{Name: g.String(), Type: datum.TypeString}
 		if c, ok := g.(*ColumnRef); ok {
@@ -598,7 +659,7 @@ func (e *Engine) planAggregate(plan *PhysicalPlan, stmt *SelectStmt) error {
 	return nil
 }
 
-// unresolvedPostRef finds the first raw column/path reference outside any
+// unresolvedPostRef finds the first column or get_json_object read outside any
 // aggregate in a post-aggregation expression — those must have been
 // rewritten to keyRefs, so a survivor is an error. Aggregate subtrees are
 // skipped because their arguments bind against the pre-aggregation schema.
@@ -606,7 +667,7 @@ func unresolvedPostRef(e Expr) Expr {
 	switch n := e.(type) {
 	case *Aggregate:
 		return nil
-	case *ColumnRef, *JSONPathExpr, *CachePlaceholder:
+	case *ColumnRef, *ExtractRef:
 		return n
 	case *Binary:
 		if bad := unresolvedPostRef(n.Left); bad != nil {

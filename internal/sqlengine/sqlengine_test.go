@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/jsonpath"
 	"repro/internal/testbed"
 )
 
@@ -449,11 +448,13 @@ func TestDeterministicResultOrderWithoutSort(t *testing.T) {
 	}
 }
 
-// TestPlanPathCalls pins the index the evaluator and the scan-share scheduler
-// are seeded from: one path set per document column, aliased spellings and
-// repeated calls sharing a slot, and nothing at all for a plan without
-// get_json_object — which is what lets such a plan run with no evaluator.
-func TestPlanPathCalls(t *testing.T) {
+// TestPlanExtractsEveryCall pins the plan shape every get_json_object call
+// takes: one Extract entry, and one schema column after the scan's own, per
+// distinct (document column, path), aliased spellings and repeated calls
+// sharing it; every call site an ExtractRef bound to its column; the
+// document columns still read. A plan without calls extracts nothing and
+// meters no parse work.
+func TestPlanExtractsEveryCall(t *testing.T) {
 	e := newTestEngine(t)
 	plan, _, err := e.PlanOnly(`
 		SELECT get_json_object(sale_logs, '$.turnover') tv,
@@ -465,47 +466,43 @@ func TestPlanPathCalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	calls := PlanPathCalls(plan)
-	if calls == nil || len(calls.Cols) != 2 {
-		t.Fatalf("calls = %+v, want two document columns", calls)
-	}
 	var texts []string
-	for _, c := range calls.Cols {
-		var paths []string
-		for _, p := range c.Set.Paths() {
-			paths = append(paths, p.Canonical())
-		}
-		texts = append(texts, fmt.Sprintf("%s:%s", plan.Scan.Schema().Cols[c.Index].Name, strings.Join(paths, ",")))
+	for _, x := range plan.Scan.Extract {
+		texts = append(texts, x.Column+":"+x.Path.Canonical())
 	}
-	if got := strings.Join(texts, " "); got != "sale_logs:$.turnover,$ mall_id:$.x" {
-		t.Errorf("column path sets = %q", got)
+	if got := strings.Join(texts, " "); got != "sale_logs:$.turnover sale_logs:$ mall_id:$.x" {
+		t.Errorf("extract list = %q", got)
 	}
-	slots := map[string]PathSlot{}
+	cols := plan.Scan.Schema().Cols
+	if got := fmt.Sprint(plan.Scan.Columns); got != "[mall_id sale_logs]" {
+		t.Errorf("scan columns = %s, want the two document columns", got)
+	}
+	if len(cols) != len(plan.Scan.Columns)+len(plan.Scan.Extract) {
+		t.Fatalf("schema has %d columns for %d read and %d extracted", len(cols), len(plan.Scan.Columns), len(plan.Scan.Extract))
+	}
+	refs := 0
 	VisitPlanExprs(plan, func(x Expr) {
-		if call, ok := x.(*JSONPathExpr); ok {
-			slot, ok := calls.Slot(call)
-			if !ok {
-				t.Errorf("call %s has no slot", call)
+		switch n := x.(type) {
+		case *JSONPathExpr:
+			t.Errorf("call %s left in the plan", n)
+		case *ExtractRef:
+			refs++
+			c := cols[n.index]
+			if !c.Extracted || c.Path != n.Call.Path.Canonical() || !strings.EqualFold(c.Name, n.Call.Column.Name) {
+				t.Errorf("call %s bound to column %+v", n, c)
 			}
-			if prev, seen := slots[call.Path.Canonical()+"@"+call.Column.Name]; seen && prev != slot {
-				t.Errorf("call %s: slot %v, an equal call got %v", call, slot, prev)
-			}
-			slots[call.Path.Canonical()+"@"+call.Column.Name] = slot
 		}
 	})
-	if len(slots) != 3 {
-		t.Errorf("distinct (column, path) pairs = %d, want 3", len(slots))
+	if refs != 5 {
+		t.Errorf("call sites = %d, want 5", refs)
 	}
 
 	plain, _, err := e.PlanOnly(`SELECT COUNT(*) c FROM mydb.t WHERE date > '20190110'`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if calls := PlanPathCalls(plain); calls != nil {
-		t.Errorf("plan without get_json_object indexed %+v", calls)
-	}
-	if _, ok := (*PathCalls)(nil).Slot(&JSONPathExpr{}); ok {
-		t.Error("nil index resolved a call")
+	if len(plain.Scan.Extract) != 0 {
+		t.Errorf("plan without get_json_object extracts %+v", plain.Scan.Extract)
 	}
 	_, m, err := e.QueryCtx(context.Background(), `SELECT COUNT(*) c FROM mydb.t WHERE date > '20190110'`)
 	if err != nil {
@@ -513,22 +510,5 @@ func TestPlanPathCalls(t *testing.T) {
 	}
 	if pc := m.Parse.Snapshot(); pc != (ParseCounts{}) {
 		t.Errorf("plan without get_json_object metered parse work: %+v", pc)
-	}
-}
-
-// TestStreamEvaluatorUnindexedCall: an evaluator built by hand, without the
-// plan's call index, still answers (one single-path scan per call).
-func TestStreamEvaluatorUnindexedCall(t *testing.T) {
-	var meter ParseMeter
-	ev := StreamBackend{}.NewDocEvaluator(&meter, nil)
-	call := &JSONPathExpr{Path: jsonpath.MustCompile("$.a.b")}
-	if got, ok := ev.Extract(`{"a": {"b": 7}, "tail": 1}`, call); got != "7" || !ok {
-		t.Errorf("Extract = (%q, %v), want (\"7\", true)", got, ok)
-	}
-	if got, ok := ev.Extract(`{"a": `, call); got != "" || ok {
-		t.Errorf("malformed doc: Extract = (%q, %v), want NULL", got, ok)
-	}
-	if pc := meter.Snapshot(); pc.Calls != 2 || pc.Docs != 2 {
-		t.Errorf("metered %+v, want 2 calls / 2 docs", pc)
 	}
 }
