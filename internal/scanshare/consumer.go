@@ -27,9 +27,10 @@ func (f *consumerFactory) Open(split int, m *sqlengine.Metrics) (sqlengine.Batch
 
 // consumerSource receives the producer's batches.
 type consumerSource struct {
-	p   *participant
-	m   *sqlengine.Metrics
-	eof bool
+	p      *participant
+	m      *sqlengine.Metrics
+	eof    bool
+	failed bool
 }
 
 // NextBatch implements sqlengine.BatchSource: the pipe copies the producer's
@@ -43,9 +44,8 @@ func (s *consumerSource) NextBatch(b *sqlengine.RowBatch) (int, error) {
 	}
 	n, err := s.p.pipe.Recv(s.p.qctx, b)
 	if err != nil {
+		s.failed = true
 		if s.p.qctx.Err() != nil {
-			// Cancelled: tell the producer now rather than at Release.
-			s.p.pipe.Abandon()
 			s.p.g.s.c.detach.Inc()
 		}
 		return 0, err
@@ -55,8 +55,22 @@ func (s *consumerSource) NextBatch(b *sqlengine.RowBatch) (int, error) {
 	}
 	s.eof = true
 	if err := s.p.g.err; err != nil {
+		s.failed = true
 		return 0, err
 	}
 	s.p.g.claim(s.m)
 	return 0, nil
+}
+
+// Stop implements the executor's stop hook (sqlengine.BatchSource): the
+// query reads no further. The pipe is abandoned at once, so a query that has
+// its LIMIT's rows holds up neither the producer nor its siblings. When it
+// left early and cleanly, and last, no consumer will reach the end of the
+// pass to claim its metrics: this one claims what the pass has metered, all
+// of it but a batch the producer may be reading for nobody.
+func (s *consumerSource) Stop() {
+	failed := s.failed || s.p.qctx.Err() != nil
+	if s.p.leave(failed) && !failed && !s.eof {
+		s.p.g.claim(s.m)
+	}
 }

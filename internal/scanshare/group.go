@@ -33,11 +33,17 @@ type group struct {
 	pm  *sqlengine.Metrics
 	// claimed elects the one consumer that folds pm into its query metrics.
 	claimed atomic.Bool
+
+	// open counts the consumers that have not left the pass (participant.
+	// leave); failed, the ones that left on an error or a cancellation.
+	open, failed atomic.Int32
 }
 
 // claim folds the producer's metrics into m exactly once across the group.
-// Only called at clean end-of-stream, so cancelled or errored queries (whose
-// metrics the engine discards) can never swallow the producer's accounting.
+// Only a consumer that reached the clean end of the stream, or that left the
+// pass last, early and cleanly, calls it, so cancelled or errored queries
+// (whose metrics the engine discards) can never swallow the producer's
+// accounting.
 func (g *group) claim(m *sqlengine.Metrics) {
 	if g.claimed.CompareAndSwap(false, true) {
 		g.pm.MergeInto(m)
@@ -65,6 +71,7 @@ func (g *group) launch(live []*participant) {
 	}
 	pr.cons = cons
 	g.pm = pr.pm
+	g.open.Store(int32(len(cons)))
 	g.launched = true
 	g.s.c.groups.Inc()
 	g.s.c.coalesced.Add(int64(len(cons)))
@@ -180,8 +187,24 @@ type participant struct {
 	view   [][]datum.Datum
 	shared bool
 	err    error
+	// left is set when p leaves the pass.
+	left atomic.Bool
 }
 
 // Release implements sqlengine.SharedScanHandle: the engine calls it once
 // when the query completes, however it ended.
-func (p *participant) Release() { p.pipe.Abandon() }
+func (p *participant) Release() { p.leave(p.qctx.Err() != nil) }
+
+// leave abandons p's pipe and, the first time, counts p out of the pass:
+// failed when it left on an error or a cancellation, which the pass did not
+// serve. It reports whether p was the last consumer to leave.
+func (p *participant) leave(failed bool) bool {
+	p.pipe.Abandon()
+	if !p.left.CompareAndSwap(false, true) {
+		return false
+	}
+	if failed {
+		p.g.failed.Add(1)
+	}
+	return p.g.open.Add(-1) == 0
+}

@@ -1,10 +1,6 @@
 package scanshare
 
-import (
-	"errors"
-
-	"repro/internal/sqlengine"
-)
+import "repro/internal/sqlengine"
 
 // producer runs the single shared pass: it reads the underlying splits
 // sequentially (preserving the split-order row sequence an unshared query
@@ -18,12 +14,9 @@ type producer struct {
 	factory sqlengine.ScanSourceFactory
 	cons    []*participant
 
-	// pm meters the single pass; exactly one consumer claims it at EOF.
+	// pm meters the single pass; exactly one consumer claims it (group.claim).
 	pm *sqlengine.Metrics
 }
-
-// errNoConsumers stops the scan once every consumer has left.
-var errNoConsumers = errors.New("scanshare: no consumers left")
 
 // run executes the shared pass. It is the only closer of the consumer
 // pipes and always closes them, even on error or panic, after writing
@@ -40,7 +33,7 @@ func (pr *producer) run() {
 	}()
 	pr.g.err = err
 
-	served := pr.liveCount()
+	served := len(pr.cons) - int(pr.g.failed.Load())
 	for _, p := range pr.cons {
 		p.pipe.Close()
 	}
@@ -61,16 +54,12 @@ func (pr *producer) scan() error {
 	if pr.liveCount() == 0 {
 		return nil // everyone left: read nothing
 	}
-	err = pr.e.ScanBatches(pr.factory, 0, nSplits, pr.pm, func(batch *sqlengine.RowBatch, n int) error {
+	return pr.e.ScanBatches(pr.factory, 0, nSplits, -1, pr.pm, func(batch *sqlengine.RowBatch, n int) error {
 		if !pr.fanOut(batch, n) {
-			return errNoConsumers
+			return sqlengine.StopScan
 		}
 		return nil
 	})
-	if err == errNoConsumers {
-		return nil
-	}
-	return err
 }
 
 func (pr *producer) liveCount() int {
@@ -86,18 +75,15 @@ func (pr *producer) liveCount() int {
 // fanOut sends the first n rows of the lent batch to every consumer still
 // reading, each the columns its plan reads. Copy-on-demux: each pipe takes
 // its own copy, so a consumer that leaves mid-send neither stalls the
-// producer nor touches its siblings' rows. Returns false when no consumers
-// remain.
+// producer nor touches its siblings' rows. Returns false when no consumer
+// reads on: every one has left, at its end, its LIMIT or an error.
 func (pr *producer) fanOut(batch *sqlengine.RowBatch, n int) bool {
-	any := false
 	for _, p := range pr.cons {
 		for j, c := range p.cols {
 			p.view[j] = batch.Cols[c]
 		}
-		if p.pipe.Send(p.view, n) {
-			any = true
-		}
+		p.pipe.Send(p.view, n)
 		clear(p.view) // no alias into the lent batch outlives the send
 	}
-	return any
+	return pr.liveCount() > 0
 }

@@ -310,7 +310,7 @@ func (s *Scheduler) Attach(ctx context.Context, e *sqlengine.Engine, plan *sqlen
 			// wait for it, then leave the pass it may have joined.
 			<-g.sealed
 			if p.shared {
-				p.pipe.Abandon()
+				p.leave(true)
 			}
 		}
 		return nil, ctx.Err()

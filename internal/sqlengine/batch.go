@@ -2,6 +2,7 @@ package sqlengine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -26,6 +27,9 @@ type RowBatch struct {
 	// slab is the flat backing array the columns are sliced from.
 	slab []datum.Datum
 	size int
+	// want, when positive, is how many more rows the batch's reader takes
+	// from the source it reads (ScanBatches' limit); Capacity is no larger.
+	want int
 }
 
 // NewRowBatch builds an unpooled batch of the given width (column count) and
@@ -55,10 +59,18 @@ func (b *RowBatch) reshape(width, capacity int) {
 		b.Cols[c] = slab[c*capacity : (c+1)*capacity : (c+1)*capacity]
 	}
 	b.size = capacity
+	b.want = 0
 }
 
-// Capacity returns the maximum rows per NextBatch call.
-func (b *RowBatch) Capacity() int { return b.size }
+// Capacity returns the most rows the next NextBatch call may fill: the
+// batch's size, or fewer when its reader takes no more than that from the
+// source (ScanBatches' limit), so a source reads no row it would not use.
+func (b *RowBatch) Capacity() int {
+	if b.want > 0 && b.want < b.size {
+		return b.want
+	}
+	return b.size
+}
 
 // Width returns the column count.
 func (b *RowBatch) Width() int { return len(b.Cols) }
@@ -106,39 +118,72 @@ func putRowBatch(b *RowBatch) {
 // a nil error means the source is exhausted. Values written into the batch
 // must remain valid after the next NextBatch call only if the caller copied
 // them out.
+//
+// A source that holds something for its reader beyond the rows it returned
+// (a shared pass's pipe) may also have a Stop method: ScanBatches calls it
+// once, as soon as it reads no further from the source, whether the source
+// ran dry, the walk had all the rows it wanted, or it failed.
 type BatchSource interface {
 	NextBatch(b *RowBatch) (int, error)
 }
+
+// stopper is a BatchSource with a Stop method.
+type stopper interface{ Stop() }
+
+// StopScan, returned by a ScanBatches callback, ends the walk early and
+// cleanly: the callback has every row it needs, and ScanBatches returns nil.
+var StopScan = errors.New("sql: scan stopped")
 
 // ScanBatches reads splits [first, end) of factory in order and calls fn once
 // per non-empty batch with the rows in b.Cols[c][:n]. The batch is lent: one
 // pooled batch serves the whole walk and goes back to the pool when
 // ScanBatches returns, by whatever route (fn's error, a source error, a
 // panic), so fn must copy out whatever it keeps and must not retain b. A
-// non-nil error from fn stops the walk and is returned as it is.
-func (e *Engine) ScanBatches(factory ScanSourceFactory, first, end int, m *Metrics, fn func(b *RowBatch, n int) error) error {
+// non-nil error from fn stops the walk and is returned as it is, except
+// StopScan. A limit of zero or more is the most rows the walk hands fn: it
+// asks each source for no more than the rows still owed (RowBatch.Capacity)
+// and ends, opening no further split, once it has handed them all. A limit
+// of -1 reads every row.
+func (e *Engine) ScanBatches(factory ScanSourceFactory, first, end, limit int, m *Metrics, fn func(b *RowBatch, n int) error) error {
 	schema, err := factory.Schema()
 	if err != nil {
 		return err
 	}
 	b := getRowBatch(len(schema.Cols), e.batchSize)
 	defer putRowBatch(b)
-	for split := first; split < end; split++ {
+	for split := first; split < end && limit != 0; split++ {
 		src, err := factory.Open(split, m)
 		if err != nil {
 			return err
 		}
-		for {
-			n, err := src.NextBatch(b)
-			if err != nil {
-				return err
+		if err := readSource(src, b, &limit, fn); err != nil {
+			if errors.Is(err, StopScan) {
+				return nil
 			}
-			if n == 0 {
-				break
-			}
-			if err := fn(b, n); err != nil {
-				return err
-			}
+			return err
+		}
+	}
+	return nil
+}
+
+// readSource hands fn src's batches until it runs dry or *limit rows have
+// been handed, taking what it hands off *limit, and stops src when it is
+// done with it.
+func readSource(src BatchSource, b *RowBatch, limit *int, fn func(b *RowBatch, n int) error) error {
+	if s, ok := src.(stopper); ok {
+		defer s.Stop()
+	}
+	for *limit != 0 {
+		b.want = *limit
+		n, err := src.NextBatch(b)
+		if err != nil || n == 0 {
+			return err
+		}
+		if *limit > 0 {
+			*limit = max(*limit-n, 0)
+		}
+		if err := fn(b, n); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -206,7 +251,9 @@ func (p *BatchPipe) Close() {
 // Recv copies the next batch into dst and returns its row count; 0 with a
 // nil error means the producer closed the pipe and everything sent was
 // read. It fails when ctx is done first, and when the batch does not fit
-// dst (the batch is dropped). Consumer side only.
+// dst (the batch is dropped). A dst whose reader takes fewer rows than the
+// batch holds (RowBatch.Capacity) gets the first of them, and the rest are
+// dropped: that reader takes no more. Consumer side only.
 func (p *BatchPipe) Recv(ctx context.Context, dst *RowBatch) (int, error) {
 	select {
 	case pb, ok := <-p.queue:
@@ -214,14 +261,15 @@ func (p *BatchPipe) Recv(ctx context.Context, dst *RowBatch) (int, error) {
 			return 0, nil
 		}
 		defer putRowBatch(pb.b)
-		if pb.n > dst.Capacity() || pb.b.Width() != dst.Width() {
+		if pb.n > dst.size || pb.b.Width() != dst.Width() {
 			return 0, fmt.Errorf("sql: piped batch shape mismatch (%d rows x %d cols into %d x %d)",
-				pb.n, pb.b.Width(), dst.Capacity(), dst.Width())
+				pb.n, pb.b.Width(), dst.size, dst.Width())
 		}
+		n := min(pb.n, dst.Capacity())
 		for c := range pb.b.Cols {
-			copy(dst.Cols[c][:pb.n], pb.b.Cols[c][:pb.n])
+			copy(dst.Cols[c][:n], pb.b.Cols[c][:n])
 		}
-		return pb.n, nil
+		return n, nil
 	case <-ctx.Done():
 		return 0, ctx.Err()
 	}

@@ -220,7 +220,7 @@ func TestScanBatchesReturnsItsBatch(t *testing.T) {
 
 	var seen []int64
 	var lent *RowBatch
-	err := e.ScanBatches(&lendFactory{failAt: -1}, 0, 2, &Metrics{}, func(b *RowBatch, n int) error {
+	err := e.ScanBatches(&lendFactory{failAt: -1}, 0, 2, -1, &Metrics{}, func(b *RowBatch, n int) error {
 		if lent == nil {
 			lent = b
 		}
@@ -240,7 +240,7 @@ func TestScanBatchesReturnsItsBatch(t *testing.T) {
 
 	errStop := errors.New("callback stops")
 	calls := 0
-	err = e.ScanBatches(&lendFactory{failAt: -1}, 0, 2, &Metrics{}, func(*RowBatch, int) error {
+	err = e.ScanBatches(&lendFactory{failAt: -1}, 0, 2, -1, &Metrics{}, func(*RowBatch, int) error {
 		calls++
 		return errStop
 	})
@@ -250,7 +250,7 @@ func TestScanBatchesReturnsItsBatch(t *testing.T) {
 	poolBalanced(t, start)
 
 	calls = 0
-	err = e.ScanBatches(&lendFactory{failAt: 4}, 0, 2, &Metrics{}, func(*RowBatch, int) error {
+	err = e.ScanBatches(&lendFactory{failAt: 4}, 0, 2, -1, &Metrics{}, func(*RowBatch, int) error {
 		calls++
 		return nil
 	})
@@ -265,7 +265,7 @@ func TestScanBatchesReturnsItsBatch(t *testing.T) {
 				t.Error("callback panic did not propagate")
 			}
 		}()
-		_ = e.ScanBatches(&lendFactory{failAt: -1}, 1, 2, &Metrics{}, func(*RowBatch, int) error {
+		_ = e.ScanBatches(&lendFactory{failAt: -1}, 1, 2, -1, &Metrics{}, func(*RowBatch, int) error {
 			panic("callback panics")
 		})
 	}()

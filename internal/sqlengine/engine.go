@@ -254,8 +254,9 @@ func (e *Engine) queryStmt(ctx context.Context, stmt *SelectStmt, traced bool) (
 
 	// Offer the plan to the shared-scan scheduler. Traced queries keep
 	// their own pass (spans describe a private scan), as do joins (two
-	// scans, one plan — not worth the pairing complexity).
-	if e.scanShare != nil && !traced && plan.Join == nil {
+	// scans, one plan — not worth the pairing complexity). An unordered
+	// LIMIT 0 reads no split, so it has no scan to share.
+	if e.scanShare != nil && !traced && plan.Join == nil && plan.rowLimit() != 0 {
 		h, err := e.scanShare.Attach(ctx, e, plan)
 		if err != nil {
 			return nil, nil, nil, err

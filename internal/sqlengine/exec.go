@@ -269,11 +269,13 @@ func (e *Engine) ExecuteCtx(ctx context.Context, plan *PhysicalPlan) (*ResultSet
 func (e *Engine) execute(ctx context.Context, plan *PhysicalPlan, trace *obs.Span) (*ResultSet, *Metrics, error) {
 	m := &Metrics{Trace: trace, Span: trace}
 	start := e.nowWall()
+	limit := plan.rowLimit()
 
-	// Hash-join build side (if any), materialized once.
+	// Hash-join build side (if any), materialized once, unless a LIMIT 0
+	// reads no probe row to join.
 	var joinTable map[string][][]datum.Datum
 	var buildWidth int
-	if plan.Join != nil {
+	if plan.Join != nil && limit != 0 {
 		bm := &Metrics{}
 		if trace != nil {
 			bm.Span = trace.Child(fmt.Sprintf("join-build %s.%s", plan.Join.Build.DB, plan.Join.Build.Table))
@@ -306,6 +308,10 @@ func (e *Engine) execute(ctx context.Context, plan *PhysicalPlan, trace *obs.Spa
 	// deterministic even though partitions run concurrently.
 	results := make([]partResult, nSplits)
 	partMetrics := make([]Metrics, nSplits)
+	var stop *limitStop
+	if limit >= 0 {
+		stop = newLimitStop(limit, nSplits, len(plan.Scan.PreFilters) == 0)
+	}
 	var scanSpan *obs.Span
 	if trace != nil {
 		scanSpan = trace.Child(fmt.Sprintf("scan %s.%s", plan.Scan.DB, plan.Scan.Table))
@@ -314,6 +320,7 @@ func (e *Engine) execute(ctx context.Context, plan *PhysicalPlan, trace *obs.Spa
 		}
 	}
 	runSplit := func(split int) {
+		defer stop.end(split) // however the split ended, the next may start
 		// A panicking split (corrupt data, injected fault, executor bug) must
 		// fail the query, not the process, and not its worker's other splits.
 		// ScanBatches' defer runs before this recover, so the lent batch is
@@ -328,9 +335,10 @@ func (e *Engine) execute(ctx context.Context, plan *PhysicalPlan, trace *obs.Spa
 					"sql: split %d of %s.%s panicked: %v", split, plan.Scan.DB, plan.Scan.Table, r)}
 			}
 		}()
-		results[split] = e.runPartition(ctx, plan, factory, split, joinTable, buildWidth, &partMetrics[split])
+		results[split] = e.runPartition(ctx, plan, factory, split, joinTable, buildWidth, stop, &partMetrics[split])
 	}
-	// P workers claim splits in index order until none is left.
+	// P workers claim splits in index order until none is left, or none the
+	// LIMIT needs.
 	var wg sync.WaitGroup
 	var next atomic.Int64
 	for w := min(e.parallelism, nSplits); w > 0; w-- {
@@ -338,6 +346,10 @@ func (e *Engine) execute(ctx context.Context, plan *PhysicalPlan, trace *obs.Spa
 		go func() {
 			defer wg.Done()
 			for split := int(next.Add(1)) - 1; split < nSplits; split = int(next.Add(1)) - 1 {
+				if !stop.start(split) {
+					stop.end(split)
+					break
+				}
 				runSplit(split)
 			}
 		}()
@@ -354,6 +366,10 @@ func (e *Engine) execute(ctx context.Context, plan *PhysicalPlan, trace *obs.Spa
 	for split, pm := range results {
 		p := &partMetrics[split]
 		if p.Span != nil {
+			if p.Span.Attr("source") == "" && stop != nil {
+				p.Span.Set("source", "skipped by limit")
+				p.Span.End()
+			}
 			p.Span.SetInt("rows", p.RowsScanned.Load())
 			p.Span.SetInt("out", pm.rowsOut)
 			p.Span.SetInt("bytes", p.BytesRead.Load())
@@ -447,8 +463,10 @@ func (e *Engine) execute(ctx context.Context, plan *PhysicalPlan, trace *obs.Spa
 			span.SetInt("row-ops", m.RowOps.Load()-opsBefore)
 		}
 	}
-	if plan.Limit >= 0 && len(out) > plan.Limit {
-		out = out[:plan.Limit]
+	if plan.Limit >= 0 {
+		// An unordered LIMIT's partitions stopped at it, so only rows that
+		// splits running beside the prefix read past it are cut here.
+		out = out[:min(len(out), plan.Limit)]
 		if trace != nil {
 			trace.Child("limit").SetInt("out", int64(len(out)))
 		}
@@ -462,6 +480,78 @@ func (e *Engine) execute(ctx context.Context, plan *PhysicalPlan, trace *obs.Spa
 	e.obsC.publish(m)
 	ownStrings(out)
 	return &ResultSet{Columns: plan.OutputSchema.Names(), Rows: out}, m, nil
+}
+
+// limitStop ends an unordered LIMIT's scan at the splits its answer draws
+// on. The answer is the first limit rows in split order, so once the splits
+// before some split have emitted limit rows between them, finished or not,
+// that split and every later one add nothing to it: a worker claims none of
+// them and one already running stops at its next batch boundary. A split
+// starts only once the one before it has read its first batch, so a LIMIT
+// that batch fills opens no later split at any parallelism; but not behind a
+// scan with prefilters, which may drop batch after batch before one reaches
+// the executor. A nil limitStop needs every split.
+type limitStop struct {
+	limit  int64
+	splits []limitSplit
+}
+
+// limitSplit is one split's progress under a limitStop.
+type limitSplit struct {
+	out atomic.Int64 // rows emitted so far
+	// read is closed once the split has read a batch, or ended; nil when
+	// the next split need not wait for it.
+	read chan struct{}
+	shut atomic.Bool // read is closed
+}
+
+// newLimitStop builds the stop of an unordered LIMIT over nSplits splits;
+// ramp makes each split wait for the first batch of the one before it.
+func newLimitStop(limit, nSplits int, ramp bool) *limitStop {
+	s := &limitStop{limit: int64(limit), splits: make([]limitSplit, nSplits)}
+	if ramp {
+		for i := range s.splits {
+			s.splits[i].read = make(chan struct{})
+		}
+	}
+	return s
+}
+
+// owed bounds the rows split may add to the answer: limit less what the
+// splits before it have emitted so far, which they can only add to.
+func (s *limitStop) owed(split int) int {
+	n := s.limit
+	for i := range split {
+		n -= s.splits[i].out.Load()
+	}
+	return int(max(n, 0))
+}
+
+// start waits, on a ramp, until the split before split has read its first
+// batch, and reports whether split may still add a row to the answer.
+func (s *limitStop) start(split int) bool {
+	if s == nil {
+		return true
+	}
+	if split > 0 && s.splits[split-1].read != nil {
+		<-s.splits[split-1].read
+	}
+	return s.owed(split) > 0
+}
+
+// emitted records that split has read a batch and holds rows rows.
+func (s *limitStop) emitted(split, rows int) {
+	if s != nil {
+		s.splits[split].out.Store(int64(rows))
+		s.end(split)
+	}
+}
+
+// end lets the split after split start: split has read a batch, or ended.
+func (s *limitStop) end(split int) {
+	if s != nil && s.splits[split].read != nil && s.splits[split].shut.CompareAndSwap(false, true) {
+		close(s.splits[split].read)
+	}
 }
 
 // ownStrings gives every string in rows its own memory. Strings read from
@@ -513,7 +603,12 @@ type execScratch struct {
 // run fused over its rows. A plan with a column tail instead narrows a
 // selection and aggregates a column at a time (coltail.go). Metric deltas
 // accumulate in locals and flush once per batch.
-func (e *Engine) runPartition(ctx context.Context, plan *PhysicalPlan, factory ScanSourceFactory, split int, joinTable map[string][][]datum.Datum, buildWidth int, m *Metrics) (res partResult) {
+//
+// An unordered LIMIT (rowLimit) stops the partition once it holds the rows
+// the splits before it leave owed (limitStop.owed). Without a WHERE or a join
+// every row read is a row out, so the scan asks its source for no more rows
+// than that, and no row past them is decoded, extracted or evaluated.
+func (e *Engine) runPartition(ctx context.Context, plan *PhysicalPlan, factory ScanSourceFactory, split int, joinTable map[string][][]datum.Datum, buildWidth int, stop *limitStop, m *Metrics) (res partResult) {
 	if m.Span != nil {
 		// Pre-created in split order for deterministic rendering; re-stamp
 		// the wall window to the split's actual execution.
@@ -536,6 +631,20 @@ func (e *Engine) runPartition(ctx context.Context, plan *PhysicalPlan, factory S
 	width := len(schema.Cols)
 	tail := plan.tail
 	sc := &execScratch{}
+	limit := -1
+	if stop != nil {
+		// The split returns at most limit rows: size their slice and arena
+		// for them.
+		limit = stop.owed(split)
+		rows := min(limit, DefaultBatchSize)
+		res.rows = make([][]datum.Datum, 0, rows)
+		sc.arena.next = min(rows*len(plan.Items), maxArenaChunkDatums)
+	}
+	full := func() bool { return limit >= 0 && len(res.rows) >= limit }
+	readLimit := -1
+	if plan.Filter == nil && plan.Join == nil {
+		readLimit = limit
+	}
 	var ts *tailScratch
 	if tail != nil {
 		ts = tailScratchPool.Get().(*tailScratch)
@@ -591,12 +700,13 @@ func (e *Engine) runPartition(ctx context.Context, plan *PhysicalPlan, factory S
 	if res.err = ctx.Err(); res.err != nil {
 		return res
 	}
-	res.err = e.ScanBatches(factory, split, split+1, m, func(batch *RowBatch, n int) error {
+	res.err = e.ScanBatches(factory, split, split+1, readLimit, m, func(batch *RowBatch, n int) error {
 		e.meterBatch(m, n)
 
-		if plan.Join != nil {
+		switch {
+		case plan.Join != nil:
 			// Probe the hash table; inner join emits one row per match.
-			for i := 0; i < n; i++ {
+			for i := 0; i < n && !full(); i++ {
 				row := batch.Gather(i, sc.row)
 				key, ok := appendJoinKey(sc.keyBuf[:0], plan.Join.LeftKeys, row, ec, sc)
 				sc.keyBuf = key
@@ -604,30 +714,40 @@ func (e *Engine) runPartition(ctx context.Context, plan *PhysicalPlan, factory S
 					continue // NULL keys never join
 				}
 				for _, buildRow := range joinTable[string(key)] {
+					if full() {
+						break
+					}
 					joined := append(append(sc.joined[:0], row...), buildRow...)
 					sc.joined = joined
 					rowOps++
 					emit(joined)
 				}
 			}
-			flush()
-			return ctx.Err()
-		}
-
-		rowOps += int64(n)
-		if tail != nil {
+		case tail != nil:
+			rowOps += int64(n)
 			ts.startBatch(len(tail.vecs), batch.Capacity())
 			sel, calls := tail.filterBatch(batch, n, ts)
 			res.rowsOut += int64(len(sel))
 			res.aggs.accumulateBatch(tail, batch, sel, ts)
 			ec.Calls += calls + tail.rowCalls*int64(len(sel))
-		} else {
-			for i := 0; i < n; i++ {
+		default:
+			i := 0
+			for ; i < n && !full(); i++ {
 				emit(batch.Gather(i, sc.row))
 			}
+			rowOps += int64(i)
 		}
 		flush()
-		return ctx.Err()
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if stop != nil {
+			stop.emitted(split, len(res.rows))
+			if limit = min(limit, stop.owed(split)); full() {
+				return StopScan
+			}
+		}
+		return nil
 	})
 	return res
 }
@@ -677,7 +797,7 @@ func (e *Engine) buildJoinTable(ctx context.Context, plan *PhysicalPlan, m *Metr
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}
-	err = e.ScanBatches(factory, 0, nSplits, m, func(batch *RowBatch, n int) error {
+	err = e.ScanBatches(factory, 0, nSplits, -1, m, func(batch *RowBatch, n int) error {
 		e.meterBatch(m, n)
 		m.RowOps.Add(int64(n))
 		for i := 0; i < n; i++ {

@@ -111,6 +111,16 @@ type PhysicalPlan struct {
 	tail *columnTail
 }
 
+// rowLimit reports the LIMIT that may stop the plan's scan: one with no
+// ORDER BY, DISTINCT or aggregate, whose answer is the first Limit rows in
+// split order, so no row past them is needed. -1 means every row is read.
+func (p *PhysicalPlan) rowLimit() int {
+	if p.aggregate || p.Distinct || len(p.OrderBy) > 0 {
+		return -1
+	}
+	return p.Limit
+}
+
 // JoinNode describes a hash equi-join.
 type JoinNode struct {
 	Build *ScanNode // right side, materialized into a hash table
