@@ -125,6 +125,11 @@ row warehouse-deps '^repro/internal/core$' - \
 # malformed-document contract"), so any split may be carried.
 row core '\bCarry\b' - \
 	"a split carry bit is back in internal/core"
+# A cache split is linked whole or extracted whole (DESIGN.md, "Link or
+# extract"): populateSplit is the one encoder, and no cycle reads a previous
+# generation's cache part.
+row core 'errCarryBroken|SplitsRewritten|carryVecs|matchPrevious' - \
+	"a second way to encode a cache split is back"
 # The cache registry is one immutable snapshot behind an atomic pointer
 # (DESIGN.md, "Lock hierarchy"): readers take no lock.
 row registry '\bsync\.(RW)?Mutex\b' - \

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log/slog"
 	"runtime"
@@ -37,8 +36,9 @@ func generationTableName(db, table string, gen int) string {
 }
 
 // Cacher is the JSONPath Cacher: at the start of a population cycle it
-// receives score-ranked MPJPs, parses their values out of the raw tables,
-// and writes cache tables whose part files align one-to-one with the raw
+// receives score-ranked MPJPs, links each split of the previous generation
+// that still holds exactly them, extracts the rest from the raw tables, and
+// writes cache tables whose part files align one-to-one with the raw
 // tables' part files so the Value Combiner's paired readers can stitch rows
 // positionally without a join (paper §IV-C). Between cycles it caches each
 // part AppendRows lands in a table the serving generation covers (ingest).
@@ -48,8 +48,8 @@ type Cacher struct {
 	// RowGroupRows matches the raw tables' row-group size so shared
 	// skip-arrays line up row-for-row.
 	RowGroupRows int
-	// Log, when set, receives a debug record for each table whose previous
-	// generation could have been carried forward and was not, with the reasons.
+	// Log, when set, receives a debug record for each table that had a
+	// previous generation and linked none of its splits, with the reasons.
 	Log *slog.Logger
 
 	// generation numbers each population cycle; cache tables carry it in
@@ -66,12 +66,13 @@ type Cacher struct {
 	parseErrorsC    *obs.Counter
 	bytesScannedC   *obs.Counter
 	bytesSkippedC   *obs.Counter
-	splitsC         [4]*obs.Counter // carried, rewritten, extracted, ingested
+	splitsC         [3]*obs.Counter // carried, extracted, ingested
 	ingestFailuresC *obs.Counter
 }
 
-// CacheStats summarizes one population cycle. A generation's size is
-// BytesWritten + BytesCarried.
+// CacheStats summarizes one population cycle. Each split is linked or
+// extracted, so a generation's size is BytesWritten + BytesCarried, and a
+// cycle that links nothing reads as the from-scratch populate, Dropped aside.
 type CacheStats struct {
 	PathsCached   int
 	RowsParsed    int64
@@ -82,11 +83,9 @@ type CacheStats struct {
 	ParseErrors   int64 // malformed documents encountered (each path cached as extracted alone)
 	TablesWritten int
 	Dropped       int // cache tables no manifest names, deleted
-	// Every cache split is one of: linked whole from the previous generation
-	// (carried), encoded anew with at least one column copied from it
-	// (rewritten), or extracted from the raw JSON alone.
+	// Every cache split is either linked whole from the previous generation
+	// (carried) or extracted whole from the raw JSON.
 	SplitsCarried   int
-	SplitsRewritten int
 	SplitsExtracted int
 }
 
@@ -99,7 +98,6 @@ func (s *CacheStats) add(t CacheStats) {
 	s.BytesSkipped += t.BytesSkipped
 	s.ParseErrors += t.ParseErrors
 	s.SplitsCarried += t.SplitsCarried
-	s.SplitsRewritten += t.SplitsRewritten
 	s.SplitsExtracted += t.SplitsExtracted
 }
 
@@ -122,7 +120,7 @@ func (c *Cacher) SetObs(r *obs.Registry) {
 	c.parseErrorsC = r.Counter("cacher_parse_errors_total")
 	c.bytesScannedC = r.Counter("cacher_parse_bytes_scanned_total")
 	c.bytesSkippedC = r.Counter("cacher_parse_bytes_skipped_total")
-	for i, mode := range []string{"carried", "rewritten", "extracted", "ingested"} {
+	for i, mode := range []string{"carried", "extracted", "ingested"} {
 		c.splitsC[i] = r.Counter("cacher_splits_total", obs.L{K: "mode", V: mode})
 	}
 	c.ingestFailuresC = r.Counter("cacher_ingest_failures_total")
@@ -138,23 +136,23 @@ func (c *Cacher) publish(stats CacheStats, ingested bool) {
 	c.bytesScannedC.Add(stats.BytesScanned)
 	c.bytesSkippedC.Add(stats.BytesSkipped)
 	if ingested {
-		c.splitsC[3].Add(int64(stats.SplitsExtracted))
+		c.splitsC[2].Add(int64(stats.SplitsExtracted))
 		return
 	}
 	c.splitsC[0].Add(int64(stats.SplitsCarried))
-	c.splitsC[1].Add(int64(stats.SplitsRewritten))
-	c.splitsC[2].Add(int64(stats.SplitsExtracted))
+	c.splitsC[1].Add(int64(stats.SplitsExtracted))
 }
 
 // PopulateCtx runs one caching cycle: it drops the cache tables no manifest
 // names and builds a new generation holding the selected profiles in
-// order. The paper empties and re-populates every midnight; here a generation
-// is an incremental function of the one before it — what is unchanged since
-// (same raw file version, same path) is carried forward, and the result is
-// byte for byte what re-populating from the raw tables would have written
-// (see Manifest, populateSplit). What remains is extracted in a single
-// streaming pass per document and JSON column, and CacheStats meters the
-// bytes it actually scanned.
+// order. The paper empties and re-populates every midnight; here a split of a
+// table whose selected paths are last night's, in the same order, is linked
+// from the previous generation while its raw part is at the version that
+// generation filed it under. Every other split is extracted whole from the
+// raw JSON by populateSplit, in a single streaming pass per document and JSON
+// column, and CacheStats meters the bytes it actually scanned. Either way the
+// result is byte for byte what re-populating from the raw tables would have
+// written (see Manifest).
 //
 // The cycle is crash-safe: the new generation's tables are built and
 // registered nowhere until every table succeeds, then committed with one
@@ -298,7 +296,7 @@ func (c *Cacher) ingestSplit(m *Manifest, raw dfs.FileInfo) (sp ManifestSplit, s
 	// Ingest runs inside the append it extends, under no context: nothing
 	// cancels it.
 	tp := c.newTablePopulate(nil, m.CacheTable, m.Keys, &stats)
-	sp, err = tp.populateSplit(raw, nil)
+	sp, err = tp.populateSplit(raw)
 	return sp, stats, err
 }
 
@@ -351,32 +349,8 @@ func maxInt(a, b int) int {
 	return b
 }
 
-// errCarryBroken aborts one attempt to build a split from the previous
-// generation; the split is then built again from the raw file alone.
-var errCarryBroken = errors.New("core: previous cache split cannot be carried")
-
 // populateBatchRows is how many rows a populate pass moves at a time.
 const populateBatchRows = 256
-
-// cacheColumn is one selected path of the table being populated.
-type cacheColumn struct {
-	key  pathkey.Key
-	path *jsonpath.Path
-	name string // cache column name (paper's cache-field naming)
-	// prev is the column's position in the previous generation's table, -1
-	// when that table did not hold this path.
-	prev int
-}
-
-// extractPlan reads a set of cache columns out of the raw JSON through the
-// engine's batch extraction, which scans a document once however many paths
-// it feeds. readCols is empty when no column is extracted.
-type extractPlan struct {
-	x        sqlengine.SplitExtraction
-	readCols []string        // the raw columns to open
-	vecs     [][]datum.Datum // what the raw cursor decodes into
-	out      [][]datum.Datum // the extracted columns' vectors in tablePopulate.out
-}
 
 // tablePopulate is the state of one populateTable or ingest call.
 type tablePopulate struct {
@@ -386,23 +360,21 @@ type tablePopulate struct {
 	stats      *CacheStats
 	cacheTable string
 	schema     orc.Schema
-	cols       []cacheColumn
-	// out holds one batch of the table being written, column-wise, backed by
-	// one array: copied columns are decoded into it, extracted ones stored.
-	// It is allocated by the first split that is encoded (vectors), so a
-	// populate that links every split allocates none.
-	out [][]datum.Datum
-	// sameCols: the previous table held exactly these columns in this order,
-	// so an unchanged split is linked rather than rewritten.
-	sameCols bool
-	// carried lists the columns the previous table holds; carryVecs are their
-	// vectors in out, in the same order, handed to the previous part's
-	// cursor.
-	carried   []string
-	carryVecs [][]datum.Datum
-	// all extracts every column, missing only those the previous table lacks
-	// (no groups when it holds them all). Both are built on first use.
-	all, missing *extractPlan
+	// keys are the selected paths of the table, one cache column each, in
+	// order: the manifest's Keys. list extracts them.
+	keys []pathkey.Key
+	list []sqlengine.Extraction
+	// The extraction and its batch are built by the first split that is
+	// encoded (prepare), so a populate that links every split allocates none.
+	// One extraction state serves every split of the table; populateSplit
+	// resets it per split. The raw cursor decodes the file's values straight
+	// into vecs (documents as views of the part file; orc.Writer encodes the
+	// extracted values into the cache file's own bytes), and out holds one
+	// batch of the table being written, column-wise, backed by one array.
+	x        sqlengine.SplitExtraction
+	readCols []string
+	vecs     [][]datum.Datum
+	out      [][]datum.Datum
 }
 
 // populateTable builds one raw table's cache table of generation gen and
@@ -432,42 +404,35 @@ func (c *Cacher) populateTable(ctx context.Context, group []*PathProfile, gen in
 	if err := c.wh.CreateTable(CacheDB, tp.cacheTable, tp.schema); err != nil {
 		return nil, err
 	}
-	prevParts := tp.matchPrevious(prev)
+	// A split is linked only from a table of exactly tonight's columns.
+	var prevParts []dfs.FileInfo
+	if prev != nil && slices.Equal(prev.Keys, tp.keys) {
+		prevParts, _ = c.wh.Parts(CacheDB, prev.CacheTable)
+	}
 
 	// One cache file per raw file, in split order, each filed in the
 	// manifest under the raw part and version it was built from.
-	manifest := &Manifest{CacheTable: tp.cacheTable, Splits: make([]ManifestSplit, len(rawParts))}
-	for _, col := range tp.cols {
-		manifest.Keys = append(manifest.Keys, col.key)
-	}
-	notCarried := map[string]int{} // reason → splits
+	manifest := &Manifest{CacheTable: tp.cacheTable, Keys: tp.keys, Splits: make([]ManifestSplit, len(rawParts))}
+	notLinked := map[string]int{} // reason → splits
 	for i, raw := range rawParts {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		var from *ManifestSplit
-		if prev != nil {
-			var why string
-			if from, why = tp.carriable(prev, prevParts, raw); from == nil {
-				notCarried[why]++
-			}
-		}
-		before := *stats
-		sp, err := tp.populateSplit(raw, from)
-		if from != nil && errors.Is(err, errCarryBroken) {
-			// Nothing was appended; the stats describe the split as built.
-			notCarried[err.Error()]++
-			*stats = before
-			sp, err = tp.populateSplit(raw, nil)
+		var sp ManifestSplit
+		if from, why := linkable(prev, prevParts, raw); from != nil {
+			sp, err = tp.linkSplit(from)
+		} else {
+			notLinked[why]++
+			sp, err = tp.populateSplit(raw)
 		}
 		if err != nil {
 			return nil, err
 		}
 		manifest.Splits[i] = sp
 	}
-	if prev != nil && stats.SplitsCarried+stats.SplitsRewritten == 0 && c.Log != nil {
-		c.Log.Debug("nothing carried from the previous cache generation",
-			"table", key0.TableID(), "previous", prev.CacheTable, "reasons", fmt.Sprint(notCarried))
+	if prev != nil && stats.SplitsCarried == 0 && c.Log != nil {
+		c.Log.Debug("no split linked from the previous cache generation",
+			"table", key0.TableID(), "previous", prev.CacheTable, "reasons", fmt.Sprint(notLinked))
 	}
 	return manifest, nil
 }
@@ -482,29 +447,30 @@ func (c *Cacher) newTablePopulate(ctx context.Context, cacheTable string, keys [
 		if err != nil {
 			continue
 		}
-		col := cacheColumn{key: key, path: cp, name: key.Sanitized(), prev: -1}
-		tp.cols = append(tp.cols, col)
-		tp.schema.Columns = append(tp.schema.Columns, orc.Column{Name: col.name, Type: datum.TypeString})
+		tp.keys = append(tp.keys, key)
+		tp.list = append(tp.list, sqlengine.Extraction{Column: key.Column, Path: cp})
+		tp.schema.Columns = append(tp.schema.Columns, orc.Column{Name: key.Sanitized(), Type: datum.TypeString})
 	}
-	if len(tp.cols) == 0 {
+	if len(tp.keys) == 0 {
 		return nil
 	}
 	return tp
 }
 
-// vectors allocates out and carryVecs on first use: the batch a split is
-// encoded from, which a linked split never needs.
-func (tp *tablePopulate) vectors() {
+// prepare builds the extraction of every column and its batch on first use.
+func (tp *tablePopulate) prepare() {
 	if tp.out != nil {
 		return
 	}
-	flat := make([]datum.Datum, len(tp.cols)*populateBatchRows)
-	tp.out = make([][]datum.Datum, len(tp.cols))
-	for j, col := range tp.cols {
+	flat := make([]datum.Datum, len(tp.keys)*populateBatchRows)
+	tp.out = make([][]datum.Datum, len(tp.keys))
+	for j := range tp.out {
 		tp.out[j] = flat[j*populateBatchRows : (j+1)*populateBatchRows]
-		if col.prev >= 0 {
-			tp.carryVecs = append(tp.carryVecs, tp.out[j])
-		}
+	}
+	x := sqlengine.CompileExtraction(nil, tp.list)
+	tp.x, tp.readCols = x.Split(sqlengine.StreamBackend{}), x.Reads()
+	for range tp.readCols {
+		tp.vecs = append(tp.vecs, make([]datum.Datum, populateBatchRows))
 	}
 }
 
@@ -516,53 +482,22 @@ func (tp *tablePopulate) err() error {
 	return tp.ctx.Err()
 }
 
-// matchPrevious lines tonight's columns up with the previous generation's
-// table and returns that table's part files (nil when it is gone).
-func (tp *tablePopulate) matchPrevious(prev *Manifest) []dfs.FileInfo {
-	if prev == nil {
-		return nil
+// linkable returns the previous generation's split of raw part raw when it
+// can be linked whole, and says why not when it cannot. prevParts is the
+// previous table's listing, nil when that table is gone or held other
+// columns. The manifest answers as it does for the Value Combiner: only a
+// split filed under this part at its current version, whose cache part is
+// still the version the manifest stored.
+func linkable(prev *Manifest, prevParts []dfs.FileInfo, raw dfs.FileInfo) (*ManifestSplit, string) {
+	if prevParts == nil {
+		return nil, "columns differ or previous table gone"
 	}
-	parts, err := tp.c.wh.Parts(CacheDB, prev.CacheTable)
-	if err != nil {
-		return nil
-	}
-	// Two paths can sanitize to one column name; such a column is never
-	// copied, since a cursor finds columns by name.
-	named := map[string]int{}
-	for _, key := range prev.Keys {
-		named[key.Sanitized()]++
-	}
-	tp.sameCols = len(prev.Keys) == len(tp.cols)
-	for j := range tp.cols {
-		col := &tp.cols[j]
-		for k, key := range prev.Keys {
-			if key == col.key && named[col.name] == 1 {
-				col.prev = k
-			}
-		}
-		if col.prev != j {
-			tp.sameCols = false
-		}
-		if col.prev >= 0 {
-			tp.carried = append(tp.carried, col.name)
-		}
-	}
-	return parts
-}
-
-// carriable decides whether raw part raw can be built from the previous
-// generation's split of it, and says why not when it cannot. The manifest
-// answers as it does for the Value Combiner: only a split filed under this
-// part at its current version.
-func (tp *tablePopulate) carriable(prev *Manifest, prevParts []dfs.FileInfo, raw dfs.FileInfo) (*ManifestSplit, string) {
 	sp := prev.split(raw.Name, raw.Version)
 	switch {
 	case sp == nil:
 		return nil, "raw part not at a cached version"
 	case !holdsPart(prevParts, sp.CachePath, sp.CacheVersion):
 		return nil, "cache part changed"
-	case len(tp.carried) == 0:
-		return nil, "columns differ"
 	}
 	return sp, ""
 }
@@ -573,99 +508,42 @@ func holdsPart(parts []dfs.FileInfo, name string, version uint64) bool {
 	return i < len(parts) && parts[i].Name == name && parts[i].Version == version
 }
 
-// plan returns the extraction plan for every column (missingOnly false) or
-// for the columns the previous table lacks.
-func (tp *tablePopulate) plan(missingOnly bool) *extractPlan {
-	slot := &tp.all
-	if missingOnly {
-		slot = &tp.missing
+// linkSplit links the previous generation's split from into the table
+// whole: it holds tonight's columns, in order, built from the raw part's
+// current version, so it is what populateSplit would write.
+func (tp *tablePopulate) linkSplit(from *ManifestSplit) (ManifestSplit, error) {
+	part, err := tp.c.wh.LinkPart(CacheDB, tp.cacheTable, from.CachePath)
+	if err != nil {
+		return ManifestSplit{}, err
 	}
-	if *slot != nil {
-		return *slot
-	}
-	p := &extractPlan{out: make([][]datum.Datum, 0, len(tp.cols))}
-	list := make([]sqlengine.Extraction, 0, len(tp.cols))
-	for j, col := range tp.cols {
-		if missingOnly && col.prev >= 0 {
-			continue
-		}
-		list = append(list, sqlengine.Extraction{Column: col.key.Column, Path: col.path})
-		p.out = append(p.out, tp.out[j])
-	}
-	if x := sqlengine.CompileExtraction(nil, list); x != nil {
-		// One extraction state serves every split of the table;
-		// populateSplit resets it per split.
-		p.x, p.readCols = x.Split(sqlengine.StreamBackend{}), x.Reads()
-		for range p.readCols {
-			// The cursor decodes the file's values straight into these
-			// vectors (documents as views of the part file; orc.Writer
-			// encodes the extracted values into the cache file's own bytes).
-			p.vecs = append(p.vecs, make([]datum.Datum, populateBatchRows))
-		}
-	}
-	*slot = p
-	return p
+	tp.stats.SplitsCarried++
+	tp.stats.BytesCarried += part.Size
+	sp := *from
+	sp.CachePath, sp.CacheVersion = part.Name, part.Version
+	return sp, nil
 }
 
-// populateSplit is the populate kernel: it appends the cache split of one raw
-// part file to the table and returns its manifest record. Each column is
-// copied from the previous generation's split (from, nil when nothing can be
-// carried) if that split holds it, and extracted from the raw JSON otherwise;
-// the raw file is opened only if some column must be extracted, and a split
-// whose columns are all there in the same order is linked, not rewritten.
-// With from == nil this is the from-scratch populate, and the one ingest
-// runs. An attempt that finds the carried side unusable returns
-// errCarryBroken before anything is appended.
-func (tp *tablePopulate) populateSplit(raw dfs.FileInfo, from *ManifestSplit) (ManifestSplit, error) {
+// populateSplit is the populate kernel: it extracts every column of one raw
+// part file's cache split from the raw JSON in one streaming pass per
+// document, appends the split to the table and returns its manifest record.
+// It is the only code that encodes a cache split: the cycle runs it for every
+// split it cannot link, and ingest for every appended part.
+func (tp *tablePopulate) populateSplit(raw dfs.FileInfo) (ManifestSplit, error) {
 	wh, st := tp.c.wh, tp.stats
-	if from != nil && tp.sameCols {
-		part, err := wh.LinkPart(CacheDB, tp.cacheTable, from.CachePath)
-		if err != nil {
-			return ManifestSplit{}, err
-		}
-		st.SplitsCarried++
-		st.BytesCarried += part.Size
-		sp := *from
-		sp.CachePath, sp.CacheVersion = part.Name, part.Version
-		return sp, nil
+	tp.prepare()
+	r, view, err := wh.OpenFileView(raw.Name)
+	if err != nil {
+		return ManifestSplit{}, err
 	}
-
-	sp := ManifestSplit{RawPath: raw.Name, ColBytes: make([]int64, len(tp.cols))}
-	tp.vectors()
-	plan := tp.plan(from != nil)
-	var carry, rawCur *orc.Cursor
-	if from != nil {
-		r, view, err := wh.OpenFileView(from.CachePath)
-		if err != nil || !view.Stored || view.Version != from.CacheVersion || r.NumRows() != from.Rows {
-			return ManifestSplit{}, fmt.Errorf("%w: part unreadable or changed", errCarryBroken)
-		}
-		if carry, err = r.NewCursor(tp.carried, nil, nil); err != nil {
-			return ManifestSplit{}, fmt.Errorf("%w: %v", errCarryBroken, err)
-		}
-		sp.RawVersion, sp.Rows = from.RawVersion, from.Rows
-		for j, col := range tp.cols {
-			if col.prev >= 0 {
-				sp.ColBytes[j] = from.ColBytes[col.prev]
-			}
-		}
+	cur, err := r.NewCursor(tp.readCols, nil, nil)
+	if err != nil {
+		return ManifestSplit{}, err
 	}
-	if len(plan.readCols) > 0 {
-		r, view, err := wh.OpenFileView(raw.Name)
-		if err != nil {
-			return ManifestSplit{}, err
-		}
-		if from != nil && (view.Version != from.RawVersion || r.NumRows() != from.Rows) {
-			return ManifestSplit{}, fmt.Errorf("%w: raw file changed under it", errCarryBroken)
-		}
-		if rawCur, err = r.NewCursor(plan.readCols, nil, nil); err != nil {
-			return ManifestSplit{}, err
-		}
-		sp.RawVersion, sp.Rows = view.Version, r.NumRows()
-		if !view.Stored {
-			sp.RawVersion = 0 // values parsed out of a mangled read belong to no version
-		}
-		plan.x.Reset()
+	sp := ManifestSplit{RawPath: raw.Name, RawVersion: view.Version, Rows: r.NumRows(), ColBytes: make([]int64, len(tp.keys))}
+	if !view.Stored {
+		sp.RawVersion = 0 // values parsed out of a mangled read belong to no version
 	}
+	tp.x.Reset()
 
 	w := orc.NewWriter(tp.schema, wh.WriterOptions())
 	// AppendEncoded stores a copy of the file, so the scratch goes back once
@@ -675,40 +553,24 @@ func (tp *tablePopulate) populateSplit(raw dfs.FileInfo, from *ManifestSplit) (M
 		if err := tp.err(); err != nil {
 			return ManifestSplit{}, err
 		}
-		n := 0
-		if carry != nil {
-			var err error
-			if n, err = carry.NextBatch(tp.carryVecs, populateBatchRows); err != nil {
-				return ManifestSplit{}, fmt.Errorf("%w: %v", errCarryBroken, err)
-			}
-		}
-		if rawCur != nil {
-			m, err := rawCur.NextBatch(plan.vecs, populateBatchRows)
-			if err != nil {
-				return ManifestSplit{}, err
-			}
-			if carry != nil && m != n {
-				return ManifestSplit{}, fmt.Errorf("%w: rows out of step", errCarryBroken)
-			}
-			n = m
-			c, malformed := plan.x.Fill(plan.vecs, plan.out, n)
-			st.RowsParsed += int64(n)
-			st.BytesScanned += c.Bytes
-			st.BytesSkipped += c.Skipped
-			st.ParseErrors += malformed
-			for j, col := range tp.cols {
-				if from != nil && col.prev >= 0 {
-					continue // copied, its bytes are the previous split's
-				}
-				for _, v := range tp.out[j][:n] {
-					if !v.Null {
-						sp.ColBytes[j] += int64(len(v.S))
-					}
-				}
-			}
+		n, err := cur.NextBatch(tp.vecs, populateBatchRows)
+		if err != nil {
+			return ManifestSplit{}, err
 		}
 		if n == 0 {
 			break
+		}
+		c, malformed := tp.x.Fill(tp.vecs, tp.out, n)
+		st.RowsParsed += int64(n)
+		st.BytesScanned += c.Bytes
+		st.BytesSkipped += c.Skipped
+		st.ParseErrors += malformed
+		for j, vec := range tp.out {
+			for _, v := range vec[:n] {
+				if !v.Null {
+					sp.ColBytes[j] += int64(len(v.S))
+				}
+			}
 		}
 		if err := w.AppendColumns(tp.out, n); err != nil {
 			return ManifestSplit{}, err
@@ -723,11 +585,7 @@ func (tp *tablePopulate) populateSplit(raw dfs.FileInfo, from *ManifestSplit) (M
 		return ManifestSplit{}, err
 	}
 	st.BytesWritten += part.Size
-	if from != nil {
-		st.SplitsRewritten++
-	} else {
-		st.SplitsExtracted++
-	}
+	st.SplitsExtracted++
 	sp.CachePath, sp.CacheVersion = part.Name, part.Version
 	return sp, nil
 }

@@ -507,8 +507,7 @@ func (m *Maxson) RunMidnightCycleCtx(ctx context.Context) (*CycleReport, error) 
 	// Stage 5: build the next cache generation under the budget.
 	stats, err := m.Cacher.PopulateCtx(stageCtx(), selected)
 	report.Cache = stats
-	stage("populate", stats.PathsCached, "splits_carried", stats.SplitsCarried,
-		"splits_rewritten", stats.SplitsRewritten, "splits_extracted", stats.SplitsExtracted,
+	stage("populate", stats.PathsCached, "splits_carried", stats.SplitsCarried, "splits_extracted", stats.SplitsExtracted,
 		"bytes_carried", stats.BytesCarried, "bytes_written", stats.BytesWritten)
 	finish()
 	if err != nil {

@@ -183,7 +183,7 @@ func TestDebugServerThroughSystem(t *testing.T) {
 	if len(report.Stages) != 5 {
 		t.Errorf("cycle report stages = %d, want 5", len(report.Stages))
 	}
-	for _, field := range []string{`"SplitsCarried"`, `"SplitsRewritten"`, `"SplitsExtracted"`, `"BytesCarried"`} {
+	for _, field := range []string{`"SplitsCarried"`, `"SplitsExtracted"`, `"BytesCarried"`} {
 		if !strings.Contains(rr.Body.String(), field) {
 			t.Errorf("/debug/cycle does not show %s", field)
 		}
