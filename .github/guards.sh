@@ -25,6 +25,7 @@ list() {
 	registry) printf '%s\n' internal/core/registry.go ;;
 	reference) printf '%s\n' internal/core/reference_test.go ;;
 	eval) printf '%s\n' internal/sqlengine/expr.go ;;
+	scan-open) printf '%s\n' internal/sqlengine/*.go internal/core/combiner.go ;;
 	all-go) find . -name '*.go' ;;                 # every Go file, tests and testdata included
 	serving-deps) go list -e -deps ./cmd/maxson-serve ./cmd/maxson-sql ./cmd/maxson-daily ;;
 	shipped-deps) go list -e -deps ./cmd/maxson-serve ./cmd/maxson-sql ./cmd/maxson-daily ./bench/e2e ;;
@@ -94,6 +95,10 @@ row module '\bRowSource\b|rowSourceAdapter|asBatchSource|RowAtATime' '/internal/
 	"the row-at-a-time executor lane is named again"
 row module '^func \([^)]*\) Next\(\) \(\[\]datum\.Datum, error\)' '/internal/lint/testdata/|/internal/orc/' \
 	"a row-returning Next is declared outside internal/orc"
+# A scan worker owns its reading state (DESIGN.md, "One executor mode"): each
+# split it claims re-aims the worker's cursor (orc.Cursor.Reopen).
+row scan-open '\bNewCursor\(' - \
+	"a per-split cursor is back: the scan worker re-aims its own"
 # One aggregation table per partition, pooled in exec.go (DESIGN.md,
 # "Aggregation state").
 row module '\b(aggState|newAggState)\b' '/internal/lint/testdata/' \

@@ -76,7 +76,7 @@ func TestCacheOnlyScanAllocatesPerSplit(t *testing.T) {
 		return testing.AllocsPerRun(10, func() {
 			rows := 0
 			for split := 0; split < splits; split++ {
-				src, err := f.Open(split, nil)
+				src, err := f.Open(split, nil, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -109,80 +109,124 @@ func TestCacheOnlyScanAllocatesPerSplit(t *testing.T) {
 	if perSplit > 10 {
 		// 10 since PR 25: the file view and reader, the cursor's five, the
 		// source, which holds the cursor's read stats in its meter (11 while
-		// they were an allocation of their own). The two Table lookups an open
+		// they were an allocation of their own). 7 since the cursor is a
+		// field of its source. A walk re-aims the source instead
+		// (TestCachedWalkAllocatesPerSplit). The two Table lookups an open
 		// makes allocate nothing while the file system is unchanged; with a
 		// listing each they made it 24.
 		t.Errorf("cache-only scan allocates %v times per split, want at most 10", perSplit)
 	}
 }
 
-// TestUncoveredScanAllocatesPerSplit is the fallback lane at the allocation
-// level: a split the cache does not cover opens through the engine's
-// extracting split reader, and reading it costs the same number of
-// allocations whether it holds 300 rows or 6,000. Opening allocates (file
-// view, cursor, extractors, document scratch), extracting two paths from
-// every document into the executor's batch does not.
-func TestUncoveredScanAllocatesPerSplit(t *testing.T) {
-	const splits = 3
-	paths := []string{"$.item_name", "$.region"}
-	scanAllocs := func(rowsPerSplit int) float64 {
-		wh := saleTable(t, splits, rowsPerSplit)
-		var fallbacks []sqlengine.Extraction
-		var cacheCols []string
-		var rowCols []sqlengine.RowCol
-		for _, p := range paths {
-			col := pathkey.Key{DB: "mydb", Table: "t", Column: "sale_logs", Path: p}.Sanitized()
-			fallbacks = append(fallbacks, sqlengine.Extraction{Column: "sale_logs", Path: jsonpath.MustCompile(p)})
-			cacheCols = append(cacheCols, col)
-			rowCols = append(rowCols, sqlengine.RowCol{Name: col, Type: datum.TypeString})
-		}
-		// An empty manifest covers no split.
-		f := NewCombinedScanFactory(wh, "mydb", "t", nil, nil, &Manifest{}, cacheCols, nil, fallbacks, false,
-			sqlengine.RowSchema{Cols: rowCols}, nil)
-		batch := sqlengine.NewRowBatch(len(paths), sqlengine.DefaultBatchSize)
-		var m sqlengine.Metrics
-		allocs := testing.AllocsPerRun(10, func() {
-			rows := 0
-			for split := 0; split < splits; split++ {
-				src, err := f.Open(split, &m)
+// walkAllocs is the average allocation count of one walk over f's splits
+// that hands each split's Open the source of the split before it, as a scan
+// worker does, reading every split into one batch of width columns. Every
+// split must be served in mode, and the walk must return rows rows.
+func walkAllocs(t *testing.T, f *CombinedScanFactory, splits, width, rows int, mode uint32) float64 {
+	t.Helper()
+	batch := sqlengine.NewRowBatch(width, sqlengine.DefaultBatchSize)
+	var m sqlengine.Metrics
+	allocs := testing.AllocsPerRun(10, func() {
+		got := 0
+		var src sqlengine.BatchSource
+		for split := 0; split < splits; split++ {
+			var err error
+			if src, err = f.Open(split, &m, src); err != nil {
+				t.Fatal(err)
+			}
+			for {
+				n, err := src.NextBatch(batch)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for {
-					n, err := src.NextBatch(batch)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if n == 0 {
-						break
-					}
-					rows += n
+				if n == 0 {
+					break
 				}
+				got += n
 			}
-			if rows != splits*rowsPerSplit {
-				t.Fatalf("scan returned %d rows, want %d", rows, splits*rowsPerSplit)
-			}
-		})
-		if m.ScanModes() != sqlengine.ScanFallbackUncovered || m.Parse.Docs.Load() == 0 {
-			t.Fatalf("splits served in modes %b with %d documents parsed, want fallback-uncovered extraction",
-				m.ScanModes(), m.Parse.Docs.Load())
 		}
-		return allocs
+		if got != rows {
+			t.Fatalf("scan returned %d rows, want %d", got, rows)
+		}
+	})
+	if m.ScanModes() != mode {
+		t.Fatalf("splits served in modes %b, want %b", m.ScanModes(), mode)
 	}
-	small, large := scanAllocs(300), scanAllocs(6000)
+	return allocs
+}
+
+// uncoveredTable builds a saleTable of splits parts whose cache covers none
+// of them, and the factory of a scan that reads two paths from it.
+func uncoveredTable(t *testing.T, splits, rowsPerSplit int) *CombinedScanFactory {
+	t.Helper()
+	wh := saleTable(t, splits, rowsPerSplit)
+	var fallbacks []sqlengine.Extraction
+	var cacheCols []string
+	var rowCols []sqlengine.RowCol
+	for _, p := range []string{"$.item_name", "$.region"} {
+		col := pathkey.Key{DB: "mydb", Table: "t", Column: "sale_logs", Path: p}.Sanitized()
+		fallbacks = append(fallbacks, sqlengine.Extraction{Column: "sale_logs", Path: jsonpath.MustCompile(p)})
+		cacheCols = append(cacheCols, col)
+		rowCols = append(rowCols, sqlengine.RowCol{Name: col, Type: datum.TypeString})
+	}
+	// An empty manifest covers no split.
+	return NewCombinedScanFactory(wh, "mydb", "t", nil, nil, &Manifest{}, cacheCols, nil, fallbacks, false,
+		sqlengine.RowSchema{Cols: rowCols}, nil)
+}
+
+// reaimedSplitAllocs is the per-split remainder of a walk whose sources are
+// re-aimed: the orc.Reader that opening a part file builds for whoever reads
+// it. Reading the file through a re-aimed source allocates nothing more.
+const reaimedSplitAllocs = 1
+
+// TestUncoveredScanAllocatesPerSplit is the fallback lane at the allocation
+// level: a split the cache does not cover reads through the engine's
+// extracting split reader, and reading it costs the same number of
+// allocations whether it holds 300 rows or 6,000. The source a walk opens
+// for its first split — cursor, extractors, document scratch and the
+// cache-miss counter around them — is re-aimed at every later one, so a
+// walk over 12 splits allocates no more than one over 3 plus the remainder
+// of opening the 9 more part files.
+func TestUncoveredScanAllocatesPerSplit(t *testing.T) {
+	walk := func(splits, rowsPerSplit int) float64 {
+		f := uncoveredTable(t, splits, rowsPerSplit)
+		return walkAllocs(t, f, splits, 2, splits*rowsPerSplit, sqlengine.ScanFallbackUncovered)
+	}
+	small, large := walk(3, 300), walk(3, 6000)
 	if small != large {
 		t.Errorf("an uncovered scan allocates %v times over %d rows and %v over %d: it should depend on the splits only",
-			small, splits*300, large, splits*6000)
+			small, 3*300, large, 3*6000)
 	}
-	perSplit := large / splits
-	t.Logf("%v allocations per split", perSplit)
-	if perSplit > 16 {
-		// 16 when written: the file view, reader and cursor (seven, as in the
-		// cache-only scan), the source with its decode vectors and document
+	perSplit := (walk(12, 300) - small) / 9
+	t.Logf("%v allocations per further split", perSplit)
+	if perSplit > reaimedSplitAllocs {
+		// 1 when written; 15 when every split opened a source of its own:
+		// the cursor's five, the source with its decode vectors and document
 		// scratch, the split's extractor with its first arena, and the
-		// cache-miss counter around the source. The fallback source this
-		// replaced compiled its path set again for every split.
-		t.Errorf("an uncovered scan allocates %v times per split, want at most 16", perSplit)
+		// cache-miss counter.
+		t.Errorf("an uncovered scan allocates %v times per further split, want at most %d", perSplit, reaimedSplitAllocs)
+	}
+}
+
+// TestCachedWalkAllocatesPerSplit is its twin on the cached lane: a
+// cache-only walk re-aims its first split's combined source, the cache
+// cursor inside it included, at every later split.
+func TestCachedWalkAllocatesPerSplit(t *testing.T) {
+	walk := func(splits, rowsPerSplit int) float64 {
+		f, rows := cachedTable(t, splits, rowsPerSplit)
+		return walkAllocs(t, f, splits, 2, rows, sqlengine.ScanCacheOnly)
+	}
+	small, large := walk(3, 300), walk(3, 6000)
+	if small != large {
+		t.Errorf("a cache-only walk allocates %v times over %d rows and %v over %d: it should depend on the splits only",
+			small, 3*300, large, 3*6000)
+	}
+	perSplit := (walk(12, 300) - small) / 9
+	t.Logf("%v allocations per further split", perSplit)
+	if perSplit > reaimedSplitAllocs {
+		// 1 when written; 8 when every split opened a cursor and a source
+		// of its own (TestCacheOnlyScanAllocatesPerSplit).
+		t.Errorf("a cache-only walk allocates %v times per further split, want at most %d", perSplit, reaimedSplitAllocs)
 	}
 }
 

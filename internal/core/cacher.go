@@ -366,12 +366,14 @@ type tablePopulate struct {
 	list []sqlengine.Extraction
 	// The extraction and its batch are built by the first split that is
 	// encoded (prepare), so a populate that links every split allocates none.
-	// One extraction state serves every split of the table; populateSplit
-	// resets it per split. The raw cursor decodes the file's values straight
-	// into vecs (documents as views of the part file; orc.Writer encodes the
-	// extracted values into the cache file's own bytes), and out holds one
-	// batch of the table being written, column-wise, backed by one array.
+	// One extraction state and one raw cursor serve every split of the
+	// table; populateSplit resets the one and re-aims the other per split.
+	// The cursor decodes the file's values straight into vecs (documents as
+	// views of the part file; orc.Writer encodes the extracted values into
+	// the cache file's own bytes), and out holds one batch of the table being
+	// written, column-wise, backed by one array.
 	x        sqlengine.SplitExtraction
+	cur      orc.Cursor
 	readCols []string
 	vecs     [][]datum.Datum
 	out      [][]datum.Datum
@@ -535,8 +537,7 @@ func (tp *tablePopulate) populateSplit(raw dfs.FileInfo) (ManifestSplit, error) 
 	if err != nil {
 		return ManifestSplit{}, err
 	}
-	cur, err := r.NewCursor(tp.readCols, nil, nil)
-	if err != nil {
+	if err := tp.cur.Reopen(r, tp.readCols, nil, nil); err != nil {
 		return ManifestSplit{}, err
 	}
 	sp := ManifestSplit{RawPath: raw.Name, RawVersion: view.Version, Rows: r.NumRows(), ColBytes: make([]int64, len(tp.keys))}
@@ -553,7 +554,7 @@ func (tp *tablePopulate) populateSplit(raw dfs.FileInfo) (ManifestSplit, error) 
 		if err := tp.err(); err != nil {
 			return ManifestSplit{}, err
 		}
-		n, err := cur.NextBatch(tp.vecs, populateBatchRows)
+		n, err := tp.cur.NextBatch(tp.vecs, populateBatchRows)
 		if err != nil {
 			return ManifestSplit{}, err
 		}

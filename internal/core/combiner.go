@@ -237,8 +237,11 @@ func (f *CombinedScanFactory) NumSplits() (int, error) {
 // Schema implements sqlengine.ScanSourceFactory.
 func (f *CombinedScanFactory) Schema() (sqlengine.RowSchema, error) { return f.schema, nil }
 
-// Open implements sqlengine.ScanSourceFactory.
-func (f *CombinedScanFactory) Open(split int, m *sqlengine.Metrics) (sqlengine.BatchSource, error) {
+// Open implements sqlengine.ScanSourceFactory. A walk's sources keep one
+// another: prev re-aims the walk's last combined source at a split the cache
+// serves and its last fallback source at one it does not, whichever of the
+// two prev is.
+func (f *CombinedScanFactory) Open(split int, m *sqlengine.Metrics, prev sqlengine.BatchSource) (sqlengine.BatchSource, error) {
 	rawInfo, err := f.wh.Table(f.rawDB, f.rawTable)
 	if err != nil {
 		return nil, err
@@ -247,13 +250,14 @@ func (f *CombinedScanFactory) Open(split int, m *sqlengine.Metrics) (sqlengine.B
 		return nil, fmt.Errorf("core: split %d out of range for %s.%s", split, f.rawDB, f.rawTable)
 	}
 	raw := rawInfo.Files[split]
+	src, misses := f.lanes(prev)
 	// A part the manifest holds no record of at its current version —
 	// rewritten, appended without being ingested, from a recreated table,
 	// or cached from a corrupted read — reads raw data and parses the paths
 	// on the fly.
 	sp := f.manifest.split(raw, rawInfo.Versions[split])
 	if sp == nil {
-		return f.openFallback(raw, m, &f.obsc.uncovered)
+		return f.openFallback(src, misses, raw, m, &f.obsc.uncovered)
 	}
 
 	// CacheReader. Open or cursor failures degrade to raw parsing rather
@@ -266,19 +270,23 @@ func (f *CombinedScanFactory) Open(split int, m *sqlengine.Metrics) (sqlengine.B
 		// and deleted by a later population cycle. Degrade gracefully: the
 		// query stays correct by parsing raw data, exactly as if the paths
 		// were uncached.
-		return f.openFallback(raw, m, &f.obsc.retired)
+		return f.openFallback(src, misses, raw, m, &f.obsc.retired)
 	}
 	if err != nil || !view.Stored || view.Version != sp.CacheVersion || cacheReader.NumRows() != sp.Rows {
 		f.quarantineCache()
-		return f.openFallback(raw, m, &f.obsc.quarantined)
+		return f.openFallback(src, misses, raw, m, &f.obsc.quarantined)
 	}
-	src := &combinedRowSource{f: f, m: m}
-	cacheCur, err := cacheReader.NewCursor(f.cacheCols, f.cacheSARG, &src.cacheMeter.Stats)
-	if err != nil {
+	if src == nil {
+		src = &combinedRowSource{f: f, misses: misses}
+		if misses != nil {
+			misses.combined = src
+		}
+	}
+	src.m, src.sharedMask, src.cacheMeter = m, false, sqlengine.ReadMeter{}
+	if err := src.cacheCur.Reopen(cacheReader, f.cacheCols, f.cacheSARG, &src.cacheMeter.Stats); err != nil {
 		f.quarantineCache()
-		return f.openFallback(raw, m, &f.obsc.quarantined)
+		return f.openFallback(src, misses, raw, m, &f.obsc.quarantined)
 	}
-	src.cacheCur = cacheCur
 
 	// PrimaryReader (absent when it would read nothing).
 	f.rawOnce.Do(func() {
@@ -294,26 +302,27 @@ func (f *CombinedScanFactory) Open(split int, m *sqlengine.Metrics) (sqlengine.B
 		if rawView.Version != sp.RawVersion {
 			// Rewritten since the listing: the cache part no longer
 			// describes what this reader would stitch it to.
-			return f.openFallback(raw, m, &f.obsc.uncovered)
+			return f.openFallback(src, misses, raw, m, &f.obsc.uncovered)
 		}
 		// Row alignment sanity (the §IV-C invariant). Both parts are at the
 		// versions the manifest records, so a mismatch means a read was
 		// mangled: degrade.
 		if rawReader.NumRows() != cacheReader.NumRows() {
 			f.quarantineCache()
-			return f.openFallback(raw, m, &f.obsc.quarantined)
+			return f.openFallback(src, misses, raw, m, &f.obsc.quarantined)
 		}
-		rawSrc, rawCur, err := f.raw.OpenReader(rawReader, m)
+		rawSrc, rawCur, err := f.raw.OpenReader(rawReader, m, src.raw)
 		if err != nil {
 			return nil, err
 		}
+		src.raw = rawSrc
 		// Predicate pushdown: share the cache reader's skip array. Only
 		// valid when both files are single-stripe so row groups align
 		// (paper §IV-F) and the group counts agree.
 		aligned := rawReader.NumStripes() <= 1 && cacheReader.NumStripes() <= 1 &&
 			rawReader.NumRowGroups() == cacheReader.NumRowGroups()
 		if f.pushdown && f.cacheSARG != nil && aligned {
-			if err := rawCur.SetRowGroupMask(cacheCur.RowGroupMask()); err != nil {
+			if err := rawCur.IntersectMask(&src.cacheCur); err != nil {
 				return nil, err
 			}
 			src.sharedMask = true
@@ -321,11 +330,10 @@ func (f *CombinedScanFactory) Open(split int, m *sqlengine.Metrics) (sqlengine.B
 		// The cache side must also honor the primary reader's own skips so
 		// both cursors keep visiting the same groups.
 		if src.sharedMask || f.primarySARG != nil && aligned {
-			if err := cacheCur.SetRowGroupMask(rawCur.RowGroupMask()); err != nil {
+			if err := src.cacheCur.IntersectMask(rawCur); err != nil {
 				return nil, err
 			}
 		}
-		src.raw = rawSrc
 	}
 	if m != nil {
 		switch {
@@ -351,13 +359,30 @@ func (f *CombinedScanFactory) Open(split int, m *sqlengine.Metrics) (sqlengine.B
 	return src, nil
 }
 
+// lanes returns the two sources of the walk prev ended, either of them nil
+// when the walk has not needed it or prev is not this factory's.
+func (f *CombinedScanFactory) lanes(prev sqlengine.BatchSource) (*combinedRowSource, *cacheMisses) {
+	switch s := prev.(type) {
+	case *combinedRowSource:
+		if s.f == f {
+			return s, s.misses
+		}
+	case *cacheMisses:
+		if s.f == f {
+			return s.combined, s
+		}
+	}
+	return nil, nil
+}
+
 // openFallback serves one split the cache does not: the engine's split
 // reader decodes the primary columns and extracts the cache columns from the
 // raw JSON — the cost a rewritten or uncached appended file pays until the
 // next midnight cycle covers it — and the scan's extract list after them.
 // mode says why: an uncovered split, a retired cache generation or a
-// quarantined one.
-func (f *CombinedScanFactory) openFallback(file string, m *sqlengine.Metrics, mode *fallbackMode) (sqlengine.BatchSource, error) {
+// quarantined one. misses, when not nil, is re-aimed; combined is the walk's
+// other source, kept beside it.
+func (f *CombinedScanFactory) openFallback(combined *combinedRowSource, misses *cacheMisses, file string, m *sqlengine.Metrics, mode *fallbackMode) (sqlengine.BatchSource, error) {
 	if m != nil {
 		m.MarkScanMode(mode.bit)
 		if m.Span != nil {
@@ -372,18 +397,27 @@ func (f *CombinedScanFactory) openFallback(file string, m *sqlengine.Metrics, mo
 	if err != nil {
 		return nil, err
 	}
-	src, _, err := f.fallback.OpenReader(rd, m)
+	if misses == nil {
+		misses = &cacheMisses{f: f, combined: combined}
+		if combined != nil {
+			combined.misses = misses
+		}
+	}
+	src, _, err := f.fallback.OpenReader(rd, m, misses.BatchSource)
 	if err != nil {
 		return nil, err
 	}
-	return &cacheMisses{BatchSource: src, m: m, f: f}, nil
+	misses.BatchSource, misses.m = src, m
+	return misses, nil
 }
 
 // cacheMisses counts every value a fallback split extracts as a cache miss.
+// combined is its walk's combined source, nil until a split needs one.
 type cacheMisses struct {
 	sqlengine.BatchSource
-	m *sqlengine.Metrics
-	f *CombinedScanFactory
+	m        *sqlengine.Metrics
+	f        *CombinedScanFactory
+	combined *combinedRowSource
 }
 
 // NextBatch implements sqlengine.BatchSource.
@@ -406,10 +440,11 @@ func (s *cacheMisses) NextBatch(b *sqlengine.RowBatch) (int, error) {
 type combinedRowSource struct {
 	f          *CombinedScanFactory
 	raw        sqlengine.BatchSource // nil when the raw side is not read
-	cacheCur   *orc.Cursor
+	cacheCur   orc.Cursor
 	cacheMeter sqlengine.ReadMeter
 	m          *sqlengine.Metrics
 	sharedMask bool
+	misses     *cacheMisses // its walk's fallback source, nil until a split needs one
 }
 
 // NextBatch implements sqlengine.BatchSource (Algorithm 2: read both splits,

@@ -39,7 +39,7 @@ func TestFallbackBatchReleasesPoolAliases(t *testing.T) {
 		[]sqlengine.Extraction{{Column: "doc", Path: path}},
 		false, sqlengine.RowSchema{}, nil)
 	var m sqlengine.Metrics
-	src, err := f.Open(0, &m)
+	src, err := f.Open(0, &m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -162,7 +162,7 @@ func TestFactorySchemaAccessor(t *testing.T) {
 	if err != nil || n != 3 {
 		t.Errorf("NumSplits = %d err=%v", n, err)
 	}
-	if _, err := factory.Open(99, &sqlengine.Metrics{}); err == nil {
+	if _, err := factory.Open(99, &sqlengine.Metrics{}, nil); err == nil {
 		t.Error("out-of-range split should error")
 	}
 }

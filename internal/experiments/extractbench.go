@@ -311,10 +311,12 @@ func RunExtractBench(ctx context.Context, rows int, seed int64) (*ExtractBenchRe
 		if err != nil {
 			return err
 		}
+		// Each split re-aims the source of the split before it, as the
+		// engine's scan workers do.
 		batch := sqlengine.NewRowBatch(1+len(cacheCols), 256)
+		var src sqlengine.BatchSource
 		for split := 0; split < nSplits; split++ {
-			src, err := factory.Open(split, m)
-			if err != nil {
+			if src, err = factory.Open(split, m, src); err != nil {
 				return err
 			}
 			for {

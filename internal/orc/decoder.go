@@ -125,8 +125,9 @@ func (d *decoder) view() string {
 // encoding tag, then the encoded non-null values; the iterator carries the
 // bitmap position, the RLE run remainder and the value-stream position
 // between fill calls, so a batch boundary may fall anywhere inside a group.
-// One chunkIter serves one selected column for the cursor's lifetime: reset
-// re-aims it at the next group's chunk and reuses the dictionary's memory.
+// One chunkIter serves one selected position of the cursor for the cursor's
+// lifetime, across Cursor.Reopen too: reset re-aims it at the next group's
+// chunk, of whichever file and column, and reuses the dictionary's memory.
 type chunkIter struct {
 	typ     datum.Type
 	enc     byte

@@ -10,8 +10,9 @@
 //
 // The paper's predicate-pushdown optimization (§IV-F) shares the row-group
 // skip array computed by the CacheReader with the PrimaryReader; Cursor
-// exposes both sides of that exchange (RowGroupMask / SetRowGroupMask) and
-// restricts it to single-stripe files exactly as the paper does.
+// exposes that exchange (IntersectMask, or RowGroupMask / SetRowGroupMask
+// for a mask of the caller's) and the Value Combiner restricts it to
+// single-stripe files exactly as the paper does.
 package orc
 
 import (

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"testing"
 	"unsafe"
@@ -22,13 +23,15 @@ import (
 // files of corrupt_test.go (the zero-column file that claims rows among
 // them), so mutation starts next to the known edges.
 func fuzzSeeds(t testing.TB) map[string][]byte {
-	write := func(rows [][]datum.Datum, opts WriterOptions) []byte {
-		data, err := WriteRows(geomSchema, rows, opts)
+	writeSchema := func(schema Schema, rows [][]datum.Datum, opts WriterOptions) []byte {
+		data, err := WriteRows(schema, rows, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return data
 	}
+	write := func(rows [][]datum.Datum, opts WriterOptions) []byte { return writeSchema(geomSchema, rows, opts) }
+	oneString := Schema{Columns: []Column{{Name: "s", Type: datum.TypeString}}}
 	return map[string][]byte{
 		"valid-no-nulls":      write(geomRows(300, nullsNone, 1), WriterOptions{RowGroupRows: 64}),
 		"valid-half-nulls":    write(geomRows(300, nullsHalf, 2), WriterOptions{RowGroupRows: 64}),
@@ -50,15 +53,84 @@ func fuzzSeeds(t testing.TB) map[string][]byte {
 			e.uvarint(huge)
 			e.str("a")
 		})),
+		// One column s, dictionary-encoded in four groups (three distinct
+		// values) and plain in one (every value distinct).
+		"valid-dict-strings":  writeSchema(oneString, stringRows(200, 3), WriterOptions{RowGroupRows: 64}),
+		"valid-plain-strings": writeSchema(oneString, stringRows(100, 100), WriterOptions{RowGroupRows: 100}),
 	}
 }
 
+// reaimSeeds pairs a seed file, the input, with the seed file a cursor reads
+// before it is re-aimed at the input (FuzzReader's partner). Every other
+// seed file is read after the next file of fuzzPartners.
+var reaimSeeds = map[string]struct{ input, partner string }{
+	// The same column, dictionary-encoded in the partner and plain in the
+	// input: the dictionary must not leak into the input's values.
+	"reaim-dict-then-plain": {"valid-plain-strings", "valid-dict-strings"},
+	// A partner that fails corrupt mid-group, after handing out a row: its
+	// latched error must not survive Reopen.
+	"reaim-after-corrupt": {"valid-no-nulls", "corrupt-string-length"},
+	// Different schemas and row-group counts: one column in four groups,
+	// six in five.
+	"reaim-other-schema": {"valid-half-nulls", "valid-dict-strings"},
+}
+
+// stringRows builds n rows of one string column holding distinct values.
+func stringRows(n, distinct int) [][]datum.Datum {
+	rows := make([][]datum.Datum, n)
+	for i := range rows {
+		rows[i] = []datum.Datum{datum.Str(fmt.Sprintf("value-%05d", i%distinct))}
+	}
+	return rows
+}
+
+// fuzzPartners are the seed files that open, in name order: FuzzReader's
+// partner input picks one of them.
+func fuzzPartners(t testing.TB) (names []string, files [][]byte) {
+	seeds := fuzzSeeds(t)
+	for name, data := range seeds {
+		if _, err := OpenReader(data); err == nil {
+			names = append(names, name)
+		}
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		files = append(files, seeds[name])
+	}
+	return names, files
+}
+
+// fuzzCorpus is FuzzReader's seed corpus by entry name: every seed file with
+// the partner after it in fuzzPartners (or the first), and reaimSeeds' pairs.
+func fuzzCorpus(t testing.TB) map[string]fuzzEntry {
+	seeds := fuzzSeeds(t)
+	names, _ := fuzzPartners(t)
+	corpus := make(map[string]fuzzEntry, len(seeds)+len(reaimSeeds))
+	for name, data := range seeds {
+		corpus[name] = fuzzEntry{data, uint8((slices.Index(names, name) + 1) % len(names))}
+	}
+	for name, pair := range reaimSeeds {
+		partner := slices.Index(names, pair.partner)
+		if partner < 0 {
+			t.Fatalf("%s: partner %s does not open", name, pair.partner)
+		}
+		corpus[name] = fuzzEntry{seeds[pair.input], uint8(partner)}
+	}
+	return corpus
+}
+
+// fuzzEntry is one input of FuzzReader.
+type fuzzEntry struct {
+	data    []byte
+	partner uint8
+}
+
 // TestFuzzCorpusCommitted keeps testdata/fuzz/FuzzReader, which `go test`
-// replays on every run, equal to fuzzSeeds; ORC_UPDATE_GOLDEN=1 rewrites it.
+// replays on every run, equal to fuzzCorpus; ORC_UPDATE_GOLDEN=1 rewrites it.
 func TestFuzzCorpusCommitted(t *testing.T) {
 	dir := filepath.Join("testdata", "fuzz", "FuzzReader")
-	for name, data := range fuzzSeeds(t) {
-		entry := "go test fuzz v1\n[]byte(" + strconv.Quote(string(data)) + ")\n"
+	for name, e := range fuzzCorpus(t) {
+		entry := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\nbyte(%q)\n", e.data, e.partner)
 		path := filepath.Join(dir, name)
 		if os.Getenv("ORC_UPDATE_GOLDEN") == "1" {
 			if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -95,18 +167,20 @@ func inside(s string, data []byte) bool {
 // through NextBatch (two capacities) and through Next. Whatever the bytes:
 // no panic; every string handed out is a view of the input, never of
 // anything else; the three drains fail or succeed together; and when they
-// succeed they return the same rows. The seed corpus is the committed
-// testdata/fuzz/FuzzReader (see TestFuzzCorpusCommitted).
+// succeed they return the same rows. The input is then read again through a
+// cursor re-aimed at it (Reopen) from partner, one of the seed files, read to
+// its end or its error first, and the cursor is re-aimed back at partner:
+// each re-aimed drain must return what a fresh cursor's returns, value for
+// value, error for error and with the same read statistics. The seed corpus
+// is the committed testdata/fuzz/FuzzReader (see TestFuzzCorpusCommitted).
 func FuzzReader(f *testing.F) {
-	f.Fuzz(func(t *testing.T, data []byte) {
+	_, partners := fuzzPartners(f)
+	f.Fuzz(func(t *testing.T, data []byte, partner byte) {
 		r, err := OpenReader(data)
 		if err != nil {
 			return
 		}
-		cols := make([]string, len(r.Schema().Columns))
-		for i, c := range r.Schema().Columns {
-			cols[i] = c.Name
-		}
+		cols := columnNames(r)
 		drain := func(capacity int) ([][]datum.Datum, error) {
 			cur, err := r.NewCursor(cols, nil, nil)
 			if err != nil {
@@ -140,7 +214,63 @@ func FuzzReader(f *testing.F) {
 		if rowErr == nil && int64(len(byRow)) != r.NumRows() {
 			t.Fatalf("clean drain returned %d rows of a file of %d", len(byRow), r.NumRows())
 		}
+
+		pdata := partners[int(partner)%len(partners)]
+		pr, err := OpenReader(pdata)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur, err := pr.NewCursor(columnNames(pr), nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		drainBatch(cur, len(pr.Schema().Columns), 3) // to its end or its error
+		reaimed(t, cur, r, data)
+		reaimed(t, cur, pr, pdata)
 	})
+}
+
+// reaimed re-aims cur at every column of r, whose bytes are data, drains it
+// and fails t unless it reads what a fresh cursor reads: the same rows, each
+// string a view of data, the same error and the same statistics.
+func reaimed(t *testing.T, cur *Cursor, r *Reader, data []byte) {
+	t.Helper()
+	cols := columnNames(r)
+	var freshStats, reStats ReadStats
+	fresh, err := r.NewCursor(cols, nil, &freshStats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantErr := drainBatch(fresh, len(cols), 3)
+	if err := cur.Reopen(r, cols, nil, &reStats); err != nil {
+		t.Fatal(err)
+	}
+	got, gotErr := drainBatch(cur, len(cols), 3)
+	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+		t.Fatalf("re-aimed cursor err = %v, a fresh one's = %v", gotErr, wantErr)
+	}
+	if renderRows(got) != renderRows(want) {
+		t.Fatalf("re-aimed and fresh cursors disagree:\n%s", lineDiff(renderRows(want), renderRows(got)))
+	}
+	if reStats != freshStats {
+		t.Fatalf("re-aimed cursor metered %+v, a fresh one %+v", reStats, freshStats)
+	}
+	for _, row := range got {
+		for _, d := range row {
+			if !inside(d.S, data) {
+				t.Fatalf("re-aimed string %q does not alias the file it was aimed at", d.S)
+			}
+		}
+	}
+}
+
+// columnNames lists r's columns in schema order.
+func columnNames(r *Reader) []string {
+	cols := make([]string, len(r.Schema().Columns))
+	for i, c := range r.Schema().Columns {
+		cols[i] = c.Name
+	}
+	return cols
 }
 
 // writerCase is one file FuzzWriterMatchesReference writes: a schema, its

@@ -234,28 +234,53 @@ type Cursor struct {
 // NewCursor opens a cursor over the named columns. sarg may be nil. stats
 // may be nil; when non-nil the cursor adds its work to it.
 func (r *Reader) NewCursor(columns []string, sarg *SARG, stats *ReadStats) (*Cursor, error) {
-	c := &Cursor{r: r, stats: stats, groupIdx: -1,
-		cols:   make([]int, len(columns)),
-		iters:  make([]chunkIter, len(columns)),
-		chunks: make([][]byte, len(r.schema.Columns)),
-	}
-	for i, name := range columns {
-		ci := r.schema.ColumnIndex(name)
-		if ci < 0 {
-			return nil, fmt.Errorf("orc: no column %q", name)
-		}
-		c.cols[i] = ci
-	}
-	c.include = make([]bool, len(r.groups))
-	for i, g := range r.groups {
-		c.include[i] = sarg == nil || sarg.mayMatch(r.schema, r.stripes[g.stripe].rowGroups[g.group].stats)
+	c := new(Cursor)
+	if err := c.Reopen(r, columns, sarg, stats); err != nil {
+		return nil, err
 	}
 	return c, nil
 }
 
-// RowGroupMask returns the cursor's current include mask (true = read), one
-// entry per row group in file order. This is the skip array the CacheReader
-// shares with the PrimaryReader.
+// Reopen re-aims c at the named columns of r, as NewCursor would open a
+// fresh cursor there, whatever c read before: another file, another schema,
+// a read stopped mid-group or one failed with a latched error. It reuses the
+// column slices, the row-group mask and the chunk iterators with their
+// dictionary memory, so a scan that reads many files through one cursor
+// pays NewCursor's allocations once. sarg and stats are as for NewCursor.
+// After an error c reads nothing until it is re-aimed again.
+func (c *Cursor) Reopen(r *Reader, columns []string, sarg *SARG, stats *ReadStats) error {
+	*c = Cursor{r: r, stats: stats, groupIdx: -1,
+		cols:    resize(c.cols, len(columns)),
+		iters:   resize(c.iters, len(columns)),
+		chunks:  resize(c.chunks, len(r.schema.Columns)),
+		include: resize(c.include, len(r.groups)),
+	}
+	clear(c.chunks) // no view of the file read before
+	for i, name := range columns {
+		ci := r.schema.ColumnIndex(name)
+		if ci < 0 {
+			c.err = fmt.Errorf("orc: no column %q", name)
+			return c.err
+		}
+		c.cols[i] = ci
+	}
+	for i, g := range r.groups {
+		c.include[i] = sarg == nil || sarg.mayMatch(r.schema, r.stripes[g.stripe].rowGroups[g.group].stats)
+	}
+	return nil
+}
+
+// resize returns s with length n, reusing its memory when it holds n.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// RowGroupMask returns a copy of the cursor's current include mask (true =
+// read), one entry per row group in file order. This is the skip array the
+// CacheReader shares with the PrimaryReader.
 func (c *Cursor) RowGroupMask() []bool {
 	out := make([]bool, len(c.include))
 	copy(out, c.include)
@@ -263,20 +288,26 @@ func (c *Cursor) RowGroupMask() []bool {
 }
 
 // SetRowGroupMask intersects the cursor's mask with an externally computed
-// one. It must be called before the first Next. The mask length must equal
+// one. It must be called before the first read. The mask length must equal
 // the row-group count.
 func (c *Cursor) SetRowGroupMask(mask []bool) error {
 	if len(mask) != len(c.include) {
 		return fmt.Errorf("orc: mask length %d != row groups %d", len(mask), len(c.include))
 	}
 	if c.groupIdx >= 0 {
-		return fmt.Errorf("orc: SetRowGroupMask after iteration started")
+		return fmt.Errorf("orc: row-group mask set after iteration started")
 	}
 	for i := range c.include {
 		c.include[i] = c.include[i] && mask[i]
 	}
 	return nil
 }
+
+// IntersectMask intersects the cursor's mask with other's current one, in
+// place and without copying either: SetRowGroupMask(other.RowGroupMask()),
+// the exchange of §IV-F's skip array between two cursors of aligned files.
+// Its rules are SetRowGroupMask's.
+func (c *Cursor) IntersectMask(other *Cursor) error { return c.SetRowGroupMask(other.include) }
 
 // Next returns the next row's selected column values, or nil when the
 // cursor is exhausted. The returned slice is freshly allocated and the

@@ -249,7 +249,7 @@ func TestAdmissionLoneSealRemarksAnySession(t *testing.T) {
 type stubUnioner struct{}
 
 func (stubUnioner) NumSplits() (int, error) { return 0, nil }
-func (stubUnioner) Open(int, *sqlengine.Metrics) (sqlengine.BatchSource, error) {
+func (stubUnioner) Open(int, *sqlengine.Metrics, sqlengine.BatchSource) (sqlengine.BatchSource, error) {
 	return nil, errors.New("stubUnioner: opened")
 }
 func (stubUnioner) Schema() (sqlengine.RowSchema, error) { return sqlengine.RowSchema{}, nil }

@@ -14,7 +14,7 @@ func (f *consumerFactory) NumSplits() (int, error) { return 1, nil }
 
 func (f *consumerFactory) Schema() (sqlengine.RowSchema, error) { return f.p.plan.Scan.Schema(), nil }
 
-func (f *consumerFactory) Open(split int, m *sqlengine.Metrics) (sqlengine.BatchSource, error) {
+func (f *consumerFactory) Open(split int, m *sqlengine.Metrics, _ sqlengine.BatchSource) (sqlengine.BatchSource, error) {
 	if split != 0 {
 		return nil, fmt.Errorf("scanshare: consumer has a single split, got open(%d)", split)
 	}

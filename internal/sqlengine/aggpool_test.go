@@ -108,7 +108,7 @@ type panicAfterRowsFactory struct{ schema RowSchema }
 
 func (f *panicAfterRowsFactory) NumSplits() (int, error)    { return 2, nil }
 func (f *panicAfterRowsFactory) Schema() (RowSchema, error) { return f.schema, nil }
-func (f *panicAfterRowsFactory) Open(split int, m *Metrics) (BatchSource, error) {
+func (f *panicAfterRowsFactory) Open(split int, m *Metrics, _ BatchSource) (BatchSource, error) {
 	return &panicAfterRowsSource{split: split}, nil
 }
 

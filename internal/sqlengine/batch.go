@@ -17,10 +17,11 @@ import (
 const DefaultBatchSize = 1024
 
 // RowBatch is a column-major batch of rows: Cols[c][i] is row i's value of
-// column c. Pooled batches never change hands: ScanBatches lends one to a
-// callback for the length of a call, and a BatchPipe keeps the ones it queues
-// to itself, so outside this file a pooled *RowBatch is only ever a
-// parameter (NewRowBatch builds unpooled ones for whoever wants to own one).
+// column c. Pooled batches never change hands: a scan worker lends its one to
+// a callback for the length of a call (ScanBatches), and a BatchPipe keeps the
+// ones it queues to itself, so outside this file a pooled *RowBatch is only
+// ever a parameter (NewRowBatch builds unpooled ones for whoever wants to own
+// one).
 type RowBatch struct {
 	Cols [][]datum.Datum
 
@@ -96,8 +97,8 @@ var batchOutstanding atomic.Int64
 // OutstandingBatches returns how many pooled RowBatches are checked out.
 func OutstandingBatches() int64 { return batchOutstanding.Load() }
 
-// getRowBatch returns a pooled batch reshaped to width x capacity. Only
-// ScanBatches and BatchPipe call it, and each pairs it with putRowBatch
+// getRowBatch returns a pooled batch reshaped to width x capacity. Only a
+// scan worker and BatchPipe call it, and each pairs it with putRowBatch
 // itself.
 func getRowBatch(width, capacity int) *RowBatch {
 	b := batchPool.Get().(*RowBatch)
@@ -138,29 +139,90 @@ var StopScan = errors.New("sql: scan stopped")
 // per non-empty batch with the rows in b.Cols[c][:n]. The batch is lent: one
 // pooled batch serves the whole walk and goes back to the pool when
 // ScanBatches returns, by whatever route (fn's error, a source error, a
-// panic), so fn must copy out whatever it keeps and must not retain b. A
-// non-nil error from fn stops the walk and is returned as it is, except
-// StopScan. A limit of zero or more is the most rows the walk hands fn: it
-// asks each source for no more than the rows still owed (RowBatch.Capacity)
-// and ends, opening no further split, once it has handed them all. A limit
-// of -1 reads every row.
+// panic), so fn must copy out whatever it keeps and must not retain b. Each
+// split's Open is handed the source of the split before it, once that split
+// ran dry, to re-aim (ScanSourceFactory.Open's prev), so a walk over many
+// splits opens its readers once. A non-nil error from fn stops the walk and
+// is returned as it is, except StopScan. A limit of zero or more is the most
+// rows the walk hands fn: it asks each source for no more than the rows still
+// owed (RowBatch.Capacity) and ends, opening no further split, once it has
+// handed them all. A limit of -1 reads every row.
 func (e *Engine) ScanBatches(factory ScanSourceFactory, first, end, limit int, m *Metrics, fn func(b *RowBatch, n int) error) error {
-	schema, err := factory.Schema()
-	if err != nil {
-		return err
+	var w scanWorker
+	defer w.release()
+	return e.walk(&w, factory, first, end, limit, m, fn)
+}
+
+// scanWorker is the reading state one scan worker owns for one query: the
+// batch every split it reads is read into, and the source of its last split,
+// which the next split's Open re-aims. An executor worker also keeps its
+// column tail's scratch and its row scratch here, so the splits it claims
+// share one of each. A worker serves one factory, and nothing in it outlives
+// the query: release returns the batch and the scratch to their pools and
+// drops the source, whose cursors hold views of the files the query read.
+type scanWorker struct {
+	b   *RowBatch
+	src BatchSource // the last split's, when it ran dry; nil otherwise
+	ts  *tailScratch
+	row []datum.Datum
+}
+
+// release ends the worker's query.
+func (w *scanWorker) release() {
+	if w.b != nil {
+		putRowBatch(w.b)
 	}
-	b := getRowBatch(len(schema.Cols), e.batchSize)
-	defer putRowBatch(b)
-	for split := first; split < end && limit != 0; split++ {
-		src, err := factory.Open(split, m)
+	if w.ts != nil {
+		tailScratchPool.Put(w.ts)
+	}
+	*w = scanWorker{}
+}
+
+// tailScratch returns the worker's column-tail scratch.
+func (w *scanWorker) tailScratch() *tailScratch {
+	if w.ts == nil {
+		w.ts = tailScratchPool.Get().(*tailScratch)
+	}
+	return w.ts
+}
+
+// rowScratch returns the worker's row scratch with length width and room
+// for extra more datums.
+func (w *scanWorker) rowScratch(width, extra int) []datum.Datum {
+	if cap(w.row) < width+extra {
+		w.row = make([]datum.Datum, width, width+extra)
+	}
+	return w.row[:width]
+}
+
+// walk is ScanBatches through w: the worker's batch, taken at its first walk,
+// and its last source, re-aimed at the walk's first split. A source is handed
+// on only after its split ran dry; one whose split failed, panicked or was
+// stopped early is dropped, never re-aimed.
+func (e *Engine) walk(w *scanWorker, factory ScanSourceFactory, first, end, limit int, m *Metrics, fn func(b *RowBatch, n int) error) error {
+	if w.b == nil {
+		schema, err := factory.Schema()
 		if err != nil {
 			return err
 		}
-		if err := readSource(src, b, &limit, fn); err != nil {
+		w.b = getRowBatch(len(schema.Cols), e.batchSize)
+	}
+	for split := first; split < end && limit != 0; split++ {
+		prev := w.src
+		w.src = nil
+		src, err := factory.Open(split, m, prev)
+		if err != nil {
+			return err
+		}
+		dry, err := readSource(src, w.b, &limit, fn)
+		if err != nil {
 			if errors.Is(err, StopScan) {
 				return nil
 			}
 			return err
+		}
+		if dry {
+			w.src = src
 		}
 	}
 	return nil
@@ -168,8 +230,8 @@ func (e *Engine) ScanBatches(factory ScanSourceFactory, first, end, limit int, m
 
 // readSource hands fn src's batches until it runs dry or *limit rows have
 // been handed, taking what it hands off *limit, and stops src when it is
-// done with it.
-func readSource(src BatchSource, b *RowBatch, limit *int, fn func(b *RowBatch, n int) error) error {
+// done with it. dry reports that src ran dry.
+func readSource(src BatchSource, b *RowBatch, limit *int, fn func(b *RowBatch, n int) error) (dry bool, err error) {
 	if s, ok := src.(stopper); ok {
 		defer s.Stop()
 	}
@@ -177,16 +239,16 @@ func readSource(src BatchSource, b *RowBatch, limit *int, fn func(b *RowBatch, n
 		b.want = *limit
 		n, err := src.NextBatch(b)
 		if err != nil || n == 0 {
-			return err
+			return err == nil, err
 		}
 		if *limit > 0 {
 			*limit = max(*limit-n, 0)
 		}
 		if err := fn(b, n); err != nil {
-			return err
+			return false, err
 		}
 	}
-	return nil
+	return false, nil
 }
 
 // BatchPipe is a bounded queue of row batches between one producer goroutine

@@ -188,7 +188,7 @@ func (f *lendFactory) NumSplits() (int, error) { return 2, nil }
 func (f *lendFactory) Schema() (RowSchema, error) {
 	return RowSchema{Cols: []RowCol{{Name: "c", Type: datum.TypeInt64}}}, nil
 }
-func (f *lendFactory) Open(split int, m *Metrics) (BatchSource, error) {
+func (f *lendFactory) Open(split int, m *Metrics, _ BatchSource) (BatchSource, error) {
 	return &lendSource{f: f, left: 3}, nil
 }
 

@@ -41,7 +41,7 @@ type cancellingFactory struct {
 
 func (f *cancellingFactory) NumSplits() (int, error)    { return 1, nil }
 func (f *cancellingFactory) Schema() (RowSchema, error) { return f.schema, nil }
-func (f *cancellingFactory) Open(split int, m *Metrics) (BatchSource, error) {
+func (f *cancellingFactory) Open(split int, m *Metrics, _ BatchSource) (BatchSource, error) {
 	return (*cancellingSource)(f), nil
 }
 
@@ -123,7 +123,7 @@ type panickingFactory struct{ schema RowSchema }
 
 func (f *panickingFactory) NumSplits() (int, error)    { return 1, nil }
 func (f *panickingFactory) Schema() (RowSchema, error) { return f.schema, nil }
-func (f *panickingFactory) Open(split int, m *Metrics) (BatchSource, error) {
+func (f *panickingFactory) Open(split int, m *Metrics, _ BatchSource) (BatchSource, error) {
 	panic("synthetic split failure")
 }
 

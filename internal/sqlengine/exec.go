@@ -91,8 +91,9 @@ func (r *SplitReader) NumSplits() (int, error) {
 // Schema implements ScanSourceFactory.
 func (r *SplitReader) Schema() (RowSchema, error) { return r.scan.schema, nil }
 
-// Open implements ScanSourceFactory: a raw scan of the table's split-th part.
-func (r *SplitReader) Open(split int, m *Metrics) (BatchSource, error) {
+// Open implements ScanSourceFactory: a raw scan of the table's split-th part,
+// through prev when this reader opened it.
+func (r *SplitReader) Open(split int, m *Metrics, prev BatchSource) (BatchSource, error) {
 	info, err := r.wh.Table(r.scan.DB, r.scan.Table)
 	if err != nil {
 		return nil, err
@@ -104,7 +105,7 @@ func (r *SplitReader) Open(split int, m *Metrics) (BatchSource, error) {
 	if err != nil {
 		return nil, err
 	}
-	src, _, err := r.OpenReader(f, m)
+	src, _, err := r.OpenReader(f, m, prev)
 	if err != nil {
 		return nil, err
 	}
@@ -119,28 +120,46 @@ func (r *SplitReader) Open(split int, m *Metrics) (BatchSource, error) {
 
 // OpenReader opens a part of the scan's table the caller opened as a split,
 // leaving the scan-mode marks to the caller, and hands back its cursor for a
-// caller pairing it with another file's to share their row-group masks.
-func (r *SplitReader) OpenReader(f *orc.Reader, m *Metrics) (BatchSource, *orc.Cursor, error) {
-	var err error
+// caller pairing it with another file's to share their row-group masks. prev
+// is as for Open: a source this reader returned is re-aimed at f, any other
+// is ignored.
+func (r *SplitReader) OpenReader(f *orc.Reader, m *Metrics, prev BatchSource) (BatchSource, *orc.Cursor, error) {
 	if r.x == nil {
-		src := &fileRowSource{m: m}
-		if src.cur, err = f.NewCursor(r.scan.Columns, r.scan.SARG, &src.meter.Stats); err != nil {
+		src, ok := prev.(*fileRowSource)
+		if !ok || src.r != r {
+			src = &fileRowSource{r: r}
+		}
+		if err := src.reopen(f, r.scan.Columns, m); err != nil {
 			return nil, nil, err
 		}
-		return src, src.cur, nil
+		return src, &src.cur, nil
 	}
-	src := &extractingSource{fileRowSource: fileRowSource{m: m}, x: r.x.Split(r.backend), nCols: len(r.scan.Columns),
-		in: make([][]datum.Datum, len(r.x.Reads())), pre: r.pre}
-	if src.cur, err = f.NewCursor(r.x.Reads(), r.scan.SARG, &src.meter.Stats); err != nil {
+	src, ok := prev.(*extractingSource)
+	if ok && src.r == r {
+		src.x.Reset()
+	} else {
+		src = &extractingSource{fileRowSource: fileRowSource{r: r}, x: r.x.Split(r.backend),
+			in: make([][]datum.Datum, len(r.x.Reads()))}
+	}
+	if err := src.reopen(f, r.x.Reads(), m); err != nil {
 		return nil, nil, err
 	}
-	return src, src.cur, nil
+	return src, &src.cur, nil
 }
 
+// fileRowSource reads one split of its reader's scan through its cursor,
+// which OpenReader re-aims split after split.
 type fileRowSource struct {
-	cur   *orc.Cursor
+	r     *SplitReader
+	cur   orc.Cursor
 	meter ReadMeter
 	m     *Metrics
+}
+
+// reopen aims the source at cols of f, metering into m from zero.
+func (s *fileRowSource) reopen(f *orc.Reader, cols []string, m *Metrics) error {
+	s.m, s.meter = m, ReadMeter{}
+	return s.cur.Reopen(f, cols, s.r.scan.SARG, &s.meter.Stats)
 }
 
 // NextBatch implements BatchSource: the cursor decodes the file's values
@@ -153,14 +172,12 @@ func (s *fileRowSource) NextBatch(b *RowBatch) (int, error) {
 
 // extractingSource is a fileRowSource that also fills its scan's extracted
 // columns, the batch's last. in is what the cursor decodes into: the batch's
-// first nCols vectors, then per-source scratch for the document columns
-// outside Columns.
+// first len(Columns) vectors, then scratch of the source's own for the
+// document columns outside Columns.
 type extractingSource struct {
 	fileRowSource
-	x     SplitExtraction
-	nCols int
-	in    [][]datum.Datum
-	pre   []readPrefilter
+	x  SplitExtraction
+	in [][]datum.Datum
 }
 
 // NextBatch implements BatchSource: the cursor decodes into the batch and the
@@ -169,9 +186,9 @@ type extractingSource struct {
 // flush once per batch. A batch the prefilters empty is not returned: the
 // next one is read.
 func (s *extractingSource) NextBatch(b *RowBatch) (n int, err error) {
-	max := b.Capacity()
-	copy(s.in, b.Cols[:s.nCols])
-	for i := s.nCols; i < len(s.in); i++ {
+	max, nCols := b.Capacity(), len(s.r.scan.Columns)
+	copy(s.in, b.Cols[:nCols])
+	for i := nCols; i < len(s.in); i++ {
 		if cap(s.in[i]) < max {
 			s.in[i] = make([]datum.Datum, max)
 		}
@@ -196,7 +213,7 @@ func (s *extractingSource) NextBatch(b *RowBatch) (n int, err error) {
 	// may be recycled the moment the scan ends, and a source field must not
 	// keep pointing into pool memory another scan now owns
 	// (TestFallbackBatchReleasesPoolAliases).
-	clear(s.in[:s.nCols])
+	clear(s.in[:nCols])
 	return n, err
 }
 
@@ -205,14 +222,14 @@ func (s *extractingSource) NextBatch(b *RowBatch) (n int, err error) {
 // where it is dropped: a prefilter skip and the one row op the executor
 // would have spent on it.
 func (s *extractingSource) prefilter(n int) int {
-	if len(s.pre) == 0 {
+	if len(s.r.pre) == 0 {
 		return n
 	}
 	var skipped, scanned int64
 	kept := 0
 rows:
 	for r := 0; r < n; r++ {
-		for _, pf := range s.pre {
+		for _, pf := range s.r.pre {
 			if !admits(s.in[pf.in][r], pf.needle, &skipped, &scanned) {
 				continue rows
 			}
@@ -319,13 +336,13 @@ func (e *Engine) execute(ctx context.Context, plan *PhysicalPlan, trace *obs.Spa
 			partMetrics[split].Span = scanSpan.Child(fmt.Sprintf("split %d", split))
 		}
 	}
-	runSplit := func(split int) {
+	runSplit := func(w *scanWorker, split int) {
 		defer stop.end(split) // however the split ended, the next may start
 		// A panicking split (corrupt data, injected fault, executor bug) must
 		// fail the query, not the process, and not its worker's other splits.
-		// ScanBatches' defer runs before this recover, so the lent batch is
-		// back in the pool; the split's aggregation table is left to the
-		// garbage collector.
+		// Its source is dropped, not re-aimed (walk), and the worker keeps its
+		// batch for its next split; the split's aggregation table is left to
+		// the garbage collector.
 		defer func() {
 			if r := recover(); r != nil {
 				if e.obsC != nil {
@@ -335,22 +352,26 @@ func (e *Engine) execute(ctx context.Context, plan *PhysicalPlan, trace *obs.Spa
 					"sql: split %d of %s.%s panicked: %v", split, plan.Scan.DB, plan.Scan.Table, r)}
 			}
 		}()
-		results[split] = e.runPartition(ctx, plan, factory, split, joinTable, buildWidth, stop, &partMetrics[split])
+		results[split] = e.runPartition(ctx, w, plan, factory, split, joinTable, buildWidth, stop, &partMetrics[split])
 	}
 	// P workers claim splits in index order until none is left, or none the
-	// LIMIT needs.
+	// LIMIT needs. Each owns its reading state for the query (scanWorker) and
+	// re-aims it at every split it claims; each split owns its aggregation
+	// table, its Metrics and its rows.
 	var wg sync.WaitGroup
 	var next atomic.Int64
-	for w := min(e.parallelism, nSplits); w > 0; w-- {
+	for n := min(e.parallelism, nSplits); n > 0; n-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var w scanWorker
+			defer w.release()
 			for split := int(next.Add(1)) - 1; split < nSplits; split = int(next.Add(1)) - 1 {
 				if !stop.start(split) {
 					stop.end(split)
 					break
 				}
-				runSplit(split)
+				runSplit(&w, split)
 			}
 		}()
 	}
@@ -597,18 +618,21 @@ type execScratch struct {
 
 // runPartition executes the map side of the plan over one split:
 // scan → (join probe) → filter → project or partial aggregate. Rows move
-// through the partition batch-at-a-time: the scan fills a pooled
+// through the partition batch-at-a-time: the scan fills the worker's
 // column-major RowBatch, its get_json_object values already extracted into
 // its last columns, and the filter + projection (or partial aggregation)
 // run fused over its rows. A plan with a column tail instead narrows a
 // selection and aggregates a column at a time (coltail.go). Metric deltas
-// accumulate in locals and flush once per batch.
+// accumulate in locals and flush once per batch. The reading state — the
+// source, the batch, the tail and row scratch — is w's, re-aimed at split;
+// the partial aggregates, m and the rows are the split's own, so they merge
+// in split order.
 //
 // An unordered LIMIT (rowLimit) stops the partition once it holds the rows
 // the splits before it leave owed (limitStop.owed). Without a WHERE or a join
 // every row read is a row out, so the scan asks its source for no more rows
 // than that, and no row past them is decoded, extracted or evaluated.
-func (e *Engine) runPartition(ctx context.Context, plan *PhysicalPlan, factory ScanSourceFactory, split int, joinTable map[string][][]datum.Datum, buildWidth int, stop *limitStop, m *Metrics) (res partResult) {
+func (e *Engine) runPartition(ctx context.Context, w *scanWorker, plan *PhysicalPlan, factory ScanSourceFactory, split int, joinTable map[string][][]datum.Datum, buildWidth int, stop *limitStop, m *Metrics) (res partResult) {
 	if m.Span != nil {
 		// Pre-created in split order for deterministic rendering; re-stamp
 		// the wall window to the split's actual execution.
@@ -647,10 +671,9 @@ func (e *Engine) runPartition(ctx context.Context, plan *PhysicalPlan, factory S
 	}
 	var ts *tailScratch
 	if tail != nil {
-		ts = tailScratchPool.Get().(*tailScratch)
-		defer tailScratchPool.Put(ts)
+		ts = w.tailScratch()
 	} else {
-		sc.row = make([]datum.Datum, width, width+buildWidth)
+		sc.row = w.rowScratch(width, buildWidth)
 	}
 
 	// Per-batch local counters, flushed in one atomic add each.
@@ -700,7 +723,7 @@ func (e *Engine) runPartition(ctx context.Context, plan *PhysicalPlan, factory S
 	if res.err = ctx.Err(); res.err != nil {
 		return res
 	}
-	res.err = e.ScanBatches(factory, split, split+1, readLimit, m, func(batch *RowBatch, n int) error {
+	res.err = e.walk(w, factory, split, split+1, readLimit, m, func(batch *RowBatch, n int) error {
 		e.meterBatch(m, n)
 
 		switch {

@@ -55,9 +55,10 @@ func extractReference(doc datum.Datum, path string) datum.Datum {
 
 // TestBatchExtraction runs the engine's split reader over db.t with an
 // Extract list, the document column inside and outside Columns, at batch
-// capacities 1, 3 and 1024. Every extracted value must equal the reference,
-// every read column must come through, and the parse meter must count one
-// scan per document that differs from the last one its split scanned.
+// capacities 1, 3 and 1024, each split through the source of the split
+// before it, re-aimed. Every extracted value must equal the reference, every
+// read column must come through, and the parse meter must count one scan per
+// document that differs from the last one its split scanned.
 func TestBatchExtraction(t *testing.T) {
 	table := testbed.Table{DB: "db", Name: "t", Schema: testbed.IDDoc}
 	id := 0
@@ -87,9 +88,10 @@ func TestBatchExtraction(t *testing.T) {
 				r := NewSplitReader(wh, scan, nil)
 				nCols := len(layout.cols)
 				id := 0
+				var prev BatchSource // each split re-aims the last one's source
 				for split, docs := range extractSplits {
 					var m Metrics
-					src, err := r.Open(split, &m)
+					src, err := r.Open(split, &m, prev)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -127,6 +129,7 @@ func TestBatchExtraction(t *testing.T) {
 					if row != len(docs) {
 						t.Fatalf("split %d returned %d rows, want %d", split, row, len(docs))
 					}
+					prev = src
 					var scans, scannedLen int64
 					last, held := "", false
 					for _, d := range docs {

@@ -11,9 +11,13 @@ import (
 type ScanSourceFactory interface {
 	// NumSplits returns the partition count.
 	NumSplits() (int, error)
-	// Open opens split i. The returned schema must be identical across
-	// splits.
-	Open(split int, m *Metrics) (BatchSource, error)
+	// Open opens split i, metering its reads into m. The returned schema
+	// must be identical across splits. prev is the source this walk's last
+	// Open returned, once its split ran dry, or nil: the factory may re-aim
+	// it at split i and return it — its cursors, extraction and scratch
+	// reused, its reads metered as a fresh open's — or ignore it. A walk
+	// hands each source on at most once and reads it no more.
+	Open(split int, m *Metrics, prev BatchSource) (BatchSource, error)
 	// Schema returns the output schema.
 	Schema() (RowSchema, error)
 }
