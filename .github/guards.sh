@@ -150,5 +150,9 @@ row reference '\bsqlengine\.Eval\b|\bNewEngine\b|\bBatchExtraction\b|\bStreamBac
 	"the reference evaluator calls into the engine or the batch extraction"
 row shipped-deps '^repro/internal/testbed$' - \
 	"a serving command or the benchmark links internal/testbed"
+# No raw prefilter in the engine: the Sparser study filters its table
+# outside it (DESIGN.md, "Sparser-style prefiltering").
+row module '\b(WithSparser|RawPrefilter|PreFilters|Prefilter(Bytes|Skipped))\b|engine_prefilter' '/internal/experiments/' \
+	"the Sparser baseline lives with the figures"
 
 exit $fail

@@ -112,7 +112,6 @@ func runBatchSizeRound(t *testing.T, seed int64) {
 			return sqlengine.NewEngine(bed.WH,
 				sqlengine.WithDefaultDB("db"),
 				sqlengine.WithParallelism(2),
-				sqlengine.WithSparser(true),
 				sqlengine.WithBatchSize(batchSize),
 				sqlengine.WithBackend(backend))
 		}
@@ -145,7 +144,7 @@ func runBatchSizeRound(t *testing.T, seed int64) {
 		}
 	}
 
-	// Queries spanning scan, prefilter, filter, projection, group-by,
+	// Queries spanning scan, filter, projection, group-by,
 	// distinct, sort, limit, and join — over both cached and uncached paths.
 	queries := []string{
 		`SELECT id, get_json_object(doc, '$.a') a FROM db.t ORDER BY id`,
@@ -243,8 +242,6 @@ func metricsDiff(a, b *sqlengine.Metrics) string {
 		{"ParseSkipped", pa.Skipped, pb.Skipped},
 		{"ParseCalls", pa.Calls, pb.Calls},
 		{"RowOps", a.RowOps.Load(), b.RowOps.Load()},
-		{"PrefilterBytes", a.PrefilterBytes.Load(), b.PrefilterBytes.Load()},
-		{"PrefilterSkipped", a.PrefilterSkipped.Load(), b.PrefilterSkipped.Load()},
 		{"CacheValuesRead", a.CacheValuesRead.Load(), b.CacheValuesRead.Load()},
 		{"CacheHits", a.CacheHits.Load(), b.CacheHits.Load()},
 		{"CacheMisses", a.CacheMisses.Load(), b.CacheMisses.Load()},

@@ -182,9 +182,6 @@ func (p *Planner) modifyScan(plan *sqlengine.PhysicalPlan, scan *sqlengine.ScanN
 	scan.Factory = factory
 	scan.Columns = primaryCols
 	scan.Extract = extract
-	// The combined scan applies no raw prefilter: its readers pair rows by
-	// position.
-	scan.PreFilters = nil
 	scan.SetSchema(sqlengine.RowSchema{Cols: schemaCols})
 	return served
 }

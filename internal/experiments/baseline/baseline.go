@@ -2,7 +2,8 @@
 // against — a Jackson-style full tree parse (Fig 3, Fig 12-15 "spark") and a
 // Mison-style structural-index projection (Fig 15) — as sqlengine
 // ParserBackends: each opens the extractor a scan's batch extraction
-// (sqlengine.SplitExtraction.Fill) drives over one document column. They are
+// (sqlengine.SplitExtraction.Fill) drives over one document column. It also
+// holds the Sparser study's raw needle test (SparserAdmits). They are
 // measurement baselines and test references only: the engine's own extractor
 // is the streaming sqlengine.StreamBackend, and CI checks with `go list
 // -deps` that maxson-serve, maxson-sql and maxson-daily do not link this
@@ -10,6 +11,9 @@
 package baseline
 
 import (
+	"strings"
+
+	"repro/internal/datum"
 	"repro/internal/experiments/baseline/mison"
 	"repro/internal/jsonpath"
 	"repro/internal/sjson"
@@ -155,4 +159,21 @@ func (x *indexExtractor) Scalar(i int) (string, bool) {
 	}
 	r := x.res[x.slot[i]]
 	return r.Scalar, r.Present
+}
+
+// ---- Sparser-style raw filter: a needle test before any parse ----
+
+// SparserAdmits is the raw filter of Sparser (Palkar et al., VLDB 2018) for
+// an equality conjunct get_json_object(col, p) = needle, applied to doc, one
+// row's value of col before it is parsed. It reports whether the row goes on
+// to the parser, and the bytes the test examined. A NULL document cannot
+// satisfy the equality and is skipped unexamined. A document is admitted when
+// it holds the needle, or a backslash, which may hide the value's text behind
+// an escape. The test is sound only where a matching value's text is the
+// needle verbatim: a number written 1E2 renders as 100 and is skipped.
+func SparserAdmits(doc datum.Datum, needle string) (admitted bool, examined int) {
+	if doc.Null {
+		return false, 0
+	}
+	return strings.Contains(doc.S, needle) || strings.ContainsRune(doc.S, '\\'), len(doc.S)
 }

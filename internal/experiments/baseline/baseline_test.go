@@ -90,3 +90,25 @@ func TestBackendsAgree(t *testing.T) {
 		}
 	}
 }
+
+// TestSparserAdmits covers the needle test's cases: a NULL document is
+// skipped unexamined; any other is examined whole, and admitted when it
+// holds the needle or a backslash.
+func TestSparserAdmits(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		doc      datum.Datum
+		admitted bool
+		examined int
+	}{
+		{"null", datum.NullOf(datum.TypeString), false, 0},
+		{"missing needle", datum.Str(`{"k":"other"}`), false, 13},
+		{"backslash without needle", datum.Str(`{"k":"\u0076"}`), true, 14},
+		{"needle present", datum.Str(`{"k":"val"}`), true, 11},
+	} {
+		admitted, examined := SparserAdmits(tc.doc, "val")
+		if admitted != tc.admitted || examined != tc.examined {
+			t.Errorf("%s: SparserAdmits = %v, %d; want %v, %d", tc.name, admitted, examined, tc.admitted, tc.examined)
+		}
+	}
+}

@@ -35,8 +35,9 @@ type CostModel struct {
 	ParseNsPerCall       float64 // fixed per-get_json_object overhead
 	ComputeNsPerRowOp    float64
 	PlanNsPerExprNode    float64
-	// PrefilterNsPerByte rates the Sparser-style raw substring scan
-	// (SIMD-class throughput, far cheaper than parsing).
+	// PrefilterNsPerByte rates the Sparser study's raw needle test per
+	// byte examined (SIMD-class throughput, far cheaper than parsing). Only
+	// the study's own pricing reads it: the engine runs no such test.
 	PrefilterNsPerByte float64
 }
 
@@ -91,9 +92,8 @@ func (cm CostModel) parseNsPerByte(backend sqlengine.ParserBackend) float64 {
 func (cm CostModel) Breakdown(m *sqlengine.Metrics, backend sqlengine.ParserBackend) PhaseBreakdown {
 	pc := m.Parse.Snapshot()
 	return PhaseBreakdown{
-		Read: time.Duration(float64(m.BytesRead.Load()) * cm.ReadNsPerByte),
-		Parse: time.Duration(float64(pc.Bytes)*cm.parseNsPerByte(backend) + float64(pc.Calls)*cm.ParseNsPerCall +
-			float64(m.PrefilterBytes.Load())*cm.PrefilterNsPerByte),
+		Read:    time.Duration(float64(m.BytesRead.Load()) * cm.ReadNsPerByte),
+		Parse:   time.Duration(float64(pc.Bytes)*cm.parseNsPerByte(backend) + float64(pc.Calls)*cm.ParseNsPerCall),
 		Compute: time.Duration(float64(m.RowOps.Load()) * cm.ComputeNsPerRowOp),
 	}
 }

@@ -197,10 +197,11 @@ func TestCostModelCalibrationShape(t *testing.T) {
 		misonNs = math.Min(misonNs, timePer(baseline.MisonBackend{}))
 	}
 
-	// Raw substring scan (the prefilter primitive), for the needle the planner
-	// derives from get_json_object(doc, '$.target') = 'needle-value': the bare
-	// literal, whose first byte is rare in a document, where a quoted one
-	// would stop at every quote. Also the fastest of five rounds.
+	// Raw substring scan (the Sparser study's needle test), for the needle a
+	// study query names beside get_json_object(doc, '$.target') =
+	// 'needle-value': the bare literal, whose first byte is rare in a
+	// document, where a quoted one would stop at every quote. Also the
+	// fastest of five rounds.
 	prefilterNs := math.Inf(1)
 	for round := 0; round < 5; round++ {
 		start := time.Now()

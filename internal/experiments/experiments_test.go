@@ -6,9 +6,12 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/datum"
 	"repro/internal/experiments/baseline"
 	"repro/internal/jsonpath"
+	"repro/internal/orc"
 	"repro/internal/sjson"
+	"repro/internal/testbed"
 	"repro/internal/trace"
 )
 
@@ -426,6 +429,10 @@ func TestSparserStudyOrdering(t *testing.T) {
 	if sel.ParsedSprsr*5 > sel.ParsedSpark {
 		t.Errorf("selective: sparser parsed %d of %d docs", sel.ParsedSprsr, sel.ParsedSpark)
 	}
+	// Every row is parsed or skipped by the needle test, never both.
+	if sel.ParsedSprsr+sel.PrefilterSkipped != testRows {
+		t.Errorf("selective: parsed %d + skipped %d docs, want %d", sel.ParsedSprsr, sel.PrefilterSkipped, testRows)
+	}
 	if sel.SparkSparser >= sel.Spark {
 		t.Errorf("selective: sparser %v >= spark %v", sel.SparkSparser, sel.Spark)
 	}
@@ -445,4 +452,26 @@ func TestSparserStudyOrdering(t *testing.T) {
 		t.Errorf("ubiquitous: sparser overhead too high: %v vs %v", non.SparkSparser, non.Spark)
 	}
 	t.Log("\n" + r.String())
+}
+
+// TestSparserSkipsRenderedNumber pins where Sparser's needle test is
+// unsound: get_json_object renders {"n":1E2} as 100, so the equality holds,
+// but the raw document never holds the needle 100 and every row is skipped.
+// The study runner must refuse the result rather than report a row.
+func TestSparserSkipsRenderedNumber(t *testing.T) {
+	var rows [][]datum.Datum
+	for i := 0; i < 3; i++ {
+		rows = append(rows, []datum.Datum{datum.Str(`{"n":1E2}`)})
+	}
+	bed := testbed.New(testbed.Config{})
+	if err := bed.Load(0, testbed.Table{DB: "db", Name: "t",
+		Schema: orc.Schema{Columns: []orc.Column{{Name: "doc", Type: datum.TypeString}}},
+		Parts:  [][][]datum.Datum{rows}}); err != nil {
+		t.Fatal(err)
+	}
+	sql := `SELECT get_json_object(doc, '$.n') n FROM db.t WHERE get_json_object(doc, '$.n') = '100'`
+	r, err := runSparser(context.Background(), bed.WH, sql, "100")
+	if err == nil || !strings.Contains(err.Error(), "sparser changed results") {
+		t.Fatalf("runSparser = %+v, %v; want a sparser changed results error", r, err)
+	}
 }

@@ -107,8 +107,7 @@ func (g *group) build(live []*participant) *producer {
 	}
 
 	// The producer reads the pristine scan — same columns, same SARG and
-	// share key (identical across the group by fingerprint), no per-query
-	// prefilters.
+	// share key (identical across the group by fingerprint).
 	var factory sqlengine.ScanSourceFactory
 	if u, ok := scan0.Factory.(Unioner); ok {
 		fs := make([]sqlengine.ScanSourceFactory, len(live))

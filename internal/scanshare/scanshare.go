@@ -222,8 +222,7 @@ func New(opts Options) *Scheduler {
 // it must be identical), and — for factory-backed scans — equal share keys.
 // What they extract, and which cache columns a combined scan reads, is
 // unioned instead. Per-query residual filters and projections run post-demux
-// and do not constrain sharing; nor do Sparser prefilters, which the shared
-// pass, reading every row for everyone, does not apply.
+// and do not constrain sharing.
 func fingerprint(scan *sqlengine.ScanNode, shareKey string, gen int64) string {
 	var b strings.Builder
 	if scan.Factory != nil {

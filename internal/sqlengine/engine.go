@@ -19,7 +19,6 @@ type Engine struct {
 	backend     ParserBackend
 	parallelism int
 	defaultDB   string
-	sparser     bool
 	// batchSize is the rows-per-batch of the vectorized scan pipeline.
 	batchSize int
 	// PlanModifier, when set, rewrites physical plans after planning —
@@ -51,7 +50,6 @@ type engineCounters struct {
 	parseSkipped     *obs.Counter
 	parseCalls       *obs.Counter
 	rowOps           *obs.Counter
-	prefilterSkipped *obs.Counter
 	cacheValuesRead  *obs.Counter
 	cacheMisses      *obs.Counter
 	splitPanics      *obs.Counter
@@ -72,7 +70,6 @@ func newEngineCounters(r *obs.Registry) *engineCounters {
 		parseSkipped:     r.Counter("engine_parse_bytes_skipped_total"),
 		parseCalls:       r.Counter("engine_parse_calls_total"),
 		rowOps:           r.Counter("engine_row_ops_total"),
-		prefilterSkipped: r.Counter("engine_prefilter_skipped_total"),
 		cacheValuesRead:  r.Counter("engine_cache_values_read_total"),
 		cacheMisses:      r.Counter("engine_cache_misses_total"),
 		splitPanics:      r.Counter("engine_split_panics_total"),
@@ -98,7 +95,6 @@ func (c *engineCounters) publish(m *Metrics) {
 	c.parseSkipped.Add(pc.Skipped)
 	c.parseCalls.Add(pc.Calls)
 	c.rowOps.Add(m.RowOps.Load())
-	c.prefilterSkipped.Add(m.PrefilterSkipped.Load())
 	c.cacheValuesRead.Add(m.CacheValuesRead.Load())
 	c.cacheMisses.Add(m.CacheMisses.Load())
 	c.wallNanos.Observe(int64(m.WallTime))
@@ -131,13 +127,6 @@ func WithParallelism(n int) EngineOption {
 // WithDefaultDB sets the database used by unqualified table names.
 func WithDefaultDB(db string) EngineOption {
 	return func(e *Engine) { e.defaultDB = db }
-}
-
-// WithSparser enables Sparser-style raw-byte prefiltering: selective
-// string-equality predicates on JSON paths skip parsing for documents that
-// cannot match.
-func WithSparser(on bool) EngineOption {
-	return func(e *Engine) { e.sparser = on }
 }
 
 // WithBatchSize sets how many rows each scan batch carries through the

@@ -342,78 +342,6 @@ func TestNotBetween(t *testing.T) {
 	}
 }
 
-func TestSparserPrefilterSkipsParsing(t *testing.T) {
-	// Selective equality on item_name: only one row matches.
-	sql := `SELECT date FROM mydb.t WHERE get_json_object(sale_logs, '$.item_name') = 'item-17'`
-	plain := newTestEngine(t)
-	sp := newTestEngine(t, WithSparser(true))
-
-	rp := mustQuery(t, plain, sql)
-	rs, m, err := sp.QueryCtx(context.Background(), sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.String() != rp.String() {
-		t.Fatalf("sparser changed results:\n%s\nvs\n%s", rs.String(), rp.String())
-	}
-	if len(rs.Rows) != 1 || rs.Rows[0][0].S != "20190117" {
-		t.Fatalf("rows = %v", rs.Rows)
-	}
-	if m.Parse.Docs.Load() != 1 {
-		t.Errorf("sparser parsed %d docs, want 1 (others prefiltered)", m.Parse.Docs.Load())
-	}
-	if m.PrefilterSkipped.Load() != 30 {
-		t.Errorf("prefilter skipped %d, want 30", m.PrefilterSkipped.Load())
-	}
-	if m.PrefilterBytes.Load() == 0 {
-		t.Error("prefilter bytes not metered")
-	}
-}
-
-func TestSparserNotAppliedToUnsafePredicates(t *testing.T) {
-	sp := newTestEngine(t, WithSparser(true))
-	// Numeric comparison: prefilter would be unsound under numeric coercion.
-	plan, _, err := sp.PlanOnly(`SELECT date FROM mydb.t WHERE get_json_object(sale_logs, '$.turnover') = 100`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plan.Scan.PreFilters) != 0 {
-		t.Errorf("numeric equality got a prefilter: %v", plan.Scan.PreFilters)
-	}
-	// OR disjuncts are not conjuncts.
-	plan, _, err = sp.PlanOnly(`
-		SELECT date FROM mydb.t
-		WHERE get_json_object(sale_logs, '$.item_name') = 'a' OR date = '20190101'`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plan.Scan.PreFilters) != 0 {
-		t.Errorf("OR disjunct got a prefilter: %v", plan.Scan.PreFilters)
-	}
-	// Literals needing escapes are skipped.
-	plan, _, err = sp.PlanOnly(`
-		SELECT date FROM mydb.t WHERE get_json_object(sale_logs, '$.item_name') = 'a"b'`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plan.Scan.PreFilters) != 0 {
-		t.Errorf("escaped literal got a prefilter: %v", plan.Scan.PreFilters)
-	}
-}
-
-func TestSparserEquivalenceOnConjunction(t *testing.T) {
-	sql := `SELECT date FROM mydb.t
-	        WHERE get_json_object(sale_logs, '$.item_name') = 'item-09'
-	          AND date BETWEEN '20190101' AND '20190131'`
-	plain := newTestEngine(t)
-	sp := newTestEngine(t, WithSparser(true))
-	rp := mustQuery(t, plain, sql)
-	rsp := mustQuery(t, sp, sql)
-	if rp.String() != rsp.String() {
-		t.Errorf("conjunction results differ")
-	}
-}
-
 func TestWildcardPathsInQueries(t *testing.T) {
 	bed := testbed.New(testbed.Config{})
 	if err := bed.Load(0, testbed.Table{DB: "db", Name: "t", Schema: orc.Schema{Columns: []orc.Column{{Name: "doc", Type: datum.TypeString}}},

@@ -43,23 +43,15 @@ func (rs *ResultSet) String() string {
 // SplitReader is the engine's own split reader and its default
 // ScanSourceFactory: it reads one warehouse part file per split, decoding the
 // scan's Columns into the first columns of the batch and filling the columns
-// its Extract list extracts into the last ones, through its backend, for the
-// rows the scan's raw prefilters leave. The two meet in a plain scan; the
-// Value Combiner stitches its cache columns between them. The list is
-// compiled once, here, and shared by every split the reader opens.
+// its Extract list extracts into the last ones, through its backend. The two
+// meet in a plain scan; the Value Combiner stitches its cache columns between
+// them. The list is compiled once, here, and shared by every split the reader
+// opens.
 type SplitReader struct {
 	wh      *warehouse.Warehouse
 	scan    *ScanNode
 	backend ParserBackend
 	x       *BatchExtraction // nil without an Extract list
-	pre     []readPrefilter  // the scan's prefilters, by read column
-}
-
-// readPrefilter is a prefilter over the document column the cursor decodes
-// at position in.
-type readPrefilter struct {
-	in     int
-	needle string
 }
 
 // NewSplitReader builds the reader of scan's splits, extracting through
@@ -68,15 +60,7 @@ func NewSplitReader(wh *warehouse.Warehouse, scan *ScanNode, backend ParserBacke
 	if backend == nil {
 		backend = StreamBackend{}
 	}
-	r := &SplitReader{wh: wh, scan: scan, backend: backend, x: CompileExtraction(scan.Columns, scan.Extract)}
-	if r.x != nil {
-		for _, pf := range scan.PreFilters {
-			if in := slices.IndexFunc(r.x.Reads(), func(c string) bool { return strings.EqualFold(c, pf.Column) }); in >= 0 {
-				r.pre = append(r.pre, readPrefilter{in: in, needle: pf.Needle})
-			}
-		}
-	}
-	return r
+	return &SplitReader{wh: wh, scan: scan, backend: backend, x: CompileExtraction(scan.Columns, scan.Extract)}
 }
 
 // NumSplits implements ScanSourceFactory.
@@ -181,11 +165,9 @@ type extractingSource struct {
 }
 
 // NextBatch implements BatchSource: the cursor decodes into the batch and the
-// scratch, the prefilters drop the rows they reject, the extraction fills the
-// batch's last columns for the rows left, and read-stat and parse deltas
-// flush once per batch. A batch the prefilters empty is not returned: the
-// next one is read.
-func (s *extractingSource) NextBatch(b *RowBatch) (n int, err error) {
+// scratch, the extraction fills the batch's last columns, and read-stat and
+// parse deltas flush once per batch.
+func (s *extractingSource) NextBatch(b *RowBatch) (int, error) {
 	max, nCols := b.Capacity(), len(s.r.scan.Columns)
 	copy(s.in, b.Cols[:nCols])
 	for i := nCols; i < len(s.in); i++ {
@@ -194,20 +176,13 @@ func (s *extractingSource) NextBatch(b *RowBatch) (n int, err error) {
 		}
 		s.in[i] = s.in[i][:max]
 	}
-	for {
-		n, err = s.cur.NextBatch(s.in, max)
-		s.meter.Flush(s.m, true)
-		if err != nil || n == 0 {
-			break
-		}
-		if n = s.prefilter(n); n == 0 {
-			continue
-		}
+	n, err := s.cur.NextBatch(s.in, max)
+	s.meter.Flush(s.m, true)
+	if err == nil && n > 0 {
 		c, _ := s.x.Fill(s.in, b.Cols, n) // a query does not count malformed documents; Fill reads them per path
 		if s.m != nil {
 			s.m.Parse.Add(c)
 		}
-		break
 	}
 	// Drop the aliases into the caller's batch: b is lent from the pool and
 	// may be recycled the moment the scan ends, and a source field must not
@@ -215,36 +190,6 @@ func (s *extractingSource) NextBatch(b *RowBatch) (n int, err error) {
 	// (TestFallbackBatchReleasesPoolAliases).
 	clear(s.in[:nCols])
 	return n, err
-}
-
-// prefilter compacts the n decoded rows, in place, to the ones every
-// prefilter admits, and returns how many are left. A dropped row is metered
-// where it is dropped: a prefilter skip and the one row op the executor
-// would have spent on it.
-func (s *extractingSource) prefilter(n int) int {
-	if len(s.r.pre) == 0 {
-		return n
-	}
-	var skipped, scanned int64
-	kept := 0
-rows:
-	for r := 0; r < n; r++ {
-		for _, pf := range s.r.pre {
-			if !admits(s.in[pf.in][r], pf.needle, &skipped, &scanned) {
-				continue rows
-			}
-		}
-		for _, col := range s.in {
-			col[kept] = col[r]
-		}
-		kept++
-	}
-	if s.m != nil {
-		s.m.PrefilterSkipped.Add(skipped)
-		s.m.PrefilterBytes.Add(scanned)
-		s.m.RowOps.Add(int64(n - kept))
-	}
-	return kept
 }
 
 // ReadMeter streams one cursor's read statistics into a query's Metrics:
@@ -327,7 +272,7 @@ func (e *Engine) execute(ctx context.Context, plan *PhysicalPlan, trace *obs.Spa
 	partMetrics := make([]Metrics, nSplits)
 	var stop *limitStop
 	if limit >= 0 {
-		stop = newLimitStop(limit, nSplits, len(plan.Scan.PreFilters) == 0)
+		stop = newLimitStop(limit, nSplits)
 	}
 	var scanSpan *obs.Span
 	if trace != nil {
@@ -419,9 +364,6 @@ func (e *Engine) execute(ctx context.Context, plan *PhysicalPlan, trace *obs.Spa
 		scanSpan.SetInt("parse-calls", pc.Calls)
 		scanSpan.SetInt("rowgroups", sm.RowGroupsRead.Load())
 		scanSpan.SetInt("rowgroups-skipped", sm.RowGroupsSkipped.Load())
-		if n := sm.PrefilterSkipped.Load(); n > 0 {
-			scanSpan.SetInt("prefilter-skipped", n)
-		}
 		if n := sm.CacheValuesRead.Load(); n > 0 {
 			scanSpan.SetInt("cache-values", n)
 		}
@@ -509,9 +451,8 @@ func (e *Engine) execute(ctx context.Context, plan *PhysicalPlan, trace *obs.Spa
 // that split and every later one add nothing to it: a worker claims none of
 // them and one already running stops at its next batch boundary. A split
 // starts only once the one before it has read its first batch, so a LIMIT
-// that batch fills opens no later split at any parallelism; but not behind a
-// scan with prefilters, which may drop batch after batch before one reaches
-// the executor. A nil limitStop needs every split.
+// that batch fills opens no later split at any parallelism. A nil limitStop
+// needs every split.
 type limitStop struct {
 	limit  int64
 	splits []limitSplit
@@ -520,20 +461,17 @@ type limitStop struct {
 // limitSplit is one split's progress under a limitStop.
 type limitSplit struct {
 	out atomic.Int64 // rows emitted so far
-	// read is closed once the split has read a batch, or ended; nil when
-	// the next split need not wait for it.
+	// read is closed once the split has read a batch, or ended.
 	read chan struct{}
 	shut atomic.Bool // read is closed
 }
 
-// newLimitStop builds the stop of an unordered LIMIT over nSplits splits;
-// ramp makes each split wait for the first batch of the one before it.
-func newLimitStop(limit, nSplits int, ramp bool) *limitStop {
+// newLimitStop builds the stop of an unordered LIMIT over nSplits splits,
+// each waiting for the first batch of the one before it.
+func newLimitStop(limit, nSplits int) *limitStop {
 	s := &limitStop{limit: int64(limit), splits: make([]limitSplit, nSplits)}
-	if ramp {
-		for i := range s.splits {
-			s.splits[i].read = make(chan struct{})
-		}
+	for i := range s.splits {
+		s.splits[i].read = make(chan struct{})
 	}
 	return s
 }
@@ -548,13 +486,13 @@ func (s *limitStop) owed(split int) int {
 	return int(max(n, 0))
 }
 
-// start waits, on a ramp, until the split before split has read its first
-// batch, and reports whether split may still add a row to the answer.
+// start waits until the split before split has read its first batch, and
+// reports whether split may still add a row to the answer.
 func (s *limitStop) start(split int) bool {
 	if s == nil {
 		return true
 	}
-	if split > 0 && s.splits[split-1].read != nil {
+	if split > 0 {
 		<-s.splits[split-1].read
 	}
 	return s.owed(split) > 0
@@ -570,7 +508,7 @@ func (s *limitStop) emitted(split, rows int) {
 
 // end lets the split after split start: split has read a batch, or ended.
 func (s *limitStop) end(split int) {
-	if s != nil && s.splits[split].read != nil && s.splits[split].shut.CompareAndSwap(false, true) {
+	if s != nil && s.splits[split].shut.CompareAndSwap(false, true) {
 		close(s.splits[split].read)
 	}
 }
@@ -773,25 +711,6 @@ func (e *Engine) runPartition(ctx context.Context, w *scanWorker, plan *Physical
 		return nil
 	})
 	return res
-}
-
-// admits applies a prefilter with needle to doc, one row's value of its
-// column, adding the bytes it examined to scanned and a rejected row to
-// skipped. A NULL document, or one lacking the needle, cannot satisfy the
-// equality conjunct, so its row is skipped before any parsing. A document
-// holding a backslash may hide the value's text behind an escape: it is never
-// skipped, only parsed and verified.
-func admits(doc datum.Datum, needle string, skipped, scanned *int64) bool {
-	if doc.Null {
-		*skipped++
-		return false
-	}
-	*scanned += int64(len(doc.S))
-	if !strings.Contains(doc.S, needle) && !strings.ContainsRune(doc.S, '\\') {
-		*skipped++
-		return false
-	}
-	return true
 }
 
 // meterBatch counts one scan batch of n rows pulled by the executor.

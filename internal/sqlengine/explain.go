@@ -112,7 +112,7 @@ func RenderExplainAnalyze(plan *PhysicalPlan, m *Metrics) string {
 	}
 	add(op+"]", "")
 	if plan.Filter != nil {
-		add("Filter "+plan.Filter.String(), attr(scanSpan, "out", "prefilter-skipped"))
+		add("Filter "+plan.Filter.String(), attr(scanSpan, "out"))
 	}
 	if plan.Join != nil {
 		add(fmt.Sprintf("HashJoin build=%s.%s", plan.Join.Build.DB, plan.Join.Build.Table),
@@ -122,16 +122,6 @@ func RenderExplainAnalyze(plan *PhysicalPlan, m *Metrics) string {
 	scanOp := fmt.Sprintf("Scan %s.%s cols=%v", plan.Scan.DB, plan.Scan.Table, plan.Scan.Columns)
 	if plan.Scan.SARG != nil {
 		scanOp += " sarg=(" + plan.Scan.SARG.String() + ")"
-	}
-	if len(plan.Scan.PreFilters) > 0 {
-		scanOp += " prefilters=["
-		for i, pf := range plan.Scan.PreFilters {
-			if i > 0 {
-				scanOp += ", "
-			}
-			scanOp += pf.Column + "~" + pf.Needle
-		}
-		scanOp += "]"
 	}
 	add(scanOp, attr(scanSpan,
 		"splits", "rows", "bytes", "parse-docs", "parse-calls", "parse-bytes-skipped",

@@ -93,7 +93,7 @@ func TestQueryTracedMatchesUntracedResults(t *testing.T) {
 type counterValues struct {
 	BytesRead, RowsScanned, RowGroupsRead, RowGroupsSkipped int64
 	Parse                                                   ParseCounts
-	RowOps, PrefilterBytes, PrefilterSkipped                int64
+	RowOps                                                  int64
 	CacheValuesRead, CacheHits, CacheMisses, Batches        int64
 	ScanModes                                               uint32
 	PlanExprNodes                                           int64
@@ -107,8 +107,6 @@ func meteredCounters(m *Metrics) counterValues {
 		RowGroupsSkipped: m.RowGroupsSkipped.Load(),
 		Parse:            m.Parse.Snapshot(),
 		RowOps:           m.RowOps.Load(),
-		PrefilterBytes:   m.PrefilterBytes.Load(),
-		PrefilterSkipped: m.PrefilterSkipped.Load(),
 		CacheValuesRead:  m.CacheValuesRead.Load(),
 		CacheHits:        m.CacheHits.Load(),
 		CacheMisses:      m.CacheMisses.Load(),

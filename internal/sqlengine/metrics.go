@@ -26,10 +26,6 @@ type Metrics struct {
 	// Compute phase: one row-op is one operator processing one row.
 	RowOps atomic.Int64
 
-	// Sparser-style prefilter work.
-	PrefilterBytes   atomic.Int64
-	PrefilterSkipped atomic.Int64
-
 	// Cache interaction (filled in by Maxson's combined scan).
 	CacheValuesRead atomic.Int64
 	CacheHits       atomic.Int64
@@ -127,8 +123,6 @@ func (m *Metrics) addTo(dst *Metrics) {
 	dst.RowGroupsSkipped.Add(m.RowGroupsSkipped.Load())
 	dst.Parse.Add(m.Parse.Snapshot())
 	dst.RowOps.Add(m.RowOps.Load())
-	dst.PrefilterBytes.Add(m.PrefilterBytes.Load())
-	dst.PrefilterSkipped.Add(m.PrefilterSkipped.Load())
 	dst.CacheValuesRead.Add(m.CacheValuesRead.Load())
 	dst.CacheHits.Add(m.CacheHits.Load())
 	dst.CacheMisses.Add(m.CacheMisses.Load())
@@ -160,9 +154,6 @@ func (m *Metrics) String() string {
 	parts = append(parts, fmt.Sprintf("%d row-ops", m.RowOps.Load()))
 	if n := m.CacheValuesRead.Load(); n > 0 || m.CacheMisses.Load() > 0 {
 		parts = append(parts, fmt.Sprintf("cache %d values (%d misses)", n, m.CacheMisses.Load()))
-	}
-	if n := m.PrefilterSkipped.Load(); n > 0 {
-		parts = append(parts, fmt.Sprintf("prefilter skipped %d", n))
 	}
 	return strings.Join(parts, "; ")
 }

@@ -22,18 +22,6 @@ type ScanSourceFactory interface {
 	Schema() (RowSchema, error)
 }
 
-// RawPrefilter is a Sparser-style raw-byte filter: before parsing a JSON
-// document, check that it contains the needle substring at all. Sound only
-// for top-level AND conjuncts of the form get_json_object(col, p) = 'lit'
-// where the literal contains no JSON-escaped characters — then a matching
-// row's document must contain the quoted literal verbatim, so rows without
-// it can skip the parse entirely (Palkar et al., VLDB 2018). The engine's
-// split reader applies a scan's prefilters before it extracts.
-type RawPrefilter struct {
-	Column string
-	Needle string
-}
-
 // ScanNode reads a base table. Columns lists the storage columns to read;
 // SARG is an optional storage-level predicate for row-group skipping.
 type ScanNode struct {
@@ -42,8 +30,6 @@ type ScanNode struct {
 	Binding string // alias used to qualify output columns
 	Columns []string
 	SARG    *orc.SARG
-	// PreFilters hold Sparser-style raw-byte filters (engine option).
-	PreFilters []RawPrefilter
 	// Extract lists the get_json_object values the scan produces: the
 	// planner makes one entry of every distinct (document column, path) pair
 	// the plan's calls read, and the scan places them, in order, in the last
@@ -192,16 +178,6 @@ func (p *PhysicalPlan) String() string {
 	out += fmt.Sprintf("Scan %s.%s cols=%v", p.Scan.DB, p.Scan.Table, p.Scan.Columns)
 	if p.Scan.SARG != nil {
 		out += " sarg=(" + p.Scan.SARG.String() + ")"
-	}
-	if len(p.Scan.PreFilters) > 0 {
-		out += " prefilters=["
-		for i, pf := range p.Scan.PreFilters {
-			if i > 0 {
-				out += ", "
-			}
-			out += pf.Column + "~" + pf.Needle
-		}
-		out += "]"
 	}
 	if p.Scan.Factory != nil {
 		out += " source=custom"

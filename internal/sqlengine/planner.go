@@ -98,9 +98,6 @@ func (e *Engine) Plan(stmt *SelectStmt) (*PhysicalPlan, error) {
 		}
 		plan.Filter = stmt.Where
 		plan.Scan.SARG = extractSARG(stmt.Where, plan.Scan)
-		if e.sparser {
-			plan.Scan.PreFilters = extractPrefilters(stmt.Where, plan.Scan)
-		}
 	}
 
 	if hasAgg {
@@ -450,77 +447,6 @@ func sargOp(op BinaryOp) (orc.CompareOp, bool) {
 		return orc.OpGE, true
 	}
 	return 0, false
-}
-
-// extractPrefilters pulls Sparser-style raw filters out of top-level AND
-// conjuncts: get_json_object(col, p) = 'literal' with a clean literal means
-// a matching document must contain "literal" (quoted) verbatim.
-func extractPrefilters(where Expr, scan *ScanNode) []RawPrefilter {
-	var out []RawPrefilter
-	var visit func(e Expr)
-	visit = func(e Expr) {
-		b, ok := e.(*Binary)
-		if !ok {
-			return
-		}
-		if b.Op == OpAnd {
-			visit(b.Left)
-			visit(b.Right)
-			return
-		}
-		if b.Op != OpEq {
-			return
-		}
-		jp, lit := jsonPathLitPair(b.Left, b.Right)
-		if jp == nil || lit.Value.Typ != datum.TypeString || lit.Value.Null {
-			return
-		}
-		if jp.Column.Qualifier != "" && !strings.EqualFold(jp.Column.Qualifier, scan.Binding) {
-			return
-		}
-		if !otherHas(scan, jp.Column.Name) {
-			return
-		}
-		needle := lit.Value.S
-		// Soundness: a row matches only when the extracted scalar equals
-		// the literal exactly. For string values the raw document contains
-		// the text verbatim (when not escape-encoded — the scan guards
-		// documents containing backslashes); for numbers/booleans the
-		// scalar preserves the raw literal. Composite values serialize
-		// compactly, which may differ from the raw spacing, so literals
-		// that could match composites ('{'/'[') are excluded, as are
-		// literals that would be escape-encoded inside JSON strings.
-		if needle == "" || hasControl(needle) ||
-			strings.ContainsAny(needle, "\\\"") || strings.ContainsAny(needle, "{[") {
-			return
-		}
-		out = append(out, RawPrefilter{Column: storageName(scan, jp.Column.Name), Needle: needle})
-	}
-	visit(where)
-	return out
-}
-
-func jsonPathLitPair(l, r Expr) (*JSONPathExpr, *Literal) {
-	if ref, ok := l.(*ExtractRef); ok {
-		if lit, ok := r.(*Literal); ok {
-			return ref.Call, lit
-		}
-	}
-	if ref, ok := r.(*ExtractRef); ok {
-		if lit, ok := l.(*Literal); ok {
-			return ref.Call, lit
-		}
-	}
-	return nil, nil
-}
-
-func hasControl(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if s[i] < 0x20 {
-			return true
-		}
-	}
-	return false
 }
 
 func exprHasAggregate(e Expr) bool {
