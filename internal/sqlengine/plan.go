@@ -96,9 +96,6 @@ type PhysicalPlan struct {
 	// aggVals counts the MIN and MAX aggregates in Aggs: the only ones that
 	// keep a value, not just a count and a sum, per group.
 	aggVals int
-	// tail is the filter and partial aggregation compiled to run a batch at
-	// a time (coltail.go); nil keeps the row loop.
-	tail *columnTail
 }
 
 // rowLimit reports the LIMIT that may stop the plan's scan: one with no

@@ -43,8 +43,7 @@ func VisitPlanExprs(plan *PhysicalPlan, f func(Expr)) {
 }
 
 // Rebind re-resolves every plan expression against the plan's rebuilt input
-// schema and compiles the column tail again, which the new schema may make
-// column-shaped or move. An aggregate plan's items, order keys and HAVING read
+// schema. An aggregate plan's items, order keys and HAVING read
 // the aggregation's output and are left alone. Join keys bind against their
 // own side's scan schema.
 func (plan *PhysicalPlan) Rebind() error {
@@ -78,9 +77,5 @@ func (plan *PhysicalPlan) Rebind() error {
 			bind(plan.Join.Build.schema, k)
 		}
 	}
-	if err != nil {
-		return err
-	}
-	plan.tail = compileColumnTail(plan)
-	return nil
+	return err
 }
