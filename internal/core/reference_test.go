@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/big"
 	"slices"
 	"strconv"
 	"strings"
@@ -306,6 +307,23 @@ func refBinary(op sqlengine.BinaryOp, l, r datum.Datum) (datum.Datum, error) {
 	if !lok || !rok {
 		return datum.NullOf(datum.TypeFloat64), nil
 	}
+	if l.Typ == datum.TypeInt64 && r.Typ == datum.TypeInt64 && op != sqlengine.OpDiv && (rf != 0 || op != sqlengine.OpMod) {
+		// Exact in int64 unless it overflows, which the wider big.Int shows.
+		a, b := big.NewInt(l.I), big.NewInt(r.I)
+		switch op {
+		case sqlengine.OpAdd:
+			a.Add(a, b)
+		case sqlengine.OpSub:
+			a.Sub(a, b)
+		case sqlengine.OpMul:
+			a.Mul(a, b)
+		case sqlengine.OpMod:
+			a.Rem(a, b)
+		}
+		if a.IsInt64() {
+			return datum.Int(a.Int64()), nil
+		}
+	}
 	var out float64
 	switch op {
 	case sqlengine.OpAdd:
@@ -323,9 +341,6 @@ func refBinary(op sqlengine.BinaryOp, l, r datum.Datum) (datum.Datum, error) {
 		}
 	default:
 		return datum.Datum{}, unsupported("operator %d", op)
-	}
-	if l.Typ == datum.TypeInt64 && r.Typ == datum.TypeInt64 && op != sqlengine.OpDiv && out == math.Trunc(out) {
-		return datum.Int(int64(out)), nil
 	}
 	return datum.Float(out), nil
 }
@@ -386,7 +401,18 @@ func refFunc(name string, args []datum.Datum) (datum.Datum, error) {
 	case "cast_double":
 		return datum.Coerce(a, datum.TypeFloat64), nil
 	case "cast_bigint":
-		return datum.Coerce(a, datum.TypeInt64), nil
+		// Integer text exactly; any other number truncated, NULL unless it
+		// is finite and within BIGINT.
+		if i, err := strconv.ParseInt(a.S, 10, 64); a.Typ == datum.TypeString && err == nil {
+			return datum.Int(i), nil
+		}
+		if a.Typ == datum.TypeInt64 {
+			return a, nil
+		}
+		if f, ok := a.AsFloat(); ok && f >= math.MinInt64 && f < math.MaxInt64 {
+			return datum.Int(int64(f)), nil
+		}
+		return datum.NullOf(datum.TypeInt64), nil
 	case "length", "upper", "lower", "abs":
 	default:
 		return datum.Datum{}, unsupported("function %s", name)
@@ -402,12 +428,14 @@ func refFunc(name string, args []datum.Datum) (datum.Datum, error) {
 	case "lower":
 		return datum.Str(strings.ToLower(a.AsString())), nil
 	}
+	if a.Typ == datum.TypeInt64 {
+		if abs := new(big.Int).Abs(big.NewInt(a.I)); abs.IsInt64() {
+			return datum.Int(abs.Int64()), nil
+		}
+	}
 	f, ok := a.AsFloat()
-	switch {
-	case !ok:
+	if !ok {
 		return datum.NullOf(datum.TypeString), nil
-	case a.Typ == datum.TypeInt64:
-		return datum.Int(int64(math.Abs(f))), nil
 	}
 	return datum.Float(math.Abs(f)), nil
 }

@@ -52,6 +52,8 @@ var execBenchQueries = []struct {
 	{"scan", `SELECT a, tag, s FROM bench.t`},
 	{"filter", `SELECT a, s FROM bench.t WHERE a >= 2048 AND tag = 'g3'`},
 	{"agg", `SELECT tag, COUNT(*) n, SUM(a) total, MIN(s) lo FROM bench.t GROUP BY tag`},
+	{"group2", `SELECT tag, s, COUNT(*) n, MAX(a) hi FROM bench.t GROUP BY tag, s`},
+	{"join", `SELECT x.a, y.s FROM bench.t x JOIN bench.t y ON x.a = y.a WHERE x.tag = 'g3'`},
 }
 
 func benchExecQueries(b *testing.B, e *Engine) {
