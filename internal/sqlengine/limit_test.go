@@ -195,3 +195,33 @@ func TestLimitProjectionAllocations(t *testing.T) {
 		t.Errorf("a LIMIT 10 projection allocates %.0f B per query, want at most %d", bytes, 12<<10)
 	}
 }
+
+// TestJoinSplitOwedNothingReturnsNothing: above parallelism one, the splits
+// before a split can emit the rows its LIMIT needs after the split was let
+// start and before it reads its first batch. Such a split owes no row; it
+// returns none and reads nothing, as one the LIMIT skipped.
+func TestJoinSplitOwedNothingReturnsNothing(t *testing.T) {
+	e := limitEngine(t, 2, 20, WithParallelism(1))
+	stmt, err := Parse(`SELECT x.id, y.id FROM db.t x JOIN db.t y ON x.id = y.id LIMIT 5`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := e.Plan(stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	table, width, err := e.buildJoinTable(ctx, plan, &Metrics{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := newLimitStop(5, 2)
+	stop.emitted(0, 5) // split 0 holds the LIMIT's rows before split 1 starts
+	var w scanWorker
+	defer w.release()
+	m := &Metrics{}
+	res := e.runPartition(ctx, &w, plan, NewSplitReader(e.wh, plan.Scan, e.backend), 1, table, width, stop, m)
+	if res.err != nil || len(res.rows) != 0 || m.RowsScanned.Load() != 0 {
+		t.Errorf("split 1 returned %d rows (err %v) and scanned %d, want none", len(res.rows), res.err, m.RowsScanned.Load())
+	}
+}
